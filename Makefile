@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt-check fmt bench bench-smoke bench-json fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race vet fmt-check fmt bench bench-smoke bench-json bench-selftest fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -27,11 +27,14 @@ test-short:
 # matrix, zero-copy capture, doorbell coalescing), and the async-task
 # runtime's conformance matrix ({AsyncAt,AsyncAtFF,Finish} × {self,cross}
 # × {steal on,off} × {LogGP,in-process} plus groups, worker concurrency,
-# and the spawn→steal→execute trace pipeline).
+# and the spawn→steal→execute trace pipeline), and the conduit backend
+# conformance matrix ({put,get,am,amo,copy} × {host,device} × {self,peer,
+# third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
+# tcp/shm wire networks, whose reader goroutines make it a real race test).
 race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
-	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment'
+	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
 
@@ -103,6 +106,14 @@ bench-json:
 	$(GO) run ./cmd/dht-bench -conduit=shm -json
 	$(GO) run ./cmd/dht-bench -conduit=tcp -json
 
+# The committed benchmark is a module of its own (benchmark/go.mod,
+# `replace upcxx => ../`) that reaches into internal/gasnet and the facade:
+# vet it and run its self-test so an API slip is caught here, not by the
+# benchmark pipeline. Same environment hygiene as benchmark/run.sh.
+bench-selftest:
+	GOFLAGS= GOWORK=off $(GO) vet -C benchmark ./...
+	GOFLAGS= GOWORK=off $(GO) test -C benchmark ./...
+
 # Observability smoke: quickstart with stats and tracing armed must print
 # a non-empty sampled op timeline, and the obs-threaded runtime must stay
 # race-clean under concurrent recording.
@@ -127,4 +138,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check test race examples-run obs-smoke transport-smoke
+ci: build vet fmt-check test race bench-selftest examples-run obs-smoke transport-smoke

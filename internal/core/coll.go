@@ -421,7 +421,7 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 	if !e.rk.w.cfg.ProgressThread && e.rk.master.holder.Load() == 0 {
 		panic(fmt.Sprintf("upcxx: rank %d: collectives require a held master persona (use World.Run) or Config.ProgressThread", e.rk.me))
 	}
-	e.rk.execBody(func() {
+	e.rk.execBodyAs(curGID(), func() { // a user call, not an AM handler
 		seq := e.seqs[t.id]
 		e.seqs[t.id] = seq + 1
 		key := collKey{t.id, seq}

@@ -23,12 +23,23 @@ import (
 	"upcxx/internal/serial"
 )
 
-// fnEntry holds every invoker form derivable from one registered
-// function. Forms the function's signature cannot take stay nil.
+// fnEntry holds every form registered under one function name. Forms the
+// function's signature cannot take stay nil; one function may be both an
+// RPC body and a task body (registerEntry merges).
 type fnEntry struct {
 	inv   rpcInvoker      // round-trip request body (replies inline or deferred)
 	ffInv rpcFFInvoker    // fire-and-forget / remote-cx body
 	bInv  rpcBatchInvoker // batched round-trip body (returns result bytes)
+	task  *TaskBody       // internal/task body
+}
+
+// TaskBody is the registry form of a task function (internal/task): Run
+// for a result-bearing body, RunFF for a fire-and-forget one. Tasks carry
+// their own result path — a result frame to the home rank, not an RPC
+// reply — so they are one more entry kind rather than an RPC invoker.
+type TaskBody struct {
+	Run   func(trk *Rank, args []byte) []byte
+	RunFF func(trk *Rank, args []byte)
 }
 
 var fnReg = struct {
@@ -40,7 +51,9 @@ var fnReg = struct {
 	byPtr:  make(map[uintptr]string),
 }
 
-func fnName(fn any) string {
+// registerEntry files the forms in ent under fn's stable runtime name,
+// keeping the forms an earlier registration of the same function filled.
+func registerEntry(fn any, ent fnEntry) string {
 	v := reflect.ValueOf(fn)
 	if v.Kind() != reflect.Func {
 		panic(fmt.Sprintf("upcxx: Register of non-function %T", fn))
@@ -49,16 +62,22 @@ func fnName(fn any) string {
 	if rf == nil {
 		panic("upcxx: Register of unresolvable function")
 	}
-	return rf.Name()
-}
-
-func registerEntry(fn any, build func() fnEntry) string {
-	name := fnName(fn)
-	ent := build()
+	name := rf.Name()
 	fnReg.Lock()
-	fnReg.byName[name] = &ent
-	fnReg.byPtr[reflect.ValueOf(fn).Pointer()] = name
-	fnReg.Unlock()
+	defer fnReg.Unlock()
+	if old := fnReg.byName[name]; old != nil {
+		if ent.inv == nil {
+			ent.inv, ent.bInv = old.inv, old.bInv
+		}
+		if ent.ffInv == nil {
+			ent.ffInv = old.ffInv
+		}
+		if ent.task == nil {
+			ent.task = old.task
+		}
+	}
+	fnReg.byName[name] = &ent // a fresh entry: lookups read entries unlocked
+	fnReg.byPtr[v.Pointer()] = name
 	return name
 }
 
@@ -74,14 +93,43 @@ func registeredName(fn any) string {
 	return name
 }
 
+func errUnregistered(what string) error {
+	return fmt.Errorf("upcxx: unregistered function %s — every rank must register it at init time (RegisterRPC/RegisterRPCFF/RegisterRPCFut, task.Register/RegisterFF)", what)
+}
+
 func lookupFn(name string) (*fnEntry, error) {
 	fnReg.RLock()
 	ent := fnReg.byName[name]
 	fnReg.RUnlock()
 	if ent == nil {
-		return nil, fmt.Errorf("upcxx: RPC names unregistered function %q — every rank must RegisterRPC/RegisterRPCFF/RegisterRPCFut it at init time", name)
+		return nil, errUnregistered(fmt.Sprintf("%q", name))
 	}
 	return ent, nil
+}
+
+// RegisterTaskBody, TaskBodyName and LookupTaskBody are internal/task's
+// view of the registry: register a body, name a registered function for
+// the wire, resolve a wire name at the executing rank.
+func RegisterTaskBody(fn any, body TaskBody) string {
+	return registerEntry(fn, fnEntry{task: &body})
+}
+
+func TaskBodyName(fn any) (string, error) {
+	if name := registeredName(fn); name != "" {
+		return name, nil
+	}
+	return "", errUnregistered(fmt.Sprintf("%T", fn))
+}
+
+func LookupTaskBody(name string) (TaskBody, error) {
+	ent, err := lookupFn(name)
+	if err != nil {
+		return TaskBody{}, err
+	}
+	if ent.task == nil {
+		return TaskBody{}, errUnregistered(fmt.Sprintf("%q (as a task)", name))
+	}
+	return *ent.task, nil
 }
 
 // RegisterRPC registers a round-trip RPC body for cross-process
@@ -89,38 +137,34 @@ func lookupFn(name string) (*fnEntry, error) {
 // before the function first crosses a process boundary) with a
 // package-level, non-generic function; registration is process-global.
 func RegisterRPC[A, R any](fn func(*Rank, A) R) string {
-	return registerEntry(fn, func() fnEntry {
-		return fnEntry{
-			inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
-				var a A
-				mustUnmarshal(args, &a)
-				trk.replyTo(src, seq, mustMarshal(fn(trk, a)))
-			},
-			bInv: func(trk *Rank, src Intrank, args []byte) []byte {
-				var a A
-				mustUnmarshal(args, &a)
-				return mustMarshal(fn(trk, a))
-			},
-		}
+	return registerEntry(fn, fnEntry{
+		inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
+			var a A
+			mustUnmarshal(args, &a)
+			trk.replyTo(src, seq, mustMarshal(fn(trk, a)))
+		},
+		bInv: func(trk *Rank, src Intrank, args []byte) []byte {
+			var a A
+			mustUnmarshal(args, &a)
+			return mustMarshal(fn(trk, a))
+		},
 	})
 }
 
 // RegisterRPC2 registers a two-argument round-trip RPC body for
 // cross-process dispatch and returns its wire name.
 func RegisterRPC2[A, B, R any](fn func(*Rank, A, B) R) string {
-	return registerEntry(fn, func() fnEntry {
-		return fnEntry{
-			inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
-				var a A
-				var b B
-				n, err := serial.DecodeInto(args, &a)
-				if err != nil {
-					panic(fmt.Sprintf("upcxx: RPC2 first argument decode: %v", err))
-				}
-				mustUnmarshal(args[n:], &b)
-				trk.replyTo(src, seq, mustMarshal(fn(trk, a, b)))
-			},
-		}
+	return registerEntry(fn, fnEntry{
+		inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
+			var a A
+			var b B
+			n, err := serial.DecodeInto(args, &a)
+			if err != nil {
+				panic(fmt.Sprintf("upcxx: RPC2 first argument decode: %v", err))
+			}
+			mustUnmarshal(args[n:], &b)
+			trk.replyTo(src, seq, mustMarshal(fn(trk, a, b)))
+		},
 	})
 }
 
@@ -128,38 +172,34 @@ func RegisterRPC2[A, B, R any](fn func(*Rank, A, B) R) string {
 // remote-completion RemoteCxAsRPC bodies take) for cross-process
 // dispatch and returns its wire name.
 func RegisterRPCFF[A any](fn func(*Rank, A)) string {
-	return registerEntry(fn, func() fnEntry {
-		return fnEntry{
-			ffInv: func(trk *Rank, src Intrank, args []byte) {
-				var a A
-				mustUnmarshal(args, &a)
-				fn(trk, a)
-			},
-		}
+	return registerEntry(fn, fnEntry{
+		ffInv: func(trk *Rank, src Intrank, args []byte) {
+			var a A
+			mustUnmarshal(args, &a)
+			fn(trk, a)
+		},
 	})
 }
 
 // RegisterRPCFut registers a future-returning (deferred-reply) RPC body
 // for cross-process dispatch and returns its wire name.
 func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string {
-	return registerEntry(fn, func() fnEntry {
-		return fnEntry{
-			inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
-				var a A
-				mustUnmarshal(args, &a)
-				inner := fn(trk, a)
-				reply := func() {
-					inner.c.onReady(func(r R) {
-						trk.replyTo(src, seq, mustMarshal(r))
-					})
-				}
-				if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
-					reply()
-				} else {
-					inner.c.pers.LPC(reply)
-				}
-			},
-		}
+	return registerEntry(fn, fnEntry{
+		inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
+			var a A
+			mustUnmarshal(args, &a)
+			inner := fn(trk, a)
+			reply := func() {
+				inner.c.onReady(func(r R) {
+					trk.replyTo(src, seq, mustMarshal(r))
+				})
+			}
+			if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
+				reply()
+			} else {
+				inner.c.pers.LPC(reply)
+			}
+		},
 	})
 }
 

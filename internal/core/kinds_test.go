@@ -380,10 +380,14 @@ func TestKindsConcurrent(t *testing.T) {
 	const users, iters = 4, 16
 	RunConfig(Config{Ranks: 2, ProgressThread: true}, func(rk *Rank) {
 		da := NewDeviceAllocator(rk, 1<<20)
-		// One device strip per (user, rank) so transfers never alias.
+		// One device strip per (user, rank) so transfers never alias: devs
+		// are published to the peer (its users put and get them), priv
+		// stay rank-local for the same-rank d2d.
 		devs := make([]GPtr[int32], users)
+		priv := make([]GPtr[int32], users)
 		for u := range devs {
 			devs[u] = MustNewDeviceArray[int32](da, kindsN)
+			priv[u] = MustNewDeviceArray[int32](da, kindsN)
 		}
 		obj := NewDistObject(rk, devs)
 		rk.Barrier()
@@ -413,7 +417,7 @@ func TestKindsConcurrent(t *testing.T) {
 							return
 						}
 					}
-					CopyGG(rk, devs[u], devs[u].Add(0), kindsN).Wait()
+					CopyGG(rk, priv[u], priv[u].Add(0), kindsN).Wait()
 				}
 			}()
 		}

@@ -212,7 +212,7 @@ func (rk *Rank) inject(ops []rmaOp, cx *cxPlan) {
 			cx.obsBytes = planBytes
 		}
 		// Source completion: only puts carry source descriptors
-		// (cxPlan.add), and PutSeg captures its source bytes before
+		// (cxPlan.add), and PutSegTag captures its source bytes before
 		// returning on every path — a copy's source is read lazily when
 		// the hop chain reaches it, which is why copies reject them.
 		cx.sourceDone()

@@ -100,6 +100,16 @@ func (rk *Rank) execBody(fn func()) {
 	if gid == 0 {
 		gid = curGID()
 	}
+	rk.execBodyAs(gid, fn)
+}
+
+// execBodyAs is execBody for a caller that knows its goroutine id. Code
+// that is not running inside an AM handler must pass curGID(): outside a
+// handler the conduit poll token names whichever goroutine happens to be
+// draining AMs — possibly the progress thread, concurrently — not the
+// caller, and mistaking one for the other would run fn inline on the
+// wrong goroutine.
+func (rk *Rank) execBodyAs(gid uint64, fn func()) {
 	if rk.w.cfg.ProgressThread {
 		// Always route to the progress persona (inline only when the
 		// progress thread itself harvested the AM). No unheld fallback:

@@ -66,38 +66,26 @@ func newEngine(ranks int) *engine {
 // schedule queues run at the absolute time due.
 func (e *engine) schedule(due time.Time, run func(at time.Time)) {
 	e.mu.Lock()
-	e.seq++
-	heap.Push(&e.events, event{due: due, seq: e.seq, run: run})
-	e.version.Add(1)
-	e.cond.Signal()
+	e.push(due, run)
 	e.mu.Unlock()
 	e.ring()
 }
 
-// injectFrom models rank src injecting a message now: the message occupies
-// src's NIC for gap, then arrives lat later, at which point deliver runs.
-func (e *engine) injectFrom(src int, gap, lat time.Duration, deliver func(at time.Time)) {
-	e.injectFromAt(src, time.Now(), gap, lat, deliver)
+// push queues an event; the caller holds e.mu and rings afterwards.
+func (e *engine) push(due time.Time, run func(at time.Time)) {
+	e.seq++
+	heap.Push(&e.events, event{due: due, seq: e.seq, run: run})
+	e.version.Add(1)
+	e.cond.Signal()
 }
 
-// injectFromAt is injectFrom with an explicit earliest injection time (used
-// for NIC-initiated traffic such as get replies).
-func (e *engine) injectFromAt(src int, earliest time.Time, gap, lat time.Duration, deliver func(at time.Time)) {
-	e.injectOn(e.nicFree, src, earliest, gap, lat, deliver)
-}
-
-// injectDMAAt models rank r's device copy engine accepting a DMA
-// descriptor no earlier than earliest: the engine is occupied for gap
-// (descriptors serialize, like NIC messages), and the transfer lands lat
-// later, at which point deliver runs. The DMA engine and the NIC occupy
-// independent channels: a rank can stream over the wire and across PCIe
-// concurrently.
-func (e *engine) injectDMAAt(r int, earliest time.Time, gap, lat time.Duration, deliver func(at time.Time)) {
-	e.injectOn(e.dmaFree, r, earliest, gap, lat, deliver)
-}
-
-// injectOn serializes an operation on one channel of the free list
-// (per-rank NIC or per-rank DMA engine) and schedules its delivery.
+// injectOn models channel idx of free — a rank's NIC (nicFree) or its
+// device copy engine (dmaFree) — accepting an operation no earlier than
+// earliest (a chained hop passes the previous hop's landing time): the
+// channel is occupied for gap (operations serialize, the LogGP gap) and
+// the operation lands lat later, when deliver runs. NIC and DMA engine
+// are independent channels: a rank can stream over the wire and across
+// PCIe concurrently.
 func (e *engine) injectOn(free []time.Time, idx int, earliest time.Time, gap, lat time.Duration, deliver func(at time.Time)) {
 	e.mu.Lock()
 	start := earliest
@@ -108,11 +96,7 @@ func (e *engine) injectOn(free []time.Time, idx int, earliest time.Time, gap, la
 		start = free[idx]
 	}
 	free[idx] = start.Add(gap)
-	due := start.Add(gap + lat)
-	e.seq++
-	heap.Push(&e.events, event{due: due, seq: e.seq, run: deliver})
-	e.version.Add(1)
-	e.cond.Signal()
+	e.push(start.Add(gap+lat), deliver)
 	e.mu.Unlock()
 	e.ring()
 }

@@ -3,6 +3,8 @@ package gasnet
 import (
 	"testing"
 	"time"
+
+	"upcxx/internal/obs"
 )
 
 func TestDeviceSegmentRegistry(t *testing.T) {
@@ -118,7 +120,7 @@ func TestKindsDMATimingFloor(t *testing.T) {
 
 	done := false
 	t0 := time.Now()
-	ep.PutSeg(0, id, off, make([]byte, 64), func() { done = true }, nil)
+	ep.PutSegTag(0, id, off, make([]byte, 64), func() { done = true }, nil, obs.OpTag{})
 	pollDone(t, ep, &done)
 	if elapsed := time.Since(t0); elapsed < 50*time.Microsecond {
 		t.Fatalf("h2d put took %v, less than DMA gap+latency (50µs)", elapsed)
@@ -129,7 +131,7 @@ func TestKindsDMATimingFloor(t *testing.T) {
 	remaining := k
 	t0 = time.Now()
 	for i := 0; i < k; i++ {
-		ep.PutSeg(0, id, off, make([]byte, 64), func() { remaining-- }, nil)
+		ep.PutSegTag(0, id, off, make([]byte, 64), func() { remaining-- }, nil, obs.OpTag{})
 	}
 	for remaining > 0 {
 		ep.Poll()
@@ -157,7 +159,7 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 	// Cross-rank h2d: wire (gap+L) + DMA (gap+L) + ack (L) at minimum.
 	done := false
 	t0 := time.Now()
-	src.PutSeg(1, id, off, make([]byte, 64), func() { done = true }, nil)
+	src.PutSegTag(1, id, off, make([]byte, 64), func() { done = true }, nil, obs.OpTag{})
 	pollDone(t, src, &done)
 	minC := (5 + 40 + 5 + 25 + 40) * time.Microsecond
 	if elapsed := time.Since(t0); elapsed < minC {
@@ -171,7 +173,7 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 	b, _ := src.SegByID(id0b).Alloc(64)
 	done = false
 	t0 = time.Now()
-	src.CopySeg(0, id0, a, 0, id0b, b, 64, func() { done = true }, nil)
+	src.CopySegTag(0, id0, a, 0, id0b, b, 64, func() { done = true }, nil, obs.OpTag{})
 	pollDone(t, src, &done)
 	if elapsed := time.Since(t0); elapsed < 30*time.Microsecond {
 		t.Fatalf("same-rank d2d took %v, less than its DMA floor 30µs", elapsed)
@@ -221,7 +223,7 @@ func TestKindsCopySegMatrixNoDelay(t *testing.T) {
 		copy(n.Endpoint(tc.src.rank).SegByID(ss).Bytes(so, len(pat)), pat)
 		ep := n.Endpoint(0)
 		done := false
-		ep.CopySeg(tc.src.rank, ss, so, tc.dst.rank, ds, do, len(pat), func() { done = true }, nil)
+		ep.CopySegTag(tc.src.rank, ss, so, tc.dst.rank, ds, do, len(pat), func() { done = true }, nil, obs.OpTag{})
 		pollDone(t, ep, &done)
 		got := n.Endpoint(tc.dst.rank).SegByID(ds).Bytes(do, len(pat))
 		for i := range pat {

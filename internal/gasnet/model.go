@@ -10,8 +10,8 @@
 // another rank's Go heap, only into registered segments (the PGAS memory),
 // which is exactly the RDMA contract.
 //
-// Timing is pluggable. The NoDelay model delivers immediately and is meant
-// for tests; the LogGP model charges Aries-calibrated injection overhead,
+// Timing is pluggable. With no model the conduit delivers immediately
+// (meant for tests); the LogGP model charges Aries-calibrated injection overhead,
 // per-message gap, per-byte cost and wire latency, enforced in real time by
 // a delivery engine with sub-microsecond spin precision, so that
 // microbenchmarks over this conduit exhibit the latency/bandwidth structure
@@ -34,14 +34,6 @@ type Model interface {
 	// (LogGP "L").
 	Latency(n int, intra bool) time.Duration
 }
-
-// NoDelay is the zero-cost model: every operation is delivered as soon as
-// the machinery can process it. Semantics-preserving, used by tests.
-type NoDelay struct{}
-
-func (NoDelay) Overhead(int, bool) time.Duration { return 0 }
-func (NoDelay) Gap(int, bool) time.Duration      { return 0 }
-func (NoDelay) Latency(int, bool) time.Duration  { return 0 }
 
 // LogGP is a LogGP-family cost model with distinct inter- and intra-node
 // parameters. Per-byte costs are fractional nanoseconds, so they are kept

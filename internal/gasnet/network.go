@@ -34,7 +34,7 @@ type Config struct {
 	Ranks        int
 	RanksPerNode int   // 0 means all ranks share one node
 	SegmentSize  int   // per-rank segment bytes; 0 means 8 MiB
-	Model        Model // nil means NoDelay
+	Model        Model // nil means zero-delay delivery
 	// DMA is the device copy-engine model used for transfers touching
 	// device-kind segments. nil defaults to PCIe3 when Model is a
 	// real-time model, NoDelayDMA otherwise; with a zero-delay network
@@ -58,16 +58,17 @@ type Config struct {
 const DefaultSegmentSize = 8 << 20
 
 // Network couples the endpoints of one job. It owns the AM handler table
-// and, when a timing model is installed, the delivery engine.
+// and the conduit backend every operation is carried by.
 type Network struct {
-	cfg      Config
-	model    Model
-	dma      DMAModel
-	realtime bool
-	gdr      bool // every endpoint's engine is GPUDirect-capable
-	eps      []*Endpoint
-	eng      *engine
-	trans    *transport // real transport backend; nil = in-process conduit
+	cfg Config
+	gdr bool // every endpoint's engine is GPUDirect-capable
+	// devCost prices synchronous device charges (ChargeFusedFold): the
+	// DMA model under a real-time network model, zero otherwise — with a
+	// zero-delay network device time is free whatever Config.DMA says.
+	devCost DMAModel
+	eps     []*Endpoint
+	be      backend // carries operations that leave the initiating rank
+	self    backend // carries rank-local operations (see backendFor)
 
 	hmu      sync.Mutex
 	handlers []AMHandler
@@ -79,8 +80,6 @@ type Network struct {
 	dmaTraceOn atomic.Bool
 	dmaMu      sync.Mutex
 	dmaTrace   []DMAHop
-
-	closed atomic.Bool
 }
 
 // DMAHop records one device copy-engine descriptor: the rank whose
@@ -124,11 +123,7 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = cfg.Ranks
 	}
-	model := cfg.Model
-	_, realtime := model.(*LogGP)
-	if model == nil {
-		model = NoDelay{}
-	}
+	lg, realtime := cfg.Model.(*LogGP)
 	dma := cfg.DMA
 	if dma == nil {
 		if realtime {
@@ -140,36 +135,8 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
 		panic("gasnet: Config.Obs sized for a different job")
 	}
-	n := &Network{cfg: cfg, model: model, dma: dma, realtime: realtime, gdr: dma.GPUDirect()}
-	n.eps = make([]*Endpoint, cfg.Ranks)
-	if cfg.Real != nil {
-		// Real multi-process backend: this process hosts exactly one
-		// endpoint; every other rank is a separate OS process reached
-		// through the transport. A timing model makes no sense here.
-		if realtime {
-			panic("gasnet: Config.Model must be nil with a real transport backend")
-		}
-		self := cfg.Real.Rank
-		if self < 0 || self >= cfg.Ranks {
-			panic(fmt.Sprintf("gasnet: Real.Rank %d out of range [0,%d)", self, cfg.Ranks))
-		}
-		n.eps[self] = &Endpoint{
-			rank:   Rank(self),
-			net:    n,
-			seg:    NewSegment(cfg.SegmentSize),
-			notify: make(chan struct{}, 1),
-		}
-		if cfg.Obs != nil {
-			n.eps[self].ro = cfg.Obs.Rank(self)
-		}
-		t, err := newTransport(n, cfg.Real)
-		if err != nil {
-			panic(fmt.Sprintf("gasnet: transport bootstrap failed: %v", err))
-		}
-		n.trans = t
-		return n
-	}
-	for r := 0; r < cfg.Ranks; r++ {
+	n := &Network{cfg: cfg, gdr: dma.GPUDirect(), devCost: NoDelayDMA{}, eps: make([]*Endpoint, cfg.Ranks)}
+	hosted := func(r int) {
 		n.eps[r] = &Endpoint{
 			rank:   Rank(r),
 			net:    n,
@@ -180,45 +147,54 @@ func NewNetwork(cfg Config) *Network {
 			n.eps[r].ro = cfg.Obs.Rank(r)
 		}
 	}
-	if realtime {
-		n.eng = newEngine(cfg.Ranks)
+	// The backend is chosen here, once, from what Config says.
+	switch {
+	case cfg.Real != nil:
+		// Real multi-process backend: this process hosts exactly one
+		// endpoint; every other rank is a separate OS process reached
+		// through the wire. A timing model makes no sense here.
+		if realtime {
+			panic("gasnet: Config.Model must be nil with a real transport backend")
+		}
+		self := cfg.Real.Rank
+		if self < 0 || self >= cfg.Ranks {
+			panic(fmt.Sprintf("gasnet: Real.Rank %d out of range [0,%d)", self, cfg.Ranks))
+		}
+		hosted(self)
+		w, err := newWire(n, cfg.Real)
+		if err != nil {
+			panic(fmt.Sprintf("gasnet: transport bootstrap failed: %v", err))
+		}
+		n.be, n.self = w, loopback{}
+		return n
+	case realtime:
+		n.be = &loggp{m: lg, dma: dma, eng: newEngine(cfg.Ranks)}
+		n.devCost = dma
+	default:
+		n.be = loopback{}
+	}
+	n.self = n.be
+	for r := 0; r < cfg.Ranks; r++ {
+		hosted(r)
 	}
 	return n
 }
 
-// Conduit names the active conduit backend: "model" for the in-process
-// simulated conduit, or the real backend name ("tcp", "shm").
-func (n *Network) Conduit() string {
-	if n.trans != nil {
-		return n.trans.backend
-	}
-	return "model"
-}
-
-// ConduitInfo snapshots the real backend's identity and wire counters;
-// the zero value (Backend "model") is returned for in-process conduits.
+// ConduitInfo snapshots the backend's identity and wire counters; an
+// in-process conduit reports Backend "model" and no traffic.
 func (n *Network) ConduitInfo() ConduitInfo {
-	if n.trans != nil {
-		return n.trans.info()
-	}
-	return ConduitInfo{Backend: "model", Ranks: n.cfg.Ranks}
+	ci := n.be.info()
+	ci.Ranks = n.cfg.Ranks
+	return ci
 }
 
 // Failed reports a transport-level job failure (a peer process died):
 // nil while healthy, an error wrapping ErrPeerLost after a peer is
 // lost. In-process conduits never fail.
-func (n *Network) Failed() error {
-	if n.trans != nil {
-		return n.trans.failure()
-	}
-	return nil
-}
+func (n *Network) Failed() error { return n.be.failure() }
 
 // Ranks returns the job size.
 func (n *Network) Ranks() int { return n.cfg.Ranks }
-
-// RanksPerNode returns the number of ranks sharing each simulated node.
-func (n *Network) RanksPerNode() int { return n.cfg.RanksPerNode }
 
 // Node returns the node index hosting rank r.
 func (n *Network) Node(r Rank) int { return int(r) / n.cfg.RanksPerNode }
@@ -228,9 +204,6 @@ func (n *Network) Intra(a, b Rank) bool { return n.Node(a) == n.Node(b) }
 
 // Endpoint returns rank r's endpoint.
 func (n *Network) Endpoint(r Rank) *Endpoint { return n.eps[r] }
-
-// DMAModel returns the device copy-engine cost model in effect.
-func (n *Network) DMAModel() DMAModel { return n.dma }
 
 // GPUDirect reports whether the job's direct NIC↔device datapath is in
 // effect. The simulated conduit has one DMA model for the whole job, so
@@ -259,19 +232,9 @@ func (n *Network) handler(id HandlerID) AMHandler {
 	return n.handlers[id]
 }
 
-// Close shuts the delivery engine down. Outstanding operations are dropped;
-// call only after the job has quiesced.
-func (n *Network) Close() {
-	if n.closed.Swap(true) {
-		return
-	}
-	if n.eng != nil {
-		n.eng.stop()
-	}
-	if n.trans != nil {
-		n.trans.close()
-	}
-}
+// Close shuts the backend down (idempotent). Outstanding operations are
+// dropped; call only after the job has quiesced.
+func (n *Network) Close() { n.be.close() }
 
 // Stats aggregates traffic counters for one endpoint. DMAs counts device
 // copy-engine descriptors issued against this rank's devices; DMABytes the
@@ -389,9 +352,7 @@ func (ep *Endpoint) ChargeFusedFold(n, ways int) {
 	if ep.ro != nil {
 		ep.ro.FusedFold(ways)
 	}
-	if ep.net.realtime {
-		spinFor(ep.net.dma.FoldGap(n, ways))
-	}
+	spinFor(ep.net.devCost.FoldGap(n, ways))
 }
 
 // DeviceSegments returns the number of device segments currently
@@ -412,21 +373,31 @@ func (ep *Endpoint) DeviceSegments() int {
 // segments. An unknown id panics — the analogue of dereferencing a wild
 // device pointer — and a closed one panics with a use-after-close fault.
 func (ep *Endpoint) SegByID(id SegID) *Segment {
+	seg, err := ep.lookupSeg(id)
+	if err != nil {
+		panic(err.Error())
+	}
+	return seg
+}
+
+// lookupSeg is SegByID reporting a bad id as an error, for ids that
+// arrive off the wire rather than from a local pointer.
+func (ep *Endpoint) lookupSeg(id SegID) (*Segment, error) {
 	if id == HostSeg {
-		return ep.seg
+		return ep.seg, nil
 	}
 	ep.devMu.Lock()
 	defer ep.devMu.Unlock()
 	if int(id) > len(ep.devs) {
-		panic(fmt.Sprintf("gasnet: rank %d has no device segment %d (%d registered) — wild device pointer",
-			ep.rank, id, len(ep.devs)))
+		return nil, fmt.Errorf("gasnet: rank %d has no device segment %d (%d registered) — wild device pointer",
+			ep.rank, id, len(ep.devs))
 	}
 	seg := ep.devs[id-1]
 	if seg == nil {
-		panic(fmt.Sprintf("gasnet: rank %d device segment %d is closed — GPtr used after CloseDeviceAllocator",
-			ep.rank, id))
+		return nil, fmt.Errorf("gasnet: rank %d device segment %d is closed — GPtr used after CloseDeviceAllocator",
+			ep.rank, id)
 	}
-	return seg
+	return seg, nil
 }
 
 // Stats returns a snapshot of this endpoint's traffic counters.
@@ -641,19 +612,21 @@ type RemoteAM struct {
 // first. Call before handing the AM to the conduit.
 func (r *RemoteAM) SetFragments(n int) { r.frags.Store(int32(n)) }
 
+// arm consumes one landing and reports whether it fires the AM: always
+// for a single-shot AM, only the last for a counted one, never for nil.
+// Backends call it once per fragment, where it lands (or, on the wire,
+// where it is sent: per-peer FIFO makes the last sent the last to land).
+func (r *RemoteAM) arm() bool {
+	return r != nil && !(r.frags.Load() > 0 && r.frags.Add(-1) > 0)
+}
+
 // deliverRemote enqueues rem on dst's AM queue, attributed to this
-// (initiating) endpoint. Callers invoke it only after the data of the
-// owning transfer has been copied into dst's segment, so the enqueue's
-// synchronization publishes the data to the handler. A counted AM
-// (SetFragments) is enqueued only by the last-landing fragment.
+// (initiating) endpoint. Callers invoke it only after the transfer's data
+// is in dst's segment, so the enqueue publishes the data to the handler.
 func (ep *Endpoint) deliverRemote(dst Rank, rem *RemoteAM) {
-	if rem == nil {
-		return
+	if rem.arm() {
+		ep.net.eps[dst].enqueueAM(inboundAM{src: ep.rank, handler: rem.Handler, payload: rem.Payload, aux: rem.Aux})
 	}
-	if rem.frags.Load() > 0 && rem.frags.Add(-1) > 0 {
-		return
-	}
-	ep.net.eps[dst].enqueueAM(inboundAM{src: ep.rank, handler: rem.Handler, payload: rem.Payload, aux: rem.Aux})
 }
 
 // Put starts a one-sided put of src into (dst, dstOff). The source buffer
@@ -663,100 +636,58 @@ func (ep *Endpoint) deliverRemote(dst Rank, rem *RemoteAM) {
 // (operation completion; requires initiator attentiveness to observe, but
 // the transfer itself completes without it).
 func (ep *Endpoint) Put(dst Rank, dstOff uint64, src []byte, onAck func()) {
-	ep.put(dst, dstOff, src, onAck, nil, obs.OpTag{})
+	ep.PutSegTag(dst, HostSeg, dstOff, src, onAck, nil, obs.OpTag{})
 }
 
-// put is Put with an optional remote-completion AM, fired at the target
-// when the data lands (before the ack starts its trip back), and the
+// PutSegTag is Put targeting any segment of the destination rank (seg 0
+// is the host segment, higher ids device segments behind the target's DMA
+// engine), with an optional remote-completion AM — enqueued on dst the
+// instant the data is visible there, before the ack starts back — and the
 // initiator's observability tag.
-func (ep *Endpoint) put(dst Rank, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
-	n := len(src)
+func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
 	ep.puts.Add(1)
-	ep.putBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && dst != ep.rank {
-		t.put(dst, HostSeg, dstOff, src, onAck, rem, tag)
-		return
-	}
-	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
-	tag.WireMsg(ep.rank, dst, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		copy(tgt.seg.Bytes(dstOff, n), src)
-		tag.Landing(dst, n)
-		ep.deliverRemote(dst, rem)
-		if onAck != nil {
-			ep.enqueueComp(onAck)
-		}
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(n, intra))
-	staged := append([]byte(nil), src...)
-	tag.Hop(obs.StageCapture, ep.rank, n)
-	eng := ep.net.eng
-	gap := m.Gap(n, intra)
-	lat := m.Latency(n, intra)
-	ackLat := m.Latency(0, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(at time.Time) {
-		copy(tgt.seg.Bytes(dstOff, n), staged)
-		tag.Landing(dst, n)
-		ep.deliverRemote(dst, rem)
-		if onAck != nil {
-			eng.schedule(at.Add(ackLat), func(time.Time) { ep.enqueueComp(onAck) })
-		}
+	ep.putBytes.Add(uint64(len(src)))
+	ep.transfer(&xfer{
+		src: loc{buf: src, isBuf: true, rank: ep.rank},
+		dst: loc{rank: dst, seg: seg, off: dstOff},
+		n:   len(src), onDone: onAck, rem: rem, tag: tag,
 	})
 }
 
 // Get starts a one-sided get of len(dst) bytes from (src, srcOff) into dst.
 // dst must not be read (or reused) until onDone is delivered via Poll.
 func (ep *Endpoint) Get(src Rank, srcOff uint64, dst []byte, onDone func()) {
-	ep.get(src, srcOff, dst, onDone, obs.OpTag{})
+	ep.GetSegTag(src, HostSeg, srcOff, dst, onDone, obs.OpTag{})
 }
 
-// get is Get carrying the initiator's observability tag. The payload
-// lands at the *initiator* (that is where a get's data becomes visible),
-// so the landing edge is recorded against ep.rank.
-func (ep *Endpoint) get(src Rank, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) {
-	n := len(dst)
+// GetSegTag is Get reading from an arbitrary segment of the source rank
+// (device sources drain through the source rank's DMA engine before the
+// payload crosses the wire), carrying the initiator's observability tag.
+// The payload lands at the *initiator* — that is where a get's data
+// becomes visible — so the landing edge is recorded against ep.rank.
+func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) {
 	ep.gets.Add(1)
-	ep.getBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && src != ep.rank {
-		t.get(src, HostSeg, srcOff, dst, onDone, tag)
-		return
-	}
-	rem := ep.net.eps[src]
-	intra := ep.net.Intra(ep.rank, src)
-	tag.WireMsg(ep.rank, src, 0)
-	tag.WireMsg(src, ep.rank, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, 0)
-		copy(dst, rem.seg.Bytes(srcOff, n))
-		tag.Landing(ep.rank, n)
-		if onDone != nil {
-			ep.enqueueComp(onDone)
-		}
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(0, intra))
-	tag.Hop(obs.StageCapture, ep.rank, 0)
-	eng := ep.net.eng
-	reqGap := m.Gap(0, intra)
-	reqLat := m.Latency(0, intra)
-	// Request travels to the source NIC; the reply carries the payload.
-	eng.injectFrom(int(ep.rank), reqGap, reqLat, func(at time.Time) {
-		tag.Hop(obs.StageWire, src, 0)
-		staged := append([]byte(nil), rem.seg.Bytes(srcOff, n)...)
-		replyGap := m.Gap(n, intra)
-		replyLat := m.Latency(n, intra)
-		eng.injectFromAt(int(src), at, replyGap, replyLat, func(time.Time) {
-			copy(dst, staged)
-			tag.Landing(ep.rank, n)
-			if onDone != nil {
-				ep.enqueueComp(onDone)
-			}
-		})
+	ep.getBytes.Add(uint64(len(dst)))
+	ep.transfer(&xfer{
+		src: loc{rank: src, seg: seg, off: srcOff},
+		dst: loc{buf: dst, isBuf: true, rank: ep.rank},
+		n:   len(dst), onDone: onDone, tag: tag,
+	})
+}
+
+// CopySegTag copies n bytes from (srcRank, srcSeg, srcOff) to (dstRank,
+// dstSeg, dstOff), initiated by this endpoint, which may be a third party
+// to both sides (upcxx::copy). onDone is delivered to this endpoint's
+// completion queue; rem, if non-nil, is enqueued on dstRank the instant
+// the final hop's bytes are in place. The source is read lazily, when
+// the hop chain reaches it.
+func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRank Rank, dstSeg SegID, dstOff uint64, n int, onDone func(), rem *RemoteAM, tag obs.OpTag) {
+	ep.puts.Add(1)
+	ep.putBytes.Add(uint64(n))
+	ep.transfer(&xfer{
+		src: loc{rank: srcRank, seg: srcSeg, off: srcOff},
+		dst: loc{rank: dstRank, seg: dstSeg, off: dstOff},
+		n:   n, onDone: onDone, rem: rem, tag: tag,
 	})
 }
 
@@ -775,87 +706,27 @@ func (ep *Endpoint) AM(dst Rank, h HandlerID, payload []byte, aux any) {
 // edge fires when the message is enqueued at the target (handler
 // execution still requires target attentiveness).
 func (ep *Endpoint) AMTag(dst Rank, h HandlerID, payload []byte, aux any, tag obs.OpTag) {
-	n := len(payload)
-	ep.ams.Add(1)
-	ep.amBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && dst != ep.rank {
-		// The frame encode is the capture copy; no extra staging.
-		t.am(dst, h, [][]byte{payload}, aux, tag)
-		return
-	}
-	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
-	staged := append([]byte(nil), payload...)
-	tag.WireMsg(ep.rank, dst, n)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(n, intra))
-	tag.Hop(obs.StageCapture, ep.rank, n)
-	eng := ep.net.eng
-	gap := m.Gap(n, intra)
-	lat := m.Latency(n, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(time.Time) {
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-	})
+	ep.am(dst, h, payload, nil, aux, tag)
 }
 
 // AMTagV is AMTag taking the payload as an iovec: the message is the
-// concatenation of frags, which is gathered into one staged buffer at
-// the conduit capture stage — the single copy on this path. Fragments
-// may alias caller memory (borrowed view payloads from a gather-mode
-// encoder); the caller must keep them unchanged until AMTagV returns,
-// after which every fragment is reusable (source completion). In the
-// real-time model the gather happens after the initiator overhead spin,
-// and mutations made after return but before wire delivery are not
-// observed by the target — the capture is exactly once, exactly here.
+// concatenation of frags, gathered at the conduit capture stage — the
+// single copy on this path. Fragments may alias caller memory (borrowed
+// view payloads from a gather-mode encoder); the caller must keep them
+// unchanged until AMTagV returns, after which every fragment is reusable
+// (source completion).
 func (ep *Endpoint) AMTagV(dst Rank, h HandlerID, frags [][]byte, aux any, tag obs.OpTag) {
-	n := 0
-	for _, f := range frags {
-		n += len(f)
-	}
+	ep.am(dst, h, nil, frags, aux, tag)
+}
+
+// am is the one AM path. The payload is head followed by tail, so the
+// single-buffer call reaches the backend without building an iovec.
+func (ep *Endpoint) am(dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
+	n := amLen(head, tail)
 	ep.ams.Add(1)
 	ep.amBytes.Add(uint64(n))
-	if t := ep.net.trans; t != nil && dst != ep.rank {
-		// Borrowed fragments are encoded straight into the frame
-		// buffer — the single capture copy — and are reusable on
-		// return, preserving the gather-capture contract.
-		t.am(dst, h, frags, aux, tag)
-		return
-	}
-	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
 	tag.WireMsg(ep.rank, dst, n)
-	gather := func() []byte {
-		staged := make([]byte, 0, n)
-		for _, f := range frags {
-			staged = append(staged, f...)
-		}
-		return staged
-	}
-	if !ep.net.realtime {
-		staged := gather()
-		tag.Hop(obs.StageCapture, ep.rank, n)
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(n, intra))
-	staged := gather()
-	tag.Hop(obs.StageCapture, ep.rank, n)
-	eng := ep.net.eng
-	gap := m.Gap(n, intra)
-	lat := m.Latency(n, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(time.Time) {
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-	})
+	ep.backendFor(dst == ep.rank).am(ep, dst, h, head, tail, aux, tag)
 }
 
 // AMO issues a NIC-offloaded atomic on the 64-bit word at (dst, off). The
@@ -869,35 +740,6 @@ func (ep *Endpoint) AMO(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResul
 // AMOTag is AMO carrying the initiator's observability tag.
 func (ep *Endpoint) AMOTag(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
 	ep.amos.Add(1)
-	if t := ep.net.trans; t != nil && dst != ep.rank {
-		t.amo(dst, off, op, op1, op2, onResult, tag)
-		return
-	}
-	tgt := ep.net.eps[dst]
-	intra := ep.net.Intra(ep.rank, dst)
 	tag.WireMsg(ep.rank, dst, 8)
-	if !ep.net.realtime {
-		tag.Hop(obs.StageCapture, ep.rank, 8)
-		old := tgt.seg.applyAMO(off, op, op1, op2)
-		tag.Landing(dst, 8)
-		if onResult != nil {
-			ep.enqueueComp(func() { onResult(old) })
-		}
-		return
-	}
-	m := ep.net.model
-	spinFor(m.Overhead(8, intra))
-	tag.Hop(obs.StageCapture, ep.rank, 8)
-	eng := ep.net.eng
-	gap := m.Gap(8, intra)
-	lat := m.Latency(8, intra)
-	eng.injectFrom(int(ep.rank), gap, lat, func(at time.Time) {
-		old := tgt.seg.applyAMO(off, op, op1, op2)
-		tag.Landing(dst, 8)
-		if onResult != nil {
-			eng.schedule(at.Add(lat), func(time.Time) {
-				ep.enqueueComp(func() { onResult(old) })
-			})
-		}
-	})
+	ep.backendFor(dst == ep.rank).amo(ep, dst, off, op, op1, op2, onResult, tag)
 }

@@ -116,8 +116,7 @@ type shmWorld struct {
 	inRings []*shmRing // ring i: records produced by rank i, in my file
 }
 
-type transport struct {
-	net     *Network
+type wire struct {
 	backend string
 	self    Rank
 	n       int
@@ -132,9 +131,7 @@ type transport struct {
 	pmu     sync.Mutex
 	pending map[uint64]pendingOp
 
-	failMu  sync.Mutex
-	failErr error
-	hasFail atomic.Bool
+	failErr atomic.Pointer[error] // first failure; nil while healthy
 	closing atomic.Bool
 	wg      sync.WaitGroup
 
@@ -172,23 +169,19 @@ func pollAddrFile(dir string, rank int, deadline time.Time) (string, error) {
 	}
 }
 
-// newTransport bootstraps the socket mesh (and, for shm, the mapped
+// newWire bootstraps the socket mesh (and, for shm, the mapped
 // world files) and starts the per-peer progress goroutines. It blocks
 // until every peer connection is established.
-func newTransport(nw *Network, rc *RealConduit) (*transport, error) {
+func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 	nranks := nw.cfg.Ranks
 	self := Rank(rc.Rank)
-	if rc.Rank < 0 || rc.Rank >= nranks {
-		return nil, fmt.Errorf("gasnet: conduit rank %d out of range [0,%d)", rc.Rank, nranks)
-	}
 	timeout := rc.Timeout
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
 	deadline := time.Now().Add(timeout)
 
-	t := &transport{
-		net:     nw,
+	t := &wire{
 		backend: rc.Backend,
 		self:    self,
 		n:       nranks,
@@ -270,13 +263,13 @@ func newTransport(nw *Network, rc *RealConduit) (*transport, error) {
 	return t, nil
 }
 
-func (t *transport) newPeer(rank Rank, conn net.Conn, br *bufio.Reader) *peerConn {
+func (t *wire) newPeer(rank Rank, conn net.Conn, br *bufio.Reader) *peerConn {
 	p := &peerConn{rank: rank, addr: conn.RemoteAddr().String(), conn: conn, br: br}
 	p.wcnd = sync.NewCond(&p.wmu)
 	return p
 }
 
-func (t *transport) helloExchange(conn net.Conn, br *bufio.Reader, deadline time.Time) (Rank, error) {
+func (t *wire) helloExchange(conn net.Conn, br *bufio.Reader, deadline time.Time) (Rank, error) {
 	conn.SetDeadline(deadline)
 	if _, err := conn.Write(encodeHello(uint32(t.self), uint32(t.n))); err != nil {
 		return 0, err
@@ -302,7 +295,7 @@ func (t *transport) helloExchange(conn net.Conn, br *bufio.Reader, deadline time
 	return Rank(f.rank), nil
 }
 
-func (t *transport) dialPeers(dir string, deadline time.Time) error {
+func (t *wire) dialPeers(dir string, deadline time.Time) error {
 	for j := 0; j < int(t.self); j++ {
 		addr, err := pollAddrFile(dir, j, deadline)
 		if err != nil {
@@ -338,7 +331,7 @@ func (t *transport) dialPeers(dir string, deadline time.Time) error {
 	return nil
 }
 
-func (t *transport) acceptPeers(count int, deadline time.Time) error {
+func (t *wire) acceptPeers(count int, deadline time.Time) error {
 	for k := 0; k < count; k++ {
 		type deadliner interface{ SetDeadline(time.Time) error }
 		if d, ok := t.ln.(deadliner); ok {
@@ -366,16 +359,15 @@ func (t *transport) acceptPeers(count int, deadline time.Time) error {
 // ---------------------------------------------------------------------------
 // Progress goroutines
 
-func (t *transport) readerLoop(p *peerConn) {
+func (t *wire) readerLoop(p *peerConn) {
 	runtime.LockOSThread()
 	defer t.wg.Done()
 	for {
 		body, err := readFrame(p.br, frameMaxBody)
 		if err != nil {
-			if t.closing.Load() || p.bye.Load() {
-				return
+			if !p.bye.Load() {
+				t.fail(p.rank, err) // a no-op once closing
 			}
-			t.fail(p.rank, err)
 			return
 		}
 		t.framesIn.Add(1)
@@ -384,7 +376,7 @@ func (t *transport) readerLoop(p *peerConn) {
 	}
 }
 
-func (t *transport) writerLoop(p *peerConn) {
+func (t *wire) writerLoop(p *peerConn) {
 	runtime.LockOSThread()
 	defer t.wg.Done()
 	for {
@@ -421,7 +413,7 @@ func (t *transport) writerLoop(p *peerConn) {
 
 // send routes one pre-encoded frame (length prefix included) to dst:
 // via the shm doorbell ring when it fits, else the socket writer queue.
-func (t *transport) send(dst Rank, fb []byte) {
+func (t *wire) send(dst Rank, fb []byte) {
 	p := t.peers[dst]
 	if p == nil {
 		return // self or torn down; self-sends never reach the transport
@@ -449,7 +441,7 @@ func (t *transport) send(dst Rank, fb []byte) {
 // ---------------------------------------------------------------------------
 // Pending-operation table
 
-func (t *transport) newPending(op pendingOp) uint64 {
+func (t *wire) newPending(op pendingOp) uint64 {
 	id := t.seq.Add(1)
 	t.pmu.Lock()
 	t.pending[id] = op
@@ -457,7 +449,7 @@ func (t *transport) newPending(op pendingOp) uint64 {
 	return id
 }
 
-func (t *transport) takePending(id uint64) (pendingOp, bool) {
+func (t *wire) takePending(id uint64) (pendingOp, bool) {
 	t.pmu.Lock()
 	op, ok := t.pending[id]
 	if ok {
@@ -470,7 +462,7 @@ func (t *transport) takePending(id uint64) (pendingOp, bool) {
 // ---------------------------------------------------------------------------
 // Aux and remote-AM helpers
 
-func (t *transport) encodeAux(aux any) []byte {
+func (t *wire) encodeAux(aux any) []byte {
 	if aux == nil {
 		return nil
 	}
@@ -484,140 +476,127 @@ func (t *transport) encodeAux(aux any) []byte {
 	return b
 }
 
-func (t *transport) decodeAux(b []byte) any {
+// decodeAux decodes an aux token off the wire; one this rank cannot
+// decode is the sender's fault — an error, not a reader-goroutine panic.
+func (t *wire) decodeAux(b []byte) (any, error) {
 	if len(b) == 0 {
-		return nil
+		return nil, nil
 	}
 	if t.aux == nil {
-		panic("gasnet: transport received an aux token but no AuxCodec is configured")
+		return nil, errors.New("gasnet: transport received an aux token but no AuxCodec is configured")
 	}
-	aux, err := t.aux.DecodeAux(b)
-	if err != nil {
-		panic(err)
-	}
-	return aux
+	return t.aux.DecodeAux(b)
 }
 
-// remArm reports whether this send must carry the remote-completion AM:
-// for a counted (multi-fragment) AM only the last-sent fragment carries
-// it — per-peer FIFO ordering makes that the last to land.
-func remArm(rem *RemoteAM) bool {
-	if rem == nil {
-		return false
+// carried prepares what a put or copy frame carries besides its data:
+// the armed remote-completion AM, and the id under which the
+// destination's ack finds x.onDone.
+func (t *wire) carried(x xfer) (rw *remWire, ackID uint64) {
+	if x.rem.arm() {
+		rw = &remWire{handler: uint16(x.rem.Handler), aux: t.encodeAux(x.rem.Aux), payload: x.rem.Payload}
 	}
-	if rem.frags.Load() > 0 && rem.frags.Add(-1) > 0 {
-		return false
+	if x.onDone != nil {
+		ackID = t.newPending(pendingOp{onAck: x.onDone})
 	}
-	return true
+	return rw, ackID
 }
 
-func (t *transport) remWireOf(rem *RemoteAM) *remWire {
-	return &remWire{handler: uint16(rem.Handler), aux: t.encodeAux(rem.Aux), payload: rem.Payload}
-}
-
-// sendRemAM ships an armed remote-completion AM as a standalone fAM —
-// used by the shm fast path, where the data moved by direct memcpy and
-// there is no carrying frame.
-func (t *transport) sendRemAM(dst Rank, rem *RemoteAM) {
-	t.send(dst, encodeAM(uint32(t.self), uint16(rem.Handler), t.encodeAux(rem.Aux), [][]byte{rem.Payload}))
+// shmLanded finishes a transfer that moved by direct memcpy into dst's
+// mapped segment: the data is globally visible, so completion is
+// immediate — no ack round trip — and an armed remote AM ships as a
+// standalone fAM (the ring push's release-store publishes the memcpy).
+func (t *wire) shmLanded(x xfer) {
+	x.tag.Landing(x.dst.rank, x.n)
+	if rem := x.rem; rem.arm() {
+		t.send(x.dst.rank, encodeAM(uint32(t.self), uint16(rem.Handler), t.encodeAux(rem.Aux), [][]byte{rem.Payload}))
+	}
+	if x.onDone != nil {
+		t.ep.enqueueComp(x.onDone)
+	}
 }
 
 // ---------------------------------------------------------------------------
-// Operations (called from the endpoint entry points when dst != self)
+// Operations. The endpoint routes rank-local traffic to loopback, so at
+// least one side of every operation here is a peer process.
 
-func (t *transport) put(dst Rank, seg SegID, off uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
-	n := len(src)
-	tag.WireMsg(t.self, dst, n)
-	tag.Hop(obs.StageCapture, t.self, n)
-	p := t.peers[dst]
-	if seg == HostSeg && p != nil && p.seg != nil {
-		// Same-host fast path: write straight into the peer's mapped
-		// segment. The data is globally visible when copy returns, so
-		// operation completion is immediate — no ack round trip.
-		end := off + uint64(n)
-		if end > uint64(len(p.seg)) || end < off {
-			panic(fmt.Sprintf("gasnet: shm put [%d,%d) out of bounds (peer seg %d)", off, end, len(p.seg)))
+func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
+	x.tag.Hop(obs.StageCapture, t.self, x.captureBytes())
+	src, dst, n := x.src, x.dst, x.n
+	switch {
+	case src.rank == t.self:
+		// Put-shaped: local bytes to a peer's segment — a memcpy into its
+		// mapped host segment on shm (a wild pointer faults on the slice
+		// bounds), a frame otherwise; the target counts a device
+		// segment's h2d descriptor when the data lands.
+		data := ep.bytes(src, n)
+		if p := t.peers[dst.rank]; dst.seg == HostSeg && p.seg != nil {
+			copy(p.seg[dst.off:][:n], data)
+			t.shmLanded(x)
+			return
 		}
-		copy(p.seg[off:end], src)
-		tag.Landing(dst, n)
-		if remArm(rem) {
-			t.sendRemAM(dst, rem) // ring push's release-store publishes the memcpy
+		rw, ackID := t.carried(x)
+		x.tag.Landing(dst.rank, n)
+		t.send(dst.rank, encodePut(uint32(t.self), uint16(dst.seg), dst.off, uint32(t.self), ackID, rw, data))
+	case dst.rank == t.self:
+		// Get-shaped: a peer's bytes into local memory, where the
+		// payload lands (and a copy's remote AM is due).
+		into := ep.bytes(dst, n)
+		tag, rem, onDone := x.tag, x.rem, x.onDone // captured piecemeal: x stays on the stack
+		if p := t.peers[src.rank]; src.seg == HostSeg && p.seg != nil {
+			copy(into, p.seg[src.off:][:n])
+			tag.Landing(t.self, n)
+			ep.deliverRemote(t.self, rem)
+			if onDone != nil {
+				ep.enqueueComp(onDone)
+			}
+			return
 		}
-		if onAck != nil {
-			t.ep.enqueueComp(onAck)
+		id := t.newPending(pendingOp{dst: into, onDone: func() {
+			tag.Landing(t.self, n)
+			ep.deliverRemote(t.self, rem)
+			if onDone != nil {
+				onDone()
+			}
+		}})
+		t.send(src.rank, encodeGet(id, uint16(src.seg), src.off, uint32(n)))
+	default:
+		// Third party: both sides are peers.
+		if sp, dp := t.peers[src.rank], t.peers[dst.rank]; src.seg == HostSeg && dst.seg == HostSeg && sp.seg != nil && dp.seg != nil {
+			copy(dp.seg[dst.off:][:n], sp.seg[src.off:][:n])
+			t.shmLanded(x)
+			return
 		}
-		return
+		// 2.5-hop relay: ask the source rank to put its bytes to the
+		// destination, which acks us directly (ackRank = initiator).
+		rw, ackID := t.carried(x)
+		t.send(src.rank, encodeCopy(uint32(t.self), uint16(src.seg), src.off, uint32(dst.rank), uint16(dst.seg), dst.off, uint32(n), uint32(t.self), ackID, rw))
 	}
-	var rw *remWire
-	if remArm(rem) {
-		rw = t.remWireOf(rem)
-	}
-	var ackID uint64
-	if onAck != nil {
-		ackID = t.newPending(pendingOp{onAck: onAck})
-	}
-	tag.Landing(dst, n)
-	t.send(dst, encodePut(uint32(t.self), uint16(seg), off, uint32(t.self), ackID, rw, src))
 }
 
-func (t *transport) get(src Rank, seg SegID, off uint64, dst []byte, onDone func(), tag obs.OpTag) {
-	n := len(dst)
-	tag.WireMsg(t.self, src, 0)
-	tag.WireMsg(src, t.self, n)
-	tag.Hop(obs.StageCapture, t.self, 0)
-	p := t.peers[src]
-	if seg == HostSeg && p != nil && p.seg != nil {
-		end := off + uint64(n)
-		if end > uint64(len(p.seg)) || end < off {
-			panic(fmt.Sprintf("gasnet: shm get [%d,%d) out of bounds (peer seg %d)", off, end, len(p.seg)))
-		}
-		copy(dst, p.seg[off:end])
-		tag.Landing(t.self, n)
-		if onDone != nil {
-			t.ep.enqueueComp(onDone)
-		}
-		return
+// am ships an Active Message. The frame encode is the single capture
+// copy (zero-copy gather: borrowed fragments go straight into the frame
+// buffer, and are reusable when am returns).
+func (t *wire) am(_ *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
+	frags := tail
+	if head != nil {
+		frags = append([][]byte{head}, tail...)
 	}
-	id := t.newPending(pendingOp{dst: dst, onDone: func() {
-		tag.Landing(t.self, n)
-		if onDone != nil {
-			onDone()
-		}
-	}})
-	t.send(src, encodeGet(id, uint16(seg), off, uint32(n)))
-}
-
-// am ships an Active Message whose payload is the concatenation of
-// frags. The frame encode is the single capture copy (zero-copy gather:
-// borrowed fragments go straight into the frame buffer, and are
-// reusable when am returns).
-func (t *transport) am(dst Rank, h HandlerID, frags [][]byte, aux any, tag obs.OpTag) {
-	n := 0
-	for _, f := range frags {
-		n += len(f)
-	}
-	tag.WireMsg(t.self, dst, n)
+	n := amLen(head, tail)
 	tag.Hop(obs.StageCapture, t.self, n)
 	t.send(dst, encodeAM(uint32(t.self), uint16(h), t.encodeAux(aux), frags))
 	tag.Landing(dst, n)
 }
 
-func (t *transport) amo(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
-	tag.WireMsg(t.self, dst, 8)
+func (t *wire) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
 	tag.Hop(obs.StageCapture, t.self, 8)
-	p := t.peers[dst]
-	if p != nil && p.seg != nil {
+	if p := t.peers[dst]; p.seg != nil {
 		// Same-host: execute the atomic directly on the peer's mapped
 		// word — both sides use hardware atomics (shared segment), so
 		// this serializes with the target's own AMOs.
-		if off+8 > uint64(len(p.seg)) {
-			panic(fmt.Sprintf("gasnet: shm AMO at %d out of bounds (peer seg %d)", off, len(p.seg)))
-		}
-		w := (*uint64)(unsafe.Pointer(&p.seg[off]))
-		old := sharedAMO(w, op, op1, op2)
+		old := sharedAMO((*uint64)(unsafe.Pointer(&p.seg[off:][:8][0])), op, op1, op2)
 		tag.Landing(dst, 8)
 		if onResult != nil {
-			t.ep.enqueueComp(func() { onResult(old) })
+			ep.enqueueComp(func() { onResult(old) })
 		}
 		return
 	}
@@ -629,91 +608,98 @@ func (t *transport) amo(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResul
 	tag.Landing(dst, 8)
 }
 
-// copySeg implements third-party and device-aware copies over the
-// transport.
-func (t *transport) copySeg(srcRank Rank, srcSeg SegID, srcOff uint64, dstRank Rank, dstSeg SegID, dstOff uint64, n int, onDone func(), rem *RemoteAM, tag obs.OpTag) {
-	switch {
-	case srcRank == t.self:
-		src := t.ep.SegByID(srcSeg).Bytes(srcOff, n)
-		if srcSeg != HostSeg {
-			t.ep.countDMA(obs.DMAD2H, n)
-		}
-		t.put(dstRank, dstSeg, dstOff, src, onDone, rem, tag)
-	case dstRank == t.self:
-		dst := t.ep.SegByID(dstSeg).Bytes(dstOff, n)
-		wrapped := func() {
-			if dstSeg != HostSeg {
-				t.ep.countDMA(obs.DMAH2D, n)
-			}
-			t.ep.deliverRemote(t.self, rem)
-			if onDone != nil {
-				onDone()
-			}
-		}
-		t.get(srcRank, srcSeg, srcOff, dst, wrapped, tag)
-	default:
-		sp, dp := t.peers[srcRank], t.peers[dstRank]
-		if srcSeg == HostSeg && dstSeg == HostSeg && sp != nil && sp.seg != nil && dp != nil && dp.seg != nil {
-			// Same-host third party: one direct memcpy peer to peer.
-			tag.WireMsg(srcRank, dstRank, n)
-			copy(dp.seg[dstOff:dstOff+uint64(n)], sp.seg[srcOff:srcOff+uint64(n)])
-			tag.Landing(dstRank, n)
-			if remArm(rem) {
-				t.sendRemAM(dstRank, rem)
-			}
-			if onDone != nil {
-				t.ep.enqueueComp(onDone)
-			}
-			return
-		}
-		// 2.5-hop relay: ask srcRank to put its bytes to dstRank; the
-		// destination acks us directly (ackRank = initiator).
-		var rw *remWire
-		if remArm(rem) {
-			rw = t.remWireOf(rem)
-		}
-		var ackID uint64
-		if onDone != nil {
-			ackID = t.newPending(pendingOp{onAck: onDone})
-		}
-		tag.WireMsg(t.self, srcRank, 0)
-		tag.WireMsg(srcRank, dstRank, n)
-		t.send(srcRank, encodeCopy(uint32(t.self), uint16(srcSeg), srcOff, uint32(dstRank), uint16(dstSeg), dstOff, uint32(n), uint32(t.self), ackID, rw))
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Inbound dispatch
 
-func (t *transport) handleFrame(p *peerConn, body []byte) {
+// Frames are outside input: a corrupt or hostile one must fail its sender
+// (handleFrame routes the error to fail), not panic the reader goroutine
+// the way a local wild pointer panics its initiator. checkRanks and
+// inbound are where inbound addressing is validated.
+
+func (t *wire) checkRanks(ranks ...uint32) error {
+	for _, r := range ranks {
+		if int(r) >= t.n {
+			return fmt.Errorf("gasnet: frame names rank %d of a %d-rank job", r, t.n)
+		}
+	}
+	return nil
+}
+
+// inbound returns [off, off+n) of local segment seg, as addressed by a
+// frame that also names ranks.
+func (t *wire) inbound(seg uint16, off uint64, n uint32, ranks ...uint32) ([]byte, error) {
+	if err := t.checkRanks(ranks...); err != nil {
+		return nil, err
+	}
+	s, err := t.ep.lookupSeg(SegID(seg))
+	if err != nil {
+		return nil, err
+	}
+	if end := off + uint64(n); end < off || end > uint64(s.Size()) {
+		return nil, fmt.Errorf("gasnet: frame addresses [%d,%d) of segment %d (size %d)", off, end, seg, s.Size())
+	}
+	return s.Bytes(off, int(n)), nil
+}
+
+// landRemote finishes an inbound put or copy whose bytes are in place in
+// local segment seg: count the h2d descriptor, enqueue the piggybacked
+// remote-completion AM, and ack the initiator.
+func (t *wire) landRemote(f frame, seg uint16, n uint32) error {
+	if SegID(seg) != HostSeg {
+		t.ep.countDMA(obs.DMAH2D, int(n))
+	}
+	if f.hasRem {
+		aux, err := t.decodeAux(f.remAux)
+		if err != nil {
+			return err
+		}
+		t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: aux})
+	}
+	if f.ackID != 0 {
+		t.send(Rank(f.ackRank), encodePutAck(f.ackID))
+	}
+	return nil
+}
+
+func (t *wire) handleFrame(p *peerConn, body []byte) {
 	f, err := decodeFrameBody(body)
+	if err == nil {
+		err = t.dispatch(p, f)
+	}
 	if err != nil {
 		t.fail(p.rank, err)
-		return
 	}
+}
+
+func (t *wire) dispatch(p *peerConn, f frame) error {
 	switch f.typ {
 	case fAM:
-		t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: t.decodeAux(f.aux)})
+		if err := t.checkRanks(f.rank); err != nil {
+			return err
+		}
+		aux, err := t.decodeAux(f.aux)
+		if err != nil {
+			return err
+		}
+		t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux})
 	case fPut:
-		seg := t.ep.SegByID(SegID(f.seg))
-		t.ep.syncDirect(func() { copy(seg.Bytes(f.off, len(f.payload)), f.payload) })
-		if SegID(f.seg) != HostSeg {
-			t.ep.countDMA(obs.DMAH2D, len(f.payload))
+		dst, err := t.inbound(f.seg, f.off, uint32(len(f.payload)), f.rank, f.ackRank)
+		if err != nil {
+			return err
 		}
-		if f.hasRem {
-			t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: t.decodeAux(f.remAux)})
-		}
-		if f.ackID != 0 {
-			t.send(Rank(f.ackRank), encodePutAck(f.ackID))
-		}
+		t.ep.syncDirect(func() { copy(dst, f.payload) })
+		return t.landRemote(f, f.seg, uint32(len(f.payload)))
 	case fPutAck:
 		if op, ok := t.takePending(f.ackID); ok && op.onAck != nil {
 			t.ep.enqueueComp(op.onAck)
 		}
 	case fGet:
-		seg := t.ep.SegByID(SegID(f.seg))
+		src, err := t.inbound(f.seg, f.off, f.n)
+		if err != nil {
+			return err
+		}
 		var rep []byte
-		t.ep.syncDirect(func() { rep = encodeGetRep(f.reqID, seg.Bytes(f.off, int(f.n))) })
+		t.ep.syncDirect(func() { rep = encodeGetRep(f.reqID, src) })
 		if SegID(f.seg) != HostSeg {
 			t.ep.countDMA(obs.DMAD2H, int(f.n))
 		}
@@ -727,8 +713,10 @@ func (t *transport) handleFrame(p *peerConn, body []byte) {
 		}
 	case fAMO:
 		if f.amoOp > byte(AMOCompSwap) {
-			t.fail(p.rank, fmt.Errorf("gasnet: invalid AMO op %d on the wire", f.amoOp))
-			return
+			return fmt.Errorf("gasnet: invalid AMO op %d on the wire", f.amoOp)
+		}
+		if _, err := t.inbound(uint16(HostSeg), f.off, 8); err != nil {
+			return err
 		}
 		var old uint64
 		t.ep.syncDirect(func() { old = t.ep.seg.applyAMO(f.off, AMOOp(f.amoOp), f.amoA, f.amoB) })
@@ -741,40 +729,36 @@ func (t *transport) handleFrame(p *peerConn, body []byte) {
 			t.ep.enqueueComp(func() { op.onOld(old) })
 		}
 	case fCopy:
-		t.handleCopy(f)
+		return t.handleCopy(f)
 	case fRing:
 		t.drainRing(p)
 	case fBye:
 		p.bye.Store(true)
 		t.drainRing(p)
 	default:
-		t.fail(p.rank, fmt.Errorf("gasnet: unexpected frame type %#x mid-stream", f.typ))
+		return fmt.Errorf("gasnet: unexpected frame type %#x mid-stream", f.typ)
 	}
+	return nil
 }
 
 // handleCopy runs at the copy's source rank: read the local bytes and
 // relay them to the destination as a put whose ack goes straight back
 // to the initiator.
-func (t *transport) handleCopy(f frame) {
-	seg := t.ep.SegByID(SegID(f.seg))
+func (t *wire) handleCopy(f frame) error {
+	src, err := t.inbound(f.seg, f.off, f.n, f.rank, f.dstRank, f.ackRank)
+	if err != nil {
+		return err
+	}
 	if SegID(f.seg) != HostSeg {
 		t.ep.countDMA(obs.DMAD2H, int(f.n))
 	}
 	if Rank(f.dstRank) == t.self {
-		dseg := t.ep.SegByID(SegID(f.dstSeg))
-		t.ep.syncDirect(func() {
-			copy(dseg.Bytes(f.dstOff, int(f.n)), seg.Bytes(f.off, int(f.n)))
-		})
-		if SegID(f.dstSeg) != HostSeg {
-			t.ep.countDMA(obs.DMAH2D, int(f.n))
+		dst, err := t.inbound(f.dstSeg, f.dstOff, f.n)
+		if err != nil {
+			return err
 		}
-		if f.hasRem {
-			t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: t.decodeAux(f.remAux)})
-		}
-		if f.ackID != 0 {
-			t.send(Rank(f.ackRank), encodePutAck(f.ackID))
-		}
-		return
+		t.ep.syncDirect(func() { copy(dst, src) })
+		return t.landRemote(f, f.dstSeg, f.n)
 	}
 	var rw *remWire
 	if f.hasRem {
@@ -782,52 +766,42 @@ func (t *transport) handleCopy(f frame) {
 	}
 	var relay []byte
 	t.ep.syncDirect(func() {
-		relay = encodePut(f.rank, f.dstSeg, f.dstOff, f.ackRank, f.ackID, rw, seg.Bytes(f.off, int(f.n)))
+		relay = encodePut(f.rank, f.dstSeg, f.dstOff, f.ackRank, f.ackID, rw, src)
 	})
 	t.send(Rank(f.dstRank), relay)
+	return nil
 }
 
-func (t *transport) drainRing(p *peerConn) {
-	if t.shm == nil {
-		return
+func (t *wire) drainRing(p *peerConn) {
+	if t.shm != nil { // every peer's inbound ring is mapped before its reader starts
+		t.shm.inRings[p.rank].drain(func(b []byte) { t.handleFrame(p, b) })
 	}
-	ring := t.shm.inRings[p.rank]
-	if ring == nil {
-		return
-	}
-	ring.drain(func(b []byte) { t.handleFrame(p, b) })
 }
 
 // ---------------------------------------------------------------------------
 // Failure and teardown
 
-func (t *transport) fail(peer Rank, err error) {
+func (t *wire) fail(peer Rank, err error) {
 	if t.closing.Load() {
 		return
 	}
-	t.failMu.Lock()
-	if t.failErr == nil {
-		t.failErr = fmt.Errorf("%w: rank %d: %v", ErrPeerLost, peer, err)
-		t.hasFail.Store(true)
-	}
-	t.failMu.Unlock()
+	err = fmt.Errorf("%w: rank %d: %v", ErrPeerLost, peer, err)
+	t.failErr.CompareAndSwap(nil, &err)
 	t.ep.Ring()
 }
 
-func (t *transport) failure() error {
-	if !t.hasFail.Load() {
-		return nil
+func (t *wire) failure() error {
+	if e := t.failErr.Load(); e != nil {
+		return *e
 	}
-	t.failMu.Lock()
-	defer t.failMu.Unlock()
-	return t.failErr
+	return nil
 }
 
 // close announces fBye to every peer, drains the writers, and reaps the
 // progress goroutines. Callers quiesce first (World.Run's final
 // barrier), so per-peer FIFO guarantees all useful traffic precedes the
 // bye on the wire.
-func (t *transport) close() {
+func (t *wire) close() {
 	if t.closing.Swap(true) {
 		return
 	}
@@ -864,10 +838,9 @@ func (t *transport) close() {
 	}
 }
 
-func (t *transport) info() ConduitInfo {
+func (t *wire) info() ConduitInfo {
 	ci := ConduitInfo{
 		Backend:         t.backend,
-		Ranks:           t.n,
 		Self:            int(t.self),
 		FramesOut:       t.framesOut.Load(),
 		FramesIn:        t.framesIn.Load(),

@@ -22,8 +22,6 @@ package task
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,65 +141,24 @@ func (rt *Runtime) Stop() {
 
 // --- task function registry ----------------------------------------------
 
-// Task bodies cross process boundaries by stable runtime name, exactly
-// like the core's RPC registry (fnreg.go): register package-level,
-// non-generic functions from init(). The task registry is separate
-// because task signatures carry their own result path — a result frame
-// back to the home rank, not an RPC reply.
-type fnEntry struct {
-	run   func(trk *core.Rank, args []byte) []byte // result-bearing
-	runFF func(trk *core.Rank, args []byte)        // fire-and-forget
-}
-
-var fnReg = struct {
-	sync.RWMutex
-	byName map[string]*fnEntry
-	byPtr  map[uintptr]string
-}{
-	byName: make(map[string]*fnEntry),
-	byPtr:  make(map[uintptr]string),
-}
-
-func registerEntry(fn any, ent fnEntry) string {
-	v := reflect.ValueOf(fn)
-	rf := runtime.FuncForPC(v.Pointer())
-	if rf == nil {
-		panic("task: Register of unresolvable function")
-	}
-	name := rf.Name()
-	fnReg.Lock()
-	fnReg.byName[name] = &ent
-	fnReg.byPtr[v.Pointer()] = name
-	fnReg.Unlock()
-	return name
-}
+// Task bodies cross process boundaries by stable runtime name and live
+// in the core's function registry (core/fnreg.go) as one more entry
+// kind: register package-level, non-generic functions from init().
 
 func nameOf(fn any) string {
-	fnReg.RLock()
-	name := fnReg.byPtr[reflect.ValueOf(fn).Pointer()]
-	fnReg.RUnlock()
-	if name == "" {
-		panic(fmt.Sprintf("task: AsyncAt of unregistered function %T — task.Register it at init time on every rank", fn))
+	name, err := core.TaskBodyName(fn)
+	if err != nil {
+		panic(fmt.Sprintf("task: AsyncAt: %v", err))
 	}
 	return name
-}
-
-func lookup(name string) *fnEntry {
-	fnReg.RLock()
-	ent := fnReg.byName[name]
-	fnReg.RUnlock()
-	if ent == nil {
-		panic(fmt.Sprintf("task: frame names unregistered function %q — every rank must task.Register it at init time", name))
-	}
-	return ent
 }
 
 // Register registers a result-bearing task body for cross-rank dispatch
 // and returns its wire name. Call from init() with a package-level,
 // non-generic function.
 func Register[A, R any](fn func(*core.Rank, A) R) string {
-	return registerEntry(fn, fnEntry{
-		run: func(trk *core.Rank, args []byte) []byte {
+	return core.RegisterTaskBody(fn, core.TaskBody{
+		Run: func(trk *core.Rank, args []byte) []byte {
 			var a A
 			unmarshal(args, &a)
 			return marshal(fn(trk, a))
@@ -211,8 +168,8 @@ func Register[A, R any](fn func(*core.Rank, A) R) string {
 
 // RegisterFF registers a fire-and-forget task body (no result frame).
 func RegisterFF[A any](fn func(*core.Rank, A)) string {
-	return registerEntry(fn, fnEntry{
-		runFF: func(trk *core.Rank, args []byte) {
+	return core.RegisterTaskBody(fn, core.TaskBody{
+		RunFF: func(trk *core.Rank, args []byte) {
 			var a A
 			unmarshal(args, &a)
 			fn(trk, a)
@@ -344,13 +301,16 @@ func (rt *Runtime) execute(r rec) {
 	if ro != nil {
 		ro.TaskHop(r.Home, obs.StageTaskExec, r.Trace, len(r.Args))
 	}
-	ent := lookup(r.Name)
+	body, err := core.LookupTaskBody(r.Name)
+	if err != nil {
+		panic(fmt.Sprintf("task: frame names an unknown body: %v", err))
+	}
 	home := core.Intrank(r.Home)
 	if r.Flags&flagFF != 0 {
-		ent.runFF(rk, r.Args)
+		body.RunFF(rk, r.Args)
 		rt.retire(home, retireMsg{ID: r.ID, Group: r.Group})
 	} else {
-		res := ent.run(rk, r.Args)
+		res := body.Run(rk, r.Args)
 		rt.retire(home, retireMsg{ID: r.ID, Group: r.Group, Res: res, HasRes: true})
 	}
 	if ro != nil {
