@@ -38,20 +38,23 @@ race:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
 
-# Short fuzz windows over the wire-format targets (the seed corpora also
-# run as plain tests in every `make test`).
+# Short fuzz windows over every fuzz target under internal/ (the seed
+# corpora also run as plain tests in every `make test`). The targets come
+# from `go test -list`, package by package, so a new target is fuzzed
+# without being named here and a deleted one is not asked for; a package
+# whose *fuzz_test.go lists no target (a renamed func, a build tag) fails
+# the run instead of silently going unfuzzed.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzGPtrWire -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzGPtrDecode -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzRemoteCxWire -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzCollWire -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzRPCWire -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzRPCBatchWire -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzEncoderDecoder -fuzztime 10s ./internal/serial
-	$(GO) test -run '^$$' -fuzz FuzzScalarSliceRoundTrip -fuzztime 10s ./internal/serial
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshalArbitrary -fuzztime 10s ./internal/serial
-	$(GO) test -run '^$$' -fuzz FuzzTransportFrame -fuzztime 10s ./internal/gasnet
-	$(GO) test -run '^$$' -fuzz FuzzTaskWire -fuzztime 10s ./internal/task
+	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./internal/... | while read pkg dir; do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); \
+		if [ -z "$$targets" ] && ls $$dir/*fuzz_test.go >/dev/null 2>&1; then \
+			echo "fuzz-smoke: $$pkg has a fuzz test file but lists no Fuzz target"; exit 1; \
+		fi; \
+		for t in $$targets; do \
+			echo "== $$pkg $$t"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s $$pkg; \
+		done; \
+	done
 
 # Execute every example end to end at its built-in small scale — examples
 # are run, not just vetted (each finishes in roughly a second on the

@@ -277,41 +277,29 @@ func encodeCollMsg(m collMsg) []byte {
 
 // decodeCollMsg parses and validates the wire form.
 func decodeCollMsg(b []byte) (collMsg, error) {
+	const format = "collective message"
 	var m collMsg
 	d := serial.NewDecoder(b)
-	magic := d.U8()
-	version := d.U8()
+	if err := d.Header(format, collMagic, collVersion); err != nil {
+		return m, err
+	}
 	m.team = d.U64()
 	m.seq = d.U64()
 	m.kind = d.U8()
 	m.round = d.U8()
 	m.src = d.U32()
-	dlen := d.Uvarint()
-	if d.Err() != nil {
-		return m, d.Err()
-	}
-	if magic != collMagic {
-		return m, fmt.Errorf("collective message: bad magic %#x", magic)
-	}
-	if version != collVersion {
-		return m, fmt.Errorf("collective message: unsupported version %d", version)
+	var err error
+	if m.data, err = d.Tail(format); err != nil {
+		return m, err
 	}
 	if m.kind == 0 || m.kind > collKindMax {
-		return m, fmt.Errorf("collective message: unknown kind %d", m.kind)
+		return m, fmt.Errorf("%s: unknown kind %d", format, m.kind)
 	}
 	if m.round > collRoundDown {
-		return m, fmt.Errorf("collective message: unknown round %d", m.round)
+		return m, fmt.Errorf("%s: unknown round %d", format, m.round)
 	}
 	if m.src > 1<<31-1 {
-		return m, fmt.Errorf("collective message: sender team rank %d out of range", m.src)
-	}
-	if dlen != uint64(d.Remaining()) {
-		return m, fmt.Errorf("collective message: data length %d does not match remaining %d bytes",
-			dlen, d.Remaining())
-	}
-	m.data = d.Raw(int(dlen))
-	if err := d.Finish(); err != nil {
-		return m, err
+		return m, fmt.Errorf("%s: sender team rank %d out of range", format, m.src)
 	}
 	return m, nil
 }
@@ -372,7 +360,7 @@ type collState struct {
 
 // collEngine drives every collective of one rank. All state is owned by
 // the rank's execution persona: entry bodies and message arrivals both
-// route there (execBody), so the maps and closures are single-threaded
+// route there (bodyQueue), so the maps and closures are single-threaded
 // by construction no matter which persona initiates or which goroutine
 // harvests the conduit.
 type collEngine struct {
@@ -410,18 +398,18 @@ func (e *collEngine) get(key collKey) *collState {
 // collective's recv, and any messages that arrived early are drained
 // through it.
 func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
-	// Engine state must advance on exactly one goroutine. execBody's
+	// Engine state must advance on exactly one goroutine. bodyQueue's
 	// inline fallback for worlds driven without Run would execute bodies
 	// on arbitrary calling/harvesting goroutines — fine for independent
 	// RPC bodies, racy for the engine's maps — so collectives require a
 	// held execution persona; fail loud (as the seed's master-persona
 	// check did) instead of corrupting state. In progress-thread mode
-	// execBody always serializes onto the progress persona, held from
+	// bodyQueue always serializes onto the progress persona, held from
 	// world construction.
 	if !e.rk.w.cfg.ProgressThread && e.rk.master.holder.Load() == 0 {
 		panic(fmt.Sprintf("upcxx: rank %d: collectives require a held master persona (use World.Run) or Config.ProgressThread", e.rk.me))
 	}
-	e.rk.execBodyAs(curGID(), func() { // a user call, not an AM handler
+	runOn(e.rk.execQueue(curGID()), func() { // a user call, not an AM handler
 		seq := e.seqs[t.id]
 		e.seqs[t.id] = seq + 1
 		key := collKey{t.id, seq}
@@ -467,7 +455,7 @@ func (w *World) handleColl(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte,
 	if err != nil {
 		panic(fmt.Sprintf("upcxx: rank %d malformed collective message from %d: %v", rk.me, src, err))
 	}
-	rk.execBody(func() { rk.coll.onMsg(m) })
+	runOn(rk.bodyQueue(nil), func() { rk.coll.onMsg(m) })
 }
 
 // sendMsg lowers one collective header hop to an AM operation and hands

@@ -341,7 +341,7 @@ func TestCollInvalidCombos(t *testing.T) {
 }
 
 // TestCollRequiresHeldExecPersona: a world driven without Run has no
-// held master persona, so execBody's inline fallback would advance the
+// held master persona, so bodyQueue's inline fallback would advance the
 // engine on arbitrary goroutines; collectives must fail loud there (as
 // the seed's master-persona check did) instead of racing on the engine
 // maps.

@@ -83,8 +83,8 @@ const (
 )
 
 // cxBody marks the RPCBodyOn pseudo-descriptor: not a completion event at
-// all, but the execution-persona address of an RPC *body*. The RPC entry
-// points peel it off (splitBodyPersona) before completion-plan resolution;
+// all, but the execution-persona address of an RPC *body*. rpcSend peels
+// it off (splitBodyPersona) before completion-plan resolution;
 // cxPlan.add rejects it on every other operation.
 const cxBody cxKind = 0xFF
 
@@ -118,9 +118,8 @@ type Cx struct {
 	pers *Persona       // delivery persona (nil: the descriptor's default)
 	fn   func()         // cxLPC body
 
-	rpcArgs []byte       // cxRPC serialized arguments
-	rpcInv  rpcFFInvoker // cxRPC invoker (code reference)
-	rpcName string       // cxRPC registry name for cross-process dispatch ("" unregistered)
+	rpcArgs []byte  // cxRPC serialized arguments
+	rpcBody rpcBody // cxRPC body (code reference)
 }
 
 // On returns a copy of the descriptor addressed to persona p instead of
@@ -144,13 +143,14 @@ func (cx Cx) On(p *Persona) Cx {
 // RPCBodyOn names the target-rank persona an RPC *body* executes on,
 // overriding the default routing to the target's execution persona (the
 // progress persona in progress-thread mode, the master persona otherwise).
-// Valid only on RPCWith, RPCFutWith, and RPCFFWith; any other operation
-// rejects it. Unlike the completion descriptors it rides alongside, it
-// names no event — it addresses the request's execution itself, letting an
-// initiator deliver work straight into a worker persona's LPC queue with
-// no target-side re-dispatch. The persona pointer travels as a code
-// reference, like RPC function values; no wire field is added. p must
-// belong to the target rank, validated at injection.
+// Valid only where RPCs are sent — RPCWith, RPCFutWith, RPCFFWith, and
+// Batch.Flush, where it addresses every body of the message; any other
+// operation rejects it. Unlike the completion descriptors it rides
+// alongside, it names no event — it addresses the request's execution
+// itself, letting an initiator deliver work straight into a worker
+// persona's LPC queue with no target-side re-dispatch. The persona pointer
+// travels as a code reference, like RPC function values; no wire field is
+// added. p must belong to the target rank, validated at injection.
 func RPCBodyOn(p *Persona) Cx {
 	if p == nil {
 		panic("upcxx: RPCBodyOn(nil persona)")
@@ -220,42 +220,31 @@ func RemoteCxAsLPC(pers *Persona, fn func()) Cx {
 // descriptor construction; fn travels as a code reference, exactly like
 // an RPCFF body.
 func RemoteCxAsRPC[A any](fn func(*Rank, A), arg A) Cx {
-	inv := rpcFFInvoker(func(trk *Rank, src Intrank, args []byte) {
-		var a A
-		mustUnmarshal(args, &a)
-		fn(trk, a)
-	})
-	return Cx{ev: RemoteDone, kind: cxRPC, rpcArgs: mustMarshal(arg), rpcInv: inv,
-		rpcName: registeredName(fn)}
+	return Cx{ev: RemoteDone, kind: cxRPC, rpcArgs: mustMarshal(arg), rpcBody: ffBody(fn, registeredName(fn))}
 }
 
 // remoteCxAux is the opaque code-reference half of a target-side
-// remote-completion notification: the body invoker plus the target-rank
-// persona it is addressed to (nil: the target's execution persona). It
-// travels as the conduit AM's aux, never as payload bytes.
+// remote-completion notification: the body (a fire-and-forget rpcBody) plus
+// the target-rank persona it is addressed to (nil: the target's execution
+// persona). It travels as the conduit AM's aux, never as payload bytes.
 type remoteCxAux struct {
-	inv  rpcFFInvoker
+	body rpcBody
 	pers *Persona
-	name string // registry name for cross-process dispatch ("" in-process)
 }
 
 // runRemoteBody delivers one target-side remote-completion body at this
-// rank: to the named persona's LPC queue when the descriptor was
-// addressed with On, to the rank's execution persona otherwise. Callers
-// invoke it only after the owning transfer's data is visible locally.
+// rank: on the named persona when the descriptor was addressed with On,
+// on the rank's execution persona otherwise (bodyQueue). Callers invoke it
+// only after the owning transfer's data is visible locally.
 func (rk *Rank) runRemoteBody(aux remoteCxAux, initiator Intrank, args []byte) {
 	if rk.ro != nil {
 		rk.ro.Completion(obs.EvRemote, obs.ViaRPC)
 	}
-	if aux.pers != nil {
-		if aux.pers.rk != rk {
-			panic(fmt.Sprintf("upcxx: rank %d: remote-cx persona %v belongs to rank %d",
-				rk.me, aux.pers, aux.pers.rk.me))
-		}
-		aux.pers.LPC(func() { aux.inv(rk, initiator, args) })
-		return
+	if q := rk.bodyQueue(aux.pers); q != nil {
+		q.queueBody(func() { aux.body.run(rk, initiator, 0, args) })
+	} else {
+		aux.body.run(rk, initiator, 0, args)
 	}
-	rk.execBody(func() { aux.inv(rk, initiator, args) })
 }
 
 // CxFutures carries the futures produced by …AsFuture descriptors of one
@@ -302,6 +291,11 @@ type cxPlan struct {
 	remotePeer Intrank
 
 	nops atomic.Int64 // outstanding conduit operations
+
+	// replies counts the round-trip entries of an RPC request message
+	// still awaiting their results; the last one fires the operation edge
+	// (rpcLand). Guarded by the initiating rank's rpcMu.
+	replies int
 
 	// Observability identity of the logical operation: obsTag carries the
 	// inject timestamp, kind, and (when traced) the op's trace ID; set by
@@ -355,9 +349,9 @@ func newCxPlan(rk *Rank, kind opKind, remotePeer Intrank, cxs []Cx) *cxPlan {
 // its delivery.
 func (c *cxPlan) add(kind opKind, cx Cx) {
 	if cx.kind == cxBody {
-		// RPCBodyOn is peeled off by the RPC entry points before plan
-		// resolution; seeing one here means it was passed to an operation
-		// that has no body to address.
+		// RPCBodyOn is peeled off by rpcSend before plan resolution;
+		// seeing one here means it was passed to an operation that has
+		// no body to address.
 		panic(fmt.Sprintf("upcxx: RPCBodyOn is valid only on RPC entry points, not a %s", kind))
 	}
 	switch cx.ev {
@@ -412,7 +406,7 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 		c.remoteAM = &gasnet.RemoteAM{
 			Handler: c.rk.w.amRemote,
 			Payload: encodeRemoteCx(c.rk.me, cx.rpcArgs),
-			Aux:     remoteCxAux{inv: cx.rpcInv, pers: cx.pers, name: cx.rpcName},
+			Aux:     remoteCxAux{body: cx.rpcBody, pers: cx.pers},
 		}
 		return
 	}
@@ -516,10 +510,10 @@ func (c *cxPlan) collRemoteLocal() {
 		c.rk.ro.Completion(obs.EvRemote, obs.ViaRPC)
 	}
 	if aux.pers != nil {
-		aux.pers.LPC(func() { aux.inv(c.rk, initiator, args) })
+		aux.pers.LPC(func() { aux.body.run(c.rk, initiator, 0, args) })
 		return
 	}
-	aux.inv(c.rk, initiator, args)
+	aux.body.run(c.rk, initiator, 0, args)
 }
 
 // collOpDone delivers a collective's operation completions to their
@@ -620,29 +614,17 @@ func encodeRemoteCx(initiator Intrank, args []byte) []byte {
 
 // decodeRemoteCx parses and validates a remote-cx AM payload.
 func decodeRemoteCx(b []byte) (initiator Intrank, args []byte, err error) {
+	const format = "remote-cx AM"
 	d := serial.NewDecoder(b)
-	magic := d.U8()
-	version := d.U8()
+	if err := d.Header(format, remoteCxMagic, remoteCxVersion); err != nil {
+		return 0, nil, err
+	}
 	init := d.U32()
-	alen := d.Uvarint()
-	if d.Err() != nil {
-		return 0, nil, d.Err()
-	}
-	if magic != remoteCxMagic {
-		return 0, nil, fmt.Errorf("remote-cx AM: bad magic %#x", magic)
-	}
-	if version != remoteCxVersion {
-		return 0, nil, fmt.Errorf("remote-cx AM: unsupported version %d", version)
+	if args, err = d.Tail(format); err != nil {
+		return 0, nil, err
 	}
 	if init > 1<<31-1 {
-		return 0, nil, fmt.Errorf("remote-cx AM: initiator rank %d out of range", init)
-	}
-	if alen != uint64(d.Remaining()) {
-		return 0, nil, fmt.Errorf("remote-cx AM: argument length %d does not match remaining %d bytes", alen, d.Remaining())
-	}
-	args = d.Raw(int(alen))
-	if err := d.Finish(); err != nil {
-		return 0, nil, err
+		return 0, nil, fmt.Errorf("%s: initiator rank %d out of range", format, init)
 	}
 	return Intrank(init), args, nil
 }

@@ -206,18 +206,23 @@ func TestRPCBasic(t *testing.T) {
 func TestRPCVariants(t *testing.T) {
 	Run(2, func(rk *Rank) {
 		if rk.Me() == 0 {
-			r0 := RPC0(rk, 1, func(trk *Rank) Intrank { return trk.Me() }).Wait()
+			// No argument is a Unit; several are a struct.
+			r0 := RPC(rk, 1, func(trk *Rank, _ Unit) Intrank { return trk.Me() }, Unit{}).Wait()
 			if r0 != 1 {
-				t.Errorf("RPC0 = %d", r0)
+				t.Errorf("RPC(Unit) = %d", r0)
 			}
-			r2 := RPC2(rk, 1, func(trk *Rank, a int32, b string) string {
-				if a != 7 {
-					t.Errorf("a = %d", a)
+			type pair struct {
+				A int32
+				B string
+			}
+			r2 := RPC(rk, 1, func(trk *Rank, p pair) string {
+				if p.A != 7 {
+					t.Errorf("a = %d", p.A)
 				}
-				return b + "!"
-			}, int32(7), "hey").Wait()
+				return p.B + "!"
+			}, pair{7, "hey"}).Wait()
 			if r2 != "hey!" {
-				t.Errorf("RPC2 = %q", r2)
+				t.Errorf("RPC(struct) = %q", r2)
 			}
 		}
 		rk.Barrier()
@@ -565,17 +570,17 @@ func TestCopyGG(t *testing.T) {
 func TestWaitInRestrictedContextPanics(t *testing.T) {
 	Run(2, func(rk *Rank) {
 		if rk.Me() == 0 {
-			got := RPC0(rk, 1, func(trk *Rank) bool {
+			got := RPC(rk, 1, func(trk *Rank, _ Unit) bool {
 				defer func() { recover() }()
 				// Waiting on an unready future inside an RPC body must
 				// panic rather than deadlock.
-				f := RPC0(trk, 0, func(*Rank) int { return 1 })
+				f := RPC(trk, 0, func(*Rank, Unit) int { return 1 }, Unit{})
 				if !f.Ready() {
 					f.Wait()
 					return false // unreachable if panic fired
 				}
 				return true
-			}).Wait()
+			}, Unit{}).Wait()
 			_ = got
 		}
 		rk.Barrier()
@@ -585,7 +590,7 @@ func TestWaitInRestrictedContextPanics(t *testing.T) {
 func TestProgressQueuesObservable(t *testing.T) {
 	Run(2, func(rk *Rank) {
 		if rk.Me() == 0 {
-			f := RPC0(rk, 1, func(*Rank) int { return 1 })
+			f := RPC(rk, 1, func(*Rank, Unit) int { return 1 }, Unit{})
 			// After injection the op is active until the reply arrives.
 			if rk.PendingOps() == 0 && !f.Ready() {
 				t.Error("op not tracked in actQ")

@@ -83,7 +83,7 @@ func distFetchBody(trk *Rank, id uint64) Future[[]byte] {
 		return ReadyFuture(trk, o.(distValueMarshaler).distValueBytes())
 	}
 	// RPC bodies execute on the rank's durable execution persona
-	// (master or progress thread — see Rank.execBody), so the
+	// (master or progress thread — see Rank.bodyQueue), so the
 	// deferred promise and its waiter outlive whichever goroutine
 	// harvested the message.
 	p := NewPromise[[]byte](trk)

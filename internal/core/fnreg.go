@@ -1,7 +1,7 @@
 package upcxx
 
 // SPMD function registry: the bridge that lets RPC bodies cross process
-// boundaries. In-process worlds ship invoker closures by reference
+// boundaries. In-process worlds ship body closures by reference
 // (valid because every rank shares one address space); a real transport
 // cannot — so functions that participate in cross-process RPC are
 // registered once, at init time, under their stable runtime name
@@ -23,14 +23,13 @@ import (
 	"upcxx/internal/serial"
 )
 
-// fnEntry holds every form registered under one function name. Forms the
-// function's signature cannot take stay nil; one function may be both an
-// RPC body and a task body (registerEntry merges).
+// fnEntry holds what is registered under one function name: its RPC body
+// (round-trip or fire-and-forget, as the signature dictates — body.run is
+// nil when the function was registered only as a task) and its task body.
+// One function may be both (registerEntry merges).
 type fnEntry struct {
-	inv   rpcInvoker      // round-trip request body (replies inline or deferred)
-	ffInv rpcFFInvoker    // fire-and-forget / remote-cx body
-	bInv  rpcBatchInvoker // batched round-trip body (returns result bytes)
-	task  *TaskBody       // internal/task body
+	body rpcBody
+	task *TaskBody // internal/task body
 }
 
 // TaskBody is the registry form of a task function (internal/task): Run
@@ -65,12 +64,12 @@ func registerEntry(fn any, ent fnEntry) string {
 	name := rf.Name()
 	fnReg.Lock()
 	defer fnReg.Unlock()
+	if ent.body.run != nil {
+		ent.body.name = name
+	}
 	if old := fnReg.byName[name]; old != nil {
-		if ent.inv == nil {
-			ent.inv, ent.bInv = old.inv, old.bInv
-		}
-		if ent.ffInv == nil {
-			ent.ffInv = old.ffInv
+		if ent.body.run == nil {
+			ent.body = old.body
 		}
 		if ent.task == nil {
 			ent.task = old.task
@@ -137,74 +136,24 @@ func LookupTaskBody(name string) (TaskBody, error) {
 // before the function first crosses a process boundary) with a
 // package-level, non-generic function; registration is process-global.
 func RegisterRPC[A, R any](fn func(*Rank, A) R) string {
-	return registerEntry(fn, fnEntry{
-		inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
-			var a A
-			mustUnmarshal(args, &a)
-			trk.replyTo(src, seq, mustMarshal(fn(trk, a)))
-		},
-		bInv: func(trk *Rank, src Intrank, args []byte) []byte {
-			var a A
-			mustUnmarshal(args, &a)
-			return mustMarshal(fn(trk, a))
-		},
-	})
-}
-
-// RegisterRPC2 registers a two-argument round-trip RPC body for
-// cross-process dispatch and returns its wire name.
-func RegisterRPC2[A, B, R any](fn func(*Rank, A, B) R) string {
-	return registerEntry(fn, fnEntry{
-		inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
-			var a A
-			var b B
-			n, err := serial.DecodeInto(args, &a)
-			if err != nil {
-				panic(fmt.Sprintf("upcxx: RPC2 first argument decode: %v", err))
-			}
-			mustUnmarshal(args[n:], &b)
-			trk.replyTo(src, seq, mustMarshal(fn(trk, a, b)))
-		},
-	})
+	return registerEntry(fn, fnEntry{body: valueBody(fn, "")})
 }
 
 // RegisterRPCFF registers a fire-and-forget RPC body (also the form
 // remote-completion RemoteCxAsRPC bodies take) for cross-process
 // dispatch and returns its wire name.
 func RegisterRPCFF[A any](fn func(*Rank, A)) string {
-	return registerEntry(fn, fnEntry{
-		ffInv: func(trk *Rank, src Intrank, args []byte) {
-			var a A
-			mustUnmarshal(args, &a)
-			fn(trk, a)
-		},
-	})
+	return registerEntry(fn, fnEntry{body: ffBody(fn, "")})
 }
 
 // RegisterRPCFut registers a future-returning (deferred-reply) RPC body
 // for cross-process dispatch and returns its wire name.
 func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string {
-	return registerEntry(fn, fnEntry{
-		inv: func(trk *Rank, src Intrank, seq uint64, args []byte) {
-			var a A
-			mustUnmarshal(args, &a)
-			inner := fn(trk, a)
-			reply := func() {
-				inner.c.onReady(func(r R) {
-					trk.replyTo(src, seq, mustMarshal(r))
-				})
-			}
-			if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
-				reply()
-			} else {
-				inner.c.pers.LPC(reply)
-			}
-		},
-	})
+	return registerEntry(fn, fnEntry{body: futBody(fn, "")})
 }
 
 // wireName resolves fn's registry name when this rank is part of a
-// multi-process (real-transport) world; in-process worlds ship invoker
+// multi-process (real-transport) world; in-process worlds ship body
 // closures by reference and need no name. Unregistered functions yield
 // "" — an error surfaces only if the message actually leaves the
 // process (self-RPC stays nameless and legal).
@@ -215,22 +164,41 @@ func (rk *Rank) wireName(fn any) string {
 	return registeredName(fn)
 }
 
-// --- AuxCodec: rpcAux / rpcBatchAux / remoteCxAux over the wire ----------
+// --- AuxCodec: rpcAux / remoteCxAux over the wire ------------------------
 
 // distAuxCodec serializes the aux tokens that ride conduit AMs. Wire
 // form: `tag u8 | ...`:
 //
-//	1 = rpcAux:      invName string | remName string ("" = none)
-//	2 = rpcBatchAux: count uvarint | count×{kind u8 | name string} | remName string
-//	3 = remoteCxAux: name string
+//	1 = rpcAux:      count uvarint | count×{kind u8 | name string} | remName string ("" = none)
+//	2 = remoteCxAux: name string
 //
 // Persona addresses (bodyPers, rem.pers) are process-local pointers and
 // cannot cross; encoding them is an error, as is an unregistered
-// (empty-name) function.
+// (empty-name) function. Decoding resolves each name in this process's
+// registry and fails — which fails the sending peer, not this rank's
+// reader — when a name is unknown or its function cannot serve the kind
+// of entry that names it.
 type distAuxCodec struct{}
 
+const (
+	auxTagRPC      = 1
+	auxTagRemoteCx = 2
+)
+
 func auxNameErr(what string) error {
-	return fmt.Errorf("upcxx: %s cannot cross a process boundary unregistered — register a package-level function with RegisterRPC/RegisterRPC2/RegisterRPCFF/RegisterRPCFut (closures and the RPC0/RPCFF0/RPCFF2 variants are in-process only)", what)
+	return fmt.Errorf("upcxx: %s cannot cross a process boundary unregistered — register a package-level function with RegisterRPC/RegisterRPCFF/RegisterRPCFut (closures are in-process only)", what)
+}
+
+// putRemName appends the registry name of a remote-cx body ("" for none).
+func putRemName(e *serial.Encoder, a remoteCxAux) error {
+	if a.pers != nil {
+		return fmt.Errorf("upcxx: persona-addressed remote-cx (On) cannot cross a process boundary")
+	}
+	if a.body.run != nil && a.body.name == "" {
+		return auxNameErr("remote-completion (RemoteCxAsRPC) function")
+	}
+	e.PutString(a.body.name)
+	return nil
 }
 
 func (distAuxCodec) EncodeAux(aux any) ([]byte, error) {
@@ -240,127 +208,86 @@ func (distAuxCodec) EncodeAux(aux any) ([]byte, error) {
 		if a.bodyPers != nil {
 			return nil, fmt.Errorf("upcxx: persona-addressed RPC body (RPCBodyOn) cannot cross a process boundary")
 		}
-		if a.invName == "" {
-			return nil, auxNameErr("RPC body function")
-		}
-		if a.rem.pers != nil {
-			return nil, fmt.Errorf("upcxx: persona-addressed remote-cx (On) cannot cross a process boundary")
-		}
-		if a.rem.inv != nil && a.rem.name == "" {
-			return nil, auxNameErr("remote-completion (RemoteCxAsRPC) function")
-		}
-		e.PutU8(1)
-		e.PutString(a.invName)
-		e.PutString(a.rem.name)
-	case rpcBatchAux:
-		if a.rem.pers != nil {
-			return nil, fmt.Errorf("upcxx: persona-addressed remote-cx (On) cannot cross a process boundary")
-		}
-		if a.rem.inv != nil && a.rem.name == "" {
-			return nil, auxNameErr("remote-completion (RemoteCxAsRPC) function")
-		}
-		e.PutU8(2)
+		e.PutU8(auxTagRPC)
 		e.PutUvarint(uint64(len(a.bodies)))
 		for _, body := range a.bodies {
 			if body.name == "" {
-				return nil, auxNameErr("batched RPC body function")
+				return nil, auxNameErr("RPC body function")
 			}
-			kind := rpcReqKind
-			if body.ffInv != nil {
-				kind = rpcFFKind
-			}
-			e.PutU8(kind)
+			e.PutU8(body.kind)
 			e.PutString(body.name)
 		}
-		e.PutString(a.rem.name)
-	case remoteCxAux:
-		if a.pers != nil {
-			return nil, fmt.Errorf("upcxx: persona-addressed remote-cx (On) cannot cross a process boundary")
+		if err := putRemName(e, a.rem); err != nil {
+			return nil, err
 		}
-		if a.name == "" {
+	case remoteCxAux:
+		if a.body.run == nil {
 			return nil, auxNameErr("remote-completion (RemoteCxAsRPC) function")
 		}
-		e.PutU8(3)
-		e.PutString(a.name)
+		e.PutU8(auxTagRemoteCx)
+		if err := putRemName(e, a); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("upcxx: aux token %T cannot cross a process boundary", aux)
 	}
 	return e.Bytes(), nil
 }
 
+// lookupBody resolves name to a body that serves entries of the given
+// kind.
+func lookupBody(name string, kind uint8) (rpcBody, error) {
+	ent, err := lookupFn(name)
+	if err != nil {
+		return rpcBody{}, err
+	}
+	if ent.body.run == nil || ent.body.kind != kind {
+		return rpcBody{}, fmt.Errorf("upcxx: function %q is not registered in a form that serves RPC entry kind %d (round-trip entries need RegisterRPC/RegisterRPCFut, fire-and-forget and remote-completion bodies RegisterRPCFF)", name, kind)
+	}
+	return ent.body, nil
+}
+
+// getRem reads a remote-cx body name written by putRemName.
+func getRem(d *serial.Decoder) (remoteCxAux, error) {
+	name := d.String()
+	if err := d.Finish(); err != nil || name == "" {
+		return remoteCxAux{}, err
+	}
+	body, err := lookupBody(name, rpcFFKind)
+	return remoteCxAux{body: body}, err
+}
+
 func (distAuxCodec) DecodeAux(b []byte) (any, error) {
 	d := serial.NewDecoder(b)
-	tag := d.U8()
-	switch tag {
-	case 1:
-		invName := d.String()
-		remName := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		ent, err := lookupFn(invName)
-		if err != nil {
-			return nil, err
-		}
-		a := rpcAux{inv: ent.inv, ffInv: ent.ffInv, invName: invName}
-		if remName != "" {
-			rent, err := lookupFn(remName)
-			if err != nil {
-				return nil, err
-			}
-			a.rem = remoteCxAux{inv: rent.ffInv, name: remName}
-		}
-		return a, nil
-	case 2:
+	switch tag := d.U8(); tag {
+	case auxTagRPC:
 		count := d.Uvarint()
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
 		if count > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("upcxx: batch aux body count %d exceeds remaining bytes", count)
+			return nil, fmt.Errorf("upcxx: rpc aux body count %d exceeds remaining bytes", count)
 		}
-		a := rpcBatchAux{bodies: make([]batchBodyAux, 0, count)}
-		for i := uint64(0); i < count; i++ {
-			kind := d.U8()
-			name := d.String()
+		a := rpcAux{bodies: make([]rpcBody, count)}
+		for i := range a.bodies {
+			kind, name := d.U8(), d.String()
 			if d.Err() != nil {
 				return nil, d.Err()
 			}
-			ent, err := lookupFn(name)
-			if err != nil {
+			var err error
+			if a.bodies[i], err = lookupBody(name, kind); err != nil {
 				return nil, err
 			}
-			switch kind {
-			case rpcReqKind:
-				a.bodies = append(a.bodies, batchBodyAux{inv: ent.bInv, name: name})
-			case rpcFFKind:
-				a.bodies = append(a.bodies, batchBodyAux{ffInv: ent.ffInv, name: name})
-			default:
-				return nil, fmt.Errorf("upcxx: batch aux entry %d has kind %d", i, kind)
-			}
 		}
-		remName := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
+		var err error
+		a.rem, err = getRem(d)
+		return a, err
+	case auxTagRemoteCx:
+		a, err := getRem(d)
+		if err == nil && a.body.run == nil {
+			err = fmt.Errorf("upcxx: remote-cx aux names no function")
 		}
-		if remName != "" {
-			rent, err := lookupFn(remName)
-			if err != nil {
-				return nil, err
-			}
-			a.rem = remoteCxAux{inv: rent.ffInv, name: remName}
-		}
-		return a, nil
-	case 3:
-		name := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		ent, err := lookupFn(name)
-		if err != nil {
-			return nil, err
-		}
-		return remoteCxAux{inv: ent.ffInv, name: name}, nil
+		return a, err
 	default:
 		return nil, fmt.Errorf("upcxx: unknown aux tag %d", tag)
 	}

@@ -1,6 +1,10 @@
 package upcxx
 
-import "testing"
+import (
+	"testing"
+
+	"upcxx/internal/serial"
+)
 
 func regBothA(*Rank, int) int { return 1 }
 func regBothB(*Rank, int) int { return 2 }
@@ -24,8 +28,8 @@ func TestRegistryFormsMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ent.inv == nil || ent.bInv == nil || ent.task == nil {
-			t.Errorf("%s: a form was clobbered: inv %v, bInv %v, task %v", name, ent.inv != nil, ent.bInv != nil, ent.task != nil)
+		if ent.body.run == nil || ent.body.kind != rpcReqKind || ent.body.name != name || ent.task == nil {
+			t.Errorf("%s: a form was clobbered: body %+v, task %v", name, ent.body, ent.task != nil)
 		}
 		if _, err := LookupTaskBody(name); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -36,5 +40,112 @@ func TestRegistryFormsMerge(t *testing.T) {
 	}
 	if _, err := TaskBodyName(func(*Rank, int) int { return 0 }); err == nil {
 		t.Error("an unregistered function has a task name")
+	}
+}
+
+func regFF(*Rank, int)                    {}
+func regFut(trk *Rank, x int) Future[int] { return ReadyFuture(trk, x) }
+func regTaskOnly(*Rank, int) int          { return 0 }
+
+// auxEnt is one {kind, name} entry of a hand-encoded rpcAux token.
+type auxEnt struct {
+	kind uint8
+	name string
+}
+
+// rpcAuxBytes hand-encodes a distAuxCodec rpcAux token, so rows can name
+// functions in forms EncodeAux itself would never produce.
+func rpcAuxBytes(rem string, entries ...auxEnt) []byte {
+	e := serial.NewEncoder(nil)
+	e.PutU8(auxTagRPC)
+	e.PutUvarint(uint64(len(entries)))
+	for _, en := range entries {
+		e.PutU8(en.kind)
+		e.PutString(en.name)
+	}
+	e.PutString(rem)
+	return e.Bytes()
+}
+
+// TestAuxDecodeChecksEntryKinds: DecodeAux hands the handler only bodies
+// that can serve the entries naming them. A round-trip entry naming a
+// function registered fire-and-forget (or the reverse, or a task-only or
+// unknown name, or a landing notification naming a value-returning
+// function) is an error — which the conduit turns into failing the
+// sending peer — never a nil func for the progress goroutine to call. A
+// future-returning function serves a round-trip entry in any position of
+// a message: with one body form there is no batch-only variant to lack.
+func TestAuxDecodeChecksEntryKinds(t *testing.T) {
+	val, ff, fut := RegisterRPC(regBothA), RegisterRPCFF(regFF), RegisterRPCFut(regFut)
+	task := RegisterTaskBody(regTaskOnly, TaskBody{Run: func(*Rank, []byte) []byte { return nil }})
+	remTok := func(name string) []byte {
+		e := serial.NewEncoder(nil)
+		e.PutU8(auxTagRemoteCx)
+		e.PutString(name)
+		return e.Bytes()
+	}
+	rows := []struct {
+		name  string
+		tok   []byte
+		kinds []uint8 // nil: must be refused
+	}{
+		{"round-trip entry, value function", rpcAuxBytes("", auxEnt{rpcReqKind, val}), []uint8{rpcReqKind}},
+		{"round-trip entry, future function", rpcAuxBytes("", auxEnt{rpcReqKind, fut}), []uint8{rpcReqKind}},
+		{"ff entry, ff function", rpcAuxBytes("", auxEnt{rpcFFKind, ff}), []uint8{rpcFFKind}},
+		{"mixed message with a future function and a landing body",
+			rpcAuxBytes(ff, auxEnt{rpcFFKind, ff}, auxEnt{rpcReqKind, fut}, auxEnt{rpcReqKind, val}),
+			[]uint8{rpcFFKind, rpcReqKind, rpcReqKind}},
+		{"round-trip entry, ff-only function", rpcAuxBytes("", auxEnt{rpcReqKind, ff}), nil},
+		{"ff entry, value function", rpcAuxBytes("", auxEnt{rpcFFKind, val}), nil},
+		{"ff entry, future function", rpcAuxBytes("", auxEnt{rpcFFKind, fut}), nil},
+		{"second entry of a message mismatched", rpcAuxBytes("", auxEnt{rpcReqKind, val}, auxEnt{rpcReqKind, ff}), nil},
+		{"reply-kind entry", rpcAuxBytes("", auxEnt{rpcReplyKind, val}), nil},
+		{"task-only function", rpcAuxBytes("", auxEnt{rpcReqKind, task}), nil},
+		{"unknown function", rpcAuxBytes("", auxEnt{rpcReqKind, "no/such.fn"}), nil},
+		{"landing body naming a value function", rpcAuxBytes(val, auxEnt{rpcFFKind, ff}), nil},
+		{"trailing bytes", append(rpcAuxBytes("", auxEnt{rpcFFKind, ff}), 0), nil},
+		{"remote-cx token, ff function", remTok(ff), []uint8{}},
+		{"remote-cx token, value function", remTok(val), nil},
+		{"remote-cx token, no function", remTok(""), nil},
+		{"retired batch tag", []byte{3, 0}, nil},
+	}
+	for _, row := range rows {
+		aux, err := (distAuxCodec{}).DecodeAux(row.tok)
+		if row.kinds == nil {
+			if err == nil {
+				t.Errorf("%s: decoded to %+v, want an error", row.name, aux)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", row.name, err)
+			continue
+		}
+		switch a := aux.(type) {
+		case rpcAux:
+			if len(a.bodies) != len(row.kinds) {
+				t.Errorf("%s: %d bodies, want %d", row.name, len(a.bodies), len(row.kinds))
+				continue
+			}
+			for i, k := range row.kinds {
+				if a.bodies[i].run == nil || a.bodies[i].kind != k {
+					t.Errorf("%s: body %d = %+v, want a runnable body of kind %d", row.name, i, a.bodies[i], k)
+				}
+			}
+		case remoteCxAux:
+			if a.body.run == nil || a.body.kind != rpcFFKind {
+				t.Errorf("%s: landing body %+v is not a runnable ff body", row.name, a.body)
+			}
+		}
+	}
+	// What EncodeAux writes, DecodeAux reads back.
+	in := rpcAux{bodies: []rpcBody{ffBody(regFF, ff), futBody(regFut, fut)}, rem: remoteCxAux{body: ffBody(regFF, ff)}}
+	tok, err := (distAuxCodec{}).EncodeAux(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := (distAuxCodec{}).DecodeAux(tok)
+	if a, ok := out.(rpcAux); err != nil || !ok || len(a.bodies) != 2 || a.bodies[1].name != fut || a.rem.body.name != ff {
+		t.Errorf("round trip of %+v = %+v, %v", in, out, err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // call — comparable to the modeled LogGP overheads, so the hot paths must
 // not re-derive it per operation. The fix caches it three ways: the
 // per-goroutine state carries its gid (curState derives it once), AM
-// drains pass it to execBody through the conduit poll token, and
+// drains pass it to bodyQueue through the conduit poll token, and
 // completion LPCs use the owned fulfill path (delivery on the owning
 // persona's goroutine is guaranteed, so no check is needed). These tests
 // pin the property with the gidLookups counter.
@@ -56,7 +56,7 @@ func TestGIDLookupsCachedExecBody(t *testing.T) {
 		// Spin with the goroutine state hoisted, as Future.Wait does —
 		// the public Progress() entry point resolves it once per call by
 		// design, which is what this test must not conflate with the
-		// per-message execBody cost.
+		// per-message bodyQueue cost.
 		gs := curState()
 		for hits.Load() < K {
 			rk.progressWith(gs)
@@ -67,7 +67,7 @@ func TestGIDLookupsCachedExecBody(t *testing.T) {
 		// whole exchange should cost a small constant number of lookups
 		// (barrier machinery, default persona binding), far below K.
 		if delta > K/4+64 {
-			t.Errorf("%d RPCs cost %d gid lookups; execBody is re-deriving the id", K, delta)
+			t.Errorf("%d RPCs cost %d gid lookups; bodyQueue is re-deriving the id", K, delta)
 		}
 	})
 }

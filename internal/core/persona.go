@@ -52,6 +52,7 @@ type Persona struct {
 	holder atomic.Uint64 // goroutine id holding the persona; 0 when unheld
 	head   atomic.Pointer[lpcNode]
 	npend  atomic.Int64
+	nbody  atomic.Int64 // incoming bodies queued by queueBody and not yet run
 
 	oc *obs.PersonaCount // per-persona LPC counters; nil = stats disabled
 }
@@ -100,6 +101,17 @@ func (p *Persona) LPC(fn func()) {
 	// Wake a progress thread sleeping on the conduit doorbell: persona
 	// deliveries bypass the endpoint queues it watches.
 	p.rk.ep.Ring()
+}
+
+// queueBody enqueues an incoming RPC or remote-completion body — the
+// queued half of a bodyQueue decision (rpc.go). nbody counts it until it
+// has run, which is what keeps later bodies from overtaking it.
+func (p *Persona) queueBody(fn func()) {
+	p.nbody.Add(1)
+	p.LPC(func() {
+		fn()
+		p.nbody.Add(-1)
+	})
 }
 
 // LPCTo delivers fn to persona p — the cross-thread local procedure call
@@ -197,7 +209,7 @@ var tlsStates sync.Map // goroutine id -> *goroutineState
 
 // gidLookups counts curGID invocations. The lookup parses runtime.Stack
 // (~0.5–1µs, comparable to the modeled LogGP overheads), so hot paths —
-// fulfill, execBody, the progress loop — must not re-derive it per call;
+// fulfill, bodyQueue, the progress loop — must not re-derive it per call;
 // TestGIDLookupsCached pins that property against regression.
 var gidLookups atomic.Uint64
 
@@ -270,7 +282,7 @@ func (rk *Rank) ProgressPersona() *Persona {
 
 // execPersona returns the rank's durable execution persona: the
 // progress persona in progress-thread mode, the master persona
-// otherwise. Incoming RPC bodies run on it (execBody) and the
+// otherwise. Incoming RPC bodies run on it (bodyQueue) and the
 // collectives engine advances on it, which is what lets any persona
 // initiate a collective — the owner handoff replaces the old
 // master-persona pin (and its panic) entirely.

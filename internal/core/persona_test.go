@@ -464,7 +464,7 @@ func TestPersonaDetachDefaultPersonas(t *testing.T) {
 			// persona livelocked every later fulfill on the goroutine).
 			sc := AcquirePersona(p)
 			sc.Release()
-			if got := RPC0(rk, 0, func(*Rank) int { return 5 }).Wait(); got != 5 {
+			if got := RPC(rk, 0, func(*Rank, Unit) int { return 5 }, Unit{}).Wait(); got != 5 {
 				t.Errorf("rpc after default re-acquire/release = %d", got)
 			}
 			DetachDefaultPersonas()

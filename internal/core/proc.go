@@ -135,27 +135,10 @@ func NewWorldDist(cfg Config) *World {
 		Aux: distAuxCodec{},
 	})
 	w.amRPC = w.net.RegisterAM(w.handleRPC)
-	w.amRPCBatch = w.net.RegisterAM(w.handleRPCBatch)
 	w.amColl = w.net.RegisterAM(w.handleColl)
 	w.amRemote = w.net.RegisterAM(w.handleRemoteCx)
 	w.ranks = make([]*Rank, cfg.Ranks)
-	rk := &Rank{
-		w:          w,
-		ep:         w.net.Endpoint(Intrank(rank)),
-		me:         Intrank(rank),
-		n:          Intrank(cfg.Ranks),
-		rpcPending: make(map[uint64]func([]byte)),
-		splitSeqs:  make(map[uint64]uint64),
-		distObjs:   make(map[uint64]any),
-		distWaits:  make(map[uint64][]distWaiter),
-	}
-	if w.obs != nil {
-		rk.ro = w.obs.Rank(rank)
-	}
-	rk.coll = newCollEngine(rk, cfg.CollRadix)
-	rk.master = NewPersona(rk, "master")
-	rk.progressP = NewPersona(rk, "progress")
-	rk.worldTeam = newWorldTeam(rk)
+	rk := w.newRank(Intrank(rank))
 	w.ranks[rank] = rk
 	if cfg.ProgressThread {
 		w.ptStop = make(chan struct{})

@@ -1,6 +1,7 @@
 package upcxx
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"upcxx/internal/gasnet"
@@ -44,26 +45,95 @@ import (
 // progress thread executes incoming RPCs with its own persona current,
 // keeping every rank attentive while its user goroutines compute.
 
-// rpcInvoker runs at the target inside the AM handler: decode arguments,
-// call the user function, and send the reply (immediately, or when a
-// returned future readies).
-type rpcInvoker func(trk *Rank, src Intrank, seq uint64, args []byte)
+// rpcBody is the one form every remotely executed function takes — RPC and
+// rpc_ff bodies, batched entries, and remote-completion (as_rpc) bodies
+// alike. run decodes the arguments and calls the user function at the
+// target. A result that is ready when run returns comes back as (res,
+// true) and the handler coalesces it into the message's reply;
+// fire-and-forget bodies return (nil, false), and so does a
+// future-returning body, which ships its own reply to (src, seq) once its
+// future readies. kind says which entries the body can serve: rpcReqKind
+// (it produces a result) or rpcFFKind (it never replies).
+type rpcBody struct {
+	kind uint8
+	name string // registry name for cross-process dispatch ("" in-process)
+	run  func(trk *Rank, src Intrank, seq uint64, args []byte) (res []byte, now bool)
+}
 
-// rpcFFInvoker is the fire-and-forget variant: no sequence, no reply.
-type rpcFFInvoker func(trk *Rank, src Intrank, args []byte)
+// The three adapters below are the only places a user function meets the
+// wire: every entry point (RPC*With, BatchRPC*, RemoteCxAsRPC, Register*)
+// builds its body from one of them.
+
+// valueBody adapts a function whose result is ready when it returns.
+func valueBody[A, R any](fn func(*Rank, A) R, name string) rpcBody {
+	return rpcBody{kind: rpcReqKind, name: name, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
+		var a A
+		mustUnmarshal(args, &a)
+		return mustMarshal(fn(trk, a)), true
+	}}
+}
+
+// ffBody adapts a function with no result (rpc_ff and remote-cx bodies).
+func ffBody[A any](fn func(*Rank, A), name string) rpcBody {
+	return rpcBody{kind: rpcFFKind, name: name, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
+		var a A
+		mustUnmarshal(args, &a)
+		fn(trk, a)
+		return nil, false
+	}}
+}
+
+// futBody adapts a future-returning function: the reply is deferred until
+// the returned future readies, and then travels as a one-entry message of
+// its own — it cannot hold back the replies of entries that shared its
+// request message.
+func futBody[A, R any](fn func(*Rank, A) Future[R], name string) rpcBody {
+	return rpcBody{kind: rpcReqKind, name: name, run: func(trk *Rank, src Intrank, seq uint64, args []byte) ([]byte, bool) {
+		var a A
+		mustUnmarshal(args, &a)
+		inner := fn(trk, a)
+		reply := func() {
+			inner.c.onReady(func(r R) {
+				trk.reply(src, []rpcEntry{{kind: rpcReplyKind, seq: seq, args: mustMarshal(r)}})
+			})
+		}
+		if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
+			reply()
+		} else {
+			// The body handed back a future owned by another persona
+			// (e.g. a deferred dist-object fetch pinned to the master
+			// persona); futures are persona-local, so the continuation
+			// must be registered on the owner's goroutine.
+			inner.c.pers.LPC(reply)
+		}
+		return nil, false
+	}}
+}
 
 // rpcAux is the opaque code-reference token that travels with every RPC
-// wire message: the body invoker (request or fire-and-forget form), the
-// remote-completion landing notification when one was attached, and the
-// target-rank persona the body was addressed to with RPCBodyOn (nil: the
-// target's execution persona). Like the invokers, the persona pointer is
+// request message: one body per wire entry, positionally matched; the
+// remote-completion landing notification when one was attached; and the
+// target-rank persona the bodies were addressed to with RPCBodyOn (nil:
+// the target's execution persona). Like the bodies, the persona pointer is
 // a code reference — no wire bytes are added for it.
 type rpcAux struct {
-	inv      rpcInvoker   // rpcReqKind body
-	ffInv    rpcFFInvoker // rpcFFKind body
-	rem      remoteCxAux  // target-side landing event (zero when absent)
-	bodyPers *Persona     // execution persona named by RPCBodyOn (nil: default)
-	invName  string       // registry name for cross-process dispatch ("" in-process)
+	bodies   []rpcBody
+	rem      remoteCxAux // target-side landing event (zero when absent)
+	bodyPers *Persona    // execution persona named by RPCBodyOn (nil: default)
+}
+
+// checkBodies rejects a request message whose entries the aux token's
+// bodies cannot serve: a count or kind disagreement between the two.
+func checkBodies(bodies []rpcBody, m rpcMsg) error {
+	if len(bodies) != m.count {
+		return fmt.Errorf("%s: %d bodies for %d wire entries", rpcFormat, len(bodies), m.count)
+	}
+	for i := range bodies {
+		if k := m.next().kind; k != bodies[i].kind {
+			return fmt.Errorf("%s: entry %d is kind %d on the wire but its body serves kind %d", rpcFormat, i, k, bodies[i].kind)
+		}
+	}
+	return nil
 }
 
 func mustMarshal(v any) []byte {
@@ -80,17 +150,33 @@ func mustUnmarshal(b []byte, ptr any) {
 	}
 }
 
-// execBody runs an incoming RPC body on the rank's durable execution
-// persona: the progress persona in progress-thread mode, the master
-// persona otherwise (the UPC++ rule that RPCs execute on the master
-// persona). The harvesting goroutine may be any goroutine making
-// user-level progress — a short-lived user goroutine's Wait, for
-// example — and everything a body creates (promises, inner futures,
-// deferred replies) binds to the current persona, so bodies must not
-// execute on a persona that stops being drained when its goroutine
-// exits. If the calling goroutine already holds the durable persona the
-// body runs inline; otherwise it is delivered by LPC.
-func (rk *Rank) execBody(fn func()) {
+// bodyQueue decides where an incoming body addressed to persona p runs. A
+// nil p is the rank's durable execution persona: the progress persona in
+// progress-thread mode, the master persona otherwise (the UPC++ rule that
+// RPCs execute on the master persona); a non-nil p was named by the
+// initiator (RPCBodyOn, or On for a remote-cx body). The harvesting
+// goroutine may be any goroutine making user-level progress — a
+// short-lived user goroutine's Wait, for example — and everything a body
+// creates (promises, inner futures, deferred replies) binds to the current
+// persona, so bodies must not execute on a persona that stops being
+// drained when its goroutine exits. bodyQueue returns nil when the calling
+// goroutine already holds the persona and no body is queued on it — the
+// body runs inline — and otherwise the persona whose queue takes it
+// (queueBody), executed when the owning goroutine next makes progress. The
+// holder queues too while bodies wait there: they belong to earlier
+// messages that another goroutine harvested, and running this one inline
+// would overtake them (per-pair FIFO; a Find must not pass the signaling
+// put's landing body that publishes what it looks for).
+func (rk *Rank) bodyQueue(p *Persona) *Persona {
+	if p != nil {
+		if p.rk != rk {
+			panic(fmt.Sprintf("upcxx: rank %d: body persona %v belongs to rank %d", rk.me, p, p.rk.me))
+		}
+		if p.onOwnerGoroutine() && p.nbody.Load() == 0 {
+			return nil
+		}
+		return p
+	}
 	// The harvesting goroutine's id rides along as the conduit poll
 	// token (progressWith passes it to PollAMsAs), so a drain of many
 	// AMs resolves it once instead of re-deriving it per message —
@@ -100,16 +186,16 @@ func (rk *Rank) execBody(fn func()) {
 	if gid == 0 {
 		gid = curGID()
 	}
-	rk.execBodyAs(gid, fn)
+	return rk.execQueue(gid)
 }
 
-// execBodyAs is execBody for a caller that knows its goroutine id. Code
-// that is not running inside an AM handler must pass curGID(): outside a
-// handler the conduit poll token names whichever goroutine happens to be
+// execQueue is bodyQueue(nil) for a caller that knows its goroutine id.
+// Code that is not running inside an AM handler must pass curGID(): outside
+// a handler the conduit poll token names whichever goroutine happens to be
 // draining AMs — possibly the progress thread, concurrently — not the
-// caller, and mistaking one for the other would run fn inline on the
+// caller, and mistaking one for the other would run a body inline on the
 // wrong goroutine.
-func (rk *Rank) execBodyAs(gid uint64, fn func()) {
+func (rk *Rank) execQueue(gid uint64) *Persona {
 	if rk.w.cfg.ProgressThread {
 		// Always route to the progress persona (inline only when the
 		// progress thread itself harvested the AM). No unheld fallback:
@@ -117,44 +203,30 @@ func (rk *Rank) execBodyAs(gid uint64, fn func()) {
 		// persona, running inline would bind deferred state to a
 		// transient harvester — queued bodies are drained as soon as
 		// the thread comes up.
-		if rk.progressP.holder.Load() == gid {
-			fn()
-			return
+		if rk.progressP.holder.Load() == gid && rk.progressP.nbody.Load() == 0 {
+			return nil
 		}
-		rk.progressP.LPC(fn)
-		return
+		return rk.progressP
 	}
-	if h := rk.master.holder.Load(); h == gid || h == 0 {
+	if h := rk.master.holder.Load(); (h == gid && rk.master.nbody.Load() == 0) || h == 0 {
 		// Run inline when the caller holds the master persona — or when
 		// nobody does (a World driven without Run): queuing to an unheld
 		// master would stall every incoming RPC, and the harvesting
 		// goroutine is by definition making progress.
-		fn()
-		return
+		return nil
 	}
-	rk.master.LPC(fn)
+	return rk.master
 }
 
-// execBodyOn runs an incoming RPC body on the persona the initiator named
-// with RPCBodyOn, or falls back to the rank's durable execution persona
-// (execBody) when none was named. Like every persona delivery, the body
-// runs inline only when the harvesting goroutine already holds the named
-// persona; otherwise it lands in that persona's LPC queue, executed when
-// the owning goroutine next makes progress.
-func (rk *Rank) execBodyOn(p *Persona, fn func()) {
-	if p == nil {
-		rk.execBody(fn)
-		return
-	}
-	if p.rk != rk {
-		panic(fmt.Sprintf("upcxx: rank %d: rpc body persona %v belongs to rank %d",
-			rk.me, p, p.rk.me))
-	}
-	if p.onOwnerGoroutine() {
+// runOn runs fn inline when q is nil and queues it on q otherwise. Hot
+// paths branch on the queue themselves so the inline case needs no
+// closure.
+func runOn(q *Persona, fn func()) {
+	if q == nil {
 		fn()
 		return
 	}
-	p.LPC(fn)
+	q.queueBody(fn)
 }
 
 // splitBodyPersona peels RPCBodyOn pseudo-descriptors off an RPC's
@@ -185,28 +257,33 @@ func splitBodyPersona(target Intrank, cxs []Cx) (*Persona, []Cx) {
 
 // --- RPC wire form -------------------------------------------------------
 
-// Every RPC message — request, reply, and fire-and-forget — shares one
-// self-describing versioned header:
+// There is one RPC message. A single RPC, a fire-and-forget RPC, a flushed
+// Batch, and every reply all travel as
 //
-//	| magic 0xC8 | version 1 | kind u8 | seq u64 | src u32 LE |
-//	| arglen uvarint | args | remlen uvarint | rem |
+//	| magic 0xC9 | version 1 | src u32 LE | count uvarint |
+//	| count × { kind u8 | seq u64 LE | arglen uvarint | args } |
+//	| remlen uvarint | rem |
 //
-// kind is rpcReqKind/rpcReplyKind/rpcFFKind; seq correlates requests with
-// replies (fire-and-forget messages carry 0); src is the sender's world
-// rank, riding in the payload (not only the conduit envelope) so the
-// message stays self-describing when relayed. rem is an embedded
-// remote-cx payload (the 0xC7 wire form of completion.go) carrying the
-// target-side landing notification of a request — empty when none was
-// attached, and required empty on replies. decodeRPCMsg rejects anything
-// malformed; FuzzRPCWire hammers it with hostile bytes and checks the
-// canonical round-trip property.
+// — a single call is a one-entry message. kind is rpcReqKind/rpcReplyKind/
+// rpcFFKind; seq correlates a request with its reply (fire-and-forget
+// entries carry 0); src is the sender's world rank, riding in the payload
+// (not only the conduit envelope) so the message stays self-describing
+// when relayed. Entries of one message all travel in one direction:
+// request messages may mix round-trip and fire-and-forget entries, reply
+// messages carry only replies. rem is an embedded remote-cx payload (the
+// 0xC7 wire form of completion.go) carrying one target-side landing
+// notification for the whole message — empty when none was attached, and
+// required empty on replies. decodeRPCMsg rejects anything malformed;
+// FuzzRPCWire hammers it with hostile bytes and checks the canonical
+// round-trip property.
 
 const (
-	rpcMagic   = 0xC8
+	rpcMagic   = 0xC9
 	rpcVersion = 1
+	rpcFormat  = "rpc message"
 )
 
-// RPC message kinds.
+// RPC entry kinds.
 const (
 	rpcReqKind   uint8 = 1 + iota // round-trip request (expects a reply)
 	rpcReplyKind                  // reply carrying the result bytes
@@ -215,209 +292,319 @@ const (
 
 const rpcKindMax = rpcFFKind
 
-// rpcMsg is one decoded RPC wire message.
-type rpcMsg struct {
+// rpcEntry is one call (or one result) of an RPC message.
+type rpcEntry struct {
 	kind uint8
 	seq  uint64
-	src  uint32
-	args []byte
-	rem  []byte // embedded remote-cx payload (encodeRemoteCx form)
+	args []byte // argument (request) or result (reply) bytes
+	// more continues args on the initiator side when the argument was
+	// gather-marshalled (Batch): fragments that may borrow caller memory
+	// until the conduit captures the message. Decoded entries have none.
+	more [][]byte
 }
 
-// encodeRPCMsg builds the wire form.
-func encodeRPCMsg(m rpcMsg) []byte {
-	e := serial.NewEncoder(make([]byte, 0, 24+len(m.args)+len(m.rem)))
+// encodeRPCMsg builds the wire form of one message — contiguous in buf,
+// or, with gather set, as the fragment list bufs whose concatenation is
+// the same byte stream but in which argument spans of at least
+// serial.GatherMinBorrow bytes still alias the caller's memory.
+func encodeRPCMsg(src Intrank, entries []rpcEntry, rem []byte, gather bool) (buf []byte, bufs [][]byte) {
+	size := 32 + 20*len(entries) + len(rem)
+	if !gather {
+		for i := range entries {
+			size += len(entries[i].args)
+		}
+	}
+	e := serial.NewEncoder(make([]byte, 0, size))
+	if gather {
+		e.EnableGather()
+	}
 	e.PutU8(rpcMagic)
 	e.PutU8(rpcVersion)
-	e.PutU8(m.kind)
-	e.PutU64(m.seq)
-	e.PutU32(m.src)
-	e.PutUvarint(uint64(len(m.args)))
-	e.PutRaw(m.args)
-	e.PutUvarint(uint64(len(m.rem)))
-	e.PutRaw(m.rem)
-	return e.Bytes()
+	e.PutU32(uint32(src))
+	e.PutUvarint(uint64(len(entries)))
+	for i := range entries {
+		en := &entries[i]
+		n := len(en.args)
+		for _, f := range en.more {
+			n += len(f)
+		}
+		e.PutU8(en.kind)
+		e.PutU64(en.seq)
+		e.PutUvarint(uint64(n))
+		e.PutBorrowed(en.args)
+		for _, f := range en.more {
+			e.PutBorrowed(f)
+		}
+	}
+	e.PutUvarint(uint64(len(rem)))
+	e.PutRaw(rem)
+	if gather {
+		return nil, e.Fragments()
+	}
+	return e.Bytes(), nil
+}
+
+// rpcMsg is one validated RPC message. The entries stay in wire form:
+// next walks them without materialising a slice, so a one-entry message
+// costs no allocation to decode.
+type rpcMsg struct {
+	src   uint32
+	count int
+	reply bool   // a reply message (every entry rpcReplyKind)
+	body  []byte // the count entries, validated
+	rem   []byte // embedded remote-cx payload (encodeRemoteCx form)
+}
+
+// next pops the message's first remaining entry; call it at most count
+// times (on a copy, to walk the entries more than once). decodeRPCMsg has
+// validated body, so this is the hot path's unchecked re-read.
+func (m *rpcMsg) next() rpcEntry {
+	b := m.body
+	n, w := binary.Uvarint(b[9:])
+	end := 9 + w + int(n)
+	m.body = b[end:]
+	return rpcEntry{kind: b[0], seq: binary.LittleEndian.Uint64(b[1:]), args: b[9+w : end]}
 }
 
 // decodeRPCMsg parses and validates the wire form.
 func decodeRPCMsg(b []byte) (rpcMsg, error) {
 	var m rpcMsg
 	d := serial.NewDecoder(b)
-	magic := d.U8()
-	version := d.U8()
-	m.kind = d.U8()
-	m.seq = d.U64()
+	if err := d.Header(rpcFormat, rpcMagic, rpcVersion); err != nil {
+		return m, err
+	}
 	m.src = d.U32()
-	alen := d.Uvarint()
+	count := d.Uvarint()
 	if d.Err() != nil {
 		return m, d.Err()
-	}
-	if magic != rpcMagic {
-		return m, fmt.Errorf("rpc message: bad magic %#x", magic)
-	}
-	if version != rpcVersion {
-		return m, fmt.Errorf("rpc message: unsupported version %d", version)
-	}
-	if m.kind == 0 || m.kind > rpcKindMax {
-		return m, fmt.Errorf("rpc message: unknown kind %d", m.kind)
 	}
 	if m.src > 1<<31-1 {
-		return m, fmt.Errorf("rpc message: sender rank %d out of range", m.src)
+		return m, fmt.Errorf("%s: sender rank %d out of range", rpcFormat, m.src)
 	}
-	if m.kind == rpcFFKind && m.seq != 0 {
-		return m, fmt.Errorf("rpc message: fire-and-forget carries sequence %d", m.seq)
+	// Every entry occupies at least kind+seq+arglen = 10 bytes, so a count
+	// beyond the remaining byte count is hostile, not merely truncated.
+	if count == 0 || count > uint64(d.Remaining()) {
+		return m, fmt.Errorf("%s: entry count %d with %d bytes remaining", rpcFormat, count, d.Remaining())
 	}
-	if alen > uint64(d.Remaining()) {
-		return m, fmt.Errorf("rpc message: argument length %d exceeds remaining %d bytes", alen, d.Remaining())
+	m.count = int(count)
+	start := d.Offset()
+	replies := 0
+	for i := 0; i < m.count; i++ {
+		kind, seq := d.U8(), d.U64()
+		d.Bytes()
+		if d.Err() != nil {
+			return m, d.Err()
+		}
+		if kind == 0 || kind > rpcKindMax {
+			return m, fmt.Errorf("%s: entry %d has unknown kind %d", rpcFormat, i, kind)
+		}
+		if kind == rpcFFKind && seq != 0 {
+			return m, fmt.Errorf("%s: fire-and-forget entry %d carries sequence %d", rpcFormat, i, seq)
+		}
+		if kind == rpcReplyKind {
+			replies++
+		}
 	}
-	m.args = d.Raw(int(alen))
-	rlen := d.Uvarint()
-	if d.Err() != nil {
-		return m, d.Err()
+	if replies != 0 && replies != m.count {
+		return m, fmt.Errorf("%s: mixes %d replies with %d requests", rpcFormat, replies, m.count-replies)
 	}
-	if rlen != uint64(d.Remaining()) {
-		return m, fmt.Errorf("rpc message: remote-cx length %d does not match remaining %d bytes", rlen, d.Remaining())
-	}
-	if rlen > 0 && m.kind == rpcReplyKind {
-		return m, fmt.Errorf("rpc message: reply carries a remote-cx payload")
-	}
-	m.rem = d.Raw(int(rlen))
-	if err := d.Finish(); err != nil {
+	m.reply = replies != 0
+	m.body = b[start:d.Offset()]
+	var err error
+	if m.rem, err = d.Tail(rpcFormat); err != nil {
 		return m, err
+	}
+	if m.reply && len(m.rem) > 0 {
+		return m, fmt.Errorf("%s: reply carries a remote-cx payload", rpcFormat)
 	}
 	return m, nil
 }
 
-// handleRPC is the single conduit AM handler for all RPC traffic. Requests
-// and fire-and-forget bodies execute at the target during user-level
-// progress, on the rank's execution persona (execBody); a request's
-// embedded remote-cx landing event fires first — it signals the message's
-// arrival, not the body's execution, and may be persona-addressed.
-// Replies complete the initiator's pending operation: the continuation
-// routes the result to the initiating persona's LPC queue and fires the
-// operation's completion plan, no matter which goroutine's progress
-// harvested the reply.
+// --- target side ---------------------------------------------------------
+
+// handleRPC is the single conduit AM handler for all RPC traffic. A
+// request message's embedded remote-cx landing event fires first — it
+// signals the message's arrival, not any body's execution, and may be
+// persona-addressed. Then every body of the message executes during
+// user-level progress in ONE delivery to the rank's execution persona
+// (or the persona named with RPCBodyOn) — the target wakes once per
+// message, not once per call — and the results that are ready come back
+// as ONE reply message. A reply message completes the initiator's pending
+// entries in order: each result is routed to its promise's owning
+// persona, and the last one outstanding for a request message fires that
+// message's operation edge, no matter which goroutine's progress
+// harvested the reply. A message this rank cannot act on fails the
+// sending peer rather than the progress goroutine.
 func (w *World) handleRPC(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte, aux any) {
 	trk := w.ranks[ep.Rank()]
-	m, err := decodeRPCMsg(payload)
-	if err != nil {
-		panic(fmt.Sprintf("upcxx: rank %d malformed RPC message from %d: %v", trk.me, src, err))
-	}
-	switch m.kind {
-	case rpcReqKind, rpcFFKind:
-		a := aux.(rpcAux)
-		if len(m.rem) > 0 {
-			initiator, args, derr := decodeRemoteCx(m.rem)
-			if derr != nil {
-				panic(fmt.Sprintf("upcxx: rank %d corrupt RPC remote-cx payload from %d: %v", trk.me, src, derr))
-			}
-			trk.runRemoteBody(a.rem, initiator, args)
-		}
-		if m.kind == rpcReqKind {
-			trk.execBodyOn(a.bodyPers, func() { a.inv(trk, Intrank(src), m.seq, m.args) })
-		} else {
-			trk.execBodyOn(a.bodyPers, func() { a.ffInv(trk, Intrank(src), m.args) })
-		}
-	case rpcReplyKind:
-		trk.rpcMu.Lock()
-		cont, ok := trk.rpcPending[m.seq]
-		delete(trk.rpcPending, m.seq)
-		trk.rpcMu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("upcxx: rank %d received RPC reply for unknown sequence %d", trk.me, m.seq))
-		}
-		cont(m.args)
+	if err := trk.rpcArrive(Intrank(src), payload, aux); err != nil {
+		trk.failPeer(Intrank(src), err)
 	}
 }
 
-// --- lowering ------------------------------------------------------------
+// rpcArrive is handleRPC at the receiving rank; an error is the sender's
+// fault.
+func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
+	m, err := decodeRPCMsg(payload)
+	if err != nil {
+		return err
+	}
+	if m.reply {
+		return rk.rpcLand(m)
+	}
+	a, _ := aux.(rpcAux)
+	if err := checkBodies(a.bodies, m); err != nil {
+		return err
+	}
+	if len(m.rem) > 0 {
+		initiator, args, err := decodeRemoteCx(m.rem)
+		if err != nil {
+			return err
+		}
+		rk.runRemoteBody(a.rem, initiator, args)
+	}
+	if q := rk.bodyQueue(a.bodyPers); q != nil {
+		q.queueBody(func() { rk.runBodies(from, m, a.bodies) })
+	} else {
+		rk.runBodies(from, m, a.bodies)
+	}
+	return nil
+}
 
-// rpcOpFor lowers one RPC wire message to an injectable operation,
-// claiming the plan's remote-cx notification (if any) so it travels
-// embedded in this message instead of as a separate AM: the target fires
-// it at landing, exactly like the conduit does for put/copy hop chains.
-func rpcOpFor(rk *Rank, target Intrank, kind uint8, seq uint64, argBytes []byte, aux rpcAux, plan *cxPlan) rmaOp {
+// runBodies executes every body of one request message, in entry order,
+// and ships the results that are ready as one reply message.
+func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
+	var one [1]rpcEntry // a single call's result needs no heap slice
+	replies := one[:0]
+	if m.count > 1 {
+		replies = make([]rpcEntry, 0, m.count)
+	}
+	for i := range bodies {
+		en := m.next()
+		if res, now := bodies[i].run(rk, from, en.seq, en.args); now {
+			replies = append(replies, rpcEntry{kind: rpcReplyKind, seq: en.seq, args: res})
+		}
+	}
+	if len(replies) > 0 {
+		rk.reply(from, replies)
+	}
+}
+
+// reply ships RPC results back to the initiator as one message through
+// the same injection path as every other operation (defQ → conduit),
+// mirroring Fig 2's return flow through the target's queues.
+func (rk *Rank) reply(dst Intrank, results []rpcEntry) {
+	buf, _ := encodeRPCMsg(rk.me, results, nil, false)
+	op := rmaOp{kind: opAM, dstPeer: dst, amID: rk.w.amRPC, buf: buf}
+	rk.inject([]rmaOp{op}, &cxPlan{rk: rk, remotePeer: dst})
+}
+
+// --- initiator side ------------------------------------------------------
+
+// rpcSink is where a round-trip entry's result goes at the initiator: the
+// promise behind the future the entry point returned.
+type rpcSink interface{ rpcResult(res []byte) }
+
+// rpcResult routes result bytes to the promise on its owning persona,
+// whichever goroutine's progress harvested the reply.
+func (p *Promise[T]) rpcResult(res []byte) {
+	p.c.pers.LPC(func() {
+		var r T
+		mustUnmarshal(res, &r)
+		p.fulfillOwnedResult(r)
+	})
+}
+
+// rpcPending is the initiator's record of one round-trip entry in flight.
+type rpcPending struct {
+	sink rpcSink
+	plan *cxPlan // of the entry's request message; counts its replies
+}
+
+// rpcLand completes the pending entries a reply message answers.
+func (rk *Rank) rpcLand(m rpcMsg) error {
+	for i := 0; i < m.count; i++ {
+		en := m.next()
+		rk.rpcMu.Lock()
+		p, ok := rk.rpcPending[en.seq]
+		delete(rk.rpcPending, en.seq)
+		last := false
+		if ok {
+			p.plan.replies--
+			last = p.plan.replies == 0
+		}
+		rk.rpcMu.Unlock()
+		if !ok {
+			return fmt.Errorf("%s: reply for unknown sequence %d", rpcFormat, en.seq)
+		}
+		p.sink.rpcResult(en.args)
+		if last {
+			// Completion deliveries enqueue before actCount drops: a
+			// quiescing owner must never observe actQ empty while a
+			// completion is unqueued.
+			p.plan.opDone()
+			rk.actCount.Add(-1)
+		}
+	}
+	return nil
+}
+
+// rpcSend is the one initiator-side lowering of RPC traffic: entries[i]
+// (its args filled in by the caller) is a call of bodies[i], and sinks[i]
+// takes its result — nil for a fire-and-forget body. The message lowers
+// through Rank.inject under one completion plan: source completion fires
+// when the conduit has captured the argument bytes (with gather set, the
+// first moment borrowed argument fragments may be reused), operation
+// completion when the last round-trip entry's reply has landed — at
+// injection when every entry is fire-and-forget — and a remote-cx as_rpc
+// descriptor rides embedded in the message and fires at the target on
+// landing, exactly like the conduit does for put/copy hop chains. The
+// bodies slice travels as the aux token; entries and sinks are not kept.
+func (rk *Rank) rpcSend(target Intrank, entries []rpcEntry, bodies []rpcBody, sinks []rpcSink, gather bool, cxs []Cx) CxFutures {
+	bodyPers, cxs := splitBodyPersona(target, cxs)
+	plan := &cxPlan{rk: rk, remotePeer: target}
+	for _, cx := range cxs {
+		plan.add(opRPC, cx)
+	}
+	if len(entries) == 0 {
+		rk.inject(nil, plan)
+		return plan.futs
+	}
+	for i := range entries {
+		entries[i].kind = bodies[i].kind
+		if bodies[i].kind == rpcReqKind {
+			plan.replies++
+		}
+	}
+	opK := opAM // all fire-and-forget: the operation edge fires at injection
+	if plan.replies > 0 {
+		opK = opRPC // the last reply fires the operation edge (rpcLand)
+		rk.rpcMu.Lock()
+		for i := range entries {
+			if entries[i].kind == rpcReqKind {
+				entries[i].seq = rk.rpcSeq
+				rk.rpcSeq++
+				rk.rpcPending[entries[i].seq] = rpcPending{sink: sinks[i], plan: plan}
+			}
+		}
+		rk.rpcMu.Unlock()
+	}
+	aux := rpcAux{bodies: bodies, bodyPers: bodyPers}
 	var rem []byte
 	if am := plan.takeConduitAM(); am != nil {
 		rem = am.Payload
 		aux.rem = am.Aux.(remoteCxAux)
 	}
-	opK := opAM // one-way: the operation edge fires at injection
-	if kind == rpcReqKind {
-		opK = opRPC // the reply continuation fires the operation edge
-	}
-	return rmaOp{
-		kind:    opK,
-		dstPeer: target,
-		amID:    rk.w.amRPC,
-		buf:     encodeRPCMsg(rpcMsg{kind: kind, seq: seq, src: uint32(rk.me), args: argBytes, rem: rem}),
-		amAux:   aux,
-	}
-}
-
-// rpcRoundTrip is the one generic core entry every round-trip RPC variant
-// wraps: pre-serialized argument bytes, a body invoker riding as a code
-// reference, and the full completion-descriptor set. The request lowers
-// through Rank.inject; the value future (and any operation-cx deliveries)
-// fire when the reply lands, source-cx when the conduit has captured the
-// argument bytes, and a remote-cx as_rpc descriptor at the target when the
-// request arrives. The calling goroutine's current persona owns the
-// returned value future regardless of which goroutine's progress observes
-// the reply; completion descriptors may address other personas.
-func rpcRoundTrip[R any](rk *Rank, target Intrank, argBytes []byte, inv rpcInvoker, name string, cxs []Cx) (Future[R], CxFutures) {
-	bodyPers, cxs := splitBodyPersona(target, cxs)
-	plan := &cxPlan{rk: rk, remotePeer: target}
-	for _, cx := range cxs {
-		plan.add(opRPC, cx)
-	}
-	p := NewPromise[R](rk)
-	pers := p.c.pers // the current persona, resolved once by NewPromise
-	rk.rpcMu.Lock()
-	seq := rk.rpcSeq
-	rk.rpcSeq++
-	rk.rpcPending[seq] = func(res []byte) {
-		pers.LPC(func() {
-			var r R
-			mustUnmarshal(res, &r)
-			p.fulfillOwnedResult(r)
-		})
-		// Completion deliveries enqueue before actCount drops: a quiescing
-		// owner must never observe actQ empty while a completion is
-		// unqueued.
-		plan.opDone()
-		rk.actCount.Add(-1)
-	}
-	rk.rpcMu.Unlock()
-	rk.inject([]rmaOp{rpcOpFor(rk, target, rpcReqKind, seq, argBytes, rpcAux{inv: inv, bodyPers: bodyPers, invName: name}, plan)}, plan)
-	return p.Future(), plan.futs
-}
-
-// rpcOneWay is the generic fire-and-forget core entry: operation
-// completion fires once the conduit has accepted the message (there is no
-// acknowledgment to wait for), source completion when the argument bytes
-// are captured, and a remote-cx as_rpc descriptor at the target on
-// landing.
-func rpcOneWay(rk *Rank, target Intrank, argBytes []byte, inv rpcFFInvoker, name string, cxs []Cx) CxFutures {
-	bodyPers, cxs := splitBodyPersona(target, cxs)
-	plan := &cxPlan{rk: rk, remotePeer: target}
-	for _, cx := range cxs {
-		plan.add(opRPC, cx)
-	}
-	rk.inject([]rmaOp{rpcOpFor(rk, target, rpcFFKind, 0, argBytes, rpcAux{ffInv: inv, bodyPers: bodyPers, invName: name}, plan)}, plan)
+	op := rmaOp{kind: opK, dstPeer: target, amID: rk.w.amRPC, amAux: aux}
+	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, rem, gather)
+	rk.inject([]rmaOp{op}, plan)
 	return plan.futs
 }
 
-// replyTo ships an RPC result back to the initiator through the same
-// injection path as every other operation (defQ → conduit), mirroring
-// Fig 2's return flow through the target's queues.
-func (rk *Rank) replyTo(dst Intrank, seq uint64, result []byte) {
-	op := rmaOp{
-		kind:    opAM,
-		dstPeer: dst,
-		amID:    rk.w.amRPC,
-		buf:     encodeRPCMsg(rpcMsg{kind: rpcReplyKind, seq: seq, src: uint32(rk.me), args: result}),
-	}
-	rk.inject([]rmaOp{op}, &cxPlan{rk: rk, remotePeer: dst})
+// rpcOne sends a single call: a one-entry message, encoded straight into
+// one buffer.
+func rpcOne(rk *Rank, target Intrank, body rpcBody, arg any, sink rpcSink, cxs []Cx) CxFutures {
+	return rk.rpcSend(target, []rpcEntry{{args: mustMarshal(arg)}}, []rpcBody{body}, []rpcSink{sink}, false, cxs)
 }
 
 // --- public entry points -------------------------------------------------
@@ -431,87 +618,35 @@ func (rk *Rank) replyTo(dst Intrank, seq uint64, result []byte) {
 // message arrives — before the body. Any delivery may be
 // persona-addressed with On, and an RPCBodyOn descriptor addresses the
 // *body itself* to a named persona of the target rank instead of the
-// target's execution persona.
+// target's execution persona. The calling goroutine's current persona owns
+// the returned value future regardless of which goroutine's progress
+// observes the reply.
 func RPCWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A, cxs ...Cx) (Future[R], CxFutures) {
-	inv := rpcInvoker(func(trk *Rank, src Intrank, seq uint64, args []byte) {
-		var a A
-		mustUnmarshal(args, &a)
-		trk.replyTo(src, seq, mustMarshal(fn(trk, a)))
-	})
-	return rpcRoundTrip[R](rk, target, mustMarshal(arg), inv, rk.wireName(fn), cxs)
+	p := NewPromise[R](rk)
+	return p.Future(), rpcOne(rk, target, valueBody(fn, rk.wireName(fn)), arg, p, cxs)
 }
 
 // RPCFutWith is RPCWith for a future-returning fn: the reply is deferred
 // until the body's future readies — the deferred-reply form upcxx RPCs
 // use when the callee must itself wait on asynchronous work.
 func RPCFutWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg A, cxs ...Cx) (Future[R], CxFutures) {
-	inv := rpcInvoker(func(trk *Rank, src Intrank, seq uint64, args []byte) {
-		var a A
-		mustUnmarshal(args, &a)
-		inner := fn(trk, a)
-		reply := func() {
-			inner.c.onReady(func(r R) {
-				trk.replyTo(src, seq, mustMarshal(r))
-			})
-		}
-		if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
-			reply()
-		} else {
-			// The body handed back a future owned by another persona
-			// (e.g. a deferred dist-object fetch pinned to the master
-			// persona); futures are persona-local, so the continuation
-			// must be registered on the owner's goroutine.
-			inner.c.pers.LPC(reply)
-		}
-	})
-	return rpcRoundTrip[R](rk, target, mustMarshal(arg), inv, rk.wireName(fn), cxs)
+	p := NewPromise[R](rk)
+	return p.Future(), rpcOne(rk, target, futBody(fn, rk.wireName(fn)), arg, p, cxs)
 }
 
 // RPCFFWith invokes fn(arg) on the target rank with no acknowledgment or
 // result (upcxx rpc_ff) and an explicit completion set: operation
-// completion fires when the conduit accepts the message, source completion
-// when the argument buffer may be reused, and a RemoteCxAsRPC descriptor
-// at the target on landing.
+// completion fires when the conduit accepts the message (there is no
+// acknowledgment to wait for), source completion when the argument buffer
+// may be reused, and a RemoteCxAsRPC descriptor at the target on landing.
 func RPCFFWith[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A, cxs ...Cx) CxFutures {
-	inv := rpcFFInvoker(func(trk *Rank, src Intrank, args []byte) {
-		var a A
-		mustUnmarshal(args, &a)
-		fn(trk, a)
-	})
-	return rpcOneWay(rk, target, mustMarshal(arg), inv, rk.wireName(fn), cxs)
+	return rpcOne(rk, target, ffBody(fn, rk.wireName(fn)), arg, nil, cxs)
 }
 
 // RPC invokes fn(arg) on the target rank and returns a future for its
-// result.
+// result. A function of no or several arguments takes a Unit or a struct.
 func RPC[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A) Future[R] {
 	f, _ := RPCWith(rk, target, fn, arg)
-	return f
-}
-
-// RPC0 invokes a no-argument fn on the target rank.
-func RPC0[R any](rk *Rank, target Intrank, fn func(*Rank) R) Future[R] {
-	inv := rpcInvoker(func(trk *Rank, src Intrank, seq uint64, _ []byte) {
-		trk.replyTo(src, seq, mustMarshal(fn(trk)))
-	})
-	f, _ := rpcRoundTrip[R](rk, target, nil, inv, "", nil)
-	return f
-}
-
-// RPC2 invokes a two-argument fn on the target rank.
-func RPC2[A, B, R any](rk *Rank, target Intrank, fn func(*Rank, A, B) R, a A, b B) Future[R] {
-	argBytes := mustMarshal(a)
-	argBytes = append(argBytes, mustMarshal(b)...)
-	inv := rpcInvoker(func(trk *Rank, src Intrank, seq uint64, args []byte) {
-		var av A
-		var bv B
-		n, err := serial.DecodeInto(args, &av)
-		if err != nil {
-			panic(fmt.Sprintf("upcxx: RPC2 first argument decode: %v", err))
-		}
-		mustUnmarshal(args[n:], &bv)
-		trk.replyTo(src, seq, mustMarshal(fn(trk, av, bv)))
-	})
-	f, _ := rpcRoundTrip[R](rk, target, argBytes, inv, rk.wireName(fn), nil)
 	return f
 }
 
@@ -527,27 +662,4 @@ func RPCFut[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg
 // rput/rget (paper footnote 5).
 func RPCFF[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A) {
 	RPCFFWith(rk, target, fn, arg)
-}
-
-// RPCFF0 is RPCFF with no argument.
-func RPCFF0(rk *Rank, target Intrank, fn func(*Rank)) {
-	inv := rpcFFInvoker(func(trk *Rank, src Intrank, _ []byte) { fn(trk) })
-	rpcOneWay(rk, target, nil, inv, "", nil)
-}
-
-// RPCFF2 is RPCFF with two arguments.
-func RPCFF2[A, B any](rk *Rank, target Intrank, fn func(*Rank, A, B), a A, b B) {
-	argBytes := mustMarshal(a)
-	argBytes = append(argBytes, mustMarshal(b)...)
-	inv := rpcFFInvoker(func(trk *Rank, src Intrank, args []byte) {
-		var av A
-		var bv B
-		n, err := serial.DecodeInto(args, &av)
-		if err != nil {
-			panic(fmt.Sprintf("upcxx: RPCFF2 first argument decode: %v", err))
-		}
-		mustUnmarshal(args[n:], &bv)
-		fn(trk, av, bv)
-	})
-	rpcOneWay(rk, target, argBytes, inv, "", nil)
 }

@@ -3,7 +3,6 @@ package upcxx
 import (
 	"fmt"
 
-	"upcxx/internal/gasnet"
 	"upcxx/internal/serial"
 )
 
@@ -15,267 +14,37 @@ import (
 // payload. A Batch amortizes that cost: requests accumulate locally with
 // zero conduit interaction, then Flush ships them as ONE message under one
 // shared completion plan, and the target executes every body in a single
-// execution-persona wakeup and returns all results in ONE reply batch. The
+// execution-persona wakeup and returns all results in ONE reply message. The
 // per-request futures behave exactly as their un-batched counterparts —
-// each reply is demultiplexed by sequence number to its own promise.
+// each reply is demultiplexed by sequence number to its own promise. There
+// is no batch wire format or batch handler: a flushed Batch is the RPC
+// message of rpc.go with more than one entry, sent through the same
+// rpcSend that RPC and RPCFF use for one.
 //
 // Argument serialization is zero-copy end to end: BatchRPC marshals into a
 // gather encoder, so large argument views (serial.View) travel as borrowed
 // iovec fragments that alias caller memory until the conduit's capture
-// stage flattens them (rmaOp.bufs → Endpoint.AMTagV). Source completion on
+// stage flattens them (rpcEntry.more → rmaOp.bufs → Endpoint.AMTagV).
+// Source completion on
 // Flush is therefore the first moment the argument buffers may be reused —
 // the same contract as rput.
 //
 // A Batch is not goroutine-safe; it is an accumulator owned by the calling
 // persona, like a promise.
 
-// --- batch wire form -----------------------------------------------------
-
-// A batch message coalesces entries that all travel in one direction:
-//
-//	| magic 0xC9 | version 1 | src u32 LE | count uvarint |
-//	| count × { kind u8 | seq u64 LE | arglen uvarint | args } |
-//	| remlen uvarint | rem |
-//
-// Entry kinds reuse the single-RPC vocabulary (rpcReqKind / rpcReplyKind /
-// rpcFFKind). Request batches may mix round-trip and fire-and-forget
-// entries; reply batches carry only replies, and — like single replies —
-// must not embed a remote-cx payload. The rem field is one landing
-// notification for the whole batch (the message arrived; independent of
-// any body's execution). decodeRPCBatchMsg rejects anything malformed;
-// FuzzRPCBatchWire hammers it with hostile bytes and checks the canonical
-// round-trip property.
-
-const (
-	rpcBatchMagic   = 0xC9
-	rpcBatchVersion = 1
-)
-
-// rpcBatchEntry is one decoded entry of a batch wire message.
-type rpcBatchEntry struct {
-	kind uint8
-	seq  uint64
-	args []byte
-}
-
-// rpcBatchMsg is one decoded batch wire message.
-type rpcBatchMsg struct {
-	src     uint32
-	entries []rpcBatchEntry
-	rem     []byte // embedded remote-cx payload (encodeRemoteCx form)
-}
-
-// encodeRPCBatchMsg builds the contiguous wire form — the reply path and
-// tests use it; Flush builds the identical byte stream fragment-wise with
-// a gather encoder so argument views stay borrowed.
-func encodeRPCBatchMsg(m rpcBatchMsg) []byte {
-	e := serial.NewEncoder(make([]byte, 0, 32))
-	e.PutU8(rpcBatchMagic)
-	e.PutU8(rpcBatchVersion)
-	e.PutU32(m.src)
-	e.PutUvarint(uint64(len(m.entries)))
-	for _, en := range m.entries {
-		e.PutU8(en.kind)
-		e.PutU64(en.seq)
-		e.PutBytes(en.args)
-	}
-	e.PutUvarint(uint64(len(m.rem)))
-	e.PutRaw(m.rem)
-	return e.Bytes()
-}
-
-// decodeRPCBatchMsg parses and validates the batch wire form.
-func decodeRPCBatchMsg(b []byte) (rpcBatchMsg, error) {
-	var m rpcBatchMsg
-	d := serial.NewDecoder(b)
-	magic := d.U8()
-	version := d.U8()
-	m.src = d.U32()
-	count := d.Uvarint()
-	if d.Err() != nil {
-		return m, d.Err()
-	}
-	if magic != rpcBatchMagic {
-		return m, fmt.Errorf("rpc batch: bad magic %#x", magic)
-	}
-	if version != rpcBatchVersion {
-		return m, fmt.Errorf("rpc batch: unsupported version %d", version)
-	}
-	if m.src > 1<<31-1 {
-		return m, fmt.Errorf("rpc batch: sender rank %d out of range", m.src)
-	}
-	if count == 0 {
-		return m, fmt.Errorf("rpc batch: empty batch")
-	}
-	// Every entry occupies at least kind+seq+arglen = 10 bytes, so count
-	// can never exceed the remaining byte count — checked before the
-	// allocation it sizes.
-	if count > uint64(d.Remaining()) {
-		return m, fmt.Errorf("rpc batch: entry count %d exceeds remaining %d bytes", count, d.Remaining())
-	}
-	m.entries = make([]rpcBatchEntry, 0, count)
-	replies, requests := 0, 0
-	for i := uint64(0); i < count; i++ {
-		var en rpcBatchEntry
-		en.kind = d.U8()
-		en.seq = d.U64()
-		alen := d.Uvarint()
-		if d.Err() != nil {
-			return m, d.Err()
-		}
-		if en.kind == 0 || en.kind > rpcKindMax {
-			return m, fmt.Errorf("rpc batch: entry %d has unknown kind %d", i, en.kind)
-		}
-		if en.kind == rpcFFKind && en.seq != 0 {
-			return m, fmt.Errorf("rpc batch: fire-and-forget entry %d carries sequence %d", i, en.seq)
-		}
-		if en.kind == rpcReplyKind {
-			replies++
-		} else {
-			requests++
-		}
-		if alen > uint64(d.Remaining()) {
-			return m, fmt.Errorf("rpc batch: entry %d argument length %d exceeds remaining %d bytes", i, alen, d.Remaining())
-		}
-		en.args = d.Raw(int(alen))
-		m.entries = append(m.entries, en)
-	}
-	if replies > 0 && requests > 0 {
-		return m, fmt.Errorf("rpc batch: mixes %d replies with %d requests", replies, requests)
-	}
-	rlen := d.Uvarint()
-	if d.Err() != nil {
-		return m, d.Err()
-	}
-	if rlen != uint64(d.Remaining()) {
-		return m, fmt.Errorf("rpc batch: remote-cx length %d does not match remaining %d bytes", rlen, d.Remaining())
-	}
-	if rlen > 0 && replies > 0 {
-		return m, fmt.Errorf("rpc batch: reply batch carries a remote-cx payload")
-	}
-	m.rem = d.Raw(int(rlen))
-	if err := d.Finish(); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// --- target side ---------------------------------------------------------
-
-// rpcBatchInvoker runs one round-trip entry's body at the target and
-// returns the marshalled result bytes; the handler collects every entry's
-// result into one reply batch instead of shipping per-entry replies.
-type rpcBatchInvoker func(trk *Rank, src Intrank, args []byte) []byte
-
-// batchBodyAux is one entry's code reference, request or fire-and-forget
-// form — positionally matched to the wire entries.
-type batchBodyAux struct {
-	inv   rpcBatchInvoker // rpcReqKind body
-	ffInv rpcFFInvoker    // rpcFFKind body
-	name  string          // registry name for cross-process dispatch ("" in-process)
-}
-
-// rpcBatchAux is the opaque code-reference token riding a request batch.
-type rpcBatchAux struct {
-	bodies []batchBodyAux
-	rem    remoteCxAux // target-side landing event (zero when absent)
-}
-
-// handleRPCBatch is the conduit AM handler for batched RPC traffic. A
-// request batch executes every body in ONE execution-persona delivery —
-// the doorbell-coalescing half of the bargain: the target's progress
-// engine wakes once per batch, not once per RPC — and ships all results
-// back as one reply batch. A reply batch pops every pending continuation
-// under a single lock acquisition and runs them in order; the initiator's
-// Flush plan fires its operation edge on the last one.
-func (w *World) handleRPCBatch(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte, aux any) {
-	trk := w.ranks[ep.Rank()]
-	m, err := decodeRPCBatchMsg(payload)
-	if err != nil {
-		panic(fmt.Sprintf("upcxx: rank %d malformed RPC batch from %d: %v", trk.me, src, err))
-	}
-	if m.entries[0].kind == rpcReplyKind {
-		conts := make([]func([]byte), len(m.entries))
-		trk.rpcMu.Lock()
-		for i, en := range m.entries {
-			cont, ok := trk.rpcPending[en.seq]
-			if !ok {
-				trk.rpcMu.Unlock()
-				panic(fmt.Sprintf("upcxx: rank %d received batched RPC reply for unknown sequence %d", trk.me, en.seq))
-			}
-			delete(trk.rpcPending, en.seq)
-			conts[i] = cont
-		}
-		trk.rpcMu.Unlock()
-		for i, cont := range conts {
-			cont(m.entries[i].args)
-		}
-		return
-	}
-	a := aux.(rpcBatchAux)
-	if len(a.bodies) != len(m.entries) {
-		panic(fmt.Sprintf("upcxx: rank %d RPC batch body count %d does not match wire count %d",
-			trk.me, len(a.bodies), len(m.entries)))
-	}
-	if len(m.rem) > 0 {
-		initiator, args, derr := decodeRemoteCx(m.rem)
-		if derr != nil {
-			panic(fmt.Sprintf("upcxx: rank %d corrupt RPC batch remote-cx payload from %d: %v", trk.me, src, derr))
-		}
-		trk.runRemoteBody(a.rem, initiator, args)
-	}
-	entries, bodies, from := m.entries, a.bodies, Intrank(src)
-	trk.execBody(func() {
-		var replies []rpcBatchEntry
-		for i, en := range entries {
-			if en.kind == rpcReqKind {
-				replies = append(replies, rpcBatchEntry{
-					kind: rpcReplyKind,
-					seq:  en.seq,
-					args: bodies[i].inv(trk, from, en.args),
-				})
-			} else {
-				bodies[i].ffInv(trk, from, en.args)
-			}
-		}
-		if len(replies) > 0 {
-			trk.replyBatchTo(from, replies)
-		}
-	})
-}
-
-// replyBatchTo ships the results of a request batch back to the initiator
-// as one message on the single injection path.
-func (rk *Rank) replyBatchTo(dst Intrank, replies []rpcBatchEntry) {
-	op := rmaOp{
-		kind:    opAM,
-		dstPeer: dst,
-		amID:    rk.w.amRPCBatch,
-		buf:     encodeRPCBatchMsg(rpcBatchMsg{src: uint32(rk.me), entries: replies}),
-	}
-	rk.inject([]rmaOp{op}, &cxPlan{rk: rk, remotePeer: dst})
-}
-
-// --- initiator side ------------------------------------------------------
-
-// batchEntry is one accumulated, not-yet-flushed request.
-type batchEntry struct {
-	kind    uint8
-	seq     uint64 // assigned at Flush
-	argLen  int
-	frags   [][]byte // gather-marshalled argument bytes (may borrow caller memory)
-	body    batchBodyAux
-	onReply func([]byte) // rpcReqKind: routes the reply to the entry's promise
-}
-
 // Batch accumulates RPCs bound for one target rank. Add requests with
 // BatchRPC / BatchRPCFF, then Flush to ship them as one message. The
 // zero-interaction accumulate phase means adding to a batch never touches
-// the conduit, never rings a doorbell, and never takes a lock.
+// the conduit, never rings a doorbell, and never takes a lock. The three
+// slices are parallel — call i is entries[i] (its argument bytes),
+// bodies[i] (its code reference) and sinks[i] (its result's promise) —
+// because those are the three things rpcSend consumes.
 type Batch struct {
 	rk      *Rank
 	target  Intrank
-	entries []batchEntry
+	entries []rpcEntry
+	bodies  []rpcBody
+	sinks   []rpcSink
 }
 
 // NewBatch returns an empty batch bound for target.
@@ -293,29 +62,10 @@ func (b *Batch) Target() Intrank { return b.target }
 // returns the future for fn's result, owned by the calling persona exactly
 // as RPC's would be. The argument is serialized immediately — large views
 // as borrowed fragments aliasing caller memory, reusable only after the
-// flushed batch's source completion. fn must be synchronous (the deferred
-// future-returning form is not batchable: its reply would have to leave
-// the batch's single reply message).
+// flushed batch's source completion.
 func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
-	inv := rpcBatchInvoker(func(trk *Rank, src Intrank, args []byte) []byte {
-		var a A
-		mustUnmarshal(args, &a)
-		return mustMarshal(fn(trk, a))
-	})
 	p := NewPromise[R](b.rk)
-	pers := p.c.pers // the current persona, resolved once by NewPromise
-	b.entries = append(b.entries, batchEntry{
-		kind: rpcReqKind,
-		body: batchBodyAux{inv: inv, name: b.rk.wireName(fn)},
-		onReply: func(res []byte) {
-			pers.LPC(func() {
-				var r R
-				mustUnmarshal(res, &r)
-				p.fulfillOwnedResult(r)
-			})
-		},
-	})
-	b.gatherArg(arg)
+	b.add(valueBody(fn, b.rk.wireName(fn)), arg, p)
 	return p.Future()
 }
 
@@ -323,29 +73,24 @@ func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
 // no reply entry comes back for it, and the flushed batch's operation
 // completion does not wait for its execution (matching rpc_ff).
 func BatchRPCFF[A any](b *Batch, fn func(*Rank, A), arg A) {
-	inv := rpcFFInvoker(func(trk *Rank, src Intrank, args []byte) {
-		var a A
-		mustUnmarshal(args, &a)
-		fn(trk, a)
-	})
-	b.entries = append(b.entries, batchEntry{
-		kind: rpcFFKind,
-		body: batchBodyAux{ffInv: inv, name: b.rk.wireName(fn)},
-	})
-	b.gatherArg(arg)
+	b.add(ffBody(fn, b.rk.wireName(fn)), arg, nil)
 }
 
-// gatherArg serializes arg into the just-appended entry through a gather
-// encoder, so view payloads stay borrowed until conduit capture.
-func (b *Batch) gatherArg(arg any) {
+// add appends one call, serializing arg through a gather encoder so view
+// payloads stay borrowed until conduit capture.
+func (b *Batch) add(body rpcBody, arg any, sink rpcSink) {
 	e := serial.NewEncoder(nil)
 	e.EnableGather()
 	if err := serial.MarshalInto(e, arg); err != nil {
 		panic(fmt.Sprintf("upcxx: batched RPC argument not serializable: %v", err))
 	}
-	en := &b.entries[len(b.entries)-1]
-	en.argLen = e.Len()
-	en.frags = e.Fragments()
+	var en rpcEntry
+	if frags := e.Fragments(); len(frags) > 0 {
+		en.args, en.more = frags[0], frags[1:]
+	}
+	b.entries = append(b.entries, en)
+	b.bodies = append(b.bodies, body)
+	b.sinks = append(b.sinks, sink)
 }
 
 // Flush ships every accumulated request as ONE wire message under one
@@ -362,92 +107,7 @@ func (b *Batch) gatherArg(arg any) {
 // Flushing an empty batch completes the plan immediately. The per-entry
 // value futures resolve independently as their replies are demultiplexed.
 func (b *Batch) Flush(cxs ...Cx) CxFutures {
-	rk := b.rk
-	plan := &cxPlan{rk: rk, remotePeer: b.target}
-	for _, cx := range cxs {
-		plan.add(opRPC, cx)
-	}
-	entries := b.entries
-	b.entries = nil
-	if len(entries) == 0 {
-		rk.inject(nil, plan)
-		return plan.futs
-	}
-	nreq := 0
-	for i := range entries {
-		if entries[i].kind == rpcReqKind {
-			nreq++
-		}
-	}
-	// Round-trip entries defer the plan's operation edge to the reply
-	// side: each pending continuation routes its result, and the last one
-	// fires the plan and releases the activity count (replies of one batch
-	// run sequentially on the harvesting goroutine, so a plain countdown
-	// suffices). LPC deliveries precede the actCount decrement — a
-	// quiescing owner must never observe actQ empty while a completion is
-	// unqueued.
-	if nreq > 0 {
-		left := nreq
-		rk.rpcMu.Lock()
-		for i := range entries {
-			en := &entries[i]
-			if en.kind != rpcReqKind {
-				continue
-			}
-			en.seq = rk.rpcSeq
-			rk.rpcSeq++
-			onReply := en.onReply
-			rk.rpcPending[en.seq] = func(res []byte) {
-				onReply(res)
-				left--
-				if left == 0 {
-					plan.opDone()
-					rk.actCount.Add(-1)
-				}
-			}
-		}
-		rk.rpcMu.Unlock()
-	}
-	// Build the wire fragments: header and per-entry framing are copied
-	// into contiguous glue, argument fragments ride borrowed. The
-	// concatenation is byte-identical to encodeRPCBatchMsg of the same
-	// logical message (the fuzz target's canonical form).
-	e := serial.NewEncoder(make([]byte, 0, 64))
-	e.EnableGather()
-	e.PutU8(rpcBatchMagic)
-	e.PutU8(rpcBatchVersion)
-	e.PutU32(uint32(rk.me))
-	e.PutUvarint(uint64(len(entries)))
-	bodies := make([]batchBodyAux, len(entries))
-	for i := range entries {
-		en := &entries[i]
-		bodies[i] = en.body
-		e.PutU8(en.kind)
-		e.PutU64(en.seq)
-		e.PutUvarint(uint64(en.argLen))
-		for _, f := range en.frags {
-			e.PutBorrowed(f)
-		}
-	}
-	aux := rpcBatchAux{bodies: bodies}
-	var rem []byte
-	if am := plan.takeConduitAM(); am != nil {
-		rem = am.Payload
-		aux.rem = am.Aux.(remoteCxAux)
-	}
-	e.PutUvarint(uint64(len(rem)))
-	e.PutRaw(rem)
-	opK := opAM // all fire-and-forget: the operation edge fires at injection
-	if nreq > 0 {
-		opK = opRPC // the last reply continuation fires the operation edge
-	}
-	op := rmaOp{
-		kind:    opK,
-		dstPeer: b.target,
-		amID:    rk.w.amRPCBatch,
-		bufs:    e.Fragments(),
-		amAux:   aux,
-	}
-	rk.inject([]rmaOp{op}, plan)
-	return plan.futs
+	entries, bodies, sinks := b.entries, b.bodies, b.sinks
+	b.entries, b.bodies, b.sinks = nil, nil, nil
+	return b.rk.rpcSend(b.target, entries, bodies, sinks, true, cxs)
 }

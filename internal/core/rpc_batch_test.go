@@ -280,46 +280,63 @@ func TestBatchDoorbellCoalescing(t *testing.T) {
 	})
 }
 
-// TestRPCBatchWireErrors rejects malformed batch frames at the decode
-// boundary: empty batches, unknown kinds, sequence-carrying ffs, mixed
-// request/reply direction, reply batches with landing payloads, and
-// length fields disagreeing with the actual span.
-func TestRPCBatchWireErrors(t *testing.T) {
-	req := rpcBatchEntry{kind: rpcReqKind, seq: 1, args: []byte{1, 2}}
-	rep := rpcBatchEntry{kind: rpcReplyKind, seq: 1, args: []byte{3}}
+// TestRPCWireErrors rejects malformed RPC messages at the decode
+// boundary: empty messages, unknown kinds, sequence-carrying ffs, mixed
+// request/reply direction, replies with landing payloads, and length
+// fields disagreeing with the actual span — for one-entry messages (what
+// RPC and RPCFF send) and multi-entry ones alike.
+func TestRPCWireErrors(t *testing.T) {
+	req := rpcEntry{kind: rpcReqKind, seq: 1, args: []byte{1, 2}}
+	rep := rpcEntry{kind: rpcReplyKind, seq: 1, args: []byte{3}}
+	ff := rpcEntry{kind: rpcFFKind, args: []byte{9, 9, 9}}
+	enc := func(rem []byte, entries ...rpcEntry) []byte {
+		b, _ := encodeRPCMsg(0, entries, rem, false)
+		return b
+	}
 	cases := []struct {
 		name string
 		msg  []byte
 	}{
-		{"empty batch", encodeRPCBatchMsg(rpcBatchMsg{src: 0})},
-		{"bad magic", append([]byte{0xC7}, encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{req}})[1:]...)},
+		{"empty message", enc(nil)},
+		{"bad magic", append([]byte{0xC7}, enc(nil, req)[1:]...)},
+		{"retired single-RPC magic", append([]byte{rpcMagic - 1}, enc(nil, req)[1:]...)},
 		{"bad version", func() []byte {
-			b := encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{req}})
+			b := enc(nil, req)
 			b[1] = 9
 			return b
 		}()},
-		{"unknown kind", encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{{kind: 7}}})},
-		{"ff with seq", encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{{kind: rpcFFKind, seq: 4}}})},
-		{"mixed direction", encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{req, rep}})},
-		{"reply with rem", encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{rep}, rem: []byte{1}})},
-		{"truncated", encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{req}})[:8]},
-		{"trailing bytes", append(encodeRPCBatchMsg(rpcBatchMsg{entries: []rpcBatchEntry{req}}), 0)},
+		{"unknown kind", enc(nil, rpcEntry{kind: 7})},
+		{"ff with seq", enc(nil, rpcEntry{kind: rpcFFKind, seq: 4})},
+		{"ff with seq after a request", enc(nil, req, rpcEntry{kind: rpcFFKind, seq: 4})},
+		{"mixed direction", enc(nil, req, rep)},
+		{"reply with rem", enc([]byte{1}, rep)},
+		{"two replies with rem", enc(encodeRemoteCx(0, nil), rep, rep)},
+		{"truncated", enc(nil, req)[:8]},
+		{"trailing bytes", append(enc(nil, req), 0)},
+		{"rem length short of remaining", append(enc([]byte{1, 2}, req), 3)},
+		{"rem length beyond remaining", enc([]byte{1, 2}, ff)[:len(enc([]byte{1, 2}, ff))-1]},
 	}
 	for _, tc := range cases {
-		if _, err := decodeRPCBatchMsg(tc.msg); err == nil {
+		if _, err := decodeRPCMsg(tc.msg); err == nil {
 			t.Errorf("%s: decode accepted % x", tc.name, tc.msg)
 		}
 	}
-	// The happy path round-trips, mixing ff into a request batch.
-	m := rpcBatchMsg{src: 3, entries: []rpcBatchEntry{
-		req,
-		{kind: rpcFFKind, args: []byte{9, 9, 9}},
-	}, rem: encodeRemoteCx(3, []byte{5})}
-	got, err := decodeRPCBatchMsg(encodeRPCBatchMsg(m))
-	if err != nil {
-		t.Fatalf("decode of valid batch: %v", err)
-	}
-	if got.src != 3 || len(got.entries) != 2 || !bytes.Equal(got.rem, m.rem) {
-		t.Errorf("round trip mangled batch: %+v", got)
+	// The happy paths round-trip: a lone request, a lone ff carrying a
+	// landing payload, and a request message mixing ff in.
+	for _, entries := range [][]rpcEntry{{req}, {ff}, {req, ff}} {
+		rem := encodeRemoteCx(3, []byte{5})
+		b, _ := encodeRPCMsg(3, entries, rem, false)
+		m, err := decodeRPCMsg(b)
+		if err != nil {
+			t.Fatalf("decode of valid %d-entry message: %v", len(entries), err)
+		}
+		if m.src != 3 || m.count != len(entries) || m.reply || !bytes.Equal(m.rem, rem) {
+			t.Errorf("round trip mangled message: %+v", m)
+		}
+		for i, want := range entries {
+			if got := m.next(); got.kind != want.kind || got.seq != want.seq || !bytes.Equal(got.args, want.args) {
+				t.Errorf("entry %d = %+v, want %+v", i, got, want)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ func TestRPCStallsWithoutAttentiveness(t *testing.T) {
 		if rk.Me() == 0 {
 			executed := false
 			RPCFF(rk, 1, func(trk *Rank, _ int) {}, 0)
-			f := RPC0(rk, 1, func(trk *Rank) bool { return true })
+			f := RPC(rk, 1, func(trk *Rank, _ Unit) bool { return true }, Unit{})
 			// Target is computing (not progressing): nothing can arrive.
 			time.Sleep(20 * time.Millisecond)
 			if f.Ready() || executed {

@@ -2,14 +2,21 @@ package upcxx
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"upcxx/internal/serial"
+	"upcxx/internal/serial/serialtest"
 )
 
-// Fuzz targets for the kind-tagged GPtr wire form. The seed corpus runs
-// as ordinary unit tests on every `go test`; CI additionally runs each
-// target with -fuzz for a short smoke window (see Makefile fuzz-smoke).
+// Fuzz targets for the kind-tagged GPtr wire form and the versioned
+// message headers. The seed corpus runs as ordinary unit tests on every
+// `go test`; CI additionally runs each target with -fuzz for a short smoke
+// window (see Makefile fuzz-smoke). The three message formats share one
+// harness, serialtest.FuzzCanonical: hostile bytes never panic the
+// decoder, and anything it accepts re-encodes to the identical canonical
+// bytes; each format adds only its seeds and the invariants its decoder
+// must have enforced.
 
 // gptrValid mirrors the wire-form invariants: nil is owner < 0; live
 // pointers must have a consistent kind/device pair.
@@ -61,116 +68,134 @@ func FuzzGPtrWire(f *testing.F) {
 	})
 }
 
-// FuzzRemoteCxWire hammers the remote-cx AM header decoder with hostile
-// bytes: it must never panic, never accept a payload whose declared
-// argument length disagrees with the actual span, and anything it does
-// accept must re-encode to the identical canonical bytes. Valid encodes
-// must round-trip.
+// remoteCxWire is a decoded remote-cx AM payload.
+type remoteCxWire struct {
+	initiator Intrank
+	args      []byte
+}
+
 func FuzzRemoteCxWire(f *testing.F) {
-	f.Add(encodeRemoteCx(0, nil))
-	f.Add(encodeRemoteCx(3, []byte{1, 2, 3}))
-	f.Add(encodeRemoteCx(1<<31-1, bytes.Repeat([]byte{0xaa}, 64)))
-	f.Add([]byte{})
-	f.Add([]byte{0xc7})
-	f.Add([]byte{0xc7, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge uvarint arglen
-	f.Add(bytes.Repeat([]byte{0xff}, 24))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		initiator, args, err := decodeRemoteCx(data)
-		if err != nil {
-			return
-		}
-		if initiator < 0 {
-			t.Fatalf("decoder accepted negative initiator %d from % x", initiator, data)
-		}
-		re := encodeRemoteCx(initiator, args)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("wire form not canonical: % x -> (%d, % x) -> % x", data, initiator, args, re)
-		}
-	})
+	seeds := [][]byte{
+		encodeRemoteCx(0, nil),
+		encodeRemoteCx(3, []byte{1, 2, 3}),
+		encodeRemoteCx(1<<31-1, bytes.Repeat([]byte{0xaa}, 64)),
+		{},
+		{remoteCxMagic},
+		{remoteCxMagic, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge uvarint arglen
+		bytes.Repeat([]byte{0xff}, 24),
+	}
+	serialtest.FuzzCanonical(f, seeds,
+		func(b []byte) (remoteCxWire, error) {
+			initiator, args, err := decodeRemoteCx(b)
+			return remoteCxWire{initiator, args}, err
+		},
+		func(m remoteCxWire) []byte { return encodeRemoteCx(m.initiator, m.args) },
+		func(m remoteCxWire) string {
+			if m.initiator < 0 {
+				return fmt.Sprintf("negative initiator %d", m.initiator)
+			}
+			return ""
+		})
 }
 
-// FuzzRPCWire hammers the versioned RPC wire header (kind/seq/src + args
-// + embedded remote-cx payload) with hostile bytes: the decoder must
-// never panic, never accept an unknown kind, an out-of-range sender, a
-// sequence-carrying fire-and-forget message, or a reply with a remote-cx
-// payload, and anything it does accept must re-encode to the identical
-// canonical bytes.
+// rpcWire is a decoded RPC message with its entries walked out.
+type rpcWire struct {
+	src     uint32
+	entries []rpcEntry
+	rem     []byte
+}
+
+func encodeRPCWire(m rpcWire) []byte {
+	b, _ := encodeRPCMsg(Intrank(m.src), m.entries, m.rem, false)
+	return b
+}
+
+func decodeRPCWire(b []byte) (rpcWire, error) {
+	m, err := decodeRPCMsg(b)
+	w := rpcWire{src: m.src, rem: m.rem}
+	for i := 0; err == nil && i < m.count; i++ {
+		w.entries = append(w.entries, m.next())
+	}
+	return w, err
+}
+
+// FuzzRPCWire covers the one RPC message every single, fire-and-forget,
+// batched and reply message travels as.
 func FuzzRPCWire(f *testing.F) {
-	f.Add(encodeRPCMsg(rpcMsg{kind: rpcReqKind, seq: 0, src: 0}))
-	f.Add(encodeRPCMsg(rpcMsg{kind: rpcReqKind, seq: 7, src: 3, args: []byte{1, 2, 3}}))
-	f.Add(encodeRPCMsg(rpcMsg{kind: rpcReplyKind, seq: 1 << 40, src: 1<<31 - 1,
-		args: bytes.Repeat([]byte{0xaa}, 64)}))
-	f.Add(encodeRPCMsg(rpcMsg{kind: rpcFFKind, src: 2, args: []byte{5},
-		rem: encodeRemoteCx(2, []byte{9, 9})}))
-	f.Add(encodeRPCMsg(rpcMsg{kind: rpcReqKind, seq: 3, src: 1,
-		rem: encodeRemoteCx(1, nil)}))
-	f.Add([]byte{})
-	f.Add([]byte{rpcMagic})
-	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	// Hostile: huge uvarint argument length on a well-formed prefix.
-	hostile := encodeRPCMsg(rpcMsg{kind: rpcReqKind, seq: 1, src: 0})
-	hostile = append(hostile[:15], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-	f.Add(hostile)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeRPCMsg(data)
-		if err != nil {
-			return
+	seeds := [][]byte{
+		encodeRPCWire(rpcWire{entries: []rpcEntry{{kind: rpcReqKind}}}),
+		encodeRPCWire(rpcWire{src: 3, entries: []rpcEntry{
+			{kind: rpcReqKind, seq: 7, args: []byte{1, 2, 3}},
+			{kind: rpcFFKind, args: []byte{9}},
+			{kind: rpcReqKind, seq: 8}}}),
+		encodeRPCWire(rpcWire{src: 1<<31 - 1, entries: []rpcEntry{
+			{kind: rpcReplyKind, seq: 1 << 40, args: bytes.Repeat([]byte{0xaa}, 64)},
+			{kind: rpcReplyKind, seq: 2}}}),
+		encodeRPCWire(rpcWire{src: 2, entries: []rpcEntry{{kind: rpcFFKind, args: []byte{5}}},
+			rem: encodeRemoteCx(2, []byte{9, 9})}),
+		encodeRPCWire(rpcWire{src: 2, entries: []rpcEntry{{kind: rpcReqKind, seq: 1}},
+			rem: encodeRemoteCx(2, nil)}),
+		{},
+		{rpcMagic},
+		bytes.Repeat([]byte{0xff}, 32),
+		// Hostile: huge uvarint entry count on a well-formed prefix.
+		{rpcMagic, rpcVersion, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		// Hostile: huge uvarint argument length on a well-formed entry.
+		{rpcMagic, rpcVersion, 0, 0, 0, 0, 1, rpcReqKind, 1, 0, 0, 0, 0, 0, 0, 0,
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	}
+	serialtest.FuzzCanonical(f, seeds, decodeRPCWire, encodeRPCWire, func(m rpcWire) string {
+		replies := 0
+		for _, en := range m.entries {
+			switch {
+			case en.kind == 0 || en.kind > rpcKindMax:
+				return fmt.Sprintf("unknown entry kind %d", en.kind)
+			case en.kind == rpcFFKind && en.seq != 0:
+				return fmt.Sprintf("fire-and-forget entry with sequence %d", en.seq)
+			case en.kind == rpcReplyKind:
+				replies++
+			}
 		}
-		if m.kind == 0 || m.kind > rpcKindMax {
-			t.Fatalf("decoder accepted unknown kind %d from % x", m.kind, data)
+		switch {
+		case len(m.entries) == 0:
+			return "an empty message"
+		case m.src > 1<<31-1:
+			return fmt.Sprintf("out-of-range sender %d", m.src)
+		case replies != 0 && replies != len(m.entries):
+			return "a mixed-direction message"
+		case replies != 0 && len(m.rem) > 0:
+			return "a reply with a remote-cx payload"
 		}
-		if m.src > 1<<31-1 {
-			t.Fatalf("decoder accepted out-of-range sender %d from % x", m.src, data)
-		}
-		if m.kind == rpcFFKind && m.seq != 0 {
-			t.Fatalf("decoder accepted fire-and-forget with sequence %d from % x", m.seq, data)
-		}
-		if m.kind == rpcReplyKind && len(m.rem) > 0 {
-			t.Fatalf("decoder accepted reply with remote-cx payload from % x", data)
-		}
-		re := encodeRPCMsg(m)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("wire form not canonical: % x -> %+v -> % x", data, m, re)
-		}
+		return ""
 	})
 }
 
-// FuzzCollWire hammers the collective wire header (team/seq/kind/round/
-// src + payload) with hostile bytes: the decoder must never panic, never
-// accept an unknown kind, round, or out-of-range sender, and anything it
-// does accept must re-encode to the identical canonical bytes.
 func FuzzCollWire(f *testing.F) {
-	f.Add(encodeCollMsg(collMsg{team: 0, seq: 0, kind: collBarrier, round: collRoundUp}))
-	f.Add(encodeCollMsg(collMsg{team: 7, seq: 3, kind: collBcast, round: collRoundDown, src: 2, data: []byte{1, 2, 3}}))
-	f.Add(encodeCollMsg(collMsg{team: 1 << 40, seq: 1 << 20, kind: collLand, round: collRoundUp,
-		src: 1<<31 - 1, data: bytes.Repeat([]byte{0xaa}, 64)}))
-	f.Add(encodeCollMsg(collMsg{team: 9, seq: 1, kind: collAddr, round: collRoundDown, src: 5,
-		data: encodeCollAddr(collBufAddr{kind: 1, dev: 2, off: 4096})}))
-	f.Add([]byte{})
-	f.Add([]byte{collMagic})
-	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	// Unknown kind 200 plus a huge uvarint payload length.
-	hostile := encodeCollMsg(collMsg{team: 1, seq: 1, kind: collReduce, round: 0, src: 0})
+	// Unknown kind 200 on an otherwise well-formed message.
+	hostile := encodeCollMsg(collMsg{team: 1, seq: 1, kind: collReduce})
 	hostile[18] = 200
-	f.Add(hostile)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeCollMsg(data)
-		if err != nil {
-			return
+	seeds := [][]byte{
+		encodeCollMsg(collMsg{kind: collBarrier, round: collRoundUp}),
+		encodeCollMsg(collMsg{team: 7, seq: 3, kind: collBcast, round: collRoundDown, src: 2, data: []byte{1, 2, 3}}),
+		encodeCollMsg(collMsg{team: 1 << 40, seq: 1 << 20, kind: collLand, round: collRoundUp,
+			src: 1<<31 - 1, data: bytes.Repeat([]byte{0xaa}, 64)}),
+		encodeCollMsg(collMsg{team: 9, seq: 1, kind: collAddr, round: collRoundDown, src: 5,
+			data: encodeCollAddr(collBufAddr{kind: 1, dev: 2, off: 4096})}),
+		{},
+		{collMagic},
+		bytes.Repeat([]byte{0xff}, 32),
+		hostile,
+	}
+	serialtest.FuzzCanonical(f, seeds, decodeCollMsg, encodeCollMsg, func(m collMsg) string {
+		switch {
+		case m.kind == 0 || m.kind > collKindMax:
+			return fmt.Sprintf("unknown kind %d", m.kind)
+		case m.round > collRoundDown:
+			return fmt.Sprintf("unknown round %d", m.round)
+		case m.src > 1<<31-1:
+			return fmt.Sprintf("out-of-range sender %d", m.src)
 		}
-		if m.kind == 0 || m.kind > collKindMax {
-			t.Fatalf("decoder accepted unknown kind %d from % x", m.kind, data)
-		}
-		if m.round > collRoundDown {
-			t.Fatalf("decoder accepted unknown round %d from % x", m.round, data)
-		}
-		if m.src > 1<<31-1 {
-			t.Fatalf("decoder accepted out-of-range sender %d from % x", m.src, data)
-		}
-		re := encodeCollMsg(m)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("wire form not canonical: % x -> %+v -> % x", data, m, re)
-		}
+		return ""
 	})
 }
 
@@ -196,71 +221,6 @@ func FuzzGPtrDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("wire form not canonical: % x -> %v -> % x", data, p, re)
-		}
-	})
-}
-
-// FuzzRPCBatchWire hammers the batched-RPC wire frame (count-prefixed
-// entry list plus one embedded remote-cx payload) with hostile bytes: the
-// decoder must never panic, never accept an empty batch, an unknown entry
-// kind, a sequence-carrying fire-and-forget entry, a batch mixing replies
-// with requests, or a reply batch carrying a remote-cx payload — and
-// anything it does accept must re-encode to the identical canonical
-// bytes, the same stream Flush assembles fragment-wise.
-func FuzzRPCBatchWire(f *testing.F) {
-	f.Add(encodeRPCBatchMsg(rpcBatchMsg{src: 0, entries: []rpcBatchEntry{
-		{kind: rpcReqKind, seq: 0}}}))
-	f.Add(encodeRPCBatchMsg(rpcBatchMsg{src: 3, entries: []rpcBatchEntry{
-		{kind: rpcReqKind, seq: 7, args: []byte{1, 2, 3}},
-		{kind: rpcFFKind, args: []byte{9}},
-		{kind: rpcReqKind, seq: 8}}}))
-	f.Add(encodeRPCBatchMsg(rpcBatchMsg{src: 1<<31 - 1, entries: []rpcBatchEntry{
-		{kind: rpcReplyKind, seq: 1 << 40, args: bytes.Repeat([]byte{0xaa}, 64)},
-		{kind: rpcReplyKind, seq: 2}}}))
-	f.Add(encodeRPCBatchMsg(rpcBatchMsg{src: 2, entries: []rpcBatchEntry{
-		{kind: rpcReqKind, seq: 1}},
-		rem: encodeRemoteCx(2, []byte{5, 5})}))
-	f.Add([]byte{})
-	f.Add([]byte{rpcBatchMagic})
-	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	// Hostile: huge uvarint entry count on a well-formed prefix.
-	hostile := []byte{rpcBatchMagic, rpcBatchVersion, 0, 0, 0, 0,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
-	f.Add(hostile)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeRPCBatchMsg(data)
-		if err != nil {
-			return
-		}
-		if len(m.entries) == 0 {
-			t.Fatalf("decoder accepted empty batch from % x", data)
-		}
-		if m.src > 1<<31-1 {
-			t.Fatalf("decoder accepted out-of-range sender %d from % x", m.src, data)
-		}
-		replies, requests := 0, 0
-		for _, en := range m.entries {
-			if en.kind == 0 || en.kind > rpcKindMax {
-				t.Fatalf("decoder accepted unknown entry kind %d from % x", en.kind, data)
-			}
-			if en.kind == rpcFFKind && en.seq != 0 {
-				t.Fatalf("decoder accepted fire-and-forget entry with sequence %d from % x", en.seq, data)
-			}
-			if en.kind == rpcReplyKind {
-				replies++
-			} else {
-				requests++
-			}
-		}
-		if replies > 0 && requests > 0 {
-			t.Fatalf("decoder accepted mixed-direction batch from % x", data)
-		}
-		if replies > 0 && len(m.rem) > 0 {
-			t.Fatalf("decoder accepted reply batch with remote-cx payload from % x", data)
-		}
-		re := encodeRPCBatchMsg(m)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("wire form not canonical: % x -> %+v -> % x", data, m, re)
 		}
 	})
 }

@@ -110,10 +110,9 @@ type World struct {
 	net *gasnet.Network
 	obs *obs.Obs // nil unless Config.Stats
 
-	amRPC      gasnet.HandlerID // all RPC traffic: requests, replies, fire-and-forget
-	amRPCBatch gasnet.HandlerID // batched RPC traffic: coalesced requests and replies
-	amColl     gasnet.HandlerID
-	amRemote   gasnet.HandlerID // remote-completion RPCs (remote_cx::as_rpc)
+	amRPC    gasnet.HandlerID // all RPC traffic: single, batched and fire-and-forget requests, and replies
+	amColl   gasnet.HandlerID
+	amRemote gasnet.HandlerID // remote-completion RPCs (remote_cx::as_rpc)
 
 	ranks []*Rank
 
@@ -126,6 +125,8 @@ type World struct {
 	ptStop chan struct{}
 	ptWG   sync.WaitGroup
 	closed atomic.Bool
+
+	failErr atomic.Pointer[error] // first failPeer error (see failed)
 }
 
 // NewWorld creates a job with cfg.Ranks ranks. The caller must Close it.
@@ -156,29 +157,11 @@ func NewWorld(cfg Config) *World {
 		Obs:          w.obs,
 	})
 	w.amRPC = w.net.RegisterAM(w.handleRPC)
-	w.amRPCBatch = w.net.RegisterAM(w.handleRPCBatch)
 	w.amColl = w.net.RegisterAM(w.handleColl)
 	w.amRemote = w.net.RegisterAM(w.handleRemoteCx)
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for r := range w.ranks {
-		rk := &Rank{
-			w:          w,
-			ep:         w.net.Endpoint(Intrank(r)),
-			me:         Intrank(r),
-			n:          Intrank(cfg.Ranks),
-			rpcPending: make(map[uint64]func([]byte)),
-			splitSeqs:  make(map[uint64]uint64),
-			distObjs:   make(map[uint64]any),
-			distWaits:  make(map[uint64][]distWaiter),
-		}
-		if w.obs != nil {
-			rk.ro = w.obs.Rank(r)
-		}
-		rk.coll = newCollEngine(rk, cfg.CollRadix)
-		rk.master = NewPersona(rk, "master")
-		rk.progressP = NewPersona(rk, "progress")
-		rk.worldTeam = newWorldTeam(rk)
-		w.ranks[r] = rk
+		w.ranks[r] = w.newRank(Intrank(r))
 	}
 	if cfg.ProgressThread {
 		w.ptStop = make(chan struct{})
@@ -188,6 +171,29 @@ func NewWorld(cfg Config) *World {
 		}
 	}
 	return w
+}
+
+// newRank builds the runtime object of rank r over w's conduit (every rank
+// of an in-process world; the one local rank of a multi-process world).
+func (w *World) newRank(r Intrank) *Rank {
+	rk := &Rank{
+		w:          w,
+		ep:         w.net.Endpoint(r),
+		me:         r,
+		n:          Intrank(w.cfg.Ranks),
+		rpcPending: make(map[uint64]rpcPending),
+		splitSeqs:  make(map[uint64]uint64),
+		distObjs:   make(map[uint64]any),
+		distWaits:  make(map[uint64][]distWaiter),
+	}
+	if w.obs != nil {
+		rk.ro = w.obs.Rank(int(r))
+	}
+	rk.coll = newCollEngine(rk, w.cfg.CollRadix)
+	rk.master = NewPersona(rk, "master")
+	rk.progressP = NewPersona(rk, "progress")
+	rk.worldTeam = newWorldTeam(rk)
+	return rk
 }
 
 // Ranks returns the job size.
@@ -268,13 +274,29 @@ func (w *World) ProgressThreaded() bool { return w.cfg.ProgressThread }
 // see RegisterRPC).
 func (w *World) Dist() bool { return w.dist }
 
-// failed reports the conduit's peer-failure state: non-nil (wrapping
-// gasnet.ErrPeerLost) once a sibling rank process died mid-job. Progress
-// waits check it so a lost peer surfaces as a panic instead of a hang.
-func (w *World) failed() error { return w.net.Failed() }
+// failed reports the job's peer-failure state: non-nil (wrapping
+// gasnet.ErrPeerLost) once a sibling rank process died mid-job or sent
+// this rank a message it could not act on. Progress waits check it so a
+// lost peer surfaces as a panic instead of a hang.
+func (w *World) failed() error {
+	if e := w.failErr.Load(); e != nil {
+		return *e
+	}
+	return w.net.Failed()
+}
 
-// Failed reports whether a peer rank process has been lost (multi-process
-// worlds only; always nil in-process). The error wraps gasnet.ErrPeerLost.
+// failPeer gives up on peer after it sent this rank a message the runtime
+// cannot act on — the handler-level counterpart of the conduit failing a
+// peer whose frame or aux token does not decode.
+func (rk *Rank) failPeer(peer Intrank, err error) {
+	err = fmt.Errorf("%w: rank %d: %v", gasnet.ErrPeerLost, peer, err)
+	rk.w.failErr.CompareAndSwap(nil, &err)
+	rk.ep.Ring() // wake parked waiters so they observe the failure
+}
+
+// Failed reports whether a peer rank has been lost: its process died
+// (multi-process worlds), or it sent a message this rank had to refuse.
+// The error wraps gasnet.ErrPeerLost.
 func (w *World) Failed() error { return w.failed() }
 
 // Close shuts down the progress threads and the conduit. The job must
@@ -377,7 +399,7 @@ type Rank struct {
 
 	rpcMu      sync.Mutex
 	rpcSeq     uint64
-	rpcPending map[uint64]func(payload []byte)
+	rpcPending map[uint64]rpcPending
 
 	coll *collEngine // per-rank collectives engine (coll.go)
 
@@ -470,7 +492,7 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 	// body must not leave the goroutine restricted forever.
 	defer func() { gs.restricted = false }()
 	done := rk.drainPersonas(gs)
-	// The goroutine id rides along as the poll token so execBody resolves
+	// The goroutine id rides along as the poll token so bodyQueue resolves
 	// the harvester once per drain instead of per message.
 	done += rk.ep.PollAMsAs(gs.gid)
 	// AM handlers deliver through persona LPCs (RPC replies, collective

@@ -5,7 +5,7 @@ package gasnet
 // Every message on a socket is `| u32 LE length | body |`; shm ring
 // records carry the same body bytes without the length prefix (the ring
 // record header supplies it). The body starts with a one-byte frame
-// type. Higher-level payloads (0xC8 RPC, 0xC9 batch, coll, remote-cx)
+// type. Higher-level payloads (the 0xC9 RPC message, coll, remote-cx)
 // ride inside fAM/fPut frames verbatim — this layer never inspects
 // them, so the already-fuzzed core wire formats port unchanged.
 

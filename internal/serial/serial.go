@@ -248,6 +248,36 @@ func (d *Decoder) String() string { return string(d.Bytes()) }
 // Raw consumes n bytes with no length prefix, aliasing the buffer.
 func (d *Decoder) Raw(n int) []byte { return d.take(n) }
 
+// Header consumes the | magic u8 | version u8 | prefix every versioned
+// runtime wire format opens with, naming the format in the error when
+// either byte is wrong.
+func (d *Decoder) Header(format string, magic, version uint8) error {
+	m, v := d.U8(), d.U8()
+	switch {
+	case d.err != nil:
+		return fmt.Errorf("%s: %w", format, d.err)
+	case m != magic:
+		return fmt.Errorf("%s: bad magic %#x", format, m)
+	case v != version:
+		return fmt.Errorf("%s: unsupported version %d", format, v)
+	}
+	return nil
+}
+
+// Tail consumes a message's final field: a length-prefixed span that must
+// account for exactly the rest of the input. A failure of any earlier read
+// surfaces here too (errors are sticky). The result aliases the buffer.
+func (d *Decoder) Tail(format string) ([]byte, error) {
+	n := d.Uvarint()
+	if d.err != nil {
+		return nil, fmt.Errorf("%s: %w", format, d.err)
+	}
+	if n != uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%s: final length %d does not match remaining %d bytes", format, n, d.Remaining())
+	}
+	return d.take(int(n)), nil
+}
+
 // Finish reports an error if the decoder failed or input remains.
 func (d *Decoder) Finish() error {
 	if d.err != nil {

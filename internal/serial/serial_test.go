@@ -94,6 +94,49 @@ type testStruct struct {
 	h int // unexported: skipped
 }
 
+// TestDecoderHeaderTail pins the two helpers every versioned runtime wire
+// format decodes with: Header accepts exactly its magic and version, Tail
+// exactly a span that ends the input, and both report earlier short reads.
+func TestDecoderHeaderTail(t *testing.T) {
+	msg := func(tail ...byte) []byte { return append([]byte{0xC9, 1, 7}, tail...) }
+	rows := []struct {
+		name string
+		in   []byte
+		want []byte // nil: rejected
+	}{
+		{"empty tail", msg(0), []byte{}},
+		{"tail", msg(2, 5, 6), []byte{5, 6}},
+		{"no input", nil, nil},
+		{"magic only", []byte{0xC9}, nil},
+		{"wrong magic", append([]byte{0xCA}, msg(0)[1:]...), nil},
+		{"wrong version", []byte{0xC9, 2, 7, 0}, nil},
+		{"field missing", []byte{0xC9, 1}, nil},
+		{"length missing", msg(), nil},
+		{"tail short of its length", msg(2, 5), nil},
+		{"bytes after the tail", msg(1, 5, 6), nil},
+		{"non-minimal length", msg(0x80, 0), nil},
+		{"huge length", msg(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), nil},
+	}
+	for _, row := range rows {
+		d := NewDecoder(row.in)
+		err := d.Header("test format", 0xC9, 1)
+		var tail []byte
+		if err == nil {
+			d.U8()
+			tail, err = d.Tail("test format")
+		}
+		if row.want == nil {
+			if err == nil {
+				t.Errorf("%s: accepted % x", row.name, row.in)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(tail, row.want) || d.Finish() != nil {
+			t.Errorf("%s: tail % x, err %v, finish %v; want % x", row.name, tail, err, d.Finish(), row.want)
+		}
+	}
+}
+
 func TestMarshalStructRoundTrip(t *testing.T) {
 	in := testStruct{
 		A: -7,

@@ -272,7 +272,7 @@ func EAddUPCXX(rk *core.Rank, plan *EAddPlan) (*AccumStore, time.Duration) {
 			if !ok {
 				continue
 			}
-			fut := core.RPC2(rk, dst, eaddAccumRPC, id, core.MakeView(buf))
+			fut := core.RPC(rk, dst, eaddAccumRPC, eaddAccumArg{ID: id, View: core.MakeView(buf)})
 			fConj = core.WhenAll(rk, fConj, fut)
 		}
 	}
@@ -284,18 +284,25 @@ func EAddUPCXX(rk *core.Rank, plan *EAddPlan) (*AccumStore, time.Duration) {
 
 // Registered by name so the accum callback can be dispatched in sibling
 // rank processes under a real transport conduit.
-func init() { core.RegisterRPC2(eaddAccumRPC) }
+func init() { core.RegisterRPC(eaddAccumRPC) }
+
+// eaddAccumArg is eaddAccumRPC's argument: the destination's state object
+// and the packed contributions.
+type eaddAccumArg struct {
+	ID   core.DistID
+	View core.View[uint64]
+}
 
 // eaddAccumRPC is the accum callback of Fig 6/7: it runs at the
 // destination, traverses the view (a window into the network buffer),
 // accumulates into the local fragments, and signals the counting promise.
-func eaddAccumRPC(trk *core.Rank, id core.DistID, v core.View[uint64]) core.Unit {
-	obj, ok := core.LookupDist[*eaddDist](trk, id)
+func eaddAccumRPC(trk *core.Rank, a eaddAccumArg) core.Unit {
+	obj, ok := core.LookupDist[*eaddDist](trk, a.ID)
 	if !ok {
-		panic(fmt.Sprintf("sparse: rank %d missing eadd state %d", trk.Me(), id))
+		panic(fmt.Sprintf("sparse: rank %d missing eadd state %d", trk.Me(), a.ID))
 	}
 	d := *obj.Value()
-	accumulate(d.store, v.Elements())
+	accumulate(d.store, a.View.Elements())
 	d.prom.FulfillAnonymous(1)
 	return core.Unit{}
 }

@@ -18,11 +18,12 @@ package task
 //	u64 group          TaskGroup id on the home rank (0 = none)
 //	u8  flags          fire-and-forget, stolen
 //	uvarint-len bytes  registered function name
-//	uvarint-len bytes  serialized argument
+//	uvarint-len bytes  serialized argument (must end the frame)
 //
-// decodeRec returns errors (not panics) for malformed input: frames
-// cross trust boundaries between processes, and FuzzTaskWire drives this
-// decoder directly.
+// Both length prefixes are checked against the bytes actually present, so
+// a corrupt one cannot drive allocation. decodeRec returns errors (not
+// panics) for malformed input: frames cross trust boundaries between
+// processes, and FuzzTaskWire drives this decoder directly.
 
 import (
 	"fmt"
@@ -33,10 +34,6 @@ import (
 const (
 	taskMagic   = 0xCA
 	taskWireVer = 1
-
-	// taskMaxFrame bounds a single frame; a decoder rejects anything
-	// claiming more, so a corrupt length prefix cannot drive allocation.
-	taskMaxFrame = 1 << 30
 )
 
 const (
@@ -69,48 +66,33 @@ func encodeRec(r rec) []byte {
 	e.PutU32(uint32(r.Home))
 	e.PutU64(r.Group)
 	e.PutU8(r.Flags)
-	e.PutUvarint(uint64(len(r.Name)))
-	e.PutRaw([]byte(r.Name))
-	e.PutUvarint(uint64(len(r.Args)))
-	e.PutRaw(r.Args)
+	e.PutString(r.Name)
+	e.PutBytes(r.Args)
 	return e.Bytes()
 }
 
 func decodeRec(b []byte) (rec, error) {
+	const format = "task frame"
 	var r rec
 	d := serial.NewDecoder(b)
-	if m := d.U8(); d.Err() == nil && m != taskMagic {
-		return r, fmt.Errorf("task: frame magic %#x, want %#x", m, taskMagic)
-	}
-	if v := d.U8(); d.Err() == nil && v != taskWireVer {
-		return r, fmt.Errorf("task: frame version %d, want %d", v, taskWireVer)
+	if err := d.Header(format, taskMagic, taskWireVer); err != nil {
+		return r, err
 	}
 	r.ID = d.U64()
 	r.Trace = d.U64()
 	r.Home = int32(d.U32())
 	r.Group = d.U64()
 	r.Flags = d.U8()
-	nn := d.Uvarint()
-	if d.Err() == nil && nn > taskMaxFrame {
-		return r, fmt.Errorf("task: frame name length %d exceeds bound", nn)
-	}
-	r.Name = string(d.Raw(int(nn)))
-	na := d.Uvarint()
-	if d.Err() == nil && na > taskMaxFrame {
-		return r, fmt.Errorf("task: frame argument length %d exceeds bound", na)
-	}
-	r.Args = d.Raw(int(na))
-	if err := d.Err(); err != nil {
-		return r, fmt.Errorf("task: truncated frame: %w", err)
-	}
-	if err := d.Finish(); err != nil {
-		return r, fmt.Errorf("task: trailing bytes after frame: %w", err)
+	r.Name = d.String()
+	var err error
+	if r.Args, err = d.Tail(format); err != nil {
+		return r, err
 	}
 	if r.Home < 0 {
-		return r, fmt.Errorf("task: frame home rank %d negative", r.Home)
+		return r, fmt.Errorf("%s: home rank %d negative", format, r.Home)
 	}
 	if r.Name == "" {
-		return r, fmt.Errorf("task: frame names no function")
+		return r, fmt.Errorf("%s: names no function", format)
 	}
 	return r, nil
 }

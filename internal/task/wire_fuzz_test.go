@@ -1,42 +1,36 @@
 package task
 
-// FuzzTaskWire drives the task-frame decoder with arbitrary bytes: it
-// must never panic (frames cross process boundaries), and any frame it
-// accepts must survive a re-encode/re-decode round trip unchanged — the
-// property steal migration relies on when a victim re-ships a decoded
-// frame. Wired into make fuzz-smoke.
+// FuzzTaskWire drives the task-frame decoder through the runtime's shared
+// wire-format harness: arbitrary bytes must never panic it (frames cross
+// process boundaries), and any frame it accepts must be canonical and
+// survive a re-encode/re-decode round trip unchanged — the property steal
+// migration relies on when a victim re-ships a decoded frame.
 
 import (
 	"bytes"
 	"testing"
+
+	"upcxx/internal/serial/serialtest"
 )
 
 func FuzzTaskWire(f *testing.F) {
-	f.Add(encodeRec(rec{ID: 1, Home: 0, Name: "pkg.fn", Args: []byte{1, 2, 3}}))
-	f.Add(encodeRec(rec{ID: 1 << 60, Trace: 99, Home: 3, Group: 7, Flags: flagFF | flagStolen,
-		Name: "upcxx/internal/task.tChain", Args: bytes.Repeat([]byte{0xAB}, 300)}))
-	f.Add(encodeRec(rec{ID: 2, Home: 1, Name: "n", Args: nil}))
-	f.Add([]byte{})
-	f.Add([]byte{taskMagic})
-	f.Add([]byte{taskMagic, taskWireVer, 0, 0, 0})
-	f.Add([]byte{taskMagic, taskWireVer + 1})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeRec(data)
-		if err != nil {
-			return
+	seeds := [][]byte{
+		encodeRec(rec{ID: 1, Home: 0, Name: "pkg.fn", Args: []byte{1, 2, 3}}),
+		encodeRec(rec{ID: 1 << 60, Trace: 99, Home: 3, Group: 7, Flags: flagFF | flagStolen,
+			Name: "upcxx/internal/task.tChain", Args: bytes.Repeat([]byte{0xAB}, 300)}),
+		encodeRec(rec{ID: 2, Home: 1, Name: "n", Args: nil}),
+		{},
+		{taskMagic},
+		{taskMagic, taskWireVer, 0, 0, 0},
+		{taskMagic, taskWireVer + 1},
+	}
+	serialtest.FuzzCanonical(f, seeds, decodeRec, encodeRec, func(r rec) string {
+		switch {
+		case r.Home < 0:
+			return "a negative home rank"
+		case r.Name == "":
+			return "a frame naming no function"
 		}
-		// Accepted frames must round-trip: re-encoding a decoded frame is
-		// exactly what a steal victim does before re-shipping it.
-		b2 := encodeRec(r)
-		r2, err2 := decodeRec(b2)
-		if err2 != nil {
-			t.Fatalf("re-encoded frame rejected: %v", err2)
-		}
-		if r2.ID != r.ID || r2.Trace != r.Trace || r2.Home != r.Home ||
-			r2.Group != r.Group || r2.Flags != r.Flags || r2.Name != r.Name ||
-			!bytes.Equal(r2.Args, r.Args) {
-			t.Fatalf("round trip mismatch: %+v != %+v", r2, r)
-		}
+		return ""
 	})
 }

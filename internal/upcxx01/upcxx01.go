@@ -81,14 +81,14 @@ func (e *Event) Wait() {
 // acknowledgment, as v0.1 events required).
 func (r *Runtime) Async(target int32, e *Event, fn func(rt *Runtime)) {
 	if e == nil {
-		core.RPCFF0(r.rk, target, func(trk *core.Rank) { fn(Wrap(trk)) })
+		core.RPCFF(r.rk, target, func(trk *core.Rank, _ core.Unit) { fn(Wrap(trk)) }, core.Unit{})
 		return
 	}
 	e.incref()
-	ack := core.RPC0(r.rk, target, func(trk *core.Rank) core.Unit {
+	ack := core.RPC(r.rk, target, func(trk *core.Rank, _ core.Unit) core.Unit {
 		fn(Wrap(trk))
 		return core.Unit{}
-	})
+	}, core.Unit{})
 	core.ThenDo(ack, func(core.Unit) { e.decref() })
 }
 

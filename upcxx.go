@@ -142,7 +142,8 @@ type (
 
 var (
 	// ErrPeerLost is wrapped by every error World.Failed reports after a
-	// sibling rank process dies mid-job.
+	// sibling rank process dies mid-job or sends a message this rank has
+	// to refuse.
 	ErrPeerLost = gasnet.ErrPeerLost
 	// DistActive reports whether UPCXX_CONDUIT selects a real
 	// multi-process backend for this process.
@@ -169,10 +170,6 @@ var (
 // (real transport backends ship function *names*, not code pointers).
 // Register package-level, non-generic functions from init().
 func RegisterRPC[A, R any](fn func(*Rank, A) R) string { return core.RegisterRPC(fn) }
-
-// RegisterRPC2 registers a two-argument round-trip RPC body for
-// cross-process dispatch.
-func RegisterRPC2[A, B, R any](fn func(*Rank, A, B) R) string { return core.RegisterRPC2(fn) }
 
 // RegisterRPCFF registers a fire-and-forget RPC body (also the
 // RemoteCxAsRPC form) for cross-process dispatch.
@@ -373,9 +370,9 @@ func RemoteCxAsRPC[A any](fn func(*Rank, A), arg A) Cx { return core.RemoteCxAsR
 // RPCBodyOn addresses the *body* of an RPC to the named persona p of the
 // target rank: instead of executing on whichever goroutine drives that
 // rank's progress, the invocation is delivered to p as an LPC and runs
-// during p's own progress/wait calls. Accepted only by the RPC entry
-// points (RPCWith, RPCFFWith), at most once per call; p must belong to
-// the target rank.
+// during p's own progress/wait calls. Accepted only where RPCs are sent
+// (RPCWith, RPCFutWith, RPCFFWith, and Batch.Flush — every body of the
+// batch), at most once per call; p must belong to the target rank.
 func RPCBodyOn(p *Persona) Cx { return core.RPCBodyOn(p) }
 
 // One-sided RMA (upcxx::rput/rget and the VIS variants). Every entry
@@ -483,7 +480,7 @@ func RGetStrided2DWith[T Scalar](rk *Rank, src GPtr[T], srcStride int, dst []T, 
 // message), and RemoteCxAsRPC as a target-side landing event.
 
 // RPC invokes fn(arg) on the target rank, returning a future for the
-// result.
+// result. A function of no arguments takes a Unit, one of several a struct.
 func RPC[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A) Future[R] {
 	return core.RPC(rk, target, fn, arg)
 }
@@ -505,16 +502,6 @@ func RPCFFWith[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A, cxs ..
 	return core.RPCFFWith(rk, target, fn, arg, cxs...)
 }
 
-// RPC0 invokes a no-argument function remotely.
-func RPC0[R any](rk *Rank, target Intrank, fn func(*Rank) R) Future[R] {
-	return core.RPC0(rk, target, fn)
-}
-
-// RPC2 invokes a two-argument function remotely.
-func RPC2[A, B, R any](rk *Rank, target Intrank, fn func(*Rank, A, B) R, a A, b B) Future[R] {
-	return core.RPC2(rk, target, fn, a, b)
-}
-
 // RPCFut invokes a future-returning function remotely; the reply is
 // deferred until that future readies.
 func RPCFut[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg A) Future[R] {
@@ -524,12 +511,6 @@ func RPCFut[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg
 // RPCFF is fire-and-forget rpc_ff: no acknowledgment, no result.
 func RPCFF[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A) {
 	core.RPCFF(rk, target, fn, arg)
-}
-
-// RPCFF0 / RPCFF2 are rpc_ff with zero / two arguments.
-func RPCFF0(rk *Rank, target Intrank, fn func(*Rank)) { core.RPCFF0(rk, target, fn) }
-func RPCFF2[A, B any](rk *Rank, target Intrank, fn func(*Rank, A, B), a A, b B) {
-	core.RPCFF2(rk, target, fn, a, b)
 }
 
 // Batch accumulates RPCs bound for one target rank; Flush ships them
