@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt-check fmt bench bench-smoke bench-json bench-selftest fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race vet fmt-check fmt no-pin bench bench-smoke bench-json bench-selftest fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -31,8 +31,12 @@ test-short:
 # conformance matrix ({put,get,am,amo,copy} × {host,device} × {self,peer,
 # third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
 # tcp/shm wire networks, whose reader goroutines make it a real race test).
+# The second core leg runs the idle rule's tests and the persona suite with
+# one P, where a waiter that yields instead of parking starves whoever must
+# wake it — a schedule a multi-core CI host never produces by itself.
 race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch'
+	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance'
 	$(GO) test -race ./internal/obs/
@@ -75,6 +79,14 @@ fmt-check:
 
 fmt:
 	gofmt -w .
+
+# The conduit's reader/writer goroutines and the progress thread are
+# ordinary goroutines: pinning one to an OS thread makes every frame pay a
+# thread wake-up and a P hand-off (DESIGN.md §14). Keep it that way.
+no-pin:
+	@if grep -rn LockOSThread internal/; then \
+		echo "no-pin: runtime goroutines must not be pinned to OS threads"; exit 1; \
+	fi
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 100x ./...
@@ -129,10 +141,13 @@ obs-smoke:
 # suite (internal/xproc re-executes its test binary as real OS-process
 # ranks over tcp and shm — smoke ops, idle-wait CPU budget, kill-one-rank
 # failure surfacing, the task runtime's cross-process steal/Finish job,
-# and kill-one-rank under Finish asserting ErrPeerLost), then every
+# and kill-one-rank under Finish asserting ErrPeerLost), once more with
+# one P in the test process and in every rank (the configuration the
+# committed benchmark measures and the idle rule's one-P case), then every
 # example end to end as a 4-process world on both real backends.
 transport-smoke:
 	$(GO) test -race -count=1 ./internal/xproc
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/xproc
 	@set -e; for backend in tcp shm; do \
 		for d in examples/*/; do \
 			echo "== UPCXX_CONDUIT=$$backend UPCXX_NPROC=4 go run ./$$d"; \
@@ -141,4 +156,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check test race bench-selftest examples-run obs-smoke transport-smoke
+ci: build vet fmt-check no-pin test race bench-selftest examples-run obs-smoke transport-smoke

@@ -22,7 +22,6 @@ package upcxx
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -116,10 +115,11 @@ func (f Future[T]) Result() T {
 	return f.c.val
 }
 
-// Wait spins user-level progress until the future is ready and returns its
-// value. It must not be called from inside a callback or RPC body
-// (UPC++'s restricted context); doing so panics, since progress cannot
-// recurse and the wait could never complete.
+// Wait drives user-level progress until the future is ready and returns its
+// value, idling between empty passes by the idle rule (idle.go). It must
+// not be called from inside a callback or RPC body (UPC++'s restricted
+// context); doing so panics, since progress cannot recurse and the wait
+// could never complete.
 func (f Future[T]) Wait() T {
 	c := f.c
 	rk := c.rk
@@ -136,32 +136,33 @@ func (f Future[T]) Wait() T {
 		// owner); fail immediately instead of spinning to the timeout.
 		panic("upcxx: Wait on a future owned by another goroutine's persona")
 	}
-	deadline := time.Time{}
-	spins := 0
+	// WaitTimeout is kept by the clock: armed when the wait first goes
+	// idle, then checked once per park (a clock read is free next to a
+	// park) and once per 2^16 passes for a waiter that never parks.
+	var (
+		id       idler
+		deadline time.Time
+		passes   int
+	)
 	for !c.ready {
-		rk.progressWith(gs)
+		found := rk.progressWith(gs)
 		if c.ready {
 			break
 		}
 		if err := rk.w.failed(); err != nil {
 			panic(err)
 		}
-		if rk.w.dist && spins > 128 {
-			// Multi-process waits are dominated by real wire latency:
-			// park in the conduit's notified wait instead of burning a
-			// core spinning (the doorbell or socket reader rings us back).
-			rk.ep.WaitPending(200 * time.Microsecond)
-		}
-		runtime.Gosched()
-		spins++
-		if spins%(1<<16) == 0 {
+		parked := found == 0 && rk.idle(&id, idlePark)
+		if parked || passes%(1<<16) == 0 {
+			now := time.Now()
 			if deadline.IsZero() {
-				deadline = time.Now().Add(rk.w.cfg.WaitTimeout)
-			} else if time.Now().After(deadline) {
+				deadline = now.Add(rk.w.cfg.WaitTimeout)
+			} else if now.After(deadline) {
 				panic(fmt.Sprintf("upcxx: rank %d Wait exceeded %v (deadlock?)",
 					rk.me, rk.w.cfg.WaitTimeout))
 			}
 		}
+		passes++
 	}
 	return c.val
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/serial"
@@ -144,10 +145,20 @@ func TestRPCMixedStreamFIFO(t *testing.T) {
 				t.Errorf("late entries resolved before release: batch entry %v, RPCFut %v, flush op-cx %v",
 					pc.Future().Ready(), ff.Ready(), flush.Op.Ready())
 			}
-			msgLog.Lock()
-			order := append([]string(nil), msgLog.order...)
-			msgLog.Unlock()
-			if want := []string{"a", "b", "c", "d", "e", "f"}; len(order) != len(want) {
+			// f is a later message than e: e's reply says nothing about
+			// whether f's body has run yet.
+			want := []string{"a", "b", "c", "d", "e", "f"}
+			var order []string
+			for deadline := time.Now().Add(rk.w.cfg.WaitTimeout); ; {
+				msgLog.Lock()
+				order = append(order[:0], msgLog.order...)
+				msgLog.Unlock()
+				if len(order) >= len(want) || time.Now().After(deadline) {
+					break
+				}
+				rk.ProgressWait(idlePark)
+			}
+			if len(order) != len(want) {
 				t.Errorf("bodies ran %v, want %v", order, want)
 			} else {
 				for i := range want {

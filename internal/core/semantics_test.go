@@ -2,6 +2,8 @@ package upcxx
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -320,19 +322,38 @@ func TestQuickWhenAll(t *testing.T) {
 
 func TestWaitTimeoutDiagnosesDeadlock(t *testing.T) {
 	// A future that can never complete must panic with a diagnostic
-	// rather than hang forever. The panic fires on the rank's goroutine,
-	// so it is recovered inside the SPMD body.
-	var recovered any
-	RunConfig(Config{Ranks: 1, WaitTimeout: 100 * time.Millisecond}, func(rk *Rank) {
-		defer func() { recovered = recover() }()
-		p := NewPromise[Unit](rk)
-		p.Future().Wait() // never fulfilled
-	})
-	if recovered == nil {
-		t.Fatal("expected deadlock panic")
-	}
-	if msg := fmt.Sprint(recovered); msg == "" {
-		t.Fatal("empty panic message")
+	// rather than hang forever, and WaitTimeout is kept by the clock: the
+	// panic comes no earlier than the timeout and at most one park plus
+	// scheduling slack after it — with one P and with several, and also
+	// when every idle pass parks, as on a multi-process world (where a
+	// timeout counted in passes came many seconds late).
+	const timeout, slack = 150 * time.Millisecond, 50 * time.Millisecond
+	for _, asDist := range []bool{false, true} {
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("dist=%v/%dP", asDist, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				rk := idleWorld(t, asDist)
+				rk.w.cfg.WaitTimeout = timeout
+				sc := AcquirePersona(rk.master)
+				defer sc.Release()
+				var recovered any
+				t0 := time.Now()
+				func() {
+					defer func() { recovered = recover() }()
+					NewPromise[Unit](rk).Future().Wait() // never fulfilled
+				}()
+				waited := time.Since(t0)
+				if recovered == nil {
+					t.Fatal("expected deadlock panic")
+				}
+				if msg := fmt.Sprint(recovered); !strings.Contains(msg, "Wait exceeded") {
+					t.Fatalf("panic message %q does not name the exceeded Wait", msg)
+				}
+				if waited < timeout || waited > timeout+slack {
+					t.Errorf("Wait gave up after %v, want within [%v, %v]", waited, timeout, timeout+slack)
+				}
+			})
+		}
 	}
 }
 

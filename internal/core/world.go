@@ -3,7 +3,6 @@ package upcxx
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -415,6 +414,9 @@ type Rank struct {
 	distSeq   uint64
 	distObjs  map[uint64]any
 	distWaits map[uint64][]distWaiter
+
+	worked   atomic.Uint64 // progress passes that found work (re-arms in-process idlers, idle.go)
+	pollIdle idler         // ProgressWait's place in the idle rule, across calls and callers
 }
 
 // Me returns this process's world rank.
@@ -461,20 +463,16 @@ func (rk *Rank) Progress() int {
 }
 
 // ProgressWait runs one user-level progress pass and, when it finds no
-// work, idles: multi-process worlds park in the conduit's notified wait
-// for up to d (a doorbell or socket delivery wakes the rank early);
-// in-process worlds yield the scheduler. Poll loops — waiting on a
-// signaling put's arrival counter, say — should prefer this over bare
-// Progress+Gosched spinning: on an oversubscribed host a spin loop can
-// burn whole scheduler quanta before a sibling rank process ever runs.
+// work, idles by the idle rule (idle.go): it yields while the rank's spin
+// budget lasts and then parks in the conduit's notified wait for up to d (a
+// delivery, an LPC or a failure wakes the rank early). Poll loops — waiting
+// on a signaling put's arrival counter, say — should prefer this over bare
+// Progress+Gosched spinning: on an oversubscribed host a spin loop can burn
+// whole scheduler quanta before a sibling rank process ever runs.
 func (rk *Rank) ProgressWait(d time.Duration) int {
 	n := rk.Progress()
 	if n == 0 {
-		if rk.w.dist {
-			rk.ep.WaitPending(d)
-		} else {
-			runtime.Gosched()
-		}
+		rk.idle(&rk.pollIdle, d)
 	}
 	return n
 }
@@ -498,6 +496,9 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 	// AM handlers deliver through persona LPCs (RPC replies, collective
 	// advances); drain again so completions land in the same call.
 	done += rk.drainPersonas(gs)
+	if done > 0 {
+		rk.worked.Add(1)
+	}
 	if rk.ro != nil {
 		rk.ro.Pass(done == 0)
 	}
@@ -575,38 +576,23 @@ func (rk *Rank) deferOp(inject func()) {
 
 // progressLoop is the dedicated progress thread: it continuously drives
 // internal progress and incoming-RPC execution on its own persona, so
-// the rank stays attentive while user goroutines compute or block. Idle
-// periods back off to a conduit-notified wait.
+// the rank stays attentive while user goroutines compute or block. It
+// idles like every other waiter (idle.go).
 func (rk *Rank) progressLoop(stop <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
-	if rk.w.dist {
-		// Pin the progress endpoint to an OS thread: the real conduit's
-		// idle-wait parks in the scheduler, and a pinned thread keeps the
-		// wakeup path (doorbell → Ring → WaitPending return) on one core.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	sc := AcquirePersona(rk.progressP)
 	defer sc.Release()
 	gs := curState()
-	idle := 0
+	var id idler
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if rk.progressWith(gs) > 0 {
-			idle = 0
-			continue
+		if rk.progressWith(gs) == 0 {
+			rk.idle(&id, idlePark)
 		}
-		idle++
-		if idle < 128 {
-			runtime.Gosched()
-			continue
-		}
-		rk.ep.WaitPending(200 * time.Microsecond)
-		idle = 0
 	}
 }
 

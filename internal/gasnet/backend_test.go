@@ -564,6 +564,10 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 	}
 	for name, fb := range frames {
 		w.failErr.Store(nil)
+		select { // empty the doorbell
+		case <-w.ep.notify:
+		default:
+		}
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -574,6 +578,11 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 		}()
 		if err := nets[0].Failed(); !errors.Is(err, ErrPeerLost) {
 			t.Errorf("%s: Failed() = %v, want an ErrPeerLost-wrapped error", name, err)
+		}
+		// A failure ends every wait on this rank, so it must ring: a
+		// parked waiter would otherwise meet it only at its park bound.
+		if !w.ep.WaitPending(10 * time.Second) {
+			t.Errorf("%s: failing the peer did not ring the doorbell", name)
 		}
 	}
 	// A well-formed frame still lands.

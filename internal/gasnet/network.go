@@ -476,25 +476,51 @@ func (ep *Endpoint) Ring() {
 	}
 }
 
+// parkTimers holds the stopped timers of WaitPending calls that returned:
+// every blocking operation on a process conduit parks once, so a timer per
+// park would be a heap object per operation. A stopped timer's channel
+// holds no stale tick (go.mod is at 1.24, whose timers guarantee that), so
+// Reset on a pooled timer is safe.
+var parkTimers sync.Pool
+
 // WaitPending blocks until a delivery is waiting for Poll or d elapses,
-// reporting whether work is (or may be) pending. Progress threads use it
-// to idle without burning a core; the doorbell is best-effort, so callers
-// must still poll after a timeout.
+// reporting whether work is (or may be) pending. Idle waiters use it to
+// give up the processor instead of burning a core; the doorbell is
+// best-effort, so callers must still poll after a timeout.
+//
+// AMs queued while another goroutine is mid-drain do not count as waiting:
+// the caller's Poll would be refused them (PollAMsAs coalesces), so
+// returning at once would turn its idle loop into a spin that never gives
+// up the processor — on a one-P rank, the very processor the draining
+// goroutine needs to finish its handler.
 func (ep *Endpoint) WaitPending(d time.Duration) bool {
-	if ep.Pending() {
+	ep.qmu.Lock()
+	waiting := len(ep.compQ) > 0 || len(ep.amQ) > 0 && !ep.polling
+	ep.qmu.Unlock()
+	if waiting {
 		return true
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, _ := parkTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	rung := false
 	select {
 	case <-ep.notify:
+		rung = true
+	case <-t.C:
+	}
+	t.Stop()
+	parkTimers.Put(t)
+	if rung {
 		if ep.ro != nil {
 			ep.ro.Wakeup()
 		}
 		return true
-	case <-t.C:
-		return ep.Pending()
 	}
+	return ep.Pending()
 }
 
 // PollCompletions drains delivered operation completions (put/get acks,

@@ -205,6 +205,36 @@ func TestRecursivePollAMsIsNoop(t *testing.T) {
 	pollUntil(t, ep, func() bool { return !ep.Pending() })
 }
 
+// TestWaitPendingMidDrain: AMs queued behind a drain in progress are not
+// the caller's to take, so WaitPending must not report them at once — a
+// second waiter of the rank would otherwise spin on it without ever
+// blocking while the draining goroutine runs a long handler.
+func TestWaitPendingMidDrain(t *testing.T) {
+	n := NewNetwork(Config{Ranks: 1})
+	defer n.Close()
+	ep := n.Endpoint(0)
+	var h HandlerID
+	first := true
+	h = n.RegisterAM(func(ep *Endpoint, src Rank, payload []byte, _ any) {
+		if !first {
+			return
+		}
+		first = false
+		ep.AM(0, h, nil, nil) // queued behind this drain
+		<-ep.notify           // its ring; the doorbell is empty again
+		const park = 2 * time.Millisecond
+		t0 := time.Now()
+		if !ep.WaitPending(park) {
+			t.Error("WaitPending reported nothing queued after its timeout")
+		}
+		if el := time.Since(t0); el < park {
+			t.Errorf("WaitPending returned after %v mid-drain, want it to block for %v", el, park)
+		}
+	})
+	ep.AM(0, h, nil, nil)
+	pollUntil(t, ep, func() bool { return !ep.Pending() })
+}
+
 func TestNodeMapping(t *testing.T) {
 	n := NewNetwork(Config{Ranks: 8, RanksPerNode: 4})
 	defer n.Close()
@@ -284,4 +314,49 @@ func TestRegisterAMAfterTrafficPanicsOnUnknown(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		n.Endpoint(0).Poll()
 	}
+}
+
+// TestWaitPendingAllocs pins the park's timer reuse: a warmed WaitPending
+// allocates nothing, whether it times out or is rung — every blocking
+// operation on a process conduit parks once, so a timer per park would be
+// a heap object per operation.
+func TestWaitPendingAllocs(t *testing.T) {
+	n := NewNetwork(Config{Ranks: 1, SegmentSize: 1 << 12})
+	defer n.Close()
+	ep := n.Endpoint(0)
+	if ep.WaitPending(time.Microsecond) { // warm the timer pool
+		t.Fatal("WaitPending on a fresh endpoint reported work")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if ep.WaitPending(time.Microsecond) {
+			t.Error("timed-out WaitPending reported work")
+		}
+	}); a != 0 {
+		t.Errorf("WaitPending that times out: %v allocs, want 0", a)
+	}
+	// Rung from another goroutine while (or just before) the waiter parks.
+	kick, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-kick:
+				ep.Ring()
+			case <-stop:
+				return
+			}
+		}
+	}()
+	if a := testing.AllocsPerRun(100, func() {
+		kick <- struct{}{}
+		if !ep.WaitPending(10 * time.Second) {
+			t.Error("rung WaitPending reported no work")
+		}
+	}); a != 0 {
+		t.Errorf("WaitPending that is rung: %v allocs, want 0", a)
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -16,8 +16,10 @@ package gasnet
 // frames onto the endpoint's completion/AM queues, never writes) and
 // one writer goroutine (drains a queue with one writev per batch —
 // replies from the reader are routed through the writer queue, which
-// is what makes reader-side acks deadlock-free). Both are pinned with
-// LockOSThread.
+// is what makes reader-side acks deadlock-free). Both are ordinary
+// goroutines: a reader blocked in Read is parked in the netpoller and
+// holds no thread, and the scheduler readies it on whichever P goes idle
+// first — the one the blocked waiter just gave up (core's idle rule).
 
 import (
 	"bufio"
@@ -26,7 +28,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -360,7 +361,6 @@ func (t *wire) acceptPeers(count int, deadline time.Time) error {
 // Progress goroutines
 
 func (t *wire) readerLoop(p *peerConn) {
-	runtime.LockOSThread()
 	defer t.wg.Done()
 	for {
 		body, err := readFrame(p.br, frameMaxBody)
@@ -377,7 +377,6 @@ func (t *wire) readerLoop(p *peerConn) {
 }
 
 func (t *wire) writerLoop(p *peerConn) {
-	runtime.LockOSThread()
 	defer t.wg.Done()
 	for {
 		p.wmu.Lock()

@@ -150,7 +150,10 @@ func TestTaskMatrix(t *testing.T) {
 // every task spawns at rank 0 targeting itself. With stealing the other
 // ranks must end up executing some of them; with NoSteal none may move.
 func TestTaskStealMovesWork(t *testing.T) {
-	const tasks = 48
+	// Enough work that rank 0 cannot finish it alone (~40 ms at two
+	// executors) before a thief that other test packages keep off the CPU
+	// for a scheduler quantum gets its first steal request through.
+	const tasks = 256
 	for _, steal := range []bool{true, false} {
 		steal := steal
 		t.Run(fmt.Sprintf("steal=%v", steal), func(t *testing.T) {

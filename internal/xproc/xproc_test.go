@@ -14,6 +14,10 @@
 //	idle  — ranks sit in ProgressWait for 600ms of wall time and assert
 //	        (via getrusage) that the idle-wait parks instead of spinning:
 //	        CPU burned must stay under a third of the wall time.
+//	onep  — every rank runs with GOMAXPROCS=1 and does blocking put, get,
+//	        AMO, RPC and barrier rounds: with one P the waiter holds the
+//	        processor its own socket reader needs, so every wait has to
+//	        park (core's idle rule) for the round to end at all quickly.
 //	kill  — one rank vanishes mid-job (os.Exit with no shutdown
 //	        handshake); the survivors must observe an error wrapping
 //	        gasnet.ErrPeerLost instead of hanging, and prove it by
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -64,9 +69,36 @@ func xprocTaskWork(trk *core.Rank, us int64) {
 
 func xprocTaskEcho(trk *core.Rank, x uint64) uint64 { return x * 3 }
 
+// The kill scenarios' victim leaves only once every survivor has told it,
+// through xprocOut, that it is out of the opening barrier: a survivor
+// still inside the barrier when the victim vanishes would meet the loss in
+// its own Wait, as a panic, before the scenario proper begins.
+
+var xprocOuts atomic.Int32
+
+func xprocOut(trk *core.Rank, _ core.Unit) { xprocOuts.Add(1) }
+
+// leaveOpeningBarrier ends the kill scenarios' opening barrier: survivors
+// report out and return; the victim (rank 1) waits for all of them and
+// exits with no shutdown handshake. Exit status 0 keeps the launcher,
+// which kills the job on the first non-zero exit, away from the survivors;
+// to them the exit is indistinguishable from a crash.
+func leaveOpeningBarrier(rk *core.Rank) {
+	rk.Barrier()
+	if rk.Me() != 1 {
+		core.RPCFF(rk, 1, xprocOut, core.Unit{})
+		return
+	}
+	for xprocOuts.Load() < int32(rk.N())-1 {
+		rk.ProgressWait(time.Millisecond)
+	}
+	os.Exit(0)
+}
+
 func init() {
 	core.RegisterRPC(xprocEcho)
 	core.RegisterRPCFF(xprocBump)
+	core.RegisterRPCFF(xprocOut)
 	task.RegisterFF(xprocTaskWork)
 	task.Register(xprocTaskEcho)
 }
@@ -112,6 +144,19 @@ func TestIdleWaitParks(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			if code := launch(t, backend, 2, "idle"); code != 0 {
 				t.Fatalf("idle job over %s exited %d (idle-wait burned too much CPU?)", backend, code)
+			}
+		})
+	}
+}
+
+// TestBlockingOpsOnOneP runs the blocking operations with one P in every
+// rank process — the configuration the committed benchmark measures and a
+// multi-core CI host otherwise never exercises.
+func TestBlockingOpsOnOneP(t *testing.T) {
+	for _, backend := range backends {
+		t.Run(backend, func(t *testing.T) {
+			if code := launch(t, backend, 3, "onep", "GOMAXPROCS=1"); code != 0 {
+				t.Fatalf("one-P job over %s exited %d", backend, code)
 			}
 		})
 	}
@@ -176,6 +221,8 @@ func runWorker(scen string) (code int) {
 			smokeBody(rk)
 		case "idle":
 			code = idleBody(rk)
+		case "onep":
+			code = onePBody(rk)
 		case "kill":
 			killBody(rk) // never returns
 		case "task":
@@ -294,6 +341,47 @@ func idleBody(rk *core.Rank) int {
 	return 0
 }
 
+// onePBody is rounds of blocking put, get, fetch-add, RPC and barrier
+// against the right neighbour with one P in the process. Each wait can
+// only end through this process's own reader goroutine; the budget below
+// is what 5 x 200 waits cost when each one parks at once (tens of
+// microseconds each) with two orders of magnitude to spare, and far less
+// than they cost when a waiter holds the P until the scheduler preempts it.
+func onePBody(rk *core.Rank) int {
+	expect(runtime.GOMAXPROCS(0) == 1, "onep: GOMAXPROCS = %d, want 1", runtime.GOMAXPROCS(0))
+	me, n := rk.Me(), rk.N()
+	right := (me + 1) % n
+	type slots struct {
+		Val core.GPtr[uint64]
+		Ctr core.GPtr[uint64]
+	}
+	mine := slots{core.MustNewArray[uint64](rk, 1), core.MustNewArray[uint64](rk, 1)}
+	obj := core.NewDistObject(rk, mine)
+	rk.Barrier()
+	rs := core.FetchDist[slots](rk, obj.ID(), right).Wait()
+	ad := core.NewAtomicU64(rk)
+
+	const rounds = 200
+	t0 := time.Now()
+	src, got := make([]uint64, 1), make([]uint64, 1)
+	for i := uint64(1); i <= rounds; i++ {
+		src[0] = uint64(me)<<32 | i
+		core.RPut(rk, src, rs.Val).Wait()
+		core.RGet(rk, rs.Val, got).Wait()
+		expect(got[0] == src[0], "onep: rank %d round %d read back %#x, put %#x", me, i, got[0], src[0])
+		old := ad.FetchAdd(rs.Ctr, 1).Wait()
+		expect(old == i-1, "onep: rank %d round %d fetch-add saw %d", me, i, old)
+		r := core.RPC(rk, right, xprocEcho, i).Wait()
+		expect(r == i+1, "onep: rank %d round %d echo = %d", me, i, r)
+		rk.Barrier()
+	}
+	if el := time.Since(t0); el > 5*time.Second {
+		fmt.Fprintf(os.Stderr, "xproc onep: rank %d took %v for %d rounds of blocking ops\n", me, el, rounds)
+		return 1
+	}
+	return 0
+}
+
 // taskBody runs the async-task runtime across real rank processes: a
 // result-bearing AsyncAt round trip, then a skewed fire-and-forget
 // workload — every task spawned at rank 0 with a sleep grain — that only
@@ -331,11 +419,9 @@ func taskBody(rk *core.Rank) {
 // Like killBody, every path exits the process directly.
 func taskKillBody(rk *core.Rank) {
 	rt := task.New(rk, task.Config{Workers: 1})
-	rk.Barrier()
-	if rk.Me() == 1 {
-		os.Exit(0) // see killBody: clean exit keeps the launcher away
-	}
-	go func() { // watchdog: a hung Finish must fail the job, not stall it
+	leaveOpeningBarrier(rk) // rank 1 never returns
+	// Watchdog: a hung Finish must fail the job, not stall it.
+	go func() {
 		time.Sleep(20 * time.Second)
 		fmt.Fprintf(os.Stderr, "xproc taskkill: rank %d Finish never returned\n", rk.Me())
 		os.Exit(1)
@@ -362,14 +448,7 @@ func taskKillBody(rk *core.Rank) {
 // Every path exits the process directly: with a rank gone there is no
 // final barrier to return to.
 func killBody(rk *core.Rank) {
-	rk.Barrier() // every conduit connection is up before the loss
-	if rk.Me() == 1 {
-		// Exit 0 with no shutdown handshake: to the peers this is
-		// indistinguishable from a crash, but the launcher (which kills
-		// the job on the first non-zero exit) leaves the survivors
-		// running long enough to observe it.
-		os.Exit(0)
-	}
+	leaveOpeningBarrier(rk) // every conduit connection is up before the loss; rank 1 never returns
 	deadline := time.Now().Add(15 * time.Second)
 	for rk.World().Failed() == nil {
 		if time.Now().After(deadline) {
