@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet fmt-check fmt no-pin bench bench-smoke bench-json bench-selftest fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-queue-regrow bench bench-smoke bench-json bench-selftest fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -31,16 +31,29 @@ test-short:
 # conformance matrix ({put,get,am,amo,copy} × {host,device} × {self,peer,
 # third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
 # tcp/shm wire networks, whose reader goroutines make it a real race test).
-# The second core leg runs the idle rule's tests and the persona suite with
-# one P, where a waiter that yields instead of parking starves whoever must
-# wake it — a schedule a multi-core CI host never produces by itself.
+# PoolStress is the injection-record pool's safety test: records taken, run,
+# completed and released on different goroutines, with a peer failed
+# mid-flight. The second core leg runs the idle rule's tests and the persona
+# suite with one P, where a waiter that yields instead of parking starves
+# whoever must wake it — a schedule a multi-core CI host never produces by
+# itself.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch|PoolStress'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
+
+# Allocation pins (testing.AllocsPerRun; they skip themselves under -race):
+# heap objects per operation in core, per AM in gasnet, per decoded aux
+# token, per park, and per rpc_ff as a downstream package pays it (the
+# facade test: generic entry points instantiated outside internal/core).
+# Once as the host schedules it and once with one P, the configuration the
+# committed benchmark measures.
+alloc-pins:
+	$(GO) test -count=1 -run 'AllocPins|Allocs' . ./internal/...
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'AllocPins|Allocs' . ./internal/...
 
 # Short fuzz windows over every fuzz target under internal/ (the seed
 # corpora also run as plain tests in every `make test`). The targets come
@@ -86,6 +99,14 @@ fmt:
 no-pin:
 	@if grep -rn LockOSThread internal/; then \
 		echo "no-pin: runtime goroutines must not be pinned to OS threads"; exit 1; \
+	fi
+
+# The runtime's queues (Rank.defQ, Endpoint.compQ/amQ) are drained by
+# swapping in a spare buffer; resetting one to nil makes every pass regrow
+# it from nothing — a heap object per operation again.
+no-queue-regrow:
+	@if grep -rnE '(defQ|compQ|amQ) = nil' --include='*.go' --exclude='*_test.go' internal/; then \
+		echo "no-queue-regrow: drain queues by swapping buffers (see InternalProgress, PollCompletions, PollAMsAs)"; exit 1; \
 	fi
 
 bench:
@@ -156,4 +177,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check no-pin test race bench-selftest examples-run obs-smoke transport-smoke
+ci: build vet fmt-check no-pin no-queue-regrow test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke

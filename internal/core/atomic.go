@@ -18,21 +18,20 @@ import (
 // persona as the operation-completion payload.
 func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) Future[uint64] {
 	p := NewPromise[uint64](rk)
-	var old uint64
-	// The conduit's onOld hook stores the fetched value before the
-	// completion LPC is enqueued; the enqueue orders the write for the
-	// owning persona's drain.
-	cx := &cxPlan{rk: rk, remotePeer: owner}
-	cx.op = []cxDelivery{{pers: p.c.pers, fn: func() { p.fulfillOwnedResult(old) }}}
-	rk.inject([]rmaOp{{
+	// The conduit's result callback stores the fetched value in the promise
+	// before the completion LPC is enqueued; the enqueue orders the write
+	// for the owning persona's drain.
+	inj := rk.newInjection(owner)
+	inj.op = append(inj.op, cxDelivery{pers: p.c.pers, fn: func() { p.fulfillOwnedResult(p.c.val) }})
+	rk.inject(inj.single(rmaOp{
 		kind:    opAMO,
 		dstPeer: owner,
 		dstOff:  off,
 		amo:     op,
 		amoA:    a,
 		amoB:    b,
-		onOld:   func(v uint64) { old = v },
-	}}, cx)
+		amoOld:  &p.c.val,
+	}))
 	return p.Future()
 }
 

@@ -464,13 +464,12 @@ func (e *collEngine) sendMsg(t *Team, dest Intrank, m collMsg) {
 	if e.rk.ro != nil {
 		e.rk.ro.CountOp(obs.KindCollRound)
 	}
-	op := rmaOp{
+	e.rk.inject(e.rk.newInjection(t.ranks[dest]).single(rmaOp{
 		kind:    opAM,
 		dstPeer: t.ranks[dest],
 		amID:    e.rk.w.amColl,
 		buf:     encodeCollMsg(m),
-	}
-	e.rk.inject([]rmaOp{op}, &cxPlan{rk: e.rk, remotePeer: t.ranks[dest]})
+	}))
 }
 
 // copyTo lowers one collective data hop — a kind-aware copy of nbytes
@@ -486,10 +485,10 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 		rk.ro.CountOp(obs.KindCollRound)
 	}
 	world := t.ranks[dest]
-	plan := &cxPlan{rk: rk, remotePeer: world}
-	plan.remoteAM = &gasnet.RemoteAM{Handler: rk.w.amColl, Payload: encodeCollMsg(land)}
-	plan.op = []cxDelivery{{pers: rk.execPersona(), fn: onOpDone}}
-	op := rmaOp{
+	inj := rk.newInjection(world)
+	inj.remoteAM = &gasnet.RemoteAM{Handler: rk.w.amColl, Payload: encodeCollMsg(land)}
+	inj.op = append(inj.op, cxDelivery{pers: rk.execPersona(), fn: onOpDone})
+	rk.inject(inj.single(rmaOp{
 		kind:    opCopy,
 		srcPeer: rk.me,
 		srcSeg:  src.segID(),
@@ -498,8 +497,7 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 		dstSeg:  dst.segID(),
 		dstOff:  dst.off,
 		nbytes:  nbytes,
-	}
-	rk.inject([]rmaOp{op}, plan)
+	}))
 }
 
 // fulfillFromEngine routes a value-promise fulfillment from the engine

@@ -2,7 +2,6 @@ package upcxx
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
@@ -220,7 +219,8 @@ func RemoteCxAsLPC(pers *Persona, fn func()) Cx {
 // descriptor construction; fn travels as a code reference, exactly like
 // an RPCFF body.
 func RemoteCxAsRPC[A any](fn func(*Rank, A), arg A) Cx {
-	return Cx{ev: RemoteDone, kind: cxRPC, rpcArgs: mustMarshal(arg), rpcBody: ffBody(fn, registeredName(fn))}
+	call := callOf(fn, func() rpcBody { return ffBody(fn) })
+	return Cx{ev: RemoteDone, kind: cxRPC, rpcArgs: mustMarshal(arg), rpcBody: call.bodies[0]}
 }
 
 // remoteCxAux is the opaque code-reference half of a target-side
@@ -269,10 +269,11 @@ type cxDelivery struct {
 }
 
 // cxPlan is the resolved completion set of one logical operation — the
-// cxSet side of the inject(op, cxSet) pair. One plan may span several
-// conduit operations (a vector put's fragments); events aggregate across
-// them: source fires once every fragment's buffer is captured, operation
-// and remote fire once every fragment has completed.
+// cxSet side of the inject(op, cxSet) pair, embedded in the operation's
+// injection record (a collective's plan stands alone: its engine fires it).
+// One plan may span several conduit operations (a vector put's fragments);
+// events aggregate across them: source fires once every fragment's buffer is
+// captured, operation and remote fire once every fragment has completed.
 type cxPlan struct {
 	rk   *Rank
 	futs CxFutures
@@ -290,13 +291,6 @@ type cxPlan struct {
 	remoteAM   *gasnet.RemoteAM
 	remotePeer Intrank
 
-	nops atomic.Int64 // outstanding conduit operations
-
-	// replies counts the round-trip entries of an RPC request message
-	// still awaiting their results; the last one fires the operation edge
-	// (rpcLand). Guarded by the initiating rank's rpcMu.
-	replies int
-
 	// Observability identity of the logical operation: obsTag carries the
 	// inject timestamp, kind, and (when traced) the op's trace ID; set by
 	// inject (or the collectives engine) only when stats are enabled.
@@ -308,12 +302,6 @@ type cxPlan struct {
 	obsBytes int
 }
 
-// obsArm stamps the plan with its operation's observability identity.
-func (c *cxPlan) obsArm(tag obs.OpTag, bytes int) {
-	c.obsTag = tag
-	c.obsBytes = bytes
-}
-
 // obsDone records the operation-complete edge (histogram + trace event)
 // if the plan was armed.
 func (c *cxPlan) obsDone() {
@@ -322,12 +310,19 @@ func (c *cxPlan) obsDone() {
 	}
 }
 
-// newCxPlan resolves descriptors against one operation. kind names the
-// operation for validation; remotePeer is the destination rank a gated
-// remote RPC would be sent to (-1 when the operation has no single
-// destination — remote descriptors then panic).
+// newCxPlan resolves descriptors against one collective operation;
+// remotePeer is the destination rank a gated remote RPC would be sent to
+// (-1 when the operation has no single destination — remote descriptors
+// then panic).
 func newCxPlan(rk *Rank, kind opKind, remotePeer Intrank, cxs []Cx) *cxPlan {
 	c := &cxPlan{rk: rk, remotePeer: remotePeer}
+	c.resolve(kind, cxs)
+	return c
+}
+
+// resolve registers the descriptors of one operation, whose kind it names
+// for validation; none at all means operation completion as a future.
+func (c *cxPlan) resolve(kind opKind, cxs []Cx) {
 	if len(cxs) == 0 {
 		cxs = []Cx{OpCxAsFuture()}
 	}
@@ -339,10 +334,9 @@ func newCxPlan(rk *Rank, kind opKind, remotePeer Intrank, cxs []Cx) *cxPlan {
 	// inject→complete latency sample recorded by collOpDone) is armed at
 	// plan construction. The lowered tree hops are counted separately as
 	// KindCollRound by the collectives engine.
-	if kind == opColl && rk.ro != nil {
-		c.obsArm(rk.ro.OpStart(obs.KindColl, 0), 0)
+	if kind == opColl && c.rk.ro != nil {
+		c.obsTag = c.rk.ro.OpStart(obs.KindColl, 0)
 	}
-	return c
 }
 
 // add validates one descriptor against the operation kind and registers
@@ -558,30 +552,6 @@ func (c *cxPlan) deliver(ds []cxDelivery) {
 		ds[i].pers.LPCBatch(fns)
 		i = j
 	}
-}
-
-// sourceDone fires source completions; called once per plan, after every
-// fragment has been handed to the conduit (which captures source buffers
-// eagerly).
-func (c *cxPlan) sourceDone() { c.deliver(c.src) }
-
-// opDone notes one fragment's completion; the last one fires operation
-// and remote completions. Conduit acks imply remote visibility in this
-// conduit, so initiator-side remote deliveries ride the same edge. A
-// remote RPC still held here belongs to a batch with no put/copy
-// carrier; it ships now as one one-way AM.
-func (c *cxPlan) opDone() {
-	if c.nops.Add(-1) != 0 {
-		return
-	}
-	if c.remoteAM != nil {
-		am := c.remoteAM
-		c.remoteAM = nil
-		c.rk.ep.AMTag(gasnetRank(c.remotePeer), am.Handler, am.Payload, am.Aux, c.obsTag)
-	}
-	c.obsDone()
-	c.deliver(c.rem)
-	c.deliver(c.op)
 }
 
 // --- remote-cx wire form -------------------------------------------------

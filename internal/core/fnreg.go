@@ -9,10 +9,10 @@ package upcxx
 // ranks run one binary). The wire then carries the *name*; the
 // receiving rank looks up the same entry and runs the same body.
 //
-// Register package-level, non-generic functions: closures have no
-// stable identity across processes, and distinct generic
-// instantiations may share one code pointer under GC shape stenciling,
-// which would alias their registry entries.
+// Register package-level, non-generic functions: a closure registers only
+// the one func value handed in and has no stable identity across
+// processes, and distinct generic instantiations may share one code
+// pointer under GC shape stenciling, which would alias their names.
 
 import (
 	"fmt"
@@ -25,10 +25,12 @@ import (
 
 // fnEntry holds what is registered under one function name: its RPC body
 // (round-trip or fire-and-forget, as the signature dictates — body.run is
-// nil when the function was registered only as a task) and its task body.
-// One function may be both (registerEntry merges).
+// nil when the function was registered only as a task), the aux token a
+// single call of it sends (callOf), and its task body (registerEntry merges).
 type fnEntry struct {
+	name string
 	body rpcBody
+	call *rpcAux
 	task *TaskBody // internal/task body
 }
 
@@ -44,10 +46,10 @@ type TaskBody struct {
 var fnReg = struct {
 	sync.RWMutex
 	byName map[string]*fnEntry
-	byPtr  map[uintptr]string
+	byPtr  map[uintptr]*fnEntry
 }{
 	byName: make(map[string]*fnEntry),
-	byPtr:  make(map[uintptr]string),
+	byPtr:  make(map[uintptr]*fnEntry),
 }
 
 // registerEntry files the forms in ent under fn's stable runtime name,
@@ -61,35 +63,35 @@ func registerEntry(fn any, ent fnEntry) string {
 	if rf == nil {
 		panic("upcxx: Register of unresolvable function")
 	}
-	name := rf.Name()
+	ent.name = rf.Name()
 	fnReg.Lock()
 	defer fnReg.Unlock()
 	if ent.body.run != nil {
-		ent.body.name = name
+		ent.body.name = ent.name
+		ent.call = &rpcAux{bodies: []rpcBody{ent.body}}
+		ent.call.wire, _ = new(distAuxCodec).EncodeAux(ent.call)
 	}
-	if old := fnReg.byName[name]; old != nil {
+	if old := fnReg.byName[ent.name]; old != nil {
 		if ent.body.run == nil {
-			ent.body = old.body
+			ent.body, ent.call = old.body, old.call
 		}
 		if ent.task == nil {
 			ent.task = old.task
 		}
 	}
-	fnReg.byName[name] = &ent // a fresh entry: lookups read entries unlocked
-	fnReg.byPtr[v.Pointer()] = name
-	return name
+	fnReg.byName[ent.name] = &ent // a fresh entry: lookups read entries unlocked
+	fnReg.byPtr[funcvalOf(fn)] = &ent
+	return ent.name
 }
 
-// registeredName returns fn's registry name, or "" when unregistered.
-func registeredName(fn any) string {
-	v := reflect.ValueOf(fn)
-	if v.Kind() != reflect.Func {
-		return ""
-	}
+// registered returns fn's registry entry, or nil when it has none. The key
+// is the func value, not its code: a closure whose sibling (same literal,
+// other captures) was registered is not itself registered.
+func registered(fn any) *fnEntry {
 	fnReg.RLock()
-	name := fnReg.byPtr[v.Pointer()]
+	ent := fnReg.byPtr[funcvalOf(fn)]
 	fnReg.RUnlock()
-	return name
+	return ent
 }
 
 func errUnregistered(what string) error {
@@ -114,8 +116,8 @@ func RegisterTaskBody(fn any, body TaskBody) string {
 }
 
 func TaskBodyName(fn any) (string, error) {
-	if name := registeredName(fn); name != "" {
-		return name, nil
+	if ent := registered(fn); ent != nil {
+		return ent.name, nil
 	}
 	return "", errUnregistered(fmt.Sprintf("%T", fn))
 }
@@ -136,32 +138,20 @@ func LookupTaskBody(name string) (TaskBody, error) {
 // before the function first crosses a process boundary) with a
 // package-level, non-generic function; registration is process-global.
 func RegisterRPC[A, R any](fn func(*Rank, A) R) string {
-	return registerEntry(fn, fnEntry{body: valueBody(fn, "")})
+	return registerEntry(fn, fnEntry{body: valueBody(fn)})
 }
 
 // RegisterRPCFF registers a fire-and-forget RPC body (also the form
 // remote-completion RemoteCxAsRPC bodies take) for cross-process
 // dispatch and returns its wire name.
 func RegisterRPCFF[A any](fn func(*Rank, A)) string {
-	return registerEntry(fn, fnEntry{body: ffBody(fn, "")})
+	return registerEntry(fn, fnEntry{body: ffBody(fn)})
 }
 
 // RegisterRPCFut registers a future-returning (deferred-reply) RPC body
 // for cross-process dispatch and returns its wire name.
 func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string {
-	return registerEntry(fn, fnEntry{body: futBody(fn, "")})
-}
-
-// wireName resolves fn's registry name when this rank is part of a
-// multi-process (real-transport) world; in-process worlds ship body
-// closures by reference and need no name. Unregistered functions yield
-// "" — an error surfaces only if the message actually leaves the
-// process (self-RPC stays nameless and legal).
-func (rk *Rank) wireName(fn any) string {
-	if rk.w == nil || !rk.w.dist {
-		return ""
-	}
-	return registeredName(fn)
+	return registerEntry(fn, fnEntry{body: futBody(fn)})
 }
 
 // --- AuxCodec: rpcAux / remoteCxAux over the wire ------------------------
@@ -177,8 +167,14 @@ func (rk *Rank) wireName(fn any) string {
 // (empty-name) function. Decoding resolves each name in this process's
 // registry and fails — which fails the sending peer, not this rank's
 // reader — when a name is unknown or its function cannot serve the kind
-// of entry that names it.
-type distAuxCodec struct{}
+// of entry that names it. A token that decoded once is served from memo by
+// its wire bytes: a hit costs no lookup per name and no allocation.
+type distAuxCodec struct {
+	mu   sync.Mutex
+	memo map[string]any
+}
+
+const auxMemoMax = 1024 // a peer can mint valid batch tokens without end: past this, decode every time
 
 const (
 	auxTagRPC      = 1
@@ -201,10 +197,13 @@ func putRemName(e *serial.Encoder, a remoteCxAux) error {
 	return nil
 }
 
-func (distAuxCodec) EncodeAux(aux any) ([]byte, error) {
+func (*distAuxCodec) EncodeAux(aux any) ([]byte, error) {
 	e := serial.NewEncoder(make([]byte, 0, 48))
 	switch a := aux.(type) {
-	case rpcAux:
+	case *rpcAux:
+		if a.wire != nil {
+			return a.wire, nil
+		}
 		if a.bodyPers != nil {
 			return nil, fmt.Errorf("upcxx: persona-addressed RPC body (RPCBodyOn) cannot cross a process boundary")
 		}
@@ -257,7 +256,24 @@ func getRem(d *serial.Decoder) (remoteCxAux, error) {
 	return remoteCxAux{body: body}, err
 }
 
-func (distAuxCodec) DecodeAux(b []byte) (any, error) {
+func (c *distAuxCodec) DecodeAux(b []byte) (any, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if aux, hit := c.memo[string(b)]; hit {
+		return aux, nil
+	}
+	aux, err := decodeAux(b)
+	if err == nil && len(c.memo) < auxMemoMax {
+		if c.memo == nil {
+			c.memo = make(map[string]any)
+		}
+		c.memo[string(b)] = aux
+	}
+	return aux, err
+}
+
+// decodeAux is DecodeAux's miss path: parse, resolve and validate.
+func decodeAux(b []byte) (any, error) {
 	d := serial.NewDecoder(b)
 	switch tag := d.U8(); tag {
 	case auxTagRPC:
@@ -268,7 +284,7 @@ func (distAuxCodec) DecodeAux(b []byte) (any, error) {
 		if count > uint64(d.Remaining()) {
 			return nil, fmt.Errorf("upcxx: rpc aux body count %d exceeds remaining bytes", count)
 		}
-		a := rpcAux{bodies: make([]rpcBody, count)}
+		a := &rpcAux{bodies: make([]rpcBody, count)}
 		for i := range a.bodies {
 			kind, name := d.U8(), d.String()
 			if d.Err() != nil {

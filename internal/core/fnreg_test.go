@@ -21,8 +21,8 @@ func TestRegistryFormsMerge(t *testing.T) {
 	RegisterRPC(regBothB)
 	for _, fn := range []func(*Rank, int) int{regBothA, regBothB} {
 		name, err := TaskBodyName(fn)
-		if err != nil || name != registeredName(fn) {
-			t.Fatalf("TaskBodyName = %q, %v; registered as %q", name, err, registeredName(fn))
+		if err != nil || name != registered(fn).name {
+			t.Fatalf("TaskBodyName = %q, %v; registered as %q", name, err, registered(fn).name)
 		}
 		ent, err := lookupFn(name)
 		if err != nil {
@@ -41,6 +41,47 @@ func TestRegistryFormsMerge(t *testing.T) {
 	if _, err := TaskBodyName(func(*Rank, int) int { return 0 }); err == nil {
 		t.Error("an unregistered function has a task name")
 	}
+}
+
+// mkAdder's closures share one code pointer only while it is not inlined.
+//
+//go:noinline
+func mkAdder(n int) func(*Rank, int) int {
+	return func(_ *Rank, x int) int { return x + n }
+}
+
+// TestRegisteredSiblingClosure: closures of one func literal share a code
+// pointer, but the registry's key is the func value: only the closure that
+// was registered is served by the entry's prebuilt body. A sibling is an
+// unregistered function — in-process every entry point runs the function it
+// was handed, and across processes it is refused like any other closure.
+func TestRegisteredSiblingClosure(t *testing.T) {
+	add1 := mkAdder(1)
+	RegisterRPC(add1)
+	if tok := callOf(add1, nil); tok != registered(add1).call {
+		t.Error("the registered closure does not use its entry's token")
+	}
+	tok := callOf(mkAdder(100), func() rpcBody { return valueBody(mkAdder(100)) })
+	if _, err := new(distAuxCodec).EncodeAux(tok); registered(mkAdder(100)) != nil || err == nil {
+		t.Errorf("a sibling closure is registered (token %+v, EncodeAux error %v)", tok, err)
+	}
+	Run(2, func(rk *Rank) {
+		if rk.Me() != 0 {
+			return
+		}
+		if got := RPC(rk, 1, add1, 1).Wait(); got != 2 {
+			t.Errorf("registered closure: RPC = %d, want 2", got)
+		}
+		if got := RPC(rk, 1, mkAdder(100), 1).Wait(); got != 101 {
+			t.Errorf("sibling of a registered closure: RPC = %d, want 101", got)
+		}
+		b := NewBatch(rk, 1)
+		f := BatchRPC(b, mkAdder(1000), 1)
+		b.Flush()
+		if got := f.Wait(); got != 1001 {
+			t.Errorf("sibling of a registered closure: BatchRPC = %d, want 1001", got)
+		}
+	})
 }
 
 func regFF(*Rank, int)                    {}
@@ -109,8 +150,9 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 		{"remote-cx token, no function", remTok(""), nil},
 		{"retired batch tag", []byte{3, 0}, nil},
 	}
-	for _, row := range rows {
-		aux, err := (distAuxCodec{}).DecodeAux(row.tok)
+	codec := new(distAuxCodec) // one codec: a refused token must not be remembered as served
+	for _, row := range append(rows, rows...) {
+		aux, err := codec.DecodeAux(row.tok)
 		if row.kinds == nil {
 			if err == nil {
 				t.Errorf("%s: decoded to %+v, want an error", row.name, aux)
@@ -122,7 +164,7 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 			continue
 		}
 		switch a := aux.(type) {
-		case rpcAux:
+		case *rpcAux:
 			if len(a.bodies) != len(row.kinds) {
 				t.Errorf("%s: %d bodies, want %d", row.name, len(a.bodies), len(row.kinds))
 				continue
@@ -139,13 +181,37 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 		}
 	}
 	// What EncodeAux writes, DecodeAux reads back.
-	in := rpcAux{bodies: []rpcBody{ffBody(regFF, ff), futBody(regFut, fut)}, rem: remoteCxAux{body: ffBody(regFF, ff)}}
-	tok, err := (distAuxCodec{}).EncodeAux(in)
+	named := func(b rpcBody, name string) rpcBody { b.name = name; return b }
+	in := &rpcAux{bodies: []rpcBody{named(ffBody(regFF), ff), named(futBody(regFut), fut)}, rem: remoteCxAux{body: named(ffBody(regFF), ff)}}
+	tok, err := new(distAuxCodec).EncodeAux(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := (distAuxCodec{}).DecodeAux(tok)
-	if a, ok := out.(rpcAux); err != nil || !ok || len(a.bodies) != 2 || a.bodies[1].name != fut || a.rem.body.name != ff {
+	out, err := new(distAuxCodec).DecodeAux(tok)
+	if a, ok := out.(*rpcAux); err != nil || !ok || len(a.bodies) != 2 || a.bodies[1].name != fut || a.rem.body.name != ff {
 		t.Errorf("round trip of %+v = %+v, %v", in, out, err)
+	}
+}
+
+// TestAuxDecodeAllocs: a token that decoded once is served from the codec's
+// memo — the same value again, for no allocation — which is what a flood of
+// one call costs the target per message.
+func TestAuxDecodeAllocs(t *testing.T) {
+	RegisterRPCFF(regFF)
+	codec := new(distAuxCodec)
+	tok, err := codec.EncodeAux(registered(regFF).call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := codec.DecodeAux(tok)
+	if a, ok := first.(*rpcAux); err != nil || !ok || len(a.bodies) != 1 || a.bodies[0].run == nil {
+		t.Fatalf("DecodeAux = %+v, %v", first, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if again, err := codec.DecodeAux(tok); err != nil || again != first {
+			t.Errorf("memo hit = %v, %v; want the first decode's value", again, err)
+		}
+	}); n != 0 {
+		t.Errorf("decoding a remembered token: %v allocs, want 0", n)
 	}
 }

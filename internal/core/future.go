@@ -62,7 +62,7 @@ func (c *futCore[T]) fulfill(v T) {
 // fulfillOwned is fulfill for callers already known to be on the owning
 // persona's goroutine — above all LPCs delivered to that persona, whose
 // drain only ever runs on the owner. It skips the goroutine-id check
-// (curGID parses runtime.Stack, ~1µs) that fulfill would otherwise pay on
+// (curGID walks the stack: ≈ 420 ns per caller frame) that fulfill would otherwise pay on
 // every harvested completion; the runtime's RMA/RPC/AMO completion LPCs
 // all land here.
 func (c *futCore[T]) fulfillOwned(v T) {
@@ -292,7 +292,8 @@ func WhenAllSlice[T any](rk *Rank, fs []Future[T]) Future[[]T] {
 // promise to many operations and waiting on its single future is the
 // paper's flood-bandwidth idiom (§IV-B).
 type Promise[T any] struct {
-	c         *futCore[T]
+	c         *futCore[T] // &core: the pair is one allocation
+	core      futCore[T]
 	deps      int64
 	resultSet bool
 	finalized bool
@@ -301,7 +302,7 @@ type Promise[T any] struct {
 // NewPromise creates a promise with one unfulfilled dependency, owned by
 // the calling goroutine's current persona.
 func NewPromise[T any](rk *Rank) *Promise[T] {
-	return &Promise[T]{c: newFutCore[T](rk), deps: 1}
+	return NewPromiseOn[T](rk, rk.currentPersona())
 }
 
 // NewPromiseOn creates a promise owned by the named persona pers instead
@@ -317,7 +318,9 @@ func NewPromiseOn[T any](rk *Rank, pers *Persona) *Promise[T] {
 	if pers.rk != rk {
 		panic(fmt.Sprintf("upcxx: NewPromiseOn: %v belongs to rank %d, not rank %d", pers, pers.rk.me, rk.me))
 	}
-	return &Promise[T]{c: &futCore[T]{rk: rk, pers: pers}, deps: 1}
+	p := &Promise[T]{core: futCore[T]{rk: rk, pers: pers}, deps: 1}
+	p.c = &p.core
+	return p
 }
 
 // Future returns a future associated with this promise. Multiple calls

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The goroutine-id lookup (curGID) parses runtime.Stack at ~0.5–1µs per
-// call — comparable to the modeled LogGP overheads, so the hot paths must
+// The goroutine-id lookup (curGID) walks the stack at ≈ 420 ns per caller
+// frame — more than the modeled LogGP overheads, so the hot paths must
 // not re-derive it per operation. The fix caches it three ways: the
 // per-goroutine state carries its gid (curState derives it once), AM
 // drains pass it to bodyQueue through the conduit poll token, and

@@ -176,3 +176,36 @@ func TestBlockingOpsOnOneP(t *testing.T) {
 		t.Error("no waiter was ever woken through the doorbell: the test did not park")
 	}
 }
+
+// TestQuiesceOneP: Quiesce waits by the idle rule like every other waiter.
+// On a one-P rank of a multi-process world the reply it waits for can only
+// be produced while it is off the processor, so it must park at its first
+// empty pass; a Quiesce that loops over progress passes makes them by the
+// thousand until the scheduler preempts it.
+func TestQuiesceOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := NewWorld(Config{Ranks: 2, Stats: true, WaitTimeout: 20 * time.Second})
+	w.dist = true // for the idle rule only: the conduit stays in-process
+	defer func() { w.dist = false; w.Close() }()
+	rk0, rk1 := w.Rank(0), w.Rank(1)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // rank 1: attentive, whenever it gets the processor
+		defer wg.Done()
+		defer DetachDefaultPersonas()
+		for !stop.Load() {
+			rk1.ProgressWait(idlePark)
+		}
+	}()
+	f := RPC(rk0, 1, func(_ *Rank, x int) int { return x + 1 }, 41)
+	rk0.Quiesce() // the request is in flight: its reply needs rank 1 to run
+	stop.Store(true)
+	wg.Wait()
+	if !f.Ready() || f.Wait() != 42 {
+		t.Errorf("Quiesce returned with the RPC unanswered (ready %v)", f.Ready())
+	}
+	if n := rk0.Stats().EmptyPasses; n > 64 {
+		t.Errorf("Quiesce made %d empty progress passes: it spun instead of parking", n)
+	}
+}

@@ -132,7 +132,7 @@ func NewWorldDist(cfg Config) *World {
 			BootDir: wdir,
 			Timeout: 30 * time.Second,
 		},
-		Aux: distAuxCodec{},
+		Aux: new(distAuxCodec),
 	})
 	w.amRPC = w.net.RegisterAM(w.handleRPC)
 	w.amColl = w.net.RegisterAM(w.handleColl)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package upcxx
+
+const raceEnabled = false

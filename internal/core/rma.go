@@ -2,6 +2,8 @@ package upcxx
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
@@ -87,7 +89,7 @@ type rmaOp struct {
 
 	amo        gasnet.AMOOp
 	amoA, amoB uint64
-	onOld      func(uint64) // runs with the previous value before op-cx fires
+	amoOld     *uint64 // where the previous value goes before op-cx fires
 
 	amID  gasnet.HandlerID // opAM: handler; buf carries the payload
 	amAux any              // opAM: opaque code-reference token
@@ -120,106 +122,181 @@ func (op *rmaOp) obsBytes() int {
 	}
 }
 
-// inject hands a batch of lowered operations to the conduit with the
-// completion plan attached — the inject(op, cxSet) path every RMA, copy,
-// and atomic entry point routes through. The batch is injected as one
-// deferred unit (defQ → conduit), after which source completion fires;
-// operation and remote completions aggregate across the batch (see
-// cxPlan). An empty batch completes immediately.
-func (rk *Rank) inject(ops []rmaOp, cx *cxPlan) {
-	cx.nops.Store(int64(len(ops)) + 1)
-	rk.deferOp(func() {
-		// Remote-RPC notification: with one put/copy fragment the AM rides
-		// that fragment's hop chain; with several (all to one destination,
-		// validated at plan construction) the same AM is attached to every
-		// fragment, counted, and the conduit enqueues it at the target when
-		// the *last-landing* fragment arrives — destination-side timing,
-		// no initiator gating round trip. A batch with no carrier leaves
-		// it for the sentinel opDone to ship as a plain AM.
-		var rem *gasnet.RemoteAM
-		if n := remoteCarriers(ops); n > 0 {
-			rem = cx.takeConduitAM()
-			if rem != nil && n > 1 {
-				rem.SetFragments(n)
+// injection is one logical operation on its way from the facade to the
+// conduit, as a single pooled record: its lowered operations, the plan they
+// share, and the conduit's callbacks for them, bound once per record. Whoever
+// discharges the last outstanding operation (opDone) routes the plan's final
+// deliveries and releases the record; a released record is poisoned, so a
+// stray callback panics instead of completing another operation (DESIGN §2).
+type injection struct {
+	cxPlan
+	ops []rmaOp
+	one [1]rmaOp // backs ops for a single operation
+
+	// nops counts the conduit operations outstanding, plus the sentinel run
+	// holds while it injects; negative on a released record.
+	nops atomic.Int64
+	// replies counts the round-trip entries of an RPC request message still
+	// awaiting their results; the last one fires the operation edge
+	// (rpcLand). Guarded by the initiating rank's rpcMu.
+	replies int
+
+	landed  func()           // inj.opLanded
+	fetched func(old uint64) // inj.amoFetched
+}
+
+var injections sync.Pool
+
+// newInjection takes a record for an operation rk initiates; remotePeer is
+// the destination rank of a remote-completion notification (see cxPlan).
+func (rk *Rank) newInjection(remotePeer Intrank) *injection {
+	inj, _ := injections.Get().(*injection)
+	if inj == nil {
+		inj = new(injection)
+		inj.landed, inj.fetched = inj.opLanded, inj.amoFetched
+	}
+	inj.rk, inj.remotePeer = rk, remotePeer
+	return inj
+}
+
+// single makes op the record's one operation.
+func (inj *injection) single(op rmaOp) *injection {
+	inj.one[0], inj.ops = op, inj.one[:1]
+	return inj
+}
+
+// release poisons the record — plan zeroed but for the delivery lists'
+// cleared backing arrays, nops negative — and returns it to the pool.
+func (inj *injection) release() {
+	clear(inj.op)
+	clear(inj.src)
+	clear(inj.rem)
+	inj.cxPlan = cxPlan{op: inj.op[:0], src: inj.src[:0], rem: inj.rem[:0]}
+	inj.one[0], inj.ops, inj.replies = rmaOp{}, nil, 0
+	inj.nops.Store(-1)
+	injections.Put(inj)
+}
+
+// inject hands the record's operations to the conduit under its plan — the
+// inject(op, cxSet) path of every RMA, copy, atomic, AM and RPC entry point —
+// as one deferred unit (defQ → conduit, see run). The record is not the
+// caller's any more once inject returns.
+func (rk *Rank) inject(inj *injection) {
+	inj.nops.Store(int64(len(inj.ops)) + 1)
+	rk.defMu.Lock()
+	rk.defQ = append(rk.defQ, inj)
+	rk.defMu.Unlock()
+	rk.InternalProgress()
+}
+
+// run injects the batch: every operation goes to the conduit, after which
+// source completion fires; operation and remote completions aggregate
+// across the batch (see cxPlan). An empty batch completes immediately.
+func (inj *injection) run() {
+	rk, ops := inj.rk, inj.ops
+	// Remote-RPC notification: with one put/copy fragment the AM rides
+	// that fragment's hop chain; with several (all to one destination,
+	// validated at plan construction) the same AM is attached to every
+	// fragment, counted, and the conduit enqueues it at the target when
+	// the *last-landing* fragment arrives — destination-side timing,
+	// no initiator gating round trip. A batch with no carrier leaves
+	// it for the sentinel opDone to ship as a plain AM.
+	var rem *gasnet.RemoteAM
+	if n := remoteCarriers(ops); n > 0 {
+		rem = inj.takeConduitAM()
+		if rem != nil && n > 1 {
+			rem.SetFragments(n)
+		}
+	}
+	ro := rk.ro
+	var planBytes int
+	for i := range ops {
+		op := &ops[i]
+		rk.actCount.Add(1)
+		// Observability: count the op at the injection point and build
+		// the tag its hop chain carries. The first fragment's tag also
+		// becomes the plan's identity, so the inject→complete histogram
+		// and the Delivered trace event fire on the plan's final edge.
+		var tag obs.OpTag
+		if ro != nil {
+			b := op.obsBytes()
+			tag = ro.OpStart(obs.OpKind(op.kind), b)
+			planBytes += b
+			if i == 0 {
+				inj.obsTag = tag
 			}
 		}
-		// One completion thunk serves every fragment. LPC deliveries
-		// precede the actCount decrement: a quiescing owner must never
-		// observe actQ empty while a completion is unqueued.
-		onDone := func() {
-			cx.opDone()
-			rk.actCount.Add(-1)
-		}
-		ro := rk.ro
-		var planBytes int
-		for i := range ops {
-			op := &ops[i]
-			rk.actCount.Add(1)
-			// Observability: count the op at the injection point and build
-			// the tag its hop chain carries. The first fragment's tag also
-			// becomes the plan's identity, so the inject→complete histogram
-			// and the Delivered trace event fire on the plan's final edge.
-			var tag obs.OpTag
-			if ro != nil {
-				b := op.obsBytes()
-				tag = ro.OpStart(obs.OpKind(op.kind), b)
-				planBytes += b
-				if i == 0 {
-					cx.obsArm(tag, 0)
-				}
+		switch op.kind {
+		case opPut:
+			rk.ep.PutSegTag(gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.buf, inj.landed, rem, tag)
+		case opGet:
+			rk.ep.GetSegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff, op.buf, inj.landed, tag)
+		case opCopy:
+			rk.ep.CopySegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff,
+				gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.nbytes, inj.landed, rem, tag)
+		case opAMO:
+			rk.ep.AMOTag(gasnetRank(op.dstPeer), op.dstOff, op.amo, op.amoA, op.amoB, inj.fetched, tag)
+		case opAM, opRPC:
+			// The conduit takes over the runtime's own message buffer and
+			// captures borrowed fragments before the call returns: source
+			// completion can fire at injection.
+			rk.ep.AMTag(gasnetRank(op.dstPeer), op.amID, op.buf, op.bufs, op.amAux, tag)
+			// A one-way message's operation edge fires here; a round-trip
+			// request's when its last reply lands (rpcLand).
+			if op.kind == opAM {
+				inj.opLanded()
 			}
-			switch op.kind {
-			case opPut:
-				rk.ep.PutSegTag(gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.buf, onDone, rem, tag)
-			case opGet:
-				rk.ep.GetSegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff, op.buf, onDone, tag)
-			case opCopy:
-				rk.ep.CopySegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff,
-					gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.nbytes, onDone, rem, tag)
-			case opAMO:
-				onOld := op.onOld
-				rk.ep.AMOTag(gasnetRank(op.dstPeer), op.dstOff, op.amo, op.amoA, op.amoB, func(old uint64) {
-					if onOld != nil {
-						onOld(old)
-					}
-					onDone()
-				}, tag)
-			case opAM:
-				// One-way message: the conduit captures the payload before
-				// AM returns, so the operation edge fires at injection.
-				if op.bufs != nil {
-					rk.ep.AMTagV(gasnetRank(op.dstPeer), op.amID, op.bufs, op.amAux, tag)
-				} else {
-					rk.ep.AMTag(gasnetRank(op.dstPeer), op.amID, op.buf, op.amAux, tag)
-				}
-				onDone()
-			case opRPC:
-				// Round-trip request: the conduit captures the payload (so
-				// source completion fires at injection), but the operation
-				// edge waits for the reply — the pending-table continuation
-				// registered by rpcRoundTrip fires the plan and releases
-				// actCount when the reply lands.
-				if op.bufs != nil {
-					rk.ep.AMTagV(gasnetRank(op.dstPeer), op.amID, op.bufs, op.amAux, tag)
-				} else {
-					rk.ep.AMTag(gasnetRank(op.dstPeer), op.amID, op.buf, op.amAux, tag)
-				}
-			default:
-				panic(fmt.Sprintf("upcxx: inject of unknown op kind %d", op.kind))
-			}
+		default:
+			panic(fmt.Sprintf("upcxx: inject of unknown op kind %d", op.kind))
 		}
-		if ro != nil && len(ops) > 0 {
-			cx.obsBytes = planBytes
-		}
-		// Source completion: only puts carry source descriptors
-		// (cxPlan.add), and PutSegTag captures its source bytes before
-		// returning on every path — a copy's source is read lazily when
-		// the hop chain reaches it, which is why copies reject them.
-		cx.sourceDone()
-		// Discharge the batch sentinel: with zero operations this is the
-		// edge that fires op/remote completion.
-		cx.opDone()
-	})
+	}
+	if ro != nil && len(ops) > 0 {
+		inj.obsBytes = planBytes
+	}
+	// Source completion: only puts carry source descriptors
+	// (cxPlan.add), and PutSegTag captures its source bytes before
+	// returning on every path — a copy's source is read lazily when
+	// the hop chain reaches it, which is why copies reject them.
+	inj.deliver(inj.src)
+	// Discharge the batch sentinel: with zero operations this is the
+	// edge that fires op/remote completion.
+	inj.opDone()
+}
+
+// opLanded is the conduit's completion callback for one operation. LPC
+// deliveries precede the actCount decrement: a quiescing owner must never
+// observe actQ empty while a completion is unqueued.
+func (inj *injection) opLanded() {
+	rk := inj.rk // opDone may release the record
+	inj.opDone()
+	rk.actCount.Add(-1)
+}
+
+// amoFetched is the conduit's result callback for the record's atomic: the
+// previous value goes where it was asked for before the operation edge fires.
+func (inj *injection) amoFetched(old uint64) {
+	*inj.one[0].amoOld = old
+	inj.opLanded()
+}
+
+// opDone notes one operation's completion; the last one fires operation
+// and remote completions and releases the record. Conduit acks imply
+// remote visibility in this conduit, so initiator-side remote deliveries
+// ride the same edge. A remote RPC still held here belongs to a batch with
+// no put/copy carrier; it ships now as one one-way AM.
+func (inj *injection) opDone() {
+	if n := inj.nops.Add(-1); n > 0 {
+		return
+	} else if n < 0 {
+		panic("upcxx: a completion reached a released injection record")
+	}
+	if am := inj.takeConduitAM(); am != nil {
+		inj.rk.ep.AMTag(gasnetRank(inj.remotePeer), am.Handler, am.Payload, nil, am.Aux, inj.obsTag)
+	}
+	inj.obsDone()
+	inj.deliver(inj.rem)
+	inj.deliver(inj.op)
+	inj.release()
 }
 
 // remoteCarriers counts the operations of a batch whose hop chains can
@@ -234,12 +311,20 @@ func remoteCarriers(ops []rmaOp) int {
 	return n
 }
 
-// injectCx builds the plan for cxs, injects ops under it, and returns the
+// injectCx resolves cxs into inj's plan, injects it, and returns the
 // requested futures.
-func (rk *Rank) injectCx(ops []rmaOp, kind opKind, remotePeer Intrank, cxs []Cx) CxFutures {
-	cx := newCxPlan(rk, kind, remotePeer, cxs)
-	rk.inject(ops, cx)
-	return cx.futs
+func (rk *Rank) injectCx(inj *injection, kind opKind, cxs []Cx) CxFutures {
+	inj.resolve(kind, cxs)
+	futs := inj.futs // the record may be released before inject returns
+	rk.inject(inj)
+	return futs
+}
+
+// injectBatch is injectCx for a vector operation's fragments.
+func (rk *Rank) injectBatch(ops []rmaOp, kind opKind, remotePeer Intrank, cxs []Cx) CxFutures {
+	inj := rk.newInjection(remotePeer)
+	inj.ops = ops
+	return rk.injectCx(inj, kind, cxs)
 }
 
 // lowerPut builds the rmaOp of one put fragment.
@@ -276,7 +361,7 @@ func lowerGet[T serial.Scalar](src GPtr[T], dst []T, opName string) rmaOp {
 // through the target's DMA engine, and a RemoteCxAsRPC notification fires
 // at dst.Owner only after that DMA hop lands.
 func RPutWith[T serial.Scalar](rk *Rank, src []T, dst GPtr[T], cxs ...Cx) CxFutures {
-	return rk.injectCx([]rmaOp{lowerPut(src, dst, "RPut")}, opPut, dst.Owner, cxs)
+	return rk.injectCx(rk.newInjection(dst.Owner).single(lowerPut(src, dst, "RPut")), opPut, cxs)
 }
 
 // RPut copies src into the remote memory at dst, returning a future that
@@ -300,7 +385,7 @@ func PutValue[T serial.Scalar](rk *Rank, v T, dst GPtr[T]) Future[Unit] {
 // with an explicit completion set. Gets expose only operation completion
 // (there is no reusable source buffer and no destination-side event).
 func RGetWith[T serial.Scalar](rk *Rank, src GPtr[T], dst []T, cxs ...Cx) CxFutures {
-	return rk.injectCx([]rmaOp{lowerGet(src, dst, "RGet")}, opGet, -1, cxs)
+	return rk.injectCx(rk.newInjection(-1).single(lowerGet(src, dst, "RGet")), opGet, cxs)
 }
 
 // RGet copies from the remote memory at src into the local buffer dst,
@@ -348,7 +433,7 @@ func CopyWith[T serial.Scalar](rk *Rank, src GPtr[T], dst GPtr[T], n int, cxs ..
 		dstOff:  dst.Off,
 		nbytes:  n * serial.SizeOf[T](),
 	}
-	return rk.injectCx([]rmaOp{op}, opCopy, dst.Owner, cxs)
+	return rk.injectCx(rk.newInjection(dst.Owner).single(op), opCopy, cxs)
 }
 
 // CopyGG copies n elements from one global location to another, returning
@@ -401,7 +486,7 @@ func RPutVWith[T serial.Scalar](rk *Rank, frags []PutPair[T], cxs ...Cx) CxFutur
 	for i, f := range frags {
 		ops[i] = lowerPut(f.Src, f.Dst, "RPutV")
 	}
-	return rk.injectCx(ops, opPut, uniformDst(ops), cxs)
+	return rk.injectBatch(ops, opPut, uniformDst(ops), cxs)
 }
 
 // RPutV issues a vector put; the returned future readies when all
@@ -416,7 +501,7 @@ func RGetVWith[T serial.Scalar](rk *Rank, frags []GetPair[T], cxs ...Cx) CxFutur
 	for i, f := range frags {
 		ops[i] = lowerGet(f.Src, f.Dst, "RGetV")
 	}
-	return rk.injectCx(ops, opGet, -1, cxs)
+	return rk.injectBatch(ops, opGet, -1, cxs)
 }
 
 // RGetV issues a vector get; the future readies when every fragment has
@@ -438,7 +523,7 @@ func RPutIndexedWith[T serial.Scalar](rk *Rank, src []T, base GPtr[T], indices [
 	for i, idx := range indices {
 		ops[i] = lowerPut(src[i*blockElems:(i+1)*blockElems], base.Add(idx), "RPutIndexed")
 	}
-	return rk.injectCx(ops, opPut, base.Owner, cxs)
+	return rk.injectBatch(ops, opPut, base.Owner, cxs)
 }
 
 // RPutIndexed scatters equally-sized blocks of src to element offsets
@@ -458,7 +543,7 @@ func RGetIndexedWith[T serial.Scalar](rk *Rank, base GPtr[T], indices []int, blo
 	for i, idx := range indices {
 		ops[i] = lowerGet(base.Add(idx), dst[i*blockElems:(i+1)*blockElems], "RGetIndexed")
 	}
-	return rk.injectCx(ops, opGet, -1, cxs)
+	return rk.injectBatch(ops, opGet, -1, cxs)
 }
 
 // RGetIndexed gathers equally-sized blocks from element offsets within a
@@ -477,7 +562,7 @@ func RPutStrided2DWith[T serial.Scalar](rk *Rank, src []T, srcStride int, dst GP
 		lo := i * srcStride
 		ops[i] = lowerPut(src[lo:lo+rowLen], dst.Add(i*dstStride), "RPutStrided2D")
 	}
-	return rk.injectCx(ops, opPut, dst.Owner, cxs)
+	return rk.injectBatch(ops, opPut, dst.Owner, cxs)
 }
 
 // RPutStrided2D puts rows blocks of rowLen elements from a strided local
@@ -495,7 +580,7 @@ func RGetStrided2DWith[T serial.Scalar](rk *Rank, src GPtr[T], srcStride int, ds
 		lo := i * dstStride
 		ops[i] = lowerGet(src.Add(i*srcStride), dst[lo:lo+rowLen], "RGetStrided2D")
 	}
-	return rk.injectCx(ops, opGet, -1, cxs)
+	return rk.injectBatch(ops, opGet, -1, cxs)
 }
 
 // RGetStrided2D gathers rows blocks of rowLen elements from a strided

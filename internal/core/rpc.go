@@ -61,12 +61,12 @@ type rpcBody struct {
 }
 
 // The three adapters below are the only places a user function meets the
-// wire: every entry point (RPC*With, BatchRPC*, RemoteCxAsRPC, Register*)
-// builds its body from one of them.
+// wire: Register* builds a function's body from one of them once, and every
+// entry point uses it, or builds one per call of an unregistered function.
 
 // valueBody adapts a function whose result is ready when it returns.
-func valueBody[A, R any](fn func(*Rank, A) R, name string) rpcBody {
-	return rpcBody{kind: rpcReqKind, name: name, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
+func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
+	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
 		var a A
 		mustUnmarshal(args, &a)
 		return mustMarshal(fn(trk, a)), true
@@ -74,8 +74,8 @@ func valueBody[A, R any](fn func(*Rank, A) R, name string) rpcBody {
 }
 
 // ffBody adapts a function with no result (rpc_ff and remote-cx bodies).
-func ffBody[A any](fn func(*Rank, A), name string) rpcBody {
-	return rpcBody{kind: rpcFFKind, name: name, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
+func ffBody[A any](fn func(*Rank, A)) rpcBody {
+	return rpcBody{kind: rpcFFKind, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
 		var a A
 		mustUnmarshal(args, &a)
 		fn(trk, a)
@@ -87,8 +87,8 @@ func ffBody[A any](fn func(*Rank, A), name string) rpcBody {
 // the returned future readies, and then travels as a one-entry message of
 // its own — it cannot hold back the replies of entries that shared its
 // request message.
-func futBody[A, R any](fn func(*Rank, A) Future[R], name string) rpcBody {
-	return rpcBody{kind: rpcReqKind, name: name, run: func(trk *Rank, src Intrank, seq uint64, args []byte) ([]byte, bool) {
+func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
+	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, src Intrank, seq uint64, args []byte) ([]byte, bool) {
 		var a A
 		mustUnmarshal(args, &a)
 		inner := fn(trk, a)
@@ -115,11 +115,22 @@ func futBody[A, R any](fn func(*Rank, A) Future[R], name string) rpcBody {
 // remote-completion landing notification when one was attached; and the
 // target-rank persona the bodies were addressed to with RPCBodyOn (nil:
 // the target's execution persona). Like the bodies, the persona pointer is
-// a code reference — no wire bytes are added for it.
+// a code reference — no wire bytes are added for it. A token is immutable:
+// a plain call of a registered function sends its registry entry's.
 type rpcAux struct {
 	bodies   []rpcBody
 	rem      remoteCxAux // target-side landing event (zero when absent)
 	bodyPers *Persona    // execution persona named by RPCBodyOn (nil: default)
+	wire     []byte      // distAuxCodec form, encoded once for a registry entry's token
+}
+
+// callOf returns the single-call token of fn: its registry entry's, built
+// at registration, or a new one around the body adapt builds.
+func callOf(fn any, adapt func() rpcBody) *rpcAux {
+	if ent := registered(fn); ent != nil && ent.call != nil {
+		return ent.call
+	}
+	return &rpcAux{bodies: []rpcBody{adapt()}}
 }
 
 // checkBodies rejects a request message whose entries the aux token's
@@ -136,16 +147,16 @@ func checkBodies(bodies []rpcBody, m rpcMsg) error {
 	return nil
 }
 
-func mustMarshal(v any) []byte {
-	b, err := serial.Marshal(v)
-	if err != nil {
+func mustMarshal[T any](v T) []byte {
+	var e serial.Encoder
+	if err := serial.Encode(&e, &v); err != nil {
 		panic(fmt.Sprintf("upcxx: RPC argument not serializable: %v", err))
 	}
-	return b
+	return e.Bytes()
 }
 
-func mustUnmarshal(b []byte, ptr any) {
-	if err := serial.Unmarshal(b, ptr); err != nil {
+func mustUnmarshal[T any](b []byte, ptr *T) {
+	if err := serial.Decode(b, ptr); err != nil {
 		panic(fmt.Sprintf("upcxx: RPC payload decode failed: %v", err))
 	}
 }
@@ -180,7 +191,7 @@ func (rk *Rank) bodyQueue(p *Persona) *Persona {
 	// The harvesting goroutine's id rides along as the conduit poll
 	// token (progressWith passes it to PollAMsAs), so a drain of many
 	// AMs resolves it once instead of re-deriving it per message —
-	// curGID costs ~1µs of runtime.Stack parsing. Outside an AM drain
+	// curGID costs ≈ 420 ns per caller stack frame. Outside an AM drain
 	// (token 0) fall back to deriving it here.
 	gid := rk.ep.PollerToken()
 	if gid == 0 {
@@ -306,15 +317,17 @@ type rpcEntry struct {
 // encodeRPCMsg builds the wire form of one message — contiguous in buf,
 // or, with gather set, as the fragment list bufs whose concatenation is
 // the same byte stream but in which argument spans of at least
-// serial.GatherMinBorrow bytes still alias the caller's memory.
-func encodeRPCMsg(src Intrank, entries []rpcEntry, rem []byte, gather bool) (buf []byte, bufs [][]byte) {
-	size := 32 + 20*len(entries) + len(rem)
+// serial.GatherMinBorrow bytes still alias the caller's memory. A non-nil
+// arg is a single call's argument, marshalled here, once, into the message.
+func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, rem []byte, gather bool) (buf []byte, bufs [][]byte) {
+	size := 40 + 20*len(entries) + len(rem)
 	if !gather {
 		for i := range entries {
 			size += len(entries[i].args)
 		}
 	}
-	e := serial.NewEncoder(make([]byte, 0, size))
+	var e serial.Encoder
+	e.Grow(size)
 	if gather {
 		e.EnableGather()
 	}
@@ -324,12 +337,18 @@ func encodeRPCMsg(src Intrank, entries []rpcEntry, rem []byte, gather bool) (buf
 	e.PutUvarint(uint64(len(entries)))
 	for i := range entries {
 		en := &entries[i]
+		e.PutU8(en.kind)
+		e.PutU64(en.seq)
+		if arg != nil {
+			if err := serial.EncodeSized(&e, arg); err != nil {
+				panic(fmt.Sprintf("upcxx: RPC argument not serializable: %v", err))
+			}
+			continue
+		}
 		n := len(en.args)
 		for _, f := range en.more {
 			n += len(f)
 		}
-		e.PutU8(en.kind)
-		e.PutU64(en.seq)
 		e.PutUvarint(uint64(n))
 		e.PutBorrowed(en.args)
 		for _, f := range en.more {
@@ -452,7 +471,10 @@ func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
 	if m.reply {
 		return rk.rpcLand(m)
 	}
-	a, _ := aux.(rpcAux)
+	a, _ := aux.(*rpcAux)
+	if a == nil {
+		return fmt.Errorf("%s: request without a body token (%T)", rpcFormat, aux)
+	}
 	if err := checkBodies(a.bodies, m); err != nil {
 		return err
 	}
@@ -494,9 +516,8 @@ func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
 // the same injection path as every other operation (defQ → conduit),
 // mirroring Fig 2's return flow through the target's queues.
 func (rk *Rank) reply(dst Intrank, results []rpcEntry) {
-	buf, _ := encodeRPCMsg(rk.me, results, nil, false)
-	op := rmaOp{kind: opAM, dstPeer: dst, amID: rk.w.amRPC, buf: buf}
-	rk.inject([]rmaOp{op}, &cxPlan{rk: rk, remotePeer: dst})
+	buf, _ := encodeRPCMsg[Unit](rk.me, results, nil, nil, false)
+	rk.inject(rk.newInjection(dst).single(rmaOp{kind: opAM, dstPeer: dst, amID: rk.w.amRPC, buf: buf}))
 }
 
 // --- initiator side ------------------------------------------------------
@@ -518,7 +539,7 @@ func (p *Promise[T]) rpcResult(res []byte) {
 // rpcPending is the initiator's record of one round-trip entry in flight.
 type rpcPending struct {
 	sink rpcSink
-	plan *cxPlan // of the entry's request message; counts its replies
+	inj  *injection // of the entry's request message; counts its replies
 }
 
 // rpcLand completes the pending entries a reply message answers.
@@ -530,8 +551,8 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 		delete(rk.rpcPending, en.seq)
 		last := false
 		if ok {
-			p.plan.replies--
-			last = p.plan.replies == 0
+			p.inj.replies--
+			last = p.inj.replies == 0
 		}
 		rk.rpcMu.Unlock()
 		if !ok {
@@ -539,72 +560,71 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 		}
 		p.sink.rpcResult(en.args)
 		if last {
-			// Completion deliveries enqueue before actCount drops: a
-			// quiescing owner must never observe actQ empty while a
-			// completion is unqueued.
-			p.plan.opDone()
-			rk.actCount.Add(-1)
+			p.inj.opLanded()
 		}
 	}
 	return nil
 }
 
-// rpcSend is the one initiator-side lowering of RPC traffic: entries[i]
-// (its args filled in by the caller) is a call of bodies[i], and sinks[i]
-// takes its result — nil for a fire-and-forget body. The message lowers
-// through Rank.inject under one completion plan: source completion fires
-// when the conduit has captured the argument bytes (with gather set, the
-// first moment borrowed argument fragments may be reused), operation
-// completion when the last round-trip entry's reply has landed — at
-// injection when every entry is fire-and-forget — and a remote-cx as_rpc
-// descriptor rides embedded in the message and fires at the target on
-// landing, exactly like the conduit does for put/copy hop chains. The
-// bodies slice travels as the aux token; entries and sinks are not kept.
-func (rk *Rank) rpcSend(target Intrank, entries []rpcEntry, bodies []rpcBody, sinks []rpcSink, gather bool, cxs []Cx) CxFutures {
+// rpcSend is the one initiator-side lowering of RPC traffic: entries[i] is
+// a call of call.bodies[i] — its args filled in by the caller, or, for a
+// single call, still in arg — and sinks[i] takes its result — nil for a
+// fire-and-forget body. The message lowers through Rank.inject under one
+// completion plan: source completion fires when the conduit has captured
+// the argument bytes (with gather set, the first moment borrowed argument
+// fragments may be reused), operation completion when the last round-trip
+// entry's reply has landed — at injection when every entry is
+// fire-and-forget — and a remote-cx as_rpc descriptor rides embedded in the
+// message and fires at the target on landing, exactly like the conduit does
+// for put/copy hop chains. call travels as the aux token (a copy, to add a
+// landing event or a body address); entries and sinks are not kept.
+func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *rpcAux, sinks []rpcSink, gather bool, cxs []Cx) CxFutures {
 	bodyPers, cxs := splitBodyPersona(target, cxs)
-	plan := &cxPlan{rk: rk, remotePeer: target}
+	inj := rk.newInjection(target)
 	for _, cx := range cxs {
-		plan.add(opRPC, cx)
+		inj.add(opRPC, cx)
 	}
+	futs := inj.futs // the record may be released before inject returns
 	if len(entries) == 0 {
-		rk.inject(nil, plan)
-		return plan.futs
+		rk.inject(inj)
+		return futs
 	}
 	for i := range entries {
-		entries[i].kind = bodies[i].kind
-		if bodies[i].kind == rpcReqKind {
-			plan.replies++
+		entries[i].kind = call.bodies[i].kind
+		if entries[i].kind == rpcReqKind {
+			inj.replies++
 		}
 	}
 	opK := opAM // all fire-and-forget: the operation edge fires at injection
-	if plan.replies > 0 {
+	if inj.replies > 0 {
 		opK = opRPC // the last reply fires the operation edge (rpcLand)
 		rk.rpcMu.Lock()
 		for i := range entries {
 			if entries[i].kind == rpcReqKind {
 				entries[i].seq = rk.rpcSeq
 				rk.rpcSeq++
-				rk.rpcPending[entries[i].seq] = rpcPending{sink: sinks[i], plan: plan}
+				rk.rpcPending[entries[i].seq] = rpcPending{sink: sinks[i], inj: inj}
 			}
 		}
 		rk.rpcMu.Unlock()
 	}
-	aux := rpcAux{bodies: bodies, bodyPers: bodyPers}
 	var rem []byte
-	if am := plan.takeConduitAM(); am != nil {
-		rem = am.Payload
-		aux.rem = am.Aux.(remoteCxAux)
+	if am := inj.takeConduitAM(); am != nil || bodyPers != nil {
+		call = &rpcAux{bodies: call.bodies, bodyPers: bodyPers}
+		if am != nil {
+			rem, call.rem = am.Payload, am.Aux.(remoteCxAux)
+		}
 	}
-	op := rmaOp{kind: opK, dstPeer: target, amID: rk.w.amRPC, amAux: aux}
-	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, rem, gather)
-	rk.inject([]rmaOp{op}, plan)
-	return plan.futs
+	op := rmaOp{kind: opK, dstPeer: target, amID: rk.w.amRPC, amAux: call}
+	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, arg, rem, gather)
+	rk.inject(inj.single(op))
+	return futs
 }
 
-// rpcOne sends a single call: a one-entry message, encoded straight into
-// one buffer.
-func rpcOne(rk *Rank, target Intrank, body rpcBody, arg any, sink rpcSink, cxs []Cx) CxFutures {
-	return rk.rpcSend(target, []rpcEntry{{args: mustMarshal(arg)}}, []rpcBody{body}, []rpcSink{sink}, false, cxs)
+// rpcOne sends a single call: a one-entry message; adapt builds fn's body
+// if it has no registered one (callOf).
+func rpcOne[A any](rk *Rank, target Intrank, fn any, adapt func() rpcBody, arg *A, sink rpcSink, cxs []Cx) CxFutures {
+	return rpcSend(rk, target, []rpcEntry{{}}, arg, callOf(fn, adapt), []rpcSink{sink}, false, cxs)
 }
 
 // --- public entry points -------------------------------------------------
@@ -623,7 +643,7 @@ func rpcOne(rk *Rank, target Intrank, body rpcBody, arg any, sink rpcSink, cxs [
 // observes the reply.
 func RPCWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A, cxs ...Cx) (Future[R], CxFutures) {
 	p := NewPromise[R](rk)
-	return p.Future(), rpcOne(rk, target, valueBody(fn, rk.wireName(fn)), arg, p, cxs)
+	return p.Future(), rpcOne(rk, target, fn, func() rpcBody { return valueBody(fn) }, &arg, p, cxs)
 }
 
 // RPCFutWith is RPCWith for a future-returning fn: the reply is deferred
@@ -631,7 +651,7 @@ func RPCWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A, cxs
 // use when the callee must itself wait on asynchronous work.
 func RPCFutWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg A, cxs ...Cx) (Future[R], CxFutures) {
 	p := NewPromise[R](rk)
-	return p.Future(), rpcOne(rk, target, futBody(fn, rk.wireName(fn)), arg, p, cxs)
+	return p.Future(), rpcOne(rk, target, fn, func() rpcBody { return futBody(fn) }, &arg, p, cxs)
 }
 
 // RPCFFWith invokes fn(arg) on the target rank with no acknowledgment or
@@ -640,7 +660,7 @@ func RPCFutWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R],
 // acknowledgment to wait for), source completion when the argument buffer
 // may be reused, and a RemoteCxAsRPC descriptor at the target on landing.
 func RPCFFWith[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A, cxs ...Cx) CxFutures {
-	return rpcOne(rk, target, ffBody(fn, rk.wireName(fn)), arg, nil, cxs)
+	return rpcOne(rk, target, fn, func() rpcBody { return ffBody(fn) }, &arg, nil, cxs)
 }
 
 // RPC invokes fn(arg) on the target rank and returns a future for its

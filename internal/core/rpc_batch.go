@@ -24,7 +24,7 @@ import (
 // Argument serialization is zero-copy end to end: BatchRPC marshals into a
 // gather encoder, so large argument views (serial.View) travel as borrowed
 // iovec fragments that alias caller memory until the conduit's capture
-// stage flattens them (rpcEntry.more → rmaOp.bufs → Endpoint.AMTagV).
+// stage flattens them (rpcEntry.more → rmaOp.bufs → Endpoint.AMTag).
 // Source completion on
 // Flush is therefore the first moment the argument buffers may be reused —
 // the same contract as rput.
@@ -65,7 +65,7 @@ func (b *Batch) Target() Intrank { return b.target }
 // flushed batch's source completion.
 func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
 	p := NewPromise[R](b.rk)
-	b.add(valueBody(fn, b.rk.wireName(fn)), arg, p)
+	batchAdd(b, callOf(fn, func() rpcBody { return valueBody(fn) }).bodies[0], &arg, p)
 	return p.Future()
 }
 
@@ -73,15 +73,15 @@ func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
 // no reply entry comes back for it, and the flushed batch's operation
 // completion does not wait for its execution (matching rpc_ff).
 func BatchRPCFF[A any](b *Batch, fn func(*Rank, A), arg A) {
-	b.add(ffBody(fn, b.rk.wireName(fn)), arg, nil)
+	batchAdd(b, callOf(fn, func() rpcBody { return ffBody(fn) }).bodies[0], &arg, nil)
 }
 
 // add appends one call, serializing arg through a gather encoder so view
 // payloads stay borrowed until conduit capture.
-func (b *Batch) add(body rpcBody, arg any, sink rpcSink) {
-	e := serial.NewEncoder(nil)
+func batchAdd[A any](b *Batch, body rpcBody, arg *A, sink rpcSink) {
+	var e serial.Encoder
 	e.EnableGather()
-	if err := serial.MarshalInto(e, arg); err != nil {
+	if err := serial.Encode(&e, arg); err != nil {
 		panic(fmt.Sprintf("upcxx: batched RPC argument not serializable: %v", err))
 	}
 	var en rpcEntry
@@ -109,5 +109,5 @@ func (b *Batch) add(body rpcBody, arg any, sink rpcSink) {
 func (b *Batch) Flush(cxs ...Cx) CxFutures {
 	entries, bodies, sinks := b.entries, b.bodies, b.sinks
 	b.entries, b.bodies, b.sinks = nil, nil, nil
-	return b.rk.rpcSend(b.target, entries, bodies, sinks, true, cxs)
+	return rpcSend[Unit](b.rk, b.target, entries, nil, &rpcAux{bodies: bodies}, sinks, true, cxs)
 }

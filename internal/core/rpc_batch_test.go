@@ -290,7 +290,7 @@ func TestRPCWireErrors(t *testing.T) {
 	rep := rpcEntry{kind: rpcReplyKind, seq: 1, args: []byte{3}}
 	ff := rpcEntry{kind: rpcFFKind, args: []byte{9, 9, 9}}
 	enc := func(rem []byte, entries ...rpcEntry) []byte {
-		b, _ := encodeRPCMsg(0, entries, rem, false)
+		b, _ := encodeRPCMsg[Unit](0, entries, nil, rem, false)
 		return b
 	}
 	cases := []struct {
@@ -325,7 +325,7 @@ func TestRPCWireErrors(t *testing.T) {
 	// landing payload, and a request message mixing ff in.
 	for _, entries := range [][]rpcEntry{{req}, {ff}, {req, ff}} {
 		rem := encodeRemoteCx(3, []byte{5})
-		b, _ := encodeRPCMsg(3, entries, rem, false)
+		b, _ := encodeRPCMsg[Unit](3, entries, nil, rem, false)
 		m, err := decodeRPCMsg(b)
 		if err != nil {
 			t.Fatalf("decode of valid %d-entry message: %v", len(entries), err)

@@ -106,13 +106,21 @@ func TestToGlobalOutsideSegmentPanics(t *testing.T) {
 }
 
 func TestDefQObservableBeforeProgress(t *testing.T) {
-	// deferOp drains eagerly via internal progress, but the queue exists
+	// inject drains eagerly via internal progress, but the queue exists
 	// and drains in FIFO order.
 	Run(1, func(rk *Rank) {
 		var order []int
-		rk.defQ = append(rk.defQ, func() { order = append(order, 1) })
-		rk.defQ = append(rk.defQ, func() { order = append(order, 2) })
+		for i := 1; i <= 2; i++ {
+			inj := rk.newInjection(-1)
+			inj.op = append(inj.op, cxDelivery{pers: rk.currentPersona(), fn: func() { order = append(order, i) }})
+			inj.nops.Store(1) // the batch sentinel of an empty batch
+			rk.defQ = append(rk.defQ, inj)
+		}
 		rk.InternalProgress()
+		if len(rk.defQ) != 0 || len(order) != 0 {
+			t.Fatalf("internal progress left %d records deferred and ran %d deliveries", len(rk.defQ), len(order))
+		}
+		rk.Progress()
 		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 			t.Fatalf("defQ order = %v", order)
 		}

@@ -106,7 +106,7 @@ type rpcWire struct {
 }
 
 func encodeRPCWire(m rpcWire) []byte {
-	b, _ := encodeRPCMsg(Intrank(m.src), m.entries, m.rem, false)
+	b, _ := encodeRPCMsg[Unit](Intrank(m.src), m.entries, nil, m.rem, false)
 	return b
 }
 

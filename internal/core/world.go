@@ -389,7 +389,8 @@ type Rank struct {
 	ro *obs.RankObs // this rank's observability recorder; nil = disabled
 
 	defMu       sync.Mutex
-	defQ        []func()     // deferred injections
+	defQ        []*injection // deferred injections
+	defSpare    []*injection // the buffer InternalProgress swaps in when it detaches defQ
 	defInflight atomic.Int64 // injections detached from defQ, not yet run
 	actCount    atomic.Int64 // operations handed to the conduit, incomplete
 
@@ -433,22 +434,29 @@ func (rk *Rank) World() *World { return rk.w }
 // actQ) and conduit completions are harvested (actQ → persona LPC
 // queues). Every communication call performs this implicitly.
 func (rk *Rank) InternalProgress() {
+	var drained []*injection
 	for {
 		rk.defMu.Lock()
+		if drained != nil {
+			rk.defSpare = drained
+		}
 		q := rk.defQ
-		rk.defQ = nil
+		if len(q) == 0 {
+			rk.defMu.Unlock()
+			break
+		}
+		rk.defQ, rk.defSpare = rk.defSpare, nil
 		// Count the detached batch before releasing the lock: an
 		// operation must never be invisible to Quiesce/Discharge between
 		// leaving defQ and its inject bumping actCount.
 		rk.defInflight.Add(int64(len(q)))
 		rk.defMu.Unlock()
-		if len(q) == 0 {
-			break
-		}
-		for _, inject := range q {
-			inject()
+		for _, inj := range q {
+			inj.run()
 			rk.defInflight.Add(-1)
 		}
+		clear(q)
+		drained = q[:0]
 	}
 	rk.ep.PollCompletions()
 }
@@ -534,8 +542,9 @@ func (rk *Rank) PendingOps() int { return int(rk.actCount.Load()) }
 // quiescence point).
 func (rk *Rank) Quiesce() {
 	gs := curState()
+	var id idler
 	for {
-		rk.progressWith(gs)
+		found := rk.progressWith(gs)
 		rk.defMu.Lock()
 		defEmpty := len(rk.defQ) == 0
 		rk.defMu.Unlock()
@@ -545,6 +554,11 @@ func (rk *Rank) Quiesce() {
 		}
 		if err := rk.w.failed(); err != nil {
 			panic(err)
+		}
+		// What is in flight completes on somebody else's time (a peer, the
+		// socket reader): a bare loop starves them on a one-P rank.
+		if found == 0 {
+			rk.idle(&id, idlePark)
 		}
 	}
 }
@@ -562,16 +576,6 @@ func (rk *Rank) pendingLPCs(gs *goroutineState) int {
 // UPC++ terms). To target another thread's persona use LPCTo.
 func (rk *Rank) LPC(fn func()) {
 	rk.currentPersona().LPC(fn)
-}
-
-// deferOp places an injection closure on defQ and immediately runs
-// internal progress, which injects it. The indirection keeps the paper's
-// deferred state observable while remaining eager in practice.
-func (rk *Rank) deferOp(inject func()) {
-	rk.defMu.Lock()
-	rk.defQ = append(rk.defQ, inject)
-	rk.defMu.Unlock()
-	rk.InternalProgress()
 }
 
 // progressLoop is the dedicated progress thread: it continuously drives

@@ -411,13 +411,12 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 		want.Gets, want.GetBytes = 1, confN
 	case "am":
 		src := append([]byte(nil), row.pat[0]...)
-		init.AMTag(dstRank, w.hAM, src, confAux, tag(obs.KindAM))
-		src[0] ^= 0xFF
+		init.AMTag(dstRank, w.hAM, src, nil, confAux, tag(obs.KindAM)) // src is the conduit's now; the amv row borrows
 		want.AMs, want.AMBytes = 1, confN
 		done = func() bool { return row.amGot == 1 }
 	case "amv":
 		src := append([]byte(nil), row.pat[0]...)
-		init.AMTagV(dstRank, w.hAM, [][]byte{src[:10], src[10:10], src[10:]}, confAux, tag(obs.KindAM))
+		init.AMTag(dstRank, w.hAM, nil, [][]byte{src[:10], src[10:10], src[10:]}, confAux, tag(obs.KindAM))
 		src[0] ^= 0xFF
 		want.AMs, want.AMBytes = 1, confN
 		done = func() bool { return row.amGot == 1 }
@@ -557,8 +556,8 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 		"copy: local dst wild":    encodeCopy(1, 0, 0, 0, 9, 0, 8, 1, 0, nil),
 		"copy: local dst past":    encodeCopy(1, 0, 0, 0, 0, segEnd-4, 8, 1, 0, nil),
 		"copy: undecodable rem":   encodeCopy(1, 0, 0, 0, 0, 0, 8, 1, 0, badRem),
-		"am: undecodable aux":     encodeAM(1, 0, []byte{0xFF}, nil),
-		"am: source rank":         encodeAM(7, 0, nil, nil),
+		"am: undecodable aux":     encodeAM(1, 0, []byte{0xFF}, nil, nil),
+		"am: source rank":         encodeAM(7, 0, nil, nil, nil),
 		"unknown frame mid-flow":  encodeHello(1, 2),
 		"truncated frame (codec)": encodePutAck(1)[:8],
 	}

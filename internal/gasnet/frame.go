@@ -127,17 +127,15 @@ func encodeHello(rank, nranks uint32) []byte {
 	return finishFrame(e)
 }
 
-func encodeAM(src uint32, handler uint16, aux []byte, frags [][]byte) []byte {
-	n := 0
-	for _, f := range frags {
-		n += len(f)
-	}
-	e := beginFrame(fAM, 16+len(aux)+n)
+// encodeAM frames an AM whose payload is head followed by tail.
+func encodeAM(src uint32, handler uint16, aux []byte, head []byte, tail [][]byte) []byte {
+	e := beginFrame(fAM, 16+len(aux)+amLen(head, tail))
 	e.PutU32(src)
 	e.PutU16(handler)
 	e.PutUvarint(uint64(len(aux)))
 	e.PutRaw(aux)
-	for _, f := range frags {
+	e.PutRaw(head)
+	for _, f := range tail {
 		e.PutRaw(f)
 	}
 	return finishFrame(e)

@@ -17,7 +17,7 @@ func TestFrameRoundTrips(t *testing.T) {
 				t.Fatalf("hello = %+v", f)
 			}
 		}},
-		{"am", encodeAM(2, 7, []byte("aux"), [][]byte{[]byte("pay"), []byte("load")}), func(t *testing.T, f frame) {
+		{"am", encodeAM(2, 7, []byte("aux"), []byte("pay"), [][]byte{[]byte("load")}), func(t *testing.T, f frame) {
 			if f.typ != fAM || f.rank != 2 || f.handler != 7 ||
 				string(f.aux) != "aux" || string(f.payload) != "payload" {
 				t.Fatalf("am = %+v", f)
@@ -107,7 +107,7 @@ func TestReadFrameHostileLengths(t *testing.T) {
 		t.Fatal("zero-length frame accepted")
 	}
 	// Truncated body must error.
-	trunc := encodeAM(0, 1, nil, [][]byte{make([]byte, 100)})[:20]
+	trunc := encodeAM(0, 1, nil, make([]byte, 100), nil)[:20]
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(trunc)), frameMaxBody); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
@@ -119,7 +119,7 @@ func TestReadFrameHostileLengths(t *testing.T) {
 func FuzzTransportFrame(f *testing.F) {
 	seeds := [][]byte{
 		encodeHello(0, 4),
-		encodeAM(1, 2, []byte("x"), [][]byte{[]byte("payload")}),
+		encodeAM(1, 2, []byte("x"), []byte("payload"), nil),
 		encodePut(0, 0, 8, 0, 1, &remWire{handler: 3, aux: []byte("a"), payload: []byte("p")}, []byte("data")),
 		encodePutAck(1),
 		encodeGet(2, 0, 0, 64),

@@ -111,7 +111,7 @@ func (b *loggp) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]by
 	spinFor(b.m.Overhead(n, intra))
 	// The capture is exactly once, exactly here: mutations made after am
 	// returns but before wire delivery are not observed by the target.
-	staged := gather(head, tail)
+	staged := capture(head, tail)
 	tag.Hop(obs.StageCapture, ep.rank, n)
 	tgt := ep.net.eps[dst]
 	b.eng.injectOn(b.eng.nicFree, int(ep.rank), time.Now(), b.m.Gap(n, intra), b.m.Latency(n, intra), func(time.Time) {

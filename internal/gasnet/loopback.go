@@ -26,7 +26,7 @@ func (loopback) transfer(ep *Endpoint, x xfer, p hopPlan) {
 }
 
 func (loopback) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
-	staged := gather(head, tail)
+	staged := capture(head, tail)
 	tag.Hop(obs.StageCapture, ep.rank, len(staged))
 	ep.net.eps[dst].enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
 	tag.Landing(dst, len(staged))
@@ -45,10 +45,14 @@ func (loopback) info() ConduitInfo { return ConduitInfo{Backend: "model"} }
 func (loopback) failure() error    { return nil }
 func (loopback) close()            {}
 
-// gather concatenates an AM payload into one freshly staged buffer — the
-// single capture copy of the in-process backends, after which head and
-// every fragment of tail are reusable by the caller.
-func gather(head []byte, tail [][]byte) []byte {
+// capture returns an AM payload as one buffer the conduit owns: head itself
+// when nothing borrowed follows it, and otherwise a freshly staged
+// concatenation — the single capture copy of the in-process backends, after
+// which every fragment of tail is reusable by the caller.
+func capture(head []byte, tail [][]byte) []byte {
+	if len(tail) == 0 {
+		return head
+	}
 	staged := append(make([]byte, 0, amLen(head, tail)), head...)
 	for _, f := range tail {
 		staged = append(staged, f...)

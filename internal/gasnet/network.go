@@ -266,6 +266,9 @@ type Endpoint struct {
 	amQ     []inboundAM // delivered AMs awaiting handler execution
 	polling bool        // guards against recursive progress (restricted context)
 	pollTok uint64      // opaque token of the goroutine draining amQ
+	// A drain swaps a spare in for the queue it detaches, then hands that back.
+	compSpare []func()
+	amSpare   []inboundAM
 
 	notify chan struct{} // 1-slot doorbell for WaitPending
 
@@ -531,11 +534,19 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 func (ep *Endpoint) PollCompletions() int {
 	ep.qmu.Lock()
 	comp := ep.compQ
-	ep.compQ = nil
+	if len(comp) == 0 {
+		ep.qmu.Unlock()
+		return 0
+	}
+	ep.compQ, ep.compSpare = ep.compSpare, nil
 	ep.qmu.Unlock()
 	for _, f := range comp {
 		f()
 	}
+	clear(comp)
+	ep.qmu.Lock()
+	ep.compSpare = comp[:0]
+	ep.qmu.Unlock()
 	return len(comp)
 }
 
@@ -553,24 +564,26 @@ func (ep *Endpoint) PollAMs() int { return ep.PollAMsAs(0) }
 // executing it without re-deriving the id per message.
 func (ep *Endpoint) PollAMsAs(tok uint64) int {
 	ep.qmu.Lock()
-	if ep.polling {
+	ams := ep.amQ
+	if ep.polling || len(ams) == 0 {
 		ep.qmu.Unlock()
 		return 0
 	}
 	ep.polling = true
 	ep.pollTok = tok
-	ams := ep.amQ
-	ep.amQ = nil
+	ep.amQ, ep.amSpare = ep.amSpare, nil
 	ep.qmu.Unlock()
 
-	for _, am := range ams {
-		h := ep.net.handler(am.handler)
-		h(ep, am.src, am.payload, am.aux)
+	for i := range ams {
+		am := &ams[i]
+		ep.net.handler(am.handler)(ep, am.src, am.payload, am.aux)
 	}
+	clear(ams)
 
 	ep.qmu.Lock()
 	ep.polling = false
 	ep.pollTok = 0
+	ep.amSpare = ams[:0]
 	ep.qmu.Unlock()
 	return len(ams)
 }
@@ -725,34 +738,21 @@ func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRan
 // aux travels with the message as an opaque token (see AMHandler); pass nil
 // when unused.
 func (ep *Endpoint) AM(dst Rank, h HandlerID, payload []byte, aux any) {
-	ep.AMTag(dst, h, payload, aux, obs.OpTag{})
+	ep.AMTag(dst, h, nil, [][]byte{payload}, aux, obs.OpTag{})
 }
 
-// AMTag is AM carrying the initiator's observability tag; the landing
-// edge fires when the message is enqueued at the target (handler
-// execution still requires target attentiveness).
-func (ep *Endpoint) AMTag(dst Rank, h HandlerID, payload []byte, aux any, tag obs.OpTag) {
-	ep.am(dst, h, payload, nil, aux, tag)
-}
-
-// AMTagV is AMTag taking the payload as an iovec: the message is the
-// concatenation of frags, gathered at the conduit capture stage — the
-// single copy on this path. Fragments may alias caller memory (borrowed
-// view payloads from a gather-mode encoder); the caller must keep them
-// unchanged until AMTagV returns, after which every fragment is reusable
-// (source completion).
-func (ep *Endpoint) AMTagV(dst Rank, h HandlerID, frags [][]byte, aux any, tag obs.OpTag) {
-	ep.am(dst, h, nil, frags, aux, tag)
-}
-
-// am is the one AM path. The payload is head followed by tail, so the
-// single-buffer call reaches the backend without building an iovec.
-func (ep *Endpoint) am(dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
-	n := amLen(head, tail)
+// AMTag is the one AM path, carrying the initiator's observability tag (the
+// landing edge fires when the message is enqueued at the target). The
+// message is owned followed by the fragments of borrowed. owned belongs to
+// the conduit from the call on (an in-process conduit delivers that very
+// buffer); borrowed fragments may alias caller memory and are captured
+// before AMTag returns, after which each is reusable (source completion).
+func (ep *Endpoint) AMTag(dst Rank, h HandlerID, owned []byte, borrowed [][]byte, aux any, tag obs.OpTag) {
+	n := amLen(owned, borrowed)
 	ep.ams.Add(1)
 	ep.amBytes.Add(uint64(n))
 	tag.WireMsg(ep.rank, dst, n)
-	ep.backendFor(dst == ep.rank).am(ep, dst, h, head, tail, aux, tag)
+	ep.backendFor(dst == ep.rank).am(ep, dst, h, owned, borrowed, aux, tag)
 }
 
 // AMO issues a NIC-offloaded atomic on the 64-bit word at (dst, off). The

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"upcxx/internal/obs"
 )
 
 func pollUntil(t *testing.T, ep *Endpoint, cond func() bool) {
@@ -359,4 +361,33 @@ func TestWaitPendingAllocs(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAMAllocs pins the two ends of "encoded once": the in-process conduit
+// delivers a payload the caller handed over (AMTag) as it is, through queue
+// buffers the drains swap back — nothing is allocated — and the wire
+// conduit's only allocation is the frame the payload is copied into.
+func TestAMAllocs(t *testing.T) {
+	n := NewNetwork(Config{Ranks: 2, SegmentSize: 1 << 12})
+	defer n.Close()
+	got := 0
+	h := n.RegisterAM(func(_ *Endpoint, _ Rank, p []byte, _ any) { got += len(p) })
+	payload := make([]byte, 8)
+	send := func() {
+		n.Endpoint(0).AMTag(1, h, payload, nil, nil, obs.OpTag{})
+		n.Endpoint(1).PollAMs()
+	}
+	send() // the queue and its spare each grow once
+	send()
+	if a := testing.AllocsPerRun(100, send); a != 0 || got != 8*103 {
+		t.Errorf("loopback AM of an owned buffer: %v allocs (want 0), %d bytes delivered (want %d)", a, got, 8*103)
+	}
+	// A wire with one peer whose writer queue is closed: what is left of am
+	// is the encode.
+	w := &wire{peers: []*peerConn{nil, {wclosed: true}}}
+	if a := testing.AllocsPerRun(100, func() {
+		w.am(nil, 1, h, payload, nil, nil, obs.OpTag{})
+	}); a != 1 {
+		t.Errorf("wire AM of an 8-byte payload: %v allocs, want 1 (the frame)", a)
+	}
 }

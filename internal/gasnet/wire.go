@@ -507,7 +507,7 @@ func (t *wire) carried(x xfer) (rw *remWire, ackID uint64) {
 func (t *wire) shmLanded(x xfer) {
 	x.tag.Landing(x.dst.rank, x.n)
 	if rem := x.rem; rem.arm() {
-		t.send(x.dst.rank, encodeAM(uint32(t.self), uint16(rem.Handler), t.encodeAux(rem.Aux), [][]byte{rem.Payload}))
+		t.send(x.dst.rank, encodeAM(uint32(t.self), uint16(rem.Handler), t.encodeAux(rem.Aux), rem.Payload, nil))
 	}
 	if x.onDone != nil {
 		t.ep.enqueueComp(x.onDone)
@@ -573,16 +573,12 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 }
 
 // am ships an Active Message. The frame encode is the single capture
-// copy (zero-copy gather: borrowed fragments go straight into the frame
-// buffer, and are reusable when am returns).
+// copy: head and the borrowed fragments go straight into the one frame
+// buffer, and the fragments are reusable when am returns.
 func (t *wire) am(_ *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
-	frags := tail
-	if head != nil {
-		frags = append([][]byte{head}, tail...)
-	}
 	n := amLen(head, tail)
 	tag.Hop(obs.StageCapture, t.self, n)
-	t.send(dst, encodeAM(uint32(t.self), uint16(h), t.encodeAux(aux), frags))
+	t.send(dst, encodeAM(uint32(t.self), uint16(h), t.encodeAux(aux), head, tail))
 	tag.Landing(dst, n)
 }
 

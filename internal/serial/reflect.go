@@ -1,6 +1,7 @@
 package serial
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sort"
@@ -43,7 +44,11 @@ var (
 
 // Marshal encodes v into a fresh buffer.
 func Marshal(v any) ([]byte, error) {
-	return AppendMarshal(nil, v)
+	var e Encoder
+	if err := MarshalInto(&e, v); err != nil {
+		return nil, err
+	}
+	return e.Bytes(), nil
 }
 
 // MarshalInto encodes v into an existing encoder. When the encoder is in
@@ -67,24 +72,53 @@ func MarshalInto(e *Encoder, v any) (err error) {
 	return nil
 }
 
-// AppendMarshal encodes v, appending to buf.
-func AppendMarshal(buf []byte, v any) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serial: marshal %T: %v", v, r)
-		}
-	}()
-	rv := reflect.ValueOf(v)
-	if !rv.IsValid() {
-		return nil, fmt.Errorf("serial: cannot marshal untyped nil")
+// Encode appends *v exactly as MarshalInto(e, *v) does. An int64 — the
+// argument of the message-rate floods — is written directly, unboxed, and e
+// does not escape, so it can be a stack value. Every other type takes the
+// reflective codec through a copy of the encoder: only that path pays for
+// the indirect calls escape analysis cannot follow.
+func Encode[T any](e *Encoder, v *T) error {
+	if p, ok := any(v).(*int64); ok {
+		e.PutI64(*p)
+		return nil
 	}
-	c, err := codecFor(rv.Type())
-	if err != nil {
-		return nil, err
+	tmp := *e
+	err := MarshalInto(&tmp, *v)
+	*e = tmp
+	return err
+}
+
+// EncodeSized appends what PutBytes of *v's marshalled form would, but
+// marshals in place: one length byte is reserved, and the value moves up
+// only if it needs more. Not for gather-mode encoders.
+func EncodeSized[T any](e *Encoder, v *T) error {
+	at := len(e.buf)
+	e.buf = append(e.buf, 0)
+	err := Encode(e, v)
+	if n := uint64(len(e.buf) - at - 1); n < 0x80 {
+		e.buf[at] = byte(n)
+	} else {
+		var l [binary.MaxVarintLen64]byte
+		w := binary.PutUvarint(l[:], n)
+		e.buf = append(e.buf, l[1:w]...)
+		copy(e.buf[at+w:], e.buf[at+1:len(e.buf)-w+1])
+		copy(e.buf[at:], l[:w])
 	}
-	e := NewEncoder(buf)
-	c.enc(e, rv)
-	return e.Bytes(), nil
+	return err
+}
+
+// Decode is Unmarshal(data, v) with the same direct case as Encode; on it
+// neither *v nor a decoder is heap-allocated.
+func Decode[T any](data []byte, v *T) error {
+	if p, ok := any(v).(*int64); ok {
+		d := Decoder{buf: data}
+		*p = d.I64()
+		return d.Finish()
+	}
+	var tmp T
+	err := Unmarshal(data, &tmp)
+	*v = tmp
+	return err
 }
 
 // Unmarshal decodes data into the value pointed to by ptr, which must be a
@@ -106,40 +140,6 @@ func Unmarshal(data []byte, ptr any) (err error) {
 	d := NewDecoder(data)
 	c.dec(d, rv.Elem())
 	return d.Finish()
-}
-
-// DecodeInto is Unmarshal without the trailing-bytes check, for streaming
-// several values out of one buffer. It returns the number of bytes consumed.
-func DecodeInto(data []byte, ptr any) (n int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serial: decode %T: %v", ptr, r)
-		}
-	}()
-	rv := reflect.ValueOf(ptr)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return 0, fmt.Errorf("serial: decode target must be a non-nil pointer, got %T", ptr)
-	}
-	c, err := codecFor(rv.Type().Elem())
-	if err != nil {
-		return 0, err
-	}
-	d := NewDecoder(data)
-	c.dec(d, rv.Elem())
-	if d.Err() != nil {
-		return d.Offset(), d.Err()
-	}
-	return d.Offset(), nil
-}
-
-// EncodedSize returns the number of bytes Marshal would produce for v.
-// It is used for network cost accounting.
-func EncodedSize(v any) (int, error) {
-	b, err := Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
 }
 
 func codecFor(t reflect.Type) (*codec, error) {

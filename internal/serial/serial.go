@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrShortBuffer is returned when a decode runs off the end of its input.
@@ -63,12 +64,9 @@ func (e *Encoder) Bytes() []byte {
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return e.flen + len(e.buf) }
 
-// Reset discards the buffer contents but keeps the capacity.
-func (e *Encoder) Reset() {
-	e.buf = e.buf[:0]
-	e.frags = e.frags[:0]
-	e.flen = 0
-}
+// Grow makes room for n more bytes: how an Encoder held by value starts from
+// one right-sized buffer (NewEncoder is not inlined into generic callers).
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // EnableGather switches the encoder into gather mode; see the type comment.
 func (e *Encoder) EnableGather() { e.gather = true }

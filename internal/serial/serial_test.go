@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,23 +230,76 @@ func TestUnmarshalHostileLength(t *testing.T) {
 	}
 }
 
-func TestDecodeIntoStreaming(t *testing.T) {
-	buf, err := Marshal(int32(5))
+// sameAsMarshal checks the generic entry points against the reflective
+// ones for one value: Encode writes Marshal's bytes, EncodeSized writes
+// them behind their uvarint length, Decode reads them back.
+func sameAsMarshal[T any](t *testing.T, v T) {
+	t.Helper()
+	want, err := Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf2, err := AppendMarshal(buf, "tail")
-	if err != nil {
+	var e Encoder
+	e.PutU8(0xEE) // something already in the buffer
+	if err := Encode(&e, &v); err != nil || !bytes.Equal(e.Bytes()[1:], want) {
+		t.Errorf("Encode(%T) = %x, %v; Marshal wrote %x", v, e.Bytes()[1:], err, want)
+	}
+	var sized Encoder
+	sized.PutU8(0xEE)
+	if err := EncodeSized(&sized, &v); err != nil {
 		t.Fatal(err)
 	}
-	var i int32
-	n, err := DecodeInto(buf2, &i)
-	if err != nil || i != 5 {
-		t.Fatalf("DecodeInto int32: %v %d", err, i)
+	d := NewDecoder(sized.Bytes()[1:])
+	if got := d.Bytes(); d.Finish() != nil || !bytes.Equal(got, want) {
+		t.Errorf("EncodeSized(%T): length-prefixed span %x (%v), want %x", v, got, d.Finish(), want)
 	}
-	var s string
-	if _, err := DecodeInto(buf2[n:], &s); err != nil || s != "tail" {
-		t.Fatalf("DecodeInto string: %v %q", err, s)
+	var back, ref T
+	if err := Decode(want, &back); err != nil {
+		t.Errorf("Decode(%T): %v", v, err)
+	}
+	if err := Unmarshal(want, &ref); err != nil || !reflect.DeepEqual(back, ref) {
+		t.Errorf("Decode(%T) = %v, Unmarshal = %v (%v)", v, back, ref, err)
+	}
+	if err := Decode(append(want, 0), &back); err == nil {
+		t.Errorf("Decode(%T) accepted a trailing byte", v)
+	}
+}
+
+// TestEncodeDecodeAllocs: the direct case and the fallback of Encode/Decode
+// agree with Marshal/Unmarshal byte for byte, EncodeSized's in-place length
+// prefix stays canonical when the value outgrows the byte it reserved, and
+// the direct case allocates nothing.
+func TestEncodeDecodeAllocs(t *testing.T) {
+	type named int64
+	type rec struct {
+		S  string
+		Xs []int32
+	}
+	sameAsMarshal(t, int64(-7))
+	sameAsMarshal(t, int(1)<<40)
+	sameAsMarshal(t, uint64(1)<<63)
+	sameAsMarshal(t, 2.5)
+	sameAsMarshal(t, "")
+	sameAsMarshal(t, strings.Repeat("x", 127)) // 128 marshalled bytes: the length needs a second byte
+	sameAsMarshal(t, strings.Repeat("y", 1<<15))
+	sameAsMarshal(t, named(9)) // not the direct case: reflection
+	sameAsMarshal(t, uint8(200))
+	sameAsMarshal(t, []byte("bytes"))
+	sameAsMarshal(t, rec{"s", []int32{1, 2, 3}})
+	sameAsMarshal(t, customWire{N: 21})
+	var ch chan int
+	if err := Encode(new(Encoder), &ch); err == nil {
+		t.Error("Encode accepted a channel")
+	}
+	x, buf := int64(1)<<40, make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		e := Encoder{buf: buf}
+		var y int64
+		if EncodeSized(&e, &x) != nil || Decode(e.Bytes()[1:], &y) != nil || y != x {
+			t.Error("int64 did not survive EncodeSized/Decode")
+		}
+	}); n != 0 {
+		t.Errorf("EncodeSized+Decode of an int64: %v allocs, want 0", n)
 	}
 }
 
@@ -294,26 +348,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: encoded size equals EncodedSize.
-func TestQuickEncodedSize(t *testing.T) {
-	f := func(s string, xs []int32) bool {
-		type rec struct {
-			S  string
-			Xs []int32
-		}
-		v := rec{s, xs}
-		b, err := Marshal(v)
-		if err != nil {
-			return false
-		}
-		n, err := EncodedSize(v)
-		return err == nil && n == len(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
