@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-queue-regrow bench bench-smoke bench-json bench-selftest fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-queue-regrow bench bench-smoke bench-json bench-selftest bench-pairs fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -30,7 +30,9 @@ test-short:
 # and the spawn→steal→execute trace pipeline), and the conduit backend
 # conformance matrix ({put,get,am,amo,copy} × {host,device} × {self,peer,
 # third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
-# tcp/shm wire networks, whose reader goroutines make it a real race test).
+# tcp/shm wire networks, whose reader goroutines make it a real race test),
+# and the shm ring's tests (the layout model, both doorbell protocols run
+# concurrently, corrupt records, a consumer lost under a flood).
 # PoolStress is the injection-record pool's safety test: records taken, run,
 # completed and released on different goroutines, with a peer failed
 # mid-flight. The second core leg runs the idle rule's tests and the persona
@@ -41,7 +43,7 @@ race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch|PoolStress'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
-	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance'
+	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
 
@@ -149,6 +151,16 @@ bench-json:
 bench-selftest:
 	GOFLAGS= GOWORK=off $(GO) vet -C benchmark ./...
 	GOFLAGS= GOWORK=off $(GO) test -C benchmark ./...
+
+# Interleaved parent/change pairs of the committed benchmark, the way a
+# performance claim is measured: `make bench-pairs PARENT=<rev> [N=10]
+# [WORKLOAD=name] [SEED=1]` runs N pairs (the working tree against PARENT,
+# unpacked under .bench_build/), alternating which side goes first, keeps
+# every -out file, and prints per cell both sides' median and quartiles, the
+# pairs won and the change's IQR over the parent's median.
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [WORKLOAD=name] [SEED=1]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(or $(N),10)" "$(WORKLOAD)" "$(or $(SEED),1)"
 
 # Observability smoke: quickstart with stats and tracing armed must print
 # a non-empty sampled op timeline, and the obs-threaded runtime must stay

@@ -122,15 +122,18 @@ func (f Future[T]) Result() T {
 // could never complete.
 func (f Future[T]) Wait() T {
 	c := f.c
+	if c.ready {
+		return c.val // nothing to wait for: no goroutine identity needed
+	}
 	rk := c.rk
 	gs := curState()
-	if !c.ready && gs.restricted {
+	if gs.restricted {
 		panic("upcxx: Wait inside restricted context (callback or RPC body)")
 	}
 	// Ownership check against the cached gid: onOwnerGoroutine would
 	// re-derive it (an unheld persona reads holder 0, which never equals
 	// a gid, preserving the panic below).
-	if !c.ready && c.pers != nil && c.pers.holder.Load() != gs.gid {
+	if c.pers != nil && c.pers.holder.Load() != gs.gid {
 		// This goroutine cannot drain the owning persona, so the wait
 		// could never complete (and the reads would race with the
 		// owner); fail immediately instead of spinning to the timeout.

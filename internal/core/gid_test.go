@@ -72,6 +72,28 @@ func TestGIDLookupsCachedExecBody(t *testing.T) {
 	})
 }
 
+// TestGIDLookupsCachedReadyWait: Wait on a future that is already ready —
+// all but the first of the waits after a Batch.Flush or a pipelined burst —
+// has nothing to check and nothing to drive, so it resolves no goroutine
+// identity at all.
+func TestGIDLookupsCachedReadyWait(t *testing.T) {
+	Run(1, func(rk *Rank) {
+		f := RPC(rk, 0, func(trk *Rank, x int) int { return x + 1 }, 41)
+		if got := f.Wait(); got != 42 {
+			t.Fatalf("RPC returned %d", got)
+		}
+		start := gidLookups.Load()
+		for i := 0; i < 64; i++ {
+			if got := f.Wait(); got != 42 {
+				t.Fatalf("ready Wait returned %d", got)
+			}
+		}
+		if delta := gidLookups.Load() - start; delta != 0 {
+			t.Errorf("64 waits on a ready future cost %d gid lookups, want 0", delta)
+		}
+	})
+}
+
 // BenchmarkFulfillGIDLookups reports the lookups-per-op of the put
 // completion path alongside its wall time (gidlookups/op should sit at
 // ~1.0: initiation only).

@@ -139,12 +139,7 @@ type confWorld struct {
 }
 
 func (w *confWorld) finish(t *testing.T) {
-	var wg sync.WaitGroup
-	for _, n := range w.nets {
-		wg.Add(1)
-		go func() { defer wg.Done(); n.Close() }() // wire peers wait for each other's bye
-	}
-	wg.Wait()
+	closeAll(w.nets)
 	for r, n := range w.nets {
 		if err := n.Failed(); err != nil {
 			t.Errorf("%s: network %d failed: %v", w.name, r, err)
@@ -518,19 +513,9 @@ func TestBackendConformanceMatrix(t *testing.T) {
 // the sending peer — Failed() wraps ErrPeerLost — and none may panic the
 // process.
 func TestWireHostileFramesFailPeer(t *testing.T) {
-	dir := t.TempDir()
-	nets := make([]*Network, 2)
-	var wg sync.WaitGroup
-	for r := range nets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nets[r] = NewNetwork(Config{Ranks: 2, SegmentSize: 1 << 12, Aux: intAux{},
-				Real: &RealConduit{Backend: "tcp", Rank: r, BootDir: dir, Timeout: 20 * time.Second}})
-		}()
-	}
-	wg.Wait()
-	w := nets[0].be.(*wire)
+	nets, wires := wirePair(t, "tcp")
+	defer closeAll(nets)
+	w := wires[0]
 	peer := w.peers[1]
 	closedDev := w.ep.AddDeviceSegment(64)
 	w.ep.CloseDeviceSegment(closedDev)
@@ -590,9 +575,4 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 	if err := nets[0].Failed(); err != nil || string(w.ep.Segment().Bytes(16, 5)) != "hello" {
 		t.Errorf("well-formed put: Failed() = %v, segment holds %q", err, w.ep.Segment().Bytes(16, 5))
 	}
-	for _, n := range nets {
-		wg.Add(1)
-		go func() { defer wg.Done(); n.Close() }()
-	}
-	wg.Wait()
 }

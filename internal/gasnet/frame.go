@@ -11,6 +11,7 @@ package gasnet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +31,7 @@ const (
 	fCopy   = 0x09 // src u32 | srcSeg u16 | srcOff u64 | dstRank u32 | dstSeg u16 | dstOff u64 | n u32 | ackRank u32 | ackID u64 | hasRem u8 | [rem]
 	fRing   = 0x0A // doorbell: drain my shm ring (empty body)
 	fBye    = 0x0B // clean shutdown notice (empty body)
+	fSock   = 0x0C // shm ring record only: the next data frame on the socket belongs here (empty body)
 )
 
 // frameProto is the transport bootstrap protocol version carried in
@@ -127,12 +129,18 @@ func encodeHello(rank, nranks uint32) []byte {
 	return finishFrame(e)
 }
 
+// amHead appends an fAM body's fixed part: type, source, handler, aux length.
+func amHead(b []byte, src uint32, handler uint16, auxLen int) []byte {
+	b = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(append(b, fAM), src), handler)
+	return binary.AppendUvarint(b, uint64(auxLen))
+}
+
+const amHeadMax = 1 + 4 + 2 + binary.MaxVarintLen64
+
 // encodeAM frames an AM whose payload is head followed by tail.
 func encodeAM(src uint32, handler uint16, aux []byte, head []byte, tail [][]byte) []byte {
-	e := beginFrame(fAM, 16+len(aux)+amLen(head, tail))
-	e.PutU32(src)
-	e.PutU16(handler)
-	e.PutUvarint(uint64(len(aux)))
+	b := make([]byte, 4, 4+amHeadMax+len(aux)+amLen(head, tail)) // the length prefix, then the body
+	e := serial.NewEncoder(amHead(b, src, handler, len(aux)))
 	e.PutRaw(aux)
 	e.PutRaw(head)
 	for _, f := range tail {
@@ -356,7 +364,7 @@ func decodeFrameBody(b []byte) (frame, error) {
 			return f, err
 		}
 		return f, d.Finish()
-	case fRing, fBye:
+	case fRing, fBye, fSock:
 		return f, d.Finish()
 	default:
 		return f, fmt.Errorf("gasnet: unknown transport frame type %#x", f.typ)

@@ -456,9 +456,13 @@ func (ep *Endpoint) enqueueComp(f func()) {
 	ep.Ring()
 }
 
-func (ep *Endpoint) enqueueAM(am inboundAM) {
+// enqueueAM queues delivered AMs, however many, under one lock and one ring.
+func (ep *Endpoint) enqueueAM(ams ...inboundAM) {
+	if len(ams) == 0 {
+		return
+	}
 	ep.qmu.Lock()
-	ep.amQ = append(ep.amQ, am)
+	ep.amQ = append(ep.amQ, ams...)
 	ep.qmu.Unlock()
 	ep.Ring()
 }

@@ -10,24 +10,26 @@ package gasnet
 //
 // Layout of a ring region (ringBytes total):
 //
-//	+0    head  u64   (producer cursor; monotonically increasing)
-//	+64   tail  u64   (consumer cursor; separate cache line)
-//	+128  data  [ringCap]byte
+//	+0    head     u64   (producer cursor; monotonically increasing)
+//	+64   tail     u64   (consumer cursor; separate cache line)
+//	+72   waiting  u32   (producer found the ring full; consumer clears it)
+//	+128  data     [ringCap]byte
 //
 // Records are `u32 len | body` where body is a transport frame body
 // (no socket length prefix). A wrapMark length means "skip to the next
 // wrap"; a pad too small to hold the 4-byte marker is skipped
 // implicitly by position arithmetic.
 //
-// Doorbell protocol (resolves the lost-wakeup race): the producer
-// STORES the new head, then LOADS tail; if tail still equals the
-// pre-push head, the consumer may have gone (or may be going) to
-// sleep having seen no work, so the producer sends an fRing doorbell
-// over the socket. Both sides use seq-cst atomics, so either the
-// consumer's final head-load observes the new head, or the producer's
-// tail-load observes the caught-up tail and rings.
+// Both doorbells resolve their lost-wakeup race by seq-cst store-then-load
+// on each side. Data: the producer STORES the new head, then LOADS tail; if
+// tail still equals the pre-push head the consumer may be going to sleep
+// having seen no work, so the producer sends fRing. Space: a producer that
+// finds no room STORES waiting, then LOADS tail again; the consumer STORES
+// tail, then swaps waiting out and rings fRing back if it was set.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -36,15 +38,16 @@ const (
 	ringBytes  = 1 << 16
 	ringHdr    = 128
 	ringCap    = ringBytes - ringHdr
-	ringMaxRec = 4096 // max body bytes per record; larger frames fall back to the socket
+	ringMaxRec = 4096 // max body bytes per record; a larger frame takes the socket behind a ring marker
 )
 
 const wrapMark = ^uint32(0)
 
 type shmRing struct {
-	head *uint64
-	tail *uint64
-	data []byte
+	head    *uint64
+	tail    *uint64
+	waiting *uint32
+	data    []byte
 }
 
 func mapRing(region []byte) *shmRing {
@@ -52,103 +55,87 @@ func mapRing(region []byte) *shmRing {
 		panic("gasnet: shm ring region too small")
 	}
 	return &shmRing{
-		head: (*uint64)(unsafe.Pointer(&region[0])),
-		tail: (*uint64)(unsafe.Pointer(&region[64])),
-		data: region[ringHdr:ringBytes],
+		head:    (*uint64)(unsafe.Pointer(&region[0])),
+		tail:    (*uint64)(unsafe.Pointer(&region[64])),
+		waiting: (*uint32)(unsafe.Pointer(&region[72])),
+		data:    region[ringHdr:ringBytes],
 	}
 }
 
-func ringPutU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func ringGetU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// push appends one record. Returns (pushed, needBell): pushed=false
-// means the ring is full (caller falls back to the socket);
-// needBell=true means the consumer may be idle and the caller must
-// send a doorbell frame over the socket.
-func (r *shmRing) push(body []byte) (pushed, needBell bool) {
-	n := len(body)
+// push appends one record, gathered from parts (1..ringMaxRec bytes in
+// all). pushed=false means the ring is full and waiting is set: the
+// consumer rings fRing back after its next drain. needBell=true means the
+// consumer may be idle and the caller must send it fRing.
+func (r *shmRing) push(parts [][]byte) (pushed, needBell bool) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	if n == 0 || n > ringMaxRec {
-		return false, false
+		panic(fmt.Sprintf("gasnet: shm ring record of %d bytes", n))
 	}
-	need := 4 + n
 	h0 := atomic.LoadUint64(r.head)
-	tail := atomic.LoadUint64(r.tail)
-	free := ringCap - int(h0-tail)
-	pos := int(h0 % ringCap)
-	avail := ringCap - pos
-	pad := 0
-	if avail < need {
-		// Not enough contiguous room: pad to the wrap point.
-		pad = avail
-		if free < pad+need {
+	pos, pad := int(h0%ringCap), 0
+	if avail := ringCap - pos; avail < 4+n {
+		pos, pad = 0, avail // not enough contiguous room: pad to the wrap point
+	}
+	full := func() bool { return ringCap-int(h0-atomic.LoadUint64(r.tail)) < pad+4+n }
+	if full() {
+		atomic.StoreUint32(r.waiting, 1)
+		if full() { // the second look of the space doorbell
 			return false, false
 		}
-		if avail >= 4 {
-			ringPutU32(r.data[pos:], wrapMark)
-		}
-		pos = 0
-	} else if free < need {
-		return false, false
 	}
-	ringPutU32(r.data[pos:], uint32(n))
-	copy(r.data[pos+4:], body)
-	atomic.StoreUint64(r.head, h0+uint64(pad+need))
-	// Store-then-load: if the consumer has already drained everything
-	// we pushed before (tail caught up to h0), it may be about to
-	// sleep without seeing this record — ring the socket doorbell.
-	if atomic.LoadUint64(r.tail) == h0 {
-		needBell = true
+	if pad >= 4 {
+		binary.LittleEndian.PutUint32(r.data[ringCap-pad:], wrapMark)
 	}
-	return true, needBell
+	binary.LittleEndian.PutUint32(r.data[pos:], uint32(n))
+	at := pos + 4
+	for _, p := range parts {
+		at += copy(r.data[at:], p)
+	}
+	atomic.StoreUint64(r.head, h0+uint64(pad+4+n))
+	return true, atomic.LoadUint64(r.tail) == h0
 }
 
-// drain consumes all available records, invoking fn on each body. The
-// body slice aliases shared memory and is only valid during fn; fn
-// must copy anything it retains (decodeFrameBody aliases, so drain
-// copies records out first).
-func (r *shmRing) drain(fn func(body []byte)) int {
-	count := 0
-	tail := atomic.LoadUint64(r.tail)
-	for {
-		head := atomic.LoadUint64(r.head)
-		if tail == head {
-			break
-		}
-		pos := int(tail % ringCap)
-		avail := ringCap - pos
-		if avail < 4 {
-			// Implicit pad: too small for a marker.
-			tail += uint64(avail)
-			atomic.StoreUint64(r.tail, tail)
-			continue
-		}
-		n := ringGetU32(r.data[pos:])
-		if n == wrapMark {
-			tail += uint64(avail)
-			atomic.StoreUint64(r.tail, tail)
-			continue
-		}
-		if n == 0 || n > ringMaxRec || pos+4+int(n) > ringCap {
-			// Corrupt record: resynchronize by draining to head. The
-			// transport layers a validity check on each decoded body,
-			// so corruption surfaces as a transport failure there.
-			atomic.StoreUint64(r.tail, head)
-			return count
-		}
-		body := make([]byte, n)
-		copy(body, r.data[pos+4:pos+4+int(n)])
-		tail += uint64(4 + n)
-		atomic.StoreUint64(r.tail, tail)
-		fn(body)
-		count++
+// take copies the unread span out and hands its bytes back to the producer
+// with one tail store; records are decoded from the private copy, which
+// starts at ring position pos. wake means the producer waits for that space.
+// The cursors are the peer's to write, so a head out of range is an error.
+func (r *shmRing) take() (span []byte, pos int, wake bool, err error) {
+	tail, head := atomic.LoadUint64(r.tail), atomic.LoadUint64(r.head)
+	if head == tail {
+		return nil, 0, false, nil
 	}
-	return count
+	if head-tail > ringCap {
+		return nil, 0, false, fmt.Errorf("gasnet: shm ring head %d is %d bytes past tail", head, head-tail)
+	}
+	pos = int(tail % ringCap)
+	span = make([]byte, head-tail)
+	copy(span[copy(span, r.data[pos:]):], r.data)
+	atomic.StoreUint64(r.tail, head)
+	return span, pos, atomic.SwapUint32(r.waiting, 0) != 0, nil
+}
+
+// ringRecords calls fn on each record of a span taken at ring position pos;
+// the bodies alias the span. The bytes are the peer's: a length the
+// producer could not have written is an error, never a resynchronisation.
+func ringRecords(span []byte, pos int, fn func(body []byte)) error {
+	for i := 0; i < len(span); {
+		avail, left := ringCap-(pos+i)%ringCap, len(span)-i
+		n := wrapMark // a pad too small for a marker is one all the same
+		if avail >= 4 && left >= 4 {
+			n = binary.LittleEndian.Uint32(span[i:])
+		}
+		switch {
+		case n == wrapMark && avail < left:
+			i += avail
+		case n == 0 || n > ringMaxRec || 4+int(n) > min(avail, left):
+			return fmt.Errorf("gasnet: corrupt shm ring record: length %#x at position %d, %d bytes to the wrap, %d in the span", n, (pos+i)%ringCap, avail, left)
+		default:
+			fn(span[i+4 : i+4+int(n)])
+			i += 4 + int(n)
+		}
+	}
+	return nil
 }

@@ -7,10 +7,10 @@ package gasnet
 // Sockets carry length-prefixed frames (frame.go). The shm backend
 // keeps the socket mesh as control path but moves the data path into
 // shared memory: puts/gets against a peer's host segment are direct
-// memcpys into the peer's mapped segment, small frames ride lock-free
-// doorbell rings (ring.go), and idle peers are woken by an fRing
-// doorbell frame over the socket — so an idle rank blocks in epoll
-// (via the reader goroutine's Read) rather than spinning.
+// memcpys into the peer's mapped segment, every frame rides — or is
+// ordered by — a lock-free doorbell ring (ring.go, ringSend), and idle
+// peers are woken by an fRing doorbell frame over the socket — so an idle
+// rank blocks in epoll (via the reader goroutine's Read) rather than spinning.
 //
 // Per peer there is one reader goroutine (blocks in Read, dispatches
 // frames onto the endpoint's completion/AM queues, never writes) and
@@ -23,6 +23,7 @@ package gasnet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -71,9 +72,9 @@ type ConduitInfo struct {
 	FramesIn        uint64 `json:"frames_in"`
 	BytesOut        uint64 `json:"bytes_out"`
 	BytesIn         uint64 `json:"bytes_in"`
-	RingRecords     uint64 `json:"ring_records"`
-	RingDoorbells   uint64 `json:"ring_doorbells"`
-	SocketFallbacks uint64 `json:"socket_fallbacks"`
+	RingRecords     uint64 `json:"ring_records"`     // shm: frames that rode a ring record
+	RingDoorbells   uint64 `json:"ring_doorbells"`   // shm: fRing frames sent, for data and for space
+	SocketFallbacks uint64 `json:"socket_fallbacks"` // shm: frames too large for a record, sent by socket behind a ring marker
 }
 
 type pendingOp struct {
@@ -88,6 +89,7 @@ type peerConn struct {
 	addr string
 	conn net.Conn
 	br   *bufio.Reader
+	ams  []inboundAM // the reader goroutine's: AMs decoded, not yet delivered
 
 	wmu     sync.Mutex
 	wcnd    *sync.Cond
@@ -97,8 +99,10 @@ type peerConn struct {
 	bye atomic.Bool // peer announced clean shutdown
 
 	// shm datapath (nil on tcp backend)
-	rmu  sync.Mutex // serializes in-process producers of ring
+	rmu  sync.Mutex // serializes in-process producers of ring; guards lq
+	rcnd *sync.Cond // on rmu: injectors parked on a full ring
 	ring *shmRing   // ring I produce into, inside the peer's file
+	lq   [][]byte   // reader goroutines' frames a full ring refused, oldest first
 	seg  []byte     // peer's mapped host segment
 }
 
@@ -267,6 +271,7 @@ func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 func (t *wire) newPeer(rank Rank, conn net.Conn, br *bufio.Reader) *peerConn {
 	p := &peerConn{rank: rank, addr: conn.RemoteAddr().String(), conn: conn, br: br}
 	p.wcnd = sync.NewCond(&p.wmu)
+	p.rcnd = sync.NewCond(&p.rmu)
 	return p
 }
 
@@ -363,17 +368,35 @@ func (t *wire) acceptPeers(count int, deadline time.Time) error {
 func (t *wire) readerLoop(p *peerConn) {
 	defer t.wg.Done()
 	for {
-		body, err := readFrame(p.br, frameMaxBody)
+		body, err := t.readSock(p)
 		if err != nil {
 			if !p.bye.Load() {
 				t.fail(p.rank, err) // a no-op once closing
 			}
 			return
 		}
+		t.handleFrame(p, body)
+		// A burst ends where the next read may block; its AMs go up together.
+		if h, _ := p.br.Peek(min(4, p.br.Buffered())); len(h) < 4 || p.br.Buffered()-4 < int(binary.LittleEndian.Uint32(h)) {
+			t.deliver(p)
+		}
+	}
+}
+
+func (t *wire) readSock(p *peerConn) ([]byte, error) {
+	body, err := readFrame(p.br, frameMaxBody)
+	if err == nil {
 		t.framesIn.Add(1)
 		t.bytesIn.Add(uint64(4 + len(body)))
-		t.handleFrame(p, body)
 	}
+	return body, err
+}
+
+// deliver hands the endpoint a socket burst's or a ring span's AMs at once.
+func (t *wire) deliver(p *peerConn) {
+	t.ep.enqueueAM(p.ams...)
+	clear(p.ams)
+	p.ams = p.ams[:0]
 }
 
 func (t *wire) writerLoop(p *peerConn) {
@@ -410,31 +433,88 @@ func (t *wire) writerLoop(p *peerConn) {
 	}
 }
 
-// send routes one pre-encoded frame (length prefix included) to dst:
-// via the shm doorbell ring when it fits, else the socket writer queue.
-func (t *wire) send(dst Rank, fb []byte) {
-	p := t.peers[dst]
-	if p == nil {
-		return // self or torn down; self-sends never reach the transport
+// send routes one pre-encoded frame (length prefix included) to dst from an
+// injecting goroutine, which a full shm ring parks (ringSend); reply is send
+// from a reader goroutine, which nothing may block.
+func (t *wire) send(dst Rank, fb []byte)  { t.route(dst, fb, true) }
+func (t *wire) reply(dst Rank, fb []byte) { t.route(dst, fb, false) }
+
+func (t *wire) route(dst Rank, fb []byte, block bool) {
+	switch p := t.peers[dst]; {
+	case p == nil: // self or torn down; self-sends never reach the transport
+	case p.ring != nil:
+		t.ringSend(p, fb, [][]byte{fb[4:]}, block)
+	default:
+		t.sockSend(p, fb)
 	}
-	body := fb[4:]
-	if p.ring != nil && len(body) <= ringMaxRec {
-		p.rmu.Lock()
-		pushed, bellNeeded := p.ring.push(body)
-		p.rmu.Unlock()
-		if pushed {
-			t.ringRecs.Add(1)
-			if bellNeeded {
-				t.ringBells.Add(1)
-				p.enqueue(t.bell)
-			}
-			return
-		}
-		t.sockFalls.Add(1)
-	}
+}
+
+func (t *wire) sockSend(p *peerConn, fb []byte) {
 	t.framesOut.Add(1)
 	t.bytesOut.Add(uint64(len(fb)))
 	p.enqueue(fb)
+}
+
+// ringSend is the one ordered path to a shm peer (DESIGN §14): the local FIFO
+// first, then this frame, its record body gathered from parts. A full ring
+// parks an injector (block) until ringSpace or, as a backstop, the park bound;
+// a reader goroutine leaves fb on the local FIFO instead.
+func (t *wire) ringSend(p *peerConn, fb []byte, parts [][]byte, block bool) {
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
+	for !t.flushLocal(p) || !t.ringPut(p, fb, parts) {
+		if !block {
+			p.lq = append(p.lq, fb)
+			return
+		}
+		if t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() {
+			return // nobody is left to read it
+		}
+		// push set waiting under rmu, which ringSpace takes to broadcast.
+		tm := time.AfterFunc(100*time.Millisecond, p.rcnd.Broadcast)
+		p.rcnd.Wait()
+		tm.Stop()
+	}
+}
+
+// ringPut places one frame on p's ring, or reports it full. A frame too
+// large for a record leaves an fSock marker and takes the socket, behind a
+// doorbell so that the consumer meets the marker first, in order under rmu.
+func (t *wire) ringPut(p *peerConn, fb []byte, parts [][]byte) bool {
+	big := len(fb)-4 > ringMaxRec
+	if big {
+		parts = [][]byte{{fSock}}
+	}
+	pushed, bell := p.ring.push(parts)
+	if pushed && (bell || big) {
+		t.ringBells.Add(1)
+		p.enqueue(t.bell)
+	}
+	if pushed && big {
+		t.sockFalls.Add(1)
+		t.sockSend(p, fb)
+	} else if pushed {
+		t.ringRecs.Add(1)
+	}
+	return pushed
+}
+
+func (t *wire) flushLocal(p *peerConn) bool {
+	for len(p.lq) > 0 && t.ringPut(p, p.lq[0], [][]byte{p.lq[0][4:]}) {
+		p.lq = p.lq[1:]
+	}
+	return len(p.lq) == 0
+}
+
+// ringSpace is the producer's half of fRing and of whatever else a parked
+// injector must see (failure, bye, close): flush the local FIFO, wake them.
+func (t *wire) ringSpace(p *peerConn) {
+	if p != nil && p.ring != nil {
+		p.rmu.Lock()
+		t.flushLocal(p)
+		p.rcnd.Broadcast()
+		p.rmu.Unlock()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -507,7 +587,7 @@ func (t *wire) carried(x xfer) (rw *remWire, ackID uint64) {
 func (t *wire) shmLanded(x xfer) {
 	x.tag.Landing(x.dst.rank, x.n)
 	if rem := x.rem; rem.arm() {
-		t.send(x.dst.rank, encodeAM(uint32(t.self), uint16(rem.Handler), t.encodeAux(rem.Aux), rem.Payload, nil))
+		t.am(nil, x.dst.rank, rem.Handler, rem.Payload, nil, rem.Aux, obs.OpTag{})
 	}
 	if x.onDone != nil {
 		t.ep.enqueueComp(x.onDone)
@@ -572,13 +652,21 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 	}
 }
 
-// am ships an Active Message. The frame encode is the single capture
-// copy: head and the borrowed fragments go straight into the one frame
-// buffer, and the fragments are reusable when am returns.
+// am ships an Active Message. The single capture copy gathers head and the
+// borrowed fragments straight into a shm ring record when one holds them (and
+// parts does: the runtime sends few fragments), else into the one frame
+// buffer; the fragments are reusable when am returns.
 func (t *wire) am(_ *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
-	n := amLen(head, tail)
+	n, auxb := amLen(head, tail), t.encodeAux(aux)
 	tag.Hop(obs.StageCapture, t.self, n)
-	t.send(dst, encodeAM(uint32(t.self), uint16(h), t.encodeAux(aux), head, tail))
+	var hdr [amHeadMax]byte
+	var parts [8][]byte
+	if p := t.peers[dst]; p != nil && p.ring != nil && len(tail) <= len(parts)-3 && len(hdr)+len(auxb)+n <= ringMaxRec {
+		parts[0], parts[1], parts[2] = amHead(hdr[:0], uint32(t.self), uint16(h), len(auxb)), auxb, head
+		t.ringSend(p, nil, parts[:3+copy(parts[3:], tail)], true)
+	} else {
+		t.send(dst, encodeAM(uint32(t.self), uint16(h), auxb, head, tail))
+	}
 	tag.Landing(dst, n)
 }
 
@@ -639,7 +727,7 @@ func (t *wire) inbound(seg uint16, off uint64, n uint32, ranks ...uint32) ([]byt
 // landRemote finishes an inbound put or copy whose bytes are in place in
 // local segment seg: count the h2d descriptor, enqueue the piggybacked
 // remote-completion AM, and ack the initiator.
-func (t *wire) landRemote(f frame, seg uint16, n uint32) error {
+func (t *wire) landRemote(p *peerConn, f frame, seg uint16, n uint32) error {
 	if SegID(seg) != HostSeg {
 		t.ep.countDMA(obs.DMAH2D, int(n))
 	}
@@ -648,10 +736,11 @@ func (t *wire) landRemote(f frame, seg uint16, n uint32) error {
 		if err != nil {
 			return err
 		}
-		t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: aux})
+		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: aux})
 	}
 	if f.ackID != 0 {
-		t.send(Rank(f.ackRank), encodePutAck(f.ackID))
+		t.deliver(p) // the remote AM is enqueued before the ack starts back
+		t.reply(Rank(f.ackRank), encodePutAck(f.ackID))
 	}
 	return nil
 }
@@ -676,14 +765,14 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		if err != nil {
 			return err
 		}
-		t.ep.enqueueAM(inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux})
+		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux})
 	case fPut:
 		dst, err := t.inbound(f.seg, f.off, uint32(len(f.payload)), f.rank, f.ackRank)
 		if err != nil {
 			return err
 		}
 		t.ep.syncDirect(func() { copy(dst, f.payload) })
-		return t.landRemote(f, f.seg, uint32(len(f.payload)))
+		return t.landRemote(p, f, f.seg, uint32(len(f.payload)))
 	case fPutAck:
 		if op, ok := t.takePending(f.ackID); ok && op.onAck != nil {
 			t.ep.enqueueComp(op.onAck)
@@ -698,7 +787,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		if SegID(f.seg) != HostSeg {
 			t.ep.countDMA(obs.DMAD2H, int(f.n))
 		}
-		t.send(p.rank, rep)
+		t.reply(p.rank, rep)
 	case fGetRep:
 		if op, ok := t.takePending(f.reqID); ok {
 			t.ep.syncDirect(func() { copy(op.dst, f.payload) })
@@ -716,7 +805,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		var old uint64
 		t.ep.syncDirect(func() { old = t.ep.seg.applyAMO(f.off, AMOOp(f.amoOp), f.amoA, f.amoB) })
 		if f.reqID != 0 {
-			t.send(p.rank, encodeAMORep(f.reqID, old))
+			t.reply(p.rank, encodeAMORep(f.reqID, old))
 		}
 	case fAMORep:
 		if op, ok := t.takePending(f.reqID); ok && op.onOld != nil {
@@ -724,12 +813,28 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 			t.ep.enqueueComp(func() { op.onOld(old) })
 		}
 	case fCopy:
-		return t.handleCopy(f)
-	case fRing:
-		t.drainRing(p)
+		return t.handleCopy(p, f)
 	case fBye:
 		p.bye.Store(true)
+		fallthrough
+	case fRing:
 		t.drainRing(p)
+		t.ringSpace(p)
+	case fSock:
+		// The frame this record stands for is the next data frame on the
+		// socket. An fRing met on the way is a doorbell whose drain half is
+		// under way here; no other control frame has a place in the order.
+		body, err := t.readSock(p)
+		for ; err == nil && body[0] == fRing; body, err = t.readSock(p) {
+			t.ringSpace(p)
+		}
+		if err == nil && body[0] > fCopy {
+			err = fmt.Errorf("gasnet: control frame %#x behind a ring marker", body[0])
+		}
+		if err != nil {
+			return err
+		}
+		t.handleFrame(p, body)
 	default:
 		return fmt.Errorf("gasnet: unexpected frame type %#x mid-stream", f.typ)
 	}
@@ -739,7 +844,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 // handleCopy runs at the copy's source rank: read the local bytes and
 // relay them to the destination as a put whose ack goes straight back
 // to the initiator.
-func (t *wire) handleCopy(f frame) error {
+func (t *wire) handleCopy(p *peerConn, f frame) error {
 	src, err := t.inbound(f.seg, f.off, f.n, f.rank, f.dstRank, f.ackRank)
 	if err != nil {
 		return err
@@ -753,7 +858,7 @@ func (t *wire) handleCopy(f frame) error {
 			return err
 		}
 		t.ep.syncDirect(func() { copy(dst, src) })
-		return t.landRemote(f, f.dstSeg, f.n)
+		return t.landRemote(p, f, f.dstSeg, f.n)
 	}
 	var rw *remWire
 	if f.hasRem {
@@ -763,13 +868,29 @@ func (t *wire) handleCopy(f frame) error {
 	t.ep.syncDirect(func() {
 		relay = encodePut(f.rank, f.dstSeg, f.dstOff, f.ackRank, f.ackID, rw, src)
 	})
-	t.send(Rank(f.dstRank), relay)
+	t.reply(Rank(f.dstRank), relay)
 	return nil
 }
 
+// drainRing empties p's inbound ring span by span: the producer gets fRing
+// back if it waits for the space, and each span's AMs go up together.
 func (t *wire) drainRing(p *peerConn) {
-	if t.shm != nil { // every peer's inbound ring is mapped before its reader starts
-		t.shm.inRings[p.rank].drain(func(b []byte) { t.handleFrame(p, b) })
+	for t.shm != nil { // every peer's inbound ring is mapped before its reader starts
+		span, pos, wake, err := t.shm.inRings[p.rank].take()
+		if wake {
+			t.ringBells.Add(1)
+			p.enqueue(t.bell)
+		}
+		if err == nil {
+			err = ringRecords(span, pos, func(rec []byte) { t.handleFrame(p, rec) })
+		}
+		t.deliver(p)
+		if err != nil {
+			t.fail(p.rank, err)
+		}
+		if span == nil {
+			return
+		}
 	}
 }
 
@@ -783,6 +904,9 @@ func (t *wire) fail(peer Rank, err error) {
 	err = fmt.Errorf("%w: rank %d: %v", ErrPeerLost, peer, err)
 	t.failErr.CompareAndSwap(nil, &err)
 	t.ep.Ring()
+	for _, p := range t.peers {
+		t.ringSpace(p) // parked injectors see the failure
+	}
 }
 
 func (t *wire) failure() error {
@@ -795,7 +919,7 @@ func (t *wire) failure() error {
 // close announces fBye to every peer, drains the writers, and reaps the
 // progress goroutines. Callers quiesce first (World.Run's final
 // barrier), so per-peer FIFO guarantees all useful traffic precedes the
-// bye on the wire.
+// bye on the wire (ringSpace: local FIFOs flushed, parked injectors let go).
 func (t *wire) close() {
 	if t.closing.Swap(true) {
 		return
@@ -805,6 +929,7 @@ func (t *wire) close() {
 		if p == nil {
 			continue
 		}
+		t.ringSpace(p)
 		p.enqueue(bye)
 		p.wmu.Lock()
 		p.wclosed = true

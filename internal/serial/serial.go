@@ -103,8 +103,14 @@ func (e *Encoder) Fragments() [][]byte {
 	return e.frags
 }
 
-func (e *Encoder) PutU8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *Encoder) PutBool(v bool)  { e.PutU8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *Encoder) PutU8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) PutBool(v bool) {
+	if v {
+		e.PutU8(1)
+	} else {
+		e.PutU8(0)
+	}
+}
 func (e *Encoder) PutU16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *Encoder) PutU32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *Encoder) PutU64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }

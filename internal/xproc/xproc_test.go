@@ -18,6 +18,14 @@
 //	        AMO, RPC and barrier rounds: with one P the waiter holds the
 //	        processor its own socket reader needs, so every wait has to
 //	        park (core's idle rule) for the round to end at all quickly.
+//	fifo  — rank 0 floods rank 1 with sequence-numbered fire-and-forget
+//	        RPCs, many rings' worth, every hundredth too large for a ring
+//	        record, then reads the target's tally back with a round-trip
+//	        RPC: per-pair FIFO must hold across a full ring and across
+//	        the ring/socket boundary, with default Ps and with one.
+//	flood2 — both ranks, one P each, fire round-trip RPC bursts larger
+//	        than the ring at each other: both rings fill, injectors park
+//	        inside a handler's reply, and it must still finish.
 //	kill  — one rank vanishes mid-job (os.Exit with no shutdown
 //	        handshake); the survivors must observe an error wrapping
 //	        gasnet.ErrPeerLost instead of hanging, and prove it by
@@ -95,7 +103,30 @@ func leaveOpeningBarrier(rk *core.Rank) {
 	os.Exit(0)
 }
 
+// The fifo scenario's target state. Bodies run on the master persona only.
+type fifoTally struct {
+	Count    uint64 // bodies run; also the sequence number due next
+	Bad      bool   // a body ran out of turn
+	Got, Due uint64 // the first one that did, and the number due then
+}
+
+var xprocFifo fifoTally
+
+func fifoSee(seq uint64) {
+	if f := &xprocFifo; seq != f.Count && !f.Bad {
+		f.Bad, f.Got, f.Due = true, seq, f.Count
+	}
+	xprocFifo.Count++
+}
+
+func xprocSeq(trk *core.Rank, seq uint64)              { fifoSee(seq) }
+func xprocSeqView(trk *core.Rank, v core.View[uint64]) { fifoSee(v.Elements()[0]) }
+func xprocSeqRead(trk *core.Rank, _ uint8) fifoTally   { return xprocFifo }
+
 func init() {
+	core.RegisterRPCFF(xprocSeq)
+	core.RegisterRPCFF(xprocSeqView)
+	core.RegisterRPC(xprocSeqRead)
 	core.RegisterRPC(xprocEcho)
 	core.RegisterRPCFF(xprocBump)
 	core.RegisterRPCFF(xprocOut)
@@ -162,6 +193,37 @@ func TestBlockingOpsOnOneP(t *testing.T) {
 	}
 }
 
+// TestPairFIFOUnderFlood: per-pair order survives a flood many times the
+// size of the shm ring with frames too large for a record mixed in — the
+// ring-full spill to the socket used to let later messages overtake.
+func TestPairFIFOUnderFlood(t *testing.T) {
+	for _, backend := range backends {
+		for _, env := range [][]string{nil, {"GOMAXPROCS=1"}} {
+			name := backend + "/default"
+			if env != nil {
+				name = backend + "/oneP"
+			}
+			t.Run(name, func(t *testing.T) {
+				if code := launch(t, backend, 2, "fifo", env...); code != 0 {
+					t.Fatalf("fifo job over %s exited %d", name, code)
+				}
+			})
+		}
+	}
+}
+
+// TestFloodBothWaysOnOneP: two one-P ranks flood each other with round-trip
+// RPCs; nothing may deadlock when both rings are full at once.
+func TestFloodBothWaysOnOneP(t *testing.T) {
+	for _, backend := range backends {
+		t.Run(backend, func(t *testing.T) {
+			if code := launch(t, backend, 2, "flood2", "GOMAXPROCS=1"); code != 0 {
+				t.Fatalf("flood2 job over %s exited %d", backend, code)
+			}
+		})
+	}
+}
+
 func TestKilledRankSurfacesPeerLost(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -215,8 +277,12 @@ func TestTaskFinishSurfacesPeerLost(t *testing.T) {
 // --- worker side --------------------------------------------------------
 
 func runWorker(scen string) (code int) {
-	core.RunConfig(core.Config{SegmentSize: 32 << 20}, func(rk *core.Rank) {
+	core.RunConfig(core.Config{SegmentSize: 32 << 20, Stats: scen == "flood2"}, func(rk *core.Rank) {
 		switch scen {
+		case "fifo":
+			fifoBody(rk)
+		case "flood2":
+			code = flood2Body(rk)
 		case "smoke":
 			smokeBody(rk)
 		case "idle":
@@ -377,6 +443,70 @@ func onePBody(rk *core.Rank) int {
 	}
 	if el := time.Since(t0); el > 5*time.Second {
 		fmt.Fprintf(os.Stderr, "xproc onep: rank %d took %v for %d rounds of blocking ops\n", me, el, rounds)
+		return 1
+	}
+	return 0
+}
+
+// fifoBody: rank 0's flood is one stream of sequence numbers through two
+// registered bodies, the small one riding ring records and the view one (a
+// frame over ringMaxRec) taking the socket; nothing fences it, so it runs
+// many rings ahead of the target. The closing RPC is ordered behind all of
+// it and reads the tally.
+func fifoBody(rk *core.Rank) {
+	const N, every = 60000, 100
+	rk.Barrier()
+	if rk.Me() == 0 {
+		big := make([]uint64, 600) // 4800 B: no ring record holds it
+		for i := uint64(0); i < N; i++ {
+			if i%every == every-1 {
+				big[0] = i
+				core.RPCFF(rk, 1, xprocSeqView, core.MakeView(big))
+			} else {
+				core.RPCFF(rk, 1, xprocSeq, i)
+			}
+		}
+		got := core.RPC(rk, 1, xprocSeqRead, uint8(0)).Wait()
+		expect(!got.Bad, "fifo: body %d ran when %d was due", got.Got, got.Due)
+		expect(got.Count == N, "fifo: the closing RPC found %d of %d bodies run", got.Count, N)
+		// On shm only the frames that cannot ride a record may take the socket.
+		ci, viaSocket := rk.World().Network().ConduitInfo(), uint64(0)
+		if ci.Backend == "shm" {
+			viaSocket = N / every
+		}
+		expect(ci.SocketFallbacks == viaSocket, "fifo: %d frames took the socket past the ring, want %d", ci.SocketFallbacks, viaSocket)
+	}
+	rk.Barrier()
+}
+
+// flood2Body: each rank sends the other bursts of round-trip RPCs whose
+// requests alone are several rings' worth, then waits for the replies —
+// which the peer injects from inside its handlers, into a ring this rank is
+// filling from its side too. With one P an injector that spun instead of
+// parking would starve the reader that frees its ring.
+func flood2Body(rk *core.Rank) int {
+	expect(runtime.GOMAXPROCS(0) == 1, "flood2: GOMAXPROCS = %d, want 1", runtime.GOMAXPROCS(0))
+	const bursts, K = 4, 4000
+	peer := 1 - rk.Me()
+	rk.Barrier()
+	t0 := time.Now()
+	futs := make([]core.Future[uint64], K)
+	for b := uint64(0); b < bursts; b++ {
+		for i := range futs {
+			futs[i] = core.RPC(rk, peer, xprocEcho, b*K+uint64(i))
+		}
+		for i, f := range futs {
+			expect(f.Wait() == b*K+uint64(i)+1, "flood2: rank %d burst %d call %d", rk.Me(), b, i)
+		}
+	}
+	el := time.Since(t0)
+	rk.Barrier()
+	ci := rk.World().Network().ConduitInfo()
+	expect(rk.Stats().Wakeups > 0, "flood2: rank %d never parked on its doorbell", rk.Me())
+	expect(ci.Backend != "shm" || ci.RingDoorbells > 0 && ci.SocketFallbacks == 0,
+		"flood2: rank %d rang %d ring doorbells, %d frames took the socket", rk.Me(), ci.RingDoorbells, ci.SocketFallbacks)
+	if el > 20*time.Second {
+		fmt.Fprintf(os.Stderr, "xproc flood2: rank %d took %v for %d bursts of %d round trips\n", rk.Me(), el, bursts, K)
 		return 1
 	}
 	return 0
