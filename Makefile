@@ -32,7 +32,10 @@ test-short:
 # third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
 # tcp/shm wire networks, whose reader goroutines make it a real race test),
 # and the shm ring's tests (the layout model, both doorbell protocols run
-# concurrently, corrupt records, a consumer lost under a flood).
+# concurrently, corrupt records, a consumer lost under a flood), and the
+# socket send queue's and bulk landing's (an injector parked on the bound while
+# its reader serves gets, a peer lost or a close under that park, megabyte puts
+# and gets read into place by real reader goroutines).
 # PoolStress is the injection-record pool's safety test: records taken, run,
 # completed and released on different goroutines, with a peer failed
 # mid-flight. The second core leg runs the idle rule's tests and the persona
@@ -43,7 +46,7 @@ race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch|PoolStress'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
-	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring'
+	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
 
@@ -157,7 +160,8 @@ bench-selftest:
 # [WORKLOAD=name] [SEED=1]` runs N pairs (the working tree against PARENT,
 # unpacked under .bench_build/), alternating which side goes first, keeps
 # every -out file, and prints per cell both sides' median and quartiles, the
-# pairs won and the change's IQR over the parent's median.
+# pairs won, the change's IQR over the parent's median (flagged past 15 %) and
+# whether every run of the change beat every run of the parent.
 bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [WORKLOAD=name] [SEED=1]"; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(or $(N),10)" "$(WORKLOAD)" "$(or $(SEED),1)"

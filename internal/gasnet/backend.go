@@ -10,7 +10,10 @@ type backend interface {
 	// transfer executes x along its planned hop chain p.
 	transfer(ep *Endpoint, x xfer, p hopPlan)
 	// am delivers an Active Message whose payload is head (the conduit's own)
-	// followed by the borrowed fragments of tail, captured before am returns.
+	// followed by the borrowed fragments of tail. A conduit that does not
+	// deliver head itself copies both, once, into memory it reuses — a ring
+	// record, the tail of a socket's send queue — before am returns, and may
+	// make the caller wait there for room.
 	am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag)
 	// amo executes a remote atomic on the host-segment word at (dst, off).
 	amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag)

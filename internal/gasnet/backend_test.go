@@ -521,7 +521,17 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 	w.ep.CloseDeviceSegment(closedDev)
 	const segEnd, wild = 1 << 12, ^uint64(0) - 3
 	badRem := &remWire{handler: 0, aux: []byte{0xFF}}
+	// A get reply must be exactly as long as its get: a short one would
+	// complete it over stale bytes, a long one be cut — small, and of a size
+	// that arrives by the bulk path (TestWireBulkLandsInPlace drives that path
+	// itself: there the check must come before the read into place).
+	gets, completed := map[int][]byte{8: make([]byte, 8), 1 << 17: make([]byte, 1<<17)}, 0
+	getID := func(n int) uint64 { return w.newPending(pendingOp{dst: gets[n], onDone: func() { completed++ }}) }
 	frames := map[string][]byte{
+		"getrep: short":           encodeGetRep(getID(8), []byte("1234567")),
+		"getrep: long":            encodeGetRep(getID(8), []byte("123456789")),
+		"getrep: short, bulk":     encodeGetRep(getID(1<<17), bytes.Repeat([]byte{1}, 1<<17-1)),
+		"getrep: long, bulk":      encodeGetRep(getID(1<<17), bytes.Repeat([]byte{1}, 1<<17+1)),
 		"put: wild segment":       encodePut(1, 9, 0, 1, 0, nil, make([]byte, 8)),
 		"put: closed segment":     encodePut(1, uint16(closedDev), 0, 1, 0, nil, make([]byte, 8)),
 		"put: past the end":       encodePut(1, 0, segEnd-4, 1, 0, nil, make([]byte, 8)),
@@ -567,6 +577,11 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 		// parked waiter would otherwise meet it only at its park bound.
 		if !w.ep.WaitPending(10 * time.Second) {
 			t.Errorf("%s: failing the peer did not ring the doorbell", name)
+		}
+	}
+	for n, b := range gets {
+		if w.ep.PollCompletions(); completed != 0 || !bytes.Equal(b, make([]byte, n)) {
+			t.Errorf("a get of %d bytes was completed (%d) or written by a reply of another length", n, completed)
 		}
 	}
 	// A well-formed frame still lands.

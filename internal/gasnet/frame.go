@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"upcxx/internal/serial"
 )
@@ -62,7 +61,9 @@ type frame struct {
 	aux     []byte
 	payload []byte
 
-	// fPut / fGet / fCopy addressing
+	// fPut / fGet / fCopy addressing; n is the data's length, which the decoder
+	// takes from an fPut's or fGetRep's payload and the reader corrects for a
+	// frame whose payload is still on the socket
 	seg uint16
 	off uint64
 	n   uint32
@@ -96,148 +97,83 @@ type remWire struct {
 	payload []byte
 }
 
-// beginFrame starts an encoder with a 4-byte length placeholder so the
-// finished buffer is a complete socket frame; shm push skips the first
-// 4 bytes.
-func beginFrame(typ byte, sizeHint int) *serial.Encoder {
-	e := serial.NewEncoder(make([]byte, 0, 4+1+sizeHint))
-	e.PutU32(0) // length placeholder
-	e.PutU8(typ)
-	return e
+// The encoders append a frame body's head to b — on the send paths a stack
+// array, which is why they are spelled in appends the compiler can see through
+// — and never the data that follows it in an AM, a put or a get reply: a frame
+// is gathered from its parts where it is queued (appendFrame for a socket,
+// shmRing.push for a ring record), which is the one copy its sender makes.
+
+var le = binary.LittleEndian
+
+func appendHello(b []byte, rank, nranks uint32) []byte {
+	return le.AppendUint32(le.AppendUint32(append(b, fHello, frameProto), rank), nranks)
 }
 
-// finishFrame fills the length prefix and returns the full frame bytes
-// (length prefix + body).
-func finishFrame(e *serial.Encoder) []byte {
-	b := e.Bytes()
-	body := len(b) - 4
-	if body > frameMaxBody {
+// appendAM is an fAM's fixed part; the aux bytes and the payload follow.
+func appendAM(b []byte, src uint32, handler uint16, auxLen int) []byte {
+	return binary.AppendUvarint(le.AppendUint16(le.AppendUint32(append(b, fAM), src), handler), uint64(auxLen))
+}
+
+// frameHeadMax is the stack room senders give a frame's head; a remote AM
+// that does not fit moves the head to the heap.
+const frameHeadMax = 128
+
+func appendRem(b []byte, rem *remWire) []byte {
+	if rem == nil {
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(le.AppendUint16(append(b, 1), rem.handler), uint64(len(rem.aux)))
+	b = binary.AppendUvarint(append(b, rem.aux...), uint64(len(rem.payload)))
+	return append(b, rem.payload...)
+}
+
+// appendPut is an fPut up to its data, which follows.
+func appendPut(b []byte, src uint32, seg uint16, off uint64, ackRank uint32, ackID uint64, rem *remWire) []byte {
+	b = le.AppendUint64(le.AppendUint16(le.AppendUint32(append(b, fPut), src), seg), off)
+	return appendRem(le.AppendUint64(le.AppendUint32(b, ackRank), ackID), rem)
+}
+
+func appendPutAck(b []byte, ackID uint64) []byte {
+	return le.AppendUint64(append(b, fPutAck), ackID)
+}
+
+func appendGet(b []byte, reqID uint64, seg uint16, off uint64, n uint32) []byte {
+	b = le.AppendUint16(le.AppendUint64(append(b, fGet), reqID), seg)
+	return le.AppendUint32(le.AppendUint64(b, off), n)
+}
+
+// appendGetRep is an fGetRep up to its data, which follows.
+func appendGetRep(b []byte, reqID uint64) []byte {
+	return le.AppendUint64(append(b, fGetRep), reqID)
+}
+
+func appendAMO(b []byte, reqID, off uint64, op byte, x, y uint64) []byte {
+	b = append(le.AppendUint64(le.AppendUint64(append(b, fAMO), reqID), off), op)
+	return le.AppendUint64(le.AppendUint64(b, x), y)
+}
+
+func appendAMORep(b []byte, reqID, old uint64) []byte {
+	return le.AppendUint64(le.AppendUint64(append(b, fAMORep), reqID), old)
+}
+
+func appendCopy(b []byte, src uint32, srcSeg uint16, srcOff uint64, dstRank uint32, dstSeg uint16, dstOff uint64, n uint32, ackRank uint32, ackID uint64, rem *remWire) []byte {
+	b = le.AppendUint64(le.AppendUint16(le.AppendUint32(append(b, fCopy), src), srcSeg), srcOff)
+	b = le.AppendUint64(le.AppendUint16(le.AppendUint32(b, dstRank), dstSeg), dstOff)
+	return appendRem(le.AppendUint64(le.AppendUint32(le.AppendUint32(b, n), ackRank), ackID), rem)
+}
+
+// appendFrame appends one socket frame to b: the length prefix, then the body
+// gathered from parts.
+func appendFrame(b []byte, parts ...[]byte) []byte {
+	n := amLen(nil, parts)
+	if n > frameMaxBody {
 		panic(errFrameTooBig)
 	}
-	b[0] = byte(body)
-	b[1] = byte(body >> 8)
-	b[2] = byte(body >> 16)
-	b[3] = byte(body >> 24)
+	b = le.AppendUint32(b, uint32(n))
+	for _, s := range parts {
+		b = append(b, s...)
+	}
 	return b
-}
-
-func encodeHello(rank, nranks uint32) []byte {
-	e := beginFrame(fHello, 16)
-	e.PutU8(frameProto)
-	e.PutU32(rank)
-	e.PutU32(nranks)
-	return finishFrame(e)
-}
-
-// amHead appends an fAM body's fixed part: type, source, handler, aux length.
-func amHead(b []byte, src uint32, handler uint16, auxLen int) []byte {
-	b = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(append(b, fAM), src), handler)
-	return binary.AppendUvarint(b, uint64(auxLen))
-}
-
-const amHeadMax = 1 + 4 + 2 + binary.MaxVarintLen64
-
-// encodeAM frames an AM whose payload is head followed by tail.
-func encodeAM(src uint32, handler uint16, aux []byte, head []byte, tail [][]byte) []byte {
-	b := make([]byte, 4, 4+amHeadMax+len(aux)+amLen(head, tail)) // the length prefix, then the body
-	e := serial.NewEncoder(amHead(b, src, handler, len(aux)))
-	e.PutRaw(aux)
-	e.PutRaw(head)
-	for _, f := range tail {
-		e.PutRaw(f)
-	}
-	return finishFrame(e)
-}
-
-func putRem(e *serial.Encoder, rem *remWire) {
-	if rem == nil {
-		e.PutU8(0)
-		return
-	}
-	e.PutU8(1)
-	e.PutU16(rem.handler)
-	e.PutUvarint(uint64(len(rem.aux)))
-	e.PutRaw(rem.aux)
-	e.PutUvarint(uint64(len(rem.payload)))
-	e.PutRaw(rem.payload)
-}
-
-func encodePut(src uint32, seg uint16, off uint64, ackRank uint32, ackID uint64, rem *remWire, data []byte) []byte {
-	hint := 40 + len(data)
-	if rem != nil {
-		hint += 8 + len(rem.aux) + len(rem.payload)
-	}
-	e := beginFrame(fPut, hint)
-	e.PutU32(src)
-	e.PutU16(seg)
-	e.PutU64(off)
-	e.PutU32(ackRank)
-	e.PutU64(ackID)
-	putRem(e, rem)
-	e.PutRaw(data)
-	return finishFrame(e)
-}
-
-func encodePutAck(ackID uint64) []byte {
-	e := beginFrame(fPutAck, 8)
-	e.PutU64(ackID)
-	return finishFrame(e)
-}
-
-func encodeGet(reqID uint64, seg uint16, off uint64, n uint32) []byte {
-	e := beginFrame(fGet, 24)
-	e.PutU64(reqID)
-	e.PutU16(seg)
-	e.PutU64(off)
-	e.PutU32(n)
-	return finishFrame(e)
-}
-
-func encodeGetRep(reqID uint64, data []byte) []byte {
-	e := beginFrame(fGetRep, 8+len(data))
-	e.PutU64(reqID)
-	e.PutRaw(data)
-	return finishFrame(e)
-}
-
-func encodeAMO(reqID, off uint64, op byte, a, b uint64) []byte {
-	e := beginFrame(fAMO, 40)
-	e.PutU64(reqID)
-	e.PutU64(off)
-	e.PutU8(op)
-	e.PutU64(a)
-	e.PutU64(b)
-	return finishFrame(e)
-}
-
-func encodeAMORep(reqID, old uint64) []byte {
-	e := beginFrame(fAMORep, 16)
-	e.PutU64(reqID)
-	e.PutU64(old)
-	return finishFrame(e)
-}
-
-func encodeCopy(src uint32, srcSeg uint16, srcOff uint64, dstRank uint32, dstSeg uint16, dstOff uint64, n uint32, ackRank uint32, ackID uint64, rem *remWire) []byte {
-	hint := 64
-	if rem != nil {
-		hint += 8 + len(rem.aux) + len(rem.payload)
-	}
-	e := beginFrame(fCopy, hint)
-	e.PutU32(src)
-	e.PutU16(srcSeg)
-	e.PutU64(srcOff)
-	e.PutU32(dstRank)
-	e.PutU16(dstSeg)
-	e.PutU64(dstOff)
-	e.PutU32(n)
-	e.PutU32(ackRank)
-	e.PutU64(ackID)
-	putRem(e, rem)
-	return finishFrame(e)
-}
-
-func encodeEmpty(typ byte) []byte {
-	return finishFrame(beginFrame(typ, 0))
 }
 
 // decodeRem parses the optional piggybacked remote-AM section.
@@ -322,6 +258,7 @@ func decodeFrameBody(b []byte) (frame, error) {
 			return f, err
 		}
 		f.payload = d.Raw(d.Remaining())
+		f.n = uint32(len(f.payload))
 		return f, d.Err()
 	case fPutAck:
 		f.ackID = d.U64()
@@ -335,6 +272,7 @@ func decodeFrameBody(b []byte) (frame, error) {
 	case fGetRep:
 		f.reqID = d.U64()
 		f.payload = d.Raw(d.Remaining())
+		f.n = uint32(len(f.payload))
 		return f, d.Err()
 	case fAMO:
 		f.reqID = d.U64()
@@ -371,24 +309,29 @@ func decodeFrameBody(b []byte) (frame, error) {
 	}
 }
 
-// readFrame reads one length-prefixed frame body from a buffered
-// stream, allocating a fresh body buffer (bodies outlive the read —
-// AM payloads are enqueued without copying again).
-func readFrame(r *bufio.Reader, max int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// bulkHead is how much of a frame longer than the read buffer is looked at
+// for its head (the remote AM of a put included).
+const bulkHead = 4 << 10
+
+// peekFrame waits for the next frame of a buffered stream and returns its body
+// length n (1..max) and the body where it lies in the read buffer, unconsumed
+// — all of it, or the first bulkHead-4 bytes of a frame the buffer cannot hold.
+func peekFrame(r *bufio.Reader, max int) (n int, body []byte, err error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return 0, nil, err
 	}
-	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
-	if n == 0 {
-		return nil, errors.New("gasnet: zero-length transport frame")
+	n = int(le.Uint32(hdr))
+	if n == 0 || n > max {
+		return 0, nil, fmt.Errorf("gasnet: transport frame length %d outside [1, %d]", n, max)
 	}
-	if n > max {
-		return nil, fmt.Errorf("gasnet: transport frame length %d exceeds max %d", n, max)
+	size := 4 + n
+	if size > r.Size() {
+		size = bulkHead
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	b, err := r.Peek(size)
+	if err != nil {
+		return 0, nil, err
 	}
-	return body, nil
+	return n, b[4:], nil
 }

@@ -3,8 +3,48 @@ package gasnet
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 )
+
+// The standalone frames the tests feed readers, decoders and dispatchers: the
+// length prefix, the head an encoder appends, and the data — the senders
+// gather the same parts into a send queue or a ring record.
+
+func encodeHello(rank, nranks uint32) []byte {
+	return appendFrame(nil, appendHello(nil, rank, nranks))
+}
+
+func encodeAM(src uint32, handler uint16, aux, head []byte, tail [][]byte) []byte {
+	return appendFrame(nil, append([][]byte{appendAM(nil, src, handler, len(aux)), aux, head}, tail...)...)
+}
+
+func encodePut(src uint32, seg uint16, off uint64, ackRank uint32, ackID uint64, rem *remWire, data []byte) []byte {
+	return appendFrame(nil, appendPut(nil, src, seg, off, ackRank, ackID, rem), data)
+}
+
+func encodePutAck(ackID uint64) []byte { return appendFrame(nil, appendPutAck(nil, ackID)) }
+
+func encodeGet(reqID uint64, seg uint16, off uint64, n uint32) []byte {
+	return appendFrame(nil, appendGet(nil, reqID, seg, off, n))
+}
+
+func encodeGetRep(reqID uint64, data []byte) []byte {
+	return appendFrame(nil, appendGetRep(nil, reqID), data)
+}
+
+func encodeAMO(reqID, off uint64, op byte, a, b uint64) []byte {
+	return appendFrame(nil, appendAMO(nil, reqID, off, op, a, b))
+}
+
+func encodeAMORep(reqID, old uint64) []byte { return appendFrame(nil, appendAMORep(nil, reqID, old)) }
+
+func encodeCopy(src uint32, srcSeg uint16, srcOff uint64, dstRank uint32, dstSeg uint16, dstOff uint64, n uint32, ackRank uint32, ackID uint64, rem *remWire) []byte {
+	return appendFrame(nil, appendCopy(nil, src, srcSeg, srcOff, dstRank, dstSeg, dstOff, n, ackRank, ackID, rem))
+}
+
+func encodeEmpty(typ byte) []byte { return appendFrame(nil, []byte{typ}) }
 
 func TestFrameRoundTrips(t *testing.T) {
 	cases := []struct {
@@ -87,9 +127,9 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Through the streaming reader first: length prefix honored.
 			br := bufio.NewReader(bytes.NewReader(tc.fb))
-			body, err := readFrame(br, frameMaxBody)
-			if err != nil {
-				t.Fatalf("readFrame: %v", err)
+			n, body, err := peekFrame(br, frameMaxBody)
+			if err != nil || n != len(tc.fb)-4 || len(body) != n {
+				t.Fatalf("peekFrame: %d-byte body, %d of them peeked, %v; the frame's is %d", n, len(body), err, len(tc.fb)-4)
 			}
 			f, err := decodeFrameBody(body)
 			if err != nil {
@@ -101,20 +141,34 @@ func TestFrameRoundTrips(t *testing.T) {
 }
 
 func TestReadFrameHostileLengths(t *testing.T) {
+	peek := func(b []byte) error {
+		_, _, err := peekFrame(bufio.NewReaderSize(bytes.NewReader(b), 1<<16), frameMaxBody)
+		return err
+	}
 	// Oversized length prefix must error, not allocate/hang.
-	big := []byte{0xff, 0xff, 0xff, 0x7f, 0x01}
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(big)), frameMaxBody); err == nil {
+	if peek([]byte{0xff, 0xff, 0xff, 0x7f, 0x01}) == nil {
 		t.Fatal("oversized frame accepted")
 	}
+	over := binary.LittleEndian.AppendUint32(nil, frameMaxBody+1)
+	if peek(append(over, make([]byte, 1<<17)...)) == nil {
+		t.Fatal("frame one byte over frameMaxBody accepted")
+	}
 	// Zero length must error.
-	zero := []byte{0, 0, 0, 0}
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(zero)), frameMaxBody); err == nil {
+	if peek([]byte{0, 0, 0, 0}) == nil {
 		t.Fatal("zero-length frame accepted")
 	}
-	// Truncated body must error.
-	trunc := encodeAM(0, 1, nil, make([]byte, 100), nil)[:20]
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(trunc)), frameMaxBody); err == nil {
+	// Truncated bodies must error: one the buffer holds, and a bulk frame
+	// that ends inside the head peekFrame waits for.
+	if peek(encodeAM(0, 1, nil, make([]byte, 100), nil)[:20]) == nil {
 		t.Fatal("truncated frame accepted")
+	}
+	if peek(encodePut(0, 0, 0, 0, 1, nil, make([]byte, 1<<17))[:bulkHead-1]) == nil {
+		t.Fatal("truncated bulk frame accepted")
+	}
+	// A bulk frame yields its length and the head it starts with.
+	bulk := encodePut(0, 0, 0, 0, 1, nil, make([]byte, 1<<17))
+	if n, body, err := peekFrame(bufio.NewReaderSize(bytes.NewReader(bulk), 1<<16), frameMaxBody); err != nil || n != len(bulk)-4 || len(body) != bulkHead-4 {
+		t.Fatalf("bulk frame: peekFrame = %d-byte body, %d peeked, %v", n, len(body), err)
 	}
 }
 
@@ -153,6 +207,22 @@ func FuzzTransportFrame(f *testing.F) {
 		total := len(fr.aux) + len(fr.payload) + len(fr.remAux) + len(fr.remPayload)
 		if total > len(body) {
 			t.Fatalf("decoded slices (%d bytes) exceed input (%d bytes)", total, len(body))
+		}
+		// What the bulk path rests on: of a put or a get reply, every prefix
+		// that holds the whole head decodes to the same head and to a payload
+		// that is a prefix of the full one.
+		if fr.typ != fPut && fr.typ != fGetRep {
+			return
+		}
+		for cut := len(body) - len(fr.payload); cut <= len(body); cut++ {
+			pre, err := decodeFrameBody(body[:cut])
+			if err != nil || !bytes.HasPrefix(fr.payload, pre.payload) || len(pre.payload) != cut-(len(body)-len(fr.payload)) {
+				t.Fatalf("prefix of %d of %d bytes: %v, payload %d bytes", cut, len(body), err, len(pre.payload))
+			}
+			pre.payload, pre.n = fr.payload, fr.n
+			if !reflect.DeepEqual(pre, fr) {
+				t.Fatalf("prefix of %d of %d bytes decodes to another head:\n%+v\n%+v", cut, len(body), pre, fr)
+			}
 		}
 	})
 }

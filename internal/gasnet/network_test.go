@@ -365,8 +365,9 @@ func TestWaitPendingAllocs(t *testing.T) {
 
 // TestAMAllocs pins the two ends of "encoded once": the in-process conduit
 // delivers a payload the caller handed over (AMTag) as it is, through queue
-// buffers the drains swap back — nothing is allocated — and the wire
-// conduit's only allocation is the frame the payload is copied into.
+// buffers the drains swap back, and the wire conduit gathers head, owned
+// buffer and borrowed fragments at the tail of the peer's send queue, bytes the
+// writer hands back for reuse — nothing is allocated at either.
 func TestAMAllocs(t *testing.T) {
 	n := NewNetwork(Config{Ranks: 2, SegmentSize: 1 << 12})
 	defer n.Close()
@@ -382,12 +383,23 @@ func TestAMAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, send); a != 0 || got != 8*103 {
 		t.Errorf("loopback AM of an owned buffer: %v allocs (want 0), %d bytes delivered (want %d)", a, got, 8*103)
 	}
-	// A wire with one peer whose writer queue is closed: what is left of am
-	// is the encode.
-	w := &wire{peers: []*peerConn{nil, {wclosed: true}}}
+	// A wire with one tcp peer and nobody writing: the queue grows once.
+	peer := testPeer(1, nil)
+	w := &wire{peers: []*peerConn{nil, peer}}
 	if a := testing.AllocsPerRun(100, func() {
-		w.am(nil, 1, h, payload, nil, nil, obs.OpTag{})
-	}); a != 1 {
-		t.Errorf("wire AM of an 8-byte payload: %v allocs, want 1 (the frame)", a)
+		peer.wbuf = peer.wbuf[:0]
+		w.am(nil, 1, h, payload[:3], [][]byte{payload[3:]}, nil, obs.OpTag{})
+	}); a != 0 || len(peer.wbuf) != 4+8+8 {
+		t.Errorf("wire AM of an 8-byte payload: %v allocs (want 0), a frame of %d bytes queued (want 20)", a, len(peer.wbuf))
+	}
+	// More fragments than am lists on its stack (a flushed batch's): same frame.
+	frags, whole := make([][]byte, 12), pattern(12*100, 1)
+	for i := range frags {
+		frags[i] = whole[i*100 : (i+1)*100]
+	}
+	peer.wbuf = peer.wbuf[:0]
+	w.am(nil, 1, h, []byte("head"), frags, nil, obs.OpTag{})
+	if f, err := decodeFrameBody(peer.wbuf[4:]); err != nil || string(f.payload) != "head"+string(whole) {
+		t.Errorf("wire AM of 12 fragments: %v, %d-byte payload", err, len(f.payload))
 	}
 }

@@ -260,7 +260,11 @@ func TestRingModelConcurrent(t *testing.T) {
 }
 
 // wirePair boots a two-rank job over a real backend inside the test process.
-func wirePair(t *testing.T, backend string) (nets []*Network, wires []*wire) {
+func wirePair(t *testing.T, backend string) ([]*Network, []*wire) {
+	return wirePairSeg(t, backend, 1<<12)
+}
+
+func wirePairSeg(t *testing.T, backend string, segSize int) (nets []*Network, wires []*wire) {
 	dir := t.TempDir()
 	nets, wires = make([]*Network, 2), make([]*wire, 2)
 	var wg sync.WaitGroup
@@ -268,7 +272,7 @@ func wirePair(t *testing.T, backend string) (nets []*Network, wires []*wire) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nets[r] = NewNetwork(Config{Ranks: 2, SegmentSize: 1 << 12, Aux: intAux{},
+			nets[r] = NewNetwork(Config{Ranks: 2, SegmentSize: segSize, Aux: intAux{},
 				Real: &RealConduit{Backend: backend, Rank: r, BootDir: dir, Timeout: 20 * time.Second}})
 			wires[r] = nets[r].be.(*wire)
 		}()
@@ -323,7 +327,7 @@ func TestRingCorruptRecordFailsPeer(t *testing.T) {
 			in.data[(at+i)%ringCap] = b
 		}
 		atomic.StoreUint64(in.head, at+tc.head)
-		wires[1].peers[0].enqueue(wires[1].bell)
+		wires[1].sockSend(wires[1].peers[0], false, []byte{fRing})
 		for deadline := time.Now().Add(10 * time.Second); nets[0].Failed() == nil && time.Now().Before(deadline); {
 			wires[0].ep.WaitPending(time.Second)
 		}

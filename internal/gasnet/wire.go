@@ -12,20 +12,23 @@ package gasnet
 // peers are woken by an fRing doorbell frame over the socket — so an idle
 // rank blocks in epoll (via the reader goroutine's Read) rather than spinning.
 //
-// Per peer there is one reader goroutine (blocks in Read, dispatches
-// frames onto the endpoint's completion/AM queues, never writes) and
-// one writer goroutine (drains a queue with one writev per batch —
-// replies from the reader are routed through the writer queue, which
-// is what makes reader-side acks deadlock-free). Both are ordinary
+// Per peer there is one reader goroutine (blocks in Read, decodes frames
+// where they lie in its read buffer and dispatches them onto the endpoint's
+// completion/AM queues, never writes) and one writer goroutine, which swaps
+// the peer's send queue — one byte slice every frame is gathered into as it
+// is sent, bounded by sendBound for injectors — for its spare and issues one
+// Write per swap. A reader's replies join that queue without ever waiting,
+// which is what makes reader-side acks deadlock-free. Both are ordinary
 // goroutines: a reader blocked in Read is parked in the netpoller and
 // holds no thread, and the scheduler readies it on whichever P goes idle
 // first — the one the blocked waiter just gave up (core's idle rule).
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -53,7 +56,8 @@ type RealConduit struct {
 // AuxCodec serializes AM aux tokens (RPC invoker descriptors) for the
 // wire. In-process backends pass aux by reference; a real transport
 // needs the runtime above to map them to registered-function names.
-// Encoding nil must be representable as zero bytes.
+// Encoding nil must be representable as zero bytes; DecodeAux must not keep b,
+// which lies in a read buffer.
 type AuxCodec interface {
 	EncodeAux(aux any) ([]byte, error)
 	DecodeAux(b []byte) (any, error)
@@ -68,9 +72,9 @@ type ConduitInfo struct {
 	PeerAddrs   []string `json:"peer_addrs,omitempty"`
 	ShmSegBytes int      `json:"shm_seg_bytes,omitempty"`
 
-	FramesOut       uint64 `json:"frames_out"`
+	FramesOut       uint64 `json:"frames_out"` // socket frames, doorbells included, counted once: where they join a send queue
 	FramesIn        uint64 `json:"frames_in"`
-	BytesOut        uint64 `json:"bytes_out"`
+	BytesOut        uint64 `json:"bytes_out"` // of FramesOut, length prefixes included
 	BytesIn         uint64 `json:"bytes_in"`
 	RingRecords     uint64 `json:"ring_records"`     // shm: frames that rode a ring record
 	RingDoorbells   uint64 `json:"ring_doorbells"`   // shm: fRing frames sent, for data and for space
@@ -89,11 +93,17 @@ type peerConn struct {
 	addr string
 	conn net.Conn
 	br   *bufio.Reader
-	ams  []inboundAM // the reader goroutine's: AMs decoded, not yet delivered
+	// The reader goroutine's own: AMs decoded and not yet delivered, the slab
+	// their payloads are copied out of the read buffer into, and how much of
+	// the frame in dispatch is still unread in br.
+	ams  []inboundAM
+	slab []byte
+	rest int
 
 	wmu     sync.Mutex
-	wcnd    *sync.Cond
-	wq      [][]byte
+	wcnd    *sync.Cond // the writer's: wbuf is not empty, or wclosed
+	wroom   *sync.Cond // injectors': wbuf was taken, or nobody will take it
+	wbuf    []byte     // frames queued for the writer, back to back
 	wclosed bool
 
 	bye atomic.Bool // peer announced clean shutdown
@@ -106,14 +116,10 @@ type peerConn struct {
 	seg  []byte     // peer's mapped host segment
 }
 
-func (p *peerConn) enqueue(fb []byte) {
-	p.wmu.Lock()
-	if !p.wclosed {
-		p.wq = append(p.wq, fb)
-		p.wcnd.Signal()
-	}
-	p.wmu.Unlock()
-}
+// sendBound is how many queued bytes make an injector wait for the writer: at
+// most this much, one frame and the readers' replies stand in a send queue.
+// Measured against 256 KiB and no bound (DESIGN §14): a constant, not a knob.
+const sendBound = 1 << 20
 
 type shmWorld struct {
 	my      *shmFile
@@ -129,7 +135,6 @@ type wire struct {
 	ep      *Endpoint
 	peers   []*peerConn
 	ln      net.Listener
-	bell    []byte // pre-encoded fRing doorbell frame
 	shm     *shmWorld
 
 	seq     atomic.Uint64
@@ -143,7 +148,7 @@ type wire struct {
 	framesOut, framesIn atomic.Uint64
 	bytesOut, bytesIn   atomic.Uint64
 	ringRecs, ringBells atomic.Uint64
-	sockFalls           atomic.Uint64
+	sockFalls, stalls   atomic.Uint64 // stalls: waits on sendBound
 }
 
 // ---------------------------------------------------------------------------
@@ -193,7 +198,6 @@ func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 		aux:     nw.cfg.Aux,
 		peers:   make([]*peerConn, nranks),
 		pending: make(map[uint64]pendingOp),
-		bell:    encodeEmpty(fRing),
 	}
 
 	if rc.Backend == "shm" {
@@ -270,21 +274,22 @@ func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 
 func (t *wire) newPeer(rank Rank, conn net.Conn, br *bufio.Reader) *peerConn {
 	p := &peerConn{rank: rank, addr: conn.RemoteAddr().String(), conn: conn, br: br}
-	p.wcnd = sync.NewCond(&p.wmu)
+	p.wcnd, p.wroom = sync.NewCond(&p.wmu), sync.NewCond(&p.wmu)
 	p.rcnd = sync.NewCond(&p.rmu)
 	return p
 }
 
 func (t *wire) helloExchange(conn net.Conn, br *bufio.Reader, deadline time.Time) (Rank, error) {
 	conn.SetDeadline(deadline)
-	if _, err := conn.Write(encodeHello(uint32(t.self), uint32(t.n))); err != nil {
+	if _, err := conn.Write(appendFrame(nil, appendHello(nil, uint32(t.self), uint32(t.n)))); err != nil {
 		return 0, err
 	}
-	body, err := readFrame(br, 64)
+	n, body, err := peekFrame(br, 64)
 	if err != nil {
 		return 0, err
 	}
-	f, err := decodeFrameBody(body)
+	f, err := decodeFrameBody(body) // the fields of an fHello are all values
+	br.Discard(4 + n)
 	if err != nil {
 		return 0, err
 	}
@@ -368,28 +373,80 @@ func (t *wire) acceptPeers(count int, deadline time.Time) error {
 func (t *wire) readerLoop(p *peerConn) {
 	defer t.wg.Done()
 	for {
-		body, err := t.readSock(p)
-		if err != nil {
+		if _, err := t.recv(p, true); err != nil {
 			if !p.bye.Load() {
 				t.fail(p.rank, err) // a no-op once closing
 			}
 			return
 		}
-		t.handleFrame(p, body)
 		// A burst ends where the next read may block; its AMs go up together.
-		if h, _ := p.br.Peek(min(4, p.br.Buffered())); len(h) < 4 || p.br.Buffered()-4 < int(binary.LittleEndian.Uint32(h)) {
+		if h, _ := p.br.Peek(min(4, p.br.Buffered())); len(h) < 4 || p.br.Buffered()-4 < int(le.Uint32(h)) {
 			t.deliver(p)
 		}
 	}
 }
 
-func (t *wire) readSock(p *peerConn) ([]byte, error) {
-	body, err := readFrame(p.br, frameMaxBody)
-	if err == nil {
-		t.framesIn.Add(1)
-		t.bytesIn.Add(uint64(4 + len(body)))
+// recv takes one frame off p's socket and dispatches it — a control frame
+// (fRing, fBye, fSock) only if ctl — returning its type. A frame that is whole
+// in the read buffer is decoded where it lies and allocates nothing unless it
+// carries what outlives dispatch (keep). Of a longer one the head is: a put's
+// or a get reply's data stays on the socket for land to read into place;
+// anything else (an AM: the payload is kept anyway) gets a body of its own. A
+// frame this rank cannot make sense of fails its sender; only a stream that
+// can no longer be read is returned as an error.
+func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
+	n, b, err := peekFrame(p.br, frameMaxBody)
+	if err != nil {
+		return 0, err
 	}
-	return body, err
+	t.framesIn.Add(1)
+	t.bytesIn.Add(uint64(4 + n))
+	p.rest = 4 + n
+	f, err := decodeFrameBody(b)
+	switch bulk := len(b) < n; {
+	case bulk && (err != nil || f.typ != fPut && f.typ != fGetRep):
+		body := make([]byte, n)
+		p.br.Discard(4)
+		if _, err := io.ReadFull(p.br, body); err != nil {
+			return 0, err
+		}
+		p.rest = 0
+		f, err = decodeFrameBody(body)
+	case err != nil:
+	case f.typ >= fRing: // empty, and its dispatch reads this socket: out of the way first
+		p.br.Discard(p.rest)
+		p.rest = 0
+	default:
+		f.n += uint32(n - len(b))
+		if f.typ == fAM {
+			f.payload = p.keep(f.payload)
+		}
+		f.remPayload = p.keep(f.remPayload)
+	}
+	if err == nil && (ctl || f.typ <= fCopy) {
+		err = t.dispatch(p, f)
+	}
+	if err != nil {
+		t.fail(p.rank, err)
+	}
+	_, err = p.br.Discard(p.rest) // f's slices die here
+	p.rest = 0
+	return f.typ, err
+}
+
+// keep copies what outlives its frame's dispatch out of the read buffer, into
+// a slab sized by what the burst has buffered: a burst costs at most one heap
+// object, as a ring drain does, and what it leaves of the slab serves the next.
+func (p *peerConn) keep(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if len(b) > cap(p.slab)-len(p.slab) {
+		p.slab = make([]byte, 0, max(len(b), p.br.Buffered()))
+	}
+	at := len(p.slab)
+	p.slab = append(p.slab, b...)
+	return p.slab[at:len(p.slab):len(p.slab)]
 }
 
 // deliver hands the endpoint a socket burst's or a ring span's AMs at once.
@@ -401,25 +458,28 @@ func (t *wire) deliver(p *peerConn) {
 
 func (t *wire) writerLoop(p *peerConn) {
 	defer t.wg.Done()
+	// The queue taken last is handed back as the next spare, with the room its
+	// largest burst took: shrinking it was measured and made a rank that
+	// alternates bulk and small traffic regrow it every round (EXPERIMENTS §13).
+	var out []byte
 	for {
 		p.wmu.Lock()
-		for len(p.wq) == 0 && !p.wclosed {
+		for len(p.wbuf) == 0 && !p.wclosed {
 			p.wcnd.Wait()
 		}
-		q := p.wq
-		p.wq = nil
+		out, p.wbuf = p.wbuf, out[:0]
 		closed := p.wclosed
+		p.wroom.Broadcast()
 		p.wmu.Unlock()
-		if len(q) > 0 {
-			bufs := net.Buffers(q)
-			if _, err := bufs.WriteTo(p.conn); err != nil {
+		if len(out) > 0 {
+			if _, err := p.conn.Write(out); err != nil {
 				if !t.closing.Load() && !p.bye.Load() {
 					t.fail(p.rank, err)
 				}
-				// Stop writing; keep draining enqueues so senders never block.
+				// Stop writing; sockSend drops what is sent from here on.
 				p.wmu.Lock()
-				p.wclosed = true
-				p.wq = nil
+				p.wclosed, p.wbuf = true, nil
+				p.wroom.Broadcast()
 				p.wmu.Unlock()
 				return
 			}
@@ -433,44 +493,63 @@ func (t *wire) writerLoop(p *peerConn) {
 	}
 }
 
-// send routes one pre-encoded frame (length prefix included) to dst from an
-// injecting goroutine, which a full shm ring parks (ringSend); reply is send
-// from a reader goroutine, which nothing may block.
-func (t *wire) send(dst Rank, fb []byte)  { t.route(dst, fb, true) }
-func (t *wire) reply(dst Rank, fb []byte) { t.route(dst, fb, false) }
+// send routes one frame, its body gathered from parts (frame.go's encoders
+// build the head), to dst from an injecting goroutine, which a full queue
+// parks — the shm ring (ringSend) or sendBound bytes on a socket (sockSend);
+// reply is send from a reader goroutine, which nothing may block.
+func (t *wire) send(dst Rank, parts ...[]byte)  { t.route(dst, parts, true) }
+func (t *wire) reply(dst Rank, parts ...[]byte) { t.route(dst, parts, false) }
 
-func (t *wire) route(dst Rank, fb []byte, block bool) {
+func (t *wire) route(dst Rank, parts [][]byte, block bool) {
 	switch p := t.peers[dst]; {
 	case p == nil: // self or torn down; self-sends never reach the transport
 	case p.ring != nil:
-		t.ringSend(p, fb, [][]byte{fb[4:]}, block)
+		t.ringSend(p, parts, block)
 	default:
-		t.sockSend(p, fb)
+		t.sockSend(p, block, parts...)
 	}
 }
 
-func (t *wire) sockSend(p *peerConn, fb []byte) {
+// sockSend builds one frame at the tail of p's send queue, straight from the
+// caller's memory: the one capture copy, into bytes the writer hands back for
+// reuse. An injector (wait) that finds sendBound bytes queued parks until the
+// writer takes them or wake says nobody will, and then drops its frame.
+func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	for wait && len(p.wbuf) >= sendBound && !p.wclosed {
+		if t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() {
+			return
+		}
+		t.stalls.Add(1)
+		p.wroom.Wait()
+	}
+	if p.wclosed {
+		return
+	}
+	at := len(p.wbuf)
+	p.wbuf = appendFrame(p.wbuf, parts...)
 	t.framesOut.Add(1)
-	t.bytesOut.Add(uint64(len(fb)))
-	p.enqueue(fb)
+	t.bytesOut.Add(uint64(len(p.wbuf) - at))
+	p.wcnd.Signal()
 }
 
 // ringSend is the one ordered path to a shm peer (DESIGN §14): the local FIFO
-// first, then this frame, its record body gathered from parts. A full ring
-// parks an injector (block) until ringSpace or, as a backstop, the park bound;
-// a reader goroutine leaves fb on the local FIFO instead.
-func (t *wire) ringSend(p *peerConn, fb []byte, parts [][]byte, block bool) {
+// first, then this frame, its record gathered from parts. A full ring parks
+// an injector (block) until wake or, as a backstop, the park bound; a reader
+// goroutine leaves the frame, flattened, on the local FIFO instead.
+func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool) {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
-	for !t.flushLocal(p) || !t.ringPut(p, fb, parts) {
+	for !t.flushLocal(p) || !t.ringPut(p, parts) {
 		if !block {
-			p.lq = append(p.lq, fb)
+			p.lq = append(p.lq, bytes.Join(parts, nil))
 			return
 		}
 		if t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() {
 			return // nobody is left to read it
 		}
-		// push set waiting under rmu, which ringSpace takes to broadcast.
+		// push set waiting under rmu, which wake takes to broadcast.
 		tm := time.AfterFunc(100*time.Millisecond, p.rcnd.Broadcast)
 		p.rcnd.Wait()
 		tm.Stop()
@@ -478,21 +557,22 @@ func (t *wire) ringSend(p *peerConn, fb []byte, parts [][]byte, block bool) {
 }
 
 // ringPut places one frame on p's ring, or reports it full. A frame too
-// large for a record leaves an fSock marker and takes the socket, behind a
-// doorbell so that the consumer meets the marker first, in order under rmu.
-func (t *wire) ringPut(p *peerConn, fb []byte, parts [][]byte) bool {
-	big := len(fb)-4 > ringMaxRec
-	if big {
-		parts = [][]byte{{fSock}}
+// large for a record leaves an fSock marker and is built in the socket's send
+// queue — never waiting there: the ring is the bound — behind a doorbell, so
+// that the consumer meets the marker first, in order under rmu.
+func (t *wire) ringPut(p *peerConn, parts [][]byte) bool {
+	n, rec := amLen(nil, parts), parts
+	if n > ringMaxRec {
+		rec = [][]byte{{fSock}}
 	}
-	pushed, bell := p.ring.push(parts)
-	if pushed && (bell || big) {
+	pushed, bell := p.ring.push(rec)
+	if pushed && (bell || n > ringMaxRec) {
 		t.ringBells.Add(1)
-		p.enqueue(t.bell)
+		t.sockSend(p, false, []byte{fRing})
 	}
-	if pushed && big {
+	if pushed && n > ringMaxRec {
 		t.sockFalls.Add(1)
-		t.sockSend(p, fb)
+		t.sockSend(p, false, parts...)
 	} else if pushed {
 		t.ringRecs.Add(1)
 	}
@@ -500,16 +580,22 @@ func (t *wire) ringPut(p *peerConn, fb []byte, parts [][]byte) bool {
 }
 
 func (t *wire) flushLocal(p *peerConn) bool {
-	for len(p.lq) > 0 && t.ringPut(p, p.lq[0], [][]byte{p.lq[0][4:]}) {
+	for len(p.lq) > 0 && t.ringPut(p, p.lq[:1]) {
 		p.lq = p.lq[1:]
 	}
 	return len(p.lq) == 0
 }
 
-// ringSpace is the producer's half of fRing and of whatever else a parked
-// injector must see (failure, bye, close): flush the local FIFO, wake them.
-func (t *wire) ringSpace(p *peerConn) {
-	if p != nil && p.ring != nil {
+// wake is the producer's half of fRing and of whatever else a parked injector
+// must see (failure, bye, close): flush the local FIFO, wake them all.
+func (t *wire) wake(p *peerConn) {
+	if p == nil {
+		return
+	}
+	p.wmu.Lock()
+	p.wroom.Broadcast()
+	p.wmu.Unlock()
+	if p.ring != nil {
 		p.rmu.Lock()
 		t.flushLocal(p)
 		p.rcnd.Broadcast()
@@ -601,6 +687,7 @@ func (t *wire) shmLanded(x xfer) {
 func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 	x.tag.Hop(obs.StageCapture, t.self, x.captureBytes())
 	src, dst, n := x.src, x.dst, x.n
+	var hdr [frameHeadMax]byte
 	switch {
 	case src.rank == t.self:
 		// Put-shaped: local bytes to a peer's segment — a memcpy into its
@@ -615,7 +702,7 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 		}
 		rw, ackID := t.carried(x)
 		x.tag.Landing(dst.rank, n)
-		t.send(dst.rank, encodePut(uint32(t.self), uint16(dst.seg), dst.off, uint32(t.self), ackID, rw, data))
+		t.send(dst.rank, appendPut(hdr[:0], uint32(t.self), uint16(dst.seg), dst.off, uint32(t.self), ackID, rw), data)
 	case dst.rank == t.self:
 		// Get-shaped: a peer's bytes into local memory, where the
 		// payload lands (and a copy's remote AM is due).
@@ -637,7 +724,7 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 				onDone()
 			}
 		}})
-		t.send(src.rank, encodeGet(id, uint16(src.seg), src.off, uint32(n)))
+		t.send(src.rank, appendGet(hdr[:0], id, uint16(src.seg), src.off, uint32(n)))
 	default:
 		// Third party: both sides are peers.
 		if sp, dp := t.peers[src.rank], t.peers[dst.rank]; src.seg == HostSeg && dst.seg == HostSeg && sp.seg != nil && dp.seg != nil {
@@ -648,25 +735,26 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 		// 2.5-hop relay: ask the source rank to put its bytes to the
 		// destination, which acks us directly (ackRank = initiator).
 		rw, ackID := t.carried(x)
-		t.send(src.rank, encodeCopy(uint32(t.self), uint16(src.seg), src.off, uint32(dst.rank), uint16(dst.seg), dst.off, uint32(n), uint32(t.self), ackID, rw))
+		t.send(src.rank, appendCopy(hdr[:0], uint32(t.self), uint16(src.seg), src.off, uint32(dst.rank), uint16(dst.seg), dst.off, uint32(n), uint32(t.self), ackID, rw))
 	}
 }
 
-// am ships an Active Message. The single capture copy gathers head and the
-// borrowed fragments straight into a shm ring record when one holds them (and
-// parts does: the runtime sends few fragments), else into the one frame
-// buffer; the fragments are reusable when am returns.
+// am ships an Active Message. The single capture copy gathers its head, the
+// aux bytes, the owned head and the borrowed fragments straight into a shm
+// ring record or the tail of the socket's send queue; the fragments are
+// reusable when am returns. parts lists them on the stack; a batch's many
+// fragments move the list to the heap, and a copy of the head with it.
 func (t *wire) am(_ *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
 	n, auxb := amLen(head, tail), t.encodeAux(aux)
 	tag.Hop(obs.StageCapture, t.self, n)
-	var hdr [amHeadMax]byte
+	var hdr [frameHeadMax]byte
 	var parts [8][]byte
-	if p := t.peers[dst]; p != nil && p.ring != nil && len(tail) <= len(parts)-3 && len(hdr)+len(auxb)+n <= ringMaxRec {
-		parts[0], parts[1], parts[2] = amHead(hdr[:0], uint32(t.self), uint16(h), len(auxb)), auxb, head
-		t.ringSend(p, nil, parts[:3+copy(parts[3:], tail)], true)
-	} else {
-		t.send(dst, encodeAM(uint32(t.self), uint16(h), auxb, head, tail))
+	parts[0], parts[1], parts[2] = appendAM(hdr[:0], uint32(t.self), uint16(h), len(auxb)), auxb, head
+	list := parts[:3+copy(parts[3:], tail)]
+	if len(tail) > len(parts)-3 {
+		list = append([][]byte{bytes.Clone(parts[0]), auxb, head}, tail...)
 	}
+	t.send(dst, list...)
 	tag.Landing(dst, n)
 }
 
@@ -687,7 +775,8 @@ func (t *wire) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64
 	if onResult != nil {
 		id = t.newPending(pendingOp{onOld: onResult})
 	}
-	t.send(dst, encodeAMO(id, off, byte(op), op1, op2))
+	var hdr [frameHeadMax]byte
+	t.send(dst, appendAMO(hdr[:0], id, off, byte(op), op1, op2))
 	tag.Landing(dst, 8)
 }
 
@@ -724,27 +813,43 @@ func (t *wire) inbound(seg uint16, off uint64, n uint32, ranks ...uint32) ([]byt
 	return s.Bytes(off, int(n)), nil
 }
 
-// landRemote finishes an inbound put or copy whose bytes are in place in
+// land moves a put's or a get reply's data to dst, which the caller has
+// validated and sized to the frame's n. Data that arrived with its head is one
+// copy, under the endpoint queue lock (syncDirect). A bulk frame's is still on
+// the socket: it is read straight into place, and not under that lock — the
+// peer sets the pace of a read — so an empty syncDirect on either side gives
+// the race detector the same edge.
+func (t *wire) land(p *peerConn, dst, data []byte) error {
+	if len(data) == len(dst) {
+		t.ep.syncDirect(func() { copy(dst, data) })
+		return nil
+	}
+	t.ep.syncDirect(func() {})
+	p.br.Discard(p.rest - len(dst)) // the head; every slice into it is dead from here on
+	_, err := io.ReadFull(p.br, dst)
+	p.rest = 0
+	t.ep.syncDirect(func() {})
+	return err
+}
+
+// landRemote finishes an inbound put or copy whose f.n bytes are in place in
 // local segment seg: count the h2d descriptor, enqueue the piggybacked
-// remote-completion AM, and ack the initiator.
-func (t *wire) landRemote(p *peerConn, f frame, seg uint16, n uint32) error {
+// remote-completion AM (aux is its decoded token), and ack the initiator.
+func (t *wire) landRemote(p *peerConn, f frame, seg uint16, aux any) {
 	if SegID(seg) != HostSeg {
-		t.ep.countDMA(obs.DMAH2D, int(n))
+		t.ep.countDMA(obs.DMAH2D, int(f.n))
 	}
 	if f.hasRem {
-		aux, err := t.decodeAux(f.remAux)
-		if err != nil {
-			return err
-		}
 		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: aux})
 	}
 	if f.ackID != 0 {
 		t.deliver(p) // the remote AM is enqueued before the ack starts back
-		t.reply(Rank(f.ackRank), encodePutAck(f.ackID))
+		var hdr [frameHeadMax]byte
+		t.reply(Rank(f.ackRank), appendPutAck(hdr[:0], f.ackID))
 	}
-	return nil
 }
 
+// handleFrame dispatches a frame body that nothing overwrites: a ring record.
 func (t *wire) handleFrame(p *peerConn, body []byte) {
 	f, err := decodeFrameBody(body)
 	if err == nil {
@@ -767,12 +872,19 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		}
 		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux})
 	case fPut:
-		dst, err := t.inbound(f.seg, f.off, uint32(len(f.payload)), f.rank, f.ackRank)
+		// Everything is checked, and the remote AM decoded, before a byte lands.
+		dst, err := t.inbound(f.seg, f.off, f.n, f.rank, f.ackRank)
 		if err != nil {
 			return err
 		}
-		t.ep.syncDirect(func() { copy(dst, f.payload) })
-		return t.landRemote(p, f, f.seg, uint32(len(f.payload)))
+		aux, err := t.decodeAux(f.remAux)
+		if err != nil {
+			return err
+		}
+		if err := t.land(p, dst, f.payload); err != nil {
+			return err
+		}
+		t.landRemote(p, f, f.seg, aux)
 	case fPutAck:
 		if op, ok := t.takePending(f.ackID); ok && op.onAck != nil {
 			t.ep.enqueueComp(op.onAck)
@@ -782,18 +894,24 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		if err != nil {
 			return err
 		}
-		var rep []byte
-		t.ep.syncDirect(func() { rep = encodeGetRep(f.reqID, src) })
 		if SegID(f.seg) != HostSeg {
 			t.ep.countDMA(obs.DMAD2H, int(f.n))
 		}
-		t.reply(p.rank, rep)
+		var hdr [frameHeadMax]byte
+		t.ep.syncDirect(func() { t.reply(p.rank, appendGetRep(hdr[:0], f.reqID), src) })
 	case fGetRep:
-		if op, ok := t.takePending(f.reqID); ok {
-			t.ep.syncDirect(func() { copy(op.dst, f.payload) })
-			if op.onDone != nil {
-				t.ep.enqueueComp(op.onDone)
-			}
+		op, ok := t.takePending(f.reqID)
+		if !ok {
+			return nil
+		}
+		if int(f.n) != len(op.dst) {
+			return fmt.Errorf("gasnet: get reply of %d bytes to a get of %d", f.n, len(op.dst))
+		}
+		if err := t.land(p, op.dst, f.payload); err != nil {
+			return err
+		}
+		if op.onDone != nil {
+			t.ep.enqueueComp(op.onDone)
 		}
 	case fAMO:
 		if f.amoOp > byte(AMOCompSwap) {
@@ -805,7 +923,8 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		var old uint64
 		t.ep.syncDirect(func() { old = t.ep.seg.applyAMO(f.off, AMOOp(f.amoOp), f.amoA, f.amoB) })
 		if f.reqID != 0 {
-			t.reply(p.rank, encodeAMORep(f.reqID, old))
+			var hdr [frameHeadMax]byte
+			t.reply(p.rank, appendAMORep(hdr[:0], f.reqID, old))
 		}
 	case fAMORep:
 		if op, ok := t.takePending(f.reqID); ok && op.onOld != nil {
@@ -819,22 +938,19 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		fallthrough
 	case fRing:
 		t.drainRing(p)
-		t.ringSpace(p)
+		t.wake(p)
 	case fSock:
 		// The frame this record stands for is the next data frame on the
 		// socket. An fRing met on the way is a doorbell whose drain half is
 		// under way here; no other control frame has a place in the order.
-		body, err := t.readSock(p)
-		for ; err == nil && body[0] == fRing; body, err = t.readSock(p) {
-			t.ringSpace(p)
+		typ, err := t.recv(p, false)
+		for ; err == nil && typ == fRing; typ, err = t.recv(p, false) {
+			t.wake(p)
 		}
-		if err == nil && body[0] > fCopy {
-			err = fmt.Errorf("gasnet: control frame %#x behind a ring marker", body[0])
+		if err == nil && typ > fCopy {
+			err = fmt.Errorf("gasnet: control frame %#x behind a ring marker", typ)
 		}
-		if err != nil {
-			return err
-		}
-		t.handleFrame(p, body)
+		return err
 	default:
 		return fmt.Errorf("gasnet: unexpected frame type %#x mid-stream", f.typ)
 	}
@@ -857,18 +973,22 @@ func (t *wire) handleCopy(p *peerConn, f frame) error {
 		if err != nil {
 			return err
 		}
+		aux, err := t.decodeAux(f.remAux)
+		if err != nil {
+			return err
+		}
 		t.ep.syncDirect(func() { copy(dst, src) })
-		return t.landRemote(p, f, f.dstSeg, f.n)
+		t.landRemote(p, f, f.dstSeg, aux)
+		return nil
 	}
 	var rw *remWire
 	if f.hasRem {
 		rw = &remWire{handler: f.remHandler, aux: f.remAux, payload: f.remPayload}
 	}
-	var relay []byte
+	var hdr [frameHeadMax]byte
 	t.ep.syncDirect(func() {
-		relay = encodePut(f.rank, f.dstSeg, f.dstOff, f.ackRank, f.ackID, rw, src)
+		t.reply(Rank(f.dstRank), appendPut(hdr[:0], f.rank, f.dstSeg, f.dstOff, f.ackRank, f.ackID, rw), src)
 	})
-	t.reply(Rank(f.dstRank), relay)
 	return nil
 }
 
@@ -879,7 +999,7 @@ func (t *wire) drainRing(p *peerConn) {
 		span, pos, wake, err := t.shm.inRings[p.rank].take()
 		if wake {
 			t.ringBells.Add(1)
-			p.enqueue(t.bell)
+			t.sockSend(p, false, []byte{fRing})
 		}
 		if err == nil {
 			err = ringRecords(span, pos, func(rec []byte) { t.handleFrame(p, rec) })
@@ -905,7 +1025,7 @@ func (t *wire) fail(peer Rank, err error) {
 	t.failErr.CompareAndSwap(nil, &err)
 	t.ep.Ring()
 	for _, p := range t.peers {
-		t.ringSpace(p) // parked injectors see the failure
+		t.wake(p) // parked injectors see the failure
 	}
 }
 
@@ -919,18 +1039,17 @@ func (t *wire) failure() error {
 // close announces fBye to every peer, drains the writers, and reaps the
 // progress goroutines. Callers quiesce first (World.Run's final
 // barrier), so per-peer FIFO guarantees all useful traffic precedes the
-// bye on the wire (ringSpace: local FIFOs flushed, parked injectors let go).
+// bye on the wire (wake: local FIFOs flushed, parked injectors let go).
 func (t *wire) close() {
 	if t.closing.Swap(true) {
 		return
 	}
-	bye := encodeEmpty(fBye)
 	for _, p := range t.peers {
 		if p == nil {
 			continue
 		}
-		t.ringSpace(p)
-		p.enqueue(bye)
+		t.wake(p)
+		t.sockSend(p, false, []byte{fBye})
 		p.wmu.Lock()
 		p.wclosed = true
 		p.wcnd.Signal()

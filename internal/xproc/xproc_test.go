@@ -26,6 +26,14 @@
 //	flood2 — both ranks, one P each, fire round-trip RPC bursts larger
 //	        than the ring at each other: both rings fill, injectors park
 //	        inside a handler's reply, and it must still finish.
+//	bulk  — both ranks, over tcp, flood each other with 64 KiB puts, many
+//	        send-queue bounds' worth and nothing fenced, mixed with 64 KiB
+//	        gets and sequence-numbered fire-and-forget RPCs: both
+//	        injectors park on their full send queues while each reader
+//	        must keep acking the other's puts and serving its gets — a
+//	        reply that waited for queue room would deadlock the pair. Data,
+//	        per-pair order and a ceiling on max RSS (the queue is bounded,
+//	        bulk data lands in place) are checked.
 //	kill  — one rank vanishes mid-job (os.Exit with no shutdown
 //	        handshake); the survivors must observe an error wrapping
 //	        gasnet.ErrPeerLost instead of hanging, and prove it by
@@ -224,6 +232,22 @@ func TestFloodBothWaysOnOneP(t *testing.T) {
 	}
 }
 
+// TestBulkFloodBothWays: the tcp send queue's bound under a mutual flood of
+// bulk puts, with default Ps and with one.
+func TestBulkFloodBothWays(t *testing.T) {
+	for _, env := range [][]string{nil, {"GOMAXPROCS=1"}} {
+		name := "tcp/default"
+		if env != nil {
+			name = "tcp/oneP"
+		}
+		t.Run(name, func(t *testing.T) {
+			if code := launch(t, "tcp", 2, "bulk", env...); code != 0 {
+				t.Fatalf("bulk job over %s exited %d", name, code)
+			}
+		})
+	}
+}
+
 func TestKilledRankSurfacesPeerLost(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -283,6 +307,8 @@ func runWorker(scen string) (code int) {
 			fifoBody(rk)
 		case "flood2":
 			code = flood2Body(rk)
+		case "bulk":
+			code = bulkBody(rk)
 		case "smoke":
 			smokeBody(rk)
 		case "idle":
@@ -511,6 +537,79 @@ func flood2Body(rk *core.Rank) int {
 	}
 	return 0
 }
+
+// bulkBody: each rank keeps bulkPuts 64 KiB puts (64 MiB, 64 send-queue
+// bounds) in flight at the other, cycling over a few landing slots so that the
+// last put to a slot must be the last to land, with every 32nd followed by a
+// 64 KiB get of the peer's fixed pattern and every put by a numbered rpc_ff.
+// Nothing is waited for until all of it is injected: the sockets fill both
+// ways and both injectors park, so whatever completes does so through acks
+// and get replies the readers send past the bound.
+func bulkBody(rk *core.Rank) int {
+	const S, slots, bulkPuts, getEvery = 64 << 10, 8, 1024, 32
+	me, peer := int(rk.Me()), 1-rk.Me()
+	type areas struct{ Land, Fixed core.GPtr[byte] }
+	mine := areas{core.MustNewArray[byte](rk, slots*S), core.MustNewArray[byte](rk, S)}
+	fill := func(b []byte, rank, seq int) {
+		for i := range b {
+			b[i] = byte(rank*131 + seq*7 + i + i>>8)
+		}
+	}
+	fill(core.Local(rk, mine.Fixed, S), me, -1)
+	obj := core.NewDistObject(rk, mine)
+	rk.Barrier()
+	theirs := core.FetchDist[areas](rk, obj.ID(), peer).Wait()
+	go func() { // a deadlocked pair must fail the job, not hang it
+		time.Sleep(60 * time.Second)
+		fmt.Fprintf(os.Stderr, "xproc bulk: rank %d still flooding after a minute\n", me)
+		os.Exit(1)
+	}()
+
+	src, got := make([]byte, S), make([][]byte, 0, bulkPuts/getEvery)
+	all := core.NewPromise[core.Unit](rk)
+	for i := 0; i < bulkPuts; i++ {
+		fill(src, me, i)
+		core.RPutWith(rk, src, theirs.Land.Add(i%slots*S), core.OpCxAsPromise(all)) // src is reusable on return
+		core.RPCFF(rk, peer, xprocSeq, uint64(i))
+		if i%getEvery == 0 {
+			got = append(got, make([]byte, S))
+			core.RGetWith(rk, theirs.Fixed, got[len(got)-1], core.OpCxAsPromise(all))
+		}
+		if i%16 == 0 {
+			rk.Progress()
+		}
+	}
+	all.Finalize().Wait()
+	tally := core.RPC(rk, peer, xprocSeqRead, uint8(0)).Wait()
+	expect(!tally.Bad, "bulk: at rank %d body %d ran when %d was due", peer, tally.Got, tally.Due)
+	expect(tally.Count == bulkPuts, "bulk: rank %d ran %d of %d bodies", peer, tally.Count, bulkPuts)
+	rk.Barrier() // the peer's puts have all been acked, so they are all here
+
+	want := make([]byte, S)
+	fill(want, int(peer), -1)
+	for g, b := range got {
+		expect(string(b) == string(want), "bulk: rank %d get %d returned the wrong bytes", me, g)
+	}
+	land := core.Local(rk, mine.Land, slots*S)
+	for s := 0; s < slots; s++ {
+		fill(want, int(peer), bulkPuts-slots+s)
+		expect(string(land[s*S:(s+1)*S]) == string(want), "bulk: rank %d slot %d does not hold the last put aimed at it", me, s)
+	}
+	var ru syscall.Rusage
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	fmt.Fprintf(os.Stderr, "xproc bulk: rank %d max RSS %d MiB\n", me, ru.Maxrss>>10)
+	if !raceEnabled && ru.Maxrss>>10 > bulkMaxRSSMiB {
+		fmt.Fprintf(os.Stderr, "xproc bulk: rank %d max RSS %d MiB, ceiling %d: the send queue is not bounded\n", me, ru.Maxrss>>10, bulkMaxRSSMiB)
+		return 1
+	}
+	rk.Barrier()
+	return 0
+}
+
+// bulkMaxRSSMiB is what a rank of the bulk scenario may reach: runtime, the
+// touched part of its segment and two bounded queues fit well under it, 64 MiB
+// of queued frames and the garbage they leave do not.
+const bulkMaxRSSMiB = 40
 
 // taskBody runs the async-task runtime across real rank processes: a
 // result-bearing AsyncAt round trip, then a skewed fire-and-forget

@@ -12,10 +12,13 @@
 # under .bench_build/pairs/<rev>-seed<SEED>/ (gitignored).
 #
 # Per cell it prints   parent median [q1,q3] → change median [q1,q3],
-# the median's move, the pairs the change won (ties count for neither), and
-# the change's interquartile distance ÷ the parent's median — the number the
-# pipeline's spread rule reads. Quartiles are by the exclusive method, like
-# benchmark/stat.go.
+# the median's move, the pairs the change won (ties count for neither), the
+# change's interquartile distance ÷ the parent's median — the number the
+# pipeline's spread rule reads, with a `!` behind it past 15 %: a cell that far
+# out may be refused as too widely spread even when it rose — and whether
+# every run of the change read better than every run of the parent (`all`),
+# which is what exempts a cell wider than its bound from "unresolved".
+# Quartiles are by the exclusive method, like benchmark/stat.go.
 set -euo pipefail
 parent=${1:?usage: bench-pairs.sh PARENT [N] [WORKLOAD] [SEED]}
 n=${2:-10} workload=${3:-} seed=${4:-1}
@@ -72,7 +75,7 @@ BEGIN {
 			close(file)
 		}
 	}
-	printf "%-30s %-36s   %-36s %8s %6s %9s\n", "cell", "parent median [q1, q3]", "change median [q1, q3]", "move", "won", "IQR/med"
+	printf "%-30s %-36s   %-36s %8s %6s %9s  %s\n", "cell", "parent median [q1, q3]", "change median [q1, q3]", "move", "won", "IQR/med", "clear"
 	for (c = 1; c <= nc; c++) {
 		cell = cells[c]
 		kp = sorted(cell, 0, p); kc = sorted(cell, 1, ch)
@@ -85,9 +88,11 @@ BEGIN {
 			if (d > 0) won++
 		}
 		pm = quartile(p, kp, 2); cm = quartile(ch, kc, 2)
-		printf "%-30s %11.5g [%10.5g, %10.5g] → %11.5g [%10.5g, %10.5g] %+7.1f%% %3d/%-2d %8.1f%%\n", cell,
+		spread = pm ? 100 * (quartile(ch, kc, 3) - quartile(ch, kc, 1)) / pm : 0
+		clear = (better[cell] == "lower") ? (ch[kc] < p[1]) : (ch[1] > p[kp]) # worst run of the change against best run of the parent
+		printf "%-30s %11.5g [%10.5g, %10.5g] → %11.5g [%10.5g, %10.5g] %+7.1f%% %3d/%-2d %8.1f%%%s %s\n", cell,
 			pm, quartile(p, kp, 1), quartile(p, kp, 3), cm, quartile(ch, kc, 1), quartile(ch, kc, 3),
-			pm ? 100 * (cm - pm) / pm : 0, won, pairs, pm ? 100 * (quartile(ch, kc, 3) - quartile(ch, kc, 1)) / pm : 0
+			pm ? 100 * (cm - pm) / pm : 0, won, pairs, spread, (spread > 15 ? "!" : " "), (clear ? "all" : "-")
 	}
 	printf "runs with failed operations: parent %d, change %d; result files in %s\n", failed[0], failed[1], out
 }'
