@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-queue-regrow bench bench-smoke bench-json bench-selftest bench-pairs fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-queue-regrow bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -131,22 +131,6 @@ bench-smoke:
 	$(GO) run ./cmd/sympack-bench
 	$(GO) run ./cmd/task-bench -spawns 256 -tasks 128 -grain 2ms -batches 2,8
 
-# Machine-readable benchmark tables: every figure tool writes its
-# BENCH_<tool>.json (model-only / tiny sizes here — the schema and the
-# config/model columns, not a perf run; drop the flags for real sweeps).
-bench-json:
-	$(GO) run ./cmd/rma-bench -mode all -model-only -json
-	$(GO) run ./cmd/kinds-bench -model-only -json
-	$(GO) run ./cmd/coll-bench -model-only -json
-	$(GO) run ./cmd/dht-bench -inserts 4 -pipelined -batch -json
-	$(GO) run ./cmd/eadd-bench -json
-	$(GO) run ./cmd/sympack-bench -json
-	$(GO) run ./cmd/task-bench -spawns 256 -tasks 128 -grain 2ms -batches 2,8 -json
-	$(GO) run ./cmd/rma-bench -conduit=shm -json
-	$(GO) run ./cmd/rma-bench -conduit=tcp -json
-	$(GO) run ./cmd/dht-bench -conduit=shm -json
-	$(GO) run ./cmd/dht-bench -conduit=tcp -json
-
 # The committed benchmark is a module of its own (benchmark/go.mod,
 # `replace upcxx => ../`) that reaches into internal/gasnet and the facade:
 # vet it and run its self-test so an API slip is caught here, not by the
@@ -165,6 +149,12 @@ bench-selftest:
 bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [WORKLOAD=name] [SEED=1]"; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(or $(N),10)" "$(WORKLOAD)" "$(or $(SEED),1)"
+
+# The two sizes the simplicity aim is quoted in (ROADMAP item 5): non-test Go
+# lines outside benchmark/, and exported functions of the facade.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+	@grep -c '^func [A-Z]' upcxx.go
 
 # Observability smoke: quickstart with stats and tracing armed must print
 # a non-empty sampled op timeline, and the obs-threaded runtime must stay

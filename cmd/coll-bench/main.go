@@ -52,7 +52,6 @@ var (
 	modelOnly  = flag.Bool("model-only", false, "print only the closed-form predictions (fast)")
 	noDevice   = flag.Bool("no-device", false, "skip the device-kind sweep")
 	withStats  = flag.Bool("stats", false, "record runtime stats in every measured world and dump the merged counters (incl. collective tree rounds) of the last one at exit")
-	jsonOut    = flag.Bool("json", false, "also write every table to BENCH_coll-bench.json")
 	collHeader = 40 // approximate collective header AM size in bytes
 )
 
@@ -328,7 +327,6 @@ func main() {
 	host.Fprint(os.Stdout)
 	fmt.Printf("auto-tuned radix (CollRadix 0 + model): %s\n", strings.Join(picks, ", "))
 	fmt.Println()
-	tables := []*stats.Table{host}
 
 	if !*noDevice && !*modelOnly {
 		dev := &stats.Table{
@@ -349,7 +347,6 @@ func main() {
 		}
 		dev.Fprint(os.Stdout)
 		fmt.Println()
-		tables = append(tables, dev)
 		if pinViolation != "" {
 			fmt.Fprintf(os.Stderr, "coll-bench: datapath pin violated: %s\n", pinViolation)
 			os.Exit(1)
@@ -365,15 +362,5 @@ func main() {
 		fmt.Println()
 		fmt.Println("runtime stats (merged across ranks, last measured world):")
 		obs.Fprint(os.Stdout, lastSnap)
-	}
-	if *jsonOut {
-		cfg := map[string]any{
-			"ranks": *ranksFlag, "radices": *radixFlag, "iters": *iters, "reps": *reps,
-			"dilation": *dilation, "device-elems": *devElems, "model-only": *modelOnly,
-		}
-		if err := stats.WriteBenchJSON("BENCH_coll-bench.json", "coll-bench", cfg, tables); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }

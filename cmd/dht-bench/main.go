@@ -40,8 +40,6 @@ var (
 	pipelined = flag.Bool("pipelined", false, "compare blocking vs pipelined (source-cx) insert loops on the real runtime")
 	batch     = flag.Bool("batch", false, "sweep the batched-insert loop (per-home-rank message coalescing) over batch sizes on the real runtime")
 	withStats = flag.Bool("stats", false, "record runtime stats in the real-runtime worlds (via the UPCXX_STATS knob) and dump the merged counters of the last one at exit")
-	jsonOut   = flag.Bool("json", false, "also write every table to BENCH_dht-bench.json")
-	conduit   = flag.String("conduit", "model", "model (in-process simulation, default) or tcp|shm: rerun the insert loops wall-clock over real OS-process ranks")
 )
 
 // lastSnap holds the merged counters of the most recent stats-enabled
@@ -210,19 +208,14 @@ func batchRuns() *stats.Table {
 
 func main() {
 	flag.Parse()
-	if *conduit != "model" {
-		os.Exit(runConduitDHT())
-	}
 	if *withStats {
 		// The real-runtime worlds are created inside internal/dht
 		// helpers with plain configs; the env knob reaches all of them.
 		os.Setenv("UPCXX_STATS", "1")
 	}
-	var tables []*stats.Table
 	emit := func(t *stats.Table) {
 		t.Fprint(os.Stdout)
 		fmt.Println()
-		tables = append(tables, t)
 	}
 	if *machine == "haswell" || *machine == "both" {
 		emit(modelTable(expmodel.Haswell(), 16384))
@@ -242,15 +235,5 @@ func main() {
 	if *withStats && haveSnap {
 		fmt.Println("runtime stats (merged across ranks, last real-runtime world):")
 		obs.Fprint(os.Stdout, lastSnap)
-	}
-	if *jsonOut {
-		cfg := map[string]any{
-			"machine": *machine, "inserts": *inserts,
-			"real": *real, "pipelined": *pipelined, "batch": *batch,
-		}
-		if err := stats.WriteBenchJSON("BENCH_dht-bench.json", "dht-bench", cfg, tables); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }

@@ -37,7 +37,6 @@ var (
 	machine   = flag.String("machine", "both", "haswell, knl, or both")
 	realP     = flag.Int("real", 0, "if > 0, also run the real implementations at this process count")
 	withStats = flag.Bool("stats", false, "record runtime stats in the real UPC++ world and dump the merged counters at exit (needs -real)")
-	jsonOut   = flag.Bool("json", false, "also write the model tables to BENCH_eadd-bench.json")
 )
 
 // lastSnap holds the merged counters of the real UPC++ world, printed at
@@ -142,18 +141,13 @@ func main() {
 	fmt.Printf("problem %s: n=%d nnz=%d, %d fronts, depth %d\n\n",
 		prob.Name, prob.A.N, prob.A.NNZ(), len(tree.Fronts), tree.MaxLevel())
 
-	var tables []*stats.Table
 	if *machine == "haswell" || *machine == "both" {
-		t := modelTable(expmodel.Haswell(), tree)
-		t.Fprint(os.Stdout)
+		modelTable(expmodel.Haswell(), tree).Fprint(os.Stdout)
 		fmt.Println()
-		tables = append(tables, t)
 	}
 	if *machine == "knl" || *machine == "both" {
-		t := modelTable(expmodel.KNL(), tree)
-		t.Fprint(os.Stdout)
+		modelTable(expmodel.KNL(), tree).Fprint(os.Stdout)
 		fmt.Println()
-		tables = append(tables, t)
 	}
 	if *realP > 0 {
 		realRun(tree, *realP)
@@ -162,14 +156,5 @@ func main() {
 		fmt.Println()
 		fmt.Println("runtime stats (merged across ranks, UPC++ world):")
 		obs.Fprint(os.Stdout, lastSnap)
-	}
-	if *jsonOut {
-		cfg := map[string]any{
-			"scale": *scale, "block": *block, "machine": *machine, "real": *realP,
-		}
-		if err := stats.WriteBenchJSON("BENCH_eadd-bench.json", "eadd-bench", cfg, tables); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	go run ./cmd/kinds-bench [-max-size bytes] [-reps n] [-dilation k]
-//	                         [-model-only] [-stats] [-json]
+//	                         [-model-only] [-stats]
 package main
 
 import (
@@ -36,7 +36,6 @@ var (
 	dilation  = flag.Int("dilation", 100, "time-dilation factor for measured runs")
 	modelOnly = flag.Bool("model-only", false, "print only the closed-form predictions (fast)")
 	withStats = flag.Bool("stats", false, "record runtime stats in the measured world and dump the merged counters (incl. per-kind DMA descriptors) at exit")
-	jsonOut   = flag.Bool("json", false, "also write the bandwidth table to BENCH_kinds-bench.json")
 )
 
 func dilatedAries(k time.Duration) *gasnet.LogGP {
@@ -172,28 +171,11 @@ func main() {
 		defer wg.Close()
 	}
 
-	t := &stats.Table{
-		Title:  "CopyGG bandwidth by memory-kind pair, GB/s",
-		XLabel: "size",
-		XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
-	}
-	series := map[string]*stats.Series{}
-	addPoint := func(name string, n int, v float64) {
-		s := series[name]
-		if s == nil {
-			s = &stats.Series{Name: name}
-			series[name] = s
-			t.Series = append(t.Series, s)
-		}
-		s.Add(float64(n), v)
-	}
-
 	lastMeas := map[string]time.Duration{}
 	for _, n := range sizes() {
 		fmt.Printf("%10d", n)
 		for _, p := range pairs {
 			model := gbps(n, predict(p, n))
-			addPoint(p.name+" (model)", n, model)
 			if *modelOnly {
 				fmt.Printf("  %12.2f", model)
 				continue
@@ -205,7 +187,6 @@ func main() {
 			el := measure(world, p, n, k)
 			lastMeas[p.name] = el
 			meas := gbps(n, el)
-			addPoint(p.name, n, meas)
 			fmt.Printf("  %12.2f %12.2f", meas, model)
 		}
 		fmt.Println()
@@ -235,16 +216,6 @@ func main() {
 		fmt.Println()
 		fmt.Println("runtime stats (merged across ranks, gdr world):")
 		obs.Fprint(os.Stdout, wg.StatsMerged())
-	}
-	if *jsonOut {
-		cfg := map[string]any{
-			"max-size": *maxSize, "reps": *reps,
-			"dilation": *dilation, "model-only": *modelOnly,
-		}
-		if err := stats.WriteBenchJSON("BENCH_kinds-bench.json", "kinds-bench", cfg, []*stats.Table{t}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }
 

@@ -43,21 +43,18 @@ import (
 	"upcxx/internal/gasnet"
 	"upcxx/internal/mpi"
 	"upcxx/internal/obs"
-	"upcxx/internal/serial"
 	"upcxx/internal/stats"
 
 	core "upcxx/internal/core"
 )
 
 var (
-	mode        = flag.String("mode", "both", "latency, flood, signal, rpc, batch, both (latency+flood), or all")
-	modelOnly   = flag.Bool("model-only", false, "skip the real-time measurement (fast)")
-	maxSize     = flag.Int("max-size", 4<<20, "largest transfer size in bytes")
-	reps        = flag.Int("reps", 3, "repetitions per point (best is kept, as in the paper)")
-	dilation    = flag.Int("dilation", 100, "time-dilation factor for measured runs: the simulated network runs k times slower than Aries and results are divided by k, so Go harness jitter (a few us) becomes negligible relative to the modeled microsecond latencies")
-	withStats   = flag.Bool("stats", false, "record runtime stats in every measured world; in rpc mode, print the per-layer small-RPC cost breakdown from the latency histograms and a final merged counter dump")
-	jsonOut     = flag.Bool("json", false, "also write every table to BENCH_rma-bench.json")
-	conduitFlag = flag.String("conduit", "model", "conduit: model (in-process simulated, the full Fig-3 suite) | tcp | shm (real OS-process ranks, wall-clock suite)")
+	mode      = flag.String("mode", "both", "latency, flood, signal, rpc, batch, both (latency+flood), or all")
+	modelOnly = flag.Bool("model-only", false, "skip the real-time measurement (fast)")
+	maxSize   = flag.Int("max-size", 4<<20, "largest transfer size in bytes")
+	reps      = flag.Int("reps", 3, "repetitions per point (best is kept, as in the paper)")
+	dilation  = flag.Int("dilation", 100, "time-dilation factor for measured runs: the simulated network runs k times slower than Aries and results are divided by k, so Go harness jitter (a few us) becomes negligible relative to the modeled microsecond latencies")
+	withStats = flag.Bool("stats", false, "record runtime stats in every measured world; in rpc mode, print the per-layer small-RPC cost breakdown from the latency histograms and a final merged counter dump")
 )
 
 // statsCfg reports whether measured worlds should record runtime stats.
@@ -611,12 +608,7 @@ func measureMPIFlood(size int) float64 {
 
 func main() {
 	flag.Parse()
-	_ = serial.SizeOf[byte] // keep import graph honest under pruning
-	if *conduitFlag != "model" {
-		os.Exit(runConduitBench())
-	}
 	m := expmodel.Haswell()
-	var tables []*stats.Table
 
 	if *mode == "latency" || *mode == "both" || *mode == "all" {
 		t := &stats.Table{
@@ -645,7 +637,6 @@ func main() {
 			t.Series = append(t.Series, upM, mpM)
 		}
 		t.Fprint(os.Stdout)
-		tables = append(tables, t)
 		fmt.Println()
 	}
 
@@ -676,7 +667,6 @@ func main() {
 			t.Series = append(t.Series, sgM, prM)
 		}
 		t.Fprint(os.Stdout)
-		tables = append(tables, t)
 		fmt.Println()
 		rtt := m.UPCXXPutLatency(8) * 1e6
 		fmt.Printf("saved per notification vs put+RPC: the put's full round trip (~%.2f us at 8 B) —\n", rtt)
@@ -715,7 +705,6 @@ func main() {
 			t.Series = append(t.Series, ffM, rtM, spM)
 		}
 		t.Fprint(os.Stdout)
-		tables = append(tables, t)
 		fmt.Println()
 		fmt.Println("rpc_ff and the signaling put are both one one-way message; the signaling put wins at")
 		fmt.Println("size because the payload moves as RMA (no serialization on the handler path), while")
@@ -742,7 +731,6 @@ func main() {
 			}
 			bt.Series = []*stats.Series{req, rep, sum, e2e}
 			bt.Fprint(os.Stdout)
-			tables = append(tables, bt)
 			fmt.Println()
 			fmt.Println("hist sum is the initiator histograms' inject→complete mean; it should agree with the")
 			fmt.Println("wall-clock end-to-end mean of the same loop to within harness jitter (<15%).")
@@ -781,7 +769,6 @@ func main() {
 		}
 		t.Series = []*stats.Series{bm, fm, bM, fM}
 		t.Fprint(os.Stdout)
-		tables = append(tables, t)
 		fmt.Println()
 		fmt.Println("every wire message pays injection occupancy (o+g) no matter how small; a batch ships")
 		fmt.Println("B requests in one message and receives B replies in one, so the per-op share of the")
@@ -816,22 +803,11 @@ func main() {
 			t.Series = append(t.Series, upM, mpM)
 		}
 		t.Fprint(os.Stdout)
-		tables = append(tables, t)
 	}
 
 	if *withStats && haveSnap {
 		fmt.Println()
 		fmt.Println("runtime stats (merged across ranks, last measured world):")
 		obs.Fprint(os.Stdout, lastSnap)
-	}
-	if *jsonOut {
-		cfg := map[string]any{
-			"mode": *mode, "reps": *reps, "max-size": *maxSize,
-			"dilation": *dilation, "model-only": *modelOnly,
-		}
-		if err := stats.WriteBenchJSON("BENCH_rma-bench.json", "rma-bench", cfg, tables); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }

@@ -34,7 +34,6 @@ var (
 	scale     = flag.Int("scale", 1, "problem scale (1: 24x24x48 proxy grid)")
 	realP     = flag.Int("real", 0, "if > 0, run the real implementations at this process count")
 	withStats = flag.Bool("stats", false, "record runtime stats in the real factorization worlds and dump the merged counters of the last one at exit (needs -real)")
-	jsonOut   = flag.Bool("json", false, "also write the scaling table to BENCH_sympack-bench.json")
 )
 
 // lastSnap holds the merged counters of the most recent stats-enabled
@@ -88,13 +87,6 @@ func main() {
 		fmt.Println()
 		fmt.Println("runtime stats (merged across ranks, last factorization world):")
 		obs.Fprint(os.Stdout, lastSnap)
-	}
-	if *jsonOut {
-		cfg := map[string]any{"scale": *scale, "real": *realP}
-		if err := stats.WriteBenchJSON("BENCH_sympack-bench.json", "sympack-bench", cfg, []*stats.Table{t}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 }
 

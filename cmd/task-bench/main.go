@@ -19,7 +19,7 @@
 //
 //	go run ./cmd/task-bench [-ranks 4] [-workers 2] [-tasks 192]
 //	                        [-grain 2ms] [-spawns 2048]
-//	                        [-batches 1,2,4,8,16] [-json]
+//	                        [-batches 1,2,4,8,16]
 package main
 
 import (
@@ -43,7 +43,6 @@ var (
 	grain    = flag.Duration("grain", 2*time.Millisecond, "per-task work grain in the recovery workload")
 	spawns   = flag.Int("spawns", 2048, "tasks per spawn-overhead measurement")
 	batchStr = flag.String("batches", "1,2,4,8,16", "steal batch sizes to sweep")
-	jsonOut  = flag.Bool("json", false, "also write the tables to BENCH_task-bench.json")
 )
 
 // Registered task bodies.
@@ -180,17 +179,4 @@ func main() {
 		fmt.Printf("NOTE: speedup %.2fx below the 2x bar — expected only on a starved host; rerun with a larger -grain\n", speedup)
 	}
 	fmt.Println()
-
-	if *jsonOut {
-		tables := []*stats.Table{spawnTbl, stealTbl, recovTbl}
-		cfg := map[string]any{
-			"ranks": *ranks, "workers": *workers, "tasks": *tasks,
-			"grain": grain.String(), "spawns": *spawns, "batches": batches,
-		}
-		if err := stats.WriteBenchJSON("BENCH_task-bench.json", "task-bench", cfg, tables); err != nil {
-			fmt.Fprintf(os.Stderr, "task-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_task-bench.json")
-	}
 }

@@ -396,11 +396,6 @@ func RGet[T serial.Scalar](rk *Rank, src GPtr[T], dst []T) Future[Unit] {
 	return RGetWith(rk, src, dst).Op
 }
 
-// RGetPromise is RGet with promise-based completion.
-func RGetPromise[T serial.Scalar](rk *Rank, src GPtr[T], dst []T, p *Promise[Unit]) {
-	RGetWith(rk, src, dst, OpCxAsPromise(p))
-}
-
 // GetValue fetches a single value from remote memory.
 func GetValue[T serial.Scalar](rk *Rank, src GPtr[T]) Future[T] {
 	buf := make([]T, 1)
@@ -440,11 +435,6 @@ func CopyWith[T serial.Scalar](rk *Rank, src GPtr[T], dst GPtr[T], n int, cxs ..
 // a future that readies at operation completion.
 func CopyGG[T serial.Scalar](rk *Rank, src GPtr[T], dst GPtr[T], n int) Future[Unit] {
 	return CopyWith(rk, src, dst, n).Op
-}
-
-// CopyGGPromise is CopyGG with promise-based completion.
-func CopyGGPromise[T serial.Scalar](rk *Rank, src GPtr[T], dst GPtr[T], n int, p *Promise[Unit]) {
-	CopyWith(rk, src, dst, n, OpCxAsPromise(p))
 }
 
 // PutPair names one (local source, remote destination) fragment of a

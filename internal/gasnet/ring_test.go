@@ -296,6 +296,8 @@ func closeAll(nets []*Network) {
 // 0's inbound ring and rings its doorbell. The ring is the peer's memory:
 // each case must fail the peer — Failed() wraps ErrPeerLost, the endpoint
 // doorbell rings — where the old drain jumped tail to head and said nothing.
+// The last rows are well-formed records of a type no producer puts in a ring:
+// a control frame there is refused, not obeyed (bye stays unset).
 func TestRingCorruptRecordFailsPeer(t *testing.T) {
 	nets, wires := shmPair(t)
 	defer closeAll(nets)
@@ -315,6 +317,9 @@ func TestRingCorruptRecordFailsPeer(t *testing.T) {
 		{"wrap marker ending the span", u32(wrapMark), 16},
 		{"bad bytes after a wrap marker", append(append(u32(wrapMark), make([]byte, 12)...), u32(0)...), 24},
 		{"head out of range", nil, ringCap + 1},
+		{"fBye record", append(u32(1), fBye), 5},
+		{"fRing record", append(u32(1), fRing), 5},
+		{"fHello record", append(u32(10), appendHello(nil, 1, 2)...), 14},
 	}
 	for _, tc := range cases {
 		wires[0].failErr.Store(nil)
@@ -339,10 +344,48 @@ func TestRingCorruptRecordFailsPeer(t *testing.T) {
 		if h, tl := atomic.LoadUint64(in.head), atomic.LoadUint64(in.tail); tc.head <= ringCap && h != tl {
 			t.Errorf("%s: span not handed back (head %d, tail %d)", tc.name, h, tl)
 		}
+		if wires[0].peers[1].bye.Load() {
+			t.Errorf("%s: the record was taken for the peer's shutdown notice", tc.name)
+		}
 	}
 	atomic.StoreUint64(in.head, at) // leave an empty ring to the teardown
 	atomic.StoreUint64(in.tail, at)
 	wires[0].failErr.Store(nil)
+}
+
+// TestRingByeRecordKeepsPeerLoss: a one-byte fBye record, pushed and belled
+// the way a producer pushes data, and then the producer's end of the socket
+// goes away. Obeyed, the record sets bye and the reader swallows the socket
+// error that follows — a dead peer reads as a clean shutdown. It must not be:
+// Failed() wraps ErrPeerLost, and teardown leaves no goroutine behind.
+func TestRingByeRecordKeepsPeerLoss(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nets, wires := shmPair(t)
+	in, to0 := wires[0].shm.inRings[1], wires[1].peers[0]
+	if pushed, _ := to0.ring.push([][]byte{{fBye}}); !pushed {
+		t.Fatal("push into an empty ring failed")
+	}
+	wires[1].sockSend(to0, false, []byte{fRing})
+	// The reader that takes the span dispatches its record before it reads
+	// the socket again, so the close below cannot overtake the record.
+	for deadline := time.Now().Add(10 * time.Second); atomic.LoadUint64(in.tail) != atomic.LoadUint64(in.head); {
+		if time.Now().After(deadline) {
+			t.Fatal("the record was never drained")
+		}
+		runtime.Gosched()
+	}
+	to0.conn.Close() // the producer dies
+	for deadline := time.Now().Add(10 * time.Second); nets[0].Failed() == nil && time.Now().Before(deadline); {
+		wires[0].ep.WaitPending(time.Second)
+	}
+	if err := nets[0].Failed(); !errors.Is(err, ErrPeerLost) {
+		t.Errorf("Failed() = %v, want an ErrPeerLost-wrapped error: the peer's loss was swallowed", err)
+	}
+	if wires[0].peers[1].bye.Load() {
+		t.Error("the record was taken for the peer's shutdown notice")
+	}
+	closeAll(nets)
+	waitGoroutines(t, before)
 }
 
 // TestRingKillUnderFlood: the consumer stops draining (its reader is held at

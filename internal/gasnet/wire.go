@@ -850,8 +850,15 @@ func (t *wire) landRemote(p *peerConn, f frame, seg uint16, aux any) {
 }
 
 // handleFrame dispatches a frame body that nothing overwrites: a ring record.
+// Only data frames and the fSock marker ride a ring (ringPut). The ring is the
+// peer's memory: a control frame in a record is not obeyed — an fBye would make
+// the peer's loss read as a clean shutdown, an fRing re-enter the drain that
+// is decoding it — it fails its sender (dispatch refuses fHello anywhere).
 func (t *wire) handleFrame(p *peerConn, body []byte) {
 	f, err := decodeFrameBody(body)
+	if err == nil && f.typ > fCopy && f.typ != fSock {
+		err = fmt.Errorf("gasnet: control frame %#x in a shm ring record", f.typ)
+	}
 	if err == nil {
 		err = t.dispatch(p, f)
 	}

@@ -1,6 +1,6 @@
-// Package stats provides the timing, aggregation and table-formatting
-// helpers shared by the benchmark drivers that regenerate the paper's
-// figures.
+// Package stats provides the table formatting shared by the cmd tools
+// that regenerate the paper's figures, and the order statistics the
+// committed benchmark summarises its rounds with.
 package stats
 
 import (
@@ -9,36 +9,12 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Sample is a set of repeated measurements of one configuration.
 type Sample struct {
 	Values []float64
-
-	// sorted caches an ascending copy of Values for quantile queries. It
-	// is valid only while sortedGen matches gen: every mutator bumps gen,
-	// so a reset-and-refill to the same length (which a pure length check
-	// would mistake for a settled sample) still invalidates the cache.
-	sorted    []float64
-	gen       uint64
-	sortedGen uint64
 }
-
-// Add appends a measurement.
-func (s *Sample) Add(v float64) {
-	s.Values = append(s.Values, v)
-	s.gen++
-}
-
-// Reset discards all measurements, keeping capacity for reuse.
-func (s *Sample) Reset() {
-	s.Values = s.Values[:0]
-	s.gen++
-}
-
-// N returns the number of measurements.
-func (s *Sample) N() int { return len(s.Values) }
 
 // Min returns the smallest measurement (best-of-N, as the paper's
 // microbenchmarks report), or NaN if empty.
@@ -69,51 +45,15 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Mean returns the arithmetic mean (the paper's application benchmarks
-// report means of 10 runs), or NaN if empty.
-func (s *Sample) Mean() float64 {
-	if len(s.Values) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Stddev returns the sample standard deviation, or 0 for fewer than two
-// measurements.
-func (s *Sample) Stddev() float64 {
-	n := len(s.Values)
-	if n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	sum := 0.0
-	for _, v := range s.Values {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation, or NaN if empty. The sorted order is cached, so a
-// sweep of quantile queries over a settled sample sorts once instead of
-// once per call.
+// interpolation, or NaN if empty. It sorts a copy per call and leaves
+// Values in the caller's order.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.Values) == 0 {
 		return math.NaN()
 	}
-	// The length check covers samples whose Values were populated
-	// directly (struct literals) without going through a mutator.
-	if s.sortedGen != s.gen || len(s.sorted) != len(s.Values) {
-		s.sorted = append(s.sorted[:0], s.Values...)
-		sort.Float64s(s.sorted)
-		s.sortedGen = s.gen
-	}
-	sorted := s.sorted
+	sorted := append([]float64(nil), s.Values...)
+	sort.Float64s(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -258,35 +198,3 @@ func BytesHuman(n int) string {
 		return fmt.Sprintf("%dB", n)
 	}
 }
-
-// Timer measures wall-clock durations.
-type Timer struct{ start time.Time }
-
-// StartTimer begins a measurement.
-func StartTimer() Timer { return Timer{start: time.Now()} }
-
-// ElapsedSeconds returns seconds since the timer started.
-func (t Timer) ElapsedSeconds() float64 { return time.Since(t.start).Seconds() }
-
-// Elapsed returns the duration since the timer started.
-func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }
-
-// GeoMean returns the geometric mean of vs, or NaN if empty or any value is
-// non-positive.
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range vs {
-		if v <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vs)))
-}
-
-// Speedup returns base/alt, the factor by which alt beats base when alt is
-// a time (lower is better).
-func Speedup(base, alt float64) float64 { return base / alt }

@@ -402,11 +402,6 @@ func RGetWith[T Scalar](rk *Rank, src GPtr[T], dst []T, cxs ...Cx) CxFutures {
 	return core.RGetWith(rk, src, dst, cxs...)
 }
 
-// RGetPromise is RGet with promise-based completion.
-func RGetPromise[T Scalar](rk *Rank, src GPtr[T], dst []T, p *Promise[Unit]) {
-	core.RGetPromise(rk, src, dst, p)
-}
-
 // PutValue writes one value to remote memory.
 func PutValue[T Scalar](rk *Rank, v T, dst GPtr[T]) Future[Unit] { return core.PutValue(rk, v, dst) }
 
@@ -423,11 +418,6 @@ func CopyGG[T Scalar](rk *Rank, src, dst GPtr[T], n int) Future[Unit] {
 // kind-aware completion variants (remote_cx on device puts) ride here.
 func CopyCx[T Scalar](rk *Rank, src, dst GPtr[T], n int, cxs ...Cx) CxFutures {
 	return core.CopyWith(rk, src, dst, n, cxs...)
-}
-
-// CopyGGPromise is CopyGG with promise-based completion.
-func CopyGGPromise[T Scalar](rk *Rank, src, dst GPtr[T], n int, p *Promise[Unit]) {
-	core.CopyGGPromise(rk, src, dst, n, p)
 }
 
 // RPutV / RGetV issue vector RMA over fragment lists; the With variants
