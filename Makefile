@@ -20,7 +20,8 @@ test-short:
 # ({op,source,remote} × {future,promise,LPC,RPC} × kinds × locality,
 # including the remote-cx AM path), the collectives matrix
 # ({barrier,bcast,reduce,allreduce} × {future,promise,LPC,remote-RPC} ×
-# {host,device} × {world,split-team} plus persona handoff), and the
+# {host,device} × {world,split-team} plus persona handoff, the gathers and
+# team splits, and the arrivals a collective must refuse), and the
 # observability layer (concurrent counter recording, trace rings, the
 # counter-conformance matrix) on top of it, and the batched-RPC datapath
 # (the {batched-rpc} × {future,promise,LPC} × {self,cross} completion
@@ -43,7 +44,7 @@ test-short:
 # whoever must wake it — a schedule a multi-core CI host never produces by
 # itself.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Obs|Batch|PoolStress'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'

@@ -2,6 +2,7 @@ package upcxx
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"upcxx/internal/gasnet"
@@ -11,7 +12,7 @@ import (
 
 // Collectives engine v2 (paper §III–§IV). Every collective — barrier,
 // broadcast, reduction, allreduce, gather — is driven by a per-rank
-// collEngine over pluggable tree topologies and routed through the same
+// collEngine over one tree shape and routed through the same
 // Rank.inject(ops, cxPlan) path as every RMA, copy and atomic: a
 // collective round is a lowered operation (a header-carrying AM for
 // value collectives, a kind-aware copy with the advance message
@@ -32,69 +33,31 @@ import (
 // completions. Collectives on one team must still be initiated in
 // matching order across ranks — when several personas of one rank
 // initiate on the same team, the application must order them.
-//
-// Topology is selected by Config.CollRadix: 0 picks a binomial tree
-// (radix 2), k >= 2 a k-nomial tree of that radix, 1 the flat tree
-// (root exchanges with every member directly); teams of at most
-// collFlatMax ranks always use the flat tree, where one round beats
-// tree depth.
 
-// --- topologies ----------------------------------------------------------
+// --- the tree --------------------------------------------------------------
 
-// collTopo is one tree shape over the relative ranks 0..p-1 of a team
-// (rooted at relative rank 0). Children and Parent must agree: c is in
-// Children(rr, p) iff Parent(c, p) == rr, every non-root has exactly one
-// parent, and every rank is reachable from the root — the properties
-// TestCollTopologyTable pins for every shape and team size.
-type collTopo interface {
-	Name() string
-	// Children returns the children of relative rank rr, each > rr.
-	Children(rr, p int) []int
-	// Parent returns the parent of relative rank rr > 0.
-	Parent(rr, p int) int
-}
+// Every collective walks one shape: the k-nomial tree over the relative
+// ranks 0..p-1 of a team, rooted at relative rank 0. Relative rank rr's
+// children are rr + d*k^i for every power k^i > rr and digit d in 1..k-1
+// that stays inside the team; the parent of rr > 0 clears rr's most
+// significant base-k digit. The two agree — c is in knomialChildren(k, rr,
+// p) iff knomialParent(k, c) == rr, every non-root has exactly one parent
+// and every rank is reachable from the root: the properties
+// TestCollTopologyTable pins for every radix and team size. Radix 2 is the
+// binomial tree. Depth is the number of base-k digits of p-1, so larger
+// radices trade tree depth for per-node fan-out (NIC gap serialization) —
+// cmd/coll-bench sweeps the trade — and a radix of p or more is the
+// one-digit case: the flat star, the root every other rank's parent.
 
-// flatTopo is the one-round star: the root is every other rank's parent.
-// Lowest latency for tiny teams; non-scalable fan-out for large ones.
-type flatTopo struct{}
-
-func (flatTopo) Name() string { return "flat" }
-
-func (flatTopo) Children(rr, p int) []int {
-	if rr != 0 {
-		return nil
-	}
-	out := make([]int, 0, p-1)
-	for c := 1; c < p; c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
-func (flatTopo) Parent(rr, p int) int { return 0 }
-
-// knomialTopo is the k-nomial tree: relative rank rr's children are
-// rr + d*k^i for every power k^i > rr and digit d in 1..k-1 that stays
-// inside the team; the parent of rr > 0 clears rr's most significant
-// base-k digit. Radix 2 is the binomial tree. Depth is the number of
-// base-k digits of p-1, so larger radices trade tree depth for per-node
-// fan-out (NIC gap serialization) — cmd/coll-bench sweeps the trade.
-type knomialTopo struct{ radix int }
-
-func (k knomialTopo) Name() string {
-	if k.radix == 2 {
-		return "binomial"
-	}
-	return fmt.Sprintf("%d-nomial", k.radix)
-}
-
-func (k knomialTopo) Children(rr, p int) []int {
+// knomialChildren returns the children of relative rank rr, each > rr,
+// nearest subtree first.
+func knomialChildren(k, rr, p int) []int {
 	var out []int
-	for step := 1; step < p; step *= k.radix {
+	for step := 1; step < p; step *= k {
 		if step <= rr {
 			continue
 		}
-		for d := 1; d < k.radix; d++ {
+		for d := 1; d < k; d++ {
 			c := rr + d*step
 			if c >= p {
 				break
@@ -105,10 +68,11 @@ func (k knomialTopo) Children(rr, p int) []int {
 	return out
 }
 
-func (k knomialTopo) Parent(rr, p int) int {
+// knomialParent returns the parent of relative rank rr > 0.
+func knomialParent(k, rr int) int {
 	step := 1
-	for step*k.radix <= rr {
-		step *= k.radix
+	for step*k <= rr {
+		step *= k
 	}
 	return rr - (rr/step)*step
 }
@@ -117,23 +81,61 @@ func (k knomialTopo) Parent(rr, p int) int {
 // these sizes a single fan-out round beats any tree's depth.
 const collFlatMax = 4
 
-// topoForRadix maps a Config.CollRadix value and team size to the tree
-// the engine uses. All ranks agree because the radix ships in Config.
-func topoForRadix(radix, p int) collTopo {
-	if radix == 1 || p <= collFlatMax {
-		return flatTopo{}
+// treeRadix maps a Config.CollRadix value and team size to the radix the
+// engine walks: 0 picks the binomial tree (radix 2), k >= 2 the k-nomial
+// tree of that radix, 1 the flat tree (root exchanges with every member
+// directly), and teams of at most collFlatMax ranks are always flat. All
+// ranks agree because the radix ships in Config.
+func treeRadix(radix, p int) int {
+	switch {
+	case radix == 1 || p <= collFlatMax:
+		return max(p, 2) // flat
+	case radix == 0:
+		return 2
 	}
-	if radix == 0 {
-		radix = 2
-	}
-	return knomialTopo{radix: radix}
+	return radix
 }
 
 // CollTopoChildren exposes the engine's tree shape — the children of
 // relative rank rr in a team of p under Config.CollRadix = radix — for
 // tooling (cmd/coll-bench's closed-form LogGP model) and tests.
 func CollTopoChildren(radix, rr, p int) []int {
-	return topoForRadix(radix, p).Children(rr, p)
+	return knomialChildren(treeRadix(radix, p), rr, p)
+}
+
+// treePos is one member's place in a team's tree, rotated so that team
+// rank root sits at relative rank 0. It answers what every collective asks
+// — whom do I fan out to, whom do I report to, and is the team rank a
+// message claims one of those — so root rotation is written once.
+type treePos struct {
+	p, k     int
+	root, rr int   // the root's team rank; my relative rank
+	children []int // relative ranks, in fan-out order
+}
+
+func (e *collEngine) treePos(t *Team, root Intrank) treePos {
+	p := len(t.ranks)
+	k := treeRadix(e.radix, p)
+	rr := (int(t.me) - int(root) + p) % p
+	return treePos{p: p, k: k, root: int(root), rr: rr, children: knomialChildren(k, rr, p)}
+}
+
+// teamRank maps a relative rank back to a team rank.
+func (tp *treePos) teamRank(rel int) Intrank { return Intrank((rel + tp.root) % tp.p) }
+
+// parent returns the team rank this member (not the root) reports to.
+func (tp *treePos) parent() Intrank { return tp.teamRank(knomialParent(tp.k, tp.rr)) }
+
+// isParent reports whether src, a team rank off the wire, is my parent.
+func (tp *treePos) isParent(src uint32) bool { return tp.rr != 0 && Intrank(src) == tp.parent() }
+
+// childIndex returns which of my children src, a team rank off the wire,
+// is, or -1 when it is none of them (or no member at all).
+func (tp *treePos) childIndex(src uint32) int {
+	if int(src) >= tp.p {
+		return -1
+	}
+	return slices.Index(tp.children, (int(src)-tp.root+tp.p)%tp.p)
 }
 
 // autoRadixCandidates are the k-nomial radices AutoRadix compares. Radix
@@ -151,7 +153,7 @@ func CollTreeTime(m gasnet.Model, radix, p, nbytes int) time.Duration {
 	if p <= 1 {
 		return 0
 	}
-	topo := topoForRadix(radix, p)
+	k := treeRadix(radix, p)
 	// ready[rr] is when relative rank rr holds the payload; children of
 	// rr receive at ready[rr] + (i+1)*(o+gap) + L in fan-out order. The
 	// k-nomial child lists are ordered nearest-subtree-first, and every
@@ -164,7 +166,7 @@ func CollTreeTime(m gasnet.Model, radix, p, nbytes int) time.Duration {
 			last = ready[rr]
 		}
 		t := ready[rr]
-		for _, c := range topo.Children(rr, p) {
+		for _, c := range knomialChildren(k, rr, p) {
 			t += m.Overhead(nbytes, false) + m.Gap(nbytes, false)
 			ready[c] = t + m.Latency(nbytes, false)
 		}
@@ -217,8 +219,8 @@ const (
 const (
 	collBarrier uint8 = 1 + iota // barrier arrive (up) / release (down)
 	collBcast                    // broadcast payload, down the tree
-	collReduce                   // reduction partial, up the tree
-	collGather                   // flat gather part, to the root
+	collReduce                   // reduction partial (up) / allreduce result (down)
+	collGather                   // a subtree's frames (up) / every member's (down)
 	collAddr                     // operand/staging buffer address
 	collLand                     // payload landed (piggybacked on a copy)
 )
@@ -231,24 +233,9 @@ const (
 	collRoundDown
 )
 
-func collKindName(k uint8) string {
-	switch k {
-	case collBarrier:
-		return "barrier"
-	case collBcast:
-		return "bcast"
-	case collReduce:
-		return "reduce"
-	case collGather:
-		return "gather"
-	case collAddr:
-		return "addr"
-	case collLand:
-		return "land"
-	default:
-		return fmt.Sprintf("coll(%d)", k)
-	}
-}
+// collKindNames names the kinds in errors; decodeCollMsg admits no others.
+var collKindNames = [...]string{collBarrier: "barrier", collBcast: "bcast", collReduce: "reduce",
+	collGather: "gather", collAddr: "addr", collLand: "land"}
 
 // collMsg is one decoded collective message.
 type collMsg struct {
@@ -256,8 +243,18 @@ type collMsg struct {
 	seq   uint64
 	kind  uint8
 	round uint8
-	src   uint32 // sender's team rank
+	src   uint32 // sender's team rank, as it claims: checked where the message is acted on
 	data  []byte
+
+	from Intrank // the conduit's sender (a world rank, not on the wire): whom to fail
+}
+
+// collStray is the error for a well-formed message the collective it
+// names cannot act on: the wrong kind for it, or a sender that is not the
+// tree neighbour the collective is waiting for.
+func collStray(m collMsg, in string) error {
+	return fmt.Errorf("collective message: stray %s (round %d) from team rank %d in a %s",
+		collKindNames[m.kind], m.round, m.src, in)
 }
 
 // encodeCollMsg builds the wire form.
@@ -329,13 +326,13 @@ func encodeCollAddr(a collBufAddr) []byte {
 	return e.Bytes()
 }
 
-func decodeCollAddr(rk *Rank, b []byte) collBufAddr {
+func decodeCollAddr(b []byte) (collBufAddr, error) {
 	d := serial.NewDecoder(b)
 	a := collBufAddr{kind: d.U8(), dev: d.U16(), off: d.U64()}
 	if d.Err() != nil || d.Finish() != nil {
-		panic(fmt.Sprintf("upcxx: rank %d malformed collective buffer address", rk.me))
+		return a, fmt.Errorf("collective message: malformed buffer address")
 	}
-	return a
+	return a, nil
 }
 
 // --- engine --------------------------------------------------------------
@@ -351,11 +348,12 @@ type collKey struct {
 // collState is the one generic per-collective state shape: messages that
 // arrive before the local rank enters the collective buffer in the
 // inbox; once entered, the collective registers recv and every message
-// (buffered or live) flows through it. The per-collective logic lives in
-// the recv closures — there are no per-kind state machines.
+// (buffered or live) flows through it. recv is the wave's arrive for the
+// value collectives and a rendezvous machine's for the buffer pair; an
+// error from it means the message cannot be acted on and fails its sender.
 type collState struct {
 	inbox []collMsg
-	recv  func(collMsg)
+	recv  func(collMsg) error
 }
 
 // collEngine drives every collective of one rank. All state is owned by
@@ -381,8 +379,6 @@ func newCollEngine(rk *Rank, radix int) *collEngine {
 		seqs:   make(map[uint64]uint64),
 	}
 }
-
-func (e *collEngine) topoFor(p int) collTopo { return topoForRadix(e.radix, p) }
 
 func (e *collEngine) get(key collKey) *collState {
 	st, ok := e.states[key]
@@ -418,20 +414,22 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 		for st.recv != nil && len(st.inbox) > 0 {
 			m := st.inbox[0]
 			st.inbox = st.inbox[1:]
-			st.recv(m)
+			e.onMsg(m)
 		}
 	})
 }
 
 // onMsg advances one collective with an arrived message; runs only on
-// the execution persona (see handleColl).
+// the execution persona (see handleColl). A message the collective cannot
+// act on is its sender's fault: the peer is failed (World.Failed, every
+// blocked wait) and the progress goroutine lives on.
 func (e *collEngine) onMsg(m collMsg) {
 	st := e.get(collKey{m.team, m.seq})
 	if st.recv == nil {
 		st.inbox = append(st.inbox, m)
-		return
+	} else if err := st.recv(m); err != nil {
+		e.rk.failPeer(m.from, err)
 	}
-	st.recv(m)
 }
 
 // finish retires one collective and fires its completion plan: the
@@ -453,8 +451,10 @@ func (w *World) handleColl(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte,
 	rk := w.ranks[ep.Rank()]
 	m, err := decodeCollMsg(payload)
 	if err != nil {
-		panic(fmt.Sprintf("upcxx: rank %d malformed collective message from %d: %v", rk.me, src, err))
+		rk.failPeer(Intrank(src), err)
+		return
 	}
+	m.from = Intrank(src)
 	runOn(rk.bodyQueue(nil), func() { rk.coll.onMsg(m) })
 }
 
@@ -512,65 +512,192 @@ func fulfillFromEngine[T any](p *Promise[T], v T) {
 	pers.LPC(func() { p.fulfillOwnedResult(v) })
 }
 
-// --- barrier -------------------------------------------------------------
+// --- the wave --------------------------------------------------------------
+
+// wave is the one walk every value collective takes over the team's tree:
+// contributions fold up to the root, the root's result fans back down. A
+// collective only declares what moves — the walk owns where it moves: the
+// member's place in the tree, counting children in, checking each arrival
+// against the tree, the fan-out and retiring the collective. A one-member
+// team is a root with no children; nothing below treats it apart.
+type wave struct {
+	e    *collEngine
+	t    *Team
+	plan *cxPlan
+
+	// Declared by the collective. kind is the one message kind it sends and
+	// accepts. up: every member reports to its parent once its children
+	// have — fold absorbs one child's payload, partial is what this member's
+	// subtree amounts to by then (nil hooks: nothing to carry, a barrier).
+	// down: the root's partial, the result, fans back down the same tree.
+	// done is the typed end, called once with what came down from the parent
+	// (nil at the root, which holds the result itself, and on every member of
+	// an up-only collective). fold and done see bytes a peer chose; an error
+	// from either fails that peer.
+	kind     uint8
+	up, down bool
+	fold     func(data []byte) error
+	partial  func() []byte
+	done     func(data []byte) error
+
+	// Owned by the walk, on the execution persona.
+	treePos
+	key      collKey
+	st       *collState
+	reported []bool // per child: its contribution is in
+	got      int
+	awaiting bool // my part of the way up is done: the parent's result is next
+}
+
+// rooted places w on its team's tree rooted at team rank root and returns
+// its entry for collEngine.enter. The caller enters, not rooted: enter
+// derives the caller's goroutine id, which costs per stack frame above it
+// (curGID), and a barrier is short enough to show one frame.
+func (w *wave) rooted(root Intrank) func(collKey, *collState) {
+	if root < 0 || root >= w.t.RankN() {
+		panic(fmt.Sprintf("upcxx: %s root %d out of range for %v", collKindNames[w.kind], root, w.t))
+	}
+	w.e = w.t.rk.coll
+	w.treePos = w.e.treePos(w.t, root)
+	return w.start
+}
+
+func (w *wave) start(key collKey, st *collState) {
+	w.key, w.st = key, st
+	st.recv = w.arrive
+	if w.up && len(w.children) > 0 {
+		w.reported = make([]bool, len(w.children))
+		return
+	}
+	if err := w.turn(); err != nil {
+		// No peer has been heard yet: this member's own contribution is
+		// what its typed end refused.
+		w.e.rk.failPeer(w.e.rk.me, err)
+	}
+}
+
+// arrive is the single point where a message meets the collective it names:
+// right kind, and from the tree neighbour the walk is waiting for — a child
+// that has not reported yet, or the parent once this member has. Team ranks
+// off the wire are only ever compared against the tree, never indexed with.
+func (w *wave) arrive(m collMsg) error {
+	i := w.childIndex(m.src)
+	switch {
+	case m.kind == w.kind && m.round == collRoundDown && w.awaiting && w.isParent(m.src):
+		return w.end(m.data)
+	case m.kind == w.kind && m.round == collRoundUp && w.reported != nil && i >= 0 && !w.reported[i]:
+		if w.fold != nil {
+			if err := w.fold(m.data); err != nil {
+				return err
+			}
+		}
+		w.reported[i] = true
+		if w.got++; w.got == len(w.children) {
+			return w.turn()
+		}
+		return nil
+	}
+	return collStray(m, collKindNames[w.kind])
+}
+
+// turn runs once everything below this member is in (at once on a leaf and
+// in a down-only collective): report up, or at the root turn the wave round.
+func (w *wave) turn() error {
+	if w.rr != 0 && !w.up {
+		w.awaiting = true
+		return nil
+	}
+	var data []byte
+	if w.partial != nil && (w.rr != 0 || w.down && len(w.children) > 0) {
+		data = w.partial()
+	}
+	if w.rr == 0 {
+		return w.end(data)
+	}
+	w.send(w.parent(), collRoundUp, data)
+	w.awaiting = w.down
+	if w.down {
+		return nil
+	}
+	return w.end(nil)
+}
+
+// end is this member's last step: the result goes on to its children
+// before anything local (they are waiting, the local end is not), the typed
+// end consumes it, and the collective retires — operation completions and
+// the RemoteCxAsRPC landing signal fire from finish.
+func (w *wave) end(data []byte) error {
+	if w.down {
+		for _, c := range w.children {
+			w.send(w.teamRank(c), collRoundDown, data)
+		}
+	}
+	if w.done != nil {
+		if err := w.done(data); err != nil {
+			return err
+		}
+	}
+	w.e.finish(w.key, w.st, w.plan)
+	return nil
+}
+
+func (w *wave) send(dest Intrank, round uint8, data []byte) {
+	w.e.sendMsg(w.t, dest, collMsg{team: w.key.team, seq: w.key.seq,
+		kind: w.kind, round: round, src: uint32(w.t.me), data: data})
+}
+
+// --- barrier, broadcast, reduction (values) --------------------------------
 
 // BarrierAsyncWith begins a non-blocking barrier over the team with an
 // explicit completion set: an arrive wave gossips up the team's tree and
-// a release wave fans back down. Operation completion fires at local
-// release; a RemoteCxAsRPC descriptor runs on this rank's execution
-// persona at that same edge, delivered from the arrival path.
+// a release wave fans back down — the wave with nothing to fold and
+// nothing to fan. Operation completion fires at local release; a
+// RemoteCxAsRPC descriptor runs on this rank's execution persona at that
+// same edge, delivered from the arrival path.
 func (t *Team) BarrierAsyncWith(cxs ...Cx) CxFutures {
-	rk := t.rk
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
-	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) { e.barrier(t, key, st, plan) })
+	plan := newCxPlan(t.rk, opColl, t.rk.me, cxs)
+	w := &wave{t: t, plan: plan, kind: collBarrier, up: true, down: true}
+	t.rk.coll.enter(t, w.rooted(0))
 	return plan.futs
 }
 
-func (e *collEngine) barrier(t *Team, key collKey, st *collState, plan *cxPlan) {
-	p := int(t.RankN())
-	if p == 1 {
-		e.finish(key, st, plan)
-		return
-	}
-	topo := e.topoFor(p)
-	rr := int(t.me)
-	children := topo.Children(rr, p)
-	need, got := len(children), 0
-	release := func() {
-		for _, c := range children {
-			e.sendMsg(t, Intrank(c), collMsg{team: key.team, seq: key.seq,
-				kind: collBarrier, round: collRoundDown, src: uint32(t.me)})
-		}
-		e.finish(key, st, plan)
-	}
-	arrive := func() {
-		if rr == 0 {
-			release()
-			return
-		}
-		e.sendMsg(t, Intrank(topo.Parent(rr, p)), collMsg{team: key.team, seq: key.seq,
-			kind: collBarrier, round: collRoundUp, src: uint32(t.me)})
-	}
-	st.recv = func(m collMsg) {
-		if m.kind != collBarrier {
-			panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a barrier", e.rk.me, collKindName(m.kind)))
-		}
-		if m.round == collRoundUp {
-			got++
-			if got == need {
-				arrive()
+// valueWave declares the typed value collectives: val is this member's
+// contribution and, folded with op as its children report, its subtree's
+// partial (op nil: nothing goes up, a broadcast); with down the root's
+// value reaches every member, without it the members other than the root
+// end with the zero value once their partial is sent.
+func valueWave[T any](t *Team, kind uint8, root Intrank, val T, op func(T, T) T, down bool, cxs []Cx) (Future[T], CxFutures) {
+	rk := t.rk
+	plan := newCxPlan(rk, opColl, rk.me, cxs)
+	prom := NewPromise[T](rk)
+	w := &wave{t: t, plan: plan, kind: kind, up: op != nil, down: down}
+	if op != nil {
+		w.fold = func(data []byte) error {
+			var v T
+			if err := serial.Decode(data, &v); err != nil {
+				return err
 			}
-		} else {
-			release()
+			val = op(val, v)
+			return nil
 		}
 	}
-	if need == 0 {
-		arrive()
+	w.partial = func() []byte { return mustMarshal(val) }
+	w.done = func(data []byte) error {
+		if w.rr != 0 {
+			var res T
+			if down {
+				if err := serial.Decode(data, &res); err != nil {
+					return err
+				}
+			}
+			val = res
+		}
+		fulfillFromEngine(prom, val)
+		return nil
 	}
+	rk.coll.enter(t, w.rooted(root))
+	return prom.Future(), plan.futs
 }
-
-// --- broadcast (value) ---------------------------------------------------
 
 // BroadcastWith distributes root's value to every team member down the
 // team's tree with an explicit completion set, returning the value
@@ -579,99 +706,15 @@ func (e *collEngine) barrier(t *Team, key collKey, st *collState, plan *cxPlan) 
 // payload arrives there — even if that member's user code is still
 // computing past the call — which is the barrier-free multicast signal.
 func BroadcastWith[T any](t *Team, root Intrank, val T, cxs ...Cx) (Future[T], CxFutures) {
-	rk := t.rk
-	if root < 0 || root >= t.RankN() {
-		panic(fmt.Sprintf("upcxx: Broadcast root %d out of range for %v", root, t))
-	}
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
-	prom := NewPromise[T](rk)
-	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) {
-		p := int(t.RankN())
-		if p == 1 {
-			fulfillFromEngine(prom, val)
-			e.finish(key, st, plan)
-			return
-		}
-		topo := e.topoFor(p)
-		rr := (int(t.me) - int(root) + p) % p
-		forward := func(data []byte) {
-			for _, c := range topo.Children(rr, p) {
-				child := Intrank((c + int(root)) % p)
-				e.sendMsg(t, child, collMsg{team: key.team, seq: key.seq,
-					kind: collBcast, src: uint32(t.me), data: data})
-			}
-		}
-		if rr == 0 {
-			forward(mustMarshal(val))
-			fulfillFromEngine(prom, val)
-			e.finish(key, st, plan)
-			return
-		}
-		st.recv = func(m collMsg) {
-			if m.kind != collBcast {
-				panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a broadcast", rk.me, collKindName(m.kind)))
-			}
-			forward(m.data)
-			var v T
-			mustUnmarshal(m.data, &v)
-			fulfillFromEngine(prom, v)
-			e.finish(key, st, plan)
-		}
-	})
-	return prom.Future(), plan.futs
+	return valueWave(t, collBcast, root, val, nil, true, cxs)
 }
-
-// --- reduction (value) ---------------------------------------------------
 
 // ReduceOneWith combines every member's val with op up the team's tree,
 // delivering the result at team rank 0 (other members' value futures
 // ready with the zero value once their subtree partial is sent), with an
 // explicit completion set. op must be associative and commutative.
 func ReduceOneWith[T any](t *Team, val T, op func(T, T) T, cxs ...Cx) (Future[T], CxFutures) {
-	rk := t.rk
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
-	prom := NewPromise[T](rk)
-	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) {
-		p := int(t.RankN())
-		if p == 1 {
-			fulfillFromEngine(prom, val)
-			e.finish(key, st, plan)
-			return
-		}
-		topo := e.topoFor(p)
-		rr := int(t.me)
-		need, got := len(topo.Children(rr, p)), 0
-		acc := val
-		done := func() {
-			if rr == 0 {
-				fulfillFromEngine(prom, acc)
-			} else {
-				e.sendMsg(t, Intrank(topo.Parent(rr, p)), collMsg{team: key.team, seq: key.seq,
-					kind: collReduce, src: uint32(t.me), data: mustMarshal(acc)})
-				var zero T
-				fulfillFromEngine(prom, zero)
-			}
-			e.finish(key, st, plan)
-		}
-		st.recv = func(m collMsg) {
-			if m.kind != collReduce {
-				panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a reduction", rk.me, collKindName(m.kind)))
-			}
-			var v T
-			mustUnmarshal(m.data, &v)
-			acc = op(acc, v)
-			got++
-			if got == need {
-				done()
-			}
-		}
-		if need == 0 {
-			done()
-		}
-	})
-	return prom.Future(), plan.futs
+	return valueWave(t, collReduce, 0, val, op, false, cxs)
 }
 
 // AllReduceWith combines every member's val with op and delivers the
@@ -681,205 +724,109 @@ func ReduceOneWith[T any](t *Team, val T, op func(T, T) T, cxs ...Cx) (Future[T]
 // descriptor runs on each member's execution persona when the result
 // arrives there.
 func AllReduceWith[T any](t *Team, val T, op func(T, T) T, cxs ...Cx) (Future[T], CxFutures) {
-	rk := t.rk
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
-	prom := NewPromise[T](rk)
-	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) {
-		p := int(t.RankN())
-		if p == 1 {
-			fulfillFromEngine(prom, val)
-			e.finish(key, st, plan)
-			return
-		}
-		topo := e.topoFor(p)
-		rr := int(t.me)
-		children := topo.Children(rr, p)
-		need, got := len(children), 0
-		acc := val
-		down := func(data []byte, v T) {
-			for _, c := range children {
-				e.sendMsg(t, Intrank(c), collMsg{team: key.team, seq: key.seq,
-					kind: collBcast, src: uint32(t.me), data: data})
-			}
-			fulfillFromEngine(prom, v)
-			e.finish(key, st, plan)
-		}
-		up := func() {
-			if rr == 0 {
-				down(mustMarshal(acc), acc)
-				return
-			}
-			e.sendMsg(t, Intrank(topo.Parent(rr, p)), collMsg{team: key.team, seq: key.seq,
-				kind: collReduce, src: uint32(t.me), data: mustMarshal(acc)})
-		}
-		st.recv = func(m collMsg) {
-			switch m.kind {
-			case collReduce:
-				var v T
-				mustUnmarshal(m.data, &v)
-				acc = op(acc, v)
-				got++
-				if got == need {
-					up()
-				}
-			case collBcast:
-				var v T
-				mustUnmarshal(m.data, &v)
-				down(m.data, v)
-			default:
-				panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in an allreduce", rk.me, collKindName(m.kind)))
-			}
-		}
-		if need == 0 {
-			up()
-		}
-	})
-	return prom.Future(), plan.futs
+	return valueWave(t, collReduce, 0, val, op, true, cxs)
 }
 
-// --- gather (flat) -------------------------------------------------------
+// --- gather -----------------------------------------------------------------
 
-// gatherBytesAt collects one byte payload per member at team rank root.
-// The root's future yields the payloads indexed by team rank; other
-// members' futures ready immediately with nil. Flat and therefore
-// non-scalable; the runtime uses it for team construction and the Gather
-// convenience, the tree collectives cover the scalable cases.
-func gatherBytesAt(t *Team, root Intrank, data []byte) Future[[][]byte] {
-	rk := t.rk
-	if root < 0 || root >= t.RankN() {
-		panic(fmt.Sprintf("upcxx: Gather root %d out of range for %v", root, t))
-	}
-	prom := NewPromise[[][]byte](rk)
-	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) {
-		p := int(t.RankN())
-		plan := &cxPlan{rk: rk, remotePeer: rk.me}
-		if p == 1 {
-			fulfillFromEngine(prom, [][]byte{data})
-			e.finish(key, st, plan)
-			return
-		}
-		if t.me != root {
-			e.sendMsg(t, root, collMsg{team: key.team, seq: key.seq,
-				kind: collGather, src: uint32(t.me), data: data})
-			fulfillFromEngine[[][]byte](prom, nil)
-			e.finish(key, st, plan)
-			return
-		}
-		parts := make(map[Intrank][]byte, p-1)
-		st.recv = func(m collMsg) {
-			if m.kind != collGather {
-				panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a gather", rk.me, collKindName(m.kind)))
-			}
-			parts[Intrank(m.src)] = m.data
-			if len(parts) == p-1 {
-				out := make([][]byte, p)
-				out[root] = data
-				for r, b := range parts {
-					out[r] = b
-				}
-				fulfillFromEngine(prom, out)
-				e.finish(key, st, plan)
-			}
-		}
-	})
-	return prom.Future()
-}
-
-// --- tree exchange (gather up, result down) -------------------------------
-
-// collFrames encodes a set of (team rank, payload) frames — the unit a
-// tree gather aggregates hop by hop.
+// A tree gather aggregates (team rank, payload) frames hop by hop: a
+// member's partial is the frame set of its subtree.
 func encodeCollFrames(frames map[uint32][]byte) []byte {
 	e := serial.NewEncoder(nil)
 	e.PutUvarint(uint64(len(frames)))
 	for r, b := range frames {
 		e.PutU32(r)
-		e.PutUvarint(uint64(len(b)))
-		e.PutRaw(b)
+		e.PutBytes(b)
 	}
 	return e.Bytes()
 }
 
-func decodeCollFrames(rk *Rank, data []byte, into map[uint32][]byte) {
+// decodeCollFrames adds a peer's frame set to into: every frame must name
+// a member of the team of p that into does not hold yet.
+func decodeCollFrames(data []byte, p int, into map[uint32][]byte) error {
 	d := serial.NewDecoder(data)
 	n := d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		r := d.U32()
-		l := d.Uvarint()
-		into[r] = d.Raw(int(l))
+		r, b := d.U32(), d.Bytes()
+		if _, dup := into[r]; dup || int(r) >= p {
+			return fmt.Errorf("collective message: gather frame for team rank %d, a duplicate or outside the team of %d", r, p)
+		}
+		into[r] = b
 	}
 	if d.Err() != nil || d.Finish() != nil {
-		panic(fmt.Sprintf("upcxx: rank %d malformed tree-gather frame set", rk.me))
+		return fmt.Errorf("collective message: malformed gather frame set")
 	}
+	return nil
 }
 
-// exchangeBytesTree is the non-blocking tree exchange team construction
-// rides: every member contributes one byte payload; payloads aggregate
-// up the team's tree (collGather rounds, each hop concatenating its
-// subtree's frames), the root applies reduce to all p payloads indexed
-// by team rank, and the result fans back down the same tree (collBcast
-// rounds). The returned future yields the result bytes on every member.
-// Contrast gatherBytesAt: the root absorbs its tree degree in messages
-// instead of p-1, so team churn scales with the topology like every
-// other collective.
-func exchangeBytesTree(t *Team, data []byte, reduce func([][]byte) []byte) Future[[]byte] {
+// gatherBytes declares the gather every byte-level exchange rides — Gather,
+// AllGather and team construction: each member contributes data, the frame
+// sets aggregate up the tree to team rank root (which absorbs its tree
+// degree in messages, not p-1), and with down the whole set fans back. The
+// future yields reduce of the p payloads indexed by team rank — at the
+// root, and with down on every member, which applies reduce itself; on the
+// other members of an up-only gather it readies with the zero value once
+// their frames are sent. reduce judges bytes peers chose: an error from it
+// fails the peer that delivered them.
+func gatherBytes[R any](t *Team, root Intrank, data []byte, down bool, reduce func(all [][]byte) (R, error)) Future[R] {
 	rk := t.rk
-	prom := NewPromise[[]byte](rk)
-	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) {
-		p := int(t.RankN())
-		plan := &cxPlan{rk: rk, remotePeer: rk.me}
-		if p == 1 {
-			fulfillFromEngine(prom, reduce([][]byte{data}))
-			e.finish(key, st, plan)
-			return
-		}
-		topo := e.topoFor(p)
-		rr := int(t.me)
-		children := topo.Children(rr, p)
-		frames := map[uint32][]byte{uint32(rr): data}
-		need, got := len(children), 0
-		down := func(res []byte) {
-			for _, c := range children {
-				e.sendMsg(t, Intrank(c), collMsg{team: key.team, seq: key.seq,
-					kind: collBcast, round: collRoundDown, src: uint32(t.me), data: res})
+	prom := NewPromise[R](rk)
+	frames := map[uint32][]byte{uint32(t.me): data}
+	w := &wave{t: t, plan: &cxPlan{rk: rk, remotePeer: rk.me}, kind: collGather, up: true, down: down}
+	w.fold = func(b []byte) error { return decodeCollFrames(b, w.p, frames) }
+	w.partial = func() []byte { return encodeCollFrames(frames) }
+	w.done = func(b []byte) error {
+		var res R
+		if w.rr != 0 {
+			if !down {
+				fulfillFromEngine(prom, res)
+				return nil
 			}
+			clear(frames)
+			if err := decodeCollFrames(b, w.p, frames); err != nil {
+				return err
+			}
+		}
+		if len(frames) != w.p {
+			return fmt.Errorf("collective message: gather ended with %d of %d contributions", len(frames), w.p)
+		}
+		all := make([][]byte, w.p)
+		for r, b := range frames {
+			all[r] = b
+		}
+		res, err := reduce(all)
+		if err == nil {
 			fulfillFromEngine(prom, res)
-			e.finish(key, st, plan)
 		}
-		up := func() {
-			if rr == 0 {
-				all := make([][]byte, p)
-				for r, b := range frames {
-					all[r] = b
-				}
-				down(reduce(all))
-				return
-			}
-			e.sendMsg(t, Intrank(topo.Parent(rr, p)), collMsg{team: key.team, seq: key.seq,
-				kind: collGather, round: collRoundUp, src: uint32(t.me), data: encodeCollFrames(frames)})
-		}
-		st.recv = func(m collMsg) {
-			switch m.kind {
-			case collGather:
-				decodeCollFrames(rk, m.data, frames)
-				got++
-				if got == need {
-					up()
-				}
-			case collBcast:
-				down(m.data)
-			default:
-				panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a tree exchange", rk.me, collKindName(m.kind)))
-			}
-		}
-		if need == 0 {
-			up()
-		}
-	})
+		return err
+	}
+	rk.coll.enter(t, w.rooted(root))
 	return prom.Future()
+}
+
+// gatherValues is gatherBytes' reduce for the typed gathers: the members'
+// marshaled values, indexed by team rank.
+func gatherValues[T any](all [][]byte) ([]T, error) {
+	out := make([]T, len(all))
+	for i, b := range all {
+		if err := serial.Decode(b, &out[i]); err != nil {
+			return nil, fmt.Errorf("team rank %d's value: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// Gather collects every team member's value at the root, up the team's
+// tree. The root's future yields values indexed by team rank; other
+// members' futures ready with nil once their contribution is sent.
+func Gather[T any](t *Team, root Intrank, val T) Future[[]T] {
+	return gatherBytes(t, root, mustMarshal(val), false, gatherValues[T])
+}
+
+// AllGather collects every member's value everywhere, indexed by team
+// rank: one gather whose frame set fans back down.
+func AllGather[T any](t *Team, val T) Future[[]T] {
+	return gatherBytes(t, 0, mustMarshal(val), true, gatherValues[T])
 }
 
 // --- kind-aware buffer collectives ---------------------------------------
@@ -891,6 +838,14 @@ func exchangeBytesTree(t *Team, data []byte, reduce func([][]byte) []byte) Futur
 // through RunKernel for device operands, and the advance message
 // piggybacks on each copy's final landing hop, so a device receiver's
 // notification fires only after its h2d DMA.
+//
+// The pair keeps its own two machines beside the wave: a hop here is an
+// address handshake followed by a copy whose landing notice is the advance
+// message, so the walk would have to branch on its caller at start (who
+// announces an address to whom), at send (message or copy) and at arrival
+// (address, landing up, landing down). They share the tree (treePos), the
+// engine and the arrival rule: a message from anyone but the tree neighbour
+// being waited for fails its sender.
 
 // checkBufOperand validates a buffer-collective operand and lowers it.
 func checkBufOperand[T serial.Scalar](rk *Rank, buf GPtr[T], op string) collBufAddr {
@@ -926,57 +881,57 @@ func BroadcastBufWith[T serial.Scalar](t *Team, root Intrank, buf GPtr[T], n int
 }
 
 func (e *collEngine) broadcastBuf(t *Team, key collKey, st *collState, root Intrank, buf collBufAddr, nbytes int, plan *cxPlan) {
-	p := int(t.RankN())
-	if p == 1 {
-		e.finish(key, st, plan)
-		return
-	}
-	topo := e.topoFor(p)
-	rr := (int(t.me) - int(root) + p) % p
-	nchild := len(topo.Children(rr, p))
-	have := rr == 0
+	tp := e.treePos(t, root)
+	nchild := len(tp.children)
+	have := tp.rr == 0
 	sent, inflight := 0, 0
+	childBuf := make([]collBufAddr, nchild)
+	known := make([]bool, nchild) // per child: its landing address is in
 	tryFinish := func() {
 		if have && sent == nchild && inflight == 0 {
 			e.finish(key, st, plan)
 		}
 	}
-	push := func(child Intrank, caddr collBufAddr) {
+	push := func(i int) {
 		sent++
 		inflight++
 		land := collMsg{team: key.team, seq: key.seq, kind: collLand, round: collRoundDown, src: uint32(t.me)}
-		e.copyTo(t, child, buf, caddr, nbytes, land, func() { inflight--; tryFinish() })
+		e.copyTo(t, tp.teamRank(tp.children[i]), buf, childBuf[i], nbytes, land, func() { inflight--; tryFinish() })
 	}
-	if rr != 0 {
+	if tp.rr != 0 {
 		// Rendezvous: tell the parent where my landing buffer lives.
-		parent := Intrank((topo.Parent(rr, p) + int(root)) % p)
-		e.sendMsg(t, parent, collMsg{team: key.team, seq: key.seq,
+		e.sendMsg(t, tp.parent(), collMsg{team: key.team, seq: key.seq,
 			kind: collAddr, round: collRoundUp, src: uint32(t.me), data: encodeCollAddr(buf)})
 	}
-	pending := make(map[Intrank]collBufAddr)
-	st.recv = func(m collMsg) {
-		switch m.kind {
-		case collAddr:
-			caddr := decodeCollAddr(e.rk, m.data)
-			if have {
-				push(Intrank(m.src), caddr)
-			} else {
-				pending[Intrank(m.src)] = caddr
+	st.recv = func(m collMsg) error {
+		i := tp.childIndex(m.src)
+		switch {
+		case m.kind == collAddr && i >= 0 && !known[i]:
+			caddr, err := decodeCollAddr(m.data)
+			if err != nil {
+				return err
 			}
-		case collLand:
+			known[i], childBuf[i] = true, caddr
+			if have {
+				push(i)
+			}
+		case m.kind == collLand && tp.isParent(m.src) && !have:
 			have = true
 			// The payload is visible in my buffer (post-DMA for device
 			// kinds): fire the member-side signal now, before forwarding.
 			plan.collRemoteLocal()
-			for c, a := range pending {
-				push(c, a)
+			for c, ok := range known {
+				if ok {
+					push(c)
+				}
 			}
-			pending = nil
 			tryFinish()
 		default:
-			panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a buffer broadcast", e.rk.me, collKindName(m.kind)))
+			return collStray(m, "buffer broadcast")
 		}
+		return nil
 	}
+	tryFinish() // a root with no children is done
 }
 
 // collFoldHooks carries the element-typed pieces of a buffer reduction
@@ -1083,122 +1038,96 @@ func reduceBufWith[T serial.Scalar](t *Team, da *DeviceAllocator, buf GPtr[T], n
 }
 
 func (e *collEngine) reduceBuf(t *Team, key collKey, st *collState, buf collBufAddr, nbytes int, hooks collFoldHooks, allreduce bool, plan *cxPlan) {
-	rk := e.rk
-	p := int(t.RankN())
-	if p == 1 {
-		e.finish(key, st, plan)
-		return
-	}
-	topo := e.topoFor(p)
-	rr := int(t.me) // rooted at team rank 0
-	children := topo.Children(rr, p)
-	slotOf := make(map[Intrank]int, len(children))
-	childBuf := make(map[Intrank]collBufAddr, len(children))
-	if len(children) > 0 {
+	tp := e.treePos(t, 0)
+	nchild := len(tp.children)
+	childBuf := make([]collBufAddr, nchild)
+	landed := make([]bool, nchild) // per child: its partial is in its staging slot
+	if nchild > 0 {
 		// Rendezvous: allocate one staging slot per child in the operand's
 		// own memory kind and tell each child where to push its partial.
-		stage := hooks.allocStage(len(children))
-		for i, c := range children {
-			slotOf[Intrank(c)] = i
+		stage := hooks.allocStage(nchild)
+		for i, c := range tp.children {
 			slot := collBufAddr{kind: stage.kind, dev: stage.dev, off: stage.off + uint64(i*nbytes)}
-			e.sendMsg(t, Intrank(c), collMsg{team: key.team, seq: key.seq,
+			e.sendMsg(t, tp.teamRank(c), collMsg{team: key.team, seq: key.seq,
 				kind: collAddr, round: collRoundDown, src: uint32(t.me), data: encodeCollAddr(slot)})
 		}
 	}
 	downInflight := 0
-	landedSlots := make([]int, 0, len(children))
+	landedSlots := make([]int, 0, nchild)
 	var parentSlot *collBufAddr
-	pushed, pushDone, resultSeen, subtreeHandled := false, false, false, false
-	finishLocal := func() {
-		hooks.freeStage()
-		e.finish(key, st, plan)
-	}
+	// What this member's end waits for: its subtree's partial handled, its
+	// push to the parent done (the root has none to make), the result seen
+	// (a plain reduction has none coming) and fanned on.
+	subtreeHandled, pushDone, resultSeen := false, tp.rr == 0, !allreduce
 	tryFinish := func() {
-		switch {
-		case rr == 0:
-			if resultSeen && downInflight == 0 {
-				finishLocal()
-			}
-		case !allreduce:
-			if pushed && pushDone {
-				finishLocal()
-			}
-		default:
-			if pushDone && resultSeen && downInflight == 0 {
-				finishLocal()
-			}
+		if subtreeHandled && pushDone && resultSeen && downInflight == 0 {
+			hooks.freeStage()
+			e.finish(key, st, plan)
 		}
 	}
 	fanDown := func() {
-		for _, c := range children {
-			ct := Intrank(c)
+		// The result sits in my buffer (post-DMA for device kinds): signal
+		// locally, then forward it to my subtree.
+		resultSeen = true
+		plan.collRemoteLocal()
+		for i, c := range tp.children {
 			downInflight++
 			land := collMsg{team: key.team, seq: key.seq, kind: collLand, round: collRoundDown, src: uint32(t.me)}
-			e.copyTo(t, ct, buf, childBuf[ct], nbytes, land, func() { downInflight--; tryFinish() })
+			e.copyTo(t, tp.teamRank(c), buf, childBuf[i], nbytes, land, func() { downInflight--; tryFinish() })
 		}
 		tryFinish()
 	}
 	maybeAdvance := func() {
-		if subtreeHandled || len(landedSlots) != len(children) {
-			return
-		}
-		if rr != 0 && parentSlot == nil {
+		if subtreeHandled || len(landedSlots) != nchild || (tp.rr != 0 && parentSlot == nil) {
 			return
 		}
 		subtreeHandled = true
-		if rr == 0 {
-			if !allreduce {
-				finishLocal()
-				return
-			}
-			// The result sits in my buffer: signal locally, fan it down.
-			resultSeen = true
-			plan.collRemoteLocal()
-			fanDown()
-			return
-		}
-		// Push my subtree's partial into the parent's staging slot; the
-		// landing notice carries my buffer address so an allreduce can fan
-		// the result straight back into it.
-		pushed = true
-		up := collMsg{team: key.team, seq: key.seq, kind: collLand, round: collRoundUp,
-			src: uint32(t.me), data: encodeCollAddr(buf)}
-		e.copyTo(t, Intrank(topo.Parent(rr, p)), buf, *parentSlot, nbytes, up,
-			func() { pushDone = true; tryFinish() })
-	}
-	st.recv = func(m collMsg) {
-		switch m.kind {
-		case collAddr:
-			a := decodeCollAddr(rk, m.data)
-			parentSlot = &a
-			maybeAdvance()
-		case collLand:
-			if m.round == collRoundUp {
-				// A child's subtree partial landed in its staging slot.
-				// Folds are deferred to the round's last landing and run
-				// fused: one launch over every landed slot, not one per
-				// child.
-				c := Intrank(m.src)
-				i, ok := slotOf[c]
-				if !ok {
-					panic(fmt.Sprintf("upcxx: rank %d: reduction partial from unexpected team rank %d", rk.me, c))
-				}
-				childBuf[c] = decodeCollAddr(rk, m.data)
-				landedSlots = append(landedSlots, i)
-				if len(landedSlots) == len(children) {
-					hooks.foldAll(landedSlots)
-				}
-				maybeAdvance()
-				return
-			}
-			// The allreduce result landed in my buffer (post-DMA): signal,
-			// then forward it to my subtree.
-			resultSeen = true
-			plan.collRemoteLocal()
+		switch {
+		case tp.rr != 0:
+			// Push my subtree's partial into the parent's staging slot; the
+			// landing notice carries my buffer address so an allreduce can
+			// fan the result straight back into it.
+			up := collMsg{team: key.team, seq: key.seq, kind: collLand, round: collRoundUp,
+				src: uint32(t.me), data: encodeCollAddr(buf)}
+			e.copyTo(t, tp.parent(), buf, *parentSlot, nbytes, up,
+				func() { pushDone = true; tryFinish() })
+		case allreduce:
 			fanDown()
 		default:
-			panic(fmt.Sprintf("upcxx: rank %d: unexpected %s message in a buffer reduction", rk.me, collKindName(m.kind)))
+			tryFinish()
 		}
+	}
+	st.recv = func(m collMsg) error {
+		i := tp.childIndex(m.src)
+		switch {
+		case m.kind == collAddr && tp.isParent(m.src) && parentSlot == nil:
+			a, err := decodeCollAddr(m.data)
+			if err != nil {
+				return err
+			}
+			parentSlot = &a
+			maybeAdvance()
+		case m.kind == collLand && m.round == collRoundUp && i >= 0 && !landed[i]:
+			// A child's subtree partial landed in its staging slot (slot i
+			// is child i's). Folds are deferred to the round's last landing
+			// and run fused: one launch over every landed slot, not one per
+			// child.
+			a, err := decodeCollAddr(m.data)
+			if err != nil {
+				return err
+			}
+			landed[i], childBuf[i] = true, a
+			landedSlots = append(landedSlots, i)
+			if len(landedSlots) == nchild {
+				hooks.foldAll(landedSlots)
+			}
+			maybeAdvance()
+		case m.kind == collLand && m.round == collRoundDown && subtreeHandled && !resultSeen && tp.isParent(m.src):
+			fanDown() // the allreduce result, after my partial went up
+		default:
+			return collStray(m, "buffer reduction")
+		}
+		return nil
 	}
 	maybeAdvance()
 }

@@ -1,12 +1,14 @@
 package upcxx
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 )
 
 // Tests for the collectives engine: tree topologies (table-driven over
@@ -21,11 +23,12 @@ import (
 
 // --- topology table -------------------------------------------------------
 
-// checkTopology verifies the collTopo contract for one shape and team
-// size: children in range and strictly increasing, exactly one parent
-// per non-root (Children and Parent agreeing), everything reachable
-// from the root, and the depth bound of the shape.
-func checkTopology(t *testing.T, name string, topo collTopo, p int) {
+// checkTopology verifies the tree contract for one radix and team size:
+// children in range and strictly increasing, exactly one parent per
+// non-root (knomialChildren and knomialParent agreeing), everything
+// reachable from the root, and depth within the number of base-k digits
+// of p-1 — which for a radix of p or more, the flat tree, is one.
+func checkTopology(t *testing.T, name string, k, p int) {
 	t.Helper()
 	parent := make([]int, p)
 	for i := range parent {
@@ -34,7 +37,7 @@ func checkTopology(t *testing.T, name string, topo collTopo, p int) {
 	seen := 0
 	for rr := 0; rr < p; rr++ {
 		prev := rr
-		for _, c := range topo.Children(rr, p) {
+		for _, c := range knomialChildren(k, rr, p) {
 			if c <= rr || c >= p {
 				t.Fatalf("%s p=%d: child %d of %d out of range", name, p, c, rr)
 			}
@@ -47,8 +50,8 @@ func checkTopology(t *testing.T, name string, topo collTopo, p int) {
 			}
 			parent[c] = rr
 			seen++
-			if got := topo.Parent(c, p); got != rr {
-				t.Fatalf("%s p=%d: Parent(%d) = %d, want %d", name, p, c, got, rr)
+			if got := knomialParent(k, c); got != rr {
+				t.Fatalf("%s p=%d: knomialParent(%d) = %d, want %d", name, p, c, got, rr)
 			}
 		}
 	}
@@ -69,48 +72,45 @@ func checkTopology(t *testing.T, name string, topo collTopo, p int) {
 			maxDepth = d
 		}
 	}
-	switch topo := topo.(type) {
-	case flatTopo:
-		if p > 1 && maxDepth != 1 {
-			t.Fatalf("flat p=%d: depth %d, want 1", p, maxDepth)
-		}
-	case knomialTopo:
-		// Depth is bounded by the number of base-k digits of p-1.
-		want := 0
-		for x := p - 1; x > 0; x /= topo.radix {
-			want++
-		}
-		if maxDepth > want {
-			t.Fatalf("%s p=%d: depth %d exceeds digit bound %d", name, p, maxDepth, want)
-		}
+	want := 0
+	for x := p - 1; x > 0; x /= k {
+		want++
+	}
+	if maxDepth > want {
+		t.Fatalf("%s p=%d: depth %d exceeds digit bound %d", name, p, maxDepth, want)
 	}
 }
 
-// TestCollTopologyTable pins every tree shape for team sizes 1–17 and
-// every radix — including the non-power-of-two and size-1 edges the old
+// TestCollTopologyTable pins the tree for team sizes 1–17 and every
+// radix — including the non-power-of-two and size-1 edges the old
 // bcastChildren/ceilLog2 helpers were never table-tested on.
 func TestCollTopologyTable(t *testing.T) {
 	for p := 1; p <= 17; p++ {
-		checkTopology(t, "flat", flatTopo{}, p)
-		for _, r := range []int{2, 3, 4, 5, 8, 16} {
-			checkTopology(t, fmt.Sprintf("knomial-%d", r), knomialTopo{radix: r}, p)
+		for _, k := range []int{2, 3, 4, 5, 8, 16, 17} {
+			checkTopology(t, fmt.Sprintf("knomial-%d", k), k, p)
 		}
 		// The engine's selection (Config.CollRadix semantics, including
-		// the flat cut-over for tiny teams) must itself be a valid shape.
+		// the flat cut-over for tiny teams) must itself be a valid shape,
+		// and radix 1 and tiny teams must come out flat.
 		for _, r := range []int{0, 1, 2, 3, 4, 8} {
-			checkTopology(t, fmt.Sprintf("radix-%d", r), topoForRadix(r, p), p)
+			k := treeRadix(r, p)
+			checkTopology(t, fmt.Sprintf("radix-%d", r), k, p)
+			if flat := r == 1 || p <= collFlatMax; flat && k < p {
+				t.Fatalf("CollRadix %d p=%d: radix %d is not the flat tree", r, p, k)
+			}
 		}
 	}
 }
 
-// TestCollRadixSweepSemantics runs real collectives over non-power-of-two
-// teams under every topology class: results must not depend on the tree.
+// TestCollRadixSweepSemantics runs real collectives over one-member and
+// non-power-of-two teams under every topology class: results must not
+// depend on the tree.
 func TestCollRadixSweepSemantics(t *testing.T) {
 	for _, radix := range []int{0, 1, 3, 4} {
-		for _, p := range []int{5, 7} {
+		for _, p := range []int{1, 5, 7} {
 			radix, p := radix, p
 			t.Run(fmt.Sprintf("radix=%d/p=%d", radix, p), func(t *testing.T) {
-				RunConfig(Config{Ranks: p, CollRadix: radix}, func(rk *Rank) {
+				RunConfig(Config{Ranks: p, CollRadix: radix, Stats: true}, func(rk *Rank) {
 					world := rk.WorldTeam()
 					got := Broadcast(world, Intrank(p-1), int64(rk.Me())).Wait()
 					if got != int64(p-1) {
@@ -128,6 +128,51 @@ func TestCollRadixSweepSemantics(t *testing.T) {
 							t.Errorf("reduce root = %d, want %d", red, want)
 						}
 					}
+					// Gather to a non-zero root, indexed by team rank whatever
+					// the rotation; nil everywhere else.
+					groot := Intrank(p / 2)
+					vals := Gather(world, groot, int64(rk.Me())*10).Wait()
+					if rk.Me() != groot && vals != nil {
+						t.Errorf("rank %d: non-root gather = %v, want nil", rk.Me(), vals)
+					}
+					if rk.Me() == groot && len(vals) != p {
+						t.Errorf("gather root: %d values, want %d", len(vals), p)
+					}
+					for r, v := range vals {
+						if v != int64(r)*10 {
+							t.Errorf("gather[%d] = %d, want %d", r, v, r*10)
+						}
+					}
+					// AllGather is one collective — one sequence number, every
+					// tree edge crossed once each way — not a gather and then a
+					// broadcast. A member's rounds are all sent by the time its
+					// own future readies, so the per-rank deltas add up exactly.
+					seq, rounds := rk.coll.seqs[world.id], rk.Stats().Ops[obs.KindCollRound]
+					all := AllGather(world, int64(rk.Me())+100).Wait()
+					seq, rounds = rk.coll.seqs[world.id]-seq, rk.Stats().Ops[obs.KindCollRound]-rounds
+					if len(all) != p {
+						t.Errorf("rank %d: allgather has %d values, want %d", rk.Me(), len(all), p)
+					}
+					for r, v := range all {
+						if v != int64(r)+100 {
+							t.Errorf("rank %d: allgather[%d] = %d, want %d", rk.Me(), r, v, r+100)
+						}
+					}
+					if seq != 1 {
+						t.Errorf("rank %d: allgather consumed %d collective sequence numbers, want 1", rk.Me(), seq)
+					}
+					if total := AllReduce(world, rounds, func(a, b uint64) uint64 { return a + b }).Wait(); total != uint64(2*(p-1)) {
+						t.Errorf("rank %d: allgather took %d rounds job-wide, want %d", rk.Me(), total, 2*(p-1))
+					}
+					// The buffer pair over the same tree (a one-member team is
+					// a root with no children there too).
+					buf := MustNewArray[int64](rk, 2)
+					copy(Local(rk, buf, 2), []int64{int64(rk.Me()) + 1, 1})
+					AllReduceBufWith(world, nil, buf, 2, addI64).Op.Wait()
+					if b := Local(rk, buf, 2); b[0] != int64(p*(p+1)/2) || b[1] != int64(p) {
+						t.Errorf("rank %d: buffer allreduce = %v", rk.Me(), b)
+					}
+					BroadcastBufWith(world, Intrank(p-1), buf, 2).Op.Wait()
 					rk.Barrier()
 				})
 			})
@@ -351,6 +396,120 @@ func TestCollRequiresHeldExecPersona(t *testing.T) {
 	expectPanic(t, "collective without a held execution persona", func() {
 		w.Rank(0).BarrierAsync()
 	})
+}
+
+// --- arrivals a collective cannot act on ------------------------------------
+
+// TestCollArrivalRejects: team ranks, frame ranks and addresses in a
+// collective message come off the wire. A well-formed message whose sender
+// is not the tree neighbour the collective is waiting for, whose frames
+// name ranks outside the team, whose kind or payload the collective cannot
+// use — and a payload that is no 0xC6 or 0xC7 message at all — fails the
+// sending peer (World.Failed wraps ErrPeerLost); it neither panics the
+// execution persona nor moves the collective. Teams of 3 are flat: rank 0
+// is the parent of ranks 1 and 2.
+func TestCollArrivalRejects(t *testing.T) {
+	up := func(kind uint8, src uint32, data []byte) []byte {
+		return encodeCollMsg(collMsg{kind: kind, round: collRoundUp, src: src, data: data})
+	}
+	down := func(kind uint8, src uint32, data []byte) []byte {
+		return encodeCollMsg(collMsg{kind: kind, round: collRoundDown, src: src, data: data})
+	}
+	frames := func(r uint32) []byte { return encodeCollFrames(map[uint32][]byte{r: mustMarshal(int64(1))}) }
+	addr := encodeCollAddr(collBufAddr{off: 64})
+	barrier := func(rk *Rank) { rk.WorldTeam().BarrierAsync() }
+	bcastBuf := func(rk *Rank) { BroadcastBufWith(rk.WorldTeam(), 0, MustNewArray[int64](rk, 4), 4) }
+	reduceBuf := func(rk *Rank) { ReduceOneBufWith(rk.WorldTeam(), nil, MustNewArray[int64](rk, 4), 4, addI64) }
+	rows := []struct {
+		name   string
+		p      int
+		victim Intrank
+		enter  func(rk *Rank) // the collective the victim is inside
+		from   Intrank        // conduit sender
+		msgs   [][]byte
+	}{
+		{"gather: sender outside the team", 2, 0, func(rk *Rank) { Gather(rk.WorldTeam(), 0, int64(1)) },
+			1, [][]byte{up(collGather, 7, frames(7))}},
+		{"split: frame rank outside the team", 2, 0, func(rk *Rank) { rk.WorldTeam().SplitAsync(0, 0) },
+			1, [][]byte{up(collGather, 1, frames(7))}},
+		{"split: frame for a rank already held", 2, 0, func(rk *Rank) { rk.WorldTeam().SplitAsync(0, 0) },
+			1, [][]byte{up(collGather, 1, frames(0))}},
+		{"allgather: truncated frame set", 2, 0, func(rk *Rank) { AllGather(rk.WorldTeam(), int64(1)) },
+			1, [][]byte{up(collGather, 1, frames(1)[:5])}},
+		{"barrier: a child reports twice", 3, 0, barrier, 1, [][]byte{up(collBarrier, 1, nil), up(collBarrier, 1, nil)}},
+		{"barrier: arrival at a leaf", 3, 1, barrier, 2, [][]byte{up(collBarrier, 2, nil)}},
+		{"barrier: release from a non-parent", 3, 1, barrier, 2, [][]byte{down(collBarrier, 2, nil)}},
+		{"barrier: wrong kind", 3, 0, barrier, 1, [][]byte{up(collReduce, 1, mustMarshal(int64(1)))}},
+		{"bcast: value that does not decode", 3, 1, func(rk *Rank) { Broadcast(rk.WorldTeam(), 0, int64(0)) },
+			0, [][]byte{down(collBcast, 0, []byte{1, 2, 3})}},
+		{"reduce: partial that does not decode", 3, 0, func(rk *Rank) { ReduceOne(rk.WorldTeam(), int64(1), addI64) },
+			1, [][]byte{up(collReduce, 1, []byte{1, 2, 3})}},
+		{"buffer bcast: truncated address", 3, 0, bcastBuf, 1, [][]byte{up(collAddr, 1, addr[:3])}},
+		{"buffer bcast: address from outside the team", 3, 0, bcastBuf, 1, [][]byte{up(collAddr, 7, addr)}},
+		{"buffer bcast: a child announces twice", 3, 0, bcastBuf, 1, [][]byte{up(collAddr, 1, addr), up(collAddr, 1, addr)}},
+		{"buffer bcast: address at a leaf", 3, 1, bcastBuf, 2, [][]byte{up(collAddr, 2, addr)}},
+		{"buffer reduce: landing from outside the team", 3, 0, reduceBuf, 1, [][]byte{up(collLand, 7, addr)}},
+		{"buffer reduce: truncated address in a landing", 3, 0, reduceBuf, 1, [][]byte{up(collLand, 1, addr[:3])}},
+		{"buffer reduce: slot from a non-parent", 3, 1, reduceBuf, 2, [][]byte{down(collAddr, 2, addr)}},
+		{"malformed 0xC6 payload", 2, 0, barrier, 1, [][]byte{{collMagic, collVersion, 1, 2}}},
+	}
+	// refused runs feed on a fresh world and requires that it fail a peer,
+	// panic nowhere and run no body.
+	ran := false
+	refused := func(name string, p int, feed func(w *World)) {
+		w := NewWorld(Config{Ranks: p, SegmentSize: 1 << 16})
+		defer w.Close()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s: panicked: %v", name, r)
+			}
+		}()
+		feed(w)
+		if err := w.Failed(); !errors.Is(err, gasnet.ErrPeerLost) || ran {
+			t.Errorf("%s: Failed() = %v (a body ran: %v), want an ErrPeerLost-wrapped error and no body", name, err, ran)
+		}
+	}
+	for _, row := range rows {
+		refused(row.name, row.p, func(w *World) {
+			rk := w.Rank(row.victim)
+			sc := AcquirePersona(rk.MasterPersona())
+			defer sc.Release()
+			row.enter(rk)
+			for _, m := range row.msgs {
+				w.handleColl(rk.ep, row.from, m, nil)
+			}
+			rk.Progress()
+		})
+	}
+	// The remote-cx handler (0xC7) keeps the same rule.
+	body := remoteCxAux{body: ffBody(func(*Rank, int64) { ran = true })}
+	for _, row := range []struct {
+		name    string
+		payload []byte
+		aux     any
+	}{
+		{"malformed 0xC7 payload", []byte{remoteCxMagic, remoteCxVersion, 1}, body},
+		{"0xC7 payload with a foreign body token", encodeRemoteCx(0, mustMarshal(int64(1))), nil},
+	} {
+		refused(row.name, 2, func(w *World) {
+			w.handleRemoteCx(w.Rank(1).ep, 0, row.payload, row.aux)
+			w.Rank(1).Progress()
+		})
+	}
+	// The matching forms are served: both children of a 3-rank barrier's
+	// root report, the root releases.
+	w := NewWorld(Config{Ranks: 3, SegmentSize: 1 << 16})
+	defer w.Close()
+	rk := w.Rank(0)
+	sc := AcquirePersona(rk.MasterPersona())
+	defer sc.Release()
+	f := rk.WorldTeam().BarrierAsync()
+	w.handleColl(rk.ep, 1, up(collBarrier, 1, nil), nil)
+	w.handleColl(rk.ep, 2, up(collBarrier, 2, nil), nil)
+	rk.Progress()
+	if err := w.Failed(); err != nil || !f.Ready() {
+		t.Errorf("well-formed arrivals: Failed() = %v, barrier ready = %v", err, f.Ready())
+	}
 }
 
 // --- persona handoff ------------------------------------------------------

@@ -604,12 +604,18 @@ func decodeRemoteCx(b []byte) (initiator Intrank, args []byte, err error) {
 // after the transferred bytes are in place, so the body observes them.
 // Like every incoming RPC, the body executes on the rank's durable
 // execution persona — or on the named persona the descriptor was
-// addressed to with On.
+// addressed to with On. A notification this rank cannot act on fails the
+// sending peer, like handleRPC.
 func (w *World) handleRemoteCx(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte, aux any) {
 	trk := w.ranks[ep.Rank()]
 	initiator, args, err := decodeRemoteCx(payload)
-	if err != nil {
-		panic(fmt.Sprintf("upcxx: rank %d malformed remote-cx AM from %d: %v", trk.me, src, err))
+	a, ok := aux.(remoteCxAux)
+	if err == nil && !ok {
+		err = fmt.Errorf("remote-cx AM without a body token (%T)", aux)
 	}
-	trk.runRemoteBody(aux.(remoteCxAux), initiator, args)
+	if err != nil {
+		trk.failPeer(Intrank(src), err)
+		return
+	}
+	trk.runRemoteBody(a, initiator, args)
 }

@@ -424,6 +424,31 @@ func TestAtomics(t *testing.T) {
 			}
 		}
 		rk.Barrier()
+		// The bitwise fetch-ops, first on the owner's local word, then on
+		// the same word from a remote rank: each returns the previous value
+		// and leaves the combination.
+		for _, who := range []Intrank{0, 1} {
+			if rk.Me() == who {
+				ad.Store(counter, 0b1100).Wait()
+				for _, c := range []struct {
+					name          string
+					op            func(GPtr[uint64], uint64) Future[uint64]
+					arg, old, now uint64
+				}{
+					{"FetchAnd", ad.FetchAnd, 0b1010, 0b1100, 0b1000},
+					{"FetchOr", ad.FetchOr, 0b0011, 0b1000, 0b1011},
+					{"FetchXor", ad.FetchXor, 0b1111, 0b1011, 0b0100},
+				} {
+					if old := c.op(counter, c.arg).Wait(); old != c.old {
+						t.Errorf("rank %d: %s(%#b) returned %#b, want %#b", who, c.name, c.arg, old, c.old)
+					}
+					if now := ad.Load(counter).Wait(); now != c.now {
+						t.Errorf("rank %d: after %s(%#b) the word is %#b, want %#b", who, c.name, c.arg, now, c.now)
+					}
+				}
+			}
+			rk.Barrier()
+		}
 	})
 }
 

@@ -40,30 +40,3 @@ func RPutThenRemote[T serial.Scalar, A any](rk *Rank, src []T, dst GPtr[T], fn f
 		}, arg)
 	})
 }
-
-// Gather collects every team member's value at the root (flat, for
-// modest team sizes; the tree collectives cover the scalable cases).
-// The root's future yields values indexed by team rank; other members'
-// futures ready once their contribution is sent.
-func Gather[T any](t *Team, root Intrank, val T) Future[[]T] {
-	g := gatherBytesAt(t, root, mustMarshal(val))
-	return Then(g, func(bs [][]byte) []T {
-		if bs == nil {
-			return nil
-		}
-		out := make([]T, len(bs))
-		for i, b := range bs {
-			mustUnmarshal(b, &out[i])
-		}
-		return out
-	})
-}
-
-// AllGather collects every member's value everywhere (gather to team
-// rank 0, then broadcast).
-func AllGather[T any](t *Team, val T) Future[[]T] {
-	g := Gather(t, 0, val)
-	return ThenFut(g, func(vals []T) Future[[]T] {
-		return Broadcast(t, 0, vals)
-	})
-}

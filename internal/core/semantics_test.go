@@ -1,6 +1,7 @@
 package upcxx
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -407,4 +408,65 @@ func TestQuiesce(t *testing.T) {
 		}
 		rk.Barrier()
 	})
+}
+
+// TestDischarge (upcxx::discharge): after a burst of puts whose futures
+// nobody holds, with records still deferred behind them, Discharge returns
+// with everything handed to the conduit — defQ empty, nothing detached and
+// not yet run — without running a single user-level delivery; and when a
+// peer is lost it fails loud instead of spinning on what will never drain.
+func TestDischarge(t *testing.T) {
+	deferOne := func(rk *Rank, fn func()) { // one deferred record, as inject queues it
+		inj := rk.newInjection(-1)
+		inj.op = append(inj.op, cxDelivery{pers: rk.currentPersona(), fn: fn})
+		inj.nops.Store(1)
+		rk.defMu.Lock()
+		rk.defQ = append(rk.defQ, inj)
+		rk.defMu.Unlock()
+	}
+	Run(2, func(rk *Rank) {
+		p := MustNewArray[uint64](rk, 64)
+		_ = NewDistObject(rk, p)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			dst := FetchDist[GPtr[uint64]](rk, 0, 1).Wait()
+			delivered := 0
+			for i := 0; i < 64; i++ {
+				_ = RPut(rk, []uint64{uint64(i) + 1}, dst.Add(i))
+				deferOne(rk, func() { delivered++ })
+			}
+			rk.Discharge()
+			if n, in := len(rk.defQ), rk.defInflight.Load(); n != 0 || in != 0 {
+				t.Errorf("after Discharge: %d records deferred, %d detached", n, in)
+			}
+			if delivered != 0 {
+				t.Errorf("Discharge ran %d user-level deliveries; it is internal progress only", delivered)
+			}
+			rk.Quiesce()
+			buf := make([]uint64, 64)
+			RGet(rk, dst, buf).Wait()
+			for i, v := range buf {
+				if v != uint64(i)+1 {
+					t.Errorf("elem %d = %d", i, v)
+				}
+			}
+			if delivered != 64 {
+				t.Errorf("%d of 64 deferred deliveries ran", delivered)
+			}
+		}
+		rk.Barrier()
+	})
+
+	w := NewWorld(Config{Ranks: 2})
+	defer w.Close()
+	rk := w.Rank(0)
+	rk.failPeer(1, errors.New("test"))
+	rk.Discharge() // nothing deferred: nothing to wait for, lost peer or not
+	deferOne(rk, func() {})
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, gasnet.ErrPeerLost) {
+			t.Errorf("Discharge with a lost peer: recovered %v, want an ErrPeerLost-wrapped panic", err)
+		}
+	}()
+	rk.Discharge()
 }

@@ -1,9 +1,12 @@
 package upcxx
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+
+	"upcxx/internal/serial"
 )
 
 // Team is an ordered subset of the job's ranks (cf. upcxx::team / an MPI
@@ -12,8 +15,8 @@ import (
 // no per-rank storage anywhere except on its own members.
 //
 // The collective machinery itself lives in coll.go: a per-rank engine
-// drives pluggable tree topologies and lowers every round through the
-// single Rank.inject path. This file keeps the team structure and the
+// walks one k-nomial tree and lowers every round through the single
+// Rank.inject path. This file keeps the team structure and the
 // blocking/default-completion wrappers.
 type Team struct {
 	rk    *Rank
@@ -129,25 +132,19 @@ func AllReduce[T any](t *Team, val T, op func(T, T) T) Future[T] {
 
 // --- split -------------------------------------------------------------------
 
-type splitEntry struct {
-	Color int64
-	Key   int64
-	World Intrank
-}
-
-type splitGroup struct {
-	Color   int64
-	Members []Intrank // world ranks in team order
-}
+// splitEntry is one member's contribution to a split. Whose it is comes
+// from the gather frame's team rank, not from the entry.
+type splitEntry struct{ Color, Key int64 }
 
 // SplitAsync begins a non-blocking split of the team: members passing
 // equal colors form a new team, ordered by (key, world rank). The
-// color/key entries aggregate up the parent team's collective tree and
-// the computed groups fan back down it (one exchangeBytesTree — O(tree
-// degree) messages per member, never a flat gather at the root), so team
-// construction scales with the same topology as every other collective
-// and overlaps with unrelated work until the future is forced. All
-// members must initiate it in matching collective order.
+// color/key entries aggregate up the parent team's collective tree and the
+// whole set fans back down it (one gatherBytes — O(tree degree) messages
+// per member, never a flat gather at the root), each member picking its own
+// color's group out of it, so team construction scales with the same
+// topology as every other collective and overlaps with unrelated work until
+// the future is forced. All members must initiate it in matching
+// collective order.
 func (t *Team) SplitAsync(color, key int) Future[*Team] {
 	rk := t.rk
 	rk.teamMu.Lock()
@@ -155,48 +152,30 @@ func (t *Team) SplitAsync(color, key int) Future[*Team] {
 	rk.splitSeqs[t.id] = idx + 1
 	rk.teamMu.Unlock()
 
-	me := splitEntry{Color: int64(color), Key: int64(key), World: rk.me}
-	grouped := exchangeBytesTree(t, mustMarshal(me), func(all [][]byte) []byte {
-		entries := make([]splitEntry, len(all))
+	mine := splitEntry{Color: int64(color), Key: int64(key)}
+	return gatherBytes(t, 0, mustMarshal(mine), true, func(all [][]byte) (*Team, error) {
+		keys := make([]int64, len(all))
+		nt := &Team{rk: rk, id: splitTeamID(t.id, idx, mine.Color)}
 		for i, b := range all {
-			mustUnmarshal(b, &entries[i])
+			var e splitEntry
+			if err := serial.Decode(b, &e); err != nil {
+				return nil, fmt.Errorf("team rank %d's split entry: %w", i, err)
+			}
+			if keys[i] = e.Key; e.Color == mine.Color {
+				nt.ranks = append(nt.ranks, Intrank(i)) // my group, as ranks of t for now
+			}
 		}
-		sort.Slice(entries, func(i, j int) bool {
-			a, b := entries[i], entries[j]
-			if a.Color != b.Color {
-				return a.Color < b.Color
-			}
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-			return a.World < b.World
+		slices.SortFunc(nt.ranks, func(a, b Intrank) int {
+			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(t.ranks[a], t.ranks[b]))
 		})
-		var groups []splitGroup
-		for _, e := range entries {
-			if len(groups) == 0 || groups[len(groups)-1].Color != e.Color {
-				groups = append(groups, splitGroup{Color: e.Color})
-			}
-			g := &groups[len(groups)-1]
-			g.Members = append(g.Members, e.World)
+		for i, tr := range nt.ranks {
+			nt.ranks[i] = t.ranks[tr]
 		}
-		return mustMarshal(groups)
-	})
-	return Then(grouped, func(b []byte) *Team {
-		var groups []splitGroup
-		mustUnmarshal(b, &groups)
-		for _, g := range groups {
-			if g.Color != int64(color) {
-				continue
-			}
-			nt := &Team{rk: rk, id: splitTeamID(t.id, idx, g.Color), ranks: g.Members}
-			nt.buildIndex()
-			nt.me = nt.FromWorld(rk.me)
-			if nt.me < 0 {
-				continue
-			}
-			return nt
+		nt.buildIndex()
+		if nt.me = nt.FromWorld(rk.me); nt.me < 0 {
+			return nil, fmt.Errorf("split of %v came back without rank %d's own entry", t, rk.me)
 		}
-		panic(fmt.Sprintf("upcxx: rank %d not present in any split group", rk.me))
+		return nt, nil
 	})
 }
 

@@ -199,6 +199,59 @@ func FuzzCollWire(f *testing.F) {
 	})
 }
 
+// FuzzCollArrive is the arrival-side counterpart of FuzzCollWire: a message
+// that is well-formed on the wire but arbitrary in kind, round, claimed
+// sender and payload reaches a rank that is inside each kind of wave,
+// through the conduit handler — twice, so that an arrival the walk accepts
+// is also a duplicate. The walk must advance or fail the peer and never
+// panic; a message of another collective's kind, or from a team rank that
+// is no member, must fail the peer.
+func FuzzCollArrive(f *testing.F) {
+	const p = 5 // binomial: 0 -> {1, 2, 4}, 1 -> {3}
+	waves := []struct {
+		kind  uint8
+		enter func(rk *Rank)
+	}{
+		{collBarrier, func(rk *Rank) { rk.WorldTeam().BarrierAsync() }},
+		{collBcast, func(rk *Rank) { Broadcast(rk.WorldTeam(), 1, int64(7)) }},
+		{collReduce, func(rk *Rank) { ReduceOne(rk.WorldTeam(), int64(1), addI64) }},
+		{collReduce, func(rk *Rank) { AllReduce(rk.WorldTeam(), int64(1), addI64) }},
+		{collGather, func(rk *Rank) { Gather(rk.WorldTeam(), 2, int64(1)) }},
+		{collGather, func(rk *Rank) { AllGather(rk.WorldTeam(), int64(1)) }},
+		{collGather, func(rk *Rank) { rk.WorldTeam().SplitAsync(1, 0) }},
+	}
+	one := mustMarshal(int64(1))
+	f.Add(uint8(0), uint8(0), collBarrier, collRoundUp, uint32(1), []byte(nil))   // a child arrives
+	f.Add(uint8(0), uint8(3), collBarrier, collRoundDown, uint32(1), []byte(nil)) // the parent releases
+	f.Add(uint8(0), uint8(3), collBarrier, collRoundDown, uint32(2), []byte(nil)) // a non-parent does
+	f.Add(uint8(1), uint8(0), collBcast, collRoundDown, uint32(4), one)           // rooted at 1: 4's child is 0
+	f.Add(uint8(2), uint8(1), collReduce, collRoundUp, uint32(3), one)
+	f.Add(uint8(3), uint8(0), collReduce, collRoundUp, uint32(7), one) // no member
+	f.Add(uint8(3), uint8(0), collBcast, collRoundUp, uint32(1), one)  // another collective's kind
+	f.Add(uint8(4), uint8(2), collGather, collRoundUp, uint32(3), encodeCollFrames(map[uint32][]byte{3: one}))
+	f.Add(uint8(5), uint8(0), collGather, collRoundUp, uint32(1), encodeCollFrames(map[uint32][]byte{1: one, 9: one}))
+	f.Add(uint8(6), uint8(4), collGather, collRoundDown, uint32(0), encodeCollFrames(map[uint32][]byte{0: one}))
+	f.Add(uint8(6), uint8(0), uint8(200), uint8(9), uint32(1<<31), bytes.Repeat([]byte{0xff}, 16))
+	f.Fuzz(func(t *testing.T, which, victim, kind, round uint8, src uint32, data []byte) {
+		wave := waves[int(which)%len(waves)]
+		w := NewWorld(Config{Ranks: p, SegmentSize: 1 << 16})
+		defer w.Close()
+		rk := w.Rank(Intrank(victim % p))
+		sc := AcquirePersona(rk.MasterPersona())
+		defer sc.Release()
+		wave.enter(rk)
+		_, inside := rk.coll.states[collKey{worldTeamID, 0}] // a broadcast's root is through at once
+		payload := encodeCollMsg(collMsg{kind: kind, round: round, src: src, data: data})
+		for i := 0; i < 2; i++ {
+			w.handleColl(rk.ep, Intrank(src%p), payload, nil)
+			rk.Progress()
+		}
+		if inside && (kind != wave.kind || src >= p) && w.Failed() == nil {
+			t.Fatalf("wave %d on rank %d took a kind-%d message from team rank %d", which, victim%p, kind, src)
+		}
+	})
+}
+
 // FuzzGPtrDecode throws arbitrary bytes at the GPtr decoder: it must
 // never accept a kind-mismatched pointer, and anything it does accept
 // must re-encode to the identical canonical bytes.

@@ -264,10 +264,6 @@ func (rk *Rank) ArmTrace(on bool) {
 	}
 }
 
-// ProgressThreaded reports whether the job runs dedicated progress
-// goroutines.
-func (w *World) ProgressThreaded() bool { return w.cfg.ProgressThread }
-
 // Dist reports whether this world is one rank of a multi-process job
 // over a real transport backend (RPC bodies must then be registered —
 // see RegisterRPC).

@@ -74,9 +74,6 @@ func (s *Sim) Run() int {
 	return s.count
 }
 
-// Events returns the number of events executed so far.
-func (s *Sim) Events() int { return s.count }
-
 // Resource is a serially-reusable facility (a rank's CPU, a NIC) with
 // implicit FIFO queueing: work acquires the resource no earlier than both
 // its ready time and the resource's free time.

@@ -1,7 +1,5 @@
 package expmodel
 
-import "upcxx/internal/stats"
-
 // Fig 3 closed-form model: the latency and bandwidth of blocking and
 // flooded RMA puts for UPC++ (direct conduit injection) versus MPI-3 RMA
 // (Cray-MPICH-style FMA/BTE software path plus win-flush
@@ -112,27 +110,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// Fig3aModel produces the modeled round-trip put latency series
-// (microseconds) for both runtimes.
-func Fig3aModel(m Machine) []*stats.Series {
-	up := &stats.Series{Name: "UPC++ rput"}
-	mp := &stats.Series{Name: "MPI RMA put+flush"}
-	for _, n := range Fig3Sizes() {
-		up.Add(float64(n), m.UPCXXPutLatency(n)*1e6)
-		mp.Add(float64(n), m.MPIPutLatency(n)*1e6)
-	}
-	return []*stats.Series{up, mp}
-}
-
-// Fig3bModel produces the modeled flood put bandwidth series (GB/s).
-func Fig3bModel(m Machine) []*stats.Series {
-	up := &stats.Series{Name: "UPC++ rput flood"}
-	mp := &stats.Series{Name: "MPI RMA Unidir_put"}
-	for _, n := range Fig3Sizes() {
-		up.Add(float64(n), m.UPCXXFloodBW(n)/1e9)
-		mp.Add(float64(n), m.MPIFloodBW(n)/1e9)
-	}
-	return []*stats.Series{up, mp}
 }

@@ -20,10 +20,6 @@ const NumSizeClasses = 7
 // last bucket open-ended (≈ 2.3 hours and beyond).
 const NumLatBuckets = 44
 
-var sizeClassNames = [NumSizeClasses]string{
-	"<=64B", "<=512B", "<=4KB", "<=32KB", "<=256KB", "<=2MB", ">2MB",
-}
-
 // SizeClass maps a payload byte count to its size class index.
 func SizeClass(n int) int {
 	switch {
@@ -42,14 +38,6 @@ func SizeClass(n int) int {
 	default:
 		return 6
 	}
-}
-
-// SizeClassName returns the human label of a size class index.
-func SizeClassName(c int) string {
-	if c >= 0 && c < NumSizeClasses {
-		return sizeClassNames[c]
-	}
-	return "size?"
 }
 
 // latBucket maps a latency in nanoseconds to its bucket index.

@@ -324,9 +324,6 @@ type RankObs struct {
 	personas []*PersonaCount
 }
 
-// RankID returns the rank this recorder belongs to.
-func (ro *RankObs) RankID() int32 { return ro.rank }
-
 // Arm arms (or disarms) op-lifecycle tracing on this rank, clearing the
 // ring when arming.
 func (ro *RankObs) Arm(on bool) {
@@ -335,9 +332,6 @@ func (ro *RankObs) Arm(on bool) {
 	}
 	ro.armed.Store(on)
 }
-
-// Armed reports whether tracing is armed on this rank.
-func (ro *RankObs) Armed() bool { return ro.armed.Load() }
 
 // Persona registers (and returns) the LPC counter pair of one persona.
 func (ro *RankObs) Persona(name string) *PersonaCount {

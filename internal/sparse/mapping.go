@@ -17,11 +17,6 @@ func (m *Mapping) Range(f int) (lo, hi int32) {
 	return r[0], r[1]
 }
 
-// GroupSize returns the number of processes assigned to front f.
-func (m *Mapping) GroupSize(f int) int {
-	return int(m.Ranges[f][1] - m.Ranges[f][0])
-}
-
 // Owner returns the designated single owner of front f (used by the 1D
 // mini-symPACK mapping): the first process of its range.
 func (m *Mapping) Owner(f int) int32 { return m.Ranges[f][0] }
@@ -138,16 +133,4 @@ func NewLayout(lo, hi int32, b int) Layout {
 func (l Layout) Owner(i, j int) int32 {
 	bi, bj := i/l.B, j/l.B
 	return l.Lo + int32((bi%l.PR)*l.PC+(bj%l.PC))
-}
-
-// OwnsAny reports whether process p owns at least one block of an n x n
-// front.
-func (l Layout) OwnsAny(p int32, n int) bool {
-	if p < l.Lo || p >= l.Hi {
-		return false
-	}
-	nb := (n + l.B - 1) / l.B
-	rel := int(p - l.Lo)
-	pr, pc := rel/l.PC, rel%l.PC
-	return pr < nb && pc < nb
 }

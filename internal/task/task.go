@@ -282,13 +282,6 @@ func (rt *Runtime) popOldest(n int) []rec {
 	return out
 }
 
-// Queued returns the number of runnable tasks waiting locally.
-func (rt *Runtime) Queued() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.dq)
-}
-
 // --- execution ------------------------------------------------------------
 
 // execute runs one task on the calling goroutine and retires it: result
