@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-queue-regrow bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-task-sleep no-queue-regrow bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -42,14 +42,17 @@ test-short:
 # mid-flight. The second core leg runs the idle rule's tests and the persona
 # suite with one P, where a waiter that yields instead of parking starves
 # whoever must wake it — a schedule a multi-core CI host never produces by
-# itself.
+# itself — and a master that polls bare Progress starves the injectors
+# blocked behind it. The task package runs a second time with one P too: the
+# steal bounce and a worker parked over a queued task only show there.
 race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress'
-	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona'
+	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
+	GOMAXPROCS=1 $(GO) test -race ./internal/task/
 
 # Allocation pins (testing.AllocsPerRun; they skip themselves under -race):
 # heap objects per operation in core, per AM in gasnet, per decoded aux
@@ -105,6 +108,14 @@ fmt:
 no-pin:
 	@if grep -rn LockOSThread internal/; then \
 		echo "no-pin: runtime goroutines must not be pinned to OS threads"; exit 1; \
+	fi
+
+# A worker or helper of the task runtime waits by the rank's idle rule
+# (ProgressWait): whatever hands it work rings the doorbell it parks on. A
+# time.Sleep cannot be woken, so every hand-off behind it waits the sleep out.
+no-task-sleep:
+	@if grep -n 'time\.Sleep' internal/task/task.go internal/task/steal.go; then \
+		echo "no-task-sleep: the task runtime idles through Rank.ProgressWait, never time.Sleep"; exit 1; \
 	fi
 
 # The runtime's queues (Rank.defQ, Endpoint.compQ/amQ) are drained by
@@ -169,7 +180,8 @@ obs-smoke:
 # suite (internal/xproc re-executes its test binary as real OS-process
 # ranks over tcp and shm — smoke ops, idle-wait CPU budget, kill-one-rank
 # failure surfacing, the task runtime's cross-process steal/Finish job,
-# and kill-one-rank under Finish asserting ErrPeerLost), once more with
+# what a remote task costs beside an RPC in messages and time, and
+# kill-one-rank under Finish asserting ErrPeerLost), once more with
 # one P in the test process and in every rank (the configuration the
 # committed benchmark measures and the idle rule's one-P case), then every
 # example end to end as a 4-process world on both real backends.
@@ -184,4 +196,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check no-pin no-queue-regrow test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke
+ci: build vet fmt-check no-pin no-task-sleep no-queue-regrow test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke

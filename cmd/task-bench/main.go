@@ -3,11 +3,11 @@
 //
 //   - spawn overhead: microseconds per fire-and-forget task, spawned at
 //     the local queue (pure enqueue/execute cost) and at a neighbour
-//     rank (one registered-RPC frame per task), swept over batch size;
+//     rank (one fire-and-forget spawn entry per task), swept over batch size;
 //   - steal throughput: migrated tasks per millisecond draining a
 //     skewed queue of small-grain tasks, swept over the steal batch size
-//     — the o-vs-batching trade the victim's single-flush migration
-//     (task frames + ack in one batched-RPC message) exists for;
+//     — the o-vs-batching trade the victim's single-message migration
+//     (every stolen frame in the one steal reply) exists for;
 //   - imbalance recovery: wall time to drain a skewed workload (every
 //     task spawned at rank 0, fixed per-task grain) with stealing off
 //     vs on, plus the speedup column. The acceptance bar is >= 2x: with

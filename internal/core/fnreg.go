@@ -23,24 +23,23 @@ import (
 	"upcxx/internal/serial"
 )
 
-// fnEntry holds what is registered under one function name: its RPC body
-// (round-trip or fire-and-forget, as the signature dictates — body.run is
-// nil when the function was registered only as a task), the aux token a
-// single call of it sends (callOf), and its task body (registerEntry merges).
+// fnEntry holds what is registered under one function name, each form as the
+// aux token a single call of it sends (bodies[0] is the body): call, its RPC
+// form — round-trip or fire-and-forget, as the signature dictates — and spawn,
+// its task form (RegisterTask). An unregistered form is nil; registerEntry merges.
 type fnEntry struct {
-	name string
-	body rpcBody
-	call *rpcAux
-	task *TaskBody // internal/task body
+	name  string
+	call  *rpcAux
+	spawn *rpcAux
 }
 
-// TaskBody is the registry form of a task function (internal/task): Run
-// for a result-bearing body, RunFF for a fire-and-forget one. Tasks carry
-// their own result path — a result frame to the home rank, not an RPC
-// reply — so they are one more entry kind rather than an RPC invoker.
-type TaskBody struct {
-	Run   func(trk *Rank, args []byte) []byte
-	RunFF func(trk *Rank, args []byte)
+// TaskBody is the registry form of a task function (internal/task). A spawn
+// is an RPC entry naming the function's task form: on arrival Arrive queues
+// {home, seq, args} for the rank's task runtime — no user code runs on the
+// execution persona — and whichever rank runs a result-bearing task answers
+// (home, seq) with TaskReply (seq 0: fire-and-forget). An error fails the sender.
+type TaskBody interface {
+	Arrive(trk *Rank, home Intrank, seq uint64, args []byte) error
 }
 
 var fnReg = struct {
@@ -52,9 +51,9 @@ var fnReg = struct {
 	byPtr:  make(map[uintptr]*fnEntry),
 }
 
-// registerEntry files the forms in ent under fn's stable runtime name,
-// keeping the forms an earlier registration of the same function filled.
-func registerEntry(fn any, ent fnEntry) string {
+// registerEntry files body — fn's RPC form, or its task form when body.task is
+// set — under fn's stable runtime name, keeping the other form if it is there.
+func registerEntry(fn any, body rpcBody) string {
 	v := reflect.ValueOf(fn)
 	if v.Kind() != reflect.Func {
 		panic(fmt.Sprintf("upcxx: Register of non-function %T", fn))
@@ -63,21 +62,19 @@ func registerEntry(fn any, ent fnEntry) string {
 	if rf == nil {
 		panic("upcxx: Register of unresolvable function")
 	}
-	ent.name = rf.Name()
+	body.name = rf.Name()
+	tok := &rpcAux{bodies: []rpcBody{body}}
+	tok.wire, _ = new(distAuxCodec).EncodeAux(tok)
 	fnReg.Lock()
 	defer fnReg.Unlock()
-	if ent.body.run != nil {
-		ent.body.name = ent.name
-		ent.call = &rpcAux{bodies: []rpcBody{ent.body}}
-		ent.call.wire, _ = new(distAuxCodec).EncodeAux(ent.call)
-	}
+	ent := fnEntry{name: body.name}
 	if old := fnReg.byName[ent.name]; old != nil {
-		if ent.body.run == nil {
-			ent.body, ent.call = old.body, old.call
-		}
-		if ent.task == nil {
-			ent.task = old.task
-		}
+		ent = *old
+	}
+	if body.task != nil {
+		ent.spawn = tok
+	} else {
+		ent.call = tok
 	}
 	fnReg.byName[ent.name] = &ent // a fresh entry: lookups read entries unlocked
 	fnReg.byPtr[funcvalOf(fn)] = &ent
@@ -108,29 +105,31 @@ func lookupFn(name string) (*fnEntry, error) {
 	return ent, nil
 }
 
-// RegisterTaskBody, TaskBodyName and LookupTaskBody are internal/task's
-// view of the registry: register a body, name a registered function for
-// the wire, resolve a wire name at the executing rank.
-func RegisterTaskBody(fn any, body TaskBody) string {
-	return registerEntry(fn, fnEntry{task: &body})
+// RegisterTask, TaskOf and LookupTask are internal/task's view of the registry:
+// file a function's task form (ff: its spawns are fire-and-forget entries), find
+// the body of a function being spawned (or panic), resolve a stolen frame's name.
+func RegisterTask(fn any, task TaskBody, ff bool) string {
+	return registerEntry(fn, taskBody(task, ff))
 }
 
-func TaskBodyName(fn any) (string, error) {
-	if ent := registered(fn); ent != nil {
-		return ent.name, nil
+func TaskOf(fn any) TaskBody { return spawnOf(fn).bodies[0].task }
+
+func LookupTask(name string, ff bool) (TaskBody, error) {
+	kind := auxTaskForm | rpcReqKind
+	if ff {
+		kind = auxTaskForm | rpcFFKind
 	}
-	return "", errUnregistered(fmt.Sprintf("%T", fn))
+	body, err := lookupBody(name, kind)
+	return body.task, err
 }
 
-func LookupTaskBody(name string) (TaskBody, error) {
-	ent, err := lookupFn(name)
-	if err != nil {
-		return TaskBody{}, err
+// spawnOf returns the token a spawn of fn sends; having none is the caller's bug.
+func spawnOf(fn any) *rpcAux {
+	ent := registered(fn)
+	if ent == nil || ent.spawn == nil {
+		panic(fmt.Sprintf("task: %v", errUnregistered(fmt.Sprintf("%T (as a task)", fn))))
 	}
-	if ent.task == nil {
-		return TaskBody{}, errUnregistered(fmt.Sprintf("%q (as a task)", name))
-	}
-	return *ent.task, nil
+	return ent.spawn
 }
 
 // RegisterRPC registers a round-trip RPC body for cross-process
@@ -138,20 +137,20 @@ func LookupTaskBody(name string) (TaskBody, error) {
 // before the function first crosses a process boundary) with a
 // package-level, non-generic function; registration is process-global.
 func RegisterRPC[A, R any](fn func(*Rank, A) R) string {
-	return registerEntry(fn, fnEntry{body: valueBody(fn)})
+	return registerEntry(fn, valueBody(fn))
 }
 
 // RegisterRPCFF registers a fire-and-forget RPC body (also the form
 // remote-completion RemoteCxAsRPC bodies take) for cross-process
 // dispatch and returns its wire name.
 func RegisterRPCFF[A any](fn func(*Rank, A)) string {
-	return registerEntry(fn, fnEntry{body: ffBody(fn)})
+	return registerEntry(fn, ffBody(fn))
 }
 
 // RegisterRPCFut registers a future-returning (deferred-reply) RPC body
 // for cross-process dispatch and returns its wire name.
 func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string {
-	return registerEntry(fn, fnEntry{body: futBody(fn)})
+	return registerEntry(fn, futBody(fn))
 }
 
 // --- AuxCodec: rpcAux / remoteCxAux over the wire ------------------------
@@ -162,6 +161,7 @@ func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string {
 //	1 = rpcAux:      count uvarint | count×{kind u8 | name string} | remName string ("" = none)
 //	2 = remoteCxAux: name string
 //
+// (kind: the entry kind the body serves, auxTaskForm set for the task form.)
 // Persona addresses (bodyPers, rem.pers) are process-local pointers and
 // cannot cross; encoding them is an error, as is an unregistered
 // (empty-name) function. Decoding resolves each name in this process's
@@ -179,6 +179,8 @@ const auxMemoMax = 1024 // a peer can mint valid batch tokens without end: past 
 const (
 	auxTagRPC      = 1
 	auxTagRemoteCx = 2
+
+	auxTaskForm uint8 = 0x80 // in a token's kind byte: the named function's task form
 )
 
 func auxNameErr(what string) error {
@@ -213,7 +215,11 @@ func (*distAuxCodec) EncodeAux(aux any) ([]byte, error) {
 			if body.name == "" {
 				return nil, auxNameErr("RPC body function")
 			}
-			e.PutU8(body.kind)
+			kind := body.kind
+			if body.task != nil {
+				kind |= auxTaskForm
+			}
+			e.PutU8(kind)
 			e.PutString(body.name)
 		}
 		if err := putRemName(e, a.rem); err != nil {
@@ -233,17 +239,22 @@ func (*distAuxCodec) EncodeAux(aux any) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// lookupBody resolves name to a body that serves entries of the given
-// kind.
+// lookupBody resolves name to a body that serves entries of the given kind:
+// the function's task form when kind carries auxTaskForm, else its RPC form.
+// A function registered only in the other form is refused.
 func lookupBody(name string, kind uint8) (rpcBody, error) {
 	ent, err := lookupFn(name)
 	if err != nil {
 		return rpcBody{}, err
 	}
-	if ent.body.run == nil || ent.body.kind != kind {
-		return rpcBody{}, fmt.Errorf("upcxx: function %q is not registered in a form that serves RPC entry kind %d (round-trip entries need RegisterRPC/RegisterRPCFut, fire-and-forget and remote-completion bodies RegisterRPCFF)", name, kind)
+	tok := ent.call
+	if kind&auxTaskForm != 0 {
+		tok = ent.spawn
 	}
-	return ent.body, nil
+	if tok == nil || tok.bodies[0].kind != kind&^auxTaskForm {
+		return rpcBody{}, fmt.Errorf("upcxx: function %q is not registered in a form that serves entry kind %#x (round-trip entries need RegisterRPC/RegisterRPCFut, fire-and-forget and remote-completion bodies RegisterRPCFF, task spawns task.Register/RegisterFF)", name, kind)
+	}
+	return tok.bodies[0], nil
 }
 
 // getRem reads a remote-cx body name written by putRemName.

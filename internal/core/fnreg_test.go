@@ -1,7 +1,13 @@
 package upcxx
 
 import (
+	"bytes"
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"upcxx/internal/gasnet"
 
 	"upcxx/internal/serial"
 )
@@ -9,37 +15,111 @@ import (
 func regBothA(*Rank, int) int { return 1 }
 func regBothB(*Rank, int) int { return 2 }
 
+// nopTask is a task body that takes every arrival and queues it nowhere.
+type nopTask struct{}
+
+func (nopTask) Arrive(*Rank, Intrank, uint64, []byte) error { return nil }
+
 // TestRegistryFormsMerge: one function registered as both an RPC body and
 // a task body keeps both forms, whichever registration came first; an
-// RPC-only registration is not a task body, and an unregistered function
-// has no name.
+// RPC-only registration is not a task body, a result-bearing task does not
+// resolve as a fire-and-forget one, and an unregistered function is no task.
 func TestRegistryFormsMerge(t *testing.T) {
-	body := TaskBody{Run: func(*Rank, []byte) []byte { return nil }}
 	RegisterRPC(regBothA)
-	RegisterTaskBody(regBothA, body)
-	RegisterTaskBody(regBothB, body)
+	name := RegisterTask(regBothA, nopTask{}, false)
+	RegisterTask(regBothB, nopTask{}, false)
 	RegisterRPC(regBothB)
 	for _, fn := range []func(*Rank, int) int{regBothA, regBothB} {
-		name, err := TaskBodyName(fn)
-		if err != nil || name != registered(fn).name {
-			t.Fatalf("TaskBodyName = %q, %v; registered as %q", name, err, registered(fn).name)
+		ent := registered(fn)
+		if ent == nil || ent.call == nil || ent.spawn == nil {
+			t.Fatalf("%T: a form was clobbered: %+v", fn, ent)
 		}
-		ent, err := lookupFn(name)
-		if err != nil {
-			t.Fatal(err)
+		call, spawn := ent.call.bodies[0], ent.spawn.bodies[0]
+		if call.run == nil || call.kind != rpcReqKind || call.name != ent.name || call.task != nil {
+			t.Errorf("%s: RPC form %+v", ent.name, call)
 		}
-		if ent.body.run == nil || ent.body.kind != rpcReqKind || ent.body.name != name || ent.task == nil {
-			t.Errorf("%s: a form was clobbered: body %+v, task %v", name, ent.body, ent.task != nil)
+		if spawn.run == nil || spawn.kind != rpcReqKind || spawn.name != ent.name || spawn.task == nil {
+			t.Errorf("%s: task form %+v", ent.name, spawn)
 		}
-		if _, err := LookupTaskBody(name); err != nil {
-			t.Errorf("%s: %v", name, err)
+		if tb := TaskOf(fn); tb == nil {
+			t.Errorf("TaskOf(%s) = nil", ent.name)
+		}
+		if tb, err := LookupTask(ent.name, false); err != nil || tb == nil {
+			t.Errorf("LookupTask(%s) = %v, %v", ent.name, tb, err)
 		}
 	}
-	if _, err := LookupTaskBody(RegisterRPCFF(func(*Rank, int) {})); err == nil {
+	if _, err := LookupTask(name, true); err == nil {
+		t.Error("a result-bearing task resolved as a fire-and-forget one")
+	}
+	if _, err := LookupTask(RegisterRPCFF(func(*Rank, int) {}), true); err == nil {
 		t.Error("an RPC-only registration resolved as a task body")
 	}
-	if _, err := TaskBodyName(func(*Rank, int) int { return 0 }); err == nil {
-		t.Error("an unregistered function has a task name")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an unregistered function is a task")
+			}
+		}()
+		TaskOf(func(*Rank, int) int { return 0 })
+	}()
+}
+
+func regSpawned(*Rank, int64) int64 { return 0 }
+
+// heldTask records the one spawn that reaches it; the test plays the rank
+// that runs it.
+type heldTask struct {
+	home Intrank
+	seq  uint64
+	args []byte
+}
+
+func (h *heldTask) Arrive(_ *Rank, home Intrank, seq uint64, args []byte) error {
+	h.home, h.seq, h.args = home, seq, args
+	return nil
+}
+
+// TestTaskSpawnIsOneEntry: a spawn is a single call of the function's task
+// form — its entry carries the header then the argument, marshalled once —
+// and arrives at the task body with the sender and the sequence number the
+// reply must name. The reply may come from any rank: it fulfils the
+// spawner's promise through the ordinary pending-entry sink and credits the
+// task runtime once. A second reply for the sequence number, or one for a
+// number nobody awaits, fails the rank that sent it — a thief that answers
+// twice is the thief's fault, not the home rank's.
+func TestTaskSpawnIsOneEntry(t *testing.T) {
+	var held heldTask
+	RegisterTask(regSpawned, &held, false)
+	w := NewWorld(Config{Ranks: 3})
+	defer w.Close()
+	rk0, rk1, rk2 := w.Rank(0), w.Rank(1), w.Rank(2)
+	pass := func() {
+		for _, rk := range []*Rank{rk0, rk1, rk2, rk0} {
+			rk.Progress()
+		}
+	}
+	var landed atomic.Uint64
+	f := TaskRPC(rk0, 1, regSpawned, []byte{0xA1, 0xB2}, int64(7), &landed)
+	pass()
+	if want := append([]byte{0xA1, 0xB2}, mustMarshal(int64(7))...); held.home != 0 || !bytes.Equal(held.args, want) {
+		t.Fatalf("the task body got home %d args %x, want home 0 args %x", held.home, held.args, want)
+	}
+	if f.Ready() || landed.Load() != 0 {
+		t.Fatal("the spawn was answered before anybody ran it")
+	}
+	TaskReply(rk2, held.home, held.seq, mustMarshal(int64(21))) // a thief answers, not the target
+	pass()
+	if !f.Ready() || f.Result() != 21 || landed.Load() != 1 {
+		t.Fatalf("after the reply: ready %v, landed %d", f.Ready(), landed.Load())
+	}
+	if err := w.Failed(); err != nil {
+		t.Fatalf("a single reply failed somebody: %v", err)
+	}
+	TaskReply(rk2, held.home, held.seq, mustMarshal(int64(22)))
+	pass()
+	err := w.Failed()
+	if !errors.Is(err, gasnet.ErrPeerLost) || !strings.Contains(err.Error(), "rank 2") || landed.Load() != 1 {
+		t.Errorf("a second reply for the same sequence number: Failed() = %v, landed %d; want rank 2 failed, landed 1", err, landed.Load())
 	}
 }
 
@@ -118,7 +198,7 @@ func rpcAuxBytes(rem string, entries ...auxEnt) []byte {
 // a message: with one body form there is no batch-only variant to lack.
 func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 	val, ff, fut := RegisterRPC(regBothA), RegisterRPCFF(regFF), RegisterRPCFut(regFut)
-	task := RegisterTaskBody(regTaskOnly, TaskBody{Run: func(*Rank, []byte) []byte { return nil }})
+	task := RegisterTask(regTaskOnly, nopTask{}, false)
 	remTok := func(name string) []byte {
 		e := serial.NewEncoder(nil)
 		e.PutU8(auxTagRemoteCx)
@@ -141,7 +221,11 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 		{"ff entry, future function", rpcAuxBytes("", auxEnt{rpcFFKind, fut}), nil},
 		{"second entry of a message mismatched", rpcAuxBytes("", auxEnt{rpcReqKind, val}, auxEnt{rpcReqKind, ff}), nil},
 		{"reply-kind entry", rpcAuxBytes("", auxEnt{rpcReplyKind, val}), nil},
-		{"task-only function", rpcAuxBytes("", auxEnt{rpcReqKind, task}), nil},
+		{"task-only function named as an RPC", rpcAuxBytes("", auxEnt{rpcReqKind, task}), nil},
+		{"task entry, task function", rpcAuxBytes("", auxEnt{auxTaskForm | rpcReqKind, task}), []uint8{rpcReqKind}},
+		{"ff task entry, result-bearing task function", rpcAuxBytes("", auxEnt{auxTaskForm | rpcFFKind, task}), nil},
+		{"task entry, RPC-only function", rpcAuxBytes("", auxEnt{auxTaskForm | rpcReqKind, fut}), nil},
+		{"task entry, unknown function", rpcAuxBytes("", auxEnt{auxTaskForm | rpcReqKind, "no/such.fn"}), nil},
 		{"unknown function", rpcAuxBytes("", auxEnt{rpcReqKind, "no/such.fn"}), nil},
 		{"landing body naming a value function", rpcAuxBytes(val, auxEnt{rpcFFKind, ff}), nil},
 		{"trailing bytes", append(rpcAuxBytes("", auxEnt{rpcFFKind, ff}), 0), nil},
@@ -190,6 +274,11 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 	out, err := new(distAuxCodec).DecodeAux(tok)
 	if a, ok := out.(*rpcAux); err != nil || !ok || len(a.bodies) != 2 || a.bodies[1].name != fut || a.rem.body.name != ff {
 		t.Errorf("round trip of %+v = %+v, %v", in, out, err)
+	}
+	// A spawn's token names the task form, and comes back as the task form.
+	out, err = new(distAuxCodec).DecodeAux(registered(regTaskOnly).spawn.wire)
+	if a, ok := out.(*rpcAux); err != nil || !ok || len(a.bodies) != 1 || a.bodies[0].task == nil || a.bodies[0].name != task {
+		t.Errorf("round trip of a spawn token = %+v, %v", out, err)
 	}
 }
 

@@ -68,6 +68,8 @@ func (w *World) spinBudget() int32 {
 // idle applies the idle rule after a progress pass that found nothing,
 // parking for at most d. It reports whether it parked.
 func (rk *Rank) idle(id *idler, d time.Duration) (parked bool) {
+	rk.idlers.Add(1) // Progress yields to a counted waiter
+	defer rk.idlers.Add(-1)
 	worked := rk.worked.Load()
 	if !id.armed.Load() || !rk.w.dist && worked != id.seen.Load() {
 		id.left.Store(rk.w.spinBudget())

@@ -209,3 +209,40 @@ func TestQuiesceOneP(t *testing.T) {
 		t.Errorf("Quiesce made %d empty progress passes: it spun instead of parking", n)
 	}
 }
+
+// TestPollingMasterDoesNotStarveInjectors: four goroutines block in
+// RPC(...).Wait() behind a master that polls bare Progress() in a loop, on
+// one P. Progress does not park, so unless a pass that found nothing gives
+// the processor to the waiters counted in Rank.idle, each of them runs once
+// per forced preemption of the master — ten milliseconds an operation, four
+// seconds for this test.
+func TestPollingMasterDoesNotStarveInjectors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const injectors, calls = 4, 100
+	t0 := time.Now()
+	RunConfig(Config{Ranks: 2, WaitTimeout: 20 * time.Second}, func(rk *Rank) {
+		peer := (rk.Me() + 1) % rk.N()
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		for u := 0; u < injectors; u++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer DetachDefaultPersonas()
+				for i := 0; i < calls; i++ {
+					if got := RPC(rk, peer, func(_ *Rank, x int) int { return x + 1 }, i).Wait(); got != i+1 {
+						t.Errorf("rank %d: rpc(%d) = %d", rk.Me(), i, got)
+					}
+				}
+			}()
+		}
+		go func() { wg.Wait(); done.Store(true) }()
+		for !done.Load() {
+			rk.Progress() // the master polls; incoming bodies run here
+		}
+		rk.Barrier()
+	})
+	if el := time.Since(t0); el > time.Second {
+		t.Errorf("%d injectors x %d blocking RPCs behind a polling master took %v, want under 1s", injectors, calls, el)
+	}
+}

@@ -3,6 +3,7 @@ package upcxx
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/serial"
@@ -53,16 +54,19 @@ import (
 // fire-and-forget bodies return (nil, false), and so does a
 // future-returning body, which ships its own reply to (src, seq) once its
 // future readies. kind says which entries the body can serve: rpcReqKind
-// (it produces a result) or rpcFFKind (it never replies).
+// (it produces a result) or rpcFFKind (it never replies). task is set on a
+// function's task form: run queues the call with it and runs no user code.
+// args alias the arrived message, the receiver's to keep (gasnet.AMHandler).
 type rpcBody struct {
 	kind uint8
-	name string // registry name for cross-process dispatch ("" in-process)
+	name string   // registry name for cross-process dispatch ("" in-process)
+	task TaskBody // nil: run executes the call
 	run  func(trk *Rank, src Intrank, seq uint64, args []byte) (res []byte, now bool)
 }
 
-// The three adapters below are the only places a user function meets the
-// wire: Register* builds a function's body from one of them once, and every
-// entry point uses it, or builds one per call of an unregistered function.
+// The adapters below are the only places a user function meets the wire:
+// Register* builds a function's body from one of them once, and every entry
+// point uses it, or builds one per call of an unregistered function.
 
 // valueBody adapts a function whose result is ready when it returns.
 func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
@@ -105,6 +109,22 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 			// persona); futures are persona-local, so the continuation
 			// must be registered on the owner's goroutine.
 			inner.c.pers.LPC(reply)
+		}
+		return nil, false
+	}}
+}
+
+// taskBody adapts a task function (RegisterTask): the entry is queued for the
+// rank's task runtime and the reply — like futBody's — deferred to whoever
+// runs it (TaskReply). A spawn the runtime cannot take fails its sender.
+func taskBody(task TaskBody, ff bool) rpcBody {
+	kind := rpcReqKind
+	if ff {
+		kind = rpcFFKind
+	}
+	return rpcBody{kind: kind, task: task, run: func(trk *Rank, src Intrank, seq uint64, args []byte) ([]byte, bool) {
+		if err := task.Arrive(trk, src, seq, args); err != nil {
+			trk.failPeer(src, err)
 		}
 		return nil, false
 	}}
@@ -318,7 +338,8 @@ type rpcEntry struct {
 // or, with gather set, as the fragment list bufs whose concatenation is
 // the same byte stream but in which argument spans of at least
 // serial.GatherMinBorrow bytes still alias the caller's memory. A non-nil
-// arg is a single call's argument, marshalled here, once, into the message.
+// arg is a single call's argument, marshalled here, once, into the message,
+// behind whatever header the entry's args hold (a spawn's task header).
 func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, rem []byte, gather bool) (buf []byte, bufs [][]byte) {
 	size := 40 + 20*len(entries) + len(rem)
 	if !gather {
@@ -340,7 +361,7 @@ func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, rem []byte, ga
 		e.PutU8(en.kind)
 		e.PutU64(en.seq)
 		if arg != nil {
-			if err := serial.EncodeSized(&e, arg); err != nil {
+			if err := serial.EncodeSized(&e, en.args, arg); err != nil {
 				panic(fmt.Sprintf("upcxx: RPC argument not serializable: %v", err))
 			}
 			continue
@@ -621,11 +642,49 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 	return futs
 }
 
-// rpcOne sends a single call: a one-entry message; adapt builds fn's body
-// if it has no registered one (callOf).
-func rpcOne[A any](rk *Rank, target Intrank, fn any, adapt func() rpcBody, arg *A, sink rpcSink, cxs []Cx) CxFutures {
-	return rpcSend(rk, target, []rpcEntry{{}}, arg, callOf(fn, adapt), []rpcSink{sink}, false, cxs)
+// rpcOne sends a single call of call's body: a one-entry message whose
+// argument is hdr (a spawn's task header; nil for an RPC) followed by arg.
+func rpcOne[A any](rk *Rank, target Intrank, call *rpcAux, hdr []byte, arg *A, sink rpcSink, cxs []Cx) CxFutures {
+	return rpcSend(rk, target, []rpcEntry{{args: hdr}}, arg, call, []rpcSink{sink}, false, cxs)
 }
+
+// --- task spawns ---------------------------------------------------------
+
+// A spawn (internal/task) is a single call of the function's task form: the
+// task header, then the argument, marshalled once into the message. The round
+// trip is an RPC's, except that whichever rank ran the task sends the reply.
+// Its sink is the caller's promise plus the task runtime's completion count.
+type taskSink[T any] struct {
+	p      *Promise[T]
+	credit *atomic.Uint64
+}
+
+func (s *taskSink[T]) rpcResult(res []byte) {
+	s.p.rpcResult(res)
+	s.credit.Add(1)
+}
+
+// TaskRPC spawns fn(arg) at target and returns the future for its result,
+// owned by the calling persona; credit counts the reply as it lands.
+func TaskRPC[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, hdr []byte, arg A, credit *atomic.Uint64) Future[R] {
+	p := NewPromise[R](rk)
+	rpcOne(rk, target, spawnOf(fn), hdr, &arg, &taskSink[R]{p, credit}, nil)
+	return p.Future()
+}
+
+// TaskRPCFF spawns fire-and-forget fn(arg) at target: no reply entry.
+func TaskRPCFF[A any](rk *Rank, target Intrank, fn func(*Rank, A), hdr []byte, arg A) {
+	rpcOne(rk, target, spawnOf(fn), hdr, &arg, nil, nil)
+}
+
+// TaskReply answers the spawn that home sent as seq. A sequence number home
+// does not await — unknown, or answered already — fails the replier there.
+func TaskReply(rk *Rank, home Intrank, seq uint64, res []byte) {
+	rk.reply(home, []rpcEntry{{kind: rpcReplyKind, seq: seq, args: res}})
+}
+
+// FailPeer is failPeer for a task message the task runtime cannot act on.
+func FailPeer(rk *Rank, peer Intrank, err error) { rk.failPeer(peer, err) }
 
 // --- public entry points -------------------------------------------------
 
@@ -643,7 +702,7 @@ func rpcOne[A any](rk *Rank, target Intrank, fn any, adapt func() rpcBody, arg *
 // observes the reply.
 func RPCWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A, cxs ...Cx) (Future[R], CxFutures) {
 	p := NewPromise[R](rk)
-	return p.Future(), rpcOne(rk, target, fn, func() rpcBody { return valueBody(fn) }, &arg, p, cxs)
+	return p.Future(), rpcOne(rk, target, callOf(fn, func() rpcBody { return valueBody(fn) }), nil, &arg, p, cxs)
 }
 
 // RPCFutWith is RPCWith for a future-returning fn: the reply is deferred
@@ -651,7 +710,7 @@ func RPCWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A, cxs
 // use when the callee must itself wait on asynchronous work.
 func RPCFutWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg A, cxs ...Cx) (Future[R], CxFutures) {
 	p := NewPromise[R](rk)
-	return p.Future(), rpcOne(rk, target, fn, func() rpcBody { return futBody(fn) }, &arg, p, cxs)
+	return p.Future(), rpcOne(rk, target, callOf(fn, func() rpcBody { return futBody(fn) }), nil, &arg, p, cxs)
 }
 
 // RPCFFWith invokes fn(arg) on the target rank with no acknowledgment or
@@ -660,7 +719,7 @@ func RPCFutWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R],
 // acknowledgment to wait for), source completion when the argument buffer
 // may be reused, and a RemoteCxAsRPC descriptor at the target on landing.
 func RPCFFWith[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A, cxs ...Cx) CxFutures {
-	return rpcOne(rk, target, fn, func() rpcBody { return ffBody(fn) }, &arg, nil, cxs)
+	return rpcOne(rk, target, callOf(fn, func() rpcBody { return ffBody(fn) }), nil, &arg, nil, cxs)
 }
 
 // RPC invokes fn(arg) on the target rank and returns a future for its

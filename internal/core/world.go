@@ -3,6 +3,7 @@ package upcxx
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -414,6 +415,7 @@ type Rank struct {
 
 	worked   atomic.Uint64 // progress passes that found work (re-arms in-process idlers, idle.go)
 	pollIdle idler         // ProgressWait's place in the idle rule, across calls and callers
+	idlers   atomic.Int32  // goroutines inside idle: waiters a bare Progress loop must let run
 }
 
 // Me returns this process's world rank.
@@ -462,8 +464,14 @@ func (rk *Rank) InternalProgress() {
 // (satisfying futures and running their callbacks) and executing incoming
 // RPCs. It returns the number of user-level items processed. Progress
 // from inside a callback or RPC body is a no-op (restricted context).
+// It does not park, and yields only after a pass that found nothing while another
+// goroutine of the rank sits in the idle rule: a master polling on one P would hold it.
 func (rk *Rank) Progress() int {
-	return rk.progressWith(curState())
+	n := rk.progressWith(curState())
+	if n == 0 && rk.idlers.Load() > 0 {
+		runtime.Gosched()
+	}
+	return n
 }
 
 // ProgressWait runs one user-level progress pass and, when it finds no
@@ -474,7 +482,7 @@ func (rk *Rank) Progress() int {
 // Progress+Gosched spinning: on an oversubscribed host a spin loop can burn
 // whole scheduler quanta before a sibling rank process ever runs.
 func (rk *Rank) ProgressWait(d time.Duration) int {
-	n := rk.Progress()
+	n := rk.progressWith(curState())
 	if n == 0 {
 		rk.idle(&rk.pollIdle, d)
 	}

@@ -506,6 +506,51 @@ func TestBackendConformanceMatrix(t *testing.T) {
 	}
 }
 
+// TestConformanceAMPayloadIsTheHandlersToKeep pins AMHandler's ownership rule
+// on every backend: a handler keeps the payloads of one burst, the sender
+// scribbles over the buffer it sent each from (source completion), a second
+// burst goes through the same socket read buffer or ring, and what was kept
+// still reads as it was sent.
+func TestConformanceAMPayloadIsTheHandlersToKeep(t *testing.T) {
+	const N, size = 100, 300 // a burst fits the shm ring: one goroutine sends and polls
+	worlds := map[string]func(t *testing.T) []*Network{
+		"loopback": func(*testing.T) []*Network { return []*Network{NewNetwork(Config{Ranks: 2, SegmentSize: 1 << 12})} },
+		"tcp":      func(t *testing.T) []*Network { nets, _ := wirePair(t, "tcp"); return nets },
+	}
+	if runtime.GOOS == "linux" {
+		worlds["shm"] = func(t *testing.T) []*Network { nets, _ := wirePair(t, "shm"); return nets }
+	}
+	for name, mk := range worlds {
+		t.Run(name, func(t *testing.T) {
+			nets := mk(t)
+			defer closeAll(nets)
+			var kept [][]byte
+			for _, n := range nets {
+				n.RegisterAM(func(_ *Endpoint, _ Rank, p []byte, _ any) { kept = append(kept, p) })
+			}
+			from, to := nets[0].Endpoint(0), nets[len(nets)-1].Endpoint(1)
+			buf := make([]byte, size)
+			for sent := 0; sent < 2*N; {
+				for i := 0; i < N; i, sent = i+1, sent+1 {
+					copy(buf, pattern(size, byte(sent)))
+					from.AM(1, 0, buf, nil)
+					clear(buf)
+				}
+				for deadline := time.Now().Add(20 * time.Second); len(kept) < sent; to.Poll() {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d of %d AMs arrived", len(kept), sent)
+					}
+				}
+			}
+			for i, p := range kept {
+				if !bytes.Equal(p, pattern(size, byte(i))) {
+					t.Fatalf("the payload kept from AM %d was rewritten after its handler returned", i)
+				}
+			}
+		})
+	}
+}
+
 // --- hostile frames ---------------------------------------------------------
 
 // TestWireHostileFramesFailPeer feeds the inbound dispatcher frames whose

@@ -18,9 +18,12 @@ type Rank = int32
 type HandlerID uint16
 
 // AMHandler is an Active Message handler. It runs on the target rank's
-// goroutine during Poll, with the payload aliasing a network buffer that is
-// only valid for the duration of the call — copy what must persist (this is
-// the property upcxx::view exposes to users).
+// goroutine during Poll. The payload is the handler's to keep: every backend
+// delivers a buffer nobody writes again — the sender's owned message
+// in-process, a slab the burst was copied into off the socket or the ring —
+// so the RPC layer queues bodies, and the task runtime arguments, that alias it
+// (TestConformanceAMPayloadIsTheHandlersToKeep), each keeping its slab alive.
+// What reaches user code is still a view (upcxx::view), valid for the body's run only.
 //
 // aux is an opaque token that travels with the message but contributes no
 // payload bytes: it models a code address (C++ function pointer / lambda

@@ -437,6 +437,7 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 // keep copies what outlives its frame's dispatch out of the read buffer, into
 // a slab sized by what the burst has buffered: a burst costs at most one heap
 // object, as a ring drain does, and what it leaves of the slab serves the next.
+// A slab is appended to, never rewritten: its bytes are the handler's (AMHandler).
 func (p *peerConn) keep(b []byte) []byte {
 	if len(b) == 0 {
 		return nil

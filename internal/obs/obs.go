@@ -385,14 +385,14 @@ func (ro *RankObs) CountTask(s TaskStat, n int) { ro.tasks[s].Add(uint64(n)) }
 // TaskStart accounts one task spawned at this rank and, while tracing is
 // armed and the 1-in-N sampler selects it, records the spawn event and
 // returns the nonzero trace ID that rides the task's descriptor through
-// enqueue/steal/execute/complete hops. Task trace IDs share the rank's
-// op sequence space, so a task's timeline never collides with a traced
-// operation's.
-func (ro *RankObs) TaskStart(bytes int) uint64 {
+// enqueue/steal/execute/complete hops (the enqueue hop has the argument's
+// size: a spawn marshals it straight into its message). Task trace IDs share
+// the rank's op sequence space: no collision with a traced operation's timeline.
+func (ro *RankObs) TaskStart() uint64 {
 	ro.tasks[TaskSpawned].Add(1)
 	seq := ro.seq.Add(1)
 	if ro.armed.Load() && seq%ro.o.sample == 0 {
-		ro.ring.record(Event{ID: seq, Stage: StageTaskSpawn, Kind: KindTask, At: ro.rank, Bytes: int64(bytes), T: ro.now()})
+		ro.ring.record(Event{ID: seq, Stage: StageTaskSpawn, Kind: KindTask, At: ro.rank, T: ro.now()})
 		return seq
 	}
 	return 0

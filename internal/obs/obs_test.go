@@ -344,7 +344,7 @@ func TestTaskCountersZeroValueOmission(t *testing.T) {
 func TestTaskTraceTimeline(t *testing.T) {
 	ob := New(2, Options{TraceDepth: 64})
 	home, thief := ob.Rank(0), ob.Rank(1)
-	id := home.TaskStart(16)
+	id := home.TaskStart()
 	if id == 0 {
 		t.Fatal("armed tracing did not sample the task")
 	}

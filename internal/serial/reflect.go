@@ -88,12 +88,12 @@ func Encode[T any](e *Encoder, v *T) error {
 	return err
 }
 
-// EncodeSized appends what PutBytes of *v's marshalled form would, but
-// marshals in place: one length byte is reserved, and the value moves up
-// only if it needs more. Not for gather-mode encoders.
-func EncodeSized[T any](e *Encoder, v *T) error {
+// EncodeSized appends what PutBytes of pre followed by *v's marshalled form
+// would, but marshals in place: one length byte is reserved, and the span
+// moves up only if it needs more. Not for gather-mode encoders.
+func EncodeSized[T any](e *Encoder, pre []byte, v *T) error {
 	at := len(e.buf)
-	e.buf = append(e.buf, 0)
+	e.buf = append(append(e.buf, 0), pre...)
 	err := Encode(e, v)
 	if n := uint64(len(e.buf) - at - 1); n < 0x80 {
 		e.buf[at] = byte(n)

@@ -118,9 +118,6 @@ func (e *Encoder) PutI64(v int64)  { e.PutU64(uint64(v)) }
 func (e *Encoder) PutF64(v float64) {
 	e.PutU64(math.Float64bits(v))
 }
-func (e *Encoder) PutF32(v float32) {
-	e.PutU32(math.Float32bits(v))
-}
 
 // PutUvarint appends v in unsigned varint form; used for lengths.
 func (e *Encoder) PutUvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -213,7 +210,6 @@ func (d *Decoder) U64() uint64 {
 
 func (d *Decoder) I64() int64   { return int64(d.U64()) }
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-func (d *Decoder) F32() float32 { return math.Float32frombits(d.U32()) }
 
 // Uvarint consumes an unsigned varint. Non-minimal encodings (a
 // multi-byte form whose final byte contributes no bits, e.g. 0x80 0x00

@@ -1,19 +1,34 @@
 package task
 
-// Work stealing. A rank whose queue runs dry picks a victim and sends a
-// one-way steal request; the victim pops a batch of its oldest tasks and
-// ships them back — every migrated frame plus the steal reply — as ONE
-// batched-RPC message (core.NewBatch), so a successful steal costs the
-// thief one request AM and the victim one reply AM regardless of batch
-// size. At most one steal is outstanding per rank: steal traffic stays
-// bounded by the number of idle ranks, and a failed steal (empty reply)
-// backs off through the worker's idle progression rather than hammering
-// the next victim in a tight loop.
+// Work stealing. A rank whose queue runs dry sends a victim a one-way steal
+// request; the victim answers with ONE steal reply carrying the frames
+// (wire.go) of a batch of its oldest tasks — none if it has none to give — so
+// a steal costs one AM each way. At most one is outstanding per rank.
+//
+// A task changes owner where the victim gives it up (TaskMigrated) and where
+// the thief takes it in (TaskStolen), and what a thief takes in it keeps: loot
+// is never offered to a later request (popOldest), so two idle ranks cannot
+// bounce the last batch between them.
+//
+// Victims are tried in rotation from a random start: every other rank is
+// asked within n-1 requests, and simultaneously idle thieves fan out.
+//
+// An empty reply backs off: no new request for one steal round trip — the
+// shortest seen, so the conduit's and not a busy victim's time to poll —
+// twice that after the next, up to stealCap. Loot resets the back-off, as does
+// entering Finish. Running a task does not: it says nothing about the victims,
+// and a rank trading tasks one at a time with a peer would waste a request each.
 
 import (
+	"fmt"
+	"time"
+
 	core "upcxx/internal/core"
 	"upcxx/internal/obs"
 )
+
+// stealCap bounds the back-off, in steal round trips.
+const stealCap = 128
 
 // stealReq asks a victim for up to Max tasks on behalf of Thief.
 type stealReq struct {
@@ -21,86 +36,83 @@ type stealReq struct {
 	Max   uint32
 }
 
-// stealAck closes the thief's outstanding steal; N tasks were migrated
-// in the same batch, ordered before the ack.
-type stealAck struct {
+// stealReply closes the thief's outstanding steal and carries the frames of
+// the tasks that migrate with it.
+type stealReply struct {
 	Victim int32
-	N      uint32
+	Loot   [][]byte
 }
 
-// maybeSteal sends one steal request if stealing is enabled, the local
-// queue is empty, and no request is already outstanding.
+// maybeSteal sends one steal request if stealing is enabled, the back-off
+// allows it, and no request is already outstanding. Callers have just found
+// the local queue empty.
 func (rt *Runtime) maybeSteal() {
-	if rt.cfg.NoSteal || rt.rk.N() < 2 {
+	now := max(int64(time.Since(rt.born)), 1) // 0 means no request is out
+	if rt.cfg.NoSteal || rt.rk.N() < 2 || now < rt.stealAt.Load() || !rt.stealSent.CompareAndSwap(0, now) {
 		return
 	}
-	if !rt.stealing.CompareAndSwap(false, true) {
-		return
-	}
-	victim := rt.nextVictim()
-	if ro := rt.rk.RankObs(); ro != nil {
-		ro.CountTask(obs.TaskStealReqs, 1)
-	}
-	core.RPCFF(rt.rk, victim, stealReqBody, stealReq{
-		Thief: int32(rt.rk.Me()),
-		Max:   uint32(rt.cfg.stealBatch()),
-	})
+	rt.count(obs.TaskStealReqs, 1)
+	n := uint32(rt.rk.N())
+	victim := core.Intrank((uint32(rt.rk.Me()) + 1 + rt.victim.Add(1)%(n-1)) % n)
+	core.RPCFF(rt.rk, victim, stealReqBody, stealReq{Thief: int32(rt.rk.Me()), Max: uint32(rt.cfg.StealBatch)})
 }
 
-// nextVictim rotates through the other ranks from a jittered start, so
-// a fleet of simultaneously-idle thieves fans out instead of mobbing
-// rank (me+1).
-func (rt *Runtime) nextVictim() core.Intrank {
-	n := int(rt.rk.N())
-	me := int(rt.rk.Me())
-	if rt.victimSeq.Load() == 0 {
-		rt.victimSeq.Store(uint32(jitter(n-1) + 1))
-	}
-	step := int(rt.victimSeq.Add(1))
-	v := (me + 1 + step%(n-1)) % n
-	if v == me {
-		v = (v + 1) % n
-	}
-	return core.Intrank(v)
+// stealSoon forgets the back-off.
+func (rt *Runtime) stealSoon() {
+	rt.backoff.Store(0)
+	rt.stealAt.Store(0)
 }
 
-// stealReqBody runs at the victim (exec persona): pop the oldest batch,
-// mark each frame stolen, and flush frames + ack as one wire message.
+// stealReqBody runs at the victim (exec persona): pop the oldest batch that
+// is this rank's to give and send its frames back as the reply.
 func stealReqBody(trk *core.Rank, req stealReq) {
-	thief := core.Intrank(req.Thief)
-	var recs []rec
+	rep := stealReply{Victim: int32(trk.Me())}
 	if rt := Of(trk); rt != nil {
-		recs = rt.popOldest(int(req.Max))
-	}
-	b := core.NewBatch(trk, thief)
-	for _, r := range recs {
-		r.Flags |= flagStolen
-		core.BatchRPCFF(b, taskEnqueueBody, encodeRec(r))
-	}
-	core.BatchRPCFF(b, stealAckBody, stealAck{Victim: int32(trk.Me()), N: uint32(len(recs))})
-	b.Flush()
-	if len(recs) > 0 {
-		if ro := trk.RankObs(); ro != nil {
-			ro.CountTask(obs.TaskMigrated, len(recs))
+		for _, r := range rt.popOldest(int(req.Max)) {
+			rep.Loot = append(rep.Loot, encodeRec(r))
 		}
+		rt.count(obs.TaskMigrated, len(rep.Loot))
 	}
+	core.RPCFF(trk, core.Intrank(req.Thief), stealReplyBody, rep)
 }
 
-// stealAckBody runs at the thief (exec persona): the migrated frames in
-// the same batch have already been enqueued (the batch executes in
-// order), so clearing the outstanding flag here means a worker that
-// immediately re-steals has already seen this batch's loot.
-func stealAckBody(trk *core.Rank, ack stealAck) {
+// stealReplyBody runs at the thief (exec persona): take the loot in, set the
+// back-off, and only then clear the outstanding flag, so a worker that
+// re-steals at once has seen this batch. A bad frame fails the victim.
+func stealReplyBody(trk *core.Rank, rep stealReply) {
 	rt := Of(trk)
-	if rt == nil {
-		// A request sent by a since-stopped runtime; its ack (necessarily
-		// empty: Stop follows quiescence) has nothing to close.
+	if rt == nil { // the request of a since-stopped runtime: Stop follows quiescence, so the reply is empty
 		return
 	}
-	if ack.N == 0 {
-		if ro := trk.RankObs(); ro != nil {
-			ro.CountTask(obs.TaskStealFails, 1)
+	for _, frame := range rep.Loot {
+		r, err := decodeRec(frame)
+		if err == nil && r.Home >= trk.N() {
+			err = fmt.Errorf("home rank %d of %d", r.Home, trk.N())
 		}
+		if err == nil {
+			var tb core.TaskBody
+			tb, err = core.LookupTask(r.Name, r.Flags&flagFF != 0)
+			r.b, _ = tb.(*body) // only this package files task forms
+		}
+		if err != nil {
+			core.FailPeer(trk, core.Intrank(rep.Victim), fmt.Errorf("task: stolen frame: %w", err))
+			break
+		}
+		r.Flags |= flagStolen
+		rt.count(obs.TaskStolen, 1)
+		rt.hop(r, obs.StageTaskSteal, len(r.Args))
+		rt.enqueue(r)
 	}
-	rt.stealing.Store(false)
+	if len(rep.Loot) > 0 {
+		rt.stealSoon()
+	} else {
+		rt.count(obs.TaskStealFails, 1)
+		now := int64(time.Since(rt.born))
+		rtt := min(now-rt.stealSent.Load(), rt.stealRTT.Load())
+		rt.stealRTT.Store(rtt)
+		wait := min(max(2*rt.backoff.Load(), rtt), stealCap*rtt)
+		rt.backoff.Store(wait)
+		rt.stealAt.Store(now + wait)
+	}
+	rt.stealSent.Store(0)
 }

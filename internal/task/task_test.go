@@ -8,7 +8,10 @@ package task
 // whole package runs under -race in CI (make race).
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,13 +80,31 @@ func tGroupBump(trk *core.Rank, _ int64) {
 	groupHits.Add(1)
 }
 
+// tHold keeps its worker busy until the test lets go.
+var holdStarted, holdRelease atomic.Bool
+
+func tHold(*core.Rank, int64) {
+	holdStarted.Store(true)
+	for !holdRelease.Load() {
+		runtime.Gosched()
+	}
+}
+
+func tRelease(*core.Rank, int64) { holdRelease.Store(true) }
+
+func tLen(_ *core.Rank, b []byte) int64 { return int64(len(b)) }
+
 var (
 	_ = Register(tDouble)
 	_ = Register(tSwap)
+	_ = Register(tLen)
 	_ = RegisterFF(tBump)
 	_ = RegisterFF(tChain)
 	_ = RegisterFF(tSleep)
 	_ = RegisterFF(tGroupBump)
+	_ = RegisterFF(tHold)
+	_ = RegisterFF(tPark)
+	_ = core.RegisterRPCFF(tRelease)
 )
 
 // matrixWorlds enumerates the conformance matrix's world axis.
@@ -209,6 +230,241 @@ func TestTaskStealMovesWork(t *testing.T) {
 	}
 }
 
+// TestStolenResultReachesHome: a result-bearing task that a thief runs is
+// answered by the thief, straight to the home rank's ordinary reply sink, and
+// the detector's S == C — C moves where the reply lands — certifies it got
+// there. Rank 1's one worker is held and its master only progresses, so the
+// tasks rank 0 spawns there can only run at rank 2, which steals them.
+func TestStolenResultReachesHome(t *testing.T) {
+	resetCounters()
+	holdStarted.Store(false)
+	holdRelease.Store(false)
+	const tasks = 6
+	var stolen, migrated uint64
+	core.RunConfig(core.Config{Ranks: 3, Stats: true}, func(rk *core.Rank) {
+		if rk.Me() == 2 {
+			rk.Barrier() // the thief starts once the worker it must beat is held
+		}
+		rt := New(rk, Config{Workers: 1, NoSteal: rk.Me() != 2})
+		defer rt.Stop()
+		switch rk.Me() {
+		case 0:
+			AsyncAtFF(rt, 1, tHold, 0)
+			rk.Barrier()
+			var fs []core.Future[int64]
+			for i := int64(0); i < tasks; i++ {
+				fs = append(fs, AsyncAt(rt, 1, tDouble, i))
+			}
+			for i, f := range fs {
+				if got := HelpWait(rt, f); got != int64(i)*2 {
+					t.Errorf("stolen task %d returned %d, want %d", i, got, i*2)
+				}
+			}
+			if s, c := rt.spawned.Load(), rt.executed.Load(); s != tasks+1 || c != tasks {
+				t.Errorf("home counts S=%d C=%d with every result in, want %d and %d (the held task is still out)", s, c, tasks+1, tasks)
+			}
+			core.RPCFF(rk, 1, tRelease, 0)
+		case 1:
+			for !holdStarted.Load() {
+				rk.ProgressWait(helpPark)
+			}
+			rk.Barrier()
+			for !holdRelease.Load() {
+				rk.ProgressWait(helpPark)
+			}
+		}
+		if err := rt.Finish(); err != nil {
+			t.Errorf("rank %d: Finish: %v", rk.Me(), err)
+		}
+		if s, c := rt.spawned.Load(), rt.executed.Load(); s != c {
+			t.Errorf("rank %d after Finish: S=%d C=%d", rk.Me(), s, c)
+		}
+		rk.Barrier()
+		if rk.Me() == 0 {
+			s := rk.World().StatsMerged()
+			stolen, migrated = s.Tasks[obs.TaskStolen], s.Tasks[obs.TaskMigrated]
+		}
+	})
+	if got := execBy[2].Load(); got != tasks {
+		t.Errorf("rank 2 ran %d of the %d tasks (rank 0: %d, rank 1: %d)", got, tasks, execBy[0].Load(), execBy[1].Load())
+	}
+	if stolen != tasks || migrated != tasks {
+		t.Errorf("stolen=%d migrated=%d, want %d each: every task changes owner once", stolen, migrated, tasks)
+	}
+}
+
+// TestStealDoesNotBounce is the livelock of two idle ranks and one last
+// batch: both ranks steal, one P, 64 sleep-grain tasks all spawned at rank 0.
+// A progress pass that takes in loot and the sibling's next steal request
+// must not ship the loot straight back — the job used to drain in 25 ms,
+// 1.7 s, or not within a minute. Loot stays where it landed, so no task
+// migrates more than once.
+func TestStealDoesNotBounce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	resetCounters()
+	const tasks = 64
+	var migrated atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		core.RunConfig(core.Config{Ranks: 2, Stats: true}, func(rk *core.Rank) {
+			rt := New(rk, Config{Workers: 1})
+			defer rt.Stop()
+			if rk.Me() == 0 {
+				for i := 0; i < tasks; i++ {
+					AsyncAtFF(rt, 0, tSleep, 200)
+				}
+			}
+			if err := rt.Finish(); err != nil {
+				t.Errorf("rank %d: Finish: %v", rk.Me(), err)
+			}
+			rk.Barrier()
+			if rk.Me() == 0 {
+				migrated.Store(rk.World().StatsMerged().Tasks[obs.TaskMigrated])
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("64 tasks between two stealing ranks did not drain in 10 s: the last batch is bouncing")
+	}
+	if got := execBy[0].Load() + execBy[1].Load(); got != tasks {
+		t.Errorf("executed %d tasks, want %d", got, tasks)
+	}
+	if m := migrated.Load(); m > tasks {
+		t.Errorf("%d migrations for %d tasks: loot was shipped on", m, tasks)
+	}
+}
+
+// TestBadTaskMessagesFailTheirSender: a task message this rank cannot act on
+// is the sender's fault — an error out of Arrive (which the spawn entry's
+// body turns into failing the spawner), a failed victim for a steal reply
+// whose frame does not decode or names no task — never a panic on the
+// execution persona.
+func TestBadTaskMessagesFailTheirSender(t *testing.T) {
+	b := bodyOf(tDouble)
+	// with runs fn on a two-rank world whose rank 0 has a task runtime.
+	with := func(fn func(w *core.World, rt *Runtime)) {
+		w := core.NewWorld(core.Config{Ranks: 2})
+		defer w.Close()
+		rt := New(w.Rank(0), Config{Workers: 1, NoSteal: true})
+		defer rt.Stop()
+		fn(w, rt)
+	}
+	with(func(w *core.World, rt *Runtime) {
+		if err := b.Arrive(w.Rank(1), 0, 1, header(0, 0)); err == nil {
+			t.Error("a spawn was taken in by a rank with no task runtime")
+		}
+		for _, args := range [][]byte{nil, {0x80}, {0, 0x80}} {
+			if err := b.Arrive(w.Rank(0), 1, 1, args); err == nil {
+				t.Errorf("a spawn with the task header %x was queued", args)
+			}
+		}
+	})
+	for _, frame := range [][]byte{
+		{1, 2, 3},
+		encodeRec(rec{Seq: 1, Home: 1, Name: "no/such.task"}),
+		encodeRec(rec{Seq: 1, Home: 1, Name: b.name, Flags: flagFF}), // a result-bearing body named fire-and-forget
+		encodeRec(rec{Seq: 1, Home: 9, Name: b.name}),
+	} {
+		with(func(w *core.World, rt *Runtime) {
+			stealReplyBody(w.Rank(0), stealReply{Victim: 1, Loot: [][]byte{frame}})
+			err := w.Failed()
+			if !errors.Is(err, gasnet.ErrPeerLost) || !strings.Contains(err.Error(), "rank 1") {
+				t.Errorf("stolen frame %x: Failed() = %v, want the victim (rank 1) failed", frame, err)
+			}
+			if _, queued := rt.popLocal(); queued {
+				t.Errorf("stolen frame %x was queued", frame)
+			}
+		})
+	}
+}
+
+// tPark keeps its worker off the rank's doorbell until the test lets go.
+var (
+	parked  atomic.Int32
+	unparkC chan struct{}
+)
+
+func tPark(*core.Rank, int64) {
+	parked.Add(1)
+	<-unparkC
+}
+
+// TestTaskAllocPins pins what one remote AsyncAt+HelpWait round trip
+// allocates in an in-process world, both ranks' share: heap objects for an
+// int64 argument, and heap bytes for a 64 KiB []byte — marshalled once into
+// the message, which the in-process conduit delivers as it is, and decoded
+// once where the task runs. Each rank's worker sits in a task meanwhile and
+// its master serves the queue, so every ring wakes the one waiter it can be
+// for: with two waiters on a doorbell the count depends on which of them a
+// ring wakes (a progress pass allocates), 15 to 23 a round trip.
+func TestTaskAllocPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop records at random")
+	}
+	// One P, as testing.AllocsPerRun measures: the passes a round trip takes
+	// do not depend on how the host schedules the goroutines.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds, size = 200, 64 << 10
+	var stop atomic.Bool
+	parked.Store(0)
+	unparkC = make(chan struct{})
+	core.RunConfig(core.Config{Ranks: 2}, func(rk *core.Rank) {
+		rt := New(rk, Config{Workers: 1, NoSteal: true})
+		defer rt.Stop()
+		AsyncAtFF(rt, rk.Me(), tPark, 0)
+		for parked.Load() < 2 {
+			time.Sleep(50 * time.Microsecond) // not helpUntil: the worker must take it
+		}
+		rk.Barrier()
+		if rk.Me() == 1 {
+			_ = rt.helpUntil(stop.Load)
+			return
+		}
+		defer func() {
+			stop.Store(true)
+			close(unparkC)
+		}()
+		big := make([]byte, size)
+		small := func(i int64) {
+			if got := HelpWait(rt, AsyncAt(rt, 1, tDouble, i)); got != 2*i {
+				t.Errorf("tDouble(%d) = %d", i, got)
+			}
+		}
+		bulk := func(int64) {
+			if got := HelpWait(rt, AsyncAt(rt, 1, tLen, big)); got != size {
+				t.Errorf("tLen = %d", got)
+			}
+		}
+		measure := func(op func(int64)) (objects, bytes float64) {
+			op(0) // warm: pools, codecs, the aux token
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := int64(0); i < rounds; i++ {
+				op(i)
+			}
+			runtime.ReadMemStats(&m1)
+			return float64(m1.Mallocs-m0.Mallocs) / rounds, float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
+		}
+		objects, _ := measure(small)
+		t.Logf("remote round trip: %.2f heap objects (pinned at %d)", objects, taskRoundTripObjects)
+		if objects > taskRoundTripObjects {
+			t.Errorf("remote round trip: %.2f heap objects, pinned at %d", objects, taskRoundTripObjects)
+		}
+		_, bytes := measure(bulk)
+		t.Logf("remote round trip of a %d-byte argument: %.0f heap bytes (%.2f x the argument; pinned at 3 x)", size, bytes, bytes/size)
+		if bytes > 3*size {
+			t.Errorf("remote round trip of a %d-byte argument allocates %.0f bytes, more than 3 x the argument", size, bytes)
+		}
+	})
+}
+
+// taskRoundTripObjects is the measured count (14) + 2. This test reads 42 and
+// 6.9 x the argument before a spawn became one RPC entry.
+const taskRoundTripObjects = 16
+
 // TestTaskGroup pins credit-counting completion: Wait drains exactly the
 // group's spawns (tasks outside the group don't count), and the group is
 // reusable for further rounds.
@@ -248,9 +504,8 @@ func TestTaskObsCounters(t *testing.T) {
 	resetCounters()
 	var merged obs.Snapshot
 	var homeEvents []obs.Event
-	// TraceSample 1 also records every RPC op the protocol lowers onto,
-	// and idle thieves may bounce loot between detector waves; the ring
-	// must be deep enough that the early spawn events survive the churn.
+	// TraceSample 1 also records every RPC op the protocol lowers onto; the
+	// ring must be deep enough that the early spawn events survive them.
 	core.RunConfig(core.Config{Ranks: 4, Stats: true, TraceDepth: 8192, TraceSample: 1}, func(rk *core.Rank) {
 		rt := New(rk, Config{})
 		defer rt.Stop()

@@ -1,29 +1,22 @@
 package task
 
-// Task frame wire format. Every task that leaves its spawning rank —
-// the initial AsyncAt ship and every later steal migration — travels as
-// one versioned frame inside a registered fire-and-forget RPC (the
-// steal/migrate protocol lowers onto the batched RPC wire rather than
-// adding a conduit message type; cf. the paper's position that the
-// runtime composes from one injection path). The frame is versioned and
-// magic-tagged independently of the RPC envelope because it is
-// re-encoded mid-flight: a victim decodes an enqueued frame, sets the
-// stolen flag, and re-ships it, so both ends of a migration must agree
-// on this layout even across runtime revisions.
+// Task frame wire format: what a steal re-ships. A spawn is an RPC entry
+// (task.go) and needs no frame; a task that migrates travels in the steal
+// reply as one frame holding what the entry's message said about it, the
+// argument bytes still undecoded. Versioned and magic-tagged apart from the
+// RPC envelope: both ends of a migration must agree on it across revisions.
 //
-//	u8  magic (0xCA)   u8 version (1)
-//	u64 id             spawn sequence number, scoped to the home rank
+//	u8  magic (0xCA)   u8 version (2)
+//	u64 seq            the home rank's reply sequence number (0: fire-and-forget)
 //	u64 trace          home-ring trace id (0 = unsampled)
-//	u32 home           world rank that spawned the task (owns id/trace/group)
+//	u32 home           world rank that spawned the task (owns seq/trace/group)
 //	u64 group          TaskGroup id on the home rank (0 = none)
 //	u8  flags          fire-and-forget, stolen
 //	uvarint-len bytes  registered function name
 //	uvarint-len bytes  serialized argument (must end the frame)
 //
-// Both length prefixes are checked against the bytes actually present, so
-// a corrupt one cannot drive allocation. decodeRec returns errors (not
-// panics) for malformed input: frames cross trust boundaries between
-// processes, and FuzzTaskWire drives this decoder directly.
+// Lengths are checked against the bytes present, and decodeRec returns errors,
+// not panics: frames cross process boundaries (FuzzTaskWire drives it).
 
 import (
 	"fmt"
@@ -33,35 +26,37 @@ import (
 
 const (
 	taskMagic   = 0xCA
-	taskWireVer = 1
+	taskWireVer = 2
 )
 
 const (
-	// flagFF marks a fire-and-forget task: no result frame returns to the
-	// home rank, and the executing rank counts its completion.
+	// flagFF marks a fire-and-forget task: no reply entry returns to the
+	// home rank; a retire frame carries its credit.
 	flagFF = 1 << iota
-	// flagStolen marks a migrated task, so the executing rank attributes
-	// it to the steal path in counters and traces.
+	// flagStolen marks loot: it runs where it landed and is not offered to
+	// another steal.
 	flagStolen
 )
 
-// rec is one shippable task: everything a rank needs to execute a spawn
-// that happened elsewhere.
+// rec is one queued task: what a rank needs to run a spawn and answer it. The
+// capitalised fields are the frame's; b is what Name resolves to on this rank.
 type rec struct {
-	ID    uint64
+	Seq   uint64
 	Trace uint64
 	Home  int32
 	Group uint64
 	Flags uint8
 	Name  string
 	Args  []byte
+
+	b *body
 }
 
 func encodeRec(r rec) []byte {
 	e := serial.NewEncoder(make([]byte, 0, 32+len(r.Name)+len(r.Args)))
 	e.PutU8(taskMagic)
 	e.PutU8(taskWireVer)
-	e.PutU64(r.ID)
+	e.PutU64(r.Seq)
 	e.PutU64(r.Trace)
 	e.PutU32(uint32(r.Home))
 	e.PutU64(r.Group)
@@ -78,7 +73,7 @@ func decodeRec(b []byte) (rec, error) {
 	if err := d.Header(format, taskMagic, taskWireVer); err != nil {
 		return r, err
 	}
-	r.ID = d.U64()
+	r.Seq = d.U64()
 	r.Trace = d.U64()
 	r.Home = int32(d.U32())
 	r.Group = d.U64()

@@ -15,10 +15,10 @@ import (
 
 func FuzzTaskWire(f *testing.F) {
 	seeds := [][]byte{
-		encodeRec(rec{ID: 1, Home: 0, Name: "pkg.fn", Args: []byte{1, 2, 3}}),
-		encodeRec(rec{ID: 1 << 60, Trace: 99, Home: 3, Group: 7, Flags: flagFF | flagStolen,
+		encodeRec(rec{Seq: 1, Home: 0, Name: "pkg.fn", Args: []byte{1, 2, 3}}),
+		encodeRec(rec{Seq: 1 << 60, Trace: 99, Home: 3, Group: 7, Flags: flagFF | flagStolen,
 			Name: "upcxx/internal/task.tChain", Args: bytes.Repeat([]byte{0xAB}, 300)}),
-		encodeRec(rec{ID: 2, Home: 1, Name: "n", Args: nil}),
+		encodeRec(rec{Seq: 2, Home: 1, Name: "n", Args: nil}),
 		{},
 		{taskMagic},
 		{taskMagic, taskWireVer, 0, 0, 0},

@@ -42,6 +42,13 @@
 //	        fire-and-forget workload (every task at rank 0) drained by
 //	        work stealing, a result-bearing AsyncAt round trip, and a
 //	        Finish whose termination count is verified by allreduce.
+//	taskrt — the remote-task path: rank 0 interleaves AsyncAt+HelpWait round
+//	        trips with RPC round trips to rank 1 (one worker each, stealing
+//	        on and off) and both ranks count the AMs they sent: a remote
+//	        task must cost one message each way (exactly, with NoSteal; a
+//	        quarter more at most with the steal back-off amortised in),
+//	        a small multiple of an RPC's time whether or not steal chatter
+//	        is there to wake anybody, and no round trip may wait out a park.
 //	taskkill — one rank dies before joining the termination detector;
 //	        the survivors' Finish must surface ErrPeerLost instead of
 //	        spinning detector waves forever, proven by marker files.
@@ -53,6 +60,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -138,6 +146,7 @@ func init() {
 	core.RegisterRPC(xprocEcho)
 	core.RegisterRPCFF(xprocBump)
 	core.RegisterRPCFF(xprocOut)
+	core.RegisterRPCFF(xprocTaskrtStop)
 	task.RegisterFF(xprocTaskWork)
 	task.Register(xprocTaskEcho)
 }
@@ -280,6 +289,34 @@ func TestTaskRuntimeXProc(t *testing.T) {
 	}
 }
 
+// TestTaskRoundTrip pins what a remote task costs beside an RPC, in messages
+// and in time, with stealing on and off: the wake-ups on the path must not
+// depend on steal chatter, so the two cells' task ÷ RPC ratios (rank 0 leaves
+// its own in XPROC_MARK) stay within 1.5 x of each other.
+func TestTaskRoundTrip(t *testing.T) {
+	for _, backend := range backends {
+		ratio := map[string]float64{}
+		for _, steal := range []string{"steal", "nosteal"} {
+			t.Run(backend+"/"+steal, func(t *testing.T) {
+				mark := t.TempDir()
+				if code := launch(t, backend, 2, "taskrt", "XPROC_STEAL="+steal, "XPROC_MARK="+mark); code != 0 {
+					t.Fatalf("taskrt job over %s (%s) exited %d", backend, steal, code)
+				}
+				b, _ := os.ReadFile(filepath.Join(mark, "ratio"))
+				var r float64
+				if _, err := fmt.Sscan(string(b), &r); err != nil {
+					t.Fatalf("rank 0 left no task/RPC ratio (%q): %v", b, err)
+				}
+				ratio[steal] = r
+			})
+		}
+		on, off := ratio["steal"], ratio["nosteal"]
+		if !raceEnabled && on > 0 && off > 0 && off > 1.5*on {
+			t.Errorf("%s: a task costs %.2f RPCs with NoSteal and %.2f with stealing on: a round trip waits for steal chatter to wake it", backend, off, on)
+		}
+	}
+}
+
 func TestTaskFinishSurfacesPeerLost(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -319,6 +356,8 @@ func runWorker(scen string) (code int) {
 			killBody(rk) // never returns
 		case "task":
 			taskBody(rk)
+		case "taskrt":
+			code = taskRoundTripBody(rk)
 		case "taskkill":
 			taskKillBody(rk) // never returns
 		default:
@@ -640,6 +679,81 @@ func taskBody(rk *core.Rank) {
 		func(a, b uint64) uint64 { return a + b }).Wait()
 	expect(sum == total, "task: %d executions across ranks, want %d", sum, total)
 	rk.Barrier()
+}
+
+// xprocTaskrtDone tells rank 1 that rank 0's round trips are over.
+var xprocTaskrtDone atomic.Bool
+
+func xprocTaskrtStop(*core.Rank, core.Unit) { xprocTaskrtDone.Store(true) }
+
+// taskRoundTripBody: rank 0 alternates a remote AsyncAt+HelpWait with an RPC
+// to the same rank, timing each; rank 1 serves both from a ProgressWait loop,
+// its one worker running the tasks. Each rank counts the AMs it sent — beside
+// the RPCs' own, a task round trip may add one at each end, plus the steal
+// requests and replies the back-off lets through. The time rows compare
+// medians taken in the same run and skip under the race detector.
+func taskRoundTripBody(rk *core.Rank) int {
+	const rounds, warm = 2000, 100
+	steal := os.Getenv("XPROC_STEAL") == "steal"
+	rt := task.New(rk, task.Config{Workers: 1, NoSteal: !steal})
+	defer rt.Stop()
+	ep := rk.World().Network().Endpoint(gasnet.Rank(rk.Me()))
+	rk.Barrier()
+	sent := ep.Stats().AMs
+	var taskNS, rpcNS []time.Duration
+	if rk.Me() == 0 {
+		for i := uint64(0); i < rounds; i++ {
+			t0 := time.Now()
+			r := task.HelpWait(rt, task.AsyncAt(rt, 1, xprocTaskEcho, i))
+			t1 := time.Now()
+			e := core.RPC(rk, 1, xprocEcho, i).Wait()
+			t2 := time.Now()
+			expect(r == i*3 && e == i+1, "taskrt: round %d returned task %d, rpc %d", i, r, e)
+			if i >= warm {
+				taskNS, rpcNS = append(taskNS, t1.Sub(t0)), append(rpcNS, t2.Sub(t1))
+			}
+		}
+	} else {
+		for !xprocTaskrtDone.Load() {
+			rk.ProgressWait(time.Millisecond)
+		}
+	}
+	// Per task round trip: what this rank sent beyond the RPCs' one each.
+	perTask := float64(ep.Stats().AMs-sent-rounds) / rounds
+	if rk.Me() == 0 {
+		core.RPCFF(rk, 1, xprocTaskrtStop, core.Unit{})
+	}
+	bad := 0
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			bad = 1
+			fmt.Fprintf(os.Stderr, "xproc taskrt (steal %v): rank %d: %s\n", steal, rk.Me(), fmt.Sprintf(format, args...))
+		}
+	}
+	if steal {
+		check(perTask >= 1 && perTask <= 1.25, "%.3f AMs sent per task round trip, want 1 to 1.25", perTask)
+	} else {
+		check(perTask == 1, "%.3f AMs sent per task round trip with NoSteal, want exactly 1", perTask)
+	}
+	if rk.Me() == 0 {
+		slices.Sort(taskNS)
+		slices.Sort(rpcNS)
+		med, p90 := len(taskNS)/2, len(taskNS)*9/10
+		ratio := float64(taskNS[med]) / float64(rpcNS[med])
+		fmt.Fprintf(os.Stderr, "xproc taskrt (steal %v): task median %v p90 %v, rpc median %v p90 %v, ratio %.2f, %.3f AMs out per task\n",
+			steal, taskNS[med], taskNS[p90], rpcNS[med], rpcNS[p90], ratio, perTask)
+		err := os.WriteFile(filepath.Join(os.Getenv("XPROC_MARK"), "ratio"), fmt.Appendf(nil, "%.3f", ratio), 0o644)
+		check(err == nil, "leaving the ratio for the test: %v", err)
+		if !raceEnabled {
+			check(taskNS[med] <= 6*rpcNS[med], "task round trip %v is more than 6 x the RPC's %v", taskNS[med], rpcNS[med])
+			// A round trip that waited out a worker's park is a park bound
+			// (200 us) slower than one that was woken; the RPCs' own tail
+			// says how much of a slow tenth is the host's doing.
+			check(taskNS[p90] <= 3*rpcNS[p90]+200*time.Microsecond, "a tenth of the task round trips took %v or more beside %v for the RPCs: a task sat in the deque through a park", taskNS[p90], rpcNS[p90])
+		}
+	}
+	rk.Barrier()
+	return bad
 }
 
 // taskKillBody kills rank 1 before it joins the termination detector;
