@@ -33,7 +33,10 @@ test-short:
 # third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
 # tcp/shm wire networks, whose reader goroutines make it a real race test),
 # and the shm ring's tests (the layout model, both doorbell protocols run
-# concurrently, corrupt records, a consumer lost under a flood), and the
+# concurrently and every interleaving of their steps, corrupt records drained by
+# the reader and by a progress pass, a consumer lost under a flood) — once more
+# with one P, where a poller and the reader contending for the one drain lock
+# would show a drainer that blocks — and the
 # socket send queue's and bulk landing's (an injector parked on the bound while
 # its reader serves gets, a peer lost or a close under that park, megabyte puts
 # and gets read into place by real reader goroutines).
@@ -50,6 +53,7 @@ race:
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
+	GOMAXPROCS=1 $(GO) test -race ./internal/gasnet/ -run 'Ring|Wire'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
 	GOMAXPROCS=1 $(GO) test -race ./internal/task/
@@ -180,7 +184,8 @@ obs-smoke:
 # suite (internal/xproc re-executes its test binary as real OS-process
 # ranks over tcp and shm — smoke ops, idle-wait CPU budget, kill-one-rank
 # failure surfacing, the task runtime's cross-process steal/Finish job,
-# what a remote task costs beside an RPC in messages and time, and
+# what a remote task costs beside an RPC in messages and time, what a blocking
+# round trip costs in doorbells and socket frames (pingpong), and
 # kill-one-rank under Finish asserting ErrPeerLost), once more with
 # one P in the test process and in every rank (the configuration the
 # committed benchmark measures and the idle rule's one-P case), then every
@@ -188,6 +193,8 @@ obs-smoke:
 transport-smoke:
 	$(GO) test -race -count=1 ./internal/xproc
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/xproc
+	@# pingpong once more with both ranks on one CPU, the benchmark's placement: its oversize row is a count only there
+	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -count=1 ./internal/xproc -run PingPong; fi
 	@set -e; for backend in tcp shm; do \
 		for d in examples/*/; do \
 			echo "== UPCXX_CONDUIT=$$backend UPCXX_NPROC=4 go run ./$$d"; \

@@ -10,36 +10,35 @@ import (
 // ProgressWait and the progress thread all wait the same way: run a
 // progress pass and, when it found nothing, call Rank.idle. The rule:
 //
-//	a waiter yields (runtime.Gosched) while a spin budget lasts, then parks
-//	in the conduit's notified wait (Endpoint.WaitPending) until the
-//	doorbell rings or the park times out.
+//	a waiter yields (Endpoint.Yield) while a spin budget lasts, polling
+//	between yields, then parks in the conduit's notified wait
+//	(Endpoint.WaitPending) until the doorbell rings or the park times out.
 //
-// The budget is idleSpins, except on a multi-process world whose rank has
-// one P, where it is 0. A yield hands the P to a goroutine that is already
-// runnable. In an in-process world that is exactly the peer rank whose
-// message the waiter needs, so yielding is the fastest way to get it; on a
-// rank with several Ps an idle P polls the network while the waiter spins.
-// But with one P and the peer in another process, the only goroutine that
-// can deliver the completion is this process's socket reader, and it is
-// not runnable: it is parked in the netpoller, which the scheduler
-// consults only when it runs out of runnable goroutines. A yielding waiter
-// goes to the global run queue and is taken straight back, so the
-// scheduler never gets that far, and every yield is a wasted progress pass
-// that delays the read. Parking is what lets the reader run.
+// The budget is idleSpins wherever a yield can see the next message, and 0
+// only on a one-P rank whose messages arrive by socket. A yield hands the
+// processor to whoever is runnable: the rank's other goroutines and, between
+// processes, the OS's next thread. In-process that is the peer rank whose
+// message the waiter needs; over shm it is the peer process (a shared CPU) or
+// nobody, and the waiter's next pass finds the message in the ring itself — the
+// waiter is the poller (gasnet's wire.poll): no doorbell, no reader woken. What
+// arrives by socket is delivered by the process's socket reader, parked in the
+// netpoller, which a one-P scheduler consults only when nothing is runnable: a
+// yielding waiter is taken straight back off the run queue, every yield a wasted
+// pass that delays the read. Parking lets the reader run — which is why Yield
+// refuses, and the waiter parks at once, at a shm ring marker for a socket frame.
 //
-// Finding work re-arms the budget in an in-process world (the peer is
-// live, the next message is a yield away) and not in a multi-process one
-// (the next message is a wire round trip away). What counts is work found
-// by any progress pass of the rank since the waiter last idled, not only by
-// the waiter's own pass: a poll loop that mixes Progress and ProgressWait,
-// or shares the rank with a progress thread, is busy all the same.
+// Finding work re-arms the budget where a yield can see the next message
+// (the peer is live) and not where they arrive by socket (a reader hand-off
+// away). What counts is work found by any progress pass of the rank since
+// the waiter last idled, not only by its own: a poll loop that mixes Progress
+// and ProgressWait, or shares the rank with a progress thread, is busy too.
 //
 // Parking is only safe because whatever can end a wait rings the doorbell:
-// conduit completions and AMs (Endpoint.enqueueComp/enqueueAM), persona
-// LPCs (Persona.LPC/LPCBatch) and failures (wire.fail, Rank.failPeer).
-// The doorbell has one slot and wakes one waiter, so a waiter woken for
-// somebody else's delivery passes it on through that delivery's own ring;
-// the park bound is the backstop, not the mechanism.
+// conduit completions and AMs (Endpoint.enqueueComp/enqueueAM; WaitPending
+// publishes `parked` first, so a shm producer sends for the reader), persona
+// LPCs (Persona.LPC/LPCBatch) and failures (wire.fail, Rank.failPeer). It has
+// one slot and wakes one waiter, who passes a delivery that was somebody else's
+// on through that delivery's own ring; the park bound is the backstop.
 
 const (
 	idleSpins = 128                    // yields before a waiter parks
@@ -59,7 +58,7 @@ type idler struct {
 // read when a wait first goes idle, not at world creation: GOMAXPROCS can
 // change under a running job.
 func (w *World) spinBudget() int32 {
-	if w.dist && runtime.GOMAXPROCS(0) == 1 {
+	if w.sock && runtime.GOMAXPROCS(0) == 1 {
 		return 0
 	}
 	return idleSpins
@@ -71,14 +70,13 @@ func (rk *Rank) idle(id *idler, d time.Duration) (parked bool) {
 	rk.idlers.Add(1) // Progress yields to a counted waiter
 	defer rk.idlers.Add(-1)
 	worked := rk.worked.Load()
-	if !id.armed.Load() || !rk.w.dist && worked != id.seen.Load() {
+	if !id.armed.Load() || !rk.w.sock && worked != id.seen.Load() {
 		id.left.Store(rk.w.spinBudget())
 		id.seen.Store(worked)
 		id.armed.Store(true)
 	}
-	if id.left.Load() > 0 {
+	if id.left.Load() > 0 && rk.ep.Yield() {
 		id.left.Add(-1)
-		runtime.Gosched()
 		return false
 	}
 	rk.ep.WaitPending(d)

@@ -10,12 +10,12 @@ import (
 )
 
 // idleWorld is a one-rank world for driving Rank.idle directly; asDist
-// marks it multi-process for the rule's purposes (idle reads nothing else
-// of a dist world).
-func idleWorld(t *testing.T, asDist bool) *Rank {
+// marks it multi-process for the rule's purposes — its messages arriving by
+// socket, unless shm (idle reads nothing else of a dist world).
+func idleWorld(t *testing.T, asDist, shm bool) *Rank {
 	w := NewWorld(Config{Ranks: 1})
-	w.dist = asDist
-	t.Cleanup(func() { w.dist = false; w.Close() })
+	w.dist, w.sock = asDist, asDist && !shm
+	t.Cleanup(func() { w.dist, w.sock = false, false; w.Close() })
 	return w.Rank(0)
 }
 
@@ -36,19 +36,21 @@ func TestIdleRule(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name       string
-		dist       bool
+		dist, shm  bool
 		procs      int
 		budget     int // yields before the first park
 		afterFound int // yields before the next park once the rank found work
 	}{
-		{"in-process/1P", false, 1, idleSpins, idleSpins},
-		{"in-process/2P", false, 2, idleSpins, idleSpins},
-		{"multi-process/2P", true, 2, idleSpins, 0},
-		{"multi-process/1P", true, 1, 0, 0},
+		{"in-process/1P", false, false, 1, idleSpins, idleSpins},
+		{"in-process/2P", false, false, 2, idleSpins, idleSpins},
+		{"shm/1P", true, true, 1, idleSpins, idleSpins}, // a yield can see the next message: the waiter polls the ring
+		{"shm/2P", true, true, 2, idleSpins, idleSpins},
+		{"multi-process/2P", true, false, 2, idleSpins, 0}, // messages arrive by socket
+		{"multi-process/1P", true, false, 1, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
-			rk := idleWorld(t, tc.dist)
+			rk := idleWorld(t, tc.dist, tc.shm)
 			var id idler
 			if got := yieldsThenParks(rk, &id); got != tc.budget {
 				t.Errorf("fresh wait yielded %d times before parking, want %d", got, tc.budget)
@@ -69,7 +71,7 @@ func TestIdleRule(t *testing.T) {
 	}
 	t.Run("budget is read when the wait goes idle", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-		rk := idleWorld(t, true)
+		rk := idleWorld(t, true, false)
 		var before, after idler
 		rk.idle(&before, park) // goes idle with two Ps
 		runtime.GOMAXPROCS(1)
@@ -185,8 +187,8 @@ func TestBlockingOpsOnOneP(t *testing.T) {
 func TestQuiesceOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := NewWorld(Config{Ranks: 2, Stats: true, WaitTimeout: 20 * time.Second})
-	w.dist = true // for the idle rule only: the conduit stays in-process
-	defer func() { w.dist = false; w.Close() }()
+	w.dist, w.sock = true, true // for the idle rule only: the conduit stays in-process
+	defer func() { w.dist, w.sock = false, false; w.Close() }()
 	rk0, rk1 := w.Rank(0), w.Rank(1)
 	var stop atomic.Bool
 	var wg sync.WaitGroup

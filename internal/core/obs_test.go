@@ -116,6 +116,12 @@ func TestObsConformanceMatrix(t *testing.T) {
 			if d.Cx[obs.EvOp][obs.ViaLPC] != 1 {
 				t.Errorf("Cx[op][lpc] = %d, want 1", d.Cx[obs.EvOp][obs.ViaLPC])
 			}
+			// The idle stage: every wait above polled between yields (the peer
+			// rank is a yield away), and a yield is what an empty pass of a
+			// wait is followed by — never more of them than of those.
+			if d.IdleYields == 0 || d.IdleYields > d.EmptyPasses {
+				t.Errorf("IdleYields = %d beside %d empty passes and %d wake-ups, want 1..EmptyPasses", d.IdleYields, d.EmptyPasses, d.Wakeups)
+			}
 			// Device traffic ran through the DMA engine on this rank: the
 			// self h2d copies and the d2h source drains at least.
 			if d.DMA[obs.DMAH2D] < obsN || d.DMA[obs.DMAD2H] < obsN {

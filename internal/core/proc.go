@@ -114,7 +114,7 @@ func NewWorldDist(cfg Config) *World {
 	if err := os.MkdirAll(wdir, 0o777); err != nil {
 		panic(fmt.Sprintf("upcxx: bootstrap dir: %v", err))
 	}
-	w := &World{cfg: cfg, dist: true, self: Intrank(rank)}
+	w := &World{cfg: cfg, dist: true, sock: backend != "shm", self: Intrank(rank)}
 	if cfg.Stats {
 		w.obs = obs.New(cfg.Ranks, obs.Options{
 			TraceDepth:  cfg.TraceDepth,

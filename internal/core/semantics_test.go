@@ -341,7 +341,7 @@ func TestWaitTimeoutDiagnosesDeadlock(t *testing.T) {
 		for _, procs := range []int{1, 2} {
 			t.Run(fmt.Sprintf("dist=%v/%dP", asDist, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				rk := idleWorld(t, asDist)
+				rk := idleWorld(t, asDist, false)
 				rk.w.cfg.WaitTimeout = timeout
 				sc := AcquirePersona(rk.master)
 				defer sc.Release()

@@ -120,6 +120,7 @@ type World struct {
 	// rank (self); the others live in sibling processes reached over the
 	// real conduit (see proc.go). ranks[r] is nil for every r != self.
 	dist bool
+	sock bool // dist, and messages arrive through a socket reader, not polled memory (idle.go)
 	self Intrank
 
 	ptStop chan struct{}

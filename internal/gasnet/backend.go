@@ -17,6 +17,10 @@ type backend interface {
 	am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag)
 	// amo executes a remote atomic on the host-segment word at (dst, off).
 	amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag)
+	// poll is a progress pass's look at polled memory — the shm rings; a no-op elsewhere. park
+	// is +1 from a goroutine about to block (the doorbell is armed first), -1 when it is back;
+	// sock says what is next there is a socket reader's to take: a yield will not see it.
+	poll(park int32) (sock bool)
 	info() ConduitInfo
 	failure() error
 	close()

@@ -44,6 +44,7 @@ func (loopback) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint6
 func (loopback) info() ConduitInfo { return ConduitInfo{Backend: "model"} }
 func (loopback) failure() error    { return nil }
 func (loopback) close()            {}
+func (loopback) poll(int32) bool   { return false } // delivery enqueues: nothing arrives by polled memory
 
 // capture returns an AM payload as one buffer the conduit owns: head itself
 // when nothing borrowed follows it, and otherwise a freshly staged

@@ -510,6 +510,7 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 	if waiting {
 		return true
 	}
+	ep.net.be.poll(+1) // a park: polled memory is armed, then looked at once more (a find rings notify)
 	t, _ := parkTimers.Get().(*time.Timer)
 	if t == nil {
 		t = time.NewTimer(d)
@@ -524,6 +525,7 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 	}
 	t.Stop()
 	parkTimers.Put(t)
+	ep.net.be.poll(-1)
 	if rung {
 		if ep.ro != nil {
 			ep.ro.Wakeup()
@@ -533,12 +535,30 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 	return ep.Pending()
 }
 
+// Yield gives the processor up without parking (core/idle.go): to the rank's other
+// goroutines and, between processes, to the OS's next thread — the awaited peer on a
+// shared CPU, else back at once. false: no yield will see the next message (poll's sock).
+func (ep *Endpoint) Yield() bool {
+	if ep.net.be.poll(0) {
+		return false
+	}
+	if ep.ro != nil {
+		ep.ro.IdleYield()
+	}
+	runtime.Gosched()
+	if ep.net.cfg.Real != nil {
+		osYield()
+	}
+	return true
+}
+
 // PollCompletions drains delivered operation completions (put/get acks,
 // AMO results) without executing any Active Message handlers. This is the
 // conduit-level half of "internal progress" in the paper's terms: it
 // advances actQ bookkeeping but runs no user code beyond the runtime's own
 // completion thunks.
 func (ep *Endpoint) PollCompletions() int {
+	ep.net.be.poll(0)
 	ep.qmu.Lock()
 	comp := ep.compQ
 	if len(comp) == 0 {
@@ -570,6 +590,7 @@ func (ep *Endpoint) PollAMs() int { return ep.PollAMsAs(0) }
 // PollerToken returns tok — letting handler code learn which goroutine is
 // executing it without re-deriving the id per message.
 func (ep *Endpoint) PollAMsAs(tok uint64) int {
+	ep.net.be.poll(0)
 	ep.qmu.Lock()
 	ams := ep.amQ
 	if ep.polling || len(ams) == 0 {

@@ -1,18 +1,19 @@
 package gasnet
 
-// Lock-free SPSC doorbell ring over shared memory.
+// Lock-free SPSC polled ring over shared memory.
 //
 // Each rank's mmap'd file holds one ring region per producer rank:
 // ring i in rank r's file is written only by rank i (the producer) and
-// drained only by rank r (the consumer). Within one producer process a
-// local mutex serializes concurrent pushers, so cross-process access
-// stays single-producer/single-consumer.
+// drained only by rank r (the consumer). Within a process one mutex serializes
+// the pushers (peerConn.rmu), another the drainers (dmu): across processes
+// access stays single-producer/single-consumer.
 //
 // Layout of a ring region (ringBytes total):
 //
 //	+0    head     u64   (producer cursor; monotonically increasing)
 //	+64   tail     u64   (consumer cursor; separate cache line)
-//	+72   waiting  u32   (producer found the ring full; consumer clears it)
+//	+72   waiting  u32   (producer found the ring full; consumer swaps it out)
+//	+76   parked   u32   (a goroutine of the consumer blocks; producer swaps it out)
 //	+128  data     [ringCap]byte
 //
 // Records are `u32 len | body` where body is a transport frame body
@@ -20,12 +21,13 @@ package gasnet
 // wrap"; a pad too small to hold the 4-byte marker is skipped
 // implicitly by position arithmetic.
 //
-// Both doorbells resolve their lost-wakeup race by seq-cst store-then-load
-// on each side. Data: the producer STORES the new head, then LOADS tail; if
-// tail still equals the pre-push head the consumer may be going to sleep
-// having seen no work, so the producer sends fRing. Space: a producer that
-// finds no room STORES waiting, then LOADS tail again; the consumer STORES
-// tail, then swaps waiting out and rings fRing back if it was set.
+// The consumer polls (wire.poll); a doorbell — fRing on the socket, which brings
+// its reader to drain — goes only to one that said it blocks. Both doorbells
+// resolve their lost-wakeup race by seq-cst store-then-load on each side. Data:
+// a consumer goroutine STORES parked before it blocks, then LOADS the cursors
+// again; the producer STORES the new head, then swaps parked out and sends fRing
+// if it was set. Space: a producer that finds no room STORES waiting, then LOADS
+// tail again; the consumer STORES tail, then swaps waiting out likewise.
 
 import (
 	"encoding/binary"
@@ -47,6 +49,7 @@ type shmRing struct {
 	head    *uint64
 	tail    *uint64
 	waiting *uint32
+	parked  *uint32
 	data    []byte
 }
 
@@ -58,14 +61,15 @@ func mapRing(region []byte) *shmRing {
 		head:    (*uint64)(unsafe.Pointer(&region[0])),
 		tail:    (*uint64)(unsafe.Pointer(&region[64])),
 		waiting: (*uint32)(unsafe.Pointer(&region[72])),
+		parked:  (*uint32)(unsafe.Pointer(&region[76])),
 		data:    region[ringHdr:ringBytes],
 	}
 }
 
 // push appends one record, gathered from parts (1..ringMaxRec bytes in
 // all). pushed=false means the ring is full and waiting is set: the
-// consumer rings fRing back after its next drain. needBell=true means the
-// consumer may be idle and the caller must send it fRing.
+// consumer rings fRing back after its next drain. needBell=true means a
+// goroutine of the consumer blocks and the caller must send it fRing.
 func (r *shmRing) push(parts [][]byte) (pushed, needBell bool) {
 	n := 0
 	for _, p := range parts {
@@ -95,32 +99,50 @@ func (r *shmRing) push(parts [][]byte) (pushed, needBell bool) {
 		at += copy(r.data[at:], p)
 	}
 	atomic.StoreUint64(r.head, h0+uint64(pad+4+n))
-	return true, atomic.LoadUint64(r.tail) == h0
+	return true, r.bell()
 }
 
-// take copies the unread span out and hands its bytes back to the producer
-// with one tail store; records are decoded from the private copy, which
-// starts at ring position pos. wake means the producer waits for that space.
-// The cursors are the peer's to write, so a head out of range is an error.
-func (r *shmRing) take() (span []byte, pos int, wake bool, err error) {
+// bell is the producer's half of the data doorbell, after its head store: it takes the word, so
+// one fRing is sent for it. arm is the consumer's, before it looks at the cursors (unread).
+func (r *shmRing) bell() bool {
+	return atomic.LoadUint32(r.parked) != 0 && atomic.SwapUint32(r.parked, 0) != 0
+}
+
+func (r *shmRing) arm() {
+	_ = atomic.LoadUint32(r.parked) != 0 || atomic.CompareAndSwapUint32(r.parked, 0, 1)
+}
+
+func (r *shmRing) unread() bool { return atomic.LoadUint64(r.head) != atomic.LoadUint64(r.tail) }
+
+// take copies the unread span out; records are decoded from the private copy, which starts at
+// ring position pos. The cursors are the peer's to write: a head out of range is an error, and skipped.
+func (r *shmRing) take() (span []byte, pos int, err error) {
 	tail, head := atomic.LoadUint64(r.tail), atomic.LoadUint64(r.head)
 	if head == tail {
-		return nil, 0, false, nil
+		return nil, 0, nil
 	}
 	if head-tail > ringCap {
-		return nil, 0, false, fmt.Errorf("gasnet: shm ring head %d is %d bytes past tail", head, head-tail)
+		atomic.StoreUint64(r.tail, head)
+		return nil, 0, fmt.Errorf("gasnet: shm ring head %d is %d bytes past tail", head, head-tail)
 	}
 	pos = int(tail % ringCap)
 	span = make([]byte, head-tail)
 	copy(span[copy(span, r.data[pos:]):], r.data)
-	atomic.StoreUint64(r.tail, head)
-	return span, pos, atomic.SwapUint32(r.waiting, 0) != 0, nil
+	return span, pos, nil
 }
 
-// ringRecords calls fn on each record of a span taken at ring position pos;
-// the bodies alias the span. The bytes are the peer's: a length the
-// producer could not have written is an error, never a resynchronisation.
-func ringRecords(span []byte, pos int, fn func(body []byte)) error {
+// release hands the first n bytes of the span taken last back to the producer
+// with one tail store; wake means the producer waits for that space.
+func (r *shmRing) release(n int) (wake bool) {
+	atomic.StoreUint64(r.tail, atomic.LoadUint64(r.tail)+uint64(n))
+	return atomic.SwapUint32(r.waiting, 0) != 0
+}
+
+// ringRecords calls fn on each record of a span taken at ring position pos
+// until fn refuses one, and returns the bytes ahead of that (else all); the
+// bodies alias the span. The bytes are the peer's: a length the producer could
+// not have written is an error — the span consumed whole — never a resynchronisation.
+func ringRecords(span []byte, pos int, fn func(body []byte) bool) (used int, err error) {
 	for i := 0; i < len(span); {
 		avail, left := ringCap-(pos+i)%ringCap, len(span)-i
 		n := wrapMark // a pad too small for a marker is one all the same
@@ -131,11 +153,12 @@ func ringRecords(span []byte, pos int, fn func(body []byte)) error {
 		case n == wrapMark && avail < left:
 			i += avail
 		case n == 0 || n > ringMaxRec || 4+int(n) > min(avail, left):
-			return fmt.Errorf("gasnet: corrupt shm ring record: length %#x at position %d, %d bytes to the wrap, %d in the span", n, (pos+i)%ringCap, avail, left)
+			return len(span), fmt.Errorf("gasnet: corrupt shm ring record: length %#x at position %d, %d bytes to the wrap, %d in the span", n, (pos+i)%ringCap, avail, left)
+		case !fn(span[i+4 : i+4+int(n)]):
+			return i, nil
 		default:
-			fn(span[i+4 : i+4+int(n)])
 			i += 4 + int(n)
 		}
 	}
-	return nil
+	return len(span), nil
 }

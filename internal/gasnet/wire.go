@@ -8,9 +8,9 @@ package gasnet
 // keeps the socket mesh as control path but moves the data path into
 // shared memory: puts/gets against a peer's host segment are direct
 // memcpys into the peer's mapped segment, every frame rides — or is
-// ordered by — a lock-free doorbell ring (ring.go, ringSend), and idle
-// peers are woken by an fRing doorbell frame over the socket — so an idle
-// rank blocks in epoll (via the reader goroutine's Read) rather than spinning.
+// ordered by — a lock-free ring (ring.go, ringSend) the target's own progress
+// passes poll; only a peer that blocks is woken, by an fRing doorbell frame over
+// the socket: a rank idle past its budget (core/idle.go) sleeps in the reader's Read.
 //
 // Per peer there is one reader goroutine (blocks in Read, decodes frames
 // where they lie in its read buffer and dispatches them onto the endpoint's
@@ -93,9 +93,9 @@ type peerConn struct {
 	addr string
 	conn net.Conn
 	br   *bufio.Reader
-	// The reader goroutine's own: AMs decoded and not yet delivered, the slab
-	// their payloads are copied out of the read buffer into, and how much of
-	// the frame in dispatch is still unread in br.
+	// The reader goroutine's own (on shm ams is dmu's): AMs decoded and not yet
+	// delivered, the slab their payloads are copied out of the read buffer
+	// into, and how much of the frame in dispatch is still unread in br.
 	ams  []inboundAM
 	slab []byte
 	rest int
@@ -109,11 +109,14 @@ type peerConn struct {
 	bye atomic.Bool // peer announced clean shutdown
 
 	// shm datapath (nil on tcp backend)
-	rmu  sync.Mutex // serializes in-process producers of ring; guards lq
-	rcnd *sync.Cond // on rmu: injectors parked on a full ring
-	ring *shmRing   // ring I produce into, inside the peer's file
-	lq   [][]byte   // reader goroutines' frames a full ring refused, oldest first
-	seg  []byte     // peer's mapped host segment
+	rmu  sync.Mutex    // serializes in-process producers of ring; guards lq
+	rcnd *sync.Cond    // on rmu: injectors parked on a full ring
+	ring *shmRing      // ring I produce into, inside the peer's file
+	in   *shmRing      // ring the peer produces into, inside my file
+	dmu  sync.Mutex    // in's drain lock (drainRing)
+	mark atomic.Uint64 // in's tail + 1 where a pass met a marker: the reader's to take
+	lq   [][]byte      // reader goroutines' frames a full ring refused, oldest first
+	seg  []byte        // peer's mapped host segment
 }
 
 // sendBound is how many queued bytes make an injector wait for the writer: at
@@ -122,9 +125,8 @@ type peerConn struct {
 const sendBound = 1 << 20
 
 type shmWorld struct {
-	my      *shmFile
-	peers   []*shmFile
-	inRings []*shmRing // ring i: records produced by rank i, in my file
+	my    *shmFile
+	peers []*shmFile
 }
 
 type wire struct {
@@ -149,6 +151,8 @@ type wire struct {
 	bytesOut, bytesIn   atomic.Uint64
 	ringRecs, ringBells atomic.Uint64
 	sockFalls, stalls   atomic.Uint64 // stalls: waits on sendBound
+	ringTimeouts        atomic.Uint64 // waits on a full ring that the backstop ended
+	parkers             atomic.Int32  // goroutines blocked behind the inbound rings' parked words
 }
 
 // ---------------------------------------------------------------------------
@@ -205,11 +209,7 @@ func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.shm = &shmWorld{
-			my:      my,
-			peers:   make([]*shmFile, nranks),
-			inRings: make([]*shmRing, nranks),
-		}
+		t.shm = &shmWorld{my: my, peers: make([]*shmFile, nranks)}
 		// The self segment must BE the mapped region so peers' direct
 		// memcpys into it are locally visible.
 		nw.eps[rc.Rank].seg = NewSegmentBacked(my.seg(nranks), true)
@@ -255,7 +255,7 @@ func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 				return nil, err
 			}
 			t.shm.peers[j] = pf
-			t.shm.inRings[j] = mapRing(t.shm.my.ring(j))
+			t.peers[j].in = mapRing(t.shm.my.ring(j))
 			t.peers[j].ring = mapRing(pf.ring(rc.Rank))
 			t.peers[j].seg = pf.seg(nranks)
 		}
@@ -379,8 +379,8 @@ func (t *wire) readerLoop(p *peerConn) {
 			}
 			return
 		}
-		// A burst ends where the next read may block; its AMs go up together.
-		if h, _ := p.br.Peek(min(4, p.br.Buffered())); len(h) < 4 || p.br.Buffered()-4 < int(le.Uint32(h)) {
+		// A burst ends where the next read may block; its AMs go up together (shm: drainRing's).
+		if h, _ := p.br.Peek(min(4, p.br.Buffered())); p.ring == nil && (len(h) < 4 || p.br.Buffered()-4 < int(le.Uint32(h))) {
 			t.deliver(p)
 		}
 	}
@@ -392,8 +392,8 @@ func (t *wire) readerLoop(p *peerConn) {
 // carries what outlives dispatch (keep). Of a longer one the head is: a put's
 // or a get reply's data stays on the socket for land to read into place;
 // anything else (an AM: the payload is kept anyway) gets a body of its own. A
-// frame this rank cannot make sense of fails its sender; only a stream that
-// can no longer be read is returned as an error.
+// frame this rank cannot make sense of fails its sender (a shm peer's data frame
+// no ring marker stands for too); only a stream that can no longer be read is an error.
 func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 	n, b, err := peekFrame(p.br, frameMaxBody)
 	if err != nil {
@@ -423,7 +423,9 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 		}
 		f.remPayload = p.keep(f.remPayload)
 	}
-	if err == nil && (ctl || f.typ <= fCopy) {
+	if err == nil && ctl && p.ring != nil && f.typ != fRing && f.typ != fBye {
+		err = fmt.Errorf("gasnet: frame %#x on a shm peer's socket with no ring marker before it", f.typ)
+	} else if err == nil && (ctl || f.typ <= fCopy) {
 		err = t.dispatch(p, f)
 	}
 	if err != nil {
@@ -536,24 +538,34 @@ func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
 }
 
 // ringSend is the one ordered path to a shm peer (DESIGN §14): the local FIFO
-// first, then this frame, its record gathered from parts. A full ring parks
-// an injector (block) until wake or, as a backstop, the park bound; a reader
-// goroutine leaves the frame, flattened, on the local FIFO instead.
+// first, then this frame, its record gathered from parts. A reader goroutine or
+// a drain leaves the frame, flattened, on the local FIFO of a full ring; an
+// injector (block) parks until wake or, as a backstop, the park bound: a park like
+// WaitPending's (poll: both rings may be full), rmu let go for it, the push retried first.
 func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool) {
+	gone := func() bool { return t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() }
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
-	for !t.flushLocal(p) || !t.ringPut(p, parts) {
+	for sent := false; !sent && (!t.flushLocal(p) || !t.ringPut(p, parts)); {
 		if !block {
 			p.lq = append(p.lq, bytes.Join(parts, nil))
 			return
 		}
-		if t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() {
+		if gone() {
 			return // nobody is left to read it
 		}
-		// push set waiting under rmu, which wake takes to broadcast.
-		tm := time.AfterFunc(100*time.Millisecond, p.rcnd.Broadcast)
-		p.rcnd.Wait()
-		tm.Stop()
+		p.rmu.Unlock()
+		t.poll(+1)
+		p.rmu.Lock()
+		if sent = t.flushLocal(p) && t.ringPut(p, parts); !sent && !gone() {
+			// push set waiting under rmu, which wake takes to broadcast.
+			tm := time.AfterFunc(100*time.Millisecond, func() { t.ringTimeouts.Add(1); p.rcnd.Broadcast() })
+			p.rcnd.Wait()
+			tm.Stop()
+		}
+		p.rmu.Unlock()
+		t.poll(-1)
+		p.rmu.Lock()
 	}
 }
 
@@ -945,7 +957,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		p.bye.Store(true)
 		fallthrough
 	case fRing:
-		t.drainRing(p)
+		t.drainRing(p, true)
 		t.wake(p)
 	case fSock:
 		// The frame this record stands for is the next data frame on the
@@ -1000,26 +1012,75 @@ func (t *wire) handleCopy(p *peerConn, f frame) error {
 	return nil
 }
 
-// drainRing empties p's inbound ring span by span: the producer gets fRing
-// back if it waits for the space, and each span's AMs go up together.
-func (t *wire) drainRing(p *peerConn) {
-	for t.shm != nil { // every peer's inbound ring is mapped before its reader starts
-		span, pos, wake, err := t.shm.inRings[p.rank].take()
-		if wake {
-			t.ringBells.Add(1)
-			t.sockSend(p, false, []byte{fRing})
-		}
-		if err == nil {
-			err = ringRecords(span, pos, func(rec []byte) { t.handleFrame(p, rec) })
-		}
-		t.deliver(p)
-		if err != nil {
-			t.fail(p.rank, err)
-		}
-		if span == nil {
-			return
-		}
+// poll is the shm conduit's share of a progress pass (backend.poll): whoever is
+// awake takes what the inbound rings hold, and no doorbell is sent for it. The
+// parked words stand while goroutines of the rank block (parkers; drainRing arms
+// before it looks); the last to leave clears them, then reads the count once more.
+func (t *wire) poll(park int32) (sock bool) {
+	if t.shm == nil || t.closing.Load() {
+		return false
 	}
+	last := park != 0 && t.parkers.Add(park) == 0
+	for _, p := range t.peers {
+		if p != nil && last {
+			atomic.StoreUint32(p.in.parked, 0)
+		}
+		sock = p != nil && t.drainRing(p, false) || sock
+	}
+	return sock
+}
+
+// drainRing is the one way off p's inbound ring, under p's drain lock: span by
+// span, fRing sent back to a producer that waits for the space, each span's AMs
+// going up together. The reader, whom every fRing and fBye brings, waits for the
+// lock and follows an fSock marker onto the socket; a progress pass only tries it
+// and leaves a marker (sock; mark spares the next pass the copy) and all behind
+// it to the reader. Whoever was refused the lock saw records its holder may not
+// have, so the holder looks again; every look is armed while anybody blocks — a
+// belled drain may enqueue nothing, and must leave the word standing.
+func (t *wire) drainRing(p *peerConn, reader bool) (sock bool) {
+	r := p.in // nil on tcp; mapped before p's reader starts
+	for r != nil && !sock {
+		if t.parkers.Load() > 0 {
+			r.arm()
+		}
+		marked := !reader && p.mark.Load() == atomic.LoadUint64(r.tail)+1
+		if marked || !r.unread() {
+			return marked
+		}
+		if reader {
+			p.dmu.Lock()
+		} else if !p.dmu.TryLock() {
+			return false
+		}
+		for more := true; more; {
+			span, pos, err := r.take()
+			used := 0
+			if err == nil {
+				used, err = ringRecords(span, pos, func(rec []byte) bool {
+					if rec[0] == fSock && !reader {
+						return false
+					}
+					t.handleFrame(p, rec)
+					return true
+				})
+			}
+			if used > 0 && r.release(used) {
+				t.ringBells.Add(1)
+				t.sockSend(p, false, []byte{fRing})
+			}
+			t.deliver(p)
+			if err != nil {
+				t.fail(p.rank, err)
+			}
+			if sock = used < len(span); sock {
+				p.mark.Store(atomic.LoadUint64(r.tail) + 1)
+			}
+			more = span != nil && !sock
+		}
+		p.dmu.Unlock()
+	}
+	return sock
 }
 
 // ---------------------------------------------------------------------------

@@ -282,12 +282,14 @@ type RankObs struct {
 	cx [NumCxEvents][NumCxVias]Count
 
 	// Progress accounting: user-level progress passes, the subset that
-	// processed nothing (empty spins), conduit doorbell wakeups, and
+	// processed nothing (empty spins), conduit doorbell wakeups, the yields
+	// idle waiters made instead of parking (a wait was polled or parked), and
 	// doorbell deposits (rings that found the slot empty — coalesced, so
 	// a batch of completions rings once, not once per op).
 	passes  Count
 	empties Count
 	wakeups Count
+	yields  Count
 	rings   Count
 
 	// Device copy-engine descriptors executed by this rank's engine, by
@@ -358,6 +360,10 @@ func (ro *RankObs) Pass(empty bool) {
 // Wakeup counts one doorbell wakeup (a WaitPending unblocked by Ring
 // rather than its timeout).
 func (ro *RankObs) Wakeup() { ro.wakeups.Add(1) }
+
+// IdleYield counts one yield of an idle waiter (Endpoint.Yield): an empty
+// pass that polled on instead of parking.
+func (ro *RankObs) IdleYield() { ro.yields.Add(1) }
 
 // Ring counts one doorbell deposit: a Ring call that found the 1-slot
 // doorbell empty. Rings while a token is already pending coalesce into

@@ -47,6 +47,7 @@ type Snapshot struct {
 	ProgressPasses uint64 `json:"progress_passes"`
 	EmptyPasses    uint64 `json:"empty_passes"`
 	Wakeups        uint64 `json:"wakeups"`
+	IdleYields     uint64 `json:"idle_yields,omitempty"`
 	DoorbellRings  uint64 `json:"doorbell_rings"`
 
 	DMA      [NumDMAKinds]uint64 `json:"dma"`
@@ -95,6 +96,7 @@ func (ro *RankObs) Snapshot() Snapshot {
 	s.ProgressPasses = ro.passes.Load()
 	s.EmptyPasses = ro.empties.Load()
 	s.Wakeups = ro.wakeups.Load()
+	s.IdleYields = ro.yields.Load()
 	s.DoorbellRings = ro.rings.Load()
 	for k := range s.DMA {
 		s.DMA[k] = ro.dma[k].Load()
@@ -219,6 +221,7 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.ProgressPasses += o.ProgressPasses
 	s.EmptyPasses += o.EmptyPasses
 	s.Wakeups += o.Wakeups
+	s.IdleYields += o.IdleYields
 	s.DoorbellRings += o.DoorbellRings
 	for k := range s.DMA {
 		s.DMA[k] += o.DMA[k]
@@ -332,6 +335,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	d.ProgressPasses -= prev.ProgressPasses
 	d.EmptyPasses -= prev.EmptyPasses
 	d.Wakeups -= prev.Wakeups
+	d.IdleYields -= prev.IdleYields
 	d.DoorbellRings -= prev.DoorbellRings
 	for k := range d.DMA {
 		d.DMA[k] -= prev.DMA[k]
@@ -507,8 +511,8 @@ func Fprint(w io.Writer, s Snapshot) {
 		}
 	}
 	if s.ProgressPasses != 0 {
-		fmt.Fprintf(w, "progress: passes=%d empty=%d wakeups=%d rings=%d\n",
-			s.ProgressPasses, s.EmptyPasses, s.Wakeups, s.DoorbellRings)
+		fmt.Fprintf(w, "progress: passes=%d empty=%d yields=%d wakeups=%d rings=%d\n",
+			s.ProgressPasses, s.EmptyPasses, s.IdleYields, s.Wakeups, s.DoorbellRings)
 	}
 	for k := DMAKind(0); k < NumDMAKinds; k++ {
 		if s.DMA[k] != 0 {
