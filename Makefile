@@ -173,10 +173,14 @@ loc:
 	@grep -c '^func [A-Z]' upcxx.go
 
 # Observability smoke: quickstart with stats and tracing armed must print
-# a non-empty sampled op timeline, and the obs-threaded runtime must stay
+# a non-empty sampled op timeline; over real conduits the merged snapshot
+# upcxx-info gathers by RPC must carry every process's transport counters
+# (shm ring records, tcp frames); and the obs-threaded runtime must stay
 # race-clean under concurrent recording.
 obs-smoke:
 	UPCXX_STATS=1 UPCXX_TRACE=1 $(GO) run ./examples/quickstart | grep "sample op timeline" >/dev/null
+	UPCXX_CONDUIT=shm UPCXX_NPROC=2 $(GO) run ./cmd/upcxx-info -stats | grep -E '^wire: .*ring_records=[1-9]' >/dev/null
+	UPCXX_CONDUIT=tcp UPCXX_NPROC=2 $(GO) run ./cmd/upcxx-info -stats | grep -E '^wire: .*frames_out=[1-9]' >/dev/null
 	$(GO) test -race ./internal/core/ -run Obs
 	$(GO) test -race ./internal/obs/
 

@@ -184,17 +184,19 @@ func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) {
 			internal++
 		}
 	}
-	if s.FusedFolds != uint64(internal)*nops || s.FusedChildren != uint64(p-1)*nops {
+	folds, children := s.Counters[obs.FusedFolds], s.Counters[obs.FusedChildren]
+	direct, bounced := s.Counters[obs.DMAD2DDirect.Descriptors()], s.Counters[obs.DMAD2DBounced.Descriptors()]
+	if folds != uint64(internal)*nops || children != uint64(p-1)*nops {
 		pinViolation = fmt.Sprintf("p=%d radix=%d: fused folds launches=%d children=%d, want %d launches (1 per parent round) folding %d children",
-			p, radix, s.FusedFolds, s.FusedChildren, uint64(internal)*nops, uint64(p-1)*nops)
+			p, radix, folds, children, uint64(internal)*nops, uint64(p-1)*nops)
 		return
 	}
-	if p > 1 && gdr && (s.DMA[obs.DMAD2DBounced] != 0 || s.DMA[obs.DMAD2DDirect] == 0) {
+	if p > 1 && gdr && (bounced != 0 || direct == 0) {
 		pinViolation = fmt.Sprintf("p=%d radix=%d gdr: d2d-direct=%d d2d-bounced=%d, want all direct",
-			p, radix, s.DMA[obs.DMAD2DDirect], s.DMA[obs.DMAD2DBounced])
+			p, radix, direct, bounced)
 		return
 	}
-	if p > 1 && !gdr && s.DMA[obs.DMAD2DBounced] == 0 {
+	if p > 1 && !gdr && bounced == 0 {
 		pinViolation = fmt.Sprintf("p=%d radix=%d bounced: no d2d-bounced descriptors recorded", p, radix)
 	}
 }

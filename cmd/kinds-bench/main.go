@@ -196,10 +196,11 @@ func main() {
 		// Datapath pin: the sweeps must differ by descriptor kind, not just
 		// by timing — GDR cross-rank d2d traffic is all direct, the plain
 		// world's is all bounced. A violated pin is a conduit bug.
-		sb, sg := w.StatsMerged(), wg.StatsMerged()
+		sb, sg := w.StatsMerged().Counters, wg.StatsMerged().Counters
+		bounced, direct := obs.DMAD2DBounced.Descriptors(), obs.DMAD2DDirect.Descriptors()
 		fmt.Printf("# dma pin: plain world d2d-bounced=%d | gdr world d2d-direct=%d d2d-bounced=%d\n",
-			sb.DMA[obs.DMAD2DBounced], sg.DMA[obs.DMAD2DDirect], sg.DMA[obs.DMAD2DBounced])
-		if sb.DMA[obs.DMAD2DBounced] == 0 || sg.DMA[obs.DMAD2DDirect] == 0 || sg.DMA[obs.DMAD2DBounced] != 0 {
+			sb[bounced], sg[direct], sg[bounced])
+		if sb[bounced] == 0 || sg[direct] == 0 || sg[bounced] != 0 {
 			fmt.Fprintln(os.Stderr, "kinds-bench: DMA descriptor-kind pin violated (see # dma pin line)")
 			os.Exit(1)
 		}

@@ -129,9 +129,9 @@ func runReal(prob *matgen.Problem, tree *sparse.FrontTree, p int) {
 		}
 		fmt.Printf("  %-10s %.4gs  (|L| = %d entries)\n", variant.name, worst, nnzL)
 		if variant.dev {
-			fmt.Printf("             gdr pin: d2d-direct=%d d2d-bounced=%d\n",
-				lastSnap.DMA[obs.DMAD2DDirect], lastSnap.DMA[obs.DMAD2DBounced])
-			if lastSnap.DMA[obs.DMAD2DBounced] != 0 || (p > 1 && lastSnap.DMA[obs.DMAD2DDirect] == 0) {
+			direct, bounced := lastSnap.Counters[obs.DMAD2DDirect.Descriptors()], lastSnap.Counters[obs.DMAD2DBounced.Descriptors()]
+			fmt.Printf("             gdr pin: d2d-direct=%d d2d-bounced=%d\n", direct, bounced)
+			if bounced != 0 || (p > 1 && direct == 0) {
 				fmt.Fprintln(os.Stderr, "sympack-bench: device factorization left the GPUDirect datapath")
 				os.Exit(1)
 			}

@@ -139,11 +139,8 @@ func main() {
 				task.AsyncAtFF(rt, 0, sleepTask, stealGrainUs)
 			}
 		})
-		var migrated, reqs float64
-		if len(snap.Tasks) > 0 {
-			migrated = float64(snap.Tasks[obs.TaskMigrated])
-			reqs = float64(snap.Tasks[obs.TaskStealReqs])
-		}
+		migrated := float64(snap.Counters[obs.TaskMigrated.Counter()])
+		reqs := float64(snap.Counters[obs.TaskStealReqs.Counter()])
 		stealTbl.Series[0].Add(float64(b), migrated)
 		stealTbl.Series[1].Add(float64(b), migrated/(float64(el.Microseconds())/1e3))
 		stealTbl.Series[2].Add(float64(b), reqs)
@@ -171,9 +168,9 @@ func main() {
 	recovTbl.Series[1].Add(float64(*tasks), float64(elOn.Microseconds())/1e3)
 	recovTbl.Series[2].Add(float64(*tasks), speedup)
 	recovTbl.Fprint(os.Stdout)
-	if len(snap.Tasks) > 0 {
+	if c := snap.Counters; c[obs.TaskSpawned.Counter()] > 0 {
 		fmt.Printf("(steal run: %d stolen in %d requests, %d detector rounds)\n",
-			snap.Tasks[obs.TaskStolen], snap.Tasks[obs.TaskStealReqs], snap.Tasks[obs.TaskDetectRounds])
+			c[obs.TaskStolen.Counter()], c[obs.TaskStealReqs.Counter()], c[obs.TaskDetectRounds.Counter()])
 	}
 	if speedup < 2 {
 		fmt.Printf("NOTE: speedup %.2fx below the 2x bar — expected only on a starved host; rerun with a larger -grain\n", speedup)

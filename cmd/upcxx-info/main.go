@@ -10,8 +10,8 @@
 // With UPCXX_CONDUIT=tcp|shm the self-test epoch runs as real OS-process
 // ranks (UPCXX_NPROC controls the count, default 4) and the report adds
 // the live conduit identity — backend, peer addresses, shm segment size —
-// plus the wire counters; -stats then merges every rank process's
-// runtime counters through a rank-0 RPC gather.
+// plus rank 0's wire counters; -stats then merges every rank process's
+// counter table, transport counters included, through a rank-0 RPC gather.
 package main
 
 import (

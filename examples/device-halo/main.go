@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"upcxx"
+	"upcxx/internal/obs"
 )
 
 const (
@@ -151,7 +152,11 @@ func main() {
 		upcxx.RGet(rk, msum, hostSum).Wait()
 		total := hostSum[0]
 
-		stats := rk.World().Network().Endpoint(rk.Me()).Stats()
+		stats := rk.Stats().Counters
+		var dmas, dmaBytes uint64
+		for k := range obs.NumDMAKinds {
+			dmas, dmaBytes = dmas+stats[k.Descriptors()], dmaBytes+stats[k.Bytes()]
+		}
 		if me == 0 {
 			// Mass is conserved by the periodic Jacobi stencil.
 			want := float64(int(n) * local / 2)
@@ -160,18 +165,18 @@ func main() {
 		}
 		rk.Barrier()
 		fmt.Printf("rank %d: %d DMA descriptors moved %d device bytes; %d AMs (signals ride the puts)\n",
-			me, stats.DMAs, stats.DMABytes, stats.AMs)
+			me, dmas, dmaBytes, stats[obs.AMs])
 		rk.Barrier()
 		if me == 0 {
 			// The GPUDirect pin, from the merged runtime counters: every
 			// cross-rank d2d transfer (halo pushes and reduction hops)
 			// went NIC↔device, and the device reduction folded its
 			// children as fused kernels.
-			s := rk.World().StatsMergedDist(rk)
+			s := rk.World().StatsMergedDist(rk).Counters
+			bounced := s[upcxx.DMAD2DBounced.Descriptors()]
 			fmt.Printf("gdr datapath: d2d-direct=%d d2d-bounced=%d; fused folds=%d (%d children)\n",
-				s.DMA[upcxx.DMAD2DDirect], s.DMA[upcxx.DMAD2DBounced],
-				s.FusedFolds, s.FusedChildren)
-			if s.DMA[upcxx.DMAD2DBounced] != 0 {
+				s[upcxx.DMAD2DDirect.Descriptors()], bounced, s[obs.FusedFolds], s[obs.FusedChildren])
+			if bounced != 0 {
 				panic("device-halo: bounced d2d descriptors on a GPUDirect world")
 			}
 		}

@@ -151,10 +151,7 @@ func main() {
 		total := upcxx.AllReduce(rk.WorldTeam(), mine,
 			func(a, b uint64) uint64 { return a + b }).Wait()
 		s := rk.Stats()
-		stolen, reqs := uint64(0), uint64(0)
-		if len(s.Tasks) > 0 {
-			stolen, reqs = s.Tasks[upcxx.TaskStolen], s.Tasks[upcxx.TaskStealReqs]
-		}
+		stolen, reqs := s.Counters[upcxx.TaskStolen.Counter()], s.Counters[upcxx.TaskStealReqs.Counter()]
 		fmt.Printf("rank %d: stole %d tasks (%d requests)\n", me, stolen, reqs)
 		rk.Barrier()
 		if me == 0 {

@@ -462,7 +462,7 @@ func (w *World) handleColl(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte,
 // it to the single injection path. dest is a team rank.
 func (e *collEngine) sendMsg(t *Team, dest Intrank, m collMsg) {
 	if e.rk.ro != nil {
-		e.rk.ro.CountOp(obs.KindCollRound)
+		e.rk.ro.Add(obs.KindCollRound.Ops(), 1)
 	}
 	e.rk.inject(e.rk.newInjection(t.ranks[dest]).single(rmaOp{
 		kind:    opAM,
@@ -482,7 +482,7 @@ func (e *collEngine) sendMsg(t *Team, dest Intrank, m collMsg) {
 func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes int, land collMsg, onOpDone func()) {
 	rk := e.rk
 	if rk.ro != nil {
-		rk.ro.CountOp(obs.KindCollRound)
+		rk.ro.Add(obs.KindCollRound.Ops(), 1)
 	}
 	world := t.ranks[dest]
 	inj := rk.newInjection(world)

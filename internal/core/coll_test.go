@@ -16,8 +16,8 @@ import (
 // ({barrier, bcast, reduce, allreduce} × {future, promise, LPC,
 // remote-RPC} × {host, device} × {world, split-team}), persona handoff,
 // the device-resident reduction path (zero host-staging copies, pinned
-// by the DMA hop trace), the leaf-side broadcast RPC ordering against
-// the h2d DMA, and the conduit's last-landing piggyback for
+// by the ranks' DMA descriptor counters), the leaf-side broadcast RPC
+// ordering against the h2d DMA, and the conduit's last-landing piggyback for
 // multi-fragment remote completions. The matrix and handoff tests run
 // under -race in CI (make race).
 
@@ -147,9 +147,9 @@ func TestCollRadixSweepSemantics(t *testing.T) {
 					// tree edge crossed once each way — not a gather and then a
 					// broadcast. A member's rounds are all sent by the time its
 					// own future readies, so the per-rank deltas add up exactly.
-					seq, rounds := rk.coll.seqs[world.id], rk.Stats().Ops[obs.KindCollRound]
+					seq, rounds := rk.coll.seqs[world.id], rk.Stats().Counters[obs.KindCollRound.Ops()]
 					all := AllGather(world, int64(rk.Me())+100).Wait()
-					seq, rounds = rk.coll.seqs[world.id]-seq, rk.Stats().Ops[obs.KindCollRound]-rounds
+					seq, rounds = rk.coll.seqs[world.id]-seq, rk.Stats().Counters[obs.KindCollRound.Ops()]-rounds
 					if len(all) != p {
 						t.Errorf("rank %d: allgather has %d values, want %d", rk.Me(), len(all), p)
 					}
@@ -546,11 +546,11 @@ func TestCollPersonaHandoffProgressThread(t *testing.T) {
 
 // TestCollDeviceAllReduceNoHostStaging proves the kind-aware reduction
 // path: an allreduce over device operands moves its payload exclusively
-// through the DMA channel — the hop trace shows exactly the tree's
-// exchange copies (two descriptors per link per direction: d2h at the
-// source engine, h2d at the destination engine) and nothing else, and
-// the AM ledger stays at header size (no payload marshaled through host
-// memory).
+// through the DMA channel — the ranks' descriptor counters show exactly the
+// tree's exchange copies (two descriptors per link per direction, d2h at
+// the source engine and h2d at the destination engine: d2d-bounced) and
+// nothing else, and the AM ledger stays at header size (no payload
+// marshaled through host memory).
 func TestCollDeviceAllReduceNoHostStaging(t *testing.T) {
 	const p, n = 8, 64
 	w := NewWorld(Config{Ranks: p})
@@ -568,21 +568,10 @@ func TestCollDeviceAllReduceNoHostStaging(t *testing.T) {
 		das[rk.Me()], bufs[rk.Me()] = da, buf
 	})
 
-	amBytesBefore := uint64(0)
-	for r := Intrank(0); r < p; r++ {
-		amBytesBefore += w.Network().Endpoint(r).Stats().AMBytes
-	}
-	w.Network().TraceDMA(true)
-	w.Run(func(rk *Rank) {
+	ds := statsDelta(w, func(rk *Rank) {
 		AllReduceBufWith(rk.WorldTeam(), das[rk.Me()], bufs[rk.Me()], n,
 			func(a, b float64) float64 { return a + b }).Op.Wait()
 	})
-	trace := w.Network().DMATrace()
-	w.Network().TraceDMA(false)
-	amBytesAfter := uint64(0)
-	for r := Intrank(0); r < p; r++ {
-		amBytesAfter += w.Network().Endpoint(r).Stats().AMBytes
-	}
 
 	// Correctness: every rank's buffer holds the elementwise global sum.
 	want := float64(p * (p + 1) / 2)
@@ -596,22 +585,51 @@ func TestCollDeviceAllReduceNoHostStaging(t *testing.T) {
 		})
 	})
 
-	// Hop trace: p-1 tree links, one cross-rank d2d copy up and one down
-	// per link, two DMA descriptors each — and nothing more. Any host
-	// staging (an RGet to host plus a host put / marshaled AM) would add
-	// descriptors or payload-sized AM bytes and fail these bounds.
-	links := p - 1
-	wantHops := 4 * links
-	if len(trace) != wantHops {
-		t.Errorf("DMA trace has %d hops, want %d (2 per link per direction)", len(trace), wantHops)
+	// p-1 tree links, one cross-rank d2d copy up and one down per link, two
+	// DMA descriptors each — and nothing more. Any host staging (an RGet to
+	// host plus a host put / marshaled AM) would add descriptors or
+	// payload-sized AM bytes and fail these bounds.
+	checkDMAHops(t, ds, 4*(p-1), obs.DMAD2DBounced, n*8)
+	amBytes := uint64(0)
+	for _, d := range ds {
+		amBytes += d[obs.AMBytes]
 	}
-	for _, h := range trace {
-		if h.Bytes != n*8 {
-			t.Errorf("DMA hop on rank %d moved %d bytes, want %d (whole payload per hop)", h.Rank, h.Bytes, n*8)
+	if amBytes > 4096 {
+		t.Errorf("collective moved %d AM bytes, want headers only (payload must ride the DMA channel)", amBytes)
+	}
+}
+
+// statsDelta runs fn on every rank of w and returns each rank's counter
+// deltas over the epoch, from rk.Stats().
+func statsDelta(w *World, fn func(rk *Rank)) []obs.Values {
+	before := w.StatsAll()
+	w.Run(fn)
+	ds := make([]obs.Values, len(before))
+	for r, s := range w.StatsAll() {
+		ds[r] = s.Delta(before[r]).Counters
+	}
+	return ds
+}
+
+// checkDMAHops checks that the ranks' deltas ds hold exactly hops DMA
+// descriptors, every one of kind only and each moving the whole payload.
+func checkDMAHops(t *testing.T, ds []obs.Values, hops int, only obs.DMAKind, payload uint64) {
+	t.Helper()
+	total := 0
+	for r, d := range ds {
+		for k := range obs.NumDMAKinds {
+			n, b := d[k.Descriptors()], d[k.Bytes()]
+			total += int(n)
+			if n != 0 && k != only {
+				t.Errorf("rank %d emitted %d %s descriptors, want %s only", r, n, k, only)
+			}
+			if b != n*payload {
+				t.Errorf("rank %d: %d %s descriptors moved %d B, want %d B each (whole payload per hop)", r, n, k, b, payload)
+			}
 		}
 	}
-	if delta := amBytesAfter - amBytesBefore; delta > 4096 {
-		t.Errorf("collective moved %d AM bytes, want headers only (payload must ride the DMA channel)", delta)
+	if total != hops {
+		t.Errorf("%d DMA descriptors, want %d (2 per link per direction)", total, hops)
 	}
 }
 
@@ -685,11 +703,11 @@ func TestCollLastLandingPiggyback(t *testing.T) {
 			for f := 0; f < 4; f++ {
 				frags = append(frags, PutPair[uint64]{Src: src[f*4 : (f+1)*4], Dst: tg[0].Add(f * 4)})
 			}
-			before := rk.World().Network().Endpoint(0).Stats().AMs
+			before := rk.Stats().Counters[obs.AMs]
 			fs := RPutVWith(rk, frags, OpCxAsFuture(),
 				RemoteCxAsRPC(cxSignalBody, cxSigArgs{Dst: tg[0], Flag: tg[1], N: cxN}))
 			fs.Op.Wait()
-			after := rk.World().Network().Endpoint(0).Stats().AMs
+			after := rk.Stats().Counters[obs.AMs]
 			if after != before {
 				t.Errorf("notification cost %d extra wire AMs, want 0 (piggyback on the last-landing fragment)", after-before)
 			}

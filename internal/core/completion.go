@@ -238,7 +238,7 @@ type remoteCxAux struct {
 // only after the owning transfer's data is visible locally.
 func (rk *Rank) runRemoteBody(aux remoteCxAux, initiator Intrank, args []byte) {
 	if rk.ro != nil {
-		rk.ro.Completion(obs.EvRemote, obs.ViaRPC)
+		rk.ro.Add(obs.EvRemote.Via(obs.ViaRPC), 1)
 	}
 	if q := rk.bodyQueue(aux.pers); q != nil {
 		q.queueBody(func() { aux.body.run(rk, initiator, 0, args) })
@@ -501,7 +501,7 @@ func (c *cxPlan) collRemoteLocal() {
 	}
 	aux := am.Aux.(remoteCxAux)
 	if c.rk.ro != nil {
-		c.rk.ro.Completion(obs.EvRemote, obs.ViaRPC)
+		c.rk.ro.Add(obs.EvRemote.Via(obs.ViaRPC), 1)
 	}
 	if aux.pers != nil {
 		aux.pers.LPC(func() { aux.body.run(c.rk, initiator, 0, args) })
@@ -528,7 +528,7 @@ func (c *cxPlan) deliver(ds []cxDelivery) {
 	if len(ds) == 1 {
 		d := ds[0]
 		if ro != nil {
-			ro.Completion(obs.CxEvent(d.ev), obs.CxVia(d.via))
+			ro.Add(obs.CxEvent(d.ev).Via(obs.CxVia(d.via)), 1)
 		}
 		d.pers.LPC(d.fn)
 		return
@@ -545,7 +545,7 @@ func (c *cxPlan) deliver(ds []cxDelivery) {
 		fns := make([]func(), 0, j-i)
 		for k := i; k < j; k++ {
 			if ro != nil {
-				ro.Completion(obs.CxEvent(ds[k].ev), obs.CxVia(ds[k].via))
+				ro.Add(obs.CxEvent(ds[k].ev).Via(obs.CxVia(ds[k].via)), 1)
 			}
 			fns = append(fns, ds[k].fn)
 		}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"upcxx/internal/obs"
 )
 
 // idleWorld is a one-rank world for driving Rank.idle directly; asDist
@@ -168,7 +170,7 @@ func TestBlockingOpsOnOneP(t *testing.T) {
 		}
 		rk.Barrier()
 		if rk.Me() == 0 {
-			wakeups = rk.World().StatsMerged().Wakeups
+			wakeups = rk.World().StatsMerged().Counters[obs.Wakeups]
 		}
 	})
 	if worst > cfg.WaitTimeout/10 {
@@ -207,7 +209,7 @@ func TestQuiesceOneP(t *testing.T) {
 	if !f.Ready() || f.Wait() != 42 {
 		t.Errorf("Quiesce returned with the RPC unanswered (ready %v)", f.Ready())
 	}
-	if n := rk0.Stats().EmptyPasses; n > 64 {
+	if n := rk0.Stats().Counters[obs.EmptyPasses]; n > 64 {
 		t.Errorf("Quiesce made %d empty progress passes: it spun instead of parking", n)
 	}
 }

@@ -77,10 +77,10 @@ func TestKindsGDRConformanceMatrix(t *testing.T) {
 				})
 				s := w.StatsMerged()
 				// The mixed pairs keep their staging kinds on both paths.
-				if s.DMA[obs.DMAH2D] == 0 || s.DMA[obs.DMAD2H] == 0 {
-					t.Errorf("h2d/d2h descriptors = %d/%d, want both nonzero", s.DMA[obs.DMAH2D], s.DMA[obs.DMAD2H])
+				if s.Counters[obs.DMAH2D.Descriptors()] == 0 || s.Counters[obs.DMAD2H.Descriptors()] == 0 {
+					t.Errorf("h2d/d2h descriptors = %d/%d, want both nonzero", s.Counters[obs.DMAH2D.Descriptors()], s.Counters[obs.DMAD2H.Descriptors()])
 				}
-				direct, bounced := s.DMA[obs.DMAD2DDirect], s.DMA[obs.DMAD2DBounced]
+				direct, bounced := s.Counters[obs.DMAD2DDirect.Descriptors()], s.Counters[obs.DMAD2DBounced.Descriptors()]
 				switch {
 				case !cross:
 					// Same-rank d2d is one direct engine descriptor always.
@@ -142,7 +142,7 @@ func TestCollGDRDeviceAllReduceMatrix(t *testing.T) {
 					rk.Barrier()
 				})
 				s := w.StatsMerged()
-				direct, bounced := s.DMA[obs.DMAD2DDirect], s.DMA[obs.DMAD2DBounced]
+				direct, bounced := s.Counters[obs.DMAD2DDirect.Descriptors()], s.Counters[obs.DMAD2DBounced.Descriptors()]
 				links := uint64(ranks - 1)
 				switch {
 				case ranks == 1:
@@ -167,7 +167,7 @@ func TestCollGDRDeviceAllReduceMatrix(t *testing.T) {
 // TestCollDeviceAllReduceGDRDirectPath is the GDR analogue of
 // TestCollDeviceAllReduceNoHostStaging and the acceptance pin for the
 // fused landing-hop reduction: under a GPUDirect-capable DMA model the
-// device allreduce's hop trace contains *only* d2d-direct descriptors —
+// device allreduce's descriptor counters hold *only* d2d-direct ones —
 // zero host-staging hops of any kind — and each parent launches exactly
 // one fused fold kernel per child round (counted by obs), folding all of
 // that round's arrived children at once. A flat radix makes the fusion
@@ -191,13 +191,10 @@ func TestCollDeviceAllReduceGDRDirectPath(t *testing.T) {
 		das[rk.Me()], bufs[rk.Me()] = da, buf
 	})
 
-	w.Network().TraceDMA(true)
-	w.Run(func(rk *Rank) {
+	ds := statsDelta(w, func(rk *Rank) {
 		AllReduceBufWith(rk.WorldTeam(), das[rk.Me()], bufs[rk.Me()], n,
 			func(a, b float64) float64 { return a + b }).Op.Wait()
 	})
-	trace := w.Network().DMATrace()
-	w.Network().TraceDMA(false)
 
 	want := float64(p * (p + 1) / 2)
 	w.Run(func(rk *Rank) {
@@ -214,24 +211,14 @@ func TestCollDeviceAllReduceGDRDirectPath(t *testing.T) {
 	// link per direction — but every one of them direct: the staging DMAs
 	// are gone, not relabeled.
 	links := p - 1
-	if wantHops := 4 * links; len(trace) != wantHops {
-		t.Errorf("DMA trace has %d hops, want %d", len(trace), wantHops)
-	}
-	for _, h := range trace {
-		if h.Kind != obs.DMAD2DDirect {
-			t.Errorf("rank %d emitted a %s descriptor on the GDR path, want d2d-direct only", h.Rank, h.Kind)
-		}
-		if h.Bytes != n*8 {
-			t.Errorf("DMA hop on rank %d moved %d bytes, want %d", h.Rank, h.Bytes, n*8)
-		}
-	}
+	checkDMAHops(t, ds, 4*links, obs.DMAD2DDirect, n*8)
 
 	// Fused-fold pin: the flat tree has exactly one parent round (at the
 	// root) with p-1 children, so the whole reduction costs one fused
 	// kernel launch covering p-1 operands — not p-1 per-child launches.
 	s := w.StatsMerged()
-	if s.FusedFolds != 1 || s.FusedChildren != uint64(links) {
+	if s.Counters[obs.FusedFolds] != 1 || s.Counters[obs.FusedChildren] != uint64(links) {
 		t.Errorf("fused folds: launches=%d children=%d, want launches=1 children=%d",
-			s.FusedFolds, s.FusedChildren, links)
+			s.Counters[obs.FusedFolds], s.Counters[obs.FusedChildren], links)
 	}
 }

@@ -3,6 +3,7 @@ package upcxx
 import (
 	"testing"
 
+	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 )
 
@@ -81,51 +82,51 @@ func TestObsConformanceMatrix(t *testing.T) {
 			// self-RPCs' replies are issued by this rank.
 			wantOps[obs.KindAM] = obsN
 			for k := obs.KindPut; k < obs.KindColl; k++ {
-				if d.Ops[k] != wantOps[k] {
-					t.Errorf("Ops[%v] = %d, want %d", k, d.Ops[k], wantOps[k])
+				if d.Counters[k.Ops()] != wantOps[k] {
+					t.Errorf("Ops[%v] = %d, want %d", k, d.Counters[k.Ops()], wantOps[k])
 				}
 			}
-			if want := (4*obsN + 2) * uint64(obsB); d.TxBytes[obs.KindPut] != want {
-				t.Errorf("TxBytes[put] = %d, want %d", d.TxBytes[obs.KindPut], want)
+			if want := (4*obsN + 2) * uint64(obsB); d.Counters[obs.KindPut.TxBytes()] != want {
+				t.Errorf("TxBytes[put] = %d, want %d", d.Counters[obs.KindPut.TxBytes()], want)
 			}
-			if want := 2 * obsN * uint64(obsB); d.TxBytes[obs.KindGet] != want {
-				t.Errorf("TxBytes[get] = %d, want %d", d.TxBytes[obs.KindGet], want)
+			if want := 2 * obsN * uint64(obsB); d.Counters[obs.KindGet.TxBytes()] != want {
+				t.Errorf("TxBytes[get] = %d, want %d", d.Counters[obs.KindGet.TxBytes()], want)
 			}
-			if want := 3 * obsN * uint64(obsB); d.TxBytes[obs.KindCopy] != want {
-				t.Errorf("TxBytes[copy] = %d, want %d", d.TxBytes[obs.KindCopy], want)
+			if want := 3 * obsN * uint64(obsB); d.Counters[obs.KindCopy.TxBytes()] != want {
+				t.Errorf("TxBytes[copy] = %d, want %d", d.Counters[obs.KindCopy.TxBytes()], want)
 			}
-			if want := 2 * obsN * uint64(8); d.TxBytes[obs.KindAtomic] != want {
-				t.Errorf("TxBytes[atomic] = %d, want %d", d.TxBytes[obs.KindAtomic], want)
+			if want := 2 * obsN * uint64(8); d.Counters[obs.KindAtomic.TxBytes()] != want {
+				t.Errorf("TxBytes[atomic] = %d, want %d", d.Counters[obs.KindAtomic.TxBytes()], want)
 			}
 			// Gets land at the initiator: rank 0 received every get payload.
-			if want := 2 * obsN * uint64(obsB); d.RxBytes[obs.KindGet] != want {
-				t.Errorf("RxBytes[get] = %d, want %d", d.RxBytes[obs.KindGet], want)
+			if want := 2 * obsN * uint64(obsB); d.Counters[obs.KindGet.RxBytes()] != want {
+				t.Errorf("RxBytes[get] = %d, want %d", d.Counters[obs.KindGet.RxBytes()], want)
 			}
 			// Completion matrix: every future-completed op in the loop plus
 			// the two op futures of the src-cx and LPC puts; the flood
 			// delivered via promise; one source future; one LPC.
-			if want := 10*uint64(obsN) + 2; d.Cx[obs.EvOp][obs.ViaFuture] != want {
-				t.Errorf("Cx[op][future] = %d, want %d", d.Cx[obs.EvOp][obs.ViaFuture], want)
+			if want := 10*uint64(obsN) + 2; d.Counters[obs.EvOp.Via(obs.ViaFuture)] != want {
+				t.Errorf("Cx[op][future] = %d, want %d", d.Counters[obs.EvOp.Via(obs.ViaFuture)], want)
 			}
-			if d.Cx[obs.EvOp][obs.ViaPromise] != obsN {
-				t.Errorf("Cx[op][promise] = %d, want %d", d.Cx[obs.EvOp][obs.ViaPromise], obsN)
+			if d.Counters[obs.EvOp.Via(obs.ViaPromise)] != obsN {
+				t.Errorf("Cx[op][promise] = %d, want %d", d.Counters[obs.EvOp.Via(obs.ViaPromise)], obsN)
 			}
-			if d.Cx[obs.EvSource][obs.ViaFuture] != 1 {
-				t.Errorf("Cx[source][future] = %d, want 1", d.Cx[obs.EvSource][obs.ViaFuture])
+			if d.Counters[obs.EvSource.Via(obs.ViaFuture)] != 1 {
+				t.Errorf("Cx[source][future] = %d, want 1", d.Counters[obs.EvSource.Via(obs.ViaFuture)])
 			}
-			if d.Cx[obs.EvOp][obs.ViaLPC] != 1 {
-				t.Errorf("Cx[op][lpc] = %d, want 1", d.Cx[obs.EvOp][obs.ViaLPC])
+			if d.Counters[obs.EvOp.Via(obs.ViaLPC)] != 1 {
+				t.Errorf("Cx[op][lpc] = %d, want 1", d.Counters[obs.EvOp.Via(obs.ViaLPC)])
 			}
 			// The idle stage: every wait above polled between yields (the peer
 			// rank is a yield away), and a yield is what an empty pass of a
 			// wait is followed by — never more of them than of those.
-			if d.IdleYields == 0 || d.IdleYields > d.EmptyPasses {
-				t.Errorf("IdleYields = %d beside %d empty passes and %d wake-ups, want 1..EmptyPasses", d.IdleYields, d.EmptyPasses, d.Wakeups)
+			if d.Counters[obs.IdleYields] == 0 || d.Counters[obs.IdleYields] > d.Counters[obs.EmptyPasses] {
+				t.Errorf("IdleYields = %d beside %d empty passes and %d wake-ups, want 1..EmptyPasses", d.Counters[obs.IdleYields], d.Counters[obs.EmptyPasses], d.Counters[obs.Wakeups])
 			}
 			// Device traffic ran through the DMA engine on this rank: the
 			// self h2d copies and the d2h source drains at least.
-			if d.DMA[obs.DMAH2D] < obsN || d.DMA[obs.DMAD2H] < obsN {
-				t.Errorf("DMA h2d/d2h = %d/%d, want >= %d each", d.DMA[obs.DMAH2D], d.DMA[obs.DMAD2H], obsN)
+			if d.Counters[obs.DMAH2D.Descriptors()] < obsN || d.Counters[obs.DMAD2H.Descriptors()] < obsN {
+				t.Errorf("DMA h2d/d2h = %d/%d, want >= %d each", d.Counters[obs.DMAH2D.Descriptors()], d.Counters[obs.DMAD2H.Descriptors()], obsN)
 			}
 			// Latency histograms saw exactly the ops this rank injected
 			// (absolute totals: nothing else in this world issues puts).
@@ -146,11 +147,11 @@ func TestObsConformanceMatrix(t *testing.T) {
 			AllReduce(rk.WorldTeam(), int64(1), func(a, b int64) int64 { return a + b }).Wait()
 		}
 		d := rk.Stats().Delta(base)
-		if d.Ops[obs.KindColl] != obsN {
-			t.Errorf("rank %d: Ops[collective] = %d, want %d", rk.Me(), d.Ops[obs.KindColl], obsN)
+		if d.Counters[obs.KindColl.Ops()] != obsN {
+			t.Errorf("rank %d: Ops[collective] = %d, want %d", rk.Me(), d.Counters[obs.KindColl.Ops()], obsN)
 		}
-		if d.Ops[obs.KindCollRound] < obsN {
-			t.Errorf("rank %d: Ops[coll-round] = %d, want >= %d", rk.Me(), d.Ops[obs.KindCollRound], obsN)
+		if d.Counters[obs.KindCollRound.Ops()] < obsN {
+			t.Errorf("rank %d: Ops[coll-round] = %d, want >= %d", rk.Me(), d.Counters[obs.KindCollRound.Ops()], obsN)
 		}
 		rk.Barrier()
 	})
@@ -213,8 +214,8 @@ func TestObsEnvConfig(t *testing.T) {
 		dst := MustNewArray[int32](rk, 4)
 		RPut(rk, make([]int32, 4), dst).Wait()
 		s := rk.Stats()
-		if s.Ops[obs.KindPut] != 1 {
-			t.Errorf("Ops[put] = %d, want 1", s.Ops[obs.KindPut])
+		if s.Counters[obs.KindPut.Ops()] != 1 {
+			t.Errorf("Ops[put] = %d, want 1", s.Counters[obs.KindPut.Ops()])
 		}
 		if len(s.TracedOps()) == 0 {
 			t.Error("UPCXX_TRACE=1 armed no tracing")
@@ -222,8 +223,10 @@ func TestObsEnvConfig(t *testing.T) {
 	})
 }
 
-// TestObsDisabledZero checks the disabled runtime reports nothing and
-// the introspection surfaces stay safe no-ops.
+// TestObsDisabledZero checks the disabled runtime records no ops,
+// histograms or trace and the introspection surfaces stay safe no-ops,
+// while the conduit's always-on counters still report, every snapshot one
+// rank's, and equal the Endpoint.Stats view.
 func TestObsDisabledZero(t *testing.T) {
 	RunConfig(Config{Ranks: 2}, func(rk *Rank) {
 		if rk.StatsEnabled() {
@@ -232,12 +235,27 @@ func TestObsDisabledZero(t *testing.T) {
 		rk.ArmTrace(true) // no-op, must not panic
 		dst := MustNewArray[int32](rk, 4)
 		RPut(rk, make([]int32, 4), dst).Wait()
+		RGet(rk, dst, make([]int32, 4)).Wait()
+		rk.Barrier()
 		s := rk.Stats()
-		if s.Rank != rk.Me() || s.Ops[obs.KindPut] != 0 || len(s.Trace) != 0 {
-			t.Errorf("disabled snapshot not empty: %+v", s)
+		for k := range obs.NumOpKinds {
+			if s.Counters[k.Ops()] != 0 {
+				t.Errorf("disabled snapshot counted %d %s ops", s.Counters[k.Ops()], k)
+			}
 		}
-		if rk.World().StatsAll() != nil {
-			t.Error("StatsAll != nil on a stats-disabled world")
+		if s.Rank != rk.Me() || s.Ranks != 1 || len(s.Hist) != 0 || len(s.Trace) != 0 {
+			t.Errorf("disabled snapshot = rank %d of %d, %d histogram cells, %d events; want rank %d of 1, none",
+				s.Rank, s.Ranks, len(s.Hist), len(s.Trace), rk.Me())
+		}
+		c := s.Counters
+		view := gasnet.Stats{Puts: c[obs.Puts], PutBytes: c[obs.PutBytes], Gets: c[obs.Gets], GetBytes: c[obs.GetBytes],
+			AMs: c[obs.AMs], AMBytes: c[obs.AMBytes], AMOs: c[obs.AMOs]}
+		if st := rk.World().Network().Endpoint(rk.Me()).Stats(); st != view || st.Puts == 0 || st.Gets == 0 || st.AMs == 0 {
+			t.Errorf("conduit counters %+v, Endpoint.Stats %+v: want equal, puts, gets and AMs nonzero", view, st)
+		}
+		all := rk.World().StatsAll()
+		if len(all) != 2 || all[0].Ranks != 1 || all[1].Ranks != 1 || rk.World().StatsMerged().Ranks != 2 {
+			t.Errorf("StatsAll = %d snapshots, merged over %d ranks; want one rank each, 2 merged", len(all), rk.World().StatsMerged().Ranks)
 		}
 		rk.Barrier()
 	})

@@ -266,14 +266,10 @@ func init() { RegisterRPC(statsSnapBody) }
 // StatsMergedDist is StatsMerged for any world shape: in-process worlds
 // merge locally; multi-process worlds gather every sibling rank's
 // snapshot by RPC (call it from rank 0, SPMD-collectively if every rank
-// wants the result). The zero Snapshot comes back when stats are off.
+// wants the result), transport counters included.
 func (w *World) StatsMergedDist(rk *Rank) obs.Snapshot {
-	if !w.dist {
-		return w.StatsMerged()
-	}
-	merged := rk.Stats()
-	merged.Rank = -1
-	for r := Intrank(0); r < rk.n; r++ {
+	ss := w.StatsAll()
+	for r := Intrank(0); w.dist && r < rk.n; r++ {
 		if r == rk.me {
 			continue
 		}
@@ -282,7 +278,7 @@ func (w *World) StatsMergedDist(rk *Rank) obs.Snapshot {
 		if err := json.Unmarshal(b, &s); err != nil {
 			panic(fmt.Sprintf("upcxx: stats snapshot from rank %d: %v", r, err))
 		}
-		merged.Merge(&s)
+		ss = append(ss, s)
 	}
-	return merged
+	return obs.Merged(ss)
 }

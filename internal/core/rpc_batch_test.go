@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 )
 
 // TestBatchRPCBasic exercises the batched round-trip surface: many
@@ -243,7 +244,7 @@ func TestBatchDoorbellCoalescing(t *testing.T) {
 		p := NewPersona(rk, "db-worker")
 		sc := AcquirePersona(p)
 		defer sc.Release()
-		rings := func() uint64 { return rk.Stats().DoorbellRings }
+		rings := func() uint64 { return rk.Stats().Counters[obs.DoorbellRings] }
 		// Leave the doorbell slot empty (drain any startup ring).
 		rk.ep.WaitPending(time.Millisecond)
 

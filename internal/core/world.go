@@ -210,24 +210,21 @@ func (w *World) Network() *gasnet.Network { return w.net }
 // StatsEnabled reports whether the introspection layer is recording.
 func (w *World) StatsEnabled() bool { return w.obs != nil }
 
-// StatsAll snapshots every rank's observability state. It returns nil
-// when the job was created without Config.Stats.
+// StatsAll snapshots every rank this process hosts: each rank of an
+// in-process world, the one local rank of a multi-process world.
 func (w *World) StatsAll() []obs.Snapshot {
-	if w.obs == nil {
-		return nil
+	var out []obs.Snapshot
+	for _, rk := range w.ranks {
+		if rk != nil {
+			out = append(out, rk.Stats())
+		}
 	}
-	return w.obs.SnapshotAll()
+	return out
 }
 
-// StatsMerged snapshots every rank and merges them into one job-wide
-// view (counters and histogram cells sum; traces concatenate). It
-// returns the zero Snapshot when stats are disabled.
-func (w *World) StatsMerged() obs.Snapshot {
-	if w.obs == nil {
-		return obs.Snapshot{Rank: -1}
-	}
-	return w.obs.Merged()
-}
+// StatsMerged merges StatsAll into one view (counters and histogram cells
+// sum; traces concatenate).
+func (w *World) StatsMerged() obs.Snapshot { return obs.Merged(w.StatsAll()) }
 
 // ArmTrace arms (or disarms) op-lifecycle tracing on every rank,
 // clearing prior events when arming. A no-op when stats are disabled.
@@ -237,13 +234,13 @@ func (w *World) ArmTrace(on bool) {
 	}
 }
 
-// Stats snapshots this rank's observability state: counters, latency
-// histograms, and (when tracing was armed) the buffered op-lifecycle
-// events. It returns the zero Snapshot when the world was created
-// without Config.Stats.
+// Stats snapshots this rank's counter table — the conduit's traffic
+// counters always, the runtime's under Config.Stats — and, under
+// Config.Stats, its latency histograms and (when tracing was armed) the
+// buffered op-lifecycle events.
 func (rk *Rank) Stats() obs.Snapshot {
 	if rk.ro == nil {
-		return obs.Snapshot{Rank: rk.me}
+		return obs.Snapshot{Rank: rk.me, Ranks: 1, Counters: rk.ep.Counters().Values()}
 	}
 	return rk.ro.Snapshot()
 }
@@ -513,7 +510,10 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 		rk.worked.Add(1)
 	}
 	if rk.ro != nil {
-		rk.ro.Pass(done == 0)
+		rk.ro.Add(obs.ProgressPasses, 1)
+		if done == 0 {
+			rk.ro.Add(obs.EmptyPasses, 1)
+		}
 	}
 	return done
 }

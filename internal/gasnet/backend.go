@@ -111,8 +111,16 @@ type hopPlan struct {
 	hops  [5]hop
 	nhops int
 	land  int
-	dma   [2]DMAHop // descriptors to account, at most one per side
+	dma   [2]dmaHop // descriptors to account, at most one per side
 	ndma  int
+}
+
+// dmaHop is one device copy-engine descriptor a chain charges: the rank
+// whose engine executes it, the bytes it moves, the memory kinds it bridges.
+type dmaHop struct {
+	rank  Rank
+	bytes int
+	kind  obs.DMAKind
 }
 
 func (p *hopPlan) add(k hopKind, from, to Rank) {
@@ -121,7 +129,7 @@ func (p *hopPlan) add(k hopKind, from, to Rank) {
 }
 
 func (p *hopPlan) charge(r Rank, k obs.DMAKind, n int) {
-	p.dma[p.ndma] = DMAHop{Rank: r, Bytes: n, Kind: k}
+	p.dma[p.ndma] = dmaHop{r, n, k}
 	p.ndma++
 }
 
@@ -185,8 +193,8 @@ func (ep *Endpoint) transfer(x *xfer) {
 	x.init = ep.rank
 	p := planHops(x, ep.net.gdr)
 	for _, c := range p.dma[:p.ndma] {
-		if at := ep.net.eps[c.Rank]; at != nil {
-			at.countDMA(c.Kind, c.Bytes)
+		if at := ep.net.eps[c.rank]; at != nil {
+			at.countDMA(c.kind, c.bytes)
 		}
 	}
 	for _, h := range p.hops[:p.nhops] {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +19,8 @@ import (
 // rank, all in this process) over tcp and, on linux, shm — with and
 // without GPUDirect. Each row checks the moved bytes, the completion
 // order (landing before remote-completion AM before ack) and the exact
-// Stats delta, and every backend's DMA-descriptor counts must equal
-// loopback's.
+// conduit counter delta, and every backend's DMA-descriptor counts must
+// equal loopback's.
 
 // --- planHops ---------------------------------------------------------------
 
@@ -36,7 +38,7 @@ func bufAt(r Rank) loc { return loc{isBuf: true, rank: r} }
 // with and without GPUDirect: the chain, its landing hop, and the
 // descriptors charged.
 func TestPlanHopsTable(t *testing.T) {
-	type charges = []DMAHop
+	type charges = []dmaHop
 	const B, D = obs.DMAD2DBounced, obs.DMAD2DDirect
 	cases := []struct {
 		name     string
@@ -268,44 +270,39 @@ func (r *confRow) onAM(ep *Endpoint, src Rank, payload []byte, aux any) {
 // follow it. It reports whether a delivery is queued at r.
 func (w *confWorld) fence(r Rank) bool { return w.eps[r].Pending() }
 
-// confResult is what a row must reproduce on every backend: the Stats
-// counters summed over ranks, and the DMA descriptors by kind.
-type confResult struct {
-	stats Stats
-	dma   [obs.NumDMAKinds]uint64
-}
-
-// fields lists the counters of c, for summing and differencing.
-func (c *confResult) fields() []*uint64 {
-	s := &c.stats
-	f := []*uint64{&s.Puts, &s.PutBytes, &s.Gets, &s.GetBytes, &s.AMs, &s.AMBytes, &s.AMOs, &s.DMAs, &s.DMABytes}
-	for k := range c.dma {
-		f = append(f, &c.dma[k])
-	}
-	return f
-}
-
-func (w *confWorld) counters() confResult {
-	var c confResult
+// counters sums the row's ranks' counter tables. What a row must reproduce on
+// every backend is their conduit.* and DMA counters (conformed); the wire.*
+// ones are the transport's own, the first of the two asymmetries a wire
+// network shows.
+func (w *confWorld) counters() (c obs.Values) {
 	for _, ep := range w.eps {
-		one := confResult{stats: ep.Stats()}
-		for i, f := range c.fields() {
-			*f += *one.fields()[i]
+		for i, v := range ep.Counters().Values() {
+			c[i] += v
 		}
 	}
-	c.dma = w.ob.Merged().DMA
 	return c
 }
 
-func (c confResult) minus(o confResult) confResult {
-	for i, f := range c.fields() {
-		*f -= *o.fields()[i]
+// conformed keeps the counters of v in the named groups.
+func conformed(v obs.Values, groups ...string) (out obs.Values) {
+	for c := range obs.NumCounters {
+		if g, _, _ := strings.Cut(c.String(), "."); slices.Contains(groups, g) {
+			out[c] = v[c]
+		}
 	}
-	return c
+	return out
+}
+
+// dmaTotals sums v's DMA descriptors and their bytes over the kinds.
+func dmaTotals(v obs.Values) (n, bytes uint64) {
+	for k := range obs.NumDMAKinds {
+		n, bytes = n+v[k.Descriptors()], bytes+v[k.Bytes()]
+	}
+	return n, bytes
 }
 
 // run executes one row from rank 0 and returns its counter delta.
-func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
+func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) obs.Values {
 	row := &confRow{t: t, w: w, spec: spec, what: w.name + " " + spec.String()}
 	w.row = row
 	init := w.eps[0]
@@ -370,7 +367,7 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 	tag := func(k obs.OpKind) obs.OpTag { return w.ob.Rank(0).OpStart(k, confN) }
 
 	before := w.counters()
-	want := Stats{}
+	var want obs.Values
 	done := func() bool { return row.acks == frags }
 	switch spec.op {
 	case "put":
@@ -383,7 +380,7 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 			init.PutSegTag(dstRank, seg(dstRank), off, src, onDone(f), rem, tag(obs.KindPut))
 			src[0] ^= 0xFF // source completion: reusable on return
 		}
-		want.Puts, want.PutBytes = uint64(frags), uint64(frags*confN)
+		want[obs.Puts], want[obs.PutBytes] = uint64(frags), uint64(frags*confN)
 	case "copy":
 		dsts := make([][]byte, frags)
 		row.dstBytes = func(f int) []byte { return dsts[f] }
@@ -395,7 +392,7 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 			dsts[f] = dmem
 			init.CopySegTag(srcRank, seg(srcRank), soff, dstRank, seg(dstRank), doff, confN, onDone(f), rem, tag(obs.KindCopy))
 		}
-		want.Puts, want.PutBytes = uint64(frags), uint64(frags*confN)
+		want[obs.Puts], want[obs.PutBytes] = uint64(frags), uint64(frags*confN)
 	case "get":
 		off, mem := alloc(srcRank)
 		copy(mem, row.pat[0])
@@ -403,17 +400,17 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 		into := make([]byte, confN)
 		row.dstBytes = func(int) []byte { return into }
 		init.GetSegTag(srcRank, seg(srcRank), off, into, onDone(0), tag(obs.KindGet))
-		want.Gets, want.GetBytes = 1, confN
+		want[obs.Gets], want[obs.GetBytes] = 1, confN
 	case "am":
 		src := append([]byte(nil), row.pat[0]...)
 		init.AMTag(dstRank, w.hAM, src, nil, confAux, tag(obs.KindAM)) // src is the conduit's now; the amv row borrows
-		want.AMs, want.AMBytes = 1, confN
+		want[obs.AMs], want[obs.AMBytes] = 1, confN
 		done = func() bool { return row.amGot == 1 }
 	case "amv":
 		src := append([]byte(nil), row.pat[0]...)
 		init.AMTag(dstRank, w.hAM, nil, [][]byte{src[:10], src[10:10], src[10:]}, confAux, tag(obs.KindAM))
 		src[0] ^= 0xFF
-		want.AMs, want.AMBytes = 1, confN
+		want[obs.AMs], want[obs.AMBytes] = 1, confN
 		done = func() bool { return row.amGot == 1 }
 	case "amo":
 		s := w.eps[dstRank].Segment()
@@ -424,7 +421,7 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 		s.WriteU64(off, 100)
 		var old uint64
 		init.AMOTag(dstRank, off, AMOAdd, uint64(seed), 0, func(o uint64) { old = o; row.acks++ }, tag(obs.KindAtomic))
-		want.AMOs = 1
+		want[obs.AMOs] = 1
 		defer func() {
 			if got := s.ReadU64(off); old != 100 || got != 100+uint64(seed) {
 				t.Errorf("%s: fetch-add returned %d and left %d, want 100 and %d", row.what, old, got, 100+uint64(seed))
@@ -444,13 +441,15 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) confResult {
 	if rem != nil && row.remFired != 1 {
 		t.Errorf("%s: rem-AM fired %d times, want exactly once", row.what, row.remFired)
 	}
-	got := w.counters().minus(before)
-	want.DMAs, want.DMABytes = got.stats.DMAs, got.stats.DMABytes // compared across backends, below
-	if got.stats != want {
-		t.Errorf("%s: Stats delta = %+v, want %+v", row.what, got.stats, want)
+	got := w.counters()
+	for c := range got {
+		got[c] -= before[c]
 	}
-	if spec.dev == (got.stats.DMAs == 0) {
-		t.Errorf("%s: %d DMA descriptors for device=%v", row.what, got.stats.DMAs, spec.dev)
+	if conformed(got, "conduit") != want {
+		t.Errorf("%s: conduit counter delta = %v, want %v", row.what, conformed(got, "conduit"), want)
+	}
+	if n, _ := dmaTotals(got); spec.dev == (n == 0) {
+		t.Errorf("%s: %d DMA descriptors for device=%v", row.what, n, spec.dev)
 	}
 	return got
 }
@@ -474,7 +473,7 @@ func TestBackendConformanceMatrix(t *testing.T) {
 		if runtime.GOOS == "linux" {
 			worlds = append(worlds, func() *confWorld { return wireWorld(t, "shm", gdr) })
 		}
-		ref := map[confSpec]confResult{} // loopback's deltas
+		ref := map[confSpec]obs.Values{} // loopback's deltas
 		for _, mk := range worlds {
 			w := mk()
 			w.setup()
@@ -486,18 +485,23 @@ func TestBackendConformanceMatrix(t *testing.T) {
 						ref[spec] = got
 						continue
 					}
-					if got.stats != want.stats {
-						t.Errorf("%s %v: Stats delta %+v differs from loopback's %+v", w.name, spec, got.stats, want.stats)
+					if g, l := conformed(got, "conduit"), conformed(want, "conduit"); g != l {
+						t.Errorf("%s %v: conduit counters %v differ from loopback's %v", w.name, spec, g, l)
 					}
-					// A wire peer labels its half of a transfer from what
-					// the frame reveals (h2d / d2h): it cannot know a
-					// cross-rank device→device copy from a staged one, so
-					// there only the descriptor total is comparable.
+					// The second asymmetry: a wire peer labels its half of a
+					// transfer from what the frame reveals (h2d / d2h): it
+					// cannot know a cross-rank device→device copy from a
+					// staged one, so there only the totals are comparable.
+					gn, gb := dmaTotals(got)
+					ln, lb := dmaTotals(want)
+					if gn != ln || gb != lb {
+						t.Errorf("%s %v: %d DMA descriptors of %d B, loopback's %d of %d B", w.name, spec, gn, gb, ln, lb)
+					}
 					if w.wire && spec.dev && spec.op == "copy" && spec.place != "self" {
 						continue
 					}
-					if got.dma != want.dma {
-						t.Errorf("%s %v: DMA kinds %v differ from loopback's %v", w.name, spec, got.dma, want.dma)
+					if g, l := conformed(got, "dma", "dma_bytes"), conformed(want, "dma", "dma_bytes"); g != l {
+						t.Errorf("%s %v: DMA kinds %v differ from loopback's %v", w.name, spec, g, l)
 					}
 				}
 			})

@@ -180,11 +180,14 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 	}
 	// The h2d put charged the target rank's engine; the same-rank d2d
 	// copy collapsed to exactly one descriptor on the initiator's.
-	if got := tgt.Stats().DMAs; got != 1 {
-		t.Fatalf("expected exactly 1 DMA descriptor on rank 1, got %d", got)
-	}
-	if got := src.Stats().DMAs; got != 1 {
-		t.Fatalf("expected exactly 1 DMA descriptor on rank 0 (collapsed d2d), got %d", got)
+	for ep, k := range map[*Endpoint]obs.DMAKind{tgt: obs.DMAH2D, src: obs.DMAD2DDirect} {
+		var n uint64
+		for kk := range obs.NumDMAKinds {
+			n += ep.Counters().Load(kk.Descriptors())
+		}
+		if n != 1 || ep.Counters().Load(k.Descriptors()) != 1 {
+			t.Fatalf("rank %d: %d DMA descriptors, want exactly one, %s", ep.Rank(), n, k)
+		}
 	}
 }
 

@@ -44,9 +44,10 @@ type Config struct {
 	// model device hops are always instantaneous.
 	DMA DMAModel
 	// Obs, when non-nil, is the job's observability recorder (sized to
-	// Ranks): the conduit records wire messages per peer, DMA
-	// descriptors by hop kind, doorbell wakeups, and op-lifecycle hops
-	// into it. nil disables all conduit-side recording.
+	// Ranks): each endpoint counts into its rank's table, and records
+	// doorbell and idle counters, wire messages per peer and op-lifecycle
+	// hops too. nil leaves each endpoint a table of its own for the
+	// always-on traffic counters and records nothing else.
 	Obs *obs.Obs
 	// Real, when non-nil, selects a real multi-process transport
 	// backend ("tcp" or "shm") instead of the in-process conduit. The
@@ -75,44 +76,6 @@ type Network struct {
 
 	hmu      sync.Mutex
 	handlers []AMHandler
-
-	// DMA hop trace: when armed, every device copy-engine descriptor is
-	// recorded so tests can prove a transfer path (e.g. that a
-	// device-resident collective moved its payload exclusively through
-	// the DMA channel, with zero host-staging copies).
-	dmaTraceOn atomic.Bool
-	dmaMu      sync.Mutex
-	dmaTrace   []DMAHop
-}
-
-// DMAHop records one device copy-engine descriptor: the rank whose
-// engine executed it, the bytes it moved, and the memory kinds it
-// bridged. The trace predates the obs subsystem and is kept for tests
-// that assert on transfer paths; the per-kind descriptor *counters* now
-// live in obs (see countDMA, which feeds both).
-type DMAHop struct {
-	Rank  Rank
-	Bytes int
-	Kind  obs.DMAKind
-}
-
-// TraceDMA arms (or disarms) the DMA hop trace, clearing any prior
-// record. Tracing is for tests and tooling; it serializes descriptor
-// accounting while armed.
-func (n *Network) TraceDMA(on bool) {
-	n.dmaMu.Lock()
-	n.dmaTrace = nil
-	n.dmaMu.Unlock()
-	n.dmaTraceOn.Store(on)
-}
-
-// DMATrace returns a copy of the hops recorded since TraceDMA(true).
-func (n *Network) DMATrace() []DMAHop {
-	n.dmaMu.Lock()
-	defer n.dmaMu.Unlock()
-	out := make([]DMAHop, len(n.dmaTrace))
-	copy(out, n.dmaTrace)
-	return out
 }
 
 // NewNetwork creates the conduit for a job.
@@ -140,15 +103,14 @@ func NewNetwork(cfg Config) *Network {
 	}
 	n := &Network{cfg: cfg, gdr: dma.GPUDirect(), devCost: NoDelayDMA{}, eps: make([]*Endpoint, cfg.Ranks)}
 	hosted := func(r int) {
-		n.eps[r] = &Endpoint{
-			rank:   Rank(r),
-			net:    n,
-			seg:    NewSegment(cfg.SegmentSize),
-			notify: make(chan struct{}, 1),
-		}
+		ep := &Endpoint{rank: Rank(r), net: n, seg: NewSegment(cfg.SegmentSize), notify: make(chan struct{}, 1)}
 		if cfg.Obs != nil {
-			n.eps[r].ro = cfg.Obs.Rank(r)
+			ep.ro = cfg.Obs.Rank(r)
+			ep.ctr = &ep.ro.Table
+		} else {
+			ep.ctr = new(obs.Table)
 		}
+		n.eps[r] = ep
 	}
 	// The backend is chosen here, once, from what Config says.
 	switch {
@@ -183,8 +145,9 @@ func NewNetwork(cfg Config) *Network {
 	return n
 }
 
-// ConduitInfo snapshots the backend's identity and wire counters; an
-// in-process conduit reports Backend "model" and no traffic.
+// ConduitInfo snapshots the backend's identity and, on a wire conduit, the
+// hosted endpoint's transport counters; an in-process conduit reports
+// Backend "model" and no traffic.
 func (n *Network) ConduitInfo() ConduitInfo {
 	ci := n.be.info()
 	ci.Ranks = n.cfg.Ranks
@@ -239,9 +202,8 @@ func (n *Network) handler(id HandlerID) AMHandler {
 // dropped; call only after the job has quiesced.
 func (n *Network) Close() { n.be.close() }
 
-// Stats aggregates traffic counters for one endpoint. DMAs counts device
-// copy-engine descriptors issued against this rank's devices; DMABytes the
-// bytes they moved.
+// Stats is the view of an endpoint's operation counters (obs.Puts ..
+// obs.AMOs) that the committed benchmark reads.
 type Stats struct {
 	Puts     uint64
 	PutBytes uint64
@@ -250,8 +212,6 @@ type Stats struct {
 	AMs      uint64
 	AMBytes  uint64
 	AMOs     uint64
-	DMAs     uint64
-	DMABytes uint64
 }
 
 // Endpoint is one rank's attachment to the network.
@@ -260,6 +220,7 @@ type Endpoint struct {
 	net  *Network
 	seg  *Segment
 	ro   *obs.RankObs // this rank's observability recorder; nil = disabled
+	ctr  *obs.Table   // this rank's counters: ro's table, or the endpoint's own
 
 	devMu sync.Mutex
 	devs  []*Segment // device segments; SegID i+1 is devs[i]
@@ -274,9 +235,6 @@ type Endpoint struct {
 	amSpare   []inboundAM
 
 	notify chan struct{} // 1-slot doorbell for WaitPending
-
-	puts, putBytes, gets, getBytes, ams, amBytes, amos atomic.Uint64
-	dmas, dmaBytes                                     atomic.Uint64
 }
 
 type inboundAM struct {
@@ -356,7 +314,8 @@ func (ep *Endpoint) GrowDeviceSegment(id SegID, extra int) {
 // the rank's execution persona, like RunKernel).
 func (ep *Endpoint) ChargeFusedFold(n, ways int) {
 	if ep.ro != nil {
-		ep.ro.FusedFold(ways)
+		ep.ro.Add(obs.FusedFolds, 1)
+		ep.ro.Add(obs.FusedChildren, uint64(ways))
 	}
 	spinFor(ep.net.devCost.FoldGap(n, ways))
 }
@@ -406,35 +365,24 @@ func (ep *Endpoint) lookupSeg(id SegID) (*Segment, error) {
 	return seg, nil
 }
 
-// Stats returns a snapshot of this endpoint's traffic counters.
+// Counters returns this rank's counter table: the traffic counters the
+// conduit keeps always, and under a recorder (Config.Obs) everything else.
+func (ep *Endpoint) Counters() *obs.Table { return ep.ctr }
+
+// Stats returns the view of this endpoint's operation counters.
 func (ep *Endpoint) Stats() Stats {
+	t := ep.ctr
 	return Stats{
-		Puts:     ep.puts.Load(),
-		PutBytes: ep.putBytes.Load(),
-		Gets:     ep.gets.Load(),
-		GetBytes: ep.getBytes.Load(),
-		AMs:      ep.ams.Load(),
-		AMBytes:  ep.amBytes.Load(),
-		AMOs:     ep.amos.Load(),
-		DMAs:     ep.dmas.Load(),
-		DMABytes: ep.dmaBytes.Load(),
+		Puts: t.Load(obs.Puts), PutBytes: t.Load(obs.PutBytes), Gets: t.Load(obs.Gets), GetBytes: t.Load(obs.GetBytes),
+		AMs: t.Load(obs.AMs), AMBytes: t.Load(obs.AMBytes), AMOs: t.Load(obs.AMOs),
 	}
 }
 
-// countDMA records one descriptor of hop kind k on this rank's device
-// copy engine: the endpoint totals, the obs per-kind counters, and (when
-// armed) the legacy DMA hop trace.
+// countDMA counts one descriptor of kind k, n bytes, on this rank's device
+// copy engine.
 func (ep *Endpoint) countDMA(k obs.DMAKind, n int) {
-	ep.dmas.Add(1)
-	ep.dmaBytes.Add(uint64(n))
-	if ep.ro != nil {
-		ep.ro.DMA(k, n)
-	}
-	if ep.net.dmaTraceOn.Load() {
-		ep.net.dmaMu.Lock()
-		ep.net.dmaTrace = append(ep.net.dmaTrace, DMAHop{Rank: ep.rank, Bytes: n, Kind: k})
-		ep.net.dmaMu.Unlock()
-	}
+	ep.ctr.Add(k.Descriptors(), 1)
+	ep.ctr.Add(k.Bytes(), uint64(n))
 }
 
 // syncDirect runs fn — a delivery goroutine's direct touch of segment
@@ -474,13 +422,13 @@ func (ep *Endpoint) enqueueAM(ams ...inboundAM) {
 // The runtime rings it for deliveries that bypass the endpoint queues
 // (persona LPCs), so a sleeping progress thread wakes for them too.
 // Rings coalesce in the 1-slot doorbell: only a deposit that found the
-// slot empty is counted (obs "rings"), so a batch of deliveries rung
+// slot empty is counted (obs.DoorbellRings), so a batch of deliveries rung
 // back-to-back causes — and counts as — one wakeup, not one per op.
 func (ep *Endpoint) Ring() {
 	select {
 	case ep.notify <- struct{}{}:
 		if ep.ro != nil {
-			ep.ro.Ring()
+			ep.ro.Add(obs.DoorbellRings, 1)
 		}
 	default:
 	}
@@ -528,7 +476,7 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 	ep.net.be.poll(-1)
 	if rung {
 		if ep.ro != nil {
-			ep.ro.Wakeup()
+			ep.ro.Add(obs.Wakeups, 1)
 		}
 		return true
 	}
@@ -543,7 +491,7 @@ func (ep *Endpoint) Yield() bool {
 		return false
 	}
 	if ep.ro != nil {
-		ep.ro.IdleYield()
+		ep.ro.Add(obs.IdleYields, 1)
 	}
 	runtime.Gosched()
 	if ep.net.cfg.Real != nil {
@@ -712,8 +660,8 @@ func (ep *Endpoint) Put(dst Rank, dstOff uint64, src []byte, onAck func()) {
 // instant the data is visible there, before the ack starts back — and the
 // initiator's observability tag.
 func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
-	ep.puts.Add(1)
-	ep.putBytes.Add(uint64(len(src)))
+	ep.ctr.Add(obs.Puts, 1)
+	ep.ctr.Add(obs.PutBytes, uint64(len(src)))
 	ep.transfer(&xfer{
 		src: loc{buf: src, isBuf: true, rank: ep.rank},
 		dst: loc{rank: dst, seg: seg, off: dstOff},
@@ -733,8 +681,8 @@ func (ep *Endpoint) Get(src Rank, srcOff uint64, dst []byte, onDone func()) {
 // The payload lands at the *initiator* — that is where a get's data
 // becomes visible — so the landing edge is recorded against ep.rank.
 func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) {
-	ep.gets.Add(1)
-	ep.getBytes.Add(uint64(len(dst)))
+	ep.ctr.Add(obs.Gets, 1)
+	ep.ctr.Add(obs.GetBytes, uint64(len(dst)))
 	ep.transfer(&xfer{
 		src: loc{rank: src, seg: seg, off: srcOff},
 		dst: loc{buf: dst, isBuf: true, rank: ep.rank},
@@ -749,8 +697,8 @@ func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, on
 // the final hop's bytes are in place. The source is read lazily, when
 // the hop chain reaches it.
 func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRank Rank, dstSeg SegID, dstOff uint64, n int, onDone func(), rem *RemoteAM, tag obs.OpTag) {
-	ep.puts.Add(1)
-	ep.putBytes.Add(uint64(n))
+	ep.ctr.Add(obs.Puts, 1)
+	ep.ctr.Add(obs.PutBytes, uint64(n))
 	ep.transfer(&xfer{
 		src: loc{rank: srcRank, seg: srcSeg, off: srcOff},
 		dst: loc{rank: dstRank, seg: dstSeg, off: dstOff},
@@ -777,8 +725,8 @@ func (ep *Endpoint) AM(dst Rank, h HandlerID, payload []byte, aux any) {
 // before AMTag returns, after which each is reusable (source completion).
 func (ep *Endpoint) AMTag(dst Rank, h HandlerID, owned []byte, borrowed [][]byte, aux any, tag obs.OpTag) {
 	n := amLen(owned, borrowed)
-	ep.ams.Add(1)
-	ep.amBytes.Add(uint64(n))
+	ep.ctr.Add(obs.AMs, 1)
+	ep.ctr.Add(obs.AMBytes, uint64(n))
 	tag.WireMsg(ep.rank, dst, n)
 	ep.backendFor(dst == ep.rank).am(ep, dst, h, owned, borrowed, aux, tag)
 }
@@ -793,7 +741,7 @@ func (ep *Endpoint) AMO(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResul
 
 // AMOTag is AMO carrying the initiator's observability tag.
 func (ep *Endpoint) AMOTag(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
-	ep.amos.Add(1)
+	ep.ctr.Add(obs.AMOs, 1)
 	tag.WireMsg(ep.rank, dst, 8)
 	ep.backendFor(dst == ep.rank).amo(ep, dst, off, op, op1, op2, onResult, tag)
 }

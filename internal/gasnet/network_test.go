@@ -385,7 +385,7 @@ func TestAMAllocs(t *testing.T) {
 	}
 	// A wire with one tcp peer and nobody writing: the queue grows once.
 	peer := testPeer(1, nil)
-	w := &wire{peers: []*peerConn{nil, peer}}
+	w := &wire{ep: n.Endpoint(0), peers: []*peerConn{nil, peer}}
 	if a := testing.AllocsPerRun(100, func() {
 		peer.wbuf = peer.wbuf[:0]
 		w.am(nil, 1, h, payload[:3], [][]byte{payload[3:]}, nil, obs.OpTag{})

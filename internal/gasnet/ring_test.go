@@ -623,14 +623,14 @@ func TestRingQuietDrainKeepsDoorbell(t *testing.T) {
 		}
 	}
 	standing("with a goroutine in WaitPending")
-	landed, bells := false, wires[1].ringBells.Load()
+	landed, bells := false, wires[1].ep.ctr.Load(obs.RingDoorbells)
 	ep1.GetSegTag(0, dev, 0, make([]byte, 8), func() { landed = true }, obs.OpTag{})
 	for deadline := time.Now().Add(20 * time.Second); !landed; ep1.Poll() {
 		if time.Now().After(deadline) {
 			t.Fatal("the get was never served")
 		}
 	}
-	if b := wires[1].ringBells.Load() - bells; b != 1 {
+	if b := wires[1].ep.ctr.Load(obs.RingDoorbells) - bells; b != 1 {
 		t.Fatalf("%d doorbells for a get sent to a parked rank, want 1", b)
 	}
 	select {
@@ -640,7 +640,7 @@ func TestRingQuietDrainKeepsDoorbell(t *testing.T) {
 	}
 	standing("after a belled drain that woke nobody, its waiter still blocked")
 	ep1.AM(0, 0, []byte{1}, nil)
-	if b := wires[1].ringBells.Load() - bells; b != 2 {
+	if b := wires[1].ep.ctr.Load(obs.RingDoorbells) - bells; b != 2 {
 		t.Fatalf("%d doorbells for a get and an AM sent to a parked rank, want 2", b)
 	}
 	if !<-woken || ep0.Poll() != 1 || got != 1 {
@@ -745,7 +745,7 @@ func TestRingBothFullOneP(t *testing.T) {
 	}
 	wg.Wait()
 	for r, w := range wires {
-		if n := w.ringTimeouts.Load(); n != 0 || next[r] != N || nets[r].Failed() != nil {
+		if n := w.ep.ctr.Load(obs.RingTimeouts); n != 0 || next[r] != N || nets[r].Failed() != nil {
 			t.Errorf("rank %d: %d of %d AMs, %d waits on a full ring ended by the backstop (want 0), failed: %v", r, next[r], N, n, nets[r].Failed())
 		}
 		if ci := w.info(); ci.SocketFallbacks != 0 {
@@ -800,7 +800,7 @@ func TestShmAMAllocs(t *testing.T) {
 		p.rcnd = sync.NewCond(&p.rmu)
 		return p
 	}
-	src := &wire{self: 0, n: 2, peers: []*peerConn{nil, newPeer(1, mapRing(region))}}
+	src := &wire{self: 0, n: 2, ep: n.Endpoint(0), peers: []*peerConn{nil, newPeer(1, mapRing(region))}}
 	from := newPeer(0, nil)
 	from.in = mapRing(region)
 	dst := &wire{self: 1, n: 2, ep: n.Endpoint(1), peers: []*peerConn{from, nil}}

@@ -63,8 +63,9 @@ type AuxCodec interface {
 	DecodeAux(b []byte) (any, error)
 }
 
-// ConduitInfo is a snapshot of the transport identity and wire counters
-// for tooling (upcxx-info).
+// ConduitInfo is the transport's identity for tooling (upcxx-info), with a
+// view of the hosted rank's transport counters (obs.FramesOut ..
+// obs.SocketFallbacks), which the committed benchmark reads.
 type ConduitInfo struct {
 	Backend     string   `json:"backend"`
 	Ranks       int      `json:"ranks"`
@@ -72,13 +73,8 @@ type ConduitInfo struct {
 	PeerAddrs   []string `json:"peer_addrs,omitempty"`
 	ShmSegBytes int      `json:"shm_seg_bytes,omitempty"`
 
-	FramesOut       uint64 `json:"frames_out"` // socket frames, doorbells included, counted once: where they join a send queue
-	FramesIn        uint64 `json:"frames_in"`
-	BytesOut        uint64 `json:"bytes_out"` // of FramesOut, length prefixes included
-	BytesIn         uint64 `json:"bytes_in"`
-	RingRecords     uint64 `json:"ring_records"`     // shm: frames that rode a ring record
-	RingDoorbells   uint64 `json:"ring_doorbells"`   // shm: fRing frames sent, for data and for space
-	SocketFallbacks uint64 `json:"socket_fallbacks"` // shm: frames too large for a record, sent by socket behind a ring marker
+	FramesOut, FramesIn, BytesOut, BytesIn      uint64
+	RingRecords, RingDoorbells, SocketFallbacks uint64
 }
 
 type pendingOp struct {
@@ -147,12 +143,7 @@ type wire struct {
 	closing atomic.Bool
 	wg      sync.WaitGroup
 
-	framesOut, framesIn atomic.Uint64
-	bytesOut, bytesIn   atomic.Uint64
-	ringRecs, ringBells atomic.Uint64
-	sockFalls, stalls   atomic.Uint64 // stalls: waits on sendBound
-	ringTimeouts        atomic.Uint64 // waits on a full ring that the backstop ended
-	parkers             atomic.Int32  // goroutines blocked behind the inbound rings' parked words
+	parkers atomic.Int32 // goroutines blocked behind the inbound rings' parked words
 }
 
 // ---------------------------------------------------------------------------
@@ -399,8 +390,8 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.framesIn.Add(1)
-	t.bytesIn.Add(uint64(4 + n))
+	t.ep.ctr.Add(obs.FramesIn, 1)
+	t.ep.ctr.Add(obs.BytesIn, uint64(4+n))
 	p.rest = 4 + n
 	f, err := decodeFrameBody(b)
 	switch bulk := len(b) < n; {
@@ -524,7 +515,7 @@ func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
 		if t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() {
 			return
 		}
-		t.stalls.Add(1)
+		t.ep.ctr.Add(obs.SendStalls, 1)
 		p.wroom.Wait()
 	}
 	if p.wclosed {
@@ -532,8 +523,8 @@ func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
 	}
 	at := len(p.wbuf)
 	p.wbuf = appendFrame(p.wbuf, parts...)
-	t.framesOut.Add(1)
-	t.bytesOut.Add(uint64(len(p.wbuf) - at))
+	t.ep.ctr.Add(obs.FramesOut, 1)
+	t.ep.ctr.Add(obs.BytesOut, uint64(len(p.wbuf)-at))
 	p.wcnd.Signal()
 }
 
@@ -559,7 +550,7 @@ func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool) {
 		p.rmu.Lock()
 		if sent = t.flushLocal(p) && t.ringPut(p, parts); !sent && !gone() {
 			// push set waiting under rmu, which wake takes to broadcast.
-			tm := time.AfterFunc(100*time.Millisecond, func() { t.ringTimeouts.Add(1); p.rcnd.Broadcast() })
+			tm := time.AfterFunc(100*time.Millisecond, func() { t.ep.ctr.Add(obs.RingTimeouts, 1); p.rcnd.Broadcast() })
 			p.rcnd.Wait()
 			tm.Stop()
 		}
@@ -580,14 +571,14 @@ func (t *wire) ringPut(p *peerConn, parts [][]byte) bool {
 	}
 	pushed, bell := p.ring.push(rec)
 	if pushed && (bell || n > ringMaxRec) {
-		t.ringBells.Add(1)
+		t.ep.ctr.Add(obs.RingDoorbells, 1)
 		t.sockSend(p, false, []byte{fRing})
 	}
 	if pushed && n > ringMaxRec {
-		t.sockFalls.Add(1)
+		t.ep.ctr.Add(obs.SocketFallbacks, 1)
 		t.sockSend(p, false, parts...)
 	} else if pushed {
-		t.ringRecs.Add(1)
+		t.ep.ctr.Add(obs.RingRecords, 1)
 	}
 	return pushed
 }
@@ -1066,7 +1057,7 @@ func (t *wire) drainRing(p *peerConn, reader bool) (sock bool) {
 				})
 			}
 			if used > 0 && r.release(used) {
-				t.ringBells.Add(1)
+				t.ep.ctr.Add(obs.RingDoorbells, 1)
 				t.sockSend(p, false, []byte{fRing})
 			}
 			t.deliver(p)
@@ -1147,16 +1138,11 @@ func (t *wire) close() {
 }
 
 func (t *wire) info() ConduitInfo {
+	c := t.ep.ctr
 	ci := ConduitInfo{
-		Backend:         t.backend,
-		Self:            int(t.self),
-		FramesOut:       t.framesOut.Load(),
-		FramesIn:        t.framesIn.Load(),
-		BytesOut:        t.bytesOut.Load(),
-		BytesIn:         t.bytesIn.Load(),
-		RingRecords:     t.ringRecs.Load(),
-		RingDoorbells:   t.ringBells.Load(),
-		SocketFallbacks: t.sockFalls.Load(),
+		Backend: t.backend, Self: int(t.self),
+		FramesOut: c.Load(obs.FramesOut), FramesIn: c.Load(obs.FramesIn), BytesOut: c.Load(obs.BytesOut), BytesIn: c.Load(obs.BytesIn),
+		RingRecords: c.Load(obs.RingRecords), RingDoorbells: c.Load(obs.RingDoorbells), SocketFallbacks: c.Load(obs.SocketFallbacks),
 	}
 	ci.PeerAddrs = make([]string, t.n)
 	for r, p := range t.peers {

@@ -311,12 +311,12 @@ func newParkedFlood(t *testing.T) *parkedFlood {
 	deadline := time.Now().Add(30 * time.Second)
 	for still, last := 0, uint64(0); still < 50; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("the flood never parked: %d stalls, %d frames out", w.stalls.Load(), w.framesOut.Load())
+			t.Fatalf("the flood never parked: %d stalls, %d frames out", w.ep.ctr.Load(obs.SendStalls), w.ep.ctr.Load(obs.FramesOut))
 		}
 		out.wmu.Lock()
 		full := len(out.wbuf) >= sendBound
 		out.wmu.Unlock()
-		if n := w.framesOut.Load(); full && n == last && w.stalls.Load() > 0 {
+		if n := w.ep.ctr.Load(obs.FramesOut); full && n == last && w.ep.ctr.Load(obs.SendStalls) > 0 {
 			still++
 		} else {
 			still, last = 0, n
@@ -366,12 +366,12 @@ func TestWireSendQueueBound(t *testing.T) {
 	// Two gets from the held rank, the second behind the first: rank 0's
 	// reader takes the second off the socket only when it is done with the
 	// first, reply included — which a reply waiting on the bound never is.
-	in0, done, into := w0.framesIn.Load(), 0, make([]byte, 2*getN)
+	in0, done, into := w0.ep.ctr.Load(obs.FramesIn), 0, make([]byte, 2*getN)
 	ep1.Get(0, 0, into[:getN], func() { done++ })
 	ep1.Get(0, getN, into[getN:], func() { done++ })
-	for deadline := time.Now().Add(10 * time.Second); w0.framesIn.Load() < in0+2; runtime.Gosched() {
+	for deadline := time.Now().Add(10 * time.Second); w0.ep.ctr.Load(obs.FramesIn) < in0+2; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("rank 0's reader took %d of 2 gets with its injector parked: a reply waited on the bound", w0.framesIn.Load()-in0)
+			t.Fatalf("rank 0's reader took %d of 2 gets with its injector parked: a reply waited on the bound", w0.ep.ctr.Load(obs.FramesIn)-in0)
 		}
 	}
 	select {
@@ -393,7 +393,7 @@ func TestWireSendQueueBound(t *testing.T) {
 	if !bytes.Equal(into, src) {
 		t.Error("the gets served by the parked rank returned the wrong bytes")
 	}
-	t.Logf("%d AMs of %d bytes, %d waits on the bound, %d bytes queued when parked", sent, floodAM, w0.stalls.Load(), q0)
+	t.Logf("%d AMs of %d bytes, %d waits on the bound, %d bytes queued when parked", sent, floodAM, w0.ep.ctr.Load(obs.SendStalls), q0)
 }
 
 // TestWireKillUnderSendPark: an injector parked on the bound comes back when

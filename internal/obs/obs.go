@@ -4,14 +4,15 @@
 //
 // The design splits into three mechanisms with three cost profiles:
 //
-//   - Counters: padded atomic counters (one cache line each, so two
-//     personas hammering different counters never false-share) for ops
-//     injected by kind, bytes by kind×direction, completions delivered
-//     by {event}×{flavor}, LPCs per persona, progress passes vs empty
-//     spins, doorbell wakeups, DMA descriptors by hop kind, and wire
-//     messages/bytes per peer. Counting is one atomic add; disabled, the
-//     whole subsystem is a nil pointer and every hook is a single
-//     pointer-load-and-branch.
+//   - Counters: one Table per rank, a padded atomic cell per Counter (one
+//     cache line each, so two goroutines hammering different counters never
+//     false-share). The conduit's traffic counters — operations and bytes,
+//     DMA descriptors by kind, frames, ring records, doorbells — are always
+//     on: every endpoint owns a table whether or not the job keeps stats.
+//     The runtime's — ops injected by kind, completions by {event}×{flavor},
+//     progress passes, task counters — are recorded through a RankObs,
+//     which holds the same table and is nil when stats are off, so each of
+//     those hooks is a pointer-load-and-branch. Counting is one atomic add.
 //
 //   - Op-lifecycle tracing: a fixed-size per-rank ring buffer of
 //     timestamped events. Every operation the single injection path
@@ -134,10 +135,6 @@ const (
 	NumDMAKinds
 )
 
-// DMAD2D is the pre-split name for the direct device↔device kind; the
-// on-node collapse path still counts here.
-const DMAD2D = DMAD2DDirect
-
 var dmaKindNames = [NumDMAKinds]string{"h2d", "d2h", "d2d-direct", "d2d-bounced"}
 
 func (k DMAKind) String() string {
@@ -178,6 +175,119 @@ func (s TaskStat) String() string {
 	return "task-stat?"
 }
 
+// Counter indexes one cell of a rank's counter Table. A counter is its
+// constant below and its name in counterNames ("group.key": the snapshot's
+// JSON key, and Fprint's line and label); the kind-indexed families follow
+// the scalars. Snapshot, Merge, Delta, JSON and Fprint loop over the table.
+type Counter uint8
+
+const (
+	// Conduit traffic (internal/gasnet), always on — the Endpoint.Stats view:
+	// operations this rank injected and their payload bytes (copies count as
+	// puts; an AMO moves 8 bytes and counts none).
+	Puts Counter = iota
+	PutBytes
+	Gets
+	GetBytes
+	AMs
+	AMBytes
+	AMOs
+	// Transport (the wire backend), always on — the ConduitInfo view: socket
+	// frames each way (doorbells included, counted where they join a send
+	// queue) and their bytes with length prefixes; shm ring records, fRing
+	// frames sent, frames too large for a record; injectors' waits on a full
+	// socket queue and waits on a full ring the backstop timer ended.
+	FramesOut
+	FramesIn
+	BytesOut
+	BytesIn
+	RingRecords
+	RingDoorbells
+	SocketFallbacks
+	SendStalls
+	RingTimeouts
+	// Runtime progress (Config.Stats): user-level passes, the subset that
+	// processed nothing, idle yields (a wait polled on instead of parking),
+	// doorbell wake-ups (a park Ring ended, not its timeout), and doorbell
+	// deposits (a Ring that found the slot empty: per batch, not per op).
+	ProgressPasses
+	EmptyPasses
+	IdleYields
+	Wakeups
+	DoorbellRings
+	// Fused reduction folds (Config.Stats): device kernel launches that
+	// folded a tree round's landed children at once, and those children.
+	FusedFolds
+	FusedChildren
+	// dmaBase starts the families: device copy-engine descriptors executed
+	// by this rank's engine and their bytes, by DMAKind (always on); ops
+	// injected and their payload bytes, tx at the initiator and rx where
+	// they land, by OpKind; completions by CxEvent × CxVia; task-runtime
+	// counters by TaskStat (Config.Stats).
+	dmaBase
+)
+
+const (
+	dmaBytesBase = dmaBase + Counter(NumDMAKinds)
+	opsBase      = dmaBytesBase + Counter(NumDMAKinds)
+	txBase       = opsBase + Counter(NumOpKinds)
+	rxBase       = txBase + Counter(NumOpKinds)
+	cxBase       = rxBase + Counter(NumOpKinds)
+	taskBase     = cxBase + Counter(NumCxEvents)*Counter(NumCxVias)
+	NumCounters  = taskBase + Counter(NumTaskStats)
+)
+
+// Descriptors and Bytes index kind k's DMA descriptors and their bytes.
+func (k DMAKind) Descriptors() Counter { return dmaBase + Counter(k) }
+func (k DMAKind) Bytes() Counter       { return dmaBytesBase + Counter(k) }
+
+// Ops, TxBytes and RxBytes index kind k's injected ops and payload bytes.
+func (k OpKind) Ops() Counter     { return opsBase + Counter(k) }
+func (k OpKind) TxBytes() Counter { return txBase + Counter(k) }
+func (k OpKind) RxBytes() Counter { return rxBase + Counter(k) }
+
+// Via indexes the completions of event e delivered via v.
+func (e CxEvent) Via(v CxVia) Counter { return cxBase + Counter(e)*Counter(NumCxVias) + Counter(v) }
+
+// Counter indexes task-runtime stat s.
+func (s TaskStat) Counter() Counter { return taskBase + Counter(s) }
+
+var counterNames = func() [NumCounters]string {
+	n := [NumCounters]string{
+		Puts: "conduit.puts", PutBytes: "conduit.put_bytes", Gets: "conduit.gets", GetBytes: "conduit.get_bytes",
+		AMs: "conduit.ams", AMBytes: "conduit.am_bytes", AMOs: "conduit.amos",
+		FramesOut: "wire.frames_out", FramesIn: "wire.frames_in", BytesOut: "wire.bytes_out", BytesIn: "wire.bytes_in",
+		RingRecords: "wire.ring_records", RingDoorbells: "wire.ring_doorbells", SocketFallbacks: "wire.socket_fallbacks",
+		SendStalls: "wire.send_stalls", RingTimeouts: "wire.ring_timeouts",
+		ProgressPasses: "progress.passes", EmptyPasses: "progress.empty", IdleYields: "progress.yields",
+		Wakeups: "progress.wakeups", DoorbellRings: "progress.rings",
+		FusedFolds: "fused.folds", FusedChildren: "fused.children",
+	}
+	for k := range NumDMAKinds {
+		n[k.Descriptors()], n[k.Bytes()] = "dma."+k.String(), "dma_bytes."+k.String()
+	}
+	for k := range NumOpKinds {
+		n[k.Ops()], n[k.TxBytes()], n[k.RxBytes()] = "ops."+k.String(), "tx_bytes."+k.String(), "rx_bytes."+k.String()
+	}
+	for e := range NumCxEvents {
+		for v := range NumCxVias {
+			n[e.Via(v)] = "cx." + e.String() + "_" + v.String()
+		}
+	}
+	for s := range NumTaskStats {
+		n[s.Counter()] = "task." + s.String()
+	}
+	return n
+}()
+
+// String returns the counter's "group.key" name.
+func (c Counter) String() string {
+	if c < NumCounters {
+		return counterNames[c]
+	}
+	return "counter?"
+}
+
 // Count is a cache-line-padded atomic counter: hot counters incremented
 // by different goroutines must not share a line.
 type Count struct {
@@ -190,6 +300,24 @@ func (c *Count) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Count) Load() uint64 { return c.v.Load() }
+
+// Table is one rank's counters, a padded cell per Counter. The rank's
+// endpoint owns it; a RankObs records into the same one.
+type Table [NumCounters]Count
+
+// Add adds n to counter c.
+func (t *Table) Add(c Counter, n uint64) { t[c].v.Add(n) }
+
+// Load returns counter c.
+func (t *Table) Load(c Counter) uint64 { return t[c].v.Load() }
+
+// Values copies the table.
+func (t *Table) Values() (v Values) {
+	for c := range t {
+		v[c] = t[c].v.Load()
+	}
+	return v
+}
 
 // PersonaCount is one persona's LPC accounting, registered with the
 // owning rank's recorder at persona creation.
@@ -268,43 +396,12 @@ func (ob *Obs) ArmAll(on bool) {
 // registry): concurrent recording from any number of goroutines is
 // race-clean by construction.
 type RankObs struct {
+	// Table is the rank's counters; the rank's endpoint records its
+	// always-on traffic counters into it too.
+	Table
+
 	o    *Obs
 	rank int32
-
-	// Ops injected by kind, with payload bytes by direction: tx at the
-	// initiator when the op is handed to the conduit, rx at the
-	// destination when the bytes land.
-	ops     [NumOpKinds]Count
-	txBytes [NumOpKinds]Count
-	rxBytes [NumOpKinds]Count
-
-	// Completions delivered, by event × flavor.
-	cx [NumCxEvents][NumCxVias]Count
-
-	// Progress accounting: user-level progress passes, the subset that
-	// processed nothing (empty spins), conduit doorbell wakeups, the yields
-	// idle waiters made instead of parking (a wait was polled or parked), and
-	// doorbell deposits (rings that found the slot empty — coalesced, so
-	// a batch of completions rings once, not once per op).
-	passes  Count
-	empties Count
-	wakeups Count
-	yields  Count
-	rings   Count
-
-	// Device copy-engine descriptors executed by this rank's engine, by
-	// hop kind.
-	dma      [NumDMAKinds]Count
-	dmaBytes [NumDMAKinds]Count
-
-	// Fused reduction folds executed on this rank's device: kernel
-	// launches and the child operands they consumed (a fused launch
-	// folds every landed child of a tree round at once).
-	fusedFolds    Count
-	fusedChildren Count
-
-	// Distributed task runtime counters (internal/task), by TaskStat.
-	tasks [NumTaskStats]Count
 
 	// Wire messages and payload bytes by peer, both directions.
 	wireTxMsgs  []Count
@@ -344,50 +441,6 @@ func (ro *RankObs) Persona(name string) *PersonaCount {
 	return pc
 }
 
-// CountOp counts one injected operation of kind k with no payload
-// accounting (whole collectives, collective tree rounds).
-func (ro *RankObs) CountOp(k OpKind) { ro.ops[k].Add(1) }
-
-// Pass counts one user-level progress pass; empty marks a pass that
-// processed nothing.
-func (ro *RankObs) Pass(empty bool) {
-	ro.passes.Add(1)
-	if empty {
-		ro.empties.Add(1)
-	}
-}
-
-// Wakeup counts one doorbell wakeup (a WaitPending unblocked by Ring
-// rather than its timeout).
-func (ro *RankObs) Wakeup() { ro.wakeups.Add(1) }
-
-// IdleYield counts one yield of an idle waiter (Endpoint.Yield): an empty
-// pass that polled on instead of parking.
-func (ro *RankObs) IdleYield() { ro.yields.Add(1) }
-
-// Ring counts one doorbell deposit: a Ring call that found the 1-slot
-// doorbell empty. Rings while a token is already pending coalesce into
-// the deposited one and are not counted, so the counter reads as
-// progress-thread wakeups *caused*, per batch rather than per op.
-func (ro *RankObs) Ring() { ro.rings.Add(1) }
-
-// DMA counts one device copy-engine descriptor executed by this rank's
-// engine.
-func (ro *RankObs) DMA(k DMAKind, bytes int) {
-	ro.dma[k].Add(1)
-	ro.dmaBytes[k].Add(uint64(bytes))
-}
-
-// FusedFold counts one fused reduction kernel launch that folded
-// `children` child operands on this rank's device.
-func (ro *RankObs) FusedFold(children int) {
-	ro.fusedFolds.Add(1)
-	ro.fusedChildren.Add(uint64(children))
-}
-
-// CountTask adds n to one task-runtime counter.
-func (ro *RankObs) CountTask(s TaskStat, n int) { ro.tasks[s].Add(uint64(n)) }
-
 // TaskStart accounts one task spawned at this rank and, while tracing is
 // armed and the 1-in-N sampler selects it, records the spawn event and
 // returns the nonzero trace ID that rides the task's descriptor through
@@ -395,7 +448,7 @@ func (ro *RankObs) CountTask(s TaskStat, n int) { ro.tasks[s].Add(uint64(n)) }
 // size: a spawn marshals it straight into its message). Task trace IDs share
 // the rank's op sequence space: no collision with a traced operation's timeline.
 func (ro *RankObs) TaskStart() uint64 {
-	ro.tasks[TaskSpawned].Add(1)
+	ro.Add(TaskSpawned.Counter(), 1)
 	seq := ro.seq.Add(1)
 	if ro.armed.Load() && seq%ro.o.sample == 0 {
 		ro.ring.record(Event{ID: seq, Stage: StageTaskSpawn, Kind: KindTask, At: ro.rank, T: ro.now()})
@@ -433,9 +486,6 @@ func (ob *Obs) wire(from, to int32, n int) {
 	tro.wireRxBytes[from].Add(uint64(n))
 }
 
-// Completion counts one delivered completion.
-func (ro *RankObs) Completion(ev CxEvent, via CxVia) { ro.cx[ev][via].Add(1) }
-
 // now returns nanoseconds since the job epoch.
 func (ro *RankObs) now() int64 { return int64(time.Since(ro.o.epoch)) }
 
@@ -444,8 +494,8 @@ func (ro *RankObs) now() int64 { return int64(time.Since(ro.o.epoch)) }
 // latency histograms always, a nonzero ID when tracing is armed and the
 // 1-in-N sampler selects this op (the inject event is recorded here).
 func (ro *RankObs) OpStart(k OpKind, n int) OpTag {
-	ro.ops[k].Add(1)
-	ro.txBytes[k].Add(uint64(n))
+	ro.Add(k.Ops(), 1)
+	ro.Add(k.TxBytes(), uint64(n))
 	seq := ro.seq.Add(1)
 	tag := OpTag{Rec: ro, T0: ro.now(), Kind: k}
 	if ro.armed.Load() && seq%ro.o.sample == 0 {
@@ -503,7 +553,7 @@ func (t OpTag) Landing(at int32, n int) {
 	if t.Rec == nil {
 		return
 	}
-	t.Rec.o.ranks[at].rxBytes[t.Kind].Add(uint64(n))
+	t.Rec.o.ranks[at].Add(t.Kind.RxBytes(), uint64(n))
 	now := t.Rec.now()
 	t.Rec.histLand.Record(t.Kind, n, now-t.T0)
 	if t.ID != 0 {

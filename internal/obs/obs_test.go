@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -29,9 +29,13 @@ func TestCountersConcurrent(t *testing.T) {
 				tag := ro.OpStart(KindPut, 8)
 				ro.OpDone(tag, 8)
 				tag.Landing(1, 8)
-				ro.Completion(EvOp, ViaFuture)
-				ro.Pass(j%2 == 0)
-				ro.DMA(DMAH2D, 16)
+				ro.Add(EvOp.Via(ViaFuture), 1)
+				ro.Add(ProgressPasses, 1)
+				if j%2 == 0 {
+					ro.Add(EmptyPasses, 1)
+				}
+				ro.Add(DMAH2D.Descriptors(), 1)
+				ro.Add(DMAH2D.Bytes(), 16)
 				pcs[i].Enq.Add(1)
 				pcs[i].Exec.Add(1)
 			}
@@ -40,25 +44,18 @@ func TestCountersConcurrent(t *testing.T) {
 	wg.Wait()
 	s := ro.Snapshot()
 	total := uint64(workers * per)
-	if s.Ops[KindPut] != total {
-		t.Errorf("Ops[put] = %d, want %d", s.Ops[KindPut], total)
-	}
-	if s.TxBytes[KindPut] != 8*total {
-		t.Errorf("TxBytes[put] = %d, want %d", s.TxBytes[KindPut], 8*total)
-	}
-	if s.Cx[EvOp][ViaFuture] != total {
-		t.Errorf("Cx[op][future] = %d, want %d", s.Cx[EvOp][ViaFuture], total)
-	}
-	if s.ProgressPasses != total || s.EmptyPasses != total/2 {
-		t.Errorf("passes = %d/%d empty, want %d/%d", s.ProgressPasses, s.EmptyPasses, total, total/2)
-	}
-	if s.DMA[DMAH2D] != total || s.DMABytes[DMAH2D] != 16*total {
-		t.Errorf("DMA[h2d] = %d/%d B, want %d/%d B", s.DMA[DMAH2D], s.DMABytes[DMAH2D], total, 16*total)
+	for c, want := range map[Counter]uint64{
+		KindPut.Ops(): total, KindPut.TxBytes(): 8 * total, EvOp.Via(ViaFuture): total,
+		ProgressPasses: total, EmptyPasses: total / 2, DMAH2D.Descriptors(): total, DMAH2D.Bytes(): 16 * total,
+	} {
+		if s.Counters[c] != want {
+			t.Errorf("%s = %d, want %d", c, s.Counters[c], want)
+		}
 	}
 	// Landings were recorded at rank 1; its rx bytes carry the total.
 	s1 := ob.Rank(1).Snapshot()
-	if s1.RxBytes[KindPut] != 8*total {
-		t.Errorf("rank 1 RxBytes[put] = %d, want %d", s1.RxBytes[KindPut], 8*total)
+	if got := s1.Counters[KindPut.RxBytes()]; got != 8*total {
+		t.Errorf("rank 1 rx_bytes.put = %d, want %d", got, 8*total)
 	}
 	// The same-name persona counters aggregate into one snapshot line.
 	if len(s.Personas) != 1 || s.Personas[0].Enq != total || s.Personas[0].Exec != total {
@@ -131,7 +128,7 @@ func TestHistogramMerge(t *testing.T) {
 	r0.histDone.Record(KindPut, 8, 3000)
 	r1.histDone.Record(KindPut, 8, 5000)
 	r1.histDone.Record(KindGet, 1<<20, 7000)
-	m := ob.Merged()
+	m := Merged([]Snapshot{r0.Snapshot(), r1.Snapshot()})
 	if m.Rank != -1 || m.Ranks != 2 {
 		t.Errorf("merged identity = rank %d over %d, want -1 over 2", m.Rank, m.Ranks)
 	}
@@ -170,7 +167,7 @@ func TestMergeQualifiesTraceIDs(t *testing.T) {
 	}
 
 	s0, s1 := r0.Snapshot(), r1.Snapshot()
-	m := ob.Merged()
+	m := Merged([]Snapshot{r0.Snapshot(), r1.Snapshot()})
 	ids := m.TracedOps()
 	if len(ids) != 2 {
 		t.Fatalf("merged TracedOps = %v, want 2 distinct ids", ids)
@@ -206,8 +203,9 @@ func TestMergeQualifiesTraceIDs(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaAndJSON checks counter deltas and the JSON round
-// trip of a snapshot.
+// TestSnapshotDeltaAndJSON checks what a snapshot carries besides its
+// counters (TestCounterTable has those): the exact latency totals survive
+// the JSON round trip, and Delta carries them from the later snapshot.
 func TestSnapshotDeltaAndJSON(t *testing.T) {
 	ob := New(1, Options{})
 	ro := ob.Rank(0)
@@ -218,9 +216,8 @@ func TestSnapshotDeltaAndJSON(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ro.OpDone(ro.OpStart(KindAM, 32), 32)
 	}
-	d := ro.Snapshot().Delta(before)
-	if d.Ops[KindAM] != 3 || d.TxBytes[KindAM] != 96 {
-		t.Errorf("delta ops/bytes = %d/%d, want 3/96", d.Ops[KindAM], d.TxBytes[KindAM])
+	if d := ro.Snapshot().Delta(before); d.LatN[HistDone][KindAM] != 8 || d.HistCount(HistDone, KindAM) != 8 {
+		t.Errorf("delta latN/hist = %d/%d, want both carried at 8", d.LatN[HistDone][KindAM], d.HistCount(HistDone, KindAM))
 	}
 	buf, err := ro.Snapshot().JSON()
 	if err != nil {
@@ -230,8 +227,54 @@ func TestSnapshotDeltaAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Ops[KindAM] != 8 || back.LatN[HistDone][KindAM] != 8 {
-		t.Errorf("round-tripped ops/latN = %d/%d, want 8/8", back.Ops[KindAM], back.LatN[HistDone][KindAM])
+	if back.Counters[KindAM.Ops()] != 8 || back.LatN[HistDone][KindAM] != 8 {
+		t.Errorf("round-tripped ops/latN = %d/%d, want 8/8", back.Counters[KindAM.Ops()], back.LatN[HistDone][KindAM])
+	}
+}
+
+// TestCounterTable is the table's property test: for every Counter, its
+// name is unique and "group.key"; a snapshot holding only that counter
+// round-trips through JSON, which names it and omits every zero; Merge sums
+// it, Delta takes the merge back; Fprint names it under its group.
+func TestCounterTable(t *testing.T) {
+	seen := map[string]bool{}
+	for c := range NumCounters {
+		name := c.String()
+		group, key, ok := strings.Cut(name, ".")
+		if !ok || group == "" || key == "" || seen[name] {
+			t.Fatalf("counter %d: name %q is not a unique group.key", c, name)
+		}
+		seen[name] = true
+
+		var one, two Snapshot
+		one.Counters[c], two.Counters[c] = 7, 5
+		b, err := json.Marshal(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Snapshot
+		if err := json.Unmarshal(b, &back); err != nil || back.Counters != one.Counters {
+			t.Errorf("%s: JSON round trip = %v (%v), want only it at 7", name, back.Counters, err)
+		}
+		var raw struct{ Counters map[string]uint64 }
+		if json.Unmarshal(b, &raw); len(raw.Counters) != 1 || raw.Counters[name] != 7 {
+			t.Errorf("%s: JSON counters %v, want {%q: 7} and the zeros omitted", name, raw.Counters, name)
+		}
+
+		m := one
+		m.Merge(&two)
+		var sum Values
+		sum[c] = 12
+		if m.Counters != sum {
+			t.Errorf("%s: Merge = %v, want only it at 12", name, m.Counters)
+		}
+		if d := m.Delta(two); d.Counters != one.Counters {
+			t.Errorf("%s: Delta(Merge) = %v, want the snapshot merged into", name, d.Counters)
+		}
+
+		if out := one.String(); !strings.Contains(out, "\n"+group+":") || !strings.Contains(out, " "+key+"=7") {
+			t.Errorf("%s: Fprint does not name it:\n%s", name, out)
+		}
 	}
 }
 
@@ -275,65 +318,14 @@ func TestArmedConcurrentTracing(t *testing.T) {
 	}
 	wg.Wait()
 	s := ro.Snapshot()
-	if s.Ops[KindCopy] != 400 {
-		t.Errorf("Ops[copy] = %d, want 400", s.Ops[KindCopy])
+	if n := s.Counters[KindCopy.Ops()]; n != 400 {
+		t.Errorf("ops.copy = %d, want 400", n)
 	}
 	if len(s.Trace) == 0 {
 		t.Error("armed tracing buffered no events")
 	}
 	if s.TraceDropped == 0 {
 		t.Error("expected drops from a 32-deep ring under 1600 events")
-	}
-}
-
-// TestTaskCountersZeroValueOmission pins the task counters' back-compat
-// contract: a rank that never touched the task runtime marshals with no
-// "tasks" field at all (so pre-task-runtime decoders and Merge peers see
-// exactly the shape they always did), while a rank that did records a
-// dense TaskStat-indexed vector that Merge and Delta fold elementwise.
-func TestTaskCountersZeroValueOmission(t *testing.T) {
-	ob := New(2, Options{})
-	idle := ob.Rank(0).Snapshot()
-	b, err := json.Marshal(idle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(b, []byte(`"tasks"`)) {
-		t.Fatalf("idle snapshot leaked a tasks field: %s", b)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Tasks != nil {
-		t.Fatalf("decoded idle snapshot grew Tasks = %v", back.Tasks)
-	}
-
-	busy := ob.Rank(1)
-	busy.CountTask(TaskSpawned, 3)
-	busy.CountTask(TaskExecuted, 2)
-	busy.CountTask(TaskStealFails, 1)
-	bs := busy.Snapshot()
-	if len(bs.Tasks) != int(NumTaskStats) || bs.Tasks[TaskSpawned] != 3 || bs.Tasks[TaskStealFails] != 1 {
-		t.Fatalf("busy snapshot tasks = %v", bs.Tasks)
-	}
-
-	// Merging idle (no field) into busy and busy into idle both work.
-	m := idle
-	m.Merge(&bs)
-	if m.Tasks[TaskExecuted] != 2 {
-		t.Fatalf("merge idle←busy tasks = %v", m.Tasks)
-	}
-	m2 := bs
-	m2.Merge(&idle)
-	if m2.Tasks[TaskSpawned] != 3 {
-		t.Fatalf("merge busy←idle tasks = %v", m2.Tasks)
-	}
-
-	busy.CountTask(TaskSpawned, 4)
-	d := busy.Snapshot().Delta(bs)
-	if d.Tasks[TaskSpawned] != 4 || d.Tasks[TaskExecuted] != 0 {
-		t.Fatalf("delta tasks = %v", d.Tasks)
 	}
 }
 

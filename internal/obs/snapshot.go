@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 )
 
 // PersonaStat is one persona's LPC totals in a snapshot, aggregated by
@@ -36,35 +37,10 @@ type Snapshot struct {
 	// Ranks is how many ranks' state this snapshot aggregates.
 	Ranks int `json:"ranks"`
 
-	Ops     [NumOpKinds]uint64 `json:"ops"`
-	TxBytes [NumOpKinds]uint64 `json:"tx_bytes"`
-	RxBytes [NumOpKinds]uint64 `json:"rx_bytes"`
-
-	Cx [NumCxEvents][NumCxVias]uint64 `json:"cx"`
+	// Counters is the rank's counter table (see Counter), summed by Merge.
+	Counters Values `json:"counters"`
 
 	Personas []PersonaStat `json:"personas,omitempty"`
-
-	ProgressPasses uint64 `json:"progress_passes"`
-	EmptyPasses    uint64 `json:"empty_passes"`
-	Wakeups        uint64 `json:"wakeups"`
-	IdleYields     uint64 `json:"idle_yields,omitempty"`
-	DoorbellRings  uint64 `json:"doorbell_rings"`
-
-	DMA      [NumDMAKinds]uint64 `json:"dma"`
-	DMABytes [NumDMAKinds]uint64 `json:"dma_bytes"`
-
-	// Fused reduction folds: device kernel launches that folded a whole
-	// tree round's landed children at once, and the child operands they
-	// consumed. Decoders of pre-split snapshots see zeros (omitempty).
-	FusedFolds    uint64 `json:"fused_folds,omitempty"`
-	FusedChildren uint64 `json:"fused_fold_children,omitempty"`
-
-	// Tasks is the distributed task runtime's counters indexed by
-	// TaskStat, present only when the rank ran tasks: a rank (or a
-	// pre-task-runtime snapshot) that never touched the runtime omits the
-	// field entirely, so decoders and Merge peers of either vintage
-	// interoperate (the zero-value omission test pins this).
-	Tasks []uint64 `json:"tasks,omitempty"`
 
 	Wire []PeerWire `json:"wire,omitempty"`
 
@@ -79,39 +55,37 @@ type Snapshot struct {
 	TraceDropped uint64  `json:"trace_dropped,omitempty"`
 }
 
+// Values is a counter table's contents, indexed by Counter. In JSON it is
+// an object of the nonzero counters by name.
+type Values [NumCounters]uint64
+
+// MarshalJSON encodes the nonzero counters by name.
+func (v Values) MarshalJSON() ([]byte, error) {
+	m := map[string]uint64{}
+	for c, n := range v {
+		if n != 0 {
+			m[Counter(c).String()] = n
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes counters by name; a name this table lacks is dropped.
+func (v *Values) UnmarshalJSON(b []byte) error {
+	var m map[string]uint64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	for c := range v {
+		v[c] = m[Counter(c).String()]
+	}
+	return nil
+}
+
 // Snapshot captures the rank's current state, including a copy of the
 // trace ring.
 func (ro *RankObs) Snapshot() Snapshot {
-	s := Snapshot{Rank: ro.rank, Ranks: 1}
-	for k := range s.Ops {
-		s.Ops[k] = ro.ops[k].Load()
-		s.TxBytes[k] = ro.txBytes[k].Load()
-		s.RxBytes[k] = ro.rxBytes[k].Load()
-	}
-	for e := range s.Cx {
-		for v := range s.Cx[e] {
-			s.Cx[e][v] = ro.cx[e][v].Load()
-		}
-	}
-	s.ProgressPasses = ro.passes.Load()
-	s.EmptyPasses = ro.empties.Load()
-	s.Wakeups = ro.wakeups.Load()
-	s.IdleYields = ro.yields.Load()
-	s.DoorbellRings = ro.rings.Load()
-	for k := range s.DMA {
-		s.DMA[k] = ro.dma[k].Load()
-		s.DMABytes[k] = ro.dmaBytes[k].Load()
-	}
-	s.FusedFolds = ro.fusedFolds.Load()
-	s.FusedChildren = ro.fusedChildren.Load()
-	for st := TaskStat(0); st < NumTaskStats; st++ {
-		if v := ro.tasks[st].Load(); v != 0 {
-			if s.Tasks == nil {
-				s.Tasks = make([]uint64, NumTaskStats)
-			}
-			s.Tasks[st] = v
-		}
-	}
+	s := Snapshot{Rank: ro.rank, Ranks: 1, Counters: ro.Values()}
 	for p := range ro.wireTxMsgs {
 		pw := PeerWire{
 			Peer:    int32(p),
@@ -147,30 +121,15 @@ func (ro *RankObs) Snapshot() Snapshot {
 	return s
 }
 
-// SnapshotAll captures every rank.
-func (ob *Obs) SnapshotAll() []Snapshot {
-	out := make([]Snapshot, len(ob.ranks))
-	for i, ro := range ob.ranks {
-		out[i] = ro.Snapshot()
+// Merged folds per-rank snapshots into one job-wide snapshot (the first's
+// slices are reused); one rank's stays that rank's.
+func Merged(ss []Snapshot) Snapshot {
+	if len(ss) == 0 {
+		return Snapshot{Rank: -1}
 	}
-	return out
-}
-
-// Merged captures every rank and merges them into one job-wide snapshot.
-func (ob *Obs) Merged() Snapshot {
-	var m Snapshot
-	first := true
-	for _, ro := range ob.ranks {
-		s := ro.Snapshot()
-		if first {
-			m = s
-			first = false
-			continue
-		}
-		m.Merge(&s)
-	}
-	if len(ob.ranks) != 1 {
-		m.Rank = -1
+	m := ss[0]
+	for i := range ss[1:] {
+		m.Merge(&ss[1+i])
 	}
 	return m
 }
@@ -208,34 +167,8 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.qualifyTrace()
 	s.Rank = -1
 	s.Ranks += o.Ranks
-	for k := range s.Ops {
-		s.Ops[k] += o.Ops[k]
-		s.TxBytes[k] += o.TxBytes[k]
-		s.RxBytes[k] += o.RxBytes[k]
-	}
-	for e := range s.Cx {
-		for v := range s.Cx[e] {
-			s.Cx[e][v] += o.Cx[e][v]
-		}
-	}
-	s.ProgressPasses += o.ProgressPasses
-	s.EmptyPasses += o.EmptyPasses
-	s.Wakeups += o.Wakeups
-	s.IdleYields += o.IdleYields
-	s.DoorbellRings += o.DoorbellRings
-	for k := range s.DMA {
-		s.DMA[k] += o.DMA[k]
-		s.DMABytes[k] += o.DMABytes[k]
-	}
-	s.FusedFolds += o.FusedFolds
-	s.FusedChildren += o.FusedChildren
-	if len(o.Tasks) > 0 {
-		if len(s.Tasks) < len(o.Tasks) {
-			s.Tasks = append(s.Tasks, make([]uint64, len(o.Tasks)-len(s.Tasks))...)
-		}
-		for st, v := range o.Tasks {
-			s.Tasks[st] += v
-		}
+	for c := range s.Counters {
+		s.Counters[c] += o.Counters[c]
 	}
 	wire := map[int32]*PeerWire{}
 	for i := range s.Wire {
@@ -316,40 +249,14 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.TraceDropped += o.TraceDropped
 }
 
-// Delta returns s minus prev over the monotone counters (ops, bytes,
-// completions, progress, DMA, wire, personas). Histograms and traces are
+// Delta returns s minus prev over the monotone counters (the table, per-peer
+// wire, personas). Histograms and traces are
 // carried from s unchanged: deltas of sparse cells are rarely what a
 // caller wants, and traces are already windowed by the ring.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	d := s
-	for k := range d.Ops {
-		d.Ops[k] -= prev.Ops[k]
-		d.TxBytes[k] -= prev.TxBytes[k]
-		d.RxBytes[k] -= prev.RxBytes[k]
-	}
-	for e := range d.Cx {
-		for v := range d.Cx[e] {
-			d.Cx[e][v] -= prev.Cx[e][v]
-		}
-	}
-	d.ProgressPasses -= prev.ProgressPasses
-	d.EmptyPasses -= prev.EmptyPasses
-	d.Wakeups -= prev.Wakeups
-	d.IdleYields -= prev.IdleYields
-	d.DoorbellRings -= prev.DoorbellRings
-	for k := range d.DMA {
-		d.DMA[k] -= prev.DMA[k]
-		d.DMABytes[k] -= prev.DMABytes[k]
-	}
-	d.FusedFolds -= prev.FusedFolds
-	d.FusedChildren -= prev.FusedChildren
-	if len(s.Tasks) > 0 {
-		d.Tasks = append([]uint64(nil), s.Tasks...)
-		for st := range d.Tasks {
-			if st < len(prev.Tasks) {
-				d.Tasks[st] -= prev.Tasks[st]
-			}
-		}
+	for c := range d.Counters {
+		d.Counters[c] -= prev.Counters[c]
 	}
 	d.Wire = append([]PeerWire(nil), s.Wire...)
 	for i := range d.Wire {
@@ -472,67 +379,37 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Fprint writes a human-readable dump of the snapshot: counters that are
-// nonzero, completion matrix, per-persona LPCs, wire traffic, histogram
-// summaries, and (when tracing was armed) a sample causal timeline.
+// Fprint writes a human-readable dump of the snapshot: the nonzero counters,
+// a line per group ("group: key=n ..."), per-persona LPCs, wire traffic,
+// histogram summaries, and (when tracing was armed) a sample causal timeline.
 func Fprint(w io.Writer, s Snapshot) {
 	if s.Rank >= 0 {
 		fmt.Fprintf(w, "== obs: rank %d ==\n", s.Rank)
 	} else {
 		fmt.Fprintf(w, "== obs: %d ranks merged ==\n", s.Ranks)
 	}
-	fmt.Fprintf(w, "ops injected:")
-	any := false
-	for k := OpKind(0); k < NumOpKinds; k++ {
-		if s.Ops[k] != 0 {
-			fmt.Fprintf(w, " %s=%d", k, s.Ops[k])
-			any = true
+	var group, line string
+	flush := func() {
+		if line != "" {
+			fmt.Fprintf(w, "%s:%s\n", group, line)
+		}
+		line = ""
+	}
+	for c := range NumCounters {
+		g, key, _ := strings.Cut(c.String(), ".")
+		if g != group {
+			flush()
+			group = g
+		}
+		if n := s.Counters[c]; n != 0 {
+			line += fmt.Sprintf(" %s=%d", key, n)
 		}
 	}
-	if !any {
-		fmt.Fprintf(w, " none")
-	}
-	fmt.Fprintln(w)
-	for k := OpKind(0); k < NumOpKinds; k++ {
-		if s.TxBytes[k] != 0 || s.RxBytes[k] != 0 {
-			fmt.Fprintf(w, "bytes %-10s tx=%-10d rx=%d\n", k.String(), s.TxBytes[k], s.RxBytes[k])
-		}
-	}
-	for e := CxEvent(0); e < NumCxEvents; e++ {
-		for v := CxVia(0); v < NumCxVias; v++ {
-			if s.Cx[e][v] != 0 {
-				fmt.Fprintf(w, "cx %s×%s: %d\n", e, v, s.Cx[e][v])
-			}
-		}
-	}
+	flush()
 	for _, ps := range s.Personas {
 		if ps.Enq != 0 || ps.Exec != 0 {
 			fmt.Fprintf(w, "persona %-12s lpc enq=%-8d exec=%d\n", ps.Name, ps.Enq, ps.Exec)
 		}
-	}
-	if s.ProgressPasses != 0 {
-		fmt.Fprintf(w, "progress: passes=%d empty=%d yields=%d wakeups=%d rings=%d\n",
-			s.ProgressPasses, s.EmptyPasses, s.IdleYields, s.Wakeups, s.DoorbellRings)
-	}
-	for k := DMAKind(0); k < NumDMAKinds; k++ {
-		if s.DMA[k] != 0 {
-			fmt.Fprintf(w, "dma %s: descriptors=%d bytes=%d\n", k, s.DMA[k], s.DMABytes[k])
-		}
-	}
-	if s.FusedFolds != 0 {
-		fmt.Fprintf(w, "dma fused-folds: launches=%d children=%d\n", s.FusedFolds, s.FusedChildren)
-	}
-	if len(s.Tasks) > 0 {
-		task := func(st TaskStat) uint64 {
-			if int(st) < len(s.Tasks) {
-				return s.Tasks[st]
-			}
-			return 0
-		}
-		fmt.Fprintf(w, "tasks: spawned=%d executed=%d stolen=%d migrated=%d\n",
-			task(TaskSpawned), task(TaskExecuted), task(TaskStolen), task(TaskMigrated))
-		fmt.Fprintf(w, "steals: reqs=%d fails=%d detector-rounds=%d\n",
-			task(TaskStealReqs), task(TaskStealFails), task(TaskDetectRounds))
 	}
 	for _, pw := range s.Wire {
 		fmt.Fprintf(w, "wire peer %-3d tx=%d msgs/%d B  rx=%d msgs/%d B\n",

@@ -34,11 +34,11 @@ func TestCholV1DeviceMatchesDense(t *testing.T) {
 			}
 		})
 		checkL(t, prob.A.N, want, results)
-		if snap.DMA[obs.DMAD2DBounced] != 0 {
+		if snap.Counters[obs.DMAD2DBounced.Descriptors()] != 0 {
 			t.Fatalf("P=%d: %d bounced d2d descriptors on a GPUDirect world",
-				P, snap.DMA[obs.DMAD2DBounced])
+				P, snap.Counters[obs.DMAD2DBounced.Descriptors()])
 		}
-		if snap.DMA[obs.DMAD2DDirect] == 0 {
+		if snap.Counters[obs.DMAD2DDirect.Descriptors()] == 0 {
 			t.Fatalf("P=%d: no direct d2d descriptors — CB pushes left the device path", P)
 		}
 	}
@@ -63,7 +63,7 @@ func TestCholV1DeviceBouncedWorld(t *testing.T) {
 		}
 	})
 	checkL(t, prob.A.N, want, results)
-	if snap.DMA[obs.DMAD2DBounced] == 0 {
+	if snap.Counters[obs.DMAD2DBounced.Descriptors()] == 0 {
 		t.Fatal("no bounced d2d descriptors — expected cross-rank CB pushes to stage")
 	}
 }

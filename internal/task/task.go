@@ -256,7 +256,7 @@ func (rt *Runtime) hop(r rec, stage obs.Stage, bytes int) {
 
 func (rt *Runtime) count(s obs.TaskStat, n int) {
 	if ro := rt.rk.RankObs(); ro != nil {
-		ro.CountTask(s, n)
+		ro.Add(s.Counter(), uint64(n))
 	}
 }
 

@@ -194,10 +194,8 @@ func TestTaskStealMovesWork(t *testing.T) {
 				rk.Barrier()
 				if rk.Me() == 0 {
 					s := rk.World().StatsMerged()
-					if len(s.Tasks) > 0 {
-						stolen = s.Tasks[obs.TaskStolen]
-						migrated = s.Tasks[obs.TaskMigrated]
-					}
+					stolen = s.Counters[obs.TaskStolen.Counter()]
+					migrated = s.Counters[obs.TaskMigrated.Counter()]
 				}
 			})
 			total := int64(0)
@@ -282,7 +280,7 @@ func TestStolenResultReachesHome(t *testing.T) {
 		rk.Barrier()
 		if rk.Me() == 0 {
 			s := rk.World().StatsMerged()
-			stolen, migrated = s.Tasks[obs.TaskStolen], s.Tasks[obs.TaskMigrated]
+			stolen, migrated = s.Counters[obs.TaskStolen.Counter()], s.Counters[obs.TaskMigrated.Counter()]
 		}
 	})
 	if got := execBy[2].Load(); got != tasks {
@@ -320,7 +318,7 @@ func TestStealDoesNotBounce(t *testing.T) {
 			}
 			rk.Barrier()
 			if rk.Me() == 0 {
-				migrated.Store(rk.World().StatsMerged().Tasks[obs.TaskMigrated])
+				migrated.Store(rk.World().StatsMerged().Counters[obs.TaskMigrated.Counter()])
 			}
 		})
 	}()
@@ -521,17 +519,14 @@ func TestTaskObsCounters(t *testing.T) {
 			homeEvents = rk.Stats().Trace
 		}
 	})
-	if len(merged.Tasks) == 0 {
-		t.Fatal("merged snapshot has no task counters")
-	}
-	if got, want := merged.Tasks[obs.TaskSpawned], uint64(16); got != want {
+	if got, want := merged.Counters[obs.TaskSpawned.Counter()], uint64(16); got != want {
 		t.Errorf("spawned = %d, want %d", got, want)
 	}
-	if got := merged.Tasks[obs.TaskExecuted]; got != 16 {
+	if got := merged.Counters[obs.TaskExecuted.Counter()]; got != 16 {
 		t.Errorf("executed = %d, want 16", got)
 	}
-	if merged.Tasks[obs.TaskDetectRounds] < 2*4 {
-		t.Errorf("detector rounds = %d, want >= 8 (two waves × four ranks)", merged.Tasks[obs.TaskDetectRounds])
+	if merged.Counters[obs.TaskDetectRounds.Counter()] < 2*4 {
+		t.Errorf("detector rounds = %d, want >= 8 (two waves × four ranks)", merged.Counters[obs.TaskDetectRounds.Counter()])
 	}
 	stages := map[obs.Stage]int{}
 	for _, ev := range homeEvents {

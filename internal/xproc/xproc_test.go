@@ -76,6 +76,7 @@ import (
 	"time"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 	"upcxx/internal/task"
 
 	core "upcxx/internal/core"
@@ -154,8 +155,8 @@ func xprocViewLen(trk *core.Rank, v core.View[uint64]) uint64 { return uint64(v.
 // What pingpong's initiator reads off its target: the ring records it has
 // produced, the times a park of its was ended by the doorbell, its idle yields.
 func xprocCounts(trk *core.Rank, _ uint8) [3]uint64 {
-	st := trk.Stats()
-	return [3]uint64{trk.World().Network().ConduitInfo().RingRecords, st.Wakeups, st.IdleYields}
+	c := trk.Stats().Counters
+	return [3]uint64{c[obs.RingRecords], c[obs.Wakeups], c[obs.IdleYields]}
 }
 
 func init() {

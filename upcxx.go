@@ -136,7 +136,8 @@ var (
 // tcp/shm backends and internal/core/proc.go's bootstrap).
 type (
 	// ConduitInfo identifies the active real backend: peer addresses,
-	// shm segment size, and wire counters (World.Network().ConduitInfo).
+	// shm segment size, and a view of this rank's transport counters
+	// (World.Network().ConduitInfo).
 	ConduitInfo = gasnet.ConduitInfo
 )
 
@@ -202,10 +203,11 @@ var (
 
 // Runtime introspection (Config.Stats; see internal/obs).
 type (
-	// StatsSnapshot is a point-in-time copy of one rank's counters, as
-	// returned by World.StatsMerged (job-wide merge).
+	// StatsSnapshot is a point-in-time copy of one rank's counter table
+	// (Rank.Stats; the conduit's traffic counters are kept even without
+	// Config.Stats), or a job-wide merge (World.StatsMerged).
 	StatsSnapshot = obs.Snapshot
-	// DMAKind classifies DMA descriptors in StatsSnapshot.DMA.
+	// DMAKind classifies DMA descriptors: StatsSnapshot.Counters[k.Descriptors()].
 	DMAKind = obs.DMAKind
 )
 
@@ -682,7 +684,7 @@ func AllGather[T any](t *Team, val T) Future[[]T] { return core.AllGather(t, val
 // global quiescence with a four-counter wave protocol instead of a
 // barrier. Everything lowers onto the registered-RPC wire, so tasks run
 // over every conduit and show up in the introspection layer
-// (StatsSnapshot.Tasks, task-stage trace events).
+// (task counters in StatsSnapshot.Counters, task-stage trace events).
 
 type (
 	// TaskRuntime is one rank's task engine; create it on every rank
@@ -732,10 +734,10 @@ func GroupAsyncAt[A any](g *TaskGroup, target Intrank, fn func(*Rank, A), arg A)
 // goroutine to the task queue (executing and stealing work meanwhile).
 func TaskHelpWait[T any](rt *TaskRuntime, f Future[T]) T { return task.HelpWait(rt, f) }
 
-// TaskStat indexes StatsSnapshot.Tasks.
+// TaskStat names a task-runtime counter: StatsSnapshot.Counters[s.Counter()].
 type TaskStat = obs.TaskStat
 
-// Task-runtime counters (StatsSnapshot.Tasks, present once any task ran).
+// Task-runtime counters (Config.Stats).
 const (
 	TaskSpawned      = obs.TaskSpawned
 	TaskExecuted     = obs.TaskExecuted
