@@ -42,14 +42,16 @@ test-short:
 # and gets read into place by real reader goroutines).
 # PoolStress is the injection-record pool's safety test: records taken, run,
 # completed and released on different goroutines, with a peer failed
-# mid-flight. The second core leg runs the idle rule's tests and the persona
+# mid-flight. RPC runs the one message's tests — every core message crosses
+# its one handler: the mixed-stream FIFO, the rejects table, single calls as
+# one-entry batches. The second core leg runs the idle rule's tests and the persona
 # suite with one P, where a waiter that yields instead of parking starves
 # whoever must wake it — a schedule a multi-core CI host never produces by
 # itself — and a master that polls bare Progress starves the injectors
 # blocked behind it. The task package runs a second time with one P too: the
 # steal bounce and a worker parked over a queued task only show there.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|RPC'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'

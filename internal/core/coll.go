@@ -10,29 +10,19 @@ import (
 	"upcxx/internal/serial"
 )
 
-// Collectives engine v2 (paper §III–§IV). Every collective — barrier,
-// broadcast, reduction, allreduce, gather — is driven by a per-rank
-// collEngine over one tree shape and routed through the same
-// Rank.inject(ops, cxPlan) path as every RMA, copy and atomic: a
-// collective round is a lowered operation (a header-carrying AM for
-// value collectives, a kind-aware copy with the advance message
-// piggybacked on the last landing hop for buffer collectives), never a
-// bespoke side channel. That buys collectives the completion vocabulary
-// for free: the …With entry points accept Cx descriptors, with
-// operation completion delivered as futures/promises/LPCs to the
-// *initiating* persona and RemoteCxAsRPC executed on the rank's
-// execution persona the moment the collective's data has landed locally
-// (for device operands, after the h2d DMA) — the barrier-free multicast
-// signal.
-//
-// Personas: any persona may initiate a collective. Entry is handed off
-// to the rank's execution persona (the progress persona in
-// progress-thread mode, the master persona otherwise), which owns the
-// engine state single-threadedly; completions route back to the
-// initiating persona through its LPC queue, exactly like RMA
-// completions. Collectives on one team must still be initiated in
-// matching order across ranks — when several personas of one rank
-// initiate on the same team, the application must order them.
+// Collectives (paper §III–§IV). Every collective — barrier, broadcast,
+// reduction, allreduce, gather — is driven by a per-rank collEngine over one
+// tree shape, and every round is an ordinary operation on the Rank.inject
+// path: an RPC message of one collArrive entry for the value collectives, a
+// kind-aware copy carrying that message to its last landing hop for the
+// buffer collectives. The …With entry points take Cx descriptors: operation
+// completion goes to the *initiating* persona, and RemoteCxAsRPC runs on
+// the rank's execution persona the moment the collective's data has landed
+// locally (after the h2d DMA for device operands) — the barrier-free
+// multicast signal. Any persona may initiate; entry is handed to the
+// execution persona, which owns the engine state. Collectives on one team
+// must be initiated in matching order across ranks, and the application
+// orders several personas of one rank initiating on the same team.
 
 // --- the tree --------------------------------------------------------------
 
@@ -199,21 +189,16 @@ func AutoRadix(m gasnet.Model, p int) int {
 
 // --- wire format ---------------------------------------------------------
 
-// Collective messages share one self-describing header, whether they
-// travel as a lowered AM operation or piggybacked on a copy's last
-// landing hop:
+// A collective message is an RPC message (rpc.go) of one fire-and-forget
+// collArrive entry, whose argument is
 //
-//	| magic 0xC6 | version 1 | team u64 | seq u64 | kind u8 | round u8 |
-//	| src u32 LE | datalen uvarint | data |
+//	| team u64 | seq u64 | kind u8 | round u8 | src u32 LE | data |
 //
-// decodeCollMsg rejects anything malformed; FuzzCollWire hammers it with
-// hostile bytes and checks the canonical round-trip property, exactly
-// like FuzzRemoteCxWire does for the remote-cx header.
+// with data running to the end of the entry. decodeCollMsg rejects anything
+// malformed; FuzzCollWire fuzzes the message's wire form, and
+// FuzzCollArrive throws them at a rank inside each wave.
 
-const (
-	collMagic   = 0xC6
-	collVersion = 1
-)
+const collHdrLen = 22 // team, seq, kind, round, src
 
 // Collective message kinds.
 const (
@@ -257,38 +242,39 @@ func collStray(m collMsg, in string) error {
 		collKindNames[m.kind], m.round, m.src, in)
 }
 
-// encodeCollMsg builds the wire form.
-func encodeCollMsg(m collMsg) []byte {
-	e := serial.NewEncoder(make([]byte, 0, 28+len(m.data)))
-	e.PutU8(collMagic)
-	e.PutU8(collVersion)
+// encodeCollMsg builds the RPC message that carries m from world rank from,
+// in one buffer.
+func encodeCollMsg(from Intrank, m collMsg) []byte {
+	var e serial.Encoder
+	e.Grow(32 + collHdrLen + len(m.data))
+	putRPCHead(&e, from, 1)
+	e.PutU8(rpcFFKind)
+	e.PutU64(0)
+	e.PutUvarint(uint64(collHdrLen + len(m.data)))
 	e.PutU64(m.team)
 	e.PutU64(m.seq)
 	e.PutU8(m.kind)
 	e.PutU8(m.round)
 	e.PutU32(m.src)
-	e.PutUvarint(uint64(len(m.data)))
 	e.PutRaw(m.data)
+	e.PutUvarint(0) // no landing
 	return e.Bytes()
 }
 
-// decodeCollMsg parses and validates the wire form.
+// decodeCollMsg parses and validates a collArrive argument.
 func decodeCollMsg(b []byte) (collMsg, error) {
 	const format = "collective message"
 	var m collMsg
-	d := serial.NewDecoder(b)
-	if err := d.Header(format, collMagic, collVersion); err != nil {
-		return m, err
+	if len(b) < collHdrLen {
+		return m, fmt.Errorf("%s: %d bytes, short of its %d-byte header", format, len(b), collHdrLen)
 	}
+	d := serial.NewDecoder(b)
 	m.team = d.U64()
 	m.seq = d.U64()
 	m.kind = d.U8()
 	m.round = d.U8()
 	m.src = d.U32()
-	var err error
-	if m.data, err = d.Tail(format); err != nil {
-		return m, err
-	}
+	m.data = d.Raw(d.Remaining())
 	if m.kind == 0 || m.kind > collKindMax {
 		return m, fmt.Errorf("%s: unknown kind %d", format, m.kind)
 	}
@@ -405,7 +391,7 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 	if !e.rk.w.cfg.ProgressThread && e.rk.master.holder.Load() == 0 {
 		panic(fmt.Sprintf("upcxx: rank %d: collectives require a held master persona (use World.Run) or Config.ProgressThread", e.rk.me))
 	}
-	runOn(e.rk.execQueue(curGID()), func() { // a user call, not an AM handler
+	body := func() {
 		seq := e.seqs[t.id]
 		e.seqs[t.id] = seq + 1
 		key := collKey{t.id, seq}
@@ -416,11 +402,16 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 			st.inbox = st.inbox[1:]
 			e.onMsg(m)
 		}
-	})
+	}
+	if q := e.rk.execQueue(curGID()); q != nil { // a user call, not an AM handler
+		q.queueBody(body)
+	} else {
+		body()
+	}
 }
 
 // onMsg advances one collective with an arrived message; runs only on
-// the execution persona (see handleColl). A message the collective cannot
+// the execution persona (see collArrive). A message the collective cannot
 // act on is its sender's fault: the peer is failed (World.Failed, every
 // blocked wait) and the progress goroutine lives on.
 func (e *collEngine) onMsg(m collMsg) {
@@ -442,20 +433,27 @@ func (e *collEngine) finish(key collKey, st *collState, plan *cxPlan) {
 	plan.collOpDone()
 }
 
-// handleColl is the conduit AM handler for collective traffic — both
-// header AMs lowered through inject and landing notices piggybacked on
-// copy hop chains arrive here. The message may be harvested by any
-// goroutine making progress; the engine always advances on the
-// execution persona.
-func (w *World) handleColl(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte, _ any) {
-	rk := w.ranks[ep.Rank()]
-	m, err := decodeCollMsg(payload)
+// collArrive is the body of every collective message, registered at init so
+// its entries cross a process boundary by name. Addressed to no persona, it
+// runs on the execution persona, where the engine advances, whichever
+// goroutine harvested the message; one that does not decode fails its sender.
+func collArrive(trk *Rank, from Intrank, _ uint64, args []byte) ([]byte, bool) {
+	m, err := decodeCollMsg(args)
 	if err != nil {
-		rk.failPeer(Intrank(src), err)
-		return
+		trk.failPeer(from, err)
+		return nil, false
 	}
-	m.from = Intrank(src)
-	runOn(rk.bodyQueue(nil), func() { rk.coll.onMsg(m) })
+	m.from = from
+	trk.coll.onMsg(m)
+	return nil, false
+}
+
+// collCall is the token every collective message travels with.
+var collCall *rpcAux
+
+func init() {
+	registerEntry(collArrive, rpcBody{kind: rpcFFKind, run: collArrive})
+	collCall = registered(collArrive).call
 }
 
 // sendMsg lowers one collective header hop to an AM operation and hands
@@ -467,8 +465,8 @@ func (e *collEngine) sendMsg(t *Team, dest Intrank, m collMsg) {
 	e.rk.inject(e.rk.newInjection(t.ranks[dest]).single(rmaOp{
 		kind:    opAM,
 		dstPeer: t.ranks[dest],
-		amID:    e.rk.w.amColl,
-		buf:     encodeCollMsg(m),
+		amAux:   collCall,
+		buf:     encodeCollMsg(e.rk.me, m),
 	}))
 }
 
@@ -486,7 +484,7 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 	}
 	world := t.ranks[dest]
 	inj := rk.newInjection(world)
-	inj.remoteAM = &gasnet.RemoteAM{Handler: rk.w.amColl, Payload: encodeCollMsg(land)}
+	inj.notice = &gasnet.RemoteAM{Handler: rk.w.amRPC, Payload: encodeCollMsg(rk.me, land), Aux: collCall}
 	inj.op = append(inj.op, cxDelivery{pers: rk.execPersona(), fn: onOpDone})
 	rk.inject(inj.single(rmaOp{
 		kind:    opCopy,

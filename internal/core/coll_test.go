@@ -404,17 +404,25 @@ func TestCollRequiresHeldExecPersona(t *testing.T) {
 // collective message come off the wire. A well-formed message whose sender
 // is not the tree neighbour the collective is waiting for, whose frames
 // name ranks outside the team, whose kind or payload the collective cannot
-// use — and a payload that is no 0xC6 or 0xC7 message at all — fails the
-// sending peer (World.Failed wraps ErrPeerLost); it neither panics the
-// execution persona nor moves the collective. Teams of 3 are flat: rank 0
-// is the parent of ranks 1 and 2.
+// use — and an entry that is no collective message at all, or not a
+// fire-and-forget one — fails the sending peer (World.Failed wraps
+// ErrPeerLost); it neither panics the execution persona nor moves the
+// collective. Every message reaches the one handler with collArrive's
+// token. Teams of 3 are flat: rank 0 is the parent of ranks 1 and 2.
 func TestCollArrivalRejects(t *testing.T) {
 	up := func(kind uint8, src uint32, data []byte) []byte {
-		return encodeCollMsg(collMsg{kind: kind, round: collRoundUp, src: src, data: data})
+		return encodeCollMsg(0, collMsg{kind: kind, round: collRoundUp, src: src, data: data})
 	}
 	down := func(kind uint8, src uint32, data []byte) []byte {
-		return encodeCollMsg(collMsg{kind: kind, round: collRoundDown, src: src, data: data})
+		return encodeCollMsg(0, collMsg{kind: kind, round: collRoundDown, src: src, data: data})
 	}
+	// entry is a one-entry message of the given kind and argument bytes.
+	entry := func(kind uint8, seq uint64, args []byte) []byte {
+		b, _ := encodeRPCMsg[Unit](0, []rpcEntry{{kind: kind, seq: seq, args: args}}, nil, nil, false)
+		return b
+	}
+	m, _ := decodeRPCMsg(up(collBarrier, 1, nil))
+	barrierArg := m.next().args
 	frames := func(r uint32) []byte { return encodeCollFrames(map[uint32][]byte{r: mustMarshal(int64(1))}) }
 	addr := encodeCollAddr(collBufAddr{off: 64})
 	barrier := func(rk *Rank) { rk.WorldTeam().BarrierAsync() }
@@ -451,50 +459,30 @@ func TestCollArrivalRejects(t *testing.T) {
 		{"buffer reduce: landing from outside the team", 3, 0, reduceBuf, 1, [][]byte{up(collLand, 7, addr)}},
 		{"buffer reduce: truncated address in a landing", 3, 0, reduceBuf, 1, [][]byte{up(collLand, 1, addr[:3])}},
 		{"buffer reduce: slot from a non-parent", 3, 1, reduceBuf, 2, [][]byte{down(collAddr, 2, addr)}},
-		{"malformed 0xC6 payload", 2, 0, barrier, 1, [][]byte{{collMagic, collVersion, 1, 2}}},
-	}
-	// refused runs feed on a fresh world and requires that it fail a peer,
-	// panic nowhere and run no body.
-	ran := false
-	refused := func(name string, p int, feed func(w *World)) {
-		w := NewWorld(Config{Ranks: p, SegmentSize: 1 << 16})
-		defer w.Close()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Errorf("%s: panicked: %v", name, r)
-			}
-		}()
-		feed(w)
-		if err := w.Failed(); !errors.Is(err, gasnet.ErrPeerLost) || ran {
-			t.Errorf("%s: Failed() = %v (a body ran: %v), want an ErrPeerLost-wrapped error and no body", name, err, ran)
-		}
+		{"argument that does not decode", 2, 0, barrier, 1, [][]byte{entry(rpcFFKind, 0, barrierArg[:collHdrLen-1])}},
+		{"collective entry sent as a round trip", 2, 0, barrier, 1, [][]byte{entry(rpcReqKind, 1, barrierArg)}},
 	}
 	for _, row := range rows {
-		refused(row.name, row.p, func(w *World) {
+		func() {
+			w := NewWorld(Config{Ranks: row.p, SegmentSize: 1 << 16})
+			defer w.Close()
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", row.name, r)
+				}
+			}()
 			rk := w.Rank(row.victim)
 			sc := AcquirePersona(rk.MasterPersona())
 			defer sc.Release()
 			row.enter(rk)
 			for _, m := range row.msgs {
-				w.handleColl(rk.ep, row.from, m, nil)
+				w.handleRPC(rk.ep, gasnet.Rank(row.from), m, collCall)
 			}
 			rk.Progress()
-		})
-	}
-	// The remote-cx handler (0xC7) keeps the same rule.
-	body := remoteCxAux{body: ffBody(func(*Rank, int64) { ran = true })}
-	for _, row := range []struct {
-		name    string
-		payload []byte
-		aux     any
-	}{
-		{"malformed 0xC7 payload", []byte{remoteCxMagic, remoteCxVersion, 1}, body},
-		{"0xC7 payload with a foreign body token", encodeRemoteCx(0, mustMarshal(int64(1))), nil},
-	} {
-		refused(row.name, 2, func(w *World) {
-			w.handleRemoteCx(w.Rank(1).ep, 0, row.payload, row.aux)
-			w.Rank(1).Progress()
-		})
+			if err := w.Failed(); !errors.Is(err, gasnet.ErrPeerLost) {
+				t.Errorf("%s: Failed() = %v, want an ErrPeerLost-wrapped error", row.name, err)
+			}
+		}()
 	}
 	// The matching forms are served: both children of a 3-rank barrier's
 	// root report, the root releases.
@@ -504,8 +492,8 @@ func TestCollArrivalRejects(t *testing.T) {
 	sc := AcquirePersona(rk.MasterPersona())
 	defer sc.Release()
 	f := rk.WorldTeam().BarrierAsync()
-	w.handleColl(rk.ep, 1, up(collBarrier, 1, nil), nil)
-	w.handleColl(rk.ep, 2, up(collBarrier, 2, nil), nil)
+	w.handleRPC(rk.ep, 1, up(collBarrier, 1, nil), collCall)
+	w.handleRPC(rk.ep, 2, up(collBarrier, 2, nil), collCall)
 	rk.Progress()
 	if err := w.Failed(); err != nil || !f.Ready() {
 		t.Errorf("well-formed arrivals: Failed() = %v, barrier ready = %v", err, f.Ready())

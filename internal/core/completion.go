@@ -5,7 +5,6 @@ import (
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
-	"upcxx/internal/serial"
 )
 
 // Completion objects (paper §III; UPC++ v1.0 spec §7): every communication
@@ -223,13 +222,20 @@ func RemoteCxAsRPC[A any](fn func(*Rank, A), arg A) Cx {
 	return Cx{ev: RemoteDone, kind: cxRPC, rpcArgs: mustMarshal(arg), rpcBody: call.bodies[0]}
 }
 
-// remoteCxAux is the opaque code-reference half of a target-side
-// remote-completion notification: the body (a fire-and-forget rpcBody) plus
-// the target-rank persona it is addressed to (nil: the target's execution
-// persona). It travels as the conduit AM's aux, never as payload bytes.
+// remoteCxAux is the code-reference half of a target-side remote-completion
+// notification: the body (a fire-and-forget rpcBody) and the target-rank
+// persona it is addressed to (nil: the target's execution persona). It
+// travels in the RPC message's token (rpcAux.rem), never as payload bytes.
 type remoteCxAux struct {
 	body rpcBody
 	pers *Persona
+}
+
+// landing is one such notification on its way: the token of the zero-entry
+// message that carries it, and the body's argument bytes, the trailer.
+type landing struct {
+	tok  rpcAux
+	args []byte
 }
 
 // runRemoteBody delivers one target-side remote-completion body at this
@@ -280,16 +286,15 @@ type cxPlan struct {
 
 	op, src, rem []cxDelivery
 
-	// Remote-RPC notification. For a single-fragment put/copy the AM is
-	// handed to the conduit, which fires it at the destination when the
-	// final hop lands; a multi-fragment batch to one destination shares a
-	// counted AM that the conduit enqueues when the *last-landing*
-	// fragment arrives (no initiator-side gating round trip). Only a
-	// batch with no put/copy carrier at all falls back to shipping the
-	// notification as a plain AM from opDone. Collectives fire it
-	// member-side through collRemoteLocal instead.
-	remoteAM   *gasnet.RemoteAM
+	// The RemoteCxAsRPC notification. A put or copy carries it as a
+	// zero-entry RPC message (takeConduitAM) that the conduit enqueues at the
+	// destination when the *last-landing* fragment's bytes are in place — no
+	// initiator-side gating round trip. An RPC embeds it in its own message
+	// (rpcSend), a collective fires it member-side (collRemoteLocal), and a
+	// batch with no carrier at all ships it on its own from opDone.
+	landing    *landing
 	remotePeer Intrank
+	notice     *gasnet.RemoteAM // what a collective's copy carries instead (copyTo)
 
 	// Observability identity of the logical operation: obsTag carries the
 	// inject timestamp, kind, and (when traced) the op's trace ID; set by
@@ -387,7 +392,7 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 		if cx.ev != RemoteDone {
 			panic(fmt.Sprintf("upcxx: %s cannot be delivered as_rpc (only remote_cx executes at the target)", cx.ev))
 		}
-		if c.remoteAM != nil {
+		if c.landing != nil {
 			panic("upcxx: at most one remote_cx as_rpc per operation (compose the work inside one function)")
 		}
 		if cx.pers != nil && cx.pers.rk.me != c.remotePeer {
@@ -397,11 +402,7 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 			panic(fmt.Sprintf("upcxx: remote_cx as_rpc persona %v belongs to rank %d, but the notification fires at rank %d",
 				cx.pers, cx.pers.rk.me, c.remotePeer))
 		}
-		c.remoteAM = &gasnet.RemoteAM{
-			Handler: c.rk.w.amRemote,
-			Payload: encodeRemoteCx(c.rk.me, cx.rpcArgs),
-			Aux:     remoteCxAux{body: cx.rpcBody, pers: cx.pers},
-		}
+		c.landing = &landing{tok: rpcAux{rem: remoteCxAux{body: cx.rpcBody, pers: cx.pers}}, args: cx.rpcArgs}
 		return
 	}
 	if cx.pers != nil && cx.pers.rk != c.rk {
@@ -472,14 +473,17 @@ func (c *cxPlan) eventFuture(ev CxEvent) *Future[Unit] {
 	}
 }
 
-// takeConduitAM hands the remote-RPC notification to the conduit:
-// inject calls it once per batch and attaches the AM to every put/copy
-// fragment (counted, so the last-landing fragment enqueues it at the
-// target). Subsequent calls see nil; a batch with no carrier leaves the
-// AM in place for opDone's plain-AM fallback.
+// takeConduitAM hands the conduit what a put or copy carries: a collective's
+// notice, or the remote-RPC notification as a zero-entry RPC message. inject
+// calls it once per batch and attaches it to every put/copy fragment
+// (counted: the last-landing one enqueues it); later calls see nil.
 func (c *cxPlan) takeConduitAM() *gasnet.RemoteAM {
-	am := c.remoteAM
-	c.remoteAM = nil
+	am, l := c.notice, c.landing
+	c.notice, c.landing = nil, nil
+	if l != nil {
+		buf, _ := encodeRPCMsg[Unit](c.rk.me, nil, nil, &l.args, false)
+		am = &gasnet.RemoteAM{Handler: c.rk.w.amRPC, Payload: buf, Aux: &l.tok}
+	}
 	return am
 }
 
@@ -490,24 +494,20 @@ func (c *cxPlan) takeConduitAM() *gasnet.RemoteAM {
 // named persona the descriptor was addressed to. Idempotent: the
 // descriptor fires at most once per collective.
 func (c *cxPlan) collRemoteLocal() {
-	am := c.remoteAM
-	if am == nil {
+	l := c.landing
+	if l == nil {
 		return
 	}
-	c.remoteAM = nil
-	initiator, args, err := decodeRemoteCx(am.Payload)
-	if err != nil {
-		panic(fmt.Sprintf("upcxx: rank %d corrupt collective remote-cx payload: %v", c.rk.me, err))
-	}
-	aux := am.Aux.(remoteCxAux)
+	c.landing = nil
 	if c.rk.ro != nil {
 		c.rk.ro.Add(obs.EvRemote.Via(obs.ViaRPC), 1)
 	}
-	if aux.pers != nil {
-		aux.pers.LPC(func() { aux.body.run(c.rk, initiator, 0, args) })
+	rem := l.tok.rem
+	if rem.pers != nil {
+		rem.pers.LPC(func() { rem.body.run(c.rk, c.rk.me, 0, l.args) })
 		return
 	}
-	aux.body.run(c.rk, initiator, 0, args)
+	rem.body.run(c.rk, c.rk.me, 0, l.args)
 }
 
 // collOpDone delivers a collective's operation completions to their
@@ -552,70 +552,4 @@ func (c *cxPlan) deliver(ds []cxDelivery) {
 		ds[i].pers.LPCBatch(fns)
 		i = j
 	}
-}
-
-// --- remote-cx wire form -------------------------------------------------
-
-// The remote-cx AM payload is self-describing:
-//
-//	| magic 0xC7 | version 1 | initiator u32 LE | arglen uvarint | args |
-//
-// The initiator rank rides in the payload (not only in the conduit
-// envelope) so the notification body can learn who signaled it even when
-// relayed, and the explicit arglen pins the args span. decodeRemoteCx
-// rejects anything malformed — FuzzRemoteCxWire hammers it with hostile
-// bytes and checks the canonical round-trip property.
-
-const (
-	remoteCxMagic   = 0xC7
-	remoteCxVersion = 1
-)
-
-// encodeRemoteCx builds the remote-cx AM payload.
-func encodeRemoteCx(initiator Intrank, args []byte) []byte {
-	e := serial.NewEncoder(make([]byte, 0, 16+len(args)))
-	e.PutU8(remoteCxMagic)
-	e.PutU8(remoteCxVersion)
-	e.PutU32(uint32(initiator))
-	e.PutUvarint(uint64(len(args)))
-	e.PutRaw(args)
-	return e.Bytes()
-}
-
-// decodeRemoteCx parses and validates a remote-cx AM payload.
-func decodeRemoteCx(b []byte) (initiator Intrank, args []byte, err error) {
-	const format = "remote-cx AM"
-	d := serial.NewDecoder(b)
-	if err := d.Header(format, remoteCxMagic, remoteCxVersion); err != nil {
-		return 0, nil, err
-	}
-	init := d.U32()
-	if args, err = d.Tail(format); err != nil {
-		return 0, nil, err
-	}
-	if init > 1<<31-1 {
-		return 0, nil, fmt.Errorf("%s: initiator rank %d out of range", format, init)
-	}
-	return Intrank(init), args, nil
-}
-
-// handleRemoteCx is the conduit AM handler for remote-completion RPCs. It
-// runs at the destination of a put/copy; the conduit enqueues it only
-// after the transferred bytes are in place, so the body observes them.
-// Like every incoming RPC, the body executes on the rank's durable
-// execution persona — or on the named persona the descriptor was
-// addressed to with On. A notification this rank cannot act on fails the
-// sending peer, like handleRPC.
-func (w *World) handleRemoteCx(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte, aux any) {
-	trk := w.ranks[ep.Rank()]
-	initiator, args, err := decodeRemoteCx(payload)
-	a, ok := aux.(remoteCxAux)
-	if err == nil && !ok {
-		err = fmt.Errorf("remote-cx AM without a body token (%T)", aux)
-	}
-	if err != nil {
-		trk.failPeer(Intrank(src), err)
-		return
-	}
-	trk.runRemoteBody(a, initiator, args)
 }

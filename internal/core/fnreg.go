@@ -153,13 +153,12 @@ func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string {
 	return registerEntry(fn, futBody(fn))
 }
 
-// --- AuxCodec: rpcAux / remoteCxAux over the wire ------------------------
+// --- AuxCodec: rpcAux over the wire --------------------------------------
 
-// distAuxCodec serializes the aux tokens that ride conduit AMs. Wire
-// form: `tag u8 | ...`:
+// distAuxCodec serializes the token every RPC message travels with. Wire
+// form:
 //
-//	1 = rpcAux:      count uvarint | count×{kind u8 | name string} | remName string ("" = none)
-//	2 = remoteCxAux: name string
+//	tag u8 = 1 | count uvarint | count×{kind u8 | name string} | remName string ("" = none)
 //
 // (kind: the entry kind the body serves, auxTaskForm set for the task form.)
 // Persona addresses (bodyPers, rem.pers) are process-local pointers and
@@ -177,9 +176,7 @@ type distAuxCodec struct {
 const auxMemoMax = 1024 // a peer can mint valid batch tokens without end: past this, decode every time
 
 const (
-	auxTagRPC      = 1
-	auxTagRemoteCx = 2
-
+	auxTagRPC         = 1
 	auxTaskForm uint8 = 0x80 // in a token's kind byte: the named function's task form
 )
 
@@ -187,55 +184,35 @@ func auxNameErr(what string) error {
 	return fmt.Errorf("upcxx: %s cannot cross a process boundary unregistered — register a package-level function with RegisterRPC/RegisterRPCFF/RegisterRPCFut (closures are in-process only)", what)
 }
 
-// putRemName appends the registry name of a remote-cx body ("" for none).
-func putRemName(e *serial.Encoder, a remoteCxAux) error {
-	if a.pers != nil {
-		return fmt.Errorf("upcxx: persona-addressed remote-cx (On) cannot cross a process boundary")
-	}
-	if a.body.run != nil && a.body.name == "" {
-		return auxNameErr("remote-completion (RemoteCxAsRPC) function")
-	}
-	e.PutString(a.body.name)
-	return nil
-}
-
 func (*distAuxCodec) EncodeAux(aux any) ([]byte, error) {
-	e := serial.NewEncoder(make([]byte, 0, 48))
-	switch a := aux.(type) {
-	case *rpcAux:
-		if a.wire != nil {
-			return a.wire, nil
-		}
-		if a.bodyPers != nil {
-			return nil, fmt.Errorf("upcxx: persona-addressed RPC body (RPCBodyOn) cannot cross a process boundary")
-		}
-		e.PutU8(auxTagRPC)
-		e.PutUvarint(uint64(len(a.bodies)))
-		for _, body := range a.bodies {
-			if body.name == "" {
-				return nil, auxNameErr("RPC body function")
-			}
-			kind := body.kind
-			if body.task != nil {
-				kind |= auxTaskForm
-			}
-			e.PutU8(kind)
-			e.PutString(body.name)
-		}
-		if err := putRemName(e, a.rem); err != nil {
-			return nil, err
-		}
-	case remoteCxAux:
-		if a.body.run == nil {
-			return nil, auxNameErr("remote-completion (RemoteCxAsRPC) function")
-		}
-		e.PutU8(auxTagRemoteCx)
-		if err := putRemName(e, a); err != nil {
-			return nil, err
-		}
-	default:
+	a, ok := aux.(*rpcAux)
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("upcxx: aux token %T cannot cross a process boundary", aux)
+	case a.wire != nil:
+		return a.wire, nil
+	case a.bodyPers != nil:
+		return nil, fmt.Errorf("upcxx: persona-addressed RPC body (RPCBodyOn) cannot cross a process boundary")
+	case a.rem.pers != nil:
+		return nil, fmt.Errorf("upcxx: persona-addressed remote-cx (On) cannot cross a process boundary")
+	case a.rem.body.run != nil && a.rem.body.name == "":
+		return nil, auxNameErr("remote-completion (RemoteCxAsRPC) function")
 	}
+	e := serial.NewEncoder(make([]byte, 0, 48))
+	e.PutU8(auxTagRPC)
+	e.PutUvarint(uint64(len(a.bodies)))
+	for _, body := range a.bodies {
+		if body.name == "" {
+			return nil, auxNameErr("RPC body function")
+		}
+		kind := body.kind
+		if body.task != nil {
+			kind |= auxTaskForm
+		}
+		e.PutU8(kind)
+		e.PutString(body.name)
+	}
+	e.PutString(a.rem.body.name)
 	return e.Bytes(), nil
 }
 
@@ -257,16 +234,6 @@ func lookupBody(name string, kind uint8) (rpcBody, error) {
 	return tok.bodies[0], nil
 }
 
-// getRem reads a remote-cx body name written by putRemName.
-func getRem(d *serial.Decoder) (remoteCxAux, error) {
-	name := d.String()
-	if err := d.Finish(); err != nil || name == "" {
-		return remoteCxAux{}, err
-	}
-	body, err := lookupBody(name, rpcFFKind)
-	return remoteCxAux{body: body}, err
-}
-
 func (c *distAuxCodec) DecodeAux(b []byte) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -286,36 +253,32 @@ func (c *distAuxCodec) DecodeAux(b []byte) (any, error) {
 // decodeAux is DecodeAux's miss path: parse, resolve and validate.
 func decodeAux(b []byte) (any, error) {
 	d := serial.NewDecoder(b)
-	switch tag := d.U8(); tag {
-	case auxTagRPC:
-		count := d.Uvarint()
+	if tag := d.U8(); tag != auxTagRPC {
+		return nil, fmt.Errorf("upcxx: unknown aux tag %d", tag)
+	}
+	count := d.Uvarint()
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	if count > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("upcxx: rpc aux body count %d exceeds remaining bytes", count)
+	}
+	a := &rpcAux{bodies: make([]rpcBody, count)}
+	for i := range a.bodies {
+		kind, name := d.U8(), d.String()
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		if count > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("upcxx: rpc aux body count %d exceeds remaining bytes", count)
-		}
-		a := &rpcAux{bodies: make([]rpcBody, count)}
-		for i := range a.bodies {
-			kind, name := d.U8(), d.String()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			var err error
-			if a.bodies[i], err = lookupBody(name, kind); err != nil {
-				return nil, err
-			}
-		}
 		var err error
-		a.rem, err = getRem(d)
-		return a, err
-	case auxTagRemoteCx:
-		a, err := getRem(d)
-		if err == nil && a.body.run == nil {
-			err = fmt.Errorf("upcxx: remote-cx aux names no function")
+		if a.bodies[i], err = lookupBody(name, kind); err != nil {
+			return nil, err
 		}
-		return a, err
-	default:
-		return nil, fmt.Errorf("upcxx: unknown aux tag %d", tag)
 	}
+	rem := d.String()
+	if err := d.Finish(); err != nil || rem == "" {
+		return a, err
+	}
+	var err error
+	a.rem.body, err = lookupBody(rem, rpcFFKind)
+	return a, err
 }

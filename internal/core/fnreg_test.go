@@ -199,12 +199,6 @@ func rpcAuxBytes(rem string, entries ...auxEnt) []byte {
 func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 	val, ff, fut := RegisterRPC(regBothA), RegisterRPCFF(regFF), RegisterRPCFut(regFut)
 	task := RegisterTask(regTaskOnly, nopTask{}, false)
-	remTok := func(name string) []byte {
-		e := serial.NewEncoder(nil)
-		e.PutU8(auxTagRemoteCx)
-		e.PutString(name)
-		return e.Bytes()
-	}
 	rows := []struct {
 		name  string
 		tok   []byte
@@ -229,9 +223,9 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 		{"unknown function", rpcAuxBytes("", auxEnt{rpcReqKind, "no/such.fn"}), nil},
 		{"landing body naming a value function", rpcAuxBytes(val, auxEnt{rpcFFKind, ff}), nil},
 		{"trailing bytes", append(rpcAuxBytes("", auxEnt{rpcFFKind, ff}), 0), nil},
-		{"remote-cx token, ff function", remTok(ff), []uint8{}},
-		{"remote-cx token, value function", remTok(val), nil},
-		{"remote-cx token, no function", remTok(""), nil},
+		{"landing-only token, ff function", rpcAuxBytes(ff), []uint8{}},
+		{"landing-only token, value function", rpcAuxBytes(val), nil},
+		{"retired remote-cx tag", []byte{2, 0}, nil},
 		{"retired batch tag", []byte{3, 0}, nil},
 	}
 	codec := new(distAuxCodec) // one codec: a refused token must not be remembered as served
@@ -247,21 +241,18 @@ func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 			t.Errorf("%s: %v", row.name, err)
 			continue
 		}
-		switch a := aux.(type) {
-		case *rpcAux:
-			if len(a.bodies) != len(row.kinds) {
-				t.Errorf("%s: %d bodies, want %d", row.name, len(a.bodies), len(row.kinds))
-				continue
+		a := aux.(*rpcAux)
+		if len(a.bodies) != len(row.kinds) {
+			t.Errorf("%s: %d bodies, want %d", row.name, len(a.bodies), len(row.kinds))
+			continue
+		}
+		for i, k := range row.kinds {
+			if a.bodies[i].run == nil || a.bodies[i].kind != k {
+				t.Errorf("%s: body %d = %+v, want a runnable body of kind %d", row.name, i, a.bodies[i], k)
 			}
-			for i, k := range row.kinds {
-				if a.bodies[i].run == nil || a.bodies[i].kind != k {
-					t.Errorf("%s: body %d = %+v, want a runnable body of kind %d", row.name, i, a.bodies[i], k)
-				}
-			}
-		case remoteCxAux:
-			if a.body.run == nil || a.body.kind != rpcFFKind {
-				t.Errorf("%s: landing body %+v is not a runnable ff body", row.name, a.body)
-			}
+		}
+		if l := a.rem.body; l.run != nil && l.kind != rpcFFKind {
+			t.Errorf("%s: landing body %+v is not a ff body", row.name, l)
 		}
 	}
 	// What EncodeAux writes, DecodeAux reads back.

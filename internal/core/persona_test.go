@@ -446,7 +446,11 @@ func TestPersonaDeferredDistFetchSurvivesHandlerGoroutine(t *testing.T) {
 			}
 		} else {
 			// Let the fetch arrive (and defer) before constructing.
-			time.Sleep(20 * time.Millisecond)
+			for deferred := 0; deferred == 0; runtime.Gosched() {
+				rk.distMu.Lock()
+				deferred = len(rk.distWaits[0])
+				rk.distMu.Unlock()
+			}
 			_ = NewDistObject(rk, 123)
 		}
 		rk.Barrier()

@@ -106,26 +106,11 @@ func NewWorldDist(cfg Config) *World {
 		cfg.SegmentSize = v
 	}
 	cfg.Ranks = nproc
-	if cfg.WaitTimeout == 0 {
-		cfg.WaitTimeout = 60 * time.Second
-	}
-	cfg.envObsConfig()
 	wdir := filepath.Join(dir, fmt.Sprintf("w%d", worldEpoch.Add(1)))
 	if err := os.MkdirAll(wdir, 0o777); err != nil {
 		panic(fmt.Sprintf("upcxx: bootstrap dir: %v", err))
 	}
-	w := &World{cfg: cfg, dist: true, sock: backend != "shm", self: Intrank(rank)}
-	if cfg.Stats {
-		w.obs = obs.New(cfg.Ranks, obs.Options{
-			TraceDepth:  cfg.TraceDepth,
-			TraceSample: cfg.TraceSample,
-		})
-	}
-	w.net = gasnet.NewNetwork(gasnet.Config{
-		Ranks:       cfg.Ranks,
-		SegmentSize: cfg.SegmentSize,
-		DMA:         cfg.DMA,
-		Obs:         w.obs,
+	return newWorld(&World{cfg: cfg, dist: true, sock: backend != "shm", self: Intrank(rank)}, gasnet.Config{
 		Real: &gasnet.RealConduit{
 			Backend: backend,
 			Rank:    rank,
@@ -134,18 +119,6 @@ func NewWorldDist(cfg Config) *World {
 		},
 		Aux: new(distAuxCodec),
 	})
-	w.amRPC = w.net.RegisterAM(w.handleRPC)
-	w.amColl = w.net.RegisterAM(w.handleColl)
-	w.amRemote = w.net.RegisterAM(w.handleRemoteCx)
-	w.ranks = make([]*Rank, cfg.Ranks)
-	rk := w.newRank(Intrank(rank))
-	w.ranks[rank] = rk
-	if cfg.ProgressThread {
-		w.ptStop = make(chan struct{})
-		w.ptWG.Add(1)
-		go rk.progressLoop(w.ptStop, &w.ptWG)
-	}
-	return w
 }
 
 // SpawnSelf re-executes this binary as an n-rank job over the

@@ -2,21 +2,14 @@ package upcxx
 
 import "upcxx/internal/serial"
 
-// Remote completions (upcxx remote_cx::as_rpc): attach an RPC to the
-// *remote* completion of a one-sided put — the target-side notification
-// fires only after the transferred data is globally visible in its
-// segment. The paper's §V-A singles this ability out ("attach an
-// operation which effectively serves as a completion handler") as a key
-// advantage of the v1.0 design over v0.1, where nothing could be chained
-// to an RMA.
-//
-// These helpers are thin compositions over the completion-object system
-// (completion.go): RemoteCxAsRPC rides the conduit put itself — the
-// notification AM is enqueued at the destination the instant the final
-// wire/DMA hop lands, one message total, no follow-up round trip. That is
-// the GASNet-EX signaling put the paper's halo-exchange benchmarks lean
-// on; EXPERIMENTS.md quantifies the round trip it saves over the put+RPC
-// idiom.
+// Remote completions (upcxx remote_cx::as_rpc): an RPC attached to the
+// *remote* completion of a one-sided put runs at the target only after the
+// transferred data is globally visible in its segment — the ability the
+// paper's §V-A singles out over v0.1, where nothing could be chained to an
+// RMA. RemoteCxAsRPC (completion.go) rides the put itself: its zero-entry
+// RPC message is enqueued at the destination the instant the final wire/DMA
+// hop lands, one transfer and no follow-up round trip — GASNet-EX's
+// signaling put, which the paper's halo-exchange benchmarks lean on.
 
 // RPutSignal is the signaling put: the notification RPC runs at the
 // target after the data lands, piggybacked on the transfer itself, with

@@ -32,9 +32,9 @@ const (
 	opGet
 	opCopy
 	opAMO
-	// opAM is a one-way Active Message hop (collective headers, RPC
-	// replies and fire-and-forget RPCs): captured and handed to the
-	// conduit synchronously, so its operation edge fires at injection.
+	// opAM is a one-way RPC message (collective messages, RPC replies and
+	// fire-and-forget RPCs): captured and handed to the conduit
+	// synchronously, so its operation edge fires at injection.
 	opAM
 	// opColl names a whole collective operation for completion-descriptor
 	// validation; collectives resolve their cxPlan against it and lower
@@ -91,8 +91,7 @@ type rmaOp struct {
 	amoA, amoB uint64
 	amoOld     *uint64 // where the previous value goes before op-cx fires
 
-	amID  gasnet.HandlerID // opAM: handler; buf carries the payload
-	amAux any              // opAM: opaque code-reference token
+	amAux any // opAM/opRPC: the RPC message's token; buf carries the message
 
 	// bufs is the scatter-gather alternative to buf for opAM/opRPC: the
 	// payload travels as an iovec of fragments that the conduit flattens
@@ -194,13 +193,13 @@ func (rk *Rank) inject(inj *injection) {
 // across the batch (see cxPlan). An empty batch completes immediately.
 func (inj *injection) run() {
 	rk, ops := inj.rk, inj.ops
-	// Remote-RPC notification: with one put/copy fragment the AM rides
+	// Remote-RPC notification: with one put/copy fragment its message rides
 	// that fragment's hop chain; with several (all to one destination,
-	// validated at plan construction) the same AM is attached to every
+	// validated at plan construction) the same message is attached to every
 	// fragment, counted, and the conduit enqueues it at the target when
 	// the *last-landing* fragment arrives — destination-side timing,
 	// no initiator gating round trip. A batch with no carrier leaves
-	// it for the sentinel opDone to ship as a plain AM.
+	// it for the sentinel opDone to ship on its own.
 	var rem *gasnet.RemoteAM
 	if n := remoteCarriers(ops); n > 0 {
 		rem = inj.takeConduitAM()
@@ -240,7 +239,7 @@ func (inj *injection) run() {
 			// The conduit takes over the runtime's own message buffer and
 			// captures borrowed fragments before the call returns: source
 			// completion can fire at injection.
-			rk.ep.AMTag(gasnetRank(op.dstPeer), op.amID, op.buf, op.bufs, op.amAux, tag)
+			rk.ep.AMTag(gasnetRank(op.dstPeer), rk.w.amRPC, op.buf, op.bufs, op.amAux, tag)
 			// A one-way message's operation edge fires here; a round-trip
 			// request's when its last reply lands (rpcLand).
 			if op.kind == opAM {
@@ -283,7 +282,7 @@ func (inj *injection) amoFetched(old uint64) {
 // and remote completions and releases the record. Conduit acks imply
 // remote visibility in this conduit, so initiator-side remote deliveries
 // ride the same edge. A remote RPC still held here belongs to a batch with
-// no put/copy carrier; it ships now as one one-way AM.
+// no put/copy carrier; it ships now as a zero-entry RPC message.
 func (inj *injection) opDone() {
 	if n := inj.nops.Add(-1); n > 0 {
 		return

@@ -20,39 +20,23 @@ import (
 // values, exactly as UPC++ requires lambda captures to be trivially
 // serializable.
 //
-// RPC v2 speaks the same language as every other operation (paper §III):
-// requests, replies, and fire-and-forget messages are lowered to
-// operations on the single Rank.inject(ops, cxPlan) path, carrying the
-// versioned wire header below, and the …With entry points accept the full
-// completion-descriptor set —
-//
-//   - source completion: the argument serialization buffer has been
-//     captured by the conduit and may be reused (the flood-insert idiom);
-//   - operation completion: the reply has landed (for rpc_ff, the conduit
-//     has accepted the one-way message);
-//   - remote completion (as_rpc only): a target-side landing event fired
-//     the moment the request message arrives, independent of — and
-//     before — the body's execution on the target's execution persona.
-//
-// Every delivery may be persona-addressed (completion.go's On combinator):
-// an RPC initiated by a master persona can hand its operation-completion
-// future to a named worker persona, which is then the only context allowed
-// to consume it.
-//
-// The RPC executes at the target only during its user-level progress: an
-// inattentive target (one computing without calling Progress) stalls
-// incoming RPCs, as the paper emphasizes — unless the job runs dedicated
-// progress threads (Config.ProgressThread), in which case the target's
-// progress thread executes incoming RPCs with its own persona current,
-// keeping every rank attentive while its user goroutines compute.
+// Every variant lowers to the one injection path, Rank.inject, and takes the
+// full completion-descriptor set (completion.go): source completion once the
+// conduit has captured the argument bytes, operation completion when the
+// reply lands (for rpc_ff, when the conduit accepts the message), and remote
+// completion — as_rpc only — at the target when the request lands, before
+// any body runs. Any delivery may be persona-addressed with On. Bodies run
+// at the target only during its user-level progress, so an inattentive
+// target stalls them (paper §III), unless Config.ProgressThread keeps it
+// attentive.
 
 // rpcBody is the one form every remotely executed function takes — RPC and
-// rpc_ff bodies, batched entries, and remote-completion (as_rpc) bodies
-// alike. run decodes the arguments and calls the user function at the
-// target. A result that is ready when run returns comes back as (res,
-// true) and the handler coalesces it into the message's reply;
-// fire-and-forget bodies return (nil, false), and so does a
-// future-returning body, which ships its own reply to (src, seq) once its
+// rpc_ff bodies, batched entries, remote-completion (as_rpc) bodies and the
+// collectives engine's collArrive alike. run decodes the arguments and
+// calls the user function at the target. A result that is ready when run
+// returns comes back as (res, true) and the handler coalesces it into the
+// message's reply; fire-and-forget bodies return (nil, false), and so does
+// a future-returning body, which ships its own reply to (src, seq) once its
 // future readies. kind says which entries the body can serve: rpcReqKind
 // (it produces a result) or rpcFFKind (it never replies). task is set on a
 // function's task form: run queues the call with it and runs no user code.
@@ -153,16 +137,20 @@ func callOf(fn any, adapt func() rpcBody) *rpcAux {
 	return &rpcAux{bodies: []rpcBody{adapt()}}
 }
 
-// checkBodies rejects a request message whose entries the aux token's
-// bodies cannot serve: a count or kind disagreement between the two.
-func checkBodies(bodies []rpcBody, m rpcMsg) error {
-	if len(bodies) != m.count {
-		return fmt.Errorf("%s: %d bodies for %d wire entries", rpcFormat, len(bodies), m.count)
+// checkBodies rejects a request message the aux token cannot serve: a count
+// or kind disagreement between the wire entries and the token's bodies, or
+// a landing on the wire without a landing body in the token, or the reverse.
+func checkBodies(a *rpcAux, m rpcMsg) error {
+	if len(a.bodies) != m.count {
+		return fmt.Errorf("%s: %d bodies for %d wire entries", rpcFormat, len(a.bodies), m.count)
 	}
-	for i := range bodies {
-		if k := m.next().kind; k != bodies[i].kind {
-			return fmt.Errorf("%s: entry %d is kind %d on the wire but its body serves kind %d", rpcFormat, i, k, bodies[i].kind)
+	for i := range a.bodies {
+		if k := m.next().kind; k != a.bodies[i].kind {
+			return fmt.Errorf("%s: entry %d is kind %d on the wire but its body serves kind %d", rpcFormat, i, k, a.bodies[i].kind)
 		}
+	}
+	if body := a.rem.body.run != nil; body != m.landing {
+		return fmt.Errorf("%s: landing on the wire: %t, landing body in the token: %t", rpcFormat, m.landing, body)
 	}
 	return nil
 }
@@ -249,17 +237,6 @@ func (rk *Rank) execQueue(gid uint64) *Persona {
 	return rk.master
 }
 
-// runOn runs fn inline when q is nil and queues it on q otherwise. Hot
-// paths branch on the queue themselves so the inline case needs no
-// closure.
-func runOn(q *Persona, fn func()) {
-	if q == nil {
-		fn()
-		return
-	}
-	q.queueBody(fn)
-}
-
 // splitBodyPersona peels RPCBodyOn pseudo-descriptors off an RPC's
 // completion set, returning the named target-rank persona (nil when none)
 // and the remaining true completion descriptors. The persona must belong
@@ -288,25 +265,29 @@ func splitBodyPersona(target Intrank, cxs []Cx) (*Persona, []Cx) {
 
 // --- RPC wire form -------------------------------------------------------
 
-// There is one RPC message. A single RPC, a fire-and-forget RPC, a flushed
-// Batch, and every reply all travel as
+// There is one message: the only payload the runtime puts on the conduit,
+// and handleRPC its only handler. A single RPC, a fire-and-forget RPC, a
+// flushed Batch, every reply, every collective message (coll.go) and every
+// remote-cx landing a put or copy carries all travel as
 //
 //	| magic 0xC9 | version 1 | src u32 LE | count uvarint |
 //	| count × { kind u8 | seq u64 LE | arglen uvarint | args } |
-//	| remlen uvarint | rem |
+//	| land uvarint | largs |
 //
 // — a single call is a one-entry message. kind is rpcReqKind/rpcReplyKind/
 // rpcFFKind; seq correlates a request with its reply (fire-and-forget
 // entries carry 0); src is the sender's world rank, riding in the payload
 // (not only the conduit envelope) so the message stays self-describing
-// when relayed. Entries of one message all travel in one direction:
-// request messages may mix round-trip and fire-and-forget entries, reply
-// messages carry only replies. rem is an embedded remote-cx payload (the
-// 0xC7 wire form of completion.go) carrying one target-side landing
-// notification for the whole message — empty when none was attached, and
-// required empty on replies. decodeRPCMsg rejects anything malformed;
-// FuzzRPCWire hammers it with hostile bytes and checks the canonical
-// round-trip property.
+// when relayed — a landing body learns its initiator from it. Entries of
+// one message all travel in one direction: request messages may mix
+// round-trip and fire-and-forget entries, reply messages carry only
+// replies. The trailer is one target-side landing notification
+// (RemoteCxAsRPC) for the whole message: land is 0 when none rides it, and
+// otherwise 1 + the length of largs, the landing body's argument bytes.
+// Replies carry none, and a request with no entries — the landing a put or
+// copy carries — must carry one. decodeRPCMsg rejects anything malformed;
+// FuzzRPCWire, FuzzRemoteCxWire and FuzzCollWire hammer it with hostile
+// bytes and check the canonical round-trip property.
 
 const (
 	rpcMagic   = 0xC9
@@ -339,9 +320,13 @@ type rpcEntry struct {
 // the same byte stream but in which argument spans of at least
 // serial.GatherMinBorrow bytes still alias the caller's memory. A non-nil
 // arg is a single call's argument, marshalled here, once, into the message,
-// behind whatever header the entry's args hold (a spawn's task header).
-func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, rem []byte, gather bool) (buf []byte, bufs [][]byte) {
-	size := 40 + 20*len(entries) + len(rem)
+// behind whatever header the entry's args hold (a spawn's task header). A
+// non-nil land is the landing's argument bytes.
+func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, land *[]byte, gather bool) (buf []byte, bufs [][]byte) {
+	size := 40 + 20*len(entries)
+	if land != nil {
+		size += len(*land)
+	}
 	if !gather {
 		for i := range entries {
 			size += len(entries[i].args)
@@ -352,10 +337,7 @@ func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, rem []byte, ga
 	if gather {
 		e.EnableGather()
 	}
-	e.PutU8(rpcMagic)
-	e.PutU8(rpcVersion)
-	e.PutU32(uint32(src))
-	e.PutUvarint(uint64(len(entries)))
+	putRPCHead(&e, src, len(entries))
 	for i := range entries {
 		en := &entries[i]
 		e.PutU8(en.kind)
@@ -376,23 +358,36 @@ func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, rem []byte, ga
 			e.PutBorrowed(f)
 		}
 	}
-	e.PutUvarint(uint64(len(rem)))
-	e.PutRaw(rem)
+	if land == nil {
+		e.PutUvarint(0)
+	} else {
+		e.PutUvarint(1 + uint64(len(*land)))
+		e.PutRaw(*land)
+	}
 	if gather {
 		return nil, e.Fragments()
 	}
 	return e.Bytes(), nil
 }
 
+// putRPCHead opens a message of count entries from src.
+func putRPCHead(e *serial.Encoder, src Intrank, count int) {
+	e.PutU8(rpcMagic)
+	e.PutU8(rpcVersion)
+	e.PutU32(uint32(src))
+	e.PutUvarint(uint64(count))
+}
+
 // rpcMsg is one validated RPC message. The entries stay in wire form:
 // next walks them without materialising a slice, so a one-entry message
 // costs no allocation to decode.
 type rpcMsg struct {
-	src   uint32
-	count int
-	reply bool   // a reply message (every entry rpcReplyKind)
-	body  []byte // the count entries, validated
-	rem   []byte // embedded remote-cx payload (encodeRemoteCx form)
+	src     uint32
+	count   int
+	reply   bool   // a reply message (every entry rpcReplyKind)
+	body    []byte // the count entries, validated
+	landing bool   // a landing notification rides the message
+	largs   []byte // its argument bytes
 }
 
 // next pops the message's first remaining entry; call it at most count
@@ -423,7 +418,7 @@ func decodeRPCMsg(b []byte) (rpcMsg, error) {
 	}
 	// Every entry occupies at least kind+seq+arglen = 10 bytes, so a count
 	// beyond the remaining byte count is hostile, not merely truncated.
-	if count == 0 || count > uint64(d.Remaining()) {
+	if count > uint64(d.Remaining()) {
 		return m, fmt.Errorf("%s: entry count %d with %d bytes remaining", rpcFormat, count, d.Remaining())
 	}
 	m.count = int(count)
@@ -450,21 +445,29 @@ func decodeRPCMsg(b []byte) (rpcMsg, error) {
 	}
 	m.reply = replies != 0
 	m.body = b[start:d.Offset()]
-	var err error
-	if m.rem, err = d.Tail(rpcFormat); err != nil {
-		return m, err
+	land := d.Uvarint()
+	if m.landing = land > 0; m.landing {
+		land--
 	}
-	if m.reply && len(m.rem) > 0 {
-		return m, fmt.Errorf("%s: reply carries a remote-cx payload", rpcFormat)
+	if d.Err() != nil || land != uint64(d.Remaining()) {
+		return m, fmt.Errorf("%s: landing length does not match the %d bytes remaining", rpcFormat, d.Remaining())
+	}
+	m.largs = d.Raw(int(land))
+	switch {
+	case m.reply && m.landing:
+		return m, fmt.Errorf("%s: reply carries a landing", rpcFormat)
+	case m.count == 0 && !m.landing:
+		return m, fmt.Errorf("%s: no entries and no landing", rpcFormat)
 	}
 	return m, nil
 }
 
 // --- target side ---------------------------------------------------------
 
-// handleRPC is the single conduit AM handler for all RPC traffic. A
-// request message's embedded remote-cx landing event fires first — it
-// signals the message's arrival, not any body's execution, and may be
+// handleRPC is the conduit AM handler, the one a world registers. A
+// request message's landing notification fires first — it signals the
+// message's arrival (for a zero-entry message, the carrying put's or
+// copy's data in place), not any body's execution, and may be
 // persona-addressed. Then every body of the message executes during
 // user-level progress in ONE delivery to the rank's execution persona
 // (or the persona named with RPCBodyOn) — the target wakes once per
@@ -496,15 +499,14 @@ func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
 	if a == nil {
 		return fmt.Errorf("%s: request without a body token (%T)", rpcFormat, aux)
 	}
-	if err := checkBodies(a.bodies, m); err != nil {
+	if err := checkBodies(a, m); err != nil {
 		return err
 	}
-	if len(m.rem) > 0 {
-		initiator, args, err := decodeRemoteCx(m.rem)
-		if err != nil {
-			return err
-		}
-		rk.runRemoteBody(a.rem, initiator, args)
+	if m.landing {
+		rk.runRemoteBody(a.rem, Intrank(m.src), m.largs)
+	}
+	if m.count == 0 {
+		return nil
 	}
 	if q := rk.bodyQueue(a.bodyPers); q != nil {
 		q.queueBody(func() { rk.runBodies(from, m, a.bodies) })
@@ -538,7 +540,7 @@ func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
 // mirroring Fig 2's return flow through the target's queues.
 func (rk *Rank) reply(dst Intrank, results []rpcEntry) {
 	buf, _ := encodeRPCMsg[Unit](rk.me, results, nil, nil, false)
-	rk.inject(rk.newInjection(dst).single(rmaOp{kind: opAM, dstPeer: dst, amID: rk.w.amRPC, buf: buf}))
+	rk.inject(rk.newInjection(dst).single(rmaOp{kind: opAM, dstPeer: dst, buf: buf}))
 }
 
 // --- initiator side ------------------------------------------------------
@@ -629,15 +631,15 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 		}
 		rk.rpcMu.Unlock()
 	}
-	var rem []byte
-	if am := inj.takeConduitAM(); am != nil || bodyPers != nil {
+	var land *[]byte
+	if l := inj.landing; l != nil || bodyPers != nil {
 		call = &rpcAux{bodies: call.bodies, bodyPers: bodyPers}
-		if am != nil {
-			rem, call.rem = am.Payload, am.Aux.(remoteCxAux)
+		if l != nil { // the message carries it: opDone must not send it again
+			call.rem, land, inj.landing = l.tok.rem, &l.args, nil
 		}
 	}
-	op := rmaOp{kind: opK, dstPeer: target, amID: rk.w.amRPC, amAux: call}
-	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, arg, rem, gather)
+	op := rmaOp{kind: opK, dstPeer: target, amAux: call}
+	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, arg, land, gather)
 	rk.inject(inj.single(op))
 	return futs
 }

@@ -282,18 +282,20 @@ func TestBatchDoorbellCoalescing(t *testing.T) {
 }
 
 // TestRPCWireErrors rejects malformed RPC messages at the decode
-// boundary: empty messages, unknown kinds, sequence-carrying ffs, mixed
-// request/reply direction, replies with landing payloads, and length
-// fields disagreeing with the actual span — for one-entry messages (what
-// RPC and RPCFF send) and multi-entry ones alike.
+// boundary: messages with neither entries nor a landing, unknown kinds,
+// sequence-carrying ffs, mixed request/reply direction, replies with
+// landings, and length fields disagreeing with the actual span — for
+// one-entry messages (what RPC and RPCFF send), multi-entry ones and the
+// zero-entry landing a put carries alike.
 func TestRPCWireErrors(t *testing.T) {
 	req := rpcEntry{kind: rpcReqKind, seq: 1, args: []byte{1, 2}}
 	rep := rpcEntry{kind: rpcReplyKind, seq: 1, args: []byte{3}}
 	ff := rpcEntry{kind: rpcFFKind, args: []byte{9, 9, 9}}
-	enc := func(rem []byte, entries ...rpcEntry) []byte {
-		b, _ := encodeRPCMsg[Unit](0, entries, nil, rem, false)
+	enc := func(land *[]byte, entries ...rpcEntry) []byte {
+		b, _ := encodeRPCMsg[Unit](0, entries, nil, land, false)
 		return b
 	}
+	land := func(b ...byte) *[]byte { return &b }
 	cases := []struct {
 		name string
 		msg  []byte
@@ -310,28 +312,29 @@ func TestRPCWireErrors(t *testing.T) {
 		{"ff with seq", enc(nil, rpcEntry{kind: rpcFFKind, seq: 4})},
 		{"ff with seq after a request", enc(nil, req, rpcEntry{kind: rpcFFKind, seq: 4})},
 		{"mixed direction", enc(nil, req, rep)},
-		{"reply with rem", enc([]byte{1}, rep)},
-		{"two replies with rem", enc(encodeRemoteCx(0, nil), rep, rep)},
+		{"reply with a landing", enc(land(1), rep)},
+		{"two replies with an empty landing", enc(land(), rep, rep)},
 		{"truncated", enc(nil, req)[:8]},
 		{"trailing bytes", append(enc(nil, req), 0)},
-		{"rem length short of remaining", append(enc([]byte{1, 2}, req), 3)},
-		{"rem length beyond remaining", enc([]byte{1, 2}, ff)[:len(enc([]byte{1, 2}, ff))-1]},
+		{"landing length short of remaining", append(enc(land(1, 2), req), 3)},
+		{"landing length beyond remaining", enc(land(1, 2), ff)[:len(enc(land(1, 2), ff))-1]},
+		{"landing-only message cut short", enc(land(1, 2))[:8]},
 	}
 	for _, tc := range cases {
 		if _, err := decodeRPCMsg(tc.msg); err == nil {
 			t.Errorf("%s: decode accepted % x", tc.name, tc.msg)
 		}
 	}
-	// The happy paths round-trip: a lone request, a lone ff carrying a
-	// landing payload, and a request message mixing ff in.
-	for _, entries := range [][]rpcEntry{{req}, {ff}, {req, ff}} {
-		rem := encodeRemoteCx(3, []byte{5})
-		b, _ := encodeRPCMsg[Unit](3, entries, nil, rem, false)
+	// The happy paths round-trip: a lone request, a lone ff, a request
+	// message mixing ff in — each carrying a landing — and the landing
+	// alone.
+	for _, entries := range [][]rpcEntry{{req}, {ff}, {req, ff}, nil} {
+		b, _ := encodeRPCMsg[Unit](3, entries, nil, land(5), false)
 		m, err := decodeRPCMsg(b)
 		if err != nil {
 			t.Fatalf("decode of valid %d-entry message: %v", len(entries), err)
 		}
-		if m.src != 3 || m.count != len(entries) || m.reply || !bytes.Equal(m.rem, rem) {
+		if m.src != 3 || m.count != len(entries) || m.reply || !m.landing || !bytes.Equal(m.largs, []byte{5}) {
 			t.Errorf("round trip mangled message: %+v", m)
 		}
 		for i, want := range entries {

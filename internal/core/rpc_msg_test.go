@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 	"upcxx/internal/serial"
 )
 
@@ -254,21 +255,28 @@ func TestRPCBodyOnSingleCall(t *testing.T) {
 
 // TestRPCHandlerRejects: a message the handler cannot act on — the wire
 // entries and the aux token disagree in count or kind, a request arrives
-// with no aux, a reply names no pending call, the payload or its embedded
-// landing notification is corrupt — fails the sending peer (World.Failed
-// wraps ErrPeerLost) instead of panicking the progress goroutine, and runs
-// no body.
+// with no aux, a reply names no pending call, the payload is corrupt, a
+// landing rides the wire but the token names no landing body or the token
+// names one but the wire carries none — fails the sending peer
+// (World.Failed wraps ErrPeerLost) instead of panicking the progress
+// goroutine, and runs no body. One token comes through distAuxCodec, the
+// way a peer process's reaches the handler.
 func TestRPCHandlerRejects(t *testing.T) {
 	var ran atomic.Int32
 	val := valueBody(func(*Rank, int64) int64 { ran.Add(1); return 0 })
 	ff := ffBody(func(*Rank, int64) { ran.Add(1) })
 	arg := mustMarshal(int64(1))
-	enc := func(rem []byte, entries ...rpcEntry) []byte {
-		b, _ := encodeRPCMsg[Unit](0, entries, nil, rem, false)
+	enc := func(land *[]byte, entries ...rpcEntry) []byte {
+		b, _ := encodeRPCMsg[Unit](0, entries, nil, land, false)
 		return b
 	}
 	req := rpcEntry{kind: rpcReqKind, seq: 9, args: arg}
 	one := rpcEntry{kind: rpcFFKind, args: arg}
+	landing := remoteCxAux{body: ff}
+	noLanding, err := new(distAuxCodec).DecodeAux(rpcAuxBytes("")) // a peer's landing-only token naming no body
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := []struct {
 		name    string
 		payload []byte
@@ -280,9 +288,12 @@ func TestRPCHandlerRejects(t *testing.T) {
 		{"round-trip entry, ff body", enc(nil, req), &rpcAux{bodies: []rpcBody{ff}}},
 		{"second entry mismatched", enc(nil, one, req), &rpcAux{bodies: []rpcBody{ff, ff}}},
 		{"request with no aux", enc(nil, one), nil},
-		{"request with a foreign aux", enc(nil, one), remoteCxAux{body: ff}},
+		{"request with a foreign aux", enc(nil, one), landing},
 		{"reply for an unknown sequence", enc(nil, rpcEntry{kind: rpcReplyKind, seq: 77}), nil},
-		{"corrupt landing notification", enc([]byte{1, 2, 3}, one), &rpcAux{bodies: []rpcBody{ff}}},
+		{"landing on the wire, no landing body", enc(&arg, one), &rpcAux{bodies: []rpcBody{ff}}},
+		{"landing body, no landing on the wire", enc(nil, one), &rpcAux{bodies: []rpcBody{ff}, rem: landing}},
+		{"landing-only message, a decoded token with no landing body", enc(&arg), noLanding},
+		{"no entries and no landing", enc(nil), &rpcAux{rem: landing}},
 		{"truncated payload", enc(nil, one)[:9], &rpcAux{bodies: []rpcBody{ff}}},
 		{"retired single-RPC magic", append([]byte{rpcMagic - 1}, enc(nil, one)[1:]...), &rpcAux{bodies: []rpcBody{ff}}},
 	}
@@ -298,12 +309,15 @@ func TestRPCHandlerRejects(t *testing.T) {
 	if n := ran.Load(); n != 0 {
 		t.Errorf("%d bodies of rejected messages ran", n)
 	}
-	// The matching forms are served.
+	// The matching forms are served: entries alone, entries with a landing,
+	// and a landing alone.
 	w := NewWorld(Config{Ranks: 2})
 	defer w.Close()
 	w.handleRPC(w.Rank(1).ep, 0, enc(nil, one, req), &rpcAux{bodies: []rpcBody{ff, val}})
-	if err := w.Failed(); err != nil || ran.Load() != 2 {
-		t.Errorf("well-formed message: Failed() = %v, %d of 2 bodies ran", err, ran.Load())
+	w.handleRPC(w.Rank(1).ep, 0, enc(&arg, one, req), &rpcAux{bodies: []rpcBody{ff, val}, rem: landing})
+	w.handleRPC(w.Rank(1).ep, 0, enc(&arg), &rpcAux{rem: landing})
+	if err := w.Failed(); err != nil || ran.Load() != 6 {
+		t.Errorf("well-formed messages: Failed() = %v, %d of 6 bodies ran", err, ran.Load())
 	}
 }
 
@@ -313,8 +327,10 @@ func TestRPCHandlerRejects(t *testing.T) {
 // is left is what the caller keeps (promise, future, LPC node), the message
 // buffer, and two goroutine-id lookups per blocking call (curGID's stack
 // buffer escapes; ROADMAP item 1(b) deletes it). A barrier's count moves
-// with the number of progress passes its waits take (32 measured, both
-// ranks together).
+// with the number of progress passes its waits take (30 measured, both
+// ranks together). It also pins the messages those operations send, from
+// the conduit's counters: a signaling put's landing rides the put (no AM of
+// its own), and a 2-rank barrier is one AM each way.
 func TestRPCAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop records at random")
@@ -334,11 +350,13 @@ func TestRPCAllocPins(t *testing.T) {
 		}
 	}
 	check := func(name string, got, max float64) {
-		t.Logf("%s: %v allocs/op (pinned at %v)", name, got, max)
+		t.Logf("%s: %v per op (pinned at %v)", name, got, max)
 		if got > max {
-			t.Errorf("%s: %v allocs/op, pinned at %v", name, got, max)
+			t.Errorf("%s: %v per op, pinned at %v", name, got, max)
 		}
 	}
+	ams := func() float64 { return float64(rk0.Stats().Counters[obs.AMs] + rk1.Stats().Counters[obs.AMs]) }
+	signal := func() { spin(RPutSignal(rk0, buf, word, msgSink, int64(1)).Ready) }
 	for _, pin := range []struct {
 		name string
 		op   func()
@@ -364,20 +382,29 @@ func TestRPCAllocPins(t *testing.T) {
 		{"blocking RPut", func() { spin(RPut(rk0, buf, word).Ready) }, 7},
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 7},
 		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 8},
+		{"blocking RPutSignal", signal, 10},
 	} {
-		check(pin.name, testing.AllocsPerRun(200, pin.op), pin.max)
+		check(pin.name+" allocs", testing.AllocsPerRun(200, pin.op), pin.max)
 	}
+	before := ams()
+	for i := 0; i < 100; i++ {
+		signal()
+	}
+	check("signaling put AMs", (ams()-before)/100, 0)
 	// A 2-rank barrier, both ranks' allocations: rank 1 matches the warm-up
-	// call and the 200 measured ones.
+	// call and the 200 measured ones, and each rank ends the epoch with one
+	// more.
+	before = ams()
 	w.Run(func(rk *Rank) {
 		if rk.Me() == 0 {
-			check("2-rank barrier", testing.AllocsPerRun(200, rk.Barrier), 35)
+			check("2-rank barrier allocs", testing.AllocsPerRun(200, rk.Barrier), 35)
 			return
 		}
 		for i := 0; i < 201; i++ {
 			rk.Barrier()
 		}
 	})
+	check("2-rank barrier AMs", (ams()-before)/202, 2)
 }
 
 // TestBodyQueueFIFOBehindQueuedBodies: the goroutine holding a persona runs

@@ -24,8 +24,11 @@ func TestRPCStallsWithoutAttentiveness(t *testing.T) {
 			executed := false
 			RPCFF(rk, 1, func(trk *Rank, _ int) {}, 0)
 			f := RPC(rk, 1, func(trk *Rank, _ Unit) bool { return true }, Unit{})
-			// Target is computing (not progressing): nothing can arrive.
-			time.Sleep(20 * time.Millisecond)
+			// Target is computing (not progressing): however much progress
+			// the initiator makes, the RPC cannot complete.
+			for i := 0; i < 1000; i++ {
+				rk.Progress()
+			}
 			if f.Ready() || executed {
 				t.Error("RPC completed while target was inattentive")
 			}

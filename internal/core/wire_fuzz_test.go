@@ -5,18 +5,18 @@ import (
 	"fmt"
 	"testing"
 
+	"upcxx/internal/gasnet"
 	"upcxx/internal/serial"
 	"upcxx/internal/serial/serialtest"
 )
 
-// Fuzz targets for the kind-tagged GPtr wire form and the versioned
-// message headers. The seed corpus runs as ordinary unit tests on every
-// `go test`; CI additionally runs each target with -fuzz for a short smoke
-// window (see Makefile fuzz-smoke). The three message formats share one
-// harness, serialtest.FuzzCanonical: hostile bytes never panic the
+// Fuzz targets for the kind-tagged GPtr wire form and the one RPC message.
+// The seed corpus runs as ordinary unit tests on every `go test`; CI
+// additionally runs each target with -fuzz for a short smoke window (see
+// Makefile fuzz-smoke). The message is checked with the harness every wire
+// format shares, serialtest.FuzzCanonical: hostile bytes never panic the
 // decoder, and anything it accepts re-encodes to the identical canonical
-// bytes; each format adds only its seeds and the invariants its decoder
-// must have enforced.
+// bytes.
 
 // gptrValid mirrors the wire-form invariants: nil is owner < 0; live
 // pointers must have a consistent kind/device pair.
@@ -68,59 +68,35 @@ func FuzzGPtrWire(f *testing.F) {
 	})
 }
 
-// remoteCxWire is a decoded remote-cx AM payload.
-type remoteCxWire struct {
-	initiator Intrank
-	args      []byte
-}
-
-func FuzzRemoteCxWire(f *testing.F) {
-	seeds := [][]byte{
-		encodeRemoteCx(0, nil),
-		encodeRemoteCx(3, []byte{1, 2, 3}),
-		encodeRemoteCx(1<<31-1, bytes.Repeat([]byte{0xaa}, 64)),
-		{},
-		{remoteCxMagic},
-		{remoteCxMagic, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge uvarint arglen
-		bytes.Repeat([]byte{0xff}, 24),
-	}
-	serialtest.FuzzCanonical(f, seeds,
-		func(b []byte) (remoteCxWire, error) {
-			initiator, args, err := decodeRemoteCx(b)
-			return remoteCxWire{initiator, args}, err
-		},
-		func(m remoteCxWire) []byte { return encodeRemoteCx(m.initiator, m.args) },
-		func(m remoteCxWire) string {
-			if m.initiator < 0 {
-				return fmt.Sprintf("negative initiator %d", m.initiator)
-			}
-			return ""
-		})
-}
-
 // rpcWire is a decoded RPC message with its entries walked out.
 type rpcWire struct {
 	src     uint32
 	entries []rpcEntry
-	rem     []byte
+	landing bool
+	largs   []byte
 }
 
 func encodeRPCWire(m rpcWire) []byte {
-	b, _ := encodeRPCMsg[Unit](Intrank(m.src), m.entries, nil, m.rem, false)
+	var land *[]byte
+	if m.landing {
+		land = &m.largs
+	}
+	b, _ := encodeRPCMsg[Unit](Intrank(m.src), m.entries, nil, land, false)
 	return b
 }
 
 func decodeRPCWire(b []byte) (rpcWire, error) {
 	m, err := decodeRPCMsg(b)
-	w := rpcWire{src: m.src, rem: m.rem}
+	w := rpcWire{src: m.src, landing: m.landing, largs: m.largs}
 	for i := 0; err == nil && i < m.count; i++ {
 		w.entries = append(w.entries, m.next())
 	}
 	return w, err
 }
 
-// FuzzRPCWire covers the one RPC message every single, fire-and-forget,
-// batched and reply message travels as.
+// FuzzRPCWire covers the one message the runtime sends: single,
+// fire-and-forget and batched calls, replies, and landings riding a request.
+// FuzzRemoteCxWire and FuzzCollWire fuzz its two internal uses.
 func FuzzRPCWire(f *testing.F) {
 	seeds := [][]byte{
 		encodeRPCWire(rpcWire{entries: []rpcEntry{{kind: rpcReqKind}}}),
@@ -132,9 +108,8 @@ func FuzzRPCWire(f *testing.F) {
 			{kind: rpcReplyKind, seq: 1 << 40, args: bytes.Repeat([]byte{0xaa}, 64)},
 			{kind: rpcReplyKind, seq: 2}}}),
 		encodeRPCWire(rpcWire{src: 2, entries: []rpcEntry{{kind: rpcFFKind, args: []byte{5}}},
-			rem: encodeRemoteCx(2, []byte{9, 9})}),
-		encodeRPCWire(rpcWire{src: 2, entries: []rpcEntry{{kind: rpcReqKind, seq: 1}},
-			rem: encodeRemoteCx(2, nil)}),
+			landing: true, largs: []byte{9, 9}}),
+		encodeRPCWire(rpcWire{src: 2, entries: []rpcEntry{{kind: rpcReqKind, seq: 1}}, landing: true}),
 		{},
 		{rpcMagic},
 		bytes.Repeat([]byte{0xff}, 32),
@@ -157,55 +132,120 @@ func FuzzRPCWire(f *testing.F) {
 			}
 		}
 		switch {
-		case len(m.entries) == 0:
-			return "an empty message"
+		case len(m.entries) == 0 && !m.landing:
+			return "a message with no entries and no landing"
 		case m.src > 1<<31-1:
 			return fmt.Sprintf("out-of-range sender %d", m.src)
 		case replies != 0 && replies != len(m.entries):
 			return "a mixed-direction message"
-		case replies != 0 && len(m.rem) > 0:
-			return "a reply with a remote-cx payload"
+		case replies != 0 && m.landing:
+			return "a reply with a landing"
 		}
 		return ""
 	})
 }
 
-func FuzzCollWire(f *testing.F) {
-	// Unknown kind 200 on an otherwise well-formed message.
-	hostile := encodeCollMsg(collMsg{team: 1, seq: 1, kind: collReduce})
-	hostile[18] = 200
+// FuzzRemoteCxWire covers the landing-only message a put or copy carries:
+// zero entries, the initiator as sender, and the landing body's argument
+// bytes as the trailer. decodeRPCMsg must admit zero entries only with a
+// landing.
+func FuzzRemoteCxWire(f *testing.F) {
+	landing := func(src uint32, largs []byte) []byte {
+		return encodeRPCWire(rpcWire{src: src, landing: true, largs: largs})
+	}
 	seeds := [][]byte{
-		encodeCollMsg(collMsg{kind: collBarrier, round: collRoundUp}),
-		encodeCollMsg(collMsg{team: 7, seq: 3, kind: collBcast, round: collRoundDown, src: 2, data: []byte{1, 2, 3}}),
-		encodeCollMsg(collMsg{team: 1 << 40, seq: 1 << 20, kind: collLand, round: collRoundUp,
+		landing(0, nil),
+		landing(3, []byte{1, 2, 3}),
+		landing(1<<31-1, bytes.Repeat([]byte{0xaa}, 64)),
+		{},
+		{rpcMagic},
+		// Hostile: huge uvarint landing length.
+		{rpcMagic, rpcVersion, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		bytes.Repeat([]byte{0xff}, 24),
+		// Hostile: zero entries and no landing.
+		{rpcMagic, rpcVersion, 0, 0, 0, 0, 0, 0},
+	}
+	serialtest.FuzzCanonical(f, seeds,
+		func(b []byte) (rpcWire, error) {
+			m, err := decodeRPCWire(b)
+			if err == nil && len(m.entries) != 0 {
+				err = fmt.Errorf("%d entries, not a landing-only message", len(m.entries))
+			}
+			return m, err
+		},
+		encodeRPCWire,
+		func(m rpcWire) string {
+			switch {
+			case !m.landing:
+				return "a message with no entries and no landing"
+			case m.src > 1<<31-1:
+				return fmt.Sprintf("out-of-range initiator %d", m.src)
+			}
+			return ""
+		})
+}
+
+// collWire is a decoded collective message: the sender of its one
+// fire-and-forget entry and the entry's argument.
+type collWire struct {
+	src uint32
+	m   collMsg
+}
+
+// FuzzCollWire covers the collective message: one fire-and-forget entry
+// whose argument decodeCollMsg parses, in exactly the form encodeCollMsg
+// writes.
+func FuzzCollWire(f *testing.F) {
+	// Unknown kind 200 on an otherwise well-formed message: the kind byte is
+	// 16 bytes into the argument, which ends one byte (the empty landing)
+	// before the message does.
+	hostile := encodeCollMsg(1, collMsg{team: 1, seq: 1, kind: collReduce})
+	hostile[len(hostile)-1-collHdrLen+16] = 200
+	seeds := [][]byte{
+		encodeCollMsg(0, collMsg{kind: collBarrier, round: collRoundUp}),
+		encodeCollMsg(2, collMsg{team: 7, seq: 3, kind: collBcast, round: collRoundDown, src: 2, data: []byte{1, 2, 3}}),
+		encodeCollMsg(1<<31-1, collMsg{team: 1 << 40, seq: 1 << 20, kind: collLand, round: collRoundUp,
 			src: 1<<31 - 1, data: bytes.Repeat([]byte{0xaa}, 64)}),
-		encodeCollMsg(collMsg{team: 9, seq: 1, kind: collAddr, round: collRoundDown, src: 5,
+		encodeCollMsg(5, collMsg{team: 9, seq: 1, kind: collAddr, round: collRoundDown, src: 5,
 			data: encodeCollAddr(collBufAddr{kind: 1, dev: 2, off: 4096})}),
 		{},
-		{collMagic},
+		{rpcMagic},
 		bytes.Repeat([]byte{0xff}, 32),
 		hostile,
 	}
-	serialtest.FuzzCanonical(f, seeds, decodeCollMsg, encodeCollMsg, func(m collMsg) string {
-		switch {
-		case m.kind == 0 || m.kind > collKindMax:
-			return fmt.Sprintf("unknown kind %d", m.kind)
-		case m.round > collRoundDown:
-			return fmt.Sprintf("unknown round %d", m.round)
-		case m.src > 1<<31-1:
-			return fmt.Sprintf("out-of-range sender %d", m.src)
-		}
-		return ""
-	})
+	serialtest.FuzzCanonical(f, seeds,
+		func(b []byte) (collWire, error) {
+			w, err := decodeRPCWire(b)
+			if err != nil {
+				return collWire{}, err
+			}
+			if len(w.entries) != 1 || w.entries[0].kind != rpcFFKind || w.landing {
+				return collWire{}, fmt.Errorf("not one fire-and-forget entry without a landing")
+			}
+			m, err := decodeCollMsg(w.entries[0].args)
+			return collWire{w.src, m}, err
+		},
+		func(c collWire) []byte { return encodeCollMsg(Intrank(c.src), c.m) },
+		func(c collWire) string {
+			switch {
+			case c.m.kind == 0 || c.m.kind > collKindMax:
+				return fmt.Sprintf("unknown kind %d", c.m.kind)
+			case c.m.round > collRoundDown:
+				return fmt.Sprintf("unknown round %d", c.m.round)
+			case c.m.src > 1<<31-1:
+				return fmt.Sprintf("out-of-range team rank %d", c.m.src)
+			}
+			return ""
+		})
 }
 
 // FuzzCollArrive is the arrival-side counterpart of FuzzCollWire: a message
 // that is well-formed on the wire but arbitrary in kind, round, claimed
 // sender and payload reaches a rank that is inside each kind of wave,
-// through the conduit handler — twice, so that an arrival the walk accepts
-// is also a duplicate. The walk must advance or fail the peer and never
-// panic; a message of another collective's kind, or from a team rank that
-// is no member, must fail the peer.
+// through the conduit handler with collArrive's token — twice, so that an
+// arrival the walk accepts is also a duplicate. The walk must advance or
+// fail the peer and never panic; a message of another collective's kind,
+// or from a team rank that is no member, must fail the peer.
 func FuzzCollArrive(f *testing.F) {
 	const p = 5 // binomial: 0 -> {1, 2, 4}, 1 -> {3}
 	waves := []struct {
@@ -241,9 +281,9 @@ func FuzzCollArrive(f *testing.F) {
 		defer sc.Release()
 		wave.enter(rk)
 		_, inside := rk.coll.states[collKey{worldTeamID, 0}] // a broadcast's root is through at once
-		payload := encodeCollMsg(collMsg{kind: kind, round: round, src: src, data: data})
+		payload := encodeCollMsg(Intrank(src%p), collMsg{kind: kind, round: round, src: src, data: data})
 		for i := 0; i < 2; i++ {
-			w.handleColl(rk.ep, Intrank(src%p), payload, nil)
+			w.handleRPC(rk.ep, gasnet.Rank(src%p), payload, collCall)
 			rk.Progress()
 		}
 		if inside && (kind != wave.kind || src >= p) && w.Failed() == nil {

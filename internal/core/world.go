@@ -110,9 +110,7 @@ type World struct {
 	net *gasnet.Network
 	obs *obs.Obs // nil unless Config.Stats
 
-	amRPC    gasnet.HandlerID // all RPC traffic: single, batched and fire-and-forget requests, and replies
-	amColl   gasnet.HandlerID
-	amRemote gasnet.HandlerID // remote-completion RPCs (remote_cx::as_rpc)
+	amRPC gasnet.HandlerID // handleRPC: the one AM handler, every message the runtime sends (rpc.go)
 
 	ranks []*Rank
 
@@ -135,40 +133,45 @@ func NewWorld(cfg Config) *World {
 	if cfg.Ranks <= 0 {
 		panic("upcxx: Config.Ranks must be positive")
 	}
+	if cfg.CollRadix == 0 && cfg.Model != nil {
+		cfg.CollRadix = AutoRadix(cfg.Model, cfg.Ranks)
+	}
+	return newWorld(&World{cfg: cfg}, gasnet.Config{RanksPerNode: cfg.RanksPerNode, Model: cfg.Model})
+}
+
+// newWorld finishes w for both constructors: the configuration's defaults,
+// the observability layer, the conduit (net, completed from the
+// configuration), the one AM handler, the ranks this process hosts — all
+// of them, or only self in a multi-process world — and their progress
+// threads.
+func newWorld(w *World, net gasnet.Config) *World {
+	cfg := &w.cfg
 	if cfg.WaitTimeout == 0 {
 		cfg.WaitTimeout = 60 * time.Second
 	}
 	cfg.envObsConfig()
-	if cfg.CollRadix == 0 && cfg.Model != nil {
-		cfg.CollRadix = AutoRadix(cfg.Model, cfg.Ranks)
-	}
-	w := &World{cfg: cfg}
 	if cfg.Stats {
 		w.obs = obs.New(cfg.Ranks, obs.Options{
 			TraceDepth:  cfg.TraceDepth,
 			TraceSample: cfg.TraceSample,
 		})
 	}
-	w.net = gasnet.NewNetwork(gasnet.Config{
-		Ranks:        cfg.Ranks,
-		RanksPerNode: cfg.RanksPerNode,
-		SegmentSize:  cfg.SegmentSize,
-		Model:        cfg.Model,
-		DMA:          cfg.DMA,
-		Obs:          w.obs,
-	})
+	net.Ranks, net.SegmentSize, net.DMA, net.Obs = cfg.Ranks, cfg.SegmentSize, cfg.DMA, w.obs
+	w.net = gasnet.NewNetwork(net)
 	w.amRPC = w.net.RegisterAM(w.handleRPC)
-	w.amColl = w.net.RegisterAM(w.handleColl)
-	w.amRemote = w.net.RegisterAM(w.handleRemoteCx)
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for r := range w.ranks {
-		w.ranks[r] = w.newRank(Intrank(r))
+		if !w.dist || Intrank(r) == w.self {
+			w.ranks[r] = w.newRank(Intrank(r))
+		}
 	}
 	if cfg.ProgressThread {
 		w.ptStop = make(chan struct{})
 		for _, rk := range w.ranks {
-			w.ptWG.Add(1)
-			go rk.progressLoop(w.ptStop, &w.ptWG)
+			if rk != nil {
+				w.ptWG.Add(1)
+				go rk.progressLoop(w.ptStop, &w.ptWG)
+			}
 		}
 	}
 	return w
