@@ -42,7 +42,8 @@ test-short:
 # and gets read into place by real reader goroutines).
 # PoolStress is the injection-record pool's safety test: records taken, run,
 # completed and released on different goroutines, with a peer failed
-# mid-flight. RPC runs the one message's tests — every core message crosses
+# mid-flight. InjectOrder holds one goroutine's puts and rpc_ffs to their
+# issue order while the progress thread or another persona polls. RPC runs the one message's tests — every core message crosses
 # its one handler: the mixed-stream FIFO, the rejects table, single calls as
 # one-entry batches. The second core leg runs the idle rule's tests and the persona
 # suite with one P, where a waiter that yields instead of parking starves
@@ -51,7 +52,7 @@ test-short:
 # blocked behind it. The task package runs a second time with one P too: the
 # steal bounce and a worker parked over a queued task only show there.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|RPC'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
@@ -124,12 +125,12 @@ no-task-sleep:
 		echo "no-task-sleep: the task runtime idles through Rank.ProgressWait, never time.Sleep"; exit 1; \
 	fi
 
-# The runtime's queues (Rank.defQ, Endpoint.compQ/amQ) are drained by
-# swapping in a spare buffer; resetting one to nil makes every pass regrow
-# it from nothing — a heap object per operation again.
+# The runtime's queues (Endpoint.compQ/amQ) are drained by swapping in a
+# spare buffer; resetting one to nil makes every pass regrow it from
+# nothing — a heap object per operation again.
 no-queue-regrow:
-	@if grep -rnE '(defQ|compQ|amQ) = nil' --include='*.go' --exclude='*_test.go' internal/; then \
-		echo "no-queue-regrow: drain queues by swapping buffers (see InternalProgress, PollCompletions, PollAMsAs)"; exit 1; \
+	@if grep -rnE '(compQ|amQ) = nil' --include='*.go' --exclude='*_test.go' internal/; then \
+		echo "no-queue-regrow: drain queues by swapping buffers (see PollCompletions, PollAMsAs)"; exit 1; \
 	fi
 
 bench:

@@ -186,7 +186,7 @@ func main() {
 				say("worker persona %q consumed the RPC's operation-cx", worker.Name())
 			}()
 			_, fs := upcxx.RPCWith(rk, 1, incr, 1,
-				upcxx.OpCxAsFutureOn(worker))
+				upcxx.OpCxAsFuture().On(worker))
 			handoff <- fs
 			wg.Wait()
 		}

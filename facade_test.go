@@ -53,7 +53,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		p.Finalize().Wait()
 
 		// Strided RMA.
-		upcxx.RPutStrided2D(rk, []float64{9, 9, 9, 9}, 2, remote.Add(4), 2, 1, 2).Wait()
+		upcxx.RPutStrided2DWith(rk, []float64{9, 9, 9, 9}, 2, remote.Add(4), 2, 1, 2).Op.Wait()
 
 		// Collectives + teams.
 		total := upcxx.AllReduce(rk.WorldTeam(), int64(1),

@@ -38,9 +38,8 @@ import (
 // completion affinity). By default every initiator-side event lands on
 // the persona that would naturally own it — futures and promises on the
 // initiating persona, target-side RPCs on the target's execution persona.
-// The On combinator (and the …On constructors) redirect any delivery to
-// a *named* persona instead: a future created by OpCxAsFutureOn(p) is
-// owned by p and only consumable from the goroutine holding p; an LPC
+// The On combinator redirects any delivery to a *named* persona instead:
+// a future created by OpCxAsFuture().On(p) is owned by p and only consumable from the goroutine holding p; an LPC
 // runs in p's queue; a RemoteCxAsRPC body lands on a named persona of
 // the *target* rank — the signaling-put notification a worker persona
 // harvests directly in progress-thread mode.
@@ -168,20 +167,6 @@ func OpCxAsPromise(p *Promise[Unit]) Cx { return Cx{ev: OpDone, kind: cxPromise,
 // OpCxAsLPC delivers operation completion by running fn as an LPC on
 // persona pers (nil: the initiating goroutine's current persona).
 func OpCxAsLPC(pers *Persona, fn func()) Cx { return Cx{ev: OpDone, kind: cxLPC, pers: pers, fn: fn} }
-
-// OpCxAsFutureOn requests operation completion as a future owned by the
-// named persona p: only the goroutine holding p may consume it. The
-// persona-addressed form of OpCxAsFuture (equivalent to
-// OpCxAsFuture().On(p)).
-func OpCxAsFutureOn(p *Persona) Cx { return OpCxAsFuture().On(p) }
-
-// SourceCxAsFutureOn requests source completion as a future owned by the
-// named persona p (puts and RPC argument buffers only).
-func SourceCxAsFutureOn(p *Persona) Cx { return SourceCxAsFuture().On(p) }
-
-// RemoteCxAsFutureOn requests remote completion as an initiator-side
-// future owned by the named persona p.
-func RemoteCxAsFutureOn(p *Persona) Cx { return RemoteCxAsFuture().On(p) }
 
 // SourceCxAsFuture requests source completion as a future
 // (CxFutures.Source). Source descriptors are valid on puts only.

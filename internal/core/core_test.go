@@ -87,8 +87,8 @@ func TestRPutRGet(t *testing.T) {
 					t.Errorf("elem %d = %d", i, dst[i])
 				}
 			}
-			// Scalar convenience.
-			PutValue(rk, uint64(99), remote.Add(2)).Wait()
+			// One value each way.
+			RPut(rk, []uint64{99}, remote.Add(2)).Wait()
 			if got := GetValue(rk, remote.Add(2)).Wait(); got != 99 {
 				t.Errorf("GetValue = %d", got)
 			}
@@ -522,9 +522,9 @@ func TestVectorIndexedStridedRMA(t *testing.T) {
 			base = FetchDist[GPtr[int32]](rk, 0, 1).Wait()
 			// Indexed put: blocks of 2 at offsets 0, 10, 20.
 			src := []int32{1, 2, 3, 4, 5, 6}
-			RPutIndexed(rk, src, base, []int{0, 10, 20}, 2).Wait()
+			RPutIndexedWith(rk, src, base, []int{0, 10, 20}, 2).Op.Wait()
 			dst := make([]int32, 6)
-			RGetIndexed(rk, base, []int{0, 10, 20}, 2, dst).Wait()
+			RGetIndexedWith(rk, base, []int{0, 10, 20}, 2, dst).Op.Wait()
 			for i := range src {
 				if dst[i] != src[i] {
 					t.Errorf("indexed elem %d = %d", i, dst[i])
@@ -535,7 +535,7 @@ func TestVectorIndexedStridedRMA(t *testing.T) {
 			for i := range flat {
 				flat[i] = int32(100 + i)
 			}
-			RPutStrided2D(rk, flat, 8, base, 16, 4, 3).Wait()
+			RPutStrided2DWith(rk, flat, 8, base, 16, 4, 3).Op.Wait()
 			row := make([]int32, 4)
 			RGet(rk, base.Add(32), row).Wait() // third row at 2*16
 			for j := 0; j < 4; j++ {
@@ -546,7 +546,7 @@ func TestVectorIndexedStridedRMA(t *testing.T) {
 			// Vector get of two fragments.
 			a := make([]int32, 2)
 			b := make([]int32, 2)
-			RGetV(rk, []GetPair[int32]{{base, a}, {base.Add(10), b}}).Wait()
+			RGetVWith(rk, []GetPair[int32]{{base, a}, {base.Add(10), b}}).Op.Wait()
 			// The strided put above rewrote base[0..3] with 100..103;
 			// the indexed put's block at offset 10 is untouched.
 			if a[0] != 100 || b[0] != 3 {

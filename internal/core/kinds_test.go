@@ -179,9 +179,9 @@ func TestKindsRPutRGetDevice(t *testing.T) {
 					for i := range sec {
 						sec[i] = -int32(i)
 					}
-					RPutStrided2D(rk, sec, rowLen, d, 2*rowLen, rowLen, rows).Wait()
+					RPutStrided2DWith(rk, sec, rowLen, d, 2*rowLen, rowLen, rows).Op.Wait()
 					back := make([]int32, rows*rowLen)
-					RGetStrided2D(rk, d, 2*rowLen, back, rowLen, rowLen, rows).Wait()
+					RGetStrided2DWith(rk, d, 2*rowLen, back, rowLen, rowLen, rows).Op.Wait()
 					for i, v := range back {
 						if v != -int32(i) {
 							t.Errorf("device strided [%d] = %d, want %d", i, v, -int32(i))

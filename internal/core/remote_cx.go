@@ -18,18 +18,3 @@ import "upcxx/internal/serial"
 func RPutSignal[T serial.Scalar, A any](rk *Rank, src []T, dst GPtr[T], fn func(*Rank, A), arg A) Future[Unit] {
 	return RPutWith(rk, src, dst, OpCxAsFuture(), RemoteCxAsRPC(fn, arg)).Op
 }
-
-// RPutThenRemote performs RPut(src, dst) and, once the data is remotely
-// visible, invokes fn(arg) on dst's owner. Unlike RPutSignal, the
-// returned future readies only when the remote notification has
-// *executed* (its acknowledgment returned) — a stronger guarantee that
-// costs an explicit RPC round trip after remote completion.
-func RPutThenRemote[T serial.Scalar, A any](rk *Rank, src []T, dst GPtr[T], fn func(*Rank, A), arg A) Future[Unit] {
-	put := RPutWith(rk, src, dst, RemoteCxAsFuture())
-	return ThenFut(put.Remote, func(Unit) Future[Unit] {
-		return RPC(rk, dst.Owner, func(trk *Rank, a A) Unit {
-			fn(trk, a)
-			return Unit{}
-		}, arg)
-	})
-}

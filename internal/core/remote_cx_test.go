@@ -4,9 +4,29 @@ import (
 	"testing"
 )
 
-func TestRPutThenRemoteSeesData(t *testing.T) {
-	// The defining property of remote_cx::as_rpc: when the notification
-	// runs at the target, the put's data is already visible there.
+// rcxSpan names n words at Dst; rcxSum sums them where they live and
+// publishes the sum at Flag — a registered body, as a multi-process world
+// requires of every RPC.
+type rcxSpan struct {
+	Dst, Flag GPtr[uint64]
+	N         int
+}
+
+func rcxSum(trk *Rank, s rcxSpan) uint64 {
+	sum := uint64(0)
+	for _, v := range Local(trk, s.Dst, s.N) {
+		sum += v
+	}
+	Local(trk, s.Flag, 1)[0] = sum
+	return sum
+}
+
+var _ = RegisterRPC(rcxSum)
+
+// TestRemoteCxThenRPCSeesData: a put's remote completion, then an RPC of a
+// registered function to the put's target — the notification that reports
+// back once it has run — finds the put's data there.
+func TestRemoteCxThenRPCSeesData(t *testing.T) {
 	Run(2, func(rk *Rank) {
 		p := MustNewArray[uint64](rk, 4)
 		flag := MustNewArray[uint64](rk, 1)
@@ -14,26 +34,17 @@ func TestRPutThenRemoteSeesData(t *testing.T) {
 		_ = NewDistObject(rk, flag)
 		rk.Barrier()
 		if rk.Me() == 0 {
-			dst := FetchDist[GPtr[uint64]](rk, 0, 1).Wait()
-			remoteFlag := FetchDist[GPtr[uint64]](rk, 1, 1).Wait()
-			// Captured pointers (dst, remoteFlag) refer to rank 1's
-			// segment, so the notification body may use them there —
-			// capturing rank-0-local state would be the closure hazard
-			// the package documentation warns about.
-			RPutThenRemote(rk, []uint64{7, 8, 9, 10}, dst,
-				func(trk *Rank, n int) {
-					s := Local(trk, dst, n) // runs at rank 1, after landing
-					sum := uint64(0)
-					for _, v := range s {
-						sum += v
-					}
-					if sum != 34 {
-						t.Errorf("notification saw sum %d, want 34", sum)
-					}
-					Local(trk, remoteFlag, 1)[0] = sum
-				}, 4).Wait()
-			// The future implies the notification already executed.
-			if got := GetValue(rk, remoteFlag).Wait(); got != 34 {
+			span := rcxSpan{
+				Dst:  FetchDist[GPtr[uint64]](rk, 0, 1).Wait(),
+				Flag: FetchDist[GPtr[uint64]](rk, 1, 1).Wait(),
+				N:    4,
+			}
+			RPutWith(rk, []uint64{7, 8, 9, 10}, span.Dst, RemoteCxAsFuture()).Remote.Wait()
+			if sum := RPC(rk, span.Dst.Owner, rcxSum, span).Wait(); sum != 34 {
+				t.Errorf("notification saw sum %d, want 34", sum)
+			}
+			// The reply implies the notification already executed.
+			if got := GetValue(rk, span.Flag).Wait(); got != 34 {
 				t.Errorf("flag = %d", got)
 			}
 		}

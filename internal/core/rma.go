@@ -178,13 +178,12 @@ func (inj *injection) release() {
 
 // inject hands the record's operations to the conduit under its plan — the
 // inject(op, cxSet) path of every RMA, copy, atomic, AM and RPC entry point —
-// as one deferred unit (defQ → conduit, see run). The record is not the
-// caller's any more once inject returns.
+// on the calling goroutine (see run), then polls completions. One goroutine's
+// operations therefore reach the conduit in the order it issued them. The
+// record is not the caller's any more once inject returns.
 func (rk *Rank) inject(inj *injection) {
 	inj.nops.Store(int64(len(inj.ops)) + 1)
-	rk.defMu.Lock()
-	rk.defQ = append(rk.defQ, inj)
-	rk.defMu.Unlock()
+	inj.run()
 	rk.InternalProgress()
 }
 
@@ -375,11 +374,6 @@ func RPutPromise[T serial.Scalar](rk *Rank, src []T, dst GPtr[T], p *Promise[Uni
 	RPutWith(rk, src, dst, OpCxAsPromise(p))
 }
 
-// PutValue writes a single value to remote memory.
-func PutValue[T serial.Scalar](rk *Rank, v T, dst GPtr[T]) Future[Unit] {
-	return RPut(rk, []T{v}, dst)
-}
-
 // RGetWith copies from the remote memory at src into the local buffer dst
 // with an explicit completion set. Gets expose only operation completion
 // (there is no reusable source buffer and no destination-side event).
@@ -473,30 +467,18 @@ func uniformDst(ops []rmaOp) Intrank {
 func RPutVWith[T serial.Scalar](rk *Rank, frags []PutPair[T], cxs ...Cx) CxFutures {
 	ops := make([]rmaOp, len(frags))
 	for i, f := range frags {
-		ops[i] = lowerPut(f.Src, f.Dst, "RPutV")
+		ops[i] = lowerPut(f.Src, f.Dst, "RPutVWith")
 	}
 	return rk.injectBatch(ops, opPut, uniformDst(ops), cxs)
-}
-
-// RPutV issues a vector put; the returned future readies when all
-// fragments have completed.
-func RPutV[T serial.Scalar](rk *Rank, frags []PutPair[T]) Future[Unit] {
-	return RPutVWith(rk, frags).Op
 }
 
 // RGetVWith issues a vector get with an explicit completion set.
 func RGetVWith[T serial.Scalar](rk *Rank, frags []GetPair[T], cxs ...Cx) CxFutures {
 	ops := make([]rmaOp, len(frags))
 	for i, f := range frags {
-		ops[i] = lowerGet(f.Src, f.Dst, "RGetV")
+		ops[i] = lowerGet(f.Src, f.Dst, "RGetVWith")
 	}
 	return rk.injectBatch(ops, opGet, -1, cxs)
-}
-
-// RGetV issues a vector get; the future readies when every fragment has
-// landed.
-func RGetV[T serial.Scalar](rk *Rank, frags []GetPair[T]) Future[Unit] {
-	return RGetVWith(rk, frags).Op
 }
 
 // RPutIndexedWith scatters equally-sized blocks of src to element offsets
@@ -505,40 +487,28 @@ func RGetV[T serial.Scalar](rk *Rank, frags []GetPair[T]) Future[Unit] {
 // equal len(indices)*blockElems.
 func RPutIndexedWith[T serial.Scalar](rk *Rank, src []T, base GPtr[T], indices []int, blockElems int, cxs ...Cx) CxFutures {
 	if len(src) != len(indices)*blockElems {
-		panic(fmt.Sprintf("upcxx: RPutIndexed size mismatch: %d src elems, %d blocks of %d",
+		panic(fmt.Sprintf("upcxx: RPutIndexedWith size mismatch: %d src elems, %d blocks of %d",
 			len(src), len(indices), blockElems))
 	}
 	ops := make([]rmaOp, len(indices))
 	for i, idx := range indices {
-		ops[i] = lowerPut(src[i*blockElems:(i+1)*blockElems], base.Add(idx), "RPutIndexed")
+		ops[i] = lowerPut(src[i*blockElems:(i+1)*blockElems], base.Add(idx), "RPutIndexedWith")
 	}
 	return rk.injectBatch(ops, opPut, base.Owner, cxs)
-}
-
-// RPutIndexed scatters equally-sized blocks of src to element offsets
-// within a remote base pointer.
-func RPutIndexed[T serial.Scalar](rk *Rank, src []T, base GPtr[T], indices []int, blockElems int) Future[Unit] {
-	return RPutIndexedWith(rk, src, base, indices, blockElems).Op
 }
 
 // RGetIndexedWith gathers equally-sized blocks from element offsets within
 // a remote base pointer into dst, with an explicit completion set.
 func RGetIndexedWith[T serial.Scalar](rk *Rank, base GPtr[T], indices []int, blockElems int, dst []T, cxs ...Cx) CxFutures {
 	if len(dst) != len(indices)*blockElems {
-		panic(fmt.Sprintf("upcxx: RGetIndexed size mismatch: %d dst elems, %d blocks of %d",
+		panic(fmt.Sprintf("upcxx: RGetIndexedWith size mismatch: %d dst elems, %d blocks of %d",
 			len(dst), len(indices), blockElems))
 	}
 	ops := make([]rmaOp, len(indices))
 	for i, idx := range indices {
-		ops[i] = lowerGet(base.Add(idx), dst[i*blockElems:(i+1)*blockElems], "RGetIndexed")
+		ops[i] = lowerGet(base.Add(idx), dst[i*blockElems:(i+1)*blockElems], "RGetIndexedWith")
 	}
 	return rk.injectBatch(ops, opGet, -1, cxs)
-}
-
-// RGetIndexed gathers equally-sized blocks from element offsets within a
-// remote base pointer into dst.
-func RGetIndexed[T serial.Scalar](rk *Rank, base GPtr[T], indices []int, blockElems int, dst []T) Future[Unit] {
-	return RGetIndexedWith(rk, base, indices, blockElems, dst).Op
 }
 
 // RPutStrided2DWith puts rows blocks of rowLen elements with an explicit
@@ -549,15 +519,9 @@ func RPutStrided2DWith[T serial.Scalar](rk *Rank, src []T, srcStride int, dst GP
 	ops := make([]rmaOp, rows)
 	for i := 0; i < rows; i++ {
 		lo := i * srcStride
-		ops[i] = lowerPut(src[lo:lo+rowLen], dst.Add(i*dstStride), "RPutStrided2D")
+		ops[i] = lowerPut(src[lo:lo+rowLen], dst.Add(i*dstStride), "RPutStrided2DWith")
 	}
 	return rk.injectBatch(ops, opPut, dst.Owner, cxs)
-}
-
-// RPutStrided2D puts rows blocks of rowLen elements from a strided local
-// buffer into a strided remote section.
-func RPutStrided2D[T serial.Scalar](rk *Rank, src []T, srcStride int, dst GPtr[T], dstStride, rowLen, rows int) Future[Unit] {
-	return RPutStrided2DWith(rk, src, srcStride, dst, dstStride, rowLen, rows).Op
 }
 
 // RGetStrided2DWith gathers rows blocks of rowLen elements from a strided
@@ -567,13 +531,7 @@ func RGetStrided2DWith[T serial.Scalar](rk *Rank, src GPtr[T], srcStride int, ds
 	ops := make([]rmaOp, rows)
 	for i := 0; i < rows; i++ {
 		lo := i * dstStride
-		ops[i] = lowerGet(src.Add(i*srcStride), dst[lo:lo+rowLen], "RGetStrided2D")
+		ops[i] = lowerGet(src.Add(i*srcStride), dst[lo:lo+rowLen], "RGetStrided2DWith")
 	}
 	return rk.injectBatch(ops, opGet, -1, cxs)
-}
-
-// RGetStrided2D gathers rows blocks of rowLen elements from a strided
-// remote section into a strided local buffer.
-func RGetStrided2D[T serial.Scalar](rk *Rank, src GPtr[T], srcStride int, dst []T, dstStride, rowLen, rows int) Future[Unit] {
-	return RGetStrided2DWith(rk, src, srcStride, dst, dstStride, rowLen, rows).Op
 }

@@ -536,8 +536,8 @@ func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
 }
 
 // reply ships RPC results back to the initiator as one message through
-// the same injection path as every other operation (defQ → conduit),
-// mirroring Fig 2's return flow through the target's queues.
+// the same injection path as every other operation, mirroring Fig 2's
+// return flow through the target's queues.
 func (rk *Rank) reply(dst Intrank, results []rpcEntry) {
 	buf, _ := encodeRPCMsg[Unit](rk.me, results, nil, nil, false)
 	rk.inject(rk.newInjection(dst).single(rmaOp{kind: opAM, dstPeer: dst, buf: buf}))
@@ -728,13 +728,6 @@ func RPCFFWith[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A, cxs ..
 // result. A function of no or several arguments takes a Unit or a struct.
 func RPC[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) R, arg A) Future[R] {
 	f, _ := RPCWith(rk, target, fn, arg)
-	return f
-}
-
-// RPCFut invokes fn on the target; fn returns a future, and the reply is
-// sent when that future readies.
-func RPCFut[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg A) Future[R] {
-	f, _ := RPCFutWith(rk, target, fn, arg)
 	return f
 }
 

@@ -118,7 +118,7 @@ func runRPCOpCxCell(t *testing.T, rk *Rank, name string, ff, named bool, how str
 	switch how {
 	case "future":
 		if named {
-			cx = OpCxAsFutureOn(wk.p)
+			cx = OpCxAsFuture().On(wk.p)
 		} else {
 			cx = OpCxAsFuture()
 		}
@@ -211,7 +211,7 @@ func TestCxRPCOpFutureNamedPersonaOnly(t *testing.T) {
 			}()
 			<-acquired
 			val, fs := RPCWith(rk, 1, func(trk *Rank, x int) int { return x + 1 }, 41,
-				OpCxAsFutureOn(wp))
+				OpCxAsFuture().On(wp))
 			// The op future belongs to the worker persona; the initiating
 			// goroutine must not be able to consume it. (The worker is
 			// parked on the consume channel, so this read cannot race its
@@ -340,7 +340,7 @@ func TestCxRPCInvalidCombos(t *testing.T) {
 			// Persona addressing is rank-checked on both sides.
 			other := NewPersona(rk.World().Rank(1), "other-rank")
 			expectPanic(t, "op future on another rank's persona", func() {
-				RPCWith(rk, 1, noop, 0, OpCxAsFutureOn(other))
+				RPCWith(rk, 1, noop, 0, OpCxAsFuture().On(other))
 			})
 			expectPanic(t, "remote_cx as_rpc persona of a third rank", func() {
 				mine := NewPersona(rk, "mine")
@@ -387,11 +387,11 @@ func TestCxPersonaTargetedRMA(t *testing.T) {
 					case "future":
 						switch ev {
 						case OpDone:
-							cx = OpCxAsFutureOn(wk.p)
+							cx = OpCxAsFuture().On(wk.p)
 						case SourceDone:
-							cx = SourceCxAsFutureOn(wk.p)
+							cx = SourceCxAsFuture().On(wk.p)
 						case RemoteDone:
-							cx = RemoteCxAsFutureOn(wk.p)
+							cx = RemoteCxAsFuture().On(wk.p)
 						}
 					case "promise":
 						prom = NewPromiseOn[Unit](rk, wk.p)
@@ -476,7 +476,7 @@ func TestCollCxNamedPersona(t *testing.T) {
 					var hit atomic.Bool
 					switch how {
 					case "future":
-						cx = OpCxAsFutureOn(wk.p)
+						cx = OpCxAsFuture().On(wk.p)
 					case "promise":
 						prom = NewPromiseOn[Unit](rk, wk.p)
 						cx = OpCxAsPromise(prom)

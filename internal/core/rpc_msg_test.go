@@ -69,7 +69,7 @@ func TestRPCSingleIsOneEntryBatch(t *testing.T) {
 		for _, send := range []func(){tc.single, func() { tc.batch(NewBatch(rk0, 1)) }} {
 			rk0.rpcSeq = 40 // both sends draw the same sequence number
 			send()
-			rk0.Progress() // defQ → conduit
+			rk0.Progress() // harvest the send's completions
 			rk1.Progress() // deliver into the recorder
 		}
 		if len(*got) != 2 {
@@ -144,7 +144,7 @@ func TestRPCMixedStreamFIFO(t *testing.T) {
 				t.Errorf("ready results = %q, want %q", got, "be")
 			}
 			if pc.Future().Ready() || ff.Ready() || flush.Op.Ready() {
-				t.Errorf("late entries resolved before release: batch entry %v, RPCFut %v, flush op-cx %v",
+				t.Errorf("late entries resolved before release: batch entry %v, RPCFutWith %v, flush op-cx %v",
 					pc.Future().Ready(), ff.Ready(), flush.Op.Ready())
 			}
 			// f is a later message than e: e's reply says nothing about
@@ -173,7 +173,7 @@ func TestRPCMixedStreamFIFO(t *testing.T) {
 			// Release in the opposite order: each late reply travels alone.
 			RPCFF(rk, 1, msgRelease, "f")
 			if got := ff.Wait(); got != "f" {
-				t.Errorf("late RPCFut = %q", got)
+				t.Errorf("late RPCFutWith = %q", got)
 			}
 			if flush.Op.Ready() {
 				t.Error("flush op-cx fired with its late entry outstanding")

@@ -1,10 +1,10 @@
 package upcxx
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -109,26 +109,70 @@ func TestToGlobalOutsideSegmentPanics(t *testing.T) {
 	})
 }
 
-func TestDefQObservableBeforeProgress(t *testing.T) {
-	// inject drains eagerly via internal progress, but the queue exists
-	// and drains in FIFO order.
-	Run(1, func(rk *Rank) {
-		var order []int
-		for i := 1; i <= 2; i++ {
-			inj := rk.newInjection(-1)
-			inj.op = append(inj.op, cxDelivery{pers: rk.currentPersona(), fn: func() { order = append(order, i) }})
-			inj.nops.Store(1) // the batch sentinel of an empty batch
-			rk.defQ = append(rk.defQ, inj)
-		}
-		rk.InternalProgress()
-		if len(rk.defQ) != 0 || len(order) != 0 {
-			t.Fatalf("internal progress left %d records deferred and ran %d deliveries", len(rk.defQ), len(order))
-		}
-		rk.Progress()
-		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-			t.Fatalf("defQ order = %v", order)
-		}
-	})
+// TestInjectOrderPerGoroutine: one goroutine's operations reach the conduit
+// in the order it issued them (DESIGN §10, per-pair FIFO) while another
+// goroutine of its rank makes progress at the same time — the progress
+// thread, or a second persona polling. Put i writes i to slot i of the
+// target, and rpc_ff i, issued right after it, checks there that it is the
+// i-th to arrive and that put i has landed.
+func TestInjectOrderPerGoroutine(t *testing.T) {
+	const n = 2000
+	for _, pt := range []bool{true, false} {
+		t.Run(map[bool]string{true: "ProgressThread", false: "PollingPersona"}[pt], func(t *testing.T) {
+			var (
+				slots GPtr[uint64] // rank 1's, published by the first barrier
+				seen  atomic.Uint64
+				fault atomic.Pointer[string]
+			)
+			arrive := func(trk *Rank, i uint64) {
+				k := seen.Add(1)
+				if v := Local(trk, slots.Add(int(i)), 1)[0]; k != i || v != i {
+					msg := fmt.Sprintf("rpc_ff %d arrived %d-th, slot %d holding %d", i, k, i, v)
+					fault.CompareAndSwap(nil, &msg)
+				}
+			}
+			RunConfig(Config{Ranks: 2, ProgressThread: pt}, func(rk *Rank) {
+				if rk.Me() == 1 {
+					slots = MustNewArray[uint64](rk, n+1)
+				}
+				rk.Barrier()
+				if rk.Me() == 1 {
+					for seen.Load() < n && fault.Load() == nil {
+						rk.ProgressWait(time.Millisecond)
+					}
+					return
+				}
+				if !pt {
+					stop, done := make(chan struct{}), make(chan struct{})
+					go func() {
+						defer close(done)
+						sc := AcquirePersona(NewPersona(rk, "poller"))
+						defer sc.Release()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+								rk.Progress()
+							}
+						}
+					}()
+					defer func() { close(stop); <-done }()
+				}
+				for i := uint64(1); i <= n; i++ {
+					RPut(rk, []uint64{i}, slots.Add(int(i)))
+					RPCFF(rk, 1, arrive, i)
+				}
+				rk.Quiesce()
+			})
+			if f := fault.Load(); f != nil {
+				t.Fatal(*f)
+			}
+			if got := seen.Load(); got != n {
+				t.Fatalf("%d of %d rpc_ffs arrived", got, n)
+			}
+		})
+	}
 }
 
 func TestCompQDrainedOnlyByUserProgress(t *testing.T) {
@@ -413,20 +457,10 @@ func TestQuiesce(t *testing.T) {
 	})
 }
 
-// TestDischarge (upcxx::discharge): after a burst of puts whose futures
-// nobody holds, with records still deferred behind them, Discharge returns
-// with everything handed to the conduit — defQ empty, nothing detached and
-// not yet run — without running a single user-level delivery; and when a
-// peer is lost it fails loud instead of spinning on what will never drain.
+// TestDischarge (upcxx::discharge): after a burst of puts whose
+// completions wait as LPCs, Discharge returns at once — each initiating call
+// handed its put to the conduit — without running a user-level delivery.
 func TestDischarge(t *testing.T) {
-	deferOne := func(rk *Rank, fn func()) { // one deferred record, as inject queues it
-		inj := rk.newInjection(-1)
-		inj.op = append(inj.op, cxDelivery{pers: rk.currentPersona(), fn: fn})
-		inj.nops.Store(1)
-		rk.defMu.Lock()
-		rk.defQ = append(rk.defQ, inj)
-		rk.defMu.Unlock()
-	}
 	Run(2, func(rk *Rank) {
 		p := MustNewArray[uint64](rk, 64)
 		_ = NewDistObject(rk, p)
@@ -435,13 +469,9 @@ func TestDischarge(t *testing.T) {
 			dst := FetchDist[GPtr[uint64]](rk, 0, 1).Wait()
 			delivered := 0
 			for i := 0; i < 64; i++ {
-				_ = RPut(rk, []uint64{uint64(i) + 1}, dst.Add(i))
-				deferOne(rk, func() { delivered++ })
+				RPutWith(rk, []uint64{uint64(i) + 1}, dst.Add(i), OpCxAsLPC(nil, func() { delivered++ }))
 			}
 			rk.Discharge()
-			if n, in := len(rk.defQ), rk.defInflight.Load(); n != 0 || in != 0 {
-				t.Errorf("after Discharge: %d records deferred, %d detached", n, in)
-			}
 			if delivered != 0 {
 				t.Errorf("Discharge ran %d user-level deliveries; it is internal progress only", delivered)
 			}
@@ -454,22 +484,9 @@ func TestDischarge(t *testing.T) {
 				}
 			}
 			if delivered != 64 {
-				t.Errorf("%d of 64 deferred deliveries ran", delivered)
+				t.Errorf("%d of 64 deliveries ran", delivered)
 			}
 		}
 		rk.Barrier()
 	})
-
-	w := NewWorld(Config{Ranks: 2})
-	defer w.Close()
-	rk := w.Rank(0)
-	rk.failPeer(1, errors.New("test"))
-	rk.Discharge() // nothing deferred: nothing to wait for, lost peer or not
-	deferOne(rk, func() {})
-	defer func() {
-		if err, _ := recover().(error); !errors.Is(err, gasnet.ErrPeerLost) {
-			t.Errorf("Discharge with a lost peer: recovered %v, want an ErrPeerLost-wrapped panic", err)
-		}
-	}()
-	rk.Discharge()
 }

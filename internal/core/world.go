@@ -374,11 +374,13 @@ func RunConfig(cfg Config, fn func(rk *Rank)) {
 // persona.go) receives the completion, and futures must only be touched
 // from the goroutine holding their owning persona.
 //
-// The progress engine keeps the paper's three conceptual queues (§III):
-// defQ holds operations not yet handed to the conduit, the conduit's
-// in-flight set is actQ (tracked by actCount), and the per-persona LPC
-// queues play the role of compQ — completed operations' user-visible
-// actions, drained only by user-level progress of the owning persona.
+// The progress engine keeps two of the paper's three conceptual queues
+// (§III): the conduit's in-flight set is actQ (tracked by actCount), and the
+// endpoint's completion queue plus the per-persona LPC queues play the role of
+// compQ — completed operations' user-visible actions, drained only by
+// user-level progress of the owning persona. The third, the queue of
+// operations not yet handed to the conduit, is empty once the initiating call
+// returns: inject hands an operation over on the goroutine that starts it.
 type Rank struct {
 	w  *World
 	ep *gasnet.Endpoint
@@ -386,11 +388,7 @@ type Rank struct {
 	n  Intrank
 	ro *obs.RankObs // this rank's observability recorder; nil = disabled
 
-	defMu       sync.Mutex
-	defQ        []*injection // deferred injections
-	defSpare    []*injection // the buffer InternalProgress swaps in when it detaches defQ
-	defInflight atomic.Int64 // injections detached from defQ, not yet run
-	actCount    atomic.Int64 // operations handed to the conduit, incomplete
+	actCount atomic.Int64 // operations handed to the conduit, incomplete
 
 	master    *Persona // held by the SPMD goroutine during Run
 	progressP *Persona // held by the progress goroutine (ProgressThread mode)
@@ -429,36 +427,9 @@ func (rk *Rank) N() Intrank { return rk.n }
 func (rk *Rank) World() *World { return rk.w }
 
 // InternalProgress advances runtime bookkeeping without executing user
-// callbacks or incoming RPCs: deferred operations are injected (defQ →
-// actQ) and conduit completions are harvested (actQ → persona LPC
-// queues). Every communication call performs this implicitly.
-func (rk *Rank) InternalProgress() {
-	var drained []*injection
-	for {
-		rk.defMu.Lock()
-		if drained != nil {
-			rk.defSpare = drained
-		}
-		q := rk.defQ
-		if len(q) == 0 {
-			rk.defMu.Unlock()
-			break
-		}
-		rk.defQ, rk.defSpare = rk.defSpare, nil
-		// Count the detached batch before releasing the lock: an
-		// operation must never be invisible to Quiesce/Discharge between
-		// leaving defQ and its inject bumping actCount.
-		rk.defInflight.Add(int64(len(q)))
-		rk.defMu.Unlock()
-		for _, inj := range q {
-			inj.run()
-			rk.defInflight.Add(-1)
-		}
-		clear(q)
-		drained = q[:0]
-	}
-	rk.ep.PollCompletions()
-}
+// callbacks or incoming RPCs: conduit completions are harvested (actQ →
+// persona LPC queues). Every communication call performs this implicitly.
+func (rk *Rank) InternalProgress() { rk.ep.PollCompletions() }
 
 // Progress performs user-level progress: internal progress, then draining
 // the LPC queues of every persona this goroutine holds for the rank
@@ -521,23 +492,10 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 	return done
 }
 
-// Discharge drives internal progress until every locally-initiated
-// operation has been handed to the conduit (defQ empty) — cf.
-// upcxx::discharge.
-func (rk *Rank) Discharge() {
-	for {
-		rk.defMu.Lock()
-		n := len(rk.defQ)
-		rk.defMu.Unlock()
-		if n == 0 && rk.defInflight.Load() == 0 {
-			return
-		}
-		if err := rk.w.failed(); err != nil {
-			panic(err)
-		}
-		rk.InternalProgress()
-	}
-}
+// Discharge returns once every locally-initiated operation has been handed
+// to the conduit — cf. upcxx::discharge. The initiating call hands it over
+// before it returns, so there is nothing to wait for.
+func (rk *Rank) Discharge() {}
 
 // PendingOps returns the number of operations in the active state (handed
 // to the conduit, completion not yet observed). Exposed for tests and
@@ -545,19 +503,14 @@ func (rk *Rank) Discharge() {
 func (rk *Rank) PendingOps() int { return int(rk.actCount.Load()) }
 
 // Quiesce drives progress until this rank has no operations in flight:
-// defQ and actQ empty and this goroutine's persona queues drained. It
-// does not wait for other ranks (combine with Barrier for a job-wide
-// quiescence point).
+// actQ empty and this goroutine's persona queues drained. It does not wait
+// for other ranks (combine with Barrier for a job-wide quiescence point).
 func (rk *Rank) Quiesce() {
 	gs := curState()
 	var id idler
 	for {
 		found := rk.progressWith(gs)
-		rk.defMu.Lock()
-		defEmpty := len(rk.defQ) == 0
-		rk.defMu.Unlock()
-		if defEmpty && rk.defInflight.Load() == 0 &&
-			rk.actCount.Load() == 0 && rk.pendingLPCs(gs) == 0 {
+		if rk.actCount.Load() == 0 && rk.pendingLPCs(gs) == 0 {
 			return
 		}
 		if err := rk.w.failed(); err != nil {

@@ -1,5 +1,6 @@
-// Package serialtest holds the one fuzz harness every hand-rolled runtime
-// wire format (collective, remote-cx, RPC, task frame) is checked with.
+// Package serialtest holds the one fuzz harness the runtime's hand-rolled
+// wire format — the RPC message in its call, collective and remote-cx
+// shapes — is checked with.
 package serialtest
 
 import (

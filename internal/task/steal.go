@@ -1,9 +1,9 @@
 package task
 
 // Work stealing. A rank whose queue runs dry sends a victim a one-way steal
-// request; the victim answers with ONE steal reply carrying the frames
-// (wire.go) of a batch of its oldest tasks — none if it has none to give — so
-// a steal costs one AM each way. At most one is outstanding per rank.
+// request; the victim answers with ONE steal reply carrying the records of a
+// batch of its oldest tasks — none if it has none to give — so a steal costs
+// one AM each way. At most one is outstanding per rank.
 //
 // A task changes owner where the victim gives it up (TaskMigrated) and where
 // the thief takes it in (TaskStolen), and what a thief takes in it keeps: loot
@@ -20,6 +20,7 @@ package task
 // and a rank trading tasks one at a time with a peer would waste a request each.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -36,11 +37,11 @@ type stealReq struct {
 	Max   uint32
 }
 
-// stealReply closes the thief's outstanding steal and carries the frames of
-// the tasks that migrate with it.
+// stealReply closes the thief's outstanding steal and carries the tasks that
+// migrate with it, encoded like any RPC argument.
 type stealReply struct {
 	Victim int32
-	Loot   [][]byte
+	Loot   []rec
 }
 
 // maybeSteal sends one steal request if stealing is enabled, the back-off
@@ -64,13 +65,11 @@ func (rt *Runtime) stealSoon() {
 }
 
 // stealReqBody runs at the victim (exec persona): pop the oldest batch that
-// is this rank's to give and send its frames back as the reply.
+// is this rank's to give and send it back as the reply.
 func stealReqBody(trk *core.Rank, req stealReq) {
 	rep := stealReply{Victim: int32(trk.Me())}
 	if rt := Of(trk); rt != nil {
-		for _, r := range rt.popOldest(int(req.Max)) {
-			rep.Loot = append(rep.Loot, encodeRec(r))
-		}
+		rep.Loot = rt.popOldest(int(req.Max))
 		rt.count(obs.TaskMigrated, len(rep.Loot))
 	}
 	core.RPCFF(trk, core.Intrank(req.Thief), stealReplyBody, rep)
@@ -78,24 +77,15 @@ func stealReqBody(trk *core.Rank, req stealReq) {
 
 // stealReplyBody runs at the thief (exec persona): take the loot in, set the
 // back-off, and only then clear the outstanding flag, so a worker that
-// re-steals at once has seen this batch. A bad frame fails the victim.
+// re-steals at once has seen this batch. A bad task fails the victim.
 func stealReplyBody(trk *core.Rank, rep stealReply) {
 	rt := Of(trk)
 	if rt == nil { // the request of a since-stopped runtime: Stop follows quiescence, so the reply is empty
 		return
 	}
-	for _, frame := range rep.Loot {
-		r, err := decodeRec(frame)
-		if err == nil && r.Home >= trk.N() {
-			err = fmt.Errorf("home rank %d of %d", r.Home, trk.N())
-		}
-		if err == nil {
-			var tb core.TaskBody
-			tb, err = core.LookupTask(r.Name, r.Flags&flagFF != 0)
-			r.b, _ = tb.(*body) // only this package files task forms
-		}
-		if err != nil {
-			core.FailPeer(trk, core.Intrank(rep.Victim), fmt.Errorf("task: stolen frame: %w", err))
+	for _, r := range rep.Loot {
+		if err := r.adopt(trk.N()); err != nil {
+			core.FailPeer(trk, core.Intrank(rep.Victim), fmt.Errorf("task: stolen task: %w", err))
 			break
 		}
 		r.Flags |= flagStolen
@@ -115,4 +105,19 @@ func stealReplyBody(trk *core.Rank, rep stealReply) {
 		rt.stealAt.Store(now + wait)
 	}
 	rt.stealSent.Store(0)
+}
+
+// adopt checks a stolen task on a rank of an n-rank job before it is queued
+// there — a home rank in range, a function name, and a task form of that name
+// for the task's kind, which it binds.
+func (r *rec) adopt(n core.Intrank) error {
+	if r.Home < 0 || r.Home >= n {
+		return fmt.Errorf("home rank %d of %d", r.Home, n)
+	}
+	if r.Name == "" {
+		return errors.New("names no function")
+	}
+	tb, err := core.LookupTask(r.Name, r.Flags&flagFF != 0)
+	r.b, _ = tb.(*body) // only this package files task forms
+	return err
 }

@@ -155,6 +155,30 @@ func (b *body) Arrive(trk *core.Rank, home core.Intrank, seq uint64, args []byte
 	return nil
 }
 
+const (
+	// flagFF marks a fire-and-forget task: no reply entry returns to the
+	// home rank; a retire rpc_ff carries its credit.
+	flagFF = 1 << iota
+	// flagStolen marks loot: it runs where it landed and is not offered to
+	// another steal.
+	flagStolen
+)
+
+// rec is one queued task: what a rank needs to run a spawn and answer it. The
+// capitalised fields are what a steal reply carries of it (serial encodes
+// them, steal.go); b is what Name resolves to on this rank.
+type rec struct {
+	Seq   uint64 // the home rank's reply sequence number (0: fire-and-forget)
+	Trace uint64 // home-ring trace id (0: unsampled)
+	Home  int32  // world rank that spawned the task (owns Seq, Trace, Group)
+	Group uint64 // TaskGroup id on the home rank (0: none)
+	Flags uint8
+	Name  string // the registered function
+	Args  []byte // its serialized argument
+
+	b *body
+}
+
 func register(fn any, b *body) string {
 	b.name = core.RegisterTask(fn, b, b.flags&flagFF != 0)
 	return b.name

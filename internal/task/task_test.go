@@ -338,8 +338,8 @@ func TestStealDoesNotBounce(t *testing.T) {
 // TestBadTaskMessagesFailTheirSender: a task message this rank cannot act on
 // is the sender's fault — an error out of Arrive (which the spawn entry's
 // body turns into failing the spawner), a failed victim for a steal reply
-// whose frame does not decode or names no task — never a panic on the
-// execution persona.
+// whose task has a home out of range or names no task of its kind — never a
+// panic on the execution persona.
 func TestBadTaskMessagesFailTheirSender(t *testing.T) {
 	b := bodyOf(tDouble)
 	// with runs fn on a two-rank world whose rank 0 has a task runtime.
@@ -360,20 +360,21 @@ func TestBadTaskMessagesFailTheirSender(t *testing.T) {
 			}
 		}
 	})
-	for _, frame := range [][]byte{
-		{1, 2, 3},
-		encodeRec(rec{Seq: 1, Home: 1, Name: "no/such.task"}),
-		encodeRec(rec{Seq: 1, Home: 1, Name: b.name, Flags: flagFF}), // a result-bearing body named fire-and-forget
-		encodeRec(rec{Seq: 1, Home: 9, Name: b.name}),
+	for _, loot := range []rec{
+		{Seq: 1, Home: 1},
+		{Seq: 1, Home: 1, Name: "no/such.task"},
+		{Seq: 1, Home: 1, Name: b.name, Flags: flagFF}, // a result-bearing body named fire-and-forget
+		{Seq: 1, Home: 9, Name: b.name},
+		{Seq: 1, Home: -1, Name: b.name},
 	} {
 		with(func(w *core.World, rt *Runtime) {
-			stealReplyBody(w.Rank(0), stealReply{Victim: 1, Loot: [][]byte{frame}})
+			stealReplyBody(w.Rank(0), stealReply{Victim: 1, Loot: []rec{loot}})
 			err := w.Failed()
 			if !errors.Is(err, gasnet.ErrPeerLost) || !strings.Contains(err.Error(), "rank 1") {
-				t.Errorf("stolen frame %x: Failed() = %v, want the victim (rank 1) failed", frame, err)
+				t.Errorf("stolen task %+v: Failed() = %v, want the victim (rank 1) failed", loot, err)
 			}
 			if _, queued := rt.popLocal(); queued {
-				t.Errorf("stolen frame %x was queued", frame)
+				t.Errorf("stolen task %+v was queued", loot)
 			}
 		})
 	}

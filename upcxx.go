@@ -6,10 +6,12 @@
 // asynchrony, teams with non-blocking collectives, distributed objects
 // and NIC-offloaded remote atomics.
 //
-// A job is a fixed set of SPMD ranks running in one process over a
-// simulated GASNet-EX-style conduit (see internal/gasnet): each rank owns
-// a shared segment addressed globally by (rank, offset), and all
-// inter-rank communication crosses the conduit as bytes. The three design
+// A job is a fixed set of SPMD ranks over a GASNet-EX-style conduit (see
+// internal/gasnet): goroutine ranks in one process over the in-process
+// conduit by default, or one OS process per rank over tcp or shm when
+// UPCXX_CONDUIT names a real backend. Each rank owns a shared segment
+// addressed globally by (rank, offset), and all inter-rank communication
+// crosses the conduit as bytes. The three design
 // principles of the paper hold throughout: communication is asynchronous
 // by default, data motion is syntactically explicit (global pointers
 // cannot be dereferenced), and no feature requires non-scalable state.
@@ -277,7 +279,7 @@ func ToGlobal[T Scalar](rk *Rank, s []T) GPtr[T] { return core.ToGlobal(rk, s) }
 // Memory kinds (upcxx::device_allocator / global_ptr<T, memory_kind>).
 // A device allocator opens a device segment on a rank; pointers into it
 // carry KindDevice, and every RMA entry point (RPut/RGet/CopyGG and the
-// V/Indexed/Strided2D variants) routes their transfers through the
+// VWith/IndexedWith/Strided2DWith variants) routes their transfers through the
 // simulated device DMA engine, whose bandwidth/latency model is distinct
 // from the network's (Config.DMA).
 
@@ -317,8 +319,8 @@ func RunKernel[T Scalar](da *DeviceAllocator, p GPtr[T], n int, kernel func([]T)
 // there (for device destinations, after the final DMA hop), piggybacked
 // on the transfer with no extra round trip.
 //
-// Deliveries are persona-addressed: the Cx.On combinator (and the …On
-// constructors below) redirect any future/promise/LPC to a *named*
+// Deliveries are persona-addressed: the Cx.On combinator redirects any
+// future/promise/LPC to a *named*
 // persona instead of the initiator's, and address a RemoteCxAsRPC body to
 // a named persona of the target rank — so in progress-thread mode a
 // signaling-put notification can land directly on the worker persona it
@@ -332,18 +334,6 @@ func OpCxAsPromise(p *Promise[Unit]) Cx { return core.OpCxAsPromise(p) }
 
 // OpCxAsLPC delivers operation completion by running fn on persona pers.
 func OpCxAsLPC(pers *Persona, fn func()) Cx { return core.OpCxAsLPC(pers, fn) }
-
-// OpCxAsFutureOn requests operation completion as a future owned by the
-// named persona p — only the goroutine holding p may consume it.
-func OpCxAsFutureOn(p *Persona) Cx { return core.OpCxAsFutureOn(p) }
-
-// SourceCxAsFutureOn requests source completion as a future owned by the
-// named persona p (puts and RPC argument buffers only).
-func SourceCxAsFutureOn(p *Persona) Cx { return core.SourceCxAsFutureOn(p) }
-
-// RemoteCxAsFutureOn requests remote completion as an initiator-side
-// future owned by the named persona p.
-func RemoteCxAsFutureOn(p *Persona) Cx { return core.RemoteCxAsFutureOn(p) }
 
 // SourceCxAsFuture requests source-buffer completion as a future
 // (puts only — copies read their global-pointer source lazily).
@@ -404,9 +394,6 @@ func RGetWith[T Scalar](rk *Rank, src GPtr[T], dst []T, cxs ...Cx) CxFutures {
 	return core.RGetWith(rk, src, dst, cxs...)
 }
 
-// PutValue writes one value to remote memory.
-func PutValue[T Scalar](rk *Rank, v T, dst GPtr[T]) Future[Unit] { return core.PutValue(rk, v, dst) }
-
 // GetValue fetches one value from remote memory.
 func GetValue[T Scalar](rk *Rank, src GPtr[T]) Future[T] { return core.GetValue(rk, src) }
 
@@ -422,10 +409,8 @@ func CopyCx[T Scalar](rk *Rank, src, dst GPtr[T], n int, cxs ...Cx) CxFutures {
 	return core.CopyWith(rk, src, dst, n, cxs...)
 }
 
-// RPutV / RGetV issue vector RMA over fragment lists; the With variants
-// take completion sets (operation/remote fire once all fragments land).
-func RPutV[T Scalar](rk *Rank, frags []PutPair[T]) Future[Unit] { return core.RPutV(rk, frags) }
-func RGetV[T Scalar](rk *Rank, frags []GetPair[T]) Future[Unit] { return core.RGetV(rk, frags) }
+// RPutVWith / RGetVWith issue vector RMA over fragment lists
+// (operation/remote completion fire once all fragments land).
 func RPutVWith[T Scalar](rk *Rank, frags []PutPair[T], cxs ...Cx) CxFutures {
 	return core.RPutVWith(rk, frags, cxs...)
 }
@@ -433,14 +418,8 @@ func RGetVWith[T Scalar](rk *Rank, frags []GetPair[T], cxs ...Cx) CxFutures {
 	return core.RGetVWith(rk, frags, cxs...)
 }
 
-// RPutIndexed scatters fixed-size blocks to element offsets of a remote
-// base pointer; RGetIndexed gathers them.
-func RPutIndexed[T Scalar](rk *Rank, src []T, base GPtr[T], indices []int, blockElems int) Future[Unit] {
-	return core.RPutIndexed(rk, src, base, indices, blockElems)
-}
-func RGetIndexed[T Scalar](rk *Rank, base GPtr[T], indices []int, blockElems int, dst []T) Future[Unit] {
-	return core.RGetIndexed(rk, base, indices, blockElems, dst)
-}
+// RPutIndexedWith scatters fixed-size blocks to element offsets of a
+// remote base pointer; RGetIndexedWith gathers them.
 func RPutIndexedWith[T Scalar](rk *Rank, src []T, base GPtr[T], indices []int, blockElems int, cxs ...Cx) CxFutures {
 	return core.RPutIndexedWith(rk, src, base, indices, blockElems, cxs...)
 }
@@ -448,13 +427,7 @@ func RGetIndexedWith[T Scalar](rk *Rank, base GPtr[T], indices []int, blockElems
 	return core.RGetIndexedWith(rk, base, indices, blockElems, dst, cxs...)
 }
 
-// RPutStrided2D / RGetStrided2D move regular 2D sections.
-func RPutStrided2D[T Scalar](rk *Rank, src []T, srcStride int, dst GPtr[T], dstStride, rowLen, rows int) Future[Unit] {
-	return core.RPutStrided2D(rk, src, srcStride, dst, dstStride, rowLen, rows)
-}
-func RGetStrided2D[T Scalar](rk *Rank, src GPtr[T], srcStride int, dst []T, dstStride, rowLen, rows int) Future[Unit] {
-	return core.RGetStrided2D(rk, src, srcStride, dst, dstStride, rowLen, rows)
-}
+// RPutStrided2DWith / RGetStrided2DWith move regular 2D sections.
 func RPutStrided2DWith[T Scalar](rk *Rank, src []T, srcStride int, dst GPtr[T], dstStride, rowLen, rows int, cxs ...Cx) CxFutures {
 	return core.RPutStrided2DWith(rk, src, srcStride, dst, dstStride, rowLen, rows, cxs...)
 }
@@ -492,12 +465,6 @@ func RPCFutWith[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R],
 // RPCFFWith is RPCFF with an explicit completion-descriptor set.
 func RPCFFWith[A any](rk *Rank, target Intrank, fn func(*Rank, A), arg A, cxs ...Cx) CxFutures {
 	return core.RPCFFWith(rk, target, fn, arg, cxs...)
-}
-
-// RPCFut invokes a future-returning function remotely; the reply is
-// deferred until that future readies.
-func RPCFut[A, R any](rk *Rank, target Intrank, fn func(*Rank, A) Future[R], arg A) Future[R] {
-	return core.RPCFut(rk, target, fn, arg)
 }
 
 // RPCFF is fire-and-forget rpc_ff: no acknowledgment, no result.
@@ -660,14 +627,6 @@ func NewAtomicI64(rk *Rank) *AtomicI64 { return core.NewAtomicI64(rk) }
 // completion.
 func RPutSignal[T Scalar, A any](rk *Rank, src []T, dst GPtr[T], fn func(*Rank, A), arg A) Future[Unit] {
 	return core.RPutSignal(rk, src, dst, fn, arg)
-}
-
-// RPutThenRemote puts src to dst and, once remotely visible, runs fn at
-// dst's owner; the future readies only when the notification has
-// *executed* (stronger than RPutSignal, at the cost of an explicit RPC
-// round trip after remote completion).
-func RPutThenRemote[T Scalar, A any](rk *Rank, src []T, dst GPtr[T], fn func(*Rank, A), arg A) Future[Unit] {
-	return core.RPutThenRemote(rk, src, dst, fn, arg)
 }
 
 // Gather collects every team member's value at root (root's future holds
