@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-task-sleep no-queue-regrow bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-task-sleep no-queue-regrow no-stack-identity cross-build bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -51,8 +51,9 @@ test-short:
 # itself — and a master that polls bare Progress starves the injectors
 # blocked behind it. The task package runs a second time with one P too: the
 # steal bounce and a worker parked over a queued task only show there.
+# Goroutine runs the identity tests, so checkptr sees curGID's load from g.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
@@ -130,8 +131,22 @@ no-task-sleep:
 # nothing — a heap object per operation again.
 no-queue-regrow:
 	@if grep -rnE '(compQ|amQ) = nil' --include='*.go' --exclude='*_test.go' internal/; then \
-		echo "no-queue-regrow: drain queues by swapping buffers (see PollCompletions, PollAMsAs)"; exit 1; \
+		echo "no-queue-regrow: drain queues by swapping buffers (see PollCompletions, PollAMs)"; exit 1; \
 	fi
+
+# Goroutine identity is one load from the runtime's g (internal/core/goid.go):
+# runtime.Stack is that file's calibration oracle and fallback, and no other
+# runtime code derives identity from a traceback.
+no-stack-identity:
+	@if git grep -n --untracked 'runtime\.Stack' -- 'internal/*.go' ':!*_test.go' | grep -v '^internal/core/goid\.go:'; then \
+		echo "no-stack-identity: goroutine identity comes from curGID (internal/core/goid.go), not runtime.Stack"; exit 1; \
+	fi
+
+# The getg stubs off this host's GOARCH: arm64's must assemble and pass vet's
+# asmdecl, and a GOARCH with no stub (386) must build on the fallback.
+cross-build:
+	GOARCH=arm64 $(GO) vet ./internal/core/
+	GOARCH=386 $(GO) build ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 100x ./...
@@ -210,4 +225,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check no-pin no-task-sleep no-queue-regrow test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke
+ci: build vet fmt-check no-pin no-task-sleep no-queue-regrow no-stack-identity cross-build test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke

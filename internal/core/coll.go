@@ -403,7 +403,7 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 			e.onMsg(m)
 		}
 	}
-	if q := e.rk.execQueue(curGID()); q != nil { // a user call, not an AM handler
+	if q := e.rk.bodyQueue(nil); q != nil {
 		q.queueBody(body)
 	} else {
 		body()
@@ -547,17 +547,15 @@ type wave struct {
 	awaiting bool // my part of the way up is done: the parent's result is next
 }
 
-// rooted places w on its team's tree rooted at team rank root and returns
-// its entry for collEngine.enter. The caller enters, not rooted: enter
-// derives the caller's goroutine id, which costs per stack frame above it
-// (curGID), and a barrier is short enough to show one frame.
-func (w *wave) rooted(root Intrank) func(collKey, *collState) {
+// enter places w on its team's tree rooted at team rank root and enters
+// the collective (collEngine.enter).
+func (w *wave) enter(root Intrank) {
 	if root < 0 || root >= w.t.RankN() {
 		panic(fmt.Sprintf("upcxx: %s root %d out of range for %v", collKindNames[w.kind], root, w.t))
 	}
 	w.e = w.t.rk.coll
 	w.treePos = w.e.treePos(w.t, root)
-	return w.start
+	w.e.enter(w.t, w.start)
 }
 
 func (w *wave) start(key collKey, st *collState) {
@@ -655,7 +653,7 @@ func (w *wave) send(dest Intrank, round uint8, data []byte) {
 func (t *Team) BarrierAsyncWith(cxs ...Cx) CxFutures {
 	plan := newCxPlan(t.rk, opColl, t.rk.me, cxs)
 	w := &wave{t: t, plan: plan, kind: collBarrier, up: true, down: true}
-	t.rk.coll.enter(t, w.rooted(0))
+	w.enter(0)
 	return plan.futs
 }
 
@@ -693,7 +691,7 @@ func valueWave[T any](t *Team, kind uint8, root Intrank, val T, op func(T, T) T,
 		fulfillFromEngine(prom, val)
 		return nil
 	}
-	rk.coll.enter(t, w.rooted(root))
+	w.enter(root)
 	return prom.Future(), plan.futs
 }
 
@@ -798,7 +796,7 @@ func gatherBytes[R any](t *Team, root Intrank, data []byte, down bool, reduce fu
 		}
 		return err
 	}
-	rk.coll.enter(t, w.rooted(root))
+	w.enter(root)
 	return prom.Future()
 }
 

@@ -61,10 +61,8 @@ func (c *futCore[T]) fulfill(v T) {
 
 // fulfillOwned is fulfill for callers already known to be on the owning
 // persona's goroutine — above all LPCs delivered to that persona, whose
-// drain only ever runs on the owner. It skips the goroutine-id check
-// (curGID walks the stack: ≈ 420 ns per caller frame) that fulfill would otherwise pay on
-// every harvested completion; the runtime's RMA/RPC/AMO completion LPCs
-// all land here.
+// drain only ever runs on the owner, so it skips fulfill's ownership check;
+// the runtime's RMA/RPC/AMO completion LPCs all land here.
 func (c *futCore[T]) fulfillOwned(v T) {
 	if c.ready {
 		panic("upcxx: future fulfilled twice")
@@ -130,10 +128,7 @@ func (f Future[T]) Wait() T {
 	if gs.restricted {
 		panic("upcxx: Wait inside restricted context (callback or RPC body)")
 	}
-	// Ownership check against the cached gid: onOwnerGoroutine would
-	// re-derive it (an unheld persona reads holder 0, which never equals
-	// a gid, preserving the panic below).
-	if c.pers != nil && c.pers.holder.Load() != gs.gid {
+	if c.pers != nil && !c.pers.onOwnerGoroutine() {
 		// This goroutine cannot drain the owning persona, so the wait
 		// could never complete (and the reads would race with the
 		// owner); fail immediately instead of spinning to the timeout.

@@ -2,7 +2,6 @@ package upcxx
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -199,43 +198,19 @@ func (p *Persona) onOwnerGoroutine() bool {
 // scope. Only the owning goroutine reads or writes its state; the
 // registry map itself is the only cross-goroutine structure.
 type goroutineState struct {
-	gid        uint64 // the owning goroutine's id, derived once
 	stack      []*Persona
 	defaults   map[*Rank]*Persona
 	restricted bool // inside user-level progress (callback/RPC body)
 }
 
-var tlsStates sync.Map // goroutine id -> *goroutineState
-
-// gidLookups counts curGID invocations. runtime.Stack walks the caller's stack
-// (≈ 420 ns per frame, ≈ 6 µs at the benchmark's call depth), so hot paths —
-// fulfill, bodyQueue, the progress loop — must not re-derive it per call;
-// TestGIDLookupsCached pins that property against regression.
-var gidLookups atomic.Uint64
-
-// curGID returns the calling goroutine's id, parsed from the
-// runtime.Stack header ("goroutine N [status]:"). Go never reuses
-// goroutine ids within a process.
-func curGID() uint64 {
-	gidLookups.Add(1)
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	var id uint64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
+var tlsStates sync.Map // goroutine id (curGID, goid.go) -> *goroutineState
 
 func curState() *goroutineState {
 	id := curGID()
 	if v, ok := tlsStates.Load(id); ok {
 		return v.(*goroutineState)
 	}
-	gs := &goroutineState{gid: id, defaults: make(map[*Rank]*Persona)}
+	gs := &goroutineState{defaults: make(map[*Rank]*Persona)}
 	tlsStates.Store(id, gs)
 	return gs
 }

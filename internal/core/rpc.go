@@ -187,54 +187,28 @@ func mustUnmarshal[T any](b []byte, ptr *T) {
 // would overtake them (per-pair FIFO; a Find must not pass the signaling
 // put's landing body that publishes what it looks for).
 func (rk *Rank) bodyQueue(p *Persona) *Persona {
-	if p != nil {
-		if p.rk != rk {
-			panic(fmt.Sprintf("upcxx: rank %d: body persona %v belongs to rank %d", rk.me, p, p.rk.me))
-		}
-		if p.onOwnerGoroutine() && p.nbody.Load() == 0 {
+	switch {
+	case p == nil && rk.w.cfg.ProgressThread:
+		// No unheld fallback: during the startup window before
+		// progressLoop acquires its persona, running inline would bind
+		// deferred state to a transient harvester — queued bodies are
+		// drained as soon as the thread comes up.
+		p = rk.progressP
+	case p == nil:
+		p = rk.master
+		if p.holder.Load() == 0 {
+			// Nobody holds the master (a World driven without Run):
+			// queuing to it would stall every incoming RPC, and the
+			// harvesting goroutine is by definition making progress.
 			return nil
 		}
-		return p
+	case p.rk != rk:
+		panic(fmt.Sprintf("upcxx: rank %d: body persona %v belongs to rank %d", rk.me, p, p.rk.me))
 	}
-	// The harvesting goroutine's id rides along as the conduit poll
-	// token (progressWith passes it to PollAMsAs), so a drain of many
-	// AMs resolves it once instead of re-deriving it per message —
-	// curGID costs ≈ 420 ns per caller stack frame. Outside an AM drain
-	// (token 0) fall back to deriving it here.
-	gid := rk.ep.PollerToken()
-	if gid == 0 {
-		gid = curGID()
-	}
-	return rk.execQueue(gid)
-}
-
-// execQueue is bodyQueue(nil) for a caller that knows its goroutine id.
-// Code that is not running inside an AM handler must pass curGID(): outside
-// a handler the conduit poll token names whichever goroutine happens to be
-// draining AMs — possibly the progress thread, concurrently — not the
-// caller, and mistaking one for the other would run a body inline on the
-// wrong goroutine.
-func (rk *Rank) execQueue(gid uint64) *Persona {
-	if rk.w.cfg.ProgressThread {
-		// Always route to the progress persona (inline only when the
-		// progress thread itself harvested the AM). No unheld fallback:
-		// during the startup window before progressLoop acquires its
-		// persona, running inline would bind deferred state to a
-		// transient harvester — queued bodies are drained as soon as
-		// the thread comes up.
-		if rk.progressP.holder.Load() == gid && rk.progressP.nbody.Load() == 0 {
-			return nil
-		}
-		return rk.progressP
-	}
-	if h := rk.master.holder.Load(); (h == gid && rk.master.nbody.Load() == 0) || h == 0 {
-		// Run inline when the caller holds the master persona — or when
-		// nobody does (a World driven without Run): queuing to an unheld
-		// master would stall every incoming RPC, and the harvesting
-		// goroutine is by definition making progress.
+	if p.onOwnerGoroutine() && p.nbody.Load() == 0 {
 		return nil
 	}
-	return rk.master
+	return p
 }
 
 // splitBodyPersona peels RPCBodyOn pseudo-descriptors off an RPC's

@@ -229,7 +229,6 @@ type Endpoint struct {
 	compQ   []func()    // completions to run on the owner during Poll
 	amQ     []inboundAM // delivered AMs awaiting handler execution
 	polling bool        // guards against recursive progress (restricted context)
-	pollTok uint64      // opaque token of the goroutine draining amQ
 	// A drain swaps a spare in for the queue it detaches, then hands that back.
 	compSpare []func()
 	amSpare   []inboundAM
@@ -447,7 +446,7 @@ var parkTimers sync.Pool
 // best-effort, so callers must still poll after a timeout.
 //
 // AMs queued while another goroutine is mid-drain do not count as waiting:
-// the caller's Poll would be refused them (PollAMsAs coalesces), so
+// the caller's Poll would be refused them (PollAMs coalesces), so
 // returning at once would turn its idle loop into a spin that never gives
 // up the processor — on a one-P rank, the very processor the draining
 // goroutine needs to finish its handler.
@@ -531,13 +530,7 @@ func (ep *Endpoint) PollCompletions() int {
 // the qmu-guarded polling flag (which doubles as UPC++'s restricted
 // progress context), so at most one goroutine executes handlers at a
 // time and handlers arriving while draining run on the next call.
-func (ep *Endpoint) PollAMs() int { return ep.PollAMsAs(0) }
-
-// PollAMsAs is PollAMs carrying an opaque poller token (the runtime passes
-// the harvesting goroutine's id). While the call is draining handlers,
-// PollerToken returns tok — letting handler code learn which goroutine is
-// executing it without re-deriving the id per message.
-func (ep *Endpoint) PollAMsAs(tok uint64) int {
+func (ep *Endpoint) PollAMs() int {
 	ep.net.be.poll(0)
 	ep.qmu.Lock()
 	ams := ep.amQ
@@ -546,7 +539,6 @@ func (ep *Endpoint) PollAMsAs(tok uint64) int {
 		return 0
 	}
 	ep.polling = true
-	ep.pollTok = tok
 	ep.amQ, ep.amSpare = ep.amSpare, nil
 	ep.qmu.Unlock()
 
@@ -558,19 +550,9 @@ func (ep *Endpoint) PollAMsAs(tok uint64) int {
 
 	ep.qmu.Lock()
 	ep.polling = false
-	ep.pollTok = 0
 	ep.amSpare = ams[:0]
 	ep.qmu.Unlock()
 	return len(ams)
-}
-
-// PollerToken returns the token passed to the PollAMsAs call currently
-// executing handlers, or 0 outside a drain. Only meaningful when called
-// from within an AM handler (where the draining claim is held).
-func (ep *Endpoint) PollerToken() uint64 {
-	ep.qmu.Lock()
-	defer ep.qmu.Unlock()
-	return ep.pollTok
 }
 
 // Poll drains completions then Active Messages, returning the number of

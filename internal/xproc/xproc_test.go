@@ -818,8 +818,12 @@ func taskRoundTripBody(rk *core.Rank) int {
 	rt := task.New(rk, task.Config{Workers: 1, NoSteal: !steal})
 	defer rt.Stop()
 	ep := rk.World().Network().Endpoint(gasnet.Rank(rk.Me()))
+	// Counted from before the barrier: rank 0 spawns round 0 the moment its
+	// barrier ends, and rank 1's worker may send that task's reply before rank
+	// 1's own Barrier returns. The barrier's one message per rank (a two-rank
+	// tree: up from 1, down from 0) is not the rounds'.
+	sent := ep.Stats().AMs + 1
 	rk.Barrier()
-	sent := ep.Stats().AMs
 	var taskNS, rpcNS []time.Duration
 	if rk.Me() == 0 {
 		for i := uint64(0); i < rounds; i++ {
