@@ -418,8 +418,7 @@ func TestCollArrivalRejects(t *testing.T) {
 	}
 	// entry is a one-entry message of the given kind and argument bytes.
 	entry := func(kind uint8, seq uint64, args []byte) []byte {
-		b, _ := encodeRPCMsg[Unit](0, []rpcEntry{{kind: kind, seq: seq, args: args}}, nil, nil, false)
-		return b
+		return encodeMsg(0, []rpcEntry{{kind: kind, seq: seq, args: args}}, nil)
 	}
 	m, _ := decodeRPCMsg(up(collBarrier, 1, nil))
 	barrierArg := m.next().args

@@ -466,7 +466,7 @@ func (c *cxPlan) takeConduitAM() *gasnet.RemoteAM {
 	am, l := c.notice, c.landing
 	c.notice, c.landing = nil, nil
 	if l != nil {
-		buf, _ := encodeRPCMsg[Unit](c.rk.me, nil, nil, &l.args, false)
+		buf, _ := encodeRPCMsg[Unit](c.rk.me, nil, nil, &l.args)
 		am = &gasnet.RemoteAM{Handler: c.rk.w.amRPC, Payload: buf, Aux: &l.tok}
 	}
 	return am

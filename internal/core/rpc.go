@@ -283,34 +283,34 @@ type rpcEntry struct {
 	kind uint8
 	seq  uint64
 	args []byte // argument (request) or result (reply) bytes
-	// more continues args on the initiator side when the argument was
-	// gather-marshalled (Batch): fragments that may borrow caller memory
-	// until the conduit captures the message. Decoded entries have none.
+	// more continues args on the initiator side when a Batch marshalled the
+	// argument: fragments that may borrow the caller's views until the
+	// conduit captures the message. Decoded entries have none.
 	more [][]byte
 }
 
-// encodeRPCMsg builds the wire form of one message — contiguous in buf,
-// or, with gather set, as the fragment list bufs whose concatenation is
-// the same byte stream but in which argument spans of at least
-// serial.GatherMinBorrow bytes still alias the caller's memory. A non-nil
-// arg is a single call's argument, marshalled here, once, into the message,
-// behind whatever header the entry's args hold (a spawn's task header). A
-// non-nil land is the landing's argument bytes.
-func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, land *[]byte, gather bool) (buf []byte, bufs [][]byte) {
+// encodeRPCMsg builds the wire form of one message: one owned buffer buf,
+// or, when it borrowed a run, the fragment list bufs whose concatenation is
+// the same byte stream. Runs of at least serial.GatherMinBorrow bytes are
+// borrowed: an entry's args and more (result bytes, or what a Batch
+// marshalled) and the view and []byte runs of a non-nil arg — a single
+// call's argument, marshalled here, once, into the message, behind whatever
+// header the entry's args hold (a spawn's task header). The conduit copies
+// them at capture, before the sending call returns. A non-nil land is the
+// landing's argument bytes, copied: alone, it makes a one-buffer message.
+func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, land *[]byte) (buf []byte, bufs [][]byte) {
 	size := 40 + 20*len(entries)
 	if land != nil {
 		size += len(*land)
 	}
-	if !gather {
-		for i := range entries {
-			size += len(entries[i].args)
+	for i := range entries {
+		if n := len(entries[i].args); n < serial.GatherMinBorrow {
+			size += n
 		}
 	}
 	var e serial.Encoder
 	e.Grow(size)
-	if gather {
-		e.EnableGather()
-	}
+	e.EnableGather(true)
 	putRPCHead(&e, src, len(entries))
 	for i := range entries {
 		en := &entries[i]
@@ -338,10 +338,10 @@ func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, land *[]byte, 
 		e.PutUvarint(1 + uint64(len(*land)))
 		e.PutRaw(*land)
 	}
-	if gather {
-		return nil, e.Fragments()
+	if bufs = e.Fragments(); bufs == nil {
+		buf = e.Bytes()
 	}
-	return e.Bytes(), nil
+	return buf, bufs
 }
 
 // putRPCHead opens a message of count entries from src.
@@ -513,8 +513,9 @@ func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
 // the same injection path as every other operation, mirroring Fig 2's
 // return flow through the target's queues.
 func (rk *Rank) reply(dst Intrank, results []rpcEntry) {
-	buf, _ := encodeRPCMsg[Unit](rk.me, results, nil, nil, false)
-	rk.inject(rk.newInjection(dst).single(rmaOp{kind: opAM, dstPeer: dst, buf: buf}))
+	op := rmaOp{kind: opAM, dstPeer: dst}
+	op.buf, op.bufs = encodeRPCMsg[Unit](rk.me, results, nil, nil)
+	rk.inject(rk.newInjection(dst).single(op))
 }
 
 // --- initiator side ------------------------------------------------------
@@ -568,14 +569,17 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 // single call, still in arg — and sinks[i] takes its result — nil for a
 // fire-and-forget body. The message lowers through Rank.inject under one
 // completion plan: source completion fires when the conduit has captured
-// the argument bytes (with gather set, the first moment borrowed argument
-// fragments may be reused), operation completion when the last round-trip
-// entry's reply has landed — at injection when every entry is
-// fire-and-forget — and a remote-cx as_rpc descriptor rides embedded in the
-// message and fires at the target on landing, exactly like the conduit does
-// for put/copy hop chains. call travels as the aux token (a copy, to add a
-// landing event or a body address); entries and sinks are not kept.
-func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *rpcAux, sinks []rpcSink, gather bool, cxs []Cx) CxFutures {
+// the message — the first moment borrowed argument runs may be reused —
+// operation completion when the last round-trip entry's reply has landed —
+// at injection when every entry is fire-and-forget — and a remote-cx as_rpc
+// descriptor rides embedded in the message and fires at the target on
+// landing, exactly like the conduit does for put/copy hop chains. The
+// message is encoded before any entry is filed in rpcPending, so an argument
+// that fails to marshal leaves nothing waiting for a reply; a sequence
+// number is only a name, and one drawn for it is simply never answered.
+// call travels as the aux token (a copy, to add a landing event or a body
+// address); entries and sinks are not kept.
+func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *rpcAux, sinks []rpcSink, cxs []Cx) CxFutures {
 	bodyPers, cxs := splitBodyPersona(target, cxs)
 	inj := rk.newInjection(target)
 	for _, cx := range cxs {
@@ -586,24 +590,15 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 		rk.inject(inj)
 		return futs
 	}
+	var last uint64 // top of a block of sequence numbers, one per entry, drawn at the first round trip
 	for i := range entries {
-		entries[i].kind = call.bodies[i].kind
-		if entries[i].kind == rpcReqKind {
+		if entries[i].kind = call.bodies[i].kind; entries[i].kind == rpcReqKind {
+			if last == 0 {
+				last = rk.rpcSeq.Add(uint64(len(entries)))
+			}
+			entries[i].seq = last - uint64(i)
 			inj.replies++
 		}
-	}
-	opK := opAM // all fire-and-forget: the operation edge fires at injection
-	if inj.replies > 0 {
-		opK = opRPC // the last reply fires the operation edge (rpcLand)
-		rk.rpcMu.Lock()
-		for i := range entries {
-			if entries[i].kind == rpcReqKind {
-				entries[i].seq = rk.rpcSeq
-				rk.rpcSeq++
-				rk.rpcPending[entries[i].seq] = rpcPending{sink: sinks[i], inj: inj}
-			}
-		}
-		rk.rpcMu.Unlock()
 	}
 	var land *[]byte
 	if l := inj.landing; l != nil || bodyPers != nil {
@@ -612,8 +607,18 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 			call.rem, land, inj.landing = l.tok.rem, &l.args, nil
 		}
 	}
-	op := rmaOp{kind: opK, dstPeer: target, amAux: call}
-	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, arg, land, gather)
+	op := rmaOp{kind: opAM, dstPeer: target, amAux: call} // all ff: the operation edge fires at injection
+	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, arg, land)
+	if inj.replies > 0 {
+		op.kind = opRPC // the last reply fires the operation edge (rpcLand)
+		rk.rpcMu.Lock()
+		for i := range entries {
+			if entries[i].kind == rpcReqKind {
+				rk.rpcPending[entries[i].seq] = rpcPending{sink: sinks[i], inj: inj}
+			}
+		}
+		rk.rpcMu.Unlock()
+	}
 	rk.inject(inj.single(op))
 	return futs
 }
@@ -621,7 +626,7 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 // rpcOne sends a single call of call's body: a one-entry message whose
 // argument is hdr (a spawn's task header; nil for an RPC) followed by arg.
 func rpcOne[A any](rk *Rank, target Intrank, call *rpcAux, hdr []byte, arg *A, sink rpcSink, cxs []Cx) CxFutures {
-	return rpcSend(rk, target, []rpcEntry{{args: hdr}}, arg, call, []rpcSink{sink}, false, cxs)
+	return rpcSend(rk, target, []rpcEntry{{args: hdr}}, arg, call, []rpcSink{sink}, cxs)
 }
 
 // --- task spawns ---------------------------------------------------------

@@ -21,13 +21,14 @@ import (
 // message of rpc.go with more than one entry, sent through the same
 // rpcSend that RPC and RPCFF use for one.
 //
-// Argument serialization is zero-copy end to end: BatchRPC marshals into a
-// gather encoder, so large argument views (serial.View) travel as borrowed
-// iovec fragments that alias caller memory until the conduit's capture
-// stage flattens them (rpcEntry.more → rmaOp.bufs → Endpoint.AMTag).
-// Source completion on
-// Flush is therefore the first moment the argument buffers may be reused —
-// the same contract as rput.
+// A view argument is zero-copy end to end: BatchRPC marshals into a gather
+// encoder, so its elements travel as borrowed iovec fragments that alias
+// caller memory until the conduit's capture stage copies them inside Flush
+// (rpcEntry.more → rmaOp.bufs → Endpoint.AMTag). Source completion on Flush
+// is therefore the first moment a viewed buffer may be reused — the same
+// contract as rput. A plain []byte is copied at BatchRPC instead: nothing
+// asks its caller to leave it alone until Flush. A single call borrows both,
+// since its capture comes before the call returns.
 //
 // A Batch is not goroutine-safe; it is an accumulator owned by the calling
 // persona, like a promise.
@@ -62,7 +63,7 @@ func (b *Batch) Target() Intrank { return b.target }
 // returns the future for fn's result, owned by the calling persona exactly
 // as RPC's would be. The argument is serialized immediately — large views
 // as borrowed fragments aliasing caller memory, reusable only after the
-// flushed batch's source completion.
+// flushed batch's source completion; everything else copied.
 func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
 	p := NewPromise[R](b.rk)
 	batchAdd(b, callOf(fn, func() rpcBody { return valueBody(fn) }).bodies[0], &arg, p)
@@ -76,16 +77,17 @@ func BatchRPCFF[A any](b *Batch, fn func(*Rank, A), arg A) {
 	batchAdd(b, callOf(fn, func() rpcBody { return ffBody(fn) }).bodies[0], &arg, nil)
 }
 
-// add appends one call, serializing arg through a gather encoder so view
-// payloads stay borrowed until conduit capture.
+// batchAdd appends one call, serializing arg through a gather encoder whose
+// fragments live until Flush: view payloads stay borrowed until conduit
+// capture, plain slices are copied now.
 func batchAdd[A any](b *Batch, body rpcBody, arg *A, sink rpcSink) {
 	var e serial.Encoder
-	e.EnableGather()
+	e.EnableGather(false)
 	if err := serial.Encode(&e, arg); err != nil {
 		panic(fmt.Sprintf("upcxx: batched RPC argument not serializable: %v", err))
 	}
-	var en rpcEntry
-	if frags := e.Fragments(); len(frags) > 0 {
+	en := rpcEntry{args: e.Bytes()}
+	if frags := e.Fragments(); frags != nil {
 		en.args, en.more = frags[0], frags[1:]
 	}
 	b.entries = append(b.entries, en)
@@ -109,5 +111,5 @@ func batchAdd[A any](b *Batch, body rpcBody, arg *A, sink rpcSink) {
 func (b *Batch) Flush(cxs ...Cx) CxFutures {
 	entries, bodies, sinks := b.entries, b.bodies, b.sinks
 	b.entries, b.bodies, b.sinks = nil, nil, nil
-	return rpcSend[Unit](b.rk, b.target, entries, nil, &rpcAux{bodies: bodies}, sinks, true, cxs)
+	return rpcSend[Unit](b.rk, b.target, entries, nil, &rpcAux{bodies: bodies}, sinks, cxs)
 }

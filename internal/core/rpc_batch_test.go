@@ -186,48 +186,55 @@ var landings atomic.Int64
 // TestBatchRPCSourceZeroCopy pins the zero-copy scatter-gather contract.
 // A view argument is NOT copied when BatchRPC marshals it — the encoded
 // entry borrows the caller's buffer — and IS captured exactly once, at
-// the conduit's capture stage inside Flush. The proof mutates the buffer
-// in both windows: a post-add/pre-flush mutation must be visible at the
-// target (no marshal-time copy), and a post-source-cx mutation must NOT
-// be (capture precedes the wire), with a fat simulated latency holding
-// the message in flight while the second mutation happens.
+// the conduit's capture stage inside Flush. A plain []byte is copied at
+// BatchRPC: nothing asks its caller to keep it until Flush. The proof
+// mutates the buffer in both windows: a post-add/pre-flush mutation must be
+// visible at the target for the view (no marshal-time copy) and invisible
+// for the []byte, and a post-source-cx mutation must be invisible for both
+// (capture precedes the wire), with a fat simulated latency holding the
+// message in flight while the second mutation happens.
 func TestBatchRPCSourceZeroCopy(t *testing.T) {
 	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Millisecond, Gp: time.Microsecond}
-	RunConfig(Config{Ranks: 2, Model: model}, func(rk *Rank) {
+	const n = 4096
+	tally := func(b []byte) [3]int { // how many of 0xAA, 0xBB, 0xCC
+		return [3]int{bytes.Count(b, []byte{0xAA}), bytes.Count(b, []byte{0xBB}), bytes.Count(b, []byte{0xCC})}
+	}
+	RunConfig(Config{Ranks: 2, RanksPerNode: 1, Model: model}, func(rk *Rank) {
 		rk.Barrier()
 		if rk.Me() == 0 {
-			buf := bytes.Repeat([]byte{0xAA}, 4096)
-			b := NewBatch(rk, 1)
-			probe := BatchRPC(b, func(trk *Rank, v View[uint8]) [2]int {
-				counts := [2]int{}
-				for _, x := range v.Elements() {
-					switch x {
-					case 0xBB:
-						counts[0]++
-					case 0xCC:
-						counts[1]++
-					}
+			buf := make([]byte, n)
+			for _, row := range []struct {
+				name string
+				add  func(b *Batch) Future[[3]int]
+				want [3]int // what the target must see
+			}{
+				{"view", func(b *Batch) Future[[3]int] {
+					return BatchRPC(b, func(_ *Rank, v View[uint8]) [3]int { return tally(v.Elements()) }, MakeView(buf))
+				}, [3]int{0, n, 0}},
+				{"[]byte", func(b *Batch) Future[[3]int] {
+					return BatchRPC(b, func(_ *Rank, s []byte) [3]int { return tally(s) }, buf)
+				}, [3]int{n, 0, 0}},
+			} {
+				for i := range buf {
+					buf[i] = 0xAA
 				}
-				return counts
-			}, MakeView(buf))
-			// Window 1: the entry only borrows buf — this mutation must
-			// reach the target.
-			for i := range buf {
-				buf[i] = 0xBB
-			}
-			fs := b.Flush(SourceCxAsFuture())
-			// Source completion == conduit capture: buf is ours again.
-			fs.Source.Wait()
-			// Window 2: the message is still in flight (L = 5ms); this
-			// mutation must NOT reach the target.
-			for i := range buf {
-				buf[i] = 0xCC
-			}
-			counts := probe.Wait()
-			if counts[0] != len(buf) || counts[1] != 0 {
-				t.Errorf("target saw %d×0xBB / %d×0xCC of %d bytes; want %d/0 — "+
-					"argument was copied at marshal time or not captured at the capture stage",
-					counts[0], counts[1], len(buf), len(buf))
+				b := NewBatch(rk, 1)
+				probe := row.add(b)
+				// Window 1: between add and Flush.
+				for i := range buf {
+					buf[i] = 0xBB
+				}
+				fs := b.Flush(SourceCxAsFuture())
+				// Source completion == conduit capture: buf is ours again.
+				fs.Source.Wait()
+				// Window 2: the message is still in flight (L = 5ms); this
+				// mutation must NOT reach the target.
+				for i := range buf {
+					buf[i] = 0xCC
+				}
+				if got := probe.Wait(); got != row.want {
+					t.Errorf("%s: target saw %v of 0xAA/0xBB/0xCC, want %v", row.name, got, row.want)
+				}
 			}
 		}
 		rk.Barrier()
@@ -292,8 +299,7 @@ func TestRPCWireErrors(t *testing.T) {
 	rep := rpcEntry{kind: rpcReplyKind, seq: 1, args: []byte{3}}
 	ff := rpcEntry{kind: rpcFFKind, args: []byte{9, 9, 9}}
 	enc := func(land *[]byte, entries ...rpcEntry) []byte {
-		b, _ := encodeRPCMsg[Unit](0, entries, nil, land, false)
-		return b
+		return encodeMsg(0, entries, land)
 	}
 	land := func(b ...byte) *[]byte { return &b }
 	cases := []struct {
@@ -329,8 +335,7 @@ func TestRPCWireErrors(t *testing.T) {
 	// message mixing ff in — each carrying a landing — and the landing
 	// alone.
 	for _, entries := range [][]rpcEntry{{req}, {ff}, {req, ff}, nil} {
-		b, _ := encodeRPCMsg[Unit](3, entries, nil, land(5), false)
-		m, err := decodeRPCMsg(b)
+		m, err := decodeRPCMsg(encodeMsg(3, entries, land(5)))
 		if err != nil {
 			t.Fatalf("decode of valid %d-entry message: %v", len(entries), err)
 		}

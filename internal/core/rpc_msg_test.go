@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,13 @@ import (
 
 func msgEcho(trk *Rank, x int64) int64 { return x + 1 }
 func msgSink(trk *Rank, x int64)       {}
+
+// encodeMsg is encodeRPCMsg's byte stream as one slice, whether it came out
+// as one buffer or as fragments.
+func encodeMsg(src Intrank, entries []rpcEntry, land *[]byte) []byte {
+	buf, bufs := encodeRPCMsg[Unit](src, entries, nil, land)
+	return append(buf, slices.Concat(bufs...)...)
+}
 
 // captureRPC reroutes w's RPC traffic into a recorder instead of handleRPC:
 // what the returned slice collects is exactly what the initiator injected.
@@ -67,7 +75,7 @@ func TestRPCSingleIsOneEntryBatch(t *testing.T) {
 	for _, tc := range cases {
 		*got = nil
 		for _, send := range []func(){tc.single, func() { tc.batch(NewBatch(rk0, 1)) }} {
-			rk0.rpcSeq = 40 // both sends draw the same sequence number
+			rk0.rpcSeq.Store(40) // both sends draw the same sequence number
 			send()
 			rk0.Progress() // harvest the send's completions
 			rk1.Progress() // deliver into the recorder
@@ -81,6 +89,94 @@ func TestRPCSingleIsOneEntryBatch(t *testing.T) {
 		if m, err := decodeRPCMsg((*got)[0]); err != nil || m.count != 1 {
 			t.Errorf("%s: injected bytes decode to %+v, %v; want one entry", tc.name, m, err)
 		}
+	}
+}
+
+// TestRPCArgCaptureContract: a single call borrows a large View or []byte
+// argument until the conduit captures the message, and capture comes before
+// the call returns. So a 4 KiB argument of RPCWith or RPCFFWith, mutated the
+// moment the call returns, reaches the target as it was at the call — with
+// the message still in flight for 5 ms. (task.AsyncAt's row is in
+// internal/task.)
+func TestRPCArgCaptureContract(t *testing.T) {
+	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Millisecond, Gp: time.Microsecond}
+	const n = 4096
+	count := func(b []byte) int64 { return int64(bytes.Count(b, []byte{0xAA})) }
+	var seen atomic.Int64 // what the last fire-and-forget body counted
+	RunConfig(Config{Ranks: 2, RanksPerNode: 1, Model: model}, func(rk *Rank) {
+		if rk.Me() == 0 {
+			buf := make([]byte, n)
+			read := func() int64 { return RPC(rk, 1, func(*Rank, Unit) int64 { return seen.Load() }, Unit{}).Wait() }
+			for _, row := range []struct {
+				name string
+				send func() (result func() int64) // issues the call
+			}{
+				{"RPCWith View", func() func() int64 {
+					f, _ := RPCWith(rk, 1, func(_ *Rank, v View[uint8]) int64 { return count(v.Elements()) }, MakeView(buf))
+					return f.Wait
+				}},
+				{"RPCWith []byte", func() func() int64 {
+					f, _ := RPCWith(rk, 1, func(_ *Rank, b []byte) int64 { return count(b) }, buf)
+					return f.Wait
+				}},
+				{"RPCFFWith View", func() func() int64 {
+					RPCFFWith(rk, 1, func(_ *Rank, v View[uint8]) { seen.Store(count(v.Elements())) }, MakeView(buf))
+					return read
+				}},
+				{"RPCFFWith []byte", func() func() int64 {
+					RPCFFWith(rk, 1, func(_ *Rank, b []byte) { seen.Store(count(b)) }, buf)
+					return read
+				}},
+			} {
+				for i := range buf {
+					buf[i] = 0xAA
+				}
+				result := row.send()
+				for i := range buf {
+					buf[i] = 0xCC
+				}
+				if got := result(); got != n {
+					t.Errorf("%s: the target saw %d of the %d bytes the call was made with", row.name, got, n)
+				}
+			}
+		}
+		rk.Barrier()
+	})
+}
+
+// TestRPCUnserializableArg: an argument that cannot be marshalled panics the
+// caller before anything waits on the message — no pending entry holds the
+// promise and the injection record for a reply that never comes — and the
+// rank goes on: a following RPC and Close succeed.
+func TestRPCUnserializableArg(t *testing.T) {
+	type unserializable struct{ F func() }
+	w := NewWorld(Config{Ranks: 2})
+	defer w.Close()
+	rk0, rk1 := w.Rank(0), w.Rank(1)
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("an RPC with a func-valued argument field did not panic")
+			}
+		}()
+		RPC(rk0, 1, func(*Rank, unserializable) int64 { return 0 }, unserializable{F: func() {}})
+	}()
+	rk0.rpcMu.Lock()
+	pending := len(rk0.rpcPending)
+	rk0.rpcMu.Unlock()
+	if pending != 0 {
+		t.Errorf("the failed RPC left %d pending entries", pending)
+	}
+	f := RPC(rk0, 1, msgEcho, int64(41))
+	for !f.Ready() {
+		rk1.Progress()
+		rk0.Progress()
+	}
+	if got := f.Wait(); got != 42 {
+		t.Errorf("the RPC after the failed one returned %d, want 42", got)
+	}
+	if err := w.Failed(); err != nil {
+		t.Errorf("the failed RPC failed the world: %v", err)
 	}
 }
 
@@ -267,8 +363,7 @@ func TestRPCHandlerRejects(t *testing.T) {
 	ff := ffBody(func(*Rank, int64) { ran.Add(1) })
 	arg := mustMarshal(int64(1))
 	enc := func(land *[]byte, entries ...rpcEntry) []byte {
-		b, _ := encodeRPCMsg[Unit](0, entries, nil, land, false)
-		return b
+		return encodeMsg(0, entries, land)
 	}
 	req := rpcEntry{kind: rpcReqKind, seq: 9, args: arg}
 	one := rpcEntry{kind: rpcFFKind, args: arg}
@@ -382,6 +477,15 @@ func TestRPCAllocPins(t *testing.T) {
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 3},
 		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 4},
 		{"blocking RPutSignal", signal, 7},
+		{"Batch flush of 32 int64 RPCs", func() {
+			b := NewBatch(rk0, 1)
+			var last Future[int64]
+			for i := int64(0); i < 32; i++ {
+				last = BatchRPC(b, msgEcho, i)
+			}
+			b.Flush()
+			spin(last.Ready)
+		}, 182},
 	} {
 		check(pin.name+" allocs", testing.AllocsPerRun(200, pin.op), pin.max)
 	}

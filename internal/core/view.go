@@ -27,10 +27,11 @@ func (v View[T]) Len() int { return len(v.elems) }
 // after the RPC body returns.
 func (v View[T]) CopyOut() []T { return serial.CopyScalars(v.elems) }
 
-// MarshalSerial streams the element count and raw element bytes. On a
-// gather-mode encoder (the batched-RPC injection path) large element
-// payloads travel as borrowed iovec fragments — no copy until the conduit
-// capture stage — so the viewed slice must stay unchanged until capture.
+// MarshalSerial streams the element count and raw element bytes. Every RPC
+// message is gather-encoded, so an element payload of at least
+// serial.GatherMinBorrow bytes travels as a borrowed iovec fragment, copied
+// once, by the conduit's capture stage: before a single call returns, and
+// inside Flush for a Batch entry — the slice must stay unchanged until then.
 func (v View[T]) MarshalSerial(e *serial.Encoder) {
 	e.PutUvarint(uint64(len(v.elems)))
 	e.PutBorrowed(serial.AsBytes(v.elems))

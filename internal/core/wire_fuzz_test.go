@@ -81,8 +81,7 @@ func encodeRPCWire(m rpcWire) []byte {
 	if m.landing {
 		land = &m.largs
 	}
-	b, _ := encodeRPCMsg[Unit](Intrank(m.src), m.entries, nil, land, false)
-	return b
+	return encodeMsg(Intrank(m.src), m.entries, land)
 }
 
 func decodeRPCWire(b []byte) (rpcWire, error) {

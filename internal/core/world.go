@@ -393,8 +393,8 @@ type Rank struct {
 	master    *Persona // held by the SPMD goroutine during Run
 	progressP *Persona // held by the progress goroutine (ProgressThread mode)
 
+	rpcSeq     atomic.Uint64 // the last sequence number drawn (rpcSend)
 	rpcMu      sync.Mutex
-	rpcSeq     uint64
 	rpcPending map[uint64]rpcPending
 
 	coll *collEngine // per-rank collectives engine (coll.go)

@@ -3,6 +3,7 @@ package serial
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -89,6 +90,74 @@ func FuzzScalarSliceRoundTrip(f *testing.F) {
 				t.Fatalf("u32[%d] %d != %d", i, back2[i], us[i])
 			}
 		}
+	})
+}
+
+// testView is a view-shaped Marshaler: a count, then the bytes through
+// PutBorrowed, as the runtime's View writes them.
+type testView []byte
+
+func (v testView) MarshalSerial(e *Encoder)    { e.PutUvarint(uint64(len(v))); e.PutBorrowed(v) }
+func (v *testView) UnmarshalSerial(d *Decoder) { *v = d.Raw(int(d.Uvarint())) }
+
+type gatherRec struct {
+	H uint32
+	V testView
+	B []byte
+	W testView
+}
+
+// gatherMatches encodes v behind pre with EncodeSized twice, between a head
+// and a trailer byte — contiguously and on a gather encoder — and requires
+// the gather encoder's fragments to concatenate to the contiguous bytes, and
+// to be there exactly when borrows says a run was borrowed.
+func gatherMatches[T any](t *testing.T, pre []byte, v T, callScoped, borrows bool) {
+	t.Helper()
+	var flat, g Encoder
+	g.EnableGather(callScoped)
+	for _, e := range []*Encoder{&flat, &g} {
+		e.PutU8(0xEE)
+		if err := EncodeSized(e, pre, &v); err != nil {
+			t.Fatal(err)
+		}
+		e.PutU8(0x77)
+	}
+	got, frags := g.Bytes(), g.Fragments()
+	if frags != nil {
+		got = slices.Concat(frags...)
+	}
+	if (frags != nil) != borrows {
+		t.Fatalf("%T of %d bytes (call-scoped %v): %d fragments, want borrowing %v", v, g.Len(), callScoped, len(frags), borrows)
+	}
+	if want := flat.Bytes(); !bytes.Equal(got, want) || g.Len() != len(got) {
+		at := 0
+		for at < min(len(got), len(want)) && got[at] == want[at] {
+			at++
+		}
+		t.Fatalf("%T behind % x (call-scoped %v): %d gathered bytes (Len %d) against %d contiguous, first difference at %d",
+			v, pre, callScoped, len(got), g.Len(), len(want), at)
+	}
+}
+
+// FuzzEncodeSizedGather: EncodeSized on a gather encoder writes, across its
+// fragments, the bytes it writes contiguously — for views, []byte and
+// structs holding both, with the length prefix widened inside the owned
+// fragment that holds it. The seeds put the view and []byte spans at the
+// prefix-width edges: 127/128 and 16383/16384 bytes.
+func FuzzEncodeSizedGather(f *testing.F) {
+	for _, n := range []uint16{0, 63, 64, 126, 127, 16381, 16382} {
+		f.Add([]byte{}, n, byte(n), true)
+		f.Add([]byte{0xAB, 0xCD}, n, byte(n), false)
+	}
+	f.Fuzz(func(t *testing.T, pre []byte, n uint16, fill byte, callScoped bool) {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = fill + byte(i)
+		}
+		big := n >= GatherMinBorrow
+		gatherMatches(t, pre, testView(data), callScoped, big)
+		gatherMatches(t, pre, data, callScoped, big && callScoped)
+		gatherMatches(t, pre, gatherRec{H: uint32(n), V: data, B: data, W: data[:n/2]}, callScoped, big)
 	})
 }
 

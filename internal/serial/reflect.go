@@ -52,8 +52,9 @@ func Marshal(v any) ([]byte, error) {
 }
 
 // MarshalInto encodes v into an existing encoder. When the encoder is in
-// gather mode, Marshaler implementations (views) may contribute borrowed
-// fragments instead of copies — the zero-copy injection path.
+// gather mode, Marshaler implementations (views) — and, when it is
+// call-scoped, []byte values — contribute borrowed fragments instead of
+// copies: the zero-copy injection path.
 func MarshalInto(e *Encoder, v any) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -90,20 +91,29 @@ func Encode[T any](e *Encoder, v *T) error {
 
 // EncodeSized appends what PutBytes of pre followed by *v's marshalled form
 // would, but marshals in place: one length byte is reserved, and the span
-// moves up only if it needs more. Not for gather-mode encoders.
+// moves up only if it needs more. On a gather-mode encoder whose span
+// borrowed a run, the prefix sits in the owned fragment closed behind it, and
+// the bytes after it move up there, into the gap closeFrag left.
 func EncodeSized[T any](e *Encoder, pre []byte, v *T) error {
-	at := len(e.buf)
+	fi, at, start := len(e.frags), len(e.buf), e.Len()
 	e.buf = append(append(e.buf, 0), pre...)
 	err := Encode(e, v)
-	if n := uint64(len(e.buf) - at - 1); n < 0x80 {
-		e.buf[at] = byte(n)
-	} else {
-		var l [binary.MaxVarintLen64]byte
-		w := binary.PutUvarint(l[:], n)
-		e.buf = append(e.buf, l[1:w]...)
-		copy(e.buf[at+w:], e.buf[at+1:len(e.buf)-w+1])
-		copy(e.buf[at:], l[:w])
+	n, b := uint64(e.Len()-start-1), &e.buf
+	if fi < len(e.frags) {
+		b = &e.frags[fi]
 	}
+	if n < 0x80 {
+		(*b)[at] = byte(n)
+		return err
+	}
+	var l [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(l[:], n)
+	if fi < len(e.frags) {
+		e.flen += w - 1
+	}
+	*b = append(*b, l[1:w]...)
+	copy((*b)[at+w:], (*b)[at+1:len(*b)-w+1])
+	copy((*b)[at:], l[:w])
 	return err
 }
 
@@ -203,7 +213,8 @@ func buildCodec(t reflect.Type, building map[reflect.Type]*codec) (*codec, error
 		c.dec = func(d *Decoder, v reflect.Value) { v.SetString(d.String()) }
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
-			// Fast path: []byte and named variants.
+			// Fast path: []byte and named variants (PutBytes: borrowed
+			// on a call-scoped gather encoder).
 			c.enc = func(e *Encoder, v reflect.Value) { e.PutBytes(v.Bytes()) }
 			c.dec = func(d *Decoder, v reflect.Value) {
 				b := d.Bytes()

@@ -28,38 +28,30 @@ var ErrShortBuffer = errors.New("serial: short buffer")
 // ready to use.
 //
 // An encoder may optionally run in gather mode (EnableGather), where large
-// PutBorrowed payloads are recorded as borrowed fragments instead of being
-// copied into the contiguous buffer. Fragments() then yields an iovec-style
-// [][]byte whose concatenation is the encoded message; the borrowed pieces
-// alias the caller's memory until whoever consumes the fragments copies
-// them (for the runtime, the conduit capture stage).
+// byte runs are recorded as borrowed fragments instead of being copied into
+// the contiguous buffer. Fragments() then yields an iovec-style [][]byte
+// whose concatenation is the encoded message; the borrowed pieces alias the
+// caller's memory until whoever consumes the fragments copies them (for the
+// runtime, the conduit capture stage).
 type Encoder struct {
 	buf    []byte
-	gather bool
+	gather bool     // PutBorrowed runs borrow
+	slices bool     // PutBytes runs borrow too
 	frags  [][]byte // closed fragments, in order; borrowed or owned
 	flen   int      // total bytes across closed fragments
 }
 
-// GatherMinBorrow is the smallest PutBorrowed payload worth recording as a
-// borrowed fragment in gather mode; anything shorter is copied inline,
-// since fragment bookkeeping costs more than a tiny memcpy.
+// GatherMinBorrow is the smallest run worth recording as a borrowed
+// fragment in gather mode; anything shorter is copied inline, since
+// fragment bookkeeping costs more than a tiny memcpy.
 const GatherMinBorrow = 64
 
 // NewEncoder returns an encoder that appends to buf (which may be nil).
 func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
-// Bytes returns the encoded buffer. If gather mode closed any fragments it
-// returns a flattened copy of the full message.
-func (e *Encoder) Bytes() []byte {
-	if len(e.frags) == 0 {
-		return e.buf
-	}
-	out := make([]byte, 0, e.Len())
-	for _, f := range e.frags {
-		out = append(out, f...)
-	}
-	return append(out, e.buf...)
-}
+// Bytes returns the encoded buffer: the whole message, unless a gather-mode
+// encoder borrowed a run (Fragments is then the message).
+func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return e.flen + len(e.buf) }
@@ -69,14 +61,26 @@ func (e *Encoder) Len() int { return e.flen + len(e.buf) }
 func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // EnableGather switches the encoder into gather mode; see the type comment.
-func (e *Encoder) EnableGather() { e.gather = true }
+// What borrows depends on how long the fragments live. PutBorrowed runs (a
+// view's elements) always do: their writer promises to leave them alone
+// until the fragments are consumed. PutBytes runs (a plain []byte) borrow
+// only with callScoped set, which says the fragments are consumed before the
+// call that marshals into the encoder returns, so nothing can change the
+// bytes in between.
+func (e *Encoder) EnableGather(callScoped bool) { e.gather, e.slices = true, callScoped }
 
-// closeFrag moves the open contiguous buffer onto the fragment list.
+// closeFrag moves the open contiguous buffer onto the fragment list. What
+// follows is appended in its spare capacity, past a gap in which EncodeSized
+// can widen a length prefix inside the closed fragment without allocating.
 func (e *Encoder) closeFrag() {
 	if len(e.buf) > 0 {
 		e.frags = append(e.frags, e.buf)
 		e.flen += len(e.buf)
-		e.buf = nil
+		if n := len(e.buf) + binary.MaxVarintLen64; n <= cap(e.buf) {
+			e.buf = e.buf[n:n]
+		} else {
+			e.buf = nil
+		}
 	}
 }
 
@@ -90,15 +94,22 @@ func (e *Encoder) PutBorrowed(b []byte) {
 		e.PutRaw(b)
 		return
 	}
+	if e.frags == nil {
+		e.frags = make([][]byte, 0, 4) // one run between owned bytes, and room for another
+	}
 	e.closeFrag()
 	e.frags = append(e.frags, b)
 	e.flen += len(b)
 }
 
-// Fragments closes the open buffer and returns the fragment list; the
-// concatenation of the fragments is the encoded message. Borrowed
-// fragments alias caller memory (see PutBorrowed).
+// Fragments returns the encoded message as its fragments, owned and
+// borrowed, in order — or nil when nothing was borrowed, and the message is
+// the one buffer Bytes returns. Borrowed fragments alias caller memory (see
+// PutBorrowed).
 func (e *Encoder) Fragments() [][]byte {
+	if len(e.frags) == 0 {
+		return nil
+	}
 	e.closeFrag()
 	return e.frags
 }
@@ -122,9 +133,14 @@ func (e *Encoder) PutF64(v float64) {
 // PutUvarint appends v in unsigned varint form; used for lengths.
 func (e *Encoder) PutUvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-// PutBytes appends a length-prefixed byte slice.
+// PutBytes appends a length-prefixed byte slice, borrowing it on a
+// call-scoped gather encoder (EnableGather).
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutUvarint(uint64(len(b)))
+	if e.slices {
+		e.PutBorrowed(b)
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 

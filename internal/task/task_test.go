@@ -8,6 +8,7 @@ package task
 // whole package runs under -race in CI (make race).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -94,10 +95,16 @@ func tRelease(*core.Rank, int64) { holdRelease.Store(true) }
 
 func tLen(_ *core.Rank, b []byte) int64 { return int64(len(b)) }
 
+func tCountAA(_ *core.Rank, b []byte) int64 { return int64(bytes.Count(b, []byte{0xAA})) }
+
+func tCountAAView(trk *core.Rank, v core.View[uint8]) int64 { return tCountAA(trk, v.Elements()) }
+
 var (
 	_ = Register(tDouble)
 	_ = Register(tSwap)
 	_ = Register(tLen)
+	_ = Register(tCountAA)
+	_ = Register(tCountAAView)
 	_ = RegisterFF(tBump)
 	_ = RegisterFF(tChain)
 	_ = RegisterFF(tSleep)
@@ -464,6 +471,45 @@ func TestTaskAllocPins(t *testing.T) {
 // reads 42 and 6.9 x the argument before a spawn became one RPC entry, and 14
 // while every goroutine-id lookup allocated its traceback buffer.
 const taskRoundTripObjects = 9
+
+// TestAsyncAtArgCapture: a spawn borrows a large View or []byte argument
+// like a single RPC does — until the conduit captures the message, before
+// AsyncAt returns — so an argument mutated the moment AsyncAt returns
+// reaches the task as it was at the call, with the message still in flight
+// for 5 ms.
+func TestAsyncAtArgCapture(t *testing.T) {
+	const n = 4096
+	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Millisecond, Gp: time.Microsecond}
+	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: model}, func(rk *core.Rank) {
+		rt := New(rk, Config{Workers: 1, NoSteal: true})
+		defer rt.Stop()
+		if rk.Me() == 0 {
+			buf := make([]byte, n)
+			for _, row := range []struct {
+				name  string
+				spawn func() core.Future[int64]
+			}{
+				{"View", func() core.Future[int64] { return AsyncAt(rt, 1, tCountAAView, core.MakeView(buf)) }},
+				{"[]byte", func() core.Future[int64] { return AsyncAt(rt, 1, tCountAA, buf) }},
+			} {
+				for i := range buf {
+					buf[i] = 0xAA
+				}
+				f := row.spawn()
+				for i := range buf {
+					buf[i] = 0xCC
+				}
+				if got := HelpWait(rt, f); got != n {
+					t.Errorf("%s: the task saw %d of the %d bytes it was spawned with", row.name, got, n)
+				}
+			}
+		}
+		if err := rt.Finish(); err != nil {
+			t.Errorf("rank %d: Finish: %v", rk.Me(), err)
+		}
+		rk.Barrier()
+	})
+}
 
 // TestTaskGroup pins credit-counting completion: Wait drains exactly the
 // group's spawns (tasks outside the group don't count), and the group is

@@ -43,6 +43,10 @@
 //	        reply that waited for queue room would deadlock the pair. Data,
 //	        per-pair order and a ceiling on max RSS (the queue is bounded,
 //	        bulk data lands in place) are checked.
+//	rpcalloc — over tcp, blocking RPCs with a 64 KiB View argument: the
+//	        view's bytes are copied once, by the conduit into its send queue,
+//	        so what the initiator allocates per call is a small fraction of
+//	        the argument.
 //	kill  — one rank vanishes mid-job (os.Exit with no shutdown
 //	        handshake); the survivors must observe an error wrapping
 //	        gasnet.ErrPeerLost instead of hanging, and prove it by
@@ -281,6 +285,12 @@ func TestPingPong(t *testing.T) {
 // bulk puts, with default Ps and with one.
 func TestBulkFloodBothWays(t *testing.T) { bothPs(t, "tcp", "bulk") }
 
+func TestRPCViewAllocsOverTCP(t *testing.T) {
+	if code := launch(t, "tcp", 2, "rpcalloc"); code != 0 {
+		t.Fatalf("rpcalloc job exited %d", code)
+	}
+}
+
 func TestKilledRankSurfacesPeerLost(t *testing.T) {
 	for _, backend := range backends {
 		t.Run(backend, func(t *testing.T) {
@@ -383,6 +393,8 @@ func runWorker(scen string) (code int) {
 			code = pingpongBody(rk)
 		case "bulk":
 			code = bulkBody(rk)
+		case "rpcalloc":
+			code = rpcAllocBody(rk)
 		case "smoke":
 			smokeBody(rk)
 		case "idle":
@@ -769,6 +781,40 @@ func bulkBody(rk *core.Rank) int {
 // touched part of its segment and two bounded queues fit well under it, 64 MiB
 // of queued frames and the garbage they leave do not.
 const bulkMaxRSSMiB = 40
+
+// rpcAllocBody: rank 0 makes blocking RPCs with a 64 KiB View argument while
+// rank 1 serves them from Barrier, and reads the heap bytes its process
+// allocated around them: the argument is borrowed until the conduit copies
+// it into the socket send queue, so a call allocates well under 8 KiB.
+func rpcAllocBody(rk *core.Rank) int {
+	const warm, rounds = 20, 200
+	rk.Barrier()
+	if rk.Me() == 0 {
+		big := make([]uint64, 8192)
+		call := func() {
+			expect(core.RPC(rk, 1, xprocViewLen, core.MakeView(big)).Wait() == uint64(len(big)), "rpcalloc: wrong length")
+		}
+		for range warm {
+			call()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range rounds {
+			call()
+		}
+		runtime.ReadMemStats(&m1)
+		perCall := (m1.TotalAlloc - m0.TotalAlloc) / rounds
+		fmt.Fprintf(os.Stderr, "xproc rpcalloc: %d heap bytes, %.2f objects a blocking RPC of a 64 KiB View\n",
+			perCall, float64(m1.Mallocs-m0.Mallocs)/rounds)
+		if !raceEnabled && perCall >= 8<<10 {
+			fmt.Fprintf(os.Stderr, "xproc rpcalloc: %d heap bytes a call, want under 8 KiB: the argument is copied on its way to the conduit\n", perCall)
+			rk.Barrier()
+			return 1
+		}
+	}
+	rk.Barrier()
+	return 0
+}
 
 // taskBody runs the async-task runtime across real rank processes: a
 // result-bearing AsyncAt round trip, then a skewed fire-and-forget
