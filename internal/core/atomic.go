@@ -22,7 +22,7 @@ func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) F
 	// before the completion LPC is enqueued; the enqueue orders the write
 	// for the owning persona's drain.
 	inj := rk.newInjection(owner)
-	inj.op = append(inj.op, cxDelivery{pers: p.c.pers, fn: func() { p.fulfillOwnedResult(p.c.val) }})
+	inj.op = append(inj.op, cxDelivery{pers: p.c.pers, fn: func() { p.FulfillResult(p.c.val) }})
 	rk.inject(inj.single(rmaOp{
 		kind:    opAMO,
 		dstPeer: owner,

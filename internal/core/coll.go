@@ -139,7 +139,7 @@ var autoRadixCandidates = [...]int{2, 3, 4, 8, 16}
 // L, so larger radices trade tree depth against per-node fan-out. This
 // is the same recurrence cmd/coll-bench plots against the measured
 // engine; AutoRadix minimizes it.
-func CollTreeTime(m gasnet.Model, radix, p, nbytes int) time.Duration {
+func CollTreeTime(m *gasnet.LogGP, radix, p, nbytes int) time.Duration {
 	if p <= 1 {
 		return 0
 	}
@@ -170,7 +170,7 @@ func CollTreeTime(m gasnet.Model, radix, p, nbytes int) time.Duration {
 // routes through here at world creation when a real-time model is
 // configured, replacing the static binomial default; a model with no
 // cost structure (every candidate ties at zero) keeps the default.
-func AutoRadix(m gasnet.Model, p int) int {
+func AutoRadix(m *gasnet.LogGP, p int) int {
 	if m == nil || p <= collFlatMax {
 		return 0
 	}
@@ -502,12 +502,11 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 // back to the promise's owning persona (inline when the engine persona
 // is the owner, by LPC otherwise — the same edge RMA completions ride).
 func fulfillFromEngine[T any](p *Promise[T], v T) {
-	pers := p.c.pers
-	if pers == nil || pers.onOwnerGoroutine() {
-		p.fulfillOwnedResult(v)
+	if !p.c.pers.onOwnerGoroutine() {
+		p.c.pers.lpc(func() { p.FulfillResult(v) })
 		return
 	}
-	pers.LPC(func() { p.fulfillOwnedResult(v) })
+	p.FulfillResult(v)
 }
 
 // --- the wave --------------------------------------------------------------

@@ -410,7 +410,7 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 			p = NewPromise[Unit](c.rk)
 		}
 		*fut = p.Future()
-		d = cxDelivery{pers: p.c.pers, fn: func() { p.fulfillOwnedResult(Unit{}) }}
+		d = cxDelivery{pers: p.c.pers, fn: func() { p.FulfillResult(Unit{}) }}
 	case cxPromise:
 		p := cx.prom
 		if p == nil {
@@ -423,7 +423,7 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 				cx.ev, cx.pers, p.c.pers))
 		}
 		p.RequireAnonymous(1)
-		d = cxDelivery{pers: p.c.pers, fn: func() { p.fulfillAnon(1, true) }}
+		d = cxDelivery{pers: p.c.pers, fn: func() { p.FulfillAnonymous(1) }}
 	case cxLPC:
 		pers := cx.pers
 		if pers == nil {
@@ -489,7 +489,7 @@ func (c *cxPlan) collRemoteLocal() {
 	}
 	rem := l.tok.rem
 	if rem.pers != nil {
-		rem.pers.LPC(func() { rem.body.run(c.rk, c.rk.me, 0, l.args) })
+		rem.pers.lpc(func() { rem.body.run(c.rk, c.rk.me, 0, l.args) })
 		return
 	}
 	rem.body.run(c.rk, c.rk.me, 0, l.args)
@@ -502,39 +502,16 @@ func (c *cxPlan) collOpDone() {
 	c.deliver(c.op)
 }
 
-// deliver routes one bucket of completions, each to its persona's LPC
-// queue, counting each delivery in the completion matrix. Delivery is
-// always by LPC: the firing goroutine is whichever one harvested the
-// conduit completion, and futures/promises must only be touched from
-// their owning persona (the fulfillOwned fast path in future.go relies
-// on exactly this routing).
+// deliver routes one bucket of completions, in descriptor order, each as
+// one LPC to its persona's queue, counting each delivery in the completion
+// matrix. Delivery is always by LPC: the firing goroutine is whichever one
+// harvested the conduit completion, and futures/promises must only be
+// touched from their owning persona.
 func (c *cxPlan) deliver(ds []cxDelivery) {
-	ro := c.rk.ro
-	if len(ds) == 1 {
-		d := ds[0]
-		if ro != nil {
-			ro.Add(obs.CxEvent(d.ev).Via(obs.CxVia(d.via)), 1)
+	for _, d := range ds {
+		if c.rk.ro != nil {
+			c.rk.ro.Add(obs.CxEvent(d.ev).Via(obs.CxVia(d.via)), 1)
 		}
-		d.pers.LPC(d.fn)
-		return
-	}
-	// Group runs of same-persona deliveries into LPCBatch pushes: one CAS
-	// and one doorbell ring per run instead of per completion. Batched
-	// operations fan many completions into one plan, so the common case
-	// is one run covering the whole bucket.
-	for i := 0; i < len(ds); {
-		j := i + 1
-		for j < len(ds) && ds[j].pers == ds[i].pers {
-			j++
-		}
-		fns := make([]func(), 0, j-i)
-		for k := i; k < j; k++ {
-			if ro != nil {
-				ro.Add(obs.CxEvent(ds[k].ev).Via(obs.CxVia(ds[k].via)), 1)
-			}
-			fns = append(fns, ds[k].fn)
-		}
-		ds[i].pers.LPCBatch(fns)
-		i = j
+		d.pers.lpc(d.fn)
 	}
 }

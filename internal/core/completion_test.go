@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -451,6 +452,110 @@ func TestCxCopyRemoteRPC(t *testing.T) {
 			})
 			if got := readFlag(rk, s2.Flag); got != 1 {
 				t.Errorf("copy remote RPC saw wrong data (flag=%d)", got)
+			}
+		}
+		rk.Barrier()
+	})
+}
+
+// TestCxOneEventThreeDescriptors: one put carries operation completion as a
+// future, into a promise and as an LPC. Each is one LPC to the initiating
+// persona, enqueued in descriptor order, so all three fire exactly once, in
+// that order, on the goroutine holding the persona.
+func TestCxOneEventThreeDescriptors(t *testing.T) {
+	Run(2, func(rk *Rank) {
+		dst := MustNewArray[uint64](rk, 1)
+		obj := NewDistObject(rk, dst)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			rdst := FetchDist[GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			me := rk.CurrentPersona()
+			var fired []string
+			fire := func(what string) {
+				if !me.onOwnerGoroutine() {
+					t.Errorf("%s fired off its persona's goroutine", what)
+				}
+				fired = append(fired, what)
+			}
+			p := NewPromise[Unit](rk)
+			fs := RPutWith(rk, []uint64{7}, rdst, OpCxAsFuture(), OpCxAsPromise(p), OpCxAsLPC(nil, func() { fire("lpc") }))
+			ThenDo(fs.Op, func(Unit) { fire("future") })
+			ThenDo(p.Finalize(), func(Unit) { fire("promise") })
+			waitUntil(t, rk, "three deliveries", func() bool { return len(fired) >= 3 })
+			for i := 0; i < 8; i++ {
+				rk.Progress()
+			}
+			if want := "[future promise lpc]"; fmt.Sprint(fired) != want {
+				t.Errorf("deliveries fired as %v, want %s", fired, want)
+			}
+		}
+		rk.Barrier()
+	})
+}
+
+// TestCxAddressedToHeldPersona: a completion addressed to a persona another
+// goroutine holds is routed to that persona's queue by whichever goroutine
+// harvests it, and its future stays unready until the holder drains it —
+// a future is readied on its owner's goroutine or not at all.
+func TestCxAddressedToHeldPersona(t *testing.T) {
+	Run(2, func(rk *Rank) {
+		dst := MustNewArray[uint64](rk, 1)
+		obj := NewDistObject(rk, dst)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			rdst := FetchDist[GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			wk := startCxWorker(rk, "held")
+			defer wk.stop()
+			for _, row := range []struct {
+				name string
+				// start runs on the master; harvested fires there once the
+				// completion has been routed.
+				start func(harvested func()) Future[Unit]
+			}{
+				{"put op future", func(h func()) Future[Unit] {
+					return RPutWith(rk, []uint64{1}, rdst, OpCxAsFuture().On(wk.p), OpCxAsLPC(nil, h)).Op
+				}},
+				{"rpc op future", func(h func()) Future[Unit] {
+					_, fs := RPCWith(rk, 1, func(_ *Rank, x int) int { return x }, 2, OpCxAsFuture().On(wk.p), OpCxAsLPC(nil, h))
+					return fs.Op
+				}},
+				{"FulfillResult off the owner", func(h func()) Future[Unit] {
+					p := NewPromiseOn[Unit](rk, wk.p)
+					p.FulfillResult(Unit{})
+					h()
+					return p.Future()
+				}},
+			} {
+				var harvested, consumed atomic.Bool
+				var readiedOnOwner atomic.Int32 // 0 not yet, 1 on the holder, -1 elsewhere
+				f := row.start(func() { harvested.Store(true) })
+				registered, release := make(chan struct{}), make(chan struct{})
+				wk.run(func() {
+					ThenDo(f, func(Unit) {
+						if wk.p.onOwnerGoroutine() {
+							readiedOnOwner.Store(1)
+						} else {
+							readiedOnOwner.Store(-1)
+						}
+					})
+					close(registered)
+					<-release // hold the persona without draining it
+					f.Wait()
+					consumed.Store(true)
+				})
+				<-registered
+				spinProgress(t, rk, row.name+" harvested", harvested.Load)
+				if f.c.ready || readiedOnOwner.Load() != 0 {
+					t.Errorf("%s: readied before its holder drained it", row.name)
+				}
+				if n := wk.p.PendingLPCs(); n != 1 {
+					t.Errorf("%s: %d LPCs queued on the holder, want 1", row.name, n)
+				}
+				close(release)
+				spinProgress(t, rk, row.name+" consumed", consumed.Load)
+				if readiedOnOwner.Load() != 1 {
+					t.Errorf("%s: readied off the holder's goroutine", row.name)
+				}
 			}
 		}
 		rk.Barrier()

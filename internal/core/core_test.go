@@ -632,7 +632,7 @@ func TestProgressQueuesObservable(t *testing.T) {
 func TestLPC(t *testing.T) {
 	Run(1, func(rk *Rank) {
 		ran := false
-		rk.LPC(func() { ran = true })
+		LPCTo(rk.CurrentPersona(), func() { ran = true })
 		if ran {
 			t.Fatal("LPC ran synchronously")
 		}

@@ -44,7 +44,7 @@ func NewDistObject[T any](rk *Rank, val T) *DistObject[T] {
 	rk.distMu.Unlock()
 	for _, wtr := range waiters {
 		wtr := wtr
-		wtr.pers.LPC(func() { wtr.fn(d) })
+		wtr.pers.lpc(func() { wtr.fn(d) })
 	}
 	return d
 }

@@ -48,22 +48,17 @@ func newFutCore[T any](rk *Rank) *futCore[T] {
 	return &futCore[T]{rk: rk, pers: rk.currentPersona()}
 }
 
+// fulfill is the one way a future readies: on the owning persona's
+// goroutine it runs the callbacks; anywhere else it is rerouted through
+// the owner's LPC queue and runs there.
 func (c *futCore[T]) fulfill(v T) {
 	if c.pers != nil && !c.pers.onOwnerGoroutine() {
 		// Fulfillment observed off the owning persona's goroutine (a
 		// progress thread harvesting a completion, a teammate's LPC):
 		// continuations must fire where the future lives.
-		c.pers.LPC(func() { c.fulfillOwned(v) })
+		c.pers.lpc(func() { c.fulfill(v) })
 		return
 	}
-	c.fulfillOwned(v)
-}
-
-// fulfillOwned is fulfill for callers already known to be on the owning
-// persona's goroutine — above all LPCs delivered to that persona, whose
-// drain only ever runs on the owner, so it skips fulfill's ownership check;
-// the runtime's RMA/RPC/AMO completion LPCs all land here.
-func (c *futCore[T]) fulfillOwned(v T) {
 	if c.ready {
 		panic("upcxx: future fulfilled twice")
 	}
@@ -335,10 +330,8 @@ func (p *Promise[T]) RequireAnonymous(n int) {
 
 // FulfillAnonymous discharges n dependencies, readying the future when the
 // count reaches zero.
-func (p *Promise[T]) FulfillAnonymous(n int) { p.fulfillAnon(int64(n), false) }
-
-func (p *Promise[T]) fulfillAnon(n int64, owned bool) {
-	p.deps -= n
+func (p *Promise[T]) FulfillAnonymous(n int) {
+	p.deps -= int64(n)
 	if p.deps < 0 {
 		panic("upcxx: promise over-fulfilled")
 	}
@@ -348,11 +341,7 @@ func (p *Promise[T]) fulfillAnon(n int64, owned bool) {
 			zero = p.c.val
 		}
 		p.c.val = zero
-		if owned {
-			p.c.fulfillOwned(zero)
-		} else {
-			p.c.fulfill(zero)
-		}
+		p.c.fulfill(zero)
 	}
 }
 
@@ -365,19 +354,6 @@ func (p *Promise[T]) FulfillResult(v T) {
 	p.resultSet = true
 	p.c.val = v
 	p.FulfillAnonymous(1)
-}
-
-// fulfillOwnedResult is FulfillResult for completion LPCs delivered to
-// the promise's own persona (see futCore.fulfillOwned): the communication
-// paths route completions through exactly that persona's LPC queue, so
-// the per-call goroutine-id check is redundant there.
-func (p *Promise[T]) fulfillOwnedResult(v T) {
-	if p.resultSet || p.finalized {
-		panic("upcxx: FulfillResult after result/finalize")
-	}
-	p.resultSet = true
-	p.c.val = v
-	p.fulfillAnon(1, true)
 }
 
 // Finalize discharges the promise's original dependency, declaring that no

@@ -8,21 +8,47 @@ import (
 	"testing"
 	"time"
 
+	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 )
 
-// idleWorld is a one-rank world for driving Rank.idle directly; asDist
-// marks it multi-process for the rule's purposes — its messages arriving by
-// socket, unless shm (idle reads nothing else of a dist world).
-func idleWorld(t *testing.T, asDist, shm bool) *Rank {
-	w := NewWorld(Config{Ranks: 1})
-	w.dist, w.sock = asDist, asDist && !shm
-	t.Cleanup(func() { w.dist, w.sock = false, false; w.Close() })
-	return w.Rank(0)
+// idleRank returns a rank for driving Rank.idle directly: of a one-rank
+// in-process world (backend ""), or of a two-rank job over a real conduit
+// ("tcp", "shm") whose two ranks are worlds of this test process.
+func idleRank(t *testing.T, backend string) *Rank {
+	if backend == "" {
+		w := NewWorld(Config{Ranks: 1})
+		t.Cleanup(w.Close)
+		return w.Rank(0)
+	}
+	dir := t.TempDir()
+	ws := make([]*World, 2)
+	var wg sync.WaitGroup
+	for r := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws[r] = newWorld(&World{cfg: Config{Ranks: 2, SegmentSize: 1 << 16}, dist: true, self: Intrank(r)}, gasnet.Config{
+				Real: &gasnet.RealConduit{Backend: backend, Rank: r, BootDir: dir, Timeout: 20 * time.Second},
+				Aux:  new(distAuxCodec),
+			})
+		}()
+	}
+	wg.Wait()
+	t.Cleanup(func() {
+		var wg sync.WaitGroup
+		for _, w := range ws {
+			wg.Add(1)
+			go func() { defer wg.Done(); w.Close() }() // peers wait for each other's bye
+		}
+		wg.Wait()
+	})
+	return ws[0].Rank(0)
 }
 
 // TestIdleRule pins the rule itself: which empty pass yields, which parks,
-// and what finding work does to the budget.
+// and what finding work does to the budget. The conduit decides which
+// yields can see the next message: on tcp none can.
 func TestIdleRule(t *testing.T) {
 	const park = time.Microsecond
 	// yieldsThenParks runs empty passes until one parks and returns how
@@ -38,21 +64,21 @@ func TestIdleRule(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name       string
-		dist, shm  bool
+		backend    string
 		procs      int
 		budget     int // yields before the first park
 		afterFound int // yields before the next park once the rank found work
 	}{
-		{"in-process/1P", false, false, 1, idleSpins, idleSpins},
-		{"in-process/2P", false, false, 2, idleSpins, idleSpins},
-		{"shm/1P", true, true, 1, idleSpins, idleSpins}, // a yield can see the next message: the waiter polls the ring
-		{"shm/2P", true, true, 2, idleSpins, idleSpins},
-		{"multi-process/2P", true, false, 2, idleSpins, 0}, // messages arrive by socket
-		{"multi-process/1P", true, false, 1, 0, 0},
+		{"in-process/1P", "", 1, idleSpins, idleSpins},
+		{"in-process/2P", "", 2, idleSpins, idleSpins},
+		{"shm/1P", "shm", 1, idleSpins, idleSpins}, // a yield can see the next message: the waiter polls the ring
+		{"shm/2P", "shm", 2, idleSpins, idleSpins},
+		{"multi-process/2P", "tcp", 2, 0, 0}, // messages arrive by socket: the reader runs once a P runs dry
+		{"multi-process/1P", "tcp", 1, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
-			rk := idleWorld(t, tc.dist, tc.shm)
+			rk := idleRank(t, tc.backend)
 			var id idler
 			if got := yieldsThenParks(rk, &id); got != tc.budget {
 				t.Errorf("fresh wait yielded %d times before parking, want %d", got, tc.budget)
@@ -62,7 +88,7 @@ func TestIdleRule(t *testing.T) {
 			}
 			// Any pass of the rank that finds work counts, the waiter's
 			// own or not.
-			rk.LPC(func() {})
+			LPCTo(rk.CurrentPersona(), func() {})
 			if rk.Progress() != 1 {
 				t.Fatal("the progress pass did not find the LPC")
 			}
@@ -71,19 +97,6 @@ func TestIdleRule(t *testing.T) {
 			}
 		})
 	}
-	t.Run("budget is read when the wait goes idle", func(t *testing.T) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-		rk := idleWorld(t, true, false)
-		var before, after idler
-		rk.idle(&before, park) // goes idle with two Ps
-		runtime.GOMAXPROCS(1)
-		if !rk.idle(&after, park) {
-			t.Error("a wait that went idle on one P yielded: the budget predates the GOMAXPROCS change")
-		}
-		if rk.idle(&before, park) {
-			t.Error("a wait already idle re-read its budget")
-		}
-	})
 }
 
 // TestIdleEveryWakeSourceRings pins the invariant parking rests on:
@@ -107,8 +120,8 @@ func TestIdleEveryWakeSourceRings(t *testing.T) {
 	}{
 		{"conduit completion", r0, func() { RPut(r0, []uint64{7}, buf) }},
 		{"active message", r1, func() { RPCFF(r0, 1, func(*Rank, Unit) {}, Unit{}) }},
-		{"persona LPC", r0, func() { LPCTo(other, func() {}) }},
-		{"persona LPC batch", r0, func() { other.LPCBatch([]func(){func() {}, func() {}}) }},
+		{"off-owner fulfilment", r0, func() { NewPromiseOn[Unit](r0, other).FulfillResult(Unit{}) }},
+		{"LPCTo", r0, func() { LPCTo(other, func() {}) }},
 		{"refused peer", r0, func() { r0.failPeer(1, errors.New("test")) }},
 	} {
 		for _, rk := range []*Rank{r0, r1} { // settle: nothing queued, doorbell empty
@@ -182,15 +195,14 @@ func TestBlockingOpsOnOneP(t *testing.T) {
 }
 
 // TestQuiesceOneP: Quiesce waits by the idle rule like every other waiter.
-// On a one-P rank of a multi-process world the reply it waits for can only
-// be produced while it is off the processor, so it must park at its first
-// empty pass; a Quiesce that loops over progress passes makes them by the
-// thousand until the scheduler preempts it.
+// On one P the reply it waits for can only be produced while it is off the
+// processor, so it must give the processor up at its empty passes; a
+// Quiesce that loops over progress passes makes them by the thousand until
+// the scheduler preempts it.
 func TestQuiesceOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := NewWorld(Config{Ranks: 2, Stats: true, WaitTimeout: 20 * time.Second})
-	w.dist, w.sock = true, true // for the idle rule only: the conduit stays in-process
-	defer func() { w.dist, w.sock = false, false; w.Close() }()
+	defer w.Close()
 	rk0, rk1 := w.Rank(0), w.Rank(1)
 	var stop atomic.Bool
 	var wg sync.WaitGroup

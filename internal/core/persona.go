@@ -41,7 +41,7 @@ type lpcNode struct {
 }
 
 // Persona is a per-thread execution context: a lock-free LPC queue plus
-// ownership bookkeeping. LPC may be called from any goroutine; draining
+// ownership bookkeeping. LPCs may be enqueued from any goroutine; draining
 // (which happens inside user-level progress) only ever runs on the
 // goroutine currently holding the persona.
 type Persona struct {
@@ -53,7 +53,7 @@ type Persona struct {
 	npend  atomic.Int64
 	nbody  atomic.Int64 // incoming bodies queued by queueBody and not yet run
 
-	oc *obs.PersonaCount // per-persona LPC counters; nil = stats disabled
+	oc *obs.PersonaCount // LPC counters of this persona's name; nil = stats disabled
 }
 
 // NewPersona creates an unheld persona on rk. Activate it on a goroutine
@@ -79,10 +79,11 @@ func (p *Persona) String() string {
 	return fmt.Sprintf("persona %q (rank %d, %d pending)", p.name, p.rk.me, p.npend.Load())
 }
 
-// LPC enqueues fn for execution during a future user-level progress call
-// of the goroutine holding this persona. Safe to call from any
-// goroutine; delivery is FIFO in enqueue order.
-func (p *Persona) LPC(fn func()) {
+// lpc enqueues fn for execution during a future user-level progress call
+// of the goroutine holding this persona. Safe to call from any goroutine;
+// delivery is FIFO in enqueue order. Every LPC the runtime delivers — a
+// completion, a routed fulfilment, a queued body — is one call of it.
+func (p *Persona) lpc(fn func()) {
 	if p.oc != nil {
 		p.oc.Enq.Add(1)
 	}
@@ -98,7 +99,8 @@ func (p *Persona) LPC(fn func()) {
 		}
 	}
 	// Wake a progress thread sleeping on the conduit doorbell: persona
-	// deliveries bypass the endpoint queues it watches.
+	// deliveries bypass the endpoint queues it watches. The doorbell has
+	// one slot, so LPCs pushed while nobody drains wake the owner once.
 	p.rk.ep.Ring()
 }
 
@@ -107,51 +109,17 @@ func (p *Persona) LPC(fn func()) {
 // has run, which is what keeps later bodies from overtaking it.
 func (p *Persona) queueBody(fn func()) {
 	p.nbody.Add(1)
-	p.LPC(func() {
+	p.lpc(func() {
 		fn()
 		p.nbody.Add(-1)
 	})
 }
 
 // LPCTo delivers fn to persona p — the cross-thread local procedure call
-// of upcxx::persona::lpc (fire-and-forget form).
-func LPCTo(p *Persona, fn func()) { p.LPC(fn) }
-
-// LPCBatch enqueues fns as one pre-linked chain: a single CAS publishes
-// the whole batch and the conduit doorbell rings once for all of it, so
-// a batch of completions costs one progress-thread wakeup instead of one
-// per delivery. Delivery order within the batch (and against concurrent
-// pushes) is FIFO, exactly as if LPC had been called once per fn.
-func (p *Persona) LPCBatch(fns []func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		p.LPC(fns[0])
-		return
-	}
-	if p.oc != nil {
-		p.oc.Enq.Add(uint64(len(fns)))
-	}
-	p.npend.Add(int64(len(fns)))
-	// Pre-link the chain newest-first (drain's reversal restores FIFO):
-	// fns[len-1] becomes the chain head, fns[0] the tail that splices
-	// onto the old stack top.
-	var chain *lpcNode
-	tail := &lpcNode{fn: fns[0]}
-	chain = tail
-	for _, fn := range fns[1:] {
-		chain = &lpcNode{fn: fn, next: chain}
-	}
-	for {
-		old := p.head.Load()
-		tail.next = old
-		if p.head.CompareAndSwap(old, chain) {
-			break
-		}
-	}
-	p.rk.ep.Ring()
-}
+// of upcxx::persona::lpc (fire-and-forget form). It runs during a later
+// user-level progress call of the goroutine holding p, after every LPC
+// enqueued on p before it.
+func LPCTo(p *Persona, fn func()) { p.lpc(fn) }
 
 // drain executes every LPC enqueued before the call, in FIFO order, and
 // returns the count. Must only be called by the goroutine holding p.

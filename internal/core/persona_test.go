@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 )
 
 // Tests for the persona subsystem: current/master personas, scope
@@ -455,6 +456,48 @@ func TestPersonaDeferredDistFetchSurvivesHandlerGoroutine(t *testing.T) {
 		}
 		rk.Barrier()
 	})
+}
+
+// TestPersonaRegistryByName: with Config.Stats on, every persona of one
+// name shares one counter pair. 10 000 goroutines that each bind a default
+// persona, run an LPC on it and detach leave the rank's persona registry at
+// its handful of names, and the "default" totals stay exact.
+func TestPersonaRegistryByName(t *testing.T) {
+	const goroutines, batch = 10000, 100
+	w := NewWorld(Config{Ranks: 1, Stats: true})
+	defer w.Close()
+	rk := w.Rank(0)
+	var mu sync.Mutex
+	entries := map[*obs.PersonaCount]bool{rk.master.oc: true, rk.progressP.oc: true}
+	for b := 0; b < goroutines/batch; b++ {
+		var wg sync.WaitGroup
+		for i := 0; i < batch; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer DetachDefaultPersonas()
+				p := rk.CurrentPersona()
+				LPCTo(p, func() {})
+				rk.Progress()
+				mu.Lock()
+				entries[p.oc] = true
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+	}
+	if len(entries) > 4 {
+		t.Errorf("%d goroutines' default personas left %d registry entries, want at most 4", goroutines, len(entries))
+	}
+	var def *obs.PersonaStat
+	for _, ps := range rk.Stats().Personas {
+		if ps.Name == "default" {
+			def = &ps
+		}
+	}
+	if def == nil || def.Enq != goroutines || def.Exec != goroutines {
+		t.Errorf("default persona totals = %+v, want %d enqueued and executed", def, goroutines)
+	}
 }
 
 func TestPersonaDetachDefaultPersonas(t *testing.T) {

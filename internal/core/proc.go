@@ -110,7 +110,7 @@ func NewWorldDist(cfg Config) *World {
 	if err := os.MkdirAll(wdir, 0o777); err != nil {
 		panic(fmt.Sprintf("upcxx: bootstrap dir: %v", err))
 	}
-	return newWorld(&World{cfg: cfg, dist: true, sock: backend != "shm", self: Intrank(rank)}, gasnet.Config{
+	return newWorld(&World{cfg: cfg, dist: true, self: Intrank(rank)}, gasnet.Config{
 		Real: &gasnet.RealConduit{
 			Backend: backend,
 			Rank:    rank,

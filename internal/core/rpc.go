@@ -92,7 +92,7 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 			// (e.g. a deferred dist-object fetch pinned to the master
 			// persona); futures are persona-local, so the continuation
 			// must be registered on the owner's goroutine.
-			inner.c.pers.LPC(reply)
+			inner.c.pers.lpc(reply)
 		}
 		return nil, false
 	}}
@@ -527,10 +527,10 @@ type rpcSink interface{ rpcResult(res []byte) }
 // rpcResult routes result bytes to the promise on its owning persona,
 // whichever goroutine's progress harvested the reply.
 func (p *Promise[T]) rpcResult(res []byte) {
-	p.c.pers.LPC(func() {
+	p.c.pers.lpc(func() {
 		var r T
 		mustUnmarshal(res, &r)
-		p.fulfillOwnedResult(r)
+		p.FulfillResult(r)
 	})
 }
 

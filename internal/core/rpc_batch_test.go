@@ -243,9 +243,11 @@ func TestBatchRPCSourceZeroCopy(t *testing.T) {
 
 // TestBatchDoorbellCoalescing pins doorbell accounting: the 1-slot
 // conduit doorbell counts a ring only when the deposit finds the slot
-// empty, so a batched LPC delivery wakes (and counts) once, while the
-// same deliveries rung one by one — each drained before the next — count
-// once each. The obs DoorbellRings counter is the witness.
+// empty, so LPCs pushed while the owner is not draining — a flushed
+// batch's completions, one LPC each — wake (and count) once and drain in
+// FIFO order, while the same deliveries rung one by one — each drained
+// before the next — count once each. The obs DoorbellRings counter is the
+// witness.
 func TestBatchDoorbellCoalescing(t *testing.T) {
 	RunConfig(Config{Ranks: 1, Stats: true}, func(rk *Rank) {
 		p := NewPersona(rk, "db-worker")
@@ -255,28 +257,32 @@ func TestBatchDoorbellCoalescing(t *testing.T) {
 		// Leave the doorbell slot empty (drain any startup ring).
 		rk.ep.WaitPending(time.Millisecond)
 
-		ran := 0
-		fns := make([]func(), 16)
-		for i := range fns {
-			fns[i] = func() { ran++ }
-		}
+		var order []int
 		base := rings()
-		p.LPCBatch(fns)
+		for i := 0; i < 16; i++ {
+			LPCTo(p, func() { order = append(order, i) })
+		}
 		if got := rings() - base; got != 1 {
-			t.Errorf("batched delivery of 16 LPCs rang %d times, want 1", got)
+			t.Errorf("16 LPCs pushed while the owner was not draining rang %d times, want 1", got)
 		}
 		rk.Progress()
-		if ran != 16 {
-			t.Fatalf("drained %d of 16 batched LPCs", ran)
+		if len(order) != 16 {
+			t.Fatalf("drained %d of 16 LPCs", len(order))
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("LPCs drained out of order: %v", order)
+			}
 		}
 
 		// Baseline: per-op delivery rings per op when the slot is drained
-		// between rings (an attentive progress thread). Drain the batch's
+		// between rings (an attentive progress thread). Drain the pushes'
 		// still-deposited ring first.
 		rk.ep.WaitPending(50 * time.Millisecond)
+		ran := 0
 		base = rings()
 		for i := 0; i < 16; i++ {
-			p.LPC(func() { ran++ })
+			LPCTo(p, func() { ran++ })
 			if !rk.ep.WaitPending(50 * time.Millisecond) {
 				t.Fatal("LPC did not ring the doorbell")
 			}

@@ -477,6 +477,12 @@ func TestRPCAllocPins(t *testing.T) {
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 3},
 		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 4},
 		{"blocking RPutSignal", signal, 7},
+		{"RPutWith a future, a promise and an LPC", func() {
+			p := NewPromise[Unit](rk0)
+			fs := RPutWith(rk0, buf, word, OpCxAsFuture(), OpCxAsPromise(p), OpCxAsLPC(nil, func() {}))
+			spin(fs.Op.Ready)
+			spin(p.Finalize().Ready)
+		}, 7},
 		{"Batch flush of 32 int64 RPCs", func() {
 			b := NewBatch(rk0, 1)
 			var last Future[int64]
@@ -527,7 +533,7 @@ func TestBodyQueueFIFOBehindQueuedBodies(t *testing.T) {
 			if q := rk.bodyQueue(c.addr); q != nil {
 				t.Errorf("%s: holder with an empty queue must run inline, got %v", c.name, q)
 			}
-			c.queue.LPC(func() {}) // a completion delivery holds no body back
+			LPCTo(c.queue, func() {}) // a completion delivery holds no body back
 			if q := rk.bodyQueue(c.addr); q != nil {
 				t.Errorf("%s: a queued completion must not make bodies queue, got %v", c.name, q)
 			}

@@ -178,7 +178,7 @@ func TestInjectOrderPerGoroutine(t *testing.T) {
 func TestCompQDrainedOnlyByUserProgress(t *testing.T) {
 	Run(1, func(rk *Rank) {
 		ran := false
-		rk.LPC(func() { ran = true })
+		LPCTo(rk.CurrentPersona(), func() { ran = true })
 		rk.InternalProgress()
 		if ran {
 			t.Fatal("internal progress must not run compQ actions")
@@ -381,14 +381,18 @@ func TestWaitTimeoutDiagnosesDeadlock(t *testing.T) {
 	// rather than hang forever, and WaitTimeout is kept by the clock: the
 	// panic comes no earlier than the timeout and at most one park plus
 	// scheduling slack after it — with one P and with several, and also
-	// when every idle pass parks, as on a multi-process world (where a
+	// when every idle pass parks, as on a one-P rank of a tcp job (where a
 	// timeout counted in passes came many seconds late).
 	const timeout, slack = 150 * time.Millisecond, 50 * time.Millisecond
 	for _, asDist := range []bool{false, true} {
 		for _, procs := range []int{1, 2} {
 			t.Run(fmt.Sprintf("dist=%v/%dP", asDist, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				rk := idleWorld(t, asDist, false)
+				backend := ""
+				if asDist {
+					backend = "tcp"
+				}
+				rk := idleRank(t, backend)
 				rk.w.cfg.WaitTimeout = timeout
 				sc := AcquirePersona(rk.master)
 				defer sc.Release()

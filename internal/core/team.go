@@ -23,13 +23,6 @@ type Team struct {
 	id    uint64
 	ranks []Intrank // world ranks indexed by team rank
 	me    Intrank   // this process's team rank
-
-	// identity marks a team whose team ranks equal world ranks (the world
-	// team), making FromWorld a no-op; other teams carry the inverse map,
-	// built once at construction so FromWorld is O(1) in collective and
-	// completion hot paths instead of a linear scan.
-	identity  bool
-	fromWorld map[Intrank]Intrank
 }
 
 const worldTeamID uint64 = 0
@@ -39,16 +32,7 @@ func newWorldTeam(rk *Rank) *Team {
 	for i := range ranks {
 		ranks[i] = Intrank(i)
 	}
-	return &Team{rk: rk, id: worldTeamID, ranks: ranks, me: rk.me, identity: true}
-}
-
-// buildIndex constructs the world→team rank map; called once per team at
-// construction.
-func (t *Team) buildIndex() {
-	t.fromWorld = make(map[Intrank]Intrank, len(t.ranks))
-	for i, wr := range t.ranks {
-		t.fromWorld[wr] = Intrank(i)
-	}
+	return &Team{rk: rk, id: worldTeamID, ranks: ranks, me: rk.me}
 }
 
 // WorldTeam returns the team containing every rank in the job.
@@ -65,20 +49,8 @@ func (t *Team) RankN() Intrank { return Intrank(len(t.ranks)) }
 func (t *Team) WorldRank(i Intrank) Intrank { return t.ranks[i] }
 
 // FromWorld translates a world rank to this team's rank, or -1 if the
-// rank is not a member. O(1): the world team is the identity and every
-// other team indexes the map built at construction.
-func (t *Team) FromWorld(r Intrank) Intrank {
-	if t.identity {
-		if r < 0 || int(r) >= len(t.ranks) {
-			return -1
-		}
-		return r
-	}
-	if tr, ok := t.fromWorld[r]; ok {
-		return tr
-	}
-	return -1
-}
+// rank is not a member.
+func (t *Team) FromWorld(r Intrank) Intrank { return Intrank(slices.Index(t.ranks, r)) }
 
 // ID returns the team's job-wide identifier.
 func (t *Team) ID() uint64 { return t.id }
@@ -171,7 +143,6 @@ func (t *Team) SplitAsync(color, key int) Future[*Team] {
 		for i, tr := range nt.ranks {
 			nt.ranks[i] = t.ranks[tr]
 		}
-		nt.buildIndex()
 		if nt.me = nt.FromWorld(rk.me); nt.me < 0 {
 			return nil, fmt.Errorf("split of %v came back without rank %d's own entry", t, rk.me)
 		}

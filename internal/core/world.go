@@ -28,10 +28,10 @@ type Config struct {
 	// SegmentSize is the per-rank shared segment in bytes (0: 8 MiB).
 	SegmentSize int
 	// Model is the conduit timing model (nil: zero-delay).
-	Model gasnet.Model
+	Model *gasnet.LogGP
 	// DMA is the device copy-engine timing model used for transfers
 	// touching device-kind memory (see NewDeviceAllocator). nil defaults
-	// to PCIe3 when Model is real-time, zero-delay otherwise.
+	// to PCIe3 when Model is set, zero-delay otherwise.
 	DMA gasnet.DMAModel
 	// WaitTimeout bounds any single Future.Wait as a deadlock backstop
 	// (0: 60s).
@@ -47,10 +47,10 @@ type Config struct {
 	// rank computes.
 	ProgressThread bool
 	// CollRadix selects the collective tree topology: 0 (the default)
-	// auto-tunes the radix from the machine model when Config.Model is a
-	// real-time LogGP model (AutoRadix picks the k-nomial radix whose
-	// modeled o/g/L tree-completion time is lowest for this job size)
-	// and otherwise uses a binomial tree (radix 2); k >= 2 forces a
+	// auto-tunes the radix from the machine model when Config.Model is set
+	// (AutoRadix picks the k-nomial radix whose modeled o/g/L
+	// tree-completion time is lowest for this job size) and otherwise
+	// uses a binomial tree (radix 2); k >= 2 forces a
 	// k-nomial tree of that radix, and 1 the flat tree (the root
 	// exchanges with every member directly). Teams of at most 4 ranks
 	// always use the flat tree. All ranks share one Config, so the
@@ -118,7 +118,6 @@ type World struct {
 	// rank (self); the others live in sibling processes reached over the
 	// real conduit (see proc.go). ranks[r] is nil for every r != self.
 	dist bool
-	sock bool // dist, and messages arrive through a socket reader, not polled memory (idle.go)
 	self Intrank
 
 	ptStop chan struct{}
@@ -528,13 +527,6 @@ func (rk *Rank) pendingLPCs(gs *goroutineState) int {
 	n := 0
 	rk.forEachHeldPersona(gs, func(p *Persona) { n += p.PendingLPCs() })
 	return n
-}
-
-// LPC schedules fn to run on the calling goroutine's current persona
-// during a future user-level progress call (a local procedure call in
-// UPC++ terms). To target another thread's persona use LPCTo.
-func (rk *Rank) LPC(fn func()) {
-	rk.currentPersona().LPC(fn)
 }
 
 // progressLoop is the dedicated progress thread: it continuously drives

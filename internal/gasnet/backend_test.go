@@ -160,7 +160,7 @@ func (w *confWorld) setup() {
 	}
 }
 
-func inprocWorld(name string, model Model, dma DMAModel) *confWorld {
+func inprocWorld(name string, model *LogGP, dma DMAModel) *confWorld {
 	ob := obs.New(confRanks, obs.Options{TraceDepth: 64})
 	n := NewNetwork(Config{Ranks: confRanks, RanksPerNode: 1, SegmentSize: 1 << 16, Model: model, DMA: dma, Obs: ob})
 	w := &confWorld{name: name, nets: []*Network{n}, ob: ob, remBeforeAck: true}

@@ -20,24 +20,11 @@ package gasnet
 
 import "time"
 
-// Model describes the cost of moving a message of n payload bytes between
-// two ranks. intra reports whether the ranks share a node (shared-memory
-// bypass on the real system).
-type Model interface {
-	// Overhead is the initiator CPU time consumed injecting the message
-	// (LogGP "o"). It is charged synchronously on the calling goroutine.
-	Overhead(n int, intra bool) time.Duration
-	// Gap is the NIC occupancy per message (LogGP "g" plus n*G): the
-	// reciprocal of achievable message rate / bandwidth.
-	Gap(n int, intra bool) time.Duration
-	// Latency is the one-way wire time from NIC injection to delivery
-	// (LogGP "L").
-	Latency(n int, intra bool) time.Duration
-}
-
-// LogGP is a LogGP-family cost model with distinct inter- and intra-node
-// parameters. Per-byte costs are fractional nanoseconds, so they are kept
-// as float64 ns/byte rather than time.Duration.
+// LogGP is the conduit's cost model: what moving a message of n payload
+// bytes between two ranks costs, with distinct inter- and intra-node
+// parameters (intra: the ranks share a node, the shared-memory bypass on
+// the real system). Per-byte costs are fractional nanoseconds, so they are
+// kept as float64 ns/byte rather than time.Duration.
 type LogGP struct {
 	// Inter-node (network) parameters.
 	O       time.Duration // per-message send overhead (CPU)
@@ -52,6 +39,8 @@ type LogGP struct {
 	IntraGp      time.Duration
 }
 
+// Overhead is the initiator CPU time consumed injecting the message
+// (LogGP "o"). It is charged synchronously on the calling goroutine.
 func (m *LogGP) Overhead(n int, intra bool) time.Duration {
 	if intra {
 		return m.IntraO
@@ -59,6 +48,8 @@ func (m *LogGP) Overhead(n int, intra bool) time.Duration {
 	return m.O
 }
 
+// Gap is the NIC occupancy per message (LogGP "g" plus n*G): the
+// reciprocal of achievable message rate / bandwidth.
 func (m *LogGP) Gap(n int, intra bool) time.Duration {
 	if intra {
 		return m.IntraGp + time.Duration(float64(n)*m.IntraGNsPerB)
@@ -66,6 +57,8 @@ func (m *LogGP) Gap(n int, intra bool) time.Duration {
 	return m.Gp + time.Duration(float64(n)*m.GNsPerB)
 }
 
+// Latency is the one-way wire time from NIC injection to delivery
+// (LogGP "L").
 func (m *LogGP) Latency(n int, intra bool) time.Duration {
 	if intra {
 		return m.IntraL

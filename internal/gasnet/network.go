@@ -35,13 +35,13 @@ type AMHandler func(ep *Endpoint, src Rank, payload []byte, aux any)
 // Config describes a job.
 type Config struct {
 	Ranks        int
-	RanksPerNode int   // 0 means all ranks share one node
-	SegmentSize  int   // per-rank segment bytes; 0 means 8 MiB
-	Model        Model // nil means zero-delay delivery
+	RanksPerNode int    // 0 means all ranks share one node
+	SegmentSize  int    // per-rank segment bytes; 0 means 8 MiB
+	Model        *LogGP // nil means zero-delay delivery
 	// DMA is the device copy-engine model used for transfers touching
-	// device-kind segments. nil defaults to PCIe3 when Model is a
-	// real-time model, NoDelayDMA otherwise; with a zero-delay network
-	// model device hops are always instantaneous.
+	// device-kind segments. nil defaults to PCIe3 under a Model,
+	// NoDelayDMA otherwise; with a zero-delay network device hops are
+	// always instantaneous.
 	DMA DMAModel
 	// Obs, when non-nil, is the job's observability recorder (sized to
 	// Ranks): each endpoint counts into its rank's table, and records
@@ -89,10 +89,9 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = cfg.Ranks
 	}
-	lg, realtime := cfg.Model.(*LogGP)
 	dma := cfg.DMA
 	if dma == nil {
-		if realtime {
+		if cfg.Model != nil {
 			dma = PCIe3()
 		} else {
 			dma = NoDelayDMA{}
@@ -118,7 +117,7 @@ func NewNetwork(cfg Config) *Network {
 		// Real multi-process backend: this process hosts exactly one
 		// endpoint; every other rank is a separate OS process reached
 		// through the wire. A timing model makes no sense here.
-		if realtime {
+		if cfg.Model != nil {
 			panic("gasnet: Config.Model must be nil with a real transport backend")
 		}
 		self := cfg.Real.Rank
@@ -132,8 +131,8 @@ func NewNetwork(cfg Config) *Network {
 		}
 		n.be, n.self = w, loopback{}
 		return n
-	case realtime:
-		n.be = &loggp{m: lg, dma: dma, eng: newEngine(cfg.Ranks)}
+	case cfg.Model != nil:
+		n.be = &loggp{m: cfg.Model, dma: dma, eng: newEngine(cfg.Ranks)}
 		n.devCost = dma
 	default:
 		n.be = loopback{}
@@ -484,7 +483,10 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 
 // Yield gives the processor up without parking (core/idle.go): to the rank's other
 // goroutines and, between processes, to the OS's next thread — the awaited peer on a
-// shared CPU, else back at once. false: no yield will see the next message (poll's sock).
+// shared CPU, else back at once. false: no yield will see the next message (poll's
+// sock) — it is a socket reader's, parked in the netpoller, which runs only once
+// some P finds nothing else runnable: a yielding waiter keeps that from happening,
+// on one P always, on more whenever the rank's other goroutines poll too.
 func (ep *Endpoint) Yield() bool {
 	if ep.net.be.poll(0) {
 		return false

@@ -1007,8 +1007,12 @@ func (t *wire) handleCopy(p *peerConn, f frame) error {
 // awake takes what the inbound rings hold, and no doorbell is sent for it. The
 // parked words stand while goroutines of the rank block (parkers; drainRing arms
 // before it looks); the last to leave clears them, then reads the count once more.
+// On tcp every message is a socket reader's to take.
 func (t *wire) poll(park int32) (sock bool) {
-	if t.shm == nil || t.closing.Load() {
+	if t.shm == nil {
+		return true
+	}
+	if t.closing.Load() {
 		return false
 	}
 	last := park != 0 && t.parkers.Add(park) == 0

@@ -101,7 +101,7 @@ type Config struct {
 	Ranks        int
 	RanksPerNode int
 	SegmentSize  int
-	Model        gasnet.Model
+	Model        *gasnet.LogGP
 	Protocol     *Protocol // nil: DefaultProtocol
 }
 

@@ -319,12 +319,12 @@ func (t *Table) Values() (v Values) {
 	return v
 }
 
-// PersonaCount is one persona's LPC accounting, registered with the
-// owning rank's recorder at persona creation.
+// PersonaCount is the LPC accounting of every persona of one name on a
+// rank (a default persona per goroutine shares the "default" pair).
 type PersonaCount struct {
 	Name string
-	Enq  Count // LPCs enqueued onto this persona
-	Exec Count // LPCs executed by this persona's drain
+	Enq  Count // LPCs enqueued onto these personas
+	Exec Count // LPCs executed by their drains
 }
 
 // Options configures a job's recorder.
@@ -420,7 +420,7 @@ type RankObs struct {
 	ring  *ring
 
 	pmu      sync.Mutex
-	personas []*PersonaCount
+	personas []*PersonaCount // one per persona name, in first-use order
 }
 
 // Arm arms (or disarms) op-lifecycle tracing on this rank, clearing the
@@ -432,12 +432,20 @@ func (ro *RankObs) Arm(on bool) {
 	ro.armed.Store(on)
 }
 
-// Persona registers (and returns) the LPC counter pair of one persona.
+// Persona returns the LPC counter pair of the personas named name,
+// registering it on first use. The registry is keyed by name, so it stays
+// as small as the set of names however many goroutines bind a default
+// persona.
 func (ro *RankObs) Persona(name string) *PersonaCount {
-	pc := &PersonaCount{Name: name}
 	ro.pmu.Lock()
+	defer ro.pmu.Unlock()
+	for _, pc := range ro.personas {
+		if pc.Name == name {
+			return pc
+		}
+	}
+	pc := &PersonaCount{Name: name}
 	ro.personas = append(ro.personas, pc)
-	ro.pmu.Unlock()
 	return pc
 }
 

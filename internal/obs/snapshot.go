@@ -98,20 +98,11 @@ func (ro *RankObs) Snapshot() Snapshot {
 			s.Wire = append(s.Wire, pw)
 		}
 	}
-	byName := map[string]*PersonaStat{}
 	ro.pmu.Lock()
-	pcs := append([]*PersonaCount(nil), ro.personas...)
-	ro.pmu.Unlock()
-	for _, pc := range pcs {
-		ps := byName[pc.Name]
-		if ps == nil {
-			s.Personas = append(s.Personas, PersonaStat{Name: pc.Name})
-			ps = &s.Personas[len(s.Personas)-1]
-			byName[pc.Name] = ps
-		}
-		ps.Enq += pc.Enq.Load()
-		ps.Exec += pc.Exec.Load()
+	for _, pc := range ro.personas {
+		s.Personas = append(s.Personas, PersonaStat{Name: pc.Name, Enq: pc.Enq.Load(), Exec: pc.Exec.Load()})
 	}
+	ro.pmu.Unlock()
 	s.Hist = ro.histDone.snapshot(HistDone, s.Hist)
 	s.Hist = ro.histLand.snapshot(HistLand, s.Hist)
 	ro.histDone.totalsInto(&s.LatSumNS[HistDone], &s.LatN[HistDone])
