@@ -42,7 +42,10 @@ test-short:
 # and gets read into place by real reader goroutines).
 # PoolStress is the injection-record pool's safety test: records taken, run,
 # completed and released on different goroutines, with a peer failed
-# mid-flight. InjectOrder holds one goroutine's puts and rpc_ffs to their
+# mid-flight, and a progress thread harvesting completions while their
+# initiators settle the plan (once more with one P, where the two only
+# interleave at the scheduler's say). Cx includes the eager/deferred
+# matrix over in-process, LogGP, tcp and shm. InjectOrder holds one goroutine's puts and rpc_ffs to their
 # issue order while the progress thread or another persona polls. RPC runs the one message's tests — every core message crosses
 # its one handler: the mixed-stream FIFO, the rejects table, single calls as
 # one-entry batches. The second core leg runs the idle rule's tests and the persona
@@ -54,7 +57,7 @@ test-short:
 # Goroutine runs the identity tests, so checkptr sees curGID's load from g.
 race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine'
-	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster'
+	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
 	GOMAXPROCS=1 $(GO) test -race ./internal/gasnet/ -run 'Ring|Wire'

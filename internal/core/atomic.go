@@ -14,15 +14,14 @@ import (
 // non-blocking and return futures.
 
 // amoOp issues one offloaded atomic through the single injection path
-// (Rank.inject); the previous value is delivered to the initiating
+// (Rank.inject). The conduit's result callback stores the previous value in
+// the returned future's own cell, which inject readies at once when the
+// atomic completed inside the call and otherwise delivers to the initiating
 // persona as the operation-completion payload.
 func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) Future[uint64] {
-	p := NewPromise[uint64](rk)
-	// The conduit's result callback stores the fetched value in the promise
-	// before the completion LPC is enqueued; the enqueue orders the write
-	// for the owning persona's drain.
 	inj := rk.newInjection(owner)
-	inj.op = append(inj.op, cxDelivery{pers: p.c.pers, fn: func() { p.FulfillResult(p.c.val) }})
+	inj.amo = &futCore[uint64]{rk: rk}
+	c := inj.amo // the record is released before inject returns
 	rk.inject(inj.single(rmaOp{
 		kind:    opAMO,
 		dstPeer: owner,
@@ -30,9 +29,8 @@ func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) F
 		amo:     op,
 		amoA:    a,
 		amoB:    b,
-		amoOld:  &p.c.val,
 	}))
-	return p.Future()
+	return Future[uint64]{c}
 }
 
 // amoOpPtr validates the target pointer and issues the atomic. Atomic

@@ -248,13 +248,15 @@ type CxFutures struct {
 }
 
 // cxDelivery is one initiator-side completion delivery: fn runs as an LPC
-// on pers, which is resolved once at descriptor registration (futures and
-// promises deliver to their owning persona, explicit LPCs to the persona
-// they name). ev and via identify the delivery in the completion matrix
+// on pers. An LPC and a persona-addressed future are resolved at descriptor
+// registration; a future of the initiating persona and a promise are left
+// open (pers nil) for settle, which fills them in unless the event has
+// already fired. ev and via identify the delivery in the completion matrix
 // for the introspection counters.
 type cxDelivery struct {
 	pers *Persona
 	fn   func()
+	prom *Promise[Unit] // cxPromise
 	ev   CxEvent
 	via  cxKind
 }
@@ -307,6 +309,7 @@ func (c *cxPlan) obsDone() {
 func newCxPlan(rk *Rank, kind opKind, remotePeer Intrank, cxs []Cx) *cxPlan {
 	c := &cxPlan{rk: rk, remotePeer: remotePeer}
 	c.resolve(kind, cxs)
+	c.settle(c.op, false) // a collective's engine fires it later, by LPC
 	return c
 }
 
@@ -401,14 +404,15 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 		if fut.Valid() {
 			panic(fmt.Sprintf("upcxx: duplicate %s as_future descriptor", cx.ev))
 		}
-		var p *Promise[Unit]
-		if cx.pers != nil {
-			// Persona-addressed future: owned by the named persona, so
-			// only the goroutine holding it may consume the future.
-			p = NewPromiseOn[Unit](c.rk, cx.pers)
-		} else {
-			p = NewPromise[Unit](c.rk)
+		if cx.pers == nil {
+			// The initiating persona's future: settle keeps the rank's ready
+			// future in the slot or puts a promise's there.
+			*fut = c.rk.done
+			break
 		}
+		// Persona-addressed future: owned by the named persona, so only the
+		// goroutine holding it may consume the future.
+		p := NewPromiseOn[Unit](c.rk, cx.pers)
 		*fut = p.Future()
 		d = cxDelivery{pers: p.c.pers, fn: func() { p.FulfillResult(Unit{}) }}
 	case cxPromise:
@@ -422,8 +426,7 @@ func (c *cxPlan) add(kind opKind, cx Cx) {
 			panic(fmt.Sprintf("upcxx: %s as_promise addressed to %v, but the promise is owned by %v (create it with NewPromiseOn)",
 				cx.ev, cx.pers, p.c.pers))
 		}
-		p.RequireAnonymous(1)
-		d = cxDelivery{pers: p.c.pers, fn: func() { p.FulfillAnonymous(1) }}
+		d = cxDelivery{prom: p} // registered, or not, by settle
 	case cxLPC:
 		pers := cx.pers
 		if pers == nil {
@@ -502,16 +505,40 @@ func (c *cxPlan) collOpDone() {
 	c.deliver(c.op)
 }
 
+// settle closes the deliveries of one event that add left open. If the event
+// fired inside the call, a future keeps the rank's ready future and a promise
+// of a persona this goroutine holds never registers its dependency: neither
+// is delivered. Otherwise a future gets a promise of the initiating persona in
+// its slot, a promise registers one dependency, and both deliver in place.
+func (c *cxPlan) settle(ds []cxDelivery, fired bool) {
+	for i := range ds {
+		d := &ds[i]
+		switch p := d.prom; {
+		case d.pers != nil:
+		case p != nil && fired && p.c.pers.onOwnerGoroutine():
+		case p != nil:
+			p.RequireAnonymous(1)
+			d.pers, d.fn = p.c.pers, func() { p.FulfillAnonymous(1) }
+		case !fired:
+			f := NewPromise[Unit](c.rk)
+			*c.eventFuture(d.ev) = f.Future()
+			d.pers, d.fn = f.c.pers, func() { f.FulfillResult(Unit{}) }
+		}
+	}
+}
+
 // deliver routes one bucket of completions, in descriptor order, each as
 // one LPC to its persona's queue, counting each delivery in the completion
-// matrix. Delivery is always by LPC: the firing goroutine is whichever one
-// harvested the conduit completion, and futures/promises must only be
-// touched from their owning persona.
+// matrix — a delivery settle closed in the call too. Delivery is by LPC:
+// the firing goroutine is whichever one harvested the conduit completion,
+// and futures/promises must only be touched from their owning persona.
 func (c *cxPlan) deliver(ds []cxDelivery) {
 	for _, d := range ds {
 		if c.rk.ro != nil {
 			c.rk.ro.Add(obs.CxEvent(d.ev).Via(obs.CxVia(d.via)), 1)
 		}
-		d.pers.lpc(d.fn)
+		if d.pers != nil {
+			d.pers.lpc(d.fn)
+		}
 	}
 }

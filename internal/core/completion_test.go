@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -459,9 +460,10 @@ func TestCxCopyRemoteRPC(t *testing.T) {
 }
 
 // TestCxOneEventThreeDescriptors: one put carries operation completion as a
-// future, into a promise and as an LPC. Each is one LPC to the initiating
-// persona, enqueued in descriptor order, so all three fire exactly once, in
-// that order, on the goroutine holding the persona.
+// future, into a promise and as an LPC. The in-process put completes inside
+// the call, so the future and the promise are ready at return and the LPC
+// runs at the next progress: all three fire exactly once, in descriptor
+// order, on the goroutine holding the persona.
 func TestCxOneEventThreeDescriptors(t *testing.T) {
 	Run(2, func(rk *Rank) {
 		dst := MustNewArray[uint64](rk, 1)
@@ -583,4 +585,154 @@ func TestCxLPCToExplicitPersona(t *testing.T) {
 		}
 		rk.Barrier()
 	})
+}
+
+// TestCxZeroFuture: a CxFutures field whose event was not requested as a
+// future is the zero Future, and using it panics with that cause instead of
+// dereferencing nil.
+func TestCxZeroFuture(t *testing.T) {
+	Run(1, func(rk *Rank) {
+		dst := MustNewArray[uint64](rk, 1)
+		p := NewPromise[Unit](rk)
+		op := RPutWith(rk, []uint64{1}, dst, OpCxAsPromise(p)).Op
+		for name, use := range map[string]func(){
+			"Wait":   func() { op.Wait() },
+			"Ready":  func() { op.Ready() },
+			"Result": func() { op.Result() },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); !strings.Contains(fmt.Sprint(r), "not requested as_future") {
+						t.Errorf("%s on a zero Future: recovered %v, want a panic naming the unrequested event", name, r)
+					}
+				}()
+				use()
+			}()
+		}
+		p.Finalize().Wait()
+	})
+}
+
+func eagerEcho(_ *Rank, x int64) int64 { return x + 1 }
+func eagerSink(*Rank, int64)           {}
+
+// cxProbe is what TestCxEagerSettle asks of a future of any type.
+type cxProbe struct {
+	ready   func() bool
+	onReady func(func())
+	wait    func()
+}
+
+func probeOf[T any](f Future[T]) cxProbe {
+	return cxProbe{f.Ready, f.anyOnReady, func() { f.Wait() }}
+}
+
+// TestCxEagerSettle: an operation the conduit completes inside its call
+// returns a ready future, and one it completes later returns a future that
+// readies on its owner during progress. Rows are operations, columns
+// conduits: in-process (everything lands in the call), LogGP (nothing does),
+// and two-rank tcp and shm jobs, where a put, get or atomic completes in the
+// call only over shm's mapped segment. A source event and an rpc_ff's
+// operation event fire in the call everywhere. Where the put is deferred an
+// LPC and a future of its one event still fire in descriptor order; where it
+// is not, a promise it was given keeps no dependency.
+func TestCxEagerSettle(t *testing.T) {
+	RegisterRPC(eagerEcho)
+	RegisterRPCFF(eagerSink)
+	inproc := func(m *gasnet.LogGP) func(*testing.T) (*Rank, *Rank) {
+		return func(t *testing.T) (*Rank, *Rank) {
+			w := NewWorld(Config{Ranks: 2, Model: m})
+			t.Cleanup(w.Close)
+			return w.Rank(0), w.Rank(1)
+		}
+	}
+	wire := func(backend string) func(*testing.T) (*Rank, *Rank) {
+		return func(t *testing.T) (*Rank, *Rank) {
+			ws := wireWorlds(t, backend)
+			return ws[0].Rank(0), ws[1].Rank(1)
+		}
+	}
+	for _, col := range []struct {
+		name   string
+		ranks  func(*testing.T) (*Rank, *Rank)
+		inCall bool // a put, get or atomic completes inside the call
+	}{
+		{"loopback", inproc(nil), true},
+		{"loggp", inproc(&gasnet.LogGP{IntraL: 50 * time.Microsecond}), false},
+		{"tcp", wire("tcp"), false},
+		{"shm", wire("shm"), true},
+	} {
+		t.Run(col.name, func(t *testing.T) {
+			defer DetachDefaultPersonas()
+			rk0, rk1 := col.ranks(t)
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() { // rank 1 serves the RPC rows
+				defer close(stopped)
+				defer DetachDefaultPersonas()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						rk1.ProgressWait(time.Millisecond)
+					}
+				}
+			}()
+			defer func() { close(stop); <-stopped }()
+			word, buf, ad := MustNewArray[uint64](rk1, 1), []uint64{7}, NewAtomicU64(rk0)
+			me := rk0.CurrentPersona()
+			var vals []Future[int64]
+			for _, row := range []struct {
+				name   string
+				inCall bool
+				start  func() cxProbe
+			}{
+				{"put", col.inCall, func() cxProbe { return probeOf(RPut(rk0, buf, word)) }},
+				{"get", col.inCall, func() cxProbe { return probeOf(RGet(rk0, word, buf)) }},
+				{"fetch-add", col.inCall, func() cxProbe { return probeOf(ad.FetchAdd(word, 1)) }},
+				{"rpc source", true, func() cxProbe {
+					v, fs := RPCWith(rk0, 1, eagerEcho, 1, SourceCxAsFuture())
+					vals = append(vals, v)
+					return probeOf(fs.Source)
+				}},
+				{"rpc_ff op", true, func() cxProbe { return probeOf(RPCFFWith(rk0, 1, eagerSink, 1, OpCxAsFuture()).Op) }},
+			} {
+				f := row.start()
+				if got := f.ready(); got != row.inCall {
+					t.Errorf("%s: ready at return = %v, want %v", row.name, got, row.inCall)
+				}
+				if row.inCall {
+					continue
+				}
+				onOwner := false
+				f.onReady(func() { onOwner = me.onOwnerGoroutine() })
+				f.wait()
+				if !onOwner {
+					t.Errorf("%s: readied off its owner's goroutine", row.name)
+				}
+			}
+			for _, v := range vals {
+				if got := v.Wait(); got != 2 {
+					t.Errorf("rpc: echo = %d, want 2", got)
+				}
+			}
+
+			p := NewPromise[Unit](rk0)
+			RPutWith(rk0, buf, word, OpCxAsPromise(p))
+			if got := p.Finalize().Ready(); got != col.inCall {
+				t.Errorf("promise of a put: Finalize().Ready() = %v at once, want %v", got, col.inCall)
+			}
+			p.Finalize().Wait()
+			if col.inCall {
+				return
+			}
+			var order []string
+			fs := RPutWith(rk0, buf, word, OpCxAsLPC(nil, func() { order = append(order, "lpc") }), OpCxAsFuture())
+			ThenDo(fs.Op, func(Unit) { order = append(order, "future") })
+			fs.Op.Wait()
+			if fmt.Sprint(order) != "[lpc future]" {
+				t.Errorf("deferred deliveries fired as %v, want [lpc future]", order)
+			}
+		})
+	}
 }

@@ -10,9 +10,12 @@
 // distributed objects and NIC-offloaded remote atomics.
 //
 // Asynchrony model (paper §II–III): every communication operation is
-// non-blocking and returns a Future (or feeds a Promise). Completions and
-// incoming RPCs execute only during user-level progress — Progress, Wait —
-// on the goroutine holding the owning persona (see persona.go); the only
+// non-blocking and returns a Future (or feeds a Promise). An event the
+// conduit completed inside the initiating call is announced there: its
+// future is ready at return (eager notification, cxPlan.settle). Every
+// other completion, and every incoming RPC, executes only during user-level
+// progress — Progress, Wait — on the goroutine holding the owning persona
+// (see persona.go); the only
 // hidden progress goroutines are the optional per-rank progress threads
 // enabled by Config.ProgressThread. Futures and promises are deliberately
 // NOT thread-safe: like their UPC++ counterparts they are owned by the
@@ -97,15 +100,25 @@ type Future[T any] struct {
 // Valid reports whether f refers to an operation (non-zero).
 func (f Future[T]) Valid() bool { return f.c != nil }
 
+// core returns f's state. A zero Future stands for an event that was not
+// requested as a future (a CxFutures field left unset): using it panics.
+func (f Future[T]) core() *futCore[T] {
+	if f.c == nil {
+		panic("upcxx: zero Future: its event was not requested as_future")
+	}
+	return f.c
+}
+
 // Ready reports whether the result is available.
-func (f Future[T]) Ready() bool { return f.c.ready }
+func (f Future[T]) Ready() bool { return f.core().ready }
 
 // Result returns the value; it panics if the future is not ready.
 func (f Future[T]) Result() T {
-	if !f.c.ready {
+	c := f.core()
+	if !c.ready {
 		panic("upcxx: Result on unready future")
 	}
-	return f.c.val
+	return c.val
 }
 
 // Wait drives user-level progress until the future is ready and returns its
@@ -114,7 +127,7 @@ func (f Future[T]) Result() T {
 // context); doing so panics, since progress cannot recurse and the wait
 // could never complete.
 func (f Future[T]) Wait() T {
-	c := f.c
+	c := f.core()
 	if c.ready {
 		return c.val // nothing to wait for: no goroutine identity needed
 	}

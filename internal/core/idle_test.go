@@ -13,14 +13,20 @@ import (
 )
 
 // idleRank returns a rank for driving Rank.idle directly: of a one-rank
-// in-process world (backend ""), or of a two-rank job over a real conduit
-// ("tcp", "shm") whose two ranks are worlds of this test process.
+// in-process world (backend ""), or rank 0 of a two-rank job over a real
+// conduit ("tcp", "shm") built by wireWorlds.
 func idleRank(t *testing.T, backend string) *Rank {
 	if backend == "" {
 		w := NewWorld(Config{Ranks: 1})
 		t.Cleanup(w.Close)
 		return w.Rank(0)
 	}
+	return wireWorlds(t, backend)[0].Rank(0)
+}
+
+// wireWorlds returns a two-rank job over a real conduit ("tcp", "shm") whose
+// two ranks are worlds of this test process, closed at the test's end.
+func wireWorlds(t *testing.T, backend string) []*World {
 	dir := t.TempDir()
 	ws := make([]*World, 2)
 	var wg sync.WaitGroup
@@ -43,7 +49,7 @@ func idleRank(t *testing.T, backend string) *Rank {
 		}
 		wg.Wait()
 	})
-	return ws[0].Rank(0)
+	return ws
 }
 
 // TestIdleRule pins the rule itself: which empty pass yields, which parks,

@@ -29,11 +29,20 @@ func poolEcho(_ *Rank, x int64) int64 {
 // landing. Every completion must arrive exactly once — a record released
 // twice, or while a delivery still read it, panics on the poison (or is a
 // race) — and then again with the peer failed mid-flight, when waiters give
-// up while their operations are still completing behind them.
+// up while their operations are still completing behind them. It runs on
+// the in-process conduit, which completes operations inside the call, and on
+// LogGP, whose engine completes them a moment later: there the progress
+// thread harvests completions while their initiators are settling the plan
+// (the sentinel inject holds is what keeps the two apart).
 func TestInjectionPoolStress(t *testing.T) {
-	const workers, iters = 4, 150
 	RegisterRPCFF(poolSink) // one registered body, so both kinds of token are exercised
-	w := NewWorld(Config{Ranks: 2, ProgressThread: true, WaitTimeout: 30 * time.Second})
+	t.Run("in-process", func(t *testing.T) { poolStress(t, nil) })
+	t.Run("loggp", func(t *testing.T) { poolStress(t, &gasnet.LogGP{IntraL: 2 * time.Microsecond}) })
+}
+
+func poolStress(t *testing.T, model *gasnet.LogGP) {
+	const workers, iters = 4, 150
+	w := NewWorld(Config{Ranks: 2, Model: model, ProgressThread: true, WaitTimeout: 30 * time.Second})
 	defer w.Close()
 	rk := w.Rank(0)
 	dst := MustNewArray[uint64](w.Rank(1), workers*8) // per worker: [0,4) put, [4,8) vector put

@@ -89,7 +89,6 @@ type rmaOp struct {
 
 	amo        gasnet.AMOOp
 	amoA, amoB uint64
-	amoOld     *uint64 // where the previous value goes before op-cx fires
 
 	amAux any // opAM/opRPC: the RPC message's token; buf carries the message
 
@@ -132,13 +131,16 @@ type injection struct {
 	ops []rmaOp
 	one [1]rmaOp // backs ops for a single operation
 
-	// nops counts the conduit operations outstanding, plus the sentinel run
-	// holds while it injects; negative on a released record.
+	// nops counts the conduit operations outstanding, plus the sentinel
+	// inject holds until it has settled the plan; negative once released.
 	nops atomic.Int64
 	// replies counts the round-trip entries of an RPC request message still
 	// awaiting their results; the last one fires the operation edge
 	// (rpcLand). Guarded by the initiating rank's rpcMu.
 	replies int
+	// amo is the future of an atomic's fetched value (amoOp): the conduit's
+	// result callback writes the value into it.
+	amo *futCore[uint64]
 
 	landed  func()           // inj.opLanded
 	fetched func(old uint64) // inj.amoFetched
@@ -171,25 +173,50 @@ func (inj *injection) release() {
 	clear(inj.src)
 	clear(inj.rem)
 	inj.cxPlan = cxPlan{op: inj.op[:0], src: inj.src[:0], rem: inj.rem[:0]}
-	inj.one[0], inj.ops, inj.replies = rmaOp{}, nil, 0
+	inj.one[0], inj.ops, inj.replies, inj.amo = rmaOp{}, nil, 0, nil
 	inj.nops.Store(-1)
 	injections.Put(inj)
 }
 
 // inject hands the record's operations to the conduit under its plan — the
 // inject(op, cxSet) path of every RMA, copy, atomic, AM and RPC entry point —
-// on the calling goroutine (see run), then polls completions. One goroutine's
-// operations therefore reach the conduit in the order it issued them. The
-// record is not the caller's any more once inject returns.
-func (rk *Rank) inject(inj *injection) {
+// on the calling goroutine (see run), polls completions, settles the plan and
+// returns its futures. One goroutine's operations therefore reach the conduit
+// in the order they were issued. Holding the sentinel, inject alone can tell
+// an event that fired inside the call (settled here, cxPlan.settle) from one
+// a later opDone delivers by LPC, whichever goroutine harvests it. The record
+// is not the caller's any more once inject returns.
+func (rk *Rank) inject(inj *injection) CxFutures {
 	inj.nops.Store(int64(len(inj.ops)) + 1)
 	inj.run()
 	rk.InternalProgress()
+	// Every operation completed: only the sentinel is left. A round-trip RPC's
+	// operation edge stays an LPC: it must not ready before its value's LPC.
+	fired := inj.nops.Load() == 1 && (len(inj.ops) == 0 || inj.ops[0].kind != opRPC)
+	if len(inj.src)+len(inj.op)+len(inj.rem) > 0 {
+		// Source completion: the conduit captures a put's or an RPC's source
+		// bytes before the call returns (copies reject source descriptors).
+		inj.settle(inj.src, true)
+		inj.deliver(inj.src)
+		inj.settle(inj.op, fired)
+		inj.settle(inj.rem, fired)
+	}
+	if c := inj.amo; c != nil {
+		d := cxDelivery{} // op-cx as a future, in the completion matrix
+		if c.ready = fired; !fired {
+			c.pers = rk.currentPersona()
+			d.pers, d.fn = c.pers, func() { c.fulfill(c.val) }
+		}
+		inj.op = append(inj.op, d)
+	}
+	futs := inj.futs
+	inj.opDone() // the sentinel: with every operation completed, this fires the plan
+	return futs
 }
 
-// run injects the batch: every operation goes to the conduit, after which
-// source completion fires; operation and remote completions aggregate
-// across the batch (see cxPlan). An empty batch completes immediately.
+// run injects the batch: every operation goes to the conduit. Operation and
+// remote completions aggregate across the batch (see cxPlan); an empty batch
+// completes when inject drops the sentinel.
 func (inj *injection) run() {
 	rk, ops := inj.rk, inj.ops
 	// Remote-RPC notification: with one put/copy fragment its message rides
@@ -251,14 +278,6 @@ func (inj *injection) run() {
 	if ro != nil && len(ops) > 0 {
 		inj.obsBytes = planBytes
 	}
-	// Source completion: only puts carry source descriptors
-	// (cxPlan.add), and PutSegTag captures its source bytes before
-	// returning on every path — a copy's source is read lazily when
-	// the hop chain reaches it, which is why copies reject them.
-	inj.deliver(inj.src)
-	// Discharge the batch sentinel: with zero operations this is the
-	// edge that fires op/remote completion.
-	inj.opDone()
 }
 
 // opLanded is the conduit's completion callback for one operation. LPC
@@ -271,9 +290,9 @@ func (inj *injection) opLanded() {
 }
 
 // amoFetched is the conduit's result callback for the record's atomic: the
-// previous value goes where it was asked for before the operation edge fires.
+// previous value goes into its future before the operation edge fires.
 func (inj *injection) amoFetched(old uint64) {
-	*inj.one[0].amoOld = old
+	inj.amo.val = old
 	inj.opLanded()
 }
 
@@ -313,9 +332,7 @@ func remoteCarriers(ops []rmaOp) int {
 // requested futures.
 func (rk *Rank) injectCx(inj *injection, kind opKind, cxs []Cx) CxFutures {
 	inj.resolve(kind, cxs)
-	futs := inj.futs // the record may be released before inject returns
-	rk.inject(inj)
-	return futs
+	return rk.inject(inj)
 }
 
 // injectBatch is injectCx for a vector operation's fragments.

@@ -585,10 +585,8 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 	for _, cx := range cxs {
 		inj.add(opRPC, cx)
 	}
-	futs := inj.futs // the record may be released before inject returns
 	if len(entries) == 0 {
-		rk.inject(inj)
-		return futs
+		return rk.inject(inj)
 	}
 	var last uint64 // top of a block of sequence numbers, one per entry, drawn at the first round trip
 	for i := range entries {
@@ -619,8 +617,7 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 		}
 		rk.rpcMu.Unlock()
 	}
-	rk.inject(inj.single(op))
-	return futs
+	return rk.inject(inj.single(op))
 }
 
 // rpcOne sends a single call of call's body: a one-entry message whose

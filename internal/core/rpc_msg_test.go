@@ -421,7 +421,10 @@ func TestRPCHandlerRejects(t *testing.T) {
 // An injection is one pooled record and a message is encoded once, so what
 // is left is what the caller keeps (promise, future, LPC node) and the
 // message buffer: a progress pass allocates nothing, so a barrier's count
-// does not move with the passes its waits take. It also pins the messages
+// does not move with the passes its waits take. A put, get or atomic the
+// conduit completes inside the call keeps nothing but an atomic's value: its
+// future is ready at return. One row pins the deferred delivery that takes
+// over where the conduit completes later (LogGP). It also pins the messages
 // those operations send, from
 // the conduit's counters: a signaling put's landing rides the put (no AM of
 // its own), and a 2-rank barrier is one AM each way.
@@ -473,16 +476,16 @@ func TestRPCAllocPins(t *testing.T) {
 				t.Fatal("echo returned the wrong value")
 			}
 		}, 6},
-		{"blocking RPut", func() { spin(RPut(rk0, buf, word).Ready) }, 3},
-		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 3},
-		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 4},
-		{"blocking RPutSignal", signal, 7},
+		{"blocking RPut", func() { spin(RPut(rk0, buf, word).Ready) }, 0},
+		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 0},
+		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 1},
+		{"blocking RPutSignal", signal, 4},
 		{"RPutWith a future, a promise and an LPC", func() {
 			p := NewPromise[Unit](rk0)
 			fs := RPutWith(rk0, buf, word, OpCxAsFuture(), OpCxAsPromise(p), OpCxAsLPC(nil, func() {}))
 			spin(fs.Op.Ready)
 			spin(p.Finalize().Ready)
-		}, 7},
+		}, 2},
 		{"Batch flush of 32 int64 RPCs", func() {
 			b := NewBatch(rk0, 1)
 			var last Future[int64]
@@ -500,6 +503,25 @@ func TestRPCAllocPins(t *testing.T) {
 		signal()
 	}
 	check("signaling put AMs", (ams()-before)/100, 0)
+	// On LogGP nothing completes inside the call: a blocking put keeps the
+	// deferred delivery (promise, fulfil closure, LPC node) on top of what
+	// the conduit's own timed put allocates.
+	timed := NewWorld(Config{Ranks: 2, Model: &gasnet.LogGP{IntraL: 20 * time.Microsecond}})
+	defer timed.Close()
+	timedWord := MustNewArray[uint64](timed.Rank(1), 1)
+	tep, acked := timed.Rank(0).ep, false
+	ack := func() { acked = true }
+	conduit := testing.AllocsPerRun(200, func() {
+		acked = false
+		tep.PutSegTag(1, gasnet.HostSeg, timedWord.Off, serial.AsBytes(buf), ack, nil, obs.OpTag{})
+		for !acked {
+			if tep.PollCompletions() == 0 {
+				runtime.Gosched()
+			}
+		}
+	})
+	check("blocking RPut on LogGP, beyond the conduit's put, allocs",
+		testing.AllocsPerRun(200, func() { RPut(timed.Rank(0), buf, timedWord).Wait() })-conduit, 3)
 	// A 2-rank barrier, both ranks' allocations: rank 1 matches the warm-up
 	// call and the 200 measured ones, and each rank ends the epoch with one
 	// more.

@@ -192,6 +192,7 @@ func (w *World) newRank(r Intrank) *Rank {
 	if w.obs != nil {
 		rk.ro = w.obs.Rank(int(r))
 	}
+	rk.done = Future[Unit]{&futCore[Unit]{rk: rk, ready: true}}
 	rk.coll = newCollEngine(rk, w.cfg.CollRadix)
 	rk.master = NewPersona(rk, "master")
 	rk.progressP = NewPersona(rk, "progress")
@@ -388,6 +389,11 @@ type Rank struct {
 	ro *obs.RankObs // this rank's observability recorder; nil = disabled
 
 	actCount atomic.Int64 // operations handed to the conduit, incomplete
+
+	// done is the rank's one ready future, shared and never written: what an
+	// as_future descriptor of the initiating persona returns when its event
+	// fired inside the call (cxPlan.settle).
+	done Future[Unit]
 
 	master    *Persona // held by the SPMD goroutine during Run
 	progressP *Persona // held by the progress goroutine (ProgressThread mode)

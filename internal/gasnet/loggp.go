@@ -99,7 +99,7 @@ func (c *chain) landed(at time.Time) {
 		}
 	}
 	if c.i++; c.i == c.p.nhops {
-		c.ep.enqueueComp(x.onDone)
+		c.ep.enqueueComp(completion{fn: x.onDone})
 		return
 	}
 	c.inject(at)
@@ -131,7 +131,7 @@ func (b *loggp) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint6
 		tag.Landing(dst, 8)
 		if onResult != nil {
 			b.eng.schedule(at.Add(lat), func(time.Time) {
-				ep.enqueueComp(func() { onResult(old) })
+				ep.enqueueComp(completion{res: onResult, old: old})
 			})
 		}
 	})

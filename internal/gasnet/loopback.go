@@ -21,7 +21,7 @@ func (loopback) transfer(ep *Endpoint, x xfer, p hopPlan) {
 	x.tag.Landing(x.dst.rank, x.n)
 	ep.deliverRemote(x.dst.rank, x.rem)
 	if x.onDone != nil {
-		ep.enqueueComp(x.onDone)
+		ep.enqueueComp(completion{fn: x.onDone})
 	}
 }
 
@@ -37,7 +37,7 @@ func (loopback) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint6
 	old := ep.net.eps[dst].seg.applyAMO(off, op, op1, op2)
 	tag.Landing(dst, 8)
 	if onResult != nil {
-		ep.enqueueComp(func() { onResult(old) })
+		ep.enqueueComp(completion{res: onResult, old: old})
 	}
 }
 

@@ -225,11 +225,11 @@ type Endpoint struct {
 	devs  []*Segment // device segments; SegID i+1 is devs[i]
 
 	qmu     sync.Mutex
-	compQ   []func()    // completions to run on the owner during Poll
-	amQ     []inboundAM // delivered AMs awaiting handler execution
-	polling bool        // guards against recursive progress (restricted context)
+	compQ   []completion // completions to run on the owner during Poll
+	amQ     []inboundAM  // delivered AMs awaiting handler execution
+	polling bool         // guards against recursive progress (restricted context)
 	// A drain swaps a spare in for the queue it detaches, then hands that back.
-	compSpare []func()
+	compSpare []completion
 	amSpare   []inboundAM
 
 	notify chan struct{} // 1-slot doorbell for WaitPending
@@ -398,9 +398,17 @@ func (ep *Endpoint) syncDirect(fn func()) {
 	fn()
 }
 
-func (ep *Endpoint) enqueueComp(f func()) {
+// completion is one queued completion: fn, or an atomic's result callback
+// with the previous value — no closure per atomic to bind the two.
+type completion struct {
+	fn  func()
+	res func(old uint64)
+	old uint64
+}
+
+func (ep *Endpoint) enqueueComp(c completion) {
 	ep.qmu.Lock()
-	ep.compQ = append(ep.compQ, f)
+	ep.compQ = append(ep.compQ, c)
 	ep.qmu.Unlock()
 	ep.Ring()
 }
@@ -516,8 +524,12 @@ func (ep *Endpoint) PollCompletions() int {
 	}
 	ep.compQ, ep.compSpare = ep.compSpare, nil
 	ep.qmu.Unlock()
-	for _, f := range comp {
-		f()
+	for _, c := range comp {
+		if c.res != nil {
+			c.res(c.old)
+		} else {
+			c.fn()
+		}
 	}
 	clear(comp)
 	ep.qmu.Lock()

@@ -680,7 +680,7 @@ func (t *wire) shmLanded(x xfer) {
 		t.am(nil, x.dst.rank, rem.Handler, rem.Payload, nil, rem.Aux, obs.OpTag{})
 	}
 	if x.onDone != nil {
-		t.ep.enqueueComp(x.onDone)
+		t.ep.enqueueComp(completion{fn: x.onDone})
 	}
 }
 
@@ -717,7 +717,7 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 			tag.Landing(t.self, n)
 			ep.deliverRemote(t.self, rem)
 			if onDone != nil {
-				ep.enqueueComp(onDone)
+				ep.enqueueComp(completion{fn: onDone})
 			}
 			return
 		}
@@ -771,7 +771,7 @@ func (t *wire) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64
 		old := sharedAMO((*uint64)(unsafe.Pointer(&p.seg[off:][:8][0])), op, op1, op2)
 		tag.Landing(dst, 8)
 		if onResult != nil {
-			ep.enqueueComp(func() { onResult(old) })
+			ep.enqueueComp(completion{res: onResult, old: old})
 		}
 		return
 	}
@@ -898,7 +898,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		t.landRemote(p, f, f.seg, aux)
 	case fPutAck:
 		if op, ok := t.takePending(f.ackID); ok && op.onAck != nil {
-			t.ep.enqueueComp(op.onAck)
+			t.ep.enqueueComp(completion{fn: op.onAck})
 		}
 	case fGet:
 		src, err := t.inbound(f.seg, f.off, f.n)
@@ -922,7 +922,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 			return err
 		}
 		if op.onDone != nil {
-			t.ep.enqueueComp(op.onDone)
+			t.ep.enqueueComp(completion{fn: op.onDone})
 		}
 	case fAMO:
 		if f.amoOp > byte(AMOCompSwap) {
@@ -939,8 +939,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		}
 	case fAMORep:
 		if op, ok := t.takePending(f.reqID); ok && op.onOld != nil {
-			old := f.amoOld
-			t.ep.enqueueComp(func() { op.onOld(old) })
+			t.ep.enqueueComp(completion{res: op.onOld, old: f.amoOld})
 		}
 	case fCopy:
 		return t.handleCopy(p, f)
