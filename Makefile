@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-task-sleep no-queue-regrow no-stack-identity cross-build bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-task-sleep no-queue-regrow no-stack-identity no-wall-clock-model cross-build bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -32,7 +32,8 @@ test-short:
 # conformance matrix ({put,get,am,amo,copy} × {host,device} × {self,peer,
 # third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
 # tcp/shm wire networks, whose reader goroutines make it a real race test),
-# and the shm ring's tests (the layout model, both doorbell protocols run
+# and the LogGP conduit's model-time equalities (a put's round trip, a
+# flood's NIC-serialized acks), and the shm ring's tests (the layout model, both doorbell protocols run
 # concurrently and every interleaving of their steps, corrupt records drained by
 # the reader and by a progress pass, a consumer lost under a flood) — once more
 # with one P, where a poller and the reader contending for the one drain lock
@@ -56,11 +57,11 @@ test-short:
 # steal bounce and a worker parked over a queued task only show there.
 # Goroutine runs the identity tests, so checkptr sees curGID's load from g.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine'
-	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress'
+	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine|ModelTime'
+	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress|ModelTime'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
-	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire'
-	GOMAXPROCS=1 $(GO) test -race ./internal/gasnet/ -run 'Ring|Wire'
+	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire|ModelTime'
+	GOMAXPROCS=1 $(GO) test -race ./internal/gasnet/ -run 'Ring|Wire|ModelTime'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
 	GOMAXPROCS=1 $(GO) test -race ./internal/task/
@@ -145,6 +146,13 @@ no-stack-identity:
 		echo "no-stack-identity: goroutine identity comes from curGID (internal/core/goid.go), not runtime.Stack"; exit 1; \
 	fi
 
+# The LogGP conduit and the event core run in model time (DESIGN §5): nothing
+# there starts a goroutine, spins, sleeps or reads the wall clock.
+no-wall-clock-model:
+	@if grep -nE '\bgo (func|[a-zA-Z.]+\()|time\.(Now|Since|Until|Sleep|After)|Gosched' internal/gasnet/loggp.go internal/gasnet/sim.go; then \
+		echo "no-wall-clock-model: the LogGP conduit keeps model time only"; exit 1; \
+	fi
+
 # The getg stubs off this host's GOARCH: arm64's must assemble and pass vet's
 # asmdecl, and a GOARCH with no stub (386) must build on the fallback.
 cross-build:
@@ -155,14 +163,27 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 100x ./...
 
 # Run every figure/benchmark tool for one short (model-only or tiny)
-# iteration — catches bit-rotted benches without burning CI time.
+# iteration — catches bit-rotted benches without burning CI time — and gate
+# the measured ones on determinism: rma-bench, kinds-bench and coll-bench
+# time the LogGP conduit in model time, so a run with one P and a run with
+# four must print the same bytes.
+SMOKE := .bench_build/smoke
 bench-smoke:
 	$(GO) run ./cmd/upcxx-info
 	$(GO) run ./cmd/rma-bench -mode all -model-only
 	$(GO) run ./cmd/kinds-bench -model-only
-	$(GO) run ./cmd/kinds-bench -max-size 65536 -reps 1 -dilation 20 -stats
 	$(GO) run ./cmd/coll-bench -model-only
-	$(GO) run ./cmd/coll-bench -ranks 4 -radices 2 -iters 2 -reps 1 -dilation 20
+	@set -e; mkdir -p $(SMOKE); \
+	for t in rma-bench kinds-bench coll-bench; do $(GO) build -o $(SMOKE)/$$t ./cmd/$$t; done; \
+	for p in 1 4; do \
+		GOMAXPROCS=$$p $(SMOKE)/rma-bench -mode all -max-size 65536 > $(SMOKE)/rma.$$p; \
+		GOMAXPROCS=$$p $(SMOKE)/kinds-bench -max-size 65536 > $(SMOKE)/kinds.$$p; \
+		GOMAXPROCS=$$p $(SMOKE)/coll-bench -ranks 4 -radices 2 -iters 2 > $(SMOKE)/coll.$$p; \
+	done; \
+	for f in rma kinds coll; do \
+		cmp $(SMOKE)/$$f.1 $(SMOKE)/$$f.4 || { echo "bench-smoke: $$f-bench printed different numbers on two runs"; exit 1; }; \
+	done; \
+	cat $(SMOKE)/kinds.1 $(SMOKE)/coll.1
 	$(GO) run ./cmd/dht-bench -inserts 4 -pipelined -batch
 	$(GO) run ./cmd/eadd-bench
 	$(GO) run ./cmd/sympack-bench
@@ -228,4 +249,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check no-pin no-task-sleep no-queue-regrow no-stack-identity cross-build test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke
+ci: build vet fmt-check no-pin no-task-sleep no-queue-regrow no-stack-identity no-wall-clock-model cross-build test race alloc-pins bench-selftest examples-run obs-smoke transport-smoke

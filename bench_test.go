@@ -19,7 +19,6 @@ import (
 	"upcxx"
 	"upcxx/internal/dht"
 	"upcxx/internal/expmodel"
-	"upcxx/internal/gasnet"
 	"upcxx/internal/matgen"
 	"upcxx/internal/mpi"
 	"upcxx/internal/sparse"
@@ -517,65 +516,3 @@ func BenchmarkPutPlusRPCPingPong(b *testing.B)   { benchNotifyPingPong(b, false)
 func BenchmarkDHTInsertSignalingPut4KB(b *testing.B) {
 	benchDHTInsert(b, dht.SignalingPut, 4<<10)
 }
-
-// --- Memory kinds: DMA-engine vs network bandwidth ---------------------
-
-// benchKindsCopy measures blocking CopyGG bandwidth for one kind pair on
-// the real-time Aries + PCIe3 models. The reported MB/s must follow the
-// engine that bounds the path: ~40 GB/s for same-node host memmoves,
-// ~11.8 GB/s when a PCIe h2d/d2h hop bounds it, ~125 GB/s for on-device
-// d2d, and the serial sum of wire + DMA hops for cross-rank device pairs
-// — not the network curve alone.
-func benchKindsCopy(b *testing.B, size int, srcDev, dstDev, cross bool) {
-	w := upcxx.NewWorld(upcxx.Config{
-		Ranks: 2, RanksPerNode: 1, SegmentSize: 16 << 20,
-		Model: gasnet.Aries(), DMA: gasnet.PCIe3(),
-	})
-	defer w.Close()
-	w.Run(func(rk *upcxx.Rank) {
-		da := upcxx.NewDeviceAllocator(rk, 16<<20)
-		alloc := func(dev bool) upcxx.GPtr[uint8] {
-			if dev {
-				return upcxx.MustNewDeviceArray[uint8](da, size)
-			}
-			return upcxx.MustNewArray[uint8](rk, size)
-		}
-		src := alloc(srcDev)
-		dst := alloc(dstDev)
-		dstObj := upcxx.NewDistObject(rk, dst)
-		rk.Barrier()
-		if rk.Me() == 0 {
-			d := dst
-			if cross {
-				d = upcxx.FetchDist[upcxx.GPtr[uint8]](rk, dstObj.ID(), 1).Wait()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				upcxx.CopyGG(rk, src, d, size).Wait()
-			}
-			b.StopTimer()
-			b.SetBytes(int64(size))
-		}
-		rk.Barrier()
-	})
-}
-
-const kindsBenchSize = 1 << 20
-
-func BenchmarkKindsCopyH2HSame1MB(b *testing.B) {
-	benchKindsCopy(b, kindsBenchSize, false, false, false)
-}
-func BenchmarkKindsCopyH2DSame1MB(b *testing.B) {
-	benchKindsCopy(b, kindsBenchSize, false, true, false)
-}
-func BenchmarkKindsCopyD2HSame1MB(b *testing.B) {
-	benchKindsCopy(b, kindsBenchSize, true, false, false)
-}
-func BenchmarkKindsCopyD2DSame1MB(b *testing.B) { benchKindsCopy(b, kindsBenchSize, true, true, false) }
-func BenchmarkKindsCopyH2HCross1MB(b *testing.B) {
-	benchKindsCopy(b, kindsBenchSize, false, false, true)
-}
-func BenchmarkKindsCopyH2DCross1MB(b *testing.B) {
-	benchKindsCopy(b, kindsBenchSize, false, true, true)
-}
-func BenchmarkKindsCopyD2DCross1MB(b *testing.B) { benchKindsCopy(b, kindsBenchSize, true, true, true) }

@@ -1,11 +1,11 @@
 // coll-bench sweeps the collectives engine: team size × tree radix ×
-// memory kind on the real-time Aries-calibrated conduit, next to a
-// closed-form LogGP tree model. Two tables are produced:
+// memory kind on the Aries-calibrated conduit, next to a closed-form
+// LogGP tree model. Two tables are produced:
 //
 //   - host: the latency of one broadcast+reduce round (an 8-byte value
 //     down the team's tree and an 8-byte reduction back up — the
-//     full-depth round that a blocking allreduce pays), measured with
-//     the wall clock and predicted by walking the actual tree with the
+//     full-depth round that a blocking allreduce pays), measured on the
+//     root's model clock and predicted by walking the actual tree with the
 //     LogGP parameters (per-child gap serialization at each parent, one
 //     overhead+latency per hop);
 //   - device: the per-operation latency of AllReduceBufWith over
@@ -15,15 +15,13 @@
 // Radix 1 is the flat tree (the seed's gather topology): the root
 // exchanges with every member directly, serializing p-1 messages on one
 // NIC. The sweep shows the k-nomial trees beating it from ~16 ranks and
-// decisively at 32+ on the Aries model; the measured columns track on
-// hosts with at least as many CPUs as simulated ranks (on smaller hosts
-// the per-message CPU overheads serialize on the wall clock and the tool
-// prints a note saying the model columns are authoritative).
+// decisively at 32+ on the Aries model. Measured columns are model time
+// (Rank.Clock): every rank charges its own overheads to its own clock, so
+// they are the same on every host and every run.
 //
 // Usage:
 //
-//	go run ./cmd/coll-bench [-ranks 8,16,32] [-radices 1,2,4,8]
-//	                        [-iters 8] [-reps 2] [-dilation 100]
+//	go run ./cmd/coll-bench [-ranks 8,16,32] [-radices 1,2,4,8] [-iters 8]
 //	                        [-device-elems 128] [-model-only] [-no-device]
 package main
 
@@ -31,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -46,8 +43,6 @@ var (
 	ranksFlag  = flag.String("ranks", "8,16,32", "team sizes to sweep")
 	radixFlag  = flag.String("radices", "1,2,4,8", "tree radices to sweep (1 = flat)")
 	iters      = flag.Int("iters", 8, "rounds per measurement")
-	reps       = flag.Int("reps", 2, "repetitions per point (best kept)")
-	dilation   = flag.Int("dilation", 100, "time-dilation factor: the simulated network runs k times slower than Aries and results are divided by k, so Go harness jitter is negligible relative to the modeled latencies")
 	devElems   = flag.Int("device-elems", 128, "float64 elements per rank in the device allreduce")
 	modelOnly  = flag.Bool("model-only", false, "print only the closed-form predictions (fast)")
 	noDevice   = flag.Bool("no-device", false, "skip the device-kind sweep")
@@ -83,33 +78,6 @@ func parseInts(s string) []int {
 	return out
 }
 
-// dilatedAries returns the Aries model slowed by the dilation factor.
-func dilatedAries() *gasnet.LogGP {
-	k := time.Duration(*dilation)
-	m := gasnet.Aries()
-	m.O *= k
-	m.L *= k
-	m.Gp *= k
-	m.GNsPerB *= float64(k)
-	m.IntraO *= k
-	m.IntraL *= k
-	m.IntraGp *= k
-	m.IntraGNsPerB *= float64(k)
-	return m
-}
-
-// dilatedPCIe returns the PCIe3 DMA model slowed to match.
-func dilatedPCIe() *gasnet.PCIeDMA {
-	k := time.Duration(*dilation)
-	m := gasnet.PCIe3()
-	m.O *= k
-	m.L *= k
-	m.Gp *= k
-	m.GNsPerB *= float64(k)
-	m.D2DNsPerB *= float64(k)
-	return m
-}
-
 // bcastModel predicts the time for the last leaf of the engine's tree
 // (radix as Config.CollRadix) to receive a broadcast of nbytes: each
 // parent serializes its children on the NIC gap, and every hop pays
@@ -130,36 +98,39 @@ func bcastModel(p, radix, nbytes int, m *gasnet.LogGP) time.Duration {
 	return worst
 }
 
+// perRound is the model time rank 0 spent per round since t0.
+func perRound(rk *core.Rank, t0 time.Duration) float64 {
+	return (rk.Clock() - t0).Seconds() / float64(*iters)
+}
+
 // measureRound times one broadcast+reduce round of an 8-byte value on
-// the dilated Aries conduit with every rank on its own node.
+// the Aries conduit with every rank on its own node.
 func measureRound(p, radix int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var per float64
-		core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: dilatedAries(),
-			CollRadix: radix, SegmentSize: 1 << 20, Stats: *withStats}, func(rk *core.Rank) {
-			world := rk.WorldTeam()
-			sum := func(a, b int64) int64 { return a + b }
-			// Warm-up round.
-			core.Broadcast(world, 0, int64(1)).Wait()
+	var per float64
+	core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
+		CollRadix: radix, SegmentSize: 1 << 20, Stats: *withStats}, func(rk *core.Rank) {
+		world := rk.WorldTeam()
+		sum := func(a, b int64) int64 { return a + b }
+		// Warm-up round.
+		core.Broadcast(world, 0, int64(1)).Wait()
+		core.ReduceOne(world, int64(1), sum).Wait()
+		rk.Barrier()
+		t0 := rk.Clock()
+		for i := 0; i < *iters; i++ {
+			core.Broadcast(world, 0, int64(i)).Wait()
 			core.ReduceOne(world, int64(1), sum).Wait()
-			rk.Barrier()
-			t0 := time.Now()
-			for i := 0; i < *iters; i++ {
-				core.Broadcast(world, 0, int64(i)).Wait()
-				core.ReduceOne(world, int64(1), sum).Wait()
-			}
-			if rk.Me() == 0 {
-				per = time.Since(t0).Seconds() / float64(*iters) / float64(*dilation)
-			}
-			captureStats(rk)
-			rk.Barrier()
-		})
-		if best == 0 || (per > 0 && per < best) {
-			best = per
 		}
-	}
-	return best
+		if rk.Me() == 0 {
+			per = perRound(rk, t0)
+		}
+		// A member is done with ReduceOne once its partial is sent. Held here
+		// until the root is done too, it sends nothing up that its parent,
+		// still folding, could harvest ahead of a slower sibling's partial.
+		core.Broadcast(world, 0, int64(0)).Wait()
+		captureStats(rk)
+		rk.Barrier()
+	})
+	return per
 }
 
 // pinViolation records the first datapath-pin failure seen by a measured
@@ -208,40 +179,34 @@ func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) {
 // Stats stay on: the descriptor-kind and fused-fold counters are the pin
 // that the sweep took the configured datapath.
 func measureDeviceAllReduce(p, radix, elems int, gdr bool) float64 {
-	dma := dilatedPCIe()
+	dma := gasnet.PCIe3()
 	dma.GDR = gdr
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var per float64
-		core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: dilatedAries(),
-			DMA: dma, CollRadix: radix, SegmentSize: 1 << 20, Stats: true}, func(rk *core.Rank) {
-			da := core.NewDeviceAllocator(rk, 1<<22)
-			buf := core.MustNewDeviceArray[float64](da, elems)
-			core.RunKernel(da, buf, elems, func(s []float64) {
-				for i := range s {
-					s[i] = 1
-				}
-			})
-			world := rk.WorldTeam()
-			sum := func(a, b float64) float64 { return a + b }
-			core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait() // warm up
-			rk.Barrier()
-			t0 := time.Now()
-			for i := 0; i < *iters; i++ {
-				core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait()
+	var per float64
+	core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
+		DMA: dma, CollRadix: radix, SegmentSize: 1 << 20, Stats: true}, func(rk *core.Rank) {
+		da := core.NewDeviceAllocator(rk, 1<<22)
+		buf := core.MustNewDeviceArray[float64](da, elems)
+		core.RunKernel(da, buf, elems, func(s []float64) {
+			for i := range s {
+				s[i] = 1
 			}
-			if rk.Me() == 0 {
-				per = time.Since(t0).Seconds() / float64(*iters) / float64(*dilation)
-			}
-			checkDevicePins(rk, p, radix, gdr)
-			captureStats(rk)
-			rk.Barrier()
 		})
-		if best == 0 || (per > 0 && per < best) {
-			best = per
+		world := rk.WorldTeam()
+		sum := func(a, b float64) float64 { return a + b }
+		core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait() // warm up
+		rk.Barrier()
+		t0 := rk.Clock()
+		for i := 0; i < *iters; i++ {
+			core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait()
 		}
-	}
-	return best
+		if rk.Me() == 0 {
+			per = perRound(rk, t0)
+		}
+		checkDevicePins(rk, p, radix, gdr)
+		captureStats(rk)
+		rk.Barrier()
+	})
+	return per
 }
 
 func main() {
@@ -249,21 +214,6 @@ func main() {
 	ranks := parseInts(*ranksFlag)
 	radices := parseInts(*radixFlag)
 	aries := gasnet.Aries()
-
-	if !*modelOnly {
-		maxP := 0
-		for _, p := range ranks {
-			if p > maxP {
-				maxP = p
-			}
-		}
-		if runtime.NumCPU() < maxP {
-			fmt.Printf("note: %d CPUs for up to %d simulated ranks — measured numbers are\n"+
-				"scheduling-bound (per-message CPU overheads serialize on the host, so tree\n"+
-				"parallelism cannot show in wall clock); the model columns are authoritative\n"+
-				"for the topology comparison on such hosts.\n\n", runtime.NumCPU(), maxP)
-		}
-	}
 
 	radixName := func(r int) string {
 		switch r {
@@ -299,10 +249,8 @@ func main() {
 			host.Series = append(host.Series, meas)
 		}
 	}
-	// Auto-tuned comparison row: CollRadix 0 with a real-time model makes
-	// the world pick its radix from the closed-form LogGP tree time at
-	// creation (dilation scales every candidate equally, so the dilated
-	// worlds pick the same radix the undilated model predicts).
+	// Auto-tuned comparison row: CollRadix 0 with a timing model makes the
+	// world pick its radix from the closed-form LogGP tree time at creation.
 	autoModel := &stats.Series{Name: "auto (model)"}
 	var autoMeas *stats.Series
 	if !*modelOnly {

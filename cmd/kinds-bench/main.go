@@ -1,20 +1,17 @@
 // kinds-bench measures the memory-kinds transfer paths: CopyGG bandwidth
 // for every {host,device} source/destination pair, same-rank and
-// cross-rank, on the real-time Aries network model plus the PCIe3 device
-// DMA model. Beside each measured point it prints the closed-form model
-// prediction (the serial sum of the hop costs the conduit charges), so
-// the curves demonstrate that device paths are bounded by the DMA engine
-// — not the network — and cross-rank device pairs pay both.
+// cross-rank, on the Aries network model plus the PCIe3 device DMA model.
+// Beside each measured point it prints the closed-form model prediction
+// (the serial sum of the hop costs the conduit charges), so the curves
+// demonstrate that device paths are bounded by the DMA engine — not the
+// network — and cross-rank device pairs pay both.
 //
-// As with rma-bench, measured runs use time dilation: the simulated
-// engines run k times slower than the calibrated hardware and results are
-// divided by k, so Go scheduling jitter (which on a small host can reach
-// a millisecond) stays negligible against the modeled microseconds.
+// A measured point is one blocking CopyGG timed on the initiator's model
+// clock (Rank.Clock), so it equals the closed form exactly, on every run.
 //
 // Usage:
 //
-//	go run ./cmd/kinds-bench [-max-size bytes] [-reps n] [-dilation k]
-//	                         [-model-only] [-stats]
+//	go run ./cmd/kinds-bench [-max-size bytes] [-model-only] [-stats]
 package main
 
 import (
@@ -32,40 +29,9 @@ import (
 
 var (
 	maxSize   = flag.Int("max-size", 4<<20, "largest transfer size in bytes")
-	reps      = flag.Int("reps", 3, "repetitions per point (best kept)")
-	dilation  = flag.Int("dilation", 100, "time-dilation factor for measured runs")
 	modelOnly = flag.Bool("model-only", false, "print only the closed-form predictions (fast)")
 	withStats = flag.Bool("stats", false, "record runtime stats in the measured world and dump the merged counters (incl. per-kind DMA descriptors) at exit")
 )
-
-func dilatedAries(k time.Duration) *gasnet.LogGP {
-	m := gasnet.Aries()
-	m.O *= k
-	m.L *= k
-	m.Gp *= k
-	m.GNsPerB *= float64(k)
-	m.IntraO *= k
-	m.IntraL *= k
-	m.IntraGp *= k
-	m.IntraGNsPerB *= float64(k)
-	return m
-}
-
-func dilatedPCIe3(k time.Duration) *gasnet.PCIeDMA {
-	d := gasnet.PCIe3()
-	d.O *= k
-	d.L *= k
-	d.Gp *= k
-	d.GNsPerB *= float64(k)
-	d.D2DNsPerB *= float64(k)
-	return d
-}
-
-func dilatedPCIe3GDR(k time.Duration) *gasnet.PCIeDMA {
-	d := dilatedPCIe3(k)
-	d.GDR = true
-	return d
-}
 
 type pair struct {
 	name           string
@@ -91,7 +57,7 @@ var pairs = []pair{
 
 // predict returns the modeled blocking latency of one CopyGG of n bytes:
 // the serial sum of the hop costs internal/gasnet charges (source DMA,
-// wire, destination DMA, ack), with undilated models. On a GDR pair the
+// wire, destination DMA, ack). On a GDR pair the
 // DMA terms vanish: the NIC addresses device memory directly, so the
 // cross-rank chain is the same wire+ack as a host-to-host copy.
 func predict(p pair, n int) time.Duration {
@@ -136,12 +102,11 @@ func gbps(n int, t time.Duration) float64 {
 
 func main() {
 	flag.Parse()
-	k := time.Duration(*dilation)
 
 	fmt.Printf("# kinds-bench: CopyGG bandwidth by memory-kind pair (GB/s)\n")
 	fmt.Printf("# network: Aries (~10.5 GB/s inter, ~40 GB/s intra)   DMA: PCIe3 (~11.8 GB/s h2d, ~125 GB/s d2d)\n")
 	if !*modelOnly {
-		fmt.Printf("# measured at dilation %d, best of %d reps\n", *dilation, *reps)
+		fmt.Printf("# measured: one blocking CopyGG per point on the model clock\n")
 	}
 	fmt.Printf("%10s", "size")
 	for _, p := range pairs {
@@ -161,12 +126,12 @@ func main() {
 	if !*modelOnly {
 		w = core.NewWorld(core.Config{
 			Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * *maxSize,
-			Model: dilatedAries(k), DMA: dilatedPCIe3(k), Stats: true,
+			Model: gasnet.Aries(), DMA: gasnet.PCIe3(), Stats: true,
 		})
 		defer w.Close()
 		wg = core.NewWorld(core.Config{
 			Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * *maxSize,
-			Model: dilatedAries(k), DMA: dilatedPCIe3GDR(k), Stats: true,
+			Model: gasnet.Aries(), DMA: gasnet.PCIe3GDR(), Stats: true,
 		})
 		defer wg.Close()
 	}
@@ -184,7 +149,7 @@ func main() {
 			if p.gdr {
 				world = wg
 			}
-			el := measure(world, p, n, k)
+			el := measure(world, p, n)
 			lastMeas[p.name] = el
 			meas := gbps(n, el)
 			fmt.Printf("  %12.2f %12.2f", meas, model)
@@ -220,10 +185,9 @@ func main() {
 	}
 }
 
-// measure times *reps blocking CopyGG transfers on the dilated world and
-// returns the best, de-dilated.
-func measure(w *core.World, p pair, n int, k time.Duration) time.Duration {
-	best := time.Duration(1 << 62)
+// measure times one blocking CopyGG transfer on the initiator's model clock.
+func measure(w *core.World, p pair, n int) time.Duration {
+	var el time.Duration
 	w.Run(func(rk *core.Rank) {
 		da := core.NewDeviceAllocator(rk, 2*n+64) // room for both sides of a d2d pair
 		alloc := func(dev bool) core.GPtr[uint8] {
@@ -241,13 +205,13 @@ func measure(w *core.World, p pair, n int, k time.Duration) time.Duration {
 			if p.cross {
 				d = core.FetchDist[core.GPtr[uint8]](rk, dstObj.ID(), 1).Wait()
 			}
-			for r := 0; r < *reps; r++ {
-				t0 := time.Now()
-				core.CopyGG(rk, src, d, n).Wait()
-				if el := time.Since(t0); el < best {
-					best = el
-				}
-			}
+			// An untimed copy first: right after the barrier its release
+			// message still holds rank 0's NIC, and the timed copy must
+			// queue behind nothing.
+			core.CopyGG(rk, src, d, n).Wait()
+			t0 := rk.Clock()
+			core.CopyGG(rk, src, d, n).Wait()
+			el = rk.Clock() - t0
 		}
 		// Free only after every rank's transfers have completed: a
 		// cross-rank copy lands in another rank's buffers.
@@ -256,5 +220,5 @@ func measure(w *core.World, p pair, n int, k time.Duration) time.Duration {
 		_ = core.Delete(rk, dst)
 		rk.Barrier()
 	})
-	return best / k
+	return el
 }

@@ -5,10 +5,10 @@
 //
 // Two evaluation modes are reported side by side:
 //
-//   - measured: both runtimes execute on the real-time Aries-calibrated
-//     conduit (one initiator, one passive target on distinct simulated
-//     nodes), timed with the wall clock — the analogue of the paper's
-//     IMB-RMA runs;
+//   - measured: both runtimes execute on the Aries-calibrated conduit (one
+//     initiator, one passive target on distinct simulated nodes), timed on
+//     the initiator's model clock — the analogue of the paper's IMB-RMA
+//     runs, and the same on every run;
 //   - model: the closed-form LogGP/protocol model of
 //     internal/expmodel, which the measured numbers should track.
 //
@@ -17,8 +17,8 @@
 // to the notification running at the target (one one-way message) versus
 // the pre-completion-object idiom of a blocking put followed by a
 // notification RPC (the put's full round trip plus another one-way
-// message) — measured as a notification ping-pong on the dilated Aries
-// conduit, next to the closed-form model.
+// message) — measured as a notification ping-pong on the Aries conduit,
+// next to the closed-form model.
 //
 // A fourth mode, rpc, compares the three ways RPC v2 moves data plus a
 // notification now that RPC rides the single injection path: rpc_ff (one
@@ -29,14 +29,13 @@
 // Usage:
 //
 //	go run ./cmd/rma-bench [-mode latency|flood|signal|rpc|both|all]
-//	                       [-model-only] [-max-size bytes] [-reps n]
+//	                       [-model-only] [-max-size bytes] [-stats]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"upcxx/internal/expmodel"
@@ -50,17 +49,10 @@ import (
 
 var (
 	mode      = flag.String("mode", "both", "latency, flood, signal, rpc, batch, both (latency+flood), or all")
-	modelOnly = flag.Bool("model-only", false, "skip the real-time measurement (fast)")
+	modelOnly = flag.Bool("model-only", false, "skip the measured runs (fast)")
 	maxSize   = flag.Int("max-size", 4<<20, "largest transfer size in bytes")
-	reps      = flag.Int("reps", 3, "repetitions per point (best is kept, as in the paper)")
-	dilation  = flag.Int("dilation", 100, "time-dilation factor for measured runs: the simulated network runs k times slower than Aries and results are divided by k, so Go harness jitter (a few us) becomes negligible relative to the modeled microsecond latencies")
 	withStats = flag.Bool("stats", false, "record runtime stats in every measured world; in rpc mode, print the per-layer small-RPC cost breakdown from the latency histograms and a final merged counter dump")
 )
-
-// statsCfg reports whether measured worlds should record runtime stats.
-// The histogram hooks cost one atomic add per edge — negligible against
-// the dilated network, so enabling them does not skew the measurement.
-func statsCfg() bool { return *withStats }
 
 // lastSnap holds the merged job-wide counters of the most recent
 // stats-enabled measured world, printed at exit under -stats.
@@ -77,46 +69,27 @@ func captureStats(rk *core.Rank) {
 	}
 }
 
-// runMeasured runs one two-node measured UPC++ world on the dilated
-// Aries model, capturing its merged runtime counters for the -stats
-// dump after the body's final barrier.
+// runMeasured runs one two-node measured UPC++ world on the Aries model,
+// capturing its merged runtime counters for the -stats dump after the
+// body's final barrier.
 func runMeasured(seg int, fn func(rk *core.Rank)) {
-	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: dilatedAries(),
-		SegmentSize: seg, Stats: statsCfg()}, func(rk *core.Rank) {
+	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: gasnet.Aries(),
+		SegmentSize: seg, Stats: *withStats}, func(rk *core.Rank) {
 		fn(rk)
 		captureStats(rk)
 	})
 }
 
-// dilatedAries returns the Aries model slowed by the dilation factor.
-func dilatedAries() *gasnet.LogGP {
-	k := time.Duration(*dilation)
-	m := gasnet.Aries()
-	m.O *= k
-	m.L *= k
-	m.Gp *= k
-	m.GNsPerB *= float64(k)
-	m.IntraO *= k
-	m.IntraL *= k
-	m.IntraGp *= k
-	m.IntraGNsPerB *= float64(k)
-	return m
+// runMPI runs one two-node MPI job on the Aries model.
+func runMPI(seg int, fn func(p *mpi.Proc)) {
+	w := mpi.NewWorld(mpi.Config{Ranks: 2, RanksPerNode: 1, Model: gasnet.Aries(), SegmentSize: seg})
+	defer w.Close()
+	w.Run(fn)
 }
 
-// dilatedProto returns the MPI protocol costs slowed to match.
-func dilatedProto() *mpi.Protocol {
-	k := time.Duration(*dilation)
-	p := mpi.DefaultProtocol()
-	p.SendOverhead *= k
-	p.RecvOverhead *= k
-	p.MatchCost *= k
-	p.RMAPutBase *= k
-	p.RMAFlushBase *= k
-	p.RMAFlushSync *= k
-	for i := range p.NsPerB {
-		p.NsPerB[i] *= float64(k)
-	}
-	return &p
+// per is the model time elapsed on a clock since t0, in seconds per op.
+func per(now, t0 time.Duration, ops int) float64 {
+	return (now - t0).Seconds() / float64(ops)
 }
 
 func sizes() []int {
@@ -153,71 +126,100 @@ func floodIters(size int) int {
 
 // measureUPCXXLatency times blocking rputs between two single-rank nodes.
 func measureUPCXXLatency(size int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var perOp float64
-		runMeasured(16<<20, func(rk *core.Rank) {
-			var dst core.GPtr[uint8]
-			if rk.Me() == 1 {
-				dst = core.MustNewArray[uint8](rk, size)
-			}
-			obj := core.NewDistObject(rk, dst)
-			rk.Barrier()
-			if rk.Me() == 0 {
-				dst = core.FetchDist[core.GPtr[uint8]](rk, obj.ID(), 1).Wait()
-				src := make([]uint8, size)
-				iters := latencyIters(size)
-				core.RPut(rk, src, dst).Wait() // warm up
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					core.RPut(rk, src, dst).Wait()
-				}
-				perOp = time.Since(t0).Seconds() / float64(iters) / float64(*dilation)
-			}
-			rk.Barrier()
-		})
-		if best == 0 || (perOp > 0 && perOp < best) {
-			best = perOp
+	var perOp float64
+	runMeasured(16<<20, func(rk *core.Rank) {
+		var dst core.GPtr[uint8]
+		if rk.Me() == 1 {
+			dst = core.MustNewArray[uint8](rk, size)
 		}
-	}
-	return best
+		obj := core.NewDistObject(rk, dst)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			dst = core.FetchDist[core.GPtr[uint8]](rk, obj.ID(), 1).Wait()
+			src := make([]uint8, size)
+			iters := latencyIters(size)
+			core.RPut(rk, src, dst).Wait() // warm up
+			t0 := rk.Clock()
+			for i := 0; i < iters; i++ {
+				core.RPut(rk, src, dst).Wait()
+			}
+			perOp = per(rk.Clock(), t0, iters)
+		}
+		rk.Barrier()
+	})
+	return perOp
 }
 
 // measureUPCXXFlood times the paper's flood loop: non-blocking rputs
 // tracked by one promise, with occasional progress.
 func measureUPCXXFlood(size int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var bw float64
-		runMeasured(32<<20, func(rk *core.Rank) {
-			var dst core.GPtr[uint8]
-			if rk.Me() == 1 {
-				dst = core.MustNewArray[uint8](rk, size)
-			}
-			obj := core.NewDistObject(rk, dst)
-			rk.Barrier()
-			if rk.Me() == 0 {
-				dst = core.FetchDist[core.GPtr[uint8]](rk, obj.ID(), 1).Wait()
-				src := make([]uint8, size)
-				iters := floodIters(size)
-				p := core.NewPromise[core.Unit](rk)
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					core.RPutPromise(rk, src, dst, p)
-					if i%10 == 0 {
-						rk.Progress()
-					}
+	var bw float64
+	runMeasured(32<<20, func(rk *core.Rank) {
+		var dst core.GPtr[uint8]
+		if rk.Me() == 1 {
+			dst = core.MustNewArray[uint8](rk, size)
+		}
+		obj := core.NewDistObject(rk, dst)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			dst = core.FetchDist[core.GPtr[uint8]](rk, obj.ID(), 1).Wait()
+			src := make([]uint8, size)
+			iters := floodIters(size)
+			p := core.NewPromise[core.Unit](rk)
+			t0 := rk.Clock()
+			for i := 0; i < iters; i++ {
+				core.RPutPromise(rk, src, dst, p)
+				if i%10 == 0 {
+					rk.Progress()
 				}
-				p.Finalize().Wait()
-				bw = float64(size*iters) / time.Since(t0).Seconds() * float64(*dilation)
 			}
-			rk.Barrier()
-		})
-		if bw > best {
-			best = bw
+			p.Finalize().Wait()
+			bw = float64(size) / per(rk.Clock(), t0, iters)
+		}
+		rk.Barrier()
+	})
+	return bw
+}
+
+// await serves progress on rk until its counter reaches v. It waits by
+// the idle rule, whose empty passes advance the model clock to the next
+// message.
+func await(rk *core.Rank, ctr []uint64, v uint64) {
+	for ctr[0] < v {
+		rk.ProgressWait(time.Millisecond)
+	}
+}
+
+// pingPong runs a warm-up hop each way, then iters round trips of hop
+// between ranks 0 and 1, each side awaiting its counter; rank 0 stores the
+// model time per one-way hop in perHop.
+func pingPong(rk *core.Rank, ctr []uint64, iters int, hop func(), perHop *float64) {
+	if rk.Me() == 0 {
+		hop()
+	}
+	await(rk, ctr, 1)
+	if rk.Me() == 1 {
+		hop()
+	}
+	if rk.Me() == 0 {
+		await(rk, ctr, 1)
+	}
+	rk.Barrier()
+	t0 := rk.Clock()
+	for i := 0; i < iters; i++ {
+		if rk.Me() == 0 {
+			hop()
+		}
+		await(rk, ctr, uint64(i+2))
+		if rk.Me() == 1 {
+			hop()
 		}
 	}
-	return best
+	if rk.Me() == 0 {
+		await(rk, ctr, uint64(iters+1))
+		*perHop = per(rk.Clock(), t0, 2*iters)
+	}
+	rk.Barrier()
 }
 
 // measureNotify times one notification hop — data landing plus the
@@ -225,76 +227,35 @@ func measureUPCXXFlood(size int) float64 {
 // single-rank nodes. signaling selects the remote-cx piggyback; otherwise
 // the put+RPC idiom runs (blocking put, then rpc_ff).
 func measureNotify(size int, signaling bool) float64 {
-	best := 0.0
-	iters := latencyIters(size)
-	for rep := 0; rep < *reps; rep++ {
-		var perHop float64
-		runMeasured(16<<20, func(rk *core.Rank) {
-			type slots struct {
-				Buf core.GPtr[uint8]
-				Ctr core.GPtr[uint64]
-			}
-			mine := slots{
-				Buf: core.MustNewArray[uint8](rk, size),
-				Ctr: core.MustNewArray[uint64](rk, 1),
-			}
-			obj := core.NewDistObject(rk, mine)
-			rk.Barrier()
-			peer := (rk.Me() + 1) % 2
-			theirs := core.FetchDist[slots](rk, obj.ID(), peer).Wait()
-			ctr := core.Local(rk, mine.Ctr, 1)
-			src := make([]uint8, size)
-			bump := func(trk *core.Rank, c core.GPtr[uint64]) {
-				core.Local(trk, c, 1)[0]++
-			}
-			hop := func() {
-				if signaling {
-					core.RPutSignal(rk, src, theirs.Buf, bump, theirs.Ctr)
-					return
-				}
-				core.RPut(rk, src, theirs.Buf).Wait()
-				core.RPCFF(rk, peer, bump, theirs.Ctr)
-			}
-			await := func(v uint64) {
-				for ctr[0] < v {
-					if rk.Progress() == 0 {
-						runtime.Gosched()
-					}
-				}
-			}
-			// Warm-up hop each way.
-			if rk.Me() == 0 {
-				hop()
-			}
-			await(1)
-			if rk.Me() == 1 {
-				hop()
-			}
-			if rk.Me() == 0 {
-				await(1)
-			}
-			rk.Barrier()
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if rk.Me() == 0 {
-					hop()
-				}
-				await(uint64(i + 2))
-				if rk.Me() == 1 {
-					hop()
-				}
-			}
-			if rk.Me() == 0 {
-				await(uint64(iters + 1))
-				perHop = time.Since(t0).Seconds() / float64(2*iters) / float64(*dilation)
-			}
-			rk.Barrier()
-		})
-		if best == 0 || (perHop > 0 && perHop < best) {
-			best = perHop
+	var perHop float64
+	runMeasured(16<<20, func(rk *core.Rank) {
+		type slots struct {
+			Buf core.GPtr[uint8]
+			Ctr core.GPtr[uint64]
 		}
-	}
-	return best
+		mine := slots{
+			Buf: core.MustNewArray[uint8](rk, size),
+			Ctr: core.MustNewArray[uint64](rk, 1),
+		}
+		obj := core.NewDistObject(rk, mine)
+		rk.Barrier()
+		peer := (rk.Me() + 1) % 2
+		theirs := core.FetchDist[slots](rk, obj.ID(), peer).Wait()
+		src := make([]uint8, size)
+		bump := func(trk *core.Rank, c core.GPtr[uint64]) {
+			core.Local(trk, c, 1)[0]++
+		}
+		hop := func() {
+			if signaling {
+				core.RPutSignal(rk, src, theirs.Buf, bump, theirs.Ctr)
+				return
+			}
+			core.RPut(rk, src, theirs.Buf).Wait()
+			core.RPCFF(rk, peer, bump, theirs.Ctr)
+		}
+		pingPong(rk, core.Local(rk, mine.Ctr, 1), latencyIters(size), hop, &perHop)
+	})
+	return perHop
 }
 
 // rpcHopArgs carries one RPC notification hop's payload: the peer's
@@ -313,120 +274,30 @@ func rpcHopBody(trk *core.Rank, a rpcHopArgs) {
 // between two single-rank nodes (there is no initiator-side completion
 // to wait on, exactly like measureNotify's signaling half).
 func measureRPCFF(size int) float64 {
-	best := 0.0
-	iters := latencyIters(size)
-	for rep := 0; rep < *reps; rep++ {
-		var perHop float64
-		runMeasured(16<<20, func(rk *core.Rank) {
-			mine := core.MustNewArray[uint64](rk, 1)
-			obj := core.NewDistObject(rk, mine)
-			rk.Barrier()
-			peer := (rk.Me() + 1) % 2
-			theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), peer).Wait()
-			ctr := core.Local(rk, mine, 1)
-			val := make([]uint8, size)
-			hop := func() {
-				core.RPCFF(rk, peer, rpcHopBody, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)})
-			}
-			await := func(v uint64) {
-				for ctr[0] < v {
-					if rk.Progress() == 0 {
-						runtime.Gosched()
-					}
-				}
-			}
-			if rk.Me() == 0 {
-				hop()
-			}
-			await(1)
-			if rk.Me() == 1 {
-				hop()
-			}
-			if rk.Me() == 0 {
-				await(1)
-			}
-			rk.Barrier()
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if rk.Me() == 0 {
-					hop()
-				}
-				await(uint64(i + 2))
-				if rk.Me() == 1 {
-					hop()
-				}
-			}
-			if rk.Me() == 0 {
-				await(uint64(iters + 1))
-				perHop = time.Since(t0).Seconds() / float64(2*iters) / float64(*dilation)
-			}
-			rk.Barrier()
-		})
-		if best == 0 || (perHop > 0 && perHop < best) {
-			best = perHop
+	var perHop float64
+	runMeasured(16<<20, func(rk *core.Rank) {
+		mine := core.MustNewArray[uint64](rk, 1)
+		obj := core.NewDistObject(rk, mine)
+		rk.Barrier()
+		peer := (rk.Me() + 1) % 2
+		theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), peer).Wait()
+		val := make([]uint8, size)
+		hop := func() {
+			core.RPCFF(rk, peer, rpcHopBody, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)})
 		}
-	}
-	return best
+		pingPong(rk, core.Local(rk, mine, 1), latencyIters(size), hop, &perHop)
+	})
+	return perHop
 }
 
-// measureRPCRoundTrip times a blocking rpc carrying size payload bytes
-// and returning a small acknowledgment.
-func measureRPCRoundTrip(size int) float64 {
-	best := 0.0
+// rpcLoop runs a warm-up then latencyIters(size) blocking rpcs carrying
+// size payload bytes and returning a small acknowledgment, from rank 0 to
+// rank 1, on the Aries model or (model nil) the zero-delay conduit, and
+// hands rank 0 and its model time per call to done.
+func rpcLoop(size int, model *gasnet.LogGP, stats bool, done func(rk *core.Rank, perOp float64)) {
 	iters := latencyIters(size)
-	for rep := 0; rep < *reps; rep++ {
-		var perOp float64
-		runMeasured(16<<20, func(rk *core.Rank) {
-			mine := core.MustNewArray[uint64](rk, 1)
-			obj := core.NewDistObject(rk, mine)
-			rk.Barrier()
-			if rk.Me() == 0 {
-				theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
-				val := make([]uint8, size)
-				call := func() {
-					core.RPC(rk, 1, func(trk *core.Rank, a rpcHopArgs) uint64 {
-						c := core.Local(trk, a.Ctr, 1)
-						c[0]++
-						return c[0]
-					}, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)}).Wait()
-				}
-				call() // warm up
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					call()
-				}
-				perOp = time.Since(t0).Seconds() / float64(iters) / float64(*dilation)
-			}
-			rk.Barrier()
-		})
-		if best == 0 || (perOp > 0 && perOp < best) {
-			best = perOp
-		}
-	}
-	return best
-}
-
-// rpcBreakdown is the per-layer cost split of one blocking RPC: the
-// runtime's latency histograms split the round trip at the
-// remote-landing edge of the request message.
-type rpcBreakdown struct {
-	reqUS   float64 // inject → request landing at the target
-	replyUS float64 // remote execution + reply crossing + completion delivery
-	e2eUS   float64 // wall-clock per-op end-to-end of the same loop
-}
-
-// measureRPCBreakdown reruns the blocking-RPC loop with runtime stats
-// forced on and reads rank 0's — the initiator's — latency histograms:
-// the mean inject→landing of KindRPC is the request leg, and mean
-// inject→complete minus that is everything after the request lands
-// (remote body, reply crossing, completion delivery). Values are
-// microseconds, undilated; their sum should track the wall-clock
-// end-to-end mean of the identical loop.
-func measureRPCBreakdown(size int) rpcBreakdown {
-	iters := latencyIters(size)
-	var out rpcBreakdown
-	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: dilatedAries(),
-		SegmentSize: 16 << 20, Stats: true}, func(rk *core.Rank) {
+	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: model,
+		SegmentSize: 16 << 20, Stats: stats}, func(rk *core.Rank) {
 		mine := core.MustNewArray[uint64](rk, 1)
 		obj := core.NewDistObject(rk, mine)
 		rk.Barrier()
@@ -441,21 +312,48 @@ func measureRPCBreakdown(size int) rpcBreakdown {
 				}, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)}).Wait()
 			}
 			call() // warm up
-			t0 := time.Now()
+			t0 := rk.Clock()
 			for i := 0; i < iters; i++ {
 				call()
 			}
-			wall := time.Since(t0).Seconds() / float64(iters)
-			s := rk.Stats()
-			land := s.HistMean(obs.HistLand, obs.KindRPC)
-			done := s.HistMean(obs.HistDone, obs.KindRPC)
-			k := float64(*dilation)
-			out.reqUS = land / 1e3 / k
-			out.replyUS = (done - land) / 1e3 / k
-			out.e2eUS = wall * 1e6 / k
-			captureStats(rk)
+			done(rk, per(rk.Clock(), t0, iters))
 		}
 		rk.Barrier()
+		captureStats(rk)
+	})
+}
+
+// measureRPCRoundTrip times a blocking rpc carrying size payload bytes and
+// returning a small acknowledgment.
+func measureRPCRoundTrip(size int) float64 {
+	var perOp float64
+	rpcLoop(size, gasnet.Aries(), *withStats, func(_ *core.Rank, p float64) { perOp = p })
+	return perOp
+}
+
+// rpcBreakdown is the per-layer cost split of one blocking RPC: the
+// runtime's latency histograms split the round trip at the
+// remote-landing edge of the request message.
+type rpcBreakdown struct {
+	reqUS   float64 // inject → request landing at the target
+	replyUS float64 // remote execution + reply crossing + completion delivery
+}
+
+// measureRPCBreakdown reruns the blocking-RPC loop with runtime stats
+// forced on and reads rank 0's — the initiator's — latency histograms:
+// the mean inject→landing of KindRPC is the request leg, and mean
+// inject→complete minus that is everything after the request lands
+// (remote body, reply crossing, completion delivery). The histograms keep
+// wall-clock stamps, so the loop runs on the zero-delay conduit, where
+// wall-clock time is the runtime's own software path.
+func measureRPCBreakdown(size int) rpcBreakdown {
+	var out rpcBreakdown
+	rpcLoop(size, nil, true, func(rk *core.Rank, _ float64) {
+		s := rk.Stats()
+		land := s.HistMean(obs.HistLand, obs.KindRPC)
+		done := s.HistMean(obs.HistDone, obs.KindRPC)
+		out.reqUS = land / 1e3
+		out.replyUS = (done - land) / 1e3
 	})
 	return out
 }
@@ -471,139 +369,109 @@ func bumpCounter(trk *core.Rank, c core.GPtr[uint64]) uint64 {
 // requests coalesced into batchSize-entry wire messages: total round-trip
 // RPCs flushed every batchSize, every flush's operation completion on one
 // promise, finalized at the end — the flood idiom over the batched
-// datapath. Returns undilated ops/sec.
+// datapath. Returns ops per model second.
 func measureBatchRPCRate(batchSize, total int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var rate float64
-		runMeasured(16<<20, func(rk *core.Rank) {
-			mine := core.MustNewArray[uint64](rk, 1)
-			obj := core.NewDistObject(rk, mine)
-			rk.Barrier()
-			if rk.Me() == 0 {
-				theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
-				b := core.NewBatch(rk, 1)
-				// Warm-up batch.
+	var rate float64
+	runMeasured(16<<20, func(rk *core.Rank) {
+		mine := core.MustNewArray[uint64](rk, 1)
+		obj := core.NewDistObject(rk, mine)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			b := core.NewBatch(rk, 1)
+			// Warm-up batch.
+			core.BatchRPC(b, bumpCounter, theirs)
+			b.Flush(core.OpCxAsFuture()).Op.Wait()
+			done := core.NewPromise[core.Unit](rk)
+			t0 := rk.Clock()
+			for i := 0; i < total; i++ {
 				core.BatchRPC(b, bumpCounter, theirs)
-				b.Flush(core.OpCxAsFuture()).Op.Wait()
-				done := core.NewPromise[core.Unit](rk)
-				t0 := time.Now()
-				for i := 0; i < total; i++ {
-					core.BatchRPC(b, bumpCounter, theirs)
-					if b.Len() >= batchSize {
-						b.Flush(core.OpCxAsPromise(done))
-						rk.Progress()
-					}
-				}
-				if b.Len() > 0 {
+				if b.Len() >= batchSize {
 					b.Flush(core.OpCxAsPromise(done))
+					rk.Progress()
 				}
-				done.Finalize().Wait()
-				rate = float64(total) / time.Since(t0).Seconds() * float64(*dilation)
 			}
-			rk.Barrier()
-		})
-		if rate > best {
-			best = rate
+			if b.Len() > 0 {
+				b.Flush(core.OpCxAsPromise(done))
+			}
+			done.Finalize().Wait()
+			rate = 1 / per(rk.Clock(), t0, total)
 		}
-	}
-	return best
+		rk.Barrier()
+	})
+	return rate
 }
 
 // measurePerAMRate is the un-batched floor of the same loop: one wire
 // message per RPC (plus one per reply), pipelined on a single promise.
 func measurePerAMRate(total int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var rate float64
-		runMeasured(16<<20, func(rk *core.Rank) {
-			mine := core.MustNewArray[uint64](rk, 1)
-			obj := core.NewDistObject(rk, mine)
-			rk.Barrier()
-			if rk.Me() == 0 {
-				theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
-				core.RPC(rk, 1, bumpCounter, theirs).Wait() // warm up
-				done := core.NewPromise[core.Unit](rk)
-				t0 := time.Now()
-				for i := 0; i < total; i++ {
-					core.RPCWith(rk, 1, bumpCounter, theirs, core.OpCxAsPromise(done))
-					if i%10 == 0 {
-						rk.Progress()
-					}
+	var rate float64
+	runMeasured(16<<20, func(rk *core.Rank) {
+		mine := core.MustNewArray[uint64](rk, 1)
+		obj := core.NewDistObject(rk, mine)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			core.RPC(rk, 1, bumpCounter, theirs).Wait() // warm up
+			done := core.NewPromise[core.Unit](rk)
+			t0 := rk.Clock()
+			for i := 0; i < total; i++ {
+				core.RPCWith(rk, 1, bumpCounter, theirs, core.OpCxAsPromise(done))
+				if i%10 == 0 {
+					rk.Progress()
 				}
-				done.Finalize().Wait()
-				rate = float64(total) / time.Since(t0).Seconds() * float64(*dilation)
 			}
-			rk.Barrier()
-		})
-		if rate > best {
-			best = rate
+			done.Finalize().Wait()
+			rate = 1 / per(rk.Clock(), t0, total)
 		}
-	}
-	return best
+		rk.Barrier()
+	})
+	return rate
 }
 
 // measureMPILatency times MPI_Put + MPI_Win_flush per operation.
 func measureMPILatency(size int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var perOp float64
-		w := mpi.NewWorld(mpi.Config{Ranks: 2, RanksPerNode: 1, Model: dilatedAries(),
-			Protocol: dilatedProto(), SegmentSize: 16 << 20})
-		w.Run(func(p *mpi.Proc) {
-			win := mpi.CreateWin(p, size)
-			p.Barrier()
-			if p.Rank() == 0 {
-				src := make([]byte, size)
-				iters := latencyIters(size)
+	var perOp float64
+	runMPI(16<<20, func(p *mpi.Proc) {
+		win := mpi.CreateWin(p, size)
+		p.Barrier()
+		if p.Rank() == 0 {
+			src := make([]byte, size)
+			iters := latencyIters(size)
+			win.Put(src, 1, 0)
+			win.Flush(1)
+			t0 := p.Clock()
+			for i := 0; i < iters; i++ {
 				win.Put(src, 1, 0)
 				win.Flush(1)
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					win.Put(src, 1, 0)
-					win.Flush(1)
-				}
-				perOp = time.Since(t0).Seconds() / float64(iters) / float64(*dilation)
 			}
-			p.Barrier()
-		})
-		w.Close()
-		if best == 0 || (perOp > 0 && perOp < best) {
-			best = perOp
+			perOp = per(p.Clock(), t0, iters)
 		}
-	}
-	return best
+		p.Barrier()
+	})
+	return perOp
 }
 
 // measureMPIFlood times the IMB-style aggregate mode: many puts, one
 // flush.
 func measureMPIFlood(size int) float64 {
-	best := 0.0
-	for rep := 0; rep < *reps; rep++ {
-		var bw float64
-		w := mpi.NewWorld(mpi.Config{Ranks: 2, RanksPerNode: 1, Model: dilatedAries(),
-			Protocol: dilatedProto(), SegmentSize: 32 << 20})
-		w.Run(func(p *mpi.Proc) {
-			win := mpi.CreateWin(p, size)
-			p.Barrier()
-			if p.Rank() == 0 {
-				src := make([]byte, size)
-				iters := floodIters(size)
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					win.Put(src, 1, 0)
-				}
-				win.Flush(1)
-				bw = float64(size*iters) / time.Since(t0).Seconds() * float64(*dilation)
+	var bw float64
+	runMPI(32<<20, func(p *mpi.Proc) {
+		win := mpi.CreateWin(p, size)
+		p.Barrier()
+		if p.Rank() == 0 {
+			src := make([]byte, size)
+			iters := floodIters(size)
+			t0 := p.Clock()
+			for i := 0; i < iters; i++ {
+				win.Put(src, 1, 0)
 			}
-			p.Barrier()
-		})
-		w.Close()
-		if bw > best {
-			best = bw
+			win.Flush(1)
+			bw = float64(size) / per(p.Clock(), t0, iters)
 		}
-	}
-	return best
+		p.Barrier()
+	})
+	return bw
 }
 
 func main() {
@@ -713,7 +581,7 @@ func main() {
 
 		if *withStats && !*modelOnly {
 			bt := &stats.Table{
-				Title:  "RPC per-layer breakdown — runtime latency histograms vs wall clock, us",
+				Title:  "RPC per-layer breakdown — runtime latency histograms on the zero-delay conduit, wall-clock us",
 				XLabel: "size",
 				XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
 				YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
@@ -721,26 +589,24 @@ func main() {
 			req := &stats.Series{Name: "inject→landing (request)"}
 			rep := &stats.Series{Name: "landing→complete (exec+reply)"}
 			sum := &stats.Series{Name: "hist sum"}
-			e2e := &stats.Series{Name: "wall end-to-end"}
 			for _, n := range []int{8, 64, 512, 4 << 10} {
 				b := measureRPCBreakdown(n)
 				req.Add(float64(n), b.reqUS)
 				rep.Add(float64(n), b.replyUS)
 				sum.Add(float64(n), b.reqUS+b.replyUS)
-				e2e.Add(float64(n), b.e2eUS)
 			}
-			bt.Series = []*stats.Series{req, rep, sum, e2e}
+			bt.Series = []*stats.Series{req, rep, sum}
 			bt.Fprint(os.Stdout)
 			fmt.Println()
-			fmt.Println("hist sum is the initiator histograms' inject→complete mean; it should agree with the")
-			fmt.Println("wall-clock end-to-end mean of the same loop to within harness jitter (<15%).")
+			fmt.Println("hist sum is the initiator histograms' inject→complete mean: the runtime's software path")
+			fmt.Println("for one blocking RPC, which the model tables above leave out.")
 			fmt.Println()
 		}
 	}
 
 	if *mode == "batch" || *mode == "all" {
 		t := &stats.Table{
-			Title:  "Batched RPC — small-message throughput vs per-AM floor, Mops/s (dilated Aries; higher is better)",
+			Title:  "Batched RPC — small-message throughput vs per-AM floor, Mops/s (Aries model; higher is better)",
 			XLabel: "batch",
 			XFmt:   func(v float64) string { return fmt.Sprintf("%d", int(v)) },
 			YFmt:   func(v float64) string { return fmt.Sprintf("%.3f", v) },

@@ -167,7 +167,7 @@ func CollTreeTime(m *gasnet.LogGP, radix, p, nbytes int) time.Duration {
 // AutoRadix picks the collective radix for a job of p ranks from the
 // machine model's o/g/L: the candidate k-nomial radix with the lowest
 // modeled small-message broadcast completion time. Config.CollRadix = 0
-// routes through here at world creation when a real-time model is
+// routes through here at world creation when a timing model is
 // configured, replacing the static binomial default; a model with no
 // cost structure (every candidate ties at zero) keeps the default.
 func AutoRadix(m *gasnet.LogGP, p int) int {

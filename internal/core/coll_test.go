@@ -624,14 +624,11 @@ func checkDMAHops(t *testing.T, ds []obs.Values, hops int, only obs.DMAKind, pay
 
 // TestCollBcastLeafRPCAfterDeviceDMA is the collective analogue of
 // TestCxRemoteAfterDeviceDMA: on a broadcast over device buffers under a
-// real-time model whose DMA hop is far slower than the wire, each
+// model whose DMA hop is far slower than the wire, each
 // member's RemoteCxAsRPC descriptor must observe the complete payload in
 // its device buffer — i.e. the landing notice rides the copy's final
 // h2d DMA hop, not the wire arrival.
 func TestCollBcastLeafRPCAfterDeviceDMA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time model run")
-	}
 	cfg := Config{
 		Ranks:        3,
 		RanksPerNode: 1,
@@ -821,14 +818,17 @@ func TestCollAutoRadix(t *testing.T) {
 	// World-creation hook: a modeled world auto-tunes, an unmodeled one
 	// keeps the default, and an explicit radix wins over the tuner.
 	w := NewWorld(Config{Ranks: 8, Model: m})
+	defer w.Close()
 	if want := AutoRadix(m, 8); w.Rank(0).coll.radix != want {
 		t.Errorf("modeled world radix = %d, want auto-tuned %d", w.Rank(0).coll.radix, want)
 	}
 	w2 := NewWorld(Config{Ranks: 8})
+	defer w2.Close()
 	if w2.Rank(0).coll.radix != 0 {
 		t.Errorf("unmodeled world radix = %d, want 0 (static default)", w2.Rank(0).coll.radix)
 	}
 	w3 := NewWorld(Config{Ranks: 8, Model: m, CollRadix: 3})
+	defer w3.Close()
 	if w3.Rank(0).coll.radix != 3 {
 		t.Errorf("explicit radix = %d, want 3", w3.Rank(0).coll.radix)
 	}

@@ -335,7 +335,7 @@ func TestCxInvalidCombos(t *testing.T) {
 				RGetWith(rk, rdst, buf, SourceCxAsFuture())
 			})
 			// A copy's source is a global pointer the conduit reads only
-			// when the hop chain reaches it (lazily, in realtime mode) —
+			// when the hop chain reaches it (lazily, on a process conduit) —
 			// a source event at injection would license overwriting bytes
 			// still to be read.
 			expectPanic(t, "source_cx on copy", func() {
@@ -378,16 +378,13 @@ func expectPanic(t *testing.T, what string, fn func()) {
 
 // TestCxRemoteAfterDeviceDMA is the acceptance pin for the conduit's
 // remote-completion hop placement: on a cross-rank put into *device*
-// memory under a real-time model whose DMA hop is far slower than the
+// memory under a model whose DMA hop is far slower than the
 // wire, the remote RPC must still observe the complete payload — i.e. the
 // notification is enqueued after the h2d DMA lands, not when the wire hop
 // reaches the target's host side. An implementation that fired at wire
 // landing would run the body ~milliseconds before the copy engine writes
 // the bytes and reliably fail the content check.
 func TestCxRemoteAfterDeviceDMA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time model run")
-	}
 	cfg := Config{
 		Ranks:        2,
 		RanksPerNode: 1,

@@ -38,6 +38,13 @@ import (
 // LPCs (Persona.lpc) and failures (wire.fail, Rank.failPeer). It has one slot
 // and wakes one waiter, who passes a delivery that was somebody else's on
 // through that delivery's own ring; the park bound is the backstop.
+//
+// Under a timing model (Config.Model) a wait is also what passes model time:
+// an idling waiter moves the rank's clock to its next event (Endpoint.Advance),
+// which its next pass harvests. The progress thread does so only for a rank
+// whose master persona nobody holds: while an SPMD goroutine drives the rank,
+// the clock is its own — charged by what it issues, moved by what it waits for —
+// so a flood reads the same model time with a progress thread as without.
 
 const (
 	idleSpins = 128                    // yields before a waiter parks
@@ -51,6 +58,8 @@ type idler struct {
 	armed atomic.Bool   // left holds a budget
 	left  atomic.Int32  // yields left before parking
 	seen  atomic.Uint64 // Rank.worked when the budget was last set
+
+	thread bool // the progress thread's: it passes model time only for an undriven rank
 }
 
 // idle applies the idle rule after a progress pass that found nothing,
@@ -63,10 +72,27 @@ func (rk *Rank) idle(id *idler, d time.Duration) (parked bool) {
 		id.seen.Store(worked)
 		id.armed.Store(true)
 	}
+	due := (!id.thread || rk.master.holder.Load() == 0) && rk.ep.Advance()
 	if id.left.Load() > 0 && rk.ep.Yield() {
 		id.left.Add(-1)
 		return false
 	}
-	rk.ep.WaitPending(d)
+	if !due {
+		rk.ep.WaitPending(d)
+	}
 	return true
+}
+
+// stillPass counts an empty Progress pass under a timing model. idleSpins of
+// them in a row at one model clock are a wait — `for !f.Ready() { rk.Progress() }`
+// — and pass model time as the idle rule does. A rank whose clock moves
+// between passes (a flood that polls now and then) is busy, and keeps it.
+func (rk *Rank) stillPass() {
+	c := int64(rk.ep.Clock())
+	if rk.stillAt.Swap(c) != c {
+		rk.stills.Store(1)
+	} else if rk.stills.Add(1) >= idleSpins {
+		rk.stills.Store(0)
+		rk.ep.Advance()
+	}
 }

@@ -268,3 +268,63 @@ func TestPollingMasterDoesNotStarveInjectors(t *testing.T) {
 		t.Errorf("%d injectors x %d blocking RPCs behind a polling master took %v, want under 1s", injectors, calls, el)
 	}
 }
+
+// TestModelTimeBareProgressLoop: under a LogGP model a bare Progress loop
+// waits like Wait does. Its empty passes at a clock that stands still pass
+// model time (stillPass), so `for !f.Ready() { rk.Progress() }` on an RPC
+// finishes, at the model time Wait reads.
+func TestModelTimeBareProgressLoop(t *testing.T) {
+	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Microsecond, Gp: 2 * time.Microsecond}
+	roundTrip := func(bare bool) (rt time.Duration) {
+		RunConfig(Config{Ranks: 2, RanksPerNode: 1, Model: model}, func(rk *Rank) {
+			if rk.Me() == 0 {
+				t0 := rk.Clock()
+				f := RPC(rk, 1, func(trk *Rank, x int) int { return -x }, 7)
+				if bare {
+					for !f.Ready() {
+						rk.Progress()
+					}
+				}
+				if got := f.Wait(); got != -7 {
+					t.Errorf("rpc = %d", got)
+				}
+				rt = rk.Clock() - t0
+			}
+			rk.Barrier()
+		})
+		return rt
+	}
+	waited, polled := roundTrip(false), roundTrip(true)
+	if waited <= 0 || polled != waited {
+		t.Fatalf("rpc round trip: %v by a bare Progress loop, %v by Wait; want equal and positive", polled, waited)
+	}
+}
+
+// TestModelTimeFloodProgressThread: a progress thread does not move the
+// clock of a rank its master drives, so a put flood waited on through one
+// promise reads the same model time with a progress thread as without.
+func TestModelTimeFloodProgressThread(t *testing.T) {
+	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Microsecond, Gp: 2 * time.Microsecond}
+	flood := func(progressThread bool) time.Duration {
+		w := NewWorld(Config{Ranks: 2, RanksPerNode: 1, Model: model, ProgressThread: progressThread})
+		defer w.Close()
+		rk := w.Rank(0)
+		sc := AcquirePersona(rk.MasterPersona())
+		defer sc.Release()
+		dst := MustNewArray[uint64](w.Rank(1), 1)
+		src := []uint64{1}
+		t0 := rk.Clock()
+		prom := NewPromise[Unit](rk)
+		for i := 0; i < 400; i++ {
+			RPutWith(rk, src, dst, OpCxAsPromise(prom))
+		}
+		prom.Finalize().Wait()
+		return rk.Clock() - t0
+	}
+	want := flood(false)
+	for i := 0; i < 5; i++ {
+		if got := flood(true); got != want {
+			t.Fatalf("run %d: flood took %v of model time with a progress thread, %v without", i, got, want)
+		}
+	}
+}

@@ -338,8 +338,8 @@ func TestPersonaProgressThreadQuiesceAndReuse(t *testing.T) {
 }
 
 func TestPersonaProgressThreadWithRealtimeModel(t *testing.T) {
-	// Progress threads and the LogGP delivery engine coexist: the engine
-	// goroutine times deliveries while progress goroutines harvest them.
+	// Progress threads and the LogGP conduit coexist: deliveries wait in
+	// model time while the progress goroutines harvest them.
 	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Microsecond, Gp: time.Microsecond}
 	RunConfig(Config{Ranks: 2, ProgressThread: true, Model: model}, func(rk *Rank) {
 		got := RPC(rk, (rk.Me()+1)%rk.N(), func(trk *Rank, x int) int { return -x }, 9).Wait()

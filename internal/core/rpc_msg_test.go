@@ -515,9 +515,7 @@ func TestRPCAllocPins(t *testing.T) {
 		acked = false
 		tep.PutSegTag(1, gasnet.HostSeg, timedWord.Off, serial.AsBytes(buf), ack, nil, obs.OpTag{})
 		for !acked {
-			if tep.PollCompletions() == 0 {
-				runtime.Gosched()
-			}
+			tep.Poll()
 		}
 	})
 	check("blocking RPut on LogGP, beyond the conduit's put, allocs",

@@ -418,8 +418,8 @@ func TestWaitTimeoutDiagnosesDeadlock(t *testing.T) {
 }
 
 func TestRealtimeWorldSmoke(t *testing.T) {
-	// The full runtime over the real-time engine with several ranks per
-	// node: a sanity pass for the timing path.
+	// The full runtime over the LogGP conduit with several ranks per
+	// node: a sanity pass for the model-time path.
 	model := &gasnet.LogGP{O: time.Microsecond, L: 2 * time.Microsecond, Gp: time.Microsecond}
 	RunConfig(Config{Ranks: 4, RanksPerNode: 2, Model: model}, func(rk *Rank) {
 		sum := AllReduce(rk.WorldTeam(), int64(rk.Me()), func(a, b int64) int64 { return a + b }).Wait()

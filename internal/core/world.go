@@ -27,7 +27,8 @@ type Config struct {
 	RanksPerNode int
 	// SegmentSize is the per-rank shared segment in bytes (0: 8 MiB).
 	SegmentSize int
-	// Model is the conduit timing model (nil: zero-delay).
+	// Model is the conduit timing model (nil: zero-delay), charged in model
+	// time: Rank.Clock reads what the rank has spent.
 	Model *gasnet.LogGP
 	// DMA is the device copy-engine timing model used for transfers
 	// touching device-kind memory (see NewDeviceAllocator). nil defaults
@@ -420,6 +421,8 @@ type Rank struct {
 	worked   atomic.Uint64 // progress passes that found work (re-arms in-process idlers, idle.go)
 	pollIdle idler         // ProgressWait's place in the idle rule, across calls and callers
 	idlers   atomic.Int32  // goroutines inside idle: waiters a bare Progress loop must let run
+	stillAt  atomic.Int64  // the model clock of the last empty Progress pass (stillPass)
+	stills   atomic.Int32  // empty Progress passes in a row at that clock
 }
 
 // Me returns this process's world rank.
@@ -430,6 +433,11 @@ func (rk *Rank) N() Intrank { return rk.n }
 
 // World returns the owning world.
 func (rk *Rank) World() *World { return rk.w }
+
+// Clock returns the rank's model clock under a timing model (Config.Model):
+// the model time the rank has spent, which is what the figure tools time.
+// Always 0 on a zero-delay or process conduit.
+func (rk *Rank) Clock() time.Duration { return rk.ep.Clock() }
 
 // InternalProgress advances runtime bookkeeping without executing user
 // callbacks or incoming RPCs: conduit completions are harvested (actQ →
@@ -443,10 +451,17 @@ func (rk *Rank) InternalProgress() { rk.ep.PollCompletions() }
 // from inside a callback or RPC body is a no-op (restricted context).
 // It does not park, and yields only after a pass that found nothing while another
 // goroutine of the rank sits in the idle rule: a master polling on one P would hold it.
+// Under a timing model, empty passes at a clock that stands still are a wait
+// (stillPass): a bare Progress loop reaches what it waits for.
 func (rk *Rank) Progress() int {
 	n := rk.progressWith(curState())
-	if n == 0 && rk.idlers.Load() > 0 {
-		runtime.Gosched()
+	if n == 0 {
+		if rk.idlers.Load() > 0 {
+			runtime.Gosched()
+		}
+		if rk.w.cfg.Model != nil {
+			rk.stillPass()
+		}
 	}
 	return n
 }
@@ -544,7 +559,7 @@ func (rk *Rank) progressLoop(stop <-chan struct{}, wg *sync.WaitGroup) {
 	sc := AcquirePersona(rk.progressP)
 	defer sc.Release()
 	gs := curState()
-	var id idler
+	id := idler{thread: true}
 	for {
 		select {
 		case <-stop:

@@ -1,6 +1,7 @@
 package expmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"upcxx/internal/matgen"
@@ -202,5 +203,46 @@ func TestProcessCountHelpers(t *testing.T) {
 	}
 	if got := Fig9ProcessCounts(); got[len(got)-1] != 1024 {
 		t.Errorf("Fig9ProcessCounts = %v", got)
+	}
+}
+
+// TestGoldenMakespans pins exact makespans of a few small Fig 4, 8 and 9
+// points, so a change to the event queue or the channel bookings the models
+// run on that moves any event shows up as a changed number.
+func TestGoldenMakespans(t *testing.T) {
+	check := func(what string, got, want float64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %v, want exactly %v", what, got, want)
+		}
+	}
+	check("fig4 Haswell P=16", SimulateDHT(DHTConfig{M: Haswell(), P: 16, ElemSize: 8, InsertsPerRank: 20, Seed: 42}).Makespan, 4.929399999999991e-05)
+	check("fig4 KNL P=64", SimulateDHT(DHTConfig{M: KNL(), P: 64, ElemSize: 4096, InsertsPerRank: 10, Seed: 1}).Makespan, 6.778400000000003e-05)
+
+	prob := matgen.Generate("golden", matgen.Grid3D{NX: 12, NY: 12, NZ: 12}, 16)
+	tree := sparse.Amalgamate(sparse.BuildFrontTree(prob.A, 0), 0.3)
+	m := Haswell()
+	// The Alltoallv variant is closed-form (it schedules no event) and sums
+	// over maps, so its last bit follows map order: it is not pinned here.
+	for _, c := range []struct {
+		p        int
+		upc, p2p float64
+	}{
+		{4, 0.00035014600000000007, 0.000374199},
+		{32, 5.6585000000000035e-05, 0.00010569599999999999},
+	} {
+		plan := sparse.NewEAddPlan(tree, c.p, 16)
+		check(fmt.Sprintf("fig8 UPC++ P=%d", c.p), SimulateEAddUPCXX(m, plan), c.upc)
+		check(fmt.Sprintf("fig8 P2P P=%d", c.p), SimulateEAddP2P(m, plan), c.p2p)
+	}
+	for _, c := range []struct {
+		p       int
+		v1, v01 float64
+	}{
+		{4, 0.001212871152751423, 0.0012306389027514242},
+		{16, 0.00037908971431419464, 0.00038274971431419464},
+	} {
+		check(fmt.Sprintf("fig9 v1.0 P=%d", c.p), SimulateSymPACK(m, tree, c.p, V1), c.v1)
+		check(fmt.Sprintf("fig9 v0.1 P=%d", c.p), SimulateSymPACK(m, tree, c.p, V01), c.v01)
 	}
 }

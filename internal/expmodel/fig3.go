@@ -3,9 +3,9 @@ package expmodel
 // Fig 3 closed-form model: the latency and bandwidth of blocking and
 // flooded RMA puts for UPC++ (direct conduit injection) versus MPI-3 RMA
 // (Cray-MPICH-style FMA/BTE software path plus win-flush
-// synchronization). These formulas are the analytical mirror of what the
-// real-time benchmark in cmd/rma-bench measures on the simulated conduit;
-// the bench cross-checks them.
+// synchronization). These formulas are the analytical mirror of what
+// cmd/rma-bench measures on the LogGP conduit in model time; the bench
+// prints both.
 
 // Fig3Sizes is the paper's transfer-size sweep (8 B .. 4 MB).
 func Fig3Sizes() []int {

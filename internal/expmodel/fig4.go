@@ -1,7 +1,7 @@
 package expmodel
 
 import (
-	"upcxx/internal/des"
+	"upcxx/internal/gasnet"
 )
 
 // Fig 4 model: weak scaling of blocking distributed-hash-table insertion
@@ -48,10 +48,10 @@ func SimulateDHT(cfg DHTConfig) DHTResult {
 			PerRank:   float64(cfg.InsertsPerRank) / t,
 		}
 	}
-	sim := des.NewSim()
-	rng := des.NewRNG(cfg.Seed ^ 0xdeadbeef)
-	cpu := make([]des.Resource, cfg.P)
-	nic := make([]des.Resource, cfg.P)
+	var sim gasnet.Queue[float64]
+	rng := NewRNG(cfg.Seed ^ 0xdeadbeef)
+	cpu := make([]gasnet.Channel[float64], cfg.P)
+	nic := make([]gasnet.Channel[float64], cfg.P)
 	node := func(r int) int { return r / m.RanksPerNode }
 
 	done := 0
@@ -61,7 +61,7 @@ func SimulateDHT(cfg DHTConfig) DHTResult {
 	// One blocking landing-zone insert from rank r starting no earlier
 	// than at. The rank's CPU is busy only for the software segments;
 	// while blocked on the wire it serves incoming handlers (modeled by
-	// the Resource bookings from other ranks' events).
+	// the channel bookings from other ranks' events).
 	issue = func(r, k int, at float64) {
 		if k >= cfg.InsertsPerRank {
 			done++
@@ -78,8 +78,8 @@ func SimulateDHT(cfg DHTConfig) DHTResult {
 		keyMsg := 48 // key + header + dist-object id
 
 		// 1. Inject the make_lz RPC.
-		_, injEnd := cpu[r].Acquire(at, m.cpu(rpcInject)+m.overhead(keyMsg, intra))
-		_, nicEnd := nic[r].Acquire(injEnd, m.gap(keyMsg, intra))
+		injEnd := cpu[r].Book(at, m.cpu(rpcInject)+m.overhead(keyMsg, intra))
+		nicEnd := nic[r].Book(injEnd, m.gap(keyMsg, intra))
 		arrival := nicEnd + m.lat(keyMsg, intra)
 
 		// 2. Home-rank handler: dispatch, allocate the landing zone,
@@ -87,21 +87,21 @@ func SimulateDHT(cfg DHTConfig) DHTResult {
 		sim.At(arrival, func() {
 			hDur := m.cpu(rpcHandler) + m.cpu(segAlloc) + m.cpu(mapInsert) +
 				m.overhead(16, intra)
-			_, hEnd := cpu[tgt].Acquire(sim.Now(), hDur)
-			_, rNicEnd := nic[tgt].Acquire(hEnd, m.gap(16, intra))
+			hEnd := cpu[tgt].Book(sim.Now(), hDur)
+			rNicEnd := nic[tgt].Book(hEnd, m.gap(16, intra))
 			replyArr := rNicEnd + m.lat(16, intra)
 
 			// 3. Initiator: future fulfillment + rput injection.
 			sim.At(replyArr, func() {
 				iDur := m.cpu(futureFulfill) + m.cpu(rpcInject) +
 					m.overhead(cfg.ElemSize, intra)
-				_, iEnd := cpu[r].Acquire(sim.Now(), iDur)
-				_, pNicEnd := nic[r].Acquire(iEnd, m.gap(cfg.ElemSize, intra))
+				iEnd := cpu[r].Book(sim.Now(), iDur)
+				pNicEnd := nic[r].Book(iEnd, m.gap(cfg.ElemSize, intra))
 				// 4. Remote completion ack (NIC to NIC, no target CPU).
 				ackArr := pNicEnd + m.lat(cfg.ElemSize, intra) +
 					m.gap(0, intra) + m.lat(0, intra)
 				sim.At(ackArr, func() {
-					_, end := cpu[r].Acquire(sim.Now(), m.cpu(futureFulfill))
+					end := cpu[r].Book(sim.Now(), m.cpu(futureFulfill))
 					issue(r, k+1, end)
 				})
 			})

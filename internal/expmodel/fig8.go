@@ -3,7 +3,7 @@ package expmodel
 import (
 	"sort"
 
-	"upcxx/internal/des"
+	"upcxx/internal/gasnet"
 	"upcxx/internal/sparse"
 )
 
@@ -57,9 +57,9 @@ func (m Machine) intra(a, b int32) bool {
 // SimulateEAddUPCXX returns the modeled wall time (seconds) of the UPC++
 // variant for the given plan.
 func SimulateEAddUPCXX(m Machine, plan *sparse.EAddPlan) float64 {
-	sim := des.NewSim()
-	cpu := make([]des.Resource, plan.P)
-	nic := make([]des.Resource, plan.P)
+	var sim gasnet.Queue[float64]
+	cpu := make([]gasnet.Channel[float64], plan.P)
+	nic := make([]gasnet.Channel[float64], plan.P)
 	makespan := 0.0
 	observe := func(t float64) {
 		if t > makespan {
@@ -76,22 +76,22 @@ func SimulateEAddUPCXX(m Machine, plan *sparse.EAddPlan) float64 {
 			packT := float64(msg.count) * m.cpu(packEntryCost)
 			if msg.src == msg.dst {
 				// Local extend-add: no wire, just pack + accumulate.
-				_, end := cpu[msg.src].Acquire(0,
+				end := cpu[msg.src].Book(0,
 					packT+float64(msg.count)*m.cpu(accumEntryCost))
 				observe(end)
 				continue
 			}
 			intra := m.intra(msg.src, msg.dst)
 			injT := m.cpu(rpcInject) + m.overhead(size, intra)
-			_, cpuEnd := cpu[msg.src].Acquire(0, packT+injT)
-			_, nicEnd := nic[msg.src].Acquire(cpuEnd, m.gap(size, intra))
+			cpuEnd := cpu[msg.src].Book(0, packT+injT)
+			nicEnd := nic[msg.src].Book(cpuEnd, m.gap(size, intra))
 			arrival := nicEnd + m.lat(size, intra)
 			sim.At(arrival, func() {
 				hDur := m.cpu(rpcHandler) + float64(msg.count)*m.cpu(accumEntryCost)
-				_, hEnd := cpu[msg.dst].Acquire(sim.Now(), hDur)
+				hEnd := cpu[msg.dst].Book(sim.Now(), hDur)
 				ackArr := hEnd + m.gap(16, intra) + m.lat(16, intra)
 				sim.At(ackArr, func() {
-					_, end := cpu[msg.src].Acquire(sim.Now(), m.cpu(futureFulfill))
+					end := cpu[msg.src].Book(sim.Now(), m.cpu(futureFulfill))
 					observe(end)
 				})
 			})
@@ -184,9 +184,9 @@ func SimulateEAddP2P(m Machine, plan *sparse.EAddPlan) float64 {
 		if len(byLevel[level]) == 0 {
 			continue
 		}
-		sim := des.NewSim()
-		cpu := make([]des.Resource, plan.P)
-		nic := make([]des.Resource, plan.P)
+		var sim gasnet.Queue[float64]
+		cpu := make([]gasnet.Channel[float64], plan.P)
+		nic := make([]gasnet.Channel[float64], plan.P)
 		queued := make([]int, plan.P) // unexpected-queue depth per rank
 		levelEnd := 0.0
 		observe := func(x float64) {
@@ -203,16 +203,16 @@ func SimulateEAddP2P(m Machine, plan *sparse.EAddPlan) float64 {
 			size := msg.count * 16
 			packT := float64(msg.count) * m.cpu(packEntryCost)
 			if msg.src == msg.dst {
-				_, end := cpu[msg.src].Acquire(0,
+				end := cpu[msg.src].Book(0,
 					packT+float64(msg.count)*m.cpu(accumEntryCost))
 				observe(end)
 				continue
 			}
 			intra := m.intra(msg.src, msg.dst)
 			sendT := m.cpu(m.Proto.SendOverhead) + m.overhead(size, intra)
-			_, cpuEnd := cpu[msg.src].Acquire(0, packT+sendT)
+			cpuEnd := cpu[msg.src].Book(0, packT+sendT)
 			rendezvous := size > m.Proto.EagerMax
-			_, nicEnd := nic[msg.src].Acquire(cpuEnd, m.gap(size, intra))
+			nicEnd := nic[msg.src].Book(cpuEnd, m.gap(size, intra))
 			arrival := nicEnd + m.lat(size, intra)
 			if rendezvous {
 				// RTS/GET/DONE adds a round trip before the payload moves.
@@ -227,7 +227,7 @@ func SimulateEAddP2P(m Machine, plan *sparse.EAddPlan) float64 {
 					float64(queued[msg.dst])*queueScan*m.CPUScale +
 					m.copyCost(size) +
 					float64(msg.count)*m.cpu(accumEntryCost)
-				_, hEnd := cpu[msg.dst].Acquire(sim.Now(), hDur)
+				hEnd := cpu[msg.dst].Book(sim.Now(), hDur)
 				sim.At(hEnd, func() { queued[msg.dst]-- })
 				observe(hEnd)
 			})

@@ -1,7 +1,7 @@
 package expmodel
 
 import (
-	"upcxx/internal/des"
+	"upcxx/internal/gasnet"
 	"upcxx/internal/sparse"
 )
 
@@ -43,8 +43,8 @@ func (v SymPACKVariant) String() string {
 // of the mini-symPACK for the given tree and process count.
 func SimulateSymPACK(m Machine, t *sparse.FrontTree, p int, variant SymPACKVariant) float64 {
 	mapping := sparse.ProportionalMap(t, p)
-	sim := des.NewSim()
-	cpu := make([]des.Resource, p)
+	var sim gasnet.Queue[float64]
+	cpu := make([]gasnet.Channel[float64], p)
 	nf := len(t.Fronts)
 
 	remain := make([]int, nf)
@@ -95,7 +95,7 @@ func SimulateSymPACK(m Machine, t *sparse.FrontTree, p int, variant SymPACKVaria
 		owner := mapping.Owner(f)
 		fr := &t.Fronts[f]
 		factorT := fr.Cost * m.FlopSecs / frontSpeedup(f)
-		_, fEnd := cpu[owner].Acquire(ready[f], factorT)
+		fEnd := cpu[owner].Book(ready[f], factorT)
 		factored[f] = true
 		observe(fEnd)
 		// v0.1: the rank may now move to its next owned front.
@@ -120,12 +120,12 @@ func SimulateSymPACK(m Machine, t *sparse.FrontTree, p int, variant SymPACKVaria
 		if variant == V01 {
 			sendT += m.cpu(eventOverhead)
 		}
-		_, sEnd := cpu[owner].Acquire(fEnd, sendT)
+		sEnd := cpu[owner].Book(fEnd, sendT)
 		arrival := sEnd + m.gap(bytes, intra) + m.lat(bytes, intra)
 		parent := fr.Parent
 		sim.At(arrival, func() {
 			hDur := m.cpu(rpcHandler) + m.copyCost(bytes)
-			_, hEnd := cpu[pOwner].Acquire(sim.Now(), hDur)
+			hEnd := cpu[pOwner].Book(sim.Now(), hDur)
 			remain[parent]--
 			if ready[parent] < hEnd {
 				ready[parent] = hEnd

@@ -2,7 +2,7 @@
 // figure has a model driver that reuses the repository's real structural
 // code (front trees, proportional mappings, message matrices, protocol
 // constants) and charges calibrated costs — either in closed form (Fig 3)
-// or inside the deterministic discrete-event simulator (Figs 4, 8, 9),
+// or on gasnet's model-time event queue and channels (Figs 4, 8, 9),
 // which is how this reproduction reaches the paper's 2048–34816 process
 // scales on one machine (DESIGN.md §4, substitution 4). Small process
 // counts are cross-checked against real runs on the in-process runtime.

@@ -3,7 +3,7 @@ package gasnet
 import "upcxx/internal/obs"
 
 // backend is the conduit underneath every Endpoint operation. There are
-// exactly three — loopback (zero-delay, in-process), loggp (engine-timed,
+// exactly three — loopback (zero-delay, in-process), loggp (model-timed,
 // in-process) and wire (OS-process ranks over tcp or shm); NewNetwork
 // picks one from Config, and no Endpoint method knows which.
 type backend interface {

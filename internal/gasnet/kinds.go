@@ -57,7 +57,7 @@ const HostSeg SegID = 0
 // (PCIe-class host↔device).
 type DMAModel interface {
 	// Overhead is the CPU time spent enqueueing the DMA descriptor,
-	// charged synchronously on the initiating goroutine.
+	// charged to the initiating rank's clock.
 	Overhead(n int) time.Duration
 	// Gap is the copy-engine occupancy per descriptor (inverse
 	// bandwidth): the engine serializes descriptors the way a NIC

@@ -106,9 +106,9 @@ func pollDone(t *testing.T, ep *Endpoint, done *bool) {
 	}
 }
 
-// TestKindsDMATimingFloor: a same-rank h2d put must pay at least the DMA
-// engine's gap+latency; back-to-back descriptors serialize on the engine.
-// Lower bounds only — upper bounds depend on OS scheduling.
+// TestKindsDMATimingFloor: a same-rank h2d put pays exactly the DMA
+// engine's gap+latency on the model clock, and back-to-back descriptors
+// serialize on the engine: the k-th lands k gaps after the first starts.
 func TestKindsDMATimingFloor(t *testing.T) {
 	net := &LogGP{L: time.Microsecond, Gp: time.Microsecond}
 	dma := &PCIeDMA{L: 30 * time.Microsecond, Gp: 20 * time.Microsecond}
@@ -119,33 +119,32 @@ func TestKindsDMATimingFloor(t *testing.T) {
 	off, _ := ep.SegByID(id).Alloc(64)
 
 	done := false
-	t0 := time.Now()
+	t0 := ep.Clock()
 	ep.PutSegTag(0, id, off, make([]byte, 64), func() { done = true }, nil, obs.OpTag{})
 	pollDone(t, ep, &done)
-	if elapsed := time.Since(t0); elapsed < 50*time.Microsecond {
-		t.Fatalf("h2d put took %v, less than DMA gap+latency (50µs)", elapsed)
+	if el, want := ep.Clock()-t0, 50*time.Microsecond; el != want {
+		t.Fatalf("h2d put took %v, want DMA gap+latency %v", el, want)
 	}
 
-	// Flood: k descriptors must occupy the copy engine for k*gap.
+	// Flood: k descriptors occupy the copy engine for k*gap.
 	const k = 8
 	remaining := k
-	t0 = time.Now()
+	t0 = ep.Clock()
 	for i := 0; i < k; i++ {
 		ep.PutSegTag(0, id, off, make([]byte, 64), func() { remaining-- }, nil, obs.OpTag{})
 	}
 	for remaining > 0 {
 		ep.Poll()
 	}
-	if elapsed := time.Since(t0); elapsed < k*20*time.Microsecond {
-		t.Fatalf("flood of %d DMAs took %v, less than engine serialization %v",
-			k, elapsed, k*20*time.Microsecond)
+	if el, want := ep.Clock()-t0, k*20*time.Microsecond+30*time.Microsecond; el != want {
+		t.Fatalf("flood of %d DMAs took %v, want engine serialization plus latency %v", k, el, want)
 	}
 }
 
 // TestKindsCrossRankChargesBothEngines: a cross-rank h2d put pays the wire
 // and the target DMA engine; a d2d same-rank copy pays only one on-node
-// DMA (no NIC hops), so it must be cheaper than the cross-rank path under
-// a model where the wire dominates.
+// DMA (no NIC hops), so it is cheaper than the cross-rank path under a
+// model where the wire dominates. Both are exact on the model clock.
 func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 	net := &LogGP{L: 40 * time.Microsecond, Gp: 5 * time.Microsecond}
 	dma := &PCIeDMA{L: 25 * time.Microsecond, Gp: 5 * time.Microsecond}
@@ -156,14 +155,13 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 	id := tgt.AddDeviceSegment(1 << 12)
 	off, _ := tgt.SegByID(id).Alloc(64)
 
-	// Cross-rank h2d: wire (gap+L) + DMA (gap+L) + ack (L) at minimum.
+	// Cross-rank h2d: wire (gap+L) + DMA (gap+L) + ack (L).
 	done := false
-	t0 := time.Now()
+	t0 := src.Clock()
 	src.PutSegTag(1, id, off, make([]byte, 64), func() { done = true }, nil, obs.OpTag{})
 	pollDone(t, src, &done)
-	minC := (5 + 40 + 5 + 25 + 40) * time.Microsecond
-	if elapsed := time.Since(t0); elapsed < minC {
-		t.Fatalf("cross-rank h2d took %v, less than wire+DMA floor %v", elapsed, minC)
+	if el, want := src.Clock()-t0, (5+40+5+25+40)*time.Microsecond; el != want {
+		t.Fatalf("cross-rank h2d took %v, want wire+DMA+ack %v", el, want)
 	}
 
 	// Same-rank d2d: one DMA descriptor, no wire.
@@ -172,11 +170,11 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 	a, _ := src.SegByID(id0).Alloc(64)
 	b, _ := src.SegByID(id0b).Alloc(64)
 	done = false
-	t0 = time.Now()
+	t0 = src.Clock()
 	src.CopySegTag(0, id0, a, 0, id0b, b, 64, func() { done = true }, nil, obs.OpTag{})
 	pollDone(t, src, &done)
-	if elapsed := time.Since(t0); elapsed < 30*time.Microsecond {
-		t.Fatalf("same-rank d2d took %v, less than its DMA floor 30µs", elapsed)
+	if el, want := src.Clock()-t0, 30*time.Microsecond; el != want {
+		t.Fatalf("same-rank d2d took %v, want its one DMA %v", el, want)
 	}
 	// The h2d put charged the target rank's engine; the same-rank d2d
 	// copy collapsed to exactly one descriptor on the initiator's.
@@ -187,6 +185,50 @@ func TestKindsCrossRankChargesBothEngines(t *testing.T) {
 		}
 		if n != 1 || ep.Counters().Load(k.Descriptors()) != 1 {
 			t.Fatalf("rank %d: %d DMA descriptors, want exactly one, %s", ep.Rank(), n, k)
+		}
+	}
+}
+
+// TestKindsIncastPerInitiatorQueues pins what the model leaves out: a rank's
+// NIC and copy engine keep one queue per initiating rank, so initiators
+// putting to one device, or getting from one rank, do not contend there.
+// Each finishes at the model time it takes alone. Were they one queue, the
+// bookings of different initiators would depend on how the host interleaves
+// the ranks.
+func TestKindsIncastPerInitiatorQueues(t *testing.T) {
+	net := &LogGP{L: 40 * time.Microsecond, Gp: 5 * time.Microsecond}
+	dma := &PCIeDMA{L: 25 * time.Microsecond, Gp: 5 * time.Microsecond}
+	const k = 4
+	run := func(initiators int) []time.Duration {
+		n := NewNetwork(Config{Ranks: 1 + initiators, RanksPerNode: 1, Model: net, DMA: dma})
+		defer n.Close()
+		tgt := n.Endpoint(0)
+		id := tgt.AddDeviceSegment(1 << 12)
+		off, _ := tgt.SegByID(id).Alloc(64)
+		left := make([]int, 1+initiators)
+		for r := 1; r <= initiators; r++ {
+			ep := n.Endpoint(Rank(r))
+			left[r] = 2 * k
+			for i := 0; i < k; i++ {
+				ep.PutSegTag(0, id, off, make([]byte, 64), func() { left[r]-- }, nil, obs.OpTag{})
+				ep.Get(0, 0, make([]byte, 64), func() { left[r]-- })
+			}
+		}
+		var took []time.Duration
+		for r := 1; r <= initiators; r++ {
+			ep := n.Endpoint(Rank(r))
+			for left[r] > 0 {
+				ep.Poll()
+			}
+			took = append(took, ep.Clock())
+		}
+		return took
+	}
+	alone := run(1)[0]
+	for r, el := range run(3) {
+		if el != alone {
+			t.Fatalf("initiator %d of 3 took %v to put %d to one device and get %d from its rank; alone it takes %v",
+				r+1, el, k, k, alone)
 		}
 	}
 }

@@ -1,140 +1,123 @@
 package gasnet
 
 import (
+	"sync"
 	"time"
 
 	"upcxx/internal/obs"
 )
 
-// loggp is the engine-timed in-process backend: loopback's data movement
-// with every hop charged its LogGP (network) or DMAModel (copy engine)
-// cost in real time. Initiator overhead is spun on the calling goroutine;
-// gaps serialize on the delivery engine's per-rank NIC and DMA channels,
-// and its goroutine moves the bytes once a hop's latency has elapsed — no
-// initiator or target CPU attentiveness needed.
+// loggp is the model-time in-process backend: loopback's data movement with
+// every hop charged its LogGP (network) or DMAModel (copy engine) cost on the
+// model clocks. The initiator's overhead advances its rank's clock; each hop
+// books its sender's NIC or copy-engine channel and lands gap+latency later;
+// the bytes move inside the call, and what the landing tells a rank — a
+// completion, an Active Message — reaches it through the rank's queue, stamped
+// with the landing time, where it is harvested once the rank's clock reaches
+// the stamp. No goroutine delivers anything and nothing reads the wall clock.
+//
+// A rank's NIC and copy engine keep one queue per initiating rank: the hops a
+// rank starts serialize on every channel they cross, its own and its peers',
+// and hops different ranks start do not contend. So every booking is made by
+// the initiator, in its program order, at its clock, and model time depends on
+// what each rank does, never on how the host interleaves the ranks.
 type loggp struct {
 	loopback // info and failure: an in-process conduit like any other
 	m        *LogGP
 	dma      DMAModel
-	eng      *engine
+	ranks    int
+
+	mu       sync.Mutex               // guards the channels
+	nic, eng []Channel[time.Duration] // [owner*ranks+initiator]: the NIC, the device copy engine
+}
+
+func newLogGP(m *LogGP, dma DMAModel, ranks int) *loggp {
+	return &loggp{m: m, dma: dma, ranks: ranks,
+		nic: make([]Channel[time.Duration], ranks*ranks), eng: make([]Channel[time.Duration], ranks*ranks)}
 }
 
 // cost prices hop h of an n-byte transfer: the CPU overhead it charges
 // when it opens the chain, the channel it occupies (the sender's NIC or
 // copy engine; nil for a hardware ack) and its gap and latency there.
-func (b *loggp) cost(net *Network, h hop, n int) (o time.Duration, ch []time.Time, gap, lat time.Duration) {
+func (b *loggp) cost(net *Network, h hop, n int) (o time.Duration, ch []Channel[time.Duration], gap, lat time.Duration) {
 	intra := net.Intra(h.from, h.to)
 	switch h.kind {
 	case hopRequest, hopNotify:
-		return b.m.Overhead(0, intra), b.eng.nicFree, b.m.Gap(0, intra), b.m.Latency(0, intra)
+		return b.m.Overhead(0, intra), b.nic, b.m.Gap(0, intra), b.m.Latency(0, intra)
 	case hopWire, hopLocal:
-		return b.m.Overhead(n, intra), b.eng.nicFree, b.m.Gap(n, intra), b.m.Latency(n, intra)
+		return b.m.Overhead(n, intra), b.nic, b.m.Gap(n, intra), b.m.Latency(n, intra)
 	case hopD2H, hopH2D:
-		return b.dma.Overhead(n), b.eng.dmaFree, b.dma.Gap(n, false), b.dma.Latency(n, false)
+		return b.dma.Overhead(n), b.eng, b.dma.Gap(n, false), b.dma.Latency(n, false)
 	case hopD2D:
-		return b.dma.Overhead(n), b.eng.dmaFree, b.dma.Gap(n, true), b.dma.Latency(n, true)
+		return b.dma.Overhead(n), b.eng, b.dma.Gap(n, true), b.dma.Latency(n, true)
 	default: // hopAck
 		return 0, nil, 0, b.m.Latency(0, intra)
 	}
 }
 
-// chain is one transfer walking its hop plan on the engine.
-type chain struct {
-	b        *loggp
-	ep       *Endpoint
-	x        xfer
-	p        hopPlan
-	i        int                // the hop in flight
-	landedFn func(at time.Time) // c.landed, bound once
-	// payload is what the landing hop writes into db. It starts as the
-	// source memory itself; a put's buffer is captured before transfer
-	// returns (source completion is synchronous), a segment source when
-	// the chain leaves its rank — a hop that stays on one moves in place.
-	payload, db []byte
+// send books rank r's channel ch for a hop initiator init starts, ready at
+// at, and returns when it lands: gap after the channel takes it, plus lat.
+func (b *loggp) send(ch []Channel[time.Duration], r, init Rank, at, gap, lat time.Duration) time.Duration {
+	b.mu.Lock()
+	end := ch[int(r)*b.ranks+int(init)].Book(at, gap)
+	b.mu.Unlock()
+	return end + lat
 }
 
 func (b *loggp) transfer(ep *Endpoint, x xfer, p hopPlan) {
-	c := &chain{b: b, ep: ep, x: x, p: p, payload: ep.bytes(x.src, x.n), db: ep.bytes(x.dst, x.n)}
-	c.landedFn = c.landed
 	o, _, _, _ := b.cost(ep.net, p.hops[0], x.n)
-	spinFor(o)
-	if x.src.isBuf {
-		c.payload = append([]byte(nil), c.payload...)
-	}
+	at := ep.Charge(o)
 	x.tag.Hop(obs.StageCapture, ep.rank, x.captureBytes())
-	c.inject(time.Now())
-}
-
-// inject starts hop c.i no earlier than at.
-func (c *chain) inject(at time.Time) {
-	h := c.p.hops[c.i]
-	if h.kind == hopWire && !c.x.src.isBuf {
-		c.payload = append([]byte(nil), c.payload...)
-	}
-	_, ch, gap, lat := c.b.cost(c.ep.net, h, c.x.n)
-	if ch == nil {
-		c.b.eng.schedule(at.Add(lat), c.landedFn)
-	} else {
-		c.b.eng.injectOn(ch, int(h.from), at, gap, lat, c.landedFn)
-	}
-}
-
-// landed runs on the engine goroutine when hop c.i's latency has elapsed.
-func (c *chain) landed(at time.Time) {
-	x, h, n := &c.x, c.p.hops[c.i], c.x.n
-	switch h.kind {
-	case hopRequest:
-		x.tag.Hop(obs.StageWire, h.to, 0)
-	case hopWire:
-		x.tag.Hop(obs.StageWire, h.to, n)
-	case hopD2H, hopH2D, hopD2D:
-		x.tag.Hop(obs.StageDMA, h.from, n)
-	}
-	if c.i == c.p.land {
-		copy(c.db, c.payload)
-		x.tag.Landing(x.dst.rank, n)
-		c.ep.deliverRemote(x.dst.rank, x.rem)
-		if x.onDone == nil {
-			return // nobody to tell: the return hop is never sent
+	for i, h := range p.hops[:p.nhops] {
+		_, ch, gap, lat := b.cost(ep.net, h, x.n)
+		if ch == nil {
+			at += lat
+		} else {
+			at = b.send(ch, h.from, ep.rank, at, gap, lat)
+		}
+		switch h.kind {
+		case hopRequest:
+			x.tag.Hop(obs.StageWire, h.to, 0)
+		case hopWire:
+			x.tag.Hop(obs.StageWire, h.to, x.n)
+		case hopD2H, hopH2D, hopD2D:
+			x.tag.Hop(obs.StageDMA, h.from, x.n)
+		}
+		if i == p.land {
+			copy(ep.bytes(x.dst, x.n), ep.bytes(x.src, x.n))
+			x.tag.Landing(x.dst.rank, x.n)
+			if x.rem.arm() {
+				ep.net.eps[x.dst.rank].deliverAt(at, inboundAM{src: ep.rank, handler: x.rem.Handler, payload: x.rem.Payload, aux: x.rem.Aux}, obs.OpTag{})
+			}
+			if x.onDone == nil {
+				return // nobody to tell: the return hop is never sent
+			}
 		}
 	}
-	if c.i++; c.i == c.p.nhops {
-		c.ep.enqueueComp(completion{fn: x.onDone})
-		return
-	}
-	c.inject(at)
+	ep.completeAt(at, completion{fn: x.onDone})
 }
 
 func (b *loggp) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
 	n := amLen(head, tail)
 	intra := ep.net.Intra(ep.rank, dst)
-	spinFor(b.m.Overhead(n, intra))
+	at := ep.Charge(b.m.Overhead(n, intra))
 	// The capture is exactly once, exactly here: mutations made after am
-	// returns but before wire delivery are not observed by the target.
+	// returns are not observed by the target.
 	staged := capture(head, tail)
 	tag.Hop(obs.StageCapture, ep.rank, n)
-	tgt := ep.net.eps[dst]
-	b.eng.injectOn(b.eng.nicFree, int(ep.rank), time.Now(), b.m.Gap(n, intra), b.m.Latency(n, intra), func(time.Time) {
-		tgt.enqueueAM(inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux})
-		tag.Landing(dst, n)
-	})
+	at = b.send(b.nic, ep.rank, ep.rank, at, b.m.Gap(n, intra), b.m.Latency(n, intra))
+	ep.net.eps[dst].deliverAt(at, inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux}, tag)
 }
 
 func (b *loggp) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
 	intra := ep.net.Intra(ep.rank, dst)
-	spinFor(b.m.Overhead(8, intra))
+	at := ep.Charge(b.m.Overhead(8, intra))
 	tag.Hop(obs.StageCapture, ep.rank, 8)
-	tgt := ep.net.eps[dst]
 	lat := b.m.Latency(8, intra)
-	b.eng.injectOn(b.eng.nicFree, int(ep.rank), time.Now(), b.m.Gap(8, intra), lat, func(at time.Time) {
-		old := tgt.seg.applyAMO(off, op, op1, op2)
-		tag.Landing(dst, 8)
-		if onResult != nil {
-			b.eng.schedule(at.Add(lat), func(time.Time) {
-				ep.enqueueComp(completion{res: onResult, old: old})
-			})
-		}
-	})
+	at = b.send(b.nic, ep.rank, ep.rank, at, b.m.Gap(8, intra), lat)
+	old := ep.net.eps[dst].seg.applyAMO(off, op, op1, op2)
+	tag.Landing(dst, 8)
+	if onResult != nil {
+		ep.completeAt(at+lat, completion{res: onResult, old: old})
+	}
 }
-
-func (b *loggp) close() { b.eng.stop() }

@@ -11,11 +11,12 @@
 // which is exactly the RDMA contract.
 //
 // Timing is pluggable. With no model the conduit delivers immediately
-// (meant for tests); the LogGP model charges Aries-calibrated injection overhead,
-// per-message gap, per-byte cost and wire latency, enforced in real time by
-// a delivery engine with sub-microsecond spin precision, so that
-// microbenchmarks over this conduit exhibit the latency/bandwidth structure
-// the paper measures.
+// (meant for tests); the LogGP model charges Aries-calibrated injection
+// overhead, per-message gap, per-byte cost and wire latency in model time
+// (sim.go): every rank keeps a clock, and what lands on it waits until the
+// clock reaches its landing time, so microbenchmarks over this conduit
+// exhibit the latency/bandwidth structure the paper measures, exactly and
+// on every run.
 package gasnet
 
 import "time"
@@ -40,7 +41,7 @@ type LogGP struct {
 }
 
 // Overhead is the initiator CPU time consumed injecting the message
-// (LogGP "o"). It is charged synchronously on the calling goroutine.
+// (LogGP "o"). It is charged to the initiating rank's clock.
 func (m *LogGP) Overhead(n int, intra bool) time.Duration {
 	if intra {
 		return m.IntraO

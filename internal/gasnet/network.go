@@ -65,11 +65,11 @@ const DefaultSegmentSize = 8 << 20
 // and the conduit backend every operation is carried by.
 type Network struct {
 	cfg Config
-	gdr bool // every endpoint's engine is GPUDirect-capable
-	// devCost prices synchronous device charges (ChargeFusedFold): the
-	// DMA model under a real-time network model, zero otherwise — with a
-	// zero-delay network device time is free whatever Config.DMA says.
-	devCost DMAModel
+	gdr bool     // every endpoint's engine is GPUDirect-capable
+	dma DMAModel // the device copy engine's costs, Config.DMA defaulted
+	// clocked: a timing model is installed, and every endpoint keeps a model
+	// clock (Charge, Clock) and a timed queue of what lands on it.
+	clocked bool
 	eps     []*Endpoint
 	be      backend // carries operations that leave the initiating rank
 	self    backend // carries rank-local operations (see backendFor)
@@ -100,7 +100,7 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
 		panic("gasnet: Config.Obs sized for a different job")
 	}
-	n := &Network{cfg: cfg, gdr: dma.GPUDirect(), devCost: NoDelayDMA{}, eps: make([]*Endpoint, cfg.Ranks)}
+	n := &Network{cfg: cfg, gdr: dma.GPUDirect(), dma: dma, eps: make([]*Endpoint, cfg.Ranks)}
 	hosted := func(r int) {
 		ep := &Endpoint{rank: Rank(r), net: n, seg: NewSegment(cfg.SegmentSize), notify: make(chan struct{}, 1)}
 		if cfg.Obs != nil {
@@ -132,8 +132,8 @@ func NewNetwork(cfg Config) *Network {
 		n.be, n.self = w, loopback{}
 		return n
 	case cfg.Model != nil:
-		n.be = &loggp{m: cfg.Model, dma: dma, eng: newEngine(cfg.Ranks)}
-		n.devCost = dma
+		n.be = newLogGP(cfg.Model, dma, cfg.Ranks)
+		n.clocked = true
 	default:
 		n.be = loopback{}
 	}
@@ -233,6 +233,14 @@ type Endpoint struct {
 	amSpare   []inboundAM
 
 	notify chan struct{} // 1-slot doorbell for WaitPending
+
+	// Model time (a clocked network only): the rank's clock, in nanoseconds
+	// since the network was made, and what has been sent to the rank stamped
+	// with when it lands — a completion or an AM, harvested into compQ/amQ
+	// once the clock reaches the stamp.
+	clock atomic.Int64
+	tmu   sync.Mutex
+	timed Queue[time.Duration]
 }
 
 type inboundAM struct {
@@ -308,14 +316,76 @@ func (ep *Endpoint) GrowDeviceSegment(id SegID, extra int) {
 // ChargeFusedFold accounts one fused reduction kernel launch on this
 // rank's device: `ways` landed child operands of n bytes each folded
 // into the accumulator by a single launch. The launch occupies the
-// device for the model's FoldGap, charged synchronously (folds run on
-// the rank's execution persona, like RunKernel).
+// device for the model's FoldGap, charged to the rank's clock (folds run
+// on the rank's execution persona, like RunKernel).
 func (ep *Endpoint) ChargeFusedFold(n, ways int) {
 	if ep.ro != nil {
 		ep.ro.Add(obs.FusedFolds, 1)
 		ep.ro.Add(obs.FusedChildren, uint64(ways))
 	}
-	spinFor(ep.net.devCost.FoldGap(n, ways))
+	ep.Charge(ep.net.dma.FoldGap(n, ways))
+}
+
+// Charge advances the rank's model clock by d, the CPU time the rank spends
+// on something the model prices — LogGP overhead, a DMA descriptor, a fused
+// fold, MPI's protocol costs — and returns the clock. Without a timing model
+// it does nothing and returns 0.
+func (ep *Endpoint) Charge(d time.Duration) time.Duration {
+	if !ep.net.clocked {
+		return 0
+	}
+	return time.Duration(ep.clock.Add(int64(d)))
+}
+
+// Clock is the rank's model clock: the model time the rank has spent since
+// the network was made. Always 0 without a timing model.
+func (ep *Endpoint) Clock() time.Duration { return time.Duration(ep.clock.Load()) }
+
+// completeAt queues c to run on this endpoint's completion queue at model time t.
+func (ep *Endpoint) completeAt(t time.Duration, c completion) {
+	ep.schedule(t, func() { ep.enqueueComp(c) })
+}
+
+// deliverAt queues am on this endpoint's AM queue at model time t, when its
+// landing is recorded against tag.
+func (ep *Endpoint) deliverAt(t time.Duration, am inboundAM, tag obs.OpTag) {
+	ep.schedule(t, func() {
+		ep.enqueueAM(am)
+		tag.Landing(ep.rank, len(am.payload))
+	})
+}
+
+func (ep *Endpoint) schedule(t time.Duration, fn func()) {
+	ep.tmu.Lock()
+	ep.timed.At(t, fn)
+	ep.tmu.Unlock()
+	ep.Ring()
+}
+
+// harvest moves what has landed by the rank's clock from its timed queue to
+// the queues Poll drains. A no-op without a timing model.
+func (ep *Endpoint) harvest() {
+	if !ep.net.clocked {
+		return
+	}
+	ep.tmu.Lock()
+	ep.timed.RunUntil(ep.Clock())
+	ep.tmu.Unlock()
+}
+
+// Advance moves the rank's clock to its next event — what a wait does under a
+// timing model: the rank passes model time until something reaches it — and
+// reports whether one waits. Without a timing model it does nothing.
+func (ep *Endpoint) Advance() bool {
+	if !ep.net.clocked {
+		return false
+	}
+	ep.tmu.Lock()
+	t, ok := ep.timed.Next()
+	ep.tmu.Unlock()
+	for c := ep.clock.Load(); ok && c < int64(t) && !ep.clock.CompareAndSwap(c, int64(t)); c = ep.clock.Load() {
+	}
+	return ok
 }
 
 // DeviceSegments returns the number of device segments currently
@@ -450,7 +520,8 @@ var parkTimers sync.Pool
 // WaitPending blocks until a delivery is waiting for Poll or d elapses,
 // reporting whether work is (or may be) pending. Idle waiters use it to
 // give up the processor instead of burning a core; the doorbell is
-// best-effort, so callers must still poll after a timeout.
+// best-effort, so callers must still poll after a timeout. It keeps the
+// model clock: a waiter that passes model time calls Advance first.
 //
 // AMs queued while another goroutine is mid-drain do not count as waiting:
 // the caller's Poll would be refused them (PollAMs coalesces), so
@@ -516,6 +587,7 @@ func (ep *Endpoint) Yield() bool {
 // completion thunks.
 func (ep *Endpoint) PollCompletions() int {
 	ep.net.be.poll(0)
+	ep.harvest()
 	ep.qmu.Lock()
 	comp := ep.compQ
 	if len(comp) == 0 {
@@ -546,6 +618,7 @@ func (ep *Endpoint) PollCompletions() int {
 // time and handlers arriving while draining run on the next call.
 func (ep *Endpoint) PollAMs() int {
 	ep.net.be.poll(0)
+	ep.harvest()
 	ep.qmu.Lock()
 	ams := ep.amQ
 	if ep.polling || len(ams) == 0 {
@@ -570,31 +643,31 @@ func (ep *Endpoint) PollAMs() int {
 }
 
 // Poll drains completions then Active Messages, returning the number of
-// items processed. An empty poll yields the processor so that delivery
+// items processed. An empty poll advances the model clock to the rank's next
+// event and polls again; with none, it yields the processor so that delivery
 // goroutines are never starved by poll loops on few-core hosts.
 func (ep *Endpoint) Poll() int {
 	n := ep.PollCompletions() + ep.PollAMs()
 	if n == 0 {
+		if ep.Advance() {
+			return ep.PollCompletions() + ep.PollAMs()
+		}
 		runtime.Gosched()
 	}
 	return n
 }
 
-// Pending reports whether deliveries are waiting for Poll.
+// Pending reports whether deliveries are waiting for Poll, in model time too.
 func (ep *Endpoint) Pending() bool {
 	ep.qmu.Lock()
-	defer ep.qmu.Unlock()
-	return len(ep.compQ) > 0 || len(ep.amQ) > 0
-}
-
-// spinFor burns CPU for d, modeling initiator software overhead.
-func spinFor(d time.Duration) {
-	if d <= 0 {
-		return
+	queued := len(ep.compQ) > 0 || len(ep.amQ) > 0
+	ep.qmu.Unlock()
+	if queued || !ep.net.clocked {
+		return queued
 	}
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
+	ep.tmu.Lock()
+	defer ep.tmu.Unlock()
+	return ep.timed.Len() > 0
 }
 
 // RemoteAM describes an Active Message to deliver at the *destination*

@@ -2,6 +2,8 @@ package gasnet
 
 import (
 	"encoding/binary"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +97,6 @@ func TestAMRequiresAttentiveness(t *testing.T) {
 	})
 	n.Endpoint(0).AM(1, h, []byte("ping"), 42)
 	// The AM must not run until the target polls.
-	time.Sleep(time.Millisecond)
 	if executed {
 		t.Fatal("AM executed without target attentiveness")
 	}
@@ -248,59 +249,78 @@ func TestNodeMapping(t *testing.T) {
 	}
 }
 
-func TestRealtimeModelLatency(t *testing.T) {
-	// With a LogGP model installed, a put round trip must take at least
-	// o + gap + L + L(ack).
+// TestModelTimePutRoundTrip: under a LogGP model a blocking put's round trip
+// is exactly its model cost on the initiator's clock — o, the NIC gap and L
+// out, L back for the NIC's ack — and the ack is not there when the call
+// returns: the put completes after it.
+func TestModelTimePutRoundTrip(t *testing.T) {
 	model := &LogGP{O: 10 * time.Microsecond, L: 30 * time.Microsecond, Gp: 5 * time.Microsecond}
 	n := NewNetwork(Config{Ranks: 2, RanksPerNode: 1, Model: model})
 	defer n.Close()
 	src := n.Endpoint(0)
-	dst := n.Endpoint(1)
-	off, _ := dst.Segment().Alloc(8)
-	min := 10*time.Microsecond + 5*time.Microsecond + 2*30*time.Microsecond
-	// The lower bound is a hard model property; the upper bound depends
-	// on OS scheduling, so take the best of several round trips before
-	// declaring the engine wildly slow.
-	best := time.Duration(1 << 62)
-	for attempt := 0; attempt < 5; attempt++ {
+	off, _ := n.Endpoint(1).Segment().Alloc(8)
+	for i := 0; i < 3; i++ {
 		done := false
-		t0 := time.Now()
+		t0 := src.Clock()
 		src.Put(1, off, make([]byte, 8), func() { done = true })
-		for !done {
-			src.Poll()
+		if src.PollCompletions(); done {
+			t.Fatal("the put's ack was harvested before the clock reached it")
 		}
-		elapsed := time.Since(t0)
-		if elapsed < min {
-			t.Fatalf("round trip %v faster than model minimum %v", elapsed, min)
+		pollUntil(t, src, func() bool { return done })
+		if rt, want := src.Clock()-t0, model.O+model.Gp+2*model.L; rt != want {
+			t.Fatalf("round trip %d: %v on the model clock, want o+g+2L = %v", i, rt, want)
 		}
-		if elapsed < best {
-			best = elapsed
-		}
-	}
-	if best > 100*min {
-		t.Fatalf("best round trip %v wildly slower than model minimum %v", best, min)
 	}
 }
 
-func TestRealtimeBandwidthGap(t *testing.T) {
-	// Flooding k messages must take at least k * gap at the source NIC.
-	model := &LogGP{Gp: 20 * time.Microsecond, L: time.Microsecond}
+// TestModelTimeFloodAcks: k puts issued back to back serialize on the
+// source NIC — each occupies it for the gap, longer than o — so the i-th is
+// acked exactly at o + (i+1)·g + 2L, the clock reading its ack's landing.
+func TestModelTimeFloodAcks(t *testing.T) {
+	model := &LogGP{O: 2 * time.Microsecond, Gp: 20 * time.Microsecond, L: time.Microsecond}
 	n := NewNetwork(Config{Ranks: 2, RanksPerNode: 1, Model: model})
 	defer n.Close()
 	src := n.Endpoint(0)
-	dst := n.Endpoint(1)
-	off, _ := dst.Segment().Alloc(8)
+	off, _ := n.Endpoint(1).Segment().Alloc(8)
 	const k = 10
-	remaining := k
-	t0 := time.Now()
+	var acked []time.Duration
 	for i := 0; i < k; i++ {
-		src.Put(1, off, make([]byte, 8), func() { remaining-- })
+		src.Put(1, off, make([]byte, 8), func() { acked = append(acked, src.Clock()) })
 	}
-	for remaining > 0 {
-		src.Poll()
+	pollUntil(t, src, func() bool { return len(acked) == k })
+	for i, at := range acked {
+		if want := model.O + time.Duration(i+1)*model.Gp + 2*model.L; at != want {
+			t.Fatalf("put %d acked at %v, want its NIC-serialized %v (all: %v)", i, at, want, acked)
+		}
 	}
-	if elapsed := time.Since(t0); elapsed < k*20*time.Microsecond {
-		t.Fatalf("flood of %d took %v, less than NIC serialization %v", k, elapsed, k*20*time.Microsecond)
+}
+
+// TestModelNetworkStartsNoGoroutine: the loggp backend runs in model time.
+// Nothing is delivered by a goroutine of its own, so a modelled network
+// carrying a put, an atomic and an AM leaves behind no goroutine it started.
+func TestModelNetworkStartsNoGoroutine(t *testing.T) {
+	stack := make([]byte, 64)
+	stack = stack[:runtime.Stack(stack, false)] // "goroutine 7 [running]: ..."
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(stack), "goroutine "), " ")
+	startedHere := "in goroutine " + id + "\n"
+
+	n := NewNetwork(Config{Ranks: 2, RanksPerNode: 1, Model: Aries(), DMA: PCIe3()})
+	defer n.Close()
+	a, b := n.Endpoint(0), n.Endpoint(1)
+	got := false
+	h := n.RegisterAM(func(*Endpoint, Rank, []byte, any) { got = true })
+	off, _ := b.Segment().Alloc(8)
+	acks := 0
+	a.Put(1, off, make([]byte, 8), func() { acks++ })
+	a.AMO(1, off, AMOAdd, 1, 0, func(uint64) { acks++ })
+	a.AM(1, h, []byte("x"), nil)
+	pollUntil(t, a, func() bool { return acks == 2 })
+	pollUntil(t, b, func() bool { return got })
+
+	all := make([]byte, 1<<20)
+	all = all[:runtime.Stack(all, true)]
+	if strings.Contains(string(all), startedHere) {
+		t.Fatalf("a modelled network started a goroutine:\n%s", all)
 	}
 }
 

@@ -31,8 +31,9 @@ const (
 )
 
 // Protocol holds the tunable software-cost model of the MPI
-// implementation. Costs are charged as real CPU spin time when the
-// underlying conduit has a timing model, and skipped entirely otherwise.
+// implementation. Each cost is charged to the calling rank's model clock
+// (gasnet's Endpoint.Charge) when the conduit has a timing model, and
+// skipped entirely otherwise.
 type Protocol struct {
 	EagerMax int // largest eager (payload-in-message) send, bytes
 
@@ -110,7 +111,6 @@ type World struct {
 	net   *gasnet.Network
 	procs []*Proc
 	proto Protocol
-	timed bool // charge software costs (model installed)
 
 	amEager gasnet.HandlerID
 	amRTS   gasnet.HandlerID
@@ -123,7 +123,7 @@ func NewWorld(cfg Config) *World {
 	if cfg.Protocol != nil {
 		proto = *cfg.Protocol
 	}
-	w := &World{proto: proto, timed: cfg.Model != nil}
+	w := &World{proto: proto}
 	w.net = gasnet.NewNetwork(gasnet.Config{
 		Ranks:        cfg.Ranks,
 		RanksPerNode: cfg.RanksPerNode,
@@ -177,16 +177,6 @@ func Run(n int, fn func(p *Proc)) {
 	w.Run(fn)
 }
 
-// charge burns CPU for d when the job has a timing model.
-func (p *Proc) charge(d time.Duration) {
-	if !p.w.timed || d <= 0 {
-		return
-	}
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
-}
-
 // Proc is one MPI process. All methods must be called from the process's
 // own goroutine.
 type Proc struct {
@@ -210,6 +200,10 @@ func (p *Proc) Rank() int { return p.me }
 
 // Size returns the job size.
 func (p *Proc) Size() int { return p.n }
+
+// Clock returns the process's model clock (Endpoint.Clock): the model time
+// it has spent, 0 without a timing model.
+func (p *Proc) Clock() time.Duration { return p.ep.Clock() }
 
 type inMsg struct {
 	src, tag int

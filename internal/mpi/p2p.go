@@ -23,7 +23,7 @@ import (
 
 // Isend begins a non-blocking tagged send of buf to dst.
 func (p *Proc) Isend(buf []byte, dst, tag int) *Request {
-	p.charge(p.w.proto.SendOverhead)
+	p.ep.Charge(p.w.proto.SendOverhead)
 	req := &Request{}
 	if len(buf) <= p.w.proto.EagerMax {
 		payload := append(packHeader(p.me, tag, 0, 0, len(buf)), buf...)
@@ -52,7 +52,7 @@ func (p *Proc) Isend(buf []byte, dst, tag int) *Request {
 // Irecv posts a non-blocking receive into buf from src (or AnySource) with
 // tag (or AnyTag). buf must be large enough for the matched message.
 func (p *Proc) Irecv(buf []byte, src, tag int) *Request {
-	p.charge(p.w.proto.RecvOverhead)
+	p.ep.Charge(p.w.proto.RecvOverhead)
 	req := &Request{}
 	rr := &recvReq{req: req, buf: buf, src: src, tag: tag}
 	// Check the unexpected queue first (FIFO).
@@ -86,7 +86,7 @@ type recvReq struct {
 
 // deliver completes a matched receive from an arrived message.
 func (p *Proc) deliver(rr *recvReq, m inMsg) {
-	p.charge(p.w.proto.MatchCost)
+	p.ep.Charge(p.w.proto.MatchCost)
 	if m.rts == nil {
 		if len(m.eager) > len(rr.buf) {
 			panic(fmt.Sprintf("mpi: rank %d truncation: %d-byte message into %d-byte buffer",
@@ -125,7 +125,7 @@ func (w *World) handleEager(ep *gasnet.Endpoint, _ gasnet.Rank, payload []byte, 
 	// cost real MPIs pay (charged per KB).
 	cp := append([]byte(nil), m.eager...)
 	m.eager = cp
-	p.charge(time.Duration(w.proto.UnexpectedPer) * time.Duration(1+nbytes/1024))
+	p.ep.Charge(time.Duration(w.proto.UnexpectedPer) * time.Duration(1+nbytes/1024))
 	p.unexpected = append(p.unexpected, m)
 }
 

@@ -72,7 +72,7 @@ func (w *Win) Put(src []byte, target, disp int) {
 	}
 	// Software injection path: base cost plus the banded FMA per-byte
 	// CPU cost.
-	p.charge(p.w.proto.RMAPutBase + p.w.proto.PutCPUBytes(n))
+	p.ep.Charge(p.w.proto.RMAPutBase + p.w.proto.PutCPUBytes(n))
 	t := &w.pending[target]
 	if n > t.maxSize {
 		t.maxSize = n
@@ -99,7 +99,7 @@ func (w *Win) Get(dst []byte, target, disp int) {
 	if disp+n > w.size {
 		panic(fmt.Sprintf("mpi: Get of %d bytes at disp %d exceeds window size %d", n, disp, w.size))
 	}
-	p.charge(p.w.proto.RMAPutBase + p.w.proto.PutCPUBytes(n))
+	p.ep.Charge(p.w.proto.RMAPutBase + p.w.proto.PutCPUBytes(n))
 	t := &w.pending[target]
 	if n > t.maxSize {
 		t.maxSize = n
@@ -128,7 +128,7 @@ func (w *Win) Flush(target int) {
 	if sync {
 		cost += p.w.proto.RMAFlushSync
 	}
-	p.charge(cost)
+	p.ep.Charge(cost)
 	t.maxSize = 0
 }
 

@@ -2,7 +2,7 @@ package task
 
 // Race-conformance matrix and semantics tests for the distributed task
 // runtime: {AsyncAt, AsyncAtFF, Finish} × {self, cross} × {steal-on,
-// steal-off} × {zero-delay, LogGP real-time} worlds, plus steal
+// steal-off} × {zero-delay, LogGP model-time} worlds, plus steal
 // migration placement, cascade termination (no premature Finish, no
 // missed quiescence), task groups, and the observability counters. The
 // whole package runs under -race in CI (make race).

@@ -14,6 +14,7 @@ package upcxx01
 
 import (
 	"fmt"
+	"time"
 
 	core "upcxx/internal/core"
 	"upcxx/internal/serial"
@@ -68,10 +69,11 @@ func (e *Event) decref() {
 // Done reports whether all registered operations have completed.
 func (e *Event) Done() bool { return e.pending == 0 }
 
-// Wait spins progress until the event is signaled (v0.1 event::wait()).
+// Wait drives progress until the event is signaled (v0.1 event::wait()),
+// idling between empty passes as a blocked wait does.
 func (e *Event) Wait() {
 	for e.pending > 0 {
-		e.rt.rk.Progress()
+		e.rt.rk.ProgressWait(200 * time.Microsecond)
 	}
 }
 

@@ -192,7 +192,7 @@ type (
 	// NoDelayDMA is the zero-cost engine; set GDR to flip the
 	// capability bit without adding timing.
 	NoDelayDMA = gasnet.NoDelayDMA
-	// PCIeDMA is the calibrated real-time engine.
+	// PCIeDMA is the calibrated engine, charged in model time.
 	PCIeDMA = gasnet.PCIeDMA
 )
 
