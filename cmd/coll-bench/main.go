@@ -16,20 +16,21 @@
 // exchanges with every member directly, serializing p-1 messages on one
 // NIC. The sweep shows the k-nomial trees beating it from ~16 ranks and
 // decisively at 32+ on the Aries model. Measured columns are model time
-// (Rank.Clock): every rank charges its own overheads to its own clock, so
-// they are the same on every host and every run.
+// (Rank.Clock): every rank charges its own overheads to its own clock, and
+// the golden test (main_test.go) pins the printed figure against
+// testdata/figure.golden.
 //
 // Usage:
 //
-//	go run ./cmd/coll-bench [-ranks 8,16,32] [-radices 1,2,4,8] [-iters 8]
-//	                        [-device-elems 128] [-model-only] [-no-device]
+//	go run ./cmd/coll-bench
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,44 +40,16 @@ import (
 	"upcxx/internal/stats"
 )
 
-var (
-	ranksFlag  = flag.String("ranks", "8,16,32", "team sizes to sweep")
-	radixFlag  = flag.String("radices", "1,2,4,8", "tree radices to sweep (1 = flat)")
-	iters      = flag.Int("iters", 8, "rounds per measurement")
-	devElems   = flag.Int("device-elems", 128, "float64 elements per rank in the device allreduce")
-	modelOnly  = flag.Bool("model-only", false, "print only the closed-form predictions (fast)")
-	noDevice   = flag.Bool("no-device", false, "skip the device-kind sweep")
-	withStats  = flag.Bool("stats", false, "record runtime stats in every measured world and dump the merged counters (incl. collective tree rounds) of the last one at exit")
-	collHeader = 40 // approximate collective header AM size in bytes
+const (
+	iters      = 8   // rounds per measurement
+	devElems   = 128 // float64 elements per rank in the device allreduce
+	collHeader = 40  // approximate collective header AM size in bytes
 )
 
-// lastSnap holds the merged counters of the most recent stats-enabled
-// measured world, printed at exit under -stats.
 var (
-	lastSnap obs.Snapshot
-	haveSnap bool
+	ranks   = []int{8, 16, 32}  // team sizes swept
+	radices = []int{1, 2, 4, 8} // tree radices swept (1 = flat)
 )
-
-// captureStats is called by rank 0 at the end of each measured run.
-func captureStats(rk *core.Rank) {
-	if rk.Me() == 0 && rk.StatsEnabled() {
-		lastSnap = rk.World().StatsMerged()
-		haveSnap = true
-	}
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "coll-bench: bad list entry %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
 
 // bcastModel predicts the time for the last leaf of the engine's tree
 // (radix as Config.CollRadix) to receive a broadcast of nbytes: each
@@ -100,7 +73,7 @@ func bcastModel(p, radix, nbytes int, m *gasnet.LogGP) time.Duration {
 
 // perRound is the model time rank 0 spent per round since t0.
 func perRound(rk *core.Rank, t0 time.Duration) float64 {
-	return (rk.Clock() - t0).Seconds() / float64(*iters)
+	return (rk.Clock() - t0).Seconds() / float64(iters)
 }
 
 // measureRound times one broadcast+reduce round of an 8-byte value on
@@ -108,7 +81,7 @@ func perRound(rk *core.Rank, t0 time.Duration) float64 {
 func measureRound(p, radix int) float64 {
 	var per float64
 	core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
-		CollRadix: radix, SegmentSize: 1 << 20, Stats: *withStats}, func(rk *core.Rank) {
+		CollRadix: radix, SegmentSize: 1 << 20}, func(rk *core.Rank) {
 		world := rk.WorldTeam()
 		sum := func(a, b int64) int64 { return a + b }
 		// Warm-up round.
@@ -116,7 +89,7 @@ func measureRound(p, radix int) float64 {
 		core.ReduceOne(world, int64(1), sum).Wait()
 		rk.Barrier()
 		t0 := rk.Clock()
-		for i := 0; i < *iters; i++ {
+		for i := 0; i < iters; i++ {
 			core.Broadcast(world, 0, int64(i)).Wait()
 			core.ReduceOne(world, int64(1), sum).Wait()
 		}
@@ -127,15 +100,10 @@ func measureRound(p, radix int) float64 {
 		// until the root is done too, it sends nothing up that its parent,
 		// still folding, could harvest ahead of a slower sibling's partial.
 		core.Broadcast(world, 0, int64(0)).Wait()
-		captureStats(rk)
 		rk.Barrier()
 	})
 	return per
 }
-
-// pinViolation records the first datapath-pin failure seen by a measured
-// device world (empty: all pins held). Reported and fatal at exit.
-var pinViolation string
 
 // checkDevicePins verifies, from one measured device world's merged
 // counters, that the run took the datapath its configuration promises:
@@ -143,12 +111,9 @@ var pinViolation string
 // folds all its arrived children with a single kernel), and — under a
 // GPUDirect DMA model — zero bounced d2d descriptors (all direct), vs
 // all-bounced without it.
-func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) {
-	if rk.Me() != 0 || !rk.StatsEnabled() {
-		return
-	}
+func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) error {
 	s := rk.World().StatsMerged()
-	nops := uint64(*iters + 1) // warm-up + timed rounds
+	nops := uint64(iters + 1) // warm-up + timed rounds
 	internal := 0
 	for rr := 0; rr < p; rr++ {
 		if len(core.CollTopoChildren(radix, rr, p)) > 0 {
@@ -158,18 +123,17 @@ func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) {
 	folds, children := s.Counters[obs.FusedFolds], s.Counters[obs.FusedChildren]
 	direct, bounced := s.Counters[obs.DMAD2DDirect.Descriptors()], s.Counters[obs.DMAD2DBounced.Descriptors()]
 	if folds != uint64(internal)*nops || children != uint64(p-1)*nops {
-		pinViolation = fmt.Sprintf("p=%d radix=%d: fused folds launches=%d children=%d, want %d launches (1 per parent round) folding %d children",
+		return fmt.Errorf("p=%d radix=%d: fused folds launches=%d children=%d, want %d launches (1 per parent round) folding %d children",
 			p, radix, folds, children, uint64(internal)*nops, uint64(p-1)*nops)
-		return
 	}
 	if p > 1 && gdr && (bounced != 0 || direct == 0) {
-		pinViolation = fmt.Sprintf("p=%d radix=%d gdr: d2d-direct=%d d2d-bounced=%d, want all direct",
+		return fmt.Errorf("p=%d radix=%d gdr: d2d-direct=%d d2d-bounced=%d, want all direct",
 			p, radix, direct, bounced)
-		return
 	}
 	if p > 1 && !gdr && bounced == 0 {
-		pinViolation = fmt.Sprintf("p=%d radix=%d bounced: no d2d-bounced descriptors recorded", p, radix)
+		return fmt.Errorf("p=%d radix=%d bounced: no d2d-bounced descriptors recorded", p, radix)
 	}
+	return nil
 }
 
 // measureDeviceAllReduce times AllReduceBufWith over device-resident
@@ -177,11 +141,12 @@ func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) {
 // copies, fused RunKernel folds, no host staging). With gdr the DMA model
 // is GPUDirect-capable and the exchange copies skip the host bounce.
 // Stats stay on: the descriptor-kind and fused-fold counters are the pin
-// that the sweep took the configured datapath.
-func measureDeviceAllReduce(p, radix, elems int, gdr bool) float64 {
+// that the sweep took the configured datapath; a violated pin is the error.
+func measureDeviceAllReduce(p, radix, elems int, gdr bool) (float64, error) {
 	dma := gasnet.PCIe3()
 	dma.GDR = gdr
 	var per float64
+	var pin error
 	core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
 		DMA: dma, CollRadix: radix, SegmentSize: 1 << 20, Stats: true}, func(rk *core.Rank) {
 		da := core.NewDeviceAllocator(rk, 1<<22)
@@ -196,23 +161,21 @@ func measureDeviceAllReduce(p, radix, elems int, gdr bool) float64 {
 		core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait() // warm up
 		rk.Barrier()
 		t0 := rk.Clock()
-		for i := 0; i < *iters; i++ {
+		for i := 0; i < iters; i++ {
 			core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait()
 		}
 		if rk.Me() == 0 {
 			per = perRound(rk, t0)
+			pin = checkDevicePins(rk, p, radix, gdr)
 		}
-		checkDevicePins(rk, p, radix, gdr)
-		captureStats(rk)
 		rk.Barrier()
 	})
-	return per
+	return per, pin
 }
 
-func main() {
-	flag.Parse()
-	ranks := parseInts(*ranksFlag)
-	radices := parseInts(*radixFlag)
+// run prints the host table and the device table, then checks the device
+// datapath pins.
+func run(w io.Writer) error {
 	aries := gasnet.Aries()
 
 	radixName := func(r int) string {
@@ -234,28 +197,17 @@ func main() {
 	}
 	for _, r := range radices {
 		model := &stats.Series{Name: radixName(r) + " (model)"}
-		var meas *stats.Series
-		if !*modelOnly {
-			meas = &stats.Series{Name: radixName(r) + " (measured)"}
-		}
+		meas := &stats.Series{Name: radixName(r) + " (measured)"}
 		for _, p := range ranks {
 			model.Add(float64(p), 2*bcastModel(p, r, collHeader, aries).Seconds()*1e6)
-			if !*modelOnly {
-				meas.Add(float64(p), measureRound(p, r)*1e6)
-			}
+			meas.Add(float64(p), measureRound(p, r)*1e6)
 		}
-		host.Series = append(host.Series, model)
-		if meas != nil {
-			host.Series = append(host.Series, meas)
-		}
+		host.Series = append(host.Series, model, meas)
 	}
 	// Auto-tuned comparison row: CollRadix 0 with a timing model makes the
 	// world pick its radix from the closed-form LogGP tree time at creation.
 	autoModel := &stats.Series{Name: "auto (model)"}
-	var autoMeas *stats.Series
-	if !*modelOnly {
-		autoMeas = &stats.Series{Name: "auto (measured)"}
-	}
+	autoMeas := &stats.Series{Name: "auto (measured)"}
 	picks := make([]string, 0, len(ranks))
 	for _, p := range ranks {
 		pick := core.AutoRadix(aries, p)
@@ -265,52 +217,50 @@ func main() {
 		}
 		picks = append(picks, fmt.Sprintf("%d ranks -> %s", p, name))
 		autoModel.Add(float64(p), 2*bcastModel(p, pick, collHeader, aries).Seconds()*1e6)
-		if autoMeas != nil {
-			autoMeas.Add(float64(p), measureRound(p, 0)*1e6)
-		}
+		autoMeas.Add(float64(p), measureRound(p, 0)*1e6)
 	}
-	host.Series = append(host.Series, autoModel)
-	if autoMeas != nil {
-		host.Series = append(host.Series, autoMeas)
+	host.Series = append(host.Series, autoModel, autoMeas)
+
+	host.Fprint(w)
+	fmt.Fprintf(w, "auto-tuned radix (CollRadix 0 + model): %s\n", strings.Join(picks, ", "))
+	fmt.Fprintln(w)
+
+	dev := &stats.Table{
+		Title: fmt.Sprintf("Device allreduce latency, us (%d float64/rank, Aries + PCIe3 models; lower is better)",
+			devElems),
+		XLabel: "ranks",
+		XFmt:   func(v float64) string { return fmt.Sprintf("%d", int(v)) },
+		YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
 	}
-
-	host.Fprint(os.Stdout)
-	fmt.Printf("auto-tuned radix (CollRadix 0 + model): %s\n", strings.Join(picks, ", "))
-	fmt.Println()
-
-	if !*noDevice && !*modelOnly {
-		dev := &stats.Table{
-			Title: fmt.Sprintf("Device allreduce latency, us (%d float64/rank, Aries + PCIe3 models; lower is better)",
-				*devElems),
-			XLabel: "ranks",
-			XFmt:   func(v float64) string { return fmt.Sprintf("%d", int(v)) },
-			YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
+	var pinErr error
+	for _, r := range radices {
+		meas := &stats.Series{Name: radixName(r) + " (measured)"}
+		gdr := &stats.Series{Name: radixName(r) + " (gdr)"}
+		for _, p := range ranks {
+			bounced, errB := measureDeviceAllReduce(p, r, devElems, false)
+			direct, errD := measureDeviceAllReduce(p, r, devElems, true)
+			meas.Add(float64(p), bounced*1e6)
+			gdr.Add(float64(p), direct*1e6)
+			pinErr = cmp.Or(pinErr, errB, errD)
 		}
-		for _, r := range radices {
-			meas := &stats.Series{Name: radixName(r) + " (measured)"}
-			gdr := &stats.Series{Name: radixName(r) + " (gdr)"}
-			for _, p := range ranks {
-				meas.Add(float64(p), measureDeviceAllReduce(p, r, *devElems, false)*1e6)
-				gdr.Add(float64(p), measureDeviceAllReduce(p, r, *devElems, true)*1e6)
-			}
-			dev.Series = append(dev.Series, meas, gdr)
-		}
-		dev.Fprint(os.Stdout)
-		fmt.Println()
-		if pinViolation != "" {
-			fmt.Fprintf(os.Stderr, "coll-bench: datapath pin violated: %s\n", pinViolation)
-			os.Exit(1)
-		}
-		fmt.Println("# device pins ok: 1 fused fold launch per parent round; gdr worlds all d2d-direct, plain all d2d-bounced")
-		fmt.Println()
+		dev.Series = append(dev.Series, meas, gdr)
 	}
+	dev.Fprint(w)
+	fmt.Fprintln(w)
+	if pinErr != nil {
+		return fmt.Errorf("datapath pin violated: %w", pinErr)
+	}
+	fmt.Fprintln(w, "# device pins ok: 1 fused fold launch per parent round; gdr worlds all d2d-direct, plain all d2d-bounced")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "radix 1 is the flat tree (the root serializes p-1 messages on one NIC);")
+	fmt.Fprintln(w, "k-nomial trees trade per-parent fan-out against tree depth and win from ~16 ranks.")
+	return nil
+}
 
-	fmt.Println("radix 1 is the flat tree (the root serializes p-1 messages on one NIC);")
-	fmt.Println("k-nomial trees trade per-parent fan-out against tree depth and win from ~16 ranks.")
-
-	if *withStats && haveSnap {
-		fmt.Println()
-		fmt.Println("runtime stats (merged across ranks, last measured world):")
-		obs.Fprint(os.Stdout, lastSnap)
+func main() {
+	flag.Parse() // it declares none: a stale flag fails instead of being ignored
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "coll-bench:", err)
+		os.Exit(1)
 	}
 }

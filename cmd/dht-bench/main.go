@@ -27,7 +27,6 @@ import (
 
 	"upcxx/internal/dht"
 	"upcxx/internal/expmodel"
-	"upcxx/internal/obs"
 	"upcxx/internal/stats"
 
 	core "upcxx/internal/core"
@@ -39,23 +38,7 @@ var (
 	real      = flag.Bool("real", false, "also run the real in-process runtime at small P")
 	pipelined = flag.Bool("pipelined", false, "compare blocking vs pipelined (source-cx) insert loops on the real runtime")
 	batch     = flag.Bool("batch", false, "sweep the batched-insert loop (per-home-rank message coalescing) over batch sizes on the real runtime")
-	withStats = flag.Bool("stats", false, "record runtime stats in the real-runtime worlds (via the UPCXX_STATS knob) and dump the merged counters of the last one at exit")
 )
-
-// lastSnap holds the merged counters of the most recent stats-enabled
-// real-runtime world, printed at exit under -stats.
-var (
-	lastSnap obs.Snapshot
-	haveSnap bool
-)
-
-// captureStats is called by rank 0 at the end of each real-runtime run.
-func captureStats(rk *core.Rank) {
-	if rk.Me() == 0 && rk.StatsEnabled() {
-		lastSnap = rk.World().StatsMerged()
-		haveSnap = true
-	}
-}
 
 // elemSizes are the value sizes swept (same total volume per size, per
 // the paper's setup).
@@ -103,7 +86,6 @@ func realRuns() *stats.Table {
 				rk.Barrier()
 				res := dht.RunInsertBench(rk, d, cfg)
 				rates[rk.Me()] = res.InsertsPerSec()
-				captureStats(rk)
 				rk.Barrier()
 			})
 			agg := 0.0
@@ -144,7 +126,6 @@ func pipelinedRuns() *stats.Table {
 					res = dht.RunInsertBench(rk, d, cfg)
 				}
 				rates[rk.Me()] = res.InsertsPerSec()
-				captureStats(rk)
 				rk.Barrier()
 			})
 			agg := 0.0
@@ -189,7 +170,6 @@ func batchRuns() *stats.Table {
 				rk.Barrier()
 				res := dht.RunInsertBatchBench(rk, d, cfg, bsz)
 				rates[rk.Me()] = res.InsertsPerSec()
-				captureStats(rk)
 				rk.Barrier()
 			})
 			agg := 0.0
@@ -208,11 +188,6 @@ func batchRuns() *stats.Table {
 
 func main() {
 	flag.Parse()
-	if *withStats {
-		// The real-runtime worlds are created inside internal/dht
-		// helpers with plain configs; the env knob reaches all of them.
-		os.Setenv("UPCXX_STATS", "1")
-	}
 	emit := func(t *stats.Table) {
 		t.Fprint(os.Stdout)
 		fmt.Println()
@@ -231,9 +206,5 @@ func main() {
 	}
 	if *batch {
 		emit(batchRuns())
-	}
-	if *withStats && haveSnap {
-		fmt.Println("runtime stats (merged across ranks, last real-runtime world):")
-		obs.Fprint(os.Stdout, lastSnap)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"upcxx/internal/expmodel"
 	"upcxx/internal/matgen"
 	"upcxx/internal/mpi"
-	"upcxx/internal/obs"
 	"upcxx/internal/sparse"
 	"upcxx/internal/stats"
 
@@ -32,18 +31,10 @@ import (
 )
 
 var (
-	scale     = flag.Int("scale", 1, "problem scale (1: 30^3 proxy grid)")
-	block     = flag.Int("block", 16, "2D block-cyclic block size")
-	machine   = flag.String("machine", "both", "haswell, knl, or both")
-	realP     = flag.Int("real", 0, "if > 0, also run the real implementations at this process count")
-	withStats = flag.Bool("stats", false, "record runtime stats in the real UPC++ world and dump the merged counters at exit (needs -real)")
-)
-
-// lastSnap holds the merged counters of the real UPC++ world, printed at
-// exit under -stats.
-var (
-	lastSnap obs.Snapshot
-	haveSnap bool
+	scale   = flag.Int("scale", 1, "problem scale (1: 30^3 proxy grid)")
+	block   = flag.Int("block", 16, "2D block-cyclic block size")
+	machine = flag.String("machine", "both", "haswell, knl, or both")
+	realP   = flag.Int("real", 0, "if > 0, also run the real implementations at this process count")
 )
 
 func buildTree() (*matgen.Problem, *sparse.FrontTree) {
@@ -82,17 +73,13 @@ func realRun(tree *sparse.FrontTree, p int) {
 
 	stores := make([]*sparse.AccumStore, p)
 	var upcxxTime float64
-	core.RunConfig(core.Config{Ranks: p, SegmentSize: 64 << 20, Stats: *withStats}, func(rk *core.Rank) {
+	core.RunConfig(core.Config{Ranks: p, SegmentSize: 64 << 20}, func(rk *core.Rank) {
 		st, el := sparse.EAddUPCXX(rk, plan)
 		stores[rk.Me()] = st
 		if el.Seconds() > upcxxTime {
 			upcxxTime = el.Seconds()
 		}
 		rk.Barrier()
-		if rk.Me() == 0 && rk.StatsEnabled() {
-			lastSnap = rk.World().StatsMerged()
-			haveSnap = true
-		}
 	})
 	verify(want, stores, "UPC++")
 	fmt.Printf("  UPC++ RPC     %.4gs\n", upcxxTime)
@@ -151,10 +138,5 @@ func main() {
 	}
 	if *realP > 0 {
 		realRun(tree, *realP)
-	}
-	if *withStats && haveSnap {
-		fmt.Println()
-		fmt.Println("runtime stats (merged across ranks, UPC++ world):")
-		obs.Fprint(os.Stdout, lastSnap)
 	}
 }

@@ -9,14 +9,19 @@
 // A measured point is one blocking CopyGG timed on the initiator's model
 // clock (Rank.Clock), so it equals the closed form exactly, on every run.
 //
+// Every run prints the same bytes; the golden test (main_test.go) pins them
+// against testdata/figure.golden.
+//
 // Usage:
 //
-//	go run ./cmd/kinds-bench [-max-size bytes] [-model-only] [-stats]
+//	go run ./cmd/kinds-bench
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,11 +32,8 @@ import (
 	core "upcxx/internal/core"
 )
 
-var (
-	maxSize   = flag.Int("max-size", 4<<20, "largest transfer size in bytes")
-	modelOnly = flag.Bool("model-only", false, "print only the closed-form predictions (fast)")
-	withStats = flag.Bool("stats", false, "record runtime stats in the measured world and dump the merged counters (incl. per-kind DMA descriptors) at exit")
-)
+// maxSize is the largest transfer size swept, in bytes.
+const maxSize = 4 << 20
 
 type pair struct {
 	name           string
@@ -87,7 +89,7 @@ func predict(p pair, n int) time.Duration {
 
 func sizes() []int {
 	var out []int
-	for n := 4 << 10; n <= *maxSize; n *= 4 {
+	for n := 4 << 10; n <= maxSize; n *= 4 {
 		out = append(out, n)
 	}
 	return out
@@ -100,88 +102,69 @@ func gbps(n int, t time.Duration) float64 {
 	return float64(n) / t.Seconds() / 1e9
 }
 
-func main() {
-	flag.Parse()
-
-	fmt.Printf("# kinds-bench: CopyGG bandwidth by memory-kind pair (GB/s)\n")
-	fmt.Printf("# network: Aries (~10.5 GB/s inter, ~40 GB/s intra)   DMA: PCIe3 (~11.8 GB/s h2d, ~125 GB/s d2d)\n")
-	if !*modelOnly {
-		fmt.Printf("# measured: one blocking CopyGG per point on the model clock\n")
-	}
-	fmt.Printf("%10s", "size")
+// run prints the figure, then checks the DMA datapath pin.
+func run(w io.Writer) error {
+	fmt.Fprintf(w, "# kinds-bench: CopyGG bandwidth by memory-kind pair (GB/s)\n")
+	fmt.Fprintf(w, "# network: Aries (~10.5 GB/s inter, ~40 GB/s intra)   DMA: PCIe3 (~11.8 GB/s h2d, ~125 GB/s d2d)\n")
+	fmt.Fprintf(w, "# measured: one blocking CopyGG per point on the model clock\n")
+	fmt.Fprintf(w, "%10s", "size")
 	for _, p := range pairs {
-		if *modelOnly {
-			fmt.Printf("  %12s", p.name)
-		} else {
-			fmt.Printf("  %12s %12s", p.name, "(model)")
-		}
+		fmt.Fprintf(w, "  %12s %12s", p.name, "(model)")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Two measured worlds, identical except for the DMA model's GPUDirect
-	// capability: GDR-suffixed pairs run on wg, the rest on w. Stats stay
-	// on in both — the descriptor-kind counters are the pin that the two
-	// sweeps actually took different datapaths.
-	var w, wg *core.World
-	if !*modelOnly {
-		w = core.NewWorld(core.Config{
-			Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * *maxSize,
-			Model: gasnet.Aries(), DMA: gasnet.PCIe3(), Stats: true,
-		})
-		defer w.Close()
-		wg = core.NewWorld(core.Config{
-			Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * *maxSize,
-			Model: gasnet.Aries(), DMA: gasnet.PCIe3GDR(), Stats: true,
-		})
-		defer wg.Close()
-	}
+	// capability: GDR-suffixed pairs run on wg, the rest on plain. Stats
+	// stay on in both — the descriptor-kind counters are the pin that the
+	// two sweeps actually took different datapaths.
+	plain := core.NewWorld(core.Config{
+		Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * maxSize,
+		Model: gasnet.Aries(), DMA: gasnet.PCIe3(), Stats: true,
+	})
+	defer plain.Close()
+	wg := core.NewWorld(core.Config{
+		Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * maxSize,
+		Model: gasnet.Aries(), DMA: gasnet.PCIe3GDR(), Stats: true,
+	})
+	defer wg.Close()
 
 	lastMeas := map[string]time.Duration{}
 	for _, n := range sizes() {
-		fmt.Printf("%10d", n)
+		fmt.Fprintf(w, "%10d", n)
 		for _, p := range pairs {
-			model := gbps(n, predict(p, n))
-			if *modelOnly {
-				fmt.Printf("  %12.2f", model)
-				continue
-			}
-			world := w
+			world := plain
 			if p.gdr {
 				world = wg
 			}
 			el := measure(world, p, n)
 			lastMeas[p.name] = el
-			meas := gbps(n, el)
-			fmt.Printf("  %12.2f %12.2f", meas, model)
+			fmt.Fprintf(w, "  %12.2f %12.2f", gbps(n, el), gbps(n, predict(p, n)))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	if !*modelOnly {
-		// Datapath pin: the sweeps must differ by descriptor kind, not just
-		// by timing — GDR cross-rank d2d traffic is all direct, the plain
-		// world's is all bounced. A violated pin is a conduit bug.
-		sb, sg := w.StatsMerged().Counters, wg.StatsMerged().Counters
-		bounced, direct := obs.DMAD2DBounced.Descriptors(), obs.DMAD2DDirect.Descriptors()
-		fmt.Printf("# dma pin: plain world d2d-bounced=%d | gdr world d2d-direct=%d d2d-bounced=%d\n",
-			sb[bounced], sg[direct], sg[bounced])
-		if sb[bounced] == 0 || sg[direct] == 0 || sg[bounced] != 0 {
-			fmt.Fprintln(os.Stderr, "kinds-bench: DMA descriptor-kind pin violated (see # dma pin line)")
-			os.Exit(1)
-		}
-		if b, g := lastMeas["d2d-cross"], lastMeas["d2d-cross-gdr"]; b > 0 && g > 0 {
-			fmt.Printf("# gdr speedup at %s (d2d-cross vs d2d-cross-gdr): %.2fx\n",
-				stats.BytesHuman(sizes()[len(sizes())-1]), float64(b)/float64(g))
-		}
+	// Datapath pin: the sweeps must differ by descriptor kind, not just
+	// by timing — GDR cross-rank d2d traffic is all direct, the plain
+	// world's is all bounced. A violated pin is a conduit bug.
+	sb, sg := plain.StatsMerged().Counters, wg.StatsMerged().Counters
+	bounced, direct := obs.DMAD2DBounced.Descriptors(), obs.DMAD2DDirect.Descriptors()
+	fmt.Fprintf(w, "# dma pin: plain world d2d-bounced=%d | gdr world d2d-direct=%d d2d-bounced=%d\n",
+		sb[bounced], sg[direct], sg[bounced])
+	if sb[bounced] == 0 || sg[direct] == 0 || sg[bounced] != 0 {
+		return errors.New("DMA descriptor-kind pin violated (see # dma pin line)")
 	}
+	if b, g := lastMeas["d2d-cross"], lastMeas["d2d-cross-gdr"]; b > 0 && g > 0 {
+		fmt.Fprintf(w, "# gdr speedup at %s (d2d-cross vs d2d-cross-gdr): %.2fx\n",
+			stats.BytesHuman(maxSize), float64(b)/float64(g))
+	}
+	return nil
+}
 
-	if *withStats && !*modelOnly {
-		fmt.Println()
-		fmt.Println("runtime stats (merged across ranks, plain world):")
-		obs.Fprint(os.Stdout, w.StatsMerged())
-		fmt.Println()
-		fmt.Println("runtime stats (merged across ranks, gdr world):")
-		obs.Fprint(os.Stdout, wg.StatsMerged())
+func main() {
+	flag.Parse() // it declares none: a stale flag fails instead of being ignored
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "kinds-bench:", err)
+		os.Exit(1)
 	}
 }
 

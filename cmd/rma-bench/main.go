@@ -3,81 +3,54 @@
 // (MPI_Put + MPI_Win_flush, passive target), swept over transfer sizes
 // from 8 B to 4 MB.
 //
-// Two evaluation modes are reported side by side:
+// Every table sets two kinds of column side by side:
 //
-//   - measured: both runtimes execute on the Aries-calibrated conduit (one
+//   - measured: the runtimes execute on the Aries-calibrated conduit (one
 //     initiator, one passive target on distinct simulated nodes), timed on
 //     the initiator's model clock — the analogue of the paper's IMB-RMA
-//     runs, and the same on every run;
+//     runs;
 //   - model: the closed-form LogGP/protocol model of
 //     internal/expmodel, which the measured numbers should track.
 //
-// A third mode, signal, quantifies the completion-object system's
-// signaling put: the time from injecting a put carrying remote_cx::as_rpc
-// to the notification running at the target (one one-way message) versus
-// the pre-completion-object idiom of a blocking put followed by a
-// notification RPC (the put's full round trip plus another one-way
-// message) — measured as a notification ping-pong on the Aries conduit,
-// next to the closed-form model.
+// Between Fig 3a and 3b come three more tables. The signaling put: the time
+// from injecting a put carrying remote_cx::as_rpc to the notification
+// running at the target (one one-way message) versus a blocking put
+// followed by a notification RPC (the put's full round trip plus another
+// one-way message), measured as a notification ping-pong. RPC v2: rpc_ff
+// (one one-way message, payload serialized into the RPC), blocking rpc (the
+// same message plus a reply round trip) and the signaling put (payload as
+// one-sided RMA with the notification piggybacked on the transfer). Batched
+// RPC: small-message throughput against the per-AM floor.
 //
-// A fourth mode, rpc, compares the three ways RPC v2 moves data plus a
-// notification now that RPC rides the single injection path: rpc_ff (one
-// one-way message, payload serialized into the RPC), blocking rpc (the
-// same message plus a reply round trip), and the signaling put (payload
-// as one-sided RMA with the notification piggybacked on the transfer).
+// Every run prints the same bytes, a function of the code alone; the golden
+// test (main_test.go) pins them against testdata/figure.golden.
 //
 // Usage:
 //
-//	go run ./cmd/rma-bench [-mode latency|flood|signal|rpc|both|all]
-//	                       [-model-only] [-max-size bytes] [-stats]
+//	go run ./cmd/rma-bench
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"upcxx/internal/expmodel"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/mpi"
-	"upcxx/internal/obs"
 	"upcxx/internal/stats"
 
 	core "upcxx/internal/core"
 )
 
-var (
-	mode      = flag.String("mode", "both", "latency, flood, signal, rpc, batch, both (latency+flood), or all")
-	modelOnly = flag.Bool("model-only", false, "skip the measured runs (fast)")
-	maxSize   = flag.Int("max-size", 4<<20, "largest transfer size in bytes")
-	withStats = flag.Bool("stats", false, "record runtime stats in every measured world; in rpc mode, print the per-layer small-RPC cost breakdown from the latency histograms and a final merged counter dump")
-)
+// maxSize is the largest transfer size swept, in bytes.
+const maxSize = 4 << 20
 
-// lastSnap holds the merged job-wide counters of the most recent
-// stats-enabled measured world, printed at exit under -stats.
-var (
-	lastSnap obs.Snapshot
-	haveSnap bool
-)
-
-// captureStats is called by rank 0 at the end of each measured run.
-func captureStats(rk *core.Rank) {
-	if rk.Me() == 0 && rk.StatsEnabled() {
-		lastSnap = rk.World().StatsMerged()
-		haveSnap = true
-	}
-}
-
-// runMeasured runs one two-node measured UPC++ world on the Aries model,
-// capturing its merged runtime counters for the -stats dump after the
-// body's final barrier.
+// runMeasured runs one two-node measured UPC++ world on the Aries model.
 func runMeasured(seg int, fn func(rk *core.Rank)) {
-	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: gasnet.Aries(),
-		SegmentSize: seg, Stats: *withStats}, func(rk *core.Rank) {
-		fn(rk)
-		captureStats(rk)
-	})
+	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: gasnet.Aries(), SegmentSize: seg}, fn)
 }
 
 // runMPI runs one two-node MPI job on the Aries model.
@@ -94,7 +67,7 @@ func per(now, t0 time.Duration, ops int) float64 {
 
 func sizes() []int {
 	var out []int
-	for n := 8; n <= *maxSize; n *= 2 {
+	for n := 8; n <= maxSize; n *= 2 {
 		out = append(out, n)
 	}
 	return out
@@ -290,14 +263,11 @@ func measureRPCFF(size int) float64 {
 	return perHop
 }
 
-// rpcLoop runs a warm-up then latencyIters(size) blocking rpcs carrying
-// size payload bytes and returning a small acknowledgment, from rank 0 to
-// rank 1, on the Aries model or (model nil) the zero-delay conduit, and
-// hands rank 0 and its model time per call to done.
-func rpcLoop(size int, model *gasnet.LogGP, stats bool, done func(rk *core.Rank, perOp float64)) {
-	iters := latencyIters(size)
-	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: model,
-		SegmentSize: 16 << 20, Stats: stats}, func(rk *core.Rank) {
+// measureRPCRoundTrip times a blocking rpc carrying size payload bytes and
+// returning a small acknowledgment.
+func measureRPCRoundTrip(size int) float64 {
+	var perOp float64
+	runMeasured(16<<20, func(rk *core.Rank) {
 		mine := core.MustNewArray[uint64](rk, 1)
 		obj := core.NewDistObject(rk, mine)
 		rk.Barrier()
@@ -312,50 +282,16 @@ func rpcLoop(size int, model *gasnet.LogGP, stats bool, done func(rk *core.Rank,
 				}, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)}).Wait()
 			}
 			call() // warm up
+			iters := latencyIters(size)
 			t0 := rk.Clock()
 			for i := 0; i < iters; i++ {
 				call()
 			}
-			done(rk, per(rk.Clock(), t0, iters))
+			perOp = per(rk.Clock(), t0, iters)
 		}
 		rk.Barrier()
-		captureStats(rk)
 	})
-}
-
-// measureRPCRoundTrip times a blocking rpc carrying size payload bytes and
-// returning a small acknowledgment.
-func measureRPCRoundTrip(size int) float64 {
-	var perOp float64
-	rpcLoop(size, gasnet.Aries(), *withStats, func(_ *core.Rank, p float64) { perOp = p })
 	return perOp
-}
-
-// rpcBreakdown is the per-layer cost split of one blocking RPC: the
-// runtime's latency histograms split the round trip at the
-// remote-landing edge of the request message.
-type rpcBreakdown struct {
-	reqUS   float64 // inject → request landing at the target
-	replyUS float64 // remote execution + reply crossing + completion delivery
-}
-
-// measureRPCBreakdown reruns the blocking-RPC loop with runtime stats
-// forced on and reads rank 0's — the initiator's — latency histograms:
-// the mean inject→landing of KindRPC is the request leg, and mean
-// inject→complete minus that is everything after the request lands
-// (remote body, reply crossing, completion delivery). The histograms keep
-// wall-clock stamps, so the loop runs on the zero-delay conduit, where
-// wall-clock time is the runtime's own software path.
-func measureRPCBreakdown(size int) rpcBreakdown {
-	var out rpcBreakdown
-	rpcLoop(size, nil, true, func(rk *core.Rank, _ float64) {
-		s := rk.Stats()
-		land := s.HistMean(obs.HistLand, obs.KindRPC)
-		done := s.HistMean(obs.HistDone, obs.KindRPC)
-		out.reqUS = land / 1e3
-		out.replyUS = (done - land) / 1e3
-	})
-	return out
 }
 
 // bumpCounter is the small-RPC body of the batch throughput sweep.
@@ -474,206 +410,118 @@ func measureMPIFlood(size int) float64 {
 	return bw
 }
 
-func main() {
-	flag.Parse()
+// column is one series of a size-swept table: its name and its value at
+// each transfer size.
+type column struct {
+	name string
+	y    func(n int) float64
+}
+
+// sizeTable prints one table over sizes(), computing it size by size and,
+// within a size, column by column.
+func sizeTable(w io.Writer, title, yfmt string, cols ...column) {
+	t := &stats.Table{
+		Title:  title,
+		XLabel: "size",
+		XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
+		YFmt:   func(v float64) string { return fmt.Sprintf(yfmt, v) },
+	}
+	for _, c := range cols {
+		t.Series = append(t.Series, &stats.Series{Name: c.name})
+	}
+	for _, n := range sizes() {
+		for i, c := range cols {
+			t.Series[i].Add(float64(n), c.y(n))
+		}
+	}
+	t.Fprint(w)
+}
+
+// us and gbps scale a per-op time in seconds and a rate in bytes per second.
+func us(f func(n int) float64) func(int) float64   { return func(n int) float64 { return f(n) * 1e6 } }
+func gbps(f func(n int) float64) func(int) float64 { return func(n int) float64 { return f(n) / 1e9 } }
+
+// run prints every table: Fig 3a, the signaling put, RPC v2, batched RPC and
+// Fig 3b.
+func run(w io.Writer) error {
 	m := expmodel.Haswell()
 
-	if *mode == "latency" || *mode == "both" || *mode == "all" {
-		t := &stats.Table{
-			Title:  "Fig 3a — round-trip put latency, us (Cori Haswell model; lower is better)",
-			XLabel: "size",
-			XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
-			YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
-		}
-		up := &stats.Series{Name: "UPC++ (model)"}
-		mp := &stats.Series{Name: "MPI RMA (model)"}
-		var upM, mpM *stats.Series
-		if !*modelOnly {
-			upM = &stats.Series{Name: "UPC++ (measured)"}
-			mpM = &stats.Series{Name: "MPI RMA (measured)"}
-		}
-		for _, n := range sizes() {
-			up.Add(float64(n), m.UPCXXPutLatency(n)*1e6)
-			mp.Add(float64(n), m.MPIPutLatency(n)*1e6)
-			if !*modelOnly {
-				upM.Add(float64(n), measureUPCXXLatency(n)*1e6)
-				mpM.Add(float64(n), measureMPILatency(n)*1e6)
-			}
-		}
-		t.Series = []*stats.Series{up, mp}
-		if !*modelOnly {
-			t.Series = append(t.Series, upM, mpM)
-		}
-		t.Fprint(os.Stdout)
-		fmt.Println()
+	sizeTable(w, "Fig 3a — round-trip put latency, us (Cori Haswell model; lower is better)", "%.2f",
+		column{"UPC++ (model)", us(m.UPCXXPutLatency)},
+		column{"MPI RMA (model)", us(m.MPIPutLatency)},
+		column{"UPC++ (measured)", us(measureUPCXXLatency)},
+		column{"MPI RMA (measured)", us(measureMPILatency)})
+	fmt.Fprintln(w)
+
+	signaling := func(n int) float64 { return measureNotify(n, true) }
+	sizeTable(w, "Signaling put vs put+RPC — notification latency, us (Cori Haswell model; lower is better)", "%.2f",
+		column{"signaling put (model)", us(m.SignalNotifyLatency)},
+		column{"put+RPC (model)", us(m.PutRPCNotifyLatency)},
+		column{"signaling put (measured)", us(signaling)},
+		column{"put+RPC (measured)", us(func(n int) float64 { return measureNotify(n, false) })})
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "saved per notification vs put+RPC: the put's full round trip (~%.2f us at 8 B) —\n", m.UPCXXPutLatency(8)*1e6)
+	fmt.Fprintln(w, "the remote-cx AM piggybacks on the transfer and costs no extra wire message.")
+	fmt.Fprintln(w)
+
+	sizeTable(w, "RPC v2 — ff vs round-trip vs signaling-put notification latency, us (Cori Haswell model; lower is better)", "%.2f",
+		column{"rpc_ff (model)", us(m.RPCFFNotifyLatency)},
+		column{"rpc round-trip (model)", us(m.RPCRoundTripLatency)},
+		column{"signaling put (model)", us(m.SignalNotifyLatency)},
+		column{"rpc_ff (measured)", us(measureRPCFF)},
+		column{"rpc round-trip (measured)", us(measureRPCRoundTrip)},
+		column{"signaling put (measured)", us(signaling)})
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "rpc_ff and the signaling put are both one one-way message; the signaling put wins at")
+	fmt.Fprintln(w, "size because the payload moves as RMA (no serialization on the handler path), while")
+	fmt.Fprintln(w, "the round-trip rpc pays one extra wire crossing for its reply.")
+	fmt.Fprintln(w)
+
+	t := &stats.Table{
+		Title:  "Batched RPC — small-message throughput vs per-AM floor, Mops/s (Aries model; higher is better)",
+		XLabel: "batch",
+		XFmt:   func(v float64) string { return fmt.Sprintf("%d", int(v)) },
+		YFmt:   func(v float64) string { return fmt.Sprintf("%.3f", v) },
 	}
-
-	if *mode == "signal" || *mode == "all" {
-		t := &stats.Table{
-			Title:  "Signaling put vs put+RPC — notification latency, us (Cori Haswell model; lower is better)",
-			XLabel: "size",
-			XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
-			YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
-		}
-		sg := &stats.Series{Name: "signaling put (model)"}
-		pr := &stats.Series{Name: "put+RPC (model)"}
-		var sgM, prM *stats.Series
-		if !*modelOnly {
-			sgM = &stats.Series{Name: "signaling put (measured)"}
-			prM = &stats.Series{Name: "put+RPC (measured)"}
-		}
-		for _, n := range sizes() {
-			sg.Add(float64(n), m.SignalNotifyLatency(n)*1e6)
-			pr.Add(float64(n), m.PutRPCNotifyLatency(n)*1e6)
-			if !*modelOnly {
-				sgM.Add(float64(n), measureNotify(n, true)*1e6)
-				prM.Add(float64(n), measureNotify(n, false)*1e6)
-			}
-		}
-		t.Series = []*stats.Series{sg, pr}
-		if !*modelOnly {
-			t.Series = append(t.Series, sgM, prM)
-		}
-		t.Fprint(os.Stdout)
-		fmt.Println()
-		rtt := m.UPCXXPutLatency(8) * 1e6
-		fmt.Printf("saved per notification vs put+RPC: the put's full round trip (~%.2f us at 8 B) —\n", rtt)
-		fmt.Println("the remote-cx AM piggybacks on the transfer and costs no extra wire message.")
-		fmt.Println()
+	aries := gasnet.Aries()
+	perMsg := (aries.O + aries.Gp).Seconds()
+	bm := &stats.Series{Name: "batched rpc (model, 2 msgs / B ops)"}
+	fm := &stats.Series{Name: "per-AM floor (model, 1/(o+g))"}
+	bM := &stats.Series{Name: "batched rpc (measured)"}
+	fM := &stats.Series{Name: "per-AM floor (measured)"}
+	const total = 512
+	floor := measurePerAMRate(total)
+	for _, bsz := range []int{1, 8, 32, 128} {
+		// Closed form: a batch of B round trips costs two injections
+		// (request + reply message), amortized over B operations; the
+		// un-batched floor pays one injection occupancy per operation.
+		// Per-entry costs (framing, marshal, body) are omitted, so the
+		// model is an upper bound the measured curve approaches.
+		bm.Add(float64(bsz), float64(bsz)/(2*perMsg)/1e6)
+		fm.Add(float64(bsz), 1/perMsg/1e6)
+		bM.Add(float64(bsz), measureBatchRPCRate(bsz, total)/1e6)
+		fM.Add(float64(bsz), floor/1e6)
 	}
+	t.Series = []*stats.Series{bm, fm, bM, fM}
+	t.Fprint(w)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "every wire message pays injection occupancy (o+g) no matter how small; a batch ships")
+	fmt.Fprintln(w, "B requests in one message and receives B replies in one, so the per-op share of the")
+	fmt.Fprintln(w, "fixed costs falls as 1/B until per-entry work (framing, serialization, body) dominates.")
+	fmt.Fprintln(w)
 
-	if *mode == "rpc" || *mode == "all" {
-		t := &stats.Table{
-			Title:  "RPC v2 — ff vs round-trip vs signaling-put notification latency, us (Cori Haswell model; lower is better)",
-			XLabel: "size",
-			XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
-			YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
-		}
-		ff := &stats.Series{Name: "rpc_ff (model)"}
-		rt := &stats.Series{Name: "rpc round-trip (model)"}
-		sp := &stats.Series{Name: "signaling put (model)"}
-		var ffM, rtM, spM *stats.Series
-		if !*modelOnly {
-			ffM = &stats.Series{Name: "rpc_ff (measured)"}
-			rtM = &stats.Series{Name: "rpc round-trip (measured)"}
-			spM = &stats.Series{Name: "signaling put (measured)"}
-		}
-		for _, n := range sizes() {
-			ff.Add(float64(n), m.RPCFFNotifyLatency(n)*1e6)
-			rt.Add(float64(n), m.RPCRoundTripLatency(n)*1e6)
-			sp.Add(float64(n), m.SignalNotifyLatency(n)*1e6)
-			if !*modelOnly {
-				ffM.Add(float64(n), measureRPCFF(n)*1e6)
-				rtM.Add(float64(n), measureRPCRoundTrip(n)*1e6)
-				spM.Add(float64(n), measureNotify(n, true)*1e6)
-			}
-		}
-		t.Series = []*stats.Series{ff, rt, sp}
-		if !*modelOnly {
-			t.Series = append(t.Series, ffM, rtM, spM)
-		}
-		t.Fprint(os.Stdout)
-		fmt.Println()
-		fmt.Println("rpc_ff and the signaling put are both one one-way message; the signaling put wins at")
-		fmt.Println("size because the payload moves as RMA (no serialization on the handler path), while")
-		fmt.Println("the round-trip rpc pays one extra wire crossing for its reply.")
-		fmt.Println()
+	sizeTable(w, "Fig 3b — flood put bandwidth, GB/s (Cori Haswell model; higher is better)", "%.3f",
+		column{"UPC++ (model)", gbps(m.UPCXXFloodBW)},
+		column{"MPI RMA (model)", gbps(m.MPIFloodBW)},
+		column{"UPC++ (measured)", gbps(measureUPCXXFlood)},
+		column{"MPI RMA (measured)", gbps(measureMPIFlood)})
+	return nil
+}
 
-		if *withStats && !*modelOnly {
-			bt := &stats.Table{
-				Title:  "RPC per-layer breakdown — runtime latency histograms on the zero-delay conduit, wall-clock us",
-				XLabel: "size",
-				XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
-				YFmt:   func(v float64) string { return fmt.Sprintf("%.2f", v) },
-			}
-			req := &stats.Series{Name: "inject→landing (request)"}
-			rep := &stats.Series{Name: "landing→complete (exec+reply)"}
-			sum := &stats.Series{Name: "hist sum"}
-			for _, n := range []int{8, 64, 512, 4 << 10} {
-				b := measureRPCBreakdown(n)
-				req.Add(float64(n), b.reqUS)
-				rep.Add(float64(n), b.replyUS)
-				sum.Add(float64(n), b.reqUS+b.replyUS)
-			}
-			bt.Series = []*stats.Series{req, rep, sum}
-			bt.Fprint(os.Stdout)
-			fmt.Println()
-			fmt.Println("hist sum is the initiator histograms' inject→complete mean: the runtime's software path")
-			fmt.Println("for one blocking RPC, which the model tables above leave out.")
-			fmt.Println()
-		}
-	}
-
-	if *mode == "batch" || *mode == "all" {
-		t := &stats.Table{
-			Title:  "Batched RPC — small-message throughput vs per-AM floor, Mops/s (Aries model; higher is better)",
-			XLabel: "batch",
-			XFmt:   func(v float64) string { return fmt.Sprintf("%d", int(v)) },
-			YFmt:   func(v float64) string { return fmt.Sprintf("%.3f", v) },
-		}
-		aries := gasnet.Aries()
-		perMsg := (aries.O + aries.Gp).Seconds()
-		bm := &stats.Series{Name: "batched rpc (model, 2 msgs / B ops)"}
-		fm := &stats.Series{Name: "per-AM floor (model, 1/(o+g))"}
-		// The measured sweep is a few thousand 8-byte operations — cheap
-		// enough to run even under -model-only, which elsewhere gates
-		// minute-scale size sweeps.
-		bM := &stats.Series{Name: "batched rpc (measured)"}
-		fM := &stats.Series{Name: "per-AM floor (measured)"}
-		const total = 512
-		floor := measurePerAMRate(total)
-		for _, bsz := range []int{1, 8, 32, 128} {
-			// Closed form: a batch of B round trips costs two injections
-			// (request + reply message), amortized over B operations; the
-			// un-batched floor pays one injection occupancy per operation.
-			// Per-entry costs (framing, marshal, body) are omitted, so the
-			// model is an upper bound the measured curve approaches.
-			bm.Add(float64(bsz), float64(bsz)/(2*perMsg)/1e6)
-			fm.Add(float64(bsz), 1/perMsg/1e6)
-			bM.Add(float64(bsz), measureBatchRPCRate(bsz, total)/1e6)
-			fM.Add(float64(bsz), floor/1e6)
-		}
-		t.Series = []*stats.Series{bm, fm, bM, fM}
-		t.Fprint(os.Stdout)
-		fmt.Println()
-		fmt.Println("every wire message pays injection occupancy (o+g) no matter how small; a batch ships")
-		fmt.Println("B requests in one message and receives B replies in one, so the per-op share of the")
-		fmt.Println("fixed costs falls as 1/B until per-entry work (framing, serialization, body) dominates.")
-		fmt.Println()
-	}
-
-	if *mode == "flood" || *mode == "both" || *mode == "all" {
-		t := &stats.Table{
-			Title:  "Fig 3b — flood put bandwidth, GB/s (Cori Haswell model; higher is better)",
-			XLabel: "size",
-			XFmt:   func(v float64) string { return stats.BytesHuman(int(v)) },
-			YFmt:   func(v float64) string { return fmt.Sprintf("%.3f", v) },
-		}
-		up := &stats.Series{Name: "UPC++ (model)"}
-		mp := &stats.Series{Name: "MPI RMA (model)"}
-		var upM, mpM *stats.Series
-		if !*modelOnly {
-			upM = &stats.Series{Name: "UPC++ (measured)"}
-			mpM = &stats.Series{Name: "MPI RMA (measured)"}
-		}
-		for _, n := range sizes() {
-			up.Add(float64(n), m.UPCXXFloodBW(n)/1e9)
-			mp.Add(float64(n), m.MPIFloodBW(n)/1e9)
-			if !*modelOnly {
-				upM.Add(float64(n), measureUPCXXFlood(n)/1e9)
-				mpM.Add(float64(n), measureMPIFlood(n)/1e9)
-			}
-		}
-		t.Series = []*stats.Series{up, mp}
-		if !*modelOnly {
-			t.Series = append(t.Series, upM, mpM)
-		}
-		t.Fprint(os.Stdout)
-	}
-
-	if *withStats && haveSnap {
-		fmt.Println()
-		fmt.Println("runtime stats (merged across ranks, last measured world):")
-		obs.Fprint(os.Stdout, lastSnap)
+func main() {
+	flag.Parse() // it declares none: a stale flag fails instead of being ignored
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "rma-bench:", err)
+		os.Exit(1)
 	}
 }

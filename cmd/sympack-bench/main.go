@@ -31,16 +31,8 @@ import (
 )
 
 var (
-	scale     = flag.Int("scale", 1, "problem scale (1: 24x24x48 proxy grid)")
-	realP     = flag.Int("real", 0, "if > 0, run the real implementations at this process count")
-	withStats = flag.Bool("stats", false, "record runtime stats in the real factorization worlds and dump the merged counters of the last one at exit (needs -real)")
-)
-
-// lastSnap holds the merged counters of the most recent stats-enabled
-// factorization world, printed at exit under -stats.
-var (
-	lastSnap obs.Snapshot
-	haveSnap bool
+	scale = flag.Int("scale", 1, "problem scale (1: 24x24x48 proxy grid)")
+	realP = flag.Int("real", 0, "if > 0, run the real implementations at this process count")
 )
 
 func main() {
@@ -83,11 +75,6 @@ func main() {
 	if *realP > 0 {
 		runReal(prob, tree, *realP)
 	}
-	if *withStats && haveSnap {
-		fmt.Println()
-		fmt.Println("runtime stats (merged across ranks, last factorization world):")
-		obs.Fprint(os.Stdout, lastSnap)
-	}
 }
 
 func runReal(prob *matgen.Problem, tree *sparse.FrontTree, p int) {
@@ -104,19 +91,19 @@ func runReal(prob *matgen.Problem, tree *sparse.FrontTree, p int) {
 			run: func(rk *core.Rank) sparse.CholResult { return sparse.CholV1Device(rk, plan) }},
 	} {
 		results := make([]sparse.CholResult, p)
-		cfg := core.Config{Ranks: p, SegmentSize: 256 << 20, Stats: *withStats}
+		cfg := core.Config{Ranks: p, SegmentSize: 256 << 20}
 		if variant.dev {
-			// Stats stay on regardless of -stats: the merged counters are
-			// the pin that the CB pushes took the direct datapath.
+			// Stats stay on: the merged counters are the pin that the CB
+			// pushes took the direct datapath.
 			cfg.Stats = true
-			cfg.DMA = gasnet.NoDelayDMA{GDR: true}
+			cfg.DMA = &gasnet.PCIeDMA{GDR: true}
 		}
+		var snap obs.Snapshot
 		core.RunConfig(cfg, func(rk *core.Rank) {
 			results[rk.Me()] = variant.run(rk)
 			rk.Barrier()
-			if rk.Me() == 0 && rk.StatsEnabled() {
-				lastSnap = rk.World().StatsMerged()
-				haveSnap = true
+			if variant.dev && rk.Me() == 0 {
+				snap = rk.World().StatsMerged()
 			}
 		})
 		worst := 0.0
@@ -129,7 +116,7 @@ func runReal(prob *matgen.Problem, tree *sparse.FrontTree, p int) {
 		}
 		fmt.Printf("  %-10s %.4gs  (|L| = %d entries)\n", variant.name, worst, nnzL)
 		if variant.dev {
-			direct, bounced := lastSnap.Counters[obs.DMAD2DDirect.Descriptors()], lastSnap.Counters[obs.DMAD2DBounced.Descriptors()]
+			direct, bounced := snap.Counters[obs.DMAD2DDirect.Descriptors()], snap.Counters[obs.DMAD2DBounced.Descriptors()]
 			fmt.Printf("             gdr pin: d2d-direct=%d d2d-bounced=%d\n", direct, bounced)
 			if bounced != 0 || (p > 1 && direct == 0) {
 				fmt.Fprintln(os.Stderr, "sympack-bench: device factorization left the GPUDirect datapath")

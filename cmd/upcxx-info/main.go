@@ -5,13 +5,15 @@
 //
 // Usage:
 //
-//	go run ./cmd/upcxx-info [-stats]
+//	go run ./cmd/upcxx-info
 //
 // With UPCXX_CONDUIT=tcp|shm the self-test epoch runs as real OS-process
 // ranks (UPCXX_NPROC controls the count, default 4) and the report adds
 // the live conduit identity — backend, peer addresses, shm segment size —
-// plus rank 0's wire counters; -stats then merges every rank process's
-// counter table, transport counters included, through a rank-0 RPC gather.
+// plus rank 0's wire counters. With the runtime's own switches,
+// UPCXX_STATS=1 UPCXX_TRACE=1, the report ends with every rank's counter
+// table merged, transport counters included (over a real conduit through a
+// rank-0 RPC gather), and a sample op timeline.
 package main
 
 import (
@@ -28,8 +30,6 @@ import (
 
 	core "upcxx/internal/core"
 )
-
-var withStats = flag.Bool("stats", false, "run the self-test with runtime stats and op tracing armed and dump the merged counters plus a sample op timeline")
 
 func describeLogGP(name string, m *gasnet.LogGP) {
 	fmt.Printf("%s conduit model:\n", name)
@@ -59,7 +59,7 @@ func describeConduit(ci upcxx.ConduitInfo) {
 }
 
 func main() {
-	flag.Parse()
+	flag.Parse() // it declares none: a stale flag fails instead of being ignored
 	// Over a real conduit this whole main runs in the parent launcher and
 	// again in every rank process; the static model report prints once.
 	headline := !upcxx.DistActive() || os.Getenv("UPCXX_RANK") == "0"
@@ -93,7 +93,7 @@ func main() {
 		ci       upcxx.ConduitInfo
 		report   bool
 	)
-	core.RunConfig(core.Config{Ranks: 4, Stats: *withStats, TraceDepth: boolToDepth(*withStats)},
+	core.RunConfig(core.Config{Ranks: 4},
 		func(rk *upcxx.Rank) {
 			got := upcxx.AllReduce(rk.WorldTeam(), int64(rk.Me())+1,
 				func(a, b int64) int64 { return a + b }).Wait()
@@ -121,21 +121,8 @@ func main() {
 	} else {
 		fmt.Printf("\nactive conduit: model (in-process; set UPCXX_CONDUIT=tcp|shm for OS-process ranks)\n")
 	}
-	if *withStats {
-		if !haveSnap {
-			fmt.Fprintln(os.Stderr, "upcxx-info: -stats requested but the runtime recorded nothing")
-			os.Exit(1)
-		}
+	if haveSnap {
 		fmt.Println()
 		obs.Fprint(os.Stdout, snap)
 	}
-}
-
-// boolToDepth maps -stats to a trace ring depth: armed with the default
-// capacity when on, stats-only when off.
-func boolToDepth(on bool) int {
-	if on {
-		return obs.DefaultTraceDepth
-	}
-	return 0
 }

@@ -53,7 +53,7 @@ func init() { upcxx.RegisterRPCFF(arrive) }
 func main() {
 	// A GDR-capable DMA engine on the zero-delay conduit: capability
 	// decides the datapath (direct vs bounced), timing stays instant.
-	cfg := upcxx.Config{Ranks: ranks, Stats: true, DMA: upcxx.NoDelayDMA{GDR: true}}
+	cfg := upcxx.Config{Ranks: ranks, Stats: true, DMA: &upcxx.PCIeDMA{GDR: true}}
 	upcxx.RunConfig(cfg, func(rk *upcxx.Rank) {
 		me, n := rk.Me(), rk.N()
 		da := upcxx.NewDeviceAllocator(rk, 4*(local+2)*8)

@@ -136,9 +136,10 @@ var autoRadixCandidates = [...]int{2, 3, 4, 8, 16}
 // CollTreeTime is the closed-form completion time of one small-message
 // k-nomial broadcast round set over p ranks under model m: each parent
 // serializes one (o + gap) per child on its NIC before the wire latency
-// L, so larger radices trade tree depth against per-node fan-out. This
-// is the same recurrence cmd/coll-bench plots against the measured
-// engine; AutoRadix minimizes it.
+// L, so larger radices trade tree depth against per-node fan-out.
+// AutoRadix minimizes it. It is not what cmd/coll-bench plots: that
+// tool's bcastModel charges o once per hop and a gap per child, where this
+// recurrence charges o + gap per child.
 func CollTreeTime(m *gasnet.LogGP, radix, p, nbytes int) time.Duration {
 	if p <= 1 {
 		return 0

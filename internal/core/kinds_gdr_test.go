@@ -18,7 +18,7 @@ import (
 // `go test -race` in CI (names match the Kinds/Coll race patterns).
 
 func gdrConfig(ranks int, gdr bool) Config {
-	return Config{Ranks: ranks, Stats: true, DMA: gasnet.NoDelayDMA{GDR: gdr}}
+	return Config{Ranks: ranks, Stats: true, DMA: &gasnet.PCIeDMA{GDR: gdr}}
 }
 
 func TestKindsGDRConformanceMatrix(t *testing.T) {

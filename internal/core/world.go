@@ -31,9 +31,10 @@ type Config struct {
 	// time: Rank.Clock reads what the rank has spent.
 	Model *gasnet.LogGP
 	// DMA is the device copy-engine timing model used for transfers
-	// touching device-kind memory (see NewDeviceAllocator). nil defaults
-	// to PCIe3 when Model is set, zero-delay otherwise.
-	DMA gasnet.DMAModel
+	// touching device-kind memory (see NewDeviceAllocator). nil means
+	// PCIe3 when Model is set and zero cost otherwise; &gasnet.PCIeDMA{GDR:
+	// true} is a zero-cost GPUDirect engine.
+	DMA *gasnet.PCIeDMA
 	// WaitTimeout bounds any single Future.Wait as a deadlock backstop
 	// (0: 60s).
 	WaitTimeout time.Duration

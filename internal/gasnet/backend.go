@@ -55,7 +55,7 @@ type xfer struct {
 }
 
 // Kind-aware hop planning. A host↔device hop occupies the owning rank's
-// copy engine at DMAModel cost; any inter-rank leg crosses the NIC at
+// copy engine at PCIeDMA cost; any inter-rank leg crosses the NIC at
 // network cost (Choi et al., arXiv:2102.12416). With I the initiator, S
 // the source rank and D the destination rank, a chain is:
 //

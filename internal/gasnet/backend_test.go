@@ -160,7 +160,7 @@ func (w *confWorld) setup() {
 	}
 }
 
-func inprocWorld(name string, model *LogGP, dma DMAModel) *confWorld {
+func inprocWorld(name string, model *LogGP, dma *PCIeDMA) *confWorld {
 	ob := obs.New(confRanks, obs.Options{TraceDepth: 64})
 	n := NewNetwork(Config{Ranks: confRanks, RanksPerNode: 1, SegmentSize: 1 << 16, Model: model, DMA: dma, Obs: ob})
 	w := &confWorld{name: name, nets: []*Network{n}, ob: ob, remBeforeAck: true}
@@ -179,7 +179,7 @@ func wireWorld(t *testing.T, backend string, gdr bool) *confWorld {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.nets[r] = NewNetwork(Config{Ranks: confRanks, SegmentSize: 1 << 16, DMA: NoDelayDMA{GDR: gdr}, Obs: ob, Aux: intAux{},
+			w.nets[r] = NewNetwork(Config{Ranks: confRanks, SegmentSize: 1 << 16, DMA: &PCIeDMA{GDR: gdr}, Obs: ob, Aux: intAux{},
 				Real: &RealConduit{Backend: backend, Rank: r, BootDir: dir, Timeout: 20 * time.Second}})
 		}()
 	}
@@ -462,7 +462,7 @@ func TestBackendConformanceMatrix(t *testing.T) {
 			mode = "gdr"
 		}
 		worlds := []func() *confWorld{
-			func() *confWorld { return inprocWorld("loopback", nil, NoDelayDMA{GDR: gdr}) },
+			func() *confWorld { return inprocWorld("loopback", nil, &PCIeDMA{GDR: gdr}) },
 			func() *confWorld {
 				us := time.Microsecond
 				return inprocWorld("loggp", &LogGP{O: us, L: 2 * us, Gp: us, IntraO: us, IntraL: us, IntraGp: us},

@@ -50,57 +50,32 @@ type SegID uint16
 // HostSeg is the SegID of the rank's host segment.
 const HostSeg SegID = 0
 
-// DMAModel describes the cost of one device DMA hop of n payload bytes.
-// d2d marks an on-node device-to-device copy (device↔device over the
-// fabric or within one device), which bypasses the host bounce and runs at
-// device-memory speed; otherwise the hop crosses the host interconnect
-// (PCIe-class host↔device).
-type DMAModel interface {
-	// Overhead is the CPU time spent enqueueing the DMA descriptor,
-	// charged to the initiating rank's clock.
-	Overhead(n int) time.Duration
-	// Gap is the copy-engine occupancy per descriptor (inverse
-	// bandwidth): the engine serializes descriptors the way a NIC
-	// serializes messages.
-	Gap(n int, d2d bool) time.Duration
-	// Latency is the kickoff-to-first-byte delay of one DMA.
-	Latency(n int, d2d bool) time.Duration
-	// GPUDirect reports whether the NIC can read and write device
-	// memory directly (GPUDirect RDMA). When every endpoint's engine has
-	// the capability, cross-rank device transfers skip the d2h staging
-	// DMA and the host bounce buffer: the wire hop is the landing hop.
-	GPUDirect() bool
-	// FoldGap is the device time one fused reduction fold occupies: a
-	// single kernel launch reading `ways` landed operands of n bytes
-	// each against the accumulator, charged at device-memory speed.
-	FoldGap(n, ways int) time.Duration
-}
-
-// NoDelayDMA is the zero-cost DMA model: device hops are free. Used by
-// tests and whenever the network model is itself zero-delay. GDR marks
-// the engine GPUDirect-capable — cost stays zero, but the conduit
-// routes (and counts) the direct chains.
-type NoDelayDMA struct{ GDR bool }
-
-func (NoDelayDMA) Overhead(int) time.Duration      { return 0 }
-func (NoDelayDMA) Gap(int, bool) time.Duration     { return 0 }
-func (NoDelayDMA) Latency(int, bool) time.Duration { return 0 }
-func (m NoDelayDMA) GPUDirect() bool               { return m.GDR }
-func (NoDelayDMA) FoldGap(int, int) time.Duration  { return 0 }
-
-// PCIeDMA is a linear-cost DMA engine model. Per-byte costs are fractional
-// nanoseconds, kept as float64 ns/byte like LogGP's.
+// PCIeDMA is the device copy engine's cost model: linear in the bytes of
+// one DMA hop. Per-byte costs are fractional nanoseconds, kept as float64
+// ns/byte like LogGP's. The zero value is a free engine: &PCIeDMA{GDR: true}
+// is a zero-cost GPUDirect one, which routes (and counts) the direct chains.
 type PCIeDMA struct {
 	O         time.Duration // descriptor enqueue overhead (CPU)
 	L         time.Duration // DMA kickoff latency
 	Gp        time.Duration // per-descriptor engine gap
 	GNsPerB   float64       // host↔device per-byte time in ns
 	D2DNsPerB float64       // on-node device↔device per-byte time in ns
-	GDR       bool          // NIC reads/writes device memory directly
+	// GDR marks the NIC able to read and write device memory directly
+	// (GPUDirect RDMA). When every endpoint's engine has the capability,
+	// cross-rank device transfers skip the d2h staging DMA and the host
+	// bounce buffer: the wire hop is the landing hop.
+	GDR bool
 }
 
+// Overhead is the CPU time spent enqueueing one DMA descriptor, charged to
+// the initiating rank's clock.
 func (m *PCIeDMA) Overhead(n int) time.Duration { return m.O }
 
+// Gap is the copy-engine occupancy of one descriptor of n bytes (inverse
+// bandwidth): the engine serializes descriptors the way a NIC serializes
+// messages. d2d marks an on-node device-to-device copy, which bypasses the
+// host bounce and runs at device-memory speed; otherwise the hop crosses
+// the host interconnect (PCIe-class host↔device).
 func (m *PCIeDMA) Gap(n int, d2d bool) time.Duration {
 	per := m.GNsPerB
 	if d2d {
@@ -109,12 +84,12 @@ func (m *PCIeDMA) Gap(n int, d2d bool) time.Duration {
 	return m.Gp + time.Duration(float64(n)*per)
 }
 
+// Latency is the kickoff-to-first-byte delay of one DMA.
 func (m *PCIeDMA) Latency(n int, d2d bool) time.Duration { return m.L }
 
-func (m *PCIeDMA) GPUDirect() bool { return m.GDR }
-
-// FoldGap charges one kernel launch (the per-descriptor gap) plus a
-// device-speed pass over the ways×n operand bytes the fused fold reads.
+// FoldGap is the device time one fused reduction fold occupies: one kernel
+// launch (the per-descriptor gap) plus a device-speed pass over the ways×n
+// operand bytes it reads against the accumulator.
 func (m *PCIeDMA) FoldGap(n, ways int) time.Duration {
 	return m.Gp + time.Duration(float64(n*ways)*m.D2DNsPerB)
 }

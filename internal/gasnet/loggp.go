@@ -8,7 +8,7 @@ import (
 )
 
 // loggp is the model-time in-process backend: loopback's data movement with
-// every hop charged its LogGP (network) or DMAModel (copy engine) cost on the
+// every hop charged its LogGP (network) or PCIeDMA (copy engine) cost on the
 // model clocks. The initiator's overhead advances its rank's clock; each hop
 // books its sender's NIC or copy-engine channel and lands gap+latency later;
 // the bytes move inside the call, and what the landing tells a rank — a
@@ -24,14 +24,14 @@ import (
 type loggp struct {
 	loopback // info and failure: an in-process conduit like any other
 	m        *LogGP
-	dma      DMAModel
+	dma      *PCIeDMA
 	ranks    int
 
 	mu       sync.Mutex               // guards the channels
 	nic, eng []Channel[time.Duration] // [owner*ranks+initiator]: the NIC, the device copy engine
 }
 
-func newLogGP(m *LogGP, dma DMAModel, ranks int) *loggp {
+func newLogGP(m *LogGP, dma *PCIeDMA, ranks int) *loggp {
 	return &loggp{m: m, dma: dma, ranks: ranks,
 		nic: make([]Channel[time.Duration], ranks*ranks), eng: make([]Channel[time.Duration], ranks*ranks)}
 }

@@ -39,10 +39,10 @@ type Config struct {
 	SegmentSize  int    // per-rank segment bytes; 0 means 8 MiB
 	Model        *LogGP // nil means zero-delay delivery
 	// DMA is the device copy-engine model used for transfers touching
-	// device-kind segments. nil defaults to PCIe3 under a Model,
-	// NoDelayDMA otherwise; with a zero-delay network device hops are
-	// always instantaneous.
-	DMA DMAModel
+	// device-kind segments. nil means PCIe3 under a Model and zero cost
+	// otherwise; with a zero-delay network device hops are always
+	// instantaneous.
+	DMA *PCIeDMA
 	// Obs, when non-nil, is the job's observability recorder (sized to
 	// Ranks): each endpoint counts into its rank's table, and records
 	// doorbell and idle counters, wire messages per peer and op-lifecycle
@@ -66,7 +66,7 @@ const DefaultSegmentSize = 8 << 20
 type Network struct {
 	cfg Config
 	gdr bool     // every endpoint's engine is GPUDirect-capable
-	dma DMAModel // the device copy engine's costs, Config.DMA defaulted
+	dma *PCIeDMA // the device copy engine's costs, Config.DMA defaulted
 	// clocked: a timing model is installed, and every endpoint keeps a model
 	// clock (Charge, Clock) and a timed queue of what lands on it.
 	clocked bool
@@ -94,13 +94,13 @@ func NewNetwork(cfg Config) *Network {
 		if cfg.Model != nil {
 			dma = PCIe3()
 		} else {
-			dma = NoDelayDMA{}
+			dma = &PCIeDMA{}
 		}
 	}
 	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
 		panic("gasnet: Config.Obs sized for a different job")
 	}
-	n := &Network{cfg: cfg, gdr: dma.GPUDirect(), dma: dma, eps: make([]*Endpoint, cfg.Ranks)}
+	n := &Network{cfg: cfg, gdr: dma.GDR, dma: dma, eps: make([]*Endpoint, cfg.Ranks)}
 	hosted := func(r int) {
 		ep := &Endpoint{rank: Rank(r), net: n, seg: NewSegment(cfg.SegmentSize), notify: make(chan struct{}, 1)}
 		if cfg.Obs != nil {

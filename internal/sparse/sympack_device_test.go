@@ -25,7 +25,7 @@ func TestCholV1DeviceMatchesDense(t *testing.T) {
 		plan := NewCholPlan(prob.A, tree, P)
 		results := make([]CholResult, P)
 		var snap obs.Snapshot
-		cfg := core.Config{Ranks: P, Stats: true, DMA: gasnet.NoDelayDMA{GDR: true}}
+		cfg := core.Config{Ranks: P, Stats: true, DMA: &gasnet.PCIeDMA{GDR: true}}
 		core.RunConfig(cfg, func(rk *core.Rank) {
 			results[rk.Me()] = CholV1Device(rk, plan)
 			rk.Barrier()

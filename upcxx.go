@@ -182,19 +182,13 @@ func RegisterRPCFF[A any](fn func(*Rank, A)) string { return core.RegisterRPCFF(
 // for cross-process dispatch.
 func RegisterRPCFut[A, R any](fn func(*Rank, A) Future[R]) string { return core.RegisterRPCFut(fn) }
 
-// Device DMA timing models for Config.DMA (see internal/gasnet). A
-// model's GPUDirect capability decides the cross-rank device datapath:
-// GDR-capable engines let the NIC address device memory directly, so
-// device payloads skip the staging DMA hops and the host bounce buffer.
-type (
-	// DMAModel prices the device copy engine's descriptors.
-	DMAModel = gasnet.DMAModel
-	// NoDelayDMA is the zero-cost engine; set GDR to flip the
-	// capability bit without adding timing.
-	NoDelayDMA = gasnet.NoDelayDMA
-	// PCIeDMA is the calibrated engine, charged in model time.
-	PCIeDMA = gasnet.PCIeDMA
-)
+// PCIeDMA is the device copy engine's timing model for Config.DMA (see
+// internal/gasnet), charged in model time. Its GDR capability decides the
+// cross-rank device datapath: GDR-capable engines let the NIC address
+// device memory directly, so device payloads skip the staging DMA hops and
+// the host bounce buffer. The zero value is free: &PCIeDMA{GDR: true} flips
+// the capability without adding timing.
+type PCIeDMA = gasnet.PCIeDMA
 
 var (
 	// PCIe3 returns the calibrated PCIe gen3 engine (staged copies).
