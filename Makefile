@@ -162,19 +162,20 @@ cross-build:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 100x ./...
 
-# Run every figure/benchmark tool once — catches bit-rotted benches. The
-# model-time figure tools (rma-, kinds- and coll-bench) take no flags and
-# print their whole figure in seconds; their bytes are pinned by the golden
-# tests under cmd/*/testdata, which `make test` runs at one P and at four.
+# Run every figure tool once — catches bit-rotted tools. The figure tools
+# take no flags and print their whole figure in model time; rma-, kinds-,
+# coll- and sympack-bench's bytes are pinned by the golden tests under
+# cmd/*/testdata, which `make test` runs at one P and at four;
+# internal/expmodel's TestGoldenMakespans pins dht- and eadd-bench's models
+# at small points. dht-bench is the slow one (about a minute).
 bench-smoke:
 	$(GO) run ./cmd/upcxx-info
 	$(GO) run ./cmd/rma-bench
 	$(GO) run ./cmd/kinds-bench
 	$(GO) run ./cmd/coll-bench
-	$(GO) run ./cmd/dht-bench -inserts 4 -pipelined -batch
+	$(GO) run ./cmd/dht-bench
 	$(GO) run ./cmd/eadd-bench
 	$(GO) run ./cmd/sympack-bench
-	$(GO) run ./cmd/task-bench -spawns 256 -tasks 128 -grain 2ms -batches 2,8
 
 # The committed benchmark is a module of its own (benchmark/go.mod,
 # `replace upcxx => ../`) that reaches into internal/gasnet and the facade:

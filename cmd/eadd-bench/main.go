@@ -7,44 +7,31 @@
 // The structural side is real: the front tree, proportional mapping,
 // block-cyclic layouts and per-message matrix come from internal/sparse
 // on a generated 3D problem; the timing at scale comes from the
-// calibrated discrete-event models in internal/expmodel. With -real the
-// three actual implementations also run in-process at a small P and are
-// verified against each other.
+// calibrated discrete-event models in internal/expmodel, whose
+// TestGoldenMakespans pins every variant's exact makespan at small
+// points. The three real
+// implementations are checked against each other by internal/sparse's
+// tests.
 //
 // Usage:
 //
-//	go run ./cmd/eadd-bench [-scale n] [-block n] [-machine haswell|knl|both] [-real P]
+//	go run ./cmd/eadd-bench
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"upcxx/internal/expmodel"
 	"upcxx/internal/matgen"
-	"upcxx/internal/mpi"
 	"upcxx/internal/sparse"
 	"upcxx/internal/stats"
-
-	core "upcxx/internal/core"
 )
 
-var (
-	scale   = flag.Int("scale", 1, "problem scale (1: 30^3 proxy grid)")
-	block   = flag.Int("block", 16, "2D block-cyclic block size")
-	machine = flag.String("machine", "both", "haswell, knl, or both")
-	realP   = flag.Int("real", 0, "if > 0, also run the real implementations at this process count")
-)
-
-func buildTree() (*matgen.Problem, *sparse.FrontTree) {
-	prob := matgen.AudikwProxy(*scale)
-	tree := sparse.Amalgamate(sparse.BuildFrontTree(prob.A, 0), 0.3)
-	if err := tree.Validate(); err != nil {
-		panic(err)
-	}
-	return prob, tree
-}
+// block is the 2D block-cyclic block size.
+const block = 16
 
 func modelTable(m expmodel.Machine, tree *sparse.FrontTree) *stats.Table {
 	t := &stats.Table{
@@ -57,7 +44,7 @@ func modelTable(m expmodel.Machine, tree *sparse.FrontTree) *stats.Table {
 	a2a := &stats.Series{Name: "MPI Alltoallv"}
 	p2p := &stats.Series{Name: "MPI P2P"}
 	for _, p := range expmodel.Fig8ProcessCounts() {
-		plan := sparse.NewEAddPlan(tree, p, *block)
+		plan := sparse.NewEAddPlan(tree, p, block)
 		up.Add(float64(p), expmodel.SimulateEAddUPCXX(m, plan))
 		a2a.Add(float64(p), expmodel.SimulateEAddA2A(m, plan))
 		p2p.Add(float64(p), expmodel.SimulateEAddP2P(m, plan))
@@ -66,77 +53,26 @@ func modelTable(m expmodel.Machine, tree *sparse.FrontTree) *stats.Table {
 	return t
 }
 
-func realRun(tree *sparse.FrontTree, p int) {
-	plan := sparse.NewEAddPlan(tree, p, *block)
-	want := sparse.EAddSerial(plan)
-	fmt.Printf("real in-process run at P=%d — correctness cross-check (zero-delay conduit;\nwall times measure this Go runtime's software paths, not the modeled network):\n", p)
-
-	stores := make([]*sparse.AccumStore, p)
-	var upcxxTime float64
-	core.RunConfig(core.Config{Ranks: p, SegmentSize: 64 << 20}, func(rk *core.Rank) {
-		st, el := sparse.EAddUPCXX(rk, plan)
-		stores[rk.Me()] = st
-		if el.Seconds() > upcxxTime {
-			upcxxTime = el.Seconds()
-		}
-		rk.Barrier()
-	})
-	verify(want, stores, "UPC++")
-	fmt.Printf("  UPC++ RPC     %.4gs\n", upcxxTime)
-
-	for _, v := range []struct {
-		name string
-		run  func(*mpi.Proc) (*sparse.AccumStore, float64)
-	}{
-		{"MPI Alltoallv", func(pr *mpi.Proc) (*sparse.AccumStore, float64) {
-			s, d := sparse.EAddMPIAlltoallv(pr, plan)
-			return s, d.Seconds()
-		}},
-		{"MPI P2P", func(pr *mpi.Proc) (*sparse.AccumStore, float64) {
-			s, d := sparse.EAddMPIP2P(pr, plan)
-			return s, d.Seconds()
-		}},
-	} {
-		stores := make([]*sparse.AccumStore, p)
-		var worst float64
-		mpi.Run(p, func(pr *mpi.Proc) {
-			st, el := v.run(pr)
-			stores[pr.Rank()] = st
-			if el > worst {
-				worst = el
-			}
-		})
-		verify(want, stores, v.name)
-		fmt.Printf("  %-13s %.4gs\n", v.name, worst)
+// run prints the problem's shape, then Fig 8 on Haswell and on KNL.
+func run(w io.Writer) error {
+	prob := matgen.AudikwProxy(1)
+	tree := sparse.Amalgamate(sparse.BuildFrontTree(prob.A, 0), 0.3)
+	if err := tree.Validate(); err != nil {
+		return err
 	}
-	fmt.Println("  all variants verified against the serial reference")
-}
-
-func verify(want *sparse.AccumStore, stores []*sparse.AccumStore, name string) {
-	got := sparse.NewAccumStore()
-	for _, s := range stores {
-		got.Merge(s)
+	fmt.Fprintf(w, "problem %s: n=%d nnz=%d, %d fronts, depth %d\n\n",
+		prob.Name, prob.A.N, prob.A.NNZ(), len(tree.Fronts), tree.MaxLevel())
+	for _, m := range []expmodel.Machine{expmodel.Haswell(), expmodel.KNL()} {
+		modelTable(m, tree).Fprint(w)
+		fmt.Fprintln(w)
 	}
-	if err := want.Equal(got, 1e-9); err != nil {
-		panic(fmt.Sprintf("%s mismatch: %v", name, err))
-	}
+	return nil
 }
 
 func main() {
-	flag.Parse()
-	prob, tree := buildTree()
-	fmt.Printf("problem %s: n=%d nnz=%d, %d fronts, depth %d\n\n",
-		prob.Name, prob.A.N, prob.A.NNZ(), len(tree.Fronts), tree.MaxLevel())
-
-	if *machine == "haswell" || *machine == "both" {
-		modelTable(expmodel.Haswell(), tree).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *machine == "knl" || *machine == "both" {
-		modelTable(expmodel.KNL(), tree).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *realP > 0 {
-		realRun(tree, *realP)
+	flag.Parse() // it declares none: a stale flag fails instead of being ignored
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "eadd-bench:", err)
+		os.Exit(1)
 	}
 }

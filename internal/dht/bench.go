@@ -7,11 +7,9 @@ import (
 	core "upcxx/internal/core"
 )
 
-// The Fig 4 workload: every rank inserts randomly-keyed values of a fixed
-// element size, blocking after each insertion (the benchmark is
-// latency-limited, as the paper stresses). For each element size the same
-// total volume is inserted, so halving the element size doubles the
-// iteration count.
+// The Fig 4 workload's insert loops: every rank inserts randomly-keyed
+// values of a fixed element size. A BenchConfig fixes the volume each rank
+// inserts, so halving the element size doubles the iteration count.
 
 // BenchConfig describes one weak-scaling data point.
 type BenchConfig struct {
@@ -41,22 +39,6 @@ func (r BenchResult) InsertsPerSec() float64 {
 		return 0
 	}
 	return float64(r.Inserts) / r.Elapsed.Seconds()
-}
-
-// RunInsertBench performs the paper's insert loop on one rank: random
-// 8-byte keys, fixed-size values, one blocking insert at a time. The
-// caller is responsible for barriers around it.
-func RunInsertBench(rk *core.Rank, d *DHT, cfg BenchConfig) BenchResult {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(rk.Me())*1_000_003))
-	val := make([]byte, cfg.ElemSize)
-	rng.Read(val)
-	iters := cfg.Iterations()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		key := rng.Uint64()
-		d.Insert(key, val).Wait()
-	}
-	return BenchResult{Inserts: iters, Elapsed: time.Since(start)}
 }
 
 // RunInsertPipelinedBench is the completion-vocabulary variant of the
@@ -91,7 +73,7 @@ func RunInsertPipelinedBench(rk *core.Rank, d *DHT, cfg BenchConfig) BenchResult
 // all operation completions on one promise waited at the end. batchSize
 // value buffers rotate so each stays unchanged from its insert until the
 // FlushAll that captures it. batchSize 1 degenerates to one message per
-// insert — the per-AM floor the EXPERIMENTS sweep compares against.
+// insert, the per-AM floor.
 // RPCOnly mode only.
 func RunInsertBatchBench(rk *core.Rank, d *DHT, cfg BenchConfig, batchSize int) BenchResult {
 	if batchSize < 1 {
@@ -120,7 +102,7 @@ func RunInsertBatchBench(rk *core.Rank, d *DHT, cfg BenchConfig, batchSize int) 
 	return BenchResult{Inserts: iters, Elapsed: time.Since(start)}
 }
 
-// RunSerialBench is the paper's one-process baseline: the same loop with
+// RunSerialBench is the paper's one-process baseline: the insert loop with
 // all UPC++ calls omitted — a plain map insert, "the best we can achieve
 // with the underlying standard library".
 func RunSerialBench(cfg BenchConfig) BenchResult {

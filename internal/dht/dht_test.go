@@ -220,18 +220,6 @@ func TestQuickModelEquivalence(t *testing.T) {
 }
 
 func TestBenchHarnessSmoke(t *testing.T) {
-	core.Run(2, func(rk *core.Rank) {
-		d := New(rk, LandingZone)
-		rk.Barrier()
-		res := RunInsertBench(rk, d, BenchConfig{ElemSize: 64, VolumePerRank: 64 * 20, Seed: 1})
-		if res.Inserts != 20 {
-			t.Errorf("inserts = %d", res.Inserts)
-		}
-		if res.InsertsPerSec() <= 0 {
-			t.Errorf("rate = %v", res.InsertsPerSec())
-		}
-		rk.Barrier()
-	})
 	serial := RunSerialBench(BenchConfig{ElemSize: 64, VolumePerRank: 64 * 20, Seed: 1})
 	if serial.Inserts != 20 {
 		t.Errorf("serial inserts = %d", serial.Inserts)

@@ -222,17 +222,16 @@ func TestGoldenMakespans(t *testing.T) {
 	prob := matgen.Generate("golden", matgen.Grid3D{NX: 12, NY: 12, NZ: 12}, 16)
 	tree := sparse.Amalgamate(sparse.BuildFrontTree(prob.A, 0), 0.3)
 	m := Haswell()
-	// The Alltoallv variant is closed-form (it schedules no event) and sums
-	// over maps, so its last bit follows map order: it is not pinned here.
 	for _, c := range []struct {
-		p        int
-		upc, p2p float64
+		p             int
+		upc, a2a, p2p float64
 	}{
-		{4, 0.00035014600000000007, 0.000374199},
-		{32, 5.6585000000000035e-05, 0.00010569599999999999},
+		{4, 0.00035014600000000007, 0.000374413, 0.000374199},
+		{32, 5.6585000000000035e-05, 0.00011729399999999998, 0.00010569599999999999},
 	} {
 		plan := sparse.NewEAddPlan(tree, c.p, 16)
 		check(fmt.Sprintf("fig8 UPC++ P=%d", c.p), SimulateEAddUPCXX(m, plan), c.upc)
+		check(fmt.Sprintf("fig8 A2A P=%d", c.p), SimulateEAddA2A(m, plan), c.a2a)
 		check(fmt.Sprintf("fig8 P2P P=%d", c.p), SimulateEAddP2P(m, plan), c.p2p)
 	}
 	for _, c := range []struct {
@@ -244,5 +243,23 @@ func TestGoldenMakespans(t *testing.T) {
 	} {
 		check(fmt.Sprintf("fig9 v1.0 P=%d", c.p), SimulateSymPACK(m, tree, c.p, V1), c.v1)
 		check(fmt.Sprintf("fig9 v0.1 P=%d", c.p), SimulateSymPACK(m, tree, c.p, V01), c.v01)
+	}
+}
+
+// TestFig8A2ADeterministic requires the Alltoallv model to be a function of
+// its plan alone: it sums floats per rank, so the order it walks parents and
+// sender/receiver pairs in must not follow map iteration.
+func TestFig8A2ADeterministic(t *testing.T) {
+	prob := matgen.Generate("golden", matgen.Grid3D{NX: 12, NY: 12, NZ: 12}, 16)
+	tree := sparse.Amalgamate(sparse.BuildFrontTree(prob.A, 0), 0.3)
+	m := Haswell()
+	for _, p := range []int{4, 32} {
+		plan := sparse.NewEAddPlan(tree, p, 16)
+		want := SimulateEAddA2A(m, plan)
+		for i := 1; i < 20; i++ {
+			if got := SimulateEAddA2A(m, plan); got != want {
+				t.Fatalf("P=%d: call %d = %v, call 0 = %v", p, i, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package expmodel
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
 
 	"upcxx/internal/gasnet"
@@ -118,14 +121,16 @@ func SimulateEAddA2A(m Machine, plan *sparse.EAddPlan) float64 {
 		// collective. A rank belonging to several groups at one level
 		// (small P) performs their exchanges back to back, so work
 		// accumulates per rank across groups; the level ends when the
-		// busiest rank finishes.
+		// busiest rank finishes. Groups and pairs are walked in ascending
+		// order, so the float sums do not follow map iteration order.
 		byParent := map[int][]frontMsg{}
 		for _, msg := range byLevel[level] {
 			parent := plan.T.Fronts[msg.front].Parent
 			byParent[parent] = append(byParent[parent], msg)
 		}
 		work := map[int32]float64{}
-		for parent, msgs := range byParent {
+		for _, parent := range slices.Sorted(maps.Keys(byParent)) {
+			msgs := byParent[parent]
 			lo, hi := plan.Map.Range(parent)
 			g := int(hi - lo)
 			// Size exchange over the group: ceil(log2 g) Bruck rounds of
@@ -152,7 +157,8 @@ func SimulateEAddA2A(m Machine, plan *sparse.EAddPlan) float64 {
 				work[msg.dst] += float64(msg.count)*m.cpu(accumEntryCost) +
 					m.cpu(m.Proto.MatchCost)
 			}
-			for key, bytes := range sendBytes {
+			for _, key := range slices.SortedFunc(maps.Keys(sendBytes), comparePair) {
+				bytes := sendBytes[key]
 				intra := m.intra(key[0], key[1])
 				work[key[0]] += m.cpu(m.Proto.SendOverhead) +
 					m.overhead(bytes, intra) + m.gap(bytes, intra)
@@ -168,6 +174,11 @@ func SimulateEAddA2A(m Machine, plan *sparse.EAddPlan) float64 {
 		t += levelTime
 	}
 	return t
+}
+
+// comparePair orders (src, dst) pairs by src, then dst.
+func comparePair(a, b [2]int32) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 }
 
 // SimulateEAddP2P returns the modeled wall time of the MPI

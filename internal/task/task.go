@@ -43,7 +43,7 @@ type Config struct {
 	// persona) pulling from the rank's task queue. 0 means 2.
 	Workers int
 	// NoSteal disables work stealing: idle workers only wait for local
-	// spawns. The imbalance-recovery baseline in cmd/task-bench.
+	// spawns.
 	NoSteal bool
 	// StealBatch caps how many tasks one steal request migrates. 0 means
 	// 8. Batching amortizes the per-message overhead o over several
