@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race alloc-pins vet fmt-check fmt no-pin no-task-sleep no-queue-regrow no-stack-identity no-wall-clock-model cross-build bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
+.PHONY: all build test test-short race alloc-pins vet fmt-check fmt test-links no-pin no-task-sleep no-queue-regrow no-stack-identity no-wall-clock-model cross-build bench bench-smoke bench-selftest bench-pairs loc fuzz-smoke examples-run obs-smoke transport-smoke ci
 
 all: build
 
@@ -56,20 +56,22 @@ test-short:
 # blocked behind it. The task package runs a second time with one P too: the
 # steal bounce and a worker parked over a queued task only show there.
 # Goroutine runs the identity tests, so checkptr sees curGID's load from g.
+# The runtime is one package (the module root); internal/core and
+# internal/task are its two white-box test packages (see test-links).
 race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine|ModelTime'
-	GOMAXPROCS=1 $(GO) test -race ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress|ModelTime'
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress|ModelTime'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire|ModelTime'
-	GOMAXPROCS=1 $(GO) test -race ./internal/gasnet/ -run 'Ring|Wire|ModelTime'
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/gasnet/ -run 'Ring|Wire|ModelTime'
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/task/
-	GOMAXPROCS=1 $(GO) test -race ./internal/task/
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/task/
 
 # Allocation pins (testing.AllocsPerRun; they skip themselves under -race):
 # heap objects per operation in core, per AM in gasnet, per decoded aux
 # token, per park, and per rpc_ff as a downstream package pays it (the
-# facade test: generic entry points instantiated outside internal/core).
+# external test: generic entry points instantiated outside package upcxx).
 # Once as the host schedules it and once with one P, the configuration the
 # committed benchmark measures.
 alloc-pins:
@@ -118,7 +120,7 @@ fmt:
 # ordinary goroutines: pinning one to an OS thread makes every frame pay a
 # thread wake-up and a P hand-off (DESIGN.md §14). Keep it that way.
 no-pin:
-	@if grep -rn LockOSThread internal/; then \
+	@if grep -rn LockOSThread *.go internal/; then \
 		echo "no-pin: runtime goroutines must not be pinned to OS threads"; exit 1; \
 	fi
 
@@ -126,7 +128,7 @@ no-pin:
 # (ProgressWait): whatever hands it work rings the doorbell it parks on. A
 # time.Sleep cannot be woken, so every hand-off behind it waits the sleep out.
 no-task-sleep:
-	@if grep -n 'time\.Sleep' internal/task/task.go internal/task/steal.go; then \
+	@if grep -n 'time\.Sleep' task.go steal.go; then \
 		echo "no-task-sleep: the task runtime idles through Rank.ProgressWait, never time.Sleep"; exit 1; \
 	fi
 
@@ -138,12 +140,12 @@ no-queue-regrow:
 		echo "no-queue-regrow: drain queues by swapping buffers (see PollCompletions, PollAMs)"; exit 1; \
 	fi
 
-# Goroutine identity is one load from the runtime's g (internal/core/goid.go):
-# runtime.Stack is that file's calibration oracle and fallback, and no other
-# runtime code derives identity from a traceback.
+# Goroutine identity is one load from the runtime's g (goid.go): runtime.Stack
+# is that file's calibration oracle and fallback, and no other runtime code
+# derives identity from a traceback.
 no-stack-identity:
-	@if git grep -n --untracked 'runtime\.Stack' -- 'internal/*.go' ':!*_test.go' | grep -v '^internal/core/goid\.go:'; then \
-		echo "no-stack-identity: goroutine identity comes from curGID (internal/core/goid.go), not runtime.Stack"; exit 1; \
+	@if git grep -n --untracked 'runtime\.Stack' -- ':(glob)*.go' 'internal/*.go' ':!*_test.go' | grep -v '^goid\.go:'; then \
+		echo "no-stack-identity: goroutine identity comes from curGID (goid.go), not runtime.Stack"; exit 1; \
 	fi
 
 # The LogGP conduit and the event core run in model time (DESIGN §5): nothing
@@ -156,7 +158,7 @@ no-wall-clock-model:
 # The getg stubs off this host's GOARCH: arm64's must assemble and pass vet's
 # asmdecl, and a GOARCH with no stub (386) must build on the fallback.
 cross-build:
-	GOARCH=arm64 $(GO) vet ./internal/core/
+	GOARCH=arm64 $(GO) vet .
 	GOARCH=386 $(GO) build ./...
 
 bench:
@@ -178,7 +180,7 @@ bench-smoke:
 	$(GO) run ./cmd/sympack-bench
 
 # The committed benchmark is a module of its own (benchmark/go.mod,
-# `replace upcxx => ../`) that reaches into internal/gasnet and the facade:
+# `replace upcxx => ../`) that reaches into internal/gasnet and the root package:
 # vet it and run its self-test so an API slip is caught here, not by the
 # benchmark pipeline. Same environment hygiene as benchmark/run.sh.
 bench-selftest:
@@ -197,10 +199,31 @@ bench-pairs:
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(or $(N),10)" "$(WORKLOAD)" "$(or $(SEED),1)"
 
 # The two sizes the simplicity aim is quoted in (ROADMAP item 5): non-test Go
-# lines outside benchmark/, and exported functions of the facade.
+# lines outside benchmark/ (the test packages' links to the root sources are
+# not lines of their own), and the root package's exported package-level
+# identifiers (testdata/api.golden, which TestAPIGolden pins to the source).
 loc:
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
-	@grep -c '^func [A-Z]' upcxx.go
+	@git ls-files -s '*.go' | awk '$$1 != "120000" {print $$4}' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+	@grep -c . testdata/api.golden
+
+# The runtime's white-box tests keep their own packages, internal/core and
+# internal/task, which compile the root package's sources through one
+# symlink per file: each directory must link every non-test root source (a
+# file added at the root gets `ln -s ../../<file> internal/core/` and the same
+# in internal/task) and hold no source of its own.
+test-links:
+	@want=$$(ls *.go *.s | grep -v '_test\.go$$'); \
+	for d in internal/core internal/task; do \
+		have=$$(cd $$d && ls *.go *.s | grep -v '_test\.go$$'); \
+		if [ "$$have" != "$$want" ]; then \
+			echo "test-links: $$d's sources are not the root's"; exit 1; \
+		fi; \
+		for f in $$have; do \
+			if [ "$$(readlink $$d/$$f)" != "../../$$f" ]; then \
+				echo "test-links: $$d/$$f must be a symlink to ../../$$f"; exit 1; \
+			fi; \
+		done; \
+	done
 
 # Observability smoke: quickstart with stats and tracing armed must print
 # a non-empty sampled op timeline; over real conduits the merged snapshot
@@ -237,4 +260,4 @@ transport-smoke:
 	done
 
 # Tier-1 verification in one command.
-ci: build vet fmt-check no-pin no-task-sleep no-queue-regrow no-stack-identity no-wall-clock-model cross-build test race alloc-pins bench-selftest bench-smoke examples-run obs-smoke transport-smoke
+ci: build vet fmt-check test-links no-pin no-task-sleep no-queue-regrow no-stack-identity no-wall-clock-model cross-build test race alloc-pins bench-selftest bench-smoke examples-run obs-smoke transport-smoke

@@ -34,7 +34,7 @@ import (
 	"strings"
 	"time"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 	"upcxx/internal/stats"
@@ -51,28 +51,8 @@ var (
 	radices = []int{1, 2, 4, 8} // tree radices swept (1 = flat)
 )
 
-// bcastModel predicts the time for the last leaf of the engine's tree
-// (radix as Config.CollRadix) to receive a broadcast of nbytes: each
-// parent serializes its children on the NIC gap, and every hop pays
-// injection overhead plus wire latency. One reduction up the same tree
-// mirrors these costs, so a broadcast+reduce round models as twice this.
-func bcastModel(p, radix, nbytes int, m *gasnet.LogGP) time.Duration {
-	var worst time.Duration
-	var visit func(rr int, at time.Duration)
-	visit = func(rr int, at time.Duration) {
-		if at > worst {
-			worst = at
-		}
-		for i, c := range core.CollTopoChildren(radix, rr, p) {
-			visit(c, at+m.Overhead(nbytes, false)+time.Duration(i+1)*m.Gap(nbytes, false)+m.Latency(nbytes, false))
-		}
-	}
-	visit(0, 0)
-	return worst
-}
-
 // perRound is the model time rank 0 spent per round since t0.
-func perRound(rk *core.Rank, t0 time.Duration) float64 {
+func perRound(rk *upcxx.Rank, t0 time.Duration) float64 {
 	return (rk.Clock() - t0).Seconds() / float64(iters)
 }
 
@@ -80,18 +60,18 @@ func perRound(rk *core.Rank, t0 time.Duration) float64 {
 // the Aries conduit with every rank on its own node.
 func measureRound(p, radix int) float64 {
 	var per float64
-	core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
-		CollRadix: radix, SegmentSize: 1 << 20}, func(rk *core.Rank) {
+	upcxx.RunConfig(upcxx.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
+		CollRadix: radix, SegmentSize: 1 << 20}, func(rk *upcxx.Rank) {
 		world := rk.WorldTeam()
 		sum := func(a, b int64) int64 { return a + b }
 		// Warm-up round.
-		core.Broadcast(world, 0, int64(1)).Wait()
-		core.ReduceOne(world, int64(1), sum).Wait()
+		upcxx.Broadcast(world, 0, int64(1)).Wait()
+		upcxx.ReduceOne(world, int64(1), sum).Wait()
 		rk.Barrier()
 		t0 := rk.Clock()
 		for i := 0; i < iters; i++ {
-			core.Broadcast(world, 0, int64(i)).Wait()
-			core.ReduceOne(world, int64(1), sum).Wait()
+			upcxx.Broadcast(world, 0, int64(i)).Wait()
+			upcxx.ReduceOne(world, int64(1), sum).Wait()
 		}
 		if rk.Me() == 0 {
 			per = perRound(rk, t0)
@@ -99,7 +79,7 @@ func measureRound(p, radix int) float64 {
 		// A member is done with ReduceOne once its partial is sent. Held here
 		// until the root is done too, it sends nothing up that its parent,
 		// still folding, could harvest ahead of a slower sibling's partial.
-		core.Broadcast(world, 0, int64(0)).Wait()
+		upcxx.Broadcast(world, 0, int64(0)).Wait()
 		rk.Barrier()
 	})
 	return per
@@ -111,12 +91,12 @@ func measureRound(p, radix int) float64 {
 // folds all its arrived children with a single kernel), and — under a
 // GPUDirect DMA model — zero bounced d2d descriptors (all direct), vs
 // all-bounced without it.
-func checkDevicePins(rk *core.Rank, p, radix int, gdr bool) error {
+func checkDevicePins(rk *upcxx.Rank, p, radix int, gdr bool) error {
 	s := rk.World().StatsMerged()
 	nops := uint64(iters + 1) // warm-up + timed rounds
 	internal := 0
 	for rr := 0; rr < p; rr++ {
-		if len(core.CollTopoChildren(radix, rr, p)) > 0 {
+		if len(upcxx.CollTopoChildren(radix, rr, p)) > 0 {
 			internal++
 		}
 	}
@@ -147,22 +127,22 @@ func measureDeviceAllReduce(p, radix, elems int, gdr bool) (float64, error) {
 	dma.GDR = gdr
 	var per float64
 	var pin error
-	core.RunConfig(core.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
-		DMA: dma, CollRadix: radix, SegmentSize: 1 << 20, Stats: true}, func(rk *core.Rank) {
-		da := core.NewDeviceAllocator(rk, 1<<22)
-		buf := core.MustNewDeviceArray[float64](da, elems)
-		core.RunKernel(da, buf, elems, func(s []float64) {
+	upcxx.RunConfig(upcxx.Config{Ranks: p, RanksPerNode: 1, Model: gasnet.Aries(),
+		DMA: dma, CollRadix: radix, SegmentSize: 1 << 20, Stats: true}, func(rk *upcxx.Rank) {
+		da := upcxx.NewDeviceAllocator(rk, 1<<22)
+		buf := upcxx.MustNewDeviceArray[float64](da, elems)
+		upcxx.RunKernel(da, buf, elems, func(s []float64) {
 			for i := range s {
 				s[i] = 1
 			}
 		})
 		world := rk.WorldTeam()
 		sum := func(a, b float64) float64 { return a + b }
-		core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait() // warm up
+		upcxx.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait() // warm up
 		rk.Barrier()
 		t0 := rk.Clock()
 		for i := 0; i < iters; i++ {
-			core.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait()
+			upcxx.AllReduceBufWith(world, da, buf, elems, sum).Op.Wait()
 		}
 		if rk.Me() == 0 {
 			per = perRound(rk, t0)
@@ -199,7 +179,7 @@ func run(w io.Writer) error {
 		model := &stats.Series{Name: radixName(r) + " (model)"}
 		meas := &stats.Series{Name: radixName(r) + " (measured)"}
 		for _, p := range ranks {
-			model.Add(float64(p), 2*bcastModel(p, r, collHeader, aries).Seconds()*1e6)
+			model.Add(float64(p), 2*upcxx.CollTreeTime(aries, r, p, collHeader).Seconds()*1e6)
 			meas.Add(float64(p), measureRound(p, r)*1e6)
 		}
 		host.Series = append(host.Series, model, meas)
@@ -210,13 +190,13 @@ func run(w io.Writer) error {
 	autoMeas := &stats.Series{Name: "auto (measured)"}
 	picks := make([]string, 0, len(ranks))
 	for _, p := range ranks {
-		pick := core.AutoRadix(aries, p)
+		pick := upcxx.AutoRadix(aries, p)
 		name := "default"
 		if pick > 0 {
 			name = radixName(pick)
 		}
 		picks = append(picks, fmt.Sprintf("%d ranks -> %s", p, name))
-		autoModel.Add(float64(p), 2*bcastModel(p, pick, collHeader, aries).Seconds()*1e6)
+		autoModel.Add(float64(p), 2*upcxx.CollTreeTime(aries, pick, p, collHeader).Seconds()*1e6)
 		autoMeas.Add(float64(p), measureRound(p, 0)*1e6)
 	}
 	host.Series = append(host.Series, autoModel, autoMeas)

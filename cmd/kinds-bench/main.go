@@ -29,7 +29,7 @@ import (
 	"upcxx/internal/obs"
 	"upcxx/internal/stats"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // maxSize is the largest transfer size swept, in bytes.
@@ -117,12 +117,12 @@ func run(w io.Writer) error {
 	// capability: GDR-suffixed pairs run on wg, the rest on plain. Stats
 	// stay on in both — the descriptor-kind counters are the pin that the
 	// two sweeps actually took different datapaths.
-	plain := core.NewWorld(core.Config{
+	plain := upcxx.NewWorld(upcxx.Config{
 		Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * maxSize,
 		Model: gasnet.Aries(), DMA: gasnet.PCIe3(), Stats: true,
 	})
 	defer plain.Close()
-	wg := core.NewWorld(core.Config{
+	wg := upcxx.NewWorld(upcxx.Config{
 		Ranks: 2, RanksPerNode: 1, SegmentSize: 2 * maxSize,
 		Model: gasnet.Aries(), DMA: gasnet.PCIe3GDR(), Stats: true,
 	})
@@ -169,38 +169,38 @@ func main() {
 }
 
 // measure times one blocking CopyGG transfer on the initiator's model clock.
-func measure(w *core.World, p pair, n int) time.Duration {
+func measure(w *upcxx.World, p pair, n int) time.Duration {
 	var el time.Duration
-	w.Run(func(rk *core.Rank) {
-		da := core.NewDeviceAllocator(rk, 2*n+64) // room for both sides of a d2d pair
-		alloc := func(dev bool) core.GPtr[uint8] {
+	w.Run(func(rk *upcxx.Rank) {
+		da := upcxx.NewDeviceAllocator(rk, 2*n+64) // room for both sides of a d2d pair
+		alloc := func(dev bool) upcxx.GPtr[uint8] {
 			if dev {
-				return core.MustNewDeviceArray[uint8](da, n)
+				return upcxx.MustNewDeviceArray[uint8](da, n)
 			}
-			return core.MustNewArray[uint8](rk, n)
+			return upcxx.MustNewArray[uint8](rk, n)
 		}
 		src := alloc(p.srcDev)
 		dst := alloc(p.dstDev)
-		dstObj := core.NewDistObject(rk, dst)
+		dstObj := upcxx.NewDistObject(rk, dst)
 		rk.Barrier()
 		if rk.Me() == 0 {
 			d := dst
 			if p.cross {
-				d = core.FetchDist[core.GPtr[uint8]](rk, dstObj.ID(), 1).Wait()
+				d = upcxx.FetchDist[upcxx.GPtr[uint8]](rk, dstObj.ID(), 1).Wait()
 			}
 			// An untimed copy first: right after the barrier its release
 			// message still holds rank 0's NIC, and the timed copy must
 			// queue behind nothing.
-			core.CopyGG(rk, src, d, n).Wait()
+			upcxx.CopyGG(rk, src, d, n).Wait()
 			t0 := rk.Clock()
-			core.CopyGG(rk, src, d, n).Wait()
+			upcxx.CopyGG(rk, src, d, n).Wait()
 			el = rk.Clock() - t0
 		}
 		// Free only after every rank's transfers have completed: a
 		// cross-rank copy lands in another rank's buffers.
 		rk.Barrier()
-		_ = core.Delete(rk, src)
-		_ = core.Delete(rk, dst)
+		_ = upcxx.Delete(rk, src)
+		_ = upcxx.Delete(rk, dst)
 		rk.Barrier()
 	})
 	return el

@@ -42,15 +42,15 @@ import (
 	"upcxx/internal/mpi"
 	"upcxx/internal/stats"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // maxSize is the largest transfer size swept, in bytes.
 const maxSize = 4 << 20
 
 // runMeasured runs one two-node measured UPC++ world on the Aries model.
-func runMeasured(seg int, fn func(rk *core.Rank)) {
-	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: gasnet.Aries(), SegmentSize: seg}, fn)
+func runMeasured(seg int, fn func(rk *upcxx.Rank)) {
+	upcxx.RunConfig(upcxx.Config{Ranks: 2, RanksPerNode: 1, Model: gasnet.Aries(), SegmentSize: seg}, fn)
 }
 
 // runMPI runs one two-node MPI job on the Aries model.
@@ -100,21 +100,21 @@ func floodIters(size int) int {
 // measureUPCXXLatency times blocking rputs between two single-rank nodes.
 func measureUPCXXLatency(size int) float64 {
 	var perOp float64
-	runMeasured(16<<20, func(rk *core.Rank) {
-		var dst core.GPtr[uint8]
+	runMeasured(16<<20, func(rk *upcxx.Rank) {
+		var dst upcxx.GPtr[uint8]
 		if rk.Me() == 1 {
-			dst = core.MustNewArray[uint8](rk, size)
+			dst = upcxx.MustNewArray[uint8](rk, size)
 		}
-		obj := core.NewDistObject(rk, dst)
+		obj := upcxx.NewDistObject(rk, dst)
 		rk.Barrier()
 		if rk.Me() == 0 {
-			dst = core.FetchDist[core.GPtr[uint8]](rk, obj.ID(), 1).Wait()
+			dst = upcxx.FetchDist[upcxx.GPtr[uint8]](rk, obj.ID(), 1).Wait()
 			src := make([]uint8, size)
 			iters := latencyIters(size)
-			core.RPut(rk, src, dst).Wait() // warm up
+			upcxx.RPut(rk, src, dst).Wait() // warm up
 			t0 := rk.Clock()
 			for i := 0; i < iters; i++ {
-				core.RPut(rk, src, dst).Wait()
+				upcxx.RPut(rk, src, dst).Wait()
 			}
 			perOp = per(rk.Clock(), t0, iters)
 		}
@@ -127,21 +127,21 @@ func measureUPCXXLatency(size int) float64 {
 // tracked by one promise, with occasional progress.
 func measureUPCXXFlood(size int) float64 {
 	var bw float64
-	runMeasured(32<<20, func(rk *core.Rank) {
-		var dst core.GPtr[uint8]
+	runMeasured(32<<20, func(rk *upcxx.Rank) {
+		var dst upcxx.GPtr[uint8]
 		if rk.Me() == 1 {
-			dst = core.MustNewArray[uint8](rk, size)
+			dst = upcxx.MustNewArray[uint8](rk, size)
 		}
-		obj := core.NewDistObject(rk, dst)
+		obj := upcxx.NewDistObject(rk, dst)
 		rk.Barrier()
 		if rk.Me() == 0 {
-			dst = core.FetchDist[core.GPtr[uint8]](rk, obj.ID(), 1).Wait()
+			dst = upcxx.FetchDist[upcxx.GPtr[uint8]](rk, obj.ID(), 1).Wait()
 			src := make([]uint8, size)
 			iters := floodIters(size)
-			p := core.NewPromise[core.Unit](rk)
+			p := upcxx.NewPromise[upcxx.Unit](rk)
 			t0 := rk.Clock()
 			for i := 0; i < iters; i++ {
-				core.RPutPromise(rk, src, dst, p)
+				upcxx.RPutPromise(rk, src, dst, p)
 				if i%10 == 0 {
 					rk.Progress()
 				}
@@ -157,7 +157,7 @@ func measureUPCXXFlood(size int) float64 {
 // await serves progress on rk until its counter reaches v. It waits by
 // the idle rule, whose empty passes advance the model clock to the next
 // message.
-func await(rk *core.Rank, ctr []uint64, v uint64) {
+func await(rk *upcxx.Rank, ctr []uint64, v uint64) {
 	for ctr[0] < v {
 		rk.ProgressWait(time.Millisecond)
 	}
@@ -166,7 +166,7 @@ func await(rk *core.Rank, ctr []uint64, v uint64) {
 // pingPong runs a warm-up hop each way, then iters round trips of hop
 // between ranks 0 and 1, each side awaiting its counter; rank 0 stores the
 // model time per one-way hop in perHop.
-func pingPong(rk *core.Rank, ctr []uint64, iters int, hop func(), perHop *float64) {
+func pingPong(rk *upcxx.Rank, ctr []uint64, iters int, hop func(), perHop *float64) {
 	if rk.Me() == 0 {
 		hop()
 	}
@@ -201,32 +201,32 @@ func pingPong(rk *core.Rank, ctr []uint64, iters int, hop func(), perHop *float6
 // the put+RPC idiom runs (blocking put, then rpc_ff).
 func measureNotify(size int, signaling bool) float64 {
 	var perHop float64
-	runMeasured(16<<20, func(rk *core.Rank) {
+	runMeasured(16<<20, func(rk *upcxx.Rank) {
 		type slots struct {
-			Buf core.GPtr[uint8]
-			Ctr core.GPtr[uint64]
+			Buf upcxx.GPtr[uint8]
+			Ctr upcxx.GPtr[uint64]
 		}
 		mine := slots{
-			Buf: core.MustNewArray[uint8](rk, size),
-			Ctr: core.MustNewArray[uint64](rk, 1),
+			Buf: upcxx.MustNewArray[uint8](rk, size),
+			Ctr: upcxx.MustNewArray[uint64](rk, 1),
 		}
-		obj := core.NewDistObject(rk, mine)
+		obj := upcxx.NewDistObject(rk, mine)
 		rk.Barrier()
 		peer := (rk.Me() + 1) % 2
-		theirs := core.FetchDist[slots](rk, obj.ID(), peer).Wait()
+		theirs := upcxx.FetchDist[slots](rk, obj.ID(), peer).Wait()
 		src := make([]uint8, size)
-		bump := func(trk *core.Rank, c core.GPtr[uint64]) {
-			core.Local(trk, c, 1)[0]++
+		bump := func(trk *upcxx.Rank, c upcxx.GPtr[uint64]) {
+			upcxx.Local(trk, c, 1)[0]++
 		}
 		hop := func() {
 			if signaling {
-				core.RPutSignal(rk, src, theirs.Buf, bump, theirs.Ctr)
+				upcxx.RPutSignal(rk, src, theirs.Buf, bump, theirs.Ctr)
 				return
 			}
-			core.RPut(rk, src, theirs.Buf).Wait()
-			core.RPCFF(rk, peer, bump, theirs.Ctr)
+			upcxx.RPut(rk, src, theirs.Buf).Wait()
+			upcxx.RPCFF(rk, peer, bump, theirs.Ctr)
 		}
-		pingPong(rk, core.Local(rk, mine.Ctr, 1), latencyIters(size), hop, &perHop)
+		pingPong(rk, upcxx.Local(rk, mine.Ctr, 1), latencyIters(size), hop, &perHop)
 	})
 	return perHop
 }
@@ -234,12 +234,12 @@ func measureNotify(size int, signaling bool) float64 {
 // rpcHopArgs carries one RPC notification hop's payload: the peer's
 // counter to bump plus size value bytes riding as a zero-copy view.
 type rpcHopArgs struct {
-	Ctr core.GPtr[uint64]
-	Val core.View[uint8]
+	Ctr upcxx.GPtr[uint64]
+	Val upcxx.View[uint8]
 }
 
-func rpcHopBody(trk *core.Rank, a rpcHopArgs) {
-	core.Local(trk, a.Ctr, 1)[0]++
+func rpcHopBody(trk *upcxx.Rank, a rpcHopArgs) {
+	upcxx.Local(trk, a.Ctr, 1)[0]++
 }
 
 // measureRPCFF times one rpc_ff notification hop — payload serialized
@@ -248,17 +248,17 @@ func rpcHopBody(trk *core.Rank, a rpcHopArgs) {
 // to wait on, exactly like measureNotify's signaling half).
 func measureRPCFF(size int) float64 {
 	var perHop float64
-	runMeasured(16<<20, func(rk *core.Rank) {
-		mine := core.MustNewArray[uint64](rk, 1)
-		obj := core.NewDistObject(rk, mine)
+	runMeasured(16<<20, func(rk *upcxx.Rank) {
+		mine := upcxx.MustNewArray[uint64](rk, 1)
+		obj := upcxx.NewDistObject(rk, mine)
 		rk.Barrier()
 		peer := (rk.Me() + 1) % 2
-		theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), peer).Wait()
+		theirs := upcxx.FetchDist[upcxx.GPtr[uint64]](rk, obj.ID(), peer).Wait()
 		val := make([]uint8, size)
 		hop := func() {
-			core.RPCFF(rk, peer, rpcHopBody, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)})
+			upcxx.RPCFF(rk, peer, rpcHopBody, rpcHopArgs{Ctr: theirs, Val: upcxx.MakeView(val)})
 		}
-		pingPong(rk, core.Local(rk, mine, 1), latencyIters(size), hop, &perHop)
+		pingPong(rk, upcxx.Local(rk, mine, 1), latencyIters(size), hop, &perHop)
 	})
 	return perHop
 }
@@ -267,19 +267,19 @@ func measureRPCFF(size int) float64 {
 // returning a small acknowledgment.
 func measureRPCRoundTrip(size int) float64 {
 	var perOp float64
-	runMeasured(16<<20, func(rk *core.Rank) {
-		mine := core.MustNewArray[uint64](rk, 1)
-		obj := core.NewDistObject(rk, mine)
+	runMeasured(16<<20, func(rk *upcxx.Rank) {
+		mine := upcxx.MustNewArray[uint64](rk, 1)
+		obj := upcxx.NewDistObject(rk, mine)
 		rk.Barrier()
 		if rk.Me() == 0 {
-			theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			theirs := upcxx.FetchDist[upcxx.GPtr[uint64]](rk, obj.ID(), 1).Wait()
 			val := make([]uint8, size)
 			call := func() {
-				core.RPC(rk, 1, func(trk *core.Rank, a rpcHopArgs) uint64 {
-					c := core.Local(trk, a.Ctr, 1)
+				upcxx.RPC(rk, 1, func(trk *upcxx.Rank, a rpcHopArgs) uint64 {
+					c := upcxx.Local(trk, a.Ctr, 1)
 					c[0]++
 					return c[0]
-				}, rpcHopArgs{Ctr: theirs, Val: core.MakeView(val)}).Wait()
+				}, rpcHopArgs{Ctr: theirs, Val: upcxx.MakeView(val)}).Wait()
 			}
 			call() // warm up
 			iters := latencyIters(size)
@@ -295,8 +295,8 @@ func measureRPCRoundTrip(size int) float64 {
 }
 
 // bumpCounter is the small-RPC body of the batch throughput sweep.
-func bumpCounter(trk *core.Rank, c core.GPtr[uint64]) uint64 {
-	cc := core.Local(trk, c, 1)
+func bumpCounter(trk *upcxx.Rank, c upcxx.GPtr[uint64]) uint64 {
+	cc := upcxx.Local(trk, c, 1)
 	cc[0]++
 	return cc[0]
 }
@@ -308,27 +308,27 @@ func bumpCounter(trk *core.Rank, c core.GPtr[uint64]) uint64 {
 // datapath. Returns ops per model second.
 func measureBatchRPCRate(batchSize, total int) float64 {
 	var rate float64
-	runMeasured(16<<20, func(rk *core.Rank) {
-		mine := core.MustNewArray[uint64](rk, 1)
-		obj := core.NewDistObject(rk, mine)
+	runMeasured(16<<20, func(rk *upcxx.Rank) {
+		mine := upcxx.MustNewArray[uint64](rk, 1)
+		obj := upcxx.NewDistObject(rk, mine)
 		rk.Barrier()
 		if rk.Me() == 0 {
-			theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
-			b := core.NewBatch(rk, 1)
+			theirs := upcxx.FetchDist[upcxx.GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			b := upcxx.NewBatch(rk, 1)
 			// Warm-up batch.
-			core.BatchRPC(b, bumpCounter, theirs)
-			b.Flush(core.OpCxAsFuture()).Op.Wait()
-			done := core.NewPromise[core.Unit](rk)
+			upcxx.BatchRPC(b, bumpCounter, theirs)
+			b.Flush(upcxx.OpCxAsFuture()).Op.Wait()
+			done := upcxx.NewPromise[upcxx.Unit](rk)
 			t0 := rk.Clock()
 			for i := 0; i < total; i++ {
-				core.BatchRPC(b, bumpCounter, theirs)
+				upcxx.BatchRPC(b, bumpCounter, theirs)
 				if b.Len() >= batchSize {
-					b.Flush(core.OpCxAsPromise(done))
+					b.Flush(upcxx.OpCxAsPromise(done))
 					rk.Progress()
 				}
 			}
 			if b.Len() > 0 {
-				b.Flush(core.OpCxAsPromise(done))
+				b.Flush(upcxx.OpCxAsPromise(done))
 			}
 			done.Finalize().Wait()
 			rate = 1 / per(rk.Clock(), t0, total)
@@ -342,17 +342,17 @@ func measureBatchRPCRate(batchSize, total int) float64 {
 // message per RPC (plus one per reply), pipelined on a single promise.
 func measurePerAMRate(total int) float64 {
 	var rate float64
-	runMeasured(16<<20, func(rk *core.Rank) {
-		mine := core.MustNewArray[uint64](rk, 1)
-		obj := core.NewDistObject(rk, mine)
+	runMeasured(16<<20, func(rk *upcxx.Rank) {
+		mine := upcxx.MustNewArray[uint64](rk, 1)
+		obj := upcxx.NewDistObject(rk, mine)
 		rk.Barrier()
 		if rk.Me() == 0 {
-			theirs := core.FetchDist[core.GPtr[uint64]](rk, obj.ID(), 1).Wait()
-			core.RPC(rk, 1, bumpCounter, theirs).Wait() // warm up
-			done := core.NewPromise[core.Unit](rk)
+			theirs := upcxx.FetchDist[upcxx.GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			upcxx.RPC(rk, 1, bumpCounter, theirs).Wait() // warm up
+			done := upcxx.NewPromise[upcxx.Unit](rk)
 			t0 := rk.Clock()
 			for i := 0; i < total; i++ {
-				core.RPCWith(rk, 1, bumpCounter, theirs, core.OpCxAsPromise(done))
+				upcxx.RPCWith(rk, 1, bumpCounter, theirs, upcxx.OpCxAsPromise(done))
 				if i%10 == 0 {
 					rk.Progress()
 				}

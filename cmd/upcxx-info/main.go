@@ -27,8 +27,6 @@ import (
 	"upcxx/internal/gasnet"
 	"upcxx/internal/mpi"
 	"upcxx/internal/obs"
-
-	core "upcxx/internal/core"
 )
 
 func describeLogGP(name string, m *gasnet.LogGP) {
@@ -93,7 +91,7 @@ func main() {
 		ci       upcxx.ConduitInfo
 		report   bool
 	)
-	core.RunConfig(core.Config{Ranks: 4},
+	upcxx.RunConfig(upcxx.Config{Ranks: 4},
 		func(rk *upcxx.Rank) {
 			got := upcxx.AllReduce(rk.WorldTeam(), int64(rk.Me())+1,
 				func(a, b int64) int64 { return a + b }).Wait()

@@ -2,7 +2,7 @@
 // rank keeps its slab of a 1D Jacobi iteration resident in *device*
 // memory (a DeviceAllocator segment); per iteration each rank *pushes*
 // its boundary cells device-to-device into its neighbors' halo slots with
-// upcxx.CopyCx carrying a remote_cx::as_rpc descriptor — the signaling
+// upcxx.CopyWith carrying a remote_cx::as_rpc descriptor — the signaling
 // put. The notification increments a per-iteration arrival counter at the
 // target after the bytes are visible in its device segment, so a rank
 // starts its relaxation kernel the moment both halos have provably
@@ -100,10 +100,10 @@ func main() {
 			// first interior cell is the left neighbor's right halo; my
 			// last is the right neighbor's left halo.
 			p := upcxx.NewPromise[upcxx.Unit](rk)
-			upcxx.CopyCx(rk, src.Add(1), ls.Bufs[b].Add(local+1), 1,
+			upcxx.CopyWith(rk, src.Add(1), ls.Bufs[b].Add(local+1), 1,
 				upcxx.OpCxAsPromise(p),
 				upcxx.RemoteCxAsRPC(arrive, ls.Arr.Add(it)))
-			upcxx.CopyCx(rk, src.Add(local), rs.Bufs[b], 1,
+			upcxx.CopyWith(rk, src.Add(local), rs.Bufs[b], 1,
 				upcxx.OpCxAsPromise(p),
 				upcxx.RemoteCxAsRPC(arrive, rs.Arr.Add(it)))
 

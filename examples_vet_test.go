@@ -6,7 +6,7 @@ import (
 )
 
 // TestExamplesVetClean is the smoke test that the example programs keep
-// compiling cleanly against the facade: `go vet` both type-checks and
+// compiling cleanly against the package: `go vet` both type-checks and
 // lints every main under examples/.
 func TestExamplesVetClean(t *testing.T) {
 	gobin, err := exec.LookPath("go")

@@ -6,7 +6,7 @@ import (
 	"upcxx"
 )
 
-// The facade test exercises the public API surface end to end the way a
+// The external tests exercise the public API surface end to end the way a
 // downstream user would — everything through the root package.
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -121,7 +121,7 @@ func facadeFFSink(_ *upcxx.Rank, x int64) { facadeFFSum += x }
 
 // TestFacadeRPCFFAllocs pins the rpc_ff flood's heap objects per message as
 // a downstream package pays them: the generic entry points are instantiated
-// here, outside internal/core, where the compiler inlines less of what they
+// here, outside package upcxx, where the compiler inlines less of what they
 // call — a stack encoder that only exists by inlining is a heap object per
 // message in user code and nowhere else. One allocation is left: the message
 // buffer, which the conduit delivers as it is.
@@ -140,7 +140,7 @@ func TestFacadeRPCFFAllocs(t *testing.T) {
 				}
 				rk.Progress()
 			}) / 256; n > 1 { // the window's one Progress pass allocates nothing
-				t.Errorf("rpc_ff through the facade: %.2f allocs per message, want 1", n)
+				t.Errorf("rpc_ff from a downstream package: %.2f allocs per message, want 1", n)
 			}
 		}
 		rk.Barrier()

@@ -1,0 +1,7 @@
+#include "textflag.h"
+
+// func getg() unsafe.Pointer
+TEXT ·getg(SB), NOSPLIT, $0-8
+	MOVQ (TLS), AX
+	MOVQ AX, ret+0(FP)
+	RET

@@ -1,0 +1,7 @@
+#include "textflag.h"
+
+// func getg() unsafe.Pointer
+TEXT ·getg(SB), NOSPLIT, $0-8
+	MOVD g, R0
+	MOVD R0, ret+0(FP)
+	RET

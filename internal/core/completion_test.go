@@ -30,7 +30,7 @@ import (
 var cxDeliveries = []string{"future", "promise", "lpc", "rpc"}
 
 // cxEvents enumerates the events under test.
-var cxEvents = []CxEvent{OpDone, SourceDone, RemoteDone}
+var cxEvents = []CxEvent{evOp, evSource, evRemote}
 
 // cxSigArgs is the argument bundle of the matrix's remote-RPC cells.
 type cxSigArgs struct {
@@ -117,7 +117,7 @@ func TestCxMatrix(t *testing.T) {
 					for _, ev := range cxEvents {
 						for _, how := range cxDeliveries {
 							name := fmt.Sprintf("%v/%s/dev=%v/cross=%v", ev, how, dev, cross)
-							if how == "rpc" && ev != RemoteDone {
+							if how == "rpc" && ev != evRemote {
 								continue // forbidden; pinned in TestCxInvalidCombos
 							}
 							runCxCell(t, rk, name, src, dst, tgt.Flag, ev, how)
@@ -151,30 +151,30 @@ func runCxCell(t *testing.T, rk *Rank, name string, src []uint64, dst, flag GPtr
 	switch {
 	case how == "rpc":
 		cx = RemoteCxAsRPC(cxSignalBody, cxSigArgs{Dst: dst, Flag: flag, N: cxN})
-	case how == "future" && ev == OpDone:
+	case how == "future" && ev == evOp:
 		cx = OpCxAsFuture()
-	case how == "future" && ev == SourceDone:
+	case how == "future" && ev == evSource:
 		cx = SourceCxAsFuture()
-	case how == "future" && ev == RemoteDone:
+	case how == "future" && ev == evRemote:
 		cx = RemoteCxAsFuture()
-	case how == "promise" && ev == OpDone:
+	case how == "promise" && ev == evOp:
 		cx = OpCxAsPromise(prom)
-	case how == "promise" && ev == SourceDone:
+	case how == "promise" && ev == evSource:
 		cx = SourceCxAsPromise(prom)
-	case how == "promise" && ev == RemoteDone:
+	case how == "promise" && ev == evRemote:
 		cx = RemoteCxAsPromise(prom)
-	case how == "lpc" && ev == OpDone:
+	case how == "lpc" && ev == evOp:
 		cx = OpCxAsLPC(nil, func() { fired = true })
-	case how == "lpc" && ev == SourceDone:
+	case how == "lpc" && ev == evSource:
 		cx = SourceCxAsLPC(nil, func() { fired = true })
-	case how == "lpc" && ev == RemoteDone:
+	case how == "lpc" && ev == evRemote:
 		cx = RemoteCxAsLPC(nil, func() { fired = true })
 	}
 
 	// Every cell also requests op-as-future so it can bound the put —
 	// except the cell that *is* op-as-future.
 	cxs := []Cx{cx}
-	if !(ev == OpDone && how == "future") {
+	if !(ev == evOp && how == "future") {
 		cxs = append(cxs, OpCxAsFuture())
 	}
 	fs := RPutWith(rk, src, dst, cxs...)
@@ -184,11 +184,11 @@ func runCxCell(t *testing.T, rk *Rank, name string, src []uint64, dst, flag GPtr
 	case "future":
 		var f Future[Unit]
 		switch ev {
-		case OpDone:
+		case evOp:
 			f = fs.Op
-		case SourceDone:
+		case evSource:
 			f = fs.Source
-		case RemoteDone:
+		case evRemote:
 			f = fs.Remote
 		}
 		if !f.Valid() {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"upcxx/internal/gasnet"
@@ -15,19 +14,14 @@ import (
 func regBothA(*Rank, int) int { return 1 }
 func regBothB(*Rank, int) int { return 2 }
 
-// nopTask is a task body that takes every arrival and queues it nowhere.
-type nopTask struct{}
-
-func (nopTask) Arrive(*Rank, Intrank, uint64, []byte) error { return nil }
-
 // TestRegistryFormsMerge: one function registered as both an RPC body and
 // a task body keeps both forms, whichever registration came first; an
 // RPC-only registration is not a task body, a result-bearing task does not
 // resolve as a fire-and-forget one, and an unregistered function is no task.
 func TestRegistryFormsMerge(t *testing.T) {
 	RegisterRPC(regBothA)
-	name := RegisterTask(regBothA, nopTask{}, false)
-	RegisterTask(regBothB, nopTask{}, false)
+	name := RegisterTask(regBothA)
+	RegisterTask(regBothB)
 	RegisterRPC(regBothB)
 	for _, fn := range []func(*Rank, int) int{regBothA, regBothB} {
 		ent := registered(fn)
@@ -38,20 +32,17 @@ func TestRegistryFormsMerge(t *testing.T) {
 		if call.run == nil || call.kind != rpcReqKind || call.name != ent.name || call.task != nil {
 			t.Errorf("%s: RPC form %+v", ent.name, call)
 		}
-		if spawn.run == nil || spawn.kind != rpcReqKind || spawn.name != ent.name || spawn.task == nil {
+		if spawn.run == nil || spawn.kind != rpcReqKind || spawn.name != ent.name || spawn.task == nil || spawn.task.name != ent.name {
 			t.Errorf("%s: task form %+v", ent.name, spawn)
 		}
-		if tb := TaskOf(fn); tb == nil {
-			t.Errorf("TaskOf(%s) = nil", ent.name)
-		}
-		if tb, err := LookupTask(ent.name, false); err != nil || tb == nil {
-			t.Errorf("LookupTask(%s) = %v, %v", ent.name, tb, err)
+		if tb, err := lookupTask(ent.name, false); err != nil || tb != spawn.task {
+			t.Errorf("lookupTask(%s) = %v, %v", ent.name, tb, err)
 		}
 	}
-	if _, err := LookupTask(name, true); err == nil {
+	if _, err := lookupTask(name, true); err == nil {
 		t.Error("a result-bearing task resolved as a fire-and-forget one")
 	}
-	if _, err := LookupTask(RegisterRPCFF(func(*Rank, int) {}), true); err == nil {
+	if _, err := lookupTask(RegisterRPCFF(func(*Rank, int) {}), true); err == nil {
 		t.Error("an RPC-only registration resolved as a task body")
 	}
 	func() {
@@ -60,36 +51,30 @@ func TestRegistryFormsMerge(t *testing.T) {
 				t.Error("an unregistered function is a task")
 			}
 		}()
-		TaskOf(func(*Rank, int) int { return 0 })
+		spawnOf(func(*Rank, int) int { return 0 })
 	}()
 }
 
 func regSpawned(*Rank, int64) int64 { return 0 }
 
-// heldTask records the one spawn that reaches it; the test plays the rank
-// that runs it.
-type heldTask struct {
-	home Intrank
-	seq  uint64
-	args []byte
-}
-
-func (h *heldTask) Arrive(_ *Rank, home Intrank, seq uint64, args []byte) error {
-	h.home, h.seq, h.args = home, seq, args
-	return nil
+// workerless attaches to rk a task runtime with no workers: what arrives
+// stays queued for the test to pop, which plays the rank that runs it.
+func workerless(rk *Rank) *TaskRuntime {
+	rt := &TaskRuntime{rk: rk, groups: make(map[uint64]*TaskGroup)}
+	rk.tasks.Store(rt)
+	return rt
 }
 
 // TestTaskSpawnIsOneEntry: a spawn is a single call of the function's task
 // form — its entry carries the header then the argument, marshalled once —
-// and arrives at the task body with the sender and the sequence number the
-// reply must name. The reply may come from any rank: it fulfils the
+// and arrives at the target's queue with the sender and the sequence number
+// the reply must name. The reply may come from any rank: it fulfils the
 // spawner's promise through the ordinary pending-entry sink and credits the
 // task runtime once. A second reply for the sequence number, or one for a
 // number nobody awaits, fails the rank that sent it — a thief that answers
 // twice is the thief's fault, not the home rank's.
 func TestTaskSpawnIsOneEntry(t *testing.T) {
-	var held heldTask
-	RegisterTask(regSpawned, &held, false)
+	RegisterTask(regSpawned)
 	w := NewWorld(Config{Ranks: 3})
 	defer w.Close()
 	rk0, rk1, rk2 := w.Rank(0), w.Rank(1), w.Rank(2)
@@ -98,28 +83,32 @@ func TestTaskSpawnIsOneEntry(t *testing.T) {
 			rk.Progress()
 		}
 	}
-	var landed atomic.Uint64
-	f := TaskRPC(rk0, 1, regSpawned, []byte{0xA1, 0xB2}, int64(7), &landed)
-	pass()
-	if want := append([]byte{0xA1, 0xB2}, mustMarshal(int64(7))...); held.home != 0 || !bytes.Equal(held.args, want) {
-		t.Fatalf("the task body got home %d args %x, want home 0 args %x", held.home, held.args, want)
+	reply := func(from *Rank, home Intrank, seq uint64, v int64) {
+		from.reply(home, []rpcEntry{{kind: rpcReplyKind, seq: seq, args: mustMarshal(v)}})
 	}
-	if f.Ready() || landed.Load() != 0 {
+	spawner, target := workerless(rk0), workerless(rk1)
+	f := AsyncAt(spawner, 1, regSpawned, int64(7))
+	pass()
+	held, ok := target.popLocal()
+	if want := mustMarshal(int64(7)); !ok || held.Home != 0 || held.Seq == 0 || !bytes.Equal(held.Args, want) {
+		t.Fatalf("the target queued %+v (%v), want home 0 args %x", held, ok, want)
+	}
+	if f.Ready() || spawner.executed.Load() != 0 {
 		t.Fatal("the spawn was answered before anybody ran it")
 	}
-	TaskReply(rk2, held.home, held.seq, mustMarshal(int64(21))) // a thief answers, not the target
+	reply(rk2, 0, held.Seq, 21) // a thief answers, not the target
 	pass()
-	if !f.Ready() || f.Result() != 21 || landed.Load() != 1 {
-		t.Fatalf("after the reply: ready %v, landed %d", f.Ready(), landed.Load())
+	if !f.Ready() || f.Result() != 21 || spawner.executed.Load() != 1 {
+		t.Fatalf("after the reply: ready %v, landed %d", f.Ready(), spawner.executed.Load())
 	}
 	if err := w.Failed(); err != nil {
 		t.Fatalf("a single reply failed somebody: %v", err)
 	}
-	TaskReply(rk2, held.home, held.seq, mustMarshal(int64(22)))
+	reply(rk2, 0, held.Seq, 22)
 	pass()
 	err := w.Failed()
-	if !errors.Is(err, gasnet.ErrPeerLost) || !strings.Contains(err.Error(), "rank 2") || landed.Load() != 1 {
-		t.Errorf("a second reply for the same sequence number: Failed() = %v, landed %d; want rank 2 failed, landed 1", err, landed.Load())
+	if !errors.Is(err, gasnet.ErrPeerLost) || !strings.Contains(err.Error(), "rank 2") || spawner.executed.Load() != 1 {
+		t.Errorf("a second reply for the same sequence number: Failed() = %v, landed %d; want rank 2 failed, landed 1", err, spawner.executed.Load())
 	}
 }
 
@@ -198,7 +187,7 @@ func rpcAuxBytes(rem string, entries ...auxEnt) []byte {
 // a message: with one body form there is no batch-only variant to lack.
 func TestAuxDecodeChecksEntryKinds(t *testing.T) {
 	val, ff, fut := RegisterRPC(regBothA), RegisterRPCFF(regFF), RegisterRPCFut(regFut)
-	task := RegisterTask(regTaskOnly, nopTask{}, false)
+	task := RegisterTask(regTaskOnly)
 	rows := []struct {
 		name  string
 		tok   []byte

@@ -232,7 +232,6 @@ func TestObsDisabledZero(t *testing.T) {
 		if rk.StatsEnabled() {
 			t.Fatal("stats enabled without Config.Stats")
 		}
-		rk.ArmTrace(true) // no-op, must not panic
 		dst := MustNewArray[int32](rk, 4)
 		RPut(rk, make([]int32, 4), dst).Wait()
 		RGet(rk, dst, make([]int32, 4)).Wait()

@@ -80,8 +80,8 @@ func poolStress(t *testing.T, model *gasnet.LogGP) {
 				wantLPCs++
 				return Cx{ev: ev, kind: cxLPC, pers: pers, fn: func() { lpcs++ }}
 			}
-			put := RPutWith(rk, src, mine, cx(OpDone, i), cx(SourceDone, i+1), cx(RemoteDone, i+2))
-			get := RGetWith(rk, fixed, back, cx(OpDone, i+1))
+			put := RPutWith(rk, src, mine, cx(evOp, i), cx(evSource, i+1), cx(evRemote, i+2))
+			get := RGetWith(rk, fixed, back, cx(evOp, i+1))
 			add := ad.FetchAdd(count, 1)
 			echo := RPC(rk, 1, poolEcho, int64(i))
 			RPCFF(rk, 1, poolSink, 1)

@@ -386,31 +386,31 @@ func TestCxPersonaTargetedRMA(t *testing.T) {
 					switch how {
 					case "future":
 						switch ev {
-						case OpDone:
+						case evOp:
 							cx = OpCxAsFuture().On(wk.p)
-						case SourceDone:
+						case evSource:
 							cx = SourceCxAsFuture().On(wk.p)
-						case RemoteDone:
+						case evRemote:
 							cx = RemoteCxAsFuture().On(wk.p)
 						}
 					case "promise":
 						prom = NewPromiseOn[Unit](rk, wk.p)
 						switch ev {
-						case OpDone:
+						case evOp:
 							cx = OpCxAsPromise(prom)
-						case SourceDone:
+						case evSource:
 							cx = SourceCxAsPromise(prom)
-						case RemoteDone:
+						case evRemote:
 							cx = RemoteCxAsPromise(prom)
 						}
 					case "lpc":
 						fn := func() { hit.Store(true) }
 						switch ev {
-						case OpDone:
+						case evOp:
 							cx = OpCxAsLPC(wk.p, fn)
-						case SourceDone:
+						case evSource:
 							cx = SourceCxAsLPC(wk.p, fn)
-						case RemoteDone:
+						case evRemote:
 							cx = RemoteCxAsLPC(wk.p, fn)
 						}
 					}
@@ -420,11 +420,11 @@ func TestCxPersonaTargetedRMA(t *testing.T) {
 						switch how {
 						case "future":
 							switch ev {
-							case OpDone:
+							case evOp:
 								fs.Op.Wait()
-							case SourceDone:
+							case evSource:
 								fs.Source.Wait()
-							case RemoteDone:
+							case evRemote:
 								fs.Remote.Wait()
 							}
 						case "promise":

@@ -96,8 +96,8 @@ func TestRPCSingleIsOneEntryBatch(t *testing.T) {
 // argument until the conduit captures the message, and capture comes before
 // the call returns. So a 4 KiB argument of RPCWith or RPCFFWith, mutated the
 // moment the call returns, reaches the target as it was at the call — with
-// the message still in flight for 5 ms. (task.AsyncAt's row is in
-// internal/task.)
+// the message still in flight for 5 ms. (AsyncAt's row is
+// TestAsyncAtArgCapture.)
 func TestRPCArgCaptureContract(t *testing.T) {
 	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Millisecond, Gp: time.Microsecond}
 	const n = 4096

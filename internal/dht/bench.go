@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"time"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // The Fig 4 workload's insert loops: every rank inserts randomly-keyed
@@ -48,11 +48,11 @@ func (r BenchResult) InsertsPerSec() float64 {
 // operation completions accumulate on a single promise whose one future
 // is waited at the end, like the paper's flood-bandwidth idiom. RPCOnly
 // mode only.
-func RunInsertPipelinedBench(rk *core.Rank, d *DHT, cfg BenchConfig) BenchResult {
+func RunInsertPipelinedBench(rk *upcxx.Rank, d *DHT, cfg BenchConfig) BenchResult {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(rk.Me())*1_000_003))
 	val := make([]byte, cfg.ElemSize)
 	iters := cfg.Iterations()
-	done := core.NewPromise[core.Unit](rk)
+	done := upcxx.NewPromise[upcxx.Unit](rk)
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		rng.Read(val) // reuse the same buffer every iteration
@@ -75,7 +75,7 @@ func RunInsertPipelinedBench(rk *core.Rank, d *DHT, cfg BenchConfig) BenchResult
 // FlushAll that captures it. batchSize 1 degenerates to one message per
 // insert, the per-AM floor.
 // RPCOnly mode only.
-func RunInsertBatchBench(rk *core.Rank, d *DHT, cfg BenchConfig, batchSize int) BenchResult {
+func RunInsertBatchBench(rk *upcxx.Rank, d *DHT, cfg BenchConfig, batchSize int) BenchResult {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -86,7 +86,7 @@ func RunInsertBatchBench(rk *core.Rank, d *DHT, cfg BenchConfig, batchSize int) 
 	}
 	iters := cfg.Iterations()
 	bi := d.NewBatchInserter()
-	done := core.NewPromise[core.Unit](rk)
+	done := upcxx.NewPromise[upcxx.Unit](rk)
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		val := bufs[i%batchSize]

@@ -20,7 +20,7 @@ import (
 	"runtime"
 	"sync"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // Mode selects the insert/find wire strategy.
@@ -59,45 +59,45 @@ func (m Mode) String() string {
 // lz is a landing zone: a global pointer to value bytes plus their length
 // (the paper's lz_t).
 type lz struct {
-	Ptr core.GPtr[uint8]
+	Ptr upcxx.GPtr[uint8]
 	Len int64
 }
 
 // DHT is one rank's handle on the distributed hash table. Construction is
 // collective (every rank must call New in matching order).
 type DHT struct {
-	rk   *core.Rank
+	rk   *upcxx.Rank
 	mode Mode
-	id   core.DistID
+	id   upcxx.DistID
 
 	localVal map[uint64][]byte // RPCOnly storage
 	localLZ  map[uint64]lz     // LandingZone storage
 }
 
 // New collectively creates a distributed hash table.
-func New(rk *core.Rank, mode Mode) *DHT {
+func New(rk *upcxx.Rank, mode Mode) *DHT {
 	d := &DHT{
 		rk:       rk,
 		mode:     mode,
 		localVal: make(map[uint64][]byte),
 		localLZ:  make(map[uint64]lz),
 	}
-	obj := core.NewDistObject(rk, d)
+	obj := upcxx.NewDistObject(rk, d)
 	d.id = obj.ID()
 	return d
 }
 
 // Target returns the home rank of a key (the paper's get_target hash).
-func (d *DHT) Target(key uint64) core.Intrank {
+func (d *DHT) Target(key uint64) upcxx.Intrank {
 	// Fibonacci hashing for a well-spread assignment of sequential keys.
 	h := key * 0x9e3779b97f4a7c15
-	return core.Intrank(h % uint64(d.rk.N()))
+	return upcxx.Intrank(h % uint64(d.rk.N()))
 }
 
 // lookup binds the DistID to the target rank's DHT instance inside RPC
 // bodies.
-func lookup(trk *core.Rank, id core.DistID) *DHT {
-	obj, ok := core.LookupDist[*DHT](trk, id)
+func lookup(trk *upcxx.Rank, id upcxx.DistID) *DHT {
+	obj, ok := upcxx.LookupDist[*DHT](trk, id)
 	if !ok {
 		panic(fmt.Sprintf("dht: rank %d has no table with id %d", trk.Me(), id))
 	}
@@ -105,13 +105,13 @@ func lookup(trk *core.Rank, id core.DistID) *DHT {
 }
 
 type insertArgs struct {
-	ID  core.DistID
+	ID  upcxx.DistID
 	Key uint64
-	Val core.View[uint8]
+	Val upcxx.View[uint8]
 }
 
 type lzArgs struct {
-	ID  core.DistID
+	ID  upcxx.DistID
 	Key uint64
 	Len int64
 }
@@ -119,24 +119,24 @@ type lzArgs struct {
 // Insert stores (key, val) in the table, returning a future that readies
 // when the value is globally visible at the home rank. val is captured at
 // call time.
-func (d *DHT) Insert(key uint64, val []byte) core.Future[core.Unit] {
+func (d *DHT) Insert(key uint64, val []byte) upcxx.Future[upcxx.Unit] {
 	target := d.Target(key)
 	switch d.mode {
 	case RPCOnly:
 		// One RPC carrying the value; the view serializes it into the
 		// message and the body copies it into the local map. The value
 		// future is the reply landing — the insert is globally visible.
-		f, _ := core.RPCWith(d.rk, target, storeRPC,
-			insertArgs{ID: d.id, Key: key, Val: core.MakeView(val)})
+		f, _ := upcxx.RPCWith(d.rk, target, storeRPC,
+			insertArgs{ID: d.id, Key: key, Val: upcxx.MakeView(val)})
 		return f
 	case LandingZone:
 		// RPC of make_lz to obtain the landing zone, then a zero-copy
 		// rput chained with .then — the paper's Fig in §IV-C verbatim.
 		valCopy := val
-		f := core.RPC(d.rk, target, makeLZRPC,
+		f := upcxx.RPC(d.rk, target, makeLZRPC,
 			lzArgs{ID: d.id, Key: key, Len: int64(len(val))})
-		return core.ThenFut(f, func(dest core.GPtr[uint8]) core.Future[core.Unit] {
-			return core.RPut(d.rk, valCopy, dest)
+		return upcxx.ThenFut(f, func(dest upcxx.GPtr[uint8]) upcxx.Future[upcxx.Unit] {
+			return upcxx.RPut(d.rk, valCopy, dest)
 		})
 	case SignalingPut:
 		// RPC allocates the zone without publishing it; the rput carries a
@@ -144,13 +144,13 @@ func (d *DHT) Insert(key uint64, val []byte) core.Future[core.Unit] {
 		// rank once the bytes are visible — a signaling put in place of a
 		// publish round trip.
 		valCopy := val
-		f := core.RPC(d.rk, target, allocLZRPC,
+		f := upcxx.RPC(d.rk, target, allocLZRPC,
 			lzArgs{ID: d.id, Key: key, Len: int64(len(val))})
-		return core.ThenFut(f, func(dest core.GPtr[uint8]) core.Future[core.Unit] {
+		return upcxx.ThenFut(f, func(dest upcxx.GPtr[uint8]) upcxx.Future[upcxx.Unit] {
 			pub := publishArgs{ID: d.id, Key: key, Zone: lz{Ptr: dest, Len: int64(len(valCopy))}}
-			return core.RPutWith(d.rk, valCopy, dest,
-				core.OpCxAsFuture(),
-				core.RemoteCxAsRPC(publishLZ, pub)).Op
+			return upcxx.RPutWith(d.rk, valCopy, dest,
+				upcxx.OpCxAsFuture(),
+				upcxx.RemoteCxAsRPC(publishLZ, pub)).Op
 		})
 	default:
 		panic("dht: unknown mode")
@@ -159,13 +159,13 @@ func (d *DHT) Insert(key uint64, val []byte) core.Future[core.Unit] {
 
 // makeLZRPC is the LandingZone insert body: allocate and publish the
 // landing zone, returning its global pointer for the follow-up rput.
-func makeLZRPC(trk *core.Rank, a lzArgs) core.GPtr[uint8] {
+func makeLZRPC(trk *upcxx.Rank, a lzArgs) upcxx.GPtr[uint8] {
 	return lookup(trk, a.ID).makeLZ(trk, a.Key, int(a.Len))
 }
 
 // allocLZRPC is the SignalingPut insert body: allocate without
 // publishing (publishLZ publishes at remote completion).
-func allocLZRPC(trk *core.Rank, a lzArgs) core.GPtr[uint8] {
+func allocLZRPC(trk *upcxx.Rank, a lzArgs) upcxx.GPtr[uint8] {
 	return lookup(trk, a.ID).allocLZ(trk, int(a.Len))
 }
 
@@ -173,23 +173,23 @@ func allocLZRPC(trk *core.Rank, a lzArgs) core.GPtr[uint8] {
 // table works identically over the in-process conduit and the real
 // multi-process backends (tcp, shm).
 func init() {
-	core.RegisterRPC(storeRPC)
-	core.RegisterRPC(makeLZRPC)
-	core.RegisterRPC(allocLZRPC)
-	core.RegisterRPC(findValRPC)
-	core.RegisterRPC(findLZRPC)
-	core.RegisterRPC(eraseRPC)
-	core.RegisterRPC(mutateNamedRPC)
-	core.RegisterRPCFF(publishLZ)
+	upcxx.RegisterRPC(storeRPC)
+	upcxx.RegisterRPC(makeLZRPC)
+	upcxx.RegisterRPC(allocLZRPC)
+	upcxx.RegisterRPC(findValRPC)
+	upcxx.RegisterRPC(findLZRPC)
+	upcxx.RegisterRPC(eraseRPC)
+	upcxx.RegisterRPC(mutateNamedRPC)
+	upcxx.RegisterRPCFF(publishLZ)
 }
 
 // storeRPC is the RPCOnly insert body: copy the viewed value into the
 // home rank's local map. A named function so every insert variant ships
 // the same code reference.
-func storeRPC(trk *core.Rank, a insertArgs) core.Unit {
+func storeRPC(trk *upcxx.Rank, a insertArgs) upcxx.Unit {
 	t := lookup(trk, a.ID)
 	t.localVal[a.Key] = a.Val.CopyOut()
-	return core.Unit{}
+	return upcxx.Unit{}
 }
 
 // InsertAsync pipelines an RPCOnly insert using the unified completion
@@ -201,21 +201,21 @@ func storeRPC(trk *core.Rank, a insertArgs) core.Unit {
 // registered on done. Issue many inserts against one promise and wait its
 // single future, exactly like the paper's flood-bandwidth puts, with no
 // per-insert round-trip wait in the loop.
-func (d *DHT) InsertAsync(key uint64, val []byte, done *core.Promise[core.Unit]) core.Future[core.Unit] {
+func (d *DHT) InsertAsync(key uint64, val []byte, done *upcxx.Promise[upcxx.Unit]) upcxx.Future[upcxx.Unit] {
 	if d.mode != RPCOnly {
 		panic("dht: InsertAsync requires RPCOnly mode (values travel inside the RPC)")
 	}
-	_, fs := core.RPCWith(d.rk, d.Target(key), storeRPC,
-		insertArgs{ID: d.id, Key: key, Val: core.MakeView(val)},
-		core.SourceCxAsFuture(),
-		core.OpCxAsPromise(done))
+	_, fs := upcxx.RPCWith(d.rk, d.Target(key), storeRPC,
+		insertArgs{ID: d.id, Key: key, Val: upcxx.MakeView(val)},
+		upcxx.SourceCxAsFuture(),
+		upcxx.OpCxAsPromise(done))
 	return fs.Source
 }
 
 // BatchInserter coalesces RPCOnly inserts per home rank: each insert
 // accumulates into the target rank's batch with zero conduit
 // interaction, and FlushAll ships every non-empty batch as one wire
-// message (core.Batch). The per-insert argument views borrow the caller's
+// message (upcxx.Batch). The per-insert argument views borrow the caller's
 // value buffers — a buffer may be reused only after the FlushAll that
 // ships its insert — and every flushed insert's operation completion
 // (value globally visible at its home rank) accumulates on the promise
@@ -223,7 +223,7 @@ func (d *DHT) InsertAsync(key uint64, val []byte, done *core.Promise[core.Unit])
 // batch-sized messages.
 type BatchInserter struct {
 	d       *DHT
-	batches []*core.Batch // indexed by home rank; nil until first use
+	batches []*upcxx.Batch // indexed by home rank; nil until first use
 	pending int
 }
 
@@ -233,7 +233,7 @@ func (d *DHT) NewBatchInserter() *BatchInserter {
 	if d.mode != RPCOnly {
 		panic("dht: BatchInserter requires RPCOnly mode (values travel inside the RPC)")
 	}
-	return &BatchInserter{d: d, batches: make([]*core.Batch, d.rk.N())}
+	return &BatchInserter{d: d, batches: make([]*upcxx.Batch, d.rk.N())}
 }
 
 // Insert appends (key, val) to the home rank's batch. val is borrowed,
@@ -242,11 +242,11 @@ func (bi *BatchInserter) Insert(key uint64, val []byte) {
 	t := bi.d.Target(key)
 	b := bi.batches[t]
 	if b == nil {
-		b = core.NewBatch(bi.d.rk, t)
+		b = upcxx.NewBatch(bi.d.rk, t)
 		bi.batches[t] = b
 	}
-	core.BatchRPC(b, storeRPC,
-		insertArgs{ID: bi.d.id, Key: key, Val: core.MakeView(val)})
+	upcxx.BatchRPC(b, storeRPC,
+		insertArgs{ID: bi.d.id, Key: key, Val: upcxx.MakeView(val)})
 	bi.pending++
 }
 
@@ -257,17 +257,17 @@ func (bi *BatchInserter) Pending() int { return bi.pending }
 // operation completion (all of its replies landed) on done. After it
 // returns, every borrowed value buffer has been captured by the conduit
 // and may be reused.
-func (bi *BatchInserter) FlushAll(done *core.Promise[core.Unit]) {
+func (bi *BatchInserter) FlushAll(done *upcxx.Promise[upcxx.Unit]) {
 	for _, b := range bi.batches {
 		if b != nil && b.Len() > 0 {
-			b.Flush(core.OpCxAsPromise(done))
+			b.Flush(upcxx.OpCxAsPromise(done))
 		}
 	}
 	bi.pending = 0
 }
 
 type publishArgs struct {
-	ID   core.DistID
+	ID   upcxx.DistID
 	Key  uint64
 	Zone lz
 }
@@ -276,10 +276,10 @@ type publishArgs struct {
 // signaling-put insert: the zone's bytes are already visible, so linking
 // it into the table is race-free. An overwritten key's previous zone is
 // reclaimed here, where the map lives.
-func publishLZ(trk *core.Rank, a publishArgs) {
+func publishLZ(trk *upcxx.Rank, a publishArgs) {
 	t := lookup(trk, a.ID)
 	if old, ok := t.localLZ[a.Key]; ok {
-		if err := core.Delete(trk, old.Ptr); err != nil {
+		if err := upcxx.Delete(trk, old.Ptr); err != nil {
 			panic(err)
 		}
 	}
@@ -289,45 +289,45 @@ func publishLZ(trk *core.Rank, a publishArgs) {
 // makeLZ allocates an uninitialized landing zone for a value of the given
 // size, records it in the local map, and returns a global pointer suitable
 // for RMA (the paper's make_lz).
-func (d *DHT) makeLZ(trk *core.Rank, key uint64, size int) core.GPtr[uint8] {
+func (d *DHT) makeLZ(trk *upcxx.Rank, key uint64, size int) upcxx.GPtr[uint8] {
 	if old, ok := d.localLZ[key]; ok {
 		// Overwrite: reclaim the previous zone.
-		if err := core.Delete(trk, old.Ptr); err != nil {
+		if err := upcxx.Delete(trk, old.Ptr); err != nil {
 			panic(err)
 		}
 	}
-	dest := core.MustNewArray[uint8](trk, size)
+	dest := upcxx.MustNewArray[uint8](trk, size)
 	d.localLZ[key] = lz{Ptr: dest, Len: int64(size)}
 	return dest
 }
 
 // allocLZ allocates a landing zone without publishing it; the
 // signaling-put insert publishes at remote completion (publishLZ).
-func (d *DHT) allocLZ(trk *core.Rank, size int) core.GPtr[uint8] {
-	return core.MustNewArray[uint8](trk, size)
+func (d *DHT) allocLZ(trk *upcxx.Rank, size int) upcxx.GPtr[uint8] {
+	return upcxx.MustNewArray[uint8](trk, size)
 }
 
 type findArgs struct {
-	ID  core.DistID
+	ID  upcxx.DistID
 	Key uint64
 }
 
 // Find retrieves the value for key, or nil if absent. In LandingZone mode
 // the RPC returns the zone's global pointer and the value travels by
 // one-sided rget.
-func (d *DHT) Find(key uint64) core.Future[[]byte] {
+func (d *DHT) Find(key uint64) upcxx.Future[[]byte] {
 	target := d.Target(key)
 	switch d.mode {
 	case RPCOnly:
-		return core.RPC(d.rk, target, findValRPC, findArgs{ID: d.id, Key: key})
+		return upcxx.RPC(d.rk, target, findValRPC, findArgs{ID: d.id, Key: key})
 	case LandingZone, SignalingPut:
-		f := core.RPC(d.rk, target, findLZRPC, findArgs{ID: d.id, Key: key})
-		return core.ThenFut(f, func(z lz) core.Future[[]byte] {
+		f := upcxx.RPC(d.rk, target, findLZRPC, findArgs{ID: d.id, Key: key})
+		return upcxx.ThenFut(f, func(z lz) upcxx.Future[[]byte] {
 			if z.Ptr.IsNil() {
-				return core.ReadyFuture[[]byte](d.rk, nil)
+				return upcxx.ReadyFuture[[]byte](d.rk, nil)
 			}
 			buf := make([]byte, z.Len)
-			return core.Then(core.RGet(d.rk, z.Ptr, buf), func(core.Unit) []byte {
+			return upcxx.Then(upcxx.RGet(d.rk, z.Ptr, buf), func(upcxx.Unit) []byte {
 				return buf
 			})
 		})
@@ -337,16 +337,16 @@ func (d *DHT) Find(key uint64) core.Future[[]byte] {
 }
 
 // findValRPC is the RPCOnly find body.
-func findValRPC(trk *core.Rank, a findArgs) []byte {
+func findValRPC(trk *upcxx.Rank, a findArgs) []byte {
 	return lookup(trk, a.ID).localVal[a.Key]
 }
 
 // findLZRPC is the landing-zone find body: the value itself travels by
 // one-sided rget against the returned zone.
-func findLZRPC(trk *core.Rank, a findArgs) lz {
+func findLZRPC(trk *upcxx.Rank, a findArgs) lz {
 	z, ok := lookup(trk, a.ID).localLZ[a.Key]
 	if !ok {
-		return lz{Ptr: core.NilGPtr[uint8]()}
+		return lz{Ptr: upcxx.NilGPtr[uint8]()}
 	}
 	return z
 }
@@ -377,7 +377,7 @@ func RegisterMutator(fn func(old, arg []byte) []byte) string {
 }
 
 type mutateArgs struct {
-	ID  core.DistID
+	ID  upcxx.DistID
 	Key uint64
 	Fn  string // registered mutator name
 	Arg []byte
@@ -385,7 +385,7 @@ type mutateArgs struct {
 
 // mutateNamedRPC is the registered Mutate body: resolve the mutator by
 // name and apply it to the home rank's stored value.
-func mutateNamedRPC(trk *core.Rank, a mutateArgs) core.Unit {
+func mutateNamedRPC(trk *upcxx.Rank, a mutateArgs) upcxx.Unit {
 	mutReg.RLock()
 	fn := mutReg.byName[a.Fn]
 	mutReg.RUnlock()
@@ -394,7 +394,7 @@ func mutateNamedRPC(trk *core.Rank, a mutateArgs) core.Unit {
 	}
 	t := lookup(trk, a.ID)
 	t.localVal[a.Key] = fn(t.localVal[a.Key], a.Arg)
-	return core.Unit{}
+	return upcxx.Unit{}
 }
 
 // Mutate applies fn(old, arg) to the value stored at key on its home
@@ -403,7 +403,7 @@ func mutateNamedRPC(trk *core.Rank, a mutateArgs) core.Unit {
 // runs on the home rank; it must be a pure transformation of the
 // supplied bytes. Over a real conduit fn must be registered with
 // RegisterMutator; in-process any function (or closure) works.
-func (d *DHT) Mutate(key uint64, fn func(old, arg []byte) []byte, arg []byte) core.Future[core.Unit] {
+func (d *DHT) Mutate(key uint64, fn func(old, arg []byte) []byte, arg []byte) upcxx.Future[upcxx.Unit] {
 	if d.mode != RPCOnly {
 		panic("dht: Mutate requires RPCOnly mode (values live in the local map)")
 	}
@@ -412,28 +412,28 @@ func (d *DHT) Mutate(key uint64, fn func(old, arg []byte) []byte, arg []byte) co
 	name := mutReg.byPtr[reflect.ValueOf(fn).Pointer()]
 	mutReg.RUnlock()
 	if name != "" {
-		return core.RPC(d.rk, target, mutateNamedRPC,
+		return upcxx.RPC(d.rk, target, mutateNamedRPC,
 			mutateArgs{ID: d.id, Key: key, Fn: name, Arg: arg})
 	}
 	if d.rk.World().Dist() {
 		panic("dht: Mutate over a real conduit requires a mutator registered with dht.RegisterMutator")
 	}
-	return core.RPC(d.rk, target, func(trk *core.Rank, a findArgs) core.Unit {
+	return upcxx.RPC(d.rk, target, func(trk *upcxx.Rank, a findArgs) upcxx.Unit {
 		t := lookup(trk, a.ID)
 		t.localVal[a.Key] = fn(t.localVal[a.Key], arg)
-		return core.Unit{}
+		return upcxx.Unit{}
 	}, findArgs{ID: d.id, Key: key})
 }
 
 // Erase removes key from the table, returning whether it was present.
 // In LandingZone mode the zone's segment memory is reclaimed at the home
 // rank.
-func (d *DHT) Erase(key uint64) core.Future[bool] {
-	return core.RPC(d.rk, d.Target(key), eraseRPC, findArgs{ID: d.id, Key: key})
+func (d *DHT) Erase(key uint64) upcxx.Future[bool] {
+	return upcxx.RPC(d.rk, d.Target(key), eraseRPC, findArgs{ID: d.id, Key: key})
 }
 
 // eraseRPC is the erase body, shared by every mode.
-func eraseRPC(trk *core.Rank, a findArgs) bool {
+func eraseRPC(trk *upcxx.Rank, a findArgs) bool {
 	t := lookup(trk, a.ID)
 	switch t.mode {
 	case RPCOnly:
@@ -443,7 +443,7 @@ func eraseRPC(trk *core.Rank, a findArgs) bool {
 	case LandingZone, SignalingPut:
 		z, ok := t.localLZ[a.Key]
 		if ok {
-			if err := core.Delete(trk, z.Ptr); err != nil {
+			if err := upcxx.Delete(trk, z.Ptr); err != nil {
 				panic(err)
 			}
 			delete(t.localLZ, a.Key)

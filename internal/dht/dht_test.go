@@ -7,14 +7,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
-func testBothModes(t *testing.T, ranks int, fn func(t *testing.T, rk *core.Rank, d *DHT)) {
+func testBothModes(t *testing.T, ranks int, fn func(t *testing.T, rk *upcxx.Rank, d *DHT)) {
 	for _, mode := range []Mode{RPCOnly, LandingZone, SignalingPut} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			core.Run(ranks, func(rk *core.Rank) {
+			upcxx.Run(ranks, func(rk *upcxx.Rank) {
 				d := New(rk, mode)
 				rk.Barrier()
 				fn(t, rk, d)
@@ -25,13 +25,13 @@ func testBothModes(t *testing.T, ranks int, fn func(t *testing.T, rk *core.Rank,
 }
 
 func TestInsertFind(t *testing.T) {
-	testBothModes(t, 4, func(t *testing.T, rk *core.Rank, d *DHT) {
+	testBothModes(t, 4, func(t *testing.T, rk *upcxx.Rank, d *DHT) {
 		key := uint64(rk.Me())*1000 + 7
 		val := []byte(fmt.Sprintf("value-from-%d", rk.Me()))
 		d.Insert(key, val).Wait()
 		rk.Barrier()
 		// Every rank looks up every other rank's key.
-		for r := core.Intrank(0); r < rk.N(); r++ {
+		for r := upcxx.Intrank(0); r < rk.N(); r++ {
 			k := uint64(r)*1000 + 7
 			got := d.Find(k).Wait()
 			want := fmt.Sprintf("value-from-%d", r)
@@ -43,7 +43,7 @@ func TestInsertFind(t *testing.T) {
 }
 
 func TestFindMissing(t *testing.T) {
-	testBothModes(t, 2, func(t *testing.T, rk *core.Rank, d *DHT) {
+	testBothModes(t, 2, func(t *testing.T, rk *upcxx.Rank, d *DHT) {
 		if got := d.Find(0xdeadbeef).Wait(); got != nil {
 			t.Errorf("find(missing) = %v", got)
 		}
@@ -51,7 +51,7 @@ func TestFindMissing(t *testing.T) {
 }
 
 func TestOverwrite(t *testing.T) {
-	testBothModes(t, 3, func(t *testing.T, rk *core.Rank, d *DHT) {
+	testBothModes(t, 3, func(t *testing.T, rk *upcxx.Rank, d *DHT) {
 		if rk.Me() == 0 {
 			d.Insert(42, []byte("first")).Wait()
 			d.Insert(42, []byte("second-longer")).Wait()
@@ -64,11 +64,11 @@ func TestOverwrite(t *testing.T) {
 
 func TestInsertAsyncPipeline(t *testing.T) {
 	// Non-blocking inserts tracked by a conjoined future.
-	testBothModes(t, 4, func(t *testing.T, rk *core.Rank, d *DHT) {
-		conj := core.EmptyFuture(rk)
+	testBothModes(t, 4, func(t *testing.T, rk *upcxx.Rank, d *DHT) {
+		conj := upcxx.EmptyFuture(rk)
 		base := uint64(rk.Me()) << 32
 		for i := uint64(0); i < 50; i++ {
-			conj = core.WhenAll(rk, conj, d.Insert(base+i, []byte{byte(i)}))
+			conj = upcxx.WhenAll(rk, conj, d.Insert(base+i, []byte{byte(i)}))
 		}
 		conj.Wait()
 		rk.Barrier()
@@ -86,13 +86,13 @@ func TestInsertAsyncSourceReuse(t *testing.T) {
 	// every insert — source completion licenses the reuse — with all
 	// operation completions on a single promise. Each stored value must
 	// be the bytes the buffer held at its insert, not a later scribble.
-	core.Run(4, func(rk *core.Rank) {
+	upcxx.Run(4, func(rk *upcxx.Rank) {
 		d := New(rk, RPCOnly)
 		rk.Barrier()
 		const n = 64
 		buf := make([]byte, 8)
 		base := uint64(rk.Me()) << 32
-		done := core.NewPromise[core.Unit](rk)
+		done := upcxx.NewPromise[upcxx.Unit](rk)
 		for i := uint64(0); i < n; i++ {
 			for j := range buf {
 				buf[j] = byte(i + uint64(j))
@@ -118,7 +118,7 @@ func TestInsertAsyncSourceReuse(t *testing.T) {
 }
 
 func TestTargetDistribution(t *testing.T) {
-	core.Run(8, func(rk *core.Rank) {
+	upcxx.Run(8, func(rk *upcxx.Rank) {
 		if rk.Me() != 0 {
 			return
 		}
@@ -137,7 +137,7 @@ func TestTargetDistribution(t *testing.T) {
 
 func TestMutateVertex(t *testing.T) {
 	// The paper's graph example: append neighbours to a vertex value.
-	core.Run(4, func(rk *core.Rank) {
+	upcxx.Run(4, func(rk *upcxx.Rank) {
 		d := New(rk, RPCOnly)
 		rk.Barrier()
 		const vertex = uint64(99)
@@ -162,13 +162,13 @@ func TestMutateVertex(t *testing.T) {
 }
 
 func TestLocalLenAccounting(t *testing.T) {
-	testBothModes(t, 4, func(t *testing.T, rk *core.Rank, d *DHT) {
+	testBothModes(t, 4, func(t *testing.T, rk *upcxx.Rank, d *DHT) {
 		base := uint64(rk.Me()) * 100
 		for i := uint64(0); i < 25; i++ {
 			d.Insert(base+i, []byte("x")).Wait()
 		}
 		rk.Barrier()
-		total := core.AllReduce(rk.WorldTeam(), int64(d.LocalLen()),
+		total := upcxx.AllReduce(rk.WorldTeam(), int64(d.LocalLen()),
 			func(a, b int64) int64 { return a + b }).Wait()
 		if total != 100 {
 			t.Errorf("total entries = %d, want 100", total)
@@ -196,7 +196,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 		}
 		ok := true
 		for _, mode := range []Mode{RPCOnly, LandingZone} {
-			core.Run(3, func(rk *core.Rank) {
+			upcxx.Run(3, func(rk *upcxx.Rank) {
 				d := New(rk, mode)
 				rk.Barrier()
 				if rk.Me() == 0 {
@@ -227,7 +227,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 }
 
 func TestErase(t *testing.T) {
-	testBothModes(t, 3, func(t *testing.T, rk *core.Rank, d *DHT) {
+	testBothModes(t, 3, func(t *testing.T, rk *upcxx.Rank, d *DHT) {
 		if rk.Me() == 0 {
 			d.Insert(55, []byte("gone-soon")).Wait()
 			if !d.Erase(55).Wait() {
@@ -247,7 +247,7 @@ func TestEraseReclaimsSegmentMemory(t *testing.T) {
 	// In LandingZone mode, insert/erase cycles must not leak segment
 	// memory: a workload far larger than the segment succeeds only if
 	// zones are reclaimed.
-	core.RunConfig(core.Config{Ranks: 2, SegmentSize: 1 << 20}, func(rk *core.Rank) {
+	upcxx.RunConfig(upcxx.Config{Ranks: 2, SegmentSize: 1 << 20}, func(rk *upcxx.Rank) {
 		d := New(rk, LandingZone)
 		rk.Barrier()
 		if rk.Me() == 0 {
@@ -269,7 +269,7 @@ func TestBatchInserter(t *testing.T) {
 	// per-home-rank batches, rotating buffers batch by batch; the shared
 	// promise's future is all operation completions. Every stored value
 	// must be the bytes its buffer held at insert time.
-	core.Run(4, func(rk *core.Rank) {
+	upcxx.Run(4, func(rk *upcxx.Rank) {
 		d := New(rk, RPCOnly)
 		rk.Barrier()
 		const n, batch = 96, 16
@@ -278,7 +278,7 @@ func TestBatchInserter(t *testing.T) {
 			bufs[i] = make([]byte, 128)
 		}
 		base := uint64(rk.Me()) << 32
-		done := core.NewPromise[core.Unit](rk)
+		done := upcxx.NewPromise[upcxx.Unit](rk)
 		bi := d.NewBatchInserter()
 		for i := uint64(0); i < n; i++ {
 			buf := bufs[i%batch]

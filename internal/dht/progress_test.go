@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // The paper's DHT motif under the persona/progress-thread model: each
@@ -19,7 +19,7 @@ func testDHTConcurrentUsers(t *testing.T, mode Mode) {
 		users = 4
 		keys  = 40
 	)
-	core.RunConfig(core.Config{Ranks: ranks, ProgressThread: true, SegmentSize: 16 << 20}, func(rk *core.Rank) {
+	upcxx.RunConfig(upcxx.Config{Ranks: ranks, ProgressThread: true, SegmentSize: 16 << 20}, func(rk *upcxx.Rank) {
 		d := New(rk, mode)
 		rk.Barrier()
 
@@ -29,7 +29,7 @@ func testDHTConcurrentUsers(t *testing.T, mode Mode) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer core.DetachDefaultPersonas()
+				defer upcxx.DetachDefaultPersonas()
 				base := uint64(rk.Me())*1_000_000 + uint64(u)*10_000
 				for i := 0; i < keys; i++ {
 					key := base + uint64(i)
@@ -46,7 +46,7 @@ func testDHTConcurrentUsers(t *testing.T, mode Mode) {
 		rk.Barrier()
 
 		// Cross-check: every rank reads every other rank's keys.
-		for r := core.Intrank(0); r < rk.N(); r++ {
+		for r := upcxx.Intrank(0); r < rk.N(); r++ {
 			for u := 0; u < users; u++ {
 				key := uint64(r)*1_000_000 + uint64(u)*10_000
 				want := fmt.Sprintf("rank%d-user%d-key0", r, u)
@@ -58,7 +58,7 @@ func testDHTConcurrentUsers(t *testing.T, mode Mode) {
 		rk.Barrier()
 
 		// All entries landed somewhere: the job-wide count matches.
-		total := core.AllReduce(rk.WorldTeam(), int64(d.LocalLen()),
+		total := upcxx.AllReduce(rk.WorldTeam(), int64(d.LocalLen()),
 			func(a, b int64) int64 { return a + b }).Wait()
 		if total != int64(ranks*users*keys) {
 			t.Errorf("job-wide entries = %d want %d", total, ranks*users*keys)

@@ -560,7 +560,7 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 	return ep.Pending()
 }
 
-// Yield gives the processor up without parking (core/idle.go): to the rank's other
+// Yield gives the processor up without parking (the runtime's idle.go): to the rank's other
 // goroutines and, between processes, to the OS's next thread — the awaited peer on a
 // shared CPU, else back at once. false: no yield will see the next message (poll's
 // sock) — it is a socket reader's, parked in the netpoller, which runs only once

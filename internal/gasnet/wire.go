@@ -10,7 +10,7 @@ package gasnet
 // memcpys into the peer's mapped segment, every frame rides — or is
 // ordered by — a lock-free ring (ring.go, ringSend) the target's own progress
 // passes poll; only a peer that blocks is woken, by an fRing doorbell frame over
-// the socket: a rank idle past its budget (core/idle.go) sleeps in the reader's Read.
+// the socket: a rank idle past its budget (the runtime's idle.go) sleeps in the reader's Read.
 //
 // Per peer there is one reader goroutine (blocks in Read, decodes frames
 // where they lie in its read buffer and dispatches them onto the endpoint's

@@ -3,8 +3,8 @@ package mpi
 import "encoding/binary"
 
 // Collectives, implemented over the two-sided layer the way MPICH's
-// "generic" algorithms are: dissemination barrier, ring/pairwise
-// exchanges, binomial trees. Collective traffic uses a reserved tag space
+// "generic" algorithms are: dissemination barrier and pairwise
+// exchanges. Collective traffic uses a reserved tag space
 // (tags >= collTagBase); user code must stay below it.
 
 const collTagBase = 1 << 30
@@ -119,105 +119,4 @@ func (p *Proc) Allgather8(v uint64) []uint64 {
 		vals[i] = v
 	}
 	return p.Alltoall8(vals)
-}
-
-// Bcast distributes root's buffer to all ranks along a binomial tree and
-// returns it (the root returns data unchanged).
-func (p *Proc) Bcast(root int, data []byte) []byte {
-	if p.n == 1 {
-		return data
-	}
-	seq := p.nextCollSeq()
-	rr := (p.me - root + p.n) % p.n
-	if rr != 0 {
-		// Receive the size, then the payload, from the parent.
-		parent := ((rr &^ lowestClear(rr)) + root) % p.n
-		var szBuf [8]byte
-		p.Recv(szBuf[:], parent, p.collTag(seq, 0))
-		size := binary.LittleEndian.Uint64(szBuf[:])
-		data = make([]byte, size)
-		if size > 0 {
-			p.Recv(data, parent, p.collTag(seq, 1))
-		}
-	}
-	for k := 0; (1 << k) < p.n; k++ {
-		step := 1 << k
-		if step <= rr {
-			continue
-		}
-		crel := rr + step
-		if crel >= p.n {
-			continue
-		}
-		child := (crel + root) % p.n
-		var szBuf [8]byte
-		binary.LittleEndian.PutUint64(szBuf[:], uint64(len(data)))
-		p.Send(szBuf[:], child, p.collTag(seq, 0))
-		if len(data) > 0 {
-			p.Send(data, child, p.collTag(seq, 1))
-		}
-	}
-	return data
-}
-
-// lowestClear returns the highest set bit of x (the bit cleared to find a
-// binomial parent).
-func lowestClear(x int) int {
-	h := 1
-	for h<<1 <= x {
-		h <<= 1
-	}
-	return h
-}
-
-// AllreduceF64 combines one float64 from every rank with op and returns
-// the result everywhere (binomial reduce to rank 0, then broadcast).
-func (p *Proc) AllreduceF64(v float64, op func(a, b float64) float64) float64 {
-	seq := p.nextCollSeq()
-	rr := p.me
-	acc := v
-	var buf [8]byte
-	// Receive from binomial children.
-	for k := 0; (1 << k) < p.n; k++ {
-		step := 1 << k
-		if step <= rr {
-			continue
-		}
-		if rr+step >= p.n {
-			continue
-		}
-		p.Recv(buf[:], rr+step, p.collTag(seq, k))
-		acc = op(acc, f64FromBits(buf[:]))
-	}
-	if rr != 0 {
-		parent := rr &^ lowestClear(rr)
-		k := log2(lowestClear(rr))
-		putF64(buf[:], acc)
-		p.Send(buf[:], parent, p.collTag(seq, k))
-	}
-	out := p.Bcast(0, f64Bytes(acc))
-	return f64FromBits(out)
-}
-
-func log2(x int) int {
-	n := 0
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
-func f64Bytes(v float64) []byte {
-	var b [8]byte
-	putF64(b[:], v)
-	return b[:]
-}
-
-func putF64(b []byte, v float64) {
-	binary.LittleEndian.PutUint64(b, mathFloat64bits(v))
-}
-
-func f64FromBits(b []byte) float64 {
-	return mathFloat64frombits(binary.LittleEndian.Uint64(b))
 }

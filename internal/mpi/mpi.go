@@ -1,8 +1,8 @@
 // Package mpi implements the subset of MPI the paper benchmarks against:
 // two-sided point-to-point with tag matching and eager/rendezvous
-// protocols, the collectives the sparse-solver baselines use (Barrier,
-// Alltoall/Alltoallv, Allgather, Allreduce, Bcast), and MPI-3 passive-
-// target one-sided RMA (Win/Put/Get/Flush).
+// protocols, the collectives the sparse-solver baselines and windows use
+// (Barrier, Alltoall/Alltoallv, Allgather), and MPI-3 passive-target
+// one-sided RMA (Win/Put/Get/Flush).
 //
 // It is the stand-in for Cray MPICH (closed source) in this reproduction:
 // it runs over the same gasnet conduit as the UPC++ runtime, so every
@@ -259,12 +259,6 @@ func (p *Proc) Waitall(rs []*Request) {
 	for _, r := range rs {
 		p.Wait(r)
 	}
-}
-
-// Test progresses once and reports completion.
-func (p *Proc) Test(r *Request) bool {
-	p.ep.Poll()
-	return r.done
 }
 
 // Probe progresses until a message matching (src, tag) is available

@@ -219,41 +219,10 @@ func TestAlltoallv(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	Run(6, func(p *Proc) {
-		var data []byte
-		if p.Rank() == 2 {
-			data = []byte("payload-from-2")
-		}
-		got := p.Bcast(2, data)
-		if string(got) != "payload-from-2" {
-			t.Errorf("rank %d bcast = %q", p.Rank(), got)
-		}
-	})
-}
-
-func TestAllreduceF64(t *testing.T) {
-	Run(7, func(p *Proc) {
-		sum := p.AllreduceF64(float64(p.Rank()+1), func(a, b float64) float64 { return a + b })
-		if sum != 28 { // 1+..+7
-			t.Errorf("rank %d allreduce = %v", p.Rank(), sum)
-		}
-		max := p.AllreduceF64(float64(p.Rank()), func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if max != 6 {
-			t.Errorf("rank %d max = %v", p.Rank(), max)
-		}
-	})
-}
-
 func TestWinPutGetFlush(t *testing.T) {
 	Run(3, func(p *Proc) {
 		win := CreateWin(p, 1024)
-		local := win.LocalF64()
+		local := serial.FromBytes[float64](win.LocalData())
 		for i := range local {
 			local[i] = float64(p.Rank())
 		}

@@ -1,14 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"math"
-
-	"upcxx/internal/serial"
-)
-
-func mathFloat64bits(v float64) uint64     { return math.Float64bits(v) }
-func mathFloat64frombits(u uint64) float64 { return math.Float64frombits(u) }
+import "fmt"
 
 // MPI-3 one-sided RMA with passive-target synchronization: the mode the
 // paper's microbenchmarks compare against (IMB-RMA Unidir_put with
@@ -55,11 +47,6 @@ func CreateWin(p *Proc, size int) *Win {
 // LocalData returns the window's local exposure for initialization.
 func (w *Win) LocalData() []byte {
 	return w.p.ep.Segment().Bytes(w.local, w.size)
-}
-
-// LocalF64 views the local exposure as float64s.
-func (w *Win) LocalF64() []float64 {
-	return serial.FromBytes[float64](w.LocalData())
 }
 
 // Put starts a one-sided put of src into the window at (target, disp

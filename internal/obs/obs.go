@@ -16,9 +16,8 @@
 //
 //   - Op-lifecycle tracing: a fixed-size per-rank ring buffer of
 //     timestamped events. Every operation the single injection path
-//     accepts gets a per-rank sequence number; when tracing is armed
-//     (per-rank or job-wide) a 1-in-N sample of operations carries a
-//     nonzero trace ID through the conduit hop chains (OpTag), and each
+//     accepts while tracing is armed (a job created with a trace depth)
+//     gets a per-rank sequence number as its trace ID, which it carries through the conduit hop chains (OpTag), and each
 //     hop appends an event — inject, conduit capture, wire landing, DMA
 //     hop, destination landing, completion delivery — to the
 //     *initiator's* ring, tagged with the rank where it physically
@@ -32,7 +31,7 @@
 //     job-wide distributions cost one reduction over the cells.
 //
 // The package depends only on the standard library: the conduit
-// (internal/gasnet) and the runtime (internal/core) both record into it,
+// (internal/gasnet) and the runtime (package upcxx) both record into it,
 // and everything user-facing is exposed through Snapshot.
 package obs
 
@@ -43,7 +42,7 @@ import (
 )
 
 // OpKind classifies an injected operation. The first seven values mirror
-// internal/core's lowered op kinds in order (the runtime converts by
+// the runtime's (package upcxx) lowered op kinds in order (the runtime converts by
 // integer cast); KindCollRound counts individual collective tree rounds,
 // which additionally appear as the AM/copy operations they lower to.
 type OpKind uint8
@@ -58,7 +57,7 @@ const (
 	KindRPC
 	KindCollRound
 	// KindTask classifies task-lifecycle trace events recorded by the
-	// distributed task runtime (internal/task). Tasks are not injected
+	// distributed task runtime (package upcxx, task.go). Tasks are not injected
 	// operations — their messages already count as the RPCs they lower
 	// to — so the per-kind op/byte counters stay zero for this kind; it
 	// exists to tag trace ring events.
@@ -79,7 +78,7 @@ func (k OpKind) String() string {
 	return "op?"
 }
 
-// CxEvent mirrors internal/core's completion events in order.
+// CxEvent mirrors package upcxx's completion events in order.
 type CxEvent uint8
 
 const (
@@ -98,7 +97,7 @@ func (e CxEvent) String() string {
 	return "ev?"
 }
 
-// CxVia mirrors internal/core's completion delivery flavors in order.
+// CxVia mirrors package upcxx's completion delivery flavors in order.
 type CxVia uint8
 
 const (
@@ -144,8 +143,8 @@ func (k DMAKind) String() string {
 	return "dma?"
 }
 
-// TaskStat indexes one counter of the distributed task runtime
-// (internal/task). Spawned counts at the spawning rank, Executed at the
+// TaskStat indexes one counter of the distributed task runtime (package
+// upcxx, task.go). Spawned counts at the spawning rank, Executed at the
 // executing rank (the pair the 4-counter termination detector sums
 // job-wide); Stolen counts tasks a thief gained, Migrated tasks a victim
 // gave up; StealReqs/StealFails are steal attempts issued and the subset
@@ -329,50 +328,34 @@ type PersonaCount struct {
 
 // Options configures a job's recorder.
 type Options struct {
-	// TraceDepth is the per-rank trace ring capacity in events; 0 keeps
-	// tracing disarmed at creation with a default-capacity ring
-	// (DefaultTraceDepth) available for later arming.
+	// TraceDepth is the per-rank trace ring capacity in events: tracing is
+	// armed exactly when it is > 0, and records every operation and task.
 	TraceDepth int
-	// TraceSample records every Nth sampled operation while armed
-	// (1-in-N); 0 or 1 traces every operation.
-	TraceSample int
 }
 
-// DefaultTraceDepth is the ring capacity used when tracing is armed
-// without an explicit depth.
+// DefaultTraceDepth is the ring capacity a job uses when tracing is asked
+// for without an explicit depth (UPCXX_TRACE=1).
 const DefaultTraceDepth = 1024
 
 // Obs is one job's recorder: a RankObs per rank sharing one epoch.
 type Obs struct {
-	epoch  time.Time
-	sample uint64
-	ranks  []*RankObs
+	epoch time.Time
+	ranks []*RankObs
 }
 
 // New creates a recorder for a job of n ranks.
 func New(n int, o Options) *Obs {
-	depth := o.TraceDepth
-	armed := depth > 0
-	if depth <= 0 {
-		depth = DefaultTraceDepth
-	}
-	sample := uint64(o.TraceSample)
-	if sample == 0 {
-		sample = 1
-	}
-	ob := &Obs{epoch: time.Now(), sample: sample}
+	ob := &Obs{epoch: time.Now()}
 	ob.ranks = make([]*RankObs, n)
 	for r := range ob.ranks {
-		ro := &RankObs{
-			o:    ob,
-			rank: int32(r),
-			ring: newRing(depth),
+		ro := &RankObs{o: ob, rank: int32(r)}
+		if o.TraceDepth > 0 {
+			ro.ring = newRing(o.TraceDepth)
 		}
 		ro.wireTxMsgs = make([]Count, n)
 		ro.wireTxBytes = make([]Count, n)
 		ro.wireRxMsgs = make([]Count, n)
 		ro.wireRxBytes = make([]Count, n)
-		ro.armed.Store(armed)
 		ob.ranks[r] = ro
 	}
 	return ob
@@ -383,13 +366,6 @@ func (ob *Obs) Rank(r int) *RankObs { return ob.ranks[r] }
 
 // Ranks returns the job size.
 func (ob *Obs) Ranks() int { return len(ob.ranks) }
-
-// ArmAll arms (or disarms) op-lifecycle tracing on every rank.
-func (ob *Obs) ArmAll(on bool) {
-	for _, ro := range ob.ranks {
-		ro.Arm(on)
-	}
-}
 
 // RankObs records everything one rank observes. All mutation is atomic
 // (counters, histograms) or mutex-guarded (trace ring, persona
@@ -414,22 +390,12 @@ type RankObs struct {
 	histDone Hist
 	histLand Hist
 
-	// Op-lifecycle trace.
-	seq   atomic.Uint64
-	armed atomic.Bool
-	ring  *ring
+	// Op-lifecycle trace: nil ring = tracing off.
+	seq  atomic.Uint64
+	ring *ring
 
 	pmu      sync.Mutex
 	personas []*PersonaCount // one per persona name, in first-use order
-}
-
-// Arm arms (or disarms) op-lifecycle tracing on this rank, clearing the
-// ring when arming.
-func (ro *RankObs) Arm(on bool) {
-	if on {
-		ro.ring.reset()
-	}
-	ro.armed.Store(on)
 }
 
 // Persona returns the LPC counter pair of the personas named name,
@@ -450,15 +416,14 @@ func (ro *RankObs) Persona(name string) *PersonaCount {
 }
 
 // TaskStart accounts one task spawned at this rank and, while tracing is
-// armed and the 1-in-N sampler selects it, records the spawn event and
-// returns the nonzero trace ID that rides the task's descriptor through
+// armed, records the spawn event and returns the nonzero trace ID that rides the task's descriptor through
 // enqueue/steal/execute/complete hops (the enqueue hop has the argument's
 // size: a spawn marshals it straight into its message). Task trace IDs share
 // the rank's op sequence space: no collision with a traced operation's timeline.
 func (ro *RankObs) TaskStart() uint64 {
 	ro.Add(TaskSpawned.Counter(), 1)
-	seq := ro.seq.Add(1)
-	if ro.armed.Load() && seq%ro.o.sample == 0 {
+	if ro.ring != nil {
+		seq := ro.seq.Add(1)
 		ro.ring.record(Event{ID: seq, Stage: StageTaskSpawn, Kind: KindTask, At: ro.rank, T: ro.now()})
 		return seq
 	}
@@ -476,7 +441,7 @@ func (ro *RankObs) TaskHop(home int32, stage Stage, id uint64, bytes int) {
 		return
 	}
 	hro := ro.o.ranks[home]
-	if !hro.armed.Load() {
+	if hro.ring == nil {
 		return
 	}
 	hro.ring.record(Event{ID: id, Stage: stage, Kind: KindTask, At: ro.rank, Bytes: int64(bytes), T: hro.now()})
@@ -499,16 +464,15 @@ func (ro *RankObs) now() int64 { return int64(time.Since(ro.o.epoch)) }
 
 // OpStart accounts one operation of kind k with n payload bytes handed
 // to the conduit, and returns the tag that rides its hop chain: T0 for
-// latency histograms always, a nonzero ID when tracing is armed and the
-// 1-in-N sampler selects this op (the inject event is recorded here).
+// latency histograms always, a nonzero ID when tracing is armed (the inject
+// event is recorded here).
 func (ro *RankObs) OpStart(k OpKind, n int) OpTag {
 	ro.Add(k.Ops(), 1)
 	ro.Add(k.TxBytes(), uint64(n))
-	seq := ro.seq.Add(1)
 	tag := OpTag{Rec: ro, T0: ro.now(), Kind: k}
-	if ro.armed.Load() && seq%ro.o.sample == 0 {
-		tag.ID = seq
-		ro.ring.record(Event{ID: seq, Stage: StageInject, Kind: k, At: ro.rank, Bytes: int64(n), T: tag.T0})
+	if ro.ring != nil {
+		tag.ID = ro.seq.Add(1)
+		ro.ring.record(Event{ID: tag.ID, Stage: StageInject, Kind: k, At: ro.rank, Bytes: int64(n), T: tag.T0})
 	}
 	return tag
 }

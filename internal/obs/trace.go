@@ -28,7 +28,7 @@ const (
 	StageDelivered
 
 	// Task-lifecycle stages, recorded by the distributed task runtime
-	// (internal/task) through RankObs.TaskStart/TaskHop. A task's hops
+	// (package upcxx, task.go) through RankObs.TaskStart/TaskHop. A task's hops
 	// record into its *home* rank's ring (like op hops record into the
 	// initiator's), so one spawn→enqueue→[steal→enqueue→]execute→complete
 	// chain reassembles with Snapshot.Timeline.
@@ -71,14 +71,12 @@ type Event struct {
 
 // ring is a fixed-size mutex-guarded event buffer. A mutex (rather than
 // an atomic cursor with racy slot writes) keeps the ring race-clean
-// under the race detector; the lock is only ever taken for sampled ops
-// while tracing is armed, so the hot path stays bounded by the 1-in-N
-// sampling rate.
+// under the race detector; the lock is only ever taken while tracing is
+// armed, and a job without a trace depth has no ring at all.
 type ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  uint64 // total events ever recorded; next%len(buf) is the write slot
-	wraps bool
+	mu   sync.Mutex
+	buf  []Event
+	next uint64 // total events ever recorded; next%len(buf) is the write slot
 }
 
 func newRing(depth int) *ring {
@@ -89,21 +87,14 @@ func (r *ring) record(ev Event) {
 	r.mu.Lock()
 	r.buf[r.next%uint64(len(r.buf))] = ev
 	r.next++
-	if r.next >= uint64(len(r.buf)) {
-		r.wraps = r.next > uint64(len(r.buf))
-	}
 	r.mu.Unlock()
 }
 
-func (r *ring) reset() {
-	r.mu.Lock()
-	r.next = 0
-	r.wraps = false
-	r.mu.Unlock()
-}
-
-// events returns the buffered events oldest-first.
+// events returns the buffered events oldest-first (none without a ring).
 func (r *ring) events() []Event {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.next
@@ -120,6 +111,9 @@ func (r *ring) events() []Event {
 
 // dropped returns how many events were overwritten by wraparound.
 func (r *ring) dropped() uint64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.next <= uint64(len(r.buf)) {

@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/mpi"
 )
 
@@ -236,23 +236,23 @@ func EAddSerial(plan *EAddPlan) *AccumStore {
 // eaddDist is the per-rank distributed state of the UPC++ variant.
 type eaddDist struct {
 	store *AccumStore
-	prom  *core.Promise[core.Unit]
+	prom  *upcxx.Promise[upcxx.Unit]
 }
 
 // EAddUPCXX runs the UPC++ RPC variant on one rank, returning its
 // accumulation store and the elapsed time of the communication phase.
 // Matches Fig 7: pack, one RPC per destination with a view of the data,
 // conjoined futures for acknowledgment, counting promise for incoming.
-func EAddUPCXX(rk *core.Rank, plan *EAddPlan) (*AccumStore, time.Duration) {
+func EAddUPCXX(rk *upcxx.Rank, plan *EAddPlan) (*AccumStore, time.Duration) {
 	me := rk.Me()
-	d := &eaddDist{store: NewAccumStore(), prom: core.NewPromise[core.Unit](rk)}
+	d := &eaddDist{store: NewAccumStore(), prom: upcxx.NewPromise[upcxx.Unit](rk)}
 	d.prom.RequireAnonymous(plan.Incoming[me])
-	obj := core.NewDistObject(rk, d)
+	obj := upcxx.NewDistObject(rk, d)
 	id := obj.ID()
 	rk.Barrier()
 
 	start := time.Now()
-	fConj := core.EmptyFuture(rk)
+	fConj := upcxx.EmptyFuture(rk)
 	for i := range plan.T.Fronts {
 		f := &plan.T.Fronts[i]
 		if f.Parent < 0 {
@@ -272,11 +272,11 @@ func EAddUPCXX(rk *core.Rank, plan *EAddPlan) (*AccumStore, time.Duration) {
 			if !ok {
 				continue
 			}
-			fut := core.RPC(rk, dst, eaddAccumRPC, eaddAccumArg{ID: id, View: core.MakeView(buf)})
-			fConj = core.WhenAll(rk, fConj, fut)
+			fut := upcxx.RPC(rk, dst, eaddAccumRPC, eaddAccumArg{ID: id, View: upcxx.MakeView(buf)})
+			fConj = upcxx.WhenAll(rk, fConj, fut)
 		}
 	}
-	core.WhenAll(rk, fConj, d.prom.Finalize()).Wait()
+	upcxx.WhenAll(rk, fConj, d.prom.Finalize()).Wait()
 	elapsed := time.Since(start)
 	rk.Barrier()
 	return d.store, elapsed
@@ -284,27 +284,27 @@ func EAddUPCXX(rk *core.Rank, plan *EAddPlan) (*AccumStore, time.Duration) {
 
 // Registered by name so the accum callback can be dispatched in sibling
 // rank processes under a real transport conduit.
-func init() { core.RegisterRPC(eaddAccumRPC) }
+func init() { upcxx.RegisterRPC(eaddAccumRPC) }
 
 // eaddAccumArg is eaddAccumRPC's argument: the destination's state object
 // and the packed contributions.
 type eaddAccumArg struct {
-	ID   core.DistID
-	View core.View[uint64]
+	ID   upcxx.DistID
+	View upcxx.View[uint64]
 }
 
 // eaddAccumRPC is the accum callback of Fig 6/7: it runs at the
 // destination, traverses the view (a window into the network buffer),
 // accumulates into the local fragments, and signals the counting promise.
-func eaddAccumRPC(trk *core.Rank, a eaddAccumArg) core.Unit {
-	obj, ok := core.LookupDist[*eaddDist](trk, a.ID)
+func eaddAccumRPC(trk *upcxx.Rank, a eaddAccumArg) upcxx.Unit {
+	obj, ok := upcxx.LookupDist[*eaddDist](trk, a.ID)
 	if !ok {
 		panic(fmt.Sprintf("sparse: rank %d missing eadd state %d", trk.Me(), a.ID))
 	}
 	d := *obj.Value()
 	accumulate(d.store, a.View.Elements())
 	d.prom.FulfillAnonymous(1)
-	return core.Unit{}
+	return upcxx.Unit{}
 }
 
 // EAddMPIAlltoallv runs the Alltoallv variant on one MPI process: one

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/matgen"
 )
 
@@ -17,7 +17,7 @@ func TestSolveEndToEnd(t *testing.T) {
 	const P = 5
 	plan := NewCholPlan(prob.A, tree, P)
 	results := make([]CholResult, P)
-	core.Run(P, func(rk *core.Rank) {
+	upcxx.Run(P, func(rk *upcxx.Rank) {
 		results[rk.Me()] = CholV1(rk, plan)
 	})
 	l, err := AssembleL(prob.A.N, results)
@@ -45,7 +45,7 @@ func TestSolveIdentityLike(t *testing.T) {
 	tree := BuildFrontTree(a, 0)
 	plan := NewCholPlan(a, tree, 1)
 	var results []CholResult
-	core.Run(1, func(rk *core.Rank) {
+	upcxx.Run(1, func(rk *upcxx.Rank) {
 		results = []CholResult{CholV1(rk, plan)}
 	})
 	l, err := AssembleL(3, results)
@@ -75,7 +75,7 @@ func TestQuickSolveResidual(t *testing.T) {
 		p := 1 + rng.Intn(4)
 		plan := NewCholPlan(prob.A, tree, p)
 		results := make([]CholResult, p)
-		core.Run(p, func(rk *core.Rank) {
+		upcxx.Run(p, func(rk *upcxx.Rank) {
 			results[rk.Me()] = CholV1(rk, plan)
 		})
 		l, err := AssembleL(prob.A.N, results)

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/matgen"
 	"upcxx/internal/mpi"
 )
@@ -176,7 +176,7 @@ func runEAddVariants(t *testing.T, P int) {
 
 	// UPC++ variant.
 	stores := make([]*AccumStore, P)
-	core.Run(P, func(rk *core.Rank) {
+	upcxx.Run(P, func(rk *upcxx.Rank) {
 		st, _ := EAddUPCXX(rk, plan)
 		stores[rk.Me()] = st
 	})
@@ -268,7 +268,7 @@ func TestCholV1MatchesDense(t *testing.T) {
 	for _, P := range []int{1, 3, 8} {
 		plan := NewCholPlan(prob.A, tree, P)
 		results := make([]CholResult, P)
-		core.Run(P, func(rk *core.Rank) {
+		upcxx.Run(P, func(rk *upcxx.Rank) {
 			results[rk.Me()] = CholV1(rk, plan)
 		})
 		checkL(t, prob.A.N, want, results)
@@ -282,7 +282,7 @@ func TestCholV01MatchesDense(t *testing.T) {
 	for _, P := range []int{1, 4} {
 		plan := NewCholPlan(prob.A, tree, P)
 		results := make([]CholResult, P)
-		core.Run(P, func(rk *core.Rank) {
+		upcxx.Run(P, func(rk *upcxx.Rank) {
 			results[rk.Me()] = CholV01(rk, plan)
 		})
 		checkL(t, prob.A.N, want, results)
@@ -354,7 +354,7 @@ func TestQuickCholCorrect(t *testing.T) {
 		P := 1 + rng.Intn(4)
 		plan := NewCholPlan(prob.A, tree, P)
 		results := make([]CholResult, P)
-		core.Run(P, func(rk *core.Rank) {
+		upcxx.Run(P, func(rk *upcxx.Rank) {
 			results[rk.Me()] = CholV1(rk, plan)
 		})
 		n := prob.A.N

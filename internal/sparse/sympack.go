@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/matgen"
 	"upcxx/internal/upcxx01"
 )
@@ -152,15 +152,15 @@ type CholResult struct {
 type cholState struct {
 	plan    *CholPlan
 	fronts  map[int]*denseFront
-	pending map[int]*core.Promise[core.Unit] // v1.0 child-arrival counters
-	remain  map[int]int                      // v0.1 child-arrival counters
+	pending map[int]*upcxx.Promise[upcxx.Unit] // v1.0 child-arrival counters
+	remain  map[int]int                        // v0.1 child-arrival counters
 }
 
 func newCholState(plan *CholPlan, me int32) *cholState {
 	st := &cholState{
 		plan:    plan,
 		fronts:  make(map[int]*denseFront),
-		pending: make(map[int]*core.Promise[core.Unit]),
+		pending: make(map[int]*upcxx.Promise[upcxx.Unit]),
 		remain:  make(map[int]int),
 	}
 	for i := range plan.T.Fronts {
@@ -176,19 +176,19 @@ func newCholState(plan *CholPlan, me int32) *cholState {
 }
 
 type cbArgs struct {
-	ID     core.DistID
+	ID     upcxx.DistID
 	Parent int64
-	Rows   core.View[int32]
-	CB     core.View[float64]
+	Rows   upcxx.View[int32]
+	CB     upcxx.View[float64]
 }
 
 // Registered by name so contribution blocks can land in sibling rank
 // processes under a real transport conduit.
-func init() { core.RegisterRPC(cholAccumRPC) }
+func init() { upcxx.RegisterRPC(cholAccumRPC) }
 
 // cholAccumRPC lands a child's contribution block at the parent's owner.
-func cholAccumRPC(trk *core.Rank, a cbArgs) core.Unit {
-	obj, ok := core.LookupDist[*cholState](trk, a.ID)
+func cholAccumRPC(trk *upcxx.Rank, a cbArgs) upcxx.Unit {
+	obj, ok := upcxx.LookupDist[*cholState](trk, a.ID)
 	if !ok {
 		panic(fmt.Sprintf("sparse: rank %d missing chol state", trk.Me()))
 	}
@@ -200,51 +200,51 @@ func cholAccumRPC(trk *core.Rank, a cbArgs) core.Unit {
 	if p, ok := st.pending[pf]; ok {
 		p.FulfillAnonymous(1)
 	}
-	return core.Unit{}
+	return upcxx.Unit{}
 }
 
 // CholV1 runs the factorization against the v1.0 API: per-front counting
 // promises gate factorization tasks chained with futures; contribution
 // blocks travel as RPC views; completion is a conjunction of all local
 // futures.
-func CholV1(rk *core.Rank, plan *CholPlan) CholResult {
+func CholV1(rk *upcxx.Rank, plan *CholPlan) CholResult {
 	me := rk.Me()
 	st := newCholState(plan, me)
-	obj := core.NewDistObject(rk, st)
+	obj := upcxx.NewDistObject(rk, st)
 	id := obj.ID()
 	// One promise per owned front, counting its children.
 	order := ownedAscending(plan, me)
 	for _, i := range order {
-		p := core.NewPromise[core.Unit](rk)
+		p := upcxx.NewPromise[upcxx.Unit](rk)
 		p.RequireAnonymous(len(plan.T.Fronts[i].Children))
 		st.pending[i] = p
 	}
 	rk.Barrier()
 
 	start := time.Now()
-	conj := core.EmptyFuture(rk)
+	conj := upcxx.EmptyFuture(rk)
 	for _, i := range order {
 		i := i
 		ready := st.pending[i].Finalize()
-		done := core.ThenFut(ready, func(core.Unit) core.Future[core.Unit] {
+		done := upcxx.ThenFut(ready, func(upcxx.Unit) upcxx.Future[upcxx.Unit] {
 			df := st.fronts[i]
 			if err := df.factor(); err != nil {
 				panic(err)
 			}
 			f := &plan.T.Fronts[i]
 			if f.Parent < 0 || df.dim == df.w {
-				return core.EmptyFuture(rk)
+				return upcxx.EmptyFuture(rk)
 			}
 			owner := plan.Map.Owner(f.Parent)
 			args := cbArgs{
 				ID:     id,
 				Parent: int64(f.Parent),
-				Rows:   core.MakeView(f.CBRows()),
-				CB:     core.MakeView(df.cbPacked()),
+				Rows:   upcxx.MakeView(f.CBRows()),
+				CB:     upcxx.MakeView(df.cbPacked()),
 			}
-			return core.ThenDo(core.RPC(rk, owner, cholAccumRPC, args), func(core.Unit) {})
+			return upcxx.ThenDo(upcxx.RPC(rk, owner, cholAccumRPC, args), func(upcxx.Unit) {})
 		})
-		conj = core.WhenAll(rk, conj, done)
+		conj = upcxx.WhenAll(rk, conj, done)
 	}
 	conj.Wait()
 	elapsed := time.Since(start)
@@ -255,11 +255,11 @@ func CholV1(rk *core.Rank, plan *CholPlan) CholResult {
 // CholV01 runs the same factorization against the v0.1 API: explicit
 // events, in-order waiting on child counters, async() task shipping — the
 // scheduling style of the original symPACK (paper §IV-D4).
-func CholV01(rk *core.Rank, plan *CholPlan) CholResult {
+func CholV01(rk *upcxx.Rank, plan *CholPlan) CholResult {
 	rt := upcxx01.Wrap(rk)
 	me := rk.Me()
 	st := newCholState(plan, me)
-	obj := core.NewDistObject(rk, st)
+	obj := upcxx.NewDistObject(rk, st)
 	id := obj.ID()
 	rt.Barrier()
 
@@ -283,8 +283,8 @@ func CholV01(rk *core.Rank, plan *CholPlan) CholResult {
 		args := cbArgs{
 			ID:     id,
 			Parent: int64(f.Parent),
-			Rows:   core.MakeView(f.CBRows()),
-			CB:     core.MakeView(df.cbPacked()),
+			Rows:   upcxx.MakeView(f.CBRows()),
+			CB:     upcxx.MakeView(df.cbPacked()),
 		}
 		upcxx01.AsyncArg(rt, owner, sendEvt, func(trt *upcxx01.Runtime, a cbArgs) {
 			cholAccumRPC(trt.Rank(), a)

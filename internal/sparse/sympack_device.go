@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // Device-resident mini-symPACK: the same multifrontal Cholesky as CholV1,
@@ -26,10 +26,10 @@ import (
 // slot lookups and arrival notifications.
 type devCholState struct {
 	plan    *CholPlan
-	da      *core.DeviceAllocator
-	fronts  map[int]core.GPtr[float64]         // owned fronts, dim*dim dense, device
-	landing map[int]map[int]core.GPtr[float64] // owned front -> child -> packed-CB slot
-	pending map[int]*core.Promise[core.Unit]   // child-arrival counters
+	da      *upcxx.DeviceAllocator
+	fronts  map[int]upcxx.GPtr[float64]         // owned fronts, dim*dim dense, device
+	landing map[int]map[int]upcxx.GPtr[float64] // owned front -> child -> packed-CB slot
+	pending map[int]*upcxx.Promise[upcxx.Unit]  // child-arrival counters
 }
 
 // cbTriLen is the packed (lower-triangle, row-major) length of an s x s
@@ -39,17 +39,17 @@ func cbTriLen(s int) int { return s * (s + 1) / 2 }
 // devAlloc carves n float64s from the device segment, growing it in
 // place when exhausted — offsets (and therefore every GPtr handed out
 // before the growth) stay stable.
-func devAlloc(da *core.DeviceAllocator, n int) core.GPtr[float64] {
-	p, err := core.NewDeviceArray[float64](da, n)
+func devAlloc(da *upcxx.DeviceAllocator, n int) upcxx.GPtr[float64] {
+	p, err := upcxx.NewDeviceArray[float64](da, n)
 	if err == nil {
 		return p
 	}
 	da.Grow(8*n + 64)
-	return core.MustNewDeviceArray[float64](da, n)
+	return upcxx.MustNewDeviceArray[float64](da, n)
 }
 
-func devState(trk *core.Rank, id core.DistID) *devCholState {
-	obj, ok := core.LookupDist[*devCholState](trk, id)
+func devState(trk *upcxx.Rank, id upcxx.DistID) *devCholState {
+	obj, ok := upcxx.LookupDist[*devCholState](trk, id)
 	if !ok {
 		panic(fmt.Sprintf("sparse: rank %d missing device chol state", trk.Me()))
 	}
@@ -57,18 +57,18 @@ func devState(trk *core.Rank, id core.DistID) *devCholState {
 }
 
 type devSlotArgs struct {
-	ID    core.DistID
+	ID    upcxx.DistID
 	Child int64
 }
 
 func init() {
-	core.RegisterRPC(devSlotRPC)
-	core.RegisterRPCFF(devCBArrive)
+	upcxx.RegisterRPC(devSlotRPC)
+	upcxx.RegisterRPCFF(devCBArrive)
 }
 
 // devSlotRPC returns the landing slot the parent's owner carved for this
 // child's contribution block.
-func devSlotRPC(trk *core.Rank, a devSlotArgs) core.GPtr[float64] {
+func devSlotRPC(trk *upcxx.Rank, a devSlotArgs) upcxx.GPtr[float64] {
 	st := devState(trk, a.ID)
 	child := int(a.Child)
 	parent := st.plan.T.Fronts[child].Parent
@@ -76,14 +76,14 @@ func devSlotRPC(trk *core.Rank, a devSlotArgs) core.GPtr[float64] {
 }
 
 type devArriveArgs struct {
-	ID    core.DistID
+	ID    upcxx.DistID
 	Child int64
 }
 
 // devCBArrive is the remote completion of a child's signaling put: the
 // packed block is already visible in this rank's device segment, so the
 // extend-add runs as a kernel straight out of the landing slot.
-func devCBArrive(trk *core.Rank, a devArriveArgs) {
+func devCBArrive(trk *upcxx.Rank, a devArriveArgs) {
 	st := devState(trk, a.ID)
 	child := int(a.Child)
 	parent := st.plan.T.Fronts[child].Parent
@@ -95,8 +95,8 @@ func (st *devCholState) devExtendAdd(parent, child int) {
 	pf := &st.plan.T.Fronts[parent]
 	rows := st.plan.T.Fronts[child].CBRows()
 	dim := len(pf.Rows)
-	core.RunKernel(st.da, st.fronts[parent], dim*dim, func(fd []float64) {
-		core.RunKernel(st.da, st.landing[parent][child], cbTriLen(len(rows)), func(cb []float64) {
+	upcxx.RunKernel(st.da, st.fronts[parent], dim*dim, func(fd []float64) {
+		upcxx.RunKernel(st.da, st.landing[parent][child], cbTriLen(len(rows)), func(cb []float64) {
 			df := &denseFront{id: parent, dim: dim, w: pf.Width, data: fd}
 			df.extendAdd(pf, rows, cb)
 		})
@@ -107,7 +107,7 @@ func (st *devCholState) devFactor(i int) {
 	f := &st.plan.T.Fronts[i]
 	dim := len(f.Rows)
 	var err error
-	core.RunKernel(st.da, st.fronts[i], dim*dim, func(fd []float64) {
+	upcxx.RunKernel(st.da, st.fronts[i], dim*dim, func(fd []float64) {
 		df := &denseFront{id: i, dim: dim, w: f.Width, data: fd}
 		err = df.factor()
 	})
@@ -118,13 +118,13 @@ func (st *devCholState) devFactor(i int) {
 
 // devPackCB packs front i's contribution block into the device send
 // buffer — device-to-device, no host copy.
-func (st *devCholState) devPackCB(i int, send core.GPtr[float64]) {
+func (st *devCholState) devPackCB(i int, send upcxx.GPtr[float64]) {
 	f := &st.plan.T.Fronts[i]
 	dim := len(f.Rows)
-	core.RunKernel(st.da, st.fronts[i], dim*dim, func(fd []float64) {
+	upcxx.RunKernel(st.da, st.fronts[i], dim*dim, func(fd []float64) {
 		df := &denseFront{id: i, dim: dim, w: f.Width, data: fd}
 		cb := df.cbPacked()
-		core.RunKernel(st.da, send, len(cb), func(sb []float64) {
+		upcxx.RunKernel(st.da, send, len(cb), func(sb []float64) {
 			copy(sb, cb)
 		})
 	})
@@ -133,7 +133,7 @@ func (st *devCholState) devPackCB(i int, send core.GPtr[float64]) {
 // CholV1Device runs the v1.0 factorization with device-resident fronts;
 // see the package comment above. Task structure matches CholV1: per-front
 // counting promises gate factorization, futures chain the CB push.
-func CholV1Device(rk *core.Rank, plan *CholPlan) CholResult {
+func CholV1Device(rk *upcxx.Rank, plan *CholPlan) CholResult {
 	me := rk.Me()
 	order := ownedAscending(plan, me)
 
@@ -142,21 +142,21 @@ func CholV1Device(rk *core.Rank, plan *CholPlan) CholResult {
 		d := len(plan.T.Fronts[i].Rows)
 		frontBytes += 8 * d * d
 	}
-	da := core.NewDeviceAllocator(rk, frontBytes)
+	da := upcxx.NewDeviceAllocator(rk, frontBytes)
 
 	st := &devCholState{
 		plan:    plan,
 		da:      da,
-		fronts:  make(map[int]core.GPtr[float64]),
-		landing: make(map[int]map[int]core.GPtr[float64]),
-		pending: make(map[int]*core.Promise[core.Unit]),
+		fronts:  make(map[int]upcxx.GPtr[float64]),
+		landing: make(map[int]map[int]upcxx.GPtr[float64]),
+		pending: make(map[int]*upcxx.Promise[upcxx.Unit]),
 	}
 	for _, i := range order {
 		f := &plan.T.Fronts[i]
 		dim := len(f.Rows)
 		fr := devAlloc(da, dim*dim)
 		st.fronts[i] = fr
-		core.RunKernel(da, fr, dim*dim, func(fd []float64) {
+		upcxx.RunKernel(da, fr, dim*dim, func(fd []float64) {
 			df := &denseFront{id: i, dim: dim, w: f.Width, data: fd}
 			df.assemble(plan.A, f)
 		})
@@ -164,42 +164,42 @@ func CholV1Device(rk *core.Rank, plan *CholPlan) CholResult {
 		// past the front-only sizing and exercise segment growth. Every
 		// child of a front has a non-empty contribution block (parents
 		// exist only through CB rows).
-		st.landing[i] = make(map[int]core.GPtr[float64])
+		st.landing[i] = make(map[int]upcxx.GPtr[float64])
 		for _, c := range f.Children {
 			st.landing[i][c] = devAlloc(da, cbTriLen(plan.T.Fronts[c].CBSize()))
 		}
-		p := core.NewPromise[core.Unit](rk)
+		p := upcxx.NewPromise[upcxx.Unit](rk)
 		p.RequireAnonymous(len(f.Children))
 		st.pending[i] = p
 	}
-	obj := core.NewDistObject(rk, st)
+	obj := upcxx.NewDistObject(rk, st)
 	id := obj.ID()
 	rk.Barrier()
 
 	start := time.Now()
-	conj := core.EmptyFuture(rk)
+	conj := upcxx.EmptyFuture(rk)
 	for _, i := range order {
 		i := i
 		f := &plan.T.Fronts[i]
-		done := core.ThenFut(st.pending[i].Finalize(), func(core.Unit) core.Future[core.Unit] {
+		done := upcxx.ThenFut(st.pending[i].Finalize(), func(upcxx.Unit) upcxx.Future[upcxx.Unit] {
 			st.devFactor(i)
 			if f.Parent < 0 || f.CBSize() == 0 {
-				return core.EmptyFuture(rk)
+				return upcxx.EmptyFuture(rk)
 			}
 			n := cbTriLen(f.CBSize())
 			send := devAlloc(da, n)
 			st.devPackCB(i, send)
 			owner := plan.Map.Owner(f.Parent)
-			slotF := core.RPC(rk, owner, devSlotRPC, devSlotArgs{ID: id, Child: int64(i)})
-			return core.ThenFut(slotF, func(slot core.GPtr[float64]) core.Future[core.Unit] {
-				op := core.NewPromise[core.Unit](rk)
-				core.CopyWith(rk, send, slot, n,
-					core.OpCxAsPromise(op),
-					core.RemoteCxAsRPC(devCBArrive, devArriveArgs{ID: id, Child: int64(i)}))
+			slotF := upcxx.RPC(rk, owner, devSlotRPC, devSlotArgs{ID: id, Child: int64(i)})
+			return upcxx.ThenFut(slotF, func(slot upcxx.GPtr[float64]) upcxx.Future[upcxx.Unit] {
+				op := upcxx.NewPromise[upcxx.Unit](rk)
+				upcxx.CopyWith(rk, send, slot, n,
+					upcxx.OpCxAsPromise(op),
+					upcxx.RemoteCxAsRPC(devCBArrive, devArriveArgs{ID: id, Child: int64(i)}))
 				return op.Finalize()
 			})
 		})
-		conj = core.WhenAll(rk, conj, done)
+		conj = upcxx.WhenAll(rk, conj, done)
 	}
 	conj.Wait()
 	elapsed := time.Since(start)
@@ -210,7 +210,7 @@ func CholV1Device(rk *core.Rank, plan *CholPlan) CholResult {
 		f := &plan.T.Fronts[i]
 		dim := len(f.Rows)
 		host := make([]float64, dim*dim)
-		core.RGet(rk, st.fronts[i], host).Wait()
+		upcxx.RGet(rk, st.fronts[i], host).Wait()
 		df := &denseFront{id: i, dim: dim, w: f.Width, data: host}
 		out = append(out, df.panelL(f)...)
 	}

@@ -3,7 +3,7 @@ package sparse
 import (
 	"testing"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/matgen"
 	"upcxx/internal/obs"
@@ -25,8 +25,8 @@ func TestCholV1DeviceMatchesDense(t *testing.T) {
 		plan := NewCholPlan(prob.A, tree, P)
 		results := make([]CholResult, P)
 		var snap obs.Snapshot
-		cfg := core.Config{Ranks: P, Stats: true, DMA: &gasnet.PCIeDMA{GDR: true}}
-		core.RunConfig(cfg, func(rk *core.Rank) {
+		cfg := upcxx.Config{Ranks: P, Stats: true, DMA: &gasnet.PCIeDMA{GDR: true}}
+		upcxx.RunConfig(cfg, func(rk *upcxx.Rank) {
 			results[rk.Me()] = CholV1Device(rk, plan)
 			rk.Barrier()
 			if rk.Me() == 0 {
@@ -55,7 +55,7 @@ func TestCholV1DeviceBouncedWorld(t *testing.T) {
 	plan := NewCholPlan(prob.A, tree, P)
 	results := make([]CholResult, P)
 	var snap obs.Snapshot
-	core.RunConfig(core.Config{Ranks: P, Stats: true}, func(rk *core.Rank) {
+	upcxx.RunConfig(upcxx.Config{Ranks: P, Stats: true}, func(rk *upcxx.Rank) {
 		results[rk.Me()] = CholV1Device(rk, plan)
 		rk.Barrier()
 		if rk.Me() == 0 {

@@ -1,5 +1,5 @@
 //go:build race
 
-package task
+package upcxx
 
 const raceEnabled = true

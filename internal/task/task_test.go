@@ -1,4 +1,4 @@
-package task
+package upcxx
 
 // Race-conformance matrix and semantics tests for the distributed task
 // runtime: {AsyncAt, AsyncAtFF, Finish} × {self, cross} × {steal-on,
@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	core "upcxx/internal/core"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 )
@@ -40,7 +39,7 @@ func resetCounters() {
 	chainHits.Store(0)
 }
 
-func tDouble(trk *core.Rank, x int64) int64 {
+func tDouble(trk *Rank, x int64) int64 {
 	execBy[trk.Me()].Add(1)
 	return x * 2
 }
@@ -50,33 +49,33 @@ type tPair struct {
 	Label string
 }
 
-func tSwap(trk *core.Rank, p tPair) tPair {
+func tSwap(trk *Rank, p tPair) tPair {
 	return tPair{A: p.B, B: p.A, Label: p.Label + fmt.Sprintf("@%d", trk.Me())}
 }
 
-func tBump(trk *core.Rank, _ int64) {
+func tBump(trk *Rank, _ int64) {
 	execBy[trk.Me()].Add(1)
 	ffHits.Add(1)
 }
 
 // tChain re-spawns itself around the ring until depth runs out: the
 // in-flight cascade the four-counter detector must not cut short.
-func tChain(trk *core.Rank, depth int64) {
+func tChain(trk *Rank, depth int64) {
 	chainHits.Add(1)
 	if depth > 0 {
-		rt := Of(trk)
+		rt := TaskRuntimeOf(trk)
 		AsyncAtFF(rt, (trk.Me()+1)%trk.N(), tChain, depth-1)
 	}
 }
 
 // tSleep holds a worker long enough that a skewed queue outlives the
 // thieves' first steal round.
-func tSleep(trk *core.Rank, us int64) {
+func tSleep(trk *Rank, us int64) {
 	time.Sleep(time.Duration(us) * time.Microsecond)
 	execBy[trk.Me()].Add(1)
 }
 
-func tGroupBump(trk *core.Rank, _ int64) {
+func tGroupBump(trk *Rank, _ int64) {
 	execBy[trk.Me()].Add(1)
 	groupHits.Add(1)
 }
@@ -84,39 +83,39 @@ func tGroupBump(trk *core.Rank, _ int64) {
 // tHold keeps its worker busy until the test lets go.
 var holdStarted, holdRelease atomic.Bool
 
-func tHold(*core.Rank, int64) {
+func tHold(*Rank, int64) {
 	holdStarted.Store(true)
 	for !holdRelease.Load() {
 		runtime.Gosched()
 	}
 }
 
-func tRelease(*core.Rank, int64) { holdRelease.Store(true) }
+func tRelease(*Rank, int64) { holdRelease.Store(true) }
 
-func tLen(_ *core.Rank, b []byte) int64 { return int64(len(b)) }
+func tLen(_ *Rank, b []byte) int64 { return int64(len(b)) }
 
-func tCountAA(_ *core.Rank, b []byte) int64 { return int64(bytes.Count(b, []byte{0xAA})) }
+func tCountAA(_ *Rank, b []byte) int64 { return int64(bytes.Count(b, []byte{0xAA})) }
 
-func tCountAAView(trk *core.Rank, v core.View[uint8]) int64 { return tCountAA(trk, v.Elements()) }
+func tCountAAView(trk *Rank, v View[uint8]) int64 { return tCountAA(trk, v.Elements()) }
 
 var (
-	_ = Register(tDouble)
-	_ = Register(tSwap)
-	_ = Register(tLen)
-	_ = Register(tCountAA)
-	_ = Register(tCountAAView)
-	_ = RegisterFF(tBump)
-	_ = RegisterFF(tChain)
-	_ = RegisterFF(tSleep)
-	_ = RegisterFF(tGroupBump)
-	_ = RegisterFF(tHold)
-	_ = RegisterFF(tPark)
-	_ = core.RegisterRPCFF(tRelease)
+	_ = RegisterTask(tDouble)
+	_ = RegisterTask(tSwap)
+	_ = RegisterTask(tLen)
+	_ = RegisterTask(tCountAA)
+	_ = RegisterTask(tCountAAView)
+	_ = RegisterTaskFF(tBump)
+	_ = RegisterTaskFF(tChain)
+	_ = RegisterTaskFF(tSleep)
+	_ = RegisterTaskFF(tGroupBump)
+	_ = RegisterTaskFF(tHold)
+	_ = RegisterTaskFF(tPark)
+	_ = RegisterRPCFF(tRelease)
 )
 
 // matrixWorlds enumerates the conformance matrix's world axis.
-func matrixWorlds() map[string]core.Config {
-	return map[string]core.Config{
+func matrixWorlds() map[string]Config {
+	return map[string]Config{
 		"nodelay": {Ranks: 4},
 		"loggp": {Ranks: 4, RanksPerNode: 2,
 			Model: &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Microsecond, Gp: time.Microsecond}},
@@ -135,8 +134,8 @@ func TestTaskMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/steal=%v", wname, steal), func(t *testing.T) {
 				resetCounters()
 				const chainDepth = 12
-				core.RunConfig(wcfg, func(rk *core.Rank) {
-					rt := New(rk, Config{NoSteal: !steal, Workers: 2})
+				RunConfig(wcfg, func(rk *Rank) {
+					rt := NewTaskRuntime(rk, TaskConfig{NoSteal: !steal, Workers: 2})
 					defer rt.Stop()
 					me, n := rk.Me(), rk.N()
 
@@ -149,13 +148,13 @@ func TestTaskMatrix(t *testing.T) {
 						AsyncAtFF(rt, me, tChain, chainDepth)
 					}
 
-					if got := HelpWait(rt, fSelf); got != int64(me)*2 {
+					if got := TaskHelpWait(rt, fSelf); got != int64(me)*2 {
 						t.Errorf("rank %d: self AsyncAt = %d, want %d", me, got, me*2)
 					}
-					if got := HelpWait(rt, fCross); got != (int64(me)+100)*2 {
+					if got := TaskHelpWait(rt, fCross); got != (int64(me)+100)*2 {
 						t.Errorf("rank %d: cross AsyncAt = %d, want %d", me, got, (int64(me)+100)*2)
 					}
-					if got := HelpWait(rt, fStruct); got.A != 2 || got.B != 1 || got.Label == "x" {
+					if got := TaskHelpWait(rt, fStruct); got.A != 2 || got.B != 1 || got.Label == "x" {
 						t.Errorf("rank %d: struct AsyncAt = %+v", me, got)
 					}
 					if err := rt.Finish(); err != nil {
@@ -187,8 +186,8 @@ func TestTaskStealMovesWork(t *testing.T) {
 		t.Run(fmt.Sprintf("steal=%v", steal), func(t *testing.T) {
 			resetCounters()
 			var stolen, migrated uint64
-			core.RunConfig(core.Config{Ranks: 4, Stats: true}, func(rk *core.Rank) {
-				rt := New(rk, Config{NoSteal: !steal, Workers: 1, StealBatch: 4})
+			RunConfig(Config{Ranks: 4, Stats: true}, func(rk *Rank) {
+				rt := NewTaskRuntime(rk, TaskConfig{NoSteal: !steal, Workers: 1, StealBatch: 4})
 				defer rt.Stop()
 				if rk.Me() == 0 {
 					for i := 0; i < tasks; i++ {
@@ -246,29 +245,29 @@ func TestStolenResultReachesHome(t *testing.T) {
 	holdRelease.Store(false)
 	const tasks = 6
 	var stolen, migrated uint64
-	core.RunConfig(core.Config{Ranks: 3, Stats: true}, func(rk *core.Rank) {
+	RunConfig(Config{Ranks: 3, Stats: true}, func(rk *Rank) {
 		if rk.Me() == 2 {
 			rk.Barrier() // the thief starts once the worker it must beat is held
 		}
-		rt := New(rk, Config{Workers: 1, NoSteal: rk.Me() != 2})
+		rt := NewTaskRuntime(rk, TaskConfig{Workers: 1, NoSteal: rk.Me() != 2})
 		defer rt.Stop()
 		switch rk.Me() {
 		case 0:
 			AsyncAtFF(rt, 1, tHold, 0)
 			rk.Barrier()
-			var fs []core.Future[int64]
+			var fs []Future[int64]
 			for i := int64(0); i < tasks; i++ {
 				fs = append(fs, AsyncAt(rt, 1, tDouble, i))
 			}
 			for i, f := range fs {
-				if got := HelpWait(rt, f); got != int64(i)*2 {
+				if got := TaskHelpWait(rt, f); got != int64(i)*2 {
 					t.Errorf("stolen task %d returned %d, want %d", i, got, i*2)
 				}
 			}
 			if s, c := rt.spawned.Load(), rt.executed.Load(); s != tasks+1 || c != tasks {
 				t.Errorf("home counts S=%d C=%d with every result in, want %d and %d (the held task is still out)", s, c, tasks+1, tasks)
 			}
-			core.RPCFF(rk, 1, tRelease, 0)
+			RPCFF(rk, 1, tRelease, 0)
 		case 1:
 			for !holdStarted.Load() {
 				rk.ProgressWait(helpPark)
@@ -312,8 +311,8 @@ func TestStealDoesNotBounce(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		core.RunConfig(core.Config{Ranks: 2, Stats: true}, func(rk *core.Rank) {
-			rt := New(rk, Config{Workers: 1})
+		RunConfig(Config{Ranks: 2, Stats: true}, func(rk *Rank) {
+			rt := NewTaskRuntime(rk, TaskConfig{Workers: 1})
 			defer rt.Stop()
 			if rk.Me() == 0 {
 				for i := 0; i < tasks; i++ {
@@ -348,21 +347,21 @@ func TestStealDoesNotBounce(t *testing.T) {
 // whose task has a home out of range or names no task of its kind — never a
 // panic on the execution persona.
 func TestBadTaskMessagesFailTheirSender(t *testing.T) {
-	b := bodyOf(tDouble)
+	b := spawnOf(tDouble).bodies[0].task
 	// with runs fn on a two-rank world whose rank 0 has a task runtime.
-	with := func(fn func(w *core.World, rt *Runtime)) {
-		w := core.NewWorld(core.Config{Ranks: 2})
+	with := func(fn func(w *World, rt *TaskRuntime)) {
+		w := NewWorld(Config{Ranks: 2})
 		defer w.Close()
-		rt := New(w.Rank(0), Config{Workers: 1, NoSteal: true})
+		rt := NewTaskRuntime(w.Rank(0), TaskConfig{Workers: 1, NoSteal: true})
 		defer rt.Stop()
 		fn(w, rt)
 	}
-	with(func(w *core.World, rt *Runtime) {
-		if err := b.Arrive(w.Rank(1), 0, 1, header(0, 0)); err == nil {
+	with(func(w *World, rt *TaskRuntime) {
+		if err := b.arrive(w.Rank(1), 0, 1, header(0, 0)); err == nil {
 			t.Error("a spawn was taken in by a rank with no task runtime")
 		}
 		for _, args := range [][]byte{nil, {0x80}, {0, 0x80}} {
-			if err := b.Arrive(w.Rank(0), 1, 1, args); err == nil {
+			if err := b.arrive(w.Rank(0), 1, 1, args); err == nil {
 				t.Errorf("a spawn with the task header %x was queued", args)
 			}
 		}
@@ -374,7 +373,7 @@ func TestBadTaskMessagesFailTheirSender(t *testing.T) {
 		{Seq: 1, Home: 9, Name: b.name},
 		{Seq: 1, Home: -1, Name: b.name},
 	} {
-		with(func(w *core.World, rt *Runtime) {
+		with(func(w *World, rt *TaskRuntime) {
 			stealReplyBody(w.Rank(0), stealReply{Victim: 1, Loot: []rec{loot}})
 			err := w.Failed()
 			if !errors.Is(err, gasnet.ErrPeerLost) || !strings.Contains(err.Error(), "rank 1") {
@@ -393,7 +392,7 @@ var (
 	unparkC chan struct{}
 )
 
-func tPark(*core.Rank, int64) {
+func tPark(*Rank, int64) {
 	parked.Add(1)
 	<-unparkC
 }
@@ -417,8 +416,8 @@ func TestTaskAllocPins(t *testing.T) {
 	var stop atomic.Bool
 	parked.Store(0)
 	unparkC = make(chan struct{})
-	core.RunConfig(core.Config{Ranks: 2}, func(rk *core.Rank) {
-		rt := New(rk, Config{Workers: 1, NoSteal: true})
+	RunConfig(Config{Ranks: 2}, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{Workers: 1, NoSteal: true})
 		defer rt.Stop()
 		AsyncAtFF(rt, rk.Me(), tPark, 0)
 		for parked.Load() < 2 {
@@ -435,12 +434,12 @@ func TestTaskAllocPins(t *testing.T) {
 		}()
 		big := make([]byte, size)
 		small := func(i int64) {
-			if got := HelpWait(rt, AsyncAt(rt, 1, tDouble, i)); got != 2*i {
+			if got := TaskHelpWait(rt, AsyncAt(rt, 1, tDouble, i)); got != 2*i {
 				t.Errorf("tDouble(%d) = %d", i, got)
 			}
 		}
 		bulk := func(int64) {
-			if got := HelpWait(rt, AsyncAt(rt, 1, tLen, big)); got != size {
+			if got := TaskHelpWait(rt, AsyncAt(rt, 1, tLen, big)); got != size {
 				t.Errorf("tLen = %d", got)
 			}
 		}
@@ -480,17 +479,17 @@ const taskRoundTripObjects = 9
 func TestAsyncAtArgCapture(t *testing.T) {
 	const n = 4096
 	model := &gasnet.LogGP{O: time.Microsecond, L: 5 * time.Millisecond, Gp: time.Microsecond}
-	core.RunConfig(core.Config{Ranks: 2, RanksPerNode: 1, Model: model}, func(rk *core.Rank) {
-		rt := New(rk, Config{Workers: 1, NoSteal: true})
+	RunConfig(Config{Ranks: 2, RanksPerNode: 1, Model: model}, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{Workers: 1, NoSteal: true})
 		defer rt.Stop()
 		if rk.Me() == 0 {
 			buf := make([]byte, n)
 			for _, row := range []struct {
 				name  string
-				spawn func() core.Future[int64]
+				spawn func() Future[int64]
 			}{
-				{"View", func() core.Future[int64] { return AsyncAt(rt, 1, tCountAAView, core.MakeView(buf)) }},
-				{"[]byte", func() core.Future[int64] { return AsyncAt(rt, 1, tCountAA, buf) }},
+				{"View", func() Future[int64] { return AsyncAt(rt, 1, tCountAAView, MakeView(buf)) }},
+				{"[]byte", func() Future[int64] { return AsyncAt(rt, 1, tCountAA, buf) }},
 			} {
 				for i := range buf {
 					buf[i] = 0xAA
@@ -499,7 +498,7 @@ func TestAsyncAtArgCapture(t *testing.T) {
 				for i := range buf {
 					buf[i] = 0xCC
 				}
-				if got := HelpWait(rt, f); got != n {
+				if got := TaskHelpWait(rt, f); got != n {
 					t.Errorf("%s: the task saw %d of the %d bytes it was spawned with", row.name, got, n)
 				}
 			}
@@ -516,13 +515,13 @@ func TestAsyncAtArgCapture(t *testing.T) {
 // reusable for further rounds.
 func TestTaskGroup(t *testing.T) {
 	resetCounters()
-	core.RunConfig(core.Config{Ranks: 4}, func(rk *core.Rank) {
-		rt := New(rk, Config{})
+	RunConfig(Config{Ranks: 4}, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{})
 		defer rt.Stop()
 		if rk.Me() == 0 {
 			g := rt.NewGroup()
 			for round := 1; round <= 2; round++ {
-				for r := core.Intrank(0); r < rk.N(); r++ {
+				for r := Intrank(0); r < rk.N(); r++ {
 					GroupAsyncAt(g, r, tGroupBump, 0)
 				}
 				if err := g.Wait(); err != nil {
@@ -550,13 +549,13 @@ func TestTaskObsCounters(t *testing.T) {
 	resetCounters()
 	var merged obs.Snapshot
 	var homeEvents []obs.Event
-	// TraceSample 1 also records every RPC op the protocol lowers onto; the
-	// ring must be deep enough that the early spawn events survive them.
-	core.RunConfig(core.Config{Ranks: 4, Stats: true, TraceDepth: 8192, TraceSample: 1}, func(rk *core.Rank) {
-		rt := New(rk, Config{})
+	// Tracing also records every RPC op the protocol lowers onto; the ring
+	// must be deep enough that the early spawn events survive them.
+	RunConfig(Config{Ranks: 4, Stats: true, TraceDepth: 8192}, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{})
 		defer rt.Stop()
 		for i := 0; i < 4; i++ {
-			AsyncAtFF(rt, (rk.Me()+core.Intrank(i))%rk.N(), tBump, 0)
+			AsyncAtFF(rt, (rk.Me()+Intrank(i))%rk.N(), tBump, 0)
 		}
 		if err := rt.Finish(); err != nil {
 			t.Errorf("rank %d: Finish: %v", rk.Me(), err)
@@ -594,8 +593,8 @@ func TestTaskObsCounters(t *testing.T) {
 // in clearly less than 4× the task grain.
 func TestTaskWorkersExecuteConcurrently(t *testing.T) {
 	resetCounters()
-	core.RunConfig(core.Config{Ranks: 1}, func(rk *core.Rank) {
-		rt := New(rk, Config{Workers: 4})
+	RunConfig(Config{Ranks: 1}, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{Workers: 4})
 		defer rt.Stop()
 		const grain = 20 * time.Millisecond
 		start := time.Now()
@@ -614,16 +613,16 @@ func TestTaskWorkersExecuteConcurrently(t *testing.T) {
 // TestTaskErrors pins the guard rails: spawning an unregistered function
 // and out-of-range targets panic with actionable messages.
 func TestTaskErrors(t *testing.T) {
-	core.Run(1, func(rk *core.Rank) {
-		rt := New(rk, Config{})
+	Run(1, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{})
 		defer rt.Stop()
 		mustPanic(t, "unregistered", func() {
-			AsyncAt(rt, 0, func(*core.Rank, int) int { return 0 }, 1)
+			AsyncAt(rt, 0, func(*Rank, int) int { return 0 }, 1)
 		})
 		mustPanic(t, "out-of-range target", func() {
 			AsyncAtFF(rt, 5, tBump, 0)
 		})
-		mustPanic(t, "double New", func() { New(rk, Config{}) })
+		mustPanic(t, "double New", func() { NewTaskRuntime(rk, TaskConfig{}) })
 		if err := rt.Finish(); err != nil {
 			t.Errorf("Finish: %v", err)
 		}

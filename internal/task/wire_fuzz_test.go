@@ -1,4 +1,4 @@
-package task
+package upcxx
 
 // FuzzTaskWire drives what a thief does with a steal reply's bytes: decode
 // them as the RPC layer decodes the reply's argument, then check each task as
@@ -15,7 +15,7 @@ import (
 
 func FuzzTaskWire(f *testing.F) {
 	const n = 4 // ranks in the thief's job
-	val, ff := bodyOf(tDouble).name, bodyOf(tChain).name
+	val, ff := spawnOf(tDouble).bodies[0].task.name, spawnOf(tChain).bodies[0].task.name
 	for _, rep := range []stealReply{
 		{Victim: 1, Loot: []rec{{Seq: 1, Home: 0, Name: val, Args: []byte{1, 2, 3}}}},
 		{Victim: 3, Loot: []rec{

@@ -4,7 +4,7 @@
 // async(place)(fn, args) remote task launch, with no return values, no
 // completion chaining, and explicit event-object lifetime management.
 //
-// It is layered over the v1.0 runtime (internal/core) the way the paper's
+// It is layered over the v1.0 runtime (package upcxx) the way the paper's
 // symPACK port is layered over v1.0: each v0.1 construct maps to the v1.0
 // feature that subsumes it (async -> rpc, event -> promise), plus the
 // extra bookkeeping the old model forced on users. Fig 9's experiment —
@@ -16,17 +16,17 @@ import (
 	"fmt"
 	"time"
 
-	core "upcxx/internal/core"
+	"upcxx"
 	"upcxx/internal/serial"
 )
 
 // Runtime is one rank's view of the v0.1 library.
 type Runtime struct {
-	rk *core.Rank
+	rk *upcxx.Rank
 }
 
 // Wrap adapts a v1.0 rank to the v0.1 interface.
-func Wrap(rk *core.Rank) *Runtime { return &Runtime{rk: rk} }
+func Wrap(rk *upcxx.Rank) *Runtime { return &Runtime{rk: rk} }
 
 // MyRank returns this process's rank (v0.1 myrank()).
 func (r *Runtime) MyRank() int32 { return r.rk.Me() }
@@ -35,7 +35,7 @@ func (r *Runtime) MyRank() int32 { return r.rk.Me() }
 func (r *Runtime) Ranks() int32 { return r.rk.N() }
 
 // Rank exposes the underlying v1.0 rank for interoperability.
-func (r *Runtime) Rank() *core.Rank { return r.rk }
+func (r *Runtime) Rank() *upcxx.Rank { return r.rk }
 
 // Advance polls the progress engine (v0.1 advance()).
 func (r *Runtime) Advance() { r.rk.Progress() }
@@ -83,40 +83,40 @@ func (e *Event) Wait() {
 // acknowledgment, as v0.1 events required).
 func (r *Runtime) Async(target int32, e *Event, fn func(rt *Runtime)) {
 	if e == nil {
-		core.RPCFF(r.rk, target, func(trk *core.Rank, _ core.Unit) { fn(Wrap(trk)) }, core.Unit{})
+		upcxx.RPCFF(r.rk, target, func(trk *upcxx.Rank, _ upcxx.Unit) { fn(Wrap(trk)) }, upcxx.Unit{})
 		return
 	}
 	e.incref()
-	ack := core.RPC(r.rk, target, func(trk *core.Rank, _ core.Unit) core.Unit {
+	ack := upcxx.RPC(r.rk, target, func(trk *upcxx.Rank, _ upcxx.Unit) upcxx.Unit {
 		fn(Wrap(trk))
-		return core.Unit{}
-	}, core.Unit{})
-	core.ThenDo(ack, func(core.Unit) { e.decref() })
+		return upcxx.Unit{}
+	}, upcxx.Unit{})
+	upcxx.ThenDo(ack, func(upcxx.Unit) { e.decref() })
 }
 
 // AsyncArg is Async with one serialized argument.
 func AsyncArg[A any](r *Runtime, target int32, e *Event, fn func(rt *Runtime, a A), arg A) {
 	if e == nil {
-		core.RPCFF(r.rk, target, func(trk *core.Rank, a A) { fn(Wrap(trk), a) }, arg)
+		upcxx.RPCFF(r.rk, target, func(trk *upcxx.Rank, a A) { fn(Wrap(trk), a) }, arg)
 		return
 	}
 	e.incref()
-	ack := core.RPC(r.rk, target, func(trk *core.Rank, a A) core.Unit {
+	ack := upcxx.RPC(r.rk, target, func(trk *upcxx.Rank, a A) upcxx.Unit {
 		fn(Wrap(trk), a)
-		return core.Unit{}
+		return upcxx.Unit{}
 	}, arg)
-	core.ThenDo(ack, func(core.Unit) { e.decref() })
+	upcxx.ThenDo(ack, func(upcxx.Unit) { e.decref() })
 }
 
 // Allocate reserves n elements in this rank's shared segment (v0.1
 // allocate<T>()).
-func Allocate[T serial.Scalar](r *Runtime, n int) core.GPtr[T] {
-	return core.MustNewArray[T](r.rk, n)
+func Allocate[T serial.Scalar](r *Runtime, n int) upcxx.GPtr[T] {
+	return upcxx.MustNewArray[T](r.rk, n)
 }
 
 // Deallocate frees a local shared allocation.
-func Deallocate[T serial.Scalar](r *Runtime, p core.GPtr[T]) {
-	if err := core.Delete(r.rk, p); err != nil {
+func Deallocate[T serial.Scalar](r *Runtime, p upcxx.GPtr[T]) {
+	if err := upcxx.Delete(r.rk, p); err != nil {
 		panic(fmt.Sprintf("upcxx01: %v", err))
 	}
 }
@@ -124,27 +124,27 @@ func Deallocate[T serial.Scalar](r *Runtime, p core.GPtr[T]) {
 // CopyAsync starts a v0.1 async_copy between global memory locations,
 // signaling e (if non-nil) at completion. v0.1 copies could not chain
 // further work — the event is the only completion mechanism.
-func CopyAsync[T serial.Scalar](r *Runtime, src, dst core.GPtr[T], n int, e *Event) {
-	f := core.CopyGG(r.rk, src, dst, n)
+func CopyAsync[T serial.Scalar](r *Runtime, src, dst upcxx.GPtr[T], n int, e *Event) {
+	f := upcxx.CopyGG(r.rk, src, dst, n)
 	if e != nil {
 		e.incref()
-		core.ThenDo(f, func(core.Unit) { e.decref() })
+		upcxx.ThenDo(f, func(upcxx.Unit) { e.decref() })
 	}
 }
 
 // Copy is the blocking v0.1 copy().
-func Copy[T serial.Scalar](r *Runtime, src, dst core.GPtr[T], n int) {
-	core.CopyGG(r.rk, src, dst, n).Wait()
+func Copy[T serial.Scalar](r *Runtime, src, dst upcxx.GPtr[T], n int) {
+	upcxx.CopyGG(r.rk, src, dst, n).Wait()
 }
 
 // PutBlocking writes local data to global memory and waits — the blocking
 // RMA pattern the v0.1 hash-table needed (§V-A: "a blocking remote
 // allocation and a blocking RMA").
-func PutBlocking[T serial.Scalar](r *Runtime, src []T, dst core.GPtr[T]) {
-	core.RPut(r.rk, src, dst).Wait()
+func PutBlocking[T serial.Scalar](r *Runtime, src []T, dst upcxx.GPtr[T]) {
+	upcxx.RPut(r.rk, src, dst).Wait()
 }
 
 // GetBlocking reads global memory into a local buffer and waits.
-func GetBlocking[T serial.Scalar](r *Runtime, src core.GPtr[T], dst []T) {
-	core.RGet(r.rk, src, dst).Wait()
+func GetBlocking[T serial.Scalar](r *Runtime, src upcxx.GPtr[T], dst []T) {
+	upcxx.RGet(r.rk, src, dst).Wait()
 }

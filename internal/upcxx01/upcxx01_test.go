@@ -4,12 +4,12 @@ import (
 	"sync/atomic"
 	"testing"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 func TestAsyncWithEvent(t *testing.T) {
 	var hits atomic.Int32
-	core.Run(4, func(rk *core.Rank) {
+	upcxx.Run(4, func(rk *upcxx.Rank) {
 		rt := Wrap(rk)
 		if rt.MyRank() != rk.Me() || rt.Ranks() != 4 {
 			t.Errorf("identity mismatch")
@@ -34,19 +34,19 @@ func TestAsyncWithEvent(t *testing.T) {
 }
 
 func TestAsyncArgFireAndForget(t *testing.T) {
-	core.Run(2, func(rk *core.Rank) {
+	upcxx.Run(2, func(rk *upcxx.Rank) {
 		rt := Wrap(rk)
 		cell := Allocate[uint64](rt, 1)
-		_ = core.NewDistObject(rk, cell)
+		_ = upcxx.NewDistObject(rk, cell)
 		rt.Barrier()
 		if rt.MyRank() == 0 {
 			AsyncArg(rt, 1, nil, func(trt *Runtime, v uint64) {
-				p, _ := core.LookupDist[core.GPtr[uint64]](trt.Rank(), 0)
-				core.Local(trt.Rank(), *p.Value(), 1)[0] = v
+				p, _ := upcxx.LookupDist[upcxx.GPtr[uint64]](trt.Rank(), 0)
+				upcxx.Local(trt.Rank(), *p.Value(), 1)[0] = v
 			}, uint64(31337))
 		}
 		if rt.MyRank() == 1 {
-			for core.Local(rk, cell, 1)[0] != 31337 {
+			for upcxx.Local(rk, cell, 1)[0] != 31337 {
 				rt.Advance()
 			}
 		}
@@ -55,7 +55,7 @@ func TestAsyncArgFireAndForget(t *testing.T) {
 }
 
 func TestEventMultipleOps(t *testing.T) {
-	core.Run(3, func(rk *core.Rank) {
+	upcxx.Run(3, func(rk *upcxx.Rank) {
 		rt := Wrap(rk)
 		e := NewEvent(rt)
 		var done atomic.Int32
@@ -74,17 +74,17 @@ func TestEventMultipleOps(t *testing.T) {
 }
 
 func TestCopyAndBlockingRMA(t *testing.T) {
-	core.Run(2, func(rk *core.Rank) {
+	upcxx.Run(2, func(rk *upcxx.Rank) {
 		rt := Wrap(rk)
 		mine := Allocate[float64](rt, 8)
-		loc := core.Local(rk, mine, 8)
+		loc := upcxx.Local(rk, mine, 8)
 		for i := range loc {
 			loc[i] = float64(int(rk.Me())*10 + i)
 		}
-		_ = core.NewDistObject(rk, mine)
+		_ = upcxx.NewDistObject(rk, mine)
 		rt.Barrier()
 		if rk.Me() == 0 {
-			theirs := core.FetchDist[core.GPtr[float64]](rk, 0, 1).Wait()
+			theirs := upcxx.FetchDist[upcxx.GPtr[float64]](rk, 0, 1).Wait()
 			// Blocking get (v0.1 style).
 			buf := make([]float64, 8)
 			GetBlocking(rt, theirs, buf)
@@ -109,7 +109,7 @@ func TestCopyAndBlockingRMA(t *testing.T) {
 }
 
 func TestEventOverSignalPanics(t *testing.T) {
-	core.Run(1, func(rk *core.Rank) {
+	upcxx.Run(1, func(rk *upcxx.Rank) {
 		rt := Wrap(rk)
 		e := NewEvent(rt)
 		defer func() {

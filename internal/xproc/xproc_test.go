@@ -1,6 +1,6 @@
 // Cross-process conduit matrix: every scenario here runs as a real
 // multi-process job — the test re-executes its own binary once per rank
-// through core.LaunchWorld, and TestMain dispatches the spawned copies
+// through upcxx.LaunchWorld, and TestMain dispatches the spawned copies
 // (which arrive with UPCXX_RANK set) to a worker scenario instead of the
 // test runner. Because the workers are the same race-instrumented
 // executable, `go test -race ./internal/xproc` extends the race detector
@@ -81,18 +81,17 @@ import (
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
-	"upcxx/internal/task"
 
-	core "upcxx/internal/core"
+	"upcxx"
 )
 
 // Registered RPC bodies for the smoke scenario (cross-process dispatch
 // is by function name).
 
-func xprocEcho(trk *core.Rank, x uint64) uint64 { return x + 1 }
+func xprocEcho(trk *upcxx.Rank, x uint64) uint64 { return x + 1 }
 
-func xprocBump(trk *core.Rank, c core.GPtr[uint64]) {
-	core.Local(trk, c, 1)[0]++
+func xprocBump(trk *upcxx.Rank, c upcxx.GPtr[uint64]) {
+	upcxx.Local(trk, c, 1)[0]++
 }
 
 // Task bodies for the task scenarios; xprocTaskRuns counts executions
@@ -100,12 +99,12 @@ func xprocBump(trk *core.Rank, c core.GPtr[uint64]) {
 
 var xprocTaskRuns atomic.Uint64
 
-func xprocTaskWork(trk *core.Rank, us int64) {
+func xprocTaskWork(trk *upcxx.Rank, us int64) {
 	time.Sleep(time.Duration(us) * time.Microsecond)
 	xprocTaskRuns.Add(1)
 }
 
-func xprocTaskEcho(trk *core.Rank, x uint64) uint64 { return x * 3 }
+func xprocTaskEcho(trk *upcxx.Rank, x uint64) uint64 { return x * 3 }
 
 // The kill scenarios' victim leaves only once every survivor has told it,
 // through xprocOut, that it is out of the opening barrier: a survivor
@@ -114,17 +113,17 @@ func xprocTaskEcho(trk *core.Rank, x uint64) uint64 { return x * 3 }
 
 var xprocOuts atomic.Int32
 
-func xprocOut(trk *core.Rank, _ core.Unit) { xprocOuts.Add(1) }
+func xprocOut(trk *upcxx.Rank, _ upcxx.Unit) { xprocOuts.Add(1) }
 
 // leaveOpeningBarrier ends the kill scenarios' opening barrier: survivors
 // report out and return; the victim (rank 1) waits for all of them and
 // exits with no shutdown handshake. Exit status 0 keeps the launcher,
 // which kills the job on the first non-zero exit, away from the survivors;
 // to them the exit is indistinguishable from a crash.
-func leaveOpeningBarrier(rk *core.Rank) {
+func leaveOpeningBarrier(rk *upcxx.Rank) {
 	rk.Barrier()
 	if rk.Me() != 1 {
-		core.RPCFF(rk, 1, xprocOut, core.Unit{})
+		upcxx.RPCFF(rk, 1, xprocOut, upcxx.Unit{})
 		return
 	}
 	for xprocOuts.Load() < int32(rk.N())-1 {
@@ -149,33 +148,33 @@ func fifoSee(seq uint64) {
 	xprocFifo.Count++
 }
 
-func xprocSeq(trk *core.Rank, seq uint64)              { fifoSee(seq) }
-func xprocSeqView(trk *core.Rank, v core.View[uint64]) { fifoSee(v.Elements()[0]) }
-func xprocSeqRead(trk *core.Rank, _ uint8) fifoTally   { return xprocFifo }
-func xprocSeqEcho(trk *core.Rank, seq uint64) uint64   { fifoSee(seq); return seq + 1 }
+func xprocSeq(trk *upcxx.Rank, seq uint64)               { fifoSee(seq) }
+func xprocSeqView(trk *upcxx.Rank, v upcxx.View[uint64]) { fifoSee(v.Elements()[0]) }
+func xprocSeqRead(trk *upcxx.Rank, _ uint8) fifoTally    { return xprocFifo }
+func xprocSeqEcho(trk *upcxx.Rank, seq uint64) uint64    { fifoSee(seq); return seq + 1 }
 
-func xprocViewLen(trk *core.Rank, v core.View[uint64]) uint64 { return uint64(v.Len()) }
+func xprocViewLen(trk *upcxx.Rank, v upcxx.View[uint64]) uint64 { return uint64(v.Len()) }
 
 // What pingpong's initiator reads off its target: the ring records it has
 // produced, the times a park of its was ended by the doorbell, its idle yields.
-func xprocCounts(trk *core.Rank, _ uint8) [3]uint64 {
+func xprocCounts(trk *upcxx.Rank, _ uint8) [3]uint64 {
 	c := trk.Stats().Counters
 	return [3]uint64{c[obs.RingRecords], c[obs.Wakeups], c[obs.IdleYields]}
 }
 
 func init() {
-	core.RegisterRPCFF(xprocSeq)
-	core.RegisterRPCFF(xprocSeqView)
-	core.RegisterRPC(xprocSeqRead)
-	core.RegisterRPC(xprocSeqEcho)
-	core.RegisterRPC(xprocCounts)
-	core.RegisterRPC(xprocViewLen)
-	core.RegisterRPC(xprocEcho)
-	core.RegisterRPCFF(xprocBump)
-	core.RegisterRPCFF(xprocOut)
-	core.RegisterRPCFF(xprocTaskrtStop)
-	task.RegisterFF(xprocTaskWork)
-	task.Register(xprocTaskEcho)
+	upcxx.RegisterRPCFF(xprocSeq)
+	upcxx.RegisterRPCFF(xprocSeqView)
+	upcxx.RegisterRPC(xprocSeqRead)
+	upcxx.RegisterRPC(xprocSeqEcho)
+	upcxx.RegisterRPC(xprocCounts)
+	upcxx.RegisterRPC(xprocViewLen)
+	upcxx.RegisterRPC(xprocEcho)
+	upcxx.RegisterRPCFF(xprocBump)
+	upcxx.RegisterRPCFF(xprocOut)
+	upcxx.RegisterRPCFF(xprocTaskrtStop)
+	upcxx.RegisterTaskFF(xprocTaskWork)
+	upcxx.RegisterTask(xprocTaskEcho)
 }
 
 // TestMain dispatches spawned rank processes to their worker scenario;
@@ -197,7 +196,7 @@ func launch(t *testing.T, backend string, n int, scenario string, extraEnv ...st
 	}
 	dir := t.TempDir()
 	env := append([]string{"XPROC_SCENARIO=" + scenario}, extraEnv...)
-	return core.LaunchWorld(n, backend, dir, exe, nil, env)
+	return upcxx.LaunchWorld(n, backend, dir, exe, nil, env)
 }
 
 var backends = []string{"tcp", "shm"}
@@ -383,7 +382,7 @@ func TestTaskFinishSurfacesPeerLost(t *testing.T) {
 // --- worker side --------------------------------------------------------
 
 func runWorker(scen string) (code int) {
-	core.RunConfig(core.Config{SegmentSize: 32 << 20, Stats: scen == "pingpong"}, func(rk *core.Rank) {
+	upcxx.RunConfig(upcxx.Config{SegmentSize: 32 << 20, Stats: scen == "pingpong"}, func(rk *upcxx.Rank) {
 		switch scen {
 		case "fifo":
 			fifoBody(rk)
@@ -425,28 +424,28 @@ func expect(cond bool, format string, args ...any) {
 
 // smokeBody exercises one of each wire operation, verifying payloads at
 // the receiving side.
-func smokeBody(rk *core.Rank) {
+func smokeBody(rk *upcxx.Rank) {
 	me, n := rk.Me(), rk.N()
 	right, left := (me+1)%n, (me-1+n)%n
 
-	arr := core.MustNewArray[uint64](rk, 8)
-	cnt := core.MustNewArray[uint64](rk, 1)
+	arr := upcxx.MustNewArray[uint64](rk, 8)
+	cnt := upcxx.MustNewArray[uint64](rk, 1)
 	type slots struct {
-		Arr core.GPtr[uint64]
-		Cnt core.GPtr[uint64]
+		Arr upcxx.GPtr[uint64]
+		Cnt upcxx.GPtr[uint64]
 	}
-	obj := core.NewDistObject(rk, slots{arr, cnt})
+	obj := upcxx.NewDistObject(rk, slots{arr, cnt})
 	rk.Barrier()
-	rs := core.FetchDist[slots](rk, obj.ID(), right).Wait()
-	ls := core.FetchDist[slots](rk, obj.ID(), left).Wait()
-	loc := core.Local(rk, arr, 8)
+	rs := upcxx.FetchDist[slots](rk, obj.ID(), right).Wait()
+	ls := upcxx.FetchDist[slots](rk, obj.ID(), left).Wait()
+	loc := upcxx.Local(rk, arr, 8)
 
 	// put: stamp rank-tagged values into the right neighbour's slots.
 	src := make([]uint64, 4)
 	for i := range src {
 		src[i] = uint64(me)*100 + uint64(i) + 1
 	}
-	core.RPut(rk, src, rs.Arr).Wait()
+	upcxx.RPut(rk, src, rs.Arr).Wait()
 	rk.Barrier()
 	for i := 0; i < 4; i++ {
 		expect(loc[i] == uint64(left)*100+uint64(i)+1,
@@ -459,21 +458,21 @@ func smokeBody(rk *core.Rank) {
 	}
 	rk.Barrier()
 	got := make([]uint64, 4)
-	core.RGet(rk, ls.Arr.Add(4), got).Wait()
+	upcxx.RGet(rk, ls.Arr.Add(4), got).Wait()
 	for i := range got {
 		expect(got[i] == uint64(left)*1000+uint64(i),
 			"get: rank %d read %d from rank %d slot %d", me, got[i], left, 4+i)
 	}
 
 	// rpc: round trip with a registered body.
-	r := core.RPC(rk, right, xprocEcho, uint64(me)*7).Wait()
+	r := upcxx.RPC(rk, right, xprocEcho, uint64(me)*7).Wait()
 	expect(r == uint64(me)*7+1, "rpc: echo(%d) = %d", me*7, r)
 
 	// batch-rpc: one frame, many calls.
-	b := core.NewBatch(rk, right)
-	futs := make([]core.Future[uint64], 64)
+	b := upcxx.NewBatch(rk, right)
+	futs := make([]upcxx.Future[uint64], 64)
 	for i := range futs {
-		futs[i] = core.BatchRPC(b, xprocEcho, uint64(i))
+		futs[i] = upcxx.BatchRPC(b, xprocEcho, uint64(i))
 	}
 	b.Flush()
 	for i, f := range futs {
@@ -481,15 +480,15 @@ func smokeBody(rk *core.Rank) {
 	}
 
 	// signaling-put: payload plus remote-cx notification in one message.
-	core.RPutWith(rk, src[:1], rs.Arr, core.OpCxAsFuture(),
-		core.RemoteCxAsRPC(xprocBump, rs.Cnt)).Op.Wait()
-	myCnt := core.Local(rk, cnt, 1)
+	upcxx.RPutWith(rk, src[:1], rs.Arr, upcxx.OpCxAsFuture(),
+		upcxx.RemoteCxAsRPC(xprocBump, rs.Cnt)).Op.Wait()
+	myCnt := upcxx.Local(rk, cnt, 1)
 	for myCnt[0] < 1 {
 		rk.ProgressWait(50 * time.Microsecond)
 	}
 
 	// allreduce: the collective's completion doubles as the epoch sync.
-	sum := core.AllReduce(rk.WorldTeam(), int64(me)+1,
+	sum := upcxx.AllReduce(rk.WorldTeam(), int64(me)+1,
 		func(a, b int64) int64 { return a + b }).Wait()
 	expect(sum == int64(n)*(int64(n)+1)/2, "allreduce: sum %d over %d ranks", sum, n)
 	rk.Barrier()
@@ -502,7 +501,7 @@ func tvDur(t syscall.Timeval) time.Duration {
 // idleBody asserts satellite 1: an idle rank parked in ProgressWait must
 // not spin. 600ms of idle wall time may cost at most 200ms of CPU (a
 // busy-poll loop would burn the full 600ms on its core).
-func idleBody(rk *core.Rank) int {
+func idleBody(rk *upcxx.Rank) int {
 	rk.Barrier() // bootstrap and connection setup excluded from the budget
 	var ru0 syscall.Rusage
 	syscall.Getrusage(syscall.RUSAGE_SELF, &ru0)
@@ -527,31 +526,31 @@ func idleBody(rk *core.Rank) int {
 // is what 5 x 200 waits cost when each one parks at once (tens of
 // microseconds each) with two orders of magnitude to spare, and far less
 // than they cost when a waiter holds the P until the scheduler preempts it.
-func onePBody(rk *core.Rank) int {
+func onePBody(rk *upcxx.Rank) int {
 	expect(runtime.GOMAXPROCS(0) == 1, "onep: GOMAXPROCS = %d, want 1", runtime.GOMAXPROCS(0))
 	me, n := rk.Me(), rk.N()
 	right := (me + 1) % n
 	type slots struct {
-		Val core.GPtr[uint64]
-		Ctr core.GPtr[uint64]
+		Val upcxx.GPtr[uint64]
+		Ctr upcxx.GPtr[uint64]
 	}
-	mine := slots{core.MustNewArray[uint64](rk, 1), core.MustNewArray[uint64](rk, 1)}
-	obj := core.NewDistObject(rk, mine)
+	mine := slots{upcxx.MustNewArray[uint64](rk, 1), upcxx.MustNewArray[uint64](rk, 1)}
+	obj := upcxx.NewDistObject(rk, mine)
 	rk.Barrier()
-	rs := core.FetchDist[slots](rk, obj.ID(), right).Wait()
-	ad := core.NewAtomicU64(rk)
+	rs := upcxx.FetchDist[slots](rk, obj.ID(), right).Wait()
+	ad := upcxx.NewAtomicU64(rk)
 
 	const rounds = 200
 	t0 := time.Now()
 	src, got := make([]uint64, 1), make([]uint64, 1)
 	for i := uint64(1); i <= rounds; i++ {
 		src[0] = uint64(me)<<32 | i
-		core.RPut(rk, src, rs.Val).Wait()
-		core.RGet(rk, rs.Val, got).Wait()
+		upcxx.RPut(rk, src, rs.Val).Wait()
+		upcxx.RGet(rk, rs.Val, got).Wait()
 		expect(got[0] == src[0], "onep: rank %d round %d read back %#x, put %#x", me, i, got[0], src[0])
 		old := ad.FetchAdd(rs.Ctr, 1).Wait()
 		expect(old == i-1, "onep: rank %d round %d fetch-add saw %d", me, i, old)
-		r := core.RPC(rk, right, xprocEcho, i).Wait()
+		r := upcxx.RPC(rk, right, xprocEcho, i).Wait()
 		expect(r == i+1, "onep: rank %d round %d echo = %d", me, i, r)
 		rk.Barrier()
 	}
@@ -567,7 +566,7 @@ func onePBody(rk *core.Rank) int {
 // frame over ringMaxRec) taking the socket; nothing fences it, so it runs
 // many rings ahead of the target. The closing RPC is ordered behind all of
 // it and reads the tally.
-func fifoBody(rk *core.Rank) {
+func fifoBody(rk *upcxx.Rank) {
 	const N, every = 60000, 100
 	rk.Barrier()
 	if rk.Me() == 0 {
@@ -575,12 +574,12 @@ func fifoBody(rk *core.Rank) {
 		for i := uint64(0); i < N; i++ {
 			if i%every == every-1 {
 				big[0] = i
-				core.RPCFF(rk, 1, xprocSeqView, core.MakeView(big))
+				upcxx.RPCFF(rk, 1, xprocSeqView, upcxx.MakeView(big))
 			} else {
-				core.RPCFF(rk, 1, xprocSeq, i)
+				upcxx.RPCFF(rk, 1, xprocSeq, i)
 			}
 		}
-		got := core.RPC(rk, 1, xprocSeqRead, uint8(0)).Wait()
+		got := upcxx.RPC(rk, 1, xprocSeqRead, uint8(0)).Wait()
 		expect(!got.Bad, "fifo: body %d ran when %d was due", got.Got, got.Due)
 		expect(got.Count == N, "fifo: the closing RPC found %d of %d bodies run", got.Count, N)
 		// On shm only the frames that cannot ride a record may take the socket.
@@ -601,16 +600,16 @@ func fifoBody(rk *core.Rank) {
 // TestRingBothFullOneP counts the waits the backstop ended: none), so the
 // bursts take the time of their round trips, not of four 100 ms backstops.
 // The requests are numbered: each rank's bodies must run in the peer's order.
-func flood2Body(rk *core.Rank) int {
+func flood2Body(rk *upcxx.Rank) int {
 	expect(runtime.GOMAXPROCS(0) == 1, "flood2: GOMAXPROCS = %d, want 1", runtime.GOMAXPROCS(0))
 	const bursts, K = 4, 4000
 	peer := 1 - rk.Me()
 	rk.Barrier()
 	t0 := time.Now()
-	futs := make([]core.Future[uint64], K)
+	futs := make([]upcxx.Future[uint64], K)
 	for b := uint64(0); b < bursts; b++ {
 		for i := range futs {
-			futs[i] = core.RPC(rk, peer, xprocSeqEcho, b*K+uint64(i))
+			futs[i] = upcxx.RPC(rk, peer, xprocSeqEcho, b*K+uint64(i))
 		}
 		for i, f := range futs {
 			expect(f.Wait() == b*K+uint64(i)+1, "flood2: rank %d burst %d call %d", rk.Me(), b, i)
@@ -641,21 +640,21 @@ func flood2Body(rk *core.Rank) int {
 // rank 0 leaves rank 1 alone until a round trip finds it parked — rank 1's
 // count of doorbell wake-ups says so, not a clock — and that round trip must
 // have cost exactly one doorbell: the parked state still works.
-func pingpongBody(rk *core.Rank) int {
+func pingpongBody(rk *upcxx.Rank) int {
 	const warm, rounds, bigRounds = 200, 2000, 500
 	rk.Barrier()
 	if rk.Me() == 0 {
 		info := func() gasnet.ConduitInfo { return rk.World().Network().ConduitInfo() }
 		for i := uint64(0); i < warm; i++ {
-			core.RPC(rk, 1, xprocEcho, i).Wait()
+			upcxx.RPC(rk, 1, xprocEcho, i).Wait()
 		}
-		theirs := core.RPC(rk, 1, xprocCounts, uint8(0)).Wait()
+		theirs := upcxx.RPC(rk, 1, xprocCounts, uint8(0)).Wait()
 		c0 := info()
 		for i := uint64(0); i < rounds; i++ {
-			expect(core.RPC(rk, 1, xprocEcho, i).Wait() == i+1, "pingpong: round %d", i)
+			expect(upcxx.RPC(rk, 1, xprocEcho, i).Wait() == i+1, "pingpong: round %d", i)
 		}
 		c1 := info()
-		theirs1 := core.RPC(rk, 1, xprocCounts, uint8(0)).Wait()
+		theirs1 := upcxx.RPC(rk, 1, xprocCounts, uint8(0)).Wait()
 		bells, frames := c1.RingDoorbells-c0.RingDoorbells, c1.FramesOut+c1.FramesIn-c0.FramesOut-c0.FramesIn
 		fmt.Fprintf(os.Stderr, "xproc pingpong (%s, %d P): per round trip %.4f doorbells, %.4f socket frames, %.4f records out, %.4f back\n",
 			c0.Backend, runtime.GOMAXPROCS(0), float64(bells)/rounds, float64(frames)/rounds,
@@ -675,9 +674,9 @@ func pingpongBody(rk *core.Rank) int {
 		// the waiter blocks — so it parks at once instead of yielding its budget out.
 		big, t0 := make([]uint64, 2048), time.Now()
 		for i := 0; i < bigRounds; i++ {
-			expect(core.RPC(rk, 1, xprocViewLen, core.MakeView(big)).Wait() == uint64(len(big)), "pingpong: oversize round %d", i)
+			expect(upcxx.RPC(rk, 1, xprocViewLen, upcxx.MakeView(big)).Wait() == uint64(len(big)), "pingpong: oversize round %d", i)
 		}
-		el, theirs2, c2 := time.Since(t0), core.RPC(rk, 1, xprocCounts, uint8(0)).Wait(), info()
+		el, theirs2, c2 := time.Since(t0), upcxx.RPC(rk, 1, xprocCounts, uint8(0)).Wait(), info()
 		fmt.Fprintf(os.Stderr, "xproc pingpong (%s, %d P): 16 KiB requests: %v a round trip, %.1f idle yields at the target, %.3f frames past the ring\n",
 			c0.Backend, runtime.GOMAXPROCS(0), el/bigRounds, float64(theirs2[2]-theirs1[2])/bigRounds, float64(c2.SocketFallbacks-c1.SocketFallbacks)/bigRounds)
 		if yields := theirs2[2] - theirs1[2]; c0.Backend == "shm" {
@@ -695,7 +694,7 @@ func pingpongBody(rk *core.Rank) int {
 				rk.ProgressWait(50 * time.Microsecond)
 			}
 			b0 := info().RingDoorbells
-			w := core.RPC(rk, 1, xprocCounts, uint8(0)).Wait()[1]
+			w := upcxx.RPC(rk, 1, xprocCounts, uint8(0)).Wait()[1]
 			rung := info().RingDoorbells - b0
 			expect(rung <= 1, "pingpong: %d doorbells for one request", rung)
 			if w > woken && (rung == 1 || c0.Backend != "shm") {
@@ -716,20 +715,20 @@ func pingpongBody(rk *core.Rank) int {
 // Nothing is waited for until all of it is injected: the sockets fill both
 // ways and both injectors park, so whatever completes does so through acks
 // and get replies the readers send past the bound.
-func bulkBody(rk *core.Rank) int {
+func bulkBody(rk *upcxx.Rank) int {
 	const S, slots, bulkPuts, getEvery = 64 << 10, 8, 1024, 32
 	me, peer := int(rk.Me()), 1-rk.Me()
-	type areas struct{ Land, Fixed core.GPtr[byte] }
-	mine := areas{core.MustNewArray[byte](rk, slots*S), core.MustNewArray[byte](rk, S)}
+	type areas struct{ Land, Fixed upcxx.GPtr[byte] }
+	mine := areas{upcxx.MustNewArray[byte](rk, slots*S), upcxx.MustNewArray[byte](rk, S)}
 	fill := func(b []byte, rank, seq int) {
 		for i := range b {
 			b[i] = byte(rank*131 + seq*7 + i + i>>8)
 		}
 	}
-	fill(core.Local(rk, mine.Fixed, S), me, -1)
-	obj := core.NewDistObject(rk, mine)
+	fill(upcxx.Local(rk, mine.Fixed, S), me, -1)
+	obj := upcxx.NewDistObject(rk, mine)
 	rk.Barrier()
-	theirs := core.FetchDist[areas](rk, obj.ID(), peer).Wait()
+	theirs := upcxx.FetchDist[areas](rk, obj.ID(), peer).Wait()
 	go func() { // a deadlocked pair must fail the job, not hang it
 		time.Sleep(60 * time.Second)
 		fmt.Fprintf(os.Stderr, "xproc bulk: rank %d still flooding after a minute\n", me)
@@ -737,21 +736,21 @@ func bulkBody(rk *core.Rank) int {
 	}()
 
 	src, got := make([]byte, S), make([][]byte, 0, bulkPuts/getEvery)
-	all := core.NewPromise[core.Unit](rk)
+	all := upcxx.NewPromise[upcxx.Unit](rk)
 	for i := 0; i < bulkPuts; i++ {
 		fill(src, me, i)
-		core.RPutWith(rk, src, theirs.Land.Add(i%slots*S), core.OpCxAsPromise(all)) // src is reusable on return
-		core.RPCFF(rk, peer, xprocSeq, uint64(i))
+		upcxx.RPutWith(rk, src, theirs.Land.Add(i%slots*S), upcxx.OpCxAsPromise(all)) // src is reusable on return
+		upcxx.RPCFF(rk, peer, xprocSeq, uint64(i))
 		if i%getEvery == 0 {
 			got = append(got, make([]byte, S))
-			core.RGetWith(rk, theirs.Fixed, got[len(got)-1], core.OpCxAsPromise(all))
+			upcxx.RGetWith(rk, theirs.Fixed, got[len(got)-1], upcxx.OpCxAsPromise(all))
 		}
 		if i%16 == 0 {
 			rk.Progress()
 		}
 	}
 	all.Finalize().Wait()
-	tally := core.RPC(rk, peer, xprocSeqRead, uint8(0)).Wait()
+	tally := upcxx.RPC(rk, peer, xprocSeqRead, uint8(0)).Wait()
 	expect(!tally.Bad, "bulk: at rank %d body %d ran when %d was due", peer, tally.Got, tally.Due)
 	expect(tally.Count == bulkPuts, "bulk: rank %d ran %d of %d bodies", peer, tally.Count, bulkPuts)
 	rk.Barrier() // the peer's puts have all been acked, so they are all here
@@ -761,7 +760,7 @@ func bulkBody(rk *core.Rank) int {
 	for g, b := range got {
 		expect(string(b) == string(want), "bulk: rank %d get %d returned the wrong bytes", me, g)
 	}
-	land := core.Local(rk, mine.Land, slots*S)
+	land := upcxx.Local(rk, mine.Land, slots*S)
 	for s := 0; s < slots; s++ {
 		fill(want, int(peer), bulkPuts-slots+s)
 		expect(string(land[s*S:(s+1)*S]) == string(want), "bulk: rank %d slot %d does not hold the last put aimed at it", me, s)
@@ -786,13 +785,13 @@ const bulkMaxRSSMiB = 40
 // rank 1 serves them from Barrier, and reads the heap bytes its process
 // allocated around them: the argument is borrowed until the conduit copies
 // it into the socket send queue, so a call allocates well under 8 KiB.
-func rpcAllocBody(rk *core.Rank) int {
+func rpcAllocBody(rk *upcxx.Rank) int {
 	const warm, rounds = 20, 200
 	rk.Barrier()
 	if rk.Me() == 0 {
 		big := make([]uint64, 8192)
 		call := func() {
-			expect(core.RPC(rk, 1, xprocViewLen, core.MakeView(big)).Wait() == uint64(len(big)), "rpcalloc: wrong length")
+			expect(upcxx.RPC(rk, 1, xprocViewLen, upcxx.MakeView(big)).Wait() == uint64(len(big)), "rpcalloc: wrong length")
 		}
 		for range warm {
 			call()
@@ -822,26 +821,26 @@ func rpcAllocBody(rk *core.Rank) int {
 // drains in reasonable time if idle ranks steal across the wire. Finish
 // certifies global quiescence; the allreduced execution count certifies
 // no task was lost or duplicated in migration.
-func taskBody(rk *core.Rank) {
+func taskBody(rk *upcxx.Rank) {
 	me, n := rk.Me(), rk.N()
-	rt := task.New(rk, task.Config{Workers: 2, StealBatch: 4})
+	rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 2, StealBatch: 4})
 	defer rt.Stop()
 	rk.Barrier()
 
 	// Result-bearing round trip: the result leg crosses the wire back.
-	r := task.HelpWait(rt, task.AsyncAt(rt, (me+1)%n, xprocTaskEcho, uint64(me)*5+1))
+	r := upcxx.TaskHelpWait(rt, upcxx.AsyncAt(rt, (me+1)%n, xprocTaskEcho, uint64(me)*5+1))
 	expect(r == (uint64(me)*5+1)*3, "task: echo at rank %d returned %d", me, r)
 
 	const total = 64
 	if me == 0 {
 		for i := 0; i < total; i++ {
-			task.AsyncAtFF(rt, 0, xprocTaskWork, 500)
+			upcxx.AsyncAtFF(rt, 0, xprocTaskWork, 500)
 		}
 	}
 	if err := rt.Finish(); err != nil {
 		panic(fmt.Sprintf("xproc task: rank %d Finish: %v", me, err))
 	}
-	sum := core.AllReduce(rk.WorldTeam(), xprocTaskRuns.Load(),
+	sum := upcxx.AllReduce(rk.WorldTeam(), xprocTaskRuns.Load(),
 		func(a, b uint64) uint64 { return a + b }).Wait()
 	expect(sum == total, "task: %d executions across ranks, want %d", sum, total)
 	rk.Barrier()
@@ -850,7 +849,7 @@ func taskBody(rk *core.Rank) {
 // xprocTaskrtDone tells rank 1 that rank 0's round trips are over.
 var xprocTaskrtDone atomic.Bool
 
-func xprocTaskrtStop(*core.Rank, core.Unit) { xprocTaskrtDone.Store(true) }
+func xprocTaskrtStop(*upcxx.Rank, upcxx.Unit) { xprocTaskrtDone.Store(true) }
 
 // taskRoundTripBody: rank 0 alternates a remote AsyncAt+HelpWait with an RPC
 // to the same rank, timing each; rank 1 serves both from a ProgressWait loop,
@@ -858,10 +857,10 @@ func xprocTaskrtStop(*core.Rank, core.Unit) { xprocTaskrtDone.Store(true) }
 // the RPCs' own, a task round trip may add one at each end, plus the steal
 // requests and replies the back-off lets through. The time rows compare
 // medians taken in the same run and skip under the race detector.
-func taskRoundTripBody(rk *core.Rank) int {
+func taskRoundTripBody(rk *upcxx.Rank) int {
 	const rounds, warm = 2000, 100
 	steal := os.Getenv("XPROC_STEAL") == "steal"
-	rt := task.New(rk, task.Config{Workers: 1, NoSteal: !steal})
+	rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 1, NoSteal: !steal})
 	defer rt.Stop()
 	ep := rk.World().Network().Endpoint(gasnet.Rank(rk.Me()))
 	// Counted from before the barrier: rank 0 spawns round 0 the moment its
@@ -874,9 +873,9 @@ func taskRoundTripBody(rk *core.Rank) int {
 	if rk.Me() == 0 {
 		for i := uint64(0); i < rounds; i++ {
 			t0 := time.Now()
-			r := task.HelpWait(rt, task.AsyncAt(rt, 1, xprocTaskEcho, i))
+			r := upcxx.TaskHelpWait(rt, upcxx.AsyncAt(rt, 1, xprocTaskEcho, i))
 			t1 := time.Now()
-			e := core.RPC(rk, 1, xprocEcho, i).Wait()
+			e := upcxx.RPC(rk, 1, xprocEcho, i).Wait()
 			t2 := time.Now()
 			expect(r == i*3 && e == i+1, "taskrt: round %d returned task %d, rpc %d", i, r, e)
 			if i >= warm {
@@ -891,7 +890,7 @@ func taskRoundTripBody(rk *core.Rank) int {
 	// Per task round trip: what this rank sent beyond the RPCs' one each.
 	perTask := float64(ep.Stats().AMs-sent-rounds) / rounds
 	if rk.Me() == 0 {
-		core.RPCFF(rk, 1, xprocTaskrtStop, core.Unit{})
+		upcxx.RPCFF(rk, 1, xprocTaskrtStop, upcxx.Unit{})
 	}
 	bad := 0
 	check := func(ok bool, format string, args ...any) {
@@ -930,8 +929,8 @@ func taskRoundTripBody(rk *core.Rank) int {
 // the survivors' Finish must fail fast with ErrPeerLost rather than
 // waiting forever on a detector wave the dead rank will never join.
 // Like killBody, every path exits the process directly.
-func taskKillBody(rk *core.Rank) {
-	rt := task.New(rk, task.Config{Workers: 1})
+func taskKillBody(rk *upcxx.Rank) {
+	rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 1})
 	leaveOpeningBarrier(rk) // rank 1 never returns
 	// Watchdog: a hung Finish must fail the job, not stall it.
 	go func() {
@@ -940,7 +939,7 @@ func taskKillBody(rk *core.Rank) {
 		os.Exit(1)
 	}()
 	for i := 0; i < 4; i++ {
-		task.AsyncAtFF(rt, rk.Me(), xprocTaskWork, 100)
+		upcxx.AsyncAtFF(rt, rk.Me(), xprocTaskWork, 100)
 	}
 	err := rt.Finish()
 	if !errors.Is(err, gasnet.ErrPeerLost) {
@@ -960,7 +959,7 @@ func taskKillBody(rk *core.Rank) {
 // loss into a panic) and prove they saw ErrPeerLost via marker files.
 // Every path exits the process directly: with a rank gone there is no
 // final barrier to return to.
-func killBody(rk *core.Rank) {
+func killBody(rk *upcxx.Rank) {
 	leaveOpeningBarrier(rk) // every conduit connection is up before the loss; rank 1 never returns
 	deadline := time.Now().Add(15 * time.Second)
 	for rk.World().Failed() == nil {
