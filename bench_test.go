@@ -254,19 +254,38 @@ func BenchmarkFig9Model(b *testing.B) {
 
 // --- runtime primitives (supporting microbenchmarks) ---------------------
 
+func benchEcho(trk *upcxx.Rank, x int64) int64 { return x + 1 }
+
+func init() { upcxx.RegisterRPC(benchEcho) }
+
+// BenchmarkRPCRoundTrip times a blocking RPC of a registered function, the
+// form every program and the committed benchmark's rpc_lat_us use, and
+// apart from it an unregistered closure, which builds its body and token
+// per call.
 func BenchmarkRPCRoundTrip(b *testing.B) {
-	w := upcxx.NewWorld(upcxx.Config{Ranks: 2})
-	defer w.Close()
-	w.Run(func(rk *upcxx.Rank) {
-		if rk.Me() == 0 {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				upcxx.RPC(rk, 1, func(trk *upcxx.Rank, x int64) int64 { return x + 1 }, int64(i)).Wait()
-			}
-			b.StopTimer()
-		}
-		rk.Barrier()
-	})
+	for _, c := range []struct {
+		name string
+		fn   func(*upcxx.Rank, int64) int64
+	}{
+		{"registered", benchEcho},
+		{"closure", func(trk *upcxx.Rank, x int64) int64 { return x + 1 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := upcxx.NewWorld(upcxx.Config{Ranks: 2})
+			defer w.Close()
+			w.Run(func(rk *upcxx.Rank) {
+				if rk.Me() == 0 {
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						upcxx.RPC(rk, 1, c.fn, int64(i)).Wait()
+					}
+					b.StopTimer()
+				}
+				rk.Barrier()
+			})
+		})
+	}
 }
 
 func BenchmarkRPCFFThroughput(b *testing.B) {

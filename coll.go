@@ -433,15 +433,15 @@ func (e *collEngine) finish(key collKey, st *collState, plan *cxPlan) {
 // its entries cross a process boundary by name. Addressed to no persona, it
 // runs on the execution persona, where the engine advances, whichever
 // goroutine harvested the message; one that does not decode fails its sender.
-func collArrive(trk *Rank, from Intrank, _ uint64, args []byte) ([]byte, bool) {
+func collArrive(trk *Rank, from Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
 	m, err := decodeCollMsg(args)
 	if err != nil {
 		trk.failPeer(from, err)
-		return nil, false
+		return out
 	}
 	m.from = from
 	trk.coll.onMsg(m)
-	return nil, false
+	return out
 }
 
 // collCall is the token every collective message travels with.
@@ -452,18 +452,13 @@ func init() {
 	collCall = registered(collArrive).call
 }
 
-// sendMsg lowers one collective header hop to an AM operation and hands
-// it to the single injection path. dest is a team rank.
+// sendMsg sends one collective header hop as a one-way message (sendAM):
+// it has no completion of its own to deliver. dest is a team rank.
 func (e *collEngine) sendMsg(t *Team, dest Intrank, m collMsg) {
 	if e.rk.ro != nil {
 		e.rk.ro.Add(obs.KindCollRound.Ops(), 1)
 	}
-	e.rk.inject(e.rk.newInjection(t.ranks[dest]).single(rmaOp{
-		kind:    opAM,
-		dstPeer: t.ranks[dest],
-		amAux:   collCall,
-		buf:     encodeCollMsg(e.rk.me, m),
-	}))
+	e.rk.sendAM(t.ranks[dest], encodeCollMsg(e.rk.me, m), collCall)
 }
 
 // copyTo lowers one collective data hop — a kind-aware copy of nbytes
@@ -492,17 +487,6 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 		dstOff:  dst.off,
 		nbytes:  nbytes,
 	}))
-}
-
-// fulfillFromEngine routes a value-promise fulfillment from the engine
-// back to the promise's owning persona (inline when the engine persona
-// is the owner, by LPC otherwise — the same edge RMA completions ride).
-func fulfillFromEngine[T any](p *Promise[T], v T) {
-	if !p.c.pers.onOwnerGoroutine() {
-		p.c.pers.lpc(func() { p.FulfillResult(v) })
-		return
-	}
-	p.FulfillResult(v)
 }
 
 // --- the wave --------------------------------------------------------------
@@ -683,7 +667,7 @@ func valueWave[T any](t *Team, kind uint8, root Intrank, val T, op func(T, T) T,
 			}
 			val = res
 		}
-		fulfillFromEngine(prom, val)
+		prom.fulfilHere(val)
 		return nil
 	}
 	w.enter(root)
@@ -770,7 +754,7 @@ func gatherBytes[R any](t *Team, root Intrank, data []byte, down bool, reduce fu
 		var res R
 		if w.rr != 0 {
 			if !down {
-				fulfillFromEngine(prom, res)
+				prom.fulfilHere(res)
 				return nil
 			}
 			clear(frames)
@@ -787,7 +771,7 @@ func gatherBytes[R any](t *Team, root Intrank, data []byte, down bool, reduce fu
 		}
 		res, err := reduce(all)
 		if err == nil {
-			fulfillFromEngine(prom, res)
+			prom.fulfilHere(res)
 		}
 		return err
 	}

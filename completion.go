@@ -232,9 +232,9 @@ func (rk *Rank) runRemoteBody(aux remoteCxAux, initiator Intrank, args []byte) {
 		rk.ro.Add(obs.EvRemote.Via(obs.ViaRPC), 1)
 	}
 	if q := rk.bodyQueue(aux.pers); q != nil {
-		q.queueBody(func() { aux.body.run(rk, initiator, 0, args) })
+		q.queueBody(func() { aux.body.run(rk, initiator, 0, args, replyMsg{}) })
 	} else {
-		aux.body.run(rk, initiator, 0, args)
+		aux.body.run(rk, initiator, 0, args, replyMsg{})
 	}
 }
 
@@ -492,10 +492,10 @@ func (c *cxPlan) collRemoteLocal() {
 	}
 	rem := l.tok.rem
 	if rem.pers != nil {
-		rem.pers.lpc(func() { rem.body.run(c.rk, c.rk.me, 0, l.args) })
+		rem.pers.lpc(func() { rem.body.run(c.rk, c.rk.me, 0, l.args, replyMsg{}) })
 		return
 	}
-	rem.body.run(c.rk, c.rk.me, 0, l.args)
+	rem.body.run(c.rk, c.rk.me, 0, l.args, replyMsg{})
 }
 
 // collOpDone delivers a collective's operation completions to their

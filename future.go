@@ -119,9 +119,10 @@ func (f Future[T]) Wait() T {
 		// owner); fail immediately instead of spinning to the timeout.
 		panic("upcxx: Wait on a future owned by another goroutine's persona")
 	}
-	// WaitTimeout is kept by the clock: armed when the wait first goes
-	// idle, then checked once per park (a clock read is free next to a
-	// park) and once per 2^16 passes for a waiter that never parks.
+	// WaitTimeout is kept by the clock: armed at the first park or the
+	// 2^16th pass, whichever comes first, then checked once per park (a
+	// clock read is free next to a park) and once per 2^16 passes for a
+	// waiter that never parks. A wait that ends before either reads no clock.
 	var (
 		id       idler
 		deadline time.Time
@@ -136,7 +137,7 @@ func (f Future[T]) Wait() T {
 			panic(err)
 		}
 		parked := found == 0 && rk.idle(&id, idlePark)
-		if parked || passes%(1<<16) == 0 {
+		if passes++; parked || passes%(1<<16) == 0 {
 			now := time.Now()
 			if deadline.IsZero() {
 				deadline = now.Add(rk.w.cfg.WaitTimeout)
@@ -145,7 +146,6 @@ func (f Future[T]) Wait() T {
 					rk.me, rk.w.cfg.WaitTimeout))
 			}
 		}
-		passes++
 	}
 	return c.val
 }
@@ -344,6 +344,17 @@ func (p *Promise[T]) FulfillResult(v T) {
 	p.resultSet = true
 	p.c.val = v
 	p.FulfillAnonymous(1)
+}
+
+// fulfilHere is how an RPC result or a collective's value reaches p: inline
+// when the calling goroutine holds p's persona and nothing is queued there —
+// bodyQueue's rule, so v never overtakes an earlier LPC — else by one LPC.
+func (p *Promise[T]) fulfilHere(v T) {
+	if pers := p.c.pers; pers.onOwnerGoroutine() && pers.npend.Load() == 0 {
+		p.FulfillResult(v)
+	} else {
+		pers.lpc(func() { p.FulfillResult(v) })
+	}
 }
 
 // Finalize discharges the promise's original dependency, declaring that no

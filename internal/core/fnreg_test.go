@@ -84,7 +84,9 @@ func TestTaskSpawnIsOneEntry(t *testing.T) {
 		}
 	}
 	reply := func(from *Rank, home Intrank, seq uint64, v int64) {
-		from.reply(home, []rpcEntry{{kind: rpcReplyKind, seq: seq, args: mustMarshal(v)}})
+		var out replyMsg
+		putResult(&out, seq, &v)
+		from.sendAM(home, out.bytes(from.me), nil)
 	}
 	spawner, target := workerless(rk0), workerless(rk1)
 	f := AsyncAt(spawner, 1, regSpawned, int64(7))

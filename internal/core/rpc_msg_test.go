@@ -19,8 +19,9 @@ import (
 // share a wire form, a handler and a body form, so what one path pins the
 // others must show too.
 
-func msgEcho(trk *Rank, x int64) int64 { return x + 1 }
-func msgSink(trk *Rank, x int64)       {}
+func msgEcho(trk *Rank, x int64) int64            { return x + 1 }
+func msgSink(trk *Rank, x int64)                  {}
+func msgEchoFut(trk *Rank, x int64) Future[int64] { return ReadyFuture(trk, x+1) }
 
 // encodeMsg is encodeRPCMsg's byte stream as one slice, whether it came out
 // as one buffer or as fragments.
@@ -351,9 +352,10 @@ func TestRPCBodyOnSingleCall(t *testing.T) {
 
 // TestRPCHandlerRejects: a message the handler cannot act on — the wire
 // entries and the aux token disagree in count or kind, a request arrives
-// with no aux, a reply names no pending call, the payload is corrupt, a
-// landing rides the wire but the token names no landing body or the token
-// names one but the wire carries none — fails the sending peer
+// with no aux, a reply names no pending call or carries a result that does
+// not decode into the awaited type, the payload is corrupt, a landing rides
+// the wire but the token names no landing body or the token names one but
+// the wire carries none — fails the sending peer
 // (World.Failed wraps ErrPeerLost) instead of panicking the progress
 // goroutine, and runs no body. One token comes through distAuxCodec, the
 // way a peer process's reaches the handler.
@@ -385,6 +387,7 @@ func TestRPCHandlerRejects(t *testing.T) {
 		{"request with no aux", enc(nil, one), nil},
 		{"request with a foreign aux", enc(nil, one), landing},
 		{"reply for an unknown sequence", enc(nil, rpcEntry{kind: rpcReplyKind, seq: 77}), nil},
+		{"reply that does not decode", enc(nil, rpcEntry{kind: rpcReplyKind, seq: 9, args: arg[:3]}), nil},
 		{"landing on the wire, no landing body", enc(&arg, one), &rpcAux{bodies: []rpcBody{ff}}},
 		{"landing body, no landing on the wire", enc(nil, one), &rpcAux{bodies: []rpcBody{ff}, rem: landing}},
 		{"landing-only message, a decoded token with no landing body", enc(&arg), noLanding},
@@ -394,10 +397,17 @@ func TestRPCHandlerRejects(t *testing.T) {
 	}
 	for _, row := range rows {
 		w := NewWorld(Config{Ranks: 2})
-		w.handleRPC(w.Rank(1).ep, 0, row.payload, row.aux)
-		w.Rank(1).Progress()
+		rk1 := w.Rank(1)
+		p, inj := NewPromise[int64](rk1), rk1.newInjection(0) // rank 1 awaits an int64 for sequence 9
+		inj.replies = 1
+		rk1.rpcPending[9] = rpcPending{sink: p, inj: inj}
+		w.handleRPC(rk1.ep, 0, row.payload, row.aux)
+		rk1.Progress()
 		if err := w.Failed(); !errors.Is(err, gasnet.ErrPeerLost) {
 			t.Errorf("%s: Failed() = %v, want an ErrPeerLost-wrapped error", row.name, err)
+		}
+		if p.Future().Ready() {
+			t.Errorf("%s: the awaited future readied", row.name)
 		}
 		w.Close()
 	}
@@ -434,6 +444,7 @@ func TestRPCAllocPins(t *testing.T) {
 	}
 	RegisterRPC(msgEcho)
 	RegisterRPCFF(msgSink)
+	RegisterRPCFut(msgEchoFut)
 	w := NewWorld(Config{Ranks: 2})
 	defer w.Close()
 	rk0, rk1 := w.Rank(0), w.Rank(1)
@@ -475,6 +486,10 @@ func TestRPCAllocPins(t *testing.T) {
 			if f.Wait() != 1<<40+1 {
 				t.Fatal("echo returned the wrong value")
 			}
+		}, 3},
+		{"blocking RPCFut, its reply deferred", func() {
+			f, _ := RPCFutWith(rk0, 1, msgEchoFut, int64(1)<<40)
+			spin(f.Ready)
 		}, 6},
 		{"blocking RPut", func() { spin(RPut(rk0, buf, word).Ready) }, 0},
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 0},
@@ -494,7 +509,7 @@ func TestRPCAllocPins(t *testing.T) {
 			}
 			b.Flush()
 			spin(last.Ready)
-		}, 182},
+		}, 89},
 	} {
 		check(pin.name+" allocs", testing.AllocsPerRun(200, pin.op), pin.max)
 	}
@@ -566,6 +581,131 @@ func TestBodyQueueFIFOBehindQueuedBodies(t *testing.T) {
 			if q := rk.bodyQueue(c.addr); !ran || q != nil {
 				t.Errorf("%s: after the drain (ran %v) the holder runs inline again, got %v", c.name, ran, q)
 			}
+		}
+	})
+}
+
+// TestRPCReplyBehindQueuedLPC: a reply harvested while its promise's
+// persona has an LPC queued goes behind it, so that LPC runs before the
+// future's Then callback. The LPC is queued by a fire-and-forget body the
+// target sends ahead of the reply: one harvest takes both messages.
+func TestRPCReplyBehindQueuedLPC(t *testing.T) {
+	w := NewWorld(Config{Ranks: 2})
+	defer w.Close()
+	rk0, rk1 := w.Rank(0), w.Rank(1)
+	sc := AcquirePersona(rk0.MasterPersona())
+	defer sc.Release()
+	var order []string
+	f := RPC(rk0, 1, func(trk *Rank, x int64) int64 {
+		RPCFF(trk, 0, func(trk *Rank, _ int64) {
+			LPCTo(trk.MasterPersona(), func() { order = append(order, "lpc") })
+		}, x)
+		return x
+	}, 1)
+	g := ThenDo(f, func(int64) { order = append(order, "then") })
+	rk1.Progress() // serves the request: the ff message, then the reply
+	rk0.Progress()
+	g.Wait()
+	if !slices.Equal(order, []string{"lpc", "then"}) {
+		t.Errorf("ran %v, want the queued LPC before the Then callback", order)
+	}
+}
+
+// TestRPCReplyRouting: a reply is fulfilled where it lands only on a
+// goroutine that holds the future's persona. Harvested by the progress
+// thread, it reaches the master persona by LPC; harvested by the master, it
+// reaches an acquired worker persona by LPC. Either way the Then callback
+// runs on the goroutine holding the future's persona.
+func TestRPCReplyRouting(t *testing.T) {
+	RegisterRPC(msgEcho)
+	// await issues an RPC on the calling goroutine, lets harvest run until
+	// the reply is queued on pers, then waits for it there.
+	await := func(rk *Rank, pers *Persona, harvest func(done func() bool)) {
+		gid, ran := curGID(), uint64(0)
+		f := RPC(rk, 1, msgEcho, int64(1))
+		g := ThenDo(f, func(int64) { ran = curGID() })
+		harvest(func() bool { return pers.PendingLPCs() > 0 })
+		if f.Ready() {
+			t.Error("the reply readied its future before its persona drained")
+		}
+		if g.Wait(); ran != gid {
+			t.Errorf("the Then callback ran on goroutine %d, want the persona's holder %d", ran, gid)
+		}
+	}
+	t.Run("progress thread to master", func(t *testing.T) {
+		RunConfig(Config{Ranks: 2, ProgressThread: true}, func(rk *Rank) {
+			if rk.Me() == 0 {
+				// No progress on this goroutine: only the thread harvests.
+				await(rk, rk.MasterPersona(), func(done func() bool) {
+					for !done() {
+						runtime.Gosched()
+					}
+				})
+			}
+			rk.Barrier()
+		})
+	})
+	t.Run("master to acquired persona", func(t *testing.T) {
+		Run(2, func(rk *Rank) {
+			if rk.Me() == 0 {
+				wp := NewPersona(rk, "worker")
+				queued, harvested, finished := make(chan func() bool), make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(finished)
+					sc := AcquirePersona(wp)
+					defer sc.Release()
+					await(rk, wp, func(done func() bool) {
+						queued <- done
+						<-harvested
+					})
+				}()
+				for done := <-queued; !done(); {
+					rk.Progress()
+				}
+				close(harvested)
+				<-finished
+			}
+			rk.Barrier()
+		})
+	})
+}
+
+// TestObsSendAMAccounting: replies and collective hops skip the injection
+// record but are counted as if they took one (DESIGN §11). One RPC round
+// trip adds one ops.am at the responder, with its bytes and one inject→done
+// sample, and none at the initiator; a 2-rank barrier adds one
+// collective-round op and one ops.am per rank.
+func TestObsSendAMAccounting(t *testing.T) {
+	RegisterRPC(msgEcho)
+	w := NewWorld(Config{Ranks: 2, Stats: true})
+	defer w.Close()
+	rk0, rk1 := w.Rank(0), w.Rank(1)
+	f := RPC(rk0, 1, msgEcho, int64(1))
+	for !f.Ready() {
+		rk1.Progress()
+		rk0.Progress()
+	}
+	s0, s1 := rk0.Stats(), rk1.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"initiator ops.rpc", s0.Counters[obs.KindRPC.Ops()], 1},
+		{"initiator ops.am", s0.Counters[obs.KindAM.Ops()], 0},
+		{"responder ops.am", s1.Counters[obs.KindAM.Ops()], 1},
+		{"responder am tx bytes", s1.Counters[obs.KindAM.TxBytes()], s1.Counters[obs.AMBytes]},
+		{"responder am inject→done samples", s1.HistCount(obs.HistDone, obs.KindAM), 1},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	w.Run(func(rk *Rank) {
+		base := rk.Stats()
+		rk.Barrier()
+		d := rk.Stats().Delta(base)
+		if r, am := d.Counters[obs.KindCollRound.Ops()], d.Counters[obs.KindAM.Ops()]; r != 1 || am != 1 {
+			t.Errorf("rank %d: a barrier added %d collective rounds and %d AMs, want 1 and 1", rk.Me(), r, am)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func FuzzTaskWire(f *testing.F) {
 		{Loot: []rec{{Seq: 1, Home: n, Name: val}}},
 		{Loot: []rec{{Seq: 1, Home: -1, Name: val}}},
 	} {
-		f.Add(marshal(&rep))
+		f.Add(mustMarshal(rep))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rep stealReply

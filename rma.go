@@ -32,13 +32,14 @@ const (
 	opGet
 	opCopy
 	opAMO
-	// opAM is a one-way RPC message (collective messages, RPC replies and
-	// fire-and-forget RPCs): captured and handed to the conduit
-	// synchronously, so its operation edge fires at injection.
+	// opAM is a fire-and-forget RPC message: captured and handed to the
+	// conduit synchronously, so its operation edge fires at injection.
+	// Replies and collective hops have no completion to deliver and skip
+	// the injection record (Rank.sendAM).
 	opAM
 	// opColl names a whole collective operation for completion-descriptor
 	// validation; collectives resolve their cxPlan against it and lower
-	// each round to opAM / opCopy operations.
+	// each round to a one-way message (sendAM) or an opCopy operation.
 	opColl
 	// opRPC is a round-trip RPC request: it travels as an AM like opAM,
 	// but its operation edge is deferred — the initiator's reply

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 	"upcxx/internal/serial"
 )
 
@@ -31,12 +32,12 @@ import (
 
 // rpcBody is the one form every remotely executed function takes — RPC and
 // rpc_ff bodies, batched entries, remote-completion (as_rpc) bodies and the
-// collectives engine's collArrive alike. run decodes the arguments and
-// calls the user function at the target. A result that is ready when run
-// returns comes back as (res, true) and the handler coalesces it into the
-// message's reply; fire-and-forget bodies return (nil, false), and so does
-// a future-returning body, which ships its own reply to (src, seq) once its
-// future readies. kind says which entries the body can serve: rpcReqKind
+// collectives engine's collArrive alike. run decodes the arguments and calls
+// the user function at the target. A result that is ready when run returns
+// is encoded straight into out, the reply being built for the message, and
+// run returns it grown; fire-and-forget bodies return out as it came, and so
+// does a future-returning body, which ships its own reply to (src, seq) once
+// its future readies. kind says which entries the body can serve: rpcReqKind
 // (it produces a result) or rpcFFKind (it never replies). task is set on a
 // function's task form: run queues the call with it and runs no user code.
 // args alias the arrived message, the receiver's to keep (gasnet.AMHandler).
@@ -44,7 +45,7 @@ type rpcBody struct {
 	kind uint8
 	name string    // registry name for cross-process dispatch ("" in-process)
 	task *taskBody // nil: run executes the call
-	run  func(trk *Rank, src Intrank, seq uint64, args []byte) (res []byte, now bool)
+	run  func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg
 }
 
 // The adapters below are the only places a user function meets the wire:
@@ -53,20 +54,22 @@ type rpcBody struct {
 
 // valueBody adapts a function whose result is ready when it returns.
 func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
-	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
+	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		var a A
 		mustUnmarshal(args, &a)
-		return mustMarshal(fn(trk, a)), true
+		r := fn(trk, a)
+		putResult(&out, seq, &r)
+		return out
 	}}
 }
 
 // ffBody adapts a function with no result (rpc_ff and remote-cx bodies).
 func ffBody[A any](fn func(*Rank, A)) rpcBody {
-	return rpcBody{kind: rpcFFKind, run: func(trk *Rank, _ Intrank, _ uint64, args []byte) ([]byte, bool) {
+	return rpcBody{kind: rpcFFKind, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
 		var a A
 		mustUnmarshal(args, &a)
 		fn(trk, a)
-		return nil, false
+		return out
 	}}
 }
 
@@ -75,13 +78,15 @@ func ffBody[A any](fn func(*Rank, A)) rpcBody {
 // its own — it cannot hold back the replies of entries that shared its
 // request message.
 func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
-	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, src Intrank, seq uint64, args []byte) ([]byte, bool) {
+	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		var a A
 		mustUnmarshal(args, &a)
 		inner := fn(trk, a)
 		reply := func() {
 			inner.c.onReady(func(r R) {
-				trk.reply(src, []rpcEntry{{kind: rpcReplyKind, seq: seq, args: mustMarshal(r)}})
+				var one replyMsg
+				putResult(&one, seq, &r)
+				trk.sendAM(src, one.bytes(trk.me), nil)
 			})
 		}
 		if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
@@ -93,7 +98,7 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 			// must be registered on the owner's goroutine.
 			inner.c.pers.lpc(reply)
 		}
-		return nil, false
+		return out
 	}}
 }
 
@@ -105,11 +110,11 @@ func spawnBody(task *taskBody) rpcBody {
 	if task.flags&flagFF != 0 {
 		kind = rpcFFKind
 	}
-	return rpcBody{kind: kind, task: task, run: func(trk *Rank, src Intrank, seq uint64, args []byte) ([]byte, bool) {
+	return rpcBody{kind: kind, task: task, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		if err := task.arrive(trk, src, seq, args); err != nil {
 			trk.failPeer(src, err)
 		}
-		return nil, false
+		return out
 	}}
 }
 
@@ -291,12 +296,12 @@ type rpcEntry struct {
 // encodeRPCMsg builds the wire form of one message: one owned buffer buf,
 // or, when it borrowed a run, the fragment list bufs whose concatenation is
 // the same byte stream. Runs of at least serial.GatherMinBorrow bytes are
-// borrowed: an entry's args and more (result bytes, or what a Batch
-// marshalled) and the view and []byte runs of a non-nil arg — a single
-// call's argument, marshalled here, once, into the message, behind whatever
-// header the entry's args hold (a spawn's task header). The conduit copies
-// them at capture, before the sending call returns. A non-nil land is the
-// landing's argument bytes, copied: alone, it makes a one-buffer message.
+// borrowed: an entry's args and more (what a Batch marshalled) and the view
+// and []byte runs of a non-nil arg — a single call's argument, marshalled
+// here, once, into the message, behind whatever header the entry's args hold
+// (a spawn's task header). The conduit copies them at capture, before the
+// sending call returns. A non-nil land is the landing's argument bytes,
+// copied: alone, it makes a one-buffer message.
 func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, land *[]byte) (buf []byte, bufs [][]byte) {
 	size := 40 + 20*len(entries)
 	if land != nil {
@@ -437,20 +442,20 @@ func decodeRPCMsg(b []byte) (rpcMsg, error) {
 
 // --- target side ---------------------------------------------------------
 
-// handleRPC is the conduit AM handler, the one a world registers. A
-// request message's landing notification fires first — it signals the
-// message's arrival (for a zero-entry message, the carrying put's or
-// copy's data in place), not any body's execution, and may be
-// persona-addressed. Then every body of the message executes during
-// user-level progress in ONE delivery to the rank's execution persona
-// (or the persona named with RPCBodyOn) — the target wakes once per
-// message, not once per call — and the results that are ready come back
-// as ONE reply message. A reply message completes the initiator's pending
-// entries in order: each result is routed to its promise's owning
-// persona, and the last one outstanding for a request message fires that
-// message's operation edge, no matter which goroutine's progress
-// harvested the reply. A message this rank cannot act on fails the
-// sending peer rather than the progress goroutine.
+// handleRPC is the conduit AM handler, the one a world registers. A request
+// message's landing notification fires first — it signals the message's
+// arrival (for a zero-entry message, the carrying put's or copy's data in
+// place), not any body's execution, and may be persona-addressed. Then every
+// body of the message executes during user-level progress in ONE delivery to
+// the rank's execution persona (or the persona named with RPCBodyOn) — the
+// target wakes once per message, not once per call — and the results that
+// are ready come back as ONE reply message. A reply message completes the
+// initiator's pending entries in order: each result is decoded where it
+// lands and fulfils its promise there or by LPC to the owning persona
+// (Promise.rpcResult), and the last one outstanding for a request message
+// fires that message's operation edge, no matter which goroutine's progress
+// harvested the reply. A message this rank cannot act on fails the sending
+// peer rather than the progress goroutine.
 func (w *World) handleRPC(ep *gasnet.Endpoint, src gasnet.Rank, payload []byte, aux any) {
 	trk := w.ranks[ep.Rank()]
 	if err := trk.rpcArrive(Intrank(src), payload, aux); err != nil {
@@ -492,45 +497,81 @@ func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
 // runBodies executes every body of one request message, in entry order,
 // and ships the results that are ready as one reply message.
 func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
-	var one [1]rpcEntry // a single call's result needs no heap slice
-	replies := one[:0]
-	if m.count > 1 {
-		replies = make([]rpcEntry, 0, m.count)
-	}
+	var out replyMsg
 	for i := range bodies {
 		en := m.next()
-		if res, now := bodies[i].run(rk, from, en.seq, en.args); now {
-			replies = append(replies, rpcEntry{kind: rpcReplyKind, seq: en.seq, args: res})
-		}
+		out = bodies[i].run(rk, from, en.seq, en.args, out)
 	}
-	if len(replies) > 0 {
-		rk.reply(from, replies)
+	if out.n > 0 {
+		rk.sendAM(from, out.bytes(rk.me), nil)
 	}
 }
 
-// reply ships RPC results back to the initiator as one message through
-// the same injection path as every other operation, mirroring Fig 2's
-// return flow through the target's queues.
-func (rk *Rank) reply(dst Intrank, results []rpcEntry) {
-	op := rmaOp{kind: opAM, dstPeer: dst}
-	op.buf, op.bufs = encodeRPCMsg[Unit](rk.me, results, nil, nil)
-	rk.inject(rk.newInjection(dst).single(op))
+// replyMsg is a reply message under construction: each ready result is
+// encoded once, straight into it; bytes writes the head last, in front. A
+// body takes and returns it by value, so it stays on the handler's stack.
+type replyMsg struct {
+	b []byte
+	n int
+}
+
+// replyHeadMax is the longest head: magic, version, src and the count.
+const replyHeadMax = 6 + binary.MaxVarintLen64
+
+// putResult appends the entry answering seq with result r; the first one
+// reserves the room for the head.
+func putResult[R any](m *replyMsg, seq uint64, r *R) {
+	if m.n++; m.n == 1 {
+		m.b = make([]byte, replyHeadMax, replyHeadMax+32)
+	}
+	e := serial.NewEncoder(m.b)
+	e.PutU8(rpcReplyKind)
+	e.PutU64(seq)
+	if err := serial.EncodeSized(e, nil, r); err != nil {
+		panic(fmt.Sprintf("upcxx: RPC result not serializable: %v", err))
+	}
+	m.b = e.Bytes()
+}
+
+// bytes closes the message from src: landing length 0 (a reply carries
+// none), then the head, written into the end of the room reserved for it.
+func (m *replyMsg) bytes(src Intrank) []byte {
+	b := append(m.b, 0)
+	var count [binary.MaxVarintLen64]byte
+	off := replyHeadMax - 6 - binary.PutUvarint(count[:], uint64(m.n))
+	putRPCHead(serial.NewEncoder(b[off:off]), src, m.n)
+	return b[off:]
+}
+
+// sendAM hands the conduit a runtime-internal one-way message — a reply, a
+// collective hop — on the calling goroutine, so per-pair FIFO holds. With no
+// completion to deliver it takes no injection record, but with stats on it
+// records what one would: an ops.am, its bytes and the inject→done edge.
+func (rk *Rank) sendAM(dst Intrank, buf []byte, aux any) {
+	var tag obs.OpTag
+	if rk.ro != nil {
+		tag = rk.ro.OpStart(obs.KindAM, len(buf))
+		defer rk.ro.OpDone(tag, len(buf))
+	}
+	rk.ep.AMTag(gasnetRank(dst), rk.w.amRPC, buf, nil, aux, tag)
 }
 
 // --- initiator side ------------------------------------------------------
 
 // rpcSink is where a round-trip entry's result goes at the initiator: the
-// promise behind the future the entry point returned.
-type rpcSink interface{ rpcResult(res []byte) }
+// promise behind the future the entry point returned. Result bytes that do
+// not decode are the replying peer's fault.
+type rpcSink interface{ rpcResult(res []byte) error }
 
-// rpcResult routes result bytes to the promise on its owning persona,
-// whichever goroutine's progress harvested the reply.
-func (p *Promise[T]) rpcResult(res []byte) {
-	p.c.pers.lpc(func() {
-		var r T
-		mustUnmarshal(res, &r)
-		p.FulfillResult(r)
-	})
+// rpcResult decodes the result where the reply lands and fulfils the
+// promise with it (fulfilHere).
+func (p *Promise[T]) rpcResult(res []byte) error {
+	var r T
+	if err := serial.Decode(res, &r); err != nil {
+		return fmt.Errorf("%s: reply does not decode: %w", rpcFormat, err)
+	}
+	p.fulfilHere(r)
+	return nil
 }
 
 // rpcPending is the initiator's record of one round-trip entry in flight.
@@ -539,7 +580,8 @@ type rpcPending struct {
 	inj  *injection // of the entry's request message; counts its replies
 }
 
-// rpcLand completes the pending entries a reply message answers.
+// rpcLand completes the pending entries a reply message answers. The
+// operation edge of the last one stays an LPC, queued after the value.
 func (rk *Rank) rpcLand(m rpcMsg) error {
 	for i := 0; i < m.count; i++ {
 		en := m.next()
@@ -555,7 +597,9 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 		if !ok {
 			return fmt.Errorf("%s: reply for unknown sequence %d", rpcFormat, en.seq)
 		}
-		p.sink.rpcResult(en.args)
+		if err := p.sink.rpcResult(en.args); err != nil {
+			return err
+		}
 		if last {
 			p.inj.opLanded()
 		}

@@ -120,14 +120,13 @@ func (rt *TaskRuntime) Stop() {
 }
 
 // taskBody is a function's task form, what the registry files for it: run
-// decodes the argument, calls the function and marshals its result (nil:
-// fire-and-forget). A spawn is an RPC entry naming the form; on arrival
-// arrive queues it, and whichever rank runs a result-bearing task answers
-// (home, seq) with a reply entry.
+// is its RPC body (valueBody; ffBody for a fire-and-forget task). A spawn is
+// an RPC entry naming the form; on arrival arrive queues it, and whichever
+// rank runs a result-bearing task answers (home, seq) with the reply run built.
 type taskBody struct {
 	name  string
 	flags uint8 // flagFF or none
-	run   func(trk *Rank, args []byte) []byte
+	run   func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg
 }
 
 // arrive is the spawn entry's body: queue the task for this rank's workers.
@@ -177,36 +176,12 @@ type rec struct {
 // and returns its wire name. Like RegisterRPC: call from init() with a
 // package-level, non-generic function.
 func RegisterTask[A, R any](fn func(*Rank, A) R) string {
-	return registerTask(fn, &taskBody{run: func(trk *Rank, args []byte) []byte {
-		var a A
-		unmarshal(args, &a)
-		r := fn(trk, a)
-		return marshal(&r)
-	}})
+	return registerTask(fn, &taskBody{run: valueBody(fn).run})
 }
 
 // RegisterTaskFF registers a fire-and-forget task body (no result frame).
 func RegisterTaskFF[A any](fn func(*Rank, A)) string {
-	return registerTask(fn, &taskBody{flags: flagFF, run: func(trk *Rank, args []byte) []byte {
-		var a A
-		unmarshal(args, &a)
-		fn(trk, a)
-		return nil
-	}})
-}
-
-func marshal[T any](v *T) []byte {
-	var e serial.Encoder
-	if err := serial.Encode(&e, v); err != nil {
-		panic(fmt.Sprintf("task: argument/result not serializable: %v", err))
-	}
-	return e.Bytes()
-}
-
-func unmarshal[T any](b []byte, ptr *T) {
-	if err := serial.Decode(b, ptr); err != nil {
-		panic(fmt.Sprintf("task: argument/result decode: %v", err))
-	}
+	return registerTask(fn, &taskBody{flags: flagFF, run: ffBody(fn).run})
 }
 
 // --- spawning -------------------------------------------------------------
@@ -230,9 +205,12 @@ type taskSink[T any] struct {
 	credit *atomic.Uint64
 }
 
-func (s *taskSink[T]) rpcResult(res []byte) {
-	s.p.rpcResult(res)
-	s.credit.Add(1)
+func (s *taskSink[T]) rpcResult(res []byte) error {
+	err := s.p.rpcResult(res)
+	if err == nil {
+		s.credit.Add(1)
+	}
+	return err
 }
 
 // AsyncAtFF spawns fn(arg) on the target rank fire-and-forget: no result
@@ -251,7 +229,7 @@ func spawnFF[A any](rt *TaskRuntime, target Intrank, fn func(*Rank, A), group ui
 		rpcOne(rt.rk, target, tok, header(trace, group), &arg, nil, nil)
 		return
 	}
-	rt.enqueue(rec{Trace: trace, Home: int32(target), Group: group, Flags: flagFF, Name: b.name, Args: marshal(&arg), b: b})
+	rt.enqueue(rec{Trace: trace, Home: int32(target), Group: group, Flags: flagFF, Name: b.name, Args: mustMarshal(arg), b: b})
 }
 
 // spawn counts one spawn at target and returns its trace id (0: unsampled).
@@ -334,10 +312,11 @@ func (rt *TaskRuntime) popOldest(n int) []rec {
 // certifies that every result and group credit has landed, not just that bodies ran.
 func (rt *TaskRuntime) execute(r rec) {
 	rt.hop(r, obs.StageTaskExec, len(r.Args))
-	res := r.b.run(rt.rk, r.Args)
-	switch home := Intrank(r.Home); {
+	home := Intrank(r.Home)
+	out := r.b.run(rt.rk, home, r.Seq, r.Args, replyMsg{})
+	switch {
 	case r.Flags&flagFF == 0:
-		rt.rk.reply(home, []rpcEntry{{kind: rpcReplyKind, seq: r.Seq, args: res}})
+		rt.rk.sendAM(home, out.bytes(rt.rk.me), nil)
 	case home == rt.rk.Me():
 		rt.retire(r.Group)
 	default:

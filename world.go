@@ -463,8 +463,8 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 	defer func() { gs.restricted = false }()
 	done := rk.drainPersonas(gs)
 	done += rk.ep.PollAMs()
-	// AM handlers deliver through persona LPCs (RPC replies, collective
-	// advances); drain again so completions land in the same call.
+	// AM handlers deliver through persona LPCs (routed RPC results, queued
+	// bodies); drain again so completions land in the same call.
 	done += rk.drainPersonas(gs)
 	if done > 0 {
 		rk.worked.Add(1)
