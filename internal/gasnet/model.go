@@ -15,8 +15,11 @@
 // overhead, per-message gap, per-byte cost and wire latency in model time
 // (sim.go): every rank keeps a clock, and what lands on it waits until the
 // clock reaches its landing time, so microbenchmarks over this conduit
-// exhibit the latency/bandwidth structure the paper measures, exactly and
-// on every run.
+// exhibit the latency/bandwidth structure the paper measures. Between two
+// ranks that holds exactly and on every run; with more, an idle rank may jump
+// past an event a slower rank has yet to send, so a makespan depends on the
+// host's scheduling (32-rank DHT inserts read ×3.6 apart at one P and at
+// four). DESIGN.md §5 says what model time leaves open.
 package gasnet
 
 import "time"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,9 +62,12 @@ func TestUnexpectedMessages(t *testing.T) {
 				p.Send([]byte{byte(i)}, 1, i)
 			}
 		} else {
-			// Give the messages time to arrive unexpected.
-			time.Sleep(10 * time.Millisecond)
-			for p.ep.Poll() > 0 {
+			// Post nothing until all five have arrived unexpected, so every
+			// receive below is matched from the unexpected queue.
+			for len(p.unexpected) < 5 {
+				if p.ep.Poll() == 0 {
+					runtime.Gosched()
+				}
 			}
 			// Receive out of tag order: matching is by tag, not arrival.
 			for _, tag := range []int{4, 0, 2, 1, 3} {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -386,14 +387,15 @@ func TestBadTaskMessagesFailTheirSender(t *testing.T) {
 	}
 }
 
-// tPark keeps its worker off the rank's doorbell until the test lets go.
+// tPark keeps its worker off the rank's doorbell until the test lets go; it
+// marks parked done once its worker holds it.
 var (
-	parked  atomic.Int32
+	parked  sync.WaitGroup
 	unparkC chan struct{}
 )
 
 func tPark(*Rank, int64) {
-	parked.Add(1)
+	parked.Done()
 	<-unparkC
 }
 
@@ -414,15 +416,13 @@ func TestTaskAllocPins(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const rounds, size = 200, 64 << 10
 	var stop atomic.Bool
-	parked.Store(0)
+	parked.Add(2)
 	unparkC = make(chan struct{})
 	RunConfig(Config{Ranks: 2}, func(rk *Rank) {
 		rt := NewTaskRuntime(rk, TaskConfig{Workers: 1, NoSteal: true})
 		defer rt.Stop()
 		AsyncAtFF(rt, rk.Me(), tPark, 0)
-		for parked.Load() < 2 {
-			time.Sleep(50 * time.Microsecond) // not helpUntil: the worker must take it
-		}
+		parked.Wait() // not helpUntil: the worker must take it
 		rk.Barrier()
 		if rk.Me() == 1 {
 			_ = rt.helpUntil(stop.Load)
