@@ -53,14 +53,16 @@ test-short:
 # suite with one P, where a waiter that yields instead of parking starves
 # whoever must wake it — a schedule a multi-core CI host never produces by
 # itself — and a master that polls bare Progress starves the injectors
-# blocked behind it. The task package runs a second time with one P too: the
+# blocked behind it; and the collectives, whose futures are readied in place
+# when the engine's goroutine holds their persona (the committed benchmark
+# runs at one P). The task package runs a second time with one P too: the
 # steal bounce and a worker parked over a queued task only show there.
 # Goroutine runs the identity tests, so checkptr sees curGID's load from g.
 # The runtime is one package (the module root); internal/core and
 # internal/task are its two white-box test packages (see test-links).
 race:
 	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine|ModelTime'
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress|ModelTime'
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress|ModelTime|Coll'
 	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire|ModelTime'
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/gasnet/ -run 'Ring|Wire|ModelTime'

@@ -326,15 +326,25 @@ func BenchmarkAtomicFetchAdd(b *testing.B) {
 	})
 }
 
+// BenchmarkBarrier8Ranks times a world barrier at 8 ranks and at 2, the
+// committed benchmark's shape; allocs/op counts every rank's heap objects,
+// what TestRPCAllocPins pins for 2 ranks.
 func BenchmarkBarrier8Ranks(b *testing.B) {
-	w := upcxx.NewWorld(upcxx.Config{Ranks: 8})
-	defer w.Close()
-	w.Run(func(rk *upcxx.Rank) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rk.Barrier()
-		}
-	})
+	for _, n := range []int{8, 2} {
+		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			w := upcxx.NewWorld(upcxx.Config{Ranks: n})
+			defer w.Close()
+			w.Run(func(rk *upcxx.Rank) {
+				if rk.Me() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					rk.Barrier()
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkViewSerializationRPC(b *testing.B) {

@@ -107,7 +107,12 @@ func (e *collEngine) treePos(t *Team, root Intrank) treePos {
 	p := len(t.ranks)
 	k := treeRadix(e.radix, p)
 	rr := (int(t.me) - int(root) + p) % p
-	return treePos{p: p, k: k, root: int(root), rr: rr, children: knomialChildren(k, rr, p)}
+	kids, ok := e.children[[3]int{k, rr, p}]
+	if !ok {
+		kids = knomialChildren(k, rr, p)
+		e.children[[3]int{k, rr, p}] = kids
+	}
+	return treePos{p: p, k: k, root: int(root), rr: rr, children: kids}
 }
 
 // teamRank maps a relative rank back to a team rank.
@@ -330,13 +335,25 @@ type collKey struct {
 // collState is the one generic per-collective state shape: messages that
 // arrive before the local rank enters the collective buffer in the
 // inbox; once entered, the collective registers recv and every message
-// (buffered or live) flows through it. recv is the wave's arrive for the
-// value collectives and a rendezvous machine's for the buffer pair; an
-// error from it means the message cannot be acted on and fails its sender.
+// (buffered or live) flows through it. recv is the wave itself for the
+// value collectives and a rendezvous machine's closure for the buffer pair;
+// an error from it means the message cannot be acted on and fails its sender.
 type collState struct {
 	inbox []collMsg
-	recv  func(collMsg) error
+	recv  interface{ arrive(collMsg) error }
 }
+
+// A collective as the engine enters it: start runs once, on the execution persona.
+type collective interface {
+	start(key collKey, st *collState)
+}
+
+// machine and recvFunc carry a buffer collective's closures to the engine.
+type machine func(key collKey, st *collState)
+type recvFunc func(collMsg) error
+
+func (m machine) start(key collKey, st *collState) { m(key, st) }
+func (f recvFunc) arrive(m collMsg) error          { return f(m) }
 
 // collEngine drives every collective of one rank. All state is owned by
 // the rank's execution persona: entry bodies and message arrivals both
@@ -344,10 +361,11 @@ type collState struct {
 // by construction no matter which persona initiates or which goroutine
 // harvests the conduit.
 type collEngine struct {
-	rk     *Rank
-	radix  int
-	states map[collKey]*collState
-	seqs   map[uint64]uint64 // per-team collective sequence numbers
+	rk       *Rank
+	radix    int
+	states   map[collKey]*collState
+	seqs     map[uint64]uint64 // per-team collective sequence numbers
+	children map[[3]int][]int  // knomialChildren by radix, relative rank, team size
 }
 
 func newCollEngine(rk *Rank, radix int) *collEngine {
@@ -355,27 +373,19 @@ func newCollEngine(rk *Rank, radix int) *collEngine {
 		panic("upcxx: Config.CollRadix must be non-negative")
 	}
 	return &collEngine{
-		rk:     rk,
-		radix:  radix,
-		states: make(map[collKey]*collState),
-		seqs:   make(map[uint64]uint64),
+		rk:       rk,
+		radix:    radix,
+		states:   make(map[collKey]*collState),
+		seqs:     make(map[uint64]uint64),
+		children: make(map[[3]int][]int),
 	}
-}
-
-func (e *collEngine) get(key collKey) *collState {
-	st, ok := e.states[key]
-	if !ok {
-		st = &collState{}
-		e.states[key] = st
-	}
-	return st
 }
 
 // enter hands one collective's entry to the execution persona: the
-// sequence number is assigned there (in entry order), start installs the
-// collective's recv, and any messages that arrived early are drained
-// through it.
-func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
+// sequence number is assigned there (in entry order), st — the collective's
+// own — takes over any messages that arrived early, start installs the
+// collective's recv, and the early messages are drained through it.
+func (e *collEngine) enter(t *Team, st *collState, c collective) {
 	// Engine state must advance on exactly one goroutine. bodyQueue's
 	// inline fallback for worlds driven without Run would execute bodies
 	// on arbitrary calling/harvesting goroutines — fine for independent
@@ -387,22 +397,26 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 	if !e.rk.w.cfg.ProgressThread && e.rk.master.holder.Load() == 0 {
 		panic(fmt.Sprintf("upcxx: rank %d: collectives require a held master persona (use World.Run) or Config.ProgressThread", e.rk.me))
 	}
-	body := func() {
-		seq := e.seqs[t.id]
-		e.seqs[t.id] = seq + 1
-		key := collKey{t.id, seq}
-		st := e.get(key)
-		start(key, st)
-		for st.recv != nil && len(st.inbox) > 0 {
-			m := st.inbox[0]
-			st.inbox = st.inbox[1:]
-			e.onMsg(m)
-		}
-	}
 	if q := e.rk.bodyQueue(nil); q != nil {
-		q.queueBody(body)
+		q.queueBody(func() { e.begin(t, st, c) })
 	} else {
-		body()
+		e.begin(t, st, c)
+	}
+}
+
+func (e *collEngine) begin(t *Team, st *collState, c collective) {
+	seq := e.seqs[t.id]
+	e.seqs[t.id] = seq + 1
+	key := collKey{t.id, seq}
+	if early := e.states[key]; early != nil {
+		st.inbox = early.inbox
+	}
+	e.states[key] = st
+	c.start(key, st)
+	for st.recv != nil && len(st.inbox) > 0 {
+		m := st.inbox[0]
+		st.inbox = st.inbox[1:]
+		e.onMsg(m)
 	}
 }
 
@@ -411,10 +425,14 @@ func (e *collEngine) enter(t *Team, start func(key collKey, st *collState)) {
 // act on is its sender's fault: the peer is failed (World.Failed, every
 // blocked wait) and the progress goroutine lives on.
 func (e *collEngine) onMsg(m collMsg) {
-	st := e.get(collKey{m.team, m.seq})
+	st := e.states[collKey{m.team, m.seq}]
+	if st == nil {
+		st = &collState{}
+		e.states[collKey{m.team, m.seq}] = st
+	}
 	if st.recv == nil {
 		st.inbox = append(st.inbox, m)
-	} else if err := st.recv(m); err != nil {
+	} else if err := st.recv.arrive(m); err != nil {
 		e.rk.failPeer(m.from, err)
 	}
 }
@@ -426,7 +444,8 @@ func (e *collEngine) finish(key collKey, st *collState, plan *cxPlan) {
 	st.recv = nil
 	delete(e.states, key)
 	plan.collRemoteLocal()
-	plan.collOpDone()
+	plan.obsDone()
+	plan.deliver(plan.op, true)
 }
 
 // collArrive is the body of every collective message, registered at init so
@@ -498,50 +517,58 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 // against the tree, the fan-out and retiring the collective. A one-member
 // team is a root with no children; nothing below treats it apart.
 type wave struct {
-	e    *collEngine
 	t    *Team
-	plan *cxPlan
+	plan cxPlan
+	ops  [1]cxDelivery // backs plan.op: a collective's one delivery, as a rule
 
 	// Declared by the collective. kind is the one message kind it sends and
 	// accepts. up: every member reports to its parent once its children
-	// have — fold absorbs one child's payload, partial is what this member's
-	// subtree amounts to by then (nil hooks: nothing to carry, a barrier).
-	// down: the root's partial, the result, fans back down the same tree.
-	// done is the typed end, called once with what came down from the parent
-	// (nil at the root, which holds the result itself, and on every member of
-	// an up-only collective). fold and done see bytes a peer chose; an error
-	// from either fails that peer.
+	// have. down: the root's partial, the result, fans back down the same
+	// tree. vals is the typed side (nil: nothing to carry, a barrier).
 	kind     uint8
 	up, down bool
-	fold     func(data []byte) error
-	partial  func() []byte
-	done     func(data []byte) error
+	vals     waveValues
 
 	// Owned by the walk, on the execution persona.
+	e *collEngine
 	treePos
 	key      collKey
-	st       *collState
-	reported []bool // per child: its contribution is in
+	st       collState
+	reported []bool   // per child: its contribution is in
+	few      [16]bool // backs reported up to 16 children
 	got      int
 	awaiting bool // my part of the way up is done: the parent's result is next
 }
 
-// enter places w on its team's tree rooted at team rank root and enters
-// the collective (collEngine.enter).
+// waveValues is what a value collective carries: fold absorbs one child's
+// payload, partial is what this member's subtree amounts to once its
+// children are in, and done is the typed end, called once with what came
+// down from the parent (nil at the root, which holds the result itself, and
+// on every member of an up-only collective). fold and done see bytes a peer
+// chose; an error from either fails that peer.
+type waveValues interface {
+	fold(data []byte) error
+	partial() []byte
+	done(data []byte) error
+}
+
+// enter roots w at team rank root and enters the collective
+// (collEngine.enter); start places it on the tree.
 func (w *wave) enter(root Intrank) {
 	if root < 0 || root >= w.t.RankN() {
 		panic(fmt.Sprintf("upcxx: %s root %d out of range for %v", collKindNames[w.kind], root, w.t))
 	}
-	w.e = w.t.rk.coll
-	w.treePos = w.e.treePos(w.t, root)
-	w.e.enter(w.t, w.start)
+	w.e, w.root = w.t.rk.coll, int(root)
+	w.e.enter(w.t, &w.st, w)
 }
 
 func (w *wave) start(key collKey, st *collState) {
-	w.key, w.st = key, st
-	st.recv = w.arrive
+	w.key, w.treePos = key, w.e.treePos(w.t, Intrank(w.root))
+	st.recv = w
 	if w.up && len(w.children) > 0 {
-		w.reported = make([]bool, len(w.children))
+		if w.reported = w.few[:]; len(w.children) > len(w.few) {
+			w.reported = make([]bool, len(w.children))
+		}
 		return
 	}
 	if err := w.turn(); err != nil {
@@ -561,8 +588,8 @@ func (w *wave) arrive(m collMsg) error {
 	case m.kind == w.kind && m.round == collRoundDown && w.awaiting && w.isParent(m.src):
 		return w.end(m.data)
 	case m.kind == w.kind && m.round == collRoundUp && w.reported != nil && i >= 0 && !w.reported[i]:
-		if w.fold != nil {
-			if err := w.fold(m.data); err != nil {
+		if w.vals != nil {
+			if err := w.vals.fold(m.data); err != nil {
 				return err
 			}
 		}
@@ -583,8 +610,8 @@ func (w *wave) turn() error {
 		return nil
 	}
 	var data []byte
-	if w.partial != nil && (w.rr != 0 || w.down && len(w.children) > 0) {
-		data = w.partial()
+	if w.vals != nil && (w.rr != 0 || w.down && len(w.children) > 0) {
+		data = w.vals.partial()
 	}
 	if w.rr == 0 {
 		return w.end(data)
@@ -607,12 +634,12 @@ func (w *wave) end(data []byte) error {
 			w.send(w.teamRank(c), collRoundDown, data)
 		}
 	}
-	if w.done != nil {
-		if err := w.done(data); err != nil {
+	if w.vals != nil {
+		if err := w.vals.done(data); err != nil {
 			return err
 		}
 	}
-	w.e.finish(w.key, w.st, w.plan)
+	w.e.finish(w.key, &w.st, &w.plan)
 	return nil
 }
 
@@ -630,48 +657,55 @@ func (w *wave) send(dest Intrank, round uint8, data []byte) {
 // RemoteCxAsRPC descriptor runs on this rank's execution persona at that
 // same edge, delivered from the arrival path.
 func (t *Team) BarrierAsyncWith(cxs ...Cx) CxFutures {
-	plan := newCxPlan(t.rk, opColl, t.rk.me, cxs)
-	w := &wave{t: t, plan: plan, kind: collBarrier, up: true, down: true}
+	w := &wave{t: t, kind: collBarrier, up: true, down: true}
+	futs := w.plan.initColl(t.rk, cxs, w.ops[:0]).futs
 	w.enter(0)
-	return plan.futs
+	return futs
 }
 
-// valueWave declares the typed value collectives: val is this member's
-// contribution and, folded with op as its children report, its subtree's
-// partial (op nil: nothing goes up, a broadcast); with down the root's
-// value reaches every member, without it the members other than the root
-// end with the zero value once their partial is sent.
+// valueColl is a typed value collective: val is this member's contribution
+// and, folded with op as its children report, its subtree's partial (op nil:
+// nothing goes up, a broadcast); with down the root's value reaches every
+// member, without it the members other than the root end with the zero
+// value once their partial is sent.
+type valueColl[T any] struct {
+	wave
+	val  T
+	op   func(T, T) T
+	prom *Promise[T]
+}
+
 func valueWave[T any](t *Team, kind uint8, root Intrank, val T, op func(T, T) T, down bool, cxs []Cx) (Future[T], CxFutures) {
-	rk := t.rk
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
-	prom := NewPromise[T](rk)
-	w := &wave{t: t, plan: plan, kind: kind, up: op != nil, down: down}
-	if op != nil {
-		w.fold = func(data []byte) error {
-			var v T
-			if err := serial.Decode(data, &v); err != nil {
+	v := &valueColl[T]{val: val, op: op, prom: NewPromise[T](t.rk)}
+	v.wave = wave{t: t, kind: kind, up: op != nil, down: down, vals: v}
+	futs := v.plan.initColl(t.rk, cxs, v.ops[:0]).futs
+	v.enter(root)
+	return v.prom.Future(), futs
+}
+
+func (v *valueColl[T]) fold(data []byte) error {
+	var x T
+	if err := serial.Decode(data, &x); err != nil {
+		return err
+	}
+	v.val = v.op(v.val, x)
+	return nil
+}
+
+func (v *valueColl[T]) partial() []byte { return mustMarshal(v.val) }
+
+func (v *valueColl[T]) done(data []byte) error {
+	if v.rr != 0 {
+		var res T
+		if v.down {
+			if err := serial.Decode(data, &res); err != nil {
 				return err
 			}
-			val = op(val, v)
-			return nil
 		}
+		v.val = res
 	}
-	w.partial = func() []byte { return mustMarshal(val) }
-	w.done = func(data []byte) error {
-		if w.rr != 0 {
-			var res T
-			if down {
-				if err := serial.Decode(data, &res); err != nil {
-					return err
-				}
-			}
-			val = res
-		}
-		prom.fulfilHere(val)
-		return nil
-	}
-	w.enter(root)
-	return prom.Future(), plan.futs
+	v.prom.fulfilHere(v.val)
+	return nil
 }
 
 // BroadcastWith distributes root's value to every team member down the
@@ -734,49 +768,56 @@ func decodeCollFrames(data []byte, p int, into map[uint32][]byte) error {
 	return nil
 }
 
-// gatherBytes declares the gather every byte-level exchange rides — Gather,
-// AllGather and team construction: each member contributes data, the frame
-// sets aggregate up the tree to team rank root (which absorbs its tree
-// degree in messages, not p-1), and with down the whole set fans back. The
-// future yields reduce of the p payloads indexed by team rank — at the
+// gatherColl is the gather every byte-level exchange rides — Gather,
+// AllGather and team construction: each member contributes its frame, the
+// frame sets aggregate up the tree to team rank root (which absorbs its
+// tree degree in messages, not p-1), and with down the whole set fans back.
+// The future yields reduce of the p payloads indexed by team rank — at the
 // root, and with down on every member, which applies reduce itself; on the
 // other members of an up-only gather it readies with the zero value once
 // their frames are sent. reduce judges bytes peers chose: an error from it
 // fails the peer that delivered them.
+type gatherColl[R any] struct {
+	wave
+	frames map[uint32][]byte
+	reduce func(all [][]byte) (R, error)
+	prom   *Promise[R]
+}
+
 func gatherBytes[R any](t *Team, root Intrank, data []byte, down bool, reduce func(all [][]byte) (R, error)) Future[R] {
-	rk := t.rk
-	prom := NewPromise[R](rk)
-	frames := map[uint32][]byte{uint32(t.me): data}
-	w := &wave{t: t, plan: &cxPlan{rk: rk, remotePeer: rk.me}, kind: collGather, up: true, down: down}
-	w.fold = func(b []byte) error { return decodeCollFrames(b, w.p, frames) }
-	w.partial = func() []byte { return encodeCollFrames(frames) }
-	w.done = func(b []byte) error {
-		var res R
-		if w.rr != 0 {
-			if !down {
-				prom.fulfilHere(res)
-				return nil
-			}
-			clear(frames)
-			if err := decodeCollFrames(b, w.p, frames); err != nil {
-				return err
-			}
+	g := &gatherColl[R]{frames: map[uint32][]byte{uint32(t.me): data}, reduce: reduce, prom: NewPromise[R](t.rk)}
+	g.wave = wave{t: t, plan: cxPlan{rk: t.rk, remotePeer: t.rk.me}, kind: collGather, up: true, down: down, vals: g}
+	g.enter(root)
+	return g.prom.Future()
+}
+
+func (g *gatherColl[R]) fold(b []byte) error { return decodeCollFrames(b, g.p, g.frames) }
+func (g *gatherColl[R]) partial() []byte     { return encodeCollFrames(g.frames) }
+
+func (g *gatherColl[R]) done(b []byte) error {
+	var res R
+	if g.rr != 0 {
+		if !g.down {
+			g.prom.fulfilHere(res)
+			return nil
 		}
-		if len(frames) != w.p {
-			return fmt.Errorf("collective message: gather ended with %d of %d contributions", len(frames), w.p)
+		clear(g.frames)
+		if err := decodeCollFrames(b, g.p, g.frames); err != nil {
+			return err
 		}
-		all := make([][]byte, w.p)
-		for r, b := range frames {
-			all[r] = b
-		}
-		res, err := reduce(all)
-		if err == nil {
-			prom.fulfilHere(res)
-		}
-		return err
 	}
-	w.enter(root)
-	return prom.Future()
+	if len(g.frames) != g.p {
+		return fmt.Errorf("collective message: gather ended with %d of %d contributions", len(g.frames), g.p)
+	}
+	all := make([][]byte, g.p)
+	for r, b := range g.frames {
+		all[r] = b
+	}
+	res, err := g.reduce(all)
+	if err == nil {
+		g.prom.fulfilHere(res)
+	}
+	return err
 }
 
 // gatherValues is gatherBytes' reduce for the typed gathers: the members'
@@ -848,10 +889,10 @@ func BroadcastBufWith[T serial.Scalar](t *Team, root Intrank, buf GPtr[T], n int
 		panic(fmt.Sprintf("upcxx: BroadcastBuf root %d out of range for %v", root, t))
 	}
 	addr := checkBufOperand(rk, buf, "BroadcastBuf")
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
+	plan := new(cxPlan).initColl(rk, cxs, nil)
 	nb := n * serial.SizeOf[T]()
 	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) { e.broadcastBuf(t, key, st, root, addr, nb, plan) })
+	e.enter(t, new(collState), machine(func(key collKey, st *collState) { e.broadcastBuf(t, key, st, root, addr, nb, plan) }))
 	return plan.futs
 }
 
@@ -878,7 +919,7 @@ func (e *collEngine) broadcastBuf(t *Team, key collKey, st *collState, root Intr
 		e.sendMsg(t, tp.parent(), collMsg{team: key.team, seq: key.seq,
 			kind: collAddr, round: collRoundUp, src: uint32(t.me), data: encodeCollAddr(buf)})
 	}
-	st.recv = func(m collMsg) error {
+	st.recv = recvFunc(func(m collMsg) error {
 		i := tp.childIndex(m.src)
 		switch {
 		case m.kind == collAddr && i >= 0 && !known[i]:
@@ -905,7 +946,7 @@ func (e *collEngine) broadcastBuf(t *Team, key collKey, st *collState, root Intr
 			return collStray(m, "buffer broadcast")
 		}
 		return nil
-	}
+	})
 	tryFinish() // a root with no children is done
 }
 
@@ -957,7 +998,7 @@ func reduceBufWith[T serial.Scalar](t *Team, da *DeviceAllocator, buf GPtr[T], n
 			panic(fmt.Sprintf("upcxx: %s operand %v is not in %v", opName, buf, da))
 		}
 	}
-	plan := newCxPlan(rk, opColl, rk.me, cxs)
+	plan := new(cxPlan).initColl(rk, cxs, nil)
 	nb := n * serial.SizeOf[T]()
 	stage := NilGPtr[T]()
 	hooks := collFoldHooks{
@@ -1006,9 +1047,9 @@ func reduceBufWith[T serial.Scalar](t *Team, da *DeviceAllocator, buf GPtr[T], n
 		},
 	}
 	e := rk.coll
-	e.enter(t, func(key collKey, st *collState) {
+	e.enter(t, new(collState), machine(func(key collKey, st *collState) {
 		e.reduceBuf(t, key, st, addr, nb, hooks, allreduce, plan)
-	})
+	}))
 	return plan.futs
 }
 
@@ -1072,7 +1113,7 @@ func (e *collEngine) reduceBuf(t *Team, key collKey, st *collState, buf collBufA
 			tryFinish()
 		}
 	}
-	st.recv = func(m collMsg) error {
+	st.recv = recvFunc(func(m collMsg) error {
 		i := tp.childIndex(m.src)
 		switch {
 		case m.kind == collAddr && tp.isParent(m.src) && parentSlot == nil:
@@ -1103,6 +1144,6 @@ func (e *collEngine) reduceBuf(t *Team, key collKey, st *collState, buf collBufA
 			return collStray(m, "buffer reduction")
 		}
 		return nil
-	}
+	})
 	maybeAdvance()
 }

@@ -248,15 +248,16 @@ type CxFutures struct {
 }
 
 // cxDelivery is one initiator-side completion delivery: fn runs as an LPC
-// on pers. An LPC and a persona-addressed future are resolved at descriptor
-// registration; a future of the initiating persona and a promise are left
-// open (pers nil) for settle, which fills them in unless the event has
+// on pers, or one dependency of prom is discharged. An LPC and a
+// persona-addressed future are resolved at descriptor registration; a future
+// of the initiating persona and a promise are left open (pers nil) for
+// settle, which gives the future a promise of its own unless the event has
 // already fired. ev and via identify the delivery in the completion matrix
 // for the introspection counters.
 type cxDelivery struct {
 	pers *Persona
 	fn   func()
-	prom *Promise[Unit] // cxPromise
+	prom *Promise[Unit] // cxPromise, or the future's own
 	ev   CxEvent
 	via  cxKind
 }
@@ -302,14 +303,16 @@ func (c *cxPlan) obsDone() {
 	}
 }
 
-// newCxPlan resolves descriptors against one collective operation;
-// remotePeer is the destination rank a gated remote RPC would be sent to
-// (-1 when the operation has no single destination — remote descriptors
-// then panic).
-func newCxPlan(rk *Rank, kind opKind, remotePeer Intrank, cxs []Cx) *cxPlan {
-	c := &cxPlan{rk: rk, remotePeer: remotePeer}
-	c.resolve(kind, cxs)
-	c.settle(c.op, false) // a collective's engine fires it later, by LPC
+// initColl resolves descriptors against one collective operation of rk into
+// c, its operation deliveries appended to op; the remote-RPC descriptor fires
+// at rk itself (collRemoteLocal). Nothing fires in the call: the engine fires
+// the plan from finish, where a future or promise of a persona the engine's
+// goroutine holds with nothing queued is readied in place, like an RPC
+// result (Promise.fulfilHere), and every other delivery takes one LPC.
+func (c *cxPlan) initColl(rk *Rank, cxs []Cx, op []cxDelivery) *cxPlan {
+	c.rk, c.remotePeer, c.op = rk, rk.me, op
+	c.resolve(opColl, cxs)
+	c.settle(c.op, false)
 	return c
 }
 
@@ -324,7 +327,7 @@ func (c *cxPlan) resolve(kind opKind, cxs []Cx) {
 	}
 	// A collective plan is born here rather than through inject, so the
 	// whole-operation observability edge (one Ops[KindColl] count and the
-	// inject→complete latency sample recorded by collOpDone) is armed at
+	// inject→complete latency sample recorded at finish) is armed at
 	// plan construction. The lowered tree hops are counted separately as
 	// KindCollRound by the collectives engine.
 	if kind == opColl && c.rk.ro != nil {
@@ -498,47 +501,47 @@ func (c *cxPlan) collRemoteLocal() {
 	rem.body.run(c.rk, c.rk.me, 0, l.args, replyMsg{})
 }
 
-// collOpDone delivers a collective's operation completions to their
-// initiating personas (the collective analogue of the last opDone).
-func (c *cxPlan) collOpDone() {
-	c.obsDone()
-	c.deliver(c.op)
-}
-
 // settle closes the deliveries of one event that add left open. If the event
 // fired inside the call, a future keeps the rank's ready future and a promise
 // of a persona this goroutine holds never registers its dependency: neither
 // is delivered. Otherwise a future gets a promise of the initiating persona in
-// its slot, a promise registers one dependency, and both deliver in place.
+// its slot, a promise registers one dependency, and deliver discharges it.
 func (c *cxPlan) settle(ds []cxDelivery, fired bool) {
 	for i := range ds {
 		d := &ds[i]
 		switch p := d.prom; {
 		case d.pers != nil:
 		case p != nil && fired && p.c.pers.onOwnerGoroutine():
+			d.prom = nil
 		case p != nil:
 			p.RequireAnonymous(1)
-			d.pers, d.fn = p.c.pers, func() { p.FulfillAnonymous(1) }
 		case !fired:
-			f := NewPromise[Unit](c.rk)
-			*c.eventFuture(d.ev) = f.Future()
-			d.pers, d.fn = f.c.pers, func() { f.FulfillResult(Unit{}) }
+			d.prom = NewPromise[Unit](c.rk)
+			*c.eventFuture(d.ev) = d.prom.Future()
 		}
 	}
 }
 
-// deliver routes one bucket of completions, in descriptor order, each as
-// one LPC to its persona's queue, counting each delivery in the completion
-// matrix — a delivery settle closed in the call too. Delivery is by LPC:
-// the firing goroutine is whichever one harvested the conduit completion,
-// and futures/promises must only be touched from their owning persona.
-func (c *cxPlan) deliver(ds []cxDelivery) {
+// deliver routes one bucket of completions, in descriptor order, counting
+// each in the completion matrix — a delivery settle closed in the call too.
+// Each is one LPC to its persona's queue: the firing goroutine is whichever
+// one harvested the conduit completion, and futures/promises must only be
+// touched from their owning persona. With here, a promise (a future's
+// included) is discharged in place when this goroutine holds its persona and
+// nothing is queued there, so it overtakes no earlier delivery.
+func (c *cxPlan) deliver(ds []cxDelivery, here bool) {
 	for _, d := range ds {
 		if c.rk.ro != nil {
 			c.rk.ro.Add(obs.CxEvent(d.ev).Via(obs.CxVia(d.via)), 1)
 		}
-		if d.pers != nil {
+		switch p := d.prom; {
+		case d.pers != nil:
 			d.pers.lpc(d.fn)
+		case p == nil: // fired in the call: nothing left to deliver
+		case here && p.c.pers.quiet():
+			p.FulfillAnonymous(1)
+		default:
+			p.c.pers.lpc(func() { p.FulfillAnonymous(1) })
 		}
 	}
 }

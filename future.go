@@ -350,7 +350,7 @@ func (p *Promise[T]) FulfillResult(v T) {
 // when the calling goroutine holds p's persona and nothing is queued there —
 // bodyQueue's rule, so v never overtakes an earlier LPC — else by one LPC.
 func (p *Promise[T]) fulfilHere(v T) {
-	if pers := p.c.pers; pers.onOwnerGoroutine() && pers.npend.Load() == 0 {
+	if pers := p.c.pers; pers.quiet() {
 		p.FulfillResult(v)
 	} else {
 		pers.lpc(func() { p.FulfillResult(v) })

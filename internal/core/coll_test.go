@@ -3,6 +3,8 @@ package upcxx
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -408,7 +410,11 @@ func TestCollRequiresHeldExecPersona(t *testing.T) {
 // fire-and-forget one — fails the sending peer (World.Failed wraps
 // ErrPeerLost); it neither panics the execution persona nor moves the
 // collective. Every message reaches the one handler with collArrive's
-// token. Teams of 3 are flat: rank 0 is the parent of ranks 1 and 2.
+// token. Every team is flat: rank 0 is the parent of every other rank. A
+// wave keeps its children's reports in place up to 16 children and on the
+// heap beyond, so the duplicate-child and stranger rows run on both sides:
+// 3 ranks and 18. On 2 ranks a duplicate reaches a barrier that has already
+// retired (its one child is in), so there only the stranger row applies.
 func TestCollArrivalRejects(t *testing.T) {
 	up := func(kind uint8, src uint32, data []byte) []byte {
 		return encodeCollMsg(0, collMsg{kind: kind, round: collRoundUp, src: src, data: data})
@@ -444,6 +450,10 @@ func TestCollArrivalRejects(t *testing.T) {
 		{"allgather: truncated frame set", 2, 0, func(rk *Rank) { AllGather(rk.WorldTeam(), int64(1)) },
 			1, [][]byte{up(collGather, 1, frames(1)[:5])}},
 		{"barrier: a child reports twice", 3, 0, barrier, 1, [][]byte{up(collBarrier, 1, nil), up(collBarrier, 1, nil)}},
+		{"barrier, 18 ranks: a child reports twice", 18, 0, barrier, 17, [][]byte{up(collBarrier, 17, nil), up(collBarrier, 17, nil)}},
+		{"barrier, 2 ranks: arrival from outside the team", 2, 0, barrier, 1, [][]byte{up(collBarrier, 7, nil)}},
+		{"barrier, 3 ranks: arrival from outside the team", 3, 0, barrier, 1, [][]byte{up(collBarrier, 7, nil)}},
+		{"barrier, 18 ranks: arrival from outside the team", 18, 0, barrier, 1, [][]byte{up(collBarrier, 18, nil)}},
 		{"barrier: arrival at a leaf", 3, 1, barrier, 2, [][]byte{up(collBarrier, 2, nil)}},
 		{"barrier: release from a non-parent", 3, 1, barrier, 2, [][]byte{down(collBarrier, 2, nil)}},
 		{"barrier: wrong kind", 3, 0, barrier, 1, [][]byte{up(collReduce, 1, mustMarshal(int64(1)))}},
@@ -463,7 +473,7 @@ func TestCollArrivalRejects(t *testing.T) {
 	}
 	for _, row := range rows {
 		func() {
-			w := NewWorld(Config{Ranks: row.p, SegmentSize: 1 << 16})
+			w := NewWorld(Config{Ranks: row.p, SegmentSize: 1 << 16, CollRadix: 1})
 			defer w.Close()
 			defer func() {
 				if r := recover(); r != nil {
@@ -527,6 +537,119 @@ func TestCollPersonaHandoffProgressThread(t *testing.T) {
 		wg.Wait()
 		rk.Barrier()
 	})
+}
+
+// TestCollFutureBehindQueuedLPC: a collective's operation future, readied
+// where the engine finishes, still goes behind an LPC queued on its persona,
+// so that LPC runs before the future's Then callback. The LPC is queued by
+// a fire-and-forget body rank 1 sends ahead of its collective message: one
+// harvest at the root takes both.
+func TestCollFutureBehindQueuedLPC(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   func(rk *Rank) Future[Unit]
+	}{
+		{"barrier", func(rk *Rank) Future[Unit] { return rk.BarrierAsync() }},
+		{"allreduce", func(rk *Rank) Future[Unit] { _, fs := AllReduceWith(rk.WorldTeam(), int64(1), addI64); return fs.Op }},
+	} {
+		w := NewWorld(Config{Ranks: 2})
+		rk0, rk1 := w.Rank(0), w.Rank(1)
+		sc0, sc1 := AcquirePersona(rk0.MasterPersona()), AcquirePersona(rk1.MasterPersona())
+		var order []string
+		g := ThenDo(c.op(rk0), func(Unit) { order = append(order, "then") })
+		RPCFF(rk1, 0, func(trk *Rank, _ int64) {
+			LPCTo(trk.MasterPersona(), func() { order = append(order, "lpc") })
+		}, 1)
+		c.op(rk1)
+		rk0.Progress() // the ff body, then the message that ends the collective
+		for !g.Ready() {
+			rk1.Progress()
+			rk0.Progress()
+		}
+		if !slices.Equal(order, []string{"lpc", "then"}) {
+			t.Errorf("%s: ran %v, want the queued LPC before the Then callback", c.name, order)
+		}
+		sc1.Release()
+		sc0.Release()
+		w.Close()
+	}
+}
+
+// TestCollFutureRouting: in progress-thread mode the engine finishes on the
+// progress goroutine, which does not hold the master persona, so a barrier's
+// and an AllReduce's futures started on the master reach it by LPC: the
+// future is not ready before the master drains, and its Then callback runs
+// on the master's goroutine with the master persona current. (futCore.fulfill
+// reroutes a fulfilment off the owner's goroutine too, so this test does not
+// fail if only the collective path's owner check is removed.)
+func TestCollFutureRouting(t *testing.T) {
+	RunConfig(Config{Ranks: 2, ProgressThread: true}, func(rk *Rank) {
+		for _, op := range []func() Future[Unit]{
+			rk.BarrierAsync,
+			func() Future[Unit] { _, fs := AllReduceWith(rk.WorldTeam(), int64(1), addI64); return fs.Op },
+		} {
+			gid, ran, on := curGID(), uint64(0), (*Persona)(nil)
+			f := op()
+			g := ThenDo(f, func(Unit) { ran, on = curGID(), rk.CurrentPersona() })
+			if rk.Me() == 0 {
+				// No progress on this goroutine: only the thread harvests.
+				for rk.MasterPersona().PendingLPCs() == 0 {
+					runtime.Gosched()
+				}
+				if f.Ready() {
+					t.Error("the collective readied its future before the master drained")
+				}
+			}
+			if g.Wait(); ran != gid || on != rk.MasterPersona() {
+				t.Errorf("rank %d: the Then callback ran on goroutine %d with %v, want the master's %d", rk.Me(), ran, on, gid)
+			}
+		}
+	})
+}
+
+// TestCollReuseRunAhead: 1 000 mixed barrier/AllReduce/Broadcast rounds in
+// which rank 1 starts collective k+1 before it waits for k, so its messages
+// for k+1 wait in rank 0's inbox while k is still open. Every value comes
+// out right, with and without a progress thread: nothing one collective
+// kept is seen by the next.
+func TestCollReuseRunAhead(t *testing.T) {
+	const rounds = 1000
+	for _, pt := range []bool{false, true} {
+		RunConfig(Config{Ranks: 2, ProgressThread: pt}, func(rk *Rank) {
+			team := rk.WorldTeam()
+			start := func(k int) (wait func()) {
+				check := func(what string, got, want int64) {
+					if got != want {
+						t.Errorf("progress thread %v, rank %d, round %d: %s = %d, want %d", pt, rk.Me(), k, what, got, want)
+					}
+				}
+				switch k % 3 {
+				case 0:
+					f := team.BarrierAsync()
+					return func() { f.Wait() }
+				case 1:
+					f := AllReduce(team, int64(k)+int64(rk.Me()), addI64)
+					return func() { check("allreduce", f.Wait(), 2*int64(k)+1) }
+				default:
+					f := Broadcast(team, 1, int64(k)*int64(rk.Me())) // root 1 sends k
+					return func() { check("broadcast", f.Wait(), int64(k)) }
+				}
+			}
+			if rk.Me() == 0 {
+				for k := 0; k < rounds; k++ {
+					start(k)()
+				}
+				return
+			}
+			wait := start(0)
+			for k := 1; k < rounds; k++ {
+				next := start(k)
+				wait()
+				wait = next
+			}
+			wait()
+		})
+	}
 }
 
 // --- device-resident reduction -------------------------------------------

@@ -429,9 +429,9 @@ func TestRPCHandlerRejects(t *testing.T) {
 // TestRPCAllocPins pins what one operation allocates on the zero-delay
 // conduit, every rank included, driven the way a blocking caller drives it.
 // An injection is one pooled record and a message is encoded once, so what
-// is left is what the caller keeps (promise, future, LPC node) and the
-// message buffer: a progress pass allocates nothing, so a barrier's count
-// does not move with the passes its waits take. A put, get or atomic the
+// is left is what the caller keeps (promise, future, LPC node; a
+// collective's wave) and the message buffer: a progress pass allocates
+// nothing, so a barrier's count does not move with the passes its waits take. A put, get or atomic the
 // conduit completes inside the call keeps nothing but an atomic's value: its
 // future is ready at return. One row pins the deferred delivery that takes
 // over where the conduit completes later (LogGP). It also pins the messages
@@ -535,13 +535,32 @@ func TestRPCAllocPins(t *testing.T) {
 	})
 	check("blocking RPut on LogGP, beyond the conduit's put, allocs",
 		testing.AllocsPerRun(200, func() { RPut(timed.Rank(0), buf, timedWord).Wait() })-conduit, 3)
-	// A 2-rank barrier, both ranks' allocations: rank 1 matches the warm-up
-	// call and the 200 measured ones, and each rank ends the epoch with one
-	// more.
+	// 2-rank collectives, both ranks' allocations. A value collective's
+	// ranks are driven from this goroutine, which holds both masters (a
+	// broadcast's root does not wait for its leaf): each row starts the
+	// collective on both and runs them to the end.
+	sc0, sc1 := AcquirePersona(rk0.MasterPersona()), AcquirePersona(rk1.MasterPersona())
+	for _, c := range []struct {
+		name string
+		op   func(rk *Rank) Future[int64]
+		max  float64
+	}{
+		{"2-rank AllReduce", func(rk *Rank) Future[int64] { return AllReduce(rk.WorldTeam(), int64(1), addI64) }, 10},
+		{"2-rank Broadcast", func(rk *Rank) Future[int64] { return Broadcast(rk.WorldTeam(), 0, int64(1)) }, 8},
+	} {
+		check(c.name+" allocs", testing.AllocsPerRun(200, func() {
+			f0, f1 := c.op(rk0), c.op(rk1)
+			spin(func() bool { return f0.Ready() && f1.Ready() })
+		}), c.max)
+	}
+	sc1.Release()
+	sc0.Release()
+	// A barrier blocks both ranks: rank 1 matches the warm-up call and the
+	// 200 measured ones, and each rank ends the epoch with one more.
 	before = ams()
 	w.Run(func(rk *Rank) {
 		if rk.Me() == 0 {
-			check("2-rank barrier allocs", testing.AllocsPerRun(200, rk.Barrier), 24)
+			check("2-rank barrier allocs", testing.AllocsPerRun(200, rk.Barrier), 6)
 			return
 		}
 		for i := 0; i < 201; i++ {

@@ -158,6 +158,10 @@ func (p *Persona) onOwnerGoroutine() bool {
 	return h != 0 && h == curGID()
 }
 
+// quiet reports whether the calling goroutine holds p and nothing is queued
+// on it: what may be run in place without overtaking an earlier LPC.
+func (p *Persona) quiet() bool { return p.onOwnerGoroutine() && p.npend.Load() == 0 }
+
 // --- per-goroutine persona state ---------------------------------------
 
 // goroutineState is the calling goroutine's persona stack: explicitly

@@ -198,7 +198,7 @@ func (rk *Rank) inject(inj *injection) CxFutures {
 		// Source completion: the conduit captures a put's or an RPC's source
 		// bytes before the call returns (copies reject source descriptors).
 		inj.settle(inj.src, true)
-		inj.deliver(inj.src)
+		inj.deliver(inj.src, false)
 		inj.settle(inj.op, fired)
 		inj.settle(inj.rem, fired)
 	}
@@ -312,8 +312,8 @@ func (inj *injection) opDone() {
 		inj.rk.ep.AMTag(gasnetRank(inj.remotePeer), am.Handler, am.Payload, nil, am.Aux, inj.obsTag)
 	}
 	inj.obsDone()
-	inj.deliver(inj.rem)
-	inj.deliver(inj.op)
+	inj.deliver(inj.rem, false)
+	inj.deliver(inj.op, false)
 	inj.release()
 }
 
