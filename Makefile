@@ -58,6 +58,8 @@ test-short:
 # runs at one P). The task package runs a second time with one P too: the
 # steal bounce and a worker parked over a queued task only show there.
 # Goroutine runs the identity tests, so checkptr sees curGID's load from g.
+# The serial package's compiled codecs read and write values at computed
+# offsets (unsafe.Add): under -race, checkptr validates every one of them.
 # The runtime is one package (the module root); internal/core and
 # internal/task are its two white-box test packages (see test-links).
 race:
@@ -67,6 +69,7 @@ race:
 	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire|ModelTime'
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/gasnet/ -run 'Ring|Wire|ModelTime'
 	$(GO) test -race ./internal/obs/
+	$(GO) test -race ./internal/serial/
 	$(GO) test -race ./internal/task/
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/task/
 

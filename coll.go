@@ -685,7 +685,7 @@ func valueWave[T any](t *Team, kind uint8, root Intrank, val T, op func(T, T) T,
 
 func (v *valueColl[T]) fold(data []byte) error {
 	var x T
-	if err := serial.Decode(data, &x); err != nil {
+	if err := serial.For[T]().Decode(data, &x); err != nil {
 		return err
 	}
 	v.val = v.op(v.val, x)
@@ -698,7 +698,7 @@ func (v *valueColl[T]) done(data []byte) error {
 	if v.rr != 0 {
 		var res T
 		if v.down {
-			if err := serial.Decode(data, &res); err != nil {
+			if err := serial.For[T]().Decode(data, &res); err != nil {
 				return err
 			}
 		}
@@ -825,7 +825,7 @@ func (g *gatherColl[R]) done(b []byte) error {
 func gatherValues[T any](all [][]byte) ([]T, error) {
 	out := make([]T, len(all))
 	for i, b := range all {
-		if err := serial.Decode(b, &out[i]); err != nil {
+		if err := serial.For[T]().Decode(b, &out[i]); err != nil {
 			return nil, fmt.Errorf("team rank %d's value: %w", i, err)
 		}
 	}

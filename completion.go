@@ -5,6 +5,7 @@ import (
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
+	"upcxx/internal/serial"
 )
 
 // Completion objects (paper §III; UPC++ v1.0 spec §7): every communication
@@ -203,8 +204,8 @@ func RemoteCxAsLPC(pers *Persona, fn func()) Cx {
 // descriptor construction; fn travels as a code reference, exactly like
 // an RPCFF body.
 func RemoteCxAsRPC[A any](fn func(*Rank, A), arg A) Cx {
-	call := callOf(fn, func() rpcBody { return ffBody(fn) })
-	return Cx{ev: evRemote, kind: cxRPC, rpcArgs: mustMarshal(arg), rpcBody: call.bodies[0]}
+	body := callOf(fn, func() rpcBody { return ffBody(fn) }).bodies[0]
+	return Cx{ev: evRemote, kind: cxRPC, rpcArgs: marshalWith(body.arg.(serial.Codec[A]), &arg), rpcBody: body}
 }
 
 // remoteCxAux is the code-reference half of a target-side remote-completion
@@ -472,7 +473,7 @@ func (c *cxPlan) takeConduitAM() *gasnet.RemoteAM {
 	am, l := c.notice, c.landing
 	c.notice, c.landing = nil, nil
 	if l != nil {
-		buf, _ := encodeRPCMsg[Unit](c.rk.me, nil, nil, &l.args)
+		buf, _ := encodeRPCMsg[Unit](c.rk.me, nil, nil, nil, nil, nil, &l.args)
 		am = &gasnet.RemoteAM{Handler: c.rk.w.amRPC, Payload: buf, Aux: &l.tok}
 	}
 	return am

@@ -14,6 +14,8 @@ package upcxx
 // for not-yet-constructed representatives are resumed on the persona that
 // registered them.
 
+import "upcxx/internal/serial"
+
 // DistID identifies a distributed object across the job.
 type DistID uint64
 
@@ -105,7 +107,7 @@ func FetchDist[T any](rk *Rank, id DistID, from Intrank) Future[T] {
 	f, _ := RPCFutWith(rk, from, distFetchBody, uint64(id))
 	return Then(f, func(b []byte) T {
 		var v T
-		mustUnmarshal(b, &v)
+		mustUnmarshal(serial.For[T](), b, &v)
 		return v
 	})
 }

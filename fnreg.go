@@ -96,10 +96,12 @@ func lookupFn(name string) (*fnEntry, error) {
 	return ent, nil
 }
 
-// registerTask files fn's task form (task.go); lookupTask resolves a stolen
-// task's name to the form of its kind (ff: fire-and-forget).
-func registerTask(fn any, tb *taskBody) string {
-	tb.name = registerEntry(fn, spawnBody(tb))
+// registerTask files fn's task form, built around body, its call form
+// (task.go); lookupTask resolves a stolen task's name to the form of its
+// kind (ff: fire-and-forget).
+func registerTask(fn any, flags uint8, body rpcBody) string {
+	tb := &taskBody{flags: flags, run: body.run}
+	tb.name = registerEntry(fn, spawnBody(tb, body))
 	return tb.name
 }
 

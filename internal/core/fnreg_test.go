@@ -85,7 +85,7 @@ func TestTaskSpawnIsOneEntry(t *testing.T) {
 	}
 	reply := func(from *Rank, home Intrank, seq uint64, v int64) {
 		var out replyMsg
-		putResult(&out, seq, &v)
+		putResult(&out, seq, serial.For[int64](), &v)
 		from.sendAM(home, out.bytes(from.me), nil)
 	}
 	spawner, target := workerless(rk0), workerless(rk1)

@@ -241,6 +241,57 @@ func TestBatchRPCSourceZeroCopy(t *testing.T) {
 	})
 }
 
+// batchLocalView adds to b a call whose argument views an array local to
+// this frame: the frame is gone by the time b flushes.
+//
+//go:noinline
+func batchLocalView(b *Batch, got *[]byte) Future[Unit] {
+	var local [256]byte
+	for i := range local {
+		local[i] = byte(i)
+	}
+	return BatchRPC(b, func(_ *Rank, v View[byte]) Unit { *got = v.CopyOut(); return Unit{} }, MakeView(local[:]))
+}
+
+//go:noinline
+func clobberStack(n int) byte {
+	var x [4 << 10]byte
+	for i := range x {
+		x[i] = 0xEE
+	}
+	if n > 0 {
+		return clobberStack(n-1) + x[n]
+	}
+	return x[0]
+}
+
+// TestBatchRPCViewOutlivesFrame: a view borrowed by a Batch entry is read at
+// Flush, after the frame whose array it views has returned — so the codec
+// must let the compiler see the array escape, though it hides the encoder
+// and the argument themselves.
+func TestBatchRPCViewOutlivesFrame(t *testing.T) {
+	w := NewWorld(Config{Ranks: 2})
+	defer w.Close()
+	var got []byte
+	b := NewBatch(w.Rank(0), 1)
+	clobberStack(8) // grow the stack first: the second pass overwrites the frame in place
+	f := batchLocalView(b, &got)
+	clobberStack(8)
+	b.Flush()
+	for !f.Ready() {
+		w.Rank(1).Progress()
+		w.Rank(0).Progress()
+	}
+	for i, c := range got {
+		if c != byte(i) {
+			t.Fatalf("byte %d of the viewed array arrived as %#x, want %#x", i, c, byte(i))
+		}
+	}
+	if len(got) != 256 {
+		t.Fatalf("%d bytes arrived, want 256", len(got))
+	}
+}
+
 // TestBatchDoorbellCoalescing pins doorbell accounting: the 1-slot
 // conduit doorbell counts a ring only when the deposit finds the slot
 // empty, so LPCs pushed while the owner is not draining — a flushed

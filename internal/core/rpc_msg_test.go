@@ -23,10 +23,27 @@ func msgEcho(trk *Rank, x int64) int64            { return x + 1 }
 func msgSink(trk *Rank, x int64)                  {}
 func msgEchoFut(trk *Rank, x int64) Future[int64] { return ReadyFuture(trk, x+1) }
 
-// encodeMsg is encodeRPCMsg's byte stream as one slice, whether it came out
-// as one buffer or as fragments.
+// msgInsert has the shape of a hash-table insert: an id, a key and a view
+// of the value, no result.
+type msgInsertArgs struct {
+	ID  DistID
+	Key uint64
+	Val View[uint8]
+}
+
+func msgInsert(trk *Rank, a msgInsertArgs) Unit { return Unit{} }
+func msgSinkPtr(trk *Rank, p GPtr[uint64])      {}
+
+// encodeMsg is encodeRPCMsg's byte stream for entries, each argument one
+// fragment of the stream, as one slice, whether it came out as one buffer
+// or as fragments.
 func encodeMsg(src Intrank, entries []rpcEntry, land *[]byte) []byte {
-	buf, bufs := encodeRPCMsg[Unit](src, entries, nil, land)
+	calls, stream, at := make([]rpcCall, len(entries)), make([][]byte, len(entries)), 0
+	for i, en := range entries {
+		calls[i] = rpcCall{kind: en.kind, seq: en.seq, start: at, end: at + len(en.args)}
+		stream[i], at = en.args, calls[i].end
+	}
+	buf, bufs := encodeRPCMsg[Unit](src, calls, stream, nil, nil, nil, land)
 	return append(buf, slices.Concat(bufs...)...)
 }
 
@@ -230,8 +247,8 @@ func TestRPCMixedStreamFIFO(t *testing.T) {
 			b := NewBatch(rk, 1)
 			fb := BatchRPC(b, msgValue, "b")
 			pc := NewPromise[string](rk)
-			c := "c"
-			batchAdd(b, futBody(msgLate), &c, pc) // what a registered RegisterRPCFut entry of a batch decodes to
+			c, late := "c", futBody(msgLate)
+			batchAdd(b, &late, &c, pc) // what a registered RegisterRPCFut entry of a batch decodes to
 			BatchRPCFF(b, msgFF, "d")
 			flush := b.Flush(OpCxAsFuture())
 			fe := RPC(rk, 1, msgValue, "e")
@@ -400,7 +417,7 @@ func TestRPCHandlerRejects(t *testing.T) {
 		rk1 := w.Rank(1)
 		p, inj := NewPromise[int64](rk1), rk1.newInjection(0) // rank 1 awaits an int64 for sequence 9
 		inj.replies = 1
-		rk1.rpcPending[9] = rpcPending{sink: p, inj: inj}
+		rk1.rpcPending[9] = rpcPending{sink: p, res: serial.For[int64](), inj: inj}
 		w.handleRPC(rk1.ep, 0, row.payload, row.aux)
 		rk1.Progress()
 		if err := w.Failed(); !errors.Is(err, gasnet.ErrPeerLost) {
@@ -445,10 +462,13 @@ func TestRPCAllocPins(t *testing.T) {
 	RegisterRPC(msgEcho)
 	RegisterRPCFF(msgSink)
 	RegisterRPCFut(msgEchoFut)
+	RegisterRPC(msgInsert)
+	RegisterRPCFF(msgSinkPtr)
 	w := NewWorld(Config{Ranks: 2})
 	defer w.Close()
 	rk0, rk1 := w.Rank(0), w.Rank(1)
 	word, _ := NewArray[uint64](rk1, 1)
+	val := make([]uint8, 64)
 	buf := []uint64{7}
 	ad := NewAtomicU64(rk0)
 	spin := func(ready func() bool) {
@@ -487,6 +507,12 @@ func TestRPCAllocPins(t *testing.T) {
 				t.Fatal("echo returned the wrong value")
 			}
 		}, 3},
+		{"blocking insert-shaped RPC, an 8 B view", func() {
+			spin(RPC(rk0, 1, msgInsert, msgInsertArgs{ID: 1, Key: 2, Val: MakeView(val[:8])}).Ready)
+		}, 3},
+		{"blocking insert-shaped RPC, a 64 B view", func() {
+			spin(RPC(rk0, 1, msgInsert, msgInsertArgs{ID: 1, Key: 2, Val: MakeView(val)}).Ready)
+		}, 5},
 		{"blocking RPCFut, its reply deferred", func() {
 			f, _ := RPCFutWith(rk0, 1, msgEchoFut, int64(1)<<40)
 			spin(f.Ready)
@@ -495,6 +521,7 @@ func TestRPCAllocPins(t *testing.T) {
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 0},
 		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 1},
 		{"blocking RPutSignal", signal, 4},
+		{"blocking RPutSignal of a GPtr", func() { spin(RPutSignal(rk0, buf, word, msgSinkPtr, word).Ready) }, 6},
 		{"RPutWith a future, a promise and an LPC", func() {
 			p := NewPromise[Unit](rk0)
 			fs := RPutWith(rk0, buf, word, OpCxAsFuture(), OpCxAsPromise(p), OpCxAsLPC(nil, func() {}))
@@ -509,7 +536,7 @@ func TestRPCAllocPins(t *testing.T) {
 			}
 			b.Flush()
 			spin(last.Ready)
-		}, 89},
+		}, 52},
 	} {
 		check(pin.name+" allocs", testing.AllocsPerRun(200, pin.op), pin.max)
 	}

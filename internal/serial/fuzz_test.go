@@ -8,7 +8,7 @@ import (
 )
 
 // Fuzz targets for the codec layer: the Encoder/Decoder primitive pairs
-// and the reflective Marshal/Unmarshal of the scalar-slice payloads RMA
+// and the compiled Marshal/Unmarshal of the scalar-slice payloads RMA
 // and views ship. Seed corpora run as plain tests in short mode; CI runs
 // a -fuzz smoke window on top (Makefile fuzz-smoke).
 
@@ -52,7 +52,7 @@ func FuzzEncoderDecoder(f *testing.F) {
 }
 
 // FuzzScalarSliceRoundTrip reinterprets fuzzer bytes as the scalar slices
-// RMA payloads use, marshals them through the reflective codec, and
+// RMA payloads use, marshals them through the compiled codec, and
 // requires an exact round trip.
 func FuzzScalarSliceRoundTrip(f *testing.F) {
 	f.Add([]byte{})
@@ -117,7 +117,7 @@ func gatherMatches[T any](t *testing.T, pre []byte, v T, callScoped, borrows boo
 	g.EnableGather(callScoped)
 	for _, e := range []*Encoder{&flat, &g} {
 		e.PutU8(0xEE)
-		if err := EncodeSized(e, pre, &v); err != nil {
+		if err := For[T]().EncodeSized(e, pre, &v); err != nil {
 			t.Fatal(err)
 		}
 		e.PutU8(0x77)
@@ -161,6 +161,19 @@ func FuzzEncodeSizedGather(f *testing.F) {
 	})
 }
 
+// narrowKinds holds the kinds whose wire form is wider than their values:
+// decoding accepts only the bytes encoding writes.
+type narrowKinds struct {
+	B   bool
+	I8  int8
+	U8  uint8
+	I16 int16
+	U32 uint32
+	F   float32
+	C   complex64
+	P   *bool
+}
+
 // FuzzUnmarshalArbitrary throws raw bytes at decoders for the common
 // payload shapes; they must fail cleanly (no crash, no huge allocation)
 // or produce a value that re-encodes canonically.
@@ -169,12 +182,21 @@ func FuzzUnmarshalArbitrary(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}) // hostile length
 	f.Add([]byte{})
+	narrow, _ := Marshal(narrowKinds{B: true, I8: -1, U8: 255, I16: -300, U32: 1 << 31, F: 0.1, C: 1i, P: new(bool)})
+	f.Add(narrow)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fs []float64
 		if err := Unmarshal(data, &fs); err == nil {
 			re, err := Marshal(fs)
 			if err != nil || !bytes.Equal(re, data) {
 				t.Fatalf("accepted []float64 not canonical: % x -> % x (%v)", data, re, err)
+			}
+		}
+		var nk narrowKinds
+		if err := Unmarshal(data, &nk); err == nil {
+			re, err := Marshal(nk)
+			if err != nil || !bytes.Equal(re, data) {
+				t.Fatalf("accepted %T not canonical: % x -> % x (%v)", nk, data, re, err)
 			}
 		}
 		// Maps are not byte-canonical on decode (duplicate keys in the

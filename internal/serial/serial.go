@@ -3,8 +3,8 @@
 // simulated network.
 //
 // Real UPC++ serializes C++ objects bytewise into GASNet-EX active-message
-// payloads. This package plays the same role for Go values: a compact,
-// reflection-driven binary codec with fast paths for the fixed-size scalar
+// payloads. This package plays the same role for Go values: a compact
+// binary codec compiled once per type, raw views of the fixed-size scalar
 // slices that dominate HPC payloads, plus a low-level Encoder/Decoder pair
 // for hand-rolled wire formats inside the runtime itself.
 //
@@ -23,6 +23,10 @@ import (
 
 // ErrShortBuffer is returned when a decode runs off the end of its input.
 var ErrShortBuffer = errors.New("serial: short buffer")
+
+// errNotCanonical is returned for bytes no value of the kind read encodes
+// to: an integer out of range, a bool byte but 0 or 1, a widened float32.
+var errNotCanonical = errors.New("serial: not the wire form of a value of its kind")
 
 // Encoder appends primitive values to a byte buffer. The zero value is
 // ready to use.
@@ -174,15 +178,15 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Offset returns the number of consumed bytes.
 func (d *Decoder) Offset() int { return d.off }
 
-func (d *Decoder) fail() {
+func (d *Decoder) fail(err error) {
 	if d.err == nil {
-		d.err = ErrShortBuffer
+		d.err = err
 	}
 }
 
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
+		d.fail(ErrShortBuffer)
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -198,7 +202,14 @@ func (d *Decoder) U8() uint8 {
 	return b[0]
 }
 
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
+// Bool consumes a bool: the byte 0 or 1, and nothing else.
+func (d *Decoder) Bool() bool {
+	b := d.U8()
+	if b > 1 {
+		d.fail(errNotCanonical)
+	}
+	return b == 1
+}
 
 func (d *Decoder) U16() uint16 {
 	b := d.take(2)
@@ -237,11 +248,21 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
-		d.fail()
+		d.fail(ErrShortBuffer)
 		return 0
 	}
 	d.off += n
 	return v
+}
+
+// count consumes a length prefix, refusing one the rest of the input could
+// not hold before it converts it (a 2^64-scale length wraps negative): 0.
+func (d *Decoder) count() int {
+	if n := d.Uvarint(); d.err == nil && n <= uint64(d.Remaining())+1 {
+		return int(n)
+	}
+	d.fail(ErrShortBuffer)
+	return 0
 }
 
 // Bytes consumes a length-prefixed byte slice. The result aliases the
@@ -252,7 +273,7 @@ func (d *Decoder) Bytes() []byte {
 		return nil
 	}
 	if n > uint64(d.Remaining()) {
-		d.fail()
+		d.fail(ErrShortBuffer)
 		return nil
 	}
 	return d.take(int(n))

@@ -226,8 +226,8 @@ func TestUnmarshalHostileLength(t *testing.T) {
 	}
 }
 
-// sameAsMarshal checks the generic entry points against the reflective
-// ones for one value: Encode writes Marshal's bytes, EncodeSized writes
+// sameAsMarshal checks a Codec's methods against the untyped entry points
+// for one value: Encode writes Marshal's bytes, EncodeSized writes
 // them — behind a prefix, when it is given one — behind their uvarint
 // length, Decode reads them back.
 func sameAsMarshal[T any](t *testing.T, v T) {
@@ -238,13 +238,13 @@ func sameAsMarshal[T any](t *testing.T, v T) {
 	}
 	var e Encoder
 	e.PutU8(0xEE) // something already in the buffer
-	if err := Encode(&e, &v); err != nil || !bytes.Equal(e.Bytes()[1:], want) {
+	if err := For[T]().Encode(&e, &v); err != nil || !bytes.Equal(e.Bytes()[1:], want) {
 		t.Errorf("Encode(%T) = %x, %v; Marshal wrote %x", v, e.Bytes()[1:], err, want)
 	}
 	for _, pre := range [][]byte{nil, {0xAB, 0xCD}} {
 		var sized Encoder
 		sized.PutU8(0xEE)
-		if err := EncodeSized(&sized, pre, &v); err != nil {
+		if err := For[T]().EncodeSized(&sized, pre, &v); err != nil {
 			t.Fatal(err)
 		}
 		d := NewDecoder(sized.Bytes()[1:])
@@ -253,21 +253,50 @@ func sameAsMarshal[T any](t *testing.T, v T) {
 		}
 	}
 	var back, ref T
-	if err := Decode(want, &back); err != nil {
+	if err := For[T]().Decode(want, &back); err != nil {
 		t.Errorf("Decode(%T): %v", v, err)
 	}
 	if err := Unmarshal(want, &ref); err != nil || !reflect.DeepEqual(back, ref) {
 		t.Errorf("Decode(%T) = %v, Unmarshal = %v (%v)", v, back, ref, err)
 	}
-	if err := Decode(append(want, 0), &back); err == nil {
+	if err := For[T]().Decode(append(want, 0), &back); err == nil {
 		t.Errorf("Decode(%T) accepted a trailing byte", v)
 	}
 }
 
-// TestEncodeDecodeAllocs: the direct case and the fallback of Encode/Decode
-// agree with Marshal/Unmarshal byte for byte, EncodeSized's in-place length
-// prefix stays canonical when the value outgrows the byte it reserved, and
-// the direct case allocates nothing.
+// gptrWire has the wire form of a global pointer: owner, kind, device and
+// offset through a Marshaler, as the runtime's GPtr writes them.
+type gptrWire struct {
+	Owner int32
+	Kind  uint8
+	Dev   uint16
+	Off   uint64
+}
+
+func (p gptrWire) MarshalSerial(e *Encoder) {
+	e.PutI64(int64(p.Owner))
+	e.PutU8(p.Kind)
+	e.PutU16(p.Dev)
+	e.PutU64(p.Off)
+}
+
+func (p *gptrWire) UnmarshalSerial(d *Decoder) {
+	p.Owner, p.Kind, p.Dev, p.Off = int32(d.I64()), d.U8(), d.U16(), d.U64()
+}
+
+// insertWire has the shape of a hash-table insert's argument.
+type insertWire struct {
+	ID  uint64
+	Key uint64
+	Val testView
+}
+
+// TestEncodeDecodeAllocs: Encode/Decode agree with Marshal/Unmarshal byte
+// for byte, EncodeSized's in-place length prefix stays canonical when the
+// value outgrows the byte it reserved, and a round trip through
+// EncodeSized and Decode allocates nothing — for an int64, a struct holding
+// a view, a global pointer and the empty struct alike: neither the encoder,
+// the decoder nor the value reaches the heap.
 func TestEncodeDecodeAllocs(t *testing.T) {
 	type named int64
 	type rec struct {
@@ -281,25 +310,50 @@ func TestEncodeDecodeAllocs(t *testing.T) {
 	sameAsMarshal(t, "")
 	sameAsMarshal(t, strings.Repeat("x", 127)) // 128 marshalled bytes: the length needs a second byte
 	sameAsMarshal(t, strings.Repeat("y", 1<<15))
-	sameAsMarshal(t, named(9)) // not the direct case: reflection
+	sameAsMarshal(t, named(9))
 	sameAsMarshal(t, uint8(200))
 	sameAsMarshal(t, []byte("bytes"))
 	sameAsMarshal(t, rec{"s", []int32{1, 2, 3}})
 	sameAsMarshal(t, customWire{N: 21})
+	sameAsMarshal(t, insertWire{1, 2, testView("value")})
+	sameAsMarshal(t, gptrWire{3, 1, 2, 1 << 33})
+	sameAsMarshal(t, struct{}{})
 	var ch chan int
-	if err := Encode(new(Encoder), &ch); err == nil {
+	if err := For[chan int]().Encode(new(Encoder), &ch); err == nil {
 		t.Error("Encode accepted a channel")
 	}
-	x, buf := int64(1)<<40, make([]byte, 0, 64)
-	if n := testing.AllocsPerRun(100, func() {
-		e := Encoder{buf: buf}
-		var y int64
-		if EncodeSized(&e, nil, &x) != nil || Decode(e.Bytes()[1:], &y) != nil || y != x {
-			t.Error("int64 did not survive EncodeSized/Decode")
+	buf := make([]byte, 0, 64)
+	allocs := func(name string, rt func() bool) {
+		t.Helper()
+		if n := testing.AllocsPerRun(100, func() {
+			if !rt() {
+				t.Errorf("%s did not survive EncodeSized/Decode", name)
+			}
+		}); n != 0 {
+			t.Errorf("EncodeSized+Decode of %s: %v allocs, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Errorf("EncodeSized+Decode of an int64: %v allocs, want 0", n)
 	}
+	x, xc := int64(1)<<40, For[int64]()
+	allocs("an int64", func() bool {
+		e, y := Encoder{buf: buf}, int64(0)
+		return xc.EncodeSized(&e, nil, &x) == nil && xc.Decode(e.Bytes()[1:], &y) == nil && y == x
+	})
+	ins, insc := insertWire{1, 2, testView("12345678")}, For[insertWire]()
+	allocs("an insert", func() bool {
+		e, y := Encoder{buf: buf}, insertWire{}
+		return insc.EncodeSized(&e, nil, &ins) == nil && insc.Decode(e.Bytes()[1:], &y) == nil && string(y.Val) == "12345678"
+	})
+	gp, gpc := gptrWire{1, 1, 0, 4096}, For[gptrWire]()
+	allocs("a global pointer", func() bool {
+		e, y := Encoder{buf: buf}, gptrWire{}
+		return gpc.EncodeSized(&e, nil, &gp) == nil && gpc.Decode(e.Bytes()[1:], &y) == nil && y == gp
+	})
+	var u struct{}
+	uc := For[struct{}]()
+	allocs("the empty struct", func() bool {
+		e := Encoder{buf: buf}
+		return uc.EncodeSized(&e, nil, &u) == nil && uc.Decode(e.Bytes()[1:], &u) == nil
+	})
 }
 
 // Property: arbitrary struct payloads survive a round trip.

@@ -32,7 +32,7 @@ func FuzzTaskWire(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rep stealReply
-		if serial.Decode(data, &rep) != nil {
+		if serial.For[stealReply]().Decode(data, &rep) != nil {
 			return
 		}
 		for _, r := range rep.Loot {

@@ -42,10 +42,11 @@ import (
 // function's task form: run queues the call with it and runs no user code.
 // args alias the arrived message, the receiver's to keep (gasnet.AMHandler).
 type rpcBody struct {
-	kind uint8
-	name string    // registry name for cross-process dispatch ("" in-process)
-	task *taskBody // nil: run executes the call
-	run  func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg
+	kind     uint8
+	name     string    // registry name for cross-process dispatch ("" in-process)
+	task     *taskBody // nil: run executes the call
+	arg, res any       // the argument's and result's serial.Codec (res nil: no reply)
+	run      func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg
 }
 
 // The adapters below are the only places a user function meets the wire:
@@ -54,20 +55,22 @@ type rpcBody struct {
 
 // valueBody adapts a function whose result is ready when it returns.
 func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
-	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
+	ca, cr := serial.For[A](), serial.For[R]()
+	return rpcBody{kind: rpcReqKind, arg: ca, res: cr, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		var a A
-		mustUnmarshal(args, &a)
+		mustUnmarshal(ca, args, &a)
 		r := fn(trk, a)
-		putResult(&out, seq, &r)
+		putResult(&out, seq, cr, &r)
 		return out
 	}}
 }
 
 // ffBody adapts a function with no result (rpc_ff and remote-cx bodies).
 func ffBody[A any](fn func(*Rank, A)) rpcBody {
-	return rpcBody{kind: rpcFFKind, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
+	ca := serial.For[A]()
+	return rpcBody{kind: rpcFFKind, arg: ca, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
 		var a A
-		mustUnmarshal(args, &a)
+		mustUnmarshal(ca, args, &a)
 		fn(trk, a)
 		return out
 	}}
@@ -78,14 +81,15 @@ func ffBody[A any](fn func(*Rank, A)) rpcBody {
 // its own — it cannot hold back the replies of entries that shared its
 // request message.
 func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
-	return rpcBody{kind: rpcReqKind, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
+	ca, cr := serial.For[A](), serial.For[R]()
+	return rpcBody{kind: rpcReqKind, arg: ca, res: cr, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		var a A
-		mustUnmarshal(args, &a)
+		mustUnmarshal(ca, args, &a)
 		inner := fn(trk, a)
 		reply := func() {
 			inner.c.onReady(func(r R) {
 				var one replyMsg
-				putResult(&one, seq, &r)
+				putResult(&one, seq, cr, &r)
 				trk.sendAM(src, one.bytes(trk.me), nil)
 			})
 		}
@@ -102,15 +106,11 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 	}}
 }
 
-// spawnBody adapts a task function (RegisterTask): the entry is queued for
-// the rank's task runtime and the reply — like futBody's — deferred to
-// whoever runs it. A spawn the runtime cannot take fails its sender.
-func spawnBody(task *taskBody) rpcBody {
-	kind := rpcReqKind
-	if task.flags&flagFF != 0 {
-		kind = rpcFFKind
-	}
-	return rpcBody{kind: kind, task: task, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
+// spawnBody adapts task (RegisterTask), typed being its call form: the entry
+// is queued for the task runtime and the reply — like futBody's — deferred
+// to whoever runs it. A spawn the runtime cannot take fails its sender.
+func spawnBody(task *taskBody, typed rpcBody) rpcBody {
+	return rpcBody{kind: typed.kind, task: task, arg: typed.arg, res: typed.res, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		if err := task.arrive(trk, src, seq, args); err != nil {
 			trk.failPeer(src, err)
 		}
@@ -159,16 +159,19 @@ func checkBodies(a *rpcAux, m rpcMsg) error {
 	return nil
 }
 
-func mustMarshal[T any](v T) []byte {
+func mustMarshal[T any](v T) []byte { return marshalWith(serial.For[T](), &v) }
+
+// marshalWith is mustMarshal with T's codec resolved.
+func marshalWith[T any](c serial.Codec[T], v *T) []byte {
 	var e serial.Encoder
-	if err := serial.Encode(&e, &v); err != nil {
+	if err := c.Encode(&e, v); err != nil {
 		panic(fmt.Sprintf("upcxx: RPC argument not serializable: %v", err))
 	}
 	return e.Bytes()
 }
 
-func mustUnmarshal[T any](b []byte, ptr *T) {
-	if err := serial.Decode(b, ptr); err != nil {
+func mustUnmarshal[T any](c serial.Codec[T], b []byte, ptr *T) {
+	if err := c.Decode(b, ptr); err != nil {
 		panic(fmt.Sprintf("upcxx: RPC payload decode failed: %v", err))
 	}
 }
@@ -287,53 +290,74 @@ type rpcEntry struct {
 	kind uint8
 	seq  uint64
 	args []byte // argument (request) or result (reply) bytes
-	// more continues args on the initiator side when a Batch marshalled the
-	// argument: fragments that may borrow the caller's views until the
-	// conduit captures the message. Decoded entries have none.
-	more [][]byte
+}
+
+// rpcCall is one entry of an outgoing message: its kind, sequence number,
+// span of the argument stream (between spans: what a failed marshal left),
+// the sink its result goes to (nil: none comes back), and a Batch entry's body.
+type rpcCall struct {
+	kind       uint8
+	seq        uint64
+	start, end int
+	sink       rpcSink
+	body       *rpcBody
+}
+
+// argStream consumes fragments whose concatenation is every entry's argument,
+// back to back: next returns the next piece short of stream offset end.
+type argStream struct {
+	frags [][]byte // what is left to read
+	at    int
+}
+
+func (s *argStream) next(end int) []byte {
+	for s.at < end {
+		f := s.frags[0]
+		n := min(len(f), end-s.at)
+		if s.frags[0] = f[n:]; n == len(f) {
+			s.frags = s.frags[1:]
+		}
+		if s.at += n; n > 0 {
+			return f[:n]
+		}
+	}
+	return nil
 }
 
 // encodeRPCMsg builds the wire form of one message: one owned buffer buf,
 // or, when it borrowed a run, the fragment list bufs whose concatenation is
 // the same byte stream. Runs of at least serial.GatherMinBorrow bytes are
-// borrowed: an entry's args and more (what a Batch marshalled) and the view
-// and []byte runs of a non-nil arg — a single call's argument, marshalled
-// here, once, into the message, behind whatever header the entry's args hold
-// (a spawn's task header). The conduit copies them at capture, before the
-// sending call returns. A non-nil land is the landing's argument bytes,
-// copied: alone, it makes a one-buffer message.
-func encodeRPCMsg[A any](src Intrank, entries []rpcEntry, arg *A, land *[]byte) (buf []byte, bufs [][]byte) {
-	size := 40 + 20*len(entries)
+// borrowed: the pieces of stream (what a Batch marshalled) and the view and
+// []byte runs of a non-nil arg — a single call's argument, marshalled here
+// with c, its serial.Codec, once, into the message, behind hdr (a spawn's
+// task header). The conduit copies them at capture, before the sending call
+// returns. A non-nil land is the landing's argument bytes, copied: alone, it
+// makes a one-buffer message.
+func encodeRPCMsg[A any](src Intrank, calls []rpcCall, stream [][]byte, hdr []byte, arg *A, c any, land *[]byte) (buf []byte, bufs [][]byte) {
+	size := 40 + 20*len(calls) + len(hdr)
 	if land != nil {
 		size += len(*land)
-	}
-	for i := range entries {
-		if n := len(entries[i].args); n < serial.GatherMinBorrow {
-			size += n
-		}
 	}
 	var e serial.Encoder
 	e.Grow(size)
 	e.EnableGather(true)
-	putRPCHead(&e, src, len(entries))
-	for i := range entries {
-		en := &entries[i]
+	putRPCHead(&e, src, len(calls))
+	args := argStream{frags: stream}
+	for i := range calls {
+		en := &calls[i]
 		e.PutU8(en.kind)
 		e.PutU64(en.seq)
 		if arg != nil {
-			if err := serial.EncodeSized(&e, en.args, arg); err != nil {
+			if err := c.(serial.Codec[A]).EncodeSized(&e, hdr, arg); err != nil {
 				panic(fmt.Sprintf("upcxx: RPC argument not serializable: %v", err))
 			}
 			continue
 		}
-		n := len(en.args)
-		for _, f := range en.more {
-			n += len(f)
+		for args.next(en.start) != nil {
 		}
-		e.PutUvarint(uint64(n))
-		e.PutBorrowed(en.args)
-		for _, f := range en.more {
-			e.PutBorrowed(f)
+		e.PutUvarint(uint64(en.end - en.start))
+		for p := args.next(en.end); p != nil; p = args.next(en.end) {
+			e.PutBorrowed(p)
 		}
 	}
 	if land == nil {
@@ -518,16 +542,16 @@ type replyMsg struct {
 // replyHeadMax is the longest head: magic, version, src and the count.
 const replyHeadMax = 6 + binary.MaxVarintLen64
 
-// putResult appends the entry answering seq with result r; the first one
-// reserves the room for the head.
-func putResult[R any](m *replyMsg, seq uint64, r *R) {
+// putResult appends the entry answering seq with result r, marshalled with
+// c; the first one reserves the room for the head.
+func putResult[R any](m *replyMsg, seq uint64, c serial.Codec[R], r *R) {
 	if m.n++; m.n == 1 {
 		m.b = make([]byte, replyHeadMax, replyHeadMax+32)
 	}
 	e := serial.NewEncoder(m.b)
 	e.PutU8(rpcReplyKind)
 	e.PutU64(seq)
-	if err := serial.EncodeSized(e, nil, r); err != nil {
+	if err := c.EncodeSized(e, nil, r); err != nil {
 		panic(fmt.Sprintf("upcxx: RPC result not serializable: %v", err))
 	}
 	m.b = e.Bytes()
@@ -559,15 +583,16 @@ func (rk *Rank) sendAM(dst Intrank, buf []byte, aux any) {
 // --- initiator side ------------------------------------------------------
 
 // rpcSink is where a round-trip entry's result goes at the initiator: the
-// promise behind the future the entry point returned. Result bytes that do
-// not decode are the replying peer's fault.
-type rpcSink interface{ rpcResult(res []byte) error }
+// promise behind the future the entry point returned. c is the codec of the
+// result (the body's res). Result bytes that do not decode are the replying
+// peer's fault.
+type rpcSink interface{ rpcResult(c any, res []byte) error }
 
 // rpcResult decodes the result where the reply lands and fulfils the
 // promise with it (fulfilHere).
-func (p *Promise[T]) rpcResult(res []byte) error {
+func (p *Promise[T]) rpcResult(c any, res []byte) error {
 	var r T
-	if err := serial.Decode(res, &r); err != nil {
+	if err := c.(serial.Codec[T]).Decode(res, &r); err != nil {
 		return fmt.Errorf("%s: reply does not decode: %w", rpcFormat, err)
 	}
 	p.fulfilHere(r)
@@ -577,6 +602,7 @@ func (p *Promise[T]) rpcResult(res []byte) error {
 // rpcPending is the initiator's record of one round-trip entry in flight.
 type rpcPending struct {
 	sink rpcSink
+	res  any        // the result's codec, for sink
 	inj  *injection // of the entry's request message; counts its replies
 }
 
@@ -597,7 +623,7 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 		if !ok {
 			return fmt.Errorf("%s: reply for unknown sequence %d", rpcFormat, en.seq)
 		}
-		if err := p.sink.rpcResult(en.args); err != nil {
+		if err := p.sink.rpcResult(p.res, en.args); err != nil {
 			return err
 		}
 		if last {
@@ -607,10 +633,9 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 	return nil
 }
 
-// rpcSend is the one initiator-side lowering of RPC traffic: entries[i] is
-// a call of call.bodies[i] — its args filled in by the caller, or, for a
-// single call, still in arg — and sinks[i] takes its result — nil for a
-// fire-and-forget body. The message lowers through Rank.inject under one
+// rpcSend is the one initiator-side lowering of RPC traffic: calls[i] is a
+// call of call.bodies[i] — its argument in stream, or, for a single call,
+// still in arg, behind hdr — whose sink takes its result. The message lowers through Rank.inject under one
 // completion plan: source completion fires when the conduit has captured
 // the message — the first moment borrowed argument runs may be reused —
 // operation completion when the last round-trip entry's reply has landed —
@@ -621,23 +646,23 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 // that fails to marshal leaves nothing waiting for a reply; a sequence
 // number is only a name, and one drawn for it is simply never answered.
 // call travels as the aux token (a copy, to add a landing event or a body
-// address); entries and sinks are not kept.
-func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *rpcAux, sinks []rpcSink, cxs []Cx) CxFutures {
+// address); calls and stream are not kept.
+func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, stream [][]byte, hdr []byte, arg *A, cxs []Cx) CxFutures {
 	bodyPers, cxs := splitBodyPersona(target, cxs)
 	inj := rk.newInjection(target)
 	for _, cx := range cxs {
 		inj.add(opRPC, cx)
 	}
-	if len(entries) == 0 {
+	if len(calls) == 0 {
 		return rk.inject(inj)
 	}
 	var last uint64 // top of a block of sequence numbers, one per entry, drawn at the first round trip
-	for i := range entries {
-		if entries[i].kind = call.bodies[i].kind; entries[i].kind == rpcReqKind {
+	for i := range calls {
+		if calls[i].kind = call.bodies[i].kind; calls[i].kind == rpcReqKind {
 			if last == 0 {
-				last = rk.rpcSeq.Add(uint64(len(entries)))
+				last = rk.rpcSeq.Add(uint64(len(calls)))
 			}
-			entries[i].seq = last - uint64(i)
+			calls[i].seq = last - uint64(i)
 			inj.replies++
 		}
 	}
@@ -649,13 +674,13 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 		}
 	}
 	op := rmaOp{kind: opAM, dstPeer: target, amAux: call} // all ff: the operation edge fires at injection
-	op.buf, op.bufs = encodeRPCMsg(rk.me, entries, arg, land)
+	op.buf, op.bufs = encodeRPCMsg(rk.me, calls, stream, hdr, arg, call.bodies[0].arg, land)
 	if inj.replies > 0 {
 		op.kind = opRPC // the last reply fires the operation edge (rpcLand)
 		rk.rpcMu.Lock()
-		for i := range entries {
-			if entries[i].kind == rpcReqKind {
-				rk.rpcPending[entries[i].seq] = rpcPending{sink: sinks[i], inj: inj}
+		for i := range calls {
+			if calls[i].kind == rpcReqKind {
+				rk.rpcPending[calls[i].seq] = rpcPending{sink: calls[i].sink, res: call.bodies[i].res, inj: inj}
 			}
 		}
 		rk.rpcMu.Unlock()
@@ -666,7 +691,7 @@ func rpcSend[A any](rk *Rank, target Intrank, entries []rpcEntry, arg *A, call *
 // rpcOne sends a single call of call's body: a one-entry message whose
 // argument is hdr (a spawn's task header; nil for an RPC) followed by arg.
 func rpcOne[A any](rk *Rank, target Intrank, call *rpcAux, hdr []byte, arg *A, sink rpcSink, cxs []Cx) CxFutures {
-	return rpcSend(rk, target, []rpcEntry{{args: hdr}}, arg, call, []rpcSink{sink}, cxs)
+	return rpcSend(rk, target, call, []rpcCall{{sink: sink}}, nil, hdr, arg, cxs)
 }
 
 // --- public entry points -------------------------------------------------

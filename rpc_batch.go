@@ -21,12 +21,12 @@ import (
 // message of rpc.go with more than one entry, sent through the same
 // rpcSend that RPC and RPCFF use for one.
 //
-// A view argument is zero-copy end to end: BatchRPC marshals into a gather
-// encoder, so its elements travel as borrowed iovec fragments that alias
-// caller memory until the conduit's capture stage copies them inside Flush
-// (rpcEntry.more → rmaOp.bufs → Endpoint.AMTag). Source completion on Flush
-// is therefore the first moment a viewed buffer may be reused — the same
-// contract as rput. A plain []byte is copied at BatchRPC instead: nothing
+// A view argument is zero-copy end to end: BatchRPC marshals into the
+// batch's gather encoder, so its elements travel as borrowed iovec fragments
+// that alias caller memory until the conduit's capture stage copies them
+// inside Flush (argument stream → rmaOp.bufs → Endpoint.AMTag). Source
+// completion on Flush is therefore the first moment a viewed buffer may be
+// reused — the same contract as rput. A plain []byte is copied at BatchRPC instead: nothing
 // asks its caller to leave it alone until Flush. A single call borrows both,
 // since its capture comes before the call returns.
 //
@@ -36,16 +36,14 @@ import (
 // Batch accumulates RPCs bound for one target rank. Add requests with
 // BatchRPC / BatchRPCFF, then Flush to ship them as one message. The
 // zero-interaction accumulate phase means adding to a batch never touches
-// the conduit, never rings a doorbell, and never takes a lock. The three
-// slices are parallel — call i is entries[i] (its argument bytes),
-// bodies[i] (its code reference) and sinks[i] (its result's promise) —
-// because those are the three things rpcSend consumes.
+// the conduit, never rings a doorbell, and never takes a lock. Every
+// argument is marshalled into the one stream args, back to back; call i
+// records where its argument ends there, its body and its result's sink.
 type Batch struct {
-	rk      *Rank
-	target  Intrank
-	entries []rpcEntry
-	bodies  []rpcBody
-	sinks   []rpcSink
+	rk     *Rank
+	target Intrank
+	args   serial.Encoder
+	calls  []rpcCall
 }
 
 // NewBatch returns an empty batch bound for target.
@@ -54,7 +52,7 @@ func NewBatch(rk *Rank, target Intrank) *Batch {
 }
 
 // Len returns the number of accumulated, un-flushed requests.
-func (b *Batch) Len() int { return len(b.entries) }
+func (b *Batch) Len() int { return len(b.calls) }
 
 // Target returns the destination rank every entry is bound for.
 func (b *Batch) Target() Intrank { return b.target }
@@ -66,7 +64,7 @@ func (b *Batch) Target() Intrank { return b.target }
 // flushed batch's source completion; everything else copied.
 func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
 	p := NewPromise[R](b.rk)
-	batchAdd(b, callOf(fn, func() rpcBody { return valueBody(fn) }).bodies[0], &arg, p)
+	batchAdd(b, &callOf(fn, func() rpcBody { return valueBody(fn) }).bodies[0], &arg, p)
 	return p.Future()
 }
 
@@ -74,25 +72,21 @@ func BatchRPC[A, R any](b *Batch, fn func(*Rank, A) R, arg A) Future[R] {
 // no reply entry comes back for it, and the flushed batch's operation
 // completion does not wait for its execution (matching rpc_ff).
 func BatchRPCFF[A any](b *Batch, fn func(*Rank, A), arg A) {
-	batchAdd(b, callOf(fn, func() rpcBody { return ffBody(fn) }).bodies[0], &arg, nil)
+	batchAdd(b, &callOf(fn, func() rpcBody { return ffBody(fn) }).bodies[0], &arg, nil)
 }
 
-// batchAdd appends one call, serializing arg through a gather encoder whose
-// fragments live until Flush: view payloads stay borrowed until conduit
-// capture, plain slices are copied now.
-func batchAdd[A any](b *Batch, body rpcBody, arg *A, sink rpcSink) {
-	var e serial.Encoder
-	e.EnableGather(false)
-	if err := serial.Encode(&e, arg); err != nil {
+// batchAdd appends one call, serializing arg onto the batch's gather
+// encoder, whose fragments live until Flush: view payloads stay borrowed
+// until conduit capture, plain slices are copied now.
+func batchAdd[A any](b *Batch, body *rpcBody, arg *A, sink rpcSink) {
+	if b.calls == nil {
+		b.args.EnableGather(false)
+	}
+	start := b.args.Len()
+	if err := body.arg.(serial.Codec[A]).Encode(&b.args, arg); err != nil {
 		panic(fmt.Sprintf("upcxx: batched RPC argument not serializable: %v", err))
 	}
-	en := rpcEntry{args: e.Bytes()}
-	if frags := e.Fragments(); frags != nil {
-		en.args, en.more = frags[0], frags[1:]
-	}
-	b.entries = append(b.entries, en)
-	b.bodies = append(b.bodies, body)
-	b.sinks = append(b.sinks, sink)
+	b.calls = append(b.calls, rpcCall{start: start, end: b.args.Len(), sink: sink, body: body})
 }
 
 // Flush ships every accumulated request as ONE wire message under one
@@ -109,7 +103,14 @@ func batchAdd[A any](b *Batch, body rpcBody, arg *A, sink rpcSink) {
 // Flushing an empty batch completes the plan immediately. The per-entry
 // value futures resolve independently as their replies are demultiplexed.
 func (b *Batch) Flush(cxs ...Cx) CxFutures {
-	entries, bodies, sinks := b.entries, b.bodies, b.sinks
-	b.entries, b.bodies, b.sinks = nil, nil, nil
-	return rpcSend[Unit](b.rk, b.target, entries, nil, &rpcAux{bodies: bodies}, sinks, cxs)
+	calls, stream := b.calls, b.args.Fragments()
+	if stream == nil {
+		stream = [][]byte{b.args.Bytes()}
+	}
+	b.calls, b.args = nil, serial.Encoder{}
+	call := &rpcAux{bodies: make([]rpcBody, len(calls))}
+	for i := range calls {
+		call.bodies[i] = *calls[i].body
+	}
+	return rpcSend[Unit](b.rk, b.target, call, calls, stream, nil, nil, cxs)
 }

@@ -176,12 +176,12 @@ type rec struct {
 // and returns its wire name. Like RegisterRPC: call from init() with a
 // package-level, non-generic function.
 func RegisterTask[A, R any](fn func(*Rank, A) R) string {
-	return registerTask(fn, &taskBody{run: valueBody(fn).run})
+	return registerTask(fn, 0, valueBody(fn))
 }
 
 // RegisterTaskFF registers a fire-and-forget task body (no result frame).
 func RegisterTaskFF[A any](fn func(*Rank, A)) string {
-	return registerTask(fn, &taskBody{flags: flagFF, run: ffBody(fn).run})
+	return registerTask(fn, flagFF, ffBody(fn))
 }
 
 // --- spawning -------------------------------------------------------------
@@ -205,8 +205,8 @@ type taskSink[T any] struct {
 	credit *atomic.Uint64
 }
 
-func (s *taskSink[T]) rpcResult(res []byte) error {
-	err := s.p.rpcResult(res)
+func (s *taskSink[T]) rpcResult(c any, res []byte) error {
+	err := s.p.rpcResult(c, res)
 	if err == nil {
 		s.credit.Add(1)
 	}

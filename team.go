@@ -130,7 +130,7 @@ func (t *Team) SplitAsync(color, key int) Future[*Team] {
 		nt := &Team{rk: rk, id: splitTeamID(t.id, idx, mine.Color)}
 		for i, b := range all {
 			var e splitEntry
-			if err := serial.Decode(b, &e); err != nil {
+			if err := serial.For[splitEntry]().Decode(b, &e); err != nil {
 				return nil, fmt.Errorf("team rank %d's split entry: %w", i, err)
 			}
 			if keys[i] = e.Key; e.Color == mine.Color {
