@@ -22,14 +22,9 @@ func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) F
 	inj := rk.newInjection(owner)
 	inj.amo = &futCore[uint64]{rk: rk}
 	c := inj.amo // the record is released before inject returns
-	rk.inject(inj.single(rmaOp{
-		kind:    opAMO,
-		dstPeer: owner,
-		dstOff:  off,
-		amo:     op,
-		amoA:    a,
-		amoB:    b,
-	}))
+	o := inj.single()
+	o.kind, o.dstPeer, o.dstOff, o.amo, o.amoA, o.amoB = opAMO, owner, off, op, a, b
+	rk.inject(inj)
 	return Future[uint64]{c}
 }
 

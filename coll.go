@@ -496,16 +496,11 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 	inj := rk.newInjection(world)
 	inj.notice = &gasnet.RemoteAM{Handler: rk.w.amRPC, Payload: encodeCollMsg(rk.me, land), Aux: collCall}
 	inj.op = append(inj.op, cxDelivery{pers: rk.execPersona(), fn: onOpDone})
-	rk.inject(inj.single(rmaOp{
-		kind:    opCopy,
-		srcPeer: rk.me,
-		srcSeg:  src.segID(),
-		srcOff:  src.off,
-		dstPeer: world,
-		dstSeg:  dst.segID(),
-		dstOff:  dst.off,
-		nbytes:  nbytes,
-	}))
+	op := inj.single()
+	op.kind, op.nbytes = opCopy, nbytes
+	op.srcPeer, op.srcSeg, op.srcOff = rk.me, src.segID(), src.off
+	op.dstPeer, op.dstSeg, op.dstOff = world, dst.segID(), dst.off
+	rk.inject(inj)
 }
 
 // --- the wave --------------------------------------------------------------

@@ -323,8 +323,8 @@ func (c *cxPlan) resolve(kind opKind, cxs []Cx) {
 	if len(cxs) == 0 {
 		cxs = []Cx{OpCxAsFuture()}
 	}
-	for _, cx := range cxs {
-		c.add(kind, cx)
+	for i := range cxs {
+		c.add(kind, &cxs[i])
 	}
 	// A collective plan is born here rather than through inject, so the
 	// whole-operation observability edge (one Ops[KindColl] count and the
@@ -338,7 +338,7 @@ func (c *cxPlan) resolve(kind opKind, cxs []Cx) {
 
 // add validates one descriptor against the operation kind and registers
 // its delivery.
-func (c *cxPlan) add(kind opKind, cx Cx) {
+func (c *cxPlan) add(kind opKind, cx *Cx) {
 	if cx.kind == cxBody {
 		// RPCBodyOn is peeled off by rpcSend before plan resolution;
 		// seeing one here means it was passed to an operation that has

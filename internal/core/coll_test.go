@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -573,6 +574,40 @@ func TestCollFutureBehindQueuedLPC(t *testing.T) {
 		sc0.Release()
 		w.Close()
 	}
+}
+
+// TestCollBarrierRunsSelfQueuedNotification is the regression for a barrier
+// root returning before a notification it sent itself has run. Rank 1 sends
+// an rpc_ff and enters the barrier. Rank 0's one progress pass runs the
+// rpc_ff, whose body puts to rank 0 itself with a RemoteCxAsRPC notification
+// (queued behind that pass), and files rank 1's arrival early, so rank 0's
+// barrier completes at entry. Barrier is a user-progress call: it must still
+// run the notification before it returns.
+func TestCollBarrierRunsSelfQueuedNotification(t *testing.T) {
+	var entered atomic.Bool
+	notified := false // rank 0's: its notification body runs there
+	Run(2, func(rk *Rank) {
+		if rk.Me() == 1 {
+			RPCFF(rk, 0, func(trk *Rank, _ Unit) {
+				RPutWith(trk, []uint64{1}, MustNewArray[uint64](trk, 1), RemoteCxAsRPC(func(*Rank, Unit) { notified = true }, Unit{}))
+			}, Unit{})
+			f := rk.BarrierAsync()
+			entered.Store(true)
+			f.Wait()
+			return
+		}
+		for !entered.Load() {
+			runtime.Gosched()
+		}
+		rk.Progress()
+		if notified {
+			t.Error("the notification ran in the pass that queued it: the test no longer sets the scene")
+		}
+		rk.Barrier()
+		if !notified {
+			t.Error("Barrier returned before the notification rank 0 sent itself had run")
+		}
+	})
 }
 
 // TestCollFutureRouting: in progress-thread mode the engine finishes on the

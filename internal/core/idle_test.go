@@ -124,7 +124,9 @@ func TestIdleEveryWakeSourceRings(t *testing.T) {
 		rings *Rank
 		fire  func()
 	}{
-		{"conduit completion", r0, func() { RPut(r0, []uint64{7}, buf) }},
+		// An in-process RPut completes in its call and queues nothing; the
+		// callback-taking conduit put queues its completion, which must ring.
+		{"conduit completion", r0, func() { r0.ep.Put(1, buf.Off, make([]byte, 8), func() {}) }},
 		{"active message", r1, func() { RPCFF(r0, 1, func(*Rank, Unit) {}, Unit{}) }},
 		{"off-owner fulfilment", r0, func() { NewPromiseOn[Unit](r0, other).FulfillResult(Unit{}) }},
 		{"LPCTo", r0, func() { LPCTo(other, func() {}) }},

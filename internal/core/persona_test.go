@@ -427,7 +427,8 @@ func TestPersonaAddressedRPCBodyValidation(t *testing.T) {
 			// Only RPC entry points carry a body; everything else rejects
 			// the pseudo-descriptor at plan resolution.
 			expectPanic(t, "RPCBodyOn on a put plan", func() {
-				(&cxPlan{rk: rk, remotePeer: 1}).add(opPut, RPCBodyOn(mine))
+				cx := RPCBodyOn(mine)
+				(&cxPlan{rk: rk, remotePeer: 1}).add(opPut, &cx)
 			})
 		}
 		rk.Barrier()

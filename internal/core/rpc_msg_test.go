@@ -443,18 +443,38 @@ func TestRPCHandlerRejects(t *testing.T) {
 	}
 }
 
-// TestRPCAllocPins pins what one operation allocates on the zero-delay
-// conduit, every rank included, driven the way a blocking caller drives it.
-// An injection is one pooled record and a message is encoded once, so what
-// is left is what the caller keeps (promise, future, LPC node; a
-// collective's wave) and the message buffer: a progress pass allocates
-// nothing, so a barrier's count does not move with the passes its waits take. A put, get or atomic the
-// conduit completes inside the call keeps nothing but an atomic's value: its
-// future is ready at return. One row pins the deferred delivery that takes
-// over where the conduit completes later (LogGP). It also pins the messages
-// those operations send, from
-// the conduit's counters: a signaling put's landing rides the put (no AM of
-// its own), and a 2-rank barrier is one AM each way.
+// TestRPCArgumentAcrossStackGrowth sends a self RPC from every stack depth up
+// to a few KiB, each from a fresh goroutine, so that the stack grows in the
+// middle of some request's encoding, where the codec holds the encoder by a
+// pointer hidden from escape analysis. Under -race (checkptr) one depth read
+// the encoder at the stack's old place: the request went out with an empty
+// argument and its body failed to decode.
+func TestRPCArgumentAcrossStackGrowth(t *testing.T) {
+	w := NewWorld(Config{Ranks: 1})
+	defer w.Close()
+	rk := w.Rank(0)
+	for d := 0; d < 300; d++ {
+		got := make(chan string)
+		go func() {
+			res := "a panic"
+			sc := AcquirePersona(rk.master)
+			atDepth(d+1, func() {
+				defer func() { recover() }()
+				f := RPC(rk, 0, func(_ *Rank, s string) string { return s + s }, "ab")
+				for !f.Ready() {
+					rk.Progress()
+				}
+				res = f.Wait()
+			})
+			sc.Release()
+			got <- res
+		}()
+		if s := <-got; s != "abab" {
+			t.Fatalf("a self RPC from stack depth %d returned %s", d, s)
+		}
+	}
+}
+
 func TestRPCAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop records at random")
@@ -468,6 +488,7 @@ func TestRPCAllocPins(t *testing.T) {
 	defer w.Close()
 	rk0, rk1 := w.Rank(0), w.Rank(1)
 	word, _ := NewArray[uint64](rk1, 1)
+	local, _ := NewArray[uint64](rk0, 1)
 	val := make([]uint8, 64)
 	buf := []uint64{7}
 	ad := NewAtomicU64(rk0)
@@ -520,6 +541,7 @@ func TestRPCAllocPins(t *testing.T) {
 		{"blocking RPut", func() { spin(RPut(rk0, buf, word).Ready) }, 0},
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 0},
 		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 1},
+		{"blocking CopyGG", func() { CopyGG(rk0, local, word, 1).Wait() }, 0},
 		{"blocking RPutSignal", signal, 4},
 		{"blocking RPutSignal of a GPtr", func() { spin(RPutSignal(rk0, buf, word, msgSinkPtr, word).Ready) }, 6},
 		{"RPutWith a future, a promise and an LPC", func() {
@@ -540,6 +562,15 @@ func TestRPCAllocPins(t *testing.T) {
 	} {
 		check(pin.name+" allocs", testing.AllocsPerRun(200, pin.op), pin.max)
 	}
+	flood := func() {
+		p := NewPromise[Unit](rk0)
+		for range 32 {
+			RPutPromise(rk0, buf, word, p)
+		}
+		p.Finalize().Wait()
+	}
+	// The promise is the flood's one object: nothing per put.
+	check("32 RPutPromise + Finalize().Wait(), allocs per put", testing.AllocsPerRun(200, flood)/32, 1.0/32)
 	before := ams()
 	for i := 0; i < 100; i++ {
 		signal()

@@ -7,16 +7,21 @@ import "upcxx/internal/obs"
 // in-process) and wire (OS-process ranks over tcp or shm); NewNetwork
 // picks one from Config, and no Endpoint method knows which.
 type backend interface {
-	// transfer executes x along its planned hop chain p.
-	transfer(ep *Endpoint, x xfer, p hopPlan)
+	// transfer executes x along its planned hop chain p. now reports that the
+	// operation finished inside the call: then nothing is queued or rung for
+	// it, and x.onDone is the caller's to run (in-call completion, as an LCI
+	// post returns "done" or GASNet-EX returns GEX_EVENT_INVALID).
+	// Endpoint.transfer calls it by the backend's concrete type.
+	transfer(ep *Endpoint, x *xfer, p *hopPlan) (now bool)
 	// am delivers an Active Message whose payload is head (the conduit's own)
 	// followed by the borrowed fragments of tail. A conduit that does not
 	// deliver head itself copies both, once, into memory it reuses — a ring
 	// record, the tail of a socket's send queue — before am returns, and may
 	// make the caller wait there for room.
 	am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag)
-	// amo executes a remote atomic on the host-segment word at (dst, off).
-	amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag)
+	// amo executes a remote atomic on the host-segment word at (dst, off); with
+	// now, the word's previous value is old and onResult is the caller's to run.
+	amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) (old uint64, now bool)
 	// poll is a progress pass's look at polled memory — the shm rings; a no-op elsewhere. park
 	// is +1 from a goroutine about to block (the doorbell is armed first), -1 when it is back;
 	// sock says what is next there is a socket reader's to take (on tcp, always): a yield
@@ -41,10 +46,10 @@ type loc struct {
 func (l loc) dev() bool { return !l.isBuf && l.seg != HostSeg }
 
 // xfer is the transfer descriptor every put, get and copy lowers to: n
-// bytes from src to dst on behalf of rank init. onDone is delivered to the
-// initiator's completion queue once the bytes are visible at dst; rem is
-// enqueued on dst's rank at the instant the final hop lands. Either may
-// be nil.
+// bytes from src to dst on behalf of rank init. Unless the backend reports
+// the transfer done in its call, onDone is delivered to the initiator's
+// completion queue once the bytes are visible at dst; rem is enqueued on
+// dst's rank at the instant the final hop lands. Either may be nil.
 type xfer struct {
 	init     Rank
 	src, dst loc
@@ -188,9 +193,12 @@ func planHops(x *xfer, gdr bool) (p hopPlan) {
 }
 
 // transfer is the path every put, get and copy takes: plan the chain,
-// account its descriptors and wire messages, hand it to the backend. A
-// wire network hosts only its own rank: peers count their descriptors.
-func (ep *Endpoint) transfer(x *xfer) {
+// account its descriptors and wire messages, hand it to the backend, and
+// report whether it finished in the call. A wire network hosts only its
+// own rank: peers count their descriptors. The backend is called by its
+// concrete type: through the interface the descriptor and its plan would
+// be copied into the call, or by pointer escape to the heap.
+func (ep *Endpoint) transfer(x *xfer) (now bool) {
 	x.init = ep.rank
 	p := planHops(x, ep.net.gdr)
 	for _, c := range p.dma[:p.ndma] {
@@ -206,7 +214,14 @@ func (ep *Endpoint) transfer(x *xfer) {
 			x.tag.WireMsg(h.from, h.to, x.n)
 		}
 	}
-	ep.backendFor(x.src.rank == ep.rank && x.dst.rank == ep.rank).transfer(ep, *x, p)
+	switch be := ep.backendFor(x.src.rank == ep.rank && x.dst.rank == ep.rank).(type) {
+	case loopback:
+		return be.transfer(ep, x, &p)
+	case *loggp:
+		return be.transfer(ep, x, &p)
+	default:
+		return be.(*wire).transfer(ep, x, &p)
+	}
 }
 
 // backendFor picks self for an operation that never leaves the initiating

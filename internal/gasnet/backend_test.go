@@ -377,7 +377,9 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) obs.Values {
 			off, mem := alloc(dstRank)
 			dsts[f] = mem
 			src := append([]byte(nil), row.pat[f]...)
-			init.PutSegTag(dstRank, seg(dstRank), off, src, onDone(f), rem, tag(obs.KindPut))
+			if init.PutSegTag(dstRank, seg(dstRank), off, src, onDone(f), rem, tag(obs.KindPut)) {
+				onDone(f)() // completed in the call: that report is its one completion
+			}
 			src[0] ^= 0xFF // source completion: reusable on return
 		}
 		want[obs.Puts], want[obs.PutBytes] = uint64(frags), uint64(frags*confN)
@@ -390,7 +392,9 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) obs.Values {
 			w.fence(srcRank)
 			doff, dmem := alloc(dstRank)
 			dsts[f] = dmem
-			init.CopySegTag(srcRank, seg(srcRank), soff, dstRank, seg(dstRank), doff, confN, onDone(f), rem, tag(obs.KindCopy))
+			if init.CopySegTag(srcRank, seg(srcRank), soff, dstRank, seg(dstRank), doff, confN, onDone(f), rem, tag(obs.KindCopy)) {
+				onDone(f)()
+			}
 		}
 		want[obs.Puts], want[obs.PutBytes] = uint64(frags), uint64(frags*confN)
 	case "get":
@@ -399,7 +403,9 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) obs.Values {
 		w.fence(srcRank)
 		into := make([]byte, confN)
 		row.dstBytes = func(int) []byte { return into }
-		init.GetSegTag(srcRank, seg(srcRank), off, into, onDone(0), tag(obs.KindGet))
+		if init.GetSegTag(srcRank, seg(srcRank), off, into, onDone(0), tag(obs.KindGet)) {
+			onDone(0)()
+		}
 		want[obs.Gets], want[obs.GetBytes] = 1, confN
 	case "am":
 		src := append([]byte(nil), row.pat[0]...)
@@ -420,7 +426,10 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) obs.Values {
 		}
 		s.WriteU64(off, 100)
 		var old uint64
-		init.AMOTag(dstRank, off, AMOAdd, uint64(seed), 0, func(o uint64) { old = o; row.acks++ }, tag(obs.KindAtomic))
+		fetched := func(o uint64) { old = o; row.acks++ }
+		if o, now := init.AMOTag(dstRank, off, AMOAdd, uint64(seed), 0, fetched, tag(obs.KindAtomic)); now {
+			fetched(o)
+		}
 		want[obs.AMOs] = 1
 		defer func() {
 			if got := s.ReadU64(off); old != 100 || got != 100+uint64(seed) {
@@ -437,6 +446,12 @@ func (w *confWorld) run(t *testing.T, spec confSpec, seed byte) obs.Values {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: never completed (acks %d/%d, rem %d, am %d)", row.what, row.acks, frags, row.remFired, row.amGot)
 		}
+	}
+	for _, ep := range w.eps { // a second completion, reported and queued both, would show here
+		ep.Poll()
+	}
+	if spec.op != "am" && spec.op != "amv" && row.acks != frags {
+		t.Errorf("%s: %d completions for %d operations", row.what, row.acks, frags)
 	}
 	if rem != nil && row.remFired != 1 {
 		t.Errorf("%s: rem-AM fired %d times, want exactly once", row.what, row.remFired)
@@ -506,6 +521,128 @@ func TestBackendConformanceMatrix(t *testing.T) {
 				}
 			})
 			w.finish(t)
+		}
+	}
+}
+
+// TestConformanceInCallCompletion pins the in-call completion contract on
+// every backend, for {put, get, copy, amo} × {host, device} from rank 0 to
+// rank 1 (atomics address host memory only): a …Tag call reports now exactly
+// where the conduit finishes the operation inside it — loopback, and shm
+// between host segments — and then neither calls nor queues its callback;
+// one that reports false delivers its callback once, through Poll. The
+// callback-taking Put, Get and AMO deliver theirs once through Poll on every
+// backend, whatever the conduit reported underneath.
+func TestConformanceInCallCompletion(t *testing.T) {
+	us := time.Microsecond
+	worlds := []func() *confWorld{
+		func() *confWorld { return inprocWorld("loopback", nil, &PCIeDMA{}) },
+		func() *confWorld {
+			return inprocWorld("loggp", &LogGP{O: us, L: 2 * us, Gp: us}, &PCIeDMA{O: us, L: 2 * us, Gp: us})
+		},
+		func() *confWorld { return wireWorld(t, "tcp", false) },
+	}
+	if runtime.GOOS == "linux" {
+		worlds = append(worlds, func() *confWorld { return wireWorld(t, "shm", false) })
+	}
+	for _, mk := range worlds {
+		w := mk()
+		w.setup()
+		t.Run(w.name, func(t *testing.T) {
+			for _, op := range []string{"put", "get", "copy", "amo"} {
+				for _, dev := range []bool{false, true} {
+					if !(op == "amo" && dev) {
+						w.inCall(t, op, dev, w.name == "loopback" || w.name == "shm" && !dev)
+					}
+				}
+			}
+		})
+		w.finish(t)
+	}
+}
+
+// inCall runs one operation of the in-call matrix: its …Tag call must report
+// want; then the callback-taking call, where the operation has one.
+func (w *confWorld) inCall(t *testing.T, op string, dev, want bool) {
+	what := fmt.Sprintf("%s %s device=%v", w.name, op, dev)
+	init, seg := w.eps[0], HostSeg
+	if dev {
+		seg = w.dev[1]
+	}
+	off, err := w.eps[1].SegByID(seg).Alloc(confN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	cb := func() { calls++ }
+	buf := pattern(confN, byte(len(op)))
+	var now bool
+	switch op {
+	case "put":
+		now = init.PutSegTag(1, seg, off, buf, cb, nil, obs.OpTag{})
+	case "get":
+		now = init.GetSegTag(1, seg, off, buf, cb, obs.OpTag{})
+	case "copy":
+		soff, err := init.Segment().Alloc(confN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = init.CopySegTag(0, HostSeg, soff, 1, seg, off, confN, cb, nil, obs.OpTag{})
+	case "amo":
+		_, now = init.AMOTag(1, off, AMOAdd, 1, 0, func(uint64) { calls++ }, obs.OpTag{})
+	}
+	if now != want {
+		t.Errorf("%s: the call reported now=%v, want %v", what, now, want)
+	}
+	if now {
+		if init.Pending() {
+			t.Errorf("%s: completed in the call, yet queued work for Poll", what)
+		}
+		w.pollRounds(8)
+		if calls != 0 || init.Pending() {
+			t.Errorf("%s: completed in the call, yet its callback ran %d times (pending %v)", what, calls, init.Pending())
+		}
+	} else {
+		w.deliveredOnce(t, what, &calls)
+	}
+	if dev {
+		return // Put, Get and AMO address the host segment
+	}
+	calls = 0
+	switch op {
+	case "put":
+		init.Put(1, off, buf, cb)
+	case "get":
+		init.Get(1, off, buf, cb)
+	case "amo":
+		init.AMO(1, off, AMOAdd, 1, 0, func(uint64) { calls++ })
+	default:
+		return
+	}
+	w.deliveredOnce(t, what+" (callback-taking call)", &calls)
+}
+
+// deliveredOnce requires the callback counted by calls not to have run in
+// its call, then to run exactly once through Poll.
+func (w *confWorld) deliveredOnce(t *testing.T, what string, calls *int) {
+	if *calls != 0 {
+		t.Errorf("%s: the callback ran inside the call, not through Poll", what)
+	}
+	for deadline := time.Now().Add(20 * time.Second); *calls == 0; w.pollRounds(1) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: the callback was never delivered", what)
+		}
+	}
+	if w.pollRounds(8); *calls != 1 {
+		t.Errorf("%s: the callback ran %d times, want once", what, *calls)
+	}
+}
+
+// pollRounds polls every rank n times over.
+func (w *confWorld) pollRounds(n int) {
+	for range n {
+		for _, ep := range w.eps {
+			ep.Poll()
 		}
 	}
 }

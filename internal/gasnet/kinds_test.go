@@ -267,9 +267,15 @@ func TestKindsCopySegMatrixNoDelay(t *testing.T) {
 		do, _ := n.Endpoint(tc.dst.rank).SegByID(ds).Alloc(len(pat))
 		copy(n.Endpoint(tc.src.rank).SegByID(ss).Bytes(so, len(pat)), pat)
 		ep := n.Endpoint(0)
-		done := false
-		ep.CopySegTag(tc.src.rank, ss, so, tc.dst.rank, ds, do, len(pat), func() { done = true }, nil, obs.OpTag{})
-		pollDone(t, ep, &done)
+		called := false
+		// The zero-delay conduit finishes every copy in its call: it reports
+		// so, and never calls or queues the callback.
+		if !ep.CopySegTag(tc.src.rank, ss, so, tc.dst.rank, ds, do, len(pat), func() { called = true }, nil, obs.OpTag{}) {
+			t.Fatalf("copy %+v: the zero-delay conduit did not report it done in its call", tc)
+		}
+		if ep.Poll(); called || ep.Pending() {
+			t.Fatalf("copy %+v done in its call also delivered its callback (%v) or left work queued", tc, called)
+		}
 		got := n.Endpoint(tc.dst.rank).SegByID(ds).Bytes(do, len(pat))
 		for i := range pat {
 			if got[i] != pat[i] {

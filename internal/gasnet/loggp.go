@@ -64,7 +64,7 @@ func (b *loggp) send(ch []Channel[time.Duration], r, init Rank, at, gap, lat tim
 	return end + lat
 }
 
-func (b *loggp) transfer(ep *Endpoint, x xfer, p hopPlan) {
+func (b *loggp) transfer(ep *Endpoint, x *xfer, p *hopPlan) bool {
 	o, _, _, _ := b.cost(ep.net, p.hops[0], x.n)
 	at := ep.Charge(o)
 	x.tag.Hop(obs.StageCapture, ep.rank, x.captureBytes())
@@ -90,11 +90,12 @@ func (b *loggp) transfer(ep *Endpoint, x xfer, p hopPlan) {
 				ep.net.eps[x.dst.rank].deliverAt(at, inboundAM{src: ep.rank, handler: x.rem.Handler, payload: x.rem.Payload, aux: x.rem.Aux}, obs.OpTag{})
 			}
 			if x.onDone == nil {
-				return // nobody to tell: the return hop is never sent
+				return false // nobody to tell: the return hop is never sent
 			}
 		}
 	}
 	ep.completeAt(at, completion{fn: x.onDone})
+	return false
 }
 
 func (b *loggp) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
@@ -109,7 +110,7 @@ func (b *loggp) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]by
 	ep.net.eps[dst].deliverAt(at, inboundAM{src: ep.rank, handler: h, payload: staged, aux: aux}, tag)
 }
 
-func (b *loggp) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
+func (b *loggp) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) (uint64, bool) {
 	intra := ep.net.Intra(ep.rank, dst)
 	at := ep.Charge(b.m.Overhead(8, intra))
 	tag.Hop(obs.StageCapture, ep.rank, 8)
@@ -120,4 +121,5 @@ func (b *loggp) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint6
 	if onResult != nil {
 		ep.completeAt(at+lat, completion{res: onResult, old: old})
 	}
+	return 0, false
 }

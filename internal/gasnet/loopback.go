@@ -4,11 +4,12 @@ import "upcxx/internal/obs"
 
 // loopback is the zero-delay in-process backend: every rank lives in this
 // process, so an operation is carried out — data moved, notification
-// enqueued, completion queued — before the call returns. It also carries
-// the rank-local traffic of a wire network.
+// enqueued — before the call returns, and reports so (now): nothing is
+// queued for its completion. It also carries the rank-local traffic of a
+// wire network.
 type loopback struct{}
 
-func (loopback) transfer(ep *Endpoint, x xfer, p hopPlan) {
+func (loopback) transfer(ep *Endpoint, x *xfer, p *hopPlan) bool {
 	sb, db := ep.bytes(x.src, x.n), ep.bytes(x.dst, x.n)
 	x.tag.Hop(obs.StageCapture, ep.rank, x.captureBytes())
 	for _, h := range p.hops[:p.nhops] {
@@ -20,9 +21,7 @@ func (loopback) transfer(ep *Endpoint, x xfer, p hopPlan) {
 	copy(db, sb)
 	x.tag.Landing(x.dst.rank, x.n)
 	ep.deliverRemote(x.dst.rank, x.rem)
-	if x.onDone != nil {
-		ep.enqueueComp(completion{fn: x.onDone})
-	}
+	return true
 }
 
 func (loopback) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte, aux any, tag obs.OpTag) {
@@ -32,13 +31,11 @@ func (loopback) am(ep *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]by
 	tag.Landing(dst, len(staged))
 }
 
-func (loopback) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
+func (loopback) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, _ func(old uint64), tag obs.OpTag) (uint64, bool) {
 	tag.Hop(obs.StageCapture, ep.rank, 8)
 	old := ep.net.eps[dst].seg.applyAMO(off, op, op1, op2)
 	tag.Landing(dst, 8)
-	if onResult != nil {
-		ep.enqueueComp(completion{res: onResult, old: old})
-	}
+	return old, true
 }
 
 func (loopback) info() ConduitInfo { return ConduitInfo{Backend: "model"} }

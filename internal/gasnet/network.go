@@ -483,6 +483,14 @@ func (ep *Endpoint) enqueueComp(c completion) {
 	ep.Ring()
 }
 
+// queueDone queues the callback of an operation a callback-taking call
+// (Put, Get, AMO) saw finish in the call, so Poll delivers it as always.
+func (ep *Endpoint) queueDone(c completion) {
+	if c.fn != nil || c.res != nil {
+		ep.enqueueComp(c)
+	}
+}
+
 // enqueueAM queues delivered AMs, however many, under one lock and one ring.
 func (ep *Endpoint) enqueueAM(ams ...inboundAM) {
 	if len(ams) == 0 {
@@ -718,20 +726,25 @@ func (ep *Endpoint) deliverRemote(dst Rank, rem *RemoteAM) {
 // an eager-copy rput). onAck, if non-nil, is delivered to this endpoint's
 // completion queue once the data is globally visible at the target
 // (operation completion; requires initiator attentiveness to observe, but
-// the transfer itself completes without it).
+// the transfer itself completes without it) — through Poll, also when the
+// conduit finished the put inside the call.
 func (ep *Endpoint) Put(dst Rank, dstOff uint64, src []byte, onAck func()) {
-	ep.PutSegTag(dst, HostSeg, dstOff, src, onAck, nil, obs.OpTag{})
+	if ep.PutSegTag(dst, HostSeg, dstOff, src, onAck, nil, obs.OpTag{}) {
+		ep.queueDone(completion{fn: onAck})
+	}
 }
 
 // PutSegTag is Put targeting any segment of the destination rank (seg 0
 // is the host segment, higher ids device segments behind the target's DMA
 // engine), with an optional remote-completion AM — enqueued on dst the
 // instant the data is visible there, before the ack starts back — and the
-// initiator's observability tag.
-func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) {
+// initiator's observability tag. now reports a put the conduit finished in
+// the call (loopback, a memcpy into a shm peer's host segment): onAck is
+// then never called, and nothing is queued — the caller completes it.
+func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, onAck func(), rem *RemoteAM, tag obs.OpTag) (now bool) {
 	ep.ctr.Add(obs.Puts, 1)
 	ep.ctr.Add(obs.PutBytes, uint64(len(src)))
-	ep.transfer(&xfer{
+	return ep.transfer(&xfer{
 		src: loc{buf: src, isBuf: true, rank: ep.rank},
 		dst: loc{rank: dst, seg: seg, off: dstOff},
 		n:   len(src), onDone: onAck, rem: rem, tag: tag,
@@ -741,18 +754,21 @@ func (ep *Endpoint) PutSegTag(dst Rank, seg SegID, dstOff uint64, src []byte, on
 // Get starts a one-sided get of len(dst) bytes from (src, srcOff) into dst.
 // dst must not be read (or reused) until onDone is delivered via Poll.
 func (ep *Endpoint) Get(src Rank, srcOff uint64, dst []byte, onDone func()) {
-	ep.GetSegTag(src, HostSeg, srcOff, dst, onDone, obs.OpTag{})
+	if ep.GetSegTag(src, HostSeg, srcOff, dst, onDone, obs.OpTag{}) {
+		ep.queueDone(completion{fn: onDone})
+	}
 }
 
 // GetSegTag is Get reading from an arbitrary segment of the source rank
 // (device sources drain through the source rank's DMA engine before the
 // payload crosses the wire), carrying the initiator's observability tag.
 // The payload lands at the *initiator* — that is where a get's data
-// becomes visible — so the landing edge is recorded against ep.rank.
-func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) {
+// becomes visible — so the landing edge is recorded against ep.rank. now
+// is PutSegTag's: dst already holds the data, and onDone is not called.
+func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, onDone func(), tag obs.OpTag) (now bool) {
 	ep.ctr.Add(obs.Gets, 1)
 	ep.ctr.Add(obs.GetBytes, uint64(len(dst)))
-	ep.transfer(&xfer{
+	return ep.transfer(&xfer{
 		src: loc{rank: src, seg: seg, off: srcOff},
 		dst: loc{buf: dst, isBuf: true, rank: ep.rank},
 		n:   len(dst), onDone: onDone, tag: tag,
@@ -764,11 +780,11 @@ func (ep *Endpoint) GetSegTag(src Rank, seg SegID, srcOff uint64, dst []byte, on
 // to both sides (upcxx::copy). onDone is delivered to this endpoint's
 // completion queue; rem, if non-nil, is enqueued on dstRank the instant
 // the final hop's bytes are in place. The source is read lazily, when
-// the hop chain reaches it.
-func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRank Rank, dstSeg SegID, dstOff uint64, n int, onDone func(), rem *RemoteAM, tag obs.OpTag) {
+// the hop chain reaches it. now is PutSegTag's.
+func (ep *Endpoint) CopySegTag(srcRank Rank, srcSeg SegID, srcOff uint64, dstRank Rank, dstSeg SegID, dstOff uint64, n int, onDone func(), rem *RemoteAM, tag obs.OpTag) (now bool) {
 	ep.ctr.Add(obs.Puts, 1)
 	ep.ctr.Add(obs.PutBytes, uint64(n))
-	ep.transfer(&xfer{
+	return ep.transfer(&xfer{
 		src: loc{rank: srcRank, seg: srcSeg, off: srcOff},
 		dst: loc{rank: dstRank, seg: dstSeg, off: dstOff},
 		n:   n, onDone: onDone, rem: rem, tag: tag,
@@ -803,14 +819,18 @@ func (ep *Endpoint) AMTag(dst Rank, h HandlerID, owned []byte, borrowed [][]byte
 // AMO issues a NIC-offloaded atomic on the 64-bit word at (dst, off). The
 // operation executes at the target's segment without target CPU
 // involvement; onResult (if non-nil) is delivered to this endpoint with the
-// word's previous value.
+// word's previous value, through Poll.
 func (ep *Endpoint) AMO(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64)) {
-	ep.AMOTag(dst, off, op, op1, op2, onResult, obs.OpTag{})
+	if old, now := ep.AMOTag(dst, off, op, op1, op2, onResult, obs.OpTag{}); now {
+		ep.queueDone(completion{res: onResult, old: old})
+	}
 }
 
-// AMOTag is AMO carrying the initiator's observability tag.
-func (ep *Endpoint) AMOTag(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
+// AMOTag is AMO carrying the initiator's observability tag. now reports an
+// atomic the conduit finished in the call, whose previous value is old:
+// onResult is then never called (PutSegTag's contract).
+func (ep *Endpoint) AMOTag(dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) (old uint64, now bool) {
 	ep.ctr.Add(obs.AMOs, 1)
 	tag.WireMsg(ep.rank, dst, 8)
-	ep.backendFor(dst == ep.rank).amo(ep, dst, off, op, op1, op2, onResult, tag)
+	return ep.backendFor(dst == ep.rank).amo(ep, dst, off, op, op1, op2, onResult, tag)
 }

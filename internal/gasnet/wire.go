@@ -671,24 +671,22 @@ func (t *wire) carried(x xfer) (rw *remWire, ackID uint64) {
 }
 
 // shmLanded finishes a transfer that moved by direct memcpy into dst's
-// mapped segment: the data is globally visible, so completion is
-// immediate — no ack round trip — and an armed remote AM ships as a
-// standalone fAM (the ring push's release-store publishes the memcpy).
-func (t *wire) shmLanded(x xfer) {
+// mapped segment: the data is globally visible, so the transfer completed
+// in its call (now) — no ack round trip — and an armed remote AM ships as
+// a standalone fAM (the ring push's release-store publishes the memcpy).
+func (t *wire) shmLanded(x xfer) bool {
 	x.tag.Landing(x.dst.rank, x.n)
 	if rem := x.rem; rem.arm() {
 		t.am(nil, x.dst.rank, rem.Handler, rem.Payload, nil, rem.Aux, obs.OpTag{})
 	}
-	if x.onDone != nil {
-		t.ep.enqueueComp(completion{fn: x.onDone})
-	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
 // Operations. The endpoint routes rank-local traffic to loopback, so at
 // least one side of every operation here is a peer process.
 
-func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
+func (t *wire) transfer(ep *Endpoint, x *xfer, _ *hopPlan) bool {
 	x.tag.Hop(obs.StageCapture, t.self, x.captureBytes())
 	src, dst, n := x.src, x.dst, x.n
 	var hdr [frameHeadMax]byte
@@ -701,10 +699,9 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 		data := ep.bytes(src, n)
 		if p := t.peers[dst.rank]; dst.seg == HostSeg && p.seg != nil {
 			copy(p.seg[dst.off:][:n], data)
-			t.shmLanded(x)
-			return
+			return t.shmLanded(*x)
 		}
-		rw, ackID := t.carried(x)
+		rw, ackID := t.carried(*x)
 		x.tag.Landing(dst.rank, n)
 		t.send(dst.rank, appendPut(hdr[:0], uint32(t.self), uint16(dst.seg), dst.off, uint32(t.self), ackID, rw), data)
 	case dst.rank == t.self:
@@ -716,10 +713,7 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 			copy(into, p.seg[src.off:][:n])
 			tag.Landing(t.self, n)
 			ep.deliverRemote(t.self, rem)
-			if onDone != nil {
-				ep.enqueueComp(completion{fn: onDone})
-			}
-			return
+			return true
 		}
 		id := t.newPending(pendingOp{dst: into, onDone: func() {
 			tag.Landing(t.self, n)
@@ -733,14 +727,14 @@ func (t *wire) transfer(ep *Endpoint, x xfer, _ hopPlan) {
 		// Third party: both sides are peers.
 		if sp, dp := t.peers[src.rank], t.peers[dst.rank]; src.seg == HostSeg && dst.seg == HostSeg && sp.seg != nil && dp.seg != nil {
 			copy(dp.seg[dst.off:][:n], sp.seg[src.off:][:n])
-			t.shmLanded(x)
-			return
+			return t.shmLanded(*x)
 		}
 		// 2.5-hop relay: ask the source rank to put its bytes to the
 		// destination, which acks us directly (ackRank = initiator).
-		rw, ackID := t.carried(x)
+		rw, ackID := t.carried(*x)
 		t.send(src.rank, appendCopy(hdr[:0], uint32(t.self), uint16(src.seg), src.off, uint32(dst.rank), uint16(dst.seg), dst.off, uint32(n), uint32(t.self), ackID, rw))
 	}
+	return false
 }
 
 // am ships an Active Message. The single capture copy gathers its head, the
@@ -762,18 +756,15 @@ func (t *wire) am(_ *Endpoint, dst Rank, h HandlerID, head []byte, tail [][]byte
 	tag.Landing(dst, n)
 }
 
-func (t *wire) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) {
+func (t *wire) amo(_ *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64, onResult func(old uint64), tag obs.OpTag) (uint64, bool) {
 	tag.Hop(obs.StageCapture, t.self, 8)
 	if p := t.peers[dst]; p.seg != nil {
 		// Same-host: execute the atomic directly on the peer's mapped
 		// word — both sides use hardware atomics (shared segment), so
-		// this serializes with the target's own AMOs.
+		// this serializes with the target's own AMOs — done in the call.
 		old := sharedAMO((*uint64)(unsafe.Pointer(&p.seg[off:][:8][0])), op, op1, op2)
 		tag.Landing(dst, 8)
-		if onResult != nil {
-			ep.enqueueComp(completion{res: onResult, old: old})
-		}
-		return
+		return old, true
 	}
 	var id uint64
 	if onResult != nil {
@@ -782,6 +773,7 @@ func (t *wire) amo(ep *Endpoint, dst Rank, off uint64, op AMOOp, op1, op2 uint64
 	var hdr [frameHeadMax]byte
 	t.send(dst, appendAMO(hdr[:0], id, off, byte(op), op1, op2))
 	tag.Landing(dst, 8)
+	return 0, false
 }
 
 // ---------------------------------------------------------------------------

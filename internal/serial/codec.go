@@ -96,7 +96,13 @@ func Unmarshal(data []byte, ptr any) error {
 
 // hide hides p from escape analysis, as strings.Builder once did: no codec
 // keeps what it is handed (Marshaler's contract), but what p points to may be
-// kept (a borrowed view), which the store to leak, never run, shows.
+// kept (a borrowed view), which the store to leak, never run, shows. p may
+// point into the goroutine's stack, so no call may come between the uintptr
+// and the pointer made back from it: a stack that moved there would leave the
+// pointer stale. Under -race the checkptr instrumentation adds such calls,
+// so hide is exempt from it (TestRPCArgumentAcrossStackGrowth).
+//
+//go:nocheckptr
 func hide(p unsafe.Pointer) unsafe.Pointer {
 	if leak != nil {
 		leak = *(*unsafe.Pointer)(p)

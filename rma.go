@@ -161,19 +161,24 @@ func (rk *Rank) newInjection(remotePeer Intrank) *injection {
 	return inj
 }
 
-// single makes op the record's one operation.
-func (inj *injection) single(op rmaOp) *injection {
-	inj.one[0], inj.ops = op, inj.one[:1]
-	return inj
+// single makes the record's inline operation its one operation and returns
+// it, zeroed, for the entry point to lower its arguments into in place.
+func (inj *injection) single() *rmaOp {
+	inj.ops = inj.one[:1]
+	return &inj.one[0]
 }
 
-// release poisons the record — plan zeroed but for the delivery lists'
-// cleared backing arrays, nops negative — and returns it to the pool.
+// release poisons the record — plan zeroed field by field but for the
+// delivery lists' cleared backing arrays, nops negative — and returns it to
+// the pool.
 func (inj *injection) release() {
 	clear(inj.op)
 	clear(inj.src)
 	clear(inj.rem)
-	inj.cxPlan = cxPlan{op: inj.op[:0], src: inj.src[:0], rem: inj.rem[:0]}
+	c := &inj.cxPlan
+	c.rk, c.futs, c.landing, c.notice, c.remotePeer = nil, CxFutures{}, nil, nil, 0
+	c.op, c.src, c.rem = c.op[:0], c.src[:0], c.rem[:0]
+	c.obsTag, c.obsBytes = obs.OpTag{}, 0
 	inj.one[0], inj.ops, inj.replies, inj.amo = rmaOp{}, nil, 0, nil
 	inj.nops.Store(-1)
 	injections.Put(inj)
@@ -181,16 +186,19 @@ func (inj *injection) release() {
 
 // inject hands the record's operations to the conduit under its plan — the
 // inject(op, cxSet) path of every RMA, copy, atomic, AM and RPC entry point —
-// on the calling goroutine (see run), polls completions, settles the plan and
-// returns its futures. One goroutine's operations therefore reach the conduit
-// in the order they were issued. Holding the sentinel, inject alone can tell
-// an event that fired inside the call (settled here, cxPlan.settle) from one
-// a later opDone delivers by LPC, whichever goroutine harvests it. The record
-// is not the caller's any more once inject returns.
+// on the calling goroutine (see run), polls completions while one is still
+// outstanding, settles the plan and returns its futures. One goroutine's
+// operations therefore reach the conduit in the order they were issued.
+// Holding the sentinel, inject alone can tell an event that fired inside the
+// call (settled here, cxPlan.settle) from one a later opDone delivers by LPC,
+// whichever goroutine harvests it. The record is not the caller's any more
+// once inject returns.
 func (rk *Rank) inject(inj *injection) CxFutures {
 	inj.nops.Store(int64(len(inj.ops)) + 1)
 	inj.run()
-	rk.InternalProgress()
+	if inj.nops.Load() > 1 {
+		rk.InternalProgress()
+	}
 	// Every operation completed: only the sentinel is left. A round-trip RPC's
 	// operation edge stays an LPC: it must not ready before its value's LPC.
 	fired := inj.nops.Load() == 1 && (len(inj.ops) == 0 || inj.ops[0].kind != opRPC)
@@ -215,9 +223,11 @@ func (rk *Rank) inject(inj *injection) CxFutures {
 	return futs
 }
 
-// run injects the batch: every operation goes to the conduit. Operation and
-// remote completions aggregate across the batch (see cxPlan); an empty batch
-// completes when inject drops the sentinel.
+// run injects the batch: every operation goes to the conduit, and one the
+// conduit reports finished in its call (now) is discharged here, as a
+// one-way message always is. Operation and remote completions aggregate
+// across the batch (see cxPlan); an empty batch completes when inject drops
+// the sentinel.
 func (inj *injection) run() {
 	rk, ops := inj.rk, inj.ops
 	// Remote-RPC notification: with one put/copy fragment its message rides
@@ -252,16 +262,19 @@ func (inj *injection) run() {
 				inj.obsTag = tag
 			}
 		}
+		now := false
 		switch op.kind {
 		case opPut:
-			rk.ep.PutSegTag(gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.buf, inj.landed, rem, tag)
+			now = rk.ep.PutSegTag(gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.buf, inj.landed, rem, tag)
 		case opGet:
-			rk.ep.GetSegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff, op.buf, inj.landed, tag)
+			now = rk.ep.GetSegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff, op.buf, inj.landed, tag)
 		case opCopy:
-			rk.ep.CopySegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff,
+			now = rk.ep.CopySegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff,
 				gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.nbytes, inj.landed, rem, tag)
 		case opAMO:
-			rk.ep.AMOTag(gasnetRank(op.dstPeer), op.dstOff, op.amo, op.amoA, op.amoB, inj.fetched, tag)
+			if old, done := rk.ep.AMOTag(gasnetRank(op.dstPeer), op.dstOff, op.amo, op.amoA, op.amoB, inj.fetched, tag); done {
+				inj.amoFetched(old)
+			}
 		case opAM, opRPC:
 			// The conduit takes over the runtime's own message buffer and
 			// captures borrowed fragments before the call returns: source
@@ -269,11 +282,12 @@ func (inj *injection) run() {
 			rk.ep.AMTag(gasnetRank(op.dstPeer), rk.w.amRPC, op.buf, op.bufs, op.amAux, tag)
 			// A one-way message's operation edge fires here; a round-trip
 			// request's when its last reply lands (rpcLand).
-			if op.kind == opAM {
-				inj.opLanded()
-			}
+			now = op.kind == opAM
 		default:
 			panic(fmt.Sprintf("upcxx: inject of unknown op kind %d", op.kind))
+		}
+		if now {
+			inj.opLanded()
 		}
 	}
 	if ro != nil && len(ops) > 0 {
@@ -343,32 +357,20 @@ func (rk *Rank) injectBatch(ops []rmaOp, kind opKind, remotePeer Intrank, cxs []
 	return rk.injectCx(inj, kind, cxs)
 }
 
-// lowerPut builds the rmaOp of one put fragment.
-func lowerPut[T serial.Scalar](src []T, dst GPtr[T], opName string) rmaOp {
+// lowerPut lowers one put fragment into op, a zeroed rmaOp.
+func lowerPut[T serial.Scalar](op *rmaOp, src []T, dst GPtr[T], opName string) {
 	if dst.IsNil() {
 		panic("upcxx: " + opName + " to nil GPtr")
 	}
-	return rmaOp{
-		kind:    opPut,
-		dstPeer: dst.Owner,
-		dstSeg:  dst.segID(opName),
-		dstOff:  dst.Off,
-		buf:     serial.AsBytes(src),
-	}
+	op.kind, op.dstPeer, op.dstSeg, op.dstOff, op.buf = opPut, dst.Owner, dst.segID(opName), dst.Off, serial.AsBytes(src)
 }
 
-// lowerGet builds the rmaOp of one get fragment.
-func lowerGet[T serial.Scalar](src GPtr[T], dst []T, opName string) rmaOp {
+// lowerGet lowers one get fragment into op, a zeroed rmaOp.
+func lowerGet[T serial.Scalar](op *rmaOp, src GPtr[T], dst []T, opName string) {
 	if src.IsNil() {
 		panic("upcxx: " + opName + " from nil GPtr")
 	}
-	return rmaOp{
-		kind:    opGet,
-		srcPeer: src.Owner,
-		srcSeg:  src.segID(opName),
-		srcOff:  src.Off,
-		buf:     serial.AsBytes(dst),
-	}
+	op.kind, op.srcPeer, op.srcSeg, op.srcOff, op.buf = opGet, src.Owner, src.segID(opName), src.Off, serial.AsBytes(dst)
 }
 
 // RPutWith copies src into the remote memory at dst with an explicit
@@ -377,7 +379,9 @@ func lowerGet[T serial.Scalar](src GPtr[T], dst []T, opName string) rmaOp {
 // through the target's DMA engine, and a RemoteCxAsRPC notification fires
 // at dst.Owner only after that DMA hop lands.
 func RPutWith[T serial.Scalar](rk *Rank, src []T, dst GPtr[T], cxs ...Cx) CxFutures {
-	return rk.injectCx(rk.newInjection(dst.Owner).single(lowerPut(src, dst, "RPut")), opPut, cxs)
+	inj := rk.newInjection(dst.Owner)
+	lowerPut(inj.single(), src, dst, "RPut")
+	return rk.injectCx(inj, opPut, cxs)
 }
 
 // RPut copies src into the remote memory at dst, returning a future that
@@ -396,7 +400,9 @@ func RPutPromise[T serial.Scalar](rk *Rank, src []T, dst GPtr[T], p *Promise[Uni
 // with an explicit completion set. Gets expose only operation completion
 // (there is no reusable source buffer and no destination-side event).
 func RGetWith[T serial.Scalar](rk *Rank, src GPtr[T], dst []T, cxs ...Cx) CxFutures {
-	return rk.injectCx(rk.newInjection(-1).single(lowerGet(src, dst, "RGet")), opGet, cxs)
+	inj := rk.newInjection(-1)
+	lowerGet(inj.single(), src, dst, "RGet")
+	return rk.injectCx(inj, opGet, cxs)
 }
 
 // RGet copies from the remote memory at src into the local buffer dst,
@@ -429,17 +435,12 @@ func CopyWith[T serial.Scalar](rk *Rank, src GPtr[T], dst GPtr[T], n int, cxs ..
 	if dst.IsNil() {
 		panic("upcxx: CopyGG to nil GPtr")
 	}
-	op := rmaOp{
-		kind:    opCopy,
-		srcPeer: src.Owner,
-		srcSeg:  src.segID("CopyGG"),
-		srcOff:  src.Off,
-		dstPeer: dst.Owner,
-		dstSeg:  dst.segID("CopyGG"),
-		dstOff:  dst.Off,
-		nbytes:  n * serial.SizeOf[T](),
-	}
-	return rk.injectCx(rk.newInjection(dst.Owner).single(op), opCopy, cxs)
+	inj := rk.newInjection(dst.Owner)
+	op := inj.single()
+	op.kind, op.nbytes = opCopy, n*serial.SizeOf[T]()
+	op.srcPeer, op.srcSeg, op.srcOff = src.Owner, src.segID("CopyGG"), src.Off
+	op.dstPeer, op.dstSeg, op.dstOff = dst.Owner, dst.segID("CopyGG"), dst.Off
+	return rk.injectCx(inj, opCopy, cxs)
 }
 
 // CopyGG copies n elements from one global location to another, returning
@@ -485,7 +486,7 @@ func uniformDst(ops []rmaOp) Intrank {
 func RPutVWith[T serial.Scalar](rk *Rank, frags []PutPair[T], cxs ...Cx) CxFutures {
 	ops := make([]rmaOp, len(frags))
 	for i, f := range frags {
-		ops[i] = lowerPut(f.Src, f.Dst, "RPutVWith")
+		lowerPut(&ops[i], f.Src, f.Dst, "RPutVWith")
 	}
 	return rk.injectBatch(ops, opPut, uniformDst(ops), cxs)
 }
@@ -494,7 +495,7 @@ func RPutVWith[T serial.Scalar](rk *Rank, frags []PutPair[T], cxs ...Cx) CxFutur
 func RGetVWith[T serial.Scalar](rk *Rank, frags []GetPair[T], cxs ...Cx) CxFutures {
 	ops := make([]rmaOp, len(frags))
 	for i, f := range frags {
-		ops[i] = lowerGet(f.Src, f.Dst, "RGetVWith")
+		lowerGet(&ops[i], f.Src, f.Dst, "RGetVWith")
 	}
 	return rk.injectBatch(ops, opGet, -1, cxs)
 }
@@ -510,7 +511,7 @@ func RPutIndexedWith[T serial.Scalar](rk *Rank, src []T, base GPtr[T], indices [
 	}
 	ops := make([]rmaOp, len(indices))
 	for i, idx := range indices {
-		ops[i] = lowerPut(src[i*blockElems:(i+1)*blockElems], base.Add(idx), "RPutIndexedWith")
+		lowerPut(&ops[i], src[i*blockElems:(i+1)*blockElems], base.Add(idx), "RPutIndexedWith")
 	}
 	return rk.injectBatch(ops, opPut, base.Owner, cxs)
 }
@@ -524,7 +525,7 @@ func RGetIndexedWith[T serial.Scalar](rk *Rank, base GPtr[T], indices []int, blo
 	}
 	ops := make([]rmaOp, len(indices))
 	for i, idx := range indices {
-		ops[i] = lowerGet(base.Add(idx), dst[i*blockElems:(i+1)*blockElems], "RGetIndexedWith")
+		lowerGet(&ops[i], base.Add(idx), dst[i*blockElems:(i+1)*blockElems], "RGetIndexedWith")
 	}
 	return rk.injectBatch(ops, opGet, -1, cxs)
 }
@@ -537,7 +538,7 @@ func RPutStrided2DWith[T serial.Scalar](rk *Rank, src []T, srcStride int, dst GP
 	ops := make([]rmaOp, rows)
 	for i := 0; i < rows; i++ {
 		lo := i * srcStride
-		ops[i] = lowerPut(src[lo:lo+rowLen], dst.Add(i*dstStride), "RPutStrided2DWith")
+		lowerPut(&ops[i], src[lo:lo+rowLen], dst.Add(i*dstStride), "RPutStrided2DWith")
 	}
 	return rk.injectBatch(ops, opPut, dst.Owner, cxs)
 }
@@ -549,7 +550,7 @@ func RGetStrided2DWith[T serial.Scalar](rk *Rank, src GPtr[T], srcStride int, ds
 	ops := make([]rmaOp, rows)
 	for i := 0; i < rows; i++ {
 		lo := i * dstStride
-		ops[i] = lowerGet(src.Add(i*srcStride), dst[lo:lo+rowLen], "RGetStrided2DWith")
+		lowerGet(&ops[i], src.Add(i*srcStride), dst[lo:lo+rowLen], "RGetStrided2DWith")
 	}
 	return rk.injectBatch(ops, opGet, -1, cxs)
 }

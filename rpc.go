@@ -650,8 +650,8 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, stream [][]byte, hdr []byte, arg *A, cxs []Cx) CxFutures {
 	bodyPers, cxs := splitBodyPersona(target, cxs)
 	inj := rk.newInjection(target)
-	for _, cx := range cxs {
-		inj.add(opRPC, cx)
+	for i := range cxs {
+		inj.add(opRPC, &cxs[i])
 	}
 	if len(calls) == 0 {
 		return rk.inject(inj)
@@ -673,7 +673,8 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 			call.rem, land, inj.landing = l.tok.rem, &l.args, nil
 		}
 	}
-	op := rmaOp{kind: opAM, dstPeer: target, amAux: call} // all ff: the operation edge fires at injection
+	op := inj.single()
+	op.kind, op.dstPeer, op.amAux = opAM, target, call // all ff: the operation edge fires at injection
 	op.buf, op.bufs = encodeRPCMsg(rk.me, calls, stream, hdr, arg, call.bodies[0].arg, land)
 	if inj.replies > 0 {
 		op.kind = opRPC // the last reply fires the operation edge (rpcLand)
@@ -685,7 +686,7 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 		}
 		rk.rpcMu.Unlock()
 	}
-	return rk.inject(inj.single(op))
+	return rk.inject(inj)
 }
 
 // rpcOne sends a single call of call's body: a one-entry message whose

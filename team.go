@@ -66,8 +66,18 @@ func (t *Team) String() string {
 // one team complete in initiation order.
 func (t *Team) BarrierAsync() Future[Unit] { return t.BarrierAsyncWith().Op }
 
-// Barrier blocks until every team member has entered it.
-func (t *Team) Barrier() { t.BarrierAsync().Wait() }
+// Barrier blocks until every team member has entered it. Like UPC++'s
+// barrier() it is a user-progress call: one whose wave completed at entry,
+// from arrivals already in, still runs a progress pass, so what this rank
+// queued for itself before entering (a self-targeted signaling put's
+// notification, say) has run when Barrier returns.
+func (t *Team) Barrier() {
+	f := t.BarrierAsync()
+	if f.Ready() {
+		t.rk.progressWith(curState())
+	}
+	f.Wait()
+}
 
 // Barrier blocks until every rank in the job has entered it.
 func (rk *Rank) Barrier() { rk.worldTeam.Barrier() }
