@@ -60,6 +60,8 @@ test-short:
 # Goroutine runs the identity tests, so checkptr sees curGID's load from g.
 # The serial package's compiled codecs read and write values at computed
 # offsets (unsafe.Add): under -race, checkptr validates every one of them.
+# The device Cholesky runs ten times: its send buffers grow the device
+# segment, which must happen before peers copy into it (DESIGN §13).
 # The runtime is one package (the module root); internal/core and
 # internal/task are its two white-box test packages (see test-links).
 race:
@@ -72,6 +74,7 @@ race:
 	$(GO) test -race ./internal/serial/
 	$(GO) test -race ./internal/task/
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/task/
+	$(GO) test -race -count=10 ./internal/sparse/ -run CholV1Device
 
 # Allocation pins (testing.AllocsPerRun; they skip themselves under -race):
 # heap objects per operation in core, per AM in gasnet, per decoded aux

@@ -14,18 +14,16 @@ import (
 // non-blocking and return futures.
 
 // amoOp issues one offloaded atomic through the single injection path
-// (Rank.inject). The conduit's result callback stores the previous value in
-// the returned future's own cell, which inject readies at once when the
-// atomic completed inside the call and otherwise delivers to the initiating
-// persona as the operation-completion payload.
+// (Rank.inject). An atomic that completed inside the call returns its
+// previous value inline and allocates nothing; otherwise the value is
+// delivered to the initiating persona as the operation-completion payload.
 func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) Future[uint64] {
 	inj := rk.newInjection(owner)
-	inj.amo = &futCore[uint64]{rk: rk}
-	c := inj.amo // the record is released before inject returns
 	o := inj.single()
 	o.kind, o.dstPeer, o.dstOff, o.amo, o.amoA, o.amoB = opAMO, owner, off, op, a, b
-	rk.inject(inj)
-	return Future[uint64]{c}
+	var old Future[uint64]
+	rk.inject(inj, &old)
+	return old
 }
 
 // amoOpPtr validates the target pointer and issues the atomic. Atomic

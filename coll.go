@@ -500,7 +500,7 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 	op.kind, op.nbytes = opCopy, nbytes
 	op.srcPeer, op.srcSeg, op.srcOff = rk.me, src.segID(), src.off
 	op.dstPeer, op.dstSeg, op.dstOff = world, dst.segID(), dst.off
-	rk.inject(inj)
+	rk.inject(inj, nil)
 }
 
 // --- the wave --------------------------------------------------------------

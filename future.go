@@ -9,23 +9,31 @@ import (
 // analogue of upcxx::future<>.
 type Unit = struct{}
 
-// futCore is the shared state behind a Future/Promise pair. It is owned
-// by the persona current on the creating goroutine: state is only
+// cell is the untyped head of a future's state. A ready future holds its
+// value inline and points at its rank's one ready cell (inline, shared, never
+// written); a pending future points at the cell heading its futCore.
+type cell struct {
+	rk     *Rank
+	pers   *Persona
+	ready  bool
+	inline bool
+}
+
+// futCore is the shared state behind a pending Future/Promise pair. It is
+// owned by the persona current on the creating goroutine: state is only
 // touched from the goroutine holding that persona, and fulfillment
 // arriving on any other goroutine is rerouted through the owner's LPC
 // queue.
 type futCore[T any] struct {
-	rk    *Rank
-	pers  *Persona
-	ready bool
-	val   T
-	cbs   []func(T)
+	cell // first: a pending Future[T]'s *cell is its futCore[T] (pendingOf)
+	val  T
+	cbs  []func(T)
 }
 
 // newFutCore creates future state owned by the calling goroutine's
 // current persona.
 func newFutCore[T any](rk *Rank) *futCore[T] {
-	return &futCore[T]{rk: rk, pers: rk.currentPersona()}
+	return &futCore[T]{cell: cell{rk: rk, pers: rk.currentPersona()}}
 }
 
 // fulfill is the one way a future readies: on the owning persona's
@@ -69,21 +77,43 @@ func (c *futCore[T]) onReady(cb func(T)) {
 //
 // A future is owned by the persona current when it was created and must
 // only be touched from the goroutine holding that persona; combinators
-// (Then, WhenAll, ...) must conjoin futures of one persona.
+// (Then, WhenAll, ...) must conjoin futures of one persona. A ready future
+// holds its value in v, allocating nothing; v is first, as Go pads a
+// trailing zero-size field (a Future[Unit] would take two words).
 type Future[T any] struct {
-	c *futCore[T]
+	v T
+	c *cell
 }
 
 // Valid reports whether f refers to an operation (non-zero).
 func (f Future[T]) Valid() bool { return f.c != nil }
 
-// core returns f's state. A zero Future stands for an event that was not
-// requested as a future (a CxFutures field left unset): using it panics.
-func (f Future[T]) core() *futCore[T] {
+// core returns f's state head. A zero Future stands for an event that was
+// not requested as a future (a CxFutures field left unset): using it panics.
+func (f Future[T]) core() *cell {
 	if f.c == nil {
 		panic("upcxx: zero Future: its event was not requested as_future")
 	}
 	return f.c
+}
+
+// now returns f's value and true when f is ready.
+func (f Future[T]) now() (v T, ok bool) {
+	if c := f.core(); c.inline {
+		return f.v, true
+	} else if p := pendingOf[T](c); p.ready {
+		return p.val, true
+	}
+	return v, false
+}
+
+// onReady runs cb with f's value once ready: at once if it is.
+func (f Future[T]) onReady(cb func(T)) {
+	if c := f.core(); c.inline {
+		cb(f.v)
+	} else {
+		pendingOf[T](c).onReady(cb)
+	}
 }
 
 // Ready reports whether the result is available.
@@ -91,11 +121,11 @@ func (f Future[T]) Ready() bool { return f.core().ready }
 
 // Result returns the value; it panics if the future is not ready.
 func (f Future[T]) Result() T {
-	c := f.core()
-	if !c.ready {
+	v, ok := f.now()
+	if !ok {
 		panic("upcxx: Result on unready future")
 	}
-	return c.val
+	return v
 }
 
 // Wait drives user-level progress until the future is ready and returns its
@@ -104,10 +134,10 @@ func (f Future[T]) Result() T {
 // context); doing so panics, since progress cannot recurse and the wait
 // could never complete.
 func (f Future[T]) Wait() T {
-	c := f.core()
-	if c.ready {
-		return c.val // nothing to wait for: no goroutine identity needed
+	if v, ok := f.now(); ok {
+		return v // nothing to wait for: no goroutine identity needed
 	}
+	c := pendingOf[T](f.c)
 	rk := c.rk
 	gs := curState()
 	if gs.restricted {
@@ -152,74 +182,69 @@ func (f Future[T]) Wait() T {
 
 // Then chains fn onto f: fn runs with f's value once ready (during user
 // progress for communication-backed futures) and its return value readies
-// the resulting future — upcxx's future::then.
+// the resulting future — upcxx's future::then. On a ready f, fn runs at
+// once and the result is ready.
 func Then[T, U any](f Future[T], fn func(T) U) Future[U] {
+	if v, ok := f.now(); ok {
+		return ReadyFuture(f.c.rk, fn(v))
+	}
 	out := newFutCore[U](f.c.rk)
-	f.c.onReady(func(v T) { out.fulfill(fn(v)) })
-	return Future[U]{out}
+	pendingOf[T](f.c).onReady(func(v T) { out.fulfill(fn(v)) })
+	return Future[U]{c: &out.cell}
 }
 
 // ThenDo chains a callback that produces no value; the result conveys
 // readiness only.
 func ThenDo[T any](f Future[T], fn func(T)) Future[Unit] {
-	return Then(f, func(v T) Unit {
-		fn(v)
-		return Unit{}
-	})
+	return Then(f, func(v T) Unit { fn(v); return Unit{} })
 }
 
 // ThenFut chains a future-returning callback, flattening the result: the
 // returned future readies when the callback's future does. This is the
 // paper's pattern of an RPC callback that launches an rput (§IV-C).
 func ThenFut[T, U any](f Future[T], fn func(T) Future[U]) Future[U] {
-	out := newFutCore[U](f.c.rk)
-	f.c.onReady(func(v T) {
-		inner := fn(v)
-		inner.c.onReady(func(u U) { out.fulfill(u) })
-	})
-	return Future[U]{out}
+	out := newFutCore[U](f.core().rk)
+	f.onReady(func(v T) { fn(v).onReady(out.fulfill) })
+	return Future[U]{c: &out.cell}
 }
 
 // ReadyFuture returns an already-fulfilled future carrying v
 // (upcxx::make_future with a value).
-func ReadyFuture[T any](rk *Rank, v T) Future[T] {
-	return Future[T]{&futCore[T]{rk: rk, ready: true, val: v}}
-}
+func ReadyFuture[T any](rk *Rank, v T) Future[T] { return Future[T]{v: v, c: rk.done.c} }
 
 // EmptyFuture returns an already-fulfilled empty future — the starting
 // point for conjoining chains, as in the paper's extend-add sketch
 // (Fig 7, line 6).
-func EmptyFuture(rk *Rank) Future[Unit] { return ReadyFuture(rk, Unit{}) }
+func EmptyFuture(rk *Rank) Future[Unit] { return rk.done }
 
 // AnyFuture is the type-erased view of a Future, accepted by WhenAll.
 type AnyFuture interface {
 	Valid() bool
+	Ready() bool
 	anyOnReady(cb func())
-	owner() *Rank
 }
 
-func (f Future[T]) anyOnReady(cb func()) { f.c.onReady(func(T) { cb() }) }
-func (f Future[T]) owner() *Rank         { return f.c.rk }
+func (f Future[T]) anyOnReady(cb func()) { f.onReady(func(T) { cb() }) }
 
 // WhenAll conjoins futures: the result readies when all inputs have
-// (upcxx::when_all, readiness only). With no inputs it is ready
-// immediately.
+// (upcxx::when_all, readiness only). With every input ready, none
+// included, it is ready at once.
 func WhenAll(rk *Rank, fs ...AnyFuture) Future[Unit] {
-	out := newFutCore[Unit](rk)
-	remaining := len(fs)
-	if remaining == 0 {
-		out.fulfill(Unit{})
-		return Future[Unit]{out}
-	}
+	var p *Promise[Unit] // a dependency per pending input; closures take q, so p needs no heap
 	for _, f := range fs {
-		f.anyOnReady(func() {
-			remaining--
-			if remaining == 0 {
-				out.fulfill(Unit{})
+		if !f.Ready() {
+			if p == nil {
+				p = NewPromise[Unit](rk)
 			}
-		})
+			q := p
+			q.RequireAnonymous(1)
+			f.anyOnReady(func() { q.FulfillAnonymous(1) })
+		}
 	}
-	return Future[Unit]{out}
+	if p == nil {
+		return rk.done
+	}
+	return p.Finalize()
 }
 
 // Pair carries the two values produced by WhenAll2.
@@ -230,41 +255,44 @@ type Pair[A, B any] struct {
 
 // WhenAll2 conjoins two value-carrying futures, preserving both values.
 func WhenAll2[A, B any](fa Future[A], fb Future[B]) Future[Pair[A, B]] {
-	out := newFutCore[Pair[A, B]](fa.c.rk)
-	remaining := 2
-	var p Pair[A, B]
+	a, aok := fa.now()
+	b, bok := fb.now()
+	if aok && bok {
+		return ReadyFuture(fa.c.rk, Pair[A, B]{a, b})
+	}
+	out, remaining, p := newFutCore[Pair[A, B]](fa.c.rk), 2, Pair[A, B]{}
 	done := func() {
-		remaining--
-		if remaining == 0 {
+		if remaining--; remaining == 0 {
 			out.fulfill(p)
 		}
 	}
-	fa.c.onReady(func(v A) { p.First = v; done() })
-	fb.c.onReady(func(v B) { p.Second = v; done() })
-	return Future[Pair[A, B]]{out}
+	fa.onReady(func(v A) { p.First = v; done() })
+	fb.onReady(func(v B) { p.Second = v; done() })
+	return Future[Pair[A, B]]{c: &out.cell}
 }
 
 // WhenAllSlice conjoins a homogeneous slice of futures into a future of
 // the collected values (in input order).
 func WhenAllSlice[T any](rk *Rank, fs []Future[T]) Future[[]T] {
-	out := newFutCore[[]T](rk)
 	vals := make([]T, len(fs))
-	remaining := len(fs)
-	if remaining == 0 {
-		out.fulfill(vals)
-		return Future[[]T]{out}
-	}
+	var p *Promise[[]T] // a dependency per pending input; closures take q, so p needs no heap
 	for i, f := range fs {
-		i := i
-		f.c.onReady(func(v T) {
+		if v, ok := f.now(); ok {
 			vals[i] = v
-			remaining--
-			if remaining == 0 {
-				out.fulfill(vals)
-			}
-		})
+			continue
+		}
+		if p == nil {
+			p = NewPromise[[]T](rk)
+		}
+		q := p
+		q.RequireAnonymous(1)
+		f.onReady(func(v T) { vals[i] = v; q.FulfillAnonymous(1) })
 	}
-	return Future[[]T]{out}
+	if p == nil {
+		return ReadyFuture(rk, vals)
+	}
+	p.FulfillResult(vals)
+	return p.Future()
 }
 
 // Promise is the producer side of a non-blocking operation. It carries a
@@ -301,14 +329,14 @@ func NewPromiseOn[T any](rk *Rank, pers *Persona) *Promise[T] {
 	if pers.rk != rk {
 		panic(fmt.Sprintf("upcxx: NewPromiseOn: %v belongs to rank %d, not rank %d", pers, pers.rk.me, rk.me))
 	}
-	p := &Promise[T]{core: futCore[T]{rk: rk, pers: pers}, deps: 1}
+	p := &Promise[T]{core: futCore[T]{cell: cell{rk: rk, pers: pers}}, deps: 1}
 	p.c = &p.core
 	return p
 }
 
 // Future returns a future associated with this promise. Multiple calls
 // return futures sharing the same state.
-func (p *Promise[T]) Future() Future[T] { return Future[T]{p.c} }
+func (p *Promise[T]) Future() Future[T] { return Future[T]{c: &p.c.cell} }
 
 // RequireAnonymous registers n additional dependencies.
 func (p *Promise[T]) RequireAnonymous(n int) {
@@ -366,5 +394,5 @@ func (p *Promise[T]) Finalize() Future[T] {
 		p.finalized = true
 		p.FulfillAnonymous(1)
 	}
-	return Future[T]{p.c}
+	return Future[T]{c: &p.c.cell}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"upcxx/internal/gasnet"
 )
@@ -592,10 +593,15 @@ func TestCxZeroFuture(t *testing.T) {
 		dst := MustNewArray[uint64](rk, 1)
 		p := NewPromise[Unit](rk)
 		op := RPutWith(rk, []uint64{1}, dst, OpCxAsPromise(p)).Op
+		if op.Valid() {
+			t.Error("a field not requested as_future is Valid")
+		}
 		for name, use := range map[string]func(){
-			"Wait":   func() { op.Wait() },
-			"Ready":  func() { op.Ready() },
-			"Result": func() { op.Result() },
+			"Wait":    func() { op.Wait() },
+			"Ready":   func() { op.Ready() },
+			"Result":  func() { op.Result() },
+			"Then":    func() { ThenDo(op, func(Unit) {}) },
+			"WhenAll": func() { WhenAll(rk, op) },
 		} {
 			func() {
 				defer func() {
@@ -608,6 +614,109 @@ func TestCxZeroFuture(t *testing.T) {
 		}
 		p.Finalize().Wait()
 	})
+}
+
+// TestCxFutureLayout pins the future's size: a Future[Unit] is one word (a
+// ready one is the rank's shared ready cell, with nothing inline), so
+// CxFutures is three, and a value future is its value plus the word. A
+// 16-byte Future[Unit] (the cell pointer first, the padded Unit after it)
+// moved the committed benchmark's in-process rput latency +7.1 %, rget +7.0 %
+// and the put flood -4.5 %, losing every pair (4 pairs, 2-core x86-64).
+func TestCxFutureLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Future[Unit]", unsafe.Sizeof(Future[Unit]{}), 8},
+		{"CxFutures", unsafe.Sizeof(CxFutures{}), 24},
+		{"Future[int64]", unsafe.Sizeof(Future[int64]{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestCxReadyCombinators: a combinator over ready futures runs its callback
+// at once and returns a future that holds its value inline; one pending
+// input keeps the result pending until that input readies.
+func TestCxReadyCombinators(t *testing.T) {
+	Run(1, func(rk *Rank) {
+		one, two := ReadyFuture(rk, int64(1)), ReadyFuture(rk, "two")
+		ran := 0
+		inline := func(name string, f interface {
+			Ready() bool
+			Valid() bool
+		}, c *cell) {
+			t.Helper()
+			if !f.Valid() || !f.Ready() || !c.inline {
+				t.Errorf("%s over ready inputs: valid %v, ready %v, inline %v", name, f.Valid(), f.Ready(), c.inline)
+			}
+		}
+		th := Then(one, func(v int64) int64 { ran++; return v + 1 })
+		inline("Then", th, th.c)
+		td := ThenDo(two, func(string) { ran++ })
+		inline("ThenDo", td, td.c)
+		if ran != 2 || th.Result() != 2 {
+			t.Errorf("Then ran %d callbacks at once, result %d: want 2 and 2", ran, th.Result())
+		}
+		for _, f := range []Future[Unit]{WhenAll(rk), WhenAll(rk, one, two, EmptyFuture(rk))} {
+			inline("WhenAll", f, f.c)
+		}
+		w2 := WhenAll2(one, two)
+		inline("WhenAll2", w2, w2.c)
+		if got := w2.Wait(); got != (Pair[int64, string]{1, "two"}) {
+			t.Errorf("WhenAll2 = %v", got)
+		}
+		ws := WhenAllSlice(rk, []Future[int64]{one, th})
+		inline("WhenAllSlice", ws, ws.c)
+		if got := fmt.Sprint(ws.Result()); got != "[1 2]" {
+			t.Errorf("WhenAllSlice = %s, want [1 2]", got)
+		}
+
+		p := NewPromise[int64](rk)
+		pend := p.Future()
+		all, pair := WhenAll(rk, one, pend), WhenAll2(pend, two)
+		slice, then := WhenAllSlice(rk, []Future[int64]{one, pend, th}), Then(pend, func(v int64) int64 { return -v })
+		if all.Ready() || pair.Ready() || slice.Ready() || then.Ready() {
+			t.Fatal("a combinator with a pending input is ready")
+		}
+		p.FulfillResult(5)
+		if !all.Ready() || pair.Result().First != 5 || fmt.Sprint(slice.Result()) != "[1 5 2]" || then.Result() != -5 {
+			t.Errorf("after fulfilment: all %v, pair %v, slice %v, then %d", all.Ready(), pair.Result(), slice.Result(), then.Result())
+		}
+		if then.c.inline || !Then(pend, func(v int64) int64 { return v }).c.inline {
+			t.Error("Then over a pending input must keep its cell; over a fulfilled one it needs none")
+		}
+	})
+}
+
+// TestCxDeferredAtomicValue: an atomic that the conduit completes after its
+// call keeps a cell, and the fetched word reaches it.
+func TestCxDeferredAtomicValue(t *testing.T) {
+	w := NewWorld(Config{Ranks: 2, Model: &gasnet.LogGP{IntraL: 20 * time.Microsecond}})
+	defer w.Close()
+	rk := w.Rank(0)
+	sc := AcquirePersona(rk.MasterPersona())
+	defer sc.Release()
+	word, iword := MustNewArray[uint64](w.Rank(1), 1), MustNewArray[int64](w.Rank(1), 1)
+	ad, ai := NewAtomicU64(rk), NewAtomicI64(rk)
+	for i := uint64(0); i < 4; i++ {
+		f := ad.FetchAdd(word, 10)
+		if f.c.inline || f.Ready() {
+			t.Fatal("a LogGP fetch-add is ready at return")
+		}
+		if got := f.Wait(); got != 10*i {
+			t.Errorf("fetch-add %d fetched %d, want %d", i, got, 10*i)
+		}
+	}
+	ai.Store(iword, -3).Wait()
+	if got := ai.FetchMin(iword, -7).Wait(); got != -3 {
+		t.Errorf("FetchMin fetched %d, want -3", got)
+	}
+	if got := ai.Load(iword).Wait(); got != -7 {
+		t.Errorf("Load = %d, want -7", got)
+	}
 }
 
 func eagerEcho(_ *Rank, x int64) int64 { return x + 1 }

@@ -170,7 +170,7 @@ func poolStress(t *testing.T, model *gasnet.LogGP) {
 func TestReleasedInjectionPanics(t *testing.T) {
 	Run(1, func(rk *Rank) {
 		inj := rk.newInjection(0)
-		rk.inject(inj) // no operations: the sentinel completes and releases it
+		rk.inject(inj, nil) // no operations: the sentinel completes and releases it
 		if inj.rk != nil || inj.nops.Load() >= 0 {
 			t.Fatalf("after its last completion the record holds rank %v, nops %d", inj.rk, inj.nops.Load())
 		}

@@ -492,6 +492,8 @@ func TestRPCAllocPins(t *testing.T) {
 	val := make([]uint8, 64)
 	buf := []uint64{7}
 	ad := NewAtomicU64(rk0)
+	iword, _ := NewArray[int64](rk1, 1)
+	ai := NewAtomicI64(rk0)
 	spin := func(ready func() bool) {
 		for !ready() {
 			rk1.Progress()
@@ -540,7 +542,22 @@ func TestRPCAllocPins(t *testing.T) {
 		}, 6},
 		{"blocking RPut", func() { spin(RPut(rk0, buf, word).Ready) }, 0},
 		{"blocking RGet", func() { spin(RGet(rk0, word, buf).Ready) }, 0},
-		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 1},
+		// An atomic that finishes in its call returns its word inline, and a
+		// combinator over ready futures returns a ready one: no cell.
+		{"blocking fetch-add", func() { spin(ad.FetchAdd(word, 1).Ready) }, 0},
+		{"blocking atomic Store", func() { spin(ad.Store(word, 1).Ready) }, 0},
+		{"blocking int64 fetch-add", func() { spin(ai.FetchAdd(iword, 1).Ready) }, 0},
+		{"Then on a ReadyFuture[int64]", func() {
+			Then(ReadyFuture(rk0, int64(1)), func(v int64) int64 { return v + 1 }).Result()
+		}, 0},
+		{"blocking GetValue", func() { spin(GetValue(rk0, word).Ready) }, 2},
+		{"WhenAll2 of two ready futures", func() {
+			spin(WhenAll2(ReadyFuture(rk0, int64(1)), ReadyFuture(rk0, uint64(2))).Ready)
+		}, 0},
+		// Each AnyFuture conversion boxes its two-field Future: 8 B apiece.
+		{"WhenAll of EmptyFuture and a blocking RPut", func() {
+			spin(WhenAll(rk0, EmptyFuture(rk0), RPut(rk0, buf, word)).Ready)
+		}, 2},
 		{"blocking CopyGG", func() { CopyGG(rk0, local, word, 1).Wait() }, 0},
 		{"blocking RPutSignal", signal, 4},
 		{"blocking RPutSignal of a GPtr", func() { spin(RPutSignal(rk0, buf, word, msgSinkPtr, word).Ready) }, 6},
@@ -593,6 +610,10 @@ func TestRPCAllocPins(t *testing.T) {
 	})
 	check("blocking RPut on LogGP, beyond the conduit's put, allocs",
 		testing.AllocsPerRun(200, func() { RPut(timed.Rank(0), buf, timedWord).Wait() })-conduit, 3)
+	// A deferred atomic keeps its cell and its delivery.
+	timedAD := NewAtomicU64(timed.Rank(0))
+	check("blocking fetch-add on LogGP allocs",
+		testing.AllocsPerRun(200, func() { timedAD.FetchAdd(timedWord, 1).Wait() }), 4)
 	// 2-rank collectives, both ranks' allocations. A value collective's
 	// ranks are driven from this goroutine, which holds both masters (a
 	// broadcast's root does not wait for its leaf): each row starts the

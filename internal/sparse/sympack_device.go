@@ -151,6 +151,7 @@ func CholV1Device(rk *upcxx.Rank, plan *CholPlan) CholResult {
 		landing: make(map[int]map[int]upcxx.GPtr[float64]),
 		pending: make(map[int]*upcxx.Promise[upcxx.Unit]),
 	}
+	sends := make(map[int]upcxx.GPtr[float64])
 	for _, i := range order {
 		f := &plan.T.Fronts[i]
 		dim := len(f.Rows)
@@ -167,6 +168,9 @@ func CholV1Device(rk *upcxx.Rank, plan *CholPlan) CholResult {
 		st.landing[i] = make(map[int]upcxx.GPtr[float64])
 		for _, c := range f.Children {
 			st.landing[i][c] = devAlloc(da, cbTriLen(plan.T.Fronts[c].CBSize()))
+		}
+		if f.Parent >= 0 && f.CBSize() > 0 { // before the barrier: a growth under a peer's copy loses it
+			sends[i] = devAlloc(da, cbTriLen(f.CBSize()))
 		}
 		p := upcxx.NewPromise[upcxx.Unit](rk)
 		p.RequireAnonymous(len(f.Children))
@@ -186,8 +190,7 @@ func CholV1Device(rk *upcxx.Rank, plan *CholPlan) CholResult {
 			if f.Parent < 0 || f.CBSize() == 0 {
 				return upcxx.EmptyFuture(rk)
 			}
-			n := cbTriLen(f.CBSize())
-			send := devAlloc(da, n)
+			n, send := cbTriLen(f.CBSize()), sends[i]
 			st.devPackCB(i, send)
 			owner := plan.Map.Owner(f.Parent)
 			slotF := upcxx.RPC(rk, owner, devSlotRPC, devSlotArgs{ID: id, Child: int64(i)})

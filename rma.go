@@ -139,8 +139,8 @@ type injection struct {
 	// awaiting their results; the last one fires the operation edge
 	// (rpcLand). Guarded by the initiating rank's rpcMu.
 	replies int
-	// amo is the future of an atomic's fetched value (amoOp): the conduit's
-	// result callback writes the value into it.
+	// amo is the cell of an atomic that did not fire inside inject: the
+	// result callback leaves the word in one[0].amoA, opDone copies it here.
 	amo *futCore[uint64]
 
 	landed  func()           // inj.opLanded
@@ -192,8 +192,9 @@ func (inj *injection) release() {
 // Holding the sentinel, inject alone can tell an event that fired inside the
 // call (settled here, cxPlan.settle) from one a later opDone delivers by LPC,
 // whichever goroutine harvests it. The record is not the caller's any more
-// once inject returns.
-func (rk *Rank) inject(inj *injection) CxFutures {
+// once inject returns. An atomic's fetched word goes to word: inline when the
+// atomic fired in the call, else a cell the record fills (opDone).
+func (rk *Rank) inject(inj *injection, word *Future[uint64]) CxFutures {
 	inj.nops.Store(int64(len(inj.ops)) + 1)
 	inj.run()
 	if inj.nops.Load() > 1 {
@@ -209,11 +210,13 @@ func (rk *Rank) inject(inj *injection) CxFutures {
 		inj.deliver(inj.src, false)
 		inj.settle(inj.op, fired)
 		inj.settle(inj.rem, fired)
-	}
-	if c := inj.amo; c != nil {
+	} else if word != nil { // an atomic: no descriptors, its word as the future
 		d := cxDelivery{} // op-cx as a future, in the completion matrix
-		if c.ready = fired; !fired {
-			c.pers = rk.currentPersona()
+		if fired {
+			*word = ReadyFuture(rk, inj.one[0].amoA)
+		} else {
+			c := newFutCore[uint64](rk)
+			inj.amo, *word = c, Future[uint64]{c: &c.cell}
 			d.pers, d.fn = c.pers, func() { c.fulfill(c.val) }
 		}
 		inj.op = append(inj.op, d)
@@ -305,9 +308,9 @@ func (inj *injection) opLanded() {
 }
 
 // amoFetched is the conduit's result callback for the record's atomic: the
-// previous value goes into its future before the operation edge fires.
+// previous value goes into its operation, read after the nops decrement.
 func (inj *injection) amoFetched(old uint64) {
-	inj.amo.val = old
+	inj.one[0].amoA = old
 	inj.opLanded()
 }
 
@@ -324,6 +327,9 @@ func (inj *injection) opDone() {
 	}
 	if am := inj.takeConduitAM(); am != nil {
 		inj.rk.ep.AMTag(gasnetRank(inj.remotePeer), am.Handler, am.Payload, nil, am.Aux, inj.obsTag)
+	}
+	if c := inj.amo; c != nil {
+		c.val = inj.one[0].amoA
 	}
 	inj.obsDone()
 	inj.deliver(inj.rem, false)
@@ -347,7 +353,7 @@ func remoteCarriers(ops []rmaOp) int {
 // requested futures.
 func (rk *Rank) injectCx(inj *injection, kind opKind, cxs []Cx) CxFutures {
 	inj.resolve(kind, cxs)
-	return rk.inject(inj)
+	return rk.inject(inj, nil)
 }
 
 // injectBatch is injectCx for a vector operation's fragments.

@@ -87,20 +87,20 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 		mustUnmarshal(ca, args, &a)
 		inner := fn(trk, a)
 		reply := func() {
-			inner.c.onReady(func(r R) {
+			inner.onReady(func(r R) {
 				var one replyMsg
 				putResult(&one, seq, cr, &r)
 				trk.sendAM(src, one.bytes(trk.me), nil)
 			})
 		}
-		if inner.c.pers == nil || inner.c.pers.onOwnerGoroutine() {
+		if pers := inner.core().pers; pers == nil || pers.onOwnerGoroutine() {
 			reply()
 		} else {
 			// The body handed back a future owned by another persona
 			// (e.g. a deferred dist-object fetch pinned to the master
 			// persona); futures are persona-local, so the continuation
 			// must be registered on the owner's goroutine.
-			inner.c.pers.lpc(reply)
+			pers.lpc(reply)
 		}
 		return out
 	}}
@@ -654,7 +654,7 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 		inj.add(opRPC, &cxs[i])
 	}
 	if len(calls) == 0 {
-		return rk.inject(inj)
+		return rk.inject(inj, nil)
 	}
 	var last uint64 // top of a block of sequence numbers, one per entry, drawn at the first round trip
 	for i := range calls {
@@ -686,7 +686,7 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 		}
 		rk.rpcMu.Unlock()
 	}
-	return rk.inject(inj)
+	return rk.inject(inj, nil)
 }
 
 // rpcOne sends a single call of call's body: a one-entry message whose

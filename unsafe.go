@@ -15,3 +15,6 @@ func uintptrOf(b []byte) uintptr {
 func funcvalOf(fn any) uintptr {
 	return uintptr((*[2]unsafe.Pointer)(unsafe.Pointer(&fn))[1])
 }
+
+// pendingOf returns the futCore c heads: its first field, at its address.
+func pendingOf[T any](c *cell) *futCore[T] { return (*futCore[T])(unsafe.Pointer(c)) }

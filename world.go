@@ -182,7 +182,7 @@ func (w *World) newRank(r Intrank) *Rank {
 	if w.obs != nil {
 		rk.ro = w.obs.Rank(int(r))
 	}
-	rk.done = Future[Unit]{&futCore[Unit]{rk: rk, ready: true}}
+	rk.done = Future[Unit]{c: &cell{rk: rk, ready: true, inline: true}}
 	rk.coll = newCollEngine(rk, w.cfg.CollRadix)
 	rk.master = NewPersona(rk, "master")
 	rk.progressP = NewPersona(rk, "progress")
@@ -359,7 +359,7 @@ type Rank struct {
 
 	// done is the rank's one ready future, shared and never written: what an
 	// as_future descriptor of the initiating persona returns when its event
-	// fired inside the call (cxPlan.settle).
+	// fired inside the call (cxPlan.settle). Every ready future points at its cell.
 	done Future[Unit]
 
 	master    *Persona // held by the SPMD goroutine during Run
