@@ -13,68 +13,17 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The persona subsystem's acceptance gate: cross-thread LPC delivery,
-# scope nesting, and progress-thread mode must be race-clean — plus the
-# memory-kinds conformance matrix (every {host,device}×{same,cross} copy
-# pair plus the DMA engine), the completion-object matrix
-# ({op,source,remote} × {future,promise,LPC,RPC} × kinds × locality,
-# including the remote-cx AM path), the collectives matrix
-# ({barrier,bcast,reduce,allreduce} × {future,promise,LPC,remote-RPC} ×
-# {host,device} × {world,split-team} plus persona handoff, the gathers and
-# team splits, and the arrivals a collective must refuse), and the
-# observability layer (concurrent counter recording, trace rings, the
-# counter-conformance matrix) on top of it, and the batched-RPC datapath
-# (the {batched-rpc} × {future,promise,LPC} × {self,cross} completion
-# matrix, zero-copy capture, doorbell coalescing), and the async-task
-# runtime's conformance matrix ({AsyncAt,AsyncAtFF,Finish} × {self,cross}
-# × {steal on,off} × {LogGP,in-process} plus groups, worker concurrency,
-# and the spawn→steal→execute trace pipeline), and the conduit backend
-# conformance matrix ({put,get,am,amo,copy} × {host,device} × {self,peer,
-# third-party} × {no rem,rem-AM,counted} on loopback, loggp and in-test
-# tcp/shm wire networks, whose reader goroutines make it a real race test),
-# and the LogGP conduit's model-time equalities (a put's round trip, a
-# flood's NIC-serialized acks), and the shm ring's tests (the layout model, both doorbell protocols run
-# concurrently and every interleaving of their steps, corrupt records drained by
-# the reader and by a progress pass, a consumer lost under a flood) — once more
-# with one P, where a poller and the reader contending for the one drain lock
-# would show a drainer that blocks — and the
-# socket send queue's and bulk landing's (an injector parked on the bound while
-# its reader serves gets, a peer lost or a close under that park, megabyte puts
-# and gets read into place by real reader goroutines).
-# PoolStress is the injection-record pool's safety test: records taken, run,
-# completed and released on different goroutines, with a peer failed
-# mid-flight, and a progress thread harvesting completions while their
-# initiators settle the plan (once more with one P, where the two only
-# interleave at the scheduler's say). Cx includes the eager/deferred
-# matrix over in-process, LogGP, tcp and shm. InjectOrder holds one goroutine's puts and rpc_ffs to their
-# issue order while the progress thread or another persona polls. RPC runs the one message's tests — every core message crosses
-# its one handler: the mixed-stream FIFO, the rejects table, single calls as
-# one-entry batches. The second core leg runs the idle rule's tests and the persona
-# suite with one P, where a waiter that yields instead of parking starves
-# whoever must wake it — a schedule a multi-core CI host never produces by
-# itself — and a master that polls bare Progress starves the injectors
-# blocked behind it; and the collectives, whose futures are readied in place
-# when the engine's goroutine holds their persona (the committed benchmark
-# runs at one P). The task package runs a second time with one P too: the
-# steal bounce and a worker parked over a queued task only show there.
-# Goroutine runs the identity tests, so checkptr sees curGID's load from g.
-# The serial package's compiled codecs read and write values at computed
-# offsets (unsafe.Add): under -race, checkptr validates every one of them.
-# The device Cholesky runs ten times: its send buffers grow the device
-# segment, which must happen before peers copy into it (DESIGN §13).
-# The runtime is one package (the module root); internal/core and
-# internal/task are its two white-box test packages (see test-links).
+# One race gate. Every package with tests runs under the race detector; the
+# packages whose own code or tests run goroutines side by side in one process
+# run again with one P, where a waiter that yields instead of parking, or a
+# poller and the reader contending for one drain lock, show schedules a
+# multi-core host never produces by itself (xproc's ranks are processes:
+# transport-smoke runs them with one P); and the tests that once caught a race
+# run twenty times, since a race shows only in the runs that interleave.
 race:
-	$(GO) test -race ./internal/core/ -run 'Persona|Kinds|Cx|Coll|Gather|TeamSplit|Obs|Batch|PoolStress|InjectOrder|RPC|Goroutine|ModelTime'
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core/ -run 'OneP|Idle|Persona|PollingMaster|PoolStress|ModelTime|Coll'
-	$(GO) test -race ./internal/dht/ -run 'ConcurrentUsers|BatchInserter'
-	$(GO) test -race ./internal/gasnet/ -run 'Kinds|DeviceSegment|Conformance|Ring|Wire|ModelTime'
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/gasnet/ -run 'Ring|Wire|ModelTime'
-	$(GO) test -race ./internal/obs/
-	$(GO) test -race ./internal/serial/
-	$(GO) test -race ./internal/task/
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/task/
-	$(GO) test -race -count=10 ./internal/sparse/ -run CholV1Device
+	$(GO) test -race ./...
+	GOMAXPROCS=1 $(GO) test -race -count=1 . ./internal/core ./internal/task ./internal/gasnet ./internal/dht ./internal/mpi ./internal/obs
+	$(GO) test -race -count=20 -run 'CholV1Device|RPCArgumentAcrossStackGrowth|InjectOrderPerGoroutine' ./internal/sparse ./internal/core
 
 # Allocation pins (testing.AllocsPerRun; they skip themselves under -race):
 # heap objects per operation in core, per AM in gasnet, per decoded aux
@@ -206,13 +155,15 @@ bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [WORKLOAD=name] [SEED=1]"; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(or $(N),10)" "$(WORKLOAD)" "$(or $(SEED),1)"
 
-# The two sizes the simplicity aim is quoted in (ROADMAP item 5): non-test Go
-# lines outside benchmark/ (the test packages' links to the root sources are
-# not lines of their own), and the root package's exported package-level
-# identifiers (testdata/api.golden, which TestAPIGolden pins to the source).
+# The three sizes the simplicity aim is quoted in: non-test Go lines outside
+# benchmark/ (the test packages' links to the root sources are not lines of
+# their own), the root package's exported package-level identifiers
+# (testdata/api.golden, which TestAPIGolden pins to the source), and the lines
+# of DESIGN.md and EXPERIMENTS.md together.
 loc:
 	@git ls-files -s '*.go' | awk '$$1 != "120000" {print $$4}' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 	@grep -c . testdata/api.golden
+	@cat DESIGN.md EXPERIMENTS.md | wc -l
 
 # The runtime's white-box tests keep their own packages, internal/core and
 # internal/task, which compile the root package's sources through one

@@ -1,6 +1,6 @@
 // Benchmarks regenerating the measured quantity behind every figure of
-// the paper's evaluation (one benchmark family per figure; see DESIGN.md
-// §3 and EXPERIMENTS.md for the full sweeps produced by the cmd/ tools).
+// the paper's evaluation (one benchmark family per figure: EXPERIMENTS §2;
+// EXPERIMENTS §1 lists the cmd/ tools that produce the full sweeps).
 //
 // Real-runtime benchmarks run on the zero-delay conduit, so they measure
 // the software path of this implementation (injection, progress,

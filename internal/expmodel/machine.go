@@ -4,7 +4,7 @@
 // constants) and charges calibrated costs — either in closed form (Fig 3)
 // or on gasnet's model-time event queue and channels (Figs 4, 8, 9),
 // which is how this reproduction reaches the paper's 2048–34816 process
-// scales on one machine (DESIGN.md §4, substitution 4). Nothing checks these
+// scales on one machine. Nothing checks these
 // models against the runtime on the same LogGP model, and the two disagree:
 // a 2-rank DHT insert costs 1.87 µs here and 0.71 µs on the runtime, which
 // charges only o, g and L, not this package's software costs.

@@ -78,7 +78,7 @@ func (m *LogGP) Latency(n int, intra bool) time.Duration {
 //   - peak per-NIC put bandwidth ~10 GB/s,
 //   - message rate ~8 M msg/s.
 //
-// The absolute values matter less than the structure (see DESIGN.md §4):
+// The absolute values matter less than the structure (see DESIGN.md §5):
 // both UPC++ and the MPI baseline run over this same model, and the
 // differences the paper reports come from the software layered above it.
 func Aries() *LogGP {

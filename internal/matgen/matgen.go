@@ -7,7 +7,7 @@
 // by geometric nested dissection. They share the properties that drive
 // the paper's experiments: a deep elimination tree whose separator fronts
 // grow toward the root, producing the extend-add communication pattern of
-// Fig 5–8 (see DESIGN.md §4, substitution 3).
+// Fig 5–8.
 package matgen
 
 import "fmt"
