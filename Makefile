@@ -18,7 +18,8 @@ test-short:
 # run again with one P, where a waiter that yields instead of parking, or a
 # poller and the reader contending for one drain lock, show schedules a
 # multi-core host never produces by itself (xproc's ranks are processes:
-# transport-smoke runs them with one P); and the tests that once caught a race
+# its one race-enabled run is the first leg's, and transport-smoke runs them
+# with one P); and the tests that once caught a race
 # run twenty times, since a race shows only in the runs that interleave.
 race:
 	$(GO) test -race ./...
@@ -196,18 +197,18 @@ obs-smoke:
 	$(GO) test -race ./internal/core/ -run Obs
 	$(GO) test -race ./internal/obs/
 
-# Cross-process transport matrix: the race-enabled multi-process test
-# suite (internal/xproc re-executes its test binary as real OS-process
-# ranks over tcp and shm — smoke ops, idle-wait CPU budget, kill-one-rank
-# failure surfacing, the task runtime's cross-process steal/Finish job,
-# what a remote task costs beside an RPC in messages and time, what a blocking
-# round trip costs in doorbells and socket frames (pingpong), and
-# kill-one-rank under Finish asserting ErrPeerLost), once more with
-# one P in the test process and in every rank (the configuration the
-# committed benchmark measures and the idle rule's one-P case), then every
-# example end to end as a 4-process world on both real backends.
+# Cross-process transport matrix: the multi-process test suite
+# (internal/xproc re-executes its test binary as real OS-process ranks over
+# tcp and shm — smoke ops, idle-wait CPU budget, kill-one-rank failure
+# surfacing, the task runtime's cross-process steal/Finish job, what a remote
+# task costs beside an RPC in messages and time, what a blocking round trip
+# costs in doorbells and socket frames (pingpong), and kill-one-rank under
+# Finish asserting ErrPeerLost) with one P in the test process and in every
+# rank (the configuration the committed benchmark measures and the idle
+# rule's one-P case), then every example end to end as a 4-process world on
+# both real backends. Its race-enabled run is `make race`'s: `go test -race
+# ./...` covers internal/xproc, so it is not run a second time here.
 transport-smoke:
-	$(GO) test -race -count=1 ./internal/xproc
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/xproc
 	@# pingpong once more with both ranks on one CPU, the benchmark's placement: its oversize row is a count only there
 	if command -v taskset >/dev/null; then taskset -c 0 $(GO) test -count=1 ./internal/xproc -run PingPong; fi

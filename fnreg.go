@@ -16,9 +16,11 @@ package upcxx
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"upcxx/internal/serial"
 )
@@ -33,14 +35,18 @@ type fnEntry struct {
 	spawn *rpcAux
 }
 
-var fnReg = struct {
-	sync.RWMutex
+// The registry is filled at init and read by every call: a lookup loads the snapshot
+// without a lock, registerEntry stores an extended copy. The `_` stores the empty one first.
+type fnTables struct {
 	byName map[string]*fnEntry
 	byPtr  map[uintptr]*fnEntry
-}{
-	byName: make(map[string]*fnEntry),
-	byPtr:  make(map[uintptr]*fnEntry),
 }
+
+var (
+	fnRegMu sync.Mutex // serializes registerEntry
+	fnReg   atomic.Pointer[fnTables]
+	_       = fnReg.CompareAndSwap(nil, &fnTables{byName: map[string]*fnEntry{}, byPtr: map[uintptr]*fnEntry{}})
+)
 
 // registerEntry files body — fn's RPC form, or its task form when body.task is
 // set — under fn's stable runtime name, keeping the other form if it is there.
@@ -56,40 +62,36 @@ func registerEntry(fn any, body rpcBody) string {
 	body.name = rf.Name()
 	tok := &rpcAux{bodies: []rpcBody{body}}
 	tok.wire, _ = new(distAuxCodec).EncodeAux(tok)
-	fnReg.Lock()
-	defer fnReg.Unlock()
+	fnRegMu.Lock()
+	defer fnRegMu.Unlock()
+	old := fnReg.Load()
+	tab := &fnTables{byName: maps.Clone(old.byName), byPtr: maps.Clone(old.byPtr)}
 	ent := fnEntry{name: body.name}
-	if old := fnReg.byName[ent.name]; old != nil {
-		ent = *old
+	if prev := tab.byName[ent.name]; prev != nil {
+		ent = *prev
 	}
 	if body.task != nil {
 		ent.spawn = tok
 	} else {
 		ent.call = tok
 	}
-	fnReg.byName[ent.name] = &ent // a fresh entry: lookups read entries unlocked
-	fnReg.byPtr[funcvalOf(fn)] = &ent
+	tab.byName[ent.name] = &ent // a fresh entry: an older snapshot keeps the one it had
+	tab.byPtr[funcvalOf(fn)] = &ent
+	fnReg.Store(tab)
 	return ent.name
 }
 
 // registered returns fn's registry entry, or nil when it has none. The key
 // is the func value, not its code: a closure whose sibling (same literal,
 // other captures) was registered is not itself registered.
-func registered(fn any) *fnEntry {
-	fnReg.RLock()
-	ent := fnReg.byPtr[funcvalOf(fn)]
-	fnReg.RUnlock()
-	return ent
-}
+func registered(fn any) *fnEntry { return fnReg.Load().byPtr[funcvalOf(fn)] }
 
 func errUnregistered(what string) error {
 	return fmt.Errorf("upcxx: unregistered function %s — every rank must register it at init time (RegisterRPC/RegisterRPCFF/RegisterRPCFut, RegisterTask/RegisterTaskFF)", what)
 }
 
 func lookupFn(name string) (*fnEntry, error) {
-	fnReg.RLock()
-	ent := fnReg.byName[name]
-	fnReg.RUnlock()
+	ent := fnReg.Load().byName[name]
 	if ent == nil {
 		return nil, errUnregistered(fmt.Sprintf("%q", name))
 	}

@@ -114,6 +114,35 @@ func TestTaskSpawnIsOneEntry(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupWhileRegistering: a call reads the registry's snapshot
+// without a lock while registration replaces it. Lookups racing registrations
+// must be no data race under -race and always find what was registered.
+func TestRegistryLookupWhileRegistering(t *testing.T) {
+	fixed := mkScaler(2)
+	name := RegisterRPC(fixed)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 200 {
+			RegisterRPC(mkScaler(i))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if ent, err := lookupFn(name); registered(fixed) == nil || err != nil || ent.call == nil {
+			t.Fatalf("a registered function was not found while others registered (%v)", err)
+		}
+	}
+}
+
+func mkScaler(n int) func(*Rank, int) int {
+	return func(_ *Rank, x int) int { return x * n }
+}
+
 // mkAdder's closures share one code pointer only while it is not inlined.
 //
 //go:noinline

@@ -550,7 +550,7 @@ func TestRPCAllocPins(t *testing.T) {
 		{"Then on a ReadyFuture[int64]", func() {
 			Then(ReadyFuture(rk0, int64(1)), func(v int64) int64 { return v + 1 }).Result()
 		}, 0},
-		{"blocking GetValue", func() { spin(GetValue(rk0, word).Ready) }, 2},
+		{"blocking GetValue", func() { spin(GetValue(rk0, word).Ready) }, 1},
 		{"WhenAll2 of two ready futures", func() {
 			spin(WhenAll2(ReadyFuture(rk0, int64(1)), ReadyFuture(rk0, uint64(2))).Ready)
 		}, 0},

@@ -56,10 +56,11 @@ type frame struct {
 	// common source rank (fAM, fPut, fCopy)
 	rank uint32
 
-	// fAM
+	// fAM (body: the pooled body a bulk frame was read into, set by the reader)
 	handler uint16
 	aux     []byte
 	payload []byte
+	body    *recvBody
 
 	// fPut / fGet / fCopy addressing; n is the data's length, which the decoder
 	// takes from an fPut's or fGetRep's payload and the reader corrects for a

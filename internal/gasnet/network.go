@@ -18,12 +18,12 @@ type Rank = int32
 type HandlerID uint16
 
 // AMHandler is an Active Message handler. It runs on the target rank's
-// goroutine during Poll. The payload is the handler's to keep: every backend
-// delivers a buffer nobody writes again — the sender's owned message
-// in-process, a slab the burst was copied into off the socket or the ring —
-// so the RPC layer queues bodies, and the task runtime arguments, that alias it
-// (TestConformanceAMPayloadIsTheHandlersToKeep), each keeping its slab alive.
-// What reaches user code is still a view (upcxx::view), valid for the body's run only.
+// goroutine during Poll. The payload is the handler's to keep unless it hands
+// it back (Endpoint.ReleasePayload): every backend delivers a buffer nobody
+// writes again — the sender's owned message in-process, a slab the burst was
+// copied into off the socket or the ring, a bulk frame's own body — so the RPC
+// layer queues bodies, and the task runtime arguments, that alias it
+// (TestConformanceAMPayloadIsTheHandlersToKeep), each keeping its buffer alive.
 //
 // aux is an opaque token that travels with the message but contributes no
 // payload bytes: it models a code address (C++ function pointer / lambda
@@ -74,8 +74,8 @@ type Network struct {
 	be      backend // carries operations that leave the initiating rank
 	self    backend // carries rank-local operations (see backendFor)
 
-	hmu      sync.Mutex
-	handlers []AMHandler
+	hmu      sync.Mutex                  // serializes RegisterAM
+	handlers atomic.Pointer[[]AMHandler] // replaced by RegisterAM: dispatch reads it without a lock
 }
 
 // NewNetwork creates the conduit for a job.
@@ -101,6 +101,7 @@ func NewNetwork(cfg Config) *Network {
 		panic("gasnet: Config.Obs sized for a different job")
 	}
 	n := &Network{cfg: cfg, gdr: dma.GDR, dma: dma, eps: make([]*Endpoint, cfg.Ranks)}
+	n.handlers.Store(new([]AMHandler))
 	hosted := func(r int) {
 		ep := &Endpoint{rank: Rank(r), net: n, seg: NewSegment(cfg.SegmentSize), notify: make(chan struct{}, 1)}
 		if cfg.Obs != nil {
@@ -181,20 +182,20 @@ func (n *Network) GPUDirect() bool { return n.gdr }
 func (n *Network) RegisterAM(h AMHandler) HandlerID {
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
-	n.handlers = append(n.handlers, h)
-	if len(n.handlers) > 1<<16 {
+	hs := append(*n.handlers.Load(), h) // past every published length: no reader looks there
+	if len(hs) > 1<<16 {
 		panic("gasnet: AM handler table overflow")
 	}
-	return HandlerID(len(n.handlers) - 1)
+	n.handlers.Store(&hs)
+	return HandlerID(len(hs) - 1)
 }
 
 func (n *Network) handler(id HandlerID) AMHandler {
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	if int(id) >= len(n.handlers) {
+	hs := *n.handlers.Load()
+	if int(id) >= len(hs) {
 		panic(fmt.Sprintf("gasnet: AM to unregistered handler %d", id))
 	}
-	return n.handlers[id]
+	return hs[id]
 }
 
 // Close shuts the backend down (idempotent). Outstanding operations are
@@ -224,10 +225,11 @@ type Endpoint struct {
 	devMu sync.Mutex
 	devs  []*Segment // device segments; SegID i+1 is devs[i]
 
-	qmu     sync.Mutex
-	compQ   []completion // completions to run on the owner during Poll
-	amQ     []inboundAM  // delivered AMs awaiting handler execution
-	polling bool         // guards against recursive progress (restricted context)
+	qmu      sync.Mutex
+	compQ    []completion // completions to run on the owner during Poll
+	amQ      []inboundAM  // delivered AMs awaiting handler execution
+	polling  bool         // guards against recursive progress (restricted context)
+	released bool         // the handler PollAMs runs returned its payload (ReleasePayload)
 	// A drain swaps a spare in for the queue it detaches, then hands that back.
 	compSpare []completion
 	amSpare   []inboundAM
@@ -248,6 +250,7 @@ type inboundAM struct {
 	handler HandlerID
 	payload []byte
 	aux     any
+	body    *recvBody // the pooled body payload lies in (a bulk frame's); nil: nothing to hand back
 }
 
 // Rank returns this endpoint's rank.
@@ -639,7 +642,11 @@ func (ep *Endpoint) PollAMs() int {
 
 	for i := range ams {
 		am := &ams[i]
+		ep.released = false
 		ep.net.handler(am.handler)(ep, am.src, am.payload, am.aux)
+		if ep.released && am.body != nil {
+			am.body.release()
+		}
 	}
 	clear(ams)
 
@@ -649,6 +656,10 @@ func (ep *Endpoint) PollAMs() int {
 	ep.qmu.Unlock()
 	return len(ams)
 }
+
+// ReleasePayload, called inside an AM handler PollAMs runs, says nothing reads
+// its payload once it returns: the conduit may read another message into it.
+func (ep *Endpoint) ReleasePayload() { ep.released = true }
 
 // Poll drains completions then Active Messages, returning the number of
 // items processed. An empty poll advances the model clock to the rank's next

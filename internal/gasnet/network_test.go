@@ -324,6 +324,33 @@ func TestModelNetworkStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestRegisterAMWhileDispatching: dispatch reads the handler table without a
+// lock while RegisterAM replaces it. Registrations racing a stream of AMs must
+// be no data race under -race, and every AM must reach its handler.
+func TestRegisterAMWhileDispatching(t *testing.T) {
+	n := NewNetwork(Config{Ranks: 1})
+	defer n.Close()
+	ep := n.Endpoint(0)
+	got := 0
+	h := n.RegisterAM(func(*Endpoint, Rank, []byte, any) { got++ })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 1000 {
+			n.RegisterAM(func(*Endpoint, Rank, []byte, any) {})
+		}
+	}()
+	const N = 1000
+	for range N {
+		ep.AM(0, h, nil, nil)
+		ep.Poll()
+	}
+	<-done
+	if got != N {
+		t.Errorf("%d of %d AMs reached their handler", got, N)
+	}
+}
+
 func TestRegisterAMAfterTrafficPanicsOnUnknown(t *testing.T) {
 	n := NewNetwork(Config{Ranks: 1})
 	defer n.Close()

@@ -382,7 +382,7 @@ func (t *wire) readerLoop(p *peerConn) {
 // in the read buffer is decoded where it lies and allocates nothing unless it
 // carries what outlives dispatch (keep). Of a longer one the head is: a put's
 // or a get reply's data stays on the socket for land to read into place;
-// anything else (an AM: the payload is kept anyway) gets a body of its own. A
+// anything else gets a body of its own (an AM's goes back to its pool if its handler releases it). A
 // frame this rank cannot make sense of fails its sender (a shm peer's data frame
 // no ring marker stands for too); only a stream that can no longer be read is an error.
 func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
@@ -396,13 +396,15 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 	f, err := decodeFrameBody(b)
 	switch bulk := len(b) < n; {
 	case bulk && (err != nil || f.typ != fPut && f.typ != fGetRep):
-		body := make([]byte, n)
+		body, rb := newRecvBody(n)
 		p.br.Discard(4)
 		if _, err := io.ReadFull(p.br, body); err != nil {
 			return 0, err
 		}
 		p.rest = 0
-		f, err = decodeFrameBody(body)
+		if f, err = decodeFrameBody(body); err == nil && f.typ == fAM {
+			f.body = rb
+		}
 	case err != nil:
 	case f.typ >= fRing: // empty, and its dispatch reads this socket: out of the way first
 		p.br.Discard(p.rest)
@@ -430,7 +432,8 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 // keep copies what outlives its frame's dispatch out of the read buffer, into
 // a slab sized by what the burst has buffered: a burst costs at most one heap
 // object, as a ring drain does, and what it leaves of the slab serves the next.
-// A slab is appended to, never rewritten: its bytes are the handler's (AMHandler).
+// A slab is appended to, never rewritten: its bytes are the handler's to keep
+// (AMHandler); only a bulk AM's own body is read into again once handed back.
 func (p *peerConn) keep(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
@@ -873,7 +876,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		if err != nil {
 			return err
 		}
-		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux})
+		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux, body: f.body})
 	case fPut:
 		// Everything is checked, and the remote AM decoded, before a byte lands.
 		dst, err := t.inbound(f.seg, f.off, f.n, f.rank, f.ackRank)

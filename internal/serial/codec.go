@@ -29,8 +29,8 @@ type Marshaler interface {
 }
 
 // Unmarshaler is the decoding side of Marshaler; it is implemented on the
-// pointer receiver. Decoded state may alias the decoder's buffer, but
-// UnmarshalSerial must not keep d itself.
+// pointer receiver. Decoded state may alias the decoder's buffer, for as long
+// as that lives (an RPC argument's: its body's run, upcxx.View); UnmarshalSerial must not keep d.
 type Unmarshaler interface {
 	UnmarshalSerial(d *Decoder)
 }

@@ -422,7 +422,10 @@ func RGet[T serial.Scalar](rk *Rank, src GPtr[T], dst []T) Future[Unit] {
 // GetValue fetches a single value from remote memory.
 func GetValue[T serial.Scalar](rk *Rank, src GPtr[T]) Future[T] {
 	buf := make([]T, 1)
-	return Then(RGet(rk, src, buf), func(Unit) T { return buf[0] })
+	if f := RGet(rk, src, buf); !f.Ready() {
+		return Then(f, func(Unit) T { return buf[0] })
+	}
+	return ReadyFuture(rk, buf[0])
 }
 
 // CopyWith copies n elements from one global location to another with an

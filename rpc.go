@@ -40,9 +40,11 @@ import (
 // its future readies. kind says which entries the body can serve: rpcReqKind
 // (it produces a result) or rpcFFKind (it never replies). task is set on a
 // function's task form: run queues the call with it and runs no user code.
-// args alias the arrived message, the receiver's to keep (gasnet.AMHandler).
+// args alias the arrived message, the receiver's to keep (gasnet.AMHandler),
+// unless all its bodies are scoped and ran inline: rpcArrive then hands it back.
 type rpcBody struct {
 	kind     uint8
+	scoped   bool      // valueBody, ffBody: what a View or Unmarshaler decodes from args lasts as long as run
 	name     string    // registry name for cross-process dispatch ("" in-process)
 	task     *taskBody // nil: run executes the call
 	arg, res any       // the argument's and result's serial.Codec (res nil: no reply)
@@ -56,7 +58,7 @@ type rpcBody struct {
 // valueBody adapts a function whose result is ready when it returns.
 func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
 	ca, cr := serial.For[A](), serial.For[R]()
-	return rpcBody{kind: rpcReqKind, arg: ca, res: cr, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
+	return rpcBody{kind: rpcReqKind, scoped: true, arg: ca, res: cr, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
 		var a A
 		mustUnmarshal(ca, args, &a)
 		r := fn(trk, a)
@@ -68,7 +70,7 @@ func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
 // ffBody adapts a function with no result (rpc_ff and remote-cx bodies).
 func ffBody[A any](fn func(*Rank, A)) rpcBody {
 	ca := serial.For[A]()
-	return rpcBody{kind: rpcFFKind, arg: ca, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
+	return rpcBody{kind: rpcFFKind, scoped: true, arg: ca, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
 		var a A
 		mustUnmarshal(ca, args, &a)
 		fn(trk, a)
@@ -512,23 +514,26 @@ func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
 	}
 	if q := rk.bodyQueue(a.bodyPers); q != nil {
 		q.queueBody(func() { rk.runBodies(from, m, a.bodies) })
-	} else {
-		rk.runBodies(from, m, a.bodies)
+	} else if !rk.runBodies(from, m, a.bodies) && !m.landing {
+		rk.ep.ReleasePayload() // nothing that ran keeps the message
 	}
 	return nil
 }
 
 // runBodies executes every body of one request message, in entry order,
-// and ships the results that are ready as one reply message.
-func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) {
+// ships the results that are ready as one reply message and reports whether
+// a body may keep the message (one not scoped).
+func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) (kept bool) {
 	var out replyMsg
 	for i := range bodies {
 		en := m.next()
 		out = bodies[i].run(rk, from, en.seq, en.args, out)
+		kept = kept || !bodies[i].scoped
 	}
 	if out.n > 0 {
 		rk.sendAM(from, out.bytes(rk.me), nil)
 	}
+	return kept
 }
 
 // replyMsg is a reply message under construction: each ready result is

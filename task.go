@@ -131,8 +131,8 @@ type taskBody struct {
 
 // arrive is the spawn entry's body: queue the task for this rank's workers.
 // It runs on the execution persona and runs no user code. The queued
-// argument aliases the arrived message: this rank's to keep
-// (gasnet.AMHandler). An error fails the sender.
+// argument aliases the arrived message, this rank's to keep (gasnet.AMHandler;
+// a spawn body is not scoped, see rpcBody). An error fails the sender.
 func (b *taskBody) arrive(trk *Rank, home Intrank, seq uint64, args []byte) error {
 	rt := TaskRuntimeOf(trk)
 	if rt == nil {

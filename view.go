@@ -7,7 +7,9 @@ import "upcxx/internal/serial"
 // wraps a local slice without copying; serialization streams the elements
 // directly into the message payload. On the receiving side the view is a
 // non-owning window into the incoming network buffer — valid only for the
-// duration of the RPC body, exactly as in UPC++ (paper §IV-D2). Copy out
+// duration of the RPC body (a future-returning body's: until its future is
+// ready), exactly as in UPC++ (paper §IV-D2); then a process conduit may read
+// another message into its bytes (poisoned first under -race). Copy out
 // (CopyOut/append) anything that must persist.
 type View[T serial.Scalar] struct {
 	elems []T
