@@ -452,7 +452,7 @@ func (e *collEngine) finish(key collKey, st *collState, plan *cxPlan) {
 // its entries cross a process boundary by name. Addressed to no persona, it
 // runs on the execution persona, where the engine advances, whichever
 // goroutine harvested the message; one that does not decode fails its sender.
-func collArrive(trk *Rank, from Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
+func collArrive(trk *Rank, from Intrank, _ uint64, args []byte, _ bool, out replyMsg) replyMsg {
 	m, err := decodeCollMsg(args)
 	if err != nil {
 		trk.failPeer(from, err)

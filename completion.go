@@ -228,14 +228,14 @@ type landing struct {
 // rank: on the named persona when the descriptor was addressed with On,
 // on the rank's execution persona otherwise (bodyQueue). Callers invoke it
 // only after the owning transfer's data is visible locally.
-func (rk *Rank) runRemoteBody(aux remoteCxAux, initiator Intrank, args []byte) {
+func (rk *Rank) runRemoteBody(aux remoteCxAux, initiator Intrank, args []byte, own bool) {
 	if rk.ro != nil {
 		rk.ro.Add(obs.EvRemote.Via(obs.ViaRPC), 1)
 	}
 	if q := rk.bodyQueue(aux.pers); q != nil {
-		q.queueBody(func() { aux.body.run(rk, initiator, 0, args, replyMsg{}) })
+		q.queueBody(func() { aux.body.run(rk, initiator, 0, args, own, replyMsg{}) })
 	} else {
-		aux.body.run(rk, initiator, 0, args, replyMsg{})
+		aux.body.run(rk, initiator, 0, args, own, replyMsg{})
 	}
 }
 
@@ -496,10 +496,10 @@ func (c *cxPlan) collRemoteLocal() {
 	}
 	rem := l.tok.rem
 	if rem.pers != nil {
-		rem.pers.lpc(func() { rem.body.run(c.rk, c.rk.me, 0, l.args, replyMsg{}) })
+		rem.pers.lpc(func() { rem.body.run(c.rk, c.rk.me, 0, l.args, false, replyMsg{}) })
 		return
 	}
-	rem.body.run(c.rk, c.rk.me, 0, l.args, replyMsg{})
+	rem.body.run(c.rk, c.rk.me, 0, l.args, false, replyMsg{})
 }
 
 // settle closes the deliveries of one event that add left open. If the event

@@ -107,7 +107,7 @@ func FetchDist[T any](rk *Rank, id DistID, from Intrank) Future[T] {
 	f, _ := RPCFutWith(rk, from, distFetchBody, uint64(id))
 	return Then(f, func(b []byte) T {
 		var v T
-		mustUnmarshal(serial.For[T](), b, &v)
+		mustUnmarshal(serial.For[T](), b, false, &v)
 		return v
 	})
 }

@@ -56,11 +56,13 @@ type frame struct {
 	// common source rank (fAM, fPut, fCopy)
 	rank uint32
 
-	// fAM (body: the pooled body a bulk frame was read into, set by the reader)
+	// fAM (body: the pooled body a bulk frame was read into, set by the reader;
+	// own: the payload lies in a bulk frame's body, pooled or not)
 	handler uint16
 	aux     []byte
 	payload []byte
 	body    *recvBody
+	own     bool
 
 	// fPut / fGet / fCopy addressing; n is the data's length, which the decoder
 	// takes from an fPut's or fGetRep's payload and the reader corrects for a

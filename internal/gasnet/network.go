@@ -24,6 +24,9 @@ type HandlerID uint16
 // copied into off the socket or the ring, a bulk frame's own body — so the RPC
 // layer queues bodies, and the task runtime arguments, that alias it
 // (TestConformanceAMPayloadIsTheHandlersToKeep), each keeping its buffer alive.
+// A handler that keeps it asks Endpoint.KeepPayload whether it is a body of its
+// own; only then does the RPC layer decode a []byte or string in place, as a
+// small one kept from a shared slab would pin the whole burst.
 //
 // aux is an opaque token that travels with the message but contributes no
 // payload bytes: it models a code address (C++ function pointer / lambda
@@ -230,6 +233,7 @@ type Endpoint struct {
 	amQ      []inboundAM  // delivered AMs awaiting handler execution
 	polling  bool         // guards against recursive progress (restricted context)
 	released bool         // the handler PollAMs runs returned its payload (ReleasePayload)
+	amOwn    bool         // its payload is a body of its own (inboundAM.own, KeepPayload)
 	// A drain swaps a spare in for the queue it detaches, then hands that back.
 	compSpare []completion
 	amSpare   []inboundAM
@@ -248,6 +252,7 @@ type Endpoint struct {
 type inboundAM struct {
 	src     Rank
 	handler HandlerID
+	own     bool // payload lies in a bulk frame's body, pooled or not, holding no other message
 	payload []byte
 	aux     any
 	body    *recvBody // the pooled body payload lies in (a bulk frame's); nil: nothing to hand back
@@ -642,12 +647,13 @@ func (ep *Endpoint) PollAMs() int {
 
 	for i := range ams {
 		am := &ams[i]
-		ep.released = false
+		ep.amOwn, ep.released = am.own, false
 		ep.net.handler(am.handler)(ep, am.src, am.payload, am.aux)
 		if ep.released && am.body != nil {
 			am.body.release()
 		}
 	}
+	ep.amOwn = false
 	clear(ams)
 
 	ep.qmu.Lock()
@@ -660,6 +666,13 @@ func (ep *Endpoint) PollAMs() int {
 // ReleasePayload, called inside an AM handler PollAMs runs, says nothing reads
 // its payload once it returns: the conduit may read another message into it.
 func (ep *Endpoint) ReleasePayload() { ep.released = true }
+
+// KeepPayload, called inside an AM handler PollAMs runs by a handler that
+// keeps its payload (it does not call ReleasePayload), reports whether the
+// payload is a body of its own: a bulk frame's, holding no other message.
+// Then a slice of it kept pins no other message's bytes; a pooled body that
+// is not released never goes back to its pool.
+func (ep *Endpoint) KeepPayload() (own bool) { return ep.amOwn }
 
 // Poll drains completions then Active Messages, returning the number of
 // items processed. An empty poll advances the model clock to the rank's next

@@ -403,7 +403,7 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 		}
 		p.rest = 0
 		if f, err = decodeFrameBody(body); err == nil && f.typ == fAM {
-			f.body = rb
+			f.body, f.own = rb, true
 		}
 	case err != nil:
 	case f.typ >= fRing: // empty, and its dispatch reads this socket: out of the way first
@@ -876,7 +876,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		if err != nil {
 			return err
 		}
-		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux, body: f.body})
+		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.handler), payload: f.payload, aux: aux, body: f.body, own: f.own})
 	case fPut:
 		// Everything is checked, and the remote AM decoded, before a byte lands.
 		dst, err := t.inbound(f.seg, f.off, f.n, f.rank, f.ackRank)

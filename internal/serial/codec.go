@@ -65,7 +65,14 @@ func (c Codec[T]) EncodeSized(e *Encoder, pre []byte, v *T) error {
 }
 
 // Decode stores in *v the value data holds, which must be the whole input.
-func (c Codec[T]) Decode(data []byte, v *T) error { return c.c.decode(data, unsafe.Pointer(v)) }
+func (c Codec[T]) Decode(data []byte, v *T) error { return c.c.decode(data, unsafe.Pointer(v), false) }
+
+// DecodeKept is Decode, and when kept, of input nothing writes again: a
+// []byte or string in *v then aliases data instead of copying it (a []byte's
+// capacity clipped, so an append reallocates), and keeps all of data alive.
+func (c Codec[T]) DecodeKept(data []byte, kept bool, v *T) error {
+	return c.c.decode(data, unsafe.Pointer(v), kept)
+}
 
 // Marshal encodes v into a new buffer.
 func Marshal(v any) ([]byte, error) {
@@ -91,7 +98,7 @@ func Unmarshal(data []byte, ptr any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("serial: unmarshal target must be a non-nil pointer, got %T", ptr)
 	}
-	return codecOf(rv.Type().Elem()).decode(data, rv.UnsafePointer())
+	return codecOf(rv.Type().Elem()).decode(data, rv.UnsafePointer(), false)
 }
 
 // hide hides p from escape analysis, as strings.Builder once did: no codec
@@ -130,11 +137,11 @@ func (c *codec) encode(e *Encoder, p unsafe.Pointer) (err error) {
 	return nil
 }
 
-func (c *codec) decode(data []byte, p unsafe.Pointer) (err error) {
+func (c *codec) decode(data []byte, p unsafe.Pointer, kept bool) (err error) {
 	if c.err != nil {
 		return c.err
 	}
-	d := Decoder{buf: data}
+	d := Decoder{buf: data, kept: kept}
 	if c.word {
 		*(*uint64)(p) = d.U64()
 		return d.Finish()
@@ -265,13 +272,28 @@ func build(t reflect.Type, building map[reflect.Type]*codec) (*codec, error) {
 		c.enc, c.dec = parts.enc, parts.dec
 	case reflect.String:
 		c.enc = func(e *Encoder, p unsafe.Pointer) { e.PutString(*(*string)(p)) }
-		c.dec = func(d *Decoder, p unsafe.Pointer) { *(*string)(p) = d.String() }
+		c.dec = func(d *Decoder, p unsafe.Pointer) {
+			if b := d.Bytes(); d.kept && len(b) > 0 {
+				*(*string)(p) = unsafe.String(&b[0], len(b))
+			} else {
+				*(*string)(p) = string(b)
+			}
+		}
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
 			// []byte and named variants (PutBytes: borrowed on a
-			// call-scoped gather encoder); decoded into a copy.
+			// call-scoped gather encoder); decoded into a copy, or by
+			// DecodeKept in place, its capacity clipped (empty: nil), so
+			// it keeps its whole input alive (an RPC message's body: at
+			// most twice the message).
 			c.enc = func(e *Encoder, p unsafe.Pointer) { e.PutBytes(*(*[]byte)(p)) }
-			c.dec = func(d *Decoder, p unsafe.Pointer) { *(*[]byte)(p) = append([]byte(nil), d.Bytes()...) }
+			c.dec = func(d *Decoder, p unsafe.Pointer) {
+				if b := d.Bytes(); d.kept && len(b) > 0 {
+					*(*[]byte)(p) = b[:len(b):len(b)]
+				} else {
+					*(*[]byte)(p) = append([]byte(nil), b...)
+				}
+			}
 			break
 		}
 		size := t.Elem().Size()

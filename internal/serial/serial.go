@@ -161,9 +161,10 @@ func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
 // after the first failure every subsequent Get returns the zero value and
 // Err reports the failure.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	kept bool // DecodeKept: a []byte or string field aliases buf
 }
 
 // NewDecoder returns a decoder reading from buf.

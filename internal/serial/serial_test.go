@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEncoderDecoderRoundTrip(t *testing.T) {
@@ -184,6 +185,61 @@ func TestMarshalNilPointerAndEmpty(t *testing.T) {
 	}
 	if len(s) != 0 {
 		t.Errorf("want empty slice, got %v", s)
+	}
+}
+
+// TestDecodeKeptAliases: DecodeKept decodes a []byte or string, however
+// nested, as a window on its input with the capacity clipped, an empty one as
+// nil or ""; Decode copies them. Both decode the same values.
+func TestDecodeKeptAliases(t *testing.T) {
+	type kept struct {
+		A, B []byte
+		S    string
+		N    [][]byte
+		E    []byte
+	}
+	in := kept{A: []byte("alpha"), B: []byte("bravo"), S: "sierra", N: [][]byte{[]byte("november")}}
+	b, err := Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(p unsafe.Pointer) bool {
+		return uintptr(p) >= uintptr(unsafe.Pointer(&b[0])) && uintptr(p) < uintptr(unsafe.Pointer(&b[0]))+uintptr(len(b))
+	}
+	c := For[kept]()
+	var cp, kp kept
+	if err := c.Decode(b, &cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DecodeKept(b, true, &kp); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cp, in) || !reflect.DeepEqual(kp, in) {
+		t.Fatalf("decoded %+v and %+v, want %+v", cp, kp, in)
+	}
+	for _, f := range []struct {
+		name      string
+		p         unsafe.Pointer
+		cap, want int
+	}{
+		{"A", unsafe.Pointer(&kp.A[0]), cap(kp.A), len(in.A)},
+		{"B", unsafe.Pointer(&kp.B[0]), cap(kp.B), len(in.B)},
+		{"S", unsafe.Pointer(unsafe.StringData(kp.S)), len(kp.S), len(in.S)},
+		{"N[0]", unsafe.Pointer(&kp.N[0][0]), cap(kp.N[0]), len(in.N[0])},
+	} {
+		if !within(f.p) || f.cap != f.want {
+			t.Errorf("DecodeKept's %s: in the input %v, capacity %d, want true and %d", f.name, within(f.p), f.cap, f.want)
+		}
+	}
+	if kp.E != nil {
+		t.Errorf("DecodeKept's empty []byte is %#v, want nil", kp.E)
+	}
+	if within(unsafe.Pointer(&cp.A[0])) || within(unsafe.Pointer(unsafe.StringData(cp.S))) {
+		t.Error("Decode's []byte or string aliases its input")
+	}
+	b[len(b)-1]++ // the last byte of E's length: DecodeKept must still check it
+	if err := c.DecodeKept(b, true, &kp); err == nil {
+		t.Error("DecodeKept took a corrupt length")
 	}
 }
 

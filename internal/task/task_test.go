@@ -358,11 +358,11 @@ func TestBadTaskMessagesFailTheirSender(t *testing.T) {
 		fn(w, rt)
 	}
 	with(func(w *World, rt *TaskRuntime) {
-		if err := b.arrive(w.Rank(1), 0, 1, header(0, 0)); err == nil {
+		if err := b.arrive(w.Rank(1), 0, 1, header(0, 0), false); err == nil {
 			t.Error("a spawn was taken in by a rank with no task runtime")
 		}
 		for _, args := range [][]byte{nil, {0x80}, {0, 0x80}} {
-			if err := b.arrive(w.Rank(0), 1, 1, args); err == nil {
+			if err := b.arrive(w.Rank(0), 1, 1, args, false); err == nil {
 				t.Errorf("a spawn with the task header %x was queued", args)
 			}
 		}

@@ -62,6 +62,8 @@
 //	        quarter more at most with the steal back-off amortised in),
 //	        a small multiple of an RPC's time whether or not steal chatter
 //	        is there to wake anybody, and no round trip may wait out a park.
+//	        Then 16 tasks of a 64 KiB []byte each, in flight at once, must
+//	        answer their arguments' checksums: decoded where they landed.
 //	taskkill — one rank dies before joining the termination detector;
 //	        the survivors' Finish must surface ErrPeerLost instead of
 //	        spinning detector waves forever, proven by marker files.
@@ -70,6 +72,7 @@ package xproc
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -105,6 +108,10 @@ func xprocTaskWork(trk *upcxx.Rank, us int64) {
 }
 
 func xprocTaskEcho(trk *upcxx.Rank, x uint64) uint64 { return x * 3 }
+
+// xprocTaskSum answers its argument's checksum; a 64 KiB one arrives in a
+// body of its own and is decoded in place.
+func xprocTaskSum(_ *upcxx.Rank, b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
 // The kill scenarios' victim leaves only once every survivor has told it,
 // through xprocOut, that it is out of the opening barrier: a survivor
@@ -175,6 +182,7 @@ func init() {
 	upcxx.RegisterRPCFF(xprocTaskrtStop)
 	upcxx.RegisterTaskFF(xprocTaskWork)
 	upcxx.RegisterTask(xprocTaskEcho)
+	upcxx.RegisterTask(xprocTaskSum)
 }
 
 // TestMain dispatches spawned rank processes to their worker scenario;
@@ -919,6 +927,20 @@ func taskRoundTripBody(rk *upcxx.Rank) int {
 			// (200 us) slower than one that was woken; the RPCs' own tail
 			// says how much of a slow tenth is the host's doing.
 			check(taskNS[p90] <= 3*rpcNS[p90]+200*time.Microsecond, "a tenth of the task round trips took %v or more beside %v for the RPCs: a task sat in the deque through a park", taskNS[p90], rpcNS[p90])
+		}
+		// Bulk tasks, all in flight at once; rank 1 serves them from its Barrier.
+		var fs [16]upcxx.Future[uint32]
+		var want [len(fs)]uint32
+		for i := range fs {
+			arg := make([]byte, 64<<10)
+			for j := range arg {
+				arg[j] = byte(i*131 + j*7 + j>>8)
+			}
+			want[i], fs[i] = crc32.ChecksumIEEE(arg), upcxx.AsyncAt(rt, 1, xprocTaskSum, arg)
+		}
+		for i, f := range fs {
+			got := upcxx.TaskHelpWait(rt, f)
+			check(got == want[i], "64 KiB task %d answered checksum %#x, want %#x", i, got, want[i])
 		}
 	}
 	rk.Barrier()

@@ -42,13 +42,16 @@ import (
 // function's task form: run queues the call with it and runs no user code.
 // args alias the arrived message, the receiver's to keep (gasnet.AMHandler),
 // unless all its bodies are scoped and ran inline: rpcArrive then hands it back.
+// own says a kept message is a body of its own (gasnet.Endpoint.KeepPayload):
+// a []byte or string in the argument then aliases it (serial.Codec.DecodeKept)
+// and keeps the whole body alive, at most twice the message.
 type rpcBody struct {
 	kind     uint8
 	scoped   bool      // valueBody, ffBody: what a View or Unmarshaler decodes from args lasts as long as run
 	name     string    // registry name for cross-process dispatch ("" in-process)
 	task     *taskBody // nil: run executes the call
 	arg, res any       // the argument's and result's serial.Codec (res nil: no reply)
-	run      func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg
+	run      func(trk *Rank, src Intrank, seq uint64, args []byte, own bool, out replyMsg) replyMsg
 }
 
 // The adapters below are the only places a user function meets the wire:
@@ -58,9 +61,9 @@ type rpcBody struct {
 // valueBody adapts a function whose result is ready when it returns.
 func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
 	ca, cr := serial.For[A](), serial.For[R]()
-	return rpcBody{kind: rpcReqKind, scoped: true, arg: ca, res: cr, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
+	return rpcBody{kind: rpcReqKind, scoped: true, arg: ca, res: cr, run: func(trk *Rank, _ Intrank, seq uint64, args []byte, own bool, out replyMsg) replyMsg {
 		var a A
-		mustUnmarshal(ca, args, &a)
+		mustUnmarshal(ca, args, own, &a)
 		r := fn(trk, a)
 		putResult(&out, seq, cr, &r)
 		return out
@@ -70,9 +73,9 @@ func valueBody[A, R any](fn func(*Rank, A) R) rpcBody {
 // ffBody adapts a function with no result (rpc_ff and remote-cx bodies).
 func ffBody[A any](fn func(*Rank, A)) rpcBody {
 	ca := serial.For[A]()
-	return rpcBody{kind: rpcFFKind, scoped: true, arg: ca, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, out replyMsg) replyMsg {
+	return rpcBody{kind: rpcFFKind, scoped: true, arg: ca, run: func(trk *Rank, _ Intrank, _ uint64, args []byte, own bool, out replyMsg) replyMsg {
 		var a A
-		mustUnmarshal(ca, args, &a)
+		mustUnmarshal(ca, args, own, &a)
 		fn(trk, a)
 		return out
 	}}
@@ -84,9 +87,9 @@ func ffBody[A any](fn func(*Rank, A)) rpcBody {
 // request message.
 func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 	ca, cr := serial.For[A](), serial.For[R]()
-	return rpcBody{kind: rpcReqKind, arg: ca, res: cr, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
+	return rpcBody{kind: rpcReqKind, arg: ca, res: cr, run: func(trk *Rank, src Intrank, seq uint64, args []byte, own bool, out replyMsg) replyMsg {
 		var a A
-		mustUnmarshal(ca, args, &a)
+		mustUnmarshal(ca, args, own, &a)
 		inner := fn(trk, a)
 		reply := func() {
 			inner.onReady(func(r R) {
@@ -112,8 +115,8 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 // is queued for the task runtime and the reply — like futBody's — deferred
 // to whoever runs it. A spawn the runtime cannot take fails its sender.
 func spawnBody(task *taskBody, typed rpcBody) rpcBody {
-	return rpcBody{kind: typed.kind, task: task, arg: typed.arg, res: typed.res, run: func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg {
-		if err := task.arrive(trk, src, seq, args); err != nil {
+	return rpcBody{kind: typed.kind, task: task, arg: typed.arg, res: typed.res, run: func(trk *Rank, src Intrank, seq uint64, args []byte, own bool, out replyMsg) replyMsg {
+		if err := task.arrive(trk, src, seq, args, own); err != nil {
 			trk.failPeer(src, err)
 		}
 		return out
@@ -172,8 +175,9 @@ func marshalWith[T any](c serial.Codec[T], v *T) []byte {
 	return e.Bytes()
 }
 
-func mustUnmarshal[T any](c serial.Codec[T], b []byte, ptr *T) {
-	if err := c.Decode(b, ptr); err != nil {
+// mustUnmarshal decodes an argument, in place when own.
+func mustUnmarshal[T any](c serial.Codec[T], b []byte, own bool, ptr *T) {
+	if err := c.DecodeKept(b, own, ptr); err != nil {
 		panic(fmt.Sprintf("upcxx: RPC payload decode failed: %v", err))
 	}
 }
@@ -497,7 +501,7 @@ func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
 		return err
 	}
 	if m.reply {
-		return rk.rpcLand(m)
+		return rk.rpcLand(m, rk.ep.KeepPayload())
 	}
 	a, _ := aux.(*rpcAux)
 	if a == nil {
@@ -506,34 +510,54 @@ func (rk *Rank) rpcArrive(from Intrank, payload []byte, aux any) error {
 	if err := checkBodies(a, m); err != nil {
 		return err
 	}
+	// Decided before any body runs: the message is kept when a landing
+	// rides it, the bodies are queued or one is not scoped; otherwise every
+	// body runs inline and nothing reads the message once they return.
+	own := false
 	if m.landing {
-		rk.runRemoteBody(a.rem, Intrank(m.src), m.largs)
+		own = rk.ep.KeepPayload()
+		rk.runRemoteBody(a.rem, Intrank(m.src), m.largs, own)
+		if m.count == 0 {
+			return nil
+		}
 	}
-	if m.count == 0 {
-		return nil
+	q := rk.bodyQueue(a.bodyPers) // behind the landing body, if it queued
+	switch {
+	case m.landing: // kept above
+	case q != nil || !a.scoped():
+		own = rk.ep.KeepPayload()
+	default:
+		rk.ep.ReleasePayload()
 	}
-	if q := rk.bodyQueue(a.bodyPers); q != nil {
-		q.queueBody(func() { rk.runBodies(from, m, a.bodies) })
-	} else if !rk.runBodies(from, m, a.bodies) && !m.landing {
-		rk.ep.ReleasePayload() // nothing that ran keeps the message
+	if q != nil {
+		q.queueBody(func() { rk.runBodies(from, m, a.bodies, own) })
+	} else {
+		rk.runBodies(from, m, a.bodies, own)
 	}
 	return nil
 }
 
-// runBodies executes every body of one request message, in entry order,
-// ships the results that are ready as one reply message and reports whether
-// a body may keep the message (one not scoped).
-func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody) (kept bool) {
+// scoped reports whether every body is scoped (rpcBody).
+func (a *rpcAux) scoped() bool {
+	for i := range a.bodies {
+		if !a.bodies[i].scoped {
+			return false
+		}
+	}
+	return true
+}
+
+// runBodies executes every body of one request message, in entry order, and
+// ships the results that are ready as one reply message.
+func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody, own bool) {
 	var out replyMsg
 	for i := range bodies {
 		en := m.next()
-		out = bodies[i].run(rk, from, en.seq, en.args, out)
-		kept = kept || !bodies[i].scoped
+		out = bodies[i].run(rk, from, en.seq, en.args, own, out)
 	}
 	if out.n > 0 {
 		rk.sendAM(from, out.bytes(rk.me), nil)
 	}
-	return kept
 }
 
 // replyMsg is a reply message under construction: each ready result is
@@ -589,15 +613,18 @@ func (rk *Rank) sendAM(dst Intrank, buf []byte, aux any) {
 
 // rpcSink is where a round-trip entry's result goes at the initiator: the
 // promise behind the future the entry point returned. c is the codec of the
-// result (the body's res). Result bytes that do not decode are the replying
+// result (the body's res); own says the reply is a body of its own, which the
+// result may alias (rpcBody). Result bytes that do not decode are the replying
 // peer's fault.
-type rpcSink interface{ rpcResult(c any, res []byte) error }
+type rpcSink interface {
+	rpcResult(c any, res []byte, own bool) error
+}
 
-// rpcResult decodes the result where the reply lands and fulfils the
-// promise with it (fulfilHere).
-func (p *Promise[T]) rpcResult(c any, res []byte) error {
+// rpcResult decodes the result where the reply lands, in place when own, and
+// fulfils the promise with it (fulfilHere).
+func (p *Promise[T]) rpcResult(c any, res []byte, own bool) error {
 	var r T
-	if err := c.(serial.Codec[T]).Decode(res, &r); err != nil {
+	if err := c.(serial.Codec[T]).DecodeKept(res, own, &r); err != nil {
 		return fmt.Errorf("%s: reply does not decode: %w", rpcFormat, err)
 	}
 	p.fulfilHere(r)
@@ -611,9 +638,10 @@ type rpcPending struct {
 	inj  *injection // of the entry's request message; counts its replies
 }
 
-// rpcLand completes the pending entries a reply message answers. The
-// operation edge of the last one stays an LPC, queued after the value.
-func (rk *Rank) rpcLand(m rpcMsg) error {
+// rpcLand completes the pending entries a reply message answers, own as
+// rpcResult takes it. The operation edge of the last one stays an LPC,
+// queued after the value.
+func (rk *Rank) rpcLand(m rpcMsg, own bool) error {
 	for i := 0; i < m.count; i++ {
 		en := m.next()
 		rk.rpcMu.Lock()
@@ -628,7 +656,7 @@ func (rk *Rank) rpcLand(m rpcMsg) error {
 		if !ok {
 			return fmt.Errorf("%s: reply for unknown sequence %d", rpcFormat, en.seq)
 		}
-		if err := p.sink.rpcResult(p.res, en.args); err != nil {
+		if err := p.sink.rpcResult(p.res, en.args, own); err != nil {
 			return err
 		}
 		if last {

@@ -126,20 +126,21 @@ func (rt *TaskRuntime) Stop() {
 type taskBody struct {
 	name  string
 	flags uint8 // flagFF or none
-	run   func(trk *Rank, src Intrank, seq uint64, args []byte, out replyMsg) replyMsg
+	run   func(trk *Rank, src Intrank, seq uint64, args []byte, own bool, out replyMsg) replyMsg
 }
 
 // arrive is the spawn entry's body: queue the task for this rank's workers.
 // It runs on the execution persona and runs no user code. The queued
 // argument aliases the arrived message, this rank's to keep (gasnet.AMHandler;
-// a spawn body is not scoped, see rpcBody). An error fails the sender.
-func (b *taskBody) arrive(trk *Rank, home Intrank, seq uint64, args []byte) error {
+// a spawn body is not scoped, see rpcBody), decoded in place when own. An
+// error fails the sender.
+func (b *taskBody) arrive(trk *Rank, home Intrank, seq uint64, args []byte, own bool) error {
 	rt := TaskRuntimeOf(trk)
 	if rt == nil {
 		return fmt.Errorf("task: a spawn of %s reached %v, which has no task runtime (every rank must NewTaskRuntime before tasks cross ranks)", b.name, trk)
 	}
 	d := serial.NewDecoder(args)
-	r := rec{Seq: seq, Trace: d.Uvarint(), Home: int32(home), Group: d.Uvarint(), Flags: b.flags, Name: b.name, b: b}
+	r := rec{Seq: seq, Trace: d.Uvarint(), Home: int32(home), Group: d.Uvarint(), Flags: b.flags, Name: b.name, b: b, own: own}
 	if d.Err() != nil {
 		return fmt.Errorf("task: a spawn of %s carries a malformed task header", b.name)
 	}
@@ -166,6 +167,7 @@ type rec struct {
 	Home  int32  // world rank that spawned the task (owns Seq, Trace, Group)
 	Group uint64 // TaskGroup id on the home rank (0: none)
 	Flags uint8
+	own   bool   // Args lie in a message body of their own: execute decodes them in place
 	Name  string // the registered function
 	Args  []byte // its serialized argument
 
@@ -205,8 +207,8 @@ type taskSink[T any] struct {
 	credit *atomic.Uint64
 }
 
-func (s *taskSink[T]) rpcResult(c any, res []byte) error {
-	err := s.p.rpcResult(c, res)
+func (s *taskSink[T]) rpcResult(c any, res []byte, own bool) error {
+	err := s.p.rpcResult(c, res, own)
 	if err == nil {
 		s.credit.Add(1)
 	}
@@ -313,7 +315,7 @@ func (rt *TaskRuntime) popOldest(n int) []rec {
 func (rt *TaskRuntime) execute(r rec) {
 	rt.hop(r, obs.StageTaskExec, len(r.Args))
 	home := Intrank(r.Home)
-	out := r.b.run(rt.rk, home, r.Seq, r.Args, replyMsg{})
+	out := r.b.run(rt.rk, home, r.Seq, r.Args, r.own, replyMsg{})
 	switch {
 	case r.Flags&flagFF == 0:
 		rt.rk.sendAM(home, out.bytes(rt.rk.me), nil)
