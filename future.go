@@ -329,9 +329,17 @@ func NewPromiseOn[T any](rk *Rank, pers *Persona) *Promise[T] {
 	if pers.rk != rk {
 		panic(fmt.Sprintf("upcxx: NewPromiseOn: %v belongs to rank %d, not rank %d", pers, pers.rk.me, rk.me))
 	}
-	p := &Promise[T]{core: futCore[T]{cell: cell{rk: rk, pers: pers}}, deps: 1}
-	p.c = &p.core
+	p := new(Promise[T])
+	p.init(rk, pers)
 	return p
+}
+
+// init readies a zero promise in place: one unfulfilled dependency, owned by
+// pers.
+func (p *Promise[T]) init(rk *Rank, pers *Persona) {
+	p.core.cell = cell{rk: rk, pers: pers}
+	p.deps = 1
+	p.c = &p.core
 }
 
 // Future returns a future associated with this promise. Multiple calls

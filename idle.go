@@ -27,6 +27,13 @@ import (
 // and at a shm ring marker for a socket frame — so the waiter parks at once and
 // the reader runs.
 //
+// Between processes a yield is two hand-offs: Gosched to the rank's other
+// goroutines, then the OS yield to the peer process. The second is taken only
+// when no progress pass of the rank found work while the waiter stood aside
+// (Rank.worked unchanged): if one did — the rank's other waiter took a spawn
+// off the ring, say, and its worker has yet to run it — the process has work,
+// and the waiter polls again, the yield spent from its budget all the same.
+//
 // Finding work re-arms the budget. What counts is work found by any progress
 // pass of the rank since the waiter last idled, not only by its own: a poll
 // loop that mixes Progress and ProgressWait, or shares the rank with a
@@ -73,7 +80,7 @@ func (rk *Rank) idle(id *idler, d time.Duration) (parked bool) {
 		id.armed.Store(true)
 	}
 	due := (!id.thread || rk.master.holder.Load() == 0) && rk.ep.Advance()
-	if id.left.Load() > 0 && rk.ep.Yield() {
+	if id.left.Load() > 0 && rk.ep.Yield(&rk.worked) {
 		id.left.Add(-1)
 		return false
 	}

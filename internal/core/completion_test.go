@@ -756,7 +756,7 @@ func TestCxEagerSettle(t *testing.T) {
 	}
 	wire := func(backend string) func(*testing.T) (*Rank, *Rank) {
 		return func(t *testing.T) (*Rank, *Rank) {
-			ws := wireWorlds(t, backend)
+			ws := wireWorlds(t, backend, false)
 			return ws[0].Rank(0), ws[1].Rank(1)
 		}
 	}

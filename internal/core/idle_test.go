@@ -21,12 +21,13 @@ func idleRank(t *testing.T, backend string) *Rank {
 		t.Cleanup(w.Close)
 		return w.Rank(0)
 	}
-	return wireWorlds(t, backend)[0].Rank(0)
+	return wireWorlds(t, backend, false)[0].Rank(0)
 }
 
 // wireWorlds returns a two-rank job over a real conduit ("tcp", "shm") whose
-// two ranks are worlds of this test process, closed at the test's end.
-func wireWorlds(t *testing.T, backend string) []*World {
+// two ranks are worlds of this test process, closed at the test's end, with
+// Config.Stats as stats says.
+func wireWorlds(t *testing.T, backend string, stats bool) []*World {
 	dir := t.TempDir()
 	ws := make([]*World, 2)
 	var wg sync.WaitGroup
@@ -34,7 +35,7 @@ func wireWorlds(t *testing.T, backend string) []*World {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws[r] = newWorld(&World{cfg: Config{Ranks: 2, SegmentSize: 1 << 16}, dist: true, self: Intrank(r)}, gasnet.Config{
+			ws[r] = newWorld(&World{cfg: Config{Ranks: 2, SegmentSize: 1 << 16, Stats: stats}, dist: true, self: Intrank(r)}, gasnet.Config{
 				Real: &gasnet.RealConduit{Backend: backend, Rank: r, BootDir: dir, Timeout: 20 * time.Second},
 				Aux:  new(distAuxCodec),
 			})
@@ -100,6 +101,78 @@ func TestIdleRule(t *testing.T) {
 			}
 			if got := yieldsThenParks(rk, &id); got != tc.afterFound {
 				t.Errorf("after a pass that found work: %d yields before parking, want %d", got, tc.afterFound)
+			}
+		})
+	}
+}
+
+// TestIdleYieldHandsOffOnce pins when a yield between processes also gives
+// the CPU to the OS: exactly when no progress pass of the rank found work
+// while the waiter stood aside in Gosched. On one P a second goroutine of the
+// rank, whose every pass finds work, runs a pass in nearly every such Gosched
+// (Go's scheduler sometimes hands the P straight back); an in-process rank has
+// no peer process to hand the CPU to.
+func TestIdleYieldHandsOffOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const yields = idleSpins / 2 // all inside one budget: none parks
+	for _, tc := range []struct {
+		name    string
+		backend string
+		busy    bool // a second goroutine's passes find work meanwhile
+	}{
+		{"shm/lone", "shm", false},
+		{"shm/beside-a-busy-pass", "shm", true},
+		{"in-process/beside-a-busy-pass", "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rk *Rank
+			if tc.backend == "" {
+				w := NewWorld(Config{Ranks: 1, Stats: true})
+				defer w.Close()
+				rk = w.Rank(0)
+			} else {
+				rk = wireWorlds(t, tc.backend, true)[0].Rank(0)
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer stop.Store(true)
+			if tc.busy {
+				started := make(chan struct{})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer DetachDefaultPersonas()
+					sc := AcquirePersona(NewPersona(rk, "busy"))
+					defer sc.Release()
+					close(started)
+					for !stop.Load() {
+						LPCTo(rk.CurrentPersona(), func() {})
+						if rk.Progress() != 1 {
+							t.Error("the busy goroutine's pass did not find its LPC")
+						}
+						runtime.Gosched() // back to the waiter, which stood aside for this pass
+					}
+				}()
+				<-started
+			}
+			var id idler
+			aside := 0 // yields during which a pass found work
+			for i := 0; i < yields; i++ {
+				w, y, o := rk.worked.Load(), rk.ro.Load(obs.IdleYields), rk.ro.Load(obs.OSYields)
+				if rk.idle(&id, time.Microsecond) || rk.ro.Load(obs.IdleYields) != y+1 {
+					t.Fatalf("empty pass %d did not yield", i)
+				}
+				found, toOS := rk.worked.Load() != w, rk.ro.Load(obs.OSYields) != o
+				if found {
+					aside++
+				}
+				if want := tc.backend != "" && !found; toOS != want {
+					t.Errorf("yield %d (a pass found work meanwhile: %v) went to the OS: %v, want %v", i, found, toOS, want)
+				}
+			}
+			if busy := aside >= yields/2; busy != tc.busy {
+				t.Errorf("a pass found work during %d of %d yields", aside, yields)
 			}
 		})
 	}

@@ -60,7 +60,7 @@ func TestBulkViewLifetime(t *testing.T) {
 	for _, backend := range wireBackends() {
 		t.Run(backend, func(t *testing.T) {
 			defer DetachDefaultPersonas()
-			ws := wireWorlds(t, backend)
+			ws := wireWorlds(t, backend, false)
 			rk0, rk1 := ws[0].Rank(0), ws[1].Rank(1)
 			// One goroutine drives both ranks: rank 1's bodies run inline in
 			// its Progress, and the body is handed back before that returns.
@@ -155,7 +155,7 @@ func inPlace(a keptArg) bool {
 // keptWorld is a two-rank tcp or shm job with a task runtime on each rank
 // (one worker, no stealing); rank 1's worker serves the RPCs sent to it.
 func keptWorld(t *testing.T, backend string) (rk0 *Rank, rt0 *TaskRuntime) {
-	ws := wireWorlds(t, backend)
+	ws := wireWorlds(t, backend, false)
 	rt0, rt1 := NewTaskRuntime(ws[0].Rank(0), TaskConfig{Workers: 1, NoSteal: true}), NewTaskRuntime(ws[1].Rank(1), TaskConfig{Workers: 1, NoSteal: true})
 	t.Cleanup(func() { rt0.Stop(); rt1.Stop() })
 	return ws[0].Rank(0), rt0

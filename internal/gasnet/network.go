@@ -582,15 +582,21 @@ func (ep *Endpoint) WaitPending(d time.Duration) bool {
 // sock) — it is a socket reader's, parked in the netpoller, which runs only once
 // some P finds nothing else runnable: a yielding waiter keeps that from happening,
 // on one P always, on more whenever the rank's other goroutines poll too.
-func (ep *Endpoint) Yield() bool {
+// worked counts the caller's progress passes that found work: one that moves
+// during the Gosched has work for the waiter's next pass, so it keeps the CPU.
+func (ep *Endpoint) Yield(worked *atomic.Uint64) bool {
 	if ep.net.be.poll(0) {
 		return false
 	}
 	if ep.ro != nil {
 		ep.ro.Add(obs.IdleYields, 1)
 	}
+	w := worked.Load()
 	runtime.Gosched()
-	if ep.net.cfg.Real != nil {
+	if ep.net.cfg.Real != nil && worked.Load() == w {
+		if ep.ro != nil {
+			ep.ro.Add(obs.OSYields, 1)
+		}
 		osYield()
 	}
 	return true

@@ -875,7 +875,7 @@ func TestRingOversizeAndLocalFIFO(t *testing.T) {
 	if tail := atomic.LoadUint64(in0.tail); next[0] != 1 || tail != uint64(4+len(am(0, 16))) {
 		t.Fatalf("a progress pass that met a marker delivered %d AMs and left tail at %d: want 1 and the marker's position", next[0], tail)
 	}
-	if ep0.Yield() {
+	if ep0.Yield(new(atomic.Uint64)) {
 		t.Fatal("a waiter was let yield at a marker: no yield sees the frame behind it, only its reader")
 	}
 	wires[1].sockSend(to0, false, []byte{fRing})
@@ -885,7 +885,7 @@ func TestRingOversizeAndLocalFIFO(t *testing.T) {
 			t.Fatalf("%d of 3 AMs around a marker arrived", next[0])
 		}
 	}
-	if !ep0.Yield() {
+	if !ep0.Yield(new(atomic.Uint64)) {
 		t.Fatal("a waiter is refused its yield with the marker gone")
 	}
 	next[0] = 0

@@ -260,6 +260,7 @@ type parkedFlood struct {
 	nets    []*Network
 	wires   []*wire
 	next    int      // the sequence number due at rank 1
+	parkedQ int      // bytes queued at the last look that found the injector parked
 	flooded chan int // the flood's length, once it has ended
 	stop    func()   // ends the flood floodTail AMs after the one in flight
 	release func()   // lets rank 1's reader go
@@ -305,8 +306,10 @@ func newParkedFlood(t *testing.T) *parkedFlood {
 		f.flooded <- i
 	}()
 	// Parked for good: the queue at its bound and no frame joining it, for a
-	// while. (A pause of the writer that long would only blunt what the
-	// callers then check against a parked injector, not fail them.)
+	// while, the last look included — a writer that takes its first queue
+	// after a long first Write lets the injector go again. (A pause of the
+	// writer that long would only blunt what the callers then check against a
+	// parked injector, not fail them.)
 	out, w := f.wires[0].peers[1], f.wires[0]
 	deadline := time.Now().Add(30 * time.Second)
 	for still, last := 0, uint64(0); still < 50; time.Sleep(time.Millisecond) {
@@ -314,9 +317,9 @@ func newParkedFlood(t *testing.T) *parkedFlood {
 			t.Fatalf("the flood never parked: %d stalls, %d frames out", w.ep.ctr.Load(obs.SendStalls), w.ep.ctr.Load(obs.FramesOut))
 		}
 		out.wmu.Lock()
-		full := len(out.wbuf) >= sendBound
+		f.parkedQ = len(out.wbuf)
 		out.wmu.Unlock()
-		if n := w.ep.ctr.Load(obs.FramesOut); full && n == last && w.ep.ctr.Load(obs.SendStalls) > 0 {
+		if n := w.ep.ctr.Load(obs.FramesOut); f.parkedQ >= sendBound && n == last && w.ep.ctr.Load(obs.SendStalls) > 0 {
 			still++
 		} else {
 			still, last = 0, n
@@ -356,7 +359,7 @@ func TestWireSendQueueBound(t *testing.T) {
 	f := newParkedFlood(t)
 	ep0, ep1, w0 := f.nets[0].Endpoint(0), f.nets[1].Endpoint(1), f.wires[0]
 	const frame, getN = 4 + 8 + floodAM, 1024
-	q0 := f.queued()
+	q0 := f.parkedQ
 	if q0 >= sendBound+frame {
 		t.Errorf("%d bytes queued with the injector parked: more than the bound (%d) and a frame", q0, sendBound)
 	}

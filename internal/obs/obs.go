@@ -206,12 +206,14 @@ const (
 	SendStalls
 	RingTimeouts
 	// Runtime progress (Config.Stats): user-level passes, the subset that
-	// processed nothing, idle yields (a wait polled on instead of parking),
-	// doorbell wake-ups (a park Ring ended, not its timeout), and doorbell
+	// processed nothing, idle yields (a wait polled on instead of parking) and
+	// those that also gave the CPU to the OS (between processes), doorbell
+	// wake-ups (a park Ring ended, not its timeout), and doorbell
 	// deposits (a Ring that found the slot empty: per batch, not per op).
 	ProgressPasses
 	EmptyPasses
 	IdleYields
+	OSYields
 	Wakeups
 	DoorbellRings
 	// Fused reduction folds (Config.Stats): device kernel launches that
@@ -259,7 +261,7 @@ var counterNames = func() [NumCounters]string {
 		RingRecords: "wire.ring_records", RingDoorbells: "wire.ring_doorbells", SocketFallbacks: "wire.socket_fallbacks",
 		SendStalls: "wire.send_stalls", RingTimeouts: "wire.ring_timeouts",
 		ProgressPasses: "progress.passes", EmptyPasses: "progress.empty", IdleYields: "progress.yields",
-		Wakeups: "progress.wakeups", DoorbellRings: "progress.rings",
+		OSYields: "progress.os_yields", Wakeups: "progress.wakeups", DoorbellRings: "progress.rings",
 		FusedFolds: "fused.folds", FusedChildren: "fused.children",
 	}
 	for k := range NumDMAKinds {

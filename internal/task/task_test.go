@@ -93,6 +93,12 @@ func tHold(*Rank, int64) {
 
 func tRelease(*Rank, int64) { holdRelease.Store(true) }
 
+// tStealHere sends its own rank the steal request a thief at the next rank
+// would: it arrives in the progress pass its helper makes after the task.
+func tStealHere(trk *Rank, _ int64) {
+	RPCFF(trk, trk.Me(), stealReqBody, stealReq{Thief: int32((trk.Me() + 1) % trk.N()), Max: 8})
+}
+
 func tLen(_ *Rank, b []byte) int64 { return int64(len(b)) }
 
 func tCountAA(_ *Rank, b []byte) int64 { return int64(bytes.Count(b, []byte{0xAA})) }
@@ -111,6 +117,7 @@ var (
 	_ = RegisterTaskFF(tGroupBump)
 	_ = RegisterTaskFF(tHold)
 	_ = RegisterTaskFF(tPark)
+	_ = RegisterTaskFF(tStealHere)
 	_ = RegisterRPCFF(tRelease)
 )
 
@@ -342,6 +349,45 @@ func TestStealDoesNotBounce(t *testing.T) {
 	}
 }
 
+// TestStealLeavesAHelperItsNextTask: a helper between tasks is not a thief's
+// to rob. Rank 0's worker is parked in a task, so its master is the rank's only
+// helper; a steal request arrives in the master's progress pass right after a
+// task, with the next task queued. The request must take nothing — shipping
+// that task away would turn its one message each way into three.
+func TestStealLeavesAHelperItsNextTask(t *testing.T) {
+	resetCounters()
+	parked.Add(1)
+	unparkC = make(chan struct{})
+	ran := func() bool { return execBy[0].Load()+execBy[1].Load() == 1 }
+	var migrated uint64
+	RunConfig(Config{Ranks: 2, Stats: true}, func(rk *Rank) {
+		rt := NewTaskRuntime(rk, TaskConfig{Workers: 1, NoSteal: true})
+		defer rt.Stop()
+		if rk.Me() == 1 { // the thief named in the request: takes in what it is sent
+			rk.Barrier()
+			for !ran() {
+				rk.ProgressWait(helpPark)
+			}
+			rk.Barrier()
+			return
+		}
+		AsyncAtFF(rt, 0, tPark, 0)
+		parked.Wait() // not helpUntil: the worker must take it
+		rk.Barrier()
+		AsyncAtFF(rt, 0, tBump, 0)      // the helper's next task
+		AsyncAtFF(rt, 0, tStealHere, 0) // popped first: the queue is LIFO
+		if err := rt.helpUntil(ran); err != nil {
+			t.Error(err)
+		}
+		close(unparkC)
+		migrated = rk.Stats().Counters[obs.TaskMigrated.Counter()]
+		rk.Barrier()
+	})
+	if migrated != 0 || execBy[0].Load() != 1 {
+		t.Errorf("the steal request migrated %d tasks, and the next task ran at rank 0 %d times: want 0 and 1", migrated, execBy[0].Load())
+	}
+}
+
 // TestBadTaskMessagesFailTheirSender: a task message this rank cannot act on
 // is the sender's fault — an error out of Arrive (which the spawn entry's
 // body turns into failing the spawner), a failed victim for a steal reply
@@ -454,6 +500,9 @@ func TestTaskAllocPins(t *testing.T) {
 			return float64(m1.Mallocs-m0.Mallocs) / rounds, float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
 		}
 		objects, _ := measure(small)
+		if objects > taskRoundTripObjects {
+			objects, _ = measure(small) // a collection in the loop empties the pools once: not the round trip's
+		}
 		t.Logf("remote round trip: %.2f heap objects (pinned at %d)", objects, taskRoundTripObjects)
 		if objects > taskRoundTripObjects {
 			t.Errorf("remote round trip: %.2f heap objects, pinned at %d", objects, taskRoundTripObjects)
@@ -466,10 +515,11 @@ func TestTaskAllocPins(t *testing.T) {
 	})
 }
 
-// taskRoundTripObjects is the measured count (8.01), rounded up. This test
-// reads 42 and 6.9 x the argument before a spawn became one RPC entry, and 14
-// while every goroutine-id lookup allocated its traceback buffer.
-const taskRoundTripObjects = 9
+// taskRoundTripObjects is the measured count (3.00), rounded up. This test
+// reads 42 and 6.9 x the argument before a spawn became one RPC entry, 14
+// while every goroutine-id lookup allocated its traceback buffer, and 5 while
+// a spawn's header and its promise were objects of their own.
+const taskRoundTripObjects = 3
 
 // TestAsyncAtArgCapture: a spawn borrows a large View or []byte argument
 // like a single RPC does — until the conduit captures the message, before

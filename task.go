@@ -58,7 +58,7 @@ type TaskRuntime struct {
 
 	mu   sync.Mutex
 	dq   []rec        // shared deque: workers pop newest, steals take oldest
-	idle atomic.Int32 // workers and helpers waiting for work; a queued task each is theirs, not a thief's
+	idle atomic.Int32 // workers and helpers not running a task; a queued task each is theirs, not a thief's
 
 	gmu    sync.Mutex
 	groups map[uint64]*TaskGroup
@@ -195,20 +195,22 @@ func RegisterTaskFF[A any](fn func(*Rank, A)) string {
 // RegisterTask on every rank.
 func AsyncAt[A, R any](rt *TaskRuntime, target Intrank, fn func(*Rank, A) R, arg A) Future[R] {
 	tok := spawnOf(fn) // an unregistered function must not count as spawned
-	p := NewPromise[R](rt.rk)
-	rpcOne(rt.rk, target, tok, header(rt.spawn(target), 0), &arg, &taskSink[R]{p, &rt.executed}, nil)
-	return p.Future()
+	s := &taskSink[R]{credit: &rt.executed}
+	s.init(rt.rk, rt.rk.currentPersona())
+	rpcOne(rt.rk, target, tok, header(rt.spawn(target), 0), &arg, s, nil)
+	return s.Future()
 }
 
 // taskSink is a spawn's reply sink: the caller's promise plus the runtime's
-// completion count, credited as the reply lands.
+// completion count, credited as the reply lands. One object: the promise is
+// the sink's own.
 type taskSink[T any] struct {
-	p      *Promise[T]
+	Promise[T]
 	credit *atomic.Uint64
 }
 
 func (s *taskSink[T]) rpcResult(c any, res []byte, own bool) error {
-	err := s.p.rpcResult(c, res, own)
+	err := s.Promise.rpcResult(c, res, own)
 	if err == nil {
 		s.credit.Add(1)
 	}
@@ -247,10 +249,16 @@ func (rt *TaskRuntime) spawn(target Intrank) (trace uint64) {
 }
 
 // header is what a spawn entry carries ahead of the argument: the trace id
-// and the group, a uvarint each (Arrive reads it back).
+// and the group, a uvarint each (Arrive reads it back). An untraced, ungrouped
+// spawn's is shared: encodeRPCMsg copies it.
 func header(trace, group uint64) []byte {
+	if trace == 0 && group == 0 {
+		return plainHeader
+	}
 	return binary.AppendUvarint(binary.AppendUvarint(nil, trace), group)
 }
+
+var plainHeader = []byte{0, 0}
 
 // hop records one lifecycle event of a traced task in its home rank's ring,
 // count adds to one task counter — when the world keeps stats.
@@ -291,8 +299,8 @@ func (rt *TaskRuntime) popLocal() (rec, bool) {
 }
 
 // popOldest takes up to n tasks from the victim end of the queue, of what is
-// this rank's to give: not loot (steal.go), and not the task an idle worker was
-// just woken for — shipping that away turns one message each way into three.
+// this rank's to give: not loot (steal.go), and not the task a helper between
+// tasks is about to pop — shipping that away turns one message each way into three.
 func (rt *TaskRuntime) popOldest(n int) []rec {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -377,19 +385,21 @@ func (rt *TaskRuntime) worker(i int) {
 // run it makes one pass, and only a pass that found nothing idles: done() is
 // looked at again after every pass that delivered something.
 func (rt *TaskRuntime) helpUntil(done func() bool) error {
+	rt.idle.Add(1)
+	defer rt.idle.Add(-1)
 	for !done() {
 		if err := rt.rk.World().Failed(); err != nil {
 			return err
 		}
 		if r, ok := rt.popLocal(); ok {
+			rt.idle.Add(-1)
 			rt.execute(r)
+			rt.idle.Add(1)
 			rt.rk.Progress()
 			continue
 		}
 		rt.maybeSteal()
-		rt.idle.Add(1)
 		rt.rk.ProgressWait(helpPark)
-		rt.idle.Add(-1)
 	}
 	return nil
 }
