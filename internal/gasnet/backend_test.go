@@ -714,33 +714,36 @@ func TestWireHostileFramesFailPeer(t *testing.T) {
 	gets, completed := map[int][]byte{8: make([]byte, 8), 1 << 17: make([]byte, 1<<17)}, 0
 	getID := func(n int) uint64 { return w.newPending(pendingOp{dst: gets[n], onDone: func() { completed++ }}) }
 	frames := map[string][]byte{
-		"getrep: short":           encodeGetRep(getID(8), []byte("1234567")),
-		"getrep: long":            encodeGetRep(getID(8), []byte("123456789")),
-		"getrep: short, bulk":     encodeGetRep(getID(1<<17), bytes.Repeat([]byte{1}, 1<<17-1)),
-		"getrep: long, bulk":      encodeGetRep(getID(1<<17), bytes.Repeat([]byte{1}, 1<<17+1)),
-		"put: wild segment":       encodePut(1, 9, 0, 1, 0, nil, make([]byte, 8)),
-		"put: closed segment":     encodePut(1, uint16(closedDev), 0, 1, 0, nil, make([]byte, 8)),
-		"put: past the end":       encodePut(1, 0, segEnd-4, 1, 0, nil, make([]byte, 8)),
-		"put: offset overflow":    encodePut(1, 0, wild, 1, 0, nil, make([]byte, 8)),
-		"put: ackRank":            encodePut(1, 0, 0, 7, 1, nil, make([]byte, 8)),
-		"put: source rank":        encodePut(7, 0, 0, 1, 0, nil, make([]byte, 8)),
-		"put: undecodable rem":    encodePut(1, 0, 0, 1, 0, badRem, make([]byte, 8)),
-		"get: wild segment":       encodeGet(1, 9, 0, 8),
-		"get: past the end":       encodeGet(1, 0, segEnd-4, 8),
-		"get: huge n":             encodeGet(1, 0, 0, ^uint32(0)),
-		"amo: past the end":       encodeAMO(1, segEnd-4, byte(AMOAdd), 1, 0),
-		"amo: offset overflow":    encodeAMO(1, wild, byte(AMOAdd), 1, 0),
-		"copy: wild source":       encodeCopy(1, 9, 0, 1, 0, 0, 8, 1, 0, nil),
-		"copy: source past end":   encodeCopy(1, 0, segEnd-4, 1, 0, 0, 8, 1, 0, nil),
-		"copy: dstRank":           encodeCopy(1, 0, 0, 7, 0, 0, 8, 1, 0, nil),
-		"copy: ackRank":           encodeCopy(1, 0, 0, 1, 0, 0, 8, 7, 1, nil),
-		"copy: local dst wild":    encodeCopy(1, 0, 0, 0, 9, 0, 8, 1, 0, nil),
-		"copy: local dst past":    encodeCopy(1, 0, 0, 0, 0, segEnd-4, 8, 1, 0, nil),
-		"copy: undecodable rem":   encodeCopy(1, 0, 0, 0, 0, 0, 8, 1, 0, badRem),
-		"am: undecodable aux":     encodeAM(1, 0, []byte{0xFF}, nil, nil),
-		"am: source rank":         encodeAM(7, 0, nil, nil, nil),
-		"unknown frame mid-flow":  encodeHello(1, 2),
-		"truncated frame (codec)": encodePutAck(1)[:8],
+		"getrep: short":                           encodeGetRep(getID(8), []byte("1234567")),
+		"getrep: long":                            encodeGetRep(getID(8), []byte("123456789")),
+		"getrep: short, bulk":                     encodeGetRep(getID(1<<17), bytes.Repeat([]byte{1}, 1<<17-1)),
+		"getrep: long, bulk":                      encodeGetRep(getID(1<<17), bytes.Repeat([]byte{1}, 1<<17+1)),
+		"put: wild segment":                       encodePut(1, 9, 0, 1, 0, nil, make([]byte, 8)),
+		"put: closed segment":                     encodePut(1, uint16(closedDev), 0, 1, 0, nil, make([]byte, 8)),
+		"put: past the end":                       encodePut(1, 0, segEnd-4, 1, 0, nil, make([]byte, 8)),
+		"put: offset overflow":                    encodePut(1, 0, wild, 1, 0, nil, make([]byte, 8)),
+		"put: ackRank":                            encodePut(1, 0, 0, 7, 1, nil, make([]byte, 8)),
+		"put: source rank":                        encodePut(7, 0, 0, 1, 0, nil, make([]byte, 8)),
+		"put: undecodable rem":                    encodePut(1, 0, 0, 1, 0, badRem, make([]byte, 8)),
+		"get: wild segment":                       encodeGet(1, 9, 0, 8),
+		"get: past the end":                       encodeGet(1, 0, segEnd-4, 8),
+		"get: huge n":                             encodeGet(1, 0, 0, ^uint32(0)),
+		"amo: past the end":                       encodeAMO(1, segEnd-4, byte(AMOAdd), 1, 0),
+		"amo: offset overflow":                    encodeAMO(1, wild, byte(AMOAdd), 1, 0),
+		"copy: wild source":                       encodeCopy(1, 9, 0, 1, 0, 0, 8, 1, 0, nil),
+		"copy: source past end":                   encodeCopy(1, 0, segEnd-4, 1, 0, 0, 8, 1, 0, nil),
+		"copy: dstRank":                           encodeCopy(1, 0, 0, 7, 0, 0, 8, 1, 0, nil),
+		"copy: ackRank":                           encodeCopy(1, 0, 0, 1, 0, 0, 8, 7, 1, nil),
+		"copy: local dst wild":                    encodeCopy(1, 0, 0, 0, 9, 0, 8, 1, 0, nil),
+		"copy: local dst past":                    encodeCopy(1, 0, 0, 0, 0, segEnd-4, 8, 1, 0, nil),
+		"copy: undecodable rem":                   encodeCopy(1, 0, 0, 0, 0, 0, 8, 1, 0, badRem),
+		"am: undecodable aux":                     encodeAM(1, 0, []byte{0xFF}, nil, nil),
+		"am: source rank":                         encodeAM(7, 0, nil, nil, nil),
+		"unknown frame mid-flow":                  encodeHello(1, 2),
+		"truncated frame (codec)":                 encodePutAck(0, 1)[:8],
+		"putack: count past the puts outstanding": encodePutAck(1, 0),
+		"put: counted, acked to another rank":     encodePut(1, 0, 0, 0, ackCounted, nil, make([]byte, 8)),
+		"copy: acked by count":                    encodeCopy(1, 0, 0, 1, 0, 0, 8, 1, ackCounted, nil),
 	}
 	for name, fb := range frames {
 		w.failErr.Store(nil)

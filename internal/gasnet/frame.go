@@ -21,8 +21,8 @@ import (
 const (
 	fHello  = 0x01 // proto u8 | rank u32 | nranks u32
 	fAM     = 0x02 // src u32 | handler u16 | auxlen uvarint | aux | payload
-	fPut    = 0x03 // src u32 | seg u16 | off u64 | ackRank u32 | ackID u64 | hasRem u8 | [rem] | data
-	fPutAck = 0x04 // ackID u64
+	fPut    = 0x03 // src u32 | seg u16 | off u64 | ackRank u32 | ackID u64 (0: no ack) | hasRem u8 | [rem] | data
+	fPutAck = 0x04 // count u32 (of the oldest counted puts to the sender) | ackID u64 (0: none)
 	fGet    = 0x05 // reqID u64 | seg u16 | off u64 | n u32
 	fGetRep = 0x06 // reqID u64 | data
 	fAMO    = 0x07 // reqID u64 | off u64 | op u8 | a u64 | b u64
@@ -33,9 +33,14 @@ const (
 	fSock   = 0x0C // shm ring record only: the next data frame on the socket belongs here (empty body)
 )
 
+// ackCounted is a direct put's ackID: acked by count, once per receive burst
+// (wire.deliver), to its sender, whom ackRank must name. Another id is a copy's
+// relayed put's, acked by a third rank; an fCopy's ackID is never ackCounted.
+const ackCounted = ^uint64(0)
+
 // frameProto is the transport bootstrap protocol version carried in
 // fHello; bump on any incompatible frame change.
-const frameProto = 1
+const frameProto = 2
 
 // frameMaxBody bounds a single frame body; larger transfers must
 // fragment above this layer (current ops never exceed segment sizes,
@@ -66,7 +71,7 @@ type frame struct {
 
 	// fPut / fGet / fCopy addressing; n is the data's length, which the decoder
 	// takes from an fPut's or fGetRep's payload and the reader corrects for a
-	// frame whose payload is still on the socket
+	// frame whose payload is still on the socket — or an fPutAck's count
 	seg uint16
 	off uint64
 	n   uint32
@@ -136,8 +141,8 @@ func appendPut(b []byte, src uint32, seg uint16, off uint64, ackRank uint32, ack
 	return appendRem(le.AppendUint64(le.AppendUint32(b, ackRank), ackID), rem)
 }
 
-func appendPutAck(b []byte, ackID uint64) []byte {
-	return le.AppendUint64(append(b, fPutAck), ackID)
+func appendPutAck(b []byte, count uint32, ackID uint64) []byte {
+	return le.AppendUint64(le.AppendUint32(append(b, fPutAck), count), ackID)
 }
 
 func appendGet(b []byte, reqID uint64, seg uint16, off uint64, n uint32) []byte {
@@ -213,13 +218,13 @@ func decodeRem(d *serial.Decoder, f *frame) error {
 	return d.Err()
 }
 
-// decodeFrameBody strictly decodes one frame body. It never panics on
-// hostile input (fuzzed by FuzzTransportFrame); returned slices alias
-// the input buffer.
-func decodeFrameBody(b []byte) (frame, error) {
-	var f frame
+// decodeFrameBody strictly decodes one frame body into f, which it zeroes
+// first. It never panics on hostile input (fuzzed by FuzzTransportFrame); the
+// slices it sets alias the input buffer.
+func decodeFrameBody(b []byte, f *frame) error {
+	*f = frame{}
 	if len(b) == 0 {
-		return f, errors.New("gasnet: empty transport frame")
+		return errors.New("gasnet: empty transport frame")
 	}
 	d := serial.NewDecoder(b)
 	f.typ = d.U8()
@@ -228,66 +233,50 @@ func decodeFrameBody(b []byte) (frame, error) {
 		f.proto = d.U8()
 		f.rank = d.U32()
 		f.nranks = d.U32()
-		if err := d.Finish(); err != nil {
-			return f, err
+		if d.Err() == nil && f.proto != frameProto {
+			return fmt.Errorf("gasnet: transport proto %d, want %d", f.proto, frameProto)
 		}
-		if f.proto != frameProto {
-			return f, fmt.Errorf("gasnet: transport proto %d, want %d", f.proto, frameProto)
-		}
-		return f, nil
 	case fAM:
 		f.rank = d.U32()
 		f.handler = d.U16()
 		an := d.Uvarint()
-		if d.Err() != nil {
-			return f, d.Err()
-		}
 		if an > uint64(d.Remaining()) {
-			return f, fmt.Errorf("gasnet: frame aux length %d exceeds remaining %d", an, d.Remaining())
+			return fmt.Errorf("gasnet: frame aux length %d exceeds remaining %d", an, d.Remaining())
 		}
 		f.aux = d.Raw(int(an))
 		f.payload = d.Raw(d.Remaining())
-		return f, d.Err()
 	case fPut:
 		f.rank = d.U32()
 		f.seg = d.U16()
 		f.off = d.U64()
 		f.ackRank = d.U32()
 		f.ackID = d.U64()
-		if d.Err() != nil {
-			return f, d.Err()
-		}
-		if err := decodeRem(d, &f); err != nil {
-			return f, err
+		if err := decodeRem(d, f); err != nil {
+			return err
 		}
 		f.payload = d.Raw(d.Remaining())
 		f.n = uint32(len(f.payload))
-		return f, d.Err()
 	case fPutAck:
+		f.n = d.U32()
 		f.ackID = d.U64()
-		return f, d.Finish()
 	case fGet:
 		f.reqID = d.U64()
 		f.seg = d.U16()
 		f.off = d.U64()
 		f.n = d.U32()
-		return f, d.Finish()
 	case fGetRep:
 		f.reqID = d.U64()
 		f.payload = d.Raw(d.Remaining())
 		f.n = uint32(len(f.payload))
-		return f, d.Err()
 	case fAMO:
 		f.reqID = d.U64()
 		f.off = d.U64()
 		f.amoOp = d.U8()
 		f.amoA = d.U64()
 		f.amoB = d.U64()
-		return f, d.Finish()
 	case fAMORep:
 		f.reqID = d.U64()
 		f.amoOld = d.U64()
-		return f, d.Finish()
 	case fCopy:
 		f.rank = d.U32()
 		f.seg = d.U16()
@@ -298,18 +287,17 @@ func decodeFrameBody(b []byte) (frame, error) {
 		f.n = d.U32()
 		f.ackRank = d.U32()
 		f.ackID = d.U64()
-		if d.Err() != nil {
-			return f, d.Err()
+		if f.ackID == ackCounted {
+			return errors.New("gasnet: a copy acked by count")
 		}
-		if err := decodeRem(d, &f); err != nil {
-			return f, err
+		if err := decodeRem(d, f); err != nil {
+			return err
 		}
-		return f, d.Finish()
 	case fRing, fBye, fSock:
-		return f, d.Finish()
 	default:
-		return f, fmt.Errorf("gasnet: unknown transport frame type %#x", f.typ)
+		return fmt.Errorf("gasnet: unknown transport frame type %#x", f.typ)
 	}
+	return d.Finish()
 }
 
 // bulkHead is how much of a frame longer than the read buffer is looked at

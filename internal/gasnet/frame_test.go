@@ -24,7 +24,9 @@ func encodePut(src uint32, seg uint16, off uint64, ackRank uint32, ackID uint64,
 	return appendFrame(nil, appendPut(nil, src, seg, off, ackRank, ackID, rem), data)
 }
 
-func encodePutAck(ackID uint64) []byte { return appendFrame(nil, appendPutAck(nil, ackID)) }
+func encodePutAck(count uint32, ackID uint64) []byte {
+	return appendFrame(nil, appendPutAck(nil, count, ackID))
+}
 
 func encodeGet(reqID uint64, seg uint16, off uint64, n uint32) []byte {
 	return appendFrame(nil, appendGet(nil, reqID, seg, off, n))
@@ -75,9 +77,19 @@ func TestFrameRoundTrips(t *testing.T) {
 				t.Fatalf("put+rem = %+v", f)
 			}
 		}},
-		{"putack", encodePutAck(42), func(t *testing.T, f frame) {
-			if f.typ != fPutAck || f.ackID != 42 {
+		{"putack", encodePutAck(0, 42), func(t *testing.T, f frame) {
+			if f.typ != fPutAck || f.n != 0 || f.ackID != 42 {
 				t.Fatalf("putack = %+v", f)
+			}
+		}},
+		{"putack-counted", encodePutAck(17, 0), func(t *testing.T, f frame) {
+			if f.typ != fPutAck || f.n != 17 || f.ackID != 0 {
+				t.Fatalf("counted putack = %+v", f)
+			}
+		}},
+		{"put-counted", encodePut(1, 0, 64, 1, ackCounted, nil, []byte("data")), func(t *testing.T, f frame) {
+			if f.typ != fPut || f.ackRank != 1 || f.ackID != ackCounted || string(f.payload) != "data" {
+				t.Fatalf("counted put = %+v", f)
 			}
 		}},
 		{"get", encodeGet(7, 1, 128, 256), func(t *testing.T, f frame) {
@@ -131,8 +143,8 @@ func TestFrameRoundTrips(t *testing.T) {
 			if err != nil || n != len(tc.fb)-4 || len(body) != n {
 				t.Fatalf("peekFrame: %d-byte body, %d of them peeked, %v; the frame's is %d", n, len(body), err, len(tc.fb)-4)
 			}
-			f, err := decodeFrameBody(body)
-			if err != nil {
+			var f frame
+			if err := decodeFrameBody(body, &f); err != nil {
 				t.Fatalf("decodeFrameBody: %v", err)
 			}
 			tc.want(t, f)
@@ -180,7 +192,11 @@ func FuzzTransportFrame(f *testing.F) {
 		encodeHello(0, 4),
 		encodeAM(1, 2, []byte("x"), []byte("payload"), nil),
 		encodePut(0, 0, 8, 0, 1, &remWire{handler: 3, aux: []byte("a"), payload: []byte("p")}, []byte("data")),
-		encodePutAck(1),
+		encodePutAck(0, 1),
+		encodePut(0, 1, 8, 0, ackCounted, nil, []byte("data")),
+		encodePutAck(5, 0),
+		encodePutAck(2, 9),
+		encodeCopy(0, 1, 0, 1, 0, 0, 8, 0, ackCounted, nil),
 		encodeGet(2, 0, 0, 64),
 		encodeGetRep(2, []byte("reply")),
 		encodeAMO(3, 8, byte(AMOCompSwap), 1, 2),
@@ -199,8 +215,8 @@ func FuzzTransportFrame(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fr, err := decodeFrameBody(body)
-		if err != nil {
+		var fr frame
+		if decodeFrameBody(body, &fr) != nil {
 			return
 		}
 		// A decoded frame's slices must stay in bounds of the input.
@@ -215,7 +231,8 @@ func FuzzTransportFrame(f *testing.F) {
 			return
 		}
 		for cut := len(body) - len(fr.payload); cut <= len(body); cut++ {
-			pre, err := decodeFrameBody(body[:cut])
+			var pre frame
+			err := decodeFrameBody(body[:cut], &pre)
 			if err != nil || !bytes.HasPrefix(fr.payload, pre.payload) || len(pre.payload) != cut-(len(body)-len(fr.payload)) {
 				t.Fatalf("prefix of %d of %d bytes: %v, payload %d bytes", cut, len(body), err, len(pre.payload))
 			}

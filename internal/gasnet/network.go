@@ -484,9 +484,10 @@ type completion struct {
 	old uint64
 }
 
-func (ep *Endpoint) enqueueComp(c completion) {
+// enqueueComp queues completions, however many (one ack's), under one lock and one ring.
+func (ep *Endpoint) enqueueComp(cs ...completion) {
 	ep.qmu.Lock()
-	ep.compQ = append(ep.compQ, c)
+	ep.compQ = append(ep.compQ, cs...)
 	ep.qmu.Unlock()
 	ep.Ring()
 }

@@ -446,7 +446,8 @@ func TestAMAllocs(t *testing.T) {
 	}
 	peer.wbuf = peer.wbuf[:0]
 	w.am(nil, 1, h, []byte("head"), frags, nil, obs.OpTag{})
-	if f, err := decodeFrameBody(peer.wbuf[4:]); err != nil || string(f.payload) != "head"+string(whole) {
+	var f frame
+	if err := decodeFrameBody(peer.wbuf[4:], &f); err != nil || string(f.payload) != "head"+string(whole) {
 		t.Errorf("wire AM of 12 fragments: %v, %d-byte payload", err, len(f.payload))
 	}
 }

@@ -535,7 +535,7 @@ func TestRingCorruptRecordFailsPeer(t *testing.T) {
 			}
 			atomic.StoreUint64(from.in.head, at+tc.head)
 			if drainer == "reader" { // its doorbell is rung and nobody polls
-				wires[1].sockSend(wires[1].peers[0], false, []byte{fRing})
+				wires[1].sockSend(wires[1].peers[0], false, nil, []byte{fRing})
 				<-wires[0].ep.notify // the failure rings; a reader that never drains is the test's timeout
 				from.dmu.Lock()      // and the drain it rang from is over
 				from.dmu.Unlock()
@@ -571,7 +571,7 @@ func TestRingByeRecordKeepsPeerLoss(t *testing.T) {
 	if pushed, _ := to0.ring.push([][]byte{{fBye}}); !pushed {
 		t.Fatal("push into an empty ring failed")
 	}
-	wires[1].sockSend(to0, false, []byte{fRing})
+	wires[1].sockSend(to0, false, nil, []byte{fRing})
 	// The reader that takes the span dispatches its record before it reads
 	// the socket again, so the close below cannot overtake the record.
 	for deadline := time.Now().Add(10 * time.Second); atomic.LoadUint64(in.tail) != atomic.LoadUint64(in.head); {
@@ -878,8 +878,8 @@ func TestRingOversizeAndLocalFIFO(t *testing.T) {
 	if ep0.Yield(new(atomic.Uint64)) {
 		t.Fatal("a waiter was let yield at a marker: no yield sees the frame behind it, only its reader")
 	}
-	wires[1].sockSend(to0, false, []byte{fRing})
-	wires[1].sockSend(to0, false, am(1, 5000))
+	wires[1].sockSend(to0, false, nil, []byte{fRing})
+	wires[1].sockSend(to0, false, nil, am(1, 5000))
 	for deadline := time.Now().Add(20 * time.Second); next[0] < 3; ep0.Poll() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of 3 AMs around a marker arrived", next[0])

@@ -78,7 +78,7 @@ type ConduitInfo struct {
 }
 
 type pendingOp struct {
-	onAck  func()       // fPutAck
+	onAck  func()       // fPutAck by id: a copy's relayed put
 	dst    []byte       // fGetRep destination
 	onDone func()       // fGetRep completion
 	onOld  func(uint64) // fAMORep result
@@ -95,6 +95,12 @@ type peerConn struct {
 	ams  []inboundAM
 	slab []byte
 	rest int
+	// acked[ahead:]: the callbacks of counted puts to the peer, oldest first, appended
+	// where the frame is queued (under wmu on tcp, rmu on shm). owed, like ams the
+	// reader's (shm: dmu's), counts those landed from the peer since the last ack.
+	acked []completion
+	ahead int
+	owed  uint32
 
 	wmu     sync.Mutex
 	wcnd    *sync.Cond // the writer's: wbuf is not empty, or wclosed
@@ -279,7 +285,8 @@ func (t *wire) helloExchange(conn net.Conn, br *bufio.Reader, deadline time.Time
 	if err != nil {
 		return 0, err
 	}
-	f, err := decodeFrameBody(body) // the fields of an fHello are all values
+	var f frame
+	err = decodeFrameBody(body, &f) // the fields of an fHello are all values
 	br.Discard(4 + n)
 	if err != nil {
 		return 0, err
@@ -393,7 +400,8 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 	t.ep.ctr.Add(obs.FramesIn, 1)
 	t.ep.ctr.Add(obs.BytesIn, uint64(4+n))
 	p.rest = 4 + n
-	f, err := decodeFrameBody(b)
+	var f frame // its own in the fSock marker's nested recv
+	err = decodeFrameBody(b, &f)
 	switch bulk := len(b) < n; {
 	case bulk && (err != nil || f.typ != fPut && f.typ != fGetRep):
 		body, rb := newRecvBody(n)
@@ -402,7 +410,7 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 			return 0, err
 		}
 		p.rest = 0
-		if f, err = decodeFrameBody(body); err == nil && f.typ == fAM {
+		if err = decodeFrameBody(body, &f); err == nil && f.typ == fAM {
 			f.body, f.own = rb, true
 		}
 	case err != nil:
@@ -419,7 +427,7 @@ func (t *wire) recv(p *peerConn, ctl bool) (byte, error) {
 	if err == nil && ctl && p.ring != nil && f.typ != fRing && f.typ != fBye {
 		err = fmt.Errorf("gasnet: frame %#x on a shm peer's socket with no ring marker before it", f.typ)
 	} else if err == nil && (ctl || f.typ <= fCopy) {
-		err = t.dispatch(p, f)
+		err = t.dispatch(p, &f)
 	}
 	if err != nil {
 		t.fail(p.rank, err)
@@ -446,11 +454,16 @@ func (p *peerConn) keep(b []byte) []byte {
 	return p.slab[at:len(p.slab):len(p.slab)]
 }
 
-// deliver hands the endpoint a socket burst's or a ring span's AMs at once.
+// deliver hands the endpoint a socket burst's or a ring span's AMs at once, then acks its counted puts.
 func (t *wire) deliver(p *peerConn) {
 	t.ep.enqueueAM(p.ams...)
 	clear(p.ams)
 	p.ams = p.ams[:0]
+	if p.owed > 0 { // after the AMs: landing, remote AM, ack
+		var hdr [frameHeadMax]byte
+		t.reply(p.rank, appendPutAck(hdr[:0], p.owed, 0))
+		p.owed = 0
+	}
 }
 
 func (t *wire) writerLoop(p *peerConn) {
@@ -493,17 +506,17 @@ func (t *wire) writerLoop(p *peerConn) {
 // send routes one frame, its body gathered from parts (frame.go's encoders
 // build the head), to dst from an injecting goroutine, which a full queue
 // parks — the shm ring (ringSend) or sendBound bytes on a socket (sockSend);
-// reply is send from a reader goroutine, which nothing may block.
-func (t *wire) send(dst Rank, parts ...[]byte)  { t.route(dst, parts, true) }
-func (t *wire) reply(dst Rank, parts ...[]byte) { t.route(dst, parts, false) }
+// reply is send from a reader goroutine, which nothing may block. A counted put's callback (onAck) joins dst's FIFO with its frame.
+func (t *wire) send(dst Rank, parts ...[]byte)  { t.route(dst, parts, true, nil) }
+func (t *wire) reply(dst Rank, parts ...[]byte) { t.route(dst, parts, false, nil) }
 
-func (t *wire) route(dst Rank, parts [][]byte, block bool) {
+func (t *wire) route(dst Rank, parts [][]byte, block bool, onAck func()) {
 	switch p := t.peers[dst]; {
 	case p == nil: // self or torn down; self-sends never reach the transport
 	case p.ring != nil:
-		t.ringSend(p, parts, block)
+		t.ringSend(p, parts, block, onAck)
 	default:
-		t.sockSend(p, block, parts...)
+		t.sockSend(p, block, onAck, parts...)
 	}
 }
 
@@ -511,7 +524,7 @@ func (t *wire) route(dst Rank, parts [][]byte, block bool) {
 // caller's memory: the one capture copy, into bytes the writer hands back for
 // reuse. An injector (wait) that finds sendBound bytes queued parks until the
 // writer takes them or wake says nobody will, and then drops its frame.
-func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
+func (t *wire) sockSend(p *peerConn, wait bool, onAck func(), parts ...[]byte) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	for wait && len(p.wbuf) >= sendBound && !p.wclosed {
@@ -526,6 +539,9 @@ func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
 	}
 	at := len(p.wbuf)
 	p.wbuf = appendFrame(p.wbuf, parts...)
+	if onAck != nil {
+		p.acked = append(p.acked, completion{fn: onAck})
+	}
 	t.ep.ctr.Add(obs.FramesOut, 1)
 	t.ep.ctr.Add(obs.BytesOut, uint64(len(p.wbuf)-at))
 	p.wcnd.Signal()
@@ -536,11 +552,11 @@ func (t *wire) sockSend(p *peerConn, wait bool, parts ...[]byte) {
 // a drain leaves the frame, flattened, on the local FIFO of a full ring; an
 // injector (block) parks until wake or, as a backstop, the park bound: a park like
 // WaitPending's (poll: both rings may be full), rmu let go for it, the push retried first.
-func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool) {
+func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool, onAck func()) {
 	gone := func() bool { return t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() }
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
-	for sent := false; !sent && (!t.flushLocal(p) || !t.ringPut(p, parts)); {
+	for sent := false; !sent && (!t.flushLocal(p) || !t.ringPut(p, parts, onAck)); {
 		if !block {
 			p.lq = append(p.lq, bytes.Join(parts, nil))
 			return
@@ -551,7 +567,7 @@ func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool) {
 		p.rmu.Unlock()
 		t.poll(+1)
 		p.rmu.Lock()
-		if sent = t.flushLocal(p) && t.ringPut(p, parts); !sent && !gone() {
+		if sent = t.flushLocal(p) && t.ringPut(p, parts, onAck); !sent && !gone() {
 			// push set waiting under rmu, which wake takes to broadcast.
 			tm := time.AfterFunc(100*time.Millisecond, func() { t.ep.ctr.Add(obs.RingTimeouts, 1); p.rcnd.Broadcast() })
 			p.rcnd.Wait()
@@ -563,23 +579,26 @@ func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool) {
 	}
 }
 
-// ringPut places one frame on p's ring, or reports it full. A frame too
-// large for a record leaves an fSock marker and is built in the socket's send
-// queue — never waiting there: the ring is the bound — behind a doorbell, so
-// that the consumer meets the marker first, in order under rmu.
-func (t *wire) ringPut(p *peerConn, parts [][]byte) bool {
+// ringPut places one frame on p's ring, and a counted put's callback on p's FIFO in the
+// same hold of rmu, or reports the ring full. A frame too large for a record leaves an fSock
+// marker and is built in the socket's send queue — never waiting there: the ring is the
+// bound — behind a doorbell, so that the consumer meets the marker first, in order under rmu.
+func (t *wire) ringPut(p *peerConn, parts [][]byte, onAck func()) bool {
 	n, rec := amLen(nil, parts), parts
 	if n > ringMaxRec {
 		rec = [][]byte{{fSock}}
 	}
 	pushed, bell := p.ring.push(rec)
+	if pushed && onAck != nil {
+		p.acked = append(p.acked, completion{fn: onAck})
+	}
 	if pushed && (bell || n > ringMaxRec) {
 		t.ep.ctr.Add(obs.RingDoorbells, 1)
-		t.sockSend(p, false, []byte{fRing})
+		t.sockSend(p, false, nil, []byte{fRing})
 	}
 	if pushed && n > ringMaxRec {
 		t.ep.ctr.Add(obs.SocketFallbacks, 1)
-		t.sockSend(p, false, parts...)
+		t.sockSend(p, false, nil, parts...)
 	} else if pushed {
 		t.ep.ctr.Add(obs.RingRecords, 1)
 	}
@@ -587,7 +606,7 @@ func (t *wire) ringPut(p *peerConn, parts [][]byte) bool {
 }
 
 func (t *wire) flushLocal(p *peerConn) bool {
-	for len(p.lq) > 0 && t.ringPut(p, p.lq[:1]) {
+	for len(p.lq) > 0 && t.ringPut(p, p.lq[:1], nil) {
 		p.lq = p.lq[1:]
 	}
 	return len(p.lq) == 0
@@ -631,6 +650,36 @@ func (t *wire) takePending(id uint64) (pendingOp, bool) {
 	return op, ok
 }
 
+// landed queues the callbacks of the k oldest counted puts to p, which p's ack says have
+// landed, outside the FIFO's lock (syncDirect takes the queue lock before wmu and rmu), then
+// moves the spent half out: a FIFO whose puts have all landed keeps none. p's reader runs it.
+func (t *wire) landed(p *peerConn, k int) error {
+	if k == 0 { // an ack by id alone
+		return nil
+	}
+	mu := &p.wmu
+	if p.ring != nil {
+		mu = &p.rmu
+	}
+	mu.Lock()
+	if k > len(p.acked)-p.ahead {
+		defer mu.Unlock()
+		return fmt.Errorf("gasnet: an ack of %d puts, %d outstanding", k, len(p.acked)-p.ahead)
+	}
+	done := p.acked[p.ahead : p.ahead+k]
+	p.ahead += k
+	mu.Unlock()
+	t.ep.enqueueComp(done...)
+	mu.Lock()
+	defer mu.Unlock()
+	if p.ahead > len(p.acked)/2 {
+		n := copy(p.acked, p.acked[p.ahead:])
+		clear(p.acked[n:])
+		p.acked, p.ahead = p.acked[:n], 0
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Aux and remote-AM helpers
 
@@ -661,13 +710,15 @@ func (t *wire) decodeAux(b []byte) (any, error) {
 }
 
 // carried prepares what a put or copy frame carries besides its data:
-// the armed remote-completion AM, and the id under which the
-// destination's ack finds x.onDone.
-func (t *wire) carried(x xfer) (rw *remWire, ackID uint64) {
+// the armed remote-completion AM, and how the destination's ack finds
+// x.onDone — by count (a direct put) or by id.
+func (t *wire) carried(x xfer, counted bool) (rw *remWire, ackID uint64) {
 	if x.rem.arm() {
 		rw = &remWire{handler: uint16(x.rem.Handler), aux: t.encodeAux(x.rem.Aux), payload: x.rem.Payload}
 	}
-	if x.onDone != nil {
+	if x.onDone != nil && counted {
+		ackID = ackCounted
+	} else if x.onDone != nil {
 		ackID = t.newPending(pendingOp{onAck: x.onDone})
 	}
 	return rw, ackID
@@ -704,9 +755,9 @@ func (t *wire) transfer(ep *Endpoint, x *xfer, _ *hopPlan) bool {
 			copy(p.seg[dst.off:][:n], data)
 			return t.shmLanded(*x)
 		}
-		rw, ackID := t.carried(*x)
+		rw, ackID := t.carried(*x, true)
 		x.tag.Landing(dst.rank, n)
-		t.send(dst.rank, appendPut(hdr[:0], uint32(t.self), uint16(dst.seg), dst.off, uint32(t.self), ackID, rw), data)
+		t.route(dst.rank, [][]byte{appendPut(hdr[:0], uint32(t.self), uint16(dst.seg), dst.off, uint32(t.self), ackID, rw), data}, true, x.onDone)
 	case dst.rank == t.self:
 		// Get-shaped: a peer's bytes into local memory, where the
 		// payload lands (and a copy's remote AM is due).
@@ -734,7 +785,7 @@ func (t *wire) transfer(ep *Endpoint, x *xfer, _ *hopPlan) bool {
 		}
 		// 2.5-hop relay: ask the source rank to put its bytes to the
 		// destination, which acks us directly (ackRank = initiator).
-		rw, ackID := t.carried(*x)
+		rw, ackID := t.carried(*x, false)
 		t.send(src.rank, appendCopy(hdr[:0], uint32(t.self), uint16(src.seg), src.off, uint32(dst.rank), uint16(dst.seg), dst.off, uint32(n), uint32(t.self), ackID, rw))
 	}
 	return false
@@ -834,17 +885,19 @@ func (t *wire) land(p *peerConn, dst, data []byte) error {
 // landRemote finishes an inbound put or copy whose f.n bytes are in place in
 // local segment seg: count the h2d descriptor, enqueue the piggybacked
 // remote-completion AM (aux is its decoded token), and ack the initiator.
-func (t *wire) landRemote(p *peerConn, f frame, seg uint16, aux any) {
+func (t *wire) landRemote(p *peerConn, f *frame, seg uint16, aux any) {
 	if SegID(seg) != HostSeg {
 		t.ep.countDMA(obs.DMAH2D, int(f.n))
 	}
 	if f.hasRem {
 		p.ams = append(p.ams, inboundAM{src: Rank(f.rank), handler: HandlerID(f.remHandler), payload: f.remPayload, aux: aux})
 	}
-	if f.ackID != 0 {
+	if f.ackID == ackCounted {
+		p.owed++ // acked with the burst (deliver)
+	} else if f.ackID != 0 {
 		t.deliver(p) // the remote AM is enqueued before the ack starts back
 		var hdr [frameHeadMax]byte
-		t.reply(Rank(f.ackRank), appendPutAck(hdr[:0], f.ackID))
+		t.reply(Rank(f.ackRank), appendPutAck(hdr[:0], 0, f.ackID))
 	}
 }
 
@@ -854,19 +907,20 @@ func (t *wire) landRemote(p *peerConn, f frame, seg uint16, aux any) {
 // the peer's loss read as a clean shutdown, an fRing re-enter the drain that
 // is decoding it — it fails its sender (dispatch refuses fHello anywhere).
 func (t *wire) handleFrame(p *peerConn, body []byte) {
-	f, err := decodeFrameBody(body)
+	var f frame
+	err := decodeFrameBody(body, &f)
 	if err == nil && f.typ > fCopy && f.typ != fSock {
 		err = fmt.Errorf("gasnet: control frame %#x in a shm ring record", f.typ)
 	}
 	if err == nil {
-		err = t.dispatch(p, f)
+		err = t.dispatch(p, &f)
 	}
 	if err != nil {
 		t.fail(p.rank, err)
 	}
 }
 
-func (t *wire) dispatch(p *peerConn, f frame) error {
+func (t *wire) dispatch(p *peerConn, f *frame) error {
 	switch f.typ {
 	case fAM:
 		if err := t.checkRanks(f.rank); err != nil {
@@ -883,6 +937,9 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		if err != nil {
 			return err
 		}
+		if f.ackID == ackCounted && Rank(f.ackRank) != p.rank {
+			return fmt.Errorf("gasnet: a put from rank %d acked by count to rank %d", p.rank, f.ackRank)
+		}
 		aux, err := t.decodeAux(f.remAux)
 		if err != nil {
 			return err
@@ -892,6 +949,9 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 		}
 		t.landRemote(p, f, f.seg, aux)
 	case fPutAck:
+		if err := t.landed(p, int(f.n)); err != nil {
+			return err
+		}
 		if op, ok := t.takePending(f.ackID); ok && op.onAck != nil {
 			t.ep.enqueueComp(completion{fn: op.onAck})
 		}
@@ -965,7 +1025,7 @@ func (t *wire) dispatch(p *peerConn, f frame) error {
 // handleCopy runs at the copy's source rank: read the local bytes and
 // relay them to the destination as a put whose ack goes straight back
 // to the initiator.
-func (t *wire) handleCopy(p *peerConn, f frame) error {
+func (t *wire) handleCopy(p *peerConn, f *frame) error {
 	src, err := t.inbound(f.seg, f.off, f.n, f.rank, f.dstRank, f.ackRank)
 	if err != nil {
 		return err
@@ -1056,7 +1116,7 @@ func (t *wire) drainRing(p *peerConn, reader bool) (sock bool) {
 			}
 			if used > 0 && r.release(used) {
 				t.ep.ctr.Add(obs.RingDoorbells, 1)
-				t.sockSend(p, false, []byte{fRing})
+				t.sockSend(p, false, nil, []byte{fRing})
 			}
 			t.deliver(p)
 			if err != nil {
@@ -1107,7 +1167,7 @@ func (t *wire) close() {
 			continue
 		}
 		t.wake(p)
-		t.sockSend(p, false, []byte{fBye})
+		t.sockSend(p, false, nil, []byte{fBye})
 		p.wmu.Lock()
 		p.wclosed = true
 		p.wcnd.Signal()

@@ -63,8 +63,8 @@ func (r *readerRig) replies(t *testing.T) (out []frame) {
 	t.Helper()
 	for b := r.from.wbuf; len(b) > 0; {
 		n := int(binary.LittleEndian.Uint32(b))
-		f, err := decodeFrameBody(b[4 : 4+n])
-		if err != nil {
+		var f frame
+		if err := decodeFrameBody(b[4:4+n], &f); err != nil {
 			t.Fatalf("undecodable frame in the send queue: %v", err)
 		}
 		out, b = append(out, f), b[4+n:]
@@ -81,9 +81,11 @@ func pattern(n int, seed byte) []byte {
 }
 
 // TestSocketRecvAllocs pins what the reader goroutine allocates: a frame that
-// keeps nothing — a put and its ack, a get and its reply, an AMO and its
-// reply, an ack — is decoded where it lies in the read buffer and answered at
-// the tail of a reused send queue, no object at all; the payloads of a burst
+// keeps nothing — a counted put, a put acked by id (a copy's relay) and its
+// ack, a get and its reply, an AMO and its reply, an ack by id — is decoded
+// where it lies in the read buffer and answered at the tail of a reused send
+// queue, no object at all. The counted puts are acked by one frame where the
+// burst ends, or where an ack by id must follow them; the payloads of a burst
 // of AMs are copied out into one slab, not one body per frame.
 func TestSocketRecvAllocs(t *testing.T) {
 	r := newReaderRig(1 << 12)
@@ -91,18 +93,24 @@ func TestSocketRecvAllocs(t *testing.T) {
 	h := r.net.RegisterAM(func(_ *Endpoint, _ Rank, p []byte, _ any) { got += len(p) })
 	const N = 50
 	var ctl, ams []byte
-	answered := N
+	const byID = 24 // the one put acked by id; the counted puts before it are acked first
+	answered, acks := 0, [][2]uint64{{byID / 4, 0}, {0, byID + 1}, {(N - byID) / 4, 0}}
 	for i := 0; i < N; i++ {
 		switch i % 4 {
 		case 0:
-			ctl = append(ctl, encodePut(0, 0, 64, 0, uint64(i+1), nil, pattern(8, byte(i)))...)
+			ack := uint64(ackCounted)
+			if i == byID {
+				ack = byID + 1
+			}
+			ctl = append(ctl, encodePut(0, 0, 64, 0, ack, nil, pattern(8, byte(i)))...)
 		case 1:
 			ctl = append(ctl, encodeGet(uint64(i), 0, 64, 8)...)
+			answered++
 		case 2:
 			ctl = append(ctl, encodeAMO(uint64(i), 128, byte(AMOAdd), 1, 0)...)
+			answered++
 		case 3:
-			ctl = append(ctl, encodePutAck(uint64(1000+i))...)
-			answered--
+			ctl = append(ctl, encodePutAck(0, uint64(1000+i))...)
 		}
 		ams = append(ams, encodeAM(0, uint16(h), nil, pattern(8, byte(i)), nil)...)
 	}
@@ -111,8 +119,15 @@ func TestSocketRecvAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { r.feed(ctl) }); a != 0 {
 		t.Errorf("a burst of %d frames that keep nothing: %v allocs at the reader, want 0", N, a)
 	}
-	if rep := r.replies(t); len(rep) != answered || rep[0].typ != fPutAck || rep[1].typ != fGetRep || rep[2].typ != fAMORep {
-		t.Errorf("the burst was answered with %d frames, want %d (ack, get reply, AMO reply, ...)", len(rep), answered)
+	var acked [][2]uint64 // count, id
+	rep := r.replies(t)
+	for _, f := range rep {
+		if f.typ == fPutAck {
+			acked = append(acked, [2]uint64{uint64(f.n), f.ackID})
+		}
+	}
+	if len(rep) != answered+len(acks) || rep[0].typ != fGetRep || rep[1].typ != fAMORep || !slices.Equal(acked, acks) {
+		t.Errorf("the burst was answered with %d frames, acks (count, id) %v; want %d, acks %v", len(rep), acked, answered+len(acks), acks)
 	}
 	recv := func() {
 		r.feed(ams)
@@ -126,6 +141,116 @@ func TestSocketRecvAllocs(t *testing.T) {
 	}
 	if err := r.net.Failed(); err != nil || r.w.failure() != nil {
 		t.Errorf("the rig's reader failed its peer: %v / %v", err, r.w.failure())
+	}
+}
+
+// TestPutAckedByCount pins how a direct put is acknowledged: two goroutines
+// put 10 000 8-byte values each to one peer, with callbacks and remote AMs;
+// each callback runs exactly once, in its goroutine's issue order and, across
+// the goroutines, in the order the target ran the puts' remote AMs — the
+// per-peer FIFO of callbacks is the wire's order — and none stays in that FIFO
+// once it has run; the initiator takes in at most one socket frame per 16 puts
+// of one goroutine. Over tcp (the host
+// segment) that is one ack per receive burst. Over shm (a device segment, the
+// ring path) the target is polled every half millisecond, so the ring fills
+// and the injectors park and retry; the acks are ring records, one per span
+// the target drains: how long a span is depends on how far the poller lags
+// the injectors, so the check is that acks are fewer than puts — one ack per
+// put would be as many.
+func TestPutAckedByCount(t *testing.T) {
+	const G, N = 2, 10000
+	backends := []string{"tcp"}
+	if runtime.GOOS == "linux" {
+		backends = append(backends, "shm")
+	}
+	for _, backend := range backends {
+		t.Run(backend, func(t *testing.T) {
+			nets, wires := wirePair(t, backend)
+			defer closeAll(nets)
+			from, to := nets[0].Endpoint(0), nets[1].Endpoint(1)
+			seg := HostSeg
+			if backend == "shm" {
+				seg = to.AddDeviceSegment(1 << 12)
+			}
+			sent := func() uint64 { // what the target sent the initiator: frames, and records on shm
+				c := wires[1].ep.ctr
+				return c.Load(obs.FramesOut) + c.Load(obs.RingRecords)
+			}
+			var landed, done []uint64 // g<<32|i, as the target ran the remote AMs and the initiator the callbacks
+			var h HandlerID
+			for _, n := range nets {
+				h = n.RegisterAM(func(_ *Endpoint, _ Rank, p []byte, _ any) { landed = append(landed, binary.LittleEndian.Uint64(p)) })
+			}
+			in0, out1 := wires[0].ep.ctr.Load(obs.FramesIn), sent()
+			var next [G]int // run by the polling goroutine alone
+			misordered := 0
+			var wg sync.WaitGroup
+			defer wg.Wait() // before the deferred close unmaps the ring the injectors push to
+			for g := range G {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					v := make([]byte, 8)
+					for i := range N {
+						tok := uint64(g)<<32 | uint64(i)
+						binary.LittleEndian.PutUint64(v, uint64(i))
+						from.PutSegTag(1, seg, uint64(8*g), v, func() {
+							if next[g] != i {
+								misordered++
+							}
+							next[g], done = i+1, append(done, tok)
+						}, &RemoteAM{Handler: h, Payload: binary.LittleEndian.AppendUint64(nil, tok)}, obs.OpTag{})
+					}
+				}()
+			}
+			for deadline, polled := time.Now().Add(60*time.Second), time.Now(); len(done) < G*N || len(landed) < G*N; {
+				from.Poll()
+				if time.Since(polled) > 500*time.Microsecond {
+					to.Poll()
+					polled = time.Now()
+				}
+				if err := nets[0].Failed(); err != nil || time.Now().After(deadline) {
+					wires[0].fail(1, errors.New("the test gave up")) // an injector parked on a full ring returns
+					t.Fatalf("%d of %d callbacks ran, %d remote AMs: %v", len(done), G*N, len(landed), err)
+				}
+			}
+			wg.Wait()
+			for range 8 {
+				from.Poll()
+			}
+			if len(done) != G*N || misordered != 0 {
+				t.Errorf("%d callbacks ran (want %d), %d out of their goroutine's issue order", len(done), G*N, misordered)
+			}
+			if !slices.Equal(landed, done) {
+				at := 0
+				for landed[at] == done[at] {
+					at++
+				}
+				t.Errorf("callback %d ran for put %#x, but the target landed put %#x there", at, done[at], landed[at])
+			}
+			if err := nets[0].Failed(); err != nil {
+				t.Fatal(err)
+			}
+			p, mu := wires[0].peers[1], &wires[0].peers[1].wmu
+			if p.ring != nil {
+				mu = &p.rmu
+			}
+			held := func() bool { // a callback left in the FIFO, whose puts have all landed
+				mu.Lock()
+				defer mu.Unlock()
+				return slices.ContainsFunc(p.acked[:cap(p.acked)], func(c completion) bool { return c.fn != nil })
+			}
+			for deadline := time.Now().Add(10 * time.Second); held(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("every callback ran, but the per-peer FIFO still holds some")
+				}
+			}
+			in, out := wires[0].ep.ctr.Load(obs.FramesIn)-in0, sent()-out1
+			t.Logf("%d puts: the initiator took in %d socket frames, the target sent %d frames and ring records", G*N, in, out)
+			if in > N/16 || out >= G*N {
+				t.Errorf("%d puts: %d socket frames in (want at most %d), %d frames and records back (want fewer than the puts)", G*N, in, N/16, out)
+			}
+		})
 	}
 }
 
