@@ -19,12 +19,12 @@ test-short:
 # poller and the reader contending for one drain lock, show schedules a
 # multi-core host never produces by itself (xproc's ranks are processes:
 # its one race-enabled run is the first leg's, and transport-smoke runs them
-# with one P); and the tests that once caught a race
-# run twenty times, since a race shows only in the runs that interleave.
+# with one P); and the tests that once caught a race, and the shm close under
+# a flood, run twenty times, since a race shows only in the runs that interleave.
 race:
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -race -count=1 . ./internal/core ./internal/task ./internal/gasnet ./internal/dht ./internal/mpi ./internal/obs
-	$(GO) test -race -count=20 -run 'CholV1Device|RPCArgumentAcrossStackGrowth|InjectOrderPerGoroutine' ./internal/sparse ./internal/core
+	$(GO) test -race -count=20 -run 'CholV1Device|RPCArgumentAcrossStackGrowth|InjectOrderPerGoroutine|ShmCloseUnderFlood' ./internal/sparse ./internal/core ./internal/gasnet
 
 # Allocation pins (testing.AllocsPerRun; they skip themselves under -race):
 # heap objects per operation in core, per AM in gasnet, per decoded aux

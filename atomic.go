@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 	"upcxx/internal/serial"
 )
 
@@ -20,7 +21,7 @@ import (
 func (rk *Rank) amoOp(owner Intrank, off uint64, op gasnet.AMOOp, a, b uint64) Future[uint64] {
 	inj := rk.newInjection(owner)
 	o := inj.single()
-	o.kind, o.dstPeer, o.dstOff, o.amo, o.amoA, o.amoB = opAMO, owner, off, op, a, b
+	o.kind, o.dstPeer, o.dstOff, o.amo, o.amoA, o.amoB = obs.KindAtomic, owner, off, op, a, b
 	var old Future[uint64]
 	rk.inject(inj, &old)
 	return old

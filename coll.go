@@ -1,6 +1,7 @@
 package upcxx
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -246,20 +247,12 @@ func collStray(m collMsg, in string) error {
 // encodeCollMsg builds the RPC message that carries m from world rank from,
 // in one buffer.
 func encodeCollMsg(from Intrank, m collMsg) []byte {
-	var e serial.Encoder
-	e.Grow(32 + collHdrLen + len(m.data))
-	putRPCHead(&e, from, 1)
-	e.PutU8(rpcFFKind)
-	e.PutU64(0)
-	e.PutUvarint(uint64(collHdrLen + len(m.data)))
-	e.PutU64(m.team)
-	e.PutU64(m.seq)
-	e.PutU8(m.kind)
-	e.PutU8(m.round)
-	e.PutU32(m.src)
-	e.PutRaw(m.data)
-	e.PutUvarint(0) // no landing
-	return e.Bytes()
+	var h [collHdrLen]byte
+	binary.LittleEndian.PutUint64(h[0:], m.team)
+	binary.LittleEndian.PutUint64(h[8:], m.seq)
+	h[16], h[17] = m.kind, m.round
+	binary.LittleEndian.PutUint32(h[18:], m.src)
+	return encodeFFMsg(from, h[:], m.data)
 }
 
 // decodeCollMsg parses and validates a collArrive argument.
@@ -497,7 +490,7 @@ func (e *collEngine) copyTo(t *Team, dest Intrank, src, dst collBufAddr, nbytes 
 	inj.notice = &gasnet.RemoteAM{Handler: rk.w.amRPC, Payload: encodeCollMsg(rk.me, land), Aux: collCall}
 	inj.op = append(inj.op, cxDelivery{pers: rk.execPersona(), fn: onOpDone})
 	op := inj.single()
-	op.kind, op.nbytes = opCopy, nbytes
+	op.kind, op.nbytes = obs.KindCopy, nbytes
 	op.srcPeer, op.srcSeg, op.srcOff = rk.me, src.segID(), src.off
 	op.dstPeer, op.dstSeg, op.dstOff = world, dst.segID(), dst.off
 	rk.inject(inj, nil)

@@ -12,14 +12,14 @@ import (
 // operation exposes up to three events, each of which the initiator may
 // request through a completion descriptor —
 //
-//   - operation completion (evOp): the whole operation is finished; for a
+//   - operation completion (obs.EvOp): the whole operation is finished; for a
 //     put, the data is globally visible at the target.
-//   - source completion (evSource): the initiator-side source buffer may
+//   - source completion (obs.EvSource): the initiator-side source buffer may
 //     be reused. Puts only — a copy's source is a global pointer read when
 //     the hop chain reaches it, not an initiator-local buffer. This conduit
 //     captures put source buffers eagerly, so the event fires as soon as
 //     the operation has been handed to the conduit.
-//   - remote completion (evRemote): the data is visible in the
+//   - remote completion (obs.EvRemote): the data is visible in the
 //     destination segment, observed *at the destination*. Deliverable
 //     target-side as an RPC (the signaling put) and initiator-side as a
 //     future/promise/LPC keyed off the conduit ack, which this conduit only
@@ -45,63 +45,17 @@ import (
 // the *target* rank — the signaling-put notification a worker persona
 // harvests directly in progress-thread mode.
 
-// CxEvent identifies one of the three completion events of an operation.
-type CxEvent uint8
-
-const (
-	// evOp is operation completion (upcxx operation_cx).
-	evOp CxEvent = iota
-	// evSource is source-buffer completion (upcxx source_cx).
-	evSource
-	// evRemote is remote completion at the destination (upcxx remote_cx).
-	evRemote
-)
-
-// String returns the event mnemonic.
-func (ev CxEvent) String() string {
-	switch ev {
-	case evOp:
-		return "operation_cx"
-	case evSource:
-		return "source_cx"
-	case evRemote:
-		return "remote_cx"
-	default:
-		return fmt.Sprintf("cx_event(%d)", uint8(ev))
-	}
-}
-
-type cxKind uint8
-
-const (
-	cxFuture cxKind = iota
-	cxPromise
-	cxLPC
-	cxRPC
-)
+// CxEvent identifies one of the three completion events of an operation:
+// obs.EvOp (upcxx operation_cx), obs.EvSource (source_cx) and obs.EvRemote
+// (remote_cx). A descriptor delivers its event by an obs.CxVia (future,
+// promise, LPC or RPC), and the completion matrix counts it under the pair.
+type CxEvent = obs.CxEvent
 
 // cxBody marks the RPCBodyOn pseudo-descriptor: not a completion event at
 // all, but the execution-persona address of an RPC *body*. rpcSend peels
 // it off (splitBodyPersona) before completion-plan resolution;
 // cxPlan.add rejects it on every other operation.
-const cxBody cxKind = 0xFF
-
-func (k cxKind) String() string {
-	switch k {
-	case cxFuture:
-		return "as_future"
-	case cxPromise:
-		return "as_promise"
-	case cxLPC:
-		return "as_lpc"
-	case cxRPC:
-		return "as_rpc"
-	case cxBody:
-		return "rpc_body_on"
-	default:
-		return fmt.Sprintf("cx_kind(%d)", uint8(k))
-	}
-}
+const cxBody obs.CxVia = 0xFF
 
 // Cx is one completion descriptor: an event paired with a delivery
 // method. Construct them with the OpCx…/SourceCx…/RemoteCx… functions and
@@ -109,15 +63,15 @@ func (k cxKind) String() string {
 // value; it may be built ahead of the call, but a descriptor carrying a
 // promise or RPC payload should be passed to exactly one operation.
 type Cx struct {
-	ev   CxEvent
-	kind cxKind
+	ev  CxEvent
+	via obs.CxVia
 
-	prom *Promise[Unit] // cxPromise
+	prom *Promise[Unit] // ViaPromise
 	pers *Persona       // delivery persona (nil: the descriptor's default)
-	fn   func()         // cxLPC body
+	fn   func()         // ViaLPC body
 
-	rpcArgs []byte  // cxRPC serialized arguments
-	rpcBody rpcBody // cxRPC body (code reference)
+	rpcArgs []byte  // ViaRPC serialized arguments
+	rpcBody rpcBody // ViaRPC body (code reference)
 }
 
 // On returns a copy of the descriptor addressed to persona p instead of
@@ -153,45 +107,51 @@ func RPCBodyOn(p *Persona) Cx {
 	if p == nil {
 		panic("upcxx: RPCBodyOn(nil persona)")
 	}
-	return Cx{kind: cxBody, pers: p}
+	return Cx{via: cxBody, pers: p}
 }
 
 // OpCxAsFuture requests operation completion as a future, returned in
 // CxFutures.Op — the default completion of every operation.
-func OpCxAsFuture() Cx { return Cx{ev: evOp, kind: cxFuture} }
+func OpCxAsFuture() Cx { return Cx{ev: obs.EvOp, via: obs.ViaFuture} }
 
 // OpCxAsPromise registers operation completion as one anonymous
 // dependency on p, discharged when the operation completes — the paper's
 // flood-bandwidth idiom (§IV-B).
-func OpCxAsPromise(p *Promise[Unit]) Cx { return Cx{ev: evOp, kind: cxPromise, prom: p} }
+func OpCxAsPromise(p *Promise[Unit]) Cx { return Cx{ev: obs.EvOp, via: obs.ViaPromise, prom: p} }
 
 // OpCxAsLPC delivers operation completion by running fn as an LPC on
 // persona pers (nil: the initiating goroutine's current persona).
-func OpCxAsLPC(pers *Persona, fn func()) Cx { return Cx{ev: evOp, kind: cxLPC, pers: pers, fn: fn} }
+func OpCxAsLPC(pers *Persona, fn func()) Cx {
+	return Cx{ev: obs.EvOp, via: obs.ViaLPC, pers: pers, fn: fn}
+}
 
 // SourceCxAsFuture requests source completion as a future
 // (CxFutures.Source). Source descriptors are valid on puts only.
-func SourceCxAsFuture() Cx { return Cx{ev: evSource, kind: cxFuture} }
+func SourceCxAsFuture() Cx { return Cx{ev: obs.EvSource, via: obs.ViaFuture} }
 
 // SourceCxAsPromise registers source completion on p (puts only).
-func SourceCxAsPromise(p *Promise[Unit]) Cx { return Cx{ev: evSource, kind: cxPromise, prom: p} }
+func SourceCxAsPromise(p *Promise[Unit]) Cx {
+	return Cx{ev: obs.EvSource, via: obs.ViaPromise, prom: p}
+}
 
 // SourceCxAsLPC delivers source completion as an LPC on pers (puts only).
 func SourceCxAsLPC(pers *Persona, fn func()) Cx {
-	return Cx{ev: evSource, kind: cxLPC, pers: pers, fn: fn}
+	return Cx{ev: obs.EvSource, via: obs.ViaLPC, pers: pers, fn: fn}
 }
 
 // RemoteCxAsFuture requests remote completion as an initiator-side future
 // (CxFutures.Remote): it readies once the data is known to be visible in
 // the destination segment.
-func RemoteCxAsFuture() Cx { return Cx{ev: evRemote, kind: cxFuture} }
+func RemoteCxAsFuture() Cx { return Cx{ev: obs.EvRemote, via: obs.ViaFuture} }
 
 // RemoteCxAsPromise registers remote completion on p.
-func RemoteCxAsPromise(p *Promise[Unit]) Cx { return Cx{ev: evRemote, kind: cxPromise, prom: p} }
+func RemoteCxAsPromise(p *Promise[Unit]) Cx {
+	return Cx{ev: obs.EvRemote, via: obs.ViaPromise, prom: p}
+}
 
 // RemoteCxAsLPC delivers remote completion as an LPC on pers.
 func RemoteCxAsLPC(pers *Persona, fn func()) Cx {
-	return Cx{ev: evRemote, kind: cxLPC, pers: pers, fn: fn}
+	return Cx{ev: obs.EvRemote, via: obs.ViaLPC, pers: pers, fn: fn}
 }
 
 // RemoteCxAsRPC attaches fn(arg) to the *remote* completion of a put,
@@ -205,7 +165,7 @@ func RemoteCxAsLPC(pers *Persona, fn func()) Cx {
 // an RPCFF body.
 func RemoteCxAsRPC[A any](fn func(*Rank, A), arg A) Cx {
 	body := callOf(fn, func() rpcBody { return ffBody(fn) }).bodies[0]
-	return Cx{ev: evRemote, kind: cxRPC, rpcArgs: marshalWith(body.arg.(serial.Codec[A]), &arg), rpcBody: body}
+	return Cx{ev: obs.EvRemote, via: obs.ViaRPC, rpcArgs: marshalWith(body.arg.(serial.Codec[A]), &arg), rpcBody: body}
 }
 
 // remoteCxAux is the code-reference half of a target-side remote-completion
@@ -258,9 +218,9 @@ type CxFutures struct {
 type cxDelivery struct {
 	pers *Persona
 	fn   func()
-	prom *Promise[Unit] // cxPromise, or the future's own
+	prom *Promise[Unit] // obs.ViaPromise, or the future's own
 	ev   CxEvent
-	via  cxKind
+	via  obs.CxVia
 }
 
 // cxPlan is the resolved completion set of one logical operation — the
@@ -312,14 +272,14 @@ func (c *cxPlan) obsDone() {
 // result (Promise.fulfilHere), and every other delivery takes one LPC.
 func (c *cxPlan) initColl(rk *Rank, cxs []Cx, op []cxDelivery) *cxPlan {
 	c.rk, c.remotePeer, c.op = rk, rk.me, op
-	c.resolve(opColl, cxs)
+	c.resolve(obs.KindColl, cxs)
 	c.settle(c.op, false)
 	return c
 }
 
 // resolve registers the descriptors of one operation, whose kind it names
 // for validation; none at all means operation completion as a future.
-func (c *cxPlan) resolve(kind opKind, cxs []Cx) {
+func (c *cxPlan) resolve(kind obs.OpKind, cxs []Cx) {
 	if len(cxs) == 0 {
 		cxs = []Cx{OpCxAsFuture()}
 	}
@@ -331,58 +291,58 @@ func (c *cxPlan) resolve(kind opKind, cxs []Cx) {
 	// inject→complete latency sample recorded at finish) is armed at
 	// plan construction. The lowered tree hops are counted separately as
 	// KindCollRound by the collectives engine.
-	if kind == opColl && c.rk.ro != nil {
+	if kind == obs.KindColl && c.rk.ro != nil {
 		c.obsTag = c.rk.ro.OpStart(obs.KindColl, 0)
 	}
 }
 
 // add validates one descriptor against the operation kind and registers
 // its delivery.
-func (c *cxPlan) add(kind opKind, cx *Cx) {
-	if cx.kind == cxBody {
+func (c *cxPlan) add(kind obs.OpKind, cx *Cx) {
+	if cx.via == cxBody {
 		// RPCBodyOn is peeled off by rpcSend before plan resolution;
 		// seeing one here means it was passed to an operation that has
 		// no body to address.
 		panic(fmt.Sprintf("upcxx: RPCBodyOn is valid only on RPC entry points, not a %s", kind))
 	}
 	switch cx.ev {
-	case evSource:
+	case obs.EvSource:
 		// Only puts and RPCs have an initiator-local source buffer (a
 		// put's source bytes, an RPC's argument serialization). A copy's
 		// source is a global pointer — possibly remote, and read by the
 		// conduit only when the hop chain reaches it — so a source event
 		// at injection time would license overwriting bytes still to be
 		// read.
-		if kind != opPut && kind != opRPC {
-			panic(fmt.Sprintf("upcxx: %s requested on a %s, which has no local source buffer", cx.ev, kind))
+		if kind != obs.KindPut && kind != obs.KindRPC {
+			panic(fmt.Sprintf("upcxx: %s completion requested on a %s, which has no local source buffer", cx.ev, kind))
 		}
-	case evRemote:
-		if kind == opGet || kind == opAMO {
-			panic(fmt.Sprintf("upcxx: %s requested on a %s, which has no remote-completion event", cx.ev, kind))
+	case obs.EvRemote:
+		if kind == obs.KindGet || kind == obs.KindAtomic {
+			panic(fmt.Sprintf("upcxx: %s completion requested on a %s, which has no remote-completion event", cx.ev, kind))
 		}
-		if kind == opColl && cx.kind != cxRPC {
+		if kind == obs.KindColl && cx.via != obs.ViaRPC {
 			// A collective's "remote" side is every member; the only
 			// deliverable event is the member-side RPC fired when the
 			// collective's data lands locally. An initiator-side
 			// remote future/promise/LPC would need an ack wave (a
 			// second barrier) to mean anything.
-			panic(fmt.Sprintf("upcxx: %s on a collective is deliverable only as_rpc (fired at each member when the data lands)", cx.ev))
+			panic("upcxx: remote completion on a collective is deliverable only as_rpc (fired at each member when the data lands)")
 		}
-		if kind == opRPC && cx.kind != cxRPC {
+		if kind == obs.KindRPC && cx.via != obs.ViaRPC {
 			// An RPC's remote event is the request's landing at the
 			// target. A fire-and-forget message carries no acknowledgment
 			// to ride back, so initiator-side delivery would need an
 			// extra wire message; the target-side as_rpc form is the one
 			// landing event both RPC shapes share.
-			panic(fmt.Sprintf("upcxx: %s on an rpc is deliverable only as_rpc (fired at the target when the request lands)", cx.ev))
+			panic("upcxx: remote completion on an rpc is deliverable only as_rpc (fired at the target when the request lands)")
 		}
 		if c.remotePeer < 0 {
-			panic(fmt.Sprintf("upcxx: %s requires a single destination rank (vector operations with mixed destinations cannot carry one)", cx.ev))
+			panic("upcxx: remote completion requires a single destination rank (vector operations with mixed destinations cannot carry one)")
 		}
 	}
-	if cx.kind == cxRPC {
-		if cx.ev != evRemote {
-			panic(fmt.Sprintf("upcxx: %s cannot be delivered as_rpc (only remote_cx executes at the target)", cx.ev))
+	if cx.via == obs.ViaRPC {
+		if cx.ev != obs.EvRemote {
+			panic(fmt.Sprintf("upcxx: %s completion cannot be delivered as_rpc (only remote completion executes at the target)", cx.ev))
 		}
 		if c.landing != nil {
 			panic("upcxx: at most one remote_cx as_rpc per operation (compose the work inside one function)")
@@ -398,15 +358,15 @@ func (c *cxPlan) add(kind opKind, cx *Cx) {
 		return
 	}
 	if cx.pers != nil && cx.pers.rk != c.rk {
-		panic(fmt.Sprintf("upcxx: %s %s delivery persona %v belongs to rank %d, not initiating rank %d",
-			cx.ev, cx.kind, cx.pers, cx.pers.rk.me, c.rk.me))
+		panic(fmt.Sprintf("upcxx: %s completion as_%s delivery persona %v belongs to rank %d, not initiating rank %d",
+			cx.ev, cx.via, cx.pers, cx.pers.rk.me, c.rk.me))
 	}
 	var d cxDelivery
-	switch cx.kind {
-	case cxFuture:
+	switch cx.via {
+	case obs.ViaFuture:
 		fut := c.eventFuture(cx.ev)
 		if fut.Valid() {
-			panic(fmt.Sprintf("upcxx: duplicate %s as_future descriptor", cx.ev))
+			panic(fmt.Sprintf("upcxx: duplicate %s completion as_future descriptor", cx.ev))
 		}
 		if cx.pers == nil {
 			// The initiating persona's future: settle keeps the rank's ready
@@ -419,34 +379,34 @@ func (c *cxPlan) add(kind opKind, cx *Cx) {
 		p := NewPromiseOn[Unit](c.rk, cx.pers)
 		*fut = p.Future()
 		d = cxDelivery{pers: p.c.pers, fn: func() { p.FulfillResult(Unit{}) }}
-	case cxPromise:
+	case obs.ViaPromise:
 		p := cx.prom
 		if p == nil {
-			panic(fmt.Sprintf("upcxx: %s as_promise with nil promise", cx.ev))
+			panic(fmt.Sprintf("upcxx: %s completion as_promise with nil promise", cx.ev))
 		}
 		if cx.pers != nil && cx.pers != p.c.pers {
 			// Promise state is only ever touched from its owning persona;
 			// rerouting the fulfillment elsewhere would race the owner.
-			panic(fmt.Sprintf("upcxx: %s as_promise addressed to %v, but the promise is owned by %v (create it with NewPromiseOn)",
+			panic(fmt.Sprintf("upcxx: %s completion as_promise addressed to %v, but the promise is owned by %v (create it with NewPromiseOn)",
 				cx.ev, cx.pers, p.c.pers))
 		}
 		d = cxDelivery{prom: p} // registered, or not, by settle
-	case cxLPC:
+	case obs.ViaLPC:
 		pers := cx.pers
 		if pers == nil {
 			pers = c.rk.currentPersona()
 		}
 		d = cxDelivery{pers: pers, fn: cx.fn}
 	default:
-		panic(fmt.Sprintf("upcxx: unknown completion delivery %d", cx.kind))
+		panic(fmt.Sprintf("upcxx: unknown completion delivery %d", cx.via))
 	}
-	d.ev, d.via = cx.ev, cx.kind
+	d.ev, d.via = cx.ev, cx.via
 	switch cx.ev {
-	case evOp:
+	case obs.EvOp:
 		c.op = append(c.op, d)
-	case evSource:
+	case obs.EvSource:
 		c.src = append(c.src, d)
-	case evRemote:
+	case obs.EvRemote:
 		c.rem = append(c.rem, d)
 	default:
 		panic(fmt.Sprintf("upcxx: unknown completion event %d", cx.ev))
@@ -456,9 +416,9 @@ func (c *cxPlan) add(kind opKind, cx *Cx) {
 // eventFuture returns the CxFutures slot of ev.
 func (c *cxPlan) eventFuture(ev CxEvent) *Future[Unit] {
 	switch ev {
-	case evOp:
+	case obs.EvOp:
 		return &c.futs.Op
-	case evSource:
+	case obs.EvSource:
 		return &c.futs.Source
 	default:
 		return &c.futs.Remote
@@ -533,7 +493,7 @@ func (c *cxPlan) settle(ds []cxDelivery, fired bool) {
 func (c *cxPlan) deliver(ds []cxDelivery, here bool) {
 	for _, d := range ds {
 		if c.rk.ro != nil {
-			c.rk.ro.Add(obs.CxEvent(d.ev).Via(obs.CxVia(d.via)), 1)
+			c.rk.ro.Add(d.ev.Via(d.via), 1)
 		}
 		switch p := d.prom; {
 		case d.pers != nil:

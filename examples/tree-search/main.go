@@ -118,7 +118,7 @@ func main() {
 	}
 	want := countSeq(node{ID: rootID})
 	upcxx.RunConfig(cfg, func(rk *upcxx.Rank) {
-		rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 2, StealBatch: 4})
+		rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 2})
 		defer rt.Stop()
 		me := rk.Me()
 

@@ -149,19 +149,27 @@ func (f Future[T]) Wait() T {
 		// owner); fail immediately instead of spinning to the timeout.
 		panic("upcxx: Wait on a future owned by another goroutine's persona")
 	}
-	// WaitTimeout is kept by the clock: armed at the first park or the
-	// 2^16th pass, whichever comes first, then checked once per park (a
-	// clock read is free next to a park) and once per 2^16 passes for a
-	// waiter that never parks. A wait that ends before either reads no clock.
+	rk.waitUntil(gs, "Wait", func() bool { return c.ready })
+	return c.val
+}
+
+// waitUntil is the one blocking wait (Future.Wait, Quiesce): progress passes
+// until done holds, idling between empty ones by the idle rule (idle.go),
+// panicking once the world has failed or the wait has lasted past
+// Config.WaitTimeout. The timeout is kept by the clock: armed at the first
+// park or the 2^16th pass, whichever comes first, then checked once per park
+// (a clock read is free next to a park) and once per 2^16 passes for a waiter
+// that never parks. A wait that ends before either reads no clock.
+func (rk *Rank) waitUntil(gs *goroutineState, what string, done func() bool) {
 	var (
 		id       idler
 		deadline time.Time
 		passes   int
 	)
-	for !c.ready {
+	for {
 		found := rk.progressWith(gs)
-		if c.ready {
-			break
+		if done() {
+			return
 		}
 		if err := rk.w.failed(); err != nil {
 			panic(err)
@@ -172,12 +180,11 @@ func (f Future[T]) Wait() T {
 			if deadline.IsZero() {
 				deadline = now.Add(rk.w.cfg.WaitTimeout)
 			} else if now.After(deadline) {
-				panic(fmt.Sprintf("upcxx: rank %d Wait exceeded %v (deadlock?)",
-					rk.me, rk.w.cfg.WaitTimeout))
+				panic(fmt.Sprintf("upcxx: rank %d %s exceeded %v (deadlock?)",
+					rk.me, what, rk.w.cfg.WaitTimeout))
 			}
 		}
 	}
-	return c.val
 }
 
 // Then chains fn onto f: fn runs with f's value once ready (during user

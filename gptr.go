@@ -232,6 +232,3 @@ func offsetWithin(base, sub []byte) int {
 	}
 	return int(s0 - b0)
 }
-
-// gasnetRank converts for clarity at call sites.
-func gasnetRank(r Intrank) gasnet.Rank { return r }

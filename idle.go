@@ -55,7 +55,7 @@ import (
 
 const (
 	idleSpins = 128                    // yields before a waiter parks
-	idlePark  = 200 * time.Microsecond // park bound of the runtime's own waits
+	idlePark  = 200 * time.Microsecond // park bound of the runtime's own waits, task workers' included
 )
 
 // idler is one waiter's place in the idle rule. The zero value is a wait

@@ -33,7 +33,7 @@ import (
 var cxDeliveries = []string{"future", "promise", "lpc", "rpc"}
 
 // cxEvents enumerates the events under test.
-var cxEvents = []CxEvent{evOp, evSource, evRemote}
+var cxEvents = []CxEvent{obs.EvOp, obs.EvSource, obs.EvRemote}
 
 // cxSigArgs is the argument bundle of the matrix's remote-RPC cells.
 type cxSigArgs struct {
@@ -120,7 +120,7 @@ func TestCxMatrix(t *testing.T) {
 					for _, ev := range cxEvents {
 						for _, how := range cxDeliveries {
 							name := fmt.Sprintf("%v/%s/dev=%v/cross=%v", ev, how, dev, cross)
-							if how == "rpc" && ev != evRemote {
+							if how == "rpc" && ev != obs.EvRemote {
 								continue // forbidden; pinned in TestCxInvalidCombos
 							}
 							runCxCell(t, rk, name, src, dst, tgt.Flag, ev, how)
@@ -154,30 +154,30 @@ func runCxCell(t *testing.T, rk *Rank, name string, src []uint64, dst, flag GPtr
 	switch {
 	case how == "rpc":
 		cx = RemoteCxAsRPC(cxSignalBody, cxSigArgs{Dst: dst, Flag: flag, N: cxN})
-	case how == "future" && ev == evOp:
+	case how == "future" && ev == obs.EvOp:
 		cx = OpCxAsFuture()
-	case how == "future" && ev == evSource:
+	case how == "future" && ev == obs.EvSource:
 		cx = SourceCxAsFuture()
-	case how == "future" && ev == evRemote:
+	case how == "future" && ev == obs.EvRemote:
 		cx = RemoteCxAsFuture()
-	case how == "promise" && ev == evOp:
+	case how == "promise" && ev == obs.EvOp:
 		cx = OpCxAsPromise(prom)
-	case how == "promise" && ev == evSource:
+	case how == "promise" && ev == obs.EvSource:
 		cx = SourceCxAsPromise(prom)
-	case how == "promise" && ev == evRemote:
+	case how == "promise" && ev == obs.EvRemote:
 		cx = RemoteCxAsPromise(prom)
-	case how == "lpc" && ev == evOp:
+	case how == "lpc" && ev == obs.EvOp:
 		cx = OpCxAsLPC(nil, func() { fired = true })
-	case how == "lpc" && ev == evSource:
+	case how == "lpc" && ev == obs.EvSource:
 		cx = SourceCxAsLPC(nil, func() { fired = true })
-	case how == "lpc" && ev == evRemote:
+	case how == "lpc" && ev == obs.EvRemote:
 		cx = RemoteCxAsLPC(nil, func() { fired = true })
 	}
 
 	// Every cell also requests op-as-future so it can bound the put —
 	// except the cell that *is* op-as-future.
 	cxs := []Cx{cx}
-	if !(ev == evOp && how == "future") {
+	if !(ev == obs.EvOp && how == "future") {
 		cxs = append(cxs, OpCxAsFuture())
 	}
 	fs := RPutWith(rk, src, dst, cxs...)
@@ -187,11 +187,11 @@ func runCxCell(t *testing.T, rk *Rank, name string, src []uint64, dst, flag GPtr
 	case "future":
 		var f Future[Unit]
 		switch ev {
-		case evOp:
+		case obs.EvOp:
 			f = fs.Op
-		case evSource:
+		case obs.EvSource:
 			f = fs.Source
-		case evRemote:
+		case obs.EvRemote:
 			f = fs.Remote
 		}
 		if !f.Valid() {

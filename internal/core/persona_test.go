@@ -428,7 +428,7 @@ func TestPersonaAddressedRPCBodyValidation(t *testing.T) {
 			// the pseudo-descriptor at plan resolution.
 			expectPanic(t, "RPCBodyOn on a put plan", func() {
 				cx := RPCBodyOn(mine)
-				(&cxPlan{rk: rk, remotePeer: 1}).add(opPut, &cx)
+				(&cxPlan{rk: rk, remotePeer: 1}).add(obs.KindPut, &cx)
 			})
 		}
 		rk.Barrier()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"upcxx/internal/gasnet"
+	"upcxx/internal/obs"
 )
 
 var poolFF, poolLanded atomic.Int64 // target-side witnesses of TestInjectionPoolStress
@@ -73,15 +74,15 @@ func poolStress(t *testing.T, model *gasnet.LogGP) {
 			cx := func(ev CxEvent, via int) Cx {
 				switch via % 3 {
 				case 0:
-					return Cx{ev: ev, kind: cxFuture}
+					return Cx{ev: ev, via: obs.ViaFuture}
 				case 1:
-					return Cx{ev: ev, kind: cxPromise, prom: prom}
+					return Cx{ev: ev, via: obs.ViaPromise, prom: prom}
 				}
 				wantLPCs++
-				return Cx{ev: ev, kind: cxLPC, pers: pers, fn: func() { lpcs++ }}
+				return Cx{ev: ev, via: obs.ViaLPC, pers: pers, fn: func() { lpcs++ }}
 			}
-			put := RPutWith(rk, src, mine, cx(evOp, i), cx(evSource, i+1), cx(evRemote, i+2))
-			get := RGetWith(rk, fixed, back, cx(evOp, i+1))
+			put := RPutWith(rk, src, mine, cx(obs.EvOp, i), cx(obs.EvSource, i+1), cx(obs.EvRemote, i+2))
+			get := RGetWith(rk, fixed, back, cx(obs.EvOp, i+1))
 			add := ad.FetchAdd(count, 1)
 			echo := RPC(rk, 1, poolEcho, int64(i))
 			RPCFF(rk, 1, poolSink, 1)

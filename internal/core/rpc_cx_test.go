@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"upcxx/internal/obs"
 )
 
 // RPC completion conformance matrix:
@@ -386,31 +388,31 @@ func TestCxPersonaTargetedRMA(t *testing.T) {
 					switch how {
 					case "future":
 						switch ev {
-						case evOp:
+						case obs.EvOp:
 							cx = OpCxAsFuture().On(wk.p)
-						case evSource:
+						case obs.EvSource:
 							cx = SourceCxAsFuture().On(wk.p)
-						case evRemote:
+						case obs.EvRemote:
 							cx = RemoteCxAsFuture().On(wk.p)
 						}
 					case "promise":
 						prom = NewPromiseOn[Unit](rk, wk.p)
 						switch ev {
-						case evOp:
+						case obs.EvOp:
 							cx = OpCxAsPromise(prom)
-						case evSource:
+						case obs.EvSource:
 							cx = SourceCxAsPromise(prom)
-						case evRemote:
+						case obs.EvRemote:
 							cx = RemoteCxAsPromise(prom)
 						}
 					case "lpc":
 						fn := func() { hit.Store(true) }
 						switch ev {
-						case evOp:
+						case obs.EvOp:
 							cx = OpCxAsLPC(wk.p, fn)
-						case evSource:
+						case obs.EvSource:
 							cx = SourceCxAsLPC(wk.p, fn)
-						case evRemote:
+						case obs.EvRemote:
 							cx = RemoteCxAsLPC(wk.p, fn)
 						}
 					}
@@ -420,11 +422,11 @@ func TestCxPersonaTargetedRMA(t *testing.T) {
 						switch how {
 						case "future":
 							switch ev {
-							case evOp:
+							case obs.EvOp:
 								fs.Op.Wait()
-							case evSource:
+							case obs.EvSource:
 								fs.Source.Wait()
-							case evRemote:
+							case obs.EvRemote:
 								fs.Remote.Wait()
 							}
 						case "promise":

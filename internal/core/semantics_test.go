@@ -417,6 +417,32 @@ func TestWaitTimeoutDiagnosesDeadlock(t *testing.T) {
 	}
 }
 
+// TestQuiesceDiagnosesDeadlock: Quiesce waits through Future.Wait's loop, so
+// an operation that can never complete — an RPC whose target never makes
+// progress — ends it with Wait's WaitTimeout diagnosis, not a hang. When the
+// panic comes is TestWaitTimeoutDiagnosesDeadlock's to pin; this test has no
+// upper bound on it.
+func TestQuiesceDiagnosesDeadlock(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	w := NewWorld(Config{Ranks: 2, WaitTimeout: timeout})
+	defer w.Close()
+	rk0 := w.Rank(0)
+	defer DetachDefaultPersonas()
+	RPC(rk0, 1, func(_ *Rank, x int) int { return x }, 1) // rank 1 never runs it
+	var recovered any
+	t0 := time.Now()
+	func() {
+		defer func() { recovered = recover() }()
+		rk0.Quiesce()
+	}()
+	if msg := fmt.Sprint(recovered); !strings.Contains(msg, "Quiesce exceeded") || !strings.Contains(msg, "(deadlock?)") {
+		t.Fatalf("Quiesce with an RPC that is never answered: panic %q, want its WaitTimeout diagnosis", msg)
+	}
+	if waited := time.Since(t0); waited < timeout {
+		t.Errorf("Quiesce gave up after %v, before its WaitTimeout of %v", waited, timeout)
+	}
+}
+
 func TestRealtimeWorldSmoke(t *testing.T) {
 	// The full runtime over the LogGP conduit with several ranks per
 	// node: a sanity pass for the model-time path.

@@ -706,6 +706,63 @@ func TestRingKillUnderFlood(t *testing.T) {
 	}
 }
 
+// TestShmCloseUnderFlood: goroutines flood an shm peer — direct puts and
+// atomics on its mapped segment, and AMs, which park on its full ring since
+// it never drains — while both ranks Close, and go on after Close has
+// returned. What is injected once Close has begun is dropped: the process
+// survives the unmapping of the rings and segments, every injector returns,
+// and teardown leaves no goroutine behind.
+func TestShmCloseUnderFlood(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nets, wires := shmPair(t)
+	for _, n := range nets {
+		n.RegisterAM(func(*Endpoint, Rank, []byte, any) {})
+	}
+	ep, stop := nets[0].Endpoint(0), make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, 64)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if i%2 == 0 {
+					ep.AM(1, 0, payload, nil)
+				} else {
+					ep.Put(1, uint64(i)*64, payload, nil)
+					ep.AMO(1, uint64(i)*64, AMOAdd, 1, 0, nil)
+				}
+			}
+		}()
+	}
+	out := wires[0].peers[1].ring
+	for deadline := time.Now().Add(20 * time.Second); atomic.LoadUint32(out.waiting) == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never filled the ring")
+		}
+	}
+	closeAll(nets)
+	records := wires[0].ep.ctr.Load(obs.RingRecords)
+	time.Sleep(10 * time.Millisecond) // the flood goes on against closed networks
+	close(stop)
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(20 * time.Second):
+		t.Fatal("an injector did not return from a closed network")
+	}
+	if n := wires[0].ep.ctr.Load(obs.RingRecords) - records; n != 0 {
+		t.Errorf("%d AMs went into the ring after Close returned", n)
+	}
+	waitGoroutines(t, before)
+}
+
 // TestRingBothFullOneP: two ranks on one P fill each other's ring from inside
 // injection — neither polls until its whole burst, several rings' worth, is
 // out — so both block in ringSend with unread records in their own rings and

@@ -128,6 +128,17 @@ func (s *shmFile) seg(nranks int) []byte {
 	return s.mem[off : off+s.segN]
 }
 
+// close unmaps every file of the world: the wire's cleanup once nothing can
+// reach it, not Network.Close (wire.close).
+func (w *shmWorld) close() {
+	for _, f := range w.peers {
+		if f != nil {
+			f.close()
+		}
+	}
+	w.my.close()
+}
+
 func (s *shmFile) close() {
 	if s.mem != nil {
 		syscall.Munmap(s.mem)

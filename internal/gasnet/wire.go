@@ -32,6 +32,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,6 +208,7 @@ func newWire(nw *Network, rc *RealConduit) (*wire, error) {
 			return nil, err
 		}
 		t.shm = &shmWorld{my: my, peers: make([]*shmFile, nranks)}
+		runtime.AddCleanup(t, (*shmWorld).close, t.shm)
 		// The self segment must BE the mapped region so peers' direct
 		// memcpys into it are locally visible.
 		nw.eps[rc.Rank].seg = NewSegmentBacked(my.seg(nranks), true)
@@ -552,11 +554,14 @@ func (t *wire) sockSend(p *peerConn, wait bool, onAck func(), parts ...[]byte) {
 // a drain leaves the frame, flattened, on the local FIFO of a full ring; an
 // injector (block) parks until wake or, as a backstop, the park bound: a park like
 // WaitPending's (poll: both rings may be full), rmu let go for it, the push retried first.
+// Once close has begun, an injector's every try drops the frame: close's wake (under rmu)
+// flushed the local FIFO and let the parked go.
 func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool, onAck func()) {
 	gone := func() bool { return t.failErr.Load() != nil || t.closing.Load() || p.bye.Load() }
+	push := func() bool { return block && t.closing.Load() || t.flushLocal(p) && t.ringPut(p, parts, onAck) }
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
-	for sent := false; !sent && (!t.flushLocal(p) || !t.ringPut(p, parts, onAck)); {
+	for sent := false; !sent && !push(); {
 		if !block {
 			p.lq = append(p.lq, bytes.Join(parts, nil))
 			return
@@ -567,7 +572,7 @@ func (t *wire) ringSend(p *peerConn, parts [][]byte, block bool, onAck func()) {
 		p.rmu.Unlock()
 		t.poll(+1)
 		p.rmu.Lock()
-		if sent = t.flushLocal(p) && t.ringPut(p, parts, onAck); !sent && !gone() {
+		if sent = push(); !sent && !gone() {
 			// push set waiting under rmu, which wake takes to broadcast.
 			tm := time.AfterFunc(100*time.Millisecond, func() { t.ep.ctr.Add(obs.RingTimeouts, 1); p.rcnd.Broadcast() })
 			p.rcnd.Wait()
@@ -1158,6 +1163,10 @@ func (t *wire) failure() error {
 // progress goroutines. Callers quiesce first (World.Run's final
 // barrier), so per-peer FIFO guarantees all useful traffic precedes the
 // bye on the wire (wake: local FIFOs flushed, parked injectors let go).
+// What an injector sends once close has begun is dropped. The shm mappings
+// stay until the wire is unreachable (newWire), so a direct put, get or
+// atomic that races close lands in memory nobody reads instead of faulting,
+// with no check on its path.
 func (t *wire) close() {
 	if t.closing.Swap(true) {
 		return
@@ -1184,14 +1193,6 @@ func (t *wire) close() {
 	}
 	if t.ln != nil {
 		t.ln.Close()
-	}
-	if t.shm != nil {
-		for _, pf := range t.shm.peers {
-			if pf != nil {
-				pf.close()
-			}
-		}
-		t.shm.my.close()
 	}
 }
 

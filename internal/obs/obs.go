@@ -41,10 +41,10 @@ import (
 	"time"
 )
 
-// OpKind classifies an injected operation. The first seven values mirror
-// the runtime's (package upcxx) lowered op kinds in order (the runtime converts by
-// integer cast); KindCollRound counts individual collective tree rounds,
-// which additionally appear as the AM/copy operations they lower to.
+// OpKind classifies an injected operation: the class of each operation the
+// runtime (package upcxx) lowers, KindColl a whole collective, and
+// KindCollRound one collective tree round, which also appears as the AM or
+// copy operation it lowers to.
 type OpKind uint8
 
 const (
@@ -78,7 +78,8 @@ func (k OpKind) String() string {
 	return "op?"
 }
 
-// CxEvent mirrors package upcxx's completion events in order.
+// CxEvent is one of an operation's three completion events: operation,
+// source and remote (upcxx operation_cx, source_cx, remote_cx).
 type CxEvent uint8
 
 const (
@@ -97,7 +98,8 @@ func (e CxEvent) String() string {
 	return "ev?"
 }
 
-// CxVia mirrors package upcxx's completion delivery flavors in order.
+// CxVia is how a completion event is delivered: as a future, into a
+// promise, as an LPC, or as an RPC at the target.
 type CxVia uint8
 
 const (

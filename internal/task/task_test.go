@@ -195,7 +195,7 @@ func TestTaskStealMovesWork(t *testing.T) {
 			resetCounters()
 			var stolen, migrated uint64
 			RunConfig(Config{Ranks: 4, Stats: true}, func(rk *Rank) {
-				rt := NewTaskRuntime(rk, TaskConfig{NoSteal: !steal, Workers: 1, StealBatch: 4})
+				rt := NewTaskRuntime(rk, TaskConfig{NoSteal: !steal, Workers: 1})
 				defer rt.Stop()
 				if rk.Me() == 0 {
 					for i := 0; i < tasks; i++ {
@@ -278,11 +278,11 @@ func TestStolenResultReachesHome(t *testing.T) {
 			RPCFF(rk, 1, tRelease, 0)
 		case 1:
 			for !holdStarted.Load() {
-				rk.ProgressWait(helpPark)
+				rk.ProgressWait(idlePark)
 			}
 			rk.Barrier()
 			for !holdRelease.Load() {
-				rk.ProgressWait(helpPark)
+				rk.ProgressWait(idlePark)
 			}
 		}
 		if err := rt.Finish(); err != nil {
@@ -366,7 +366,7 @@ func TestStealLeavesAHelperItsNextTask(t *testing.T) {
 		if rk.Me() == 1 { // the thief named in the request: takes in what it is sent
 			rk.Barrier()
 			for !ran() {
-				rk.ProgressWait(helpPark)
+				rk.ProgressWait(idlePark)
 			}
 			rk.Barrier()
 			return

@@ -831,7 +831,7 @@ func rpcAllocBody(rk *upcxx.Rank) int {
 // no task was lost or duplicated in migration.
 func taskBody(rk *upcxx.Rank) {
 	me, n := rk.Me(), rk.N()
-	rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 2, StealBatch: 4})
+	rt := upcxx.NewTaskRuntime(rk, upcxx.TaskConfig{Workers: 2})
 	defer rt.Stop()
 	rk.Barrier()
 

@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
@@ -115,7 +114,6 @@ func NewWorldDist(cfg Config) *World {
 			Backend: backend,
 			Rank:    rank,
 			BootDir: wdir,
-			Timeout: 30 * time.Second,
 		},
 		Aux: new(distAuxCodec),
 	})

@@ -24,58 +24,21 @@ import (
 // injection path. There is exactly one place where a conduit operation is
 // born and exactly one shape of completion routing.
 
-// opKind names the conduit operation class of an rmaOp.
-type opKind uint8
-
-const (
-	opPut opKind = iota
-	opGet
-	opCopy
-	opAMO
-	// opAM is a fire-and-forget RPC message: captured and handed to the
-	// conduit synchronously, so its operation edge fires at injection.
-	// Replies and collective hops have no completion to deliver and skip
-	// the injection record (Rank.sendAM).
-	opAM
-	// opColl names a whole collective operation for completion-descriptor
-	// validation; collectives resolve their cxPlan against it and lower
-	// each round to a one-way message (sendAM) or an opCopy operation.
-	opColl
-	// opRPC is a round-trip RPC request: it travels as an AM like opAM,
-	// but its operation edge is deferred — the initiator's reply
-	// continuation fires the plan (and releases actCount) when the reply
-	// lands. Also the completion-validation kind of every RPC variant.
-	opRPC
-)
-
-// String returns the kind mnemonic (used in completion-validation faults).
-func (k opKind) String() string {
-	switch k {
-	case opPut:
-		return "put"
-	case opGet:
-		return "get"
-	case opCopy:
-		return "copy"
-	case opAMO:
-		return "atomic"
-	case opAM:
-		return "am"
-	case opColl:
-		return "collective"
-	case opRPC:
-		return "rpc"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
-	}
-}
-
 // rmaOp is one conduit operation in lowered, byte-addressed form. Puts
 // fill the dst side and buf (source bytes); gets fill the src side and
 // buf (destination bytes); copies fill both sides and nbytes; atomics
 // fill the dst side plus the amo fields.
+//
+// kind is the operation class, in obs's vocabulary. KindAM is a
+// fire-and-forget RPC message, handed to the conduit synchronously, so its
+// operation edge fires at injection; KindRPC is a round-trip request, an AM
+// whose operation edge the initiator's reply continuation fires (rpcLand).
+// KindColl only names a whole collective for completion-descriptor
+// validation: its rounds lower to one-way messages (sendAM) and KindCopy
+// operations. Replies and collective hops have no completion to deliver and
+// skip the injection record (Rank.sendAM).
 type rmaOp struct {
-	kind opKind
+	kind obs.OpKind
 
 	srcPeer Intrank
 	srcSeg  gasnet.SegID
@@ -91,9 +54,9 @@ type rmaOp struct {
 	amo        gasnet.AMOOp
 	amoA, amoB uint64
 
-	amAux any // opAM/opRPC: the RPC message's token; buf carries the message
+	amAux any // KindAM/KindRPC: the RPC message's token; buf carries the message
 
-	// bufs is the scatter-gather alternative to buf for opAM/opRPC: the
+	// bufs is the scatter-gather alternative to buf for KindAM/KindRPC: the
 	// payload travels as an iovec of fragments that the conduit flattens
 	// at its capture stage. Until capture, fragment bytes alias caller
 	// memory — the zero-copy window that makes source-cx meaningful for
@@ -105,9 +68,9 @@ type rmaOp struct {
 // counters and size-class histograms.
 func (op *rmaOp) obsBytes() int {
 	switch op.kind {
-	case opCopy:
+	case obs.KindCopy:
 		return op.nbytes
-	case opAMO:
+	case obs.KindAtomic:
 		return 8
 	default:
 		if op.bufs != nil {
@@ -202,7 +165,7 @@ func (rk *Rank) inject(inj *injection, word *Future[uint64]) CxFutures {
 	}
 	// Every operation completed: only the sentinel is left. A round-trip RPC's
 	// operation edge stays an LPC: it must not ready before its value's LPC.
-	fired := inj.nops.Load() == 1 && (len(inj.ops) == 0 || inj.ops[0].kind != opRPC)
+	fired := inj.nops.Load() == 1 && (len(inj.ops) == 0 || inj.ops[0].kind != obs.KindRPC)
 	if len(inj.src)+len(inj.op)+len(inj.rem) > 0 {
 		// Source completion: the conduit captures a put's or an RPC's source
 		// bytes before the call returns (copies reject source descriptors).
@@ -259,7 +222,7 @@ func (inj *injection) run() {
 		var tag obs.OpTag
 		if ro != nil {
 			b := op.obsBytes()
-			tag = ro.OpStart(obs.OpKind(op.kind), b)
+			tag = ro.OpStart(op.kind, b)
 			planBytes += b
 			if i == 0 {
 				inj.obsTag = tag
@@ -267,25 +230,25 @@ func (inj *injection) run() {
 		}
 		now := false
 		switch op.kind {
-		case opPut:
-			now = rk.ep.PutSegTag(gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.buf, inj.landed, rem, tag)
-		case opGet:
-			now = rk.ep.GetSegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff, op.buf, inj.landed, tag)
-		case opCopy:
-			now = rk.ep.CopySegTag(gasnetRank(op.srcPeer), op.srcSeg, op.srcOff,
-				gasnetRank(op.dstPeer), op.dstSeg, op.dstOff, op.nbytes, inj.landed, rem, tag)
-		case opAMO:
-			if old, done := rk.ep.AMOTag(gasnetRank(op.dstPeer), op.dstOff, op.amo, op.amoA, op.amoB, inj.fetched, tag); done {
+		case obs.KindPut:
+			now = rk.ep.PutSegTag(op.dstPeer, op.dstSeg, op.dstOff, op.buf, inj.landed, rem, tag)
+		case obs.KindGet:
+			now = rk.ep.GetSegTag(op.srcPeer, op.srcSeg, op.srcOff, op.buf, inj.landed, tag)
+		case obs.KindCopy:
+			now = rk.ep.CopySegTag(op.srcPeer, op.srcSeg, op.srcOff,
+				op.dstPeer, op.dstSeg, op.dstOff, op.nbytes, inj.landed, rem, tag)
+		case obs.KindAtomic:
+			if old, done := rk.ep.AMOTag(op.dstPeer, op.dstOff, op.amo, op.amoA, op.amoB, inj.fetched, tag); done {
 				inj.amoFetched(old)
 			}
-		case opAM, opRPC:
+		case obs.KindAM, obs.KindRPC:
 			// The conduit takes over the runtime's own message buffer and
 			// captures borrowed fragments before the call returns: source
 			// completion can fire at injection.
-			rk.ep.AMTag(gasnetRank(op.dstPeer), rk.w.amRPC, op.buf, op.bufs, op.amAux, tag)
+			rk.ep.AMTag(op.dstPeer, rk.w.amRPC, op.buf, op.bufs, op.amAux, tag)
 			// A one-way message's operation edge fires here; a round-trip
 			// request's when its last reply lands (rpcLand).
-			now = op.kind == opAM
+			now = op.kind == obs.KindAM
 		default:
 			panic(fmt.Sprintf("upcxx: inject of unknown op kind %d", op.kind))
 		}
@@ -326,7 +289,7 @@ func (inj *injection) opDone() {
 		panic("upcxx: a completion reached a released injection record")
 	}
 	if am := inj.takeConduitAM(); am != nil {
-		inj.rk.ep.AMTag(gasnetRank(inj.remotePeer), am.Handler, am.Payload, nil, am.Aux, inj.obsTag)
+		inj.rk.ep.AMTag(inj.remotePeer, am.Handler, am.Payload, nil, am.Aux, inj.obsTag)
 	}
 	if c := inj.amo; c != nil {
 		c.val = inj.one[0].amoA
@@ -342,7 +305,7 @@ func (inj *injection) opDone() {
 func remoteCarriers(ops []rmaOp) int {
 	n := 0
 	for i := range ops {
-		if ops[i].kind == opPut || ops[i].kind == opCopy {
+		if ops[i].kind == obs.KindPut || ops[i].kind == obs.KindCopy {
 			n++
 		}
 	}
@@ -351,13 +314,13 @@ func remoteCarriers(ops []rmaOp) int {
 
 // injectCx resolves cxs into inj's plan, injects it, and returns the
 // requested futures.
-func (rk *Rank) injectCx(inj *injection, kind opKind, cxs []Cx) CxFutures {
+func (rk *Rank) injectCx(inj *injection, kind obs.OpKind, cxs []Cx) CxFutures {
 	inj.resolve(kind, cxs)
 	return rk.inject(inj, nil)
 }
 
 // injectBatch is injectCx for a vector operation's fragments.
-func (rk *Rank) injectBatch(ops []rmaOp, kind opKind, remotePeer Intrank, cxs []Cx) CxFutures {
+func (rk *Rank) injectBatch(ops []rmaOp, kind obs.OpKind, remotePeer Intrank, cxs []Cx) CxFutures {
 	inj := rk.newInjection(remotePeer)
 	inj.ops = ops
 	return rk.injectCx(inj, kind, cxs)
@@ -368,7 +331,7 @@ func lowerPut[T serial.Scalar](op *rmaOp, src []T, dst GPtr[T], opName string) {
 	if dst.IsNil() {
 		panic("upcxx: " + opName + " to nil GPtr")
 	}
-	op.kind, op.dstPeer, op.dstSeg, op.dstOff, op.buf = opPut, dst.Owner, dst.segID(opName), dst.Off, serial.AsBytes(src)
+	op.kind, op.dstPeer, op.dstSeg, op.dstOff, op.buf = obs.KindPut, dst.Owner, dst.segID(opName), dst.Off, serial.AsBytes(src)
 }
 
 // lowerGet lowers one get fragment into op, a zeroed rmaOp.
@@ -376,7 +339,7 @@ func lowerGet[T serial.Scalar](op *rmaOp, src GPtr[T], dst []T, opName string) {
 	if src.IsNil() {
 		panic("upcxx: " + opName + " from nil GPtr")
 	}
-	op.kind, op.srcPeer, op.srcSeg, op.srcOff, op.buf = opGet, src.Owner, src.segID(opName), src.Off, serial.AsBytes(dst)
+	op.kind, op.srcPeer, op.srcSeg, op.srcOff, op.buf = obs.KindGet, src.Owner, src.segID(opName), src.Off, serial.AsBytes(dst)
 }
 
 // RPutWith copies src into the remote memory at dst with an explicit
@@ -387,7 +350,7 @@ func lowerGet[T serial.Scalar](op *rmaOp, src GPtr[T], dst []T, opName string) {
 func RPutWith[T serial.Scalar](rk *Rank, src []T, dst GPtr[T], cxs ...Cx) CxFutures {
 	inj := rk.newInjection(dst.Owner)
 	lowerPut(inj.single(), src, dst, "RPut")
-	return rk.injectCx(inj, opPut, cxs)
+	return rk.injectCx(inj, obs.KindPut, cxs)
 }
 
 // RPut copies src into the remote memory at dst, returning a future that
@@ -408,7 +371,7 @@ func RPutPromise[T serial.Scalar](rk *Rank, src []T, dst GPtr[T], p *Promise[Uni
 func RGetWith[T serial.Scalar](rk *Rank, src GPtr[T], dst []T, cxs ...Cx) CxFutures {
 	inj := rk.newInjection(-1)
 	lowerGet(inj.single(), src, dst, "RGet")
-	return rk.injectCx(inj, opGet, cxs)
+	return rk.injectCx(inj, obs.KindGet, cxs)
 }
 
 // RGet copies from the remote memory at src into the local buffer dst,
@@ -446,10 +409,10 @@ func CopyWith[T serial.Scalar](rk *Rank, src GPtr[T], dst GPtr[T], n int, cxs ..
 	}
 	inj := rk.newInjection(dst.Owner)
 	op := inj.single()
-	op.kind, op.nbytes = opCopy, n*serial.SizeOf[T]()
+	op.kind, op.nbytes = obs.KindCopy, n*serial.SizeOf[T]()
 	op.srcPeer, op.srcSeg, op.srcOff = src.Owner, src.segID("CopyGG"), src.Off
 	op.dstPeer, op.dstSeg, op.dstOff = dst.Owner, dst.segID("CopyGG"), dst.Off
-	return rk.injectCx(inj, opCopy, cxs)
+	return rk.injectCx(inj, obs.KindCopy, cxs)
 }
 
 // CopyGG copies n elements from one global location to another, returning
@@ -497,7 +460,7 @@ func RPutVWith[T serial.Scalar](rk *Rank, frags []PutPair[T], cxs ...Cx) CxFutur
 	for i, f := range frags {
 		lowerPut(&ops[i], f.Src, f.Dst, "RPutVWith")
 	}
-	return rk.injectBatch(ops, opPut, uniformDst(ops), cxs)
+	return rk.injectBatch(ops, obs.KindPut, uniformDst(ops), cxs)
 }
 
 // RGetVWith issues a vector get with an explicit completion set.
@@ -506,7 +469,7 @@ func RGetVWith[T serial.Scalar](rk *Rank, frags []GetPair[T], cxs ...Cx) CxFutur
 	for i, f := range frags {
 		lowerGet(&ops[i], f.Src, f.Dst, "RGetVWith")
 	}
-	return rk.injectBatch(ops, opGet, -1, cxs)
+	return rk.injectBatch(ops, obs.KindGet, -1, cxs)
 }
 
 // RPutIndexedWith scatters equally-sized blocks of src to element offsets
@@ -522,7 +485,7 @@ func RPutIndexedWith[T serial.Scalar](rk *Rank, src []T, base GPtr[T], indices [
 	for i, idx := range indices {
 		lowerPut(&ops[i], src[i*blockElems:(i+1)*blockElems], base.Add(idx), "RPutIndexedWith")
 	}
-	return rk.injectBatch(ops, opPut, base.Owner, cxs)
+	return rk.injectBatch(ops, obs.KindPut, base.Owner, cxs)
 }
 
 // RGetIndexedWith gathers equally-sized blocks from element offsets within
@@ -536,7 +499,7 @@ func RGetIndexedWith[T serial.Scalar](rk *Rank, base GPtr[T], indices []int, blo
 	for i, idx := range indices {
 		lowerGet(&ops[i], base.Add(idx), dst[i*blockElems:(i+1)*blockElems], "RGetIndexedWith")
 	}
-	return rk.injectBatch(ops, opGet, -1, cxs)
+	return rk.injectBatch(ops, obs.KindGet, -1, cxs)
 }
 
 // RPutStrided2DWith puts rows blocks of rowLen elements with an explicit
@@ -549,7 +512,7 @@ func RPutStrided2DWith[T serial.Scalar](rk *Rank, src []T, srcStride int, dst GP
 		lo := i * srcStride
 		lowerPut(&ops[i], src[lo:lo+rowLen], dst.Add(i*dstStride), "RPutStrided2DWith")
 	}
-	return rk.injectBatch(ops, opPut, dst.Owner, cxs)
+	return rk.injectBatch(ops, obs.KindPut, dst.Owner, cxs)
 }
 
 // RGetStrided2DWith gathers rows blocks of rowLen elements from a strided
@@ -561,5 +524,5 @@ func RGetStrided2DWith[T serial.Scalar](rk *Rank, src GPtr[T], srcStride int, ds
 		lo := i * dstStride
 		lowerGet(&ops[i], src.Add(i*srcStride), dst[lo:lo+rowLen], "RGetStrided2DWith")
 	}
-	return rk.injectBatch(ops, opGet, -1, cxs)
+	return rk.injectBatch(ops, obs.KindGet, -1, cxs)
 }

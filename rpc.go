@@ -233,7 +233,7 @@ func splitBodyPersona(target Intrank, cxs []Cx) (*Persona, []Cx) {
 	var bp *Persona
 	n := 0
 	for _, cx := range cxs {
-		if cx.kind != cxBody {
+		if cx.via != cxBody {
 			cxs[n] = cx
 			n++
 			continue
@@ -376,6 +376,22 @@ func encodeRPCMsg[A any](src Intrank, calls []rpcCall, stream [][]byte, hdr []by
 		buf = e.Bytes()
 	}
 	return buf, bufs
+}
+
+// encodeFFMsg builds, in one buffer, the message from src of one
+// fire-and-forget entry, whose argument is head then data, and no landing:
+// what the collectives engine sends (encodeCollMsg).
+func encodeFFMsg(src Intrank, head, data []byte) []byte {
+	var e serial.Encoder
+	e.Grow(32 + len(head) + len(data))
+	putRPCHead(&e, src, 1)
+	e.PutU8(rpcFFKind)
+	e.PutU64(0)
+	e.PutUvarint(uint64(len(head) + len(data)))
+	e.PutRaw(head)
+	e.PutRaw(data)
+	e.PutUvarint(0) // no landing
+	return e.Bytes()
 }
 
 // putRPCHead opens a message of count entries from src.
@@ -606,7 +622,7 @@ func (rk *Rank) sendAM(dst Intrank, buf []byte, aux any) {
 		tag = rk.ro.OpStart(obs.KindAM, len(buf))
 		defer rk.ro.OpDone(tag, len(buf))
 	}
-	rk.ep.AMTag(gasnetRank(dst), rk.w.amRPC, buf, nil, aux, tag)
+	rk.ep.AMTag(dst, rk.w.amRPC, buf, nil, aux, tag)
 }
 
 // --- initiator side ------------------------------------------------------
@@ -684,7 +700,7 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 	bodyPers, cxs := splitBodyPersona(target, cxs)
 	inj := rk.newInjection(target)
 	for i := range cxs {
-		inj.add(opRPC, &cxs[i])
+		inj.add(obs.KindRPC, &cxs[i])
 	}
 	if len(calls) == 0 {
 		return rk.inject(inj, nil)
@@ -707,10 +723,10 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 		}
 	}
 	op := inj.single()
-	op.kind, op.dstPeer, op.amAux = opAM, target, call // all ff: the operation edge fires at injection
+	op.kind, op.dstPeer, op.amAux = obs.KindAM, target, call // all ff: the operation edge fires at injection
 	op.buf, op.bufs = encodeRPCMsg(rk.me, calls, stream, hdr, arg, call.bodies[0].arg, land)
 	if inj.replies > 0 {
-		op.kind = opRPC // the last reply fires the operation edge (rpcLand)
+		op.kind = obs.KindRPC // the last reply fires the operation edge (rpcLand)
 		rk.rpcMu.Lock()
 		for i := range calls {
 			if calls[i].kind == rpcReqKind {

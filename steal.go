@@ -43,6 +43,11 @@ type stealReply struct {
 	Loot   []rec
 }
 
+// stealBatch caps how many tasks one steal request migrates. Batching
+// amortizes the per-message overhead o over several migrated tasks — the same
+// o/G trade the paper's rput_v makes.
+const stealBatch = 8
+
 // maybeSteal sends one steal request if stealing is enabled, the back-off
 // allows it, and no request is already outstanding. Callers have just found
 // the local queue empty.
@@ -54,7 +59,7 @@ func (rt *TaskRuntime) maybeSteal() {
 	rt.count(obs.TaskStealReqs, 1)
 	n := uint32(rt.rk.N())
 	victim := Intrank((uint32(rt.rk.Me()) + 1 + rt.victim.Add(1)%(n-1)) % n)
-	RPCFF(rt.rk, victim, stealReqBody, stealReq{Thief: int32(rt.rk.Me()), Max: uint32(rt.cfg.StealBatch)})
+	RPCFF(rt.rk, victim, stealReqBody, stealReq{Thief: int32(rt.rk.Me()), Max: stealBatch})
 }
 
 // stealSoon forgets the back-off.

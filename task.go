@@ -43,10 +43,6 @@ type TaskConfig struct {
 	// NoSteal disables work stealing: idle workers only wait for local
 	// spawns.
 	NoSteal bool
-	// StealBatch caps how many tasks one steal request migrates. 0 means
-	// 8. Batching amortizes the per-message overhead o over several
-	// migrated tasks — the same o/G trade the paper's rput_v makes.
-	StealBatch int
 }
 
 // TaskRuntime is one rank's task engine. Every rank of the job must create
@@ -83,9 +79,6 @@ type TaskRuntime struct {
 func NewTaskRuntime(rk *Rank, cfg TaskConfig) *TaskRuntime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = 8
 	}
 	rt := &TaskRuntime{
 		rk:     rk,
@@ -367,9 +360,6 @@ func taskRetireBody(trk *Rank, group uint64) {
 
 // --- workers and waiters ----------------------------------------------------
 
-// helpPark bounds one park of a worker or helper (see the file comment).
-const helpPark = 200 * time.Microsecond
-
 // worker is one puller persona: helpUntil the runtime stops.
 func (rt *TaskRuntime) worker(i int) {
 	defer rt.wg.Done()
@@ -399,7 +389,7 @@ func (rt *TaskRuntime) helpUntil(done func() bool) error {
 			continue
 		}
 		rt.maybeSteal()
-		rt.rk.ProgressWait(helpPark)
+		rt.rk.ProgressWait(idlePark)
 	}
 	return nil
 }

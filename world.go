@@ -15,8 +15,8 @@ import (
 )
 
 // Intrank identifies a process within a job or team, mirroring
-// upcxx::intrank_t.
-type Intrank = int32
+// upcxx::intrank_t: the conduit's rank, so it passes to the conduit as is.
+type Intrank = gasnet.Rank
 
 // Config describes a job.
 type Config struct {
@@ -35,8 +35,8 @@ type Config struct {
 	// PCIe3 when Model is set and zero cost otherwise; &gasnet.PCIeDMA{GDR:
 	// true} is a zero-cost GPUDirect engine.
 	DMA *gasnet.PCIeDMA
-	// WaitTimeout bounds any single Future.Wait as a deadlock backstop
-	// (0: 60s).
+	// WaitTimeout bounds any single Future.Wait or Quiesce as a deadlock
+	// backstop (0: 60s).
 	WaitTimeout time.Duration
 	// ProgressThread starts one dedicated progress goroutine per rank.
 	// The progress thread drives the conduit (internal progress and
@@ -489,25 +489,13 @@ func (rk *Rank) Discharge() {}
 func (rk *Rank) PendingOps() int { return int(rk.actCount.Load()) }
 
 // Quiesce drives progress until this rank has no operations in flight:
-// actQ empty and this goroutine's persona queues drained. It does not wait
-// for other ranks (combine with Barrier for a job-wide quiescence point).
+// actQ empty and this goroutine's persona queues drained. It waits as
+// Future.Wait does, so it too gives up with a panic after Config.WaitTimeout.
+// It does not wait for other ranks (combine with Barrier for a job-wide
+// quiescence point).
 func (rk *Rank) Quiesce() {
 	gs := curState()
-	var id idler
-	for {
-		found := rk.progressWith(gs)
-		if rk.actCount.Load() == 0 && rk.pendingLPCs(gs) == 0 {
-			return
-		}
-		if err := rk.w.failed(); err != nil {
-			panic(err)
-		}
-		// What is in flight completes on somebody else's time (a peer, the
-		// socket reader): a bare loop starves them on a one-P rank.
-		if found == 0 {
-			rk.idle(&id, idlePark)
-		}
-	}
+	rk.waitUntil(gs, "Quiesce", func() bool { return rk.actCount.Load() == 0 && rk.pendingLPCs(gs) == 0 })
 }
 
 // pendingLPCs counts undelivered LPCs across the personas this goroutine
