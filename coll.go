@@ -470,7 +470,7 @@ func (e *collEngine) sendMsg(t *Team, dest Intrank, m collMsg) {
 	if e.rk.ro != nil {
 		e.rk.ro.Add(obs.KindCollRound.Ops(), 1)
 	}
-	e.rk.sendAM(t.ranks[dest], encodeCollMsg(e.rk.me, m), collCall)
+	e.rk.sendAM(t.ranks[dest], encodeCollMsg(e.rk.me, m), nil, collCall)
 }
 
 // copyTo lowers one collective data hop — a kind-aware copy of nbytes

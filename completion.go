@@ -33,7 +33,7 @@ import (
 // any set of them to the …With entry points (RPutWith, RGetWith, CopyWith,
 // the vector/indexed/strided variants, the collective …With calls, and
 // RPCWith/RPCFFWith), which all feed the single internal injection path,
-// Rank.inject.
+// Rank.inject, whose record carries the plan until it fires.
 //
 // Deliveries are persona-addressed (paper §II: personas are the unit of
 // completion affinity). By default every initiator-side event lands on

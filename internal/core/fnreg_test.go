@@ -86,7 +86,7 @@ func TestTaskSpawnIsOneEntry(t *testing.T) {
 	reply := func(from *Rank, home Intrank, seq uint64, v int64) {
 		var out replyMsg
 		putResult(&out, seq, serial.For[int64](), &v)
-		from.sendAM(home, out.bytes(from.me), nil)
+		from.sendAM(home, out.bytes(from.me), nil, nil)
 	}
 	spawner, target := workerless(rk0), workerless(rk1)
 	f := AsyncAt(spawner, 1, regSpawned, int64(7))

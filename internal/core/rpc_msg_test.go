@@ -238,7 +238,9 @@ func msgRelease(trk *Rank, tag string) {
 // per-pair FIFO order; the results that are ready must come back while the
 // two deferred replies are still outstanding (a late reply leaves its
 // message's coalesced reply, so it holds nothing back); and the Flush's
-// operation completion must wait for its late entry.
+// operation completion must wait for its late entry. A second stream
+// interleaves the paths with and without an injection record
+// (mixedStreamFIFO).
 func TestRPCMixedStreamFIFO(t *testing.T) {
 	msgLog.order, msgLog.late = nil, map[string]*Promise[string]{}
 	Run(2, func(rk *Rank) {
@@ -297,6 +299,88 @@ func TestRPCMixedStreamFIFO(t *testing.T) {
 			if got := pc.Future().Wait(); got != "c" {
 				t.Errorf("late batch entry = %q", got)
 			}
+		}
+		rk.Barrier()
+	})
+	mixedStreamFIFO(t)
+}
+
+// mixedStream is the target's view of TestRPCMixedStreamFIFO's second
+// stream, at rank 1: stream number n is the nth operation rank 0 issued,
+// each n%4 == 3 a put of n+1 into slots[n], every other one a body that
+// reports n. Bodies run on the master persona only.
+var mixedStream struct {
+	slots    []uint64
+	next     uint64 // the number due next
+	bad      bool   // a body ran out of turn, or before an earlier put's word was in place
+	got, due uint64 // the first one that did, and the number due then
+}
+
+func mixedSee(_ *Rank, n uint64) {
+	m := &mixedStream
+	for m.next < n && m.next%4 == 3 && m.slots[m.next] == m.next+1 {
+		m.next++ // a put issued before n: its word is in place
+	}
+	if n != m.next && !m.bad {
+		m.bad, m.got, m.due = true, n, m.next
+	}
+	m.next = n + 1
+}
+
+func mixedEcho(trk *Rank, n uint64) uint64 { mixedSee(trk, n); return n + 1 }
+
+// mixedRead closes the stream as number n and reports what the target saw.
+func mixedRead(trk *Rank, n uint64) [3]uint64 {
+	mixedSee(trk, n)
+	if m := &mixedStream; m.bad {
+		return [3]uint64{1, m.got, m.due}
+	}
+	return [3]uint64{}
+}
+
+// mixedStreamFIFO is TestRPCMixedStreamFIFO's second stream: one goroutine
+// interleaves the messages that take no injection record — a plain RPCFF, an
+// RPC with no descriptor — with ones that take one — an RPCFFWith naming
+// source completion, an RPutWith — and every one is delivered in issue
+// order: each body runs in turn, after every earlier put's word is in place.
+func mixedStreamFIFO(t *testing.T) {
+	const N = 400 // a put last: the closing read, number N, finds its word
+	mixedStream.next, mixedStream.bad = 0, false
+	Run(2, func(rk *Rank) {
+		slots := MustNewArray[uint64](rk, N)
+		if rk.Me() == 1 {
+			mixedStream.slots = Local(rk, slots, N)
+		}
+		obj := NewDistObject(rk, slots)
+		rk.Barrier()
+		if rk.Me() == 0 {
+			dst := FetchDist[GPtr[uint64]](rk, obj.ID(), 1).Wait()
+			var echoes []Future[uint64]
+			var done []Future[Unit]
+			for n := uint64(0); n < N; n++ {
+				switch n % 4 {
+				case 0:
+					RPCFF(rk, 1, mixedSee, n)
+				case 1:
+					echoes = append(echoes, RPC(rk, 1, mixedEcho, n))
+				case 2:
+					done = append(done, RPCFFWith(rk, 1, mixedSee, n, SourceCxAsFuture()).Source)
+				case 3:
+					done = append(done, RPutWith(rk, []uint64{n + 1}, dst.Add(int(n))).Op)
+				}
+			}
+			if got := RPC(rk, 1, mixedRead, uint64(N)).Wait(); got[0] != 0 {
+				t.Errorf("record-less and record paths interleaved: body %d ran when %d was due", got[1], got[2])
+			}
+			for i, f := range echoes {
+				if got, want := f.Wait(), uint64(4*i+2); got != want {
+					t.Errorf("RPC %d of the stream returned %d, want %d", 4*i+1, got, want)
+				}
+			}
+			for _, f := range done {
+				f.Wait()
+			}
+			rk.Quiesce()
 		}
 		rk.Barrier()
 	})
@@ -372,10 +456,10 @@ func TestRPCBodyOnSingleCall(t *testing.T) {
 // with no aux, a reply names no pending call or carries a result that does
 // not decode into the awaited type, the payload is corrupt, a landing rides
 // the wire but the token names no landing body or the token names one but
-// the wire carries none — fails the sending peer
-// (World.Failed wraps ErrPeerLost) instead of panicking the progress
-// goroutine, and runs no body. One token comes through distAuxCodec, the
-// way a peer process's reaches the handler.
+// the wire carries none, a reply names an entry with no injection record a
+// second time — fails the sending peer (World.Failed wraps ErrPeerLost)
+// instead of panicking the progress goroutine, and runs no body. One token
+// comes through distAuxCodec, the way a peer process's reaches the handler.
 func TestRPCHandlerRejects(t *testing.T) {
 	var ran atomic.Int32
 	val := valueBody(func(*Rank, int64) int64 { ran.Add(1); return 0 })
@@ -391,6 +475,7 @@ func TestRPCHandlerRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	answer := rpcEntry{kind: rpcReplyKind, seq: 11, args: arg} // sequence 11 waits with no injection record
 	rows := []struct {
 		name    string
 		payload []byte
@@ -411,13 +496,18 @@ func TestRPCHandlerRejects(t *testing.T) {
 		{"no entries and no landing", enc(nil), &rpcAux{rem: landing}},
 		{"truncated payload", enc(nil, one)[:9], &rpcAux{bodies: []rpcBody{ff}}},
 		{"retired single-RPC magic", append([]byte{rpcMagic - 1}, enc(nil, one)[1:]...), &rpcAux{bodies: []rpcBody{ff}}},
+		{"reply naming a record-less entry twice", enc(nil, answer, answer), nil},
 	}
+	served := 0
 	for _, row := range rows {
 		w := NewWorld(Config{Ranks: 2})
 		rk1 := w.Rank(1)
 		p, inj := NewPromise[int64](rk1), rk1.newInjection(0) // rank 1 awaits an int64 for sequence 9
 		inj.replies = 1
 		rk1.rpcPending[9] = rpcPending{sink: p, res: serial.For[int64](), inj: inj}
+		bare := NewPromise[int64](rk1) // and one for sequence 11, in flight with no record
+		rk1.rpcPending[11] = rpcPending{sink: bare, res: serial.For[int64]()}
+		rk1.actCount.Add(1)
 		w.handleRPC(rk1.ep, 0, row.payload, row.aux)
 		rk1.Progress()
 		if err := w.Failed(); !errors.Is(err, gasnet.ErrPeerLost) {
@@ -426,7 +516,16 @@ func TestRPCHandlerRejects(t *testing.T) {
 		if p.Future().Ready() {
 			t.Errorf("%s: the awaited future readied", row.name)
 		}
+		if bare.Future().Ready() {
+			served++
+			if rk1.PendingOps() != 0 {
+				t.Errorf("%s: the record-less entry was answered but PendingOps = %d", row.name, rk1.PendingOps())
+			}
+		}
 		w.Close()
+	}
+	if served != 1 {
+		t.Errorf("the record-less entry was answered in %d rows, want 1: the first reply naming it serves it", served)
 	}
 	if n := ran.Load(); n != 0 {
 		t.Errorf("%d bodies of rejected messages ran", n)
@@ -768,36 +867,73 @@ func TestRPCReplyRouting(t *testing.T) {
 	})
 }
 
-// TestObsSendAMAccounting: replies and collective hops skip the injection
-// record but are counted as if they took one (DESIGN §11). One RPC round
-// trip adds one ops.am at the responder, with its bytes and one inject→done
-// sample, and none at the initiator; a 2-rank barrier adds one
-// collective-round op and one ops.am per rank.
+// TestObsSendAMAccounting: messages that skip the injection record are
+// counted as if they took one (DESIGN §11). One RPC round trip with no
+// descriptor adds one ops.rpc and one inject→done sample at the initiator
+// and one ops.am at the responder, the reply, with its bytes and one
+// sample; a plain rpc_ff adds one ops.am and its sample at the initiator;
+// an RPC naming a descriptor, which takes a record, counts as the plain one
+// does; a 2-rank barrier adds one collective-round op and one ops.am per
+// rank.
 func TestObsSendAMAccounting(t *testing.T) {
 	RegisterRPC(msgEcho)
 	w := NewWorld(Config{Ranks: 2, Stats: true})
 	defer w.Close()
 	rk0, rk1 := w.Rank(0), w.Rank(1)
-	f := RPC(rk0, 1, msgEcho, int64(1))
-	for !f.Ready() {
-		rk1.Progress()
-		rk0.Progress()
-	}
-	s0, s1 := rk0.Stats(), rk1.Stats()
-	for _, c := range []struct {
+	type count struct {
 		name      string
 		got, want uint64
-	}{
+	}
+	check := func(what string, counts []count) {
+		for _, c := range counts {
+			if c.got != c.want {
+				t.Errorf("%s: %s = %d, want %d", what, c.name, c.got, c.want)
+			}
+		}
+	}
+	spin := func(ready func() bool) {
+		for !ready() {
+			rk1.Progress()
+			rk0.Progress()
+		}
+	}
+	f := RPC(rk0, 1, msgEcho, int64(1))
+	spin(f.Ready)
+	s0, s1 := rk0.Stats(), rk1.Stats()
+	check("RPC with no descriptor", []count{
 		{"initiator ops.rpc", s0.Counters[obs.KindRPC.Ops()], 1},
+		{"initiator rpc inject→done samples", s0.HistCount(obs.HistDone, obs.KindRPC), 1},
 		{"initiator ops.am", s0.Counters[obs.KindAM.Ops()], 0},
 		{"responder ops.am", s1.Counters[obs.KindAM.Ops()], 1},
 		{"responder am tx bytes", s1.Counters[obs.KindAM.TxBytes()], s1.Counters[obs.AMBytes]},
 		{"responder am inject→done samples", s1.HistCount(obs.HistDone, obs.KindAM), 1},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
-		}
+	})
+	// Delta carries histograms unchanged: samples are counted by difference.
+	samples := func(now, was obs.Snapshot, k obs.OpKind) uint64 {
+		return now.HistCount(obs.HistDone, k) - was.HistCount(obs.HistDone, k)
 	}
+	RPCFF(rk0, 1, msgSink, int64(1))
+	n0 := rk0.Stats()
+	d0 := n0.Delta(s0)
+	check("plain rpc_ff", []count{
+		{"initiator ops.am", d0.Counters[obs.KindAM.Ops()], 1},
+		{"initiator am inject→done samples", samples(n0, s0, obs.KindAM), 1},
+		{"initiator ops.rpc", d0.Counters[obs.KindRPC.Ops()], 0},
+	})
+	spin(func() bool { return rk1.Progress() == 0 })
+	s0, s1 = rk0.Stats(), rk1.Stats()
+	f, _ = RPCWith(rk0, 1, msgEcho, int64(1), SourceCxAsFuture())
+	spin(f.Ready)
+	rk0.Quiesce()
+	n0, n1 := rk0.Stats(), rk1.Stats()
+	d0, d1 := n0.Delta(s0), n1.Delta(s1)
+	check("RPC naming a descriptor", []count{
+		{"initiator ops.rpc", d0.Counters[obs.KindRPC.Ops()], 1},
+		{"initiator rpc inject→done samples", samples(n0, s0, obs.KindRPC), 1},
+		{"initiator ops.am", d0.Counters[obs.KindAM.Ops()], 0},
+		{"responder ops.am", d1.Counters[obs.KindAM.Ops()], 1},
+		{"responder am inject→done samples", samples(n1, s1, obs.KindAM), 1},
+	})
 	w.Run(func(rk *Rank) {
 		base := rk.Stats()
 		rk.Barrier()

@@ -460,30 +460,64 @@ func TestRealtimeWorldSmoke(t *testing.T) {
 	})
 }
 
+// TestQuiesce: Quiesce returns only once nothing the rank initiated is in
+// flight. Row rput: puts whose futures nobody keeps. Row rpc: round trips
+// that name no descriptor take no injection record, yet each counts in
+// PendingOps until its reply has run its sink — here while the initiator
+// has not yet made progress, so no reply can have landed — and Quiesce
+// waits for those sinks.
 func TestQuiesce(t *testing.T) {
-	Run(2, func(rk *Rank) {
-		p := MustNewArray[uint64](rk, 64)
-		_ = NewDistObject(rk, p)
-		rk.Barrier()
-		if rk.Me() == 0 {
-			dst := FetchDist[GPtr[uint64]](rk, 0, 1).Wait()
-			// Fire many operations without retaining their futures.
-			for i := 0; i < 64; i++ {
-				_ = RPut(rk, []uint64{uint64(i)}, dst.Add(i))
-			}
-			rk.Quiesce()
-			if rk.PendingOps() != 0 {
-				t.Errorf("PendingOps = %d after Quiesce", rk.PendingOps())
-			}
-			buf := make([]uint64, 64)
-			RGet(rk, dst, buf).Wait()
-			for i, v := range buf {
-				if v != uint64(i) {
-					t.Errorf("elem %d = %d", i, v)
+	t.Run("rput", func(t *testing.T) {
+		Run(2, func(rk *Rank) {
+			p := MustNewArray[uint64](rk, 64)
+			_ = NewDistObject(rk, p)
+			rk.Barrier()
+			if rk.Me() == 0 {
+				dst := FetchDist[GPtr[uint64]](rk, 0, 1).Wait()
+				// Fire many operations without retaining their futures.
+				for i := 0; i < 64; i++ {
+					_ = RPut(rk, []uint64{uint64(i)}, dst.Add(i))
+				}
+				rk.Quiesce()
+				if rk.PendingOps() != 0 {
+					t.Errorf("PendingOps = %d after Quiesce", rk.PendingOps())
+				}
+				buf := make([]uint64, 64)
+				RGet(rk, dst, buf).Wait()
+				for i, v := range buf {
+					if v != uint64(i) {
+						t.Errorf("elem %d = %d", i, v)
+					}
 				}
 			}
-		}
-		rk.Barrier()
+			rk.Barrier()
+		})
+	})
+	t.Run("rpc", func(t *testing.T) {
+		Run(2, func(rk *Rank) {
+			if rk.Me() == 0 {
+				f := RPC(rk, 1, msgEcho, int64(1))
+				b := NewBatch(rk, 1)
+				fb := []Future[int64]{BatchRPC(b, msgEcho, int64(2)), BatchRPC(b, msgEcho, int64(3))}
+				BatchRPCFF(b, msgSink, int64(4))
+				b.Flush()
+				RPCFF(rk, 1, msgSink, int64(5))
+				if n := rk.PendingOps(); n != 3 {
+					t.Errorf("PendingOps = %d with three round trips out and no record, want 3", n)
+				}
+				rk.Quiesce()
+				if n := rk.PendingOps(); n != 0 {
+					t.Errorf("PendingOps = %d after Quiesce", n)
+				}
+				if !f.Ready() || !fb[0].Ready() || !fb[1].Ready() {
+					t.Errorf("Quiesce returned before every reply ran its sink: RPC %v, batch %v %v", f.Ready(), fb[0].Ready(), fb[1].Ready())
+				}
+				if got := f.Wait() + fb[0].Wait() + fb[1].Wait(); got != 2+3+4 {
+					t.Errorf("results sum to %d, want 9", got)
+				}
+			}
+			rk.Barrier()
+		})
 	})
 }
 

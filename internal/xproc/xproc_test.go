@@ -23,6 +23,11 @@
 //	        record, then reads the target's tally back with a round-trip
 //	        RPC: per-pair FIFO must hold across a full ring and across
 //	        the ring/socket boundary, with default Ps and with one.
+//	mixed — rank 0 sends rank 1 one numbered stream that interleaves
+//	        RPCFF, RPC, RPCFFWith a source descriptor and RPutWith, then a
+//	        closing RPC reads the tally: messages with and without an
+//	        injection record keep per-pair order, and each body runs after
+//	        every earlier put's word is in place, with default Ps and one.
 //	flood2 — both ranks, one P each, fire round-trip RPC bursts larger
 //	        than the ring at each other: both rings fill, injectors park
 //	        inside a handler's reply, and it must still finish — in order,
@@ -162,6 +167,29 @@ func xprocSeqEcho(trk *upcxx.Rank, seq uint64) uint64    { fifoSee(seq); return 
 
 func xprocViewLen(trk *upcxx.Rank, v upcxx.View[uint64]) uint64 { return uint64(v.Len()) }
 
+// The mixed scenario's target state: stream number n is the nth operation
+// rank 0 issued, each n%4 == 3 a put of n+1 into mixedSlots[n], every other
+// one a body that reports n. Bodies run on the master persona only.
+var (
+	xprocMixed fifoTally
+	mixedSlots []uint64
+)
+
+func mixedSee(n uint64) {
+	m := &xprocMixed
+	for m.Count < n && m.Count%4 == 3 && mixedSlots[m.Count] == m.Count+1 {
+		m.Count++ // a put issued before n: its word is in place
+	}
+	if n != m.Count && !m.Bad {
+		m.Bad, m.Got, m.Due = true, n, m.Count
+	}
+	m.Count = n + 1
+}
+
+func xprocMixedSee(trk *upcxx.Rank, n uint64)            { mixedSee(n) }
+func xprocMixedEcho(trk *upcxx.Rank, n uint64) uint64    { mixedSee(n); return n + 1 }
+func xprocMixedRead(trk *upcxx.Rank, n uint64) fifoTally { mixedSee(n); return xprocMixed }
+
 // What pingpong's initiator reads off its target: the ring records it has
 // produced, the times a park of its was ended by the doorbell, its idle yields.
 func xprocCounts(trk *upcxx.Rank, _ uint8) [3]uint64 {
@@ -176,6 +204,9 @@ func init() {
 	upcxx.RegisterRPC(xprocSeqEcho)
 	upcxx.RegisterRPC(xprocCounts)
 	upcxx.RegisterRPC(xprocViewLen)
+	upcxx.RegisterRPCFF(xprocMixedSee)
+	upcxx.RegisterRPC(xprocMixedEcho)
+	upcxx.RegisterRPC(xprocMixedRead)
 	upcxx.RegisterRPC(xprocEcho)
 	upcxx.RegisterRPCFF(xprocBump)
 	upcxx.RegisterRPCFF(xprocOut)
@@ -208,6 +239,27 @@ func launch(t *testing.T, backend string, n int, scenario string, extraEnv ...st
 }
 
 var backends = []string{"tcp", "shm"}
+
+// launchCapture is launch with the job's stderr written to a file and
+// returned instead of shown: LaunchWorld gives its ranks the os.Stderr it
+// finds.
+func launchCapture(t *testing.T, backend string, n int, scenario string, extraEnv ...string) (int, []byte) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatalf("job stderr: %v", err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	code := launch(t, backend, n, scenario, extraEnv...)
+	b, _ := os.ReadFile(f.Name())
+	return code, b
+}
+
+// tail returns at most the last n bytes of b.
+func tail(b []byte, n int) []byte { return b[max(0, len(b)-n):] }
 
 func TestSmoke(t *testing.T) {
 	for _, backend := range backends {
@@ -265,6 +317,16 @@ func bothPs(t *testing.T, backend, scenario string) {
 				t.Fatalf("%s job over %s exited %d", scenario, name, code)
 			}
 		})
+	}
+}
+
+// TestRPCMixedStreamFIFO: one goroutine's stream interleaves messages that
+// take no injection record (a plain RPCFF, an RPC with no descriptor) with
+// ones that take one (an RPCFFWith naming source completion, an RPutWith);
+// across processes too, every one is delivered in issue order.
+func TestRPCMixedStreamFIFO(t *testing.T) {
+	for _, backend := range backends {
+		bothPs(t, backend, "mixed")
 	}
 }
 
@@ -346,16 +408,18 @@ func TestTaskRoundTrip(t *testing.T) {
 		for _, steal := range []string{"steal", "nosteal"} {
 			t.Run(backend+"/"+steal, func(t *testing.T) {
 				var rs []float64
-				for range jobs {
+				for job := range jobs {
 					mark := t.TempDir()
-					if code := launch(t, backend, 2, "taskrt", "XPROC_STEAL="+steal, "XPROC_MARK="+mark); code != 0 {
-						t.Fatalf("taskrt job over %s (%s) exited %d", backend, steal, code)
+					code, stderr := launchCapture(t, backend, 2, "taskrt", "XPROC_STEAL="+steal, "XPROC_MARK="+mark)
+					if code != 0 {
+						t.Fatalf("taskrt job %d over %s (%s) exited %d; the tail of its stderr:\n%s", job, backend, steal, code, tail(stderr, 4096))
 					}
 					b, _ := os.ReadFile(filepath.Join(mark, "ratio"))
 					var r float64
 					if _, err := fmt.Sscan(string(b), &r); err != nil {
 						t.Fatalf("rank 0 left no task/RPC ratio (%q): %v", b, err)
 					}
+					t.Logf("job %d: a task costs %.2f RPCs", job, r)
 					rs = append(rs, r)
 				}
 				slices.Sort(rs)
@@ -394,6 +458,8 @@ func runWorker(scen string) (code int) {
 		switch scen {
 		case "fifo":
 			fifoBody(rk)
+		case "mixed":
+			mixedBody(rk)
 		case "flood2":
 			code = flood2Body(rk)
 		case "pingpong":
@@ -596,6 +662,48 @@ func fifoBody(rk *upcxx.Rank) {
 			viaSocket = N / every
 		}
 		expect(ci.SocketFallbacks == viaSocket, "fifo: %d frames took the socket past the ring, want %d", ci.SocketFallbacks, viaSocket)
+	}
+	rk.Barrier()
+}
+
+// mixedBody: rank 0 sends rank 1 one stream of numbered operations through
+// the record-less and the record paths in turn, nothing fencing it, and a
+// closing RPC, the stream's last number, reads the tally: each body ran in
+// turn, after every earlier put's word was in place.
+func mixedBody(rk *upcxx.Rank) {
+	const N = 4000 // a put last: the closing read finds its word
+	slots := upcxx.MustNewArray[uint64](rk, N)
+	mixedSlots = upcxx.Local(rk, slots, N)
+	obj := upcxx.NewDistObject(rk, slots)
+	rk.Barrier()
+	if rk.Me() == 0 {
+		dst := upcxx.FetchDist[upcxx.GPtr[uint64]](rk, obj.ID(), 1).Wait()
+		var echoes []upcxx.Future[uint64]
+		var done []upcxx.Future[upcxx.Unit]
+		src := make([]uint64, N)
+		for n := uint64(0); n < N; n++ {
+			switch n % 4 {
+			case 0:
+				upcxx.RPCFF(rk, 1, xprocMixedSee, n)
+			case 1:
+				echoes = append(echoes, upcxx.RPC(rk, 1, xprocMixedEcho, n))
+			case 2:
+				done = append(done, upcxx.RPCFFWith(rk, 1, xprocMixedSee, n, upcxx.SourceCxAsFuture()).Source)
+			case 3:
+				src[n] = n + 1
+				done = append(done, upcxx.RPutWith(rk, src[n:n+1], dst.Add(int(n))).Op)
+			}
+		}
+		got := upcxx.RPC(rk, 1, xprocMixedRead, uint64(N)).Wait()
+		expect(!got.Bad, "mixed: body %d ran when %d was due", got.Got, got.Due)
+		expect(got.Count == N+1, "mixed: the closing RPC found the stream at %d of %d", got.Count, N+1)
+		for i, f := range echoes {
+			expect(f.Wait() == uint64(4*i+2), "mixed: RPC %d of the stream returned %d", 4*i+1, f.Wait())
+		}
+		for _, f := range done {
+			f.Wait()
+		}
+		rk.Quiesce()
 	}
 	rk.Barrier()
 }

@@ -124,12 +124,13 @@ func LPCTo(p *Persona, fn func()) { p.lpc(fn) }
 // drain executes every LPC enqueued before the call, in FIFO order, and
 // returns the count. Must only be called by the goroutine holding p.
 // LPCs enqueued by the drained functions themselves run at the next
-// drain, mirroring the compQ snapshot semantics of user progress.
+// drain, mirroring the compQ snapshot semantics of user progress. An empty
+// queue costs a load: only a non-empty stack is swapped out.
 func (p *Persona) drain() int {
-	top := p.head.Swap(nil)
-	if top == nil {
+	if p.head.Load() == nil {
 		return 0
 	}
+	top := p.head.Swap(nil)
 	// Reverse the detached stack to recover enqueue order.
 	var fifo *lpcNode
 	n := 0

@@ -35,8 +35,9 @@ import (
 // whose operation edge the initiator's reply continuation fires (rpcLand).
 // KindColl only names a whole collective for completion-descriptor
 // validation: its rounds lower to one-way messages (sendAM) and KindCopy
-// operations. Replies and collective hops have no completion to deliver and
-// skip the injection record (Rank.sendAM).
+// operations. A record exists to fire a plan, so an RPC message lowers to
+// an rmaOp only when its call names a descriptor: replies, collective hops
+// and RPC messages with none skip the injection record (rpcSend).
 type rmaOp struct {
 	kind obs.OpKind
 
@@ -73,14 +74,7 @@ func (op *rmaOp) obsBytes() int {
 	case obs.KindAtomic:
 		return 8
 	default:
-		if op.bufs != nil {
-			n := 0
-			for _, b := range op.bufs {
-				n += len(b)
-			}
-			return n
-		}
-		return len(op.buf)
+		return msgBytes(op.buf, op.bufs)
 	}
 }
 

@@ -20,12 +20,15 @@ import (
 // values, exactly as UPC++ requires lambda captures to be trivially
 // serializable.
 //
-// Every variant lowers to the one injection path, Rank.inject, and takes the
-// full completion-descriptor set (completion.go): source completion once the
+// Every variant lowers to one send, rpcSend, and takes the full
+// completion-descriptor set (completion.go): source completion once the
 // conduit has captured the argument bytes, operation completion when the
 // reply lands (for rpc_ff, when the conduit accepts the message), and remote
 // completion — as_rpc only — at the target when the request lands, before
-// any body runs. Any delivery may be persona-addressed with On. Bodies run
+// any body runs. Any delivery may be persona-addressed with On. A call that
+// names descriptors goes through the injection path, Rank.inject, whose
+// record fires them; one that names none has nothing for a record to fire
+// and goes out without one. Bodies run
 // at the target only during its user-level progress, so an inattentive
 // target stalls them (paper §III), unless Config.ProgressThread keeps it
 // attentive.
@@ -95,7 +98,7 @@ func futBody[A, R any](fn func(*Rank, A) Future[R]) rpcBody {
 			inner.onReady(func(r R) {
 				var one replyMsg
 				putResult(&one, seq, cr, &r)
-				trk.sendAM(src, one.bytes(trk.me), nil)
+				trk.sendAM(src, one.bytes(trk.me), nil, nil)
 			})
 		}
 		if pers := inner.core().pers; pers == nil || pers.onOwnerGoroutine() {
@@ -572,7 +575,7 @@ func (rk *Rank) runBodies(from Intrank, m rpcMsg, bodies []rpcBody, own bool) {
 		out = bodies[i].run(rk, from, en.seq, en.args, own, out)
 	}
 	if out.n > 0 {
-		rk.sendAM(from, out.bytes(rk.me), nil)
+		rk.sendAM(from, out.bytes(rk.me), nil, nil)
 	}
 }
 
@@ -612,17 +615,32 @@ func (m *replyMsg) bytes(src Intrank) []byte {
 	return b[off:]
 }
 
-// sendAM hands the conduit a runtime-internal one-way message — a reply, a
-// collective hop — on the calling goroutine, so per-pair FIFO holds. With no
-// completion to deliver it takes no injection record, but with stats on it
-// records what one would: an ops.am, its bytes and the inject→done edge.
-func (rk *Rank) sendAM(dst Intrank, buf []byte, aux any) {
+// sendAM hands the conduit a one-way message that has no completion to
+// deliver — a reply, a collective hop, a plain rpc_ff — on the calling
+// goroutine, so per-pair FIFO holds: buf, or the fragments bufs, whose
+// borrowed runs the conduit captures before it returns. It takes no injection
+// record, but with stats on it records what one would: an ops.am, its bytes
+// and the inject→done edge.
+func (rk *Rank) sendAM(dst Intrank, buf []byte, bufs [][]byte, aux any) {
 	var tag obs.OpTag
 	if rk.ro != nil {
-		tag = rk.ro.OpStart(obs.KindAM, len(buf))
-		defer rk.ro.OpDone(tag, len(buf))
+		n := msgBytes(buf, bufs)
+		tag = rk.ro.OpStart(obs.KindAM, n)
+		defer rk.ro.OpDone(tag, n)
 	}
-	rk.ep.AMTag(dst, rk.w.amRPC, buf, nil, aux, tag)
+	rk.ep.AMTag(dst, rk.w.amRPC, buf, bufs, aux, tag)
+}
+
+// msgBytes is the length of a message held as buf or as the fragments bufs.
+func msgBytes(buf []byte, bufs [][]byte) int {
+	if bufs == nil {
+		return len(buf)
+	}
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	return n
 }
 
 // --- initiator side ------------------------------------------------------
@@ -648,63 +666,126 @@ func (p *Promise[T]) rpcResult(c any, res []byte, own bool) error {
 }
 
 // rpcPending is the initiator's record of one round-trip entry in flight.
+// inj is the injection record of the entry's request message when its call
+// named descriptors; an entry of a message without one is in flight on its
+// own (rpcSend), and with stats on it shares the message's op tag.
 type rpcPending struct {
 	sink rpcSink
 	res  any        // the result's codec, for sink
-	inj  *injection // of the entry's request message; counts its replies
+	inj  *injection // counts the message's replies; its last one fires the plan
+	tag  *rpcTag    // no record, stats on: the message's inject→done edge
+}
+
+// rpcTag is the op tag the round-trip entries of one message with no record
+// share, with the message's bytes and the replies still due, so the last
+// one records the inject→done edge. Guarded by the initiating rank's rpcMu.
+type rpcTag struct {
+	tag     obs.OpTag
+	n       int
+	replies int
+}
+
+// answered counts one of its message's replies landed, under rpcMu, and
+// reports whether it was the last one due.
+func (p *rpcPending) answered() bool {
+	switch {
+	case p.inj != nil:
+		p.inj.replies--
+		return p.inj.replies == 0
+	case p.tag != nil:
+		p.tag.replies--
+		return p.tag.replies == 0
+	}
+	return true
+}
+
+// retire ends the entry once its reply has run its sink, and reports
+// whether it had no record. The last reply of a message with a record fires
+// its plan; an entry with none records the message's inject→done sample if
+// it was the last, and leaves the in-flight count (rpcLand).
+func (p *rpcPending) retire(last bool) (bare bool) {
+	switch {
+	case p.inj != nil:
+		if last {
+			p.inj.opLanded()
+		}
+		return false
+	case last && p.tag != nil:
+		p.tag.tag.Rec.OpDone(p.tag.tag, p.tag.n)
+	}
+	return true
 }
 
 // rpcLand completes the pending entries a reply message answers, own as
 // rpcResult takes it. The operation edge of the last one stays an LPC,
-// queued after the value.
-func (rk *Rank) rpcLand(m rpcMsg, own bool) error {
-	for i := 0; i < m.count; i++ {
+// queued after the value. The entries that had no record leave the
+// in-flight count together, once their sinks have run. An entry is answered
+// once: a second reply naming it finds no entry, the replying peer's fault.
+func (rk *Rank) rpcLand(m rpcMsg, own bool) (err error) {
+	bare := 0
+	for i := 0; i < m.count && err == nil; i++ {
 		en := m.next()
 		rk.rpcMu.Lock()
 		p, ok := rk.rpcPending[en.seq]
 		delete(rk.rpcPending, en.seq)
-		last := false
-		if ok {
-			p.inj.replies--
-			last = p.inj.replies == 0
-		}
+		last := ok && p.answered()
 		rk.rpcMu.Unlock()
 		if !ok {
-			return fmt.Errorf("%s: reply for unknown sequence %d", rpcFormat, en.seq)
-		}
-		if err := p.sink.rpcResult(p.res, en.args, own); err != nil {
-			return err
-		}
-		if last {
-			p.inj.opLanded()
+			err = fmt.Errorf("%s: reply for unknown sequence %d", rpcFormat, en.seq)
+		} else if err = p.sink.rpcResult(p.res, en.args, own); err == nil && p.retire(last) {
+			bare++
 		}
 	}
-	return nil
+	if bare > 0 {
+		rk.actCount.Add(-int64(bare))
+	}
+	return err
 }
 
 // rpcSend is the one initiator-side lowering of RPC traffic: calls[i] is a
 // call of call.bodies[i] — its argument in stream, or, for a single call,
-// still in arg, behind hdr — whose sink takes its result. The message lowers through Rank.inject under one
-// completion plan: source completion fires when the conduit has captured
-// the message — the first moment borrowed argument runs may be reused —
-// operation completion when the last round-trip entry's reply has landed —
-// at injection when every entry is fire-and-forget — and a remote-cx as_rpc
-// descriptor rides embedded in the message and fires at the target on
-// landing, exactly like the conduit does for put/copy hop chains. The
-// message is encoded before any entry is filed in rpcPending, so an argument
-// that fails to marshal leaves nothing waiting for a reply; a sequence
-// number is only a name, and one drawn for it is simply never answered.
-// call travels as the aux token (a copy, to add a landing event or a body
-// address); calls and stream are not kept.
+// still in arg, behind hdr — whose sink takes its result. The message is
+// encoded before any entry is filed in rpcPending, so an argument that fails
+// to marshal leaves nothing waiting for a reply; a sequence number is only a
+// name, and one drawn for it is simply never answered. call travels as the
+// aux token (a copy, to add a landing event or a body address); calls and
+// stream are not kept.
+//
+// An injection record exists to fire a plan, so a message takes one only
+// when cxs is not empty: a completion descriptor, a landing (RemoteCxAsRPC)
+// or a body address (RPCBodyOn). The message then lowers through
+// Rank.inject: source completion fires when the conduit has captured it —
+// the first moment borrowed argument runs may be reused — operation
+// completion when the last round-trip entry's reply has landed, or at
+// injection when every entry is fire-and-forget, and a landing rides
+// embedded in the message and fires at the target, as the conduit fires a
+// put's or copy's. With no descriptor a one-way message goes out as a reply
+// does (sendAM), and a round trip's entries wait with no record, each
+// counted in flight (PendingOps) until its reply has run its sink (rpcLand).
 func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, stream [][]byte, hdr []byte, arg *A, cxs []Cx) CxFutures {
-	bodyPers, cxs := splitBodyPersona(target, cxs)
-	inj := rk.newInjection(target)
-	for i := range cxs {
-		inj.add(obs.KindRPC, &cxs[i])
+	var inj *injection
+	var land *[]byte
+	if len(cxs) > 0 {
+		var bodyPers *Persona
+		bodyPers, cxs = splitBodyPersona(target, cxs)
+		inj = rk.newInjection(target)
+		for i := range cxs {
+			inj.add(obs.KindRPC, &cxs[i])
+		}
+		if l := inj.landing; l != nil || bodyPers != nil {
+			call = &rpcAux{bodies: call.bodies, bodyPers: bodyPers}
+			if l != nil { // the message carries it: opDone must not send it again
+				call.rem, land, inj.landing = l.tok.rem, &l.args, nil
+			}
+		}
 	}
 	if len(calls) == 0 {
+		if inj == nil {
+			return CxFutures{}
+		}
 		return rk.inject(inj, nil)
 	}
+	replies := 0
 	var last uint64 // top of a block of sequence numbers, one per entry, drawn at the first round trip
 	for i := range calls {
 		if calls[i].kind = call.bodies[i].kind; calls[i].kind == rpcReqKind {
@@ -712,30 +793,46 @@ func rpcSend[A any](rk *Rank, target Intrank, call *rpcAux, calls []rpcCall, str
 				last = rk.rpcSeq.Add(uint64(len(calls)))
 			}
 			calls[i].seq = last - uint64(i)
-			inj.replies++
+			replies++
 		}
 	}
-	var land *[]byte
-	if l := inj.landing; l != nil || bodyPers != nil {
-		call = &rpcAux{bodies: call.bodies, bodyPers: bodyPers}
-		if l != nil { // the message carries it: opDone must not send it again
-			call.rem, land, inj.landing = l.tok.rem, &l.args, nil
+	buf, bufs := encodeRPCMsg(rk.me, calls, stream, hdr, arg, call.bodies[0].arg, land)
+	if inj != nil {
+		op := inj.single()
+		op.kind, op.dstPeer, op.amAux, op.buf, op.bufs = obs.KindAM, target, call, buf, bufs // all ff: the operation edge fires at injection
+		if replies > 0 {
+			op.kind, inj.replies = obs.KindRPC, replies // the last reply fires the operation edge (rpcLand)
+			rk.filePending(calls, call, inj, nil)
+		}
+		return rk.inject(inj, nil)
+	}
+	if replies == 0 {
+		rk.sendAM(target, buf, bufs, call)
+		return CxFutures{}
+	}
+	var tag obs.OpTag
+	var shared *rpcTag
+	if rk.ro != nil {
+		n := msgBytes(buf, bufs)
+		tag = rk.ro.OpStart(obs.KindRPC, n)
+		shared = &rpcTag{tag: tag, n: n, replies: replies}
+	}
+	rk.filePending(calls, call, nil, shared)
+	rk.actCount.Add(int64(replies)) // before a reply can land: rpcLand retires each
+	rk.ep.AMTag(target, rk.w.amRPC, buf, bufs, call, tag)
+	return CxFutures{}
+}
+
+// filePending files the round-trip entries of calls with the entry's sink,
+// its body's result codec and what the message's entries share.
+func (rk *Rank) filePending(calls []rpcCall, call *rpcAux, inj *injection, tag *rpcTag) {
+	rk.rpcMu.Lock()
+	for i := range calls {
+		if calls[i].kind == rpcReqKind {
+			rk.rpcPending[calls[i].seq] = rpcPending{sink: calls[i].sink, res: call.bodies[i].res, inj: inj, tag: tag}
 		}
 	}
-	op := inj.single()
-	op.kind, op.dstPeer, op.amAux = obs.KindAM, target, call // all ff: the operation edge fires at injection
-	op.buf, op.bufs = encodeRPCMsg(rk.me, calls, stream, hdr, arg, call.bodies[0].arg, land)
-	if inj.replies > 0 {
-		op.kind = obs.KindRPC // the last reply fires the operation edge (rpcLand)
-		rk.rpcMu.Lock()
-		for i := range calls {
-			if calls[i].kind == rpcReqKind {
-				rk.rpcPending[calls[i].seq] = rpcPending{sink: calls[i].sink, res: call.bodies[i].res, inj: inj}
-			}
-		}
-		rk.rpcMu.Unlock()
-	}
-	return rk.inject(inj, nil)
+	rk.rpcMu.Unlock()
 }
 
 // rpcOne sends a single call of call's body: a one-entry message whose

@@ -24,7 +24,7 @@ import (
 // A view argument is zero-copy end to end: BatchRPC marshals into the
 // batch's gather encoder, so its elements travel as borrowed iovec fragments
 // that alias caller memory until the conduit's capture stage copies them
-// inside Flush (argument stream → rmaOp.bufs → Endpoint.AMTag). Source
+// inside Flush (argument stream → the message's fragments → Endpoint.AMTag). Source
 // completion on Flush is therefore the first moment a viewed buffer may be
 // reused — the same contract as rput. A plain []byte is copied at BatchRPC instead: nothing
 // asks its caller to leave it alone until Flush. A single call borrows both,

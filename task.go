@@ -319,7 +319,7 @@ func (rt *TaskRuntime) execute(r rec) {
 	out := r.b.run(rt.rk, home, r.Seq, r.Args, r.own, replyMsg{})
 	switch {
 	case r.Flags&flagFF == 0:
-		rt.rk.sendAM(home, out.bytes(rt.rk.me), nil)
+		rt.rk.sendAM(home, out.bytes(rt.rk.me), nil, nil)
 	case home == rt.rk.Me():
 		rt.retire(r.Group)
 	default:

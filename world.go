@@ -355,7 +355,7 @@ type Rank struct {
 	n  Intrank
 	ro *obs.RankObs // this rank's observability recorder; nil = disabled
 
-	actCount atomic.Int64 // operations handed to the conduit, incomplete
+	actCount atomic.Int64 // operations handed to the conduit, incomplete (PendingOps)
 
 	// done is the rank's one ready future, shared and never written: what an
 	// as_future descriptor of the initiating persona returns when its event
@@ -484,8 +484,10 @@ func (rk *Rank) progressWith(gs *goroutineState) int {
 func (rk *Rank) Discharge() {}
 
 // PendingOps returns the number of operations in the active state (handed
-// to the conduit, completion not yet observed). Exposed for tests and
-// diagnostics.
+// to the conduit, completion not yet observed): each conduit operation of an
+// injection record until it completes, and each round trip of an RPC message
+// that named no descriptor, and so took no record, until its reply has run
+// its sink. Exposed for tests and diagnostics.
 func (rk *Rank) PendingOps() int { return int(rk.actCount.Load()) }
 
 // Quiesce drives progress until this rank has no operations in flight:
